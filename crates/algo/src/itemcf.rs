@@ -13,10 +13,32 @@
 //! Algorithm 1's operator-facing semantics are exposed via
 //! [`ItemCfModel::score`]: already-rated items return the user's own rating;
 //! an empty `L` (no overlap) yields 0.
+//!
+//! # Two ways to evaluate Eq. 2
+//!
+//! * **Per pair** — [`ItemCfModel::predict_dense`] merge-intersects
+//!   `rated(u)` with the forward list `N(i)`. It is the point API (a
+//!   pushed-down item list, JoinRecommend, evaluation hold-outs,
+//!   OnTopDB) and the oracle the tests compare against.
+//! * **Per user** — [`ItemCfModel::score_unseen_into`] scores *every*
+//!   unseen item in one pass: the reduction "to items rated by user u" is
+//!   done once, by walking `rated(u)` and scattering each rating along the
+//!   reverse list `rev(l)` ([`NeighborhoodTable::reverse`]) into dense
+//!   per-candidate `(num, den)` accumulators. Cost is `Σ_{l ∈ rated(u)}
+//!   |rev(l)|` multiply-adds instead of `n_items` merge-intersects.
+//!
+//! The two agree **bit for bit**. A candidate `i` receives exactly the
+//! terms `{sim(i, l)·r_ul : l ∈ rated(u) ∩ N(i)}`, since `(i, sim(i, l)) ∈
+//! rev(l) ⇔ l ∈ N(i)`; the per-user pass visits `l` in ascending order
+//! (the CSR row is sorted) and the merge-intersect meets the same `l` in
+//! ascending order, so both add the same `f64` terms to a 0.0-initialised
+//! sum in the same sequence. Only the *outer* order matters: within one
+//! `rev(l)` every candidate is touched once.
 
 use crate::model::TrainError;
 use crate::neighborhood::{
-    build_item_neighborhood, build_item_neighborhood_guarded, NeighborhoodParams, NeighborhoodTable,
+    build_item_neighborhood, build_item_neighborhood_guarded, NeighborhoodParams,
+    NeighborhoodTable, ScoreScratch,
 };
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
@@ -106,6 +128,31 @@ impl ItemCfModel {
         } else {
             Some(num / den)
         }
+    }
+
+    /// Eq. 2 for every item user `u` has not rated, appended to `out` as
+    /// `(item_idx, score)` ascending in item index; no-overlap candidates
+    /// score 0. One pass over `rated(u)` × reverse lists — bit-identical
+    /// to [`predict_dense`](Self::predict_dense) per candidate (module
+    /// docs).
+    pub fn score_unseen_into(
+        &self,
+        u: usize,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let acc = scratch.reset(self.matrix.n_items());
+        let (rated_items, ratings) = self.matrix.user_csr().row(u);
+        for (&l, &r_ul) in rated_items.iter().zip(ratings) {
+            let r_ul = f64::from(r_ul);
+            let (candidates, sims) = self.neighborhood.reverse(l as usize);
+            for (&i, &sim) in candidates.iter().zip(sims) {
+                let [num, den] = &mut acc[i as usize];
+                *num += sim * r_ul;
+                *den += sim.abs();
+            }
+        }
+        scratch.emit_unseen(&self.matrix, u, out);
     }
 
     /// The Algorithm 1 per-pair score for external ids:

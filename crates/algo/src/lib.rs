@@ -6,8 +6,10 @@
 //!   column views (the "UserVector" / "ItemVector" tables of Algorithm 1),
 //! * [`similarity`] — cosine and Pearson correlation over co-rated
 //!   dimensions (Eq. 1),
-//! * [`neighborhood`] — item–item and user–user similarity-list models,
-//! * [`itemcf`] / [`usercf`] — neighborhood predictors (Eq. 2),
+//! * [`neighborhood`] — item–item and user–user similarity-list models
+//!   (forward lists plus their transpose),
+//! * [`itemcf`] / [`usercf`] — neighborhood predictors (Eq. 2), per pair
+//!   and user-at-a-time,
 //! * [`svd`] — regularized gradient-descent matrix factorization (Eq. 3),
 //! * [`kernels`] — flat-`f32` vectorizable primitives (`dot`, `axpy`,
 //!   `score_block`) shared by the SVD trainer and the score materializer,
@@ -36,11 +38,11 @@ pub mod usercf;
 
 pub use itemcf::ItemCfModel;
 pub use model::{Algorithm, RecModel, TrainError};
-pub use neighborhood::NeighborhoodParams;
+pub use neighborhood::{NeighborhoodParams, NeighborhoodTable, ScoreScratch};
 pub use parallel::effective_threads;
 pub use popularity::PopularityModel;
 pub use ratings::{Csr, Rating, RatingsMatrix};
 pub use similarity::Similarity;
 pub use svd::{SvdModel, SvdParams};
-pub use topk::top_k_by;
+pub use topk::{top_k_by, TopK};
 pub use usercf::UserCfModel;

@@ -7,7 +7,7 @@
 //! scoring interface.
 
 use crate::itemcf::ItemCfModel;
-use crate::neighborhood::NeighborhoodParams;
+use crate::neighborhood::{NeighborhoodParams, ScoreScratch};
 use crate::popularity::PopularityModel;
 use crate::ratings::RatingsMatrix;
 use crate::similarity::Similarity;
@@ -308,34 +308,27 @@ impl RecModel {
         }
     }
 
-    /// Batch-score every item dense user `u` has **not** rated, appending
-    /// `(item_idx, score)` in ascending item order — the score
-    /// materializer's inner loop. No-signal pairs score 0 (Algorithm 1
-    /// line 14), matching `predict(..).unwrap_or(0.0)` per pair. The SVD
-    /// arm runs blocked [`SvdModel::score_block`] kernels; the others
-    /// walk the user's sorted CSR row to skip rated items.
-    pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
-        if let RecModel::Factors(m) = self {
-            m.score_unseen_into(u, out);
-            return;
-        }
-        let matrix = self.matrix();
-        let (rated, _) = matrix.user_csr().row(u);
-        let mut rated_pos = 0;
-        for i in 0..matrix.n_items() {
-            while rated_pos < rated.len() && (rated[rated_pos] as usize) < i {
-                rated_pos += 1;
-            }
-            if rated_pos < rated.len() && rated[rated_pos] as usize == i {
-                continue;
-            }
-            let score = match self {
-                RecModel::Item(m) => m.predict_dense(u, i).unwrap_or(0.0),
-                RecModel::User(m) => m.predict_dense(u, i).unwrap_or(0.0),
-                RecModel::Factors(_) => unreachable!("handled above"),
-                RecModel::Popular(m) => m.item_score(i),
-            };
-            out.push((i, score));
+    /// Score every item dense user `u` has **not** rated in one
+    /// user-at-a-time pass, appending `(item_idx, score)` in ascending
+    /// item order — what the whole-domain `RECOMMEND` operator and the
+    /// score materializer run per user. No-signal pairs score 0
+    /// (Algorithm 1 line 14), and every score is bit-identical to
+    /// `predict_indexed(u, i).unwrap_or(0.0)`, the per-pair form that
+    /// stays the point API and the test oracle. The neighborhood arms
+    /// scatter into `scratch` (see [`crate::itemcf`] / [`crate::usercf`]),
+    /// the SVD arm runs blocked [`SvdModel::score_block`] kernels, and
+    /// Popularity copies its per-item table.
+    pub fn score_unseen_into(
+        &self,
+        u: usize,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        match self {
+            RecModel::Item(m) => m.score_unseen_into(u, scratch, out),
+            RecModel::User(m) => m.score_unseen_into(u, scratch, out),
+            RecModel::Factors(m) => m.score_unseen_into(u, out),
+            RecModel::Popular(m) => m.score_unseen_into(u, out),
         }
     }
 
@@ -346,7 +339,7 @@ impl RecModel {
     /// [`crate::topk::top_k_by`].
     pub fn top_k_unseen(&self, u: usize, k: usize) -> Vec<(usize, f64)> {
         let mut scored = Vec::new();
-        self.score_unseen_into(u, &mut scored);
+        self.score_unseen_into(u, &mut ScoreScratch::default(), &mut scored);
         crate::topk::top_k_by(scored, k, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
     }
 }
@@ -430,28 +423,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_scoring_matches_per_pair_for_every_algorithm() {
-        let config = TrainConfig {
-            svd: SvdParams {
-                epochs: 5,
-                ..Default::default()
-            },
-            ..Default::default()
+    /// Figure 1 plus a denser seeded world whose shape forces the edge
+    /// cases of the user-at-a-time pass: anti-correlated raters (negative
+    /// Pearson sims), an item only one user rated (no co-raters under
+    /// Pearson, so empty forward *and* reverse lists), and single-rating
+    /// users. (Every user a `RatingsMatrix` knows has at least one rating;
+    /// "no signal at all" is a user whose only item has no neighbors.)
+    fn parity_worlds() -> Vec<RatingsMatrix> {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
         };
-        for algo in Algorithm::ALL {
-            let m = matrix();
-            let model = RecModel::train(algo, m.clone(), &config);
-            for u in 0..m.n_users() {
-                let mut batch = Vec::new();
-                model.score_unseen_into(u, &mut batch);
-                let expected: Vec<(usize, f64)> = (0..m.n_items())
-                    .filter(|&i| m.rating_at(u, i).is_none())
-                    .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0)))
-                    .collect();
-                assert_eq!(batch, expected, "{algo} user {u}");
+        let mut ratings = Vec::new();
+        for u in 0..40 {
+            for i in 0..30 {
+                if next() % 100 < 30 {
+                    // Even users like low item ids, odd users high ones.
+                    let liked = (i < 15) == (u % 2 == 0);
+                    let base = if liked { 3.5 } else { 1.0 };
+                    ratings.push(Rating::new(u, i, base + (next() % 4) as f64 * 0.5));
+                }
             }
         }
+        ratings.push(Rating::new(100, 900, 4.0)); // isolated user and item
+        ratings.push(Rating::new(101, 3, 2.5)); // single-rating user
+        vec![matrix(), RatingsMatrix::from_ratings(ratings)]
+    }
+
+    #[test]
+    fn batch_scoring_matches_per_pair_for_every_algorithm() {
+        let mut scratch = ScoreScratch::default();
+        let mut negative_sims = false;
+        let mut empty_reverse = false;
+        let knobs: Vec<(Option<usize>, f64)> = [None, Some(1), Some(8), Some(64)]
+            .into_iter()
+            .flat_map(|k| [(k, 0.0), (k, 0.2)])
+            .collect();
+        for m in parity_worlds() {
+            for algo in Algorithm::ALL {
+                // The neighborhood knobs do not apply to SVD and Popularity.
+                let knobs = if algo.is_neighborhood() {
+                    &knobs[..]
+                } else {
+                    &knobs[..1]
+                };
+                for &(max_neighbors, min_abs_sim) in knobs {
+                    let config = TrainConfig {
+                        neighborhood: NeighborhoodKnobs {
+                            max_neighbors,
+                            min_abs_sim,
+                            threads: 1,
+                        },
+                        svd: SvdParams {
+                            epochs: 5,
+                            ..Default::default()
+                        },
+                    };
+                    let model = RecModel::train(algo, m.clone(), &config);
+                    if let RecModel::Item(item) = &model {
+                        let t = item.neighborhood();
+                        negative_sims |=
+                            (0..t.len()).any(|i| t.neighbors(i).iter().any(|&(_, s)| s < 0.0));
+                        empty_reverse |= (0..t.len()).any(|i| t.reverse(i).0.is_empty());
+                    }
+                    let mut batch = Vec::new();
+                    for u in 0..m.n_users() {
+                        batch.clear();
+                        model.score_unseen_into(u, &mut scratch, &mut batch);
+                        let got: Vec<(usize, u64)> =
+                            batch.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                        let expected: Vec<(usize, u64)> = (0..m.n_items())
+                            .filter(|&i| m.rating_at(u, i).is_none())
+                            .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0).to_bits()))
+                            .collect();
+                        assert_eq!(
+                            got, expected,
+                            "{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(negative_sims, "the sweep must cover negative similarities");
+        assert!(empty_reverse, "the sweep must cover empty reverse lists");
     }
 
     #[test]

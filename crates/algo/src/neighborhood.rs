@@ -34,6 +34,20 @@
 //! Hence nondeterministic chunk→worker scheduling can never leak into the
 //! result, and the cheap dynamic load balancing (row `a` costs `O(n − a)`)
 //! comes for free.
+//!
+//! # Reverse adjacency
+//!
+//! Eq. 2 for *one* candidate `i` reads the forward list `N(i)`. Scoring
+//! *every* candidate of one user instead walks the table the other way:
+//! for each item `l` the user rated, which candidates `i` list `l` as a
+//! neighbor? That is the transpose `rev(l) = {(i, sim(i, l)) : l ∈ N(i)}`
+//! ([`NeighborhoodTable::reverse`]), stored as flat CSR (`row_ptr` /
+//! `u32` index / `f64` sim, 12 B per pair). Untruncated tables are
+//! symmetric, truncated ones are not, so the transpose is always built
+//! explicitly — by a serial counting sort over the *canonical* forward
+//! lists, after truncation and the final sort, which makes it a pure
+//! function of them and therefore identical at every `threads` too.
+//! [`crate::itemcf`] describes the scoring pass that consumes it.
 
 use crate::model::TrainError;
 use crate::parallel::{effective_threads, for_each_chunk};
@@ -88,16 +102,80 @@ impl NeighborhoodParams {
 }
 
 /// A similarity-list table over `n` entities: `lists[e]` holds sorted
-/// `(neighbor_idx, sim)` pairs (sorted by neighbor index for merge joins).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `(neighbor_idx, sim)` pairs (sorted by neighbor index for merge joins),
+/// plus the same pairs transposed (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeighborhoodTable {
     lists: Vec<Vec<(usize, f64)>>,
+    /// `rev_idx/rev_sim[rev_ptr[l]..rev_ptr[l + 1]]` = every `(e, sim(e, l))`
+    /// with `l ∈ lists[e]`, ascending in `e`.
+    rev_ptr: Vec<usize>,
+    rev_idx: Vec<u32>,
+    rev_sim: Vec<f64>,
+}
+
+impl Default for NeighborhoodTable {
+    fn default() -> Self {
+        NeighborhoodTable::from_lists(Vec::new())
+    }
 }
 
 impl NeighborhoodTable {
+    /// Build the table (forward lists plus their transpose) from one
+    /// `(neighbor_idx, sim)` list per entity, each sorted by neighbor
+    /// index with every index `< lists.len()`.
+    pub fn from_lists(lists: Vec<Vec<(usize, f64)>>) -> Self {
+        let n = lists.len();
+        // Counting-sort transpose: count each neighbor's in-degree, prefix
+        // sum into row starts, then place pairs walking `e` ascending so
+        // every reverse row comes out sorted by `e`.
+        let mut rev_ptr = vec![0usize; n + 1];
+        for list in &lists {
+            for &(l, _) in list {
+                rev_ptr[l + 1] += 1;
+            }
+        }
+        for l in 0..n {
+            rev_ptr[l + 1] += rev_ptr[l];
+        }
+        let mut next = rev_ptr.clone();
+        let mut rev_idx = vec![0u32; rev_ptr[n]];
+        let mut rev_sim = vec![0.0f64; rev_ptr[n]];
+        for (e, list) in lists.iter().enumerate() {
+            let e = u32::try_from(e).expect("dense index exceeds u32");
+            for &(l, sim) in list {
+                rev_idx[next[l]] = e;
+                rev_sim[next[l]] = sim;
+                next[l] += 1;
+            }
+        }
+        NeighborhoodTable {
+            lists,
+            rev_ptr,
+            rev_idx,
+            rev_sim,
+        }
+    }
+
     /// Neighbor list of entity `idx`, sorted by neighbor index.
     pub fn neighbors(&self, idx: usize) -> &[(usize, f64)] {
         &self.lists[idx]
+    }
+
+    /// The entities that list `idx` as a neighbor, as parallel
+    /// `(entity indexes, sims)` slices ascending in entity index:
+    /// `sims[j] == sim(entities[j], idx)`.
+    pub fn reverse(&self, idx: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.rev_ptr[idx], self.rev_ptr[idx + 1]);
+        (&self.rev_idx[lo..hi], &self.rev_sim[lo..hi])
+    }
+
+    /// Heap bytes of the reverse adjacency (what the user-at-a-time pass
+    /// costs on top of the forward lists).
+    pub fn reverse_bytes(&self) -> usize {
+        self.rev_ptr.len() * std::mem::size_of::<usize>()
+            + self.rev_idx.len() * std::mem::size_of::<u32>()
+            + self.rev_sim.len() * std::mem::size_of::<f64>()
     }
 
     /// Number of entities.
@@ -121,6 +199,39 @@ impl NeighborhoodTable {
         list.binary_search_by_key(&b, |&(n, _)| n)
             .ok()
             .map(|pos| list[pos].1)
+    }
+}
+
+/// Reusable per-candidate Eq. 2 accumulators `(Σ sim·r, Σ |sim|)` for the
+/// user-at-a-time scoring pass ([`crate::RecModel::score_unseen_into`]).
+/// One per scoring thread; holding it across calls saves re-allocating
+/// `n_items` slots per user.
+#[derive(Debug, Clone, Default)]
+pub struct ScoreScratch {
+    acc: Vec<[f64; 2]>,
+}
+
+impl ScoreScratch {
+    /// Zeroed accumulators for `n` candidates.
+    pub(crate) fn reset(&mut self, n: usize) -> &mut [[f64; 2]] {
+        self.acc.clear();
+        self.acc.resize(n, [0.0; 2]);
+        &mut self.acc
+    }
+
+    /// Append `(i, num / den)` for every item `i` user `u` has not rated,
+    /// ascending in `i`; a candidate that received no term scores 0
+    /// (Algorithm 1 line 14).
+    pub(crate) fn emit_unseen(
+        &self,
+        matrix: &RatingsMatrix,
+        u: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        out.extend(matrix.unseen_items(u).map(|i| {
+            let [num, den] = self.acc[i];
+            (i, if den == 0.0 { 0.0 } else { num / den })
+        }));
     }
 }
 
@@ -250,7 +361,7 @@ where
     for list in &mut lists {
         list.sort_unstable_by_key(|&(nb, _)| nb);
     }
-    Ok(NeighborhoodTable { lists })
+    Ok(NeighborhoodTable::from_lists(lists))
 }
 
 #[cfg(test)]

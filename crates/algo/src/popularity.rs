@@ -85,6 +85,16 @@ impl PopularityModel {
         self.item_scores[item_idx]
     }
 
+    /// Append `(item_idx, damped mean)` for every item user `u` has not
+    /// rated, ascending in item index.
+    pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
+        out.extend(
+            self.matrix
+                .unseen_items(u)
+                .map(|i| (i, self.item_scores[i])),
+        );
+    }
+
     /// Operator-facing score: rated pairs echo the stored rating, unknown
     /// ids score 0, unseen items get the item's damped mean (identical for
     /// every user).

@@ -244,6 +244,15 @@ impl RatingsMatrix {
             .map(|pos| row[pos].1)
     }
 
+    /// Dense indexes of the items user `user_idx` has **not** rated,
+    /// ascending — the candidate set of a `RECOMMEND` for that user.
+    pub fn unseen_items(&self, user_idx: usize) -> impl Iterator<Item = usize> + '_ {
+        let (rated, _) = self.user_csr.row(user_idx);
+        // Both sequences ascend, so the next rated index is always ≥ `i`.
+        let mut rated = rated.iter().map(|&i| i as usize).peekable();
+        (0..self.n_items()).filter(move |i| rated.next_if_eq(i).is_none())
+    }
+
     /// The rating for external ids, if both exist and the pair is rated.
     pub fn rating_of(&self, user: i64, item: i64) -> Option<f64> {
         let u = self.user_idx(user)?;

@@ -15,64 +15,105 @@ use std::cmp::Ordering;
 ///
 /// Stability: among `cmp`-equal elements, earlier arrivals win the last
 /// slots and keep their input order in the output, matching a stable sort.
-pub fn top_k_by<T, F>(items: impl IntoIterator<Item = T>, k: usize, mut cmp: F) -> Vec<T>
+pub fn top_k_by<T, F>(items: impl IntoIterator<Item = T>, k: usize, cmp: F) -> Vec<T>
 where
     F: FnMut(&T, &T) -> Ordering,
 {
-    if k == 0 {
-        return Vec::new();
+    let mut top = TopK::new(k, cmp);
+    for item in items {
+        top.push(item);
     }
-    // Max-heap of the current best `k` under (cmp, arrival index); the
-    // root is the worst kept element. Carrying the arrival index makes the
-    // order total, which is what gives the stable-sort-equivalent
-    // tie-break: a later arrival that `cmp`-ties the root compares
-    // Greater, so it does not displace it.
-    // `k` is caller-controlled (a SQL `LIMIT` can be u64::MAX); cap the
-    // up-front reservation and let the heap grow to min(k, n) naturally.
-    let mut heap: Vec<(T, usize)> = Vec::with_capacity(k.min(1024));
-    for (seq, item) in items.into_iter().enumerate() {
-        if heap.len() < k {
-            heap.push((item, seq));
+    top.into_sorted_vec()
+}
+
+/// The incremental form of [`top_k_by`]: push rows one at a time, learn
+/// from each push which row (if any) fell out, so a caller that accounts
+/// for what it holds (the executor's memory budget) can do so per row.
+pub struct TopK<T, F> {
+    /// Max-heap of the current best `k` under (cmp, arrival index); the
+    /// root is the worst kept element. Carrying the arrival index makes the
+    /// order total, which is what gives the stable-sort-equivalent
+    /// tie-break: a later arrival that `cmp`-ties the root compares
+    /// Greater, so it does not displace it.
+    heap: Vec<(T, usize)>,
+    k: usize,
+    seq: usize,
+    cmp: F,
+}
+
+impl<T, F> TopK<T, F>
+where
+    F: FnMut(&T, &T) -> Ordering,
+{
+    /// An empty selection of at most `k` elements under `cmp`.
+    pub fn new(k: usize, cmp: F) -> Self {
+        TopK {
+            // `k` is caller-controlled (a SQL `LIMIT` can be u64::MAX); cap
+            // the up-front reservation and let the heap grow to min(k, n)
+            // naturally.
+            heap: Vec::with_capacity(k.min(1024)),
+            k,
+            seq: 0,
+            cmp,
+        }
+    }
+
+    /// Offer `item`. Returns the element that is *not* kept as a result:
+    /// `None` while fewer than `k` are held, otherwise either `item` itself
+    /// (it does not beat the worst kept element) or the element it
+    /// displaced.
+    pub fn push(&mut self, item: T) -> Option<T> {
+        let cand = (item, self.seq);
+        self.seq += 1;
+        let (heap, cmp) = (&mut self.heap, &mut self.cmp);
+        if heap.len() < self.k {
+            heap.push(cand);
             let mut child = heap.len() - 1;
             while child > 0 {
                 let parent = (child - 1) / 2;
-                if total(&mut cmp, &heap[child], &heap[parent]) == Ordering::Greater {
+                if total(cmp, &heap[child], &heap[parent]) == Ordering::Greater {
                     heap.swap(child, parent);
                     child = parent;
                 } else {
                     break;
                 }
             }
-        } else {
-            let cand = (item, seq);
-            if total(&mut cmp, &cand, &heap[0]) == Ordering::Less {
-                heap[0] = cand;
-                let mut parent = 0;
-                loop {
-                    let left = 2 * parent + 1;
-                    if left >= heap.len() {
-                        break;
-                    }
-                    let right = left + 1;
-                    let big = if right < heap.len()
-                        && total(&mut cmp, &heap[right], &heap[left]) == Ordering::Greater
-                    {
-                        right
-                    } else {
-                        left
-                    };
-                    if total(&mut cmp, &heap[big], &heap[parent]) == Ordering::Greater {
-                        heap.swap(big, parent);
-                        parent = big;
-                    } else {
-                        break;
-                    }
-                }
+            return None;
+        }
+        if self.k == 0 || total(cmp, &cand, &heap[0]) != Ordering::Less {
+            return Some(cand.0);
+        }
+        let displaced = std::mem::replace(&mut heap[0], cand);
+        let mut parent = 0;
+        loop {
+            let left = 2 * parent + 1;
+            if left >= heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let big = if right < heap.len()
+                && total(cmp, &heap[right], &heap[left]) == Ordering::Greater
+            {
+                right
+            } else {
+                left
+            };
+            if total(cmp, &heap[big], &heap[parent]) == Ordering::Greater {
+                heap.swap(big, parent);
+                parent = big;
+            } else {
+                break;
             }
         }
+        Some(displaced.0)
     }
-    heap.sort_by(|a, b| total(&mut cmp, a, b));
-    heap.into_iter().map(|(t, _)| t).collect()
+
+    /// The kept elements, best first.
+    pub fn into_sorted_vec(mut self) -> Vec<T> {
+        let cmp = &mut self.cmp;
+        self.heap.sort_by(|a, b| total(cmp, a, b));
+        self.heap.into_iter().map(|(t, _)| t).collect()
+    }
 }
 
 fn total<T, F>(cmp: &mut F, a: &(T, usize), b: &(T, usize)) -> Ordering
@@ -132,6 +173,20 @@ mod tests {
         assert!(top_k_by(empty.iter().copied(), 5, |a, b| a.cmp(b)).is_empty());
         let items = lcg_stream(1, 10, 100);
         assert!(top_k_by(items.iter().copied(), 0, |a, b| a.0.cmp(&b.0)).is_empty());
+    }
+
+    #[test]
+    fn push_reports_what_fell_out() {
+        let mut top = TopK::new(2, |a: &u64, b: &u64| a.cmp(b));
+        assert_eq!(top.push(5), None);
+        assert_eq!(top.push(3), None);
+        assert_eq!(top.push(9), Some(9), "worse than everything kept");
+        assert_eq!(top.push(5), Some(5), "ties the worst kept: earlier wins");
+        assert_eq!(top.push(1), Some(5), "displaces the worst kept");
+        assert_eq!(top.into_sorted_vec(), vec![1, 3]);
+        let mut none = TopK::new(0, |a: &u64, b: &u64| a.cmp(b));
+        assert_eq!(none.push(7), Some(7));
+        assert!(none.into_sorted_vec().is_empty());
     }
 
     #[test]

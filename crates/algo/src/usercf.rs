@@ -10,10 +10,22 @@
 //!
 //! where `V` is user `u`'s similarity list reduced to the users who rated
 //! item `i`.
+//!
+//! As in [`crate::itemcf`] there is a per-pair form
+//! ([`UserCfModel::predict_dense`], the point API and test oracle:
+//! merge-intersect `raters(i)` with `N(u)`) and a per-user form
+//! ([`UserCfModel::score_unseen_into`]). The per-user pass needs no
+//! reverse table: it walks the forward list `N(u)` and scatters each
+//! neighbor `v`'s CSR row `{(i, r_vi)}` into per-candidate `(num, den)`
+//! accumulators. Candidate `i` receives exactly the terms of `N(u) ∩
+//! raters(i)`, in ascending `v` on both paths (`N(u)` is sorted by neighbor
+//! index, and so is the item's rater column), so the sums are
+//! bit-identical.
 
 use crate::model::TrainError;
 use crate::neighborhood::{
-    build_user_neighborhood, build_user_neighborhood_guarded, NeighborhoodParams, NeighborhoodTable,
+    build_user_neighborhood, build_user_neighborhood_guarded, NeighborhoodParams,
+    NeighborhoodTable, ScoreScratch,
 };
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
@@ -98,6 +110,28 @@ impl UserCfModel {
         } else {
             Some(num / den)
         }
+    }
+
+    /// Transposed Eq. 2 for every item user `u` has not rated, appended to
+    /// `out` as `(item_idx, score)` ascending in item index; candidates no
+    /// neighbor rated score 0. Bit-identical to
+    /// [`predict_dense`](Self::predict_dense) per candidate (module docs).
+    pub fn score_unseen_into(
+        &self,
+        u: usize,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let acc = scratch.reset(self.matrix.n_items());
+        for &(v, sim) in self.neighborhood.neighbors(u) {
+            let (items, ratings) = self.matrix.user_csr().row(v);
+            for (&i, &r_vi) in items.iter().zip(ratings) {
+                let [num, den] = &mut acc[i as usize];
+                *num += sim * f64::from(r_vi);
+                *den += sim.abs();
+            }
+        }
+        scratch.emit_unseen(&self.matrix, u, out);
     }
 
     /// Operator-facing score (same conventions as

@@ -7,7 +7,8 @@ use recdb_algo::model::TrainConfig;
 use recdb_algo::neighborhood::{build_item_neighborhood, build_user_neighborhood};
 use recdb_algo::similarity::{co_rated_sums, similarity, Similarity};
 use recdb_algo::{
-    Algorithm, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, SvdModel, SvdParams,
+    Algorithm, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, RecModel, ScoreScratch,
+    SvdModel, SvdParams,
 };
 use std::collections::HashMap;
 
@@ -152,6 +153,78 @@ proptest! {
             prop_assert!(trunc.neighbors(e).len() <= k);
             for &(nb, s) in trunc.neighbors(e) {
                 prop_assert_eq!(full.sim(e, nb), Some(s), "truncated edge must exist in full");
+            }
+        }
+    }
+
+    /// The reverse adjacency is the exact transpose of the forward lists —
+    /// same pairs, same sim bits, each reverse row ascending — and the
+    /// whole table (both directions) is identical at every thread count,
+    /// truncated or not.
+    #[test]
+    fn reverse_lists_are_the_exact_transpose(ratings in ratings_strategy(), k in 1usize..6) {
+        let matrix = RatingsMatrix::from_ratings(ratings);
+        for measure in [Similarity::Cosine, Similarity::Pearson] {
+            for max_neighbors in [None, Some(k)] {
+                let params = NeighborhoodParams { measure, max_neighbors, min_abs_sim: 0.0, threads: 1 };
+                for (serial, parallel) in [
+                    (
+                        build_item_neighborhood(&matrix, &params),
+                        build_item_neighborhood(&matrix, &NeighborhoodParams { threads: 3, ..params }),
+                    ),
+                    (
+                        build_user_neighborhood(&matrix, &params),
+                        build_user_neighborhood(&matrix, &NeighborhoodParams { threads: 3, ..params }),
+                    ),
+                ] {
+                    prop_assert_eq!(&serial, &parallel, "threads 1 vs 3");
+                    let mut transposed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); serial.len()];
+                    for e in 0..serial.len() {
+                        for &(l, sim) in serial.neighbors(e) {
+                            transposed[l].push((e, sim.to_bits()));
+                        }
+                    }
+                    for (l, want) in transposed.iter().enumerate() {
+                        let (entities, sims) = serial.reverse(l);
+                        let got: Vec<(usize, u64)> = entities
+                            .iter()
+                            .zip(sims)
+                            .map(|(&e, s)| (e as usize, s.to_bits()))
+                            .collect();
+                        prop_assert_eq!(&got, want, "{:?} k {:?} reverse({})", measure, max_neighbors, l);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The user-at-a-time pass equals the per-pair oracle bit for bit, for
+    /// every algorithm, truncated or not, at `threads` 1 and 3.
+    #[test]
+    fn user_pass_is_bit_identical_to_per_pair(ratings in ratings_strategy(), k in 1usize..6) {
+        let matrix = RatingsMatrix::from_ratings(ratings);
+        let mut scratch = ScoreScratch::default();
+        let mut batch = Vec::new();
+        for algo in Algorithm::ALL {
+            for max_neighbors in [None, Some(k)] {
+                for threads in [1, 3] {
+                    let mut config = TrainConfig::default();
+                    config.neighborhood.max_neighbors = max_neighbors;
+                    config.neighborhood.threads = threads;
+                    config.svd = SvdParams { epochs: 2, factors: 4, ..SvdParams::default() };
+                    let model = RecModel::train(algo, matrix.clone(), &config);
+                    for u in 0..matrix.n_users() {
+                        batch.clear();
+                        model.score_unseen_into(u, &mut scratch, &mut batch);
+                        let got: Vec<(usize, u64)> =
+                            batch.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                        let want: Vec<(usize, u64)> = (0..matrix.n_items())
+                            .filter(|&i| matrix.rating_at(u, i).is_none())
+                            .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0).to_bits()))
+                            .collect();
+                        prop_assert_eq!(got, want, "{} k {:?} threads {} user {}", algo, max_neighbors, threads, u);
+                    }
+                }
             }
         }
     }

@@ -8,8 +8,8 @@
 //!
 //! `build` measures serial-vs-parallel model-build wall time and writes
 //! the machine-readable `BENCH_build.json` at the repository root;
-//! `score` measures per-pair vs batched materialization scoring
-//! throughput and writes `BENCH_score.json` next to it; `pool` measures
+//! `score` measures per-pair vs user-at-a-time scoring throughput (SVD,
+//! ItemCosCF, UserCosCF) and writes `BENCH_score.json` next to it; `pool` measures
 //! mixed-query throughput against the same engine squeezed into
 //! progressively smaller buffer pools and writes `BENCH_pool.json`.
 //!
@@ -20,7 +20,7 @@
 //! paper-vs-measured comparison.
 
 use recdb_algo::model::{RecModel, TrainConfig};
-use recdb_algo::{Algorithm, RatingsMatrix};
+use recdb_algo::{Algorithm, NeighborhoodTable, RatingsMatrix, ScoreScratch};
 use recdb_bench::*;
 use recdb_datasets::SyntheticSpec;
 use std::time::Duration;
@@ -206,107 +206,146 @@ fn build_scaling() {
     }
 }
 
-/// Per-pair vs batched materialization scoring throughput on MovieLens
-/// SVD, plus the `BENCH_score.json` artifact. The per-pair path is the
-/// legacy materialization loop (id lookups + one `predict` per item); the
-/// batched path resolves the user index once and scores 256-item blocks
-/// through the flat-f32 `score_block` kernel.
+/// Per-pair vs user-at-a-time scoring throughput on MovieLens for one
+/// model of each scoring family (SVD, ItemCosCF, UserCosCF), plus the
+/// `BENCH_score.json` artifact. `per_pair` is a `predict_indexed` loop
+/// over every unseen pair of the sampled users; `user_pass` is
+/// `score_unseen_into` — blocked `score_block` kernels for SVD, one
+/// scatter pass over the neighborhood table for the CF models. Also
+/// reports what the item model's reverse adjacency costs to build and
+/// hold.
 fn score_sweep() {
     header(
-        "Score batching: per-pair vs batched materialization throughput",
+        "Score batching: per-pair vs user-at-a-time scoring throughput",
         "both paths score every unseen (user, item) pair for a user sample \
-         with the same SVD model; identical scores, different loop shape",
+         with the same model; bit-identical scores, different loop shape",
     );
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let spec = SyntheticSpec::movielens();
     let dataset = recdb_datasets::generate(&spec);
     let ratings = dataset.algo_ratings();
     let config: TrainConfig = bench_config().train;
-    let model = RecModel::train(
-        Algorithm::Svd,
-        RatingsMatrix::from_ratings(ratings.iter().copied()),
-        &config,
-    );
-    let matrix = model.matrix();
     const SAMPLE_USERS: usize = 200;
-    let users: Vec<i64> = matrix
-        .user_ids()
-        .iter()
-        .copied()
-        .take(SAMPLE_USERS)
-        .collect();
-    let pairs: usize = users
-        .iter()
-        .map(|&user| {
-            let u = matrix.user_idx(user).expect("sampled from user_ids");
-            matrix.n_items() - matrix.user_csr().row(u).0.len()
-        })
-        .sum();
+    println!(
+        "{:<10} {:<10} {:>10} {:>12} {:>16} {:>9}",
+        "algo", "path", "pairs", "time", "pairs/sec", "speedup"
+    );
+    let mut rows = Vec::new();
+    let mut reverse_table = String::new();
+    for algo in [Algorithm::Svd, Algorithm::ItemCosCF, Algorithm::UserCosCF] {
+        let train = || {
+            RecModel::train(
+                algo,
+                RatingsMatrix::from_ratings(ratings.iter().copied()),
+                &config,
+            )
+        };
+        let model = train();
+        let matrix = model.matrix();
+        let users = 0..SAMPLE_USERS.min(matrix.n_users());
+        let pairs: usize = users.clone().map(|u| matrix.unseen_items(u).count()).sum();
 
-    let t_pair = time_median(REPS, || {
-        let mut acc = 0.0;
-        for &user in &users {
-            for &item in matrix.item_ids() {
-                if matrix.rating_of(user, item).is_none() {
-                    acc += model.predict(user, item).unwrap_or(0.0);
+        let t_pair = time_median(REPS, || {
+            let mut acc = 0.0;
+            for u in users.clone() {
+                for i in matrix.unseen_items(u) {
+                    acc += model.predict_indexed(u, i).unwrap_or(0.0);
                 }
             }
+            acc
+        });
+        let t_pass = time_median(REPS, || {
+            let mut acc = 0.0;
+            let mut scratch = ScoreScratch::default();
+            let mut buf = Vec::new();
+            for u in users.clone() {
+                buf.clear();
+                model.score_unseen_into(u, &mut scratch, &mut buf);
+                acc += buf.iter().map(|&(_, s)| s).sum::<f64>();
+            }
+            acc
+        });
+        let pps = |t: Duration| pairs as f64 / t.as_secs_f64().max(1e-12);
+        let speedup = pps(t_pass) / pps(t_pair).max(1e-12);
+        for (path, t, vs) in [("per_pair", t_pair, 1.0), ("user_pass", t_pass, speedup)] {
+            println!(
+                "{:<10} {:<10} {:>10} {:>12} {:>16.0} {:>8.2}x",
+                algo.to_string(),
+                path,
+                pairs,
+                secs(t),
+                pps(t),
+                vs
+            );
+            rows.push(format!(
+                "    {{\"algo\": \"{algo}\", \"path\": \"{path}\", \"pairs\": {pairs}, \
+                 \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}, \
+                 \"us_per_user\": {:.2}, \"speedup_vs_per_pair\": {vs:.3}}}",
+                t.as_secs_f64() * 1e3,
+                pps(t),
+                t.as_secs_f64() * 1e6 / users.len() as f64,
+            ));
         }
-        acc
-    });
-    let t_batch = time_median(REPS, || {
-        let mut acc = 0.0;
-        let mut buf = Vec::new();
-        for &user in &users {
-            let u = matrix.user_idx(user).expect("sampled from user_ids");
-            buf.clear();
-            model.score_unseen_into(u, &mut buf);
-            acc += buf.iter().map(|&(_, s)| s).sum::<f64>();
-        }
-        acc
-    });
 
-    let pps = |t: Duration| pairs as f64 / t.as_secs_f64().max(1e-12);
-    let speedup = pps(t_batch) / pps(t_pair).max(1e-12);
-    println!(
-        "{:<10} {:>10} {:>12} {:>16}",
-        "path", "pairs", "time", "pairs/sec"
-    );
-    println!(
-        "{:<10} {:>10} {:>12} {:>16.0}",
-        "per-pair",
-        pairs,
-        secs(t_pair),
-        pps(t_pair)
-    );
-    println!(
-        "{:<10} {:>10} {:>12} {:>16.0}",
-        "batched",
-        pairs,
-        secs(t_batch),
-        pps(t_batch)
-    );
-    println!("batched speedup: {speedup:.2}x");
+        if let RecModel::Item(item) = &model {
+            let table = item.neighborhood();
+            let forward = || -> Vec<Vec<(usize, f64)>> {
+                (0..table.len())
+                    .map(|i| table.neighbors(i).to_vec())
+                    .collect()
+            };
+            // The transpose alone: rebuild the table from its own forward
+            // lists, timing only the constructor.
+            let mut transposes: Vec<Duration> = (0..REPS)
+                .map(|_| {
+                    let lists = forward();
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(NeighborhoodTable::from_lists(lists));
+                    start.elapsed()
+                })
+                .collect();
+            transposes.sort_unstable();
+            let transpose_ms = transposes[transposes.len() / 2].as_secs_f64() * 1e3;
+            let build_ms = time_median(REPS, train).as_secs_f64() * 1e3;
+            println!(
+                "reverse table: {} pairs, {} B, transpose {:.3} ms = {:.2}% of the {:.1} ms build",
+                table.total_pairs(),
+                table.reverse_bytes(),
+                transpose_ms,
+                100.0 * transpose_ms / build_ms,
+                build_ms
+            );
+            reverse_table = format!(
+                "{{\"algo\": \"{algo}\", \"pairs\": {}, \"bytes\": {}, \
+                 \"transpose_ms\": {:.3}, \"build_ms\": {:.3}, \"share_of_build\": {:.5}}}",
+                table.total_pairs(),
+                table.reverse_bytes(),
+                transpose_ms,
+                build_ms,
+                transpose_ms / build_ms
+            );
+        }
+    }
 
     let json = format!(
         "{{\n  \"experiment\": \"score_batching\",\n  \"dataset\": \"{}\",\n  \
-         \"algo\": \"SVD\",\n  \"impl\": \"csr-blocked\",\n  \"factors\": {},\n  \
-         \"sampled_users\": {},\n  \"pairs\": {},\n  \"reps\": {},\n  \
-         \"note\": \"pairs/sec over every unseen (user, item) pair for the \
-         sampled users; per_pair is the legacy id-lookup loop, batched is \
-         score_block materialization\",\n  \"results\": [\n    \
-         {{\"path\": \"per_pair\", \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}}},\n    \
-         {{\"path\": \"batched\", \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}}}\n  ],\n  \
-         \"batched_speedup\": {:.3}\n}}\n",
+         \"host_threads\": {},\n  \"max_neighbors\": {},\n  \"svd_factors\": {},\n  \
+         \"sampled_users\": {},\n  \"reps\": {},\n  \
+         \"note\": \"every unseen (user, item) pair of the sampled users, single \
+         thread; per_pair is a predict_indexed loop, user_pass is \
+         score_unseen_into (SVD: score_block chunks; CF: one scatter pass \
+         per user); scores are bit-identical\",\n  \"results\": [\n{}\n  ],\n  \
+         \"reverse_table\": {}\n}}\n",
         spec.name,
+        host_threads,
+        config.neighborhood.max_neighbors.unwrap_or(0),
         config.svd.factors,
-        users.len(),
-        pairs,
+        SAMPLE_USERS,
         REPS,
-        t_pair.as_secs_f64() * 1e3,
-        pps(t_pair),
-        t_batch.as_secs_f64() * 1e3,
-        pps(t_batch),
-        speedup
+        rows.join(",\n"),
+        reverse_table
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_score.json");
     match std::fs::write(path, &json) {

@@ -6,7 +6,7 @@ use crate::error::{EngineError, EngineResult};
 use parking_lot::Mutex;
 use recdb_algo::model::TrainConfig;
 use recdb_algo::parallel::for_each_chunk;
-use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, TrainError};
+use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch, TrainError};
 use recdb_exec::RecScoreIndex;
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
@@ -391,12 +391,15 @@ impl Recommender {
         // remaining chunks bail out immediately.
         let aborted = AtomicBool::new(false);
         let abort: Mutex<Option<EngineError>> = Mutex::new(None);
+        // Per worker thread: its scored users plus the scoring scratch it
+        // reuses across all of them.
+        type Worker = (Vec<(usize, Vec<(i64, f64)>)>, ScoreScratch);
         let mut per_user: Vec<(usize, Vec<(i64, f64)>)> = for_each_chunk(
             users.len(),
             threads,
             8,
-            Vec::new,
-            |out: &mut Vec<(usize, Vec<(i64, f64)>)>, range| {
+            Worker::default,
+            |(out, scratch): &mut Worker, range| {
                 if aborted.load(Ordering::Relaxed) {
                     return;
                 }
@@ -418,7 +421,7 @@ impl Recommender {
                 let mut scored = Vec::new();
                 for pos in range {
                     scored.clear();
-                    model.score_unseen_into(pos, &mut scored);
+                    model.score_unseen_into(pos, scratch, &mut scored);
                     let entries = scored
                         .iter()
                         .map(|&(i, s)| (matrix.item_id(i), s))
@@ -428,7 +431,7 @@ impl Recommender {
             },
         )
         .into_iter()
-        .flatten()
+        .flat_map(|(out, _)| out)
         .collect();
         if let Some(e) = abort.into_inner() {
             return Err(e);
@@ -564,7 +567,7 @@ fn materialize_user_into(index: &mut RecScoreIndex, model: &RecModel, user: i64)
             // unseen item through the model's block kernel, then map dense
             // item indexes back to ids.
             let mut scored = Vec::new();
-            model.score_unseen_into(u, &mut scored);
+            model.score_unseen_into(u, &mut ScoreScratch::default(), &mut scored);
             for (i, score) in scored {
                 index.insert(user, matrix.item_id(i), score);
             }

@@ -284,14 +284,16 @@ impl PhysicalOp for ProjectOp<'_> {
 
 // ------------------------------------------------------------------- Sort
 
-/// Blocking sort. Materializes its input on first `next()`.
+/// Blocking sort. Drains its input on first `next()`.
 ///
-/// With [`SortOp::with_limit`] the operator becomes a bounded top-k: only
-/// the best `k` rows are kept during materialization (`O(n log k)` heap
-/// selection instead of an `O(n log n)` full sort). Selection is stable —
-/// rows that tie on every key keep input order — so the output is exactly
-/// the full sort truncated to `k`; the planner uses this to fuse
-/// `LIMIT k` over `ORDER BY` (the `RECOMMEND … LIMIT k` fast path).
+/// A plain sort buffers every input row. With [`SortOp::with_limit`] the
+/// operator is a bounded top-k: rows stream through a `k`-slot heap
+/// ([`recdb_algo::TopK`]), so at most `k` rows (and their sort keys) are
+/// held at any moment — `O(n log k)` time, `O(k)` space instead of
+/// `O(n log n)` / `O(n)`. Selection is stable — rows that tie on every
+/// key keep input order — so the output is exactly the full sort
+/// truncated to `k`; the planner uses this to fuse `LIMIT k` over
+/// `ORDER BY` (the `RECOMMEND … LIMIT k` fast path).
 pub struct SortOp<'a> {
     input: Box<dyn PhysicalOp + 'a>,
     /// `(key expression, descending?)` in priority order.
@@ -301,10 +303,13 @@ pub struct SortOp<'a> {
     sorted: Option<std::vec::IntoIter<Tuple>>,
     error: Option<crate::error::ExecError>,
     guard: QueryGuard,
-    /// Encoded bytes buffered during materialization (profiling actual;
-    /// mirrors what `charge_mem` accounted against the governor).
+    /// High-water mark of the encoded bytes of the rows held (profiling
+    /// actual; exactly what `charge_mem` accounted against the governor).
     buffered_bytes: u64,
 }
+
+/// A buffered row with its evaluated sort key.
+type KeyedRow = (Vec<Value>, Tuple);
 
 impl<'a> SortOp<'a> {
     /// Wrap `input` with bound sort keys.
@@ -320,71 +325,33 @@ impl<'a> SortOp<'a> {
         }
     }
 
-    /// A sort that only ever emits the best `limit` rows, selected with a
-    /// bounded heap.
+    /// A sort that only ever holds and emits the best `limit` rows,
+    /// selected with a bounded heap.
     pub fn with_limit(
         input: Box<dyn PhysicalOp + 'a>,
         keys: Vec<(BoundExpr, bool)>,
         limit: usize,
     ) -> Self {
         SortOp {
-            input,
-            keys,
             limit: Some(limit),
-            sorted: None,
-            error: None,
-            guard: QueryGuard::unlimited(),
-            buffered_bytes: 0,
+            ..SortOp::new(input, keys)
         }
     }
 
-    /// Attach a resource governor. The blocking materialize drain ticks
-    /// per buffered row and charges each row's encoded size against the
-    /// memory budget, so a runaway sort is stopped while buffering, not
-    /// after.
+    /// Attach a resource governor. The blocking drain ticks per input row
+    /// and charges the memory budget with the encoded size of the rows it
+    /// *holds* — every row for a plain sort, at most `k` for a top-k (a
+    /// row that never enters the heap, or leaves it, is not held) — so a
+    /// runaway sort is stopped while buffering, not after.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
 
-    fn materialize(&mut self) {
-        if let Err(e) = recdb_fault::fail_point("exec::sort_materialize") {
-            self.error = Some(e.into());
-            return;
-        }
-        let mut rows: Vec<(Vec<Value>, Tuple)> = Vec::new();
-        while let Some(t) = self.input.next() {
-            let tuple = match t {
-                Ok(t) => t,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
-            };
-            let encoded_size = tuple.encoded_size() as u64;
-            self.buffered_bytes += encoded_size;
-            let governed = self
-                .guard
-                .tick()
-                .and_then(|()| self.guard.charge_mem(encoded_size));
-            if let Err(e) = governed {
-                self.error = Some(e.into());
-                return;
-            }
-            let mut key = Vec::with_capacity(self.keys.len());
-            for (expr, _) in &self.keys {
-                match expr.eval(&tuple) {
-                    Ok(v) => key.push(v),
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            rows.push((key, tuple));
-        }
+    fn materialize(&mut self) -> ExecResult<Vec<Tuple>> {
+        recdb_fault::fail_point("exec::sort_materialize")?;
         let keys = &self.keys;
-        let cmp = |a: &(Vec<Value>, Tuple), b: &(Vec<Value>, Tuple)| {
+        let cmp = |a: &KeyedRow, b: &KeyedRow| {
             for (i, (_, desc)) in keys.iter().enumerate() {
                 let ord = a.0[i].total_cmp(&b.0[i]);
                 let ord = if *desc { ord.reverse() } else { ord };
@@ -394,18 +361,46 @@ impl<'a> SortOp<'a> {
             }
             std::cmp::Ordering::Equal
         };
-        match self.limit {
-            // Bounded top-k: stable heap selection, identical output to
-            // the stable full sort below truncated to `k`.
-            Some(k) => rows = recdb_algo::top_k_by(rows, k, cmp),
-            None => rows.sort_by(cmp),
+        let mut all: Vec<KeyedRow> = Vec::new();
+        let mut best = self.limit.map(|k| recdb_algo::TopK::new(k, cmp));
+        let mut held = 0u64;
+        // Key buffer of the last row that fell out of the heap, reused so
+        // a top-k over a long input does not allocate per rejected row.
+        let mut spare_key: Vec<Value> = Vec::new();
+        while let Some(t) = self.input.next() {
+            let tuple = t?;
+            self.guard.tick()?;
+            let mut key = std::mem::take(&mut spare_key);
+            key.reserve_exact(keys.len());
+            for (expr, _) in keys {
+                key.push(expr.eval(&tuple)?);
+            }
+            held += tuple.encoded_size() as u64;
+            match &mut best {
+                None => all.push((key, tuple)),
+                Some(best) => {
+                    if let Some((mut key, dropped)) = best.push((key, tuple)) {
+                        held -= dropped.encoded_size() as u64;
+                        key.clear();
+                        spare_key = key;
+                    }
+                }
+            }
+            if held > self.buffered_bytes {
+                self.guard.charge_mem(held - self.buffered_bytes)?;
+                self.buffered_bytes = held;
+            }
         }
-        self.sorted = Some(
-            rows.into_iter()
-                .map(|(_, t)| t)
-                .collect::<Vec<_>>()
-                .into_iter(),
-        );
+        let rows = match best {
+            // Stable heap selection: identical output to the stable full
+            // sort below truncated to `k`.
+            Some(best) => best.into_sorted_vec(),
+            None => {
+                all.sort_by(cmp);
+                all
+            }
+        };
+        Ok(rows.into_iter().map(|(_, t)| t).collect())
     }
 }
 
@@ -416,7 +411,10 @@ impl PhysicalOp for SortOp<'_> {
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
         if self.sorted.is_none() && self.error.is_none() {
-            self.materialize();
+            match self.materialize() {
+                Ok(rows) => self.sorted = Some(rows.into_iter()),
+                Err(e) => self.error = Some(e),
+            }
         }
         if let Some(e) = self.error.take() {
             return Some(Err(e));
@@ -668,6 +666,40 @@ mod tests {
             .map(|t| t.get(0).unwrap().as_int().unwrap())
             .collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn bounded_topk_holds_and_charges_at_most_k_rows() {
+        // 697 rows (the shape that tripped a LIMIT 10 before the heap was
+        // fed incrementally), ascending on the descending key so that
+        // every row enters the heap and displaces another: the worst case
+        // for "rows admitted".
+        let tuples: Vec<Tuple> = (0..697)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Float(i as f64)]))
+            .collect();
+        let row_bytes = tuples[0].encoded_size() as u64;
+        assert!(tuples.iter().all(|t| t.encoded_size() as u64 == row_bytes));
+        let keys = || vec![(predicate_expr("ratingval"), true)];
+        let budget = 10 * row_bytes;
+
+        let guard = QueryGuard::with_limits(None, None, Some(budget));
+        let input = Box::new(ValuesOp::new(schema(), tuples.clone()));
+        let mut topk = SortOp::with_limit(input, keys(), 10).with_guard(guard.clone());
+        let got = drain(&mut topk).expect("ten held rows fit a ten-row budget");
+        let ids: Vec<i64> = got
+            .iter()
+            .map(|t| t.get(0).unwrap().as_int().unwrap())
+            .collect();
+        assert_eq!(ids, (687..697).rev().collect::<Vec<i64>>());
+        assert_eq!(topk.buffered_bytes(), budget, "peak = k rows");
+        assert_eq!(guard.mem_used(), budget, "charged = peak held");
+        assert_eq!(guard.rows_used(), 697, "still one tick per input row");
+
+        // The unbounded sort of the same input holds everything and trips.
+        let guard = QueryGuard::with_limits(None, None, Some(budget));
+        let input = Box::new(ValuesOp::new(schema(), tuples));
+        let mut full = SortOp::new(input, keys()).with_guard(guard);
+        assert!(drain(&mut full).is_err());
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //!   trained model. With uid/iid/ratingval predicates pushed into it, it is
 //!   the paper's FILTERRECOMMEND: only the requested users/items are
 //!   scored, so cost scales with the predicate selectivity instead of
-//!   `|U| × |I|`.
+//!   `|U| × |I|`. Without a pushed-down item list (paper Query 1's shape)
+//!   it scores one *user block* at a time through
+//!   [`RecModel::score_unseen_into`]; with one it scores per pair, so a
+//!   three-item `IN` list never pays for a whole-domain pass. Which of the
+//!   two runs is a property of the plan, not a setting.
 //! * [`JoinRecommendOp`] — §IV-B2: streams the (already filtered) outer
 //!   relation and predicts a score only for items that survive the join
 //!   predicate.
@@ -20,7 +24,7 @@
 use super::PhysicalOp;
 use crate::error::ExecResult;
 use crate::rec_index::RecScoreIndex;
-use recdb_algo::RecModel;
+use recdb_algo::{RecModel, ScoreScratch};
 use recdb_guard::QueryGuard;
 use recdb_storage::{Schema, Tuple, Value};
 use std::collections::HashSet;
@@ -31,13 +35,34 @@ fn in_bounds(score: f64, min: Option<f64>, max: Option<f64>) -> bool {
     min.is_none_or(|m| score >= m) && max.is_none_or(|m| score <= m)
 }
 
-/// Keep only ids known to the predicate, de-duplicated preserving first
-/// occurrence (an `IN (8, 8)` list must not double-count item 8).
-fn dedup_known(list: Vec<i64>, known: impl Fn(&i64) -> bool) -> Vec<i64> {
+/// One `〈user, item, ratingval〉` output tuple.
+fn rec_tuple(user: i64, item: i64, score: f64) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(user),
+        Value::Int(item),
+        Value::Float(score),
+    ])
+}
+
+/// Resolve a pushed-down id list to `(id, dense index)` pairs: ids the
+/// model does not know drop out, duplicates keep their first occurrence
+/// (an `IN (8, 8)` list must not double-count item 8).
+fn resolve_ids(list: Vec<i64>, idx: impl Fn(i64) -> Option<usize>) -> Vec<(i64, usize)> {
     let mut seen = HashSet::with_capacity(list.len());
     list.into_iter()
-        .filter(|v| known(v) && seen.insert(*v))
+        .filter(|id| seen.insert(*id))
+        .filter_map(|id| Some((id, idx(id)?)))
         .collect()
+}
+
+/// The `uPred` user list as `(uid, dense index)`; `None` is every user
+/// known to the model, in dense-index order.
+fn resolve_users(model: &RecModel, users: Option<Vec<i64>>) -> Vec<(i64, usize)> {
+    let matrix = model.matrix();
+    match users {
+        Some(list) => resolve_ids(list, |u| matrix.user_idx(u)),
+        None => matrix.user_ids().iter().copied().zip(0..).collect(),
+    }
 }
 
 // -------------------------------------------------------------- Recommend
@@ -46,16 +71,26 @@ fn dedup_known(list: Vec<i64>, known: impl Fn(&i64) -> bool) -> Vec<i64> {
 pub struct RecommendOp {
     model: Arc<RecModel>,
     schema: Schema,
-    users: Vec<i64>,
-    items: Vec<i64>,
+    /// `(uid, dense user index)`, resolved once at construction.
+    users: Vec<(i64, usize)>,
+    /// The pushed-down `iPred` as `(iid, dense item index)`; `None` scores
+    /// the whole item domain a user block at a time.
+    items: Option<Vec<(i64, usize)>>,
     min_rating: Option<f64>,
     max_rating: Option<f64>,
+    /// Next user to start.
     u_cursor: usize,
+    /// Per-pair path: next entry of `items` for `users[u_cursor]`.
+    /// Block path: next entry of `block`.
     i_cursor: usize,
+    /// Block path: `(dense item index, score)` of every unseen item of
+    /// `users[u_cursor - 1]`, ascending in item index.
+    block: Vec<(usize, f64)>,
+    scratch: ScoreScratch,
     guard: QueryGuard,
     /// Whether any predicate was pushed into the operator — decides the
     /// FILTERRECOMMEND vs RECOMMEND display name. Captured at build time
-    /// because `users`/`items` are normalized to concrete lists.
+    /// because `users` is normalized to a concrete list.
     filtered: bool,
 }
 
@@ -77,14 +112,8 @@ impl RecommendOp {
     ) -> Self {
         let filtered =
             users.is_some() || items.is_some() || min_rating.is_some() || max_rating.is_some();
-        let users = match users {
-            Some(list) => dedup_known(list, |u| model.matrix().user_idx(*u).is_some()),
-            None => model.matrix().user_ids().to_vec(),
-        };
-        let items = match items {
-            Some(list) => dedup_known(list, |i| model.matrix().item_idx(*i).is_some()),
-            None => model.matrix().item_ids().to_vec(),
-        };
+        let users = resolve_users(&model, users);
+        let items = items.map(|list| resolve_ids(list, |i| model.matrix().item_idx(i)));
         RecommendOp {
             model,
             schema,
@@ -94,17 +123,50 @@ impl RecommendOp {
             max_rating,
             u_cursor: 0,
             i_cursor: 0,
+            block: Vec::new(),
+            scratch: ScoreScratch::default(),
             guard: QueryGuard::unlimited(),
             filtered,
         }
     }
 
-    /// Attach a resource governor. The `U × I` scoring loop ticks every
-    /// iteration — including pairs skipped as already-rated or
-    /// out-of-bounds — so a runaway RECOMMEND is cancellable mid-scan.
+    /// Attach a resource governor. Every `(user, item)` pair of the
+    /// operator's domain is one row unit — including pairs skipped as
+    /// already-rated or out-of-bounds. The per-pair path charges them one
+    /// by one; the block path charges a user's pairs when it scores the
+    /// block (that is when the work is done) and observes cancellation
+    /// and the deadline between blocks.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
+    }
+
+    /// Whole item domain: one scoring pass per user, tuples from the block.
+    fn next_from_blocks(&mut self) -> Option<ExecResult<Tuple>> {
+        loop {
+            while let Some(&(i, score)) = self.block.get(self.i_cursor) {
+                self.i_cursor += 1;
+                if in_bounds(score, self.min_rating, self.max_rating) {
+                    let (user, _) = self.users[self.u_cursor - 1];
+                    return Some(Ok(rec_tuple(user, self.model.matrix().item_id(i), score)));
+                }
+            }
+            let Some(&(_, u)) = self.users.get(self.u_cursor) else {
+                // End of stream is one row unit, as on the per-pair path.
+                return self.guard.tick().err().map(|e| Err(e.into()));
+            };
+            // What the per-pair loop would bill for this user: one unit
+            // per item of the domain plus the step to the next user.
+            let pairs = self.model.matrix().n_items() as u64;
+            if let Err(e) = self.guard.tick_n(pairs + 1) {
+                return Some(Err(e.into()));
+            }
+            self.block.clear();
+            self.model
+                .score_unseen_into(u, &mut self.scratch, &mut self.block);
+            self.u_cursor += 1;
+            self.i_cursor = 0;
+        }
     }
 }
 
@@ -114,34 +176,29 @@ impl PhysicalOp for RecommendOp {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
+        let Some(items) = &self.items else {
+            return self.next_from_blocks();
+        };
+        // Pushed-down item list: Eq. 2/3 per requested pair.
         loop {
             if let Err(e) = self.guard.tick() {
                 return Some(Err(e.into()));
             }
-            if self.u_cursor >= self.users.len() {
-                return None;
-            }
-            if self.i_cursor >= self.items.len() {
+            let &(user, u) = self.users.get(self.u_cursor)?;
+            let Some(&(item, i)) = items.get(self.i_cursor) else {
                 self.u_cursor += 1;
                 self.i_cursor = 0;
                 continue;
-            }
-            let user = self.users[self.u_cursor];
-            let item = self.items[self.i_cursor];
+            };
             self.i_cursor += 1;
             // Unseen items only; rated pairs are not recommendations.
-            if self.model.matrix().rating_of(user, item).is_some() {
+            if self.model.matrix().rating_at(u, i).is_some() {
                 continue;
             }
-            let score = self.model.predict(user, item).unwrap_or(0.0);
-            if !in_bounds(score, self.min_rating, self.max_rating) {
-                continue;
+            let score = self.model.predict_indexed(u, i).unwrap_or(0.0);
+            if in_bounds(score, self.min_rating, self.max_rating) {
+                return Some(Ok(rec_tuple(user, item, score)));
             }
-            return Some(Ok(Tuple::new(vec![
-                Value::Int(user),
-                Value::Int(item),
-                Value::Float(score),
-            ])));
         }
     }
 
@@ -164,7 +221,8 @@ pub struct JoinRecommendOp<'a> {
     outer: Box<dyn PhysicalOp + 'a>,
     /// Ordinal of the item-id column in the outer schema.
     outer_item_ordinal: usize,
-    users: Vec<i64>,
+    /// `(uid, dense user index)`, resolved once at construction.
+    users: Vec<(i64, usize)>,
     min_rating: Option<f64>,
     max_rating: Option<f64>,
     pending: VecDeque<Tuple>,
@@ -183,10 +241,7 @@ impl<'a> JoinRecommendOp<'a> {
         min_rating: Option<f64>,
         max_rating: Option<f64>,
     ) -> Self {
-        let users = match users {
-            Some(list) => dedup_known(list, |u| model.matrix().user_idx(*u).is_some()),
-            None => model.matrix().user_ids().to_vec(),
-        };
+        let users = resolve_users(&model, users);
         let schema = rec_schema.join(outer.schema());
         JoinRecommendOp {
             model,
@@ -232,23 +287,19 @@ impl PhysicalOp for JoinRecommendOp<'_> {
             else {
                 continue; // NULL / non-integer join keys never match
             };
-            if self.model.matrix().item_idx(item).is_none() {
+            let Some(i) = self.model.matrix().item_idx(item) else {
                 continue; // items outside the recommender's universe
-            }
-            for &user in &self.users {
-                if self.model.matrix().rating_of(user, item).is_some() {
+            };
+            for &(user, u) in &self.users {
+                if self.model.matrix().rating_at(u, i).is_some() {
                     continue;
                 }
-                let score = self.model.predict(user, item).unwrap_or(0.0);
+                let score = self.model.predict_indexed(u, i).unwrap_or(0.0);
                 if !in_bounds(score, self.min_rating, self.max_rating) {
                     continue;
                 }
-                let rec = Tuple::new(vec![
-                    Value::Int(user),
-                    Value::Int(item),
-                    Value::Float(score),
-                ]);
-                self.pending.push_back(rec.join(&outer_tuple));
+                self.pending
+                    .push_back(rec_tuple(user, item, score).join(&outer_tuple));
             }
         }
     }
@@ -318,11 +369,7 @@ impl PhysicalOp for IndexRecommendOp {
                 return Some(Err(e.into()));
             }
             if let Some((user, item, score)) = self.buffer.pop_front() {
-                return Some(Ok(Tuple::new(vec![
-                    Value::Int(user),
-                    Value::Int(item),
-                    Value::Float(score),
-                ])));
+                return Some(Ok(rec_tuple(user, item, score)));
             }
             if self.u_cursor >= self.users.len() {
                 return None;
@@ -394,6 +441,97 @@ mod tests {
                 "({u},{i}) rated"
             );
         }
+    }
+
+    fn triples(rows: &[Tuple]) -> Vec<(i64, i64, u64)> {
+        rows.iter()
+            .map(|t| {
+                (
+                    t.get(0).unwrap().as_int().unwrap(),
+                    t.get(1).unwrap().as_int().unwrap(),
+                    t.get(2).unwrap().as_f64().unwrap().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// The whole-domain (user block) path and the pushed-down-list (per
+    /// pair) path are two evaluations of the same relation: listing every
+    /// item explicitly must give the same rows, order and score bits.
+    #[test]
+    fn block_path_matches_per_pair_path_for_every_algorithm() {
+        for algo in Algorithm::ALL {
+            let model = Arc::new(RecModel::train(
+                algo,
+                model().matrix().clone(),
+                &Default::default(),
+            ));
+            let every_item = model.matrix().item_ids().to_vec();
+            for (min, max) in [(None, None), (Some(1.2), None), (Some(0.5), Some(1.2))] {
+                for users in [None, Some(vec![4, 1, 99, 4])] {
+                    let mut blocks = RecommendOp::new(
+                        model.clone(),
+                        rec_schema(),
+                        users.clone(),
+                        None,
+                        min,
+                        max,
+                    );
+                    let mut pairs = RecommendOp::new(
+                        model.clone(),
+                        rec_schema(),
+                        users.clone(),
+                        Some(every_item.clone()),
+                        min,
+                        max,
+                    );
+                    assert_eq!(
+                        triples(&drain(&mut blocks).unwrap()),
+                        triples(&drain(&mut pairs).unwrap()),
+                        "{algo} users {users:?} bounds {min:?}..{max:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_path_bills_the_per_pair_row_units() {
+        // 4 users × (3 items + 1 step to the next user) + 1 end of stream.
+        const UNITS: u64 = 4 * (3 + 1) + 1;
+        let every_item = model().matrix().item_ids().to_vec();
+        for items in [None, Some(every_item)] {
+            let run = |budget: Option<u64>| {
+                let guard = QueryGuard::with_limits(None, budget, None);
+                let mut op =
+                    RecommendOp::new(model(), rec_schema(), None, items.clone(), None, None)
+                        .with_guard(guard.clone());
+                (drain(&mut op).map(|rows| rows.len()), guard.rows_used())
+            };
+            assert_eq!(run(None), (Ok(5), UNITS), "items {items:?}");
+            assert_eq!(run(Some(UNITS)).0, Ok(5), "items {items:?}");
+            assert!(run(Some(UNITS - 1)).0.is_err(), "items {items:?}");
+        }
+    }
+
+    #[test]
+    fn unfiltered_recommend_is_cancelled_between_user_blocks() {
+        let guard = QueryGuard::unlimited();
+        let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None)
+            .with_guard(guard.clone());
+        // User 1's block (items 2 and 3) is scored on the first call.
+        let first = op.next().unwrap().unwrap();
+        assert_eq!(first.get(0).unwrap(), &Value::Int(1));
+        guard.cancel();
+        // Its remaining row is already computed; the next block is not
+        // started.
+        assert_eq!(op.next().unwrap().unwrap().get(1).unwrap(), &Value::Int(3));
+        assert!(matches!(
+            op.next(),
+            Some(Err(crate::error::ExecError::Guard(
+                recdb_guard::GuardError::Cancelled { .. }
+            )))
+        ));
     }
 
     #[test]
@@ -489,6 +627,36 @@ mod tests {
             assert_eq!(t.get(1), t.get(3), "item id equals outer mid");
         }
         assert_eq!(got[0].get(4).unwrap().as_text(), Some("Inception"));
+    }
+
+    #[test]
+    fn join_recommend_matches_the_point_predictor() {
+        // Every outer item × every user, duplicates and unknown ids in
+        // both lists: rows come out outer-major, users in list order, with
+        // exactly the model's per-pair scores.
+        let outer_schema = Schema::new(vec![Column::qualified("M", "mid", DataType::Int)]);
+        let outer_ids = [3i64, 77, 1, 3];
+        let outer = Box::new(ValuesOp::new(
+            outer_schema,
+            outer_ids
+                .iter()
+                .map(|&i| Tuple::new(vec![Value::Int(i)]))
+                .collect(),
+        ));
+        let users = vec![4i64, 99, 1, 4];
+        let mut op = JoinRecommendOp::new(model(), rec_schema(), outer, 0, Some(users), None, None);
+        let m = model();
+        let mut want = Vec::new();
+        for item in outer_ids {
+            for user in [4i64, 1] {
+                if m.matrix().item_idx(item).is_some() && m.matrix().rating_of(user, item).is_none()
+                {
+                    want.push((user, item, m.predict(user, item).unwrap_or(0.0).to_bits()));
+                }
+            }
+        }
+        assert_eq!(triples(&drain(&mut op).unwrap()), want);
+        assert!(!want.is_empty());
     }
 
     #[test]

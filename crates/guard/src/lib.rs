@@ -3,9 +3,10 @@
 //! A [`QueryGuard`] bundles a cancellation flag, an optional wall-clock
 //! deadline, and optional row/memory budgets behind one cheap handle.
 //! Long-running loops call [`QueryGuard::tick`] once per unit of work
-//! (a tuple produced, an SGD epoch, a similarity chunk); blocking
-//! operators additionally report buffered bytes via
-//! [`QueryGuard::charge_mem`]. Either returns a structured
+//! (a tuple produced, an SGD epoch, a similarity chunk) — or
+//! [`QueryGuard::tick_n`] once per block of `n` units when the work is
+//! done a block at a time; blocking operators additionally report
+//! buffered bytes via [`QueryGuard::charge_mem`]. Each returns a structured
 //! [`GuardError`] the moment a limit is crossed, so cancellation is
 //! bounded by the cost of a single work unit — the Volcano analogue of
 //! a per-row interrupt check.
@@ -161,7 +162,17 @@ impl QueryGuard {
     /// Charge one unit of row work, then check every limit. Call once
     /// per tuple produced (or per epoch/chunk in model builds).
     pub fn tick(&self) -> Result<(), GuardError> {
-        let used = self.inner.rows.fetch_add(1, Ordering::Relaxed) + 1;
+        self.tick_n(1)
+    }
+
+    /// Charge `n` units of row work at once, then check every limit once
+    /// — for operators that produce a block of rows per step. The row
+    /// budget sees the same total as `n` calls to [`tick`](Self::tick), so
+    /// a statement that runs to completion trips it under exactly the same
+    /// budgets; cancellation and the deadline are observed once per block
+    /// instead of once per row.
+    pub fn tick_n(&self, n: u64) -> Result<(), GuardError> {
+        let used = self.inner.rows.fetch_add(n, Ordering::Relaxed) + n;
         if let Some(budget) = self.inner.row_budget {
             if used > budget {
                 return Err(GuardError::ResourceExhausted {
@@ -228,6 +239,39 @@ mod tests {
                 used: 4
             })
         );
+    }
+
+    #[test]
+    fn tick_n_trips_the_row_budget_exactly_where_n_ticks_do() {
+        // A statement charging `blocks` blocks of `n` rows each, by block
+        // and by row: both must trip, or pass, under every budget.
+        for (blocks, n) in [(1u64, 1u64), (1, 7), (3, 5), (4, 0), (2, 1683)] {
+            let total = blocks * n;
+            for budget in [0, 1, total.saturating_sub(1), total, total + 1] {
+                let by_block = QueryGuard::with_limits(None, Some(budget), None);
+                let by_row = QueryGuard::with_limits(None, Some(budget), None);
+                let block_trip = (0..blocks).any(|_| by_block.tick_n(n).is_err());
+                let row_trip = (0..total).any(|_| by_row.tick().is_err());
+                assert_eq!(block_trip, row_trip, "{blocks}×{n} rows, budget {budget}");
+                assert_eq!(block_trip, total > budget);
+                if !block_trip {
+                    assert_eq!(by_block.rows_used(), by_row.rows_used());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tick_n_observes_cancellation_and_deadline_once_per_block() {
+        let g = QueryGuard::unlimited();
+        g.tick_n(1_000).unwrap();
+        g.cancel();
+        assert!(matches!(g.tick_n(1_000), Err(GuardError::Cancelled { .. })));
+        let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
+        assert!(matches!(
+            expired.tick_n(0),
+            Err(GuardError::Cancelled { .. })
+        ));
     }
 
     #[test]

@@ -20,19 +20,25 @@ fn loaded_db() -> RecDb {
     db
 }
 
-fn sorted_pairs(r: &ResultSet) -> Vec<(i64, i64, i64)> {
-    // (uid, iid, score in milli-units) for order-insensitive comparison.
-    let mut v: Vec<(i64, i64, i64)> = r
-        .rows()
+/// `(uid, iid, score bits)` in result order.
+fn pairs(r: &ResultSet) -> Vec<(i64, i64, u64)> {
+    r.rows()
         .iter()
         .map(|t| {
             (
                 t.get(0).unwrap().as_int().unwrap(),
                 t.get(1).unwrap().as_int().unwrap(),
-                (t.get(2).unwrap().as_f64().unwrap() * 1000.0).round() as i64,
+                t.get(2).unwrap().as_f64().unwrap().to_bits(),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// [`pairs`] for order-insensitive comparison. Scores compare by bit
+/// pattern: every access path evaluates the same Eq. 2/3 sums in the same
+/// order, so there is no tolerance to grant.
+fn sorted_pairs(r: &ResultSet) -> Vec<(i64, i64, u64)> {
+    let mut v = pairs(r);
     v.sort_unstable();
     v
 }
@@ -75,6 +81,113 @@ fn recdb_and_ontop_agree_for_every_algorithm() {
             "{algo}: native and on-top answers diverge"
         );
         assert!(!native.is_empty(), "{algo}: no recommendations at all");
+    }
+}
+
+/// The user-at-a-time scoring pass against its per-pair oracle on a seeded
+/// synthetic world: every algorithm, truncated and full neighbor lists,
+/// with and without a similarity floor, every user — equal to the bit.
+#[test]
+fn user_pass_equals_per_pair_on_a_synthetic_world() {
+    use recdb::algo::model::{NeighborhoodKnobs, TrainConfig};
+    use recdb::algo::{RatingsMatrix, RecModel, ScoreScratch, SvdParams};
+    let ratings = recdb::datasets::generate(&small_spec()).algo_ratings();
+    let matrix = RatingsMatrix::from_ratings(ratings);
+    let mut scratch = ScoreScratch::default();
+    let mut batch = Vec::new();
+    for algo in Algorithm::ALL {
+        // The neighborhood knobs do not apply to SVD and Popularity.
+        let knobs: Vec<(Option<usize>, f64)> = if algo.is_neighborhood() {
+            [None, Some(1), Some(8), Some(64)]
+                .into_iter()
+                .flat_map(|k| [(k, 0.0), (k, 0.2)])
+                .collect()
+        } else {
+            vec![(None, 0.0)]
+        };
+        for (max_neighbors, min_abs_sim) in knobs {
+            let config = TrainConfig {
+                neighborhood: NeighborhoodKnobs {
+                    max_neighbors,
+                    min_abs_sim,
+                    threads: 0,
+                },
+                svd: SvdParams {
+                    epochs: 3,
+                    ..SvdParams::default()
+                },
+            };
+            let model = RecModel::train(algo, matrix.clone(), &config);
+            for u in 0..matrix.n_users() {
+                batch.clear();
+                model.score_unseen_into(u, &mut scratch, &mut batch);
+                let got: Vec<(usize, u64)> = batch.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                let want: Vec<(usize, u64)> = matrix
+                    .unseen_items(u)
+                    .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0).to_bits()))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}"
+                );
+            }
+        }
+    }
+}
+
+/// Paper Query 1's shape (one user, whole item domain) runs the
+/// user-at-a-time scoring pass; OnTopDB scores the same pairs one
+/// `predict` at a time. Same rows, same order, same score bits — and the
+/// operator tree reports the cardinalities the Volcano protocol implies.
+#[test]
+fn filter_recommend_matches_ontop_row_for_row() {
+    for algo in Algorithm::ALL {
+        let db = loaded_db();
+        db.execute(&format!(
+            "CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid \
+             RATINGS FROM ratingval USING {algo}"
+        ))
+        .unwrap();
+        let recommend = format!(
+            "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
+             RECOMMEND R.iid TO R.uid ON R.ratingval USING {algo} WHERE R.uid = 2"
+        );
+        let native = db.query(&recommend).unwrap();
+
+        let mut ontop = OnTopDb::new(loaded_db()).unwrap();
+        ontop
+            .create_recommender("ratings", "uid", "iid", "ratingval", algo)
+            .unwrap();
+        let baseline = ontop
+            .run(
+                "ratings",
+                algo,
+                PredictionScope::SingleUser(2),
+                "SELECT P.uid, P.iid, P.ratingval FROM _ontop_predictions AS P",
+            )
+            .unwrap();
+        assert_eq!(pairs(&native), pairs(&baseline), "{algo}");
+
+        let unseen = native.len();
+        assert!(unseen > 10, "{algo}: world too small for a top-10");
+        let plan = db
+            .query(&format!(
+                "EXPLAIN ANALYZE {recommend} ORDER BY R.ratingval DESC LIMIT 10"
+            ))
+            .unwrap();
+        let lines: Vec<String> = (0..plan.len())
+            .map(|i| plan.value(i, "plan").unwrap().to_string())
+            .collect();
+        let actuals = |op: &str, rows: usize| {
+            let want = format!("rows={rows} calls={}", rows + 1);
+            assert!(
+                lines.iter().any(|l| l.contains(op) && l.contains(&want)),
+                "{algo}: {op} must report {want}: {lines:?}"
+            );
+        };
+        actuals("Project", 10);
+        actuals("TopKSort", 10);
+        actuals("FilterRecommend", unseen);
     }
 }
 

@@ -57,6 +57,7 @@ fn ratings_count(db: &mut RecDb) -> usize {
 /// deadline returns `Cancelled` — it neither hangs nor panics.
 #[test]
 fn zero_deadline_recommend_is_cancelled() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = seeded_db();
     db.execute(CREATE_REC_SQL).expect("create recommender");
     let guard = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
@@ -74,6 +75,7 @@ fn zero_deadline_recommend_is_cancelled() {
 /// A zero deadline also stops plain scans and model builds.
 #[test]
 fn zero_deadline_stops_scans_and_builds() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = seeded_db();
     let expired = || QueryGuard::with_limits(Some(Duration::ZERO), None, None);
     match db.query_with_guard("SELECT uid FROM ratings", expired()) {
@@ -92,6 +94,7 @@ fn zero_deadline_stops_scans_and_builds() {
 
 #[test]
 fn row_budget_trips_resource_exhausted() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = seeded_db();
     let guard = QueryGuard::with_limits(None, Some(3), None);
     match db.query_with_guard("SELECT uid FROM ratings", guard) {
@@ -106,6 +109,7 @@ fn row_budget_trips_resource_exhausted() {
 
 #[test]
 fn mem_budget_trips_on_sort_buffering() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = seeded_db();
     let guard = QueryGuard::with_limits(None, None, Some(16));
     match db.query_with_guard("SELECT uid FROM ratings ORDER BY ratingval DESC", guard) {
@@ -120,6 +124,7 @@ fn mem_budget_trips_on_sort_buffering() {
 /// `query()` calls with no per-call guard.
 #[test]
 fn config_level_row_budget_governs_plain_queries() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let config = RecDbConfig {
         governor: GovernorConfig {
             row_budget: Some(4),
@@ -140,6 +145,7 @@ fn config_level_row_budget_governs_plain_queries() {
 /// A cancel handle flipped from another thread stops the statement.
 #[test]
 fn cross_thread_cancel_stops_statement() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = seeded_db();
     let guard = QueryGuard::unlimited();
     let handle = guard.cancel_handle();
@@ -432,6 +438,7 @@ fn seeded_fault_sweep_never_corrupts_the_engine() {
 /// every lock — the serving layer depends on this for its own teardown.
 #[test]
 fn dropped_session_with_open_txn_releases_locks() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
     let db = RecDb::new();
     db.execute("CREATE TABLE t (a INT)").expect("create");
     {
