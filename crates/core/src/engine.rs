@@ -35,11 +35,11 @@ use recdb_algo::model::TrainConfig;
 use recdb_algo::Algorithm;
 use recdb_exec::expr::{bind, literal_value};
 use recdb_exec::{
-    build_logical, execute_plan, execute_plan_profiled, optimize, ExecContext, LogicalPlan,
-    RecScoreIndex, RecommenderProvider, ResultSet,
+    build_logical, execute_plan, execute_plan_profiled, optimize, ExecContext, ExecMetrics,
+    LogicalPlan, RecScoreIndex, RecommenderProvider, ResultSet,
 };
 use recdb_guard::QueryGuard;
-use recdb_obs::{Clock, MetricsSnapshot, Registry, SystemClock};
+use recdb_obs::{Clock, Counter, MetricsSnapshot, Registry, SystemClock};
 use recdb_sql::{parse, parse_many, Expr, SelectStatement, Statement};
 use recdb_storage::{
     codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, RecoveryMode, Schema,
@@ -277,6 +277,10 @@ pub struct RecDb {
     /// Engine-wide metric registry. Shared (`Arc`) so the WAL and the
     /// executor record into the same cells.
     metrics: Arc<Registry>,
+    /// Counters every SELECT bumps, resolved from `metrics` once at open
+    /// (a lookup by name takes the registry lock and builds a key).
+    exec_metrics: ExecMetrics,
+    rows_returned: Arc<Counter>,
     /// Time source for `EXPLAIN ANALYZE` ([`RecDbConfig::profile_clock`]
     /// or the wall clock).
     wall: Arc<dyn Clock>,
@@ -333,6 +337,8 @@ impl RecDb {
             clock: AtomicU64::new(0),
             durability: None,
             pool,
+            exec_metrics: ExecMetrics::resolve(&metrics),
+            rows_returned: metrics.counter("recdb_rows_returned_total"),
             metrics,
             wall,
             locks,
@@ -503,6 +509,8 @@ impl RecDb {
             clock: AtomicU64::new(clock),
             durability: Some(durability),
             pool,
+            exec_metrics: ExecMetrics::resolve(&metrics),
+            rows_returned: metrics.counter("recdb_rows_returned_total"),
             metrics,
             wall,
             locks,
@@ -1379,9 +1387,7 @@ impl RecDb {
             }
             Statement::Select(select) => {
                 let rows = self.run_select(&select, guard)?;
-                self.metrics
-                    .counter("recdb_rows_returned_total")
-                    .add(rows.len() as u64);
+                self.rows_returned.add(rows.len() as u64);
                 Ok(QueryResult::Rows(rows))
             }
             Statement::Begin | Statement::Commit | Statement::Rollback => {
@@ -1768,8 +1774,7 @@ impl RecDb {
         let catalog = self.catalog.read();
         let plan = optimize(build_logical(select, &catalog)?);
         self.record_query_stats(&plan);
-        let ctx =
-            ExecContext::new(&catalog, self, guard.clone()).with_metrics(Arc::clone(&self.metrics));
+        let ctx = ExecContext::new(&catalog, self, guard.clone()).with_metrics(&self.exec_metrics);
         Ok(execute_plan(&plan, &ctx)?)
     }
 
@@ -1786,12 +1791,9 @@ impl RecDb {
         let catalog = self.catalog.read();
         let plan = optimize(build_logical(select, &catalog)?);
         self.record_query_stats(&plan);
-        let ctx =
-            ExecContext::new(&catalog, self, guard.clone()).with_metrics(Arc::clone(&self.metrics));
+        let ctx = ExecContext::new(&catalog, self, guard.clone()).with_metrics(&self.exec_metrics);
         let (rows, profile) = execute_plan_profiled(&plan, &ctx, Arc::clone(&self.wall))?;
-        self.metrics
-            .counter("recdb_rows_returned_total")
-            .add(rows.len() as u64);
+        self.rows_returned.add(rows.len() as u64);
         let schema = Schema::from_pairs(&[("plan", DataType::Text)]);
         let lines = profile
             .render()

@@ -35,7 +35,7 @@ pub mod result;
 pub use error::{ExecError, ExecResult};
 pub use expr::BoundExpr;
 pub use optimizer::optimize;
-pub use physical::{execute_plan, execute_plan_profiled, ExecContext, Profiler};
+pub use physical::{execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, Profiler};
 pub use plan::{build_logical, LogicalPlan};
 pub use provider::RecommenderProvider;
 pub use rec_index::RecScoreIndex;

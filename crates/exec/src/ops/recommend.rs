@@ -23,7 +23,7 @@
 
 use super::PhysicalOp;
 use crate::error::ExecResult;
-use crate::rec_index::RecScoreIndex;
+use crate::rec_index::{RecScoreIndex, ScoreCursor};
 use recdb_algo::{RecModel, ScoreScratch};
 use recdb_guard::QueryGuard;
 use recdb_storage::{Schema, Tuple, Value};
@@ -311,7 +311,13 @@ impl PhysicalOp for JoinRecommendOp<'_> {
 
 // --------------------------------------------------------- IndexRecommend
 
-/// The INDEXRECOMMEND operator (Algorithm 3).
+/// The INDEXRECOMMEND operator (Algorithm 3). It pulls: each `next()`
+/// advances a cursor over the current user's forward-tree range, which
+/// reads one more leaf only when the last one is used up — so a `LIMIT k`
+/// above it touches the leaves holding the first `k` qualifying entries
+/// and no others. `index` is an immutable snapshot (maintenance swaps in
+/// a rebuilt index, it never edits this one), so the cursor stays valid
+/// for the operator's life.
 pub struct IndexRecommendOp {
     index: Arc<RecScoreIndex>,
     schema: Schema,
@@ -319,9 +325,10 @@ pub struct IndexRecommendOp {
     item_filter: Option<HashSet<i64>>,
     min_rating: Option<f64>,
     max_rating: Option<f64>,
+    /// Next user to start.
     u_cursor: usize,
-    /// Per-user buffered descending entries (Phase II output).
-    buffer: VecDeque<(i64, i64, f64)>,
+    /// Phase II position within `users[u_cursor - 1]`'s list.
+    cursor: ScoreCursor,
     guard: QueryGuard,
 }
 
@@ -345,13 +352,14 @@ impl IndexRecommendOp {
             min_rating,
             max_rating,
             u_cursor: 0,
-            buffer: VecDeque::new(),
+            cursor: ScoreCursor::empty(),
             guard: QueryGuard::unlimited(),
         }
     }
 
-    /// Attach a resource governor (checked once per emitted tuple /
-    /// per-user index traversal).
+    /// Attach a resource governor (one row unit per emitted tuple and per
+    /// user started, so cancellation and the deadline are observed
+    /// between entries of a long drain).
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
@@ -368,25 +376,23 @@ impl PhysicalOp for IndexRecommendOp {
             if let Err(e) = self.guard.tick() {
                 return Some(Err(e.into()));
             }
-            if let Some((user, item, score)) = self.buffer.pop_front() {
-                return Some(Ok(rec_tuple(user, item, score)));
-            }
-            if self.u_cursor >= self.users.len() {
-                return None;
-            }
-            let user = self.users[self.u_cursor];
-            self.u_cursor += 1;
             // Phase II: rating-range tree traversal, descending.
-            for (item, score) in self.index.iter_desc(user, self.min_rating, self.max_rating) {
+            while let Some((user, item, score)) = self.index.next_entry(&mut self.cursor) {
                 // Phase III: item-id filtering.
                 if self
                     .item_filter
                     .as_ref()
                     .is_none_or(|set| set.contains(&item))
                 {
-                    self.buffer.push_back((user, item, score));
+                    return Some(Ok(rec_tuple(user, item, score)));
                 }
             }
+            // Phase I: the next user of the list.
+            let &user = self.users.get(self.u_cursor)?;
+            self.u_cursor += 1;
+            self.cursor = self
+                .index
+                .cursor_desc(user, self.min_rating, self.max_rating);
         }
     }
 
@@ -728,6 +734,167 @@ mod tests {
         let mut op =
             IndexRecommendOp::new(sample_index(), rec_schema(), vec![42], None, None, None);
         assert!(drain(&mut op).unwrap().is_empty());
+    }
+
+    /// 8 users × 70 items, two fifths rated: every user keeps ~40 unseen
+    /// items, so under a node capacity of 8 one list spans many leaves.
+    fn wide_model() -> Arc<RecModel> {
+        let mut ratings = Vec::new();
+        for u in 1..=8i64 {
+            for i in 1..=70i64 {
+                if (u * 7 + i * 3) % 5 < 2 {
+                    ratings.push(Rating::new(u, i, ((u + 2 * i) % 9 + 1) as f64 / 2.0));
+                }
+            }
+        }
+        Arc::new(RecModel::train(
+            Algorithm::ItemCosCF,
+            RatingsMatrix::from_ratings(ratings),
+            &Default::default(),
+        ))
+    }
+
+    /// What FILTERRECOMMEND answers for the same predicates, in
+    /// INDEXRECOMMEND's order: users as listed, then score descending,
+    /// ties by item id descending.
+    fn online_reference(
+        model: &Arc<RecModel>,
+        users: &[i64],
+        items: Option<Vec<i64>>,
+        min: Option<f64>,
+        max: Option<f64>,
+    ) -> Vec<(i64, i64, u64)> {
+        let mut want = Vec::new();
+        for &user in users {
+            let mut op = RecommendOp::new(
+                model.clone(),
+                rec_schema(),
+                Some(vec![user]),
+                items.clone(),
+                min,
+                max,
+            );
+            let mut rows = triples(&drain(&mut op).unwrap());
+            rows.sort_by(|a, b| {
+                f64::from_bits(b.2)
+                    .total_cmp(&f64::from_bits(a.2))
+                    .then(b.1.cmp(&a.1))
+            });
+            want.extend(rows);
+        }
+        want
+    }
+
+    /// `users`' full lists materialized into 8-key nodes behind a 6-frame
+    /// pool: every list is a chain of leaves that evict each other.
+    fn materialized(model: &Arc<RecModel>, users: &[i64]) -> Arc<RecScoreIndex> {
+        let pool = Arc::new(recdb_storage::BufferPool::in_memory(6));
+        let mut idx = RecScoreIndex::with_pool(pool, 8);
+        for &(user, item, bits) in &online_reference(model, users, None, None, None) {
+            idx.insert(user, item, f64::from_bits(bits));
+        }
+        for &user in users {
+            idx.mark_complete(user);
+        }
+        Arc::new(idx)
+    }
+
+    #[test]
+    fn index_recommend_under_limit_matches_filter_recommend() {
+        let model = wide_model();
+        let index = materialized(&model, &[3, 5]);
+        let list = online_reference(&model, &[3], None, None, None);
+        assert!(
+            list.len() > 32,
+            "user 3's list must span several 8-key leaves"
+        );
+        // Phase III matches that sit past the second leaf, plus an id no
+        // list holds.
+        let deep: Vec<i64> = list[20..]
+            .iter()
+            .step_by(7)
+            .map(|t| t.1)
+            .chain([999])
+            .collect();
+        let (hi, lo) = (f64::from_bits(list[5].2), f64::from_bits(list[30].2));
+        assert!(lo < hi);
+        // (users, `iid IN` list, min rating, max rating)
+        type Case<'a> = (&'a [i64], Option<Vec<i64>>, Option<f64>, Option<f64>);
+        let cases: [Case; 5] = [
+            (&[3], None, None, None),
+            (&[3], Some(deep.clone()), None, None),
+            (&[3], None, Some(lo), Some(hi)),
+            (&[3, 5], None, None, None),
+            (&[5, 3], Some(deep), Some(lo), None),
+        ];
+        for (users, items, min, max) in cases {
+            let want = online_reference(&model, users, items.clone(), min, max);
+            assert!(!want.is_empty(), "vacuous case {users:?} {items:?}");
+            for k in [1, 10, want.len(), want.len() + 5] {
+                let guard = QueryGuard::unlimited();
+                let op = IndexRecommendOp::new(
+                    index.clone(),
+                    rec_schema(),
+                    users.to_vec(),
+                    items.clone(),
+                    min,
+                    max,
+                )
+                .with_guard(guard.clone());
+                let mut limited = crate::ops::LimitOp::new(Box::new(op), k as u64);
+                let got = triples(&drain(&mut limited).unwrap());
+                assert_eq!(
+                    got,
+                    want[..k.min(want.len())],
+                    "users {users:?} items {items:?} bounds {min:?}..{max:?} k {k}"
+                );
+                if k > want.len() {
+                    // A full drain bills one unit per emitted tuple, one
+                    // per user started, one for the end of stream.
+                    assert_eq!(guard.rows_used(), (want.len() + users.len() + 1) as u64);
+                }
+            }
+        }
+        assert_eq!(
+            index.pool().pinned_pages(),
+            0,
+            "an abandoned cursor holds no pin"
+        );
+    }
+
+    #[test]
+    fn index_recommend_observes_cancel_and_deadline_between_entries() {
+        use crate::error::ExecError;
+        use recdb_guard::GuardError;
+        use std::time::Duration;
+        let model = wide_model();
+        let index = materialized(&model, &[3]);
+        let started = |guard: &QueryGuard| {
+            let mut op =
+                IndexRecommendOp::new(index.clone(), rec_schema(), vec![3], None, None, None)
+                    .with_guard(guard.clone());
+            // Three entries in: mid-leaf, far from the end of the list.
+            for _ in 0..3 {
+                op.next().unwrap().unwrap();
+            }
+            op
+        };
+        let cancelled = |op: &mut IndexRecommendOp| {
+            matches!(
+                op.next(),
+                Some(Err(ExecError::Guard(GuardError::Cancelled { .. })))
+            )
+        };
+
+        let guard = QueryGuard::unlimited();
+        let mut op = started(&guard);
+        guard.cancel();
+        assert!(cancelled(&mut op));
+
+        let guard = QueryGuard::with_limits(Some(Duration::from_millis(200)), None, None);
+        let mut op = started(&guard);
+        std::thread::sleep(Duration::from_millis(220));
+        assert!(cancelled(&mut op));
     }
 
     #[test]

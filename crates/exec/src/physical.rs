@@ -22,11 +22,32 @@ use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode};
 use crate::provider::RecommenderProvider;
 use crate::result::ResultSet;
 use recdb_guard::QueryGuard;
-use recdb_obs::{Clock, OpStats, ProfiledOp, QueryProfile, Registry};
+use recdb_obs::{Clock, Counter, OpStats, ProfiledOp, QueryProfile, Registry};
 use recdb_sql::{BinaryOp, Expr, OrderKey};
 use recdb_storage::{Catalog, Schema};
 use std::cell::RefCell;
 use std::sync::Arc;
+
+/// The executor's counters, resolved from the engine-wide registry once
+/// (at engine open) so building a plan bumps a stored cell instead of
+/// taking the registry lock and formatting a series key per statement.
+#[derive(Debug)]
+pub struct ExecMetrics {
+    rows_scanned: Arc<Counter>,
+    index_hits: Arc<Counter>,
+    index_misses: Arc<Counter>,
+}
+
+impl ExecMetrics {
+    /// Resolve (creating at zero if absent) the executor's series.
+    pub fn resolve(registry: &Registry) -> Self {
+        ExecMetrics {
+            rows_scanned: registry.counter("recdb_rows_scanned_total"),
+            index_hits: registry.counter("recdb_recscoreindex_hits_total"),
+            index_misses: registry.counter("recdb_recscoreindex_misses_total"),
+        }
+    }
+}
 
 /// Everything the physical planner needs to resolve names.
 pub struct ExecContext<'a> {
@@ -36,10 +57,10 @@ pub struct ExecContext<'a> {
     pub provider: &'a dyn RecommenderProvider,
     /// Resource governor propagated into every operator of the built tree.
     pub guard: QueryGuard,
-    /// Engine-wide metric registry; when set, scans bump the rows-scanned
+    /// Engine-wide counters; when set, scans bump the rows-scanned
     /// counter and the Recommend access-path choice records
     /// RecScoreIndex hits/misses.
-    pub metrics: Option<Arc<Registry>>,
+    pub metrics: Option<&'a ExecMetrics>,
     /// When set, every built operator is wrapped in a [`MeteredOp`] and
     /// the build assembles the [`QueryProfile`] tree (`EXPLAIN ANALYZE`).
     pub profiler: Option<Profiler>,
@@ -61,8 +82,8 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Attach an engine-wide metric registry.
-    pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Self {
+    /// Attach the engine-wide executor counters.
+    pub fn with_metrics(mut self, metrics: &'a ExecMetrics) -> Self {
         self.metrics = Some(metrics);
         self
     }
@@ -129,7 +150,7 @@ pub fn execute_plan_profiled(
         catalog: ctx.catalog,
         provider: ctx.provider,
         guard: ctx.guard.clone(),
-        metrics: ctx.metrics.clone(),
+        metrics: ctx.metrics,
         profiler: Some(Profiler::new(Arc::clone(&clock))),
     };
     let start = clock.now_micros();
@@ -189,8 +210,8 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
         LogicalPlan::Scan { table, schema, .. } => {
             let t = ctx.catalog.table(table)?;
             let mut scan = ScanOp::new(t.heap(), schema.clone()).with_guard(ctx.guard.clone());
-            if let Some(metrics) = &ctx.metrics {
-                scan = scan.with_rows_counter(metrics.counter("recdb_rows_scanned_total"));
+            if let Some(metrics) = ctx.metrics {
+                scan = scan.with_rows_counter(Arc::clone(&metrics.rows_scanned));
             }
             Ok(Built {
                 op: Box::new(scan),
@@ -386,8 +407,8 @@ fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResul
         if !users.is_empty() {
             if let Some(index) = ctx.provider.rec_index(&node.ratings_table, node.algorithm) {
                 if users.iter().all(|&u| index.is_complete(u)) {
-                    if let Some(metrics) = &ctx.metrics {
-                        metrics.counter("recdb_recscoreindex_hits_total").inc();
+                    if let Some(metrics) = ctx.metrics {
+                        metrics.index_hits.inc();
                     }
                     let sorted_desc = (users.len() == 1)
                         .then(|| format!("{}.{}", node.binding, node.rating_column));
@@ -410,8 +431,8 @@ fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResul
         }
     }
     // On-the-fly prediction: the score index could not serve this query.
-    if let Some(metrics) = &ctx.metrics {
-        metrics.counter("recdb_recscoreindex_misses_total").inc();
+    if let Some(metrics) = ctx.metrics {
+        metrics.index_misses.inc();
     }
     Ok(Built {
         op: Box::new(

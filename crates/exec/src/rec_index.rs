@@ -21,8 +21,16 @@
 //! order as [`f64::total_cmp`]), packed into the tree's fixed 24-byte
 //! keys. Small per-user metadata (entry counts, the completeness set)
 //! stays in memory: it is O(users), not O(users × items).
+//!
+//! Reads are **lazy**: every descending read goes through one
+//! [`ScoreCursor`], which holds a position in the forward tree and the
+//! keys of the one leaf it read last. Asking for the next entry reads a
+//! further leaf only when that batch is used up, so taking a user's top
+//! `k` costs one descent plus the leaves that hold those `k` entries —
+//! not the user's whole list — and a cursor dropped early has nothing to
+//! release.
 
-use recdb_storage::{BTree, BufferPool, DEFAULT_NODE_CAPACITY};
+use recdb_storage::{BTree, BufferPool, RangeCursor, DEFAULT_NODE_CAPACITY};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,10 +47,8 @@ fn enc_i64(x: i64) -> [u8; 8] {
     ((x as u64) ^ (1 << 63)).to_be_bytes()
 }
 
-fn dec_i64(b: &[u8]) -> i64 {
-    let mut arr = [0u8; 8];
-    arr.copy_from_slice(b);
-    (u64::from_be_bytes(arr) ^ (1 << 63)) as i64
+fn dec_i64(b: [u8; 8]) -> i64 {
+    (u64::from_be_bytes(b) ^ (1 << 63)) as i64
 }
 
 /// Total-order bits of an `f64`, ascending: byte order matches
@@ -57,10 +63,8 @@ fn enc_f64_asc(s: f64) -> [u8; 8] {
     ordered.to_be_bytes()
 }
 
-fn dec_f64_asc(b: &[u8]) -> f64 {
-    let mut arr = [0u8; 8];
-    arr.copy_from_slice(b);
-    let ordered = u64::from_be_bytes(arr);
+fn dec_f64_asc(b: [u8; 8]) -> f64 {
+    let ordered = u64::from_be_bytes(b);
     let bits = if ordered >> 63 == 1 {
         ordered & !(1 << 63)
     } else {
@@ -82,12 +86,17 @@ fn fwd_key(user: i64, score: f64, item: i64) -> Key {
     k
 }
 
+/// The 8-byte field of a key starting at byte `at`.
+fn field(k: &Key, at: usize) -> [u8; 8] {
+    let mut f = [0u8; 8];
+    f.copy_from_slice(&k[at..at + 8]);
+    f
+}
+
 fn fwd_decode(k: &Key) -> (i64, i64, f64) {
-    let user = dec_i64(&k[..8]);
-    let asc_score: Vec<u8> = k[8..16].iter().map(|b| !b).collect();
-    let score = dec_f64_asc(&asc_score);
-    let asc_item: Vec<u8> = k[16..].iter().map(|b| !b).collect();
-    let item = dec_i64(&asc_item);
+    let user = dec_i64(field(k, 0));
+    let score = dec_f64_asc(field(k, 8).map(|b| !b));
+    let item = dec_i64(field(k, 16).map(|b| !b));
     (user, item, score)
 }
 
@@ -135,6 +144,34 @@ pub struct RecScoreIndex {
 /// short of rebuilding the index. Surface them loudly.
 const POOL_FAULT: &str = "RecScoreIndex buffer-pool operation failed";
 
+/// An owned position in the forward tree: the tree cursor plus the one
+/// leaf batch it last read. It borrows nothing, so `IndexRecommendOp`
+/// keeps one beside its `Arc<RecScoreIndex>` snapshot and a `LIMIT k`
+/// above it stops the leaf walk by simply not asking again.
+#[derive(Debug)]
+pub struct ScoreCursor {
+    range: RangeCursor,
+    /// In-range keys of the leaf read last; at most one node's worth.
+    leaf: Vec<Key>,
+    /// Next entry of `leaf` to hand out.
+    pos: usize,
+}
+
+impl ScoreCursor {
+    fn over(range: RangeCursor) -> Self {
+        ScoreCursor {
+            range,
+            leaf: Vec::new(),
+            pos: 0,
+        }
+    }
+
+    /// A cursor over nothing.
+    pub fn empty() -> Self {
+        ScoreCursor::over(RangeCursor::empty())
+    }
+}
+
 impl RecScoreIndex {
     /// An empty index over a private, unbounded in-memory pool.
     pub fn new() -> Self {
@@ -172,6 +209,12 @@ impl RecScoreIndex {
         u64::from(self.fwd.node_pages()) + u64::from(self.rev.node_pages())
     }
 
+    /// Levels of the forward tree (1 = its root is a leaf): the pool
+    /// accesses a top-k read pays before its first leaf. Diagnostic.
+    pub fn fwd_height(&self) -> u32 {
+        self.fwd.height().expect(POOL_FAULT)
+    }
+
     /// Number of materialized `(user, item, score)` entries.
     pub fn len(&self) -> usize {
         self.entries
@@ -200,7 +243,7 @@ impl RecScoreIndex {
         let mut found = None;
         self.rev
             .for_each_range(&lo, hi.as_ref(), |k| {
-                found = Some(dec_f64_asc(&k[16..]));
+                found = Some(dec_f64_asc(field(k, 16)));
                 false
             })
             .expect(POOL_FAULT);
@@ -269,7 +312,9 @@ impl RecScoreIndex {
     /// it complete — the bulk path for the engine's materializer, which
     /// otherwise pays a point lookup per inserted pair.
     pub fn replace_user_list(&mut self, user: i64, list: &[(i64, f64)]) {
-        for (item, score) in self.collect_desc(user, None, None) {
+        // The cursor reads the tree it would be mutating: drain it first.
+        let old: Vec<(i64, f64)> = self.iter_desc(user, None, None).collect();
+        for (item, score) in old {
             self.fwd
                 .remove(&fwd_key(user, score, item))
                 .expect(POOL_FAULT);
@@ -299,14 +344,18 @@ impl RecScoreIndex {
         self.complete.insert(user);
     }
 
-    fn collect_desc(
+    /// A cursor over user `u`'s entries in **descending** score order —
+    /// Algorithm 3's Phase II traversal. The optional inclusive score
+    /// bounds (the `rPred` rating-value filter) become the key range, so
+    /// out-of-bounds entries are never read.
+    pub fn cursor_desc(
         &self,
         user: i64,
         min_score: Option<f64>,
         max_score: Option<f64>,
-    ) -> Vec<(i64, f64)> {
+    ) -> ScoreCursor {
         if !self.has_user(user) {
-            return Vec::new();
+            return ScoreCursor::empty();
         }
         // In the forward key space the *highest* score sorts first, so the
         // range's low end carries the max bound and vice versa.
@@ -316,27 +365,44 @@ impl RecScoreIndex {
             min_score.unwrap_or(f64::NEG_INFINITY),
             i64::MIN,
         ));
-        let mut out = Vec::new();
-        self.fwd
-            .for_each_range(&lo, hi.as_ref(), |k| {
-                let (_, item, score) = fwd_decode(k);
-                out.push((item, score));
-                true
-            })
-            .expect(POOL_FAULT);
-        out
+        ScoreCursor::over(RangeCursor::new(lo, hi))
     }
 
-    /// Iterate a user's `(item, score)` entries in **descending** score
-    /// order — Algorithm 3's Phase II/III traversal. Optional inclusive
-    /// score bounds implement the `rPred` rating-value filter.
+    /// The next `(user, item, score)` under `cursor`, reading one more
+    /// forward-tree leaf only when the previous one is used up. Every
+    /// descending read of the index goes through here. The cursor must
+    /// come from this index and the index must not have been mutated
+    /// since (readers hold an immutable snapshot; maintenance
+    /// copies-on-write).
+    pub fn next_entry(&self, cursor: &mut ScoreCursor) -> Option<(i64, i64, f64)> {
+        loop {
+            if let Some(key) = cursor.leaf.get(cursor.pos) {
+                cursor.pos += 1;
+                return Some(fwd_decode(key));
+            }
+            cursor.pos = 0;
+            if !self
+                .fwd
+                .next_batch(&mut cursor.range, &mut cursor.leaf)
+                .expect(POOL_FAULT)
+            {
+                return None;
+            }
+        }
+    }
+
+    /// Iterate a user's `(item, score)` entries in descending score order
+    /// ([`RecScoreIndex::cursor_desc`] as an iterator). Lazy: taking `n`
+    /// entries reads only the leaves that hold them.
     pub fn iter_desc(
         &self,
         user: i64,
         min_score: Option<f64>,
         max_score: Option<f64>,
     ) -> impl Iterator<Item = (i64, f64)> + '_ {
-        self.collect_desc(user, min_score, max_score).into_iter()
+        let mut cursor = self.cursor_desc(user, min_score, max_score);
+        std::iter::from_fn(move || self.next_entry(&mut cursor))
+            .map(|(_, item, score)| (item, score))
     }
 
     /// All materialized users (arbitrary order).
@@ -348,14 +414,8 @@ impl RecScoreIndex {
     /// descending score within a user) — used when re-scoring
     /// materialized entries after a model rebuild.
     pub fn iter_all(&self) -> impl Iterator<Item = (i64, i64, f64)> + '_ {
-        let mut out = Vec::with_capacity(self.entries);
-        self.fwd
-            .for_each_range(&[0u8; 24], None, |k| {
-                out.push(fwd_decode(k));
-                true
-            })
-            .expect(POOL_FAULT);
-        out.into_iter()
+        let mut cursor = ScoreCursor::over(RangeCursor::new([0u8; 24], None));
+        std::iter::from_fn(move || self.next_entry(&mut cursor))
     }
 
     /// Drop everything (used when the model is rebuilt from scratch).
@@ -377,6 +437,7 @@ impl Default for RecScoreIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> RecScoreIndex {
         let mut idx = RecScoreIndex::new();
@@ -394,7 +455,7 @@ mod tests {
             assert!(enc_i64(w[0]) < enc_i64(w[1]), "{} < {}", w[0], w[1]);
         }
         for v in vals {
-            assert_eq!(dec_i64(&enc_i64(v)), v);
+            assert_eq!(dec_i64(enc_i64(v)), v);
         }
     }
 
@@ -414,7 +475,7 @@ mod tests {
             assert!(enc_f64_asc(w[0]) < enc_f64_asc(w[1]), "{} < {}", w[0], w[1]);
         }
         for v in vals {
-            assert_eq!(dec_f64_asc(&enc_f64_asc(v)).to_bits(), v.to_bits());
+            assert_eq!(dec_f64_asc(enc_f64_asc(v)).to_bits(), v.to_bits());
         }
     }
 
@@ -537,6 +598,60 @@ mod tests {
             all,
             vec![(1, 10, 4.5), (1, 11, 2.0), (1, 12, 5.0), (2, 10, 3.0)]
         );
+    }
+
+    fn score_strategy() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0i64..6).prop_map(|h| h as f64 / 2.0), // few values → many ties
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::NEG_INFINITY),
+            any::<f64>(),
+        ]
+    }
+
+    proptest! {
+        /// The lazy reader against a sort-and-filter of what was inserted
+        /// (last score per pair wins), under a node capacity of 8 and a
+        /// 6-frame pool so a user's list spans many leaves and they get
+        /// evicted mid-walk. Every prefix `take(n)` must agree, and
+        /// dropping the iterator mid-leaf must leave no pin. Bounds are
+        /// key ranges, so the reference filters in `f64::total_cmp` order
+        /// (`-0.0` is below a `0.0` bound) and an unbounded read spans
+        /// `[-∞, +∞]`, which leaves NaN scores out.
+        #[test]
+        fn lazy_iter_desc_matches_reference_for_every_prefix(
+            entries in proptest::collection::vec((-2i64..3, -20i64..40, score_strategy()), 0..250),
+            user in -2i64..3,
+            min in proptest::option::of(score_strategy()),
+            max in proptest::option::of(score_strategy()),
+        ) {
+            let pool = Arc::new(BufferPool::in_memory(6));
+            let mut idx = RecScoreIndex::with_pool(Arc::clone(&pool), 8);
+            let mut latest = HashMap::new();
+            for &(u, i, s) in &entries {
+                idx.insert(u, i, s);
+                latest.insert((u, i), s);
+            }
+            let (floor, ceil) = (min.unwrap_or(f64::NEG_INFINITY), max.unwrap_or(f64::INFINITY));
+            let mut want: Vec<(i64, f64)> = latest
+                .iter()
+                .filter(|(&(u, _), s)| u == user && s.total_cmp(&floor).is_ge() && s.total_cmp(&ceil).is_le())
+                .map(|(&(_, i), &s)| (i, s))
+                .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
+            let bits = |list: &[(i64, f64)]| -> Vec<(i64, u64)> {
+                list.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+            };
+            for n in 0..=want.len() + 1 {
+                let mut iter = idx.iter_desc(user, min, max);
+                let got: Vec<(i64, f64)> = iter.by_ref().take(n).collect();
+                prop_assert_eq!(bits(&got), bits(&want[..n.min(want.len())]), "prefix {}", n);
+                drop(iter);
+                prop_assert_eq!(pool.pinned_pages(), 0, "pin left after prefix {}", n);
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,38 @@ pub struct BTree {
     len: u64,
 }
 
+/// The owned position of one range walk over `[lo, hi)`: which page
+/// [`BTree::next_batch`] reads next. It borrows nothing, so an operator
+/// can keep one beside an `Arc` of the tree's owner across `next()` calls.
+#[derive(Debug, Clone)]
+pub struct RangeCursor {
+    /// The next page to read: the root before the first batch (the walk
+    /// descends from it), then the leaf chain.
+    next: u32,
+    lo: Key,
+    hi: Option<Key>,
+    done: bool,
+}
+
+impl RangeCursor {
+    /// A cursor over `[lo, hi)`; `hi = None` means "to the end". An empty
+    /// or inverted range (`hi <= lo`) is exhausted from the start and
+    /// never touches the pool.
+    pub fn new(lo: Key, hi: Option<Key>) -> Self {
+        RangeCursor {
+            next: ROOT_PAGE,
+            done: hi.is_some_and(|hi| hi <= lo),
+            lo,
+            hi,
+        }
+    }
+
+    /// A cursor over nothing.
+    pub fn empty() -> Self {
+        RangeCursor::new([0; KEY_SIZE], Some([0; KEY_SIZE]))
+    }
+}
+
 impl BTree {
     /// Create an empty tree as a new file in `pool`. `label` names the
     /// tree in corruption errors; `max_keys` bounds node fan-out (clamped
@@ -195,56 +227,75 @@ impl BTree {
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &Key) -> StorageResult<bool> {
-        let (leaf, _) = self.seek_leaf(key)?;
+        let leaf = self.seek_leaf(key)?;
         self.pool
             .with_node(self.file, leaf, |n| n.keys.binary_search(key).is_ok())
     }
 
+    /// Advance `cursor` by one leaf: replace `batch` with that leaf's keys
+    /// inside the cursor's range (possibly none — emptied leaves stay in
+    /// the chain) and return `true`, or return `false` with `batch` empty
+    /// once the range is exhausted. This is the tree's only range walk.
+    ///
+    /// A fresh cursor starts at the root, so its first call also descends
+    /// the branch levels; every later call reads exactly one leaf. Each
+    /// node visit is one pool access — the node is pinned only while its
+    /// keys are copied out — so nothing stays pinned between calls and an
+    /// abandoned cursor has nothing to release. The caller consumes
+    /// `batch` without the pool locked and may itself use the pool.
+    ///
+    /// The cursor holds a page number, not a borrow: it stays valid only
+    /// while the tree is not mutated, which `&self` callers get for free
+    /// from holding the tree immutably across the walk.
+    pub fn next_batch(
+        &self,
+        cursor: &mut RangeCursor,
+        batch: &mut Vec<Key>,
+    ) -> StorageResult<bool> {
+        batch.clear();
+        if cursor.done {
+            return Ok(false);
+        }
+        let (lo, hi) = (&cursor.lo, cursor.hi.as_ref());
+        loop {
+            let (is_leaf, next) = self.pool.with_node(self.file, cursor.next, |n| {
+                if !n.is_leaf {
+                    return (false, n.children[n.keys.partition_point(|k| k <= lo)]);
+                }
+                let start = n.keys.partition_point(|k| k < lo);
+                // `lo < hi` (the cursor's invariant), so `end >= start`.
+                let end = hi.map_or(n.keys.len(), |hi| n.keys.partition_point(|k| k < hi));
+                batch.extend_from_slice(&n.keys[start..end]);
+                // A leaf whose last key reaches `hi` completes the range;
+                // an empty leaf never does.
+                let reached_hi = hi.is_some_and(|hi| n.keys.last().is_some_and(|last| last >= hi));
+                (true, if reached_hi { NO_PAGE } else { n.next })
+            })?;
+            cursor.next = next;
+            if is_leaf {
+                cursor.done = next == NO_PAGE;
+                return Ok(true);
+            }
+        }
+    }
+
     /// Visit keys in `[lo, hi)` in ascending order (`hi = None` means "to
-    /// the end"). The callback returns `false` to stop early. Keys are
-    /// copied out one leaf at a time, so the callback runs without the
-    /// pool locked and may itself use the pool.
+    /// the end"). The callback returns `false` to stop early; it runs
+    /// without the pool locked and may itself use the pool.
     pub fn for_each_range(
         &self,
         lo: &Key,
         hi: Option<&Key>,
         mut f: impl FnMut(&Key) -> bool,
     ) -> StorageResult<()> {
-        let (mut pno, _) = self.seek_leaf(lo)?;
-        loop {
-            // Pin the leaf across the batch copy; the pin also makes the
-            // pool's pinned-pages gauge observable during scans.
-            self.pool.pin(self.file, pno)?;
-            let (batch, next, done) = {
-                let res = self.pool.with_node(self.file, pno, |n| {
-                    let start = n.keys.partition_point(|k| k < lo);
-                    // An inverted range (`hi < lo`) clamps to empty
-                    // rather than slicing backwards.
-                    let end = match hi {
-                        Some(hi) => n.keys.partition_point(|k| k < hi).max(start),
-                        None => n.keys.len(),
-                    };
-                    // A leaf whose last key reaches `hi` completes the
-                    // range; an empty leaf never does.
-                    let done = match (hi, n.keys.last()) {
-                        (Some(hi), Some(last)) => last >= hi,
-                        _ => false,
-                    };
-                    (n.keys[start..end].to_vec(), n.next, done)
-                });
-                self.pool.unpin(self.file, pno);
-                res?
-            };
-            for key in &batch {
-                if !f(key) {
-                    return Ok(());
-                }
+        let mut cursor = RangeCursor::new(*lo, hi.copied());
+        let mut batch = Vec::new();
+        while self.next_batch(&mut cursor, &mut batch)? {
+            if !batch.iter().all(&mut f) {
+                break;
             }
-            if done || next == NO_PAGE {
-                return Ok(());
-            }
-            pno = next;
         }
+        Ok(())
     }
 
     /// Every key in ascending order (used by clone/debug paths).
@@ -279,11 +330,9 @@ impl BTree {
         }
     }
 
-    /// Descend to the leaf that would hold `key`, returning its page and
-    /// the descent depth.
-    fn seek_leaf(&self, key: &Key) -> StorageResult<(u32, u32)> {
+    /// Descend to the leaf that would hold `key`, returning its page.
+    fn seek_leaf(&self, key: &Key) -> StorageResult<u32> {
         let mut pno = ROOT_PAGE;
-        let mut depth = 0;
         loop {
             let next = self.pool.with_node(self.file, pno, |n| {
                 if n.is_leaf {
@@ -293,11 +342,8 @@ impl BTree {
                 }
             })?;
             match next {
-                Some(child) => {
-                    pno = child;
-                    depth += 1;
-                }
-                None => return Ok((pno, depth)),
+                Some(child) => pno = child,
+                None => return Ok(pno),
             }
         }
     }
@@ -405,6 +451,11 @@ mod tests {
     use super::*;
     use crate::error::StorageError;
 
+    // The fault registry is process-global and `cargo test` runs tests in
+    // parallel: every test here splits nodes, so each holds
+    // `recdb_fault::exclusive()` — otherwise the fault the fail-point test
+    // arms at `storage::btree_split` can fire in whichever test splits next.
+
     fn key(n: u64) -> Key {
         let mut k = [0u8; KEY_SIZE];
         k[..8].copy_from_slice(&n.to_be_bytes());
@@ -417,6 +468,7 @@ mod tests {
 
     #[test]
     fn insert_contains_remove_roundtrip() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             assert!(t.insert(key(n)).unwrap());
@@ -436,6 +488,7 @@ mod tests {
 
     #[test]
     fn keys_come_back_sorted_regardless_of_insert_order() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         // Insert in a scrambled deterministic order.
         for n in 0..500u64 {
@@ -449,6 +502,7 @@ mod tests {
 
     #[test]
     fn range_scan_respects_bounds_and_early_stop() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(5);
         for n in 0..200 {
             t.insert(key(n)).unwrap();
@@ -471,7 +525,60 @@ mod tests {
     }
 
     #[test]
+    fn cursor_costs_one_pool_access_per_node_and_stops_on_leaf_boundaries() {
+        let _x = recdb_fault::exclusive();
+        let pool = Arc::new(BufferPool::unbounded());
+        let mut t = BTree::create(Arc::clone(&pool), "t", 4).unwrap();
+        for n in 0..100 {
+            t.insert(key(n)).unwrap();
+        }
+        let accesses = || pool.hits() + pool.misses();
+        let height = u64::from(t.height().unwrap());
+        assert!(height >= 3);
+
+        // The first batch pays the descent, every later one a single leaf.
+        let mut cursor = RangeCursor::new(key(0), None);
+        let mut batch = Vec::new();
+        let mut leaf_firsts = Vec::new();
+        let mut before = accesses();
+        while t.next_batch(&mut cursor, &mut batch).unwrap() {
+            let cost = accesses() - before;
+            assert_eq!(cost, if leaf_firsts.is_empty() { height } else { 1 });
+            leaf_firsts.push(batch[0]);
+            before = accesses();
+        }
+        assert_eq!(accesses(), before, "an exhausted cursor reads nothing");
+        assert!(leaf_firsts.len() > 10);
+
+        // `hi` exactly on a leaf's first key: everything below it, nothing
+        // of that leaf.
+        for hi in &leaf_firsts[1..] {
+            let mut got = Vec::new();
+            t.for_each_range(&key(0), Some(hi), |k| {
+                got.push(*k);
+                true
+            })
+            .unwrap();
+            let want: Vec<Key> = (0..100).map(key).take_while(|k| k < hi).collect();
+            assert_eq!(got, want);
+        }
+
+        // Empty and inverted ranges never touch the pool.
+        let before = accesses();
+        for mut cursor in [
+            RangeCursor::empty(),
+            RangeCursor::new(key(50), Some(key(50))),
+            RangeCursor::new(key(60), Some(key(40))),
+        ] {
+            assert!(!t.next_batch(&mut cursor, &mut batch).unwrap());
+            assert!(batch.is_empty());
+        }
+        assert_eq!(accesses(), before);
+    }
+
+    #[test]
     fn scan_skips_emptied_leaves() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             t.insert(key(n)).unwrap();
@@ -487,6 +594,7 @@ mod tests {
 
     #[test]
     fn clear_resets_to_empty_root() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..300 {
             t.insert(key(n)).unwrap();
@@ -501,6 +609,7 @@ mod tests {
 
     #[test]
     fn clone_is_deep_and_equal() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(6);
         for n in 0..150 {
             t.insert(key(n * 3)).unwrap();
@@ -513,6 +622,7 @@ mod tests {
 
     #[test]
     fn works_under_a_tiny_pool() {
+        let _x = recdb_fault::exclusive();
         let pool = Arc::new(BufferPool::in_memory(4));
         let mut t = BTree::create(Arc::clone(&pool), "t", 8).unwrap();
         for n in 0..2000 {

@@ -504,6 +504,9 @@ mod tests {
 
     #[test]
     fn scans_are_identical_under_a_tiny_pool() {
+        // Evicts, so it must not run beside a test that arms
+        // `storage::pool_evict` (the fault registry is process-global).
+        let _x = recdb_fault::exclusive();
         // The eviction-pressure contract in miniature: a pool of 2 frames
         // over a multi-page table returns exactly what an unbounded heap
         // returns, and leaves nothing pinned.

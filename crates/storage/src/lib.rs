@@ -45,7 +45,7 @@ pub mod stats;
 pub mod tuple;
 pub mod value;
 
-pub use btree::{BTree, DEFAULT_NODE_CAPACITY, KEY_SIZE};
+pub use btree::{BTree, RangeCursor, DEFAULT_NODE_CAPACITY, KEY_SIZE};
 pub use catalog::{Catalog, Table};
 pub use checksum::crc32;
 pub use codec::Reader;

@@ -732,6 +732,11 @@ mod tests {
     use crate::tuple::Tuple;
     use crate::value::Value;
 
+    // The fault registry is process-global and `cargo test` runs tests in
+    // parallel: every test here that can evict holds
+    // `recdb_fault::exclusive()` — otherwise the fault the fail-point test
+    // arms at `storage::pool_evict` can fire in whichever test evicts next.
+
     fn tuple(n: i64) -> Tuple {
         Tuple::new(vec![Value::Int(n), Value::Text(format!("row-{n}"))])
     }
@@ -744,6 +749,7 @@ mod tests {
 
     #[test]
     fn pages_survive_eviction_roundtrip() {
+        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..10 {
@@ -773,6 +779,7 @@ mod tests {
 
     #[test]
     fn pinned_frames_are_never_evicted() {
+        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..2 {
@@ -795,6 +802,7 @@ mod tests {
 
     #[test]
     fn all_pinned_pool_reports_exhaustion() {
+        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..2 {
@@ -813,6 +821,7 @@ mod tests {
 
     #[test]
     fn spill_to_disk_and_back() {
+        let _x = recdb_fault::exclusive();
         let dir = std::env::temp_dir().join(format!("recdb-pool-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let pool = BufferPool::spilling(2, &dir);
@@ -833,6 +842,7 @@ mod tests {
 
     #[test]
     fn truncate_drops_tail_pages() {
+        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(3);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..5 {
@@ -847,6 +857,7 @@ mod tests {
 
     #[test]
     fn install_page_writes_through() {
+        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         pool.install_page(f, 0, FrameData::Heap(fill_page(7)))
@@ -863,6 +874,7 @@ mod tests {
 
     #[test]
     fn wal_barrier_runs_before_dirty_writeback() {
+        let _x = recdb_fault::exclusive();
         use std::sync::atomic::AtomicUsize;
         let pool = BufferPool::in_memory(2);
         let flushes = Arc::new(AtomicUsize::new(0));

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use recdb_storage::{
-    BTree, BTreeIndex, BufferPool, Column, DataType, HeapTable, Page, Rid, Schema, Tuple, Value,
+    BTree, BTreeIndex, BufferPool, Column, DataType, HeapTable, Page, RangeCursor, Rid, Schema,
+    Tuple, Value,
 };
 use std::sync::Arc;
 
@@ -239,6 +240,60 @@ proptest! {
         let want: Vec<[u8; 24]> = model.range(lo..hi).copied().collect();
         prop_assert_eq!(got, want);
         prop_assert_eq!(pool.pinned_pages(), 0);
+    }
+
+    /// `BTree::next_batch` — the tree's one range walk — hands out exactly
+    /// the model's window `[lo, hi)` a leaf at a time: through a run of
+    /// emptied leaves left in the chain, for inverted ranges (empty), for
+    /// open-ended ones, and for bounds that are stored keys (so `hi`
+    /// regularly is the first key of a leaf). No batch exceeds a node, no
+    /// pin outlives a call, and an exhausted cursor stays exhausted.
+    #[test]
+    fn paged_btree_next_batch_matches_model(
+        inserts in proptest::collection::vec(any::<u64>(), 1..300),
+        hollow in (any::<prop::sample::Index>(), 0usize..120),
+        lo in (any::<bool>(), any::<prop::sample::Index>(), any::<u64>()),
+        hi in proptest::option::of((any::<bool>(), any::<prop::sample::Index>(), any::<u64>())),
+    ) {
+        const CAPACITY: usize = 6;
+        let pool = Arc::new(BufferPool::in_memory(4));
+        let mut tree = BTree::create(Arc::clone(&pool), "prop_btree_cursor", CAPACITY).unwrap();
+        let mut model = std::collections::BTreeSet::new();
+        for &k in &inserts {
+            tree.insert(prop_key(k)).unwrap();
+            model.insert(prop_key(k));
+        }
+        // A bound is either one of the stored keys or an arbitrary key;
+        // chosen before the hollowing so some bounds name removed keys.
+        let stored: Vec<[u8; 24]> = model.iter().copied().collect();
+        let bound = |(existing, at, raw): (bool, prop::sample::Index, u64)| {
+            if existing { stored[at.index(stored.len())] } else { prop_key(raw) }
+        };
+        let (lo, hi) = (bound(lo), hi.map(bound));
+        // Remove a run of adjacent keys: whole leaves empty out but stay
+        // chained (deletes never rebalance).
+        let start = hollow.0.index(stored.len());
+        for key in stored.iter().skip(start).take(hollow.1) {
+            prop_assert!(tree.remove(key).unwrap());
+            model.remove(key);
+        }
+
+        let mut cursor = RangeCursor::new(lo, hi);
+        let mut batch = Vec::new();
+        let mut got = Vec::new();
+        while tree.next_batch(&mut cursor, &mut batch).unwrap() {
+            prop_assert!(batch.len() <= CAPACITY, "a batch is one leaf");
+            prop_assert_eq!(pool.pinned_pages(), 0, "pin held between batches");
+            got.extend_from_slice(&batch);
+        }
+        prop_assert!(batch.is_empty());
+        prop_assert!(!tree.next_batch(&mut cursor, &mut batch).unwrap(), "exhausted stays exhausted");
+        let want: Vec<[u8; 24]> = match hi {
+            Some(hi) if hi <= lo => Vec::new(), // BTreeSet::range panics on these
+            Some(hi) => model.range(lo..hi).copied().collect(),
+            None => model.range(lo..).copied().collect(),
+        };
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -162,3 +162,66 @@ fn two_frame_pool_still_answers_correctly() {
     assert_eq!(tiny.buffer_pool().pinned_pages(), 0);
     assert!(tiny.buffer_pool().evictions() > 0);
 }
+
+/// Algorithm 3 stops at `k`: a top-10 read of a materialized user with a
+/// 1,500+-entry list descends the forward tree once and reads the leaf
+/// (at most the two or three leaves, when the list starts near a leaf's
+/// end) holding its best ten entries. Counted in pool accesses, so the
+/// guard is exact and host-independent; an operator that copies the whole
+/// list out first pays one access per leaf of the list (20+ here).
+#[test]
+fn index_top_k_reads_one_leaf_not_the_whole_list() {
+    let db = RecDb::new();
+    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+        .expect("create table");
+    // Users 1..=4 cover 1,600 items between them (with overlap, so items
+    // have neighbours); user 0 rates twenty and keeps 1,580 unseen.
+    let mut values: Vec<String> = Vec::new();
+    for i in 0..1600i64 {
+        for u in 1..=4i64 {
+            if i % 4 == u - 1 || (i + u) % 7 == 0 {
+                let val = f64::from(((u * 7 + i * 3) % 9 + 1) as i32) / 2.0;
+                values.push(format!("({u}, {i}, {val})"));
+            }
+        }
+    }
+    values.extend((0..20).map(|i| format!("(0, {}, 4.5)", i * 80)));
+    for chunk in values.chunks(INSERT_CHUNK) {
+        db.execute(&format!("INSERT INTO ratings VALUES {}", chunk.join(", ")))
+            .expect("insert chunk");
+    }
+    db.execute(
+        "CREATE RECOMMENDER PoolRec ON ratings \
+         USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF",
+    )
+    .expect("create recommender");
+    db.materialize("PoolRec").expect("materialize");
+
+    let (list_len, height) = {
+        let rec = db.recommender("PoolRec").expect("recommender");
+        let index = rec.index().expect("materialized index");
+        (
+            index.iter_desc(0, None, None).count(),
+            u64::from(index.fwd_height()),
+        )
+    };
+    assert!(list_len >= 1500, "user 0 keeps {list_len} unseen items");
+
+    let pool = db.buffer_pool();
+    let accesses = || pool.hits() + pool.misses();
+    let before = accesses();
+    let top = db
+        .query(
+            "SELECT R.iid, R.ratingval FROM ratings AS R \
+             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
+             WHERE R.uid = 0 ORDER BY R.ratingval DESC LIMIT 10",
+        )
+        .expect("top-k");
+    let cost = accesses() - before;
+    assert_eq!(top.len(), 10);
+    assert!(
+        cost <= height + 2,
+        "LIMIT 10 over a {list_len}-entry list cost {cost} pool accesses (tree height {height})"
+    );
+    assert_eq!(pool.pinned_pages(), 0, "abandoned cursor leaked a pin");
+}
