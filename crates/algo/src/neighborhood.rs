@@ -3,37 +3,36 @@
 //!
 //! For item–item CF the model is the *Item Neighborhood Table*: for every
 //! item, the list of `(neighbor item, SimScore)` pairs (paper §IV-A1). For
-//! user–user CF it is the symmetric *User Neighborhood Table*. Both are
-//! built by merge-intersecting the sorted sparse vectors of every pair of
-//! items (resp. users) — `O(n² · avg_len)` with tiny constants, matching a
-//! straightforward in-kernel similarity-list build. The vectors come from
-//! the flat CSR views of [`RatingsMatrix`] ([`crate::ratings::Csr`]), so
-//! the whole pairwise pass streams two contiguous `(u32, f32)` column
-//! arrays instead of chasing per-entity `Vec` allocations; sums still
-//! accumulate in `f64` (see [`co_rated_sums_csr`]).
+//! user–user CF it is the symmetric *User Neighborhood Table*. Both come
+//! from one row-at-a-time sparse product (Gustavson's `AᵀA`) over the two
+//! CSR views of [`RatingsMatrix`] ([`crate::ratings::Csr`]): for entity
+//! `a`, walk its row (its raters `u`, ascending) and for each `u` walk
+//! `u`'s row in the *other* view, adding the term into a dense
+//! [`CoRatedSums`] slot per partner `b`. Only pairs that share a rater are
+//! visited — `Σᵤ nᵤ²` multiply-adds, never more than all-pairs merging —
+//! and a worker's transient state is `O(n)`, not `O(pairs)`. A pair's
+//! slot receives the terms a merge-intersect of the two vectors
+//! ([`crate::similarity::co_rated_sums`], the point API and test oracle)
+//! would, in the same ascending order, and both measures are symmetric
+//! in `(a, b)`, so rows `a` and `b` agree on `sim(a, b)` to the bit.
 //!
 //! [`NeighborhoodParams::max_neighbors`] optionally truncates each list to
 //! the strongest `k` neighbors (by `|sim|`), the standard space/accuracy
-//! knob; the paper keeps full lists, so the default is no truncation.
+//! knob; the paper keeps full lists, so the default is no truncation. A
+//! row is truncated as it is finished, so a build holds at most `n · k`
+//! list entries plus one row's candidates per worker.
 //!
 //! # Parallel building & determinism
 //!
-//! The pairwise build parallelizes over the outer entity with
+//! Rows are independent, so the build fans them out with
 //! [`crate::parallel::for_each_chunk`]; [`NeighborhoodParams::threads`]
 //! controls the worker count (default `0` = all cores). The output is
 //! **bit-identical** for every thread count, including the serial build,
-//! because the table is fully canonicalized after the similarity pass:
-//!
-//! 1. each `(a, b)` pair is computed by exactly one worker, and its
-//!    similarity depends only on the two input vectors;
-//! 2. truncation keeps the top `k` under a *total* order
-//!    (`|sim|` descending, then neighbor index ascending), so the kept set
-//!    is independent of the order edges were discovered in;
-//! 3. each final list is sorted by neighbor index, which is unique.
-//!
-//! Hence nondeterministic chunk→worker scheduling can never leak into the
-//! result, and the cheap dynamic load balancing (row `a` costs `O(n − a)`)
-//! comes for free.
+//! because each row is computed whole by one worker from the read-only
+//! CSR views: its sums, its truncation under a *total* order (`|sim|`
+//! descending, then neighbor index ascending) and its final sort by
+//! neighbor index depend on nothing another worker does. Scheduling only
+//! decides *who* computes a row; finished rows are placed by index.
 //!
 //! # Reverse adjacency
 //!
@@ -51,9 +50,8 @@
 
 use crate::model::TrainError;
 use crate::parallel::{effective_threads, for_each_chunk};
-use crate::ratings::RatingsMatrix;
-use crate::similarity::{co_rated_sums_csr, Similarity};
-use crate::topk::top_k_by;
+use crate::ratings::{Csr, RatingsMatrix};
+use crate::similarity::{CoRatedSums, Similarity};
 use recdb_guard::QueryGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -243,7 +241,7 @@ pub fn build_item_neighborhood(
     m: &RatingsMatrix,
     params: &NeighborhoodParams,
 ) -> NeighborhoodTable {
-    build_pairwise(m.n_items(), |i| m.item_csr().row(i), params, None)
+    build_pairwise(m.item_csr(), m.user_csr(), params, None)
         .expect("ungoverned neighborhood build cannot fail")
 }
 
@@ -252,7 +250,7 @@ pub fn build_user_neighborhood(
     m: &RatingsMatrix,
     params: &NeighborhoodParams,
 ) -> NeighborhoodTable {
-    build_pairwise(m.n_users(), |u| m.user_csr().row(u), params, None)
+    build_pairwise(m.user_csr(), m.item_csr(), params, None)
         .expect("ungoverned neighborhood build cannot fail")
 }
 
@@ -264,7 +262,7 @@ pub fn build_item_neighborhood_guarded(
     params: &NeighborhoodParams,
     guard: &QueryGuard,
 ) -> Result<NeighborhoodTable, TrainError> {
-    build_pairwise(m.n_items(), |i| m.item_csr().row(i), params, Some(guard))
+    build_pairwise(m.item_csr(), m.user_csr(), params, Some(guard))
 }
 
 /// Governed variant of [`build_user_neighborhood`].
@@ -273,34 +271,92 @@ pub fn build_user_neighborhood_guarded(
     params: &NeighborhoodParams,
     guard: &QueryGuard,
 ) -> Result<NeighborhoodTable, TrainError> {
-    build_pairwise(m.n_users(), |u| m.user_csr().row(u), params, Some(guard))
+    build_pairwise(m.user_csr(), m.item_csr(), params, Some(guard))
 }
 
-fn build_pairwise<'a, F>(
-    n: usize,
-    vector: F,
+/// One worker's state for the row product, reused for every row it
+/// computes.
+#[derive(Default)]
+struct RowWorker {
+    /// One slot per possible partner; all-default between rows.
+    acc: Vec<CoRatedSums>,
+    /// Partners whose slot the current row wrote to.
+    touched: Vec<u32>,
+    /// The current row's scored neighbors, before truncation.
+    candidates: Vec<(usize, f64)>,
+    /// Finished `(entity, list)` rows.
+    rows: Vec<(usize, Vec<(usize, f64)>)>,
+}
+
+impl RowWorker {
+    /// Entity `a`'s finished neighbor list. `entities` is the CSR view
+    /// whose rows are the entities being compared, `raters` its transpose.
+    fn row(
+        &mut self,
+        a: usize,
+        entities: &Csr,
+        raters: &Csr,
+        params: &NeighborhoodParams,
+    ) -> Vec<(usize, f64)> {
+        let (a_raters, a_vals) = entities.row(a);
+        for (&u, &x) in a_raters.iter().zip(a_vals) {
+            let (partners, vals) = raters.row(u as usize);
+            for (&b, &y) in partners.iter().zip(vals) {
+                let sums = &mut self.acc[b as usize];
+                if sums.n == 0 {
+                    self.touched.push(b);
+                }
+                sums.add(f64::from(x), f64::from(y));
+            }
+        }
+        self.candidates.clear();
+        for b in self.touched.drain(..).map(|b| b as usize) {
+            let sim = std::mem::take(&mut self.acc[b]).score(params.measure);
+            if let Some(sim) = sim.filter(|s| b != a && s.abs() > params.min_abs_sim) {
+                self.candidates.push((b, sim));
+            }
+        }
+        if let Some(k) = params.max_neighbors.filter(|&k| k < self.candidates.len()) {
+            // A total order (neighbor indexes are unique), so the kept set
+            // does not depend on the order candidates arrived in.
+            self.candidates.select_nth_unstable_by(k, |x, y| {
+                y.1.abs().total_cmp(&x.1.abs()).then(x.0.cmp(&y.0))
+            });
+            self.candidates.truncate(k);
+        }
+        self.candidates.sort_unstable_by_key(|&(nb, _)| nb);
+        self.candidates.to_vec()
+    }
+}
+
+/// The row product over `entities` (row = one entity's `(rater, value)`
+/// entries) and its transpose `raters`; see the module docs.
+fn build_pairwise(
+    entities: &Csr,
+    raters: &Csr,
     params: &NeighborhoodParams,
     governor: Option<&QueryGuard>,
-) -> Result<NeighborhoodTable, TrainError>
-where
-    F: Fn(usize) -> (&'a [u32], &'a [f32]) + Sync,
-{
+) -> Result<NeighborhoodTable, TrainError> {
+    let n = entities.n_rows();
     let threads = effective_threads(params.threads);
-    // Row `a` scans `n − a` partners, so early rows are the heavy ones;
-    // smallish dynamic chunks keep workers balanced without measurable
-    // scheduling overhead (one atomic fetch_add per chunk).
+    // A row costs the summed lengths of its raters' rows, which varies by
+    // orders of magnitude; smallish dynamic chunks keep workers balanced
+    // at one atomic fetch_add per chunk.
     let chunk = (n / (threads * 8).max(1)).clamp(1, 256);
     // Worker closures cannot return `Err`, so governed aborts park the
     // error in a shared slot; the flag makes the remaining chunks no-ops
     // so cancellation latency is one chunk, not the whole build.
     let abort: Mutex<Option<TrainError>> = Mutex::new(None);
     let aborted = AtomicBool::new(false);
-    let worker_edges = for_each_chunk(
+    let workers = for_each_chunk(
         n,
         threads,
         chunk,
-        Vec::new,
-        |edges: &mut Vec<(usize, usize, f64)>, range| {
+        || RowWorker {
+            acc: vec![CoRatedSums::default(); n],
+            ..RowWorker::default()
+        },
+        |worker: &mut RowWorker, range| {
             if aborted.load(Ordering::Relaxed) {
                 return;
             }
@@ -316,22 +372,8 @@ where
                 }
             }
             for a in range {
-                let (a_cols, a_vals) = vector(a);
-                if a_cols.is_empty() {
-                    continue;
-                }
-                for b in (a + 1)..n {
-                    let (b_cols, b_vals) = vector(b);
-                    if b_cols.is_empty() {
-                        continue;
-                    }
-                    let sums = co_rated_sums_csr(a_cols, a_vals, b_cols, b_vals);
-                    if let Some(sim) = sums.score(params.measure) {
-                        if sim.abs() > params.min_abs_sim {
-                            edges.push((a, b, sim));
-                        }
-                    }
-                }
+                let list = worker.row(a, entities, raters, params);
+                worker.rows.push((a, list));
             }
         },
     );
@@ -339,27 +381,8 @@ where
         return Err(e);
     }
     let mut lists: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for edges in worker_edges {
-        for (a, b, sim) in edges {
-            lists[a].push((b, sim));
-            lists[b].push((a, sim));
-        }
-    }
-    // Canonicalization: both steps below are insensitive to the order the
-    // edges above arrived in, which is what makes the parallel build
-    // bit-identical to the serial one (module docs).
-    if let Some(k) = params.max_neighbors {
-        for list in &mut lists {
-            if list.len() > k {
-                let taken = std::mem::take(list);
-                *list = top_k_by(taken, k, |x, y| {
-                    y.1.abs().total_cmp(&x.1.abs()).then(x.0.cmp(&y.0))
-                });
-            }
-        }
-    }
-    for list in &mut lists {
-        list.sort_unstable_by_key(|&(nb, _)| nb);
+    for (a, list) in workers.into_iter().flat_map(|w| w.rows) {
+        lists[a] = list;
     }
     Ok(NeighborhoodTable::from_lists(lists))
 }
@@ -653,5 +676,76 @@ mod tests {
                 "threads {threads}"
             );
         }
+    }
+
+    #[test]
+    fn truncated_rows_are_finished_before_they_are_kept() {
+        // The memory bound of a `max_neighbors = Some(k)` build: a kept row
+        // is already cut to `k` entries in an exact-size allocation, and
+        // the only other list entries a worker holds are one row's
+        // candidates, fewer than `n` of them.
+        let m = random_matrix(11, 40, 30);
+        let (n, k) = (m.n_items(), 3);
+        let params = NeighborhoodParams {
+            max_neighbors: Some(k),
+            ..NeighborhoodParams::pearson()
+        };
+        let full = build_item_neighborhood(&m, &NeighborhoodParams::pearson());
+        assert!((0..n).any(|a| full.neighbors(a).len() > k), "cut must bite");
+        let mut worker = RowWorker {
+            acc: vec![CoRatedSums::default(); n],
+            ..RowWorker::default()
+        };
+        let mut kept = 0;
+        for a in 0..n {
+            let list = worker.row(a, m.item_csr(), m.user_csr(), &params);
+            assert_eq!(list.len(), full.neighbors(a).len().min(k), "row {a}");
+            assert_eq!(list.capacity(), list.len(), "row {a} over-allocated");
+            assert!(worker.candidates.capacity() < 2 * n);
+            assert!(worker.touched.is_empty() && worker.acc.iter().all(|s| s.n == 0));
+            kept += list.len();
+        }
+        assert!(kept <= n * k);
+        assert_eq!(build_item_neighborhood(&m, &params).total_pairs(), kept);
+    }
+
+    #[test]
+    fn governed_build_fails_within_one_chunk() {
+        let _gate = recdb_fault::exclusive();
+        recdb_fault::clear();
+        let m = random_matrix(5, 40, 30);
+        let params = NeighborhoodParams {
+            threads: 1,
+            ..NeighborhoodParams::cosine()
+        };
+        let cancelled = QueryGuard::unlimited();
+        cancelled.cancel();
+        let expired = QueryGuard::with_limits(Some(std::time::Duration::ZERO), None, None);
+        for guard in [&cancelled, &expired] {
+            for threads in [1, 4] {
+                let params = NeighborhoodParams { threads, ..params };
+                assert!(matches!(
+                    build_item_neighborhood_guarded(&m, &params, guard),
+                    Err(TrainError::Guard(_))
+                ));
+                assert!(matches!(
+                    build_user_neighborhood_guarded(&m, &params, guard),
+                    Err(TrainError::Guard(_))
+                ));
+            }
+        }
+        // 30 rows in chunks of 3: the fault fires at the second chunk's
+        // gate and the remaining eight never reach theirs.
+        recdb_fault::arm_error("algo::neighborhood_build", 2);
+        assert!(matches!(
+            build_item_neighborhood_guarded(&m, &params, &QueryGuard::unlimited()),
+            Err(TrainError::Fault(_))
+        ));
+        assert_eq!(recdb_fault::hits("algo::neighborhood_build"), 2);
+        recdb_fault::clear();
+        assert_eq!(
+            build_item_neighborhood_guarded(&m, &params, &QueryGuard::unlimited()).unwrap(),
+            build_item_neighborhood(&m, &params)
+        );
     }
 }

@@ -6,8 +6,8 @@
 //! dynamic chunk scheduling over an index range, with per-worker state so
 //! workers never contend on shared output. Because chunk→worker assignment
 //! depends on timing, callers must merge worker results in an
-//! order-insensitive way (see `neighborhood::build_pairwise` for the
-//! canonicalization argument).
+//! order-insensitive way (`neighborhood::build_pairwise` has each worker
+//! compute whole rows and places them by index).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -126,27 +126,30 @@ impl RatingsMatrix {
     /// UPDATE semantics on a keyed ratings table.
     pub fn from_ratings(ratings: impl IntoIterator<Item = Rating>) -> Self {
         let mut m = RatingsMatrix::default();
-        // Deduplicate with last-wins before building adjacency.
-        let mut latest: HashMap<(i64, i64), f64> = HashMap::new();
-        let mut order: Vec<(i64, i64)> = Vec::new();
+        // Ids intern in first-appearance order, duplicates included.
         for r in ratings {
-            if latest.insert((r.user, r.item), r.value).is_none() {
-                order.push((r.user, r.item));
-            }
+            let u = m.intern_user(r.user);
+            let i = m.intern_item(r.item);
+            m.by_user[u].push((i, r.value));
         }
-        for (user, item) in order {
-            let value = latest[&(user, item)];
-            let u = m.intern_user(user);
-            let i = m.intern_item(item);
-            m.by_user[u].push((i, value));
-            m.by_item[i].push((u, value));
-            m.n_ratings += 1;
-        }
+        // Last-wins: the stable sort keeps a pair's duplicates in arrival
+        // order, and each later one overwrites the kept entry.
         for row in &mut m.by_user {
-            row.sort_unstable_by_key(|&(i, _)| i);
+            row.sort_by_key(|&(i, _)| i);
+            row.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
+            m.n_ratings += row.len();
         }
-        for col in &mut m.by_item {
-            col.sort_unstable_by_key(|&(u, _)| u);
+        // Walking users ascending leaves every column sorted by user.
+        for (u, row) in m.by_user.iter().enumerate() {
+            for &(i, value) in row {
+                m.by_item[i].push((u, value));
+            }
         }
         m.user_csr = Csr::from_jagged(&m.by_user);
         m.item_csr = Csr::from_jagged(&m.by_item);

@@ -1,7 +1,8 @@
 //! Similarity measures over co-rated dimensions (paper Eq. 1).
 //!
-//! Both measures are computed over *sorted sparse vectors* — `(index,
-//! value)` lists sorted by index — via a single merge pass.
+//! Both measures are functions of [`CoRatedSums`]. [`co_rated_sums`] fills
+//! them for one pair of *sorted sparse vectors* in a single merge pass;
+//! [`crate::neighborhood`] fills them for every partner of an entity at once.
 //!
 //! * **Cosine** (the paper's Eq. 1): `a·b / (‖a‖‖b‖)`. Following the paper
 //!   ("The score is calculated using the vector's co-rated dimensions"),
@@ -45,49 +46,7 @@ pub fn co_rated_sums(a: &[(usize, f64)], b: &[(usize, f64)]) -> CoRatedSums {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let (x, y) = (a[i].1, b[j].1);
-                s.n += 1;
-                s.dot += x * y;
-                s.sum_a += x;
-                s.sum_b += y;
-                s.sq_a += x * x;
-                s.sq_b += y * y;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    s
-}
-
-/// Merge-intersect two CSR rows given as parallel `(col_idx, values)`
-/// slices (the layout of [`crate::ratings::Csr::row`]), accumulating the
-/// same co-rated sums in `f64`. Storage is `f32` but every accumulation
-/// happens after widening, so exactly-representable ratings (the
-/// half-star scale) produce bit-identical sums to the jagged `f64` path.
-/// `O(|a| + |b|)`.
-pub fn co_rated_sums_csr(
-    a_cols: &[u32],
-    a_vals: &[f32],
-    b_cols: &[u32],
-    b_vals: &[f32],
-) -> CoRatedSums {
-    debug_assert_eq!(a_cols.len(), a_vals.len());
-    debug_assert_eq!(b_cols.len(), b_vals.len());
-    let mut s = CoRatedSums::default();
-    let (mut i, mut j) = (0, 0);
-    while i < a_cols.len() && j < b_cols.len() {
-        match a_cols[i].cmp(&b_cols[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (x, y) = (f64::from(a_vals[i]), f64::from(b_vals[j]));
-                s.n += 1;
-                s.dot += x * y;
-                s.sum_a += x;
-                s.sum_b += y;
-                s.sq_a += x * x;
-                s.sq_b += y * y;
+                s.add(a[i].1, b[j].1);
                 i += 1;
                 j += 1;
             }
@@ -97,6 +56,18 @@ pub fn co_rated_sums_csr(
 }
 
 impl CoRatedSums {
+    /// Add one co-rated dimension: `x` from the first vector, `y` from
+    /// the second.
+    #[inline]
+    pub fn add(&mut self, x: f64, y: f64) {
+        self.n += 1;
+        self.dot += x * y;
+        self.sum_a += x;
+        self.sum_b += y;
+        self.sq_a += x * x;
+        self.sq_b += y * y;
+    }
+
     /// Cosine similarity from the accumulated sums; `None` when undefined
     /// (no overlap or a zero-norm vector).
     pub fn cosine(&self) -> Option<f64> {
@@ -233,23 +204,6 @@ mod tests {
         let a = v(&[(0, 0.0)]);
         let b = v(&[(0, 1.0)]);
         assert_eq!(similarity(&a, &b, Similarity::Cosine), None);
-    }
-
-    #[test]
-    fn csr_sums_match_jagged_sums_exactly() {
-        // Half-star values are f32-exact, so both paths agree bit-for-bit.
-        let a = v(&[(0, 1.5), (3, 2.0), (5, 0.5), (9, 4.5)]);
-        let b = v(&[(1, 4.0), (3, 1.0), (5, 2.5), (9, 3.0)]);
-        let jagged = co_rated_sums(&a, &b);
-        let (ac, av): (Vec<u32>, Vec<f32>) = a.iter().map(|&(i, r)| (i as u32, r as f32)).unzip();
-        let (bc, bv): (Vec<u32>, Vec<f32>) = b.iter().map(|&(i, r)| (i as u32, r as f32)).unzip();
-        let csr = co_rated_sums_csr(&ac, &av, &bc, &bv);
-        assert_eq!(csr.n, jagged.n);
-        assert_eq!(csr.dot, jagged.dot);
-        assert_eq!(csr.sum_a, jagged.sum_a);
-        assert_eq!(csr.sum_b, jagged.sum_b);
-        assert_eq!(csr.sq_a, jagged.sq_a);
-        assert_eq!(csr.sq_b, jagged.sq_b);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 
 use proptest::prelude::*;
 use recdb_algo::model::TrainConfig;
-use recdb_algo::neighborhood::{build_item_neighborhood, build_user_neighborhood};
+use recdb_algo::neighborhood::{
+    build_item_neighborhood, build_user_neighborhood, NeighborhoodTable,
+};
 use recdb_algo::similarity::{co_rated_sums, similarity, Similarity};
 use recdb_algo::{
-    Algorithm, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, RecModel, ScoreScratch,
+    Algorithm, Csr, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, RecModel, ScoreScratch,
     SvdModel, SvdParams,
 };
 use std::collections::HashMap;
@@ -18,6 +20,128 @@ fn ratings_strategy() -> impl Strategy<Value = Vec<Rating>> {
             .map(|(u, i, r)| Rating::new(u, i, r as f64 / 2.0))
             .collect()
     })
+}
+
+/// Small dense id spaces and many draws: most pairs appear several times.
+fn duplicate_heavy_strategy() -> impl Strategy<Value = Vec<Rating>> {
+    proptest::collection::vec((0i64..5, 0i64..5, 1u8..=10), 0..70).prop_map(|v| {
+        v.into_iter()
+            .map(|(u, i, r)| Rating::new(u, i, r as f64 / 2.0))
+            .collect()
+    })
+}
+
+/// Sparse matrices for the neighborhood kernel: half-star values mixed
+/// with arbitrary (f32-inexact, negative, zero) ones, optionally one
+/// user who rated every item and one item only that user rated. Every
+/// dense row and column holds a rating by construction (ids exist only
+/// once rated), so the emptiest shape is a single-entry row.
+fn kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
+    let value = prop_oneof![
+        (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
+        -5.0f64..5.0,
+        Just(0.0),
+    ];
+    (
+        proptest::collection::vec((0i64..12, 0i64..12, value), 1..70),
+        any::<bool>(),
+    )
+        .prop_map(|(cells, full_user)| {
+            let mut ratings: Vec<Rating> = cells
+                .into_iter()
+                .map(|(u, i, r)| Rating::new(u, i, r))
+                .collect();
+            if full_user {
+                for i in 0..12 {
+                    ratings.push(Rating::new(100, i, 1.0 + (i % 9) as f64 * 0.5));
+                }
+                ratings.push(Rating::new(100, 200, 3.5));
+            }
+            RatingsMatrix::from_ratings(ratings)
+        })
+}
+
+/// The all-pairs build the row product replaced: merge-intersect every
+/// pair of rows of `rows` (values widened from the same `f32` storage),
+/// then truncate each list by `|sim|` descending, index ascending.
+fn all_pairs_oracle(rows: &Csr, params: &NeighborhoodParams) -> NeighborhoodTable {
+    let n = rows.n_rows();
+    let vectors: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|e| {
+            let (cols, vals) = rows.row(e);
+            cols.iter()
+                .zip(vals)
+                .map(|(&c, &v)| (c as usize, f64::from(v)))
+                .collect()
+        })
+        .collect();
+    let mut lists: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for a in 0..n {
+        for b in (a + 1)..n {
+            let sim = co_rated_sums(&vectors[a], &vectors[b]).score(params.measure);
+            if let Some(sim) = sim.filter(|s| s.abs() > params.min_abs_sim) {
+                lists[a].push((b, sim));
+                lists[b].push((a, sim));
+            }
+        }
+    }
+    for list in &mut lists {
+        if let Some(k) = params.max_neighbors {
+            list.sort_by(|x, y| y.1.abs().total_cmp(&x.1.abs()).then(x.0.cmp(&y.0)));
+            list.truncate(k);
+        }
+        list.sort_by_key(|&(nb, _)| nb);
+    }
+    NeighborhoodTable::from_lists(lists)
+}
+
+/// `reverse(l)` must hold exactly the forward pairs that name `l`, same
+/// sim bits, ascending in entity.
+fn assert_reverse_is_transpose(table: &NeighborhoodTable) -> Result<(), TestCaseError> {
+    let mut transposed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); table.len()];
+    for e in 0..table.len() {
+        for &(l, sim) in table.neighbors(e) {
+            transposed[l].push((e, sim.to_bits()));
+        }
+    }
+    for (l, want) in transposed.iter().enumerate() {
+        let (entities, sims) = table.reverse(l);
+        let got: Vec<(usize, u64)> = entities
+            .iter()
+            .zip(sims)
+            .map(|(&e, s)| (e as usize, s.to_bits()))
+            .collect();
+        prop_assert_eq!(&got, want, "reverse({})", l);
+    }
+    Ok(())
+}
+
+/// Both CSR views hold the jagged rows' coordinates in the same order
+/// with bit-equal (f32-exact) values.
+fn assert_csr_mirrors_jagged(m: &RatingsMatrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(m.user_csr().nnz(), m.n_ratings());
+    prop_assert_eq!(m.item_csr().nnz(), m.n_ratings());
+    prop_assert_eq!(m.user_csr().n_rows(), m.n_users());
+    prop_assert_eq!(m.item_csr().n_rows(), m.n_items());
+    for u in 0..m.n_users() {
+        let (cols, vals) = m.user_csr().row(u);
+        let jagged = m.user_row(u);
+        prop_assert_eq!(cols.len(), jagged.len());
+        for (k, &(i, r)) in jagged.iter().enumerate() {
+            prop_assert_eq!(cols[k] as usize, i);
+            prop_assert_eq!(f64::from(vals[k]), r, "half-star ratings are f32-exact");
+        }
+    }
+    for i in 0..m.n_items() {
+        let (rows, vals) = m.item_csr().row(i);
+        let jagged = m.item_col(i);
+        prop_assert_eq!(rows.len(), jagged.len());
+        for (k, &(u, r)) in jagged.iter().enumerate() {
+            prop_assert_eq!(rows[k] as usize, u);
+            prop_assert_eq!(f64::from(vals[k]), r);
+        }
+    }
+    Ok(())
 }
 
 fn sparse_vec_strategy() -> impl Strategy<Value = Vec<(usize, f64)>> {
@@ -78,6 +202,76 @@ proptest! {
                 let col = m.item_col(i_idx);
                 let pos = col.binary_search_by_key(&u_idx, |&(u, _)| u).unwrap();
                 prop_assert_eq!(col[pos].1, r);
+            }
+        }
+    }
+
+    /// Last-wins dedup inside the rows builds exactly what deduplicating
+    /// through a pair map up front did: same id order, same count, same
+    /// jagged rows, and CSR views that mirror them.
+    #[test]
+    fn from_ratings_matches_pair_map_dedup(ratings in duplicate_heavy_strategy()) {
+        let m = RatingsMatrix::from_ratings(ratings.clone());
+        let mut latest: HashMap<(i64, i64), f64> = HashMap::new();
+        let mut order: Vec<(i64, i64)> = Vec::new();
+        for r in &ratings {
+            if latest.insert((r.user, r.item), r.value).is_none() {
+                order.push((r.user, r.item));
+            }
+        }
+        let (mut user_ids, mut item_ids): (Vec<i64>, Vec<i64>) = (Vec::new(), Vec::new());
+        for &(u, i) in &order {
+            if !user_ids.contains(&u) {
+                user_ids.push(u);
+            }
+            if !item_ids.contains(&i) {
+                item_ids.push(i);
+            }
+        }
+        prop_assert_eq!(m.user_ids(), &user_ids[..]);
+        prop_assert_eq!(m.item_ids(), &item_ids[..]);
+        prop_assert_eq!(m.n_ratings(), order.len());
+        let dense = |ids: &[i64], id: i64| ids.iter().position(|&x| x == id).unwrap();
+        let mut by_user: Vec<Vec<(usize, f64)>> = vec![Vec::new(); user_ids.len()];
+        let mut by_item: Vec<Vec<(usize, f64)>> = vec![Vec::new(); item_ids.len()];
+        for &(u, i) in &order {
+            let (ui, ii, v) = (dense(&user_ids, u), dense(&item_ids, i), latest[&(u, i)]);
+            by_user[ui].push((ii, v));
+            by_item[ii].push((ui, v));
+        }
+        for (u, want) in by_user.iter_mut().enumerate() {
+            want.sort_by_key(|&(i, _)| i);
+            prop_assert_eq!(m.user_row(u), &want[..]);
+        }
+        for (i, want) in by_item.iter_mut().enumerate() {
+            want.sort_by_key(|&(u, _)| u);
+            prop_assert_eq!(m.item_col(i), &want[..]);
+        }
+        assert_csr_mirrors_jagged(&m)?;
+    }
+
+    /// The row-product build equals the all-pairs merge-intersect build
+    /// bit for bit — every sim, every truncation tie-break, both
+    /// orientations, at every thread count — and its reverse lists are
+    /// the exact transpose.
+    #[test]
+    fn row_product_equals_all_pairs_oracle(matrix in kernel_matrix_strategy()) {
+        for measure in [Similarity::Cosine, Similarity::Pearson] {
+            for max_neighbors in [None, Some(1), Some(3)] {
+                for min_abs_sim in [0.0, 0.5] {
+                    let params = NeighborhoodParams { measure, max_neighbors, min_abs_sim, threads: 1 };
+                    let item_oracle = all_pairs_oracle(matrix.item_csr(), &params);
+                    let user_oracle = all_pairs_oracle(matrix.user_csr(), &params);
+                    for threads in [1, 2, 3, 8] {
+                        let params = NeighborhoodParams { threads, ..params };
+                        let items = build_item_neighborhood(&matrix, &params);
+                        prop_assert_eq!(&items, &item_oracle, "items {:?}", params);
+                        let users = build_user_neighborhood(&matrix, &params);
+                        prop_assert_eq!(&users, &user_oracle, "users {:?}", params);
+                        assert_reverse_is_transpose(&items)?;
+                        assert_reverse_is_transpose(&users)?;
+                    }
+                }
             }
         }
     }
@@ -178,21 +372,7 @@ proptest! {
                     ),
                 ] {
                     prop_assert_eq!(&serial, &parallel, "threads 1 vs 3");
-                    let mut transposed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); serial.len()];
-                    for e in 0..serial.len() {
-                        for &(l, sim) in serial.neighbors(e) {
-                            transposed[l].push((e, sim.to_bits()));
-                        }
-                    }
-                    for (l, want) in transposed.iter().enumerate() {
-                        let (entities, sims) = serial.reverse(l);
-                        let got: Vec<(usize, u64)> = entities
-                            .iter()
-                            .zip(sims)
-                            .map(|(&e, s)| (e as usize, s.to_bits()))
-                            .collect();
-                        prop_assert_eq!(&got, want, "{:?} k {:?} reverse({})", measure, max_neighbors, l);
-                    }
+                    assert_reverse_is_transpose(&serial)?;
                 }
             }
         }
@@ -248,29 +428,7 @@ proptest! {
     /// the f32 cast is lossless.
     #[test]
     fn csr_round_trips_jagged_rows(ratings in ratings_strategy()) {
-        let m = RatingsMatrix::from_ratings(ratings);
-        prop_assert_eq!(m.user_csr().nnz(), m.n_ratings());
-        prop_assert_eq!(m.item_csr().nnz(), m.n_ratings());
-        prop_assert_eq!(m.user_csr().n_rows(), m.n_users());
-        prop_assert_eq!(m.item_csr().n_rows(), m.n_items());
-        for u in 0..m.n_users() {
-            let (cols, vals) = m.user_csr().row(u);
-            let jagged = m.user_row(u);
-            prop_assert_eq!(cols.len(), jagged.len());
-            for (k, &(i, r)) in jagged.iter().enumerate() {
-                prop_assert_eq!(cols[k] as usize, i);
-                prop_assert_eq!(f64::from(vals[k]), r, "half-star ratings are f32-exact");
-            }
-        }
-        for i in 0..m.n_items() {
-            let (rows, vals) = m.item_csr().row(i);
-            let jagged = m.item_col(i);
-            prop_assert_eq!(rows.len(), jagged.len());
-            for (k, &(u, r)) in jagged.iter().enumerate() {
-                prop_assert_eq!(rows[k] as usize, u);
-                prop_assert_eq!(f64::from(vals[k]), r);
-            }
-        }
+        assert_csr_mirrors_jagged(&RatingsMatrix::from_ratings(ratings))?;
     }
 
     /// The block-sequential parallel SGD schedule is deterministic: a

@@ -156,7 +156,19 @@ fn build_scaling() {
     ] {
         let dataset = recdb_datasets::generate(&spec);
         let ratings = dataset.algo_ratings();
+        // What the item-table row product multiplies and adds: every
+        // ordered pair of one user's ratings, Σᵤ nᵤ².
+        let co_rated_terms: usize = RatingsMatrix::from_ratings(ratings.iter().copied())
+            .user_csr()
+            .row_ptr()
+            .windows(2)
+            .map(|w| (w[1] - w[0]).pow(2))
+            .sum();
         for algo in [Algorithm::ItemCosCF, Algorithm::Svd] {
+            let (tag, terms) = match algo {
+                Algorithm::Svd => ("csr-blocked", "null".to_owned()),
+                _ => ("row-product", co_rated_terms.to_string()),
+            };
             let mut serial_ms = 0.0;
             for &threads in &thread_counts {
                 let mut config: TrainConfig = bench_config().train;
@@ -185,8 +197,8 @@ fn build_scaling() {
                 rows.push(format!(
                     "    {{\"dataset\": \"{}\", \"algo\": \"{}\", \"threads\": {}, \
                      \"build_ms\": {:.3}, \"speedup\": {:.3}, \
-                     \"impl\": \"csr-blocked\"}}",
-                    spec.name, algo, threads, ms, speedup
+                     \"co_rated_terms\": {}, \"impl\": \"{}\"}}",
+                    spec.name, algo, threads, ms, speedup, terms, tag
                 ));
             }
         }
@@ -194,7 +206,10 @@ fn build_scaling() {
     let json = format!(
         "{{\n  \"experiment\": \"model_build_scaling\",\n  \"host_threads\": {},\n  \
          \"reps\": {},\n  \"note\": \"speedup = serial build_ms / build_ms at this \
-         thread count, measured on this host\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         thread count, measured on this host; build_ms includes \
+         RatingsMatrix::from_ratings (serial); co_rated_terms = sum over users \
+         of (ratings by that user)^2, the multiply-adds of the item-table row \
+         product (null for SVD)\",\n  \"results\": [\n{}\n  ]\n}}\n",
         host_threads,
         REPS,
         rows.join(",\n")

@@ -353,7 +353,7 @@ impl Recommender {
             Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
             None => self.fresh_index(),
         };
-        materialize_user_into(&mut index, &self.model, user);
+        materialize_user_into(&mut index, &self.model, user, &mut ScoreScratch::default());
         self.index = Some(Arc::new(index));
     }
 
@@ -413,20 +413,10 @@ impl Recommender {
                         return;
                     }
                 }
-                // `users` is the matrix's dense user-id list, so `pos` IS
-                // the dense user index: scoring goes through the batched
-                // kernel path with no per-pair id lookups. The governor is
-                // charged once per chunk (above), not per pair.
-                let matrix = model.matrix();
-                let mut scored = Vec::new();
+                // The governor is charged once per chunk (above), not per
+                // pair.
                 for pos in range {
-                    scored.clear();
-                    model.score_unseen_into(pos, scratch, &mut scored);
-                    let entries = scored
-                        .iter()
-                        .map(|&(i, s)| (matrix.item_id(i), s))
-                        .collect();
-                    out.push((pos, entries));
+                    out.push((pos, unseen_list(model, users[pos], scratch)));
                 }
             },
         )
@@ -442,11 +432,7 @@ impl Recommender {
             None => self.fresh_index(),
         };
         for (pos, entries) in per_user {
-            let user = users[pos];
-            for (item, score) in entries {
-                index.insert(user, item, score);
-            }
-            index.mark_complete(user);
+            index.replace_user_list(users[pos], &entries);
         }
         self.index = Some(Arc::new(index));
         Ok(())
@@ -534,12 +520,13 @@ fn refresh_index(
     }
     let Some(old) = old else { return Ok(None) };
     let mut fresh = RecScoreIndex::with_pool(Arc::clone(pool), DEFAULT_NODE_CAPACITY);
+    let mut scratch = ScoreScratch::default();
     for user in old.users() {
         if let Some(guard) = governor {
             guard.check().map_err(EngineError::from)?;
         }
         if old.is_complete(user) {
-            materialize_user_into(&mut fresh, model, user);
+            materialize_user_into(&mut fresh, model, user, &mut scratch);
         } else {
             let u = model.matrix().user_idx(user);
             for (item, _) in old.iter_desc(user, None, None) {
@@ -559,28 +546,36 @@ fn refresh_index(
     Ok(Some(Arc::new(fresh)))
 }
 
-fn materialize_user_into(index: &mut RecScoreIndex, model: &RecModel, user: i64) {
+/// `user`'s complete unseen-item list under `model`, as `(item id,
+/// score)` pairs.
+fn unseen_list(model: &RecModel, user: i64, scratch: &mut ScoreScratch) -> Vec<(i64, f64)> {
     let matrix = model.matrix();
     match matrix.user_idx(user) {
         Some(u) => {
-            // Batched path: resolve the user index once, score every
-            // unseen item through the model's block kernel, then map dense
-            // item indexes back to ids.
+            // One user-at-a-time pass over dense indexes, mapped back to
+            // ids at the end.
             let mut scored = Vec::new();
-            model.score_unseen_into(u, &mut ScoreScratch::default(), &mut scored);
-            for (i, score) in scored {
-                index.insert(user, matrix.item_id(i), score);
-            }
+            model.score_unseen_into(u, scratch, &mut scored);
+            scored
+                .into_iter()
+                .map(|(i, score)| (matrix.item_id(i), score))
+                .collect()
         }
-        None => {
-            // Unknown user: every item is unseen and unpredictable → 0.0,
-            // matching the per-pair `predict(..).unwrap_or(0.0)` behavior.
-            for &item in matrix.item_ids() {
-                index.insert(user, item, 0.0);
-            }
-        }
+        // Unknown user: every item is unseen and unpredictable → 0.0,
+        // matching the per-pair `predict(..).unwrap_or(0.0)` behavior.
+        None => matrix.item_ids().iter().map(|&item| (item, 0.0)).collect(),
     }
-    index.mark_complete(user);
+}
+
+/// Score `user`'s whole list and swap it into `index` as one complete
+/// list — the only way a complete user list enters the index.
+fn materialize_user_into(
+    index: &mut RecScoreIndex,
+    model: &RecModel,
+    user: i64,
+    scratch: &mut ScoreScratch,
+) {
+    index.replace_user_list(user, &unseen_list(model, user, scratch));
 }
 
 /// Scan a ratings table into a [`RatingsMatrix`], resolving the three
@@ -760,6 +755,90 @@ mod tests {
         }
     }
 
+    /// Append one rating row to the catalog's `ratings` table.
+    fn rate(cat: &mut Catalog, user: i64, item: i64, value: f64) {
+        cat.table_mut("ratings")
+            .unwrap()
+            .insert(Tuple::new(vec![
+                Value::Int(user),
+                Value::Int(item),
+                Value::Float(value),
+            ]))
+            .unwrap();
+    }
+
+    /// What the per-pair path builds for `users`: one `insert` per unseen
+    /// pair, scored through the point API, then `mark_complete`.
+    fn per_pair_index(model: &RecModel, users: &[i64]) -> RecScoreIndex {
+        let mut index = RecScoreIndex::new();
+        for &user in users {
+            for &item in model.matrix().item_ids() {
+                if model.matrix().rating_of(user, item).is_none() {
+                    index.insert(user, item, model.predict(user, item).unwrap_or(0.0));
+                }
+            }
+            index.mark_complete(user);
+        }
+        index
+    }
+
+    fn assert_same_index(got: &RecScoreIndex, want: &RecScoreIndex, users: &[i64]) {
+        let bits = |idx: &RecScoreIndex| -> Vec<(i64, i64, u64)> {
+            idx.iter_all()
+                .map(|(u, i, s)| (u, i, s.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got.user_count(), want.user_count());
+        for &u in users {
+            assert_eq!(got.is_complete(u), want.is_complete(u), "user {u}");
+        }
+    }
+
+    #[test]
+    fn bulk_materialization_matches_the_per_pair_path() {
+        let mut cat = catalog_with_ratings(&figure1_rows());
+        let mut rec = make(&cat);
+        let all = [1, 2, 3, 4, 99];
+        // `materialize_user`, including a user the model has never seen.
+        for u in [4, 1, 99] {
+            rec.materialize_user(u);
+        }
+        assert_same_index(
+            &rec.index().unwrap(),
+            &per_pair_index(&rec.model(), &[4, 1, 99]),
+            &all,
+        );
+        // Re-materializing into the same index replaces, never duplicates.
+        rec.materialize_user(4);
+        assert_same_index(
+            &rec.index().unwrap(),
+            &per_pair_index(&rec.model(), &[4, 1, 99]),
+            &all,
+        );
+        // User 4 rates item 1, which its list holds: the rebuild's
+        // refresh re-materializes the user without that pair.
+        assert!(rec.index().unwrap().get(4, 1).is_some());
+        rate(&mut cat, 4, 1, 2.0);
+        rec.record_insert(1, 1);
+        rec.maintain(&cat).unwrap();
+        assert_same_index(
+            &rec.index().unwrap(),
+            &per_pair_index(&rec.model(), &[4, 1, 99]),
+            &all,
+        );
+        // `materialize_all`: user 2 rated everything, so its list is
+        // complete and empty.
+        let mut every = make(&cat);
+        every.materialize_all_with(2);
+        assert_same_index(
+            &every.index().unwrap(),
+            &per_pair_index(&every.model(), &[1, 2, 3, 4]),
+            &all,
+        );
+    }
+
     #[test]
     fn maintain_refreshes_materialized_entries() {
         let mut cat = catalog_with_ratings(&figure1_rows());
@@ -783,6 +862,31 @@ mod tests {
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
         assert!(idx.get(4, 3).is_some(), "still-unseen pair retained");
+    }
+
+    #[test]
+    fn cancelled_or_expired_rebuild_keeps_the_previous_model_and_index() {
+        let mut cat = catalog_with_ratings(&figure1_rows());
+        let mut rec = make(&cat);
+        rec.materialize_user(4);
+        let entries = |rec: &Recommender| -> Vec<_> { rec.index().unwrap().iter_all().collect() };
+        let before = entries(&rec);
+        rate(&mut cat, 4, 1, 2.0);
+        rec.record_insert(1, 1);
+        let cancelled = QueryGuard::unlimited();
+        cancelled.cancel();
+        let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
+        for guard in [&cancelled, &expired] {
+            let err = rec.maintain_governed(&cat, Some(guard)).unwrap_err();
+            assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
+            assert_eq!(rec.model().trained_on(), 7, "old model still serving");
+            assert_eq!(rec.pending_updates(), 1);
+            assert_eq!(entries(&rec), before, "old index untouched");
+        }
+        rec.maintain_governed(&cat, Some(&QueryGuard::unlimited()))
+            .unwrap();
+        assert_eq!(rec.model().trained_on(), 8);
+        assert_eq!(rec.index().unwrap().get(4, 1), None);
     }
 
     #[test]

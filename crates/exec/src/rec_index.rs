@@ -275,8 +275,9 @@ impl RecScoreIndex {
     }
 
     /// Mark a user's list as fully materialized (every unseen item is
-    /// present). Set by the engine's materialization step, cleared by any
-    /// eviction touching the user.
+    /// present), for a list built entry by entry; the engine's
+    /// materializer goes through [`RecScoreIndex::replace_user_list`],
+    /// which marks it itself. Cleared by any eviction touching the user.
     pub fn mark_complete(&mut self, user: i64) {
         self.complete.insert(user);
     }
@@ -309,8 +310,8 @@ impl RecScoreIndex {
     }
 
     /// Replace user `u`'s entire materialized list in one pass and mark
-    /// it complete — the bulk path for the engine's materializer, which
-    /// otherwise pays a point lookup per inserted pair.
+    /// it complete — how the engine's materializer enters a complete
+    /// list, without [`RecScoreIndex::insert`]'s point lookup per pair.
     pub fn replace_user_list(&mut self, user: i64, list: &[(i64, f64)]) {
         // The cursor reads the tree it would be mutating: drain it first.
         let old: Vec<(i64, f64)> = self.iter_desc(user, None, None).collect();
