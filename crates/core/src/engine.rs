@@ -479,6 +479,7 @@ impl RecDb {
                 config.train,
                 config.hotness_threshold,
                 clock,
+                None,
             )?;
             recommenders.push(rec);
         }
@@ -1738,7 +1739,7 @@ impl RecDb {
             .iter_mut()
             .find(|r| r.name().eq_ignore_ascii_case(recommender))
             .ok_or_else(|| EngineError::RecommenderNotFound(recommender.to_owned()))?;
-        let result = rec.materialize_all_governed(threads, Some(&guard));
+        let result = rec.materialize_all(threads, Some(&guard));
         self.metrics
             .gauge_with("recdb_materialized_entries", &[("recommender", rec.name())])
             .set(rec.materialized_entries() as i64);

@@ -76,41 +76,12 @@ impl StagedRebuild {
 
 impl Recommender {
     /// Build ("initialize", §III-A) a recommender by scanning the ratings
-    /// table and training the model.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
-        name: &str,
-        catalog: &Catalog,
-        ratings_table: &str,
-        users_column: &str,
-        items_column: &str,
-        ratings_column: &str,
-        algorithm: Algorithm,
-        train_config: TrainConfig,
-        hotness_threshold: f64,
-        now: u64,
-    ) -> EngineResult<Self> {
-        Self::create_governed(
-            name,
-            catalog,
-            ratings_table,
-            users_column,
-            items_column,
-            ratings_column,
-            algorithm,
-            train_config,
-            hotness_threshold,
-            now,
-            None,
-        )
-    }
-
-    /// As [`Recommender::create`], under an optional resource governor:
+    /// table and training the model, under an optional resource governor:
     /// the model build observes cancellation/deadlines and the
     /// `core::materialize_worker` fault site. On error nothing is
     /// constructed — the caller's catalog state is untouched.
     #[allow(clippy::too_many_arguments)]
-    pub fn create_governed(
+    pub fn create(
         name: &str,
         catalog: &Catalog,
         ratings_table: &str,
@@ -146,7 +117,7 @@ impl Recommender {
         )
     }
 
-    /// As [`Recommender::create_governed`], from an already-scanned ratings
+    /// As [`Recommender::create`], from an already-scanned ratings
     /// matrix. The concurrent engine scans the table under a short catalog
     /// read latch, drops it, and trains here with no engine lock held.
     #[allow(clippy::too_many_arguments)]
@@ -275,18 +246,14 @@ impl Recommender {
 
     /// Rebuild the model from the current table contents and refresh every
     /// materialized entry ("RECDB maintains the recommendation score for
-    /// all materialized entries", §IV-D).
-    pub fn maintain(&mut self, catalog: &Catalog) -> EngineResult<()> {
-        self.maintain_governed(catalog, None)
-    }
-
-    /// As [`Recommender::maintain`], under an optional resource governor.
+    /// all materialized entries", §IV-D), under an optional resource
+    /// governor.
     ///
     /// The rebuild is staged: the new model and the refreshed index are
     /// computed fully before anything is published, so a cancelled or
     /// faulted rebuild returns `Err` with the previous model (and index)
     /// still serving, and a later retry starts from a consistent state.
-    pub fn maintain_governed(
+    pub fn maintain(
         &mut self,
         catalog: &Catalog,
         governor: Option<&QueryGuard>,
@@ -341,134 +308,69 @@ impl Recommender {
         self.index = staged.index;
     }
 
-    /// An empty index paging through this recommender's pool.
-    fn fresh_index(&self) -> RecScoreIndex {
-        RecScoreIndex::with_pool(Arc::clone(&self.pool), DEFAULT_NODE_CAPACITY)
+    /// Apply `edit` to the materialized index (an empty one over this
+    /// recommender's pool if there is none yet) and publish the result.
+    /// Readers keep their snapshot: the index is edited in place only when
+    /// nobody else holds it, and copied first otherwise.
+    fn edit_index<R>(&mut self, edit: impl FnOnce(&mut RecScoreIndex) -> R) -> R {
+        let mut index = match self.index.take() {
+            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
+            None => RecScoreIndex::with_pool(Arc::clone(&self.pool), DEFAULT_NODE_CAPACITY),
+        };
+        let out = edit(&mut index);
+        self.index = Some(Arc::new(index));
+        out
     }
 
     /// Pre-compute the full unseen-item score list for one user and mark it
     /// complete (the §IV-C pre-computation that IndexRecommend serves).
     pub fn materialize_user(&mut self, user: i64) {
-        let mut index = match self.index.take() {
-            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
-            None => self.fresh_index(),
-        };
-        materialize_user_into(&mut index, &self.model, user, &mut ScoreScratch::default());
-        self.index = Some(Arc::new(index));
-    }
-
-    /// Pre-compute score lists for every user known to the model, using
-    /// all available cores.
-    pub fn materialize_all(&mut self) {
-        self.materialize_all_with(0)
-    }
-
-    /// As [`Recommender::materialize_all`], with an explicit worker-thread
-    /// count (`0` = all cores). Each score is a pure function of the
-    /// already-trained model, so the resulting index is identical for
-    /// every thread count: workers only fan out the per-user scoring; the
-    /// merge into the index happens on the calling thread in user order.
-    pub fn materialize_all_with(&mut self, threads: usize) {
-        self.materialize_all_governed(threads, None)
+        let model = Arc::clone(&self.model);
+        self.edit_index(|index| materialize_into(index, &model, &[user], 1, None))
             .expect("ungoverned materialization cannot fail")
     }
 
-    /// As [`Recommender::materialize_all_with`], under an optional
-    /// resource governor. Each worker chunk evaluates the
-    /// `core::materialize_worker` fault site and the guard before scoring;
-    /// on any failure the existing index is left exactly as it was (the
-    /// merge-and-swap only happens after every worker succeeded).
-    pub fn materialize_all_governed(
+    /// Pre-compute score lists for every user known to the model on
+    /// `threads` workers (`0` = all cores), under an optional resource
+    /// governor. Each score is a pure function of the already-trained
+    /// model, so the resulting index is identical for every thread count.
+    /// On any failure the index holds exactly what it held before.
+    pub fn materialize_all(
         &mut self,
         threads: usize,
         governor: Option<&QueryGuard>,
     ) -> EngineResult<()> {
-        let users = self.model.matrix().user_ids();
-        let model = &self.model;
-        let threads = recdb_algo::effective_threads(threads);
-        // Workers cannot return `Err` through the fan-out, so the first
-        // failure lands in a shared slot and flips a flag that makes the
-        // remaining chunks bail out immediately.
-        let aborted = AtomicBool::new(false);
-        let abort: Mutex<Option<EngineError>> = Mutex::new(None);
-        // Per worker thread: its scored users plus the scoring scratch it
-        // reuses across all of them.
-        type Worker = (Vec<(usize, Vec<(i64, f64)>)>, ScoreScratch);
-        let mut per_user: Vec<(usize, Vec<(i64, f64)>)> = for_each_chunk(
-            users.len(),
-            threads,
-            8,
-            Worker::default,
-            |(out, scratch): &mut Worker, range| {
-                if aborted.load(Ordering::Relaxed) {
-                    return;
-                }
-                if let Some(guard) = governor {
-                    let gate = recdb_fault::fail_point("core::materialize_worker")
-                        .map_err(EngineError::from)
-                        .and_then(|()| guard.check().map_err(EngineError::from));
-                    if let Err(e) = gate {
-                        aborted.store(true, Ordering::Relaxed);
-                        abort.lock().get_or_insert(e);
-                        return;
-                    }
-                }
-                // The governor is charged once per chunk (above), not per
-                // pair.
-                for pos in range {
-                    out.push((pos, unseen_list(model, users[pos], scratch)));
-                }
-            },
-        )
-        .into_iter()
-        .flat_map(|(out, _)| out)
-        .collect();
-        if let Some(e) = abort.into_inner() {
-            return Err(e);
-        }
-        per_user.sort_unstable_by_key(|&(pos, _)| pos);
-        let mut index = match self.index.take() {
-            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
-            None => self.fresh_index(),
-        };
-        for (pos, entries) in per_user {
-            index.replace_user_list(users[pos], &entries);
-        }
-        self.index = Some(Arc::new(index));
-        Ok(())
+        let model = Arc::clone(&self.model);
+        let users = model.matrix().user_ids();
+        self.edit_index(|index| materialize_into(index, &model, users, threads, governor))
     }
 
     /// Run the Algorithm 4 cache manager at tick `now`: refresh rates,
     /// decide admissions/evictions, and apply them to the index. Returns
     /// the decision for observability.
     pub fn run_cache_manager(&mut self, now: u64) -> CacheDecision {
+        let model = Arc::clone(&self.model);
+        let matrix = model.matrix();
         let decision = {
             let mut stats = self.stats.lock();
             let mut mgr = self.cache_manager.lock();
-            let model = &self.model;
-            mgr.run(&mut stats, now, |u, i| {
-                model.matrix().rating_of(u, i).is_none()
-            })
+            mgr.run(&mut stats, now, |u, i| matrix.rating_of(u, i).is_none())
         };
         if decision.admitted.is_empty() && decision.evicted.is_empty() {
             return decision;
         }
-        let mut index = match self.index.take() {
-            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
-            None => self.fresh_index(),
-        };
-        for &(u, i) in &decision.evicted {
-            index.remove(u, i);
-        }
-        let matrix = self.model.matrix();
-        for &(u, i) in &decision.admitted {
-            let score = match (matrix.user_idx(u), matrix.item_idx(i)) {
-                (Some(ui), Some(ii)) => self.model.predict_indexed(ui, ii).unwrap_or(0.0),
-                _ => 0.0,
-            };
-            index.insert(u, i, score);
-        }
-        self.index = Some(Arc::new(index));
+        self.edit_index(|index| {
+            for &(u, i) in &decision.evicted {
+                index.remove(u, i);
+            }
+            for &(u, i) in &decision.admitted {
+                let score = match (matrix.user_idx(u), matrix.item_idx(i)) {
+                    (Some(ui), Some(ii)) => model.predict_indexed(ui, ii).unwrap_or(0.0),
+                    _ => 0.0,
+                };
+                index.insert(u, i, score);
+            }
+        });
         decision
     }
 
@@ -514,36 +416,42 @@ fn refresh_index(
     governor: Option<&QueryGuard>,
     pool: &Arc<BufferPool>,
 ) -> EngineResult<Option<Arc<RecScoreIndex>>> {
-    if let Some(guard) = governor {
-        recdb_fault::fail_point("core::materialize_worker")?;
-        guard.check().map_err(EngineError::from)?;
-    }
+    materialize_gate(governor)?;
     let Some(old) = old else { return Ok(None) };
     let mut fresh = RecScoreIndex::with_pool(Arc::clone(pool), DEFAULT_NODE_CAPACITY);
-    let mut scratch = ScoreScratch::default();
-    for user in old.users() {
+    let (complete, partial): (Vec<i64>, Vec<i64>) =
+        old.users().partition(|&user| old.is_complete(user));
+    materialize_into(&mut fresh, model, &complete, 1, governor)?;
+    let matrix = model.matrix();
+    for user in partial {
         if let Some(guard) = governor {
             guard.check().map_err(EngineError::from)?;
         }
-        if old.is_complete(user) {
-            materialize_user_into(&mut fresh, model, user, &mut scratch);
-        } else {
-            let u = model.matrix().user_idx(user);
-            for (item, _) in old.iter_desc(user, None, None) {
-                match u.zip(model.matrix().item_idx(item)) {
-                    Some((u, i)) => {
-                        if model.matrix().rating_at(u, i).is_none() {
-                            fresh.insert(user, item, model.predict_indexed(u, i).unwrap_or(0.0));
-                        }
+        let u = matrix.user_idx(user);
+        for (item, _) in old.iter_desc(user, None, None) {
+            match u.zip(matrix.item_idx(item)) {
+                Some((u, i)) => {
+                    if matrix.rating_at(u, i).is_none() {
+                        fresh.insert(user, item, model.predict_indexed(u, i).unwrap_or(0.0));
                     }
-                    // Ids the new model doesn't know keep the legacy
-                    // unpredictable-pair score of 0.0.
-                    None => fresh.insert(user, item, 0.0),
                 }
+                // Ids the new model doesn't know keep the legacy
+                // unpredictable-pair score of 0.0.
+                None => fresh.insert(user, item, 0.0),
             }
         }
     }
     Ok(Some(Arc::new(fresh)))
+}
+
+/// The materialization stage's checkpoint: the `core::materialize_worker`
+/// fault site, then the guard. Nothing when ungoverned.
+fn materialize_gate(governor: Option<&QueryGuard>) -> EngineResult<()> {
+    if let Some(guard) = governor {
+        recdb_fault::fail_point("core::materialize_worker")?;
+        guard.check()?;
+    }
+    Ok(())
 }
 
 /// `user`'s complete unseen-item list under `model`, as `(item id,
@@ -567,15 +475,59 @@ fn unseen_list(model: &RecModel, user: i64, scratch: &mut ScoreScratch) -> Vec<(
     }
 }
 
-/// Score `user`'s whole list and swap it into `index` as one complete
-/// list — the only way a complete user list enters the index.
-fn materialize_user_into(
+/// Score `users`' complete unseen-item lists under `model` on `threads`
+/// workers (`0` = all cores) and swap each into `index` as one complete
+/// list — the only way a complete user list enters an index. Workers only
+/// fan out the scoring; the merge happens on the calling thread in `users`
+/// order. Governed, each worker chunk evaluates the
+/// `core::materialize_worker` fault site and the guard before scoring, and
+/// `index` is touched only after every chunk succeeded.
+fn materialize_into(
     index: &mut RecScoreIndex,
     model: &RecModel,
-    user: i64,
-    scratch: &mut ScoreScratch,
-) {
-    index.replace_user_list(user, &unseen_list(model, user, scratch));
+    users: &[i64],
+    threads: usize,
+    governor: Option<&QueryGuard>,
+) -> EngineResult<()> {
+    // Workers cannot return `Err` through the fan-out, so the first
+    // failure lands in a shared slot and flips a flag that makes the
+    // remaining chunks bail out immediately.
+    let aborted = AtomicBool::new(false);
+    let abort: Mutex<Option<EngineError>> = Mutex::new(None);
+    // Per worker thread: its scored users plus the scoring scratch it
+    // reuses across all of them.
+    type Worker = (Vec<(usize, Vec<(i64, f64)>)>, ScoreScratch);
+    let mut per_user: Vec<(usize, Vec<(i64, f64)>)> = for_each_chunk(
+        users.len(),
+        recdb_algo::effective_threads(threads),
+        8,
+        Worker::default,
+        |(out, scratch): &mut Worker, range| {
+            if aborted.load(Ordering::Relaxed) {
+                return;
+            }
+            // The governor is charged once per chunk, not per pair.
+            if let Err(e) = materialize_gate(governor) {
+                aborted.store(true, Ordering::Relaxed);
+                abort.lock().get_or_insert(e);
+                return;
+            }
+            for pos in range {
+                out.push((pos, unseen_list(model, users[pos], scratch)));
+            }
+        },
+    )
+    .into_iter()
+    .flat_map(|(out, _)| out)
+    .collect();
+    if let Some(e) = abort.into_inner() {
+        return Err(e);
+    }
+    per_user.sort_unstable_by_key(|&(pos, _)| pos);
+    for (pos, entries) in per_user {
+        index.replace_user_list(users[pos], &entries);
+    }
+    Ok(())
 }
 
 /// Scan a ratings table into a [`RatingsMatrix`], resolving the three
@@ -660,6 +612,7 @@ mod tests {
             TrainConfig::default(),
             0.5,
             0,
+            None,
         )
         .unwrap()
     }
@@ -701,7 +654,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 1);
-        rec.maintain(&cat).unwrap();
+        rec.maintain(&cat, None).unwrap();
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(rec.model().score(4, 3), 5.0, "new rating visible");
@@ -723,7 +676,7 @@ mod tests {
     fn materialize_all_covers_every_user() {
         let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
-        rec.materialize_all();
+        rec.materialize_all(0, None).unwrap();
         let idx = rec.index().unwrap();
         // User 2 rated all three items → no entries, but still complete.
         assert_eq!(idx.user_count(), 3);
@@ -738,11 +691,11 @@ mod tests {
     fn materialize_all_parallel_matches_serial() {
         let cat = catalog_with_ratings(&figure1_rows());
         let mut serial = make(&cat);
-        serial.materialize_all_with(1);
+        serial.materialize_all(1, None).unwrap();
         let serial_idx = serial.index().unwrap();
         for threads in [2, 4, 0] {
             let mut par = make(&cat);
-            par.materialize_all_with(threads);
+            par.materialize_all(threads, None).unwrap();
             let idx = par.index().unwrap();
             assert_eq!(idx.len(), serial_idx.len(), "threads {threads}");
             assert_eq!(idx.user_count(), serial_idx.user_count());
@@ -767,25 +720,31 @@ mod tests {
             .unwrap();
     }
 
-    /// What the per-pair path builds for `users`: one `insert` per unseen
-    /// pair, scored through the point API, then `mark_complete`.
+    /// What the per-pair path builds for `users`: every unseen pair
+    /// scored through the point API, entered as one complete list.
     fn per_pair_index(model: &RecModel, users: &[i64]) -> RecScoreIndex {
         let mut index = RecScoreIndex::new();
         for &user in users {
-            for &item in model.matrix().item_ids() {
-                if model.matrix().rating_of(user, item).is_none() {
-                    index.insert(user, item, model.predict(user, item).unwrap_or(0.0));
-                }
-            }
-            index.mark_complete(user);
+            let list: Vec<(i64, f64)> = model
+                .matrix()
+                .item_ids()
+                .iter()
+                .filter(|&&item| model.matrix().rating_of(user, item).is_none())
+                .map(|&item| (item, model.predict(user, item).unwrap_or(0.0)))
+                .collect();
+            index.replace_user_list(user, &list);
         }
         index
     }
 
     fn assert_same_index(got: &RecScoreIndex, want: &RecScoreIndex, users: &[i64]) {
         let bits = |idx: &RecScoreIndex| -> Vec<(i64, i64, u64)> {
-            idx.iter_all()
-                .map(|(u, i, s)| (u, i, s.to_bits()))
+            users
+                .iter()
+                .flat_map(|&u| {
+                    idx.iter_desc(u, None, None)
+                        .map(move |(i, s)| (u, i, s.to_bits()))
+                })
                 .collect()
         };
         assert_eq!(bits(got), bits(want));
@@ -822,7 +781,7 @@ mod tests {
         assert!(rec.index().unwrap().get(4, 1).is_some());
         rate(&mut cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
-        rec.maintain(&cat).unwrap();
+        rec.maintain(&cat, None).unwrap();
         assert_same_index(
             &rec.index().unwrap(),
             &per_pair_index(&rec.model(), &[4, 1, 99]),
@@ -831,7 +790,7 @@ mod tests {
         // `materialize_all`: user 2 rated everything, so its list is
         // complete and empty.
         let mut every = make(&cat);
-        every.materialize_all_with(2);
+        every.materialize_all(2, None).unwrap();
         assert_same_index(
             &every.index().unwrap(),
             &per_pair_index(&every.model(), &[1, 2, 3, 4]),
@@ -857,7 +816,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(1, 1);
-        rec.maintain(&cat).unwrap();
+        rec.maintain(&cat, None).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
@@ -865,11 +824,31 @@ mod tests {
     }
 
     #[test]
+    fn complete_user_with_nothing_left_stays_complete_across_a_rebuild() {
+        let mut cat = catalog_with_ratings(&figure1_rows());
+        let mut rec = make(&cat);
+        rec.materialize_user(2); // rated all three items: complete, no entries
+        let idx = rec.index().unwrap();
+        assert!(idx.is_complete(2) && !idx.has_user(2));
+        // Item 4 appears; the rebuild must keep serving user 2 from the
+        // index, now with the new item in the list.
+        rate(&mut cat, 1, 4, 3.0);
+        rec.record_insert(4, 1);
+        rec.maintain(&cat, None).unwrap();
+        let idx = rec.index().unwrap();
+        assert!(idx.is_complete(2), "hot user silently de-materialized");
+        let items: Vec<i64> = idx.iter_desc(2, None, None).map(|(i, _)| i).collect();
+        assert_eq!(items, vec![4]);
+    }
+
+    #[test]
     fn cancelled_or_expired_rebuild_keeps_the_previous_model_and_index() {
         let mut cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         rec.materialize_user(4);
-        let entries = |rec: &Recommender| -> Vec<_> { rec.index().unwrap().iter_all().collect() };
+        let entries = |rec: &Recommender| -> Vec<_> {
+            rec.index().unwrap().iter_desc(4, None, None).collect()
+        };
         let before = entries(&rec);
         rate(&mut cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
@@ -877,14 +856,13 @@ mod tests {
         cancelled.cancel();
         let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
         for guard in [&cancelled, &expired] {
-            let err = rec.maintain_governed(&cat, Some(guard)).unwrap_err();
+            let err = rec.maintain(&cat, Some(guard)).unwrap_err();
             assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
             assert_eq!(rec.model().trained_on(), 7, "old model still serving");
             assert_eq!(rec.pending_updates(), 1);
             assert_eq!(entries(&rec), before, "old index untouched");
         }
-        rec.maintain_governed(&cat, Some(&QueryGuard::unlimited()))
-            .unwrap();
+        rec.maintain(&cat, Some(&QueryGuard::unlimited())).unwrap();
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(rec.index().unwrap().get(4, 1), None);
     }

@@ -44,13 +44,23 @@ fn rec_tuple(user: i64, item: i64, score: f64) -> Tuple {
     ])
 }
 
-/// Resolve a pushed-down id list to `(id, dense index)` pairs: ids the
-/// model does not know drop out, duplicates keep their first occurrence
-/// (an `IN (8, 8)` list must not double-count item 8).
+/// A pushed-down id list with duplicates dropped, first occurrence kept
+/// (an `IN (8, 8)` list must not double-count id 8, whichever operator
+/// serves it). A one-id list — `WHERE uid = ?`, the hot statement — has
+/// nothing to dedup and does not pay for a hash set.
+fn distinct(mut list: Vec<i64>) -> Vec<i64> {
+    if list.len() > 1 {
+        let mut seen = HashSet::with_capacity(list.len());
+        list.retain(|id| seen.insert(*id));
+    }
+    list
+}
+
+/// Resolve a pushed-down id list to `(id, dense index)` pairs: duplicates
+/// and ids the model does not know drop out.
 fn resolve_ids(list: Vec<i64>, idx: impl Fn(i64) -> Option<usize>) -> Vec<(i64, usize)> {
-    let mut seen = HashSet::with_capacity(list.len());
-    list.into_iter()
-        .filter(|id| seen.insert(*id))
+    distinct(list)
+        .into_iter()
         .filter_map(|id| Some((id, idx(id)?)))
         .collect()
 }
@@ -333,9 +343,10 @@ pub struct IndexRecommendOp {
 }
 
 impl IndexRecommendOp {
-    /// Build the operator for the given (Phase I) user list. `item_filter`
-    /// is the Phase III `iPred`; the rating bounds are the Phase II
-    /// `rPred`.
+    /// Build the operator for the given (Phase I) user list, each user
+    /// served once at its first position — what FILTERRECOMMEND answers
+    /// for `uid IN (1, 1)`. `item_filter` is the Phase III `iPred`; the
+    /// rating bounds are the Phase II `rPred`.
     pub fn new(
         index: Arc<RecScoreIndex>,
         schema: Schema,
@@ -347,7 +358,7 @@ impl IndexRecommendOp {
         IndexRecommendOp {
             index,
             schema,
-            users,
+            users: distinct(users),
             item_filter: item_filter.map(|v| v.into_iter().collect()),
             min_rating,
             max_rating,
@@ -679,12 +690,8 @@ mod tests {
 
     fn sample_index() -> Arc<RecScoreIndex> {
         let mut idx = RecScoreIndex::new();
-        idx.insert(1, 10, 4.5);
-        idx.insert(1, 11, 2.0);
-        idx.insert(1, 12, 5.0);
-        idx.insert(2, 10, 3.0);
-        idx.mark_complete(1);
-        idx.mark_complete(2);
+        idx.replace_user_list(1, &[(10, 4.5), (11, 2.0), (12, 5.0)]);
+        idx.replace_user_list(2, &[(10, 3.0)]);
         Arc::new(idx)
     }
 
@@ -755,8 +762,8 @@ mod tests {
     }
 
     /// What FILTERRECOMMEND answers for the same predicates, in
-    /// INDEXRECOMMEND's order: users as listed, then score descending,
-    /// ties by item id descending.
+    /// INDEXRECOMMEND's order: users as first listed, then score
+    /// descending, ties by item id descending.
     fn online_reference(
         model: &Arc<RecModel>,
         users: &[i64],
@@ -764,24 +771,22 @@ mod tests {
         min: Option<f64>,
         max: Option<f64>,
     ) -> Vec<(i64, i64, u64)> {
-        let mut want = Vec::new();
-        for &user in users {
-            let mut op = RecommendOp::new(
-                model.clone(),
-                rec_schema(),
-                Some(vec![user]),
-                items.clone(),
-                min,
-                max,
-            );
-            let mut rows = triples(&drain(&mut op).unwrap());
-            rows.sort_by(|a, b| {
-                f64::from_bits(b.2)
-                    .total_cmp(&f64::from_bits(a.2))
-                    .then(b.1.cmp(&a.1))
-            });
-            want.extend(rows);
-        }
+        let mut op = RecommendOp::new(
+            model.clone(),
+            rec_schema(),
+            Some(users.to_vec()),
+            items,
+            min,
+            max,
+        );
+        let mut want = triples(&drain(&mut op).unwrap());
+        let listed = |user: i64| users.iter().position(|&u| u == user);
+        want.sort_by(|a, b| {
+            listed(a.0)
+                .cmp(&listed(b.0))
+                .then(f64::from_bits(b.2).total_cmp(&f64::from_bits(a.2)))
+                .then(b.1.cmp(&a.1))
+        });
         want
     }
 
@@ -790,11 +795,12 @@ mod tests {
     fn materialized(model: &Arc<RecModel>, users: &[i64]) -> Arc<RecScoreIndex> {
         let pool = Arc::new(recdb_storage::BufferPool::in_memory(6));
         let mut idx = RecScoreIndex::with_pool(pool, 8);
-        for &(user, item, bits) in &online_reference(model, users, None, None, None) {
-            idx.insert(user, item, f64::from_bits(bits));
-        }
         for &user in users {
-            idx.mark_complete(user);
+            let list: Vec<(i64, f64)> = online_reference(model, &[user], None, None, None)
+                .iter()
+                .map(|&(_, item, bits)| (item, f64::from_bits(bits)))
+                .collect();
+            idx.replace_user_list(user, &list);
         }
         Arc::new(idx)
     }
@@ -820,8 +826,10 @@ mod tests {
         assert!(lo < hi);
         // (users, `iid IN` list, min rating, max rating)
         type Case<'a> = (&'a [i64], Option<Vec<i64>>, Option<f64>, Option<f64>);
-        let cases: [Case; 5] = [
+        let cases: [Case; 6] = [
             (&[3], None, None, None),
+            // `uid IN (3, 3)`: FilterRecommend answers each user once.
+            (&[3, 3], None, None, None),
             (&[3], Some(deep.clone()), None, None),
             (&[3], None, Some(lo), Some(hi)),
             (&[3, 5], None, None, None),
@@ -851,7 +859,8 @@ mod tests {
                 if k > want.len() {
                     // A full drain bills one unit per emitted tuple, one
                     // per user started, one for the end of stream.
-                    assert_eq!(guard.rows_used(), (want.len() + users.len() + 1) as u64);
+                    let started = users.iter().collect::<HashSet<_>>().len();
+                    assert_eq!(guard.rows_used(), (want.len() + started + 1) as u64);
                 }
             }
         }

@@ -788,13 +788,15 @@ mod tests {
         let (cat, provider) = setup();
         // Materialize user 1's full list.
         let model = provider.model("ratings", Algorithm::ItemCosCF).unwrap();
+        let list: Vec<(i64, f64)> = model
+            .matrix()
+            .item_ids()
+            .iter()
+            .filter(|&&item| model.matrix().rating_of(1, item).is_none())
+            .map(|&item| (item, model.predict(1, item).unwrap_or(0.0)))
+            .collect();
         let mut idx = RecScoreIndex::new();
-        for &item in model.matrix().item_ids() {
-            if model.matrix().rating_of(1, item).is_none() {
-                idx.insert(1, item, model.predict(1, item).unwrap_or(0.0));
-            }
-        }
-        idx.mark_complete(1);
+        idx.replace_user_list(1, &list);
         let provider = SingleRecommender {
             index: Some(std::sync::Arc::new(idx)),
             ..provider

@@ -3,18 +3,19 @@
 //! The paper's structure (Figure 4) is a hash table from user id to a
 //! per-user B+-tree keyed by predicted rating, whose leaves point to items
 //! in descending score order. Here the whole index is **disk-resident**:
-//! two paged [`recdb_storage::BTree`]s over a shared [`BufferPool`], so a
+//! one paged [`recdb_storage::BTree`] over a shared [`BufferPool`], so a
 //! materialized index far larger than RAM pages in and out of a bounded
 //! frame set instead of living in process heap.
 //!
-//! * the **forward tree** is keyed `(user, score, item)` with the score
-//!   (and the tie-breaking item id) encoded *descending*, so an ascending
-//!   leaf-chain scan of one user's key range yields items from best to
-//!   worst — exactly Algorithm 3's Phase II/III traversal;
-//! * the **reverse tree** is keyed `(user, item, score)`, giving the
-//!   cache manager an `O(log n)` point lookup of a pair's materialized
-//!   score without knowing it — needed to evict `(user, item)` from the
-//!   forward tree, whose key embeds the score.
+//! The tree is keyed `(user, score, item)` with the score (and the
+//! tie-breaking item id) encoded *descending*, so an ascending leaf-chain
+//! scan of one user's key range yields items from best to worst — exactly
+//! Algorithm 3's Phase II/III traversal, and the only order any plan
+//! reads. Nothing is stored a second time: the pair-level operations
+//! ([`RecScoreIndex::get`], [`RecScoreIndex::insert`],
+//! [`RecScoreIndex::remove`]) find `(user, item)` by walking that user's
+//! key range, which costs O(the user's list). Only the periodic
+//! Algorithm 4 cache manager takes that path.
 //!
 //! All three fields use order-preserving byte encodings (sign-flipped
 //! big-endian for `i64`, IEEE-754 total-order bits for `f64` — the same
@@ -22,13 +23,12 @@
 //! keys. Small per-user metadata (entry counts, the completeness set)
 //! stays in memory: it is O(users), not O(users × items).
 //!
-//! Reads are **lazy**: every descending read goes through one
-//! [`ScoreCursor`], which holds a position in the forward tree and the
-//! keys of the one leaf it read last. Asking for the next entry reads a
-//! further leaf only when that batch is used up, so taking a user's top
-//! `k` costs one descent plus the leaves that hold those `k` entries —
-//! not the user's whole list — and a cursor dropped early has nothing to
-//! release.
+//! Reads are **lazy**: every read goes through one [`ScoreCursor`], which
+//! holds a position in the tree and the keys of the one leaf it read
+//! last. Asking for the next entry reads a further leaf only when that
+//! batch is used up, so taking a user's top `k` costs one descent plus
+//! the leaves that hold those `k` entries — not the user's whole list —
+//! and a cursor dropped early has nothing to release.
 
 use recdb_storage::{BTree, BufferPool, RangeCursor, DEFAULT_NODE_CAPACITY};
 use std::collections::{HashMap, HashSet};
@@ -73,9 +73,9 @@ fn dec_f64_asc(b: [u8; 8]) -> f64 {
     f64::from_bits(bits)
 }
 
-/// Forward-tree key `(user↑, score↓, item↓)`: ascending key order scans
-/// one user's entries from highest to lowest score, ties by item id
-/// descending (matching the previous in-heap implementation).
+/// Tree key `(user↑, score↓, item↓)`: ascending key order scans one
+/// user's entries from highest to lowest score, ties by item id
+/// descending.
 fn fwd_key(user: i64, score: f64, item: i64) -> Key {
     let mut k = [0u8; 24];
     k[..8].copy_from_slice(&enc_i64(user));
@@ -100,15 +100,6 @@ fn fwd_decode(k: &Key) -> (i64, i64, f64) {
     (user, item, score)
 }
 
-/// Reverse-tree key `(user↑, item↑, score↑)` for point lookups.
-fn rev_key(user: i64, item: i64, score: f64) -> Key {
-    let mut k = [0u8; 24];
-    k[..8].copy_from_slice(&enc_i64(user));
-    k[8..16].copy_from_slice(&enc_i64(item));
-    k[16..].copy_from_slice(&enc_f64_asc(score));
-    k
-}
-
 /// The smallest key strictly greater than `k`, or `None` if `k` is the
 /// maximum key (used as an exclusive upper bound for inclusive ranges).
 fn successor(mut k: Key) -> Option<Key> {
@@ -125,10 +116,8 @@ fn successor(mut k: Key) -> Option<Key> {
 /// The pre-computed score index, paged through a buffer pool.
 #[derive(Debug, Clone)]
 pub struct RecScoreIndex {
-    /// `(user, score↓, item↓)` — serves descending-score traversals.
+    /// `(user, score↓, item↓)` — the one copy of every entry.
     fwd: BTree,
-    /// `(user, item, score)` — serves `(user, item)` point lookups.
-    rev: BTree,
     /// Materialized entries per user (O(users) memory).
     counts: HashMap<i64, usize>,
     /// Users whose *entire* unseen-item list is materialized. Only these
@@ -144,7 +133,7 @@ pub struct RecScoreIndex {
 /// short of rebuilding the index. Surface them loudly.
 const POOL_FAULT: &str = "RecScoreIndex buffer-pool operation failed";
 
-/// An owned position in the forward tree: the tree cursor plus the one
+/// An owned position in the tree: the tree cursor plus the one
 /// leaf batch it last read. It borrows nothing, so `IndexRecommendOp`
 /// keeps one beside its `Arc<RecScoreIndex>` snapshot and a `LIMIT k`
 /// above it stops the leaf walk by simply not asking again.
@@ -182,17 +171,10 @@ impl RecScoreIndex {
     /// per tree node (tests shrink it to force splits early).
     pub fn with_pool(pool: Arc<BufferPool>, node_capacity: usize) -> Self {
         let id = NEXT_INDEX_ID.fetch_add(1, Ordering::Relaxed);
-        let fwd = BTree::create(
-            Arc::clone(&pool),
-            &format!("rec_index.{id}.fwd"),
-            node_capacity,
-        )
-        .expect(POOL_FAULT);
-        let rev =
-            BTree::create(pool, &format!("rec_index.{id}.rev"), node_capacity).expect(POOL_FAULT);
+        let fwd =
+            BTree::create(pool, &format!("rec_index.{id}.fwd"), node_capacity).expect(POOL_FAULT);
         RecScoreIndex {
             fwd,
-            rev,
             counts: HashMap::new(),
             complete: HashSet::new(),
             entries: 0,
@@ -204,12 +186,12 @@ impl RecScoreIndex {
         self.fwd.pool()
     }
 
-    /// Node pages allocated across both trees (for sizing diagnostics).
+    /// Node pages the tree has allocated (for sizing diagnostics).
     pub fn node_pages(&self) -> u64 {
-        u64::from(self.fwd.node_pages()) + u64::from(self.rev.node_pages())
+        u64::from(self.fwd.node_pages())
     }
 
-    /// Levels of the forward tree (1 = its root is a leaf): the pool
+    /// Levels of the tree (1 = its root is a leaf): the pool
     /// accesses a top-k read pays before its first leaf. Diagnostic.
     pub fn fwd_height(&self) -> u32 {
         self.fwd.height().expect(POOL_FAULT)
@@ -235,54 +217,56 @@ impl RecScoreIndex {
         self.counts.contains_key(&user)
     }
 
-    /// The materialized score for a pair, if present: a reverse-tree
-    /// range probe over the `(user, item)` prefix.
+    /// Every `(item, score)` of user `u`, whatever the score: the user's
+    /// whole key prefix. [`RecScoreIndex::iter_desc`] without bounds spans
+    /// `[-∞, +∞]` and so leaves NaN scores out; the pair operations and
+    /// [`RecScoreIndex::replace_user_list`] must see those too.
+    fn user_list(&self, user: i64) -> impl Iterator<Item = (i64, f64)> + '_ {
+        if !self.has_user(user) {
+            return self.walk(ScoreCursor::empty());
+        }
+        let (mut lo, mut last) = ([u8::MIN; 24], [u8::MAX; 24]);
+        lo[..8].copy_from_slice(&enc_i64(user));
+        last[..8].copy_from_slice(&enc_i64(user));
+        self.walk(ScoreCursor::over(RangeCursor::new(lo, successor(last))))
+    }
+
+    /// `cursor`'s remaining `(item, score)` entries.
+    fn walk(&self, mut cursor: ScoreCursor) -> impl Iterator<Item = (i64, f64)> + '_ {
+        std::iter::from_fn(move || self.next_entry(&mut cursor))
+            .map(|(_, item, score)| (item, score))
+    }
+
+    /// The materialized score for a pair, if present: a walk of the
+    /// user's list, O(its length).
     pub fn get(&self, user: i64, item: i64) -> Option<f64> {
-        let lo = rev_key(user, item, f64::from_bits(0xFFF8_0000_0000_0000)); // -NaN: minimum in total order
-        let hi = successor(rev_key(user, item, f64::from_bits(0x7FFF_FFFF_FFFF_FFFF)));
-        let mut found = None;
-        self.rev
-            .for_each_range(&lo, hi.as_ref(), |k| {
-                found = Some(dec_f64_asc(field(k, 16)));
-                false
-            })
-            .expect(POOL_FAULT);
-        found
+        self.user_list(user)
+            .find(|&(i, _)| i == item)
+            .map(|(_, score)| score)
     }
 
     /// Materialize (or refresh) one entry.
     pub fn insert(&mut self, user: i64, item: i64, score: f64) {
-        if let Some(old) = self.get(user, item) {
-            if old.to_bits() == score.to_bits() {
-                return;
+        match self.get(user, item) {
+            Some(old) if old.to_bits() == score.to_bits() => return,
+            Some(old) => {
+                self.fwd
+                    .remove(&fwd_key(user, old, item))
+                    .expect(POOL_FAULT);
             }
-            self.fwd
-                .remove(&fwd_key(user, old, item))
-                .expect(POOL_FAULT);
-            self.rev
-                .remove(&rev_key(user, item, old))
-                .expect(POOL_FAULT);
-        } else {
-            *self.counts.entry(user).or_insert(0) += 1;
-            self.entries += 1;
+            None => {
+                *self.counts.entry(user).or_insert(0) += 1;
+                self.entries += 1;
+            }
         }
         self.fwd
             .insert(fwd_key(user, score, item))
             .expect(POOL_FAULT);
-        self.rev
-            .insert(rev_key(user, item, score))
-            .expect(POOL_FAULT);
     }
 
-    /// Mark a user's list as fully materialized (every unseen item is
-    /// present), for a list built entry by entry; the engine's
-    /// materializer goes through [`RecScoreIndex::replace_user_list`],
-    /// which marks it itself. Cleared by any eviction touching the user.
-    pub fn mark_complete(&mut self, user: i64) {
-        self.complete.insert(user);
-    }
-
-    /// Whether the user's full unseen-item list is materialized.
+    /// Whether the user's full unseen-item list is materialized. Set by
+    /// [`RecScoreIndex::replace_user_list`], cleared by any eviction
+    /// touching the user.
     pub fn is_complete(&self, user: i64) -> bool {
         self.complete.contains(&user)
     }
@@ -294,9 +278,6 @@ impl RecScoreIndex {
         };
         self.fwd
             .remove(&fwd_key(user, score, item))
-            .expect(POOL_FAULT);
-        self.rev
-            .remove(&rev_key(user, item, score))
             .expect(POOL_FAULT);
         self.complete.remove(&user);
         self.entries -= 1;
@@ -310,20 +291,17 @@ impl RecScoreIndex {
     }
 
     /// Replace user `u`'s entire materialized list in one pass and mark
-    /// it complete — how the engine's materializer enters a complete
-    /// list, without [`RecScoreIndex::insert`]'s point lookup per pair.
+    /// it complete — the only way a complete list enters the index,
+    /// without [`RecScoreIndex::insert`]'s list walk per pair.
     pub fn replace_user_list(&mut self, user: i64, list: &[(i64, f64)]) {
         // The cursor reads the tree it would be mutating: drain it first.
-        let old: Vec<(i64, f64)> = self.iter_desc(user, None, None).collect();
-        for (item, score) in old {
+        let old: Vec<(i64, f64)> = self.user_list(user).collect();
+        for &(item, score) in &old {
             self.fwd
                 .remove(&fwd_key(user, score, item))
                 .expect(POOL_FAULT);
-            self.rev
-                .remove(&rev_key(user, item, score))
-                .expect(POOL_FAULT);
-            self.entries -= 1;
         }
+        self.entries -= old.len();
         self.counts.remove(&user);
         let mut added = 0usize;
         for &(item, score) in list {
@@ -334,9 +312,6 @@ impl RecScoreIndex {
             {
                 added += 1;
             }
-            self.rev
-                .insert(rev_key(user, item, score))
-                .expect(POOL_FAULT);
         }
         if added > 0 {
             self.counts.insert(user, added);
@@ -358,7 +333,7 @@ impl RecScoreIndex {
         if !self.has_user(user) {
             return ScoreCursor::empty();
         }
-        // In the forward key space the *highest* score sorts first, so the
+        // In the key space the *highest* score sorts first, so the
         // range's low end carries the max bound and vice versa.
         let lo = fwd_key(user, max_score.unwrap_or(f64::INFINITY), i64::MAX);
         let hi = successor(fwd_key(
@@ -370,11 +345,10 @@ impl RecScoreIndex {
     }
 
     /// The next `(user, item, score)` under `cursor`, reading one more
-    /// forward-tree leaf only when the previous one is used up. Every
-    /// descending read of the index goes through here. The cursor must
-    /// come from this index and the index must not have been mutated
-    /// since (readers hold an immutable snapshot; maintenance
-    /// copies-on-write).
+    /// leaf only when the last one is used up. Every read of the index
+    /// goes through here. The cursor must come from this index and the
+    /// index must not have been mutated since (readers hold an immutable
+    /// snapshot; maintenance copies-on-write).
     pub fn next_entry(&self, cursor: &mut ScoreCursor) -> Option<(i64, i64, f64)> {
         loop {
             if let Some(key) = cursor.leaf.get(cursor.pos) {
@@ -401,31 +375,18 @@ impl RecScoreIndex {
         min_score: Option<f64>,
         max_score: Option<f64>,
     ) -> impl Iterator<Item = (i64, f64)> + '_ {
-        let mut cursor = self.cursor_desc(user, min_score, max_score);
-        std::iter::from_fn(move || self.next_entry(&mut cursor))
-            .map(|(_, item, score)| (item, score))
+        self.walk(self.cursor_desc(user, min_score, max_score))
     }
 
-    /// All materialized users (arbitrary order).
+    /// Every user the index holds anything for (arbitrary order): those
+    /// with entries, plus complete users whose list is empty because they
+    /// have rated every item — a rebuild must carry those forward too.
     pub fn users(&self) -> impl Iterator<Item = i64> + '_ {
-        self.counts.keys().copied()
-    }
-
-    /// Every materialized `(user, item, score)` entry (user-major,
-    /// descending score within a user) — used when re-scoring
-    /// materialized entries after a model rebuild.
-    pub fn iter_all(&self) -> impl Iterator<Item = (i64, i64, f64)> + '_ {
-        let mut cursor = ScoreCursor::over(RangeCursor::new([0u8; 24], None));
-        std::iter::from_fn(move || self.next_entry(&mut cursor))
-    }
-
-    /// Drop everything (used when the model is rebuilt from scratch).
-    pub fn clear(&mut self) {
-        self.fwd.clear().expect(POOL_FAULT);
-        self.rev.clear().expect(POOL_FAULT);
-        self.counts.clear();
-        self.complete.clear();
-        self.entries = 0;
+        let listless = self
+            .complete
+            .iter()
+            .filter(|user| !self.counts.contains_key(user));
+        self.counts.keys().chain(listless).copied()
     }
 }
 
@@ -561,20 +522,12 @@ mod tests {
     #[test]
     fn completeness_tracking() {
         let mut idx = sample();
-        assert!(!idx.is_complete(1));
-        idx.mark_complete(1);
+        assert!(!idx.is_complete(1), "pair inserts never complete a list");
+        idx.replace_user_list(1, &[(10, 4.5), (11, 2.0), (12, 5.0)]);
         assert!(idx.is_complete(1));
         // Evicting any pair of the user invalidates completeness.
         idx.remove(1, 11);
         assert!(!idx.is_complete(1));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut idx = sample();
-        idx.clear();
-        assert!(idx.is_empty());
-        assert_eq!(idx.user_count(), 0);
     }
 
     #[test]
@@ -588,17 +541,25 @@ mod tests {
         idx.replace_user_list(1, &[]);
         assert!(!idx.has_user(1));
         assert_eq!(idx.len(), 1);
+        // Complete with nothing left to recommend is still complete, and
+        // still a user a rebuild has to carry forward.
+        assert!(idx.is_complete(1));
+        let mut users: Vec<i64> = idx.users().collect();
+        users.sort_unstable();
+        assert_eq!(users, vec![1, 2]);
     }
 
     #[test]
-    fn iter_all_covers_every_entry() {
-        let idx = sample();
-        let mut all: Vec<(i64, i64, f64)> = idx.iter_all().collect();
-        all.sort_by_key(|a| (a.0, a.1));
-        assert_eq!(
-            all,
-            vec![(1, 10, 4.5), (1, 11, 2.0), (1, 12, 5.0), (2, 10, 3.0)]
-        );
+    fn pair_operations_and_replacement_see_nan_scores() {
+        let mut idx = RecScoreIndex::new();
+        idx.insert(1, 7, f64::NAN);
+        idx.insert(1, 8, -f64::NAN);
+        assert!(idx.get(1, 7).is_some_and(f64::is_nan));
+        assert_eq!(idx.iter_desc(1, None, None).count(), 0, "outside [-∞, +∞]");
+        idx.insert(1, 7, 2.0);
+        assert_eq!(idx.len(), 2, "re-scored in place, not duplicated");
+        idx.replace_user_list(1, &[(9, 1.0)]);
+        assert_eq!((idx.len(), idx.get(1, 8)), (1, None), "NaN entry drained");
     }
 
     fn score_strategy() -> impl Strategy<Value = f64> {
@@ -612,52 +573,108 @@ mod tests {
         ]
     }
 
+    /// One mutation of the index; `Replace` lists hold each item once, as
+    /// the materializer's do.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(i64, i64, f64),
+        Remove(i64, i64),
+        Replace(i64, Vec<(i64, f64)>),
+    }
+
+    /// Half the steps insert, a quarter remove, a quarter replace.
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let (user, item) = (-2i64..3, -20i64..40);
+        let list = proptest::collection::btree_map(item.clone(), score_strategy(), 0..30);
+        (0u8..4, user, item, score_strategy(), list).prop_map(|(kind, u, i, s, list)| match kind {
+            0 | 1 => Step::Insert(u, i, s),
+            2 => Step::Remove(u, i),
+            _ => Step::Replace(u, list.into_iter().collect()),
+        })
+    }
+
     proptest! {
-        /// The lazy reader against a sort-and-filter of what was inserted
-        /// (last score per pair wins), under a node capacity of 8 and a
-        /// 6-frame pool so a user's list spans many leaves and they get
-        /// evicted mid-walk. Every prefix `take(n)` must agree, and
-        /// dropping the iterator mid-leaf must leave no pin. Bounds are
-        /// key ranges, so the reference filters in `f64::total_cmp` order
-        /// (`-0.0` is below a `0.0` bound) and an unbounded read spans
-        /// `[-∞, +∞]`, which leaves NaN scores out.
+        /// Interleaved `insert` / `remove` / `replace_user_list` against a
+        /// `HashMap` of the latest score per pair, under a node capacity
+        /// of 8 and a 6-frame pool so a user's list spans many leaves and
+        /// they get evicted mid-walk. After every step the touched pairs'
+        /// `get`, the counters, the completeness set and every prefix
+        /// `take(n)` of the touched user's lazy read must agree with the
+        /// reference, and dropping the iterator mid-leaf must leave no
+        /// pin. Bounds are key ranges, so the reference filters in
+        /// `f64::total_cmp` order (`-0.0` is below a `0.0` bound) and an
+        /// unbounded read spans `[-∞, +∞]`, which leaves NaN scores out —
+        /// while `get`, `len` and the replacement drain still see them.
         #[test]
         fn lazy_iter_desc_matches_reference_for_every_prefix(
-            entries in proptest::collection::vec((-2i64..3, -20i64..40, score_strategy()), 0..250),
-            user in -2i64..3,
+            steps in proptest::collection::vec(step_strategy(), 0..60),
             min in proptest::option::of(score_strategy()),
             max in proptest::option::of(score_strategy()),
         ) {
             let pool = Arc::new(BufferPool::in_memory(6));
             let mut idx = RecScoreIndex::with_pool(Arc::clone(&pool), 8);
-            let mut latest = HashMap::new();
-            for &(u, i, s) in &entries {
-                idx.insert(u, i, s);
-                latest.insert((u, i), s);
-            }
+            let mut latest: HashMap<(i64, i64), f64> = HashMap::new();
+            let mut complete = HashSet::new();
             let (floor, ceil) = (min.unwrap_or(f64::NEG_INFINITY), max.unwrap_or(f64::INFINITY));
-            let mut want: Vec<(i64, f64)> = latest
-                .iter()
-                .filter(|(&(u, _), s)| u == user && s.total_cmp(&floor).is_ge() && s.total_cmp(&ceil).is_le())
-                .map(|(&(_, i), &s)| (i, s))
-                .collect();
-            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
             let bits = |list: &[(i64, f64)]| -> Vec<(i64, u64)> {
                 list.iter().map(|&(i, s)| (i, s.to_bits())).collect()
             };
-            for n in 0..=want.len() + 1 {
-                let mut iter = idx.iter_desc(user, min, max);
-                let got: Vec<(i64, f64)> = iter.by_ref().take(n).collect();
-                prop_assert_eq!(bits(&got), bits(&want[..n.min(want.len())]), "prefix {}", n);
-                drop(iter);
-                prop_assert_eq!(pool.pinned_pages(), 0, "pin left after prefix {}", n);
+            for (at, step) in steps.into_iter().enumerate() {
+                let (user, touched): (i64, Vec<i64>) = match step {
+                    Step::Insert(u, i, s) => {
+                        idx.insert(u, i, s);
+                        latest.insert((u, i), s);
+                        (u, vec![i])
+                    }
+                    Step::Remove(u, i) => {
+                        let was = latest.remove(&(u, i)).is_some();
+                        prop_assert_eq!(idx.remove(u, i), was, "step {}", at);
+                        if was {
+                            complete.remove(&u);
+                        }
+                        (u, vec![i])
+                    }
+                    Step::Replace(u, list) => {
+                        idx.replace_user_list(u, &list);
+                        latest.retain(|&(owner, _), _| owner != u);
+                        latest.extend(list.iter().map(|&(i, s)| ((u, i), s)));
+                        complete.insert(u);
+                        (u, list.iter().map(|&(i, _)| i).chain([-21]).collect())
+                    }
+                };
+                for item in touched {
+                    prop_assert_eq!(
+                        idx.get(user, item).map(f64::to_bits),
+                        latest.get(&(user, item)).copied().map(f64::to_bits),
+                        "step {} get({}, {})", at, user, item
+                    );
+                }
+                prop_assert_eq!(idx.len(), latest.len(), "step {}", at);
+                let users: HashSet<i64> = latest.keys().map(|&(u, _)| u).collect();
+                prop_assert_eq!(idx.user_count(), users.len(), "step {}", at);
+                for u in -2..3 {
+                    prop_assert_eq!(idx.is_complete(u), complete.contains(&u), "step {} user {}", at, u);
+                }
+                let mut want: Vec<(i64, f64)> = latest
+                    .iter()
+                    .filter(|(&(u, _), s)| u == user && s.total_cmp(&floor).is_ge() && s.total_cmp(&ceil).is_le())
+                    .map(|(&(_, i), &s)| (i, s))
+                    .collect();
+                want.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
+                for n in 0..=want.len() + 1 {
+                    let mut iter = idx.iter_desc(user, min, max);
+                    let got: Vec<(i64, f64)> = iter.by_ref().take(n).collect();
+                    prop_assert_eq!(bits(&got), bits(&want[..n.min(want.len())]), "step {} prefix {}", at, n);
+                    drop(iter);
+                    prop_assert_eq!(pool.pinned_pages(), 0, "pin left after step {} prefix {}", at, n);
+                }
             }
         }
     }
 
     #[test]
     fn works_under_a_tiny_shared_pool() {
-        // Both trees page through 6 frames; the dataset spans far more
+        // The tree pages through 6 frames; the dataset spans far more
         // node pages than that, so iteration exercises real eviction.
         let pool = Arc::new(BufferPool::in_memory(6));
         let mut idx = RecScoreIndex::with_pool(Arc::clone(&pool), 8);

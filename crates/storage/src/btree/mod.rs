@@ -18,7 +18,8 @@
 //!   inserted;
 //! * deletes do not rebalance (like PostgreSQL's `nbtree`, which only
 //!   reclaims fully-empty pages). Empty leaves stay in the chain and are
-//!   skipped by scans; a `clear()` resets the file outright.
+//!   skipped by scans; the RecScoreIndex, the tree's one user, replaces
+//!   a rebuilt index wholesale instead.
 //!
 //! Node fan-out is configurable (`max_keys`), clamped to what fits one
 //! block. Production trees use [`DEFAULT_NODE_CAPACITY`]; tests shrink it
@@ -122,17 +123,6 @@ impl BTree {
         self.max_keys
     }
 
-    /// Drop every key, resetting the file to a single empty root leaf.
-    pub fn clear(&mut self) -> StorageResult<()> {
-        self.pool.truncate_file(self.file, 0)?;
-        let root = self
-            .pool
-            .allocate_page(self.file, FrameData::Node(Node::leaf()))?;
-        debug_assert_eq!(root, ROOT_PAGE);
-        self.len = 0;
-        Ok(())
-    }
-
     /// Insert `key`. Returns `false` (without change) if it was already
     /// present.
     pub fn insert(&mut self, key: Key) -> StorageResult<bool> {
@@ -195,7 +185,7 @@ impl BTree {
     }
 
     /// Remove `key`. Returns `false` if it was not present. No rebalance:
-    /// an emptied leaf stays in the chain until [`BTree::clear`].
+    /// an emptied leaf stays in the chain.
     pub fn remove(&mut self, key: &Key) -> StorageResult<bool> {
         let mut pno = ROOT_PAGE;
         loop {
@@ -590,21 +580,6 @@ mod tests {
         let keys = t.keys().unwrap();
         let expected: Vec<Key> = (0..20).chain(80..100).map(key).collect();
         assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn clear_resets_to_empty_root() {
-        let _x = recdb_fault::exclusive();
-        let mut t = small_tree(4);
-        for n in 0..300 {
-            t.insert(key(n)).unwrap();
-        }
-        assert!(t.node_pages() > 10);
-        t.clear().unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.node_pages(), 1);
-        t.insert(key(7)).unwrap();
-        assert_eq!(t.keys().unwrap(), vec![key(7)]);
     }
 
     #[test]

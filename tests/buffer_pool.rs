@@ -195,19 +195,29 @@ fn index_top_k_reads_one_leaf_not_the_whole_list() {
          USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF",
     )
     .expect("create recommender");
+    let pool = db.buffer_pool();
+    let resident_before = pool.resident_pages();
     db.materialize("PoolRec").expect("materialize");
 
-    let (list_len, height) = {
+    let (list_len, height, node_pages) = {
         let rec = db.recommender("PoolRec").expect("recommender");
         let index = rec.index().expect("materialized index");
         (
             index.iter_desc(0, None, None).count(),
             u64::from(index.fwd_height()),
+            index.node_pages(),
         )
     };
     assert!(list_len >= 1500, "user 0 keeps {list_len} unseen items");
+    // Every score is stored once: the pages materialization added to the
+    // (never full, so never evicting) pool are the one tree's pages.
+    assert_eq!(pool.evictions(), 0);
+    assert_eq!(
+        (pool.resident_pages() - resident_before) as u64,
+        node_pages,
+        "materialization allocated pages the index's tree does not own"
+    );
 
-    let pool = db.buffer_pool();
     let accesses = || pool.hits() + pool.misses();
     let before = accesses();
     let top = db

@@ -202,19 +202,25 @@ fn index_and_online_paths_agree() {
              RATINGS FROM ratingval USING {algo}"
         ))
         .unwrap();
-        let sql = format!(
-            "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
-             RECOMMEND R.iid TO R.uid ON R.ratingval USING {algo} \
-             WHERE R.uid = 2"
-        );
-        let online = db.query(&sql).unwrap();
+        // A repeated id in the list names the user once, on both paths.
+        let sqls = ["R.uid = 2", "R.uid IN (2, 2)"].map(|users| {
+            format!(
+                "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
+                 RECOMMEND R.iid TO R.uid ON R.ratingval USING {algo} \
+                 WHERE {users}"
+            )
+        });
+        let online = sqls.each_ref().map(|sql| db.query(sql).unwrap());
         db.materialize("r").unwrap();
-        let indexed = db.query(&sql).unwrap();
-        assert_eq!(
-            sorted_pairs(&online),
-            sorted_pairs(&indexed),
-            "{algo}: index path diverged from online path"
-        );
+        for (sql, online) in sqls.iter().zip(&online) {
+            let indexed = db.query(sql).unwrap();
+            assert_eq!(
+                sorted_pairs(online),
+                sorted_pairs(&indexed),
+                "{algo}: index path diverged from online path for {sql}"
+            );
+        }
+        assert_eq!(online[0].len(), online[1].len());
     }
 }
 
