@@ -332,15 +332,30 @@ impl RecModel {
         }
     }
 
-    /// The `k` best unseen items for dense user `u`, ranked score
-    /// descending with ascending item index as the tie-break (the
-    /// `RECOMMEND ... LIMIT k` ordering). Built on
-    /// [`score_unseen_into`](Self::score_unseen_into) +
-    /// [`crate::topk::top_k_by`].
+    /// The `k` best unseen items for dense user `u` in recommendation rank
+    /// order (the `RECOMMEND ... ORDER BY score DESC LIMIT k` answer):
+    /// [`score_unseen_into`](Self::score_unseen_into), then
+    /// [`rank_top_k`](Self::rank_top_k).
     pub fn top_k_unseen(&self, u: usize, k: usize) -> Vec<(usize, f64)> {
         let mut scored = Vec::new();
         self.score_unseen_into(u, &mut ScoreScratch::default(), &mut scored);
-        crate::topk::top_k_by(scored, k, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
+        self.rank_top_k(scored, k)
+    }
+
+    /// The `k` best of one user's `(item_idx, score)` pairs, best first.
+    /// Rank order is score descending under [`f64::total_cmp`], ties by
+    /// **item id** descending — the key order of the materialized score
+    /// index, so a user's top-k is the same rows in the same order whether
+    /// it is selected from fresh scores or read from a materialized list.
+    pub fn rank_top_k(
+        &self,
+        scored: impl IntoIterator<Item = (usize, f64)>,
+        k: usize,
+    ) -> Vec<(usize, f64)> {
+        let ids = self.matrix().item_ids();
+        crate::topk::top_k_by(scored, k, |a, b| {
+            b.1.total_cmp(&a.1).then_with(|| ids[b.0].cmp(&ids[a.0]))
+        })
     }
 }
 
@@ -512,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn top_k_unseen_ranks_by_score_then_index() {
+    fn top_k_unseen_ranks_by_score_then_item_id_descending() {
         let model = RecModel::train(Algorithm::Popularity, matrix(), &TrainConfig::default());
         // User 1 rated only item 1 → items 2 and 3 are candidates.
         let u = model.matrix().user_idx(1).unwrap();
@@ -522,6 +537,29 @@ mod tests {
         let one = model.top_k_unseen(u, 1);
         assert_eq!(one[0], top[0]);
         assert!(model.top_k_unseen(u, 0).is_empty());
+
+        // Ties go to the larger item *id*, not the larger dense index: ids
+        // 30, 10, 20 are interned in that order (indexes 0, 1, 2), so index
+        // order and id order disagree.
+        let m = RatingsMatrix::from_ratings(vec![
+            Rating::new(1, 30, 3.0),
+            Rating::new(1, 10, 3.0),
+            Rating::new(1, 20, 3.0),
+            Rating::new(2, 30, 3.0),
+        ]);
+        let model = RecModel::train(Algorithm::Popularity, m, &TrainConfig::default());
+        let ids = |ranked: Vec<(usize, f64)>| -> Vec<i64> {
+            ranked
+                .iter()
+                .map(|&(i, _)| model.matrix().item_id(i))
+                .collect()
+        };
+        let tied = [(0, 1.0), (1, 1.0), (2, 1.0), (1, 2.0), (0, -0.0), (2, 0.0)];
+        assert_eq!(ids(model.rank_top_k(tied, 6)), vec![10, 30, 20, 10, 20, 30]);
+        assert_eq!(ids(model.rank_top_k(tied, 2)), vec![10, 30]);
+        // User 2 has items 10 and 20 left, both rated once at 3.0.
+        let u = model.matrix().user_idx(2).unwrap();
+        assert_eq!(ids(model.top_k_unseen(u, 1)), vec![20]);
     }
 
     #[test]

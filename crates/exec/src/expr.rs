@@ -13,6 +13,7 @@ use crate::error::{ExecError, ExecResult};
 use recdb_spatial::{functions, Point, Polygon, Rect};
 use recdb_sql::{BinaryOp, Expr, Literal, UnaryOp};
 use recdb_storage::{Schema, Tuple, Value};
+use std::borrow::Cow;
 
 /// An expression with all column references resolved to ordinals.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,12 +223,28 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
     }
 }
 
+/// What a column ordinal past the tuple's arity reads as.
+static NULL: Value = Value::Null;
+
 impl BoundExpr {
-    /// Evaluate against a tuple.
+    /// Evaluate against a tuple without copying what already exists: a
+    /// column reads the tuple's own value and a constant the plan's, so a
+    /// comparison or `IN` probe over them — `M.genre = 'Crime'`, once per
+    /// scanned row — clones no `Text`. Anything computed is owned.
+    pub fn eval_ref<'a>(&'a self, tuple: &'a Tuple) -> ExecResult<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::Column(i) => Ok(Cow::Borrowed(tuple.get(*i).unwrap_or(&NULL))),
+            _ => self.eval(tuple).map(Cow::Owned),
+        }
+    }
+
+    /// Evaluate against a tuple to an owned value (projections, sort keys).
     pub fn eval(&self, tuple: &Tuple) -> ExecResult<Value> {
         match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Column(i) => Ok(tuple.get(*i).cloned().unwrap_or(Value::Null)),
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => {
+                self.eval_ref(tuple).map(Cow::into_owned)
+            }
             BoundExpr::Unary { op, expr } => {
                 let v = expr.eval(tuple)?;
                 match op {
@@ -250,13 +267,13 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let probe = expr.eval(tuple)?;
+                let probe = expr.eval_ref(tuple)?;
                 if probe.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for candidate in list {
-                    let c = candidate.eval(tuple)?;
+                    let c = candidate.eval_ref(tuple)?;
                     match probe.sql_eq(&c) {
                         Some(true) => return Ok(Value::Bool(!negated)),
                         Some(false) => {}
@@ -275,11 +292,11 @@ impl BoundExpr {
                 has_null,
                 negated,
             } => {
-                let probe = expr.eval(tuple)?;
+                let probe = expr.eval_ref(tuple)?;
                 if probe.is_null() {
                     return Ok(Value::Null);
                 }
-                if set.contains(&probe) {
+                if set.contains(&*probe) {
                     Ok(Value::Bool(!negated))
                 } else if *has_null {
                     Ok(Value::Null)
@@ -293,9 +310,9 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
-                let lo = low.eval(tuple)?;
-                let hi = high.eval(tuple)?;
+                let v = expr.eval_ref(tuple)?;
+                let lo = low.eval_ref(tuple)?;
+                let hi = high.eval_ref(tuple)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return Ok(Value::Null);
                 }
@@ -310,8 +327,8 @@ impl BoundExpr {
     /// Evaluate as a predicate: `true` only when the result is `TRUE`
     /// (SQL filter semantics — NULL and FALSE both reject).
     pub fn eval_predicate(&self, tuple: &Tuple) -> ExecResult<bool> {
-        match self.eval(tuple)? {
-            Value::Bool(b) => Ok(b),
+        match &*self.eval_ref(tuple)? {
+            Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(ExecError::Type(format!(
                 "WHERE predicate evaluated to non-boolean {other}"
@@ -356,8 +373,8 @@ fn eval_binary(
         return Ok(out.map(Value::Bool).unwrap_or(Value::Null));
     }
 
-    let l = left.eval(tuple)?;
-    let r = right.eval(tuple)?;
+    let l = left.eval_ref(tuple)?;
+    let r = right.eval_ref(tuple)?;
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -653,6 +670,34 @@ mod tests {
     #[test]
     fn qualified_and_unqualified_references() {
         assert!(eval_bool("R.ratingval = ratingval"));
+    }
+
+    /// A filter's per-row work: comparing a `Text` column with a constant
+    /// (or probing it against a list) reads both where they are.
+    #[test]
+    fn text_predicates_allocate_nothing_per_row() {
+        let row = tuple();
+        for src in [
+            "name = 'Spartacus'",
+            "name != 'Inception' AND name >= 'A'",
+            "name IN ('Inception', 'Spartacus')",
+            "name IN (name, 'x')",
+            "name BETWEEN 'A' AND 'T'",
+        ] {
+            let predicate = where_expr(src);
+            let (kept, allocations) =
+                crate::alloc_count::allocations_in(|| predicate.eval_predicate(&row));
+            assert_eq!(kept, Ok(true), "{src}");
+            assert_eq!(allocations, 0, "{src}");
+        }
+        // The owned form is what copies (one `String` per `Text`).
+        let name = where_expr("name = 'x'");
+        let BoundExpr::Binary { left, .. } = &name else {
+            panic!("{name:?}")
+        };
+        let (value, allocations) = crate::alloc_count::allocations_in(|| left.eval(&row));
+        assert_eq!(value, Ok(Value::Text("Spartacus".into())));
+        assert_eq!(allocations, 1);
     }
 
     #[test]

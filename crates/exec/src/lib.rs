@@ -22,6 +22,8 @@
 // via `allow-unwrap-in-tests` in the workspace clippy.toml.
 #![warn(clippy::unwrap_used)]
 
+#[cfg(test)]
+mod alloc_count;
 pub mod error;
 pub mod expr;
 pub mod ops;

@@ -8,7 +8,10 @@
 //!   it scores one *user block* at a time through
 //!   [`RecModel::score_unseen_into`]; with one it scores per pair, so a
 //!   three-item `IN` list never pays for a whole-domain pass. Which of the
-//!   two runs is a property of the plan, not a setting.
+//!   two runs is a property of the plan, not a setting. Under
+//!   `ORDER BY <score> DESC LIMIT k` the planner hands it the `k`
+//!   ([`RecommendOp::with_top_k`]): it then ranks inside the scoring pass
+//!   and builds only the `k` winning tuples.
 //! * [`JoinRecommendOp`] — §IV-B2: streams the (already filtered) outer
 //!   relation and predicts a score only for items that survive the join
 //!   predicate.
@@ -34,6 +37,10 @@ use std::sync::Arc;
 fn in_bounds(score: f64, min: Option<f64>, max: Option<f64>) -> bool {
     min.is_none_or(|m| score >= m) && max.is_none_or(|m| score <= m)
 }
+
+/// Encoded size of one output tuple (arity header + three tagged 8-byte
+/// values): what a sort above the operator would charge per held row.
+const REC_TUPLE_BYTES: u64 = 2 + 3 * 9;
 
 /// One `〈user, item, ratingval〉` output tuple.
 fn rec_tuple(user: i64, item: i64, score: f64) -> Tuple {
@@ -102,6 +109,12 @@ pub struct RecommendOp {
     /// FILTERRECOMMEND vs RECOMMEND display name. Captured at build time
     /// because `users` is normalized to a concrete list.
     filtered: bool,
+    /// The top-k sink: emit only the best `k` rows, best first.
+    top_k: Option<usize>,
+    /// The sink's output once it has run.
+    selected: Option<std::vec::IntoIter<Tuple>>,
+    /// Peak bytes of the rows the sink held (charged to the governor).
+    buffered_bytes: u64,
 }
 
 impl RecommendOp {
@@ -137,7 +150,23 @@ impl RecommendOp {
             scratch: ScoreScratch::default(),
             guard: QueryGuard::unlimited(),
             filtered,
+            top_k: None,
+            selected: None,
+            buffered_bytes: 0,
         }
+    }
+
+    /// End in a bounded selection: emit only the best `k` rows of the
+    /// operator's output, in the order `ORDER BY <score> DESC` over
+    /// INDEXRECOMMEND delivers — score descending under
+    /// [`f64::total_cmp`], then the user's position in the `uPred` list,
+    /// then item id descending (the RecScoreIndex key order). Pairs are
+    /// scored and bounded exactly as without the sink, ranked per user
+    /// with [`RecModel::rank_top_k`], and only the `k` winners become
+    /// tuples; the operator is blocking, like the sort it replaces.
+    pub fn with_top_k(mut self, k: usize) -> Self {
+        self.top_k = Some(k);
+        self
     }
 
     /// Attach a resource governor. Every `(user, item)` pair of the
@@ -145,10 +174,66 @@ impl RecommendOp {
     /// already-rated or out-of-bounds. The per-pair path charges them one
     /// by one; the block path charges a user's pairs when it scores the
     /// block (that is when the work is done) and observes cancellation
-    /// and the deadline between blocks.
+    /// and the deadline between blocks. The top-k sink charges every user
+    /// as one block and the memory budget with the `≤ k` rows it holds;
+    /// with `k = 0` it scores nothing and bills the end-of-stream unit
+    /// only.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
+    }
+
+    /// The best `k` in-bounds `(item index, score)` pairs of dense user
+    /// `u`, ranked; bills the user's block.
+    fn user_top_k(&mut self, u: usize, k: usize) -> ExecResult<Vec<(usize, f64)>> {
+        let (model, min, max) = (&self.model, self.min_rating, self.max_rating);
+        let domain = self
+            .items
+            .as_ref()
+            .map_or(model.matrix().n_items(), Vec::len);
+        self.guard.tick_n(domain as u64 + 1)?;
+        self.block.clear();
+        match &self.items {
+            None if min.is_none() && max.is_none() => return Ok(model.top_k_unseen(u, k)),
+            None => model.score_unseen_into(u, &mut self.scratch, &mut self.block),
+            Some(items) => self.block.extend(
+                items
+                    .iter()
+                    .filter(|&&(_, i)| model.matrix().rating_at(u, i).is_none())
+                    .map(|&(_, i)| (i, model.predict_indexed(u, i).unwrap_or(0.0))),
+            ),
+        }
+        let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
+        Ok(model.rank_top_k(kept.copied(), k))
+    }
+
+    /// Run the top-k sink over every user.
+    fn select(&mut self, k: usize) -> ExecResult<Vec<Tuple>> {
+        // `(uid, dense item index, score)`, best first, at most `k`.
+        let mut best: Vec<(i64, usize, f64)> = Vec::new();
+        // `LIMIT 0` asks for no row: no block is scored or billed.
+        let users = if k == 0 { 0 } else { self.users.len() };
+        for at in 0..users {
+            let (user, u) = self.users[at];
+            let top = self.user_top_k(u, k)?;
+            best.extend(top.into_iter().map(|(i, score)| (user, i, score)));
+            // Stable, so equal scores stay in user-list order and, within
+            // a user, in rank order (item id descending).
+            best.sort_by(|a, b| b.2.total_cmp(&a.2));
+            best.truncate(k);
+            let held = best.len() as u64 * REC_TUPLE_BYTES;
+            if held > self.buffered_bytes {
+                self.guard.charge_mem(held - self.buffered_bytes)?;
+                self.buffered_bytes = held;
+            }
+        }
+        // End of stream is one row unit, as on the streaming paths.
+        self.guard.tick()?;
+        let matrix = self.model.matrix();
+        Ok(best
+            .into_iter()
+            .map(|(user, i, score)| rec_tuple(user, matrix.item_id(i), score))
+            .collect())
     }
 
     /// Whole item domain: one scoring pass per user, tuples from the block.
@@ -186,6 +271,18 @@ impl PhysicalOp for RecommendOp {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
+        if let Some(k) = self.top_k {
+            if self.selected.is_none() {
+                let rows = self.select(k);
+                // The stream ends after an error.
+                self.selected = Some(Vec::new().into_iter());
+                match rows {
+                    Ok(rows) => self.selected = Some(rows.into_iter()),
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+            return self.selected.as_mut()?.next().map(Ok);
+        }
         let Some(items) = &self.items else {
             return self.next_from_blocks();
         };
@@ -218,6 +315,10 @@ impl PhysicalOp for RecommendOp {
         } else {
             "Recommend"
         }
+    }
+
+    fn buffered_bytes(&self) -> u64 {
+        self.buffered_bytes
     }
 }
 
@@ -904,6 +1005,180 @@ mod tests {
         let mut op = started(&guard);
         std::thread::sleep(Duration::from_millis(220));
         assert!(cancelled(&mut op));
+    }
+
+    /// The top-k sink's total order over `(uid, iid, score bits)` rows of
+    /// the unfused stream: score descending under `total_cmp`, then the
+    /// user's place in the stream (the `uPred` list order), then item id
+    /// descending.
+    fn ranked(mut rows: Vec<(i64, i64, u64)>) -> Vec<(i64, i64, u64)> {
+        let mut order: Vec<i64> = rows.iter().map(|r| r.0).collect();
+        order.dedup();
+        let place = |user: i64| order.iter().position(|&u| u == user);
+        rows.sort_by(|a, b| {
+            f64::from_bits(b.2)
+                .total_cmp(&f64::from_bits(a.2))
+                .then(place(a.0).cmp(&place(b.0)))
+                .then(b.1.cmp(&a.1))
+        });
+        rows
+    }
+
+    mod fused_topk {
+        use super::*;
+        use crate::ops::SortOp;
+        use proptest::prelude::*;
+        use recdb_algo::model::TrainConfig;
+        use recdb_algo::SvdParams;
+
+        proptest! {
+            /// `RecommendOp::with_top_k(k)` against the operator it
+            /// replaces — the same `RecommendOp` without a sink, drained,
+            /// ordered by the documented total order and truncated — over
+            /// small tie-rich worlds whose item ids disagree with their
+            /// dense indexes: same rows, same order, same score bits, same
+            /// row units; `k` rows of memory where a sort needs them all.
+            #[test]
+            fn fused_topk_equals_the_sorted_stream_truncated(
+                ratings in proptest::collection::vec((1i64..7, 1i64..10, 1u8..6), 1..40),
+                users in 0usize..3,
+                listed_items in any::<bool>(),
+                bounds in 0usize..3,
+            ) {
+                let matrix = RatingsMatrix::from_ratings(
+                    ratings.iter().map(|&(u, i, r)| Rating::new(u, (i * 7) % 10, f64::from(r))),
+                );
+                let config = TrainConfig {
+                    svd: SvdParams { epochs: 3, ..SvdParams::default() },
+                    ..TrainConfig::default()
+                };
+                // One user, a list with a duplicate and an unknown id, or
+                // every user the model knows.
+                let first = matrix.user_ids()[0];
+                let users = match users {
+                    0 => Some(vec![first]),
+                    1 => Some(vec![5, first, 99, 5, 2]),
+                    _ => None,
+                };
+                let items = listed_items.then(|| vec![0, 7, 4, 7, 55, 1, 8, 5]);
+                for algo in Algorithm::ALL {
+                    let model = Arc::new(RecModel::train(algo, matrix.clone(), &config));
+                    let op = |min: Option<f64>, max: Option<f64>, guard: &QueryGuard| {
+                        RecommendOp::new(
+                            model.clone(),
+                            rec_schema(),
+                            users.clone(),
+                            items.clone(),
+                            min,
+                            max,
+                        )
+                        .with_guard(guard.clone())
+                    };
+                    // Bounds that sit on scores the stream really has, so
+                    // the inclusive edges are exercised.
+                    let unlimited = QueryGuard::unlimited();
+                    let mut scores: Vec<f64> = drain(&mut op(None, None, &unlimited))
+                        .unwrap()
+                        .iter()
+                        .map(|t| t.get(2).unwrap().as_f64().unwrap())
+                        .collect();
+                    scores.sort_by(f64::total_cmp);
+                    let at = |q: usize| scores.get(scores.len() * q / 4).copied();
+                    let (min, max) = match bounds {
+                        0 => (None, None),
+                        1 => (at(1), None),
+                        _ => (at(1), at(3)),
+                    };
+
+                    let streamed = QueryGuard::unlimited();
+                    let want = ranked(triples(&drain(&mut op(min, max, &streamed)).unwrap()));
+                    let n = want.len();
+                    for k in [0, 1, 3, n, n + 5] {
+                        let case = format!(
+                            "{algo} users {users:?} items {items:?} bounds {min:?}..{max:?} k {k}"
+                        );
+                        let budget = k as u64 * REC_TUPLE_BYTES;
+                        let guard = QueryGuard::with_limits(None, None, Some(budget));
+                        let mut fused = op(min, max, &guard).with_top_k(k);
+                        let got = drain(&mut fused);
+                        prop_assert!(got.is_ok(), "{}: {:?}", case, got);
+                        prop_assert_eq!(triples(&got.unwrap()), &want[..k.min(n)], "{}", case);
+                        prop_assert_eq!(fused.buffered_bytes(), (k.min(n)) as u64 * REC_TUPLE_BYTES);
+                        prop_assert_eq!(guard.mem_used(), fused.buffered_bytes(), "{}", case);
+                        // `LIMIT 0` scores nothing: the end-of-stream unit.
+                        let units = if k == 0 { 1 } else { streamed.rows_used() };
+                        prop_assert_eq!(guard.rows_used(), units, "{}", case);
+
+                        // The sort the sink replaces holds every row.
+                        let guard = QueryGuard::with_limits(None, None, Some(budget));
+                        let score = crate::expr::BoundExpr::Column(2);
+                        let mut sort = SortOp::new(Box::new(op(min, max, &guard)), vec![(score, true)])
+                            .with_guard(guard.clone());
+                        prop_assert_eq!(drain(&mut sort).is_err(), n > k, "{}", case);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn fused_topk_observes_the_governor_between_user_blocks() {
+            use crate::error::ExecError;
+            use recdb_guard::GuardError;
+            // Figure 1: 3 items, so one user block is 3 + 1 row units.
+            const BLOCK: u64 = 3 + 1;
+            let run = |guard: &QueryGuard| {
+                let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None)
+                    .with_guard(guard.clone())
+                    .with_top_k(2);
+                let first = op.next();
+                assert!(op.next().is_none(), "the stream ends after an error");
+                first
+            };
+            // A row budget that covers user 1's block but not user 2's
+            // trips when the second block is billed, before it is scored.
+            let guard = QueryGuard::with_limits(None, Some(BLOCK), None);
+            assert!(matches!(
+                run(&guard),
+                Some(Err(ExecError::Guard(GuardError::ResourceExhausted {
+                    resource: "rows",
+                    ..
+                })))
+            ));
+            assert_eq!(guard.rows_used(), 2 * BLOCK);
+            // A cancelled statement stops at the first block boundary.
+            let guard = QueryGuard::unlimited();
+            guard.cancel();
+            assert!(matches!(
+                run(&guard),
+                Some(Err(ExecError::Guard(GuardError::Cancelled { .. })))
+            ));
+            assert_eq!(guard.rows_used(), BLOCK);
+        }
+
+        /// The point of the sink: `k` tuples are built, not one per scored
+        /// pair.
+        #[test]
+        fn fused_topk_builds_k_tuples() {
+            let model = wide_model();
+            let run = |top_k: Option<usize>| {
+                let mut op =
+                    RecommendOp::new(model.clone(), rec_schema(), Some(vec![3]), None, None, None);
+                if let Some(k) = top_k {
+                    op = op.with_top_k(k);
+                }
+                crate::alloc_count::allocations_in(|| drain(&mut op).unwrap().len())
+            };
+            let (streamed, per_pair) = run(None);
+            let (selected, per_k) = run(Some(3));
+            assert!(streamed > 32 && selected == 3);
+            // What the sink charges per held row is what a sort would.
+            assert_eq!(rec_tuple(1, 2, 3.0).encoded_size() as u64, REC_TUPLE_BYTES);
+            assert!(
+                per_pair as usize >= streamed,
+                "one tuple per scored pair: {per_pair}"
+            );
+            assert!(per_k < 32, "a handful of buffers and three tuples: {per_k}");
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   `RECOMMEND`/`FILTERRECOMMEND`;
 //! * `Sort` is elided when an `IndexRecommend` below it already delivers
 //!   tuples in descending rating order (the paper's top-k plan);
+//! * `LIMIT k` over `ORDER BY <score> DESC` directly over a Recommend leaf
+//!   that is served online becomes that operator's top-k sink
+//!   ([`RecommendOp::with_top_k`]) — no sort above it;
 //! * joins hash on one extracted equi-condition when available.
 
 use crate::error::{ExecError, ExecResult};
@@ -20,7 +23,9 @@ use crate::ops::{
 };
 use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode};
 use crate::provider::RecommenderProvider;
+use crate::rec_index::RecScoreIndex;
 use crate::result::ResultSet;
+use recdb_algo::RecModel;
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats, ProfiledOp, QueryProfile, Registry};
 use recdb_sql::{BinaryOp, Expr, OrderKey};
@@ -197,7 +202,14 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
         LogicalPlan::RecJoin { rec, .. } if name == "JoinRecommend" => {
             format!("{name} {}", rec.algorithm.name())
         }
-        LogicalPlan::Limit { limit, .. } => format!("{name} k={limit}"),
+        LogicalPlan::Limit { input, limit } => match &**input {
+            // The online Recommend leaf took the `k` as its sink: one
+            // operator for Limit, Sort and leaf.
+            LogicalPlan::Sort { input: leaf, .. } if name.ends_with("Recommend") => {
+                format!("{} top-k={limit}", node_label(op, leaf))
+            }
+            _ => format!("{name} k={limit}"),
+        },
         // A Sort node whose physical operator is not a sort: the stream
         // below was already ordered (IndexRecommend) and the sort elided.
         LogicalPlan::Sort { .. } if !name.contains("Sort") => format!("{name} [sort elided]"),
@@ -260,13 +272,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             outer,
             outer_item_column,
         } => {
-            let model = ctx
-                .provider
-                .model(&rec.ratings_table, rec.algorithm)
-                .ok_or_else(|| ExecError::NoRecommender {
-                    table: rec.ratings_table.clone(),
-                    algorithm: rec.algorithm.name().to_owned(),
-                })?;
+            let model = recommender_model(rec, ctx)?;
             let outer_built = build(outer, ctx)?;
             let ordinal = outer_built.op.schema().resolve(outer_item_column)?;
             // iPred on the rec side composes with the join: keep only outer
@@ -351,6 +357,23 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                 keys,
             } = &**input
             {
+                let k = usize::try_from(*limit).unwrap_or(usize::MAX);
+                // Ordered by the Recommend leaf's own score with nothing in
+                // between: an online leaf selects the `k` itself. Decided
+                // here, not by a logical rewrite, because whether the leaf
+                // runs online is known only now; a materialized user keeps
+                // `Limit` over `IndexRecommend` below.
+                if let LogicalPlan::Recommend(node) = &**sort_input {
+                    let score = format!("{}.{}", node.binding, node.rating_column);
+                    if serving_index(node, ctx).is_none()
+                        && sort_is_redundant(keys, Some(&score), &node.schema())
+                    {
+                        return Ok(Built {
+                            op: Box::new(online_recommend(node, ctx)?.with_top_k(k)),
+                            sorted_desc: Some(score),
+                        });
+                    }
+                }
                 let child = build(sort_input, ctx)?;
                 if sort_is_redundant(keys, child.sorted_desc.as_deref(), child.op.schema()) {
                     return Ok(Built {
@@ -363,7 +386,6 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                     .map(|k| Ok((bind(&k.expr, child.op.schema())?, k.desc)))
                     .collect::<ExecResult<_>>()?;
                 let sorted_desc = single_desc_column(keys);
-                let k = usize::try_from(*limit).unwrap_or(usize::MAX);
                 return Ok(Built {
                     op: Box::new(
                         SortOp::with_limit(child.op, bound, k).with_guard(ctx.guard.clone()),
@@ -393,61 +415,69 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
     }
 }
 
-fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
-    let model = ctx
+/// The RecScoreIndex that can serve `node`: IndexRecommend is sound only
+/// when every queried user's full list is materialized.
+fn serving_index(node: &RecommendNode, ctx: &ExecContext<'_>) -> Option<Arc<RecScoreIndex>> {
+    let users = node.user_ids.as_ref().filter(|users| !users.is_empty())?;
+    let index = ctx
         .provider
-        .model(&node.ratings_table, node.algorithm)
-        .ok_or_else(|| ExecError::NoRecommender {
-            table: node.ratings_table.clone(),
-            algorithm: node.algorithm.name().to_owned(),
-        })?;
-    // IndexRecommend is sound only when every queried user's full list is
-    // materialized.
-    if let Some(users) = &node.user_ids {
-        if !users.is_empty() {
-            if let Some(index) = ctx.provider.rec_index(&node.ratings_table, node.algorithm) {
-                if users.iter().all(|&u| index.is_complete(u)) {
-                    if let Some(metrics) = ctx.metrics {
-                        metrics.index_hits.inc();
-                    }
-                    let sorted_desc = (users.len() == 1)
-                        .then(|| format!("{}.{}", node.binding, node.rating_column));
-                    return Ok(Built {
-                        op: Box::new(
-                            IndexRecommendOp::new(
-                                index,
-                                node.schema(),
-                                users.clone(),
-                                node.item_ids.clone(),
-                                node.min_rating,
-                                node.max_rating,
-                            )
-                            .with_guard(ctx.guard.clone()),
-                        ),
-                        sorted_desc,
-                    });
-                }
-            }
-        }
-    }
-    // On-the-fly prediction: the score index could not serve this query.
+        .rec_index(&node.ratings_table, node.algorithm)?;
+    users.iter().all(|&u| index.is_complete(u)).then_some(index)
+}
+
+fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+    let Some(index) = serving_index(node, ctx) else {
+        return Ok(Built {
+            op: Box::new(online_recommend(node, ctx)?),
+            sorted_desc: None,
+        });
+    };
     if let Some(metrics) = ctx.metrics {
-        metrics.index_misses.inc();
+        metrics.index_hits.inc();
     }
+    let users = node.user_ids.clone().unwrap_or_default();
+    let sorted_desc =
+        (users.len() == 1).then(|| format!("{}.{}", node.binding, node.rating_column));
     Ok(Built {
         op: Box::new(
-            RecommendOp::new(
-                model,
+            IndexRecommendOp::new(
+                index,
                 node.schema(),
-                node.user_ids.clone(),
+                users,
                 node.item_ids.clone(),
                 node.min_rating,
                 node.max_rating,
             )
             .with_guard(ctx.guard.clone()),
         ),
-        sorted_desc: None,
+        sorted_desc,
     })
+}
+
+fn recommender_model(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<Arc<RecModel>> {
+    ctx.provider
+        .model(&node.ratings_table, node.algorithm)
+        .ok_or_else(|| ExecError::NoRecommender {
+            table: node.ratings_table.clone(),
+            algorithm: node.algorithm.name().to_owned(),
+        })
+}
+
+/// On-the-fly prediction: the score index cannot serve this query.
+fn online_recommend(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<RecommendOp> {
+    let model = recommender_model(node, ctx)?;
+    if let Some(metrics) = ctx.metrics {
+        metrics.index_misses.inc();
+    }
+    Ok(RecommendOp::new(
+        model,
+        node.schema(),
+        node.user_ids.clone(),
+        node.item_ids.clone(),
+        node.min_rating,
+        node.max_rating,
+    )
+    .with_guard(ctx.guard.clone()))
 }
 
 /// Is the requested sort already satisfied by a stream sorted descending on
@@ -783,49 +813,138 @@ mod tests {
         assert_eq!(via_recjoin.len(), 2);
     }
 
+    /// `provider` with `users`' full lists materialized.
+    fn materialized(provider: SingleRecommender, users: &[i64]) -> SingleRecommender {
+        let model = provider.model("ratings", Algorithm::ItemCosCF).unwrap();
+        let mut idx = RecScoreIndex::new();
+        for &user in users {
+            let list: Vec<(i64, f64)> = model
+                .matrix()
+                .item_ids()
+                .iter()
+                .filter(|&&item| model.matrix().rating_of(user, item).is_none())
+                .map(|&item| (item, model.predict(user, item).unwrap_or(0.0)))
+                .collect();
+            idx.replace_user_list(user, &list);
+        }
+        provider.with_index(idx)
+    }
+
+    /// The operator tree `EXPLAIN ANALYZE` would print, without the
+    /// actuals and the total.
+    fn operators(sql: &str, cat: &Catalog, provider: &SingleRecommender) -> Vec<String> {
+        let recdb_sql::Statement::Select(s) = parse(sql).unwrap() else {
+            panic!()
+        };
+        let plan = optimize(build_logical(&s, cat).unwrap());
+        let ctx = ExecContext::new(cat, provider, QueryGuard::unlimited());
+        let clock = Arc::new(recdb_obs::ManualClock::new());
+        let (_, profile) = execute_plan_profiled(&plan, &ctx, clock).unwrap();
+        let mut lines = profile.render();
+        lines.pop();
+        lines
+            .iter()
+            .map(|l| l.split(" (rows=").next().unwrap().trim().to_owned())
+            .collect()
+    }
+
+    const RECOMMEND: &str = "SELECT R.iid, R.ratingval FROM ratings AS R \
+                             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+
     #[test]
     fn index_recommend_serves_topk_when_complete() {
-        let (cat, provider) = setup();
-        // Materialize user 1's full list.
-        let model = provider.model("ratings", Algorithm::ItemCosCF).unwrap();
-        let list: Vec<(i64, f64)> = model
-            .matrix()
-            .item_ids()
-            .iter()
-            .filter(|&&item| model.matrix().rating_of(1, item).is_none())
-            .map(|&item| (item, model.predict(1, item).unwrap_or(0.0)))
-            .collect();
-        let mut idx = RecScoreIndex::new();
-        idx.replace_user_list(1, &list);
-        let provider = SingleRecommender {
-            index: Some(std::sync::Arc::new(idx)),
-            ..provider
-        };
-        let with_index = run(
-            "SELECT R.iid, R.ratingval FROM ratings AS R \
-             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
-             WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 2",
+        let (cat, online) = setup();
+        let (_, provider) = setup();
+        let indexed = materialized(provider, &[1, 4]);
+        // User 1's two candidates tie on score: the two access paths must
+        // still agree on which comes first (item id descending).
+        for users in ["R.uid = 1", "R.uid IN (4, 1)"] {
+            for k in [0, 1, 2, 9] {
+                let sql = format!("{RECOMMEND} WHERE {users} ORDER BY R.ratingval DESC LIMIT {k}");
+                let with_index = run(&sql, &cat, &indexed);
+                assert_eq!(with_index.rows(), run(&sql, &cat, &online).rows(), "{sql}");
+                assert_eq!(
+                    with_index.len(),
+                    k.min(if users.contains("IN") { 4 } else { 2 })
+                );
+            }
+        }
+        let top1 = run(
+            &format!("{RECOMMEND} WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 1"),
             &cat,
-            &provider,
+            &online,
         );
-        assert_eq!(with_index.len(), 2);
-        // Index answer equals the online answer.
-        let (cat2, online_provider) = setup();
-        let online = run(
-            "SELECT R.iid, R.ratingval FROM ratings AS R \
-             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
-             WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 2",
-            &cat2,
-            &online_provider,
+        assert_eq!(top1.rows()[0].get(0), Some(&Value::Int(3)));
+    }
+
+    /// Which physical operators serve `ORDER BY <score> DESC LIMIT k`: the
+    /// online leaf alone when the order is its own score and nothing sits
+    /// in between, `TopKSort` or `Limit` in every other shape.
+    #[test]
+    fn online_recommend_leaf_takes_limit_over_its_own_score_as_a_sink() {
+        let (cat, online) = setup();
+        let (_, provider) = setup();
+        let indexed = materialized(provider, &[1, 4]);
+        let ops = |tail: &str, provider| operators(&format!("{RECOMMEND} {tail}"), &cat, provider);
+        let top2 = "ORDER BY R.ratingval DESC LIMIT 2";
+        assert_eq!(
+            ops(&format!("WHERE R.uid = 1 {top2}"), &online),
+            ["Project", "FilterRecommend ItemCosCF top-k=2"]
         );
-        // Scores tie at the top for this tiny dataset, so compare as
-        // sets: both paths must return the same (item, score) pairs.
-        let as_set = |r: &ResultSet| {
-            let mut v: Vec<Tuple> = r.rows().to_vec();
-            v.sort_by(|a, b| a.get(0).unwrap().total_cmp(b.get(0).unwrap()));
-            v
-        };
-        assert_eq!(as_set(&with_index), as_set(&online));
+        assert_eq!(
+            ops(
+                &format!("WHERE R.uid IN (1, 4) AND R.iid IN (2, 3) {top2}"),
+                &online
+            ),
+            ["Project", "FilterRecommend ItemCosCF top-k=2"]
+        );
+        assert_eq!(
+            ops("ORDER BY ratingval DESC LIMIT 2", &online),
+            ["Project", "Recommend ItemCosCF top-k=2"]
+        );
+        // A user without a complete list sends the whole statement online.
+        assert_eq!(
+            ops(&format!("WHERE R.uid IN (1, 2) {top2}"), &indexed),
+            ["Project", "FilterRecommend ItemCosCF top-k=2"]
+        );
+        // Materialized users keep Algorithm 3's plans.
+        assert_eq!(
+            ops(&format!("WHERE R.uid = 1 {top2}"), &indexed),
+            ["Project", "Limit k=2", "IndexRecommend ItemCosCF"]
+        );
+        assert_eq!(
+            ops(&format!("WHERE R.uid IN (1, 4) {top2}"), &indexed),
+            ["Project", "TopKSort k=2", "IndexRecommend ItemCosCF"]
+        );
+        // Another order, a second key, or no limit: a sort above the leaf.
+        assert_eq!(
+            ops("WHERE R.uid = 1 ORDER BY R.ratingval ASC LIMIT 2", &online),
+            ["Project", "TopKSort k=2", "FilterRecommend ItemCosCF"]
+        );
+        assert_eq!(
+            ops(
+                "WHERE R.uid = 1 ORDER BY R.ratingval DESC, R.iid LIMIT 2",
+                &online
+            ),
+            ["Project", "TopKSort k=2", "FilterRecommend ItemCosCF"]
+        );
+        assert_eq!(
+            ops("WHERE R.uid = 1 ORDER BY R.ratingval DESC", &online),
+            ["Project", "Sort", "FilterRecommend ItemCosCF"]
+        );
+        // A residual predicate between the sort and the leaf.
+        assert_eq!(
+            ops(
+                &format!("WHERE R.uid = 1 AND R.ratingval * 2 > 1 {top2}"),
+                &online
+            ),
+            [
+                "Project",
+                "TopKSort k=2",
+                "Filter",
+                "FilterRecommend ItemCosCF"
+            ]
+        );
     }
 
     #[test]

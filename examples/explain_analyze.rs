@@ -1,8 +1,9 @@
 //! Inspecting a query: `EXPLAIN ANALYZE` plan trees and engine metrics.
 //!
 //! Builds the quickstart's Figure 1 movie world, then profiles the paper's
-//! top-k query twice — once served online (FilterRecommend + TopKSort) and
-//! once from the materialized RecScoreIndex (IndexRecommend) — so the plan
+//! top-k query twice — once served online (FilterRecommend selecting the
+//! top k itself, `top-k=10` on its line) and once from the materialized
+//! RecScoreIndex (Limit over IndexRecommend) — so the plan
 //! trees show both access paths with their actual row counts and timings.
 //! Ends with the engine-wide Prometheus metrics dump.
 //!
@@ -36,7 +37,8 @@ fn main() {
                RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
                WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 10";
 
-    // Online path: scores are computed per query, then top-k sorted.
+    // Online path: scores are computed per query and ranked as they are
+    // computed; only the best ten become tuples.
     println!("-- {sql}\n");
     println!("Before materialization (online FilterRecommend):");
     print_plan(&mut db, sql);
