@@ -10,16 +10,13 @@
 //! user `u`* ("Before this computation, we reduce each similarity list L to
 //! contain only items rated by user u").
 //!
-//! Algorithm 1's operator-facing semantics are exposed via
-//! [`ItemCfModel::score`]: already-rated items return the user's own rating;
-//! an empty `L` (no overlap) yields 0.
-//!
-//! # Two ways to evaluate Eq. 2
+//! The model exposes exactly two scoring kernels. The Algorithm 1 rule
+//! around them — a rated pair is not a recommendation, an empty `L` scores
+//! 0 — is written once, on [`crate::RecModel`].
 //!
 //! * **Per pair** — [`ItemCfModel::predict_dense`] merge-intersects
-//!   `rated(u)` with the forward list `N(i)`. It is the point API (a
-//!   pushed-down item list, JoinRecommend, evaluation hold-outs,
-//!   OnTopDB) and the oracle the tests compare against.
+//!   `rated(u)` with the forward list `N(i)`; `None` when they share no
+//!   item.
 //! * **Per user** — [`ItemCfModel::score_unseen_into`] scores *every*
 //!   unseen item in one pass: the reduction "to items rated by user u" is
 //!   done once, by walking `rated(u)` and scattering each rating along the
@@ -99,8 +96,10 @@ impl ItemCfModel {
         self.matrix.n_ratings()
     }
 
-    /// Eq. 2 for dense indexes: predicted rating of unseen item `i` for
-    /// user `u`, or `None` when `L ∩ rated(u)` is empty.
+    /// Eq. 2 for dense indexes: predicted rating of item `i` for user `u`,
+    /// or `None` when `L ∩ rated(u)` is empty. Raw kernel: it does not
+    /// look at whether `u` rated `i` ([`crate::RecModel::predict_indexed`]
+    /// does).
     pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
         let (rated_items, ratings) = self.matrix.user_csr().row(u);
         let neighbors = self.neighborhood.neighbors(i);
@@ -154,44 +153,6 @@ impl ItemCfModel {
         }
         scratch.emit_unseen(&self.matrix, u, out);
     }
-
-    /// The Algorithm 1 per-pair score for external ids:
-    ///
-    /// * item already rated by the user → the user's own rating,
-    /// * no overlap between the item's neighbors and the user's items → 0,
-    /// * otherwise → the Eq. 2 prediction.
-    ///
-    /// Unknown users or items score 0 (nothing is known about them).
-    pub fn score(&self, user: i64, item: i64) -> f64 {
-        let (Some(u), Some(i)) = (self.matrix.user_idx(user), self.matrix.item_idx(item)) else {
-            return 0.0;
-        };
-        self.score_indexed(u, i)
-    }
-
-    /// [`score`](Self::score) for already-resolved dense indexes (skips
-    /// the two HashMap id lookups on hot paths).
-    pub fn score_indexed(&self, u: usize, i: usize) -> f64 {
-        if let Some(r) = self.matrix.rating_at(u, i) {
-            return r;
-        }
-        self.predict_dense(u, i).unwrap_or(0.0)
-    }
-
-    /// Predicted rating for an *unseen* pair only: `None` if the user/item
-    /// is unknown, the pair is already rated, or there is no overlap.
-    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
-        let (u, i) = (self.matrix.user_idx(user)?, self.matrix.item_idx(item)?);
-        self.predict_indexed(u, i)
-    }
-
-    /// [`predict`](Self::predict) for already-resolved dense indexes.
-    pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix.rating_at(u, i).is_some() {
-            return None;
-        }
-        self.predict_dense(u, i)
-    }
 }
 
 #[cfg(test)]
@@ -214,11 +175,10 @@ mod tests {
         )
     }
 
-    #[test]
-    fn rated_pair_scores_own_rating() {
-        let m = figure1();
-        assert_eq!(m.score(2, 1), 4.5);
-        assert_eq!(m.score(1, 1), 1.5);
+    /// Eq. 2 for external ids the model knows.
+    fn predict(m: &ItemCfModel, user: i64, item: i64) -> Option<f64> {
+        let matrix = m.matrix();
+        m.predict_dense(matrix.user_idx(user)?, matrix.item_idx(item)?)
     }
 
     #[test]
@@ -227,7 +187,7 @@ mod tests {
         // User 1 rated only item 1 (1.5). Predicting item 2:
         // L = neighbors(2) ∩ rated(1) = {1}.
         // RecScore = sim(2,1)·1.5 / |sim(2,1)| = 1.5 (sim > 0 cancels).
-        let p = m.predict(1, 2).unwrap();
+        let p = predict(&m, 1, 2).unwrap();
         assert!((p - 1.5).abs() < 1e-12);
     }
 
@@ -235,29 +195,18 @@ mod tests {
     fn prediction_weights_multiple_neighbors() {
         let m = figure1();
         // User 4 rated only item 2 (1.0); predict item 1 via neighbor 2.
-        let p = m.predict(4, 1).unwrap();
+        let p = predict(&m, 4, 1).unwrap();
         assert!((p - 1.0).abs() < 1e-12);
-        // User 2 rated everything, so nothing is predictable (all seen).
-        assert_eq!(m.predict(2, 1), None);
     }
 
     #[test]
-    fn unknown_user_or_item_scores_zero() {
-        let m = figure1();
-        assert_eq!(m.score(99, 1), 0.0);
-        assert_eq!(m.score(1, 99), 0.0);
-        assert_eq!(m.predict(99, 1), None);
-    }
-
-    #[test]
-    fn no_overlap_scores_zero() {
+    fn no_overlap_predicts_none() {
         // Two disconnected bipartite components.
         let m = ItemCfModel::train(
             RatingsMatrix::from_ratings(vec![Rating::new(1, 10, 5.0), Rating::new(2, 20, 4.0)]),
             NeighborhoodParams::cosine(),
         );
-        assert_eq!(m.score(1, 20), 0.0, "Algorithm 1 line 14");
-        assert_eq!(m.predict(1, 20), None);
+        assert_eq!(predict(&m, 1, 20), None);
     }
 
     #[test]
@@ -277,7 +226,7 @@ mod tests {
                 .map(|&(_, r)| r)
                 .fold(f64::NEG_INFINITY, f64::max);
             for &i in m.matrix().item_ids() {
-                if let Some(p) = m.predict(u, i) {
+                if let Some(p) = predict(&m, u, i) {
                     assert!(
                         p >= lo - 1e-9 && p <= hi + 1e-9,
                         "prediction {p} outside [{lo}, {hi}] for user {u} item {i}"

@@ -5,6 +5,22 @@
 //! extension [`crate::popularity`] ranking); [`Algorithm`] parses those
 //! names and [`RecModel`] wraps the corresponding trained model behind one
 //! scoring interface.
+//!
+//! # Two kernels, one rule
+//!
+//! Each model type supplies two kernels and nothing else: the raw point
+//! prediction `predict_dense(u, i)` (Eq. 2 for the CF models, the factor
+//! dot product for SVD, the damped mean for Popularity; `None` = no
+//! signal) and the user-at-a-time `score_unseen_into`. The rule the paper
+//! wraps around them (Algorithms 1/2: a pair the user already rated is not
+//! a recommendation; an unrated pair with no signal scores 0) is written
+//! here and only here: [`RecModel::predict_indexed`] /
+//! [`RecModel::predict`] (`None` = rated or no signal — the point API, the
+//! evaluation harness and the oracle of every bit-identity test) and
+//! [`RecModel::unseen_score`] (`None` = rated; no signal = `Some(0.0)` —
+//! by definition the entry [`RecModel::score_unseen_into`] emits for that
+//! item, which is what every operator that scores one pair at a time
+//! calls).
 
 use crate::itemcf::ItemCfModel;
 use crate::neighborhood::{NeighborhoodParams, ScoreScratch};
@@ -265,59 +281,55 @@ impl RecModel {
         }
     }
 
-    /// Operator-facing `RecScore(u, i)`: rated pairs return the stored
-    /// rating, unknown ids and no-signal pairs return 0 (Algorithm 1/2).
-    pub fn score(&self, user: i64, item: i64) -> f64 {
+    /// The raw point kernel of whichever model this is; it does not look
+    /// at whether `u` rated `i`.
+    fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
         match self {
-            RecModel::Item(m) => m.score(user, item),
-            RecModel::User(m) => m.score(user, item),
-            RecModel::Factors(m) => m.score(user, item),
-            RecModel::Popular(m) => m.score(user, item),
+            RecModel::Item(m) => m.predict_dense(u, i),
+            RecModel::User(m) => m.predict_dense(u, i),
+            RecModel::Factors(m) => m.predict_dense(u, i),
+            RecModel::Popular(m) => m.predict_dense(u, i),
         }
     }
 
-    /// [`score`](Self::score) for already-resolved dense indexes: the
-    /// hot-path variant for callers that iterate the dense index space
-    /// and resolve external ids once up front.
-    pub fn score_indexed(&self, u: usize, i: usize) -> f64 {
-        match self {
-            RecModel::Item(m) => m.score_indexed(u, i),
-            RecModel::User(m) => m.score_indexed(u, i),
-            RecModel::Factors(m) => m.score_indexed(u, i),
-            RecModel::Popular(m) => m.score_indexed(u, i),
-        }
-    }
-
-    /// Predicted rating for an unseen pair only.
-    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
-        match self {
-            RecModel::Item(m) => m.predict(user, item),
-            RecModel::User(m) => m.predict(user, item),
-            RecModel::Factors(m) => m.predict(user, item),
-            RecModel::Popular(m) => m.predict(user, item),
-        }
-    }
-
-    /// [`predict`](Self::predict) for already-resolved dense indexes.
+    /// Predicted rating of dense item `i` for dense user `u`: `None` when
+    /// the user already rated the item or the model has no signal for the
+    /// pair.
     pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        match self {
-            RecModel::Item(m) => m.predict_indexed(u, i),
-            RecModel::User(m) => m.predict_indexed(u, i),
-            RecModel::Factors(m) => m.predict_indexed(u, i),
-            RecModel::Popular(m) => m.predict_indexed(u, i),
+        if self.matrix().rating_at(u, i).is_some() {
+            return None;
         }
+        self.predict_dense(u, i)
+    }
+
+    /// [`predict_indexed`](Self::predict_indexed) for external ids; ids
+    /// the model does not know predict `None`.
+    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
+        let matrix = self.matrix();
+        self.predict_indexed(matrix.user_idx(user)?, matrix.item_idx(item)?)
+    }
+
+    /// The recommendation score of one pair (Algorithm 1): `None` when
+    /// user `u` already rated item `i` — the pair is not a recommendation
+    /// — otherwise the prediction, with no signal scoring 0 (line 14).
+    /// This is the entry [`score_unseen_into`](Self::score_unseen_into)
+    /// emits for `i`, bit for bit, at the cost of one rating lookup and
+    /// one point kernel.
+    pub fn unseen_score(&self, u: usize, i: usize) -> Option<f64> {
+        if self.matrix().rating_at(u, i).is_some() {
+            return None;
+        }
+        Some(self.predict_dense(u, i).unwrap_or(0.0))
     }
 
     /// Score every item dense user `u` has **not** rated in one
     /// user-at-a-time pass, appending `(item_idx, score)` in ascending
     /// item order — what the whole-domain `RECOMMEND` operator and the
-    /// score materializer run per user. No-signal pairs score 0
-    /// (Algorithm 1 line 14), and every score is bit-identical to
-    /// `predict_indexed(u, i).unwrap_or(0.0)`, the per-pair form that
-    /// stays the point API and the test oracle. The neighborhood arms
-    /// scatter into `scratch` (see [`crate::itemcf`] / [`crate::usercf`]),
-    /// the SVD arm runs blocked [`SvdModel::score_block`] kernels, and
-    /// Popularity copies its per-item table.
+    /// score materializer run per user. Every entry is bit-identical to
+    /// [`unseen_score`](Self::unseen_score) for that item. The
+    /// neighborhood arms scatter into `scratch` (see [`crate::itemcf`] /
+    /// [`crate::usercf`]), the SVD arm runs blocked dot-product kernels,
+    /// and Popularity copies its per-item table.
     pub fn score_unseen_into(
         &self,
         u: usize,
@@ -400,12 +412,15 @@ mod tests {
         for algo in Algorithm::ALL {
             let model = RecModel::train(algo, matrix(), &config);
             assert_eq!(model.trained_on(), 7, "{algo}");
-            // Rated pair passes through for every algorithm.
-            assert_eq!(model.score(2, 1), 4.5, "{algo}");
-            // Scores are finite for all pairs.
+            // A rated pair and ids the model never saw predict nothing.
+            assert_eq!(model.predict(2, 1), None, "{algo}");
+            assert_eq!(model.predict(99, 1), None, "{algo}");
+            assert_eq!(model.predict(1, 99), None, "{algo}");
+            // Predictions are finite for all pairs.
             for u in 1..=4 {
                 for i in 1..=3 {
-                    assert!(model.score(u, i).is_finite(), "{algo} ({u},{i})");
+                    let p = model.predict(u, i);
+                    assert!(p.is_none_or(f64::is_finite), "{algo} ({u},{i}) {p:?}");
                 }
             }
         }
@@ -427,7 +442,6 @@ mod tests {
                 let u = m.user_idx(user).unwrap();
                 for &item in m.item_ids() {
                     let i = m.item_idx(item).unwrap();
-                    assert_eq!(model.score(user, item), model.score_indexed(u, i), "{algo}");
                     assert_eq!(
                         model.predict(user, item),
                         model.predict_indexed(u, i),
@@ -473,6 +487,7 @@ mod tests {
         let mut scratch = ScoreScratch::default();
         let mut negative_sims = false;
         let mut empty_reverse = false;
+        let mut no_signal = false;
         let knobs: Vec<(Option<usize>, f64)> = [None, Some(1), Some(8), Some(64)]
             .into_iter()
             .flat_map(|k| [(k, 0.0), (k, 0.2)])
@@ -510,20 +525,30 @@ mod tests {
                         model.score_unseen_into(u, &mut scratch, &mut batch);
                         let got: Vec<(usize, u64)> =
                             batch.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                        let case =
+                            format!("{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}");
                         let expected: Vec<(usize, u64)> = (0..m.n_items())
                             .filter(|&i| m.rating_at(u, i).is_none())
                             .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0).to_bits()))
                             .collect();
-                        assert_eq!(
-                            got, expected,
-                            "{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}"
-                        );
+                        assert_eq!(got, expected, "{case}");
+                        // The per-pair rule is the batch entry, and `None`
+                        // exactly on rated pairs.
+                        let per_pair: Vec<(usize, u64)> = (0..m.n_items())
+                            .filter_map(|i| Some((i, model.unseen_score(u, i)?.to_bits())))
+                            .collect();
+                        assert_eq!(per_pair, got, "{case}");
+                        no_signal |= (0..m.n_items()).any(|i| {
+                            model.unseen_score(u, i) == Some(0.0)
+                                && model.predict_indexed(u, i).is_none()
+                        });
                     }
                 }
             }
         }
         assert!(negative_sims, "the sweep must cover negative similarities");
         assert!(empty_reverse, "the sweep must cover empty reverse lists");
+        assert!(no_signal, "the sweep must cover unrated pairs that score 0");
     }
 
     #[test]

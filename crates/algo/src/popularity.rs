@@ -13,6 +13,10 @@
 //! toward it (the classic Bayesian-average ranking, e.g. IMDb's Top 250).
 //! Every user receives the same ranking over their unseen items — which is
 //! also the standard cold-start fallback when a CF model has no signal.
+//!
+//! Like the CF models it exposes two scoring kernels
+//! ([`PopularityModel::predict_dense`], [`PopularityModel::score_unseen_into`])
+//! and leaves the Algorithm 1 rule to [`crate::RecModel`].
 
 use crate::ratings::RatingsMatrix;
 
@@ -80,9 +84,11 @@ impl PopularityModel {
         self.matrix.n_ratings()
     }
 
-    /// The damped mean score of an item by dense index.
-    pub fn item_score(&self, item_idx: usize) -> f64 {
-        self.item_scores[item_idx]
+    /// The damped mean of item `i` — the same for every user `u`, and
+    /// never `None`: an item nobody rated still has the global mean. Raw
+    /// kernel: it does not look at whether `u` rated `i`.
+    pub fn predict_dense(&self, _u: usize, i: usize) -> Option<f64> {
+        Some(self.item_scores[i])
     }
 
     /// Append `(item_idx, damped mean)` for every item user `u` has not
@@ -93,39 +99,6 @@ impl PopularityModel {
                 .unseen_items(u)
                 .map(|i| (i, self.item_scores[i])),
         );
-    }
-
-    /// Operator-facing score: rated pairs echo the stored rating, unknown
-    /// ids score 0, unseen items get the item's damped mean (identical for
-    /// every user).
-    pub fn score(&self, user: i64, item: i64) -> f64 {
-        let (Some(u), Some(i)) = (self.matrix.user_idx(user), self.matrix.item_idx(item)) else {
-            return 0.0;
-        };
-        self.score_indexed(u, i)
-    }
-
-    /// [`score`](Self::score) for already-resolved dense indexes (skips
-    /// the two HashMap id lookups on hot paths).
-    pub fn score_indexed(&self, u: usize, i: usize) -> f64 {
-        if let Some(r) = self.matrix.rating_at(u, i) {
-            return r;
-        }
-        self.item_scores[i]
-    }
-
-    /// Predicted rating for an unseen pair only.
-    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
-        let (u, i) = (self.matrix.user_idx(user)?, self.matrix.item_idx(item)?);
-        self.predict_indexed(u, i)
-    }
-
-    /// [`predict`](Self::predict) for already-resolved dense indexes.
-    pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix.rating_at(u, i).is_some() {
-            return None;
-        }
-        Some(self.item_scores[i])
     }
 }
 
@@ -147,58 +120,51 @@ mod tests {
         ])
     }
 
+    /// The damped mean of the item with external id `item`.
+    fn item_score(m: &PopularityModel, item: i64) -> f64 {
+        m.predict_dense(0, m.matrix().item_idx(item).unwrap())
+            .unwrap()
+    }
+
     #[test]
     fn damped_mean_pulls_sparse_items_toward_global_mean() {
         let m = PopularityModel::train_with_damping(matrix(), 5.0);
         let mu = m.global_mean();
-        let i1 = m.matrix().item_idx(1).unwrap();
-        let i2 = m.matrix().item_idx(2).unwrap();
+        let (s1, s2) = (item_score(&m, 1), item_score(&m, 2));
         // Item 1's raw mean is 5.0, but with 2 ratings and k=5 the damped
         // score sits between μ and 5.
-        assert!(m.item_score(i1) > mu && m.item_score(i1) < 5.0);
+        assert!(s1 > mu && s1 < 5.0);
         // Item 2's raw mean is 1.0; damped score sits between 1 and μ.
-        assert!(m.item_score(i2) > 1.0 && m.item_score(i2) < mu);
+        assert!(s2 > 1.0 && s2 < mu);
     }
 
     #[test]
     fn zero_damping_is_plain_mean() {
         let m = PopularityModel::train_with_damping(matrix(), 0.0);
-        let i1 = m.matrix().item_idx(1).unwrap();
-        let i3 = m.matrix().item_idx(3).unwrap();
-        assert_eq!(m.item_score(i1), 5.0);
-        assert_eq!(m.item_score(i3), 3.0);
+        assert_eq!(item_score(&m, 1), 5.0);
+        assert_eq!(item_score(&m, 3), 3.0);
     }
 
     #[test]
-    fn same_ranking_for_every_user() {
+    fn same_score_for_every_user() {
         let m = PopularityModel::train(matrix());
-        // Users 4 and 5 both have items 1 and 2 unseen; scores identical.
-        assert_eq!(m.predict(4, 1), m.predict(5, 1));
-        assert_eq!(m.predict(4, 2), m.predict(5, 2));
-    }
-
-    #[test]
-    fn rated_pairs_echo_and_unknowns_zero() {
-        let m = PopularityModel::train(matrix());
-        assert_eq!(m.score(1, 1), 5.0);
-        assert_eq!(m.predict(1, 1), None);
-        assert_eq!(m.score(99, 1), 0.0);
-        assert_eq!(m.score(1, 99), 0.0);
+        for i in 0..m.matrix().n_items() {
+            assert_eq!(m.predict_dense(3, i), m.predict_dense(4, i));
+        }
     }
 
     #[test]
     fn well_rated_item_ranks_above_poorly_rated() {
         let m = PopularityModel::train(matrix());
-        // For user 5 (rated only item 3): item 1 (two 5s) must outrank
-        // item 2 (one 1).
-        assert!(m.predict(5, 1).unwrap() > m.predict(5, 2).unwrap());
+        // Item 1 (two 5s) must outrank item 2 (one 1).
+        assert!(item_score(&m, 1) > item_score(&m, 2));
     }
 
     #[test]
     fn empty_matrix_is_safe() {
         let m = PopularityModel::train(RatingsMatrix::default());
-        assert_eq!(m.score(1, 1), 0.0);
         assert_eq!(m.global_mean(), 0.0);
+        assert_eq!(m.trained_on(), 0);
     }
 
     #[test]

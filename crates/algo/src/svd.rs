@@ -10,7 +10,11 @@
 //! via stochastic gradient descent ("Regularized Gradient Descent Singular
 //! Value Decomposition"). The learned tables are exactly the paper's
 //! Figure 2 *User Factor Table* and *Item Factor Table*; prediction is the
-//! dot product (Algorithm 2, line 7).
+//! dot product (Algorithm 2, line 7), exposed as two kernels —
+//! [`SvdModel::predict_dense`] per pair and the blocked
+//! [`SvdModel::score_unseen_into`] per user — with the rule around them
+//! (a rated pair is not a recommendation) written once on
+//! [`crate::RecModel`].
 //!
 //! Factors are stored row-major as flat `Vec<f32>` (`p_u =
 //! user_factors[u*f .. (u+1)*f]`) and every inner loop goes through
@@ -247,46 +251,19 @@ impl SvdModel {
         &self.item_factors[i * self.factors..(i + 1) * self.factors]
     }
 
-    /// Algorithm 2's per-pair score: dot product of the factor vectors;
-    /// already-rated pairs return the user's own rating; unknown ids → 0.
-    pub fn score(&self, user: i64, item: i64) -> f64 {
-        let (Some(u), Some(i)) = (self.matrix.user_idx(user), self.matrix.item_idx(item)) else {
-            return 0.0;
-        };
-        self.score_indexed(u, i)
-    }
-
-    /// [`score`](Self::score) for already-resolved dense indexes — the
-    /// hot-path variant that skips both HashMap id lookups. Callers that
-    /// iterate the dense index space (the evaluation harness, the score
-    /// materializer) resolve ids once and use this.
-    pub fn score_indexed(&self, u: usize, i: usize) -> f64 {
-        if let Some(r) = self.matrix.rating_at(u, i) {
-            return r;
-        }
-        self.dot(u, i)
-    }
-
-    /// Predicted rating for an unseen pair only.
-    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
-        let (u, i) = (self.matrix.user_idx(user)?, self.matrix.item_idx(item)?);
-        self.predict_indexed(u, i)
-    }
-
-    /// [`predict`](Self::predict) for already-resolved dense indexes.
-    pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix.rating_at(u, i).is_some() {
-            return None;
-        }
-        Some(self.dot(u, i))
+    /// Algorithm 2 line 7 for dense indexes: the dot product `q_iᵀ p_u`,
+    /// never `None` (every known pair has factors). Raw kernel: it does
+    /// not look at whether `u` rated `i`.
+    pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
+        Some(f64::from(kernels::dot(
+            self.user_vector(u),
+            self.item_vector(i),
+        )))
     }
 
     /// Batched raw scores: factor dot products of user `u` against the
     /// contiguous item range `first_item .. first_item + out.len()`.
-    /// No rated-pair substitution — callers that need Algorithm 2
-    /// semantics overlay the user's own ratings afterwards (their CSR
-    /// row is sorted, so the overlay is a linear merge).
-    pub fn score_block(&self, u: usize, first_item: usize, out: &mut [f32]) {
+    fn score_block(&self, u: usize, first_item: usize, out: &mut [f32]) {
         let f = self.factors;
         let lo = first_item * f;
         let hi = lo + out.len() * f;
@@ -295,10 +272,10 @@ impl SvdModel {
 
     /// Batch-score every item the user has **not** rated, pushing
     /// `(item_idx, score)` in ascending item order. Items are scored in
-    /// contiguous [`Self::score_block`] chunks and the user's sorted CSR
+    /// contiguous [`kernels::score_block`] chunks and the user's sorted CSR
     /// row is merged in to skip rated pairs, so ids and ratings resolve
     /// once per user instead of once per pair. Produces bit-identical
-    /// scores to calling [`Self::predict_indexed`] per item.
+    /// scores to calling [`Self::predict_dense`] per unrated item.
     pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
         const BLOCK: usize = 256;
         let n_items = self.matrix.n_items();
@@ -321,10 +298,6 @@ impl SvdModel {
             }
             first += len;
         }
-    }
-
-    fn dot(&self, u: usize, i: usize) -> f64 {
-        f64::from(kernels::dot(self.user_vector(u), self.item_vector(i)))
     }
 }
 
@@ -628,6 +601,14 @@ mod tests {
         RatingsMatrix::from_ratings(ratings)
     }
 
+    /// The prediction for the held-out pair (user 0, item 5).
+    fn heldout(model: &SvdModel) -> f64 {
+        let m = model.matrix();
+        model
+            .predict_dense(m.user_idx(0).unwrap(), m.item_idx(5).unwrap())
+            .unwrap()
+    }
+
     #[test]
     fn training_reduces_rmse_below_half_star() {
         let model = SvdModel::train(
@@ -656,7 +637,7 @@ mod tests {
             },
         );
         // True value for (0, 5): (0 % 3 + 1) + (5 % 2)·0.5 = 1.5.
-        let p = model.predict(0, 5).unwrap();
+        let p = heldout(&model);
         assert!(
             (p - 1.5).abs() < 0.6,
             "held-out prediction {p} too far from 1.5"
@@ -680,21 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn rated_pair_scores_own_rating() {
-        let model = SvdModel::train(dense_block(), SvdParams::default());
-        assert_eq!(model.score(1, 1), 2.5); // (1%3+1) + 0.5
-        assert_eq!(model.predict(1, 1), None);
-    }
-
-    #[test]
-    fn unknown_ids_score_zero() {
-        let model = SvdModel::train(dense_block(), SvdParams::default());
-        assert_eq!(model.score(999, 0), 0.0);
-        assert_eq!(model.score(0, 999), 0.0);
-        assert_eq!(model.predict(999, 0), None);
-    }
-
-    #[test]
     fn factor_tables_have_figure2_shape() {
         let model = SvdModel::train(
             dense_block(),
@@ -712,7 +678,6 @@ mod tests {
     fn empty_matrix_trains_without_panic() {
         let model = SvdModel::train(RatingsMatrix::default(), SvdParams::default());
         assert_eq!(model.final_rmse(), 0.0);
-        assert_eq!(model.score(1, 1), 0.0);
     }
 
     #[test]
@@ -750,7 +715,7 @@ mod tests {
             "parallel training RMSE {} too high",
             model.final_rmse()
         );
-        let p = model.predict(0, 5).unwrap();
+        let p = heldout(&model);
         assert!(
             (p - 1.5).abs() < 0.8,
             "held-out prediction {p} too far from 1.5"
@@ -770,7 +735,7 @@ mod tests {
         assert!(model.final_rmse().is_finite());
         for u in 0..6 {
             for i in 0..6 {
-                assert!(model.score(u, i).is_finite());
+                assert!(model.predict_dense(u, i).unwrap().is_finite());
             }
         }
     }
@@ -826,19 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn score_indexed_matches_score() {
-        let model = SvdModel::train(dense_block(), SvdParams::default());
-        let m = model.matrix().clone();
-        for &user in m.user_ids() {
-            for &item in m.item_ids() {
-                let (u, i) = (m.user_idx(user).unwrap(), m.item_idx(item).unwrap());
-                assert_eq!(model.score(user, item), model.score_indexed(u, i));
-                assert_eq!(model.predict(user, item), model.predict_indexed(u, i));
-            }
-        }
-    }
-
-    #[test]
     fn score_block_matches_per_pair_dots() {
         let model = SvdModel::train(
             dense_block(),
@@ -881,7 +833,8 @@ mod tests {
             out.clear();
             model.score_unseen_into(u, &mut out);
             let expected: Vec<(usize, f64)> = (0..m.n_items())
-                .filter_map(|i| model.predict_indexed(u, i).map(|s| (i, s)))
+                .filter(|&i| m.rating_at(u, i).is_none())
+                .map(|i| (i, model.predict_dense(u, i).unwrap()))
                 .collect();
             assert_eq!(out, expected, "user {u}");
         }

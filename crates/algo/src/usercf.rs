@@ -11,16 +11,16 @@
 //! where `V` is user `u`'s similarity list reduced to the users who rated
 //! item `i`.
 //!
-//! As in [`crate::itemcf`] there is a per-pair form
-//! ([`UserCfModel::predict_dense`], the point API and test oracle:
-//! merge-intersect `raters(i)` with `N(u)`) and a per-user form
-//! ([`UserCfModel::score_unseen_into`]). The per-user pass needs no
-//! reverse table: it walks the forward list `N(u)` and scatters each
-//! neighbor `v`'s CSR row `{(i, r_vi)}` into per-candidate `(num, den)`
-//! accumulators. Candidate `i` receives exactly the terms of `N(u) ∩
-//! raters(i)`, in ascending `v` on both paths (`N(u)` is sorted by neighbor
-//! index, and so is the item's rater column), so the sums are
-//! bit-identical.
+//! As in [`crate::itemcf`] the model exposes two kernels and leaves the
+//! Algorithm 1 rule to [`crate::RecModel`]: a per-pair form
+//! ([`UserCfModel::predict_dense`]: merge-intersect `raters(i)` with
+//! `N(u)`) and a per-user form ([`UserCfModel::score_unseen_into`]). The
+//! per-user pass needs no reverse table: it walks the forward list `N(u)`
+//! and scatters each neighbor `v`'s CSR row `{(i, r_vi)}` into
+//! per-candidate `(num, den)` accumulators. Candidate `i` receives exactly
+//! the terms of `N(u) ∩ raters(i)`, in ascending `v` on both paths (`N(u)`
+//! is sorted by neighbor index, and so is the item's rater column), so the
+//! sums are bit-identical.
 
 use crate::model::TrainError;
 use crate::neighborhood::{
@@ -85,7 +85,7 @@ impl UserCfModel {
     }
 
     /// Transposed Eq. 2 for dense indexes, `None` when no neighbor of `u`
-    /// rated `i`.
+    /// rated `i`. Raw kernel: it does not look at whether `u` rated `i`.
     pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
         let (raters, ratings) = self.matrix.item_csr().row(i);
         let neighbors = self.neighborhood.neighbors(u);
@@ -133,38 +133,6 @@ impl UserCfModel {
         }
         scratch.emit_unseen(&self.matrix, u, out);
     }
-
-    /// Operator-facing score (same conventions as
-    /// [`crate::itemcf::ItemCfModel::score`]).
-    pub fn score(&self, user: i64, item: i64) -> f64 {
-        let (Some(u), Some(i)) = (self.matrix.user_idx(user), self.matrix.item_idx(item)) else {
-            return 0.0;
-        };
-        self.score_indexed(u, i)
-    }
-
-    /// [`score`](Self::score) for already-resolved dense indexes (skips
-    /// the two HashMap id lookups on hot paths).
-    pub fn score_indexed(&self, u: usize, i: usize) -> f64 {
-        if let Some(r) = self.matrix.rating_at(u, i) {
-            return r;
-        }
-        self.predict_dense(u, i).unwrap_or(0.0)
-    }
-
-    /// Predicted rating for an unseen pair only.
-    pub fn predict(&self, user: i64, item: i64) -> Option<f64> {
-        let (u, i) = (self.matrix.user_idx(user)?, self.matrix.item_idx(item)?);
-        self.predict_indexed(u, i)
-    }
-
-    /// [`predict`](Self::predict) for already-resolved dense indexes.
-    pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix.rating_at(u, i).is_some() {
-            return None;
-        }
-        self.predict_dense(u, i)
-    }
 }
 
 #[cfg(test)]
@@ -187,10 +155,10 @@ mod tests {
         )
     }
 
-    #[test]
-    fn rated_pair_scores_own_rating() {
-        let m = figure1();
-        assert_eq!(m.score(3, 2), 1.0);
+    /// Transposed Eq. 2 for external ids the model knows.
+    fn predict(m: &UserCfModel, user: i64, item: i64) -> Option<f64> {
+        let matrix = m.matrix();
+        m.predict_dense(matrix.user_idx(user)?, matrix.item_idx(item)?)
     }
 
     #[test]
@@ -199,7 +167,7 @@ mod tests {
         // Item 3 was rated only by user 2 (2.0). Any user similar to user 2
         // gets a prediction pulled toward 2.0; with one rater the weighted
         // average is exactly 2.0 regardless of the weight's magnitude.
-        let p = m.predict(3, 3).unwrap();
+        let p = predict(&m, 3, 3).unwrap();
         assert!((p - 2.0).abs() < 1e-12);
     }
 
@@ -209,8 +177,7 @@ mod tests {
             RatingsMatrix::from_ratings(vec![Rating::new(1, 10, 5.0), Rating::new(2, 20, 4.0)]),
             NeighborhoodParams::cosine(),
         );
-        assert_eq!(m.predict(1, 20), None);
-        assert_eq!(m.score(1, 20), 0.0);
+        assert_eq!(predict(&m, 1, 20), None);
     }
 
     #[test]
@@ -230,14 +197,7 @@ mod tests {
         );
         // User 3 hasn't rated item 2; users 1,2 (perfectly similar) rated
         // it 4.0, so the prediction is 4.0.
-        assert!((ucf.predict(3, 2).unwrap() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unknown_ids_score_zero() {
-        let m = figure1();
-        assert_eq!(m.score(42, 1), 0.0);
-        assert_eq!(m.score(1, 42), 0.0);
+        assert!((predict(&ucf, 3, 2).unwrap() - 4.0).abs() < 1e-12);
     }
 
     #[test]

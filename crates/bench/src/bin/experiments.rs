@@ -23,6 +23,9 @@ use recdb_algo::model::{RecModel, TrainConfig};
 use recdb_algo::{Algorithm, NeighborhoodTable, RatingsMatrix, ScoreScratch};
 use recdb_bench::*;
 use recdb_datasets::SyntheticSpec;
+use recdb_exec::optimizer::optimize_pushdown_only;
+use recdb_exec::{build_logical, execute_plan, optimize, ExecContext};
+use recdb_sql::{parse, Statement};
 use std::time::Duration;
 
 const REPS: usize = 3;
@@ -76,6 +79,7 @@ fn main() {
         ran = true;
     }
     if run_all || arg == "ablations" {
+        ablation_plans();
         ablation_neighbors();
         ablation_hotness();
         ran = true;
@@ -265,9 +269,9 @@ fn score_sweep() {
         let t_pair = time_median(REPS, || {
             let mut acc = 0.0;
             for u in users.clone() {
-                for i in matrix.unseen_items(u) {
-                    acc += model.predict_indexed(u, i).unwrap_or(0.0);
-                }
+                acc += (0..matrix.n_items())
+                    .filter_map(|i| model.unseen_score(u, i))
+                    .sum::<f64>();
             }
             acc
         });
@@ -617,11 +621,77 @@ fn topk_figure(figure: &str, spec: &SyntheticSpec) {
     }
 }
 
+/// Ablation: each recommendation-aware operator against the plan the
+/// optimizer would run without it (DESIGN.md §5).
+fn ablation_plans() {
+    header(
+        "Ablation: optimized operator vs naive plan (quarter-scale MovieLens)",
+        "pushdown = Fig. 3(a) Recommend + Filter vs FilterRecommend at 1 % \
+         selectivity; join = Recommend + hash join vs JoinRecommend on \
+         Query 4; index = top-10 online vs from the RecScoreIndex",
+    );
+    let algo = Algorithm::ItemCosCF;
+    let mut world = World::build(&SyntheticSpec::movielens().scaled(0.25), &[algo]);
+    let user = world.hot_users[0];
+    let select_of = |sql: &str| match parse(sql).expect("ablation SQL parses") {
+        Statement::Select(s) => s,
+        other => panic!("not a select: {other:?}"),
+    };
+    let items = item_subset(world.dataset.items.len(), 1.0, 7);
+    let selective = select_of(&recdb_selectivity_sql(algo, &items));
+    let join = select_of(&recdb_join1_sql(algo, user, "Action"));
+    let plans = {
+        let catalog = world.db.catalog();
+        let logical = |sel| build_logical(sel, &catalog).expect("ablation plan builds");
+        let ctx = ExecContext::new(&catalog, &world.db, recdb_core::QueryGuard::unlimited());
+        let time = |plan| time_median(REPS, || execute_plan(&plan, &ctx).expect("plan runs"));
+        [
+            (
+                "pushdown",
+                time(logical(&selective)),
+                time(optimize(logical(&selective))),
+            ),
+            (
+                "join",
+                time(optimize_pushdown_only(logical(&join))),
+                time(optimize(logical(&join))),
+            ),
+        ]
+    };
+    // A user outside the materialized set forces the online path.
+    let cold_user = world
+        .dataset
+        .users
+        .iter()
+        .map(|u| u.uid)
+        .find(|u| !world.hot_users.contains(u))
+        .expect("cold user");
+    let online = time_median(REPS, || {
+        world.run_recdb(&recdb_topk_sql(algo, cold_user, 10))
+    });
+    let indexed = time_median(REPS, || world.run_recdb(&recdb_topk_sql(algo, user, 10)));
+    println!(
+        "{:<10} {:>12} {:>12} {:>9}",
+        "ablation", "naive", "optimized", "gain"
+    );
+    for (name, naive, optimized) in plans.into_iter().chain([("index", online, indexed)]) {
+        println!(
+            "{:<10} {:>12} {:>12} {:>8.1}x",
+            name,
+            secs(naive),
+            secs(optimized),
+            ratio(naive, optimized)
+        );
+    }
+}
+
 /// Ablation: neighborhood truncation size vs build time and query time.
 fn ablation_neighbors() {
     header(
         "Ablation: neighbor-list truncation (quarter-scale MovieLens)",
-        "larger lists cost more to store and predict over; accuracy knob",
+        "larger lists cost more to store and predict over; accuracy knob. \
+         `predict 1 user` is one score_unseen_into pass: every unseen item \
+         of user 1, as FilterRecommend scores them",
     );
     let spec = SyntheticSpec::movielens().scaled(0.25);
     let dataset = recdb_datasets::generate(&spec);
@@ -649,9 +719,13 @@ fn ablation_neighbors() {
             RecModel::Item(m) => m.neighborhood().total_pairs(),
             _ => 0,
         };
-        let items: Vec<i64> = model.matrix().item_ids().to_vec();
+        let u = model.matrix().user_idx(1).expect("user 1 has ratings");
+        let mut scratch = ScoreScratch::default();
+        let mut scored = Vec::new();
         let predict = time_median(REPS, || {
-            items.iter().map(|&i| model.score(1, i)).sum::<f64>()
+            scored.clear();
+            model.score_unseen_into(u, &mut scratch, &mut scored);
+            scored.iter().map(|&(_, s)| s).sum::<f64>()
         });
         println!(
             "{:<14} {:>12} {:>14} {:>16}",

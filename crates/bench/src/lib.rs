@@ -1,9 +1,9 @@
 //! # recdb-bench
 //!
 //! Shared scaffolding for the benchmark harness that regenerates every
-//! table and figure of the paper's evaluation (§VI). See `src/bin/
-//! experiments.rs` for the one-shot harness and `benches/` for the
-//! Criterion benches.
+//! table and figure of the paper's evaluation (§VI). `src/bin/
+//! experiments.rs` is the one driver: one section per table, figure and
+//! ablation.
 
 pub mod harness;
 

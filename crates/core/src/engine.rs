@@ -42,8 +42,8 @@ use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, MetricsSnapshot, Registry, SystemClock};
 use recdb_sql::{parse, parse_many, Expr, SelectStatement, Statement};
 use recdb_storage::{
-    codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, RecoveryMode, Schema,
-    StorageError, Tuple,
+    codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, RecoveryMode, Rid,
+    Schema, StorageError, Table, Tuple,
 };
 use recdb_txn::{LockError, LockMode, LockTable, TxnId};
 use recdb_wal::{Wal, WalRecord};
@@ -1375,7 +1375,7 @@ impl RecDb {
                 Ok(QueryResult::Rows(rows))
             }
             Statement::Delete { table, filter } => {
-                let n = self.apply_delete(state, &table, filter.as_ref())?;
+                let n = self.apply_delete(state, &table, filter.as_ref(), guard)?;
                 Ok(QueryResult::Deleted(n))
             }
             Statement::Update {
@@ -1383,7 +1383,7 @@ impl RecDb {
                 assignments,
                 filter,
             } => {
-                let n = self.apply_update(state, &table, &assignments, filter.as_ref())?;
+                let n = self.apply_update(state, &table, &assignments, filter.as_ref(), guard)?;
                 Ok(QueryResult::Updated(n))
             }
             Statement::Select(select) => {
@@ -1443,6 +1443,31 @@ impl RecDb {
             .observe(u64::try_from(build_time.as_micros()).unwrap_or(u64::MAX));
     }
 
+    /// The rows of table `t` a DELETE or UPDATE with `filter` acts on (all
+    /// rows when `None`), in heap order. Each scanned row is one row unit
+    /// of `guard`, as in a SELECT's scan, and the scan runs before any
+    /// page pre-image is saved or record logged: a statement the governor
+    /// refuses leaves the table and the WAL untouched.
+    fn matching_rows(
+        t: &Table,
+        filter: Option<&Expr>,
+        guard: &QueryGuard,
+    ) -> EngineResult<Vec<(Rid, Tuple)>> {
+        let bound = filter.map(|f| bind(f, t.schema())).transpose()?;
+        let mut rows = Vec::new();
+        for (rid, tuple) in t.heap().scan() {
+            guard.tick()?;
+            let hit = match &bound {
+                Some(b) => b.eval_predicate(&tuple)?,
+                None => true,
+            };
+            if hit {
+                rows.push((rid, tuple));
+            }
+        }
+        Ok(rows)
+    }
+
     /// Delete rows matching `filter` (all rows when `None`). Recommender
     /// statistics and the N% rule are deferred to commit.
     fn apply_delete(
@@ -1450,30 +1475,14 @@ impl RecDb {
         state: &mut TxnState,
         table: &str,
         filter: Option<&Expr>,
+        guard: &QueryGuard,
     ) -> EngineResult<usize> {
         let lower = table.to_ascii_lowercase();
         let (rids, touched) = {
             let catalog = self.catalog.read();
-            let t = catalog.table(table)?;
-            let schema = t.schema().clone();
-            let bound = filter.map(|f| bind(f, &schema)).transpose()?;
-            let item_ordinals = self.recommender_item_ordinals(&catalog, table)?;
-            let mut rids = Vec::new();
-            let mut touched: Vec<(String, i64)> = Vec::new();
-            for (rid, tuple) in t.heap().scan() {
-                let hit = match &bound {
-                    Some(b) => b.eval_predicate(&tuple)?,
-                    None => true,
-                };
-                if hit {
-                    rids.push(rid);
-                    for (rec, ord) in &item_ordinals {
-                        if let Some(item) = tuple.get(*ord).and_then(recdb_storage::Value::as_int) {
-                            touched.push((rec.clone(), item));
-                        }
-                    }
-                }
-            }
+            let rows = Self::matching_rows(catalog.table(table)?, filter, guard)?;
+            let touched = self.touched_items(&catalog, table, rows.iter().map(|(_, t)| t))?;
+            let rids: Vec<Rid> = rows.into_iter().map(|(rid, _)| rid).collect();
             (rids, touched)
         };
         let txn = Self::active(state);
@@ -1505,42 +1514,27 @@ impl RecDb {
         table: &str,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
+        guard: &QueryGuard,
     ) -> EngineResult<usize> {
         let lower = table.to_ascii_lowercase();
         let (rids, new_tuples, touched) = {
             let catalog = self.catalog.read();
             let t = catalog.table(table)?;
-            let schema = t.schema().clone();
-            let bound = filter.map(|f| bind(f, &schema)).transpose()?;
             let sets: Vec<(usize, recdb_exec::BoundExpr)> = assignments
                 .iter()
-                .map(|(col, e)| Ok((schema.resolve(col)?, bind(e, &schema)?)))
+                .map(|(col, e)| Ok((t.schema().resolve(col)?, bind(e, t.schema())?)))
                 .collect::<EngineResult<_>>()?;
-            let item_ordinals = self.recommender_item_ordinals(&catalog, table)?;
             let mut rids = Vec::new();
             let mut new_tuples = Vec::new();
-            let mut touched: Vec<(String, i64)> = Vec::new();
-            for (rid, tuple) in t.heap().scan() {
-                let hit = match &bound {
-                    Some(b) => b.eval_predicate(&tuple)?,
-                    None => true,
-                };
-                if !hit {
-                    continue;
-                }
+            for (rid, tuple) in Self::matching_rows(t, filter, guard)? {
                 let mut values = tuple.clone().into_values();
                 for (ordinal, expr) in &sets {
                     values[*ordinal] = expr.eval(&tuple)?;
                 }
-                let new_tuple = Tuple::new(values);
-                for (rec, ord) in &item_ordinals {
-                    if let Some(item) = new_tuple.get(*ord).and_then(recdb_storage::Value::as_int) {
-                        touched.push((rec.clone(), item));
-                    }
-                }
                 rids.push(rid);
-                new_tuples.push(new_tuple);
+                new_tuples.push(Tuple::new(values));
             }
+            let touched = self.touched_items(&catalog, table, &new_tuples)?;
             (rids, new_tuples, touched)
         };
         let txn = Self::active(state);
@@ -1566,21 +1560,33 @@ impl RecDb {
         Ok(n)
     }
 
-    /// `(recommender name, item-column ordinal)` pairs for recommenders
-    /// created on `table`.
-    fn recommender_item_ordinals(
+    /// The `(recommender name, item id)` pairs `tuples` of `table` touch,
+    /// for the recommenders created on it — what commit feeds their
+    /// statistics and the N% rule.
+    fn touched_items<'t>(
         &self,
         catalog: &Catalog,
         table: &str,
-    ) -> EngineResult<Vec<(String, usize)>> {
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+    ) -> EngineResult<Vec<(String, i64)>> {
         let table_key = table.to_ascii_lowercase();
         let t = catalog.table(table)?;
-        self.recommenders
+        let item_ordinals: Vec<(String, usize)> = self
+            .recommenders
             .read()
             .iter()
             .filter(|r| r.ratings_table() == table_key)
             .map(|r| Ok((r.name().to_owned(), t.schema().resolve(r.items_column())?)))
-            .collect()
+            .collect::<EngineResult<_>>()?;
+        let mut touched = Vec::new();
+        for tuple in tuples {
+            for (rec, ord) in &item_ordinals {
+                if let Some(item) = tuple.get(*ord).and_then(recdb_storage::Value::as_int) {
+                    touched.push((rec.clone(), item));
+                }
+            }
+        }
+        Ok(touched)
     }
 
     /// Run the N% rule for every recommender on `table`. A cancelled or
@@ -1694,19 +1700,7 @@ impl RecDb {
     ) -> EngineResult<usize> {
         let lower = table.to_ascii_lowercase();
         let n = tuples.len();
-        let touched = {
-            let catalog = self.catalog.read();
-            let item_ordinals = self.recommender_item_ordinals(&catalog, table)?;
-            let mut touched: Vec<(String, i64)> = Vec::new();
-            for tuple in &tuples {
-                for (rec, ord) in &item_ordinals {
-                    if let Some(item) = tuple.get(*ord).and_then(recdb_storage::Value::as_int) {
-                        touched.push((rec.clone(), item));
-                    }
-                }
-            }
-            touched
-        };
+        let touched = self.touched_items(&self.catalog.read(), table, &tuples)?;
         let txn = Self::active(state);
         let _ckpt = self.ckpt_latch.read();
         {
@@ -2320,7 +2314,7 @@ mod tests {
         let rec = db.recommender("GeneralRec").unwrap();
         assert_eq!(rec.model().trained_on(), 8, "model rebuilt");
         assert_eq!(rec.pending_updates(), 0);
-        assert_eq!(rec.model().score(4, 3), 5.0);
+        assert_eq!(rec.model().matrix().rating_of(4, 3), Some(5.0));
     }
 
     #[test]
@@ -2487,7 +2481,11 @@ mod tests {
         assert_eq!(db.catalog().table("ratings").unwrap().tuple_count(), 4);
         let rec = db.recommender("GeneralRec").unwrap();
         assert_eq!(rec.model().trained_on(), 4, "model rebuilt without user 2");
-        assert_eq!(rec.model().score(2, 1), 0.0, "user 2 gone from the model");
+        assert_eq!(
+            rec.model().matrix().user_idx(2),
+            None,
+            "user 2 gone from the model"
+        );
     }
 
     #[test]
@@ -2503,7 +2501,7 @@ mod tests {
         assert_eq!(rows.value(0, "ratingval").unwrap(), &Value::Float(5.0));
         // The re-rate reached the model through maintenance.
         let rec = db.recommender("GeneralRec").unwrap();
-        assert_eq!(rec.model().score(1, 1), 5.0);
+        assert_eq!(rec.model().matrix().rating_of(1, 1), Some(5.0));
     }
 
     #[test]

@@ -364,10 +364,13 @@ impl Recommender {
                 index.remove(u, i);
             }
             for &(u, i) in &decision.admitted {
-                let score = match (matrix.user_idx(u), matrix.item_idx(i)) {
-                    (Some(ui), Some(ii)) => model.predict_indexed(ui, ii).unwrap_or(0.0),
-                    _ => 0.0,
-                };
+                // Admitted pairs are unseen; ids newer than the model
+                // have no prediction yet and enter at 0.
+                let score = matrix
+                    .user_idx(u)
+                    .zip(matrix.item_idx(i))
+                    .and_then(|(u, i)| model.unseen_score(u, i))
+                    .unwrap_or(0.0);
                 index.insert(u, i, score);
             }
         });
@@ -431,8 +434,8 @@ fn refresh_index(
         for (item, _) in old.iter_desc(user, None, None) {
             match u.zip(matrix.item_idx(item)) {
                 Some((u, i)) => {
-                    if matrix.rating_at(u, i).is_none() {
-                        fresh.insert(user, item, model.predict_indexed(u, i).unwrap_or(0.0));
+                    if let Some(score) = model.unseen_score(u, i) {
+                        fresh.insert(user, item, score);
                     }
                 }
                 // Ids the new model doesn't know keep the legacy
@@ -622,7 +625,7 @@ mod tests {
         let cat = catalog_with_ratings(&figure1_rows());
         let rec = make(&cat);
         assert_eq!(rec.model().trained_on(), 7);
-        assert_eq!(rec.model().score(2, 1), 4.5);
+        assert_eq!(rec.model().matrix().rating_of(2, 1), Some(4.5));
         assert_eq!(rec.name(), "generalrec");
     }
 
@@ -657,7 +660,11 @@ mod tests {
         rec.maintain(&cat, None).unwrap();
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().trained_on(), 8);
-        assert_eq!(rec.model().score(4, 3), 5.0, "new rating visible");
+        assert_eq!(
+            rec.model().matrix().rating_of(4, 3),
+            Some(5.0),
+            "new rating visible"
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Chosen by the physical planner when the inner side of an equi-join is a
 //! base table (optionally with a filter) that has a secondary index whose
 //! leading key column is the join column. For selective outer inputs this
-//! touches `O(probes · log n)` pages instead of the full inner relation —
-//! the access-path trade-off visible in the shared [`recdb_storage::IoStats`]
-//! counters.
+//! fetches one heap page per matching row instead of the full inner
+//! relation — the access-path trade-off visible in the buffer pool's
+//! hit/miss counters.
 
 use super::PhysicalOp;
 use crate::error::ExecResult;
@@ -199,16 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn index_join_reads_fewer_pages_than_full_scan() {
-        // Cost-model check: with one probe, the index path charges log-
-        // height page reads plus one fetch, far less than scanning the
-        // (here, single-page) table per probe would at scale. We assert
-        // the counters move at all and stay below a full-scan bound.
+    fn index_join_fetches_one_page_per_match() {
+        // The index lives in memory; a probe costs page accesses only for
+        // the heap fetch of each matching rid — it never scans the table.
         let cat = catalog();
         let table = cat.table("movies").unwrap();
         let index = table.index("movies_mid").unwrap();
         let inner_schema = table.schema().with_qualifier("M");
-        cat.stats().reset();
+        let accesses = || cat.pool().hits() + cat.pool().misses();
+        let before = accesses();
         let outer = Box::new(ValuesOp::new(
             outer_schema(),
             vec![Tuple::new(vec![Value::Int(1), Value::Int(12)])],
@@ -216,12 +215,6 @@ mod tests {
         let mut op = IndexJoinOp::new(outer, table, index, &inner_schema, 1, None);
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1);
-        let reads = cat.stats().page_reads();
-        assert!(reads >= 1, "index descent + fetch must be charged");
-        assert!(
-            reads <= 4,
-            "one probe must not scan the table ({reads} reads)"
-        );
-        assert_eq!(cat.stats().tuple_reads(), 1, "exactly one tuple fetched");
+        assert_eq!(accesses() - before, 1, "exactly one tuple fetched");
     }
 }

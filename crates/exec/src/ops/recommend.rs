@@ -22,7 +22,9 @@
 //!
 //! All three emit `〈user, item, ratingval〉` tuples for items **unseen** by
 //! the user ("each tuple represents ... item i (unseen by user uid)");
-//! pairs with no model signal score 0 (Algorithm 1 line 14).
+//! pairs with no model signal score 0 (Algorithm 1 line 14). Both facts
+//! live in `recdb-algo`: the per-pair paths below call
+//! [`RecModel::unseen_score`], the block paths its user-at-a-time form.
 
 use super::PhysicalOp;
 use crate::error::ExecResult;
@@ -199,8 +201,7 @@ impl RecommendOp {
             Some(items) => self.block.extend(
                 items
                     .iter()
-                    .filter(|&&(_, i)| model.matrix().rating_at(u, i).is_none())
-                    .map(|&(_, i)| (i, model.predict_indexed(u, i).unwrap_or(0.0))),
+                    .filter_map(|&(_, i)| Some((i, model.unseen_score(u, i)?))),
             ),
         }
         let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
@@ -299,10 +300,9 @@ impl PhysicalOp for RecommendOp {
             };
             self.i_cursor += 1;
             // Unseen items only; rated pairs are not recommendations.
-            if self.model.matrix().rating_at(u, i).is_some() {
+            let Some(score) = self.model.unseen_score(u, i) else {
                 continue;
-            }
-            let score = self.model.predict_indexed(u, i).unwrap_or(0.0);
+            };
             if in_bounds(score, self.min_rating, self.max_rating) {
                 return Some(Ok(rec_tuple(user, item, score)));
             }
@@ -402,10 +402,9 @@ impl PhysicalOp for JoinRecommendOp<'_> {
                 continue; // items outside the recommender's universe
             };
             for &(user, u) in &self.users {
-                if self.model.matrix().rating_at(u, i).is_some() {
+                let Some(score) = self.model.unseen_score(u, i) else {
                     continue;
-                }
-                let score = self.model.predict_indexed(u, i).unwrap_or(0.0);
+                };
                 if !in_bounds(score, self.min_rating, self.max_rating) {
                     continue;
                 }

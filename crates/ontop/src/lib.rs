@@ -109,16 +109,19 @@ impl OnTopEngine {
         };
         let mut rows = Vec::new();
         for &user in &users {
-            for &item in matrix.item_ids() {
-                if matrix.rating_of(user, item).is_some() {
-                    continue;
+            // A user outside the recommender's input has no row, as in
+            // the RECOMMEND operators.
+            let Some(u) = matrix.user_idx(user) else {
+                continue;
+            };
+            for (i, &item) in matrix.item_ids().iter().enumerate() {
+                if let Some(score) = self.model.unseen_score(u, i) {
+                    rows.push(Tuple::new(vec![
+                        Value::Int(user),
+                        Value::Int(item),
+                        Value::Float(score),
+                    ]));
                 }
-                let score = self.model.predict(user, item).unwrap_or(0.0);
-                rows.push(Tuple::new(vec![
-                    Value::Int(user),
-                    Value::Int(item),
-                    Value::Float(score),
-                ]));
             }
         }
         rows

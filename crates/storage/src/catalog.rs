@@ -9,7 +9,6 @@ use crate::index::BTreeIndex;
 use crate::page::Page;
 use crate::pool::BufferPool;
 use crate::schema::Schema;
-use crate::stats::IoStats;
 use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,14 +23,9 @@ pub struct Table {
 
 impl Table {
     /// A fresh table whose heap pages through `pool`.
-    pub fn new(
-        name: impl Into<String>,
-        schema: Schema,
-        stats: Arc<IoStats>,
-        pool: Arc<BufferPool>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, schema: Schema, pool: Arc<BufferPool>) -> Self {
         let name = name.into();
-        let heap = HeapTable::with_pool(schema, stats, pool, &name);
+        let heap = HeapTable::with_pool(schema, pool, &name);
         Table {
             name,
             heap,
@@ -75,8 +69,7 @@ impl Table {
             .iter()
             .map(|c| self.schema().resolve(c))
             .collect::<StorageResult<_>>()?;
-        let mut idx =
-            BTreeIndex::new(index_name, ordinals).with_stats(Arc::clone(self.heap.stats()));
+        let mut idx = BTreeIndex::new(index_name, ordinals);
         for (rid, tuple) in self.heap.scan() {
             idx.insert(idx.key_of(&tuple), rid);
         }
@@ -210,12 +203,11 @@ impl Table {
     }
 }
 
-/// The database catalog: a named collection of tables sharing one set of
-/// I/O counters.
+/// The database catalog: a named collection of tables sharing one buffer
+/// pool (whose hit/miss counters are the database's page-access count).
 #[derive(Debug)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
-    stats: Arc<IoStats>,
     pool: Arc<BufferPool>,
 }
 
@@ -236,7 +228,6 @@ impl Catalog {
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         Catalog {
             tables: BTreeMap::new(),
-            stats: Arc::new(IoStats::new()),
             pool,
         }
     }
@@ -246,11 +237,6 @@ impl Catalog {
         &self.pool
     }
 
-    /// The shared I/O counters charged by every table in this catalog.
-    pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
-    }
-
     /// Create a table. Table names are case-insensitive (stored folded to
     /// lowercase, like PostgreSQL's unquoted identifiers).
     pub fn create_table(&mut self, name: &str, schema: Schema) -> StorageResult<&mut Table> {
@@ -258,12 +244,7 @@ impl Catalog {
         if self.tables.contains_key(&key) {
             return Err(StorageError::TableExists(name.to_owned()));
         }
-        let table = Table::new(
-            key.clone(),
-            schema,
-            Arc::clone(&self.stats),
-            Arc::clone(&self.pool),
-        );
+        let table = Table::new(key.clone(), schema, Arc::clone(&self.pool));
         Ok(self.tables.entry(key).or_insert(table))
     }
 
@@ -433,13 +414,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_stats_across_tables() {
+    fn tables_share_the_catalog_pool() {
         let mut cat = Catalog::new();
         cat.create_table("a", ratings_schema()).unwrap();
         cat.create_table("b", ratings_schema()).unwrap();
         cat.table_mut("a").unwrap().insert(row(1, 1, 1.0)).unwrap();
         cat.table_mut("b").unwrap().insert(row(2, 2, 2.0)).unwrap();
-        assert_eq!(cat.stats().page_writes(), 2);
+        assert_eq!(cat.pool().hits() + cat.pool().misses(), 2);
     }
 
     #[test]

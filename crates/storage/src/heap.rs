@@ -3,9 +3,10 @@
 //! A [`HeapTable`] owns a paged file inside a [`BufferPool`] and a
 //! [`Schema`]. Inserts are type-checked against the schema (with implicit
 //! `Int → Float` widening, like PostgreSQL's numeric coercion) and packed
-//! into the last page with free space. Scans go page by page, charging one
-//! page read per block to the table's [`IoStats`] — the granularity the
-//! paper's block-nested-loop operators are defined over.
+//! into the last page with free space. Scans go page by page — the
+//! granularity the paper's block-nested-loop operators are defined over —
+//! and every page access is counted once, by the pool
+//! ([`BufferPool::hits`] + [`BufferPool::misses`]).
 //!
 //! Pages are materialized in pool frames on demand: under a bounded pool a
 //! table much larger than RAM scans in bounded memory, with cold pages
@@ -18,7 +19,6 @@ use crate::error::{StorageError, StorageResult};
 use crate::page::Page;
 use crate::pool::{BufferPool, FileId, FileKind, FrameData};
 use crate::schema::Schema;
-use crate::stats::IoStats;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use std::collections::BTreeSet;
@@ -47,46 +47,28 @@ pub struct HeapTable {
     pool: Arc<BufferPool>,
     file: FileId,
     live_tuples: u64,
-    stats: Arc<IoStats>,
     /// Pages mutated since the last [`HeapTable::take_dirty_pages`] —
     /// the checkpointer's change detector.
     dirty: BTreeSet<u32>,
 }
 
 impl HeapTable {
-    /// An empty heap with the given schema, fresh I/O counters, and a
-    /// private unbounded pool (ad-hoc tables outside an engine).
+    /// An empty heap with the given schema and a private unbounded pool
+    /// (ad-hoc tables outside an engine).
     pub fn new(schema: Schema) -> Self {
-        HeapTable::with_pool(
-            schema,
-            Arc::new(IoStats::new()),
-            Arc::new(BufferPool::unbounded()),
-            "heap",
-        )
-    }
-
-    /// An empty heap that charges I/O to shared counters (so a whole
-    /// database can be accounted together), with a private unbounded pool.
-    pub fn with_stats(schema: Schema, stats: Arc<IoStats>) -> Self {
-        HeapTable::with_pool(schema, stats, Arc::new(BufferPool::unbounded()), "heap")
+        HeapTable::with_pool(schema, Arc::new(BufferPool::unbounded()), "heap")
     }
 
     /// An empty heap paged through a shared buffer pool. `label` names
     /// the heap's pool file in corruption errors (conventionally the
     /// table name).
-    pub fn with_pool(
-        schema: Schema,
-        stats: Arc<IoStats>,
-        pool: Arc<BufferPool>,
-        label: &str,
-    ) -> Self {
+    pub fn with_pool(schema: Schema, pool: Arc<BufferPool>, label: &str) -> Self {
         let file = pool.create_file(FileKind::Heap, label);
         HeapTable {
             schema,
             pool,
             file,
             live_tuples: 0,
-            stats,
             dirty: BTreeSet::new(),
         }
     }
@@ -94,11 +76,6 @@ impl HeapTable {
     /// The table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Shared I/O counters.
-    pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
     }
 
     /// The buffer pool this heap pages through.
@@ -147,7 +124,7 @@ impl HeapTable {
         Ok(Tuple::new(values))
     }
 
-    /// Insert a tuple, returning its record id. Charges one page write.
+    /// Insert a tuple, returning its record id.
     pub fn insert(&mut self, tuple: Tuple) -> StorageResult<Rid> {
         recdb_fault::fail_point("storage::heap_append")?;
         let tuple = self.coerce(tuple)?;
@@ -168,8 +145,6 @@ impl HeapTable {
             .with_page_mut(self.file, page_no, |p| p.insert(&tuple))??;
         self.live_tuples += 1;
         self.dirty.insert(page_no);
-        self.stats.record_page_writes(1);
-        self.stats.record_tuple_writes(1);
         Ok(Rid::new(page_no, slot))
     }
 
@@ -181,7 +156,7 @@ impl HeapTable {
         tuples.into_iter().map(|t| self.insert(t)).collect()
     }
 
-    /// Fetch one tuple by record id. Charges one page read.
+    /// Fetch one tuple by record id.
     pub fn get(&self, rid: Rid) -> StorageResult<Tuple> {
         let invalid = || StorageError::InvalidRid {
             page: rid.page,
@@ -190,8 +165,6 @@ impl HeapTable {
         if rid.page >= self.pool.page_count(self.file) {
             return Err(invalid());
         }
-        self.stats.record_page_reads(1);
-        self.stats.record_tuple_reads(1);
         self.pool
             .with_page(self.file, rid.page, |p| p.get(rid.slot))?
             .map_err(|_| invalid())
@@ -211,7 +184,6 @@ impl HeapTable {
             .map_err(|_| invalid())?;
         self.live_tuples -= 1;
         self.dirty.insert(rid.page);
-        self.stats.record_page_writes(1);
         Ok(())
     }
 
@@ -324,14 +296,14 @@ impl HeapTable {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Full scan, tuple at a time. Charges one page read per page visited.
+    /// Full scan, tuple at a time: one pool access per page visited.
     pub fn scan(&self) -> impl Iterator<Item = (Rid, Tuple)> + '_ {
         self.scan_pages().flatten()
     }
 
     /// Read one page's live tuples by page number, or `None` past the end.
-    /// Charges one page read. This is the cursor-style access path physical
-    /// scan operators use (they cannot hold a borrowing iterator).
+    /// This is the cursor-style access path physical scan operators use
+    /// (they cannot hold a borrowing iterator).
     ///
     /// Panics if the buffer pool cannot produce the page (a corrupt spill
     /// block or an all-pinned pool): scan iterators have no error channel,
@@ -341,8 +313,7 @@ impl HeapTable {
         if page_no >= self.pool.page_count(self.file) {
             return None;
         }
-        self.stats.record_page_reads(1);
-        let tuples: Vec<(Rid, Tuple)> = self
+        let tuples = self
             .pool
             .with_page(self.file, page_no, |page| {
                 page.iter_live()
@@ -350,16 +321,15 @@ impl HeapTable {
                     .collect()
             })
             .expect("buffer pool read failed during scan");
-        self.stats.record_tuple_reads(tuples.len() as u64);
         Some(tuples)
     }
 
     /// Block-at-a-time scan: an iterator of per-page tuple iterators.
     ///
     /// This is the access path the paper's Algorithm 1/2 pseudo-code uses
-    /// ("load ... block by block in Memory"). Each yielded block charges one
-    /// page read when produced, faulting the page into the pool if it was
-    /// evicted — only one block's tuples are materialized at a time.
+    /// ("load ... block by block in Memory"). Each yielded block is one
+    /// pool access when produced, faulting the page in if it was evicted —
+    /// only one block's tuples are materialized at a time.
     pub fn scan_pages(
         &self,
     ) -> impl Iterator<Item = Box<dyn Iterator<Item = (Rid, Tuple)> + '_>> + '_ {
@@ -448,17 +418,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_charges_one_read_per_page() {
+    fn scan_is_one_pool_access_per_page() {
         let mut t = ratings();
         for i in 0..2000 {
             t.insert(row(i, i, 1.0)).unwrap();
         }
         let pages = t.page_count() as u64;
-        t.stats().reset();
+        let accesses = |t: &HeapTable| t.pool().hits() + t.pool().misses();
+        let before = accesses(&t);
         let n = t.scan().count();
         assert_eq!(n, 2000);
-        assert_eq!(t.stats().page_reads(), pages);
-        assert_eq!(t.stats().tuple_reads(), 2000);
+        assert_eq!(accesses(&t) - before, pages);
     }
 
     #[test]
@@ -516,8 +486,7 @@ mod tests {
             Column::new("ratingval", DataType::Float),
         ]);
         let pool = Arc::new(BufferPool::in_memory(2));
-        let mut bounded =
-            HeapTable::with_pool(schema, Arc::new(IoStats::new()), Arc::clone(&pool), "r");
+        let mut bounded = HeapTable::with_pool(schema, Arc::clone(&pool), "r");
         let mut unbounded = ratings();
         for i in 0..2000 {
             bounded.insert(row(i, i, (i % 7) as f64)).unwrap();

@@ -4,18 +4,13 @@
 //! total order from [`crate::value::Value`]) to record ids. It supports
 //! point lookups, inclusive range scans, and ordered iteration in both
 //! directions — everything the paper's `RecScoreIndex` B+-trees and primary
-//! key indexes need.
-//!
-//! Lookups charge ⌈log₂ n⌉ page reads to the attached [`IoStats`] as a
-//! simple B-tree height proxy, so index access paths are visibly cheaper
-//! than scans in the cost model.
+//! key indexes need. It lives in memory and reads no page; the rids it
+//! returns are what cost page accesses, when the heap fetches them.
 
 use crate::heap::Rid;
-use crate::stats::IoStats;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Composite index key.
 pub type IndexKey = Vec<Value>;
@@ -28,7 +23,6 @@ pub struct BTreeIndex {
     key_columns: Vec<usize>,
     map: BTreeMap<IndexKey, Vec<Rid>>,
     entries: u64,
-    stats: Arc<IoStats>,
 }
 
 impl BTreeIndex {
@@ -39,14 +33,7 @@ impl BTreeIndex {
             key_columns,
             map: BTreeMap::new(),
             entries: 0,
-            stats: Arc::new(IoStats::new()),
         }
-    }
-
-    /// Attach shared I/O counters.
-    pub fn with_stats(mut self, stats: Arc<IoStats>) -> Self {
-        self.stats = stats;
-        self
     }
 
     /// Index name.
@@ -67,12 +54,6 @@ impl BTreeIndex {
     /// True if the index holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
-    }
-
-    /// Charge a log-height traversal to the cost model.
-    fn charge_descent(&self) {
-        let h = (self.map.len().max(2) as f64).log2().ceil() as u64;
-        self.stats.record_page_reads(h);
     }
 
     /// Extract this index's key from a full table tuple.
@@ -106,7 +87,6 @@ impl BTreeIndex {
 
     /// Point lookup: all rids for exactly `key`.
     pub fn lookup(&self, key: &IndexKey) -> Vec<Rid> {
-        self.charge_descent();
         self.map.get(key).cloned().unwrap_or_default()
     }
 
@@ -117,7 +97,6 @@ impl BTreeIndex {
         low: Option<&IndexKey>,
         high: Option<&IndexKey>,
     ) -> impl Iterator<Item = (&IndexKey, Rid)> + '_ {
-        self.charge_descent();
         let lo: Bound<IndexKey> = match low {
             Some(k) => Bound::Included(k.clone()),
             None => Bound::Unbounded,
@@ -133,7 +112,6 @@ impl BTreeIndex {
 
     /// Full ordered iteration, ascending.
     pub fn iter_asc(&self) -> impl Iterator<Item = (&IndexKey, Rid)> + '_ {
-        self.charge_descent();
         self.map
             .iter()
             .flat_map(|(k, rids)| rids.iter().map(move |&r| (k, r)))
@@ -142,7 +120,6 @@ impl BTreeIndex {
     /// Full ordered iteration, descending — how `IndexRecommend` walks the
     /// per-user score tree to produce top-k answers without sorting.
     pub fn iter_desc(&self) -> impl Iterator<Item = (&IndexKey, Rid)> + '_ {
-        self.charge_descent();
         self.map
             .iter()
             .rev()
@@ -225,17 +202,6 @@ mod tests {
         assert_eq!(idx.lookup(&k(1)), vec![Rid::new(0, 1)]);
         assert!(idx.remove(&k(1), Rid::new(0, 1)));
         assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn lookups_charge_logarithmic_io() {
-        let mut idx = BTreeIndex::new("i", vec![0]);
-        for v in 0..1024 {
-            idx.insert(k(v), Rid::new(0, 0));
-        }
-        idx.stats.reset();
-        idx.lookup(&k(5));
-        assert_eq!(idx.stats.page_reads(), 10, "log2(1024) = 10");
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! * [`btree::BTree`] — a paged B+-tree over pool frames (the structure
 //!   behind the engine's disk-resident RecScoreIndex),
 //! * [`index::BTreeIndex`] — an ordered secondary index (point + range),
-//! * [`catalog::Catalog`] — the table catalog,
-//! * [`stats::IoStats`] — page read/write counters used as the I/O cost
-//!   model for the paper's operator cost discussion (§IV-A).
+//! * [`catalog::Catalog`] — the table catalog.
+//!
+//! Page accesses are counted in one place: the pool's
+//! [`pool::BufferPool::hits`] / [`pool::BufferPool::misses`], exported as
+//! the `recdb_buffer_pool_hits_total` / `recdb_buffer_pool_misses_total`
+//! series.
 //!
 //! The paper's recommendation-aware operators (ItemCF-Recommend etc.) are
 //! specified as *block-nested-loop* algorithms over tables fetched "block by
@@ -41,7 +44,6 @@ pub mod page;
 pub mod pagefile;
 pub mod pool;
 pub mod schema;
-pub mod stats;
 pub mod tuple;
 pub mod value;
 
@@ -56,6 +58,5 @@ pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pagefile::{read_snapshot, read_snapshot_with, write_snapshot, RecoveryMode, Snapshot};
 pub use pool::{BufferPool, FileId, FileKind, FrameData};
 pub use schema::{Column, Schema};
-pub use stats::IoStats;
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

@@ -386,38 +386,33 @@ fn poi_pipeline_end_to_end() {
     assert!(scores.windows(2).all(|w| w[0] >= w[1]));
 }
 
-/// Page-I/O cost shapes (§IV-A): a selective recommendation query touches
-/// far fewer prediction computations than the all-pairs baseline; visible
-/// through the shared page-read counters on the OnTopDB side.
+/// Data-movement cost shape (§IV-A): the all-pairs baseline loads far more
+/// prediction rows back into the database than a selective query needs;
+/// visible as the row count of `_ontop_predictions` after each run.
 #[test]
 fn ontop_pays_data_movement_cost() {
     let mut ontop = OnTopDb::new(loaded_db()).unwrap();
     ontop
         .create_recommender("ratings", "uid", "iid", "ratingval", Algorithm::ItemCosCF)
         .unwrap();
-    let stats = std::sync::Arc::clone(ontop.db().catalog().stats());
-    stats.reset();
-    ontop
-        .run(
-            "ratings",
-            Algorithm::ItemCosCF,
-            PredictionScope::AllUsers,
-            "SELECT P.iid FROM _ontop_predictions AS P WHERE P.uid = 1",
-        )
-        .unwrap();
-    let writes_all = stats.tuple_writes();
-
+    let mut rows_loaded = |scope| {
+        ontop
+            .run(
+                "ratings",
+                Algorithm::ItemCosCF,
+                scope,
+                "SELECT P.iid FROM _ontop_predictions AS P WHERE P.uid = 1",
+            )
+            .unwrap();
+        let catalog = ontop.db().catalog();
+        catalog
+            .table(recdb::ontop::PREDICTIONS_TABLE)
+            .unwrap()
+            .tuple_count()
+    };
+    let writes_all = rows_loaded(PredictionScope::AllUsers);
     // The single-user ablation writes far fewer tuples back to the DB.
-    stats.reset();
-    ontop
-        .run(
-            "ratings",
-            Algorithm::ItemCosCF,
-            PredictionScope::SingleUser(1),
-            "SELECT P.iid FROM _ontop_predictions AS P WHERE P.uid = 1",
-        )
-        .unwrap();
-    let writes_one = stats.tuple_writes();
+    let writes_one = rows_loaded(PredictionScope::SingleUser(1));
     assert!(
         writes_one * 10 < writes_all,
         "single-user reload ({writes_one}) should be ≪ all-pairs ({writes_all})"

@@ -6,9 +6,10 @@
 //! for its whole body and clears the registry on entry and exit — the
 //! registry is process-global and the test harness runs in parallel.
 
-use recdb::core::{EngineError, GovernorConfig, QueryGuard, RecDb, RecDbConfig};
+use recdb::core::{EngineError, GovernorConfig, QueryGuard, QueryResult, RecDb, RecDbConfig};
 use recdb::exec::ExecError;
 use recdb::fault;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const RECOMMEND_SQL: &str = "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
@@ -156,6 +157,112 @@ fn cross_thread_cancel_stops_statement() {
         Err(EngineError::Cancelled { .. }) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
+}
+
+/// Rows in the DML governor world: enough heap pages that a scan is
+/// still running when the canceller thread below gets to flip its handle.
+const DML_ROWS: u64 = 20_000;
+
+/// The `ratings` heap as the checksummed blocks a checkpoint would write.
+fn ratings_bytes(db: &RecDb) -> Vec<Vec<u8>> {
+    let catalog = db.catalog();
+    let heap = catalog.table("ratings").expect("ratings").heap();
+    (0..heap.page_count() as u32)
+        .map(|page| heap.encode_page_block(page, 0).expect("page block"))
+        .collect()
+}
+
+/// `GovernorConfig` promises its limits to every statement: `UPDATE` and
+/// `DELETE` scan under the statement's guard like the same-predicate
+/// `SELECT`, inside and outside an explicit transaction. A refused
+/// statement leaves the table byte-identical and appends nothing to the
+/// WAL; retried ungoverned it succeeds.
+#[test]
+fn governor_refuses_update_and_delete_without_a_trace() {
+    let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
+    let dir = std::env::temp_dir().join(format!("recdb-robustness-dml-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = RecDb::open(&dir).expect("open durable");
+    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+        .expect("create table");
+    for batch in 0..DML_ROWS / 1000 {
+        let rows: Vec<String> = (batch * 1000..(batch + 1) * 1000)
+            .map(|n| format!("({}, {n}, {}.5)", n % 10, n % 5))
+            .collect();
+        db.execute(&format!("INSERT INTO ratings VALUES {}", rows.join(", ")))
+            .expect("load");
+    }
+    let wal_appends = || db.metrics_snapshot().counter("recdb_wal_appends_total");
+
+    // One uid per (statement, transaction mode), so every retry finds rows.
+    let cases = [
+        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = 3", false),
+        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = 4", true),
+        ("DELETE FROM ratings WHERE uid = 5", false),
+        ("DELETE FROM ratings WHERE uid = 6", true),
+    ];
+    for (sql, in_txn) in cases {
+        for refusal in ["row budget", "zero deadline", "cancel mid-scan"] {
+            let case = format!("{sql} (in txn: {in_txn}) under {refusal}");
+            let (before, appends) = (ratings_bytes(&db), wal_appends());
+            let guard = match refusal {
+                "row budget" => QueryGuard::with_limits(None, Some(10), None),
+                "zero deadline" => QueryGuard::with_limits(Some(Duration::ZERO), None, None),
+                _ => QueryGuard::unlimited(),
+            };
+            let mut session = db.session();
+            if in_txn {
+                session.execute("BEGIN").expect("begin");
+            }
+            let done = AtomicBool::new(false);
+            let result = std::thread::scope(|scope| {
+                if refusal == "cancel mid-scan" {
+                    // Cancels once the scan has charged its first row.
+                    scope.spawn(|| {
+                        while guard.rows_used() == 0 && !done.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                        guard.cancel();
+                    });
+                }
+                let result = session.execute_with_guard(sql, guard.clone());
+                done.store(true, Ordering::Relaxed);
+                result
+            });
+            match (refusal, result) {
+                (
+                    "row budget",
+                    Err(EngineError::ResourceExhausted {
+                        resource: "rows",
+                        budget: 10,
+                        used: 11,
+                    }),
+                ) => {}
+                ("zero deadline", Err(EngineError::Cancelled { .. })) => {}
+                ("cancel mid-scan", Err(EngineError::Cancelled { .. })) => {
+                    let used = guard.rows_used();
+                    assert!((1..DML_ROWS).contains(&used), "{case}: {used} rows in");
+                }
+                (_, other) => panic!("{case}: got {other:?}"),
+            }
+            assert!(!session.in_transaction(), "{case}: the refusal aborts");
+            assert!(ratings_bytes(&db) == before, "{case}: table changed");
+            assert_eq!(wal_appends(), appends, "{case}: WAL grew");
+        }
+        let mut session = db.session();
+        let script = if in_txn {
+            format!("BEGIN; {sql}; COMMIT")
+        } else {
+            sql.to_owned()
+        };
+        let results = session.execute_script(&script).expect("ungoverned retry");
+        let changed = results.iter().any(|r| {
+            matches!(r, QueryResult::Updated(n) | QueryResult::Deleted(n) if *n == DML_ROWS as usize / 10)
+        });
+        assert!(changed, "{sql}: {results:?}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
