@@ -34,6 +34,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::Algorithm;
 use recdb_exec::expr::{bind, literal_value};
+use recdb_exec::ops::ScanOp;
 use recdb_exec::{
     build_logical, execute_plan, execute_plan_profiled, optimize, ExecContext, ExecMetrics,
     LogicalPlan, RecScoreIndex, RecommenderProvider, ResultSet,
@@ -387,8 +388,7 @@ impl RecDb {
             config.buffer_pool_pages,
             dir.join("pool"),
         ));
-        let snapshot = read_snapshot_with(&dir, config.recovery, Arc::clone(&pool))
-            .map_err(corruption_to_engine)?;
+        let snapshot = read_snapshot_with(&dir, config.recovery, Arc::clone(&pool))?;
         let (mut catalog, meta, checkpoint_lsn) = match snapshot {
             Some(s) => (s.catalog, s.meta, s.lsn),
             None => (Catalog::with_pool(Arc::clone(&pool)), Vec::new(), 0),
@@ -1444,28 +1444,21 @@ impl RecDb {
     }
 
     /// The rows of table `t` a DELETE or UPDATE with `filter` acts on (all
-    /// rows when `None`), in heap order. Each scanned row is one row unit
-    /// of `guard`, as in a SELECT's scan, and the scan runs before any
-    /// page pre-image is saved or record logged: a statement the governor
+    /// rows when `None`), in heap order: the scan a same-predicate SELECT
+    /// runs, billing `guard` page by page. It completes before any page
+    /// pre-image is saved or record logged: a statement the governor
     /// refuses leaves the table and the WAL untouched.
     fn matching_rows(
         t: &Table,
         filter: Option<&Expr>,
         guard: &QueryGuard,
     ) -> EngineResult<Vec<(Rid, Tuple)>> {
-        let bound = filter.map(|f| bind(f, t.schema())).transpose()?;
-        let mut rows = Vec::new();
-        for (rid, tuple) in t.heap().scan() {
-            guard.tick()?;
-            let hit = match &bound {
-                Some(b) => b.eval_predicate(&tuple)?,
-                None => true,
-            };
-            if hit {
-                rows.push((rid, tuple));
-            }
-        }
-        Ok(rows)
+        let scan = ScanOp::new(t.heap(), t.schema().clone()).with_guard(guard.clone());
+        let scan = match filter {
+            Some(filter) => scan.with_filter(filter)?,
+            None => scan,
+        };
+        Ok(scan.matching_rows()?)
     }
 
     /// Delete rows matching `filter` (all rows when `None`). Recommender
@@ -2094,22 +2087,6 @@ fn find_recommend(plan: &LogicalPlan) -> Option<&recdb_exec::plan::RecommendNode
             find_recommend(left).or_else(|| find_recommend(right))
         }
         LogicalPlan::Scan { .. } => None,
-    }
-}
-
-/// Map a checksum failure in a durable file to an [`EngineError`] naming
-/// the affected table (page files are named `<table>.<lsn>.tbl`; anything
-/// else is the catalog manifest itself).
-fn corruption_to_engine(e: StorageError) -> EngineError {
-    match &e {
-        StorageError::Corruption { file, .. } => {
-            let table = match file.split_once('.') {
-                Some((table, _)) if file.ends_with(".tbl") => table.to_owned(),
-                _ => "catalog".to_owned(),
-            };
-            EngineError::Corruption { table, source: e }
-        }
-        _ => EngineError::Storage(e),
     }
 }
 

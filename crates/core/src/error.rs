@@ -156,13 +156,33 @@ impl From<ParseError> for EngineError {
 
 impl From<ExecError> for EngineError {
     fn from(e: ExecError) -> Self {
-        EngineError::Exec(e)
+        match e {
+            // A checksum failure is the same engine error whichever layer
+            // met it: recovery reading a checkpoint, or a scan faulting in
+            // a spilled page.
+            ExecError::Storage(e @ StorageError::Corruption { .. }) => e.into(),
+            other => EngineError::Exec(other),
+        }
     }
 }
 
+/// A checksum failure becomes [`EngineError::Corruption`] naming the
+/// affected table: checkpoint page files are named `<table>.<lsn>.tbl`,
+/// the buffer pool labels a heap's spill blocks with the bare table name,
+/// and anything else is the catalog manifest itself.
 impl From<StorageError> for EngineError {
     fn from(e: StorageError) -> Self {
-        EngineError::Storage(e)
+        match &e {
+            StorageError::Corruption { file, .. } => {
+                let table = match file.split_once('.') {
+                    Some((table, _)) if file.ends_with(".tbl") => table.to_owned(),
+                    Some(_) => "catalog".to_owned(),
+                    None => file.clone(),
+                };
+                EngineError::Corruption { table, source: e }
+            }
+            _ => EngineError::Storage(e),
+        }
     }
 }
 

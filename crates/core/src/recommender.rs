@@ -9,7 +9,7 @@ use recdb_algo::parallel::for_each_chunk;
 use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch, TrainError};
 use recdb_exec::RecScoreIndex;
 use recdb_guard::QueryGuard;
-use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
+use recdb_storage::{BufferPool, Catalog, StorageError, DEFAULT_NODE_CAPACITY};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -548,17 +548,27 @@ pub fn load_matrix(
     let i = schema.resolve(items_column)?;
     let r = schema.resolve(ratings_column)?;
     let mut ratings = Vec::with_capacity(table.tuple_count() as usize);
-    for (_, tuple) in table.heap().scan() {
-        let (Some(user), Some(item), Some(value)) = (
-            tuple.get(u).and_then(recdb_storage::Value::as_int),
-            tuple.get(i).and_then(recdb_storage::Value::as_int),
-            tuple.get(r).and_then(recdb_storage::Value::as_f64),
-        ) else {
+    let mut page_no = 0;
+    // Three columns read in place per row: no tuple is decoded. A page
+    // reports the slot of its first non-numeric triple, if any.
+    while let Some(bad_slot) = table.heap().visit_page(page_no, |page| {
+        for (slot, row) in page.live_rows() {
+            let (user, item, value) = (row.column(u)?, row.column(i)?, row.column(r)?);
+            let (Some(user), Some(item), Some(value)) =
+                (user.as_int(), item.as_int(), value.as_f64())
+            else {
+                return Ok(Some(slot));
+            };
+            ratings.push(Rating::new(user, item, value));
+        }
+        Ok::<_, StorageError>(None)
+    })? {
+        if let Some(slot) = bad_slot? {
             return Err(EngineError::Exec(recdb_exec::ExecError::Type(format!(
-                "non-numeric rating triple in `{ratings_table}`: {tuple}"
+                "non-numeric rating triple in `{ratings_table}` at page {page_no}, slot {slot}"
             ))));
-        };
-        ratings.push(Rating::new(user, item, value));
+        }
+        page_no += 1;
     }
     Ok(RatingsMatrix::from_ratings(ratings))
 }

@@ -14,6 +14,7 @@ use recdb_spatial::{functions, Point, Polygon, Rect};
 use recdb_sql::{BinaryOp, Expr, Literal, UnaryOp};
 use recdb_storage::{Schema, Tuple, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// An expression with all column references resolved to ordinals.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,24 +379,25 @@ fn eval_binary(
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    // Both operands are non-null here, so `sql_eq` is total; treat a None
-    // defensively as NULL rather than panicking.
-    let eq = |l: &Value, r: &Value| l.sql_eq(r).map(Value::Bool).unwrap_or(Value::Null);
-    match op {
-        BinaryOp::Eq => Ok(eq(&l, &r)),
-        BinaryOp::Neq => Ok(match eq(&l, &r) {
-            Value::Bool(b) => Value::Bool(!b),
-            other => other,
-        }),
-        BinaryOp::Lt => Ok(Value::Bool(l.total_cmp(&r) == std::cmp::Ordering::Less)),
-        BinaryOp::Le => Ok(Value::Bool(l.total_cmp(&r) != std::cmp::Ordering::Greater)),
-        BinaryOp::Gt => Ok(Value::Bool(l.total_cmp(&r) == std::cmp::Ordering::Greater)),
-        BinaryOp::Ge => Ok(Value::Bool(l.total_cmp(&r) != std::cmp::Ordering::Less)),
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
-            eval_arithmetic(op, &l, &r)
-        }
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
+    if let Some(holds) = comparison(op) {
+        return Ok(Value::Bool(holds(l.total_cmp(&r))));
     }
+    eval_arithmetic(op, &l, &r)
+}
+
+/// The orderings of `left` against `right` under which `left op right`
+/// holds, when `op` is one of the six comparisons. An expression walk and
+/// a scan key on page bytes both decide a comparison through this.
+pub(crate) fn comparison(op: BinaryOp) -> Option<fn(Ordering) -> bool> {
+    Some(match op {
+        BinaryOp::Eq => Ordering::is_eq,
+        BinaryOp::Neq => Ordering::is_ne,
+        BinaryOp::Lt => Ordering::is_lt,
+        BinaryOp::Le => Ordering::is_le,
+        BinaryOp::Gt => Ordering::is_gt,
+        BinaryOp::Ge => Ordering::is_ge,
+        _ => return None,
+    })
 }
 
 fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> ExecResult<Value> {

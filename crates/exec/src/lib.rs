@@ -33,6 +33,7 @@ pub mod plan;
 pub mod provider;
 pub mod rec_index;
 pub mod result;
+mod scan_keys;
 
 pub use error::{ExecError, ExecResult};
 pub use expr::BoundExpr;

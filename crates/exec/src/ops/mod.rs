@@ -12,9 +12,11 @@ pub mod recommend;
 
 use crate::error::ExecResult;
 use crate::expr::BoundExpr;
+use crate::scan_keys::{self, ScanKey};
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats};
-use recdb_storage::{HeapTable, Rid, Schema, Tuple, Value};
+use recdb_sql::Expr;
+use recdb_storage::{HeapTable, Rid, Schema, StorageError, Tuple, Value};
 use std::sync::Arc;
 
 pub use aggregate::{AggFunc, AggOutput, HashAggregateOp};
@@ -37,6 +39,12 @@ pub trait PhysicalOp {
     /// mark).
     fn buffered_bytes(&self) -> u64 {
         0
+    }
+    /// What `EXPLAIN ANALYZE` shows after the operator's name and logical
+    /// detail, for an operator that absorbed a plan node above it (a
+    /// `SeqScan` carrying a filter).
+    fn detail(&self) -> Option<String> {
+        None
     }
 }
 
@@ -106,11 +114,25 @@ pub fn drain(op: &mut dyn PhysicalOp) -> ExecResult<Vec<Tuple>> {
 
 // ------------------------------------------------------------------- Scan
 
-/// Sequential heap scan, page at a time (charges one page read per block).
+/// Sequential heap scan, page at a time, carrying the predicate that sits
+/// directly on the table.
+///
+/// The predicate's `AND`-conjuncts of the form `column ⋈ constant` (or
+/// `constant ⋈ column`) for `= <> < <= > >=` are **scan keys**; the rest
+/// is the **residual**. Each page is one pool access. Inside it the keys
+/// run on the encoded rows and only the rows they accept are decoded; the
+/// residual runs on those decoded rows after the page access has returned,
+/// because the page visitor runs under the pool's lock. So a residual
+/// error surfaces only for rows that pass the keys. A page bills the
+/// governor and the rows-scanned counter once, with its live-row count —
+/// every row the scan examined, kept or not.
 pub struct ScanOp<'a> {
     heap: &'a HeapTable,
     schema: Schema,
+    keys: Vec<ScanKey>,
+    residual: Option<BoundExpr>,
     page: u32,
+    /// Rows of the current page that passed the keys.
     buffer: std::vec::IntoIter<(Rid, Tuple)>,
     guard: QueryGuard,
     rows_scanned: Option<Arc<Counter>>,
@@ -123,6 +145,8 @@ impl<'a> ScanOp<'a> {
         ScanOp {
             heap,
             schema,
+            keys: Vec::new(),
+            residual: None,
             page: 0,
             buffer: Vec::new().into_iter(),
             guard: QueryGuard::unlimited(),
@@ -130,17 +154,78 @@ impl<'a> ScanOp<'a> {
         }
     }
 
-    /// Attach a resource governor (checked once per emitted tuple).
+    /// Emit only the rows for which `predicate`, bound against this scan's
+    /// schema, is TRUE.
+    pub fn with_filter(mut self, predicate: &Expr) -> ExecResult<Self> {
+        (self.keys, self.residual) = scan_keys::split(predicate, &self.schema)?;
+        Ok(self)
+    }
+
+    /// Attach a resource governor (charged once per page with the page's
+    /// live rows, and once for the end-of-stream call).
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
 
-    /// Attach an engine-wide rows-scanned counter, bumped once per tuple
-    /// the scan emits.
+    /// Attach an engine-wide rows-scanned counter, bumped once per page
+    /// with the live rows the scan examined there.
     pub fn with_rows_counter(mut self, counter: Arc<Counter>) -> Self {
         self.rows_scanned = Some(counter);
         self
+    }
+
+    /// Every matching row with its record id, in heap order (`UPDATE` and
+    /// `DELETE` act on these).
+    pub fn matching_rows(mut self) -> ExecResult<Vec<(Rid, Tuple)>> {
+        std::iter::from_fn(|| self.next_row()).collect()
+    }
+
+    fn next_row(&mut self) -> Option<ExecResult<(Rid, Tuple)>> {
+        loop {
+            for (rid, tuple) in self.buffer.by_ref() {
+                match &self.residual {
+                    None => return Some(Ok((rid, tuple))),
+                    Some(residual) => match residual.eval_predicate(&tuple) {
+                        Ok(true) => return Some(Ok((rid, tuple))),
+                        Ok(false) => {}
+                        Err(e) => return Some(Err(e)),
+                    },
+                }
+            }
+            match self.load_page() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+
+    /// Refill the buffer from the next page; `false` past the last one.
+    fn load_page(&mut self) -> ExecResult<bool> {
+        let (page_no, keys) = (self.page, &self.keys);
+        let visited = self.heap.visit_page(page_no, |page| {
+            let mut live = 0u64;
+            let mut kept = Vec::new();
+            for (slot, row) in page.live_rows() {
+                live += 1;
+                if ScanKey::accept_all(keys, row)? {
+                    kept.push((Rid::new(page_no, slot), row.to_tuple()?));
+                }
+            }
+            Ok::<_, StorageError>((live, kept))
+        })?;
+        let Some(visited) = visited else {
+            return Ok(false);
+        };
+        let (live, kept) = visited?;
+        self.page += 1;
+        self.buffer = kept.into_iter();
+        if let Some(counter) = &self.rows_scanned {
+            counter.add(live);
+        }
+        self.guard.tick_n(live)?;
+        Ok(true)
     }
 }
 
@@ -150,24 +235,28 @@ impl PhysicalOp for ScanOp<'_> {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
-        if let Err(e) = self.guard.tick() {
-            return Some(Err(e.into()));
-        }
-        loop {
-            if let Some((_, tuple)) = self.buffer.next() {
-                if let Some(c) = &self.rows_scanned {
-                    c.inc();
-                }
-                return Some(Ok(tuple));
-            }
-            let tuples = self.heap.read_page(self.page)?;
-            self.page += 1;
-            self.buffer = tuples.into_iter();
+        match self.next_row() {
+            Some(row) => Some(row.map(|(_, tuple)| tuple)),
+            // The end-of-stream call is a unit of work like any other
+            // operator's, so a drained scan charges live rows + 1.
+            None => self.guard.tick().err().map(|e| Err(e.into())),
         }
     }
 
     fn name(&self) -> &'static str {
         "SeqScan"
+    }
+
+    fn detail(&self) -> Option<String> {
+        if self.keys.is_empty() && self.residual.is_none() {
+            return None;
+        }
+        let residual = if self.residual.is_some() {
+            " +residual"
+        } else {
+            ""
+        };
+        Some(format!("filter: keys={}{residual}", self.keys.len()))
     }
 }
 

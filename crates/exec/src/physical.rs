@@ -198,6 +198,11 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
     let name = op.name();
     match plan {
         LogicalPlan::Scan { table, binding, .. } => format!("{name} {table} AS {binding}"),
+        // The scan took the predicate above it: one operator for both.
+        LogicalPlan::Filter { input, .. } if name == "SeqScan" => {
+            let filter = op.detail().unwrap_or_default();
+            format!("{} {filter}", node_label(op, input))
+        }
         LogicalPlan::Recommend(node) => format!("{name} {}", node.algorithm.name()),
         LogicalPlan::RecJoin { rec, .. } if name == "JoinRecommend" => {
             format!("{name} {}", rec.algorithm.name())
@@ -219,19 +224,20 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
 
 fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
     match plan {
-        LogicalPlan::Scan { table, schema, .. } => {
-            let t = ctx.catalog.table(table)?;
-            let mut scan = ScanOp::new(t.heap(), schema.clone()).with_guard(ctx.guard.clone());
-            if let Some(metrics) = ctx.metrics {
-                scan = scan.with_rows_counter(Arc::clone(&metrics.rows_scanned));
-            }
-            Ok(Built {
-                op: Box::new(scan),
-                sorted_desc: None,
-            })
-        }
+        LogicalPlan::Scan { table, schema, .. } => Ok(Built {
+            op: Box::new(seq_scan(table, schema, ctx)?),
+            sorted_desc: None,
+        }),
         LogicalPlan::Recommend(node) => build_recommend(node, ctx),
         LogicalPlan::Filter { input, predicate } => {
+            // A predicate directly over a base table runs inside the scan:
+            // one operator, which decodes only the rows its keys accept.
+            if let LogicalPlan::Scan { table, schema, .. } = &**input {
+                return Ok(Built {
+                    op: Box::new(seq_scan(table, schema, ctx)?.with_filter(predicate)?),
+                    sorted_desc: None,
+                });
+            }
             let child = build(input, ctx)?;
             let bound = bind(predicate, child.op.schema())?;
             Ok(Built {
@@ -413,6 +419,15 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             })
         }
     }
+}
+
+fn seq_scan<'a>(table: &str, schema: &Schema, ctx: &ExecContext<'a>) -> ExecResult<ScanOp<'a>> {
+    let heap = ctx.catalog.table(table)?.heap();
+    let scan = ScanOp::new(heap, schema.clone()).with_guard(ctx.guard.clone());
+    Ok(match ctx.metrics {
+        Some(metrics) => scan.with_rows_counter(Arc::clone(&metrics.rows_scanned)),
+        None => scan,
+    })
 }
 
 /// The RecScoreIndex that can serve `node`: IndexRecommend is sound only
@@ -944,6 +959,73 @@ mod tests {
                 "Filter",
                 "FilterRecommend ItemCosCF"
             ]
+        );
+    }
+
+    /// A predicate directly over a base table is the scan's own: one
+    /// `SeqScan` node, wherever the plan puts it. Over anything else the
+    /// `Filter` operator stays.
+    #[test]
+    fn filter_over_a_base_table_is_one_seq_scan() {
+        let (cat, provider) = setup();
+        let ops = |sql: &str| operators(sql, &cat, &provider);
+        assert_eq!(
+            ops("SELECT name FROM movies WHERE genre = 'Action'"),
+            ["Project", "SeqScan movies AS movies filter: keys=1"]
+        );
+        assert_eq!(
+            ops("SELECT iid FROM ratings WHERE uid = 4 AND ratingval * 2 > 1"),
+            [
+                "Project",
+                "SeqScan ratings AS ratings filter: keys=1 +residual"
+            ]
+        );
+        assert_eq!(
+            ops("SELECT iid FROM ratings WHERE uid = 4 OR iid = 1"),
+            [
+                "Project",
+                "SeqScan ratings AS ratings filter: keys=0 +residual"
+            ]
+        );
+        assert_eq!(
+            ops("SELECT iid FROM ratings"),
+            ["Project", "SeqScan ratings AS ratings"]
+        );
+        // Paper Query 4: JoinRecommend's outer is the filtered scan.
+        assert_eq!(
+            ops(
+                "SELECT R.uid, M.name, R.ratingval FROM ratings AS R, movies AS M \
+                 RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
+                 WHERE R.uid = 4 AND M.mid = R.iid AND M.genre = 'Sci-Fi'"
+            ),
+            [
+                "Project",
+                "JoinRecommend ItemCosCF",
+                "SeqScan movies AS M filter: keys=1"
+            ]
+        );
+        // A hash join's inputs and an aggregate's input get it too.
+        assert_eq!(
+            ops("SELECT A.name FROM movies AS A, movies AS B \
+                 WHERE A.mid = B.mid AND A.genre = 'Action' AND B.mid > 0"),
+            [
+                "Project",
+                "HashJoin",
+                "SeqScan movies AS A filter: keys=1",
+                "SeqScan movies AS B filter: keys=1"
+            ]
+        );
+        assert_eq!(
+            ops("SELECT M.genre, COUNT(*) AS n FROM movies AS M \
+                 WHERE M.mid >= 2 GROUP BY M.genre"),
+            ["HashAggregate", "SeqScan movies AS M filter: keys=1"]
+        );
+        // Not over a base table: the Filter operator, as before.
+        assert_eq!(
+            ops(&format!(
+                "{RECOMMEND} WHERE R.uid = 1 AND R.ratingval * 2 > 1"
+            )),
+            ["Project", "Filter", "FilterRecommend ItemCosCF"]
         );
     }
 

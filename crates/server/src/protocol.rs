@@ -32,7 +32,7 @@
 use recdb_core::{EngineError, QueryResult};
 use recdb_exec::{ExecError, ResultSet};
 use recdb_storage::codec::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
-use recdb_storage::{Column, DataType, Schema, Tuple};
+use recdb_storage::{Column, DataType, Schema, StorageError, Tuple};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -679,7 +679,9 @@ impl std::fmt::Display for WireError {
 pub fn classify(err: &EngineError) -> WireError {
     let (code, retryable) = match err {
         EngineError::Parse(_) => (ErrorCode::Parse, false),
-        EngineError::Exec(ExecError::FaultInjected(_)) => (ErrorCode::Fault, true),
+        EngineError::Exec(ExecError::FaultInjected(_))
+        | EngineError::Exec(ExecError::Storage(StorageError::FaultInjected(_)))
+        | EngineError::Storage(StorageError::FaultInjected(_)) => (ErrorCode::Fault, true),
         EngineError::Exec(_) => (ErrorCode::Exec, false),
         EngineError::Storage(_) => (ErrorCode::Storage, false),
         EngineError::Corruption { .. } => (ErrorCode::Corruption, false),

@@ -296,46 +296,39 @@ impl HeapTable {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Full scan, tuple at a time: one pool access per page visited.
-    pub fn scan(&self) -> impl Iterator<Item = (Rid, Tuple)> + '_ {
-        self.scan_pages().flatten()
+    /// Run `visit` over page `page_no` — one pool access — or return
+    /// `Ok(None)` past the end of the heap. This is the access path scans
+    /// are built on: the visitor reads rows in place
+    /// ([`Page::live_rows`]) and decodes only what it keeps. It runs with
+    /// the pool locked, so it must not call back into the pool. `Err` when
+    /// the pool cannot produce the page (a corrupt spill block, an
+    /// all-pinned pool, a failed eviction).
+    pub fn visit_page<R>(
+        &self,
+        page_no: u32,
+        visit: impl FnOnce(&Page) -> R,
+    ) -> StorageResult<Option<R>> {
+        if page_no >= self.pool.page_count(self.file) {
+            return Ok(None);
+        }
+        self.pool.with_page(self.file, page_no, visit).map(Some)
     }
 
-    /// Read one page's live tuples by page number, or `None` past the end.
-    /// This is the cursor-style access path physical scan operators use
-    /// (they cannot hold a borrowing iterator).
+    /// Full scan, tuple at a time: one pool access per page visited, one
+    /// page's tuples materialized at a time.
     ///
-    /// Panics if the buffer pool cannot produce the page (a corrupt spill
-    /// block or an all-pinned pool): scan iterators have no error channel,
-    /// and both conditions are process-local invariant violations rather
-    /// than recoverable input errors.
-    pub fn read_page(&self, page_no: u32) -> Option<Vec<(Rid, Tuple)>> {
-        if page_no >= self.pool.page_count(self.file) {
-            return None;
-        }
-        let tuples = self
-            .pool
-            .with_page(self.file, page_no, |page| {
+    /// Panics if the buffer pool cannot produce a page: an iterator of
+    /// tuples has no error channel. Callers that must report storage
+    /// failures go page by page through [`HeapTable::visit_page`].
+    pub fn scan(&self) -> impl Iterator<Item = (Rid, Tuple)> + '_ {
+        (0..self.pool.page_count(self.file)).flat_map(move |page_no| {
+            self.visit_page(page_no, |page| {
                 page.iter_live()
                     .map(|(slot, tuple)| (Rid::new(page_no, slot), tuple))
-                    .collect()
+                    .collect::<Vec<_>>()
             })
-            .expect("buffer pool read failed during scan");
-        Some(tuples)
-    }
-
-    /// Block-at-a-time scan: an iterator of per-page tuple iterators.
-    ///
-    /// This is the access path the paper's Algorithm 1/2 pseudo-code uses
-    /// ("load ... block by block in Memory"). Each yielded block is one
-    /// pool access when produced, faulting the page in if it was evicted —
-    /// only one block's tuples are materialized at a time.
-    pub fn scan_pages(
-        &self,
-    ) -> impl Iterator<Item = Box<dyn Iterator<Item = (Rid, Tuple)> + '_>> + '_ {
-        (0..self.pool.page_count(self.file)).map(move |pno| {
-            let tuples = self.read_page(pno).unwrap_or_default();
-            Box::new(tuples.into_iter()) as Box<dyn Iterator<Item = (Rid, Tuple)> + '_>
+            .expect("buffer pool read failed during scan")
+            .unwrap_or_default()
         })
     }
 }
@@ -459,17 +452,38 @@ mod tests {
     }
 
     #[test]
-    fn block_scan_yields_page_granular_blocks() {
+    fn visit_page_yields_page_granular_blocks_and_none_past_the_end() {
         let mut t = ratings();
         for i in 0..2000 {
             t.insert(row(i, i, 1.0)).unwrap();
         }
-        let blocks: Vec<usize> = t.scan_pages().map(|b| b.count()).collect();
+        let live = |pno| t.visit_page(pno, |p| p.live_rows().count()).unwrap();
+        let blocks: Vec<usize> = (0..t.page_count() as u32).map_while(live).collect();
         assert_eq!(blocks.len(), t.page_count());
         assert_eq!(blocks.iter().sum::<usize>(), 2000);
         // All pages except possibly the last are full to within one tuple.
         let full = blocks[0];
         assert!(blocks[..blocks.len() - 1].iter().all(|&c| c == full));
+        assert_eq!(live(t.page_count() as u32), None);
+    }
+
+    #[test]
+    fn visit_page_reports_a_pool_failure_instead_of_panicking() {
+        let _x = recdb_fault::exclusive();
+        recdb_fault::clear();
+        let pool = Arc::new(BufferPool::in_memory(2));
+        let mut t = HeapTable::with_pool(ratings().schema().clone(), Arc::clone(&pool), "r");
+        for i in 0..2000 {
+            t.insert(row(i, i, 1.0)).unwrap();
+        }
+        recdb_fault::arm_error("storage::pool_evict", 1);
+        let failed = (0..t.page_count() as u32).find_map(|p| t.visit_page(p, |_| ()).err());
+        recdb_fault::clear();
+        assert_eq!(
+            failed,
+            Some(StorageError::FaultInjected("storage::pool_evict".into()))
+        );
+        assert_eq!(t.scan().count(), 2000, "the heap is intact afterwards");
     }
 
     #[test]

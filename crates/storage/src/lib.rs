@@ -27,7 +27,8 @@
 //! The paper's recommendation-aware operators (ItemCF-Recommend etc.) are
 //! specified as *block-nested-loop* algorithms over tables fetched "block by
 //! block"; this crate exposes exactly that granularity via
-//! [`heap::HeapTable::scan_pages`].
+//! [`heap::HeapTable::visit_page`], which hands the visitor one page's rows
+//! undecoded ([`page::Page::live_rows`] over [`tuple::RowRef`]).
 
 // Engine-reachable paths must surface `StorageError`, not panic
 // (`clippy.toml` exempts `#[cfg(test)]` code).
@@ -58,5 +59,5 @@ pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pagefile::{read_snapshot, read_snapshot_with, write_snapshot, RecoveryMode, Snapshot};
 pub use pool::{BufferPool, FileId, FileKind, FrameData};
 pub use schema::{Column, Schema};
-pub use tuple::Tuple;
-pub use value::{DataType, Value};
+pub use tuple::{RowRef, Tuple};
+pub use value::{DataType, Value, ValueRef};

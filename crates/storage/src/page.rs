@@ -8,7 +8,7 @@
 
 use crate::checksum::crc32;
 use crate::error::{StorageError, StorageResult};
-use crate::tuple::Tuple;
+use crate::tuple::{RowRef, Tuple};
 
 /// Page capacity in bytes (PostgreSQL's default block size).
 pub const PAGE_SIZE: usize = 8192;
@@ -119,17 +119,23 @@ impl Page {
         Ok(())
     }
 
+    /// Iterate live `(slot, row)` pairs in slot order without decoding:
+    /// each row is a view over this page's bytes.
+    pub fn live_rows(&self) -> impl Iterator<Item = (u16, RowRef<'_>)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.live)
+            .map(|(i, s)| {
+                let raw = &self.data[s.offset as usize..(s.offset + s.len) as usize];
+                (i as u16, RowRef::new(raw))
+            })
+    }
+
     /// Iterate live `(slot, tuple)` pairs in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = (u16, Tuple)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            if s.live {
-                let raw = &self.data[s.offset as usize..(s.offset + s.len) as usize];
-                let (tuple, _) = Tuple::decode(raw).expect("page data is self-consistent");
-                Some((i as u16, tuple))
-            } else {
-                None
-            }
-        })
+        self.live_rows()
+            .map(|(slot, row)| (slot, row.to_tuple().expect("page data is self-consistent")))
     }
 
     /// Rewrite the page keeping only live tuples. Slot numbers change;

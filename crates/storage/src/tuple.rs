@@ -12,8 +12,9 @@
 //! UTF-8 bytes. The format is what [`crate::page::Page`] stores in its slots.
 
 use crate::error::{StorageError, StorageResult};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::fmt;
+use std::ops::Range;
 
 /// A row of values.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -113,81 +114,119 @@ impl Tuple {
     /// Decode a tuple from the front of `bytes`, returning the tuple and the
     /// number of bytes consumed.
     pub fn decode(bytes: &[u8]) -> StorageResult<(Tuple, usize)> {
-        let corrupt = |msg: &str| StorageError::Corrupt(msg.to_owned());
-        if bytes.len() < 2 {
-            return Err(corrupt("truncated arity"));
-        }
-        let arity = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        // Fixed-width reads: slice then convert, with both the bounds
-        // check and the width check surfacing as `Corrupt` rather than
-        // panicking on adversarial page bytes.
-        let need8 = |off: usize| -> StorageResult<[u8; 8]> {
-            bytes
-                .get(off..off + 8)
-                .and_then(|s| <[u8; 8]>::try_from(s).ok())
-                .ok_or_else(|| corrupt("truncated payload"))
-        };
-        let need4 = |off: usize| -> StorageResult<[u8; 4]> {
-            bytes
-                .get(off..off + 4)
-                .and_then(|s| <[u8; 4]>::try_from(s).ok())
-                .ok_or_else(|| corrupt("truncated payload"))
-        };
+        let arity = read_arity(bytes)?;
         let mut off = 2;
         let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
-            let tag = *bytes.get(off).ok_or_else(|| corrupt("truncated tag"))?;
-            off += 1;
-            let v = match tag {
-                0 => Value::Null,
-                1 => {
-                    let b = need8(off)?;
-                    off += 8;
-                    Value::Int(i64::from_le_bytes(b))
-                }
-                2 => {
-                    let b = need8(off)?;
-                    off += 8;
-                    Value::Float(f64::from_le_bytes(b))
-                }
-                3 => {
-                    let lb = need4(off)?;
-                    off += 4;
-                    let len = u32::from_le_bytes(lb) as usize;
-                    let raw = bytes
-                        .get(off..off + len)
-                        .ok_or_else(|| corrupt("truncated text"))?;
-                    off += len;
-                    Value::Text(
-                        std::str::from_utf8(raw)
-                            .map_err(|_| corrupt("invalid utf8"))?
-                            .to_owned(),
-                    )
-                }
-                4 => {
-                    let b = *bytes.get(off).ok_or_else(|| corrupt("truncated bool"))?;
-                    off += 1;
-                    Value::Bool(b != 0)
-                }
-                5 => {
-                    let xb = need8(off)?;
-                    let yb = need8(off + 8)?;
-                    off += 16;
-                    Value::Point(f64::from_le_bytes(xb), f64::from_le_bytes(yb))
-                }
-                6 => {
-                    let mut vals = [0.0f64; 4];
-                    for (k, v) in vals.iter_mut().enumerate() {
-                        *v = f64::from_le_bytes(need8(off + k * 8)?);
-                    }
-                    off += 32;
-                    Value::Rect(vals[0], vals[1], vals[2], vals[3])
-                }
-                t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
-            };
-            values.push(v);
+            let (tag, payload) = value_span(bytes, off)?;
+            values.push(read_value(tag, &bytes[payload.clone()])?.to_value());
+            off = payload.end;
         }
         Ok((Tuple { values }, off))
+    }
+}
+
+fn corrupt(msg: &str) -> StorageError {
+    StorageError::Corrupt(msg.to_owned())
+}
+
+#[inline]
+fn read_arity(bytes: &[u8]) -> StorageResult<usize> {
+    match bytes {
+        [lo, hi, ..] => Ok(u16::from_le_bytes([*lo, *hi]) as usize),
+        _ => Err(corrupt("truncated arity")),
+    }
+}
+
+/// The tag of the value encoded at `off` and the range of its payload,
+/// checked to lie inside `bytes`: the one place that knows each tag's
+/// width, so adversarial page bytes surface as `Corrupt`, never as a panic
+/// or an out-of-bounds read.
+#[inline]
+fn value_span(bytes: &[u8], off: usize) -> StorageResult<(u8, Range<usize>)> {
+    let tag = *bytes.get(off).ok_or_else(|| corrupt("truncated tag"))?;
+    let start = off + 1;
+    let len = match tag {
+        0 => 0,
+        1 | 2 => 8,
+        3 => {
+            let prefix = bytes
+                .get(start..start + 4)
+                .and_then(|s| <[u8; 4]>::try_from(s).ok())
+                .ok_or_else(|| corrupt("truncated text length"))?;
+            4 + u32::from_le_bytes(prefix) as usize
+        }
+        4 => 1,
+        5 => 16,
+        6 => 32,
+        t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
+    };
+    let end = start
+        .checked_add(len)
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| corrupt("truncated payload"))?;
+    Ok((tag, start..end))
+}
+
+/// Interpret a payload [`value_span`] delimited for `tag`.
+#[inline]
+fn read_value(tag: u8, payload: &[u8]) -> StorageResult<ValueRef<'_>> {
+    let word = |k: usize| {
+        let raw = payload[k * 8..k * 8 + 8]
+            .try_into()
+            .expect("value_span sized the payload");
+        u64::from_le_bytes(raw)
+    };
+    let float = |k: usize| f64::from_bits(word(k));
+    Ok(match tag {
+        0 => ValueRef::Null,
+        1 => ValueRef::Int(word(0) as i64),
+        2 => ValueRef::Float(float(0)),
+        3 => {
+            let text = std::str::from_utf8(&payload[4..]).map_err(|_| corrupt("invalid utf8"))?;
+            ValueRef::Text(text)
+        }
+        4 => ValueRef::Bool(payload[0] != 0),
+        5 => ValueRef::Point(float(0), float(1)),
+        _ => ValueRef::Rect(float(0), float(1), float(2), float(3)),
+    })
+}
+
+/// A borrowed view over one encoded tuple — a slot of a
+/// [`crate::page::Page`] — that reads single columns in place. A scan
+/// tests its predicate through this view and decodes
+/// ([`RowRef::to_tuple`]) only the rows that pass.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> RowRef<'a> {
+    /// View `bytes` as one encoded tuple. Nothing is validated until a
+    /// column is read.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        RowRef { bytes }
+    }
+
+    /// The value at ordinal `i`, found by walking the tags before it.
+    /// Every read is bounds-checked: a truncated or malformed row (and an
+    /// ordinal past the row's arity) is `Corrupt`.
+    #[inline]
+    pub fn column(&self, i: usize) -> StorageResult<ValueRef<'a>> {
+        if i >= read_arity(self.bytes)? {
+            return Err(corrupt("column ordinal past the row's arity"));
+        }
+        let mut off = 2;
+        for _ in 0..i {
+            off = value_span(self.bytes, off)?.1.end;
+        }
+        let (tag, payload) = value_span(self.bytes, off)?;
+        read_value(tag, &self.bytes[payload])
+    }
+
+    /// Decode the whole row.
+    pub fn to_tuple(&self) -> StorageResult<Tuple> {
+        Tuple::decode(self.bytes).map(|(tuple, _)| tuple)
     }
 }
 

@@ -167,53 +167,30 @@ impl Value {
         )
     }
 
-    /// Rank used to order values of different types (NULL first).
-    fn type_rank(&self) -> u8 {
+    /// The borrowed view of this value: what the comparisons below run on,
+    /// and what a [`crate::tuple::RowRef`] reads straight off a page.
+    #[inline]
+    pub fn as_value_ref(&self) -> ValueRef<'_> {
         match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Text(_) => 3,
-            Value::Point(_, _) => 4,
-            Value::Rect(..) => 5,
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Point(x, y) => ValueRef::Point(*x, *y),
+            Value::Rect(a, b, c, d) => ValueRef::Rect(*a, *b, *c, *d),
         }
     }
 
-    /// Total order over values: numerics compare numerically across
-    /// `Int`/`Float`, otherwise same-type natural order, otherwise by type
-    /// rank. This is the ordering used by sort operators and B-tree keys.
+    /// Total order over values ([`ValueRef::total_cmp`]). This is the
+    /// ordering used by sort operators and B-tree keys.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Text(a), Text(b)) => a.cmp(b),
-            (Point(ax, ay), Point(bx, by)) => ax.total_cmp(bx).then_with(|| ay.total_cmp(by)),
-            (Rect(a0, a1, a2, a3), Rect(b0, b1, b2, b3)) => a0
-                .total_cmp(b0)
-                .then_with(|| a1.total_cmp(b1))
-                .then_with(|| a2.total_cmp(b2))
-                .then_with(|| a3.total_cmp(b3)),
-            (a, b) if a.type_rank() == 2 && b.type_rank() == 2 => {
-                // Int/Float cross comparison; rank 2 means both are
-                // numeric, so `as_f64` is always `Some` here.
-                match (a.as_f64(), b.as_f64()) {
-                    (Some(x), Some(y)) => x.total_cmp(&y),
-                    _ => a.type_rank().cmp(&b.type_rank()),
-                }
-            }
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
-        }
+        self.as_value_ref().total_cmp(other.as_value_ref())
     }
 
-    /// SQL equality: NULL equals nothing (returns `None`), numerics compare
-    /// across `Int`/`Float`.
+    /// SQL equality ([`ValueRef::sql_eq`]).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other) == Ordering::Equal)
+        self.as_value_ref().sql_eq(other.as_value_ref())
     }
 
     /// Approximate in-memory footprint in bytes, used by the page layer's
@@ -228,6 +205,108 @@ impl Value {
             Value::Point(_, _) => 16,
             Value::Rect(..) => 32,
         }
+    }
+}
+
+/// A borrowed, `Copy` view of one value: `Text` points into the bytes it
+/// was read from (a page, or an owned [`Value`]), so comparing a stored
+/// column with a constant copies nothing. The value ordering lives here;
+/// [`Value`] delegates to it.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Bool(bool),
+    /// 2-D point `(x, y)`.
+    Point(f64, f64),
+    /// Axis-aligned rectangle `(min_x, min_y, max_x, max_y)`.
+    Rect(f64, f64, f64, f64),
+}
+
+impl ValueRef<'_> {
+    /// True if the value is SQL NULL.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// Integer view, coercing from `Int` only.
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Numeric view: `Int` widens to `f64`, `Float` passes through.
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(v) => Some(v as f64),
+            ValueRef::Float(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Point(x, y) => Value::Point(x, y),
+            ValueRef::Rect(a, b, c, d) => Value::Rect(a, b, c, d),
+        }
+    }
+
+    /// Rank used to order values of different types (NULL first).
+    fn type_rank(self) -> u8 {
+        match self {
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 2,
+            ValueRef::Text(_) => 3,
+            ValueRef::Point(_, _) => 4,
+            ValueRef::Rect(..) => 5,
+        }
+    }
+
+    /// Total order over values: numerics compare numerically across
+    /// `Int`/`Float`, otherwise same-type natural order, otherwise by type
+    /// rank.
+    #[inline]
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Point(ax, ay), Point(bx, by)) => ax.total_cmp(&bx).then_with(|| ay.total_cmp(&by)),
+            (Rect(a0, a1, a2, a3), Rect(b0, b1, b2, b3)) => a0
+                .total_cmp(&b0)
+                .then_with(|| a1.total_cmp(&b1))
+                .then_with(|| a2.total_cmp(&b2))
+                .then_with(|| a3.total_cmp(&b3)),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                // Int/Float cross comparison.
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                _ => a.type_rank().cmp(&b.type_rank()),
+            },
+        }
+    }
+
+    /// SQL equality: NULL equals nothing (returns `None`), numerics compare
+    /// across `Int`/`Float`.
+    pub fn sql_eq(self, other: ValueRef<'_>) -> Option<bool> {
+        if self.is_null() || other.is_null() {
+            return None;
+        }
+        Some(self.total_cmp(other) == Ordering::Equal)
     }
 }
 

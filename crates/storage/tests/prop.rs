@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use recdb_storage::{
-    BTree, BTreeIndex, BufferPool, Column, DataType, HeapTable, Page, RangeCursor, Rid, Schema,
-    Tuple, Value,
+    BTree, BTreeIndex, BufferPool, Column, DataType, HeapTable, Page, RangeCursor, Rid, RowRef,
+    Schema, StorageError, Tuple, Value,
 };
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -52,6 +53,82 @@ proptest! {
         }
     }
 
+    /// Reading one column in place agrees with decoding the whole tuple,
+    /// for every column; an ordinal past the arity is `Corrupt`.
+    #[test]
+    fn row_ref_column_matches_decode(tuple in tuple_strategy()) {
+        let mut buf = Vec::new();
+        tuple.encode_into(&mut buf);
+        let row = RowRef::new(&buf);
+        for (i, want) in tuple.values().iter().enumerate() {
+            prop_assert_eq!(&row.column(i).unwrap().to_value(), want, "column {}", i);
+        }
+        prop_assert!(matches!(row.column(tuple.arity()), Err(StorageError::Corrupt(_))));
+        prop_assert_eq!(row.to_tuple().unwrap(), tuple);
+    }
+
+    /// Over every strict prefix of an encoding a column read never panics
+    /// and never reads past the prefix: it returns the column's value when
+    /// the prefix still holds all of it, and `Corrupt` otherwise — always
+    /// `Corrupt` for the last column, which ends where the encoding ends.
+    #[test]
+    fn row_ref_column_over_any_prefix_is_the_value_or_corrupt(tuple in tuple_strategy()) {
+        let mut buf = Vec::new();
+        tuple.encode_into(&mut buf);
+        for cut in 0..buf.len() {
+            let row = RowRef::new(&buf[..cut]);
+            for (i, want) in tuple.values().iter().enumerate() {
+                match row.column(i) {
+                    Ok(got) => {
+                        prop_assert!(i + 1 < tuple.arity(), "cut {} column {}", cut, i);
+                        prop_assert_eq!(&got.to_value(), want, "cut {} column {}", cut, i);
+                    }
+                    Err(e) => prop_assert!(matches!(e, StorageError::Corrupt(_)), "{:?}", e),
+                }
+            }
+            prop_assert!(matches!(row.to_tuple(), Err(StorageError::Corrupt(_))));
+        }
+    }
+
+    /// The one value ordering, against the order `value.rs` pins: NULL,
+    /// then booleans, numbers (`Int` and `Float` together, numerically),
+    /// text, points, rectangles; natural order within a type.
+    #[test]
+    fn value_ref_total_cmp_is_the_pinned_order(a in value_strategy(), b in value_strategy()) {
+        fn rank(v: &Value) -> u8 {
+            match v {
+                Value::Null => 0,
+                Value::Bool(_) => 1,
+                Value::Int(_) | Value::Float(_) => 2,
+                Value::Text(_) => 3,
+                Value::Point(..) => 4,
+                Value::Rect(..) => 5,
+            }
+        }
+        let floats = |xs: &[f64], ys: &[f64]| {
+            xs.iter().zip(ys).map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        };
+        let want = match (&a, &b) {
+            (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+            (Value::Int(x), Value::Int(y)) => x.cmp(y),
+            (Value::Text(x), Value::Text(y)) => x.as_bytes().cmp(y.as_bytes()),
+            (Value::Point(x0, x1), Value::Point(y0, y1)) => floats(&[*x0, *x1], &[*y0, *y1]),
+            (Value::Rect(x0, x1, x2, x3), Value::Rect(y0, y1, y2, y3)) => {
+                floats(&[*x0, *x1, *x2, *x3], &[*y0, *y1, *y2, *y3])
+            }
+            _ if rank(&a) == 2 && rank(&b) == 2 => {
+                floats(&[a.as_f64().unwrap()], &[b.as_f64().unwrap()])
+            }
+            _ => rank(&a).cmp(&rank(&b)),
+        };
+        let (ra, rb) = (a.as_value_ref(), b.as_value_ref());
+        prop_assert_eq!(ra.total_cmp(rb), want);
+        prop_assert_eq!(rb.total_cmp(ra), want.reverse());
+        prop_assert_eq!(a.total_cmp(&b), want, "Value delegates");
+        let sql_eq = (!a.is_null() && !b.is_null()).then_some(want.is_eq());
+        prop_assert_eq!(ra.sql_eq(rb), sql_eq);
+    }
+
     /// A page behaves like an append-only Vec with tombstones.
     #[test]
     fn page_matches_vec_model(
@@ -82,7 +159,12 @@ proptest! {
             .enumerate()
             .filter_map(|(i, t)| t.clone().map(|t| (i as u16, t)))
             .collect();
-        prop_assert_eq!(live, expected);
+        prop_assert_eq!(&live, &expected);
+        let undecoded: Vec<(u16, Tuple)> = page
+            .live_rows()
+            .map(|(slot, row)| (slot, row.to_tuple().unwrap()))
+            .collect();
+        prop_assert_eq!(undecoded, expected);
     }
 
     /// Heap scan returns exactly the inserted-and-not-deleted tuples in

@@ -347,10 +347,11 @@ fn pool_ops() -> Vec<PoolOp> {
 }
 
 /// As [`crash_once`], but against a 4-frame engine, and with *panics*
-/// counted as crashes too: pool faults on scan paths surface as panics
-/// by design (scans have no error channel), and a mid-statement panic is
-/// exactly a crash in this model — the WAL never saw a commit marker for
-/// the statement, so recovery must exclude it.
+/// counted as crashes too: a heap scan reports a pool fault as an error,
+/// but the RecScoreIndex's tree operations (materialize, and the index
+/// lookups of a query) still surface one as a panic, and a mid-statement
+/// panic is exactly a crash in this model — the WAL never saw a commit
+/// marker for the statement, so recovery must exclude it.
 fn pool_crash_once(site: &'static str, nth: u64, mode: RecoveryMode, tag: &str) {
     fault::clear();
     let dir = temp_dir(tag);
@@ -369,7 +370,7 @@ fn pool_crash_once(site: &'static str, nth: u64, mode: RecoveryMode, tag: &str) 
         RecDb::open_with_config(small_pool(RecoveryMode::Strict)).expect("open small-pool engine");
 
     fault::arm_error(site, nth);
-    // Injected pool faults legitimately panic (see above); keep the
+    // Injected pool faults may legitimately panic (see above); keep the
     // expected unwinds out of the test output.
     let quiet = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));

@@ -205,6 +205,15 @@ fn governor_refuses_update_and_delete_without_a_trace() {
         for refusal in ["row budget", "zero deadline", "cancel mid-scan"] {
             let case = format!("{sql} (in txn: {in_txn}) under {refusal}");
             let (before, appends) = (ratings_bytes(&db), wal_appends());
+            // The scan bills a page at a time: the budget trips on the
+            // first page, with every live row of it charged.
+            let first_page_rows = db
+                .catalog()
+                .table("ratings")
+                .expect("ratings")
+                .heap()
+                .visit_page(0, |page| page.live_count() as u64)
+                .expect("page 0");
             let guard = match refusal {
                 "row budget" => QueryGuard::with_limits(None, Some(10), None),
                 "zero deadline" => QueryGuard::with_limits(Some(Duration::ZERO), None, None),
@@ -235,9 +244,9 @@ fn governor_refuses_update_and_delete_without_a_trace() {
                     Err(EngineError::ResourceExhausted {
                         resource: "rows",
                         budget: 10,
-                        used: 11,
+                        used,
                     }),
-                ) => {}
+                ) => assert_eq!(Some(used), first_page_rows, "{case}"),
                 ("zero deadline", Err(EngineError::Cancelled { .. })) => {}
                 ("cancel mid-scan", Err(EngineError::Cancelled { .. })) => {
                     let used = guard.rows_used();
@@ -463,6 +472,108 @@ fn txn_fault_sites_abort_cleanly() {
     db.execute("BEGIN").expect("session back in autocommit");
     db.execute("ROLLBACK").expect("clean rollback");
     fault::clear();
+}
+
+/// A `ratings` heap of a few dozen pages behind a 4-frame pool: every
+/// scan of it evicts.
+fn small_pool_db(data_dir: Option<std::path::PathBuf>) -> RecDb {
+    let config = RecDbConfig {
+        data_dir,
+        buffer_pool_pages: 4,
+        ..RecDbConfig::default()
+    };
+    let db = RecDb::open_with_config(config).expect("open 4-frame engine");
+    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+        .expect("create table");
+    for batch in 0..5 {
+        let rows: Vec<String> = (batch * 1000..(batch + 1) * 1000)
+            .map(|n| format!("({}, {n}, {}.5)", n % 10, n % 5))
+            .collect();
+        db.execute(&format!("INSERT INTO ratings VALUES {}", rows.join(", ")))
+            .expect("load");
+    }
+    db
+}
+
+/// A scan has an error channel: a pool that cannot produce a page fails
+/// the statement with the storage error itself — not a contained panic —
+/// for `SELECT`, `UPDATE` and `DELETE` alike. An injected fault stays
+/// retryable on the wire, the session keeps working, and the retried
+/// statement succeeds.
+#[test]
+fn pool_fault_in_a_scan_is_an_error_not_a_contained_panic() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let db = small_pool_db(None);
+    let mut session = db.session();
+    let statements = [
+        ("SELECT uid FROM ratings WHERE uid = 3", 500),
+        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = 4", 500),
+        ("DELETE FROM ratings WHERE uid = 5", 500),
+    ];
+    for (sql, affected) in statements {
+        fault::arm_error("storage::pool_evict", 1);
+        let err = session
+            .execute(sql)
+            .expect_err("the first eviction of the scan fails");
+        assert_eq!(fault::triggered("storage::pool_evict"), 1, "{sql}");
+        fault::clear();
+        assert!(!matches!(err, EngineError::Internal(_)), "{sql}: {err:?}");
+        assert!(
+            err.to_string().contains("storage::pool_evict"),
+            "{sql}: {err}"
+        );
+        let wire = recdb::server::classify(&err);
+        assert_eq!(wire.code, recdb::server::ErrorCode::Fault, "{sql}: {err:?}");
+        assert!(wire.retryable, "{sql}: {err:?}");
+        assert!(!session.in_transaction(), "{sql}: the failure aborts");
+        let n = match session.execute(sql).expect("retry after the fault") {
+            QueryResult::Rows(rows) => rows.len(),
+            QueryResult::Updated(n) | QueryResult::Deleted(n) => n,
+            other => panic!("{sql}: {other:?}"),
+        };
+        assert_eq!(n, affected, "{sql}");
+    }
+    assert_eq!(db.buffer_pool().pinned_pages(), 0);
+}
+
+/// Corrupt data is fatal, and says where: a checksum-bad spill block
+/// under a scan is the engine's `Corruption` error naming table, file and
+/// page, which the wire layer does not offer for retry.
+#[test]
+fn corrupt_spill_block_under_a_scan_is_a_fatal_corruption_error() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let dir = std::env::temp_dir().join(format!("recdb-robustness-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = small_pool_db(Some(dir.clone()));
+    // Page 0 left the 4-frame pool long ago; damage its spilled image.
+    let spill = dir.join("pool").join("ratings.spill");
+    let mut bytes = std::fs::read(&spill).expect("read spill file");
+    bytes[100] ^= 0xFF;
+    std::fs::write(&spill, bytes).expect("write damaged spill file");
+
+    for sql in [
+        "SELECT uid FROM ratings WHERE uid = 3",
+        "DELETE FROM ratings WHERE uid = 3",
+    ] {
+        let err = db.execute(sql).expect_err("page 0 fails its checksum");
+        match &err {
+            EngineError::Corruption { table, source } => {
+                assert_eq!(table, "ratings", "{sql}");
+                assert!(
+                    matches!(source, recdb::storage::StorageError::Corruption { file, page: 0, .. } if file == "ratings"),
+                    "{sql}: {source:?}"
+                );
+            }
+            other => panic!("{sql}: expected Corruption, got {other:?}"),
+        }
+        let wire = recdb::server::classify(&err);
+        assert_eq!(wire.code, recdb::server::ErrorCode::Corruption, "{sql}");
+        assert!(!wire.retryable, "{sql}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
