@@ -135,8 +135,8 @@ pub struct RecDbConfig {
     pub lock_timeout: Duration,
     /// Maximum resident frames in the engine's buffer pool. Every heap
     /// page and RecScoreIndex node lives in (or is faulted into) one of
-    /// these 8 KiB frames; once all are in use the clock sweep evicts an
-    /// unpinned page, so tables and indexes far larger than
+    /// these 8 KiB frames; once all are in use the clock sweep evicts a
+    /// page, so tables and indexes far larger than
     /// `buffer_pool_pages × 8 KiB` run in bounded decoded-page memory.
     /// Durable engines spill evicted frames to scratch files under
     /// `data_dir/pool/`; in-memory engines keep the encoded blocks on the

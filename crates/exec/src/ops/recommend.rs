@@ -964,11 +964,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            index.pool().pinned_pages(),
-            0,
-            "an abandoned cursor holds no pin"
-        );
     }
 
     #[test]

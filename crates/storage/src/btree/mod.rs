@@ -229,9 +229,9 @@ impl BTree {
     ///
     /// A fresh cursor starts at the root, so its first call also descends
     /// the branch levels; every later call reads exactly one leaf. Each
-    /// node visit is one pool access — the node is pinned only while its
-    /// keys are copied out — so nothing stays pinned between calls and an
-    /// abandoned cursor has nothing to release. The caller consumes
+    /// node visit is one pool access that copies the node's keys out, so
+    /// nothing is held between calls and an abandoned cursor has nothing
+    /// to release. The caller consumes
     /// `batch` without the pool locked and may itself use the pool.
     ///
     /// The cursor holds a page number, not a borrow: it stays valid only
@@ -608,7 +608,6 @@ mod tests {
         let keys = t.keys().unwrap();
         assert_eq!(keys.len(), 2000);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(pool.pinned_pages(), 0, "scan leaked a pin");
     }
 
     #[test]

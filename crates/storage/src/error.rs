@@ -59,13 +59,6 @@ pub enum StorageError {
     /// A deterministic fault-injection site fired (tests only; see
     /// the `recdb-fault` crate).
     FaultInjected(String),
-    /// Every buffer-pool frame is pinned: nothing can be evicted to make
-    /// room. Either the pool is configured too small
-    /// (`RecDbConfig::buffer_pool_pages`) or a caller leaked a pin.
-    PoolExhausted {
-        /// The pool's frame capacity.
-        capacity: usize,
-    },
 }
 
 impl StorageError {
@@ -132,9 +125,6 @@ impl fmt::Display for StorageError {
             StorageError::Io { op, message } => write!(f, "I/O error during {op}: {message}"),
             StorageError::FaultInjected(site) => {
                 write!(f, "injected fault at site `{site}`")
-            }
-            StorageError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames are pinned")
             }
         }
     }

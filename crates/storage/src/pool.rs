@@ -3,13 +3,13 @@
 //! Every heap page and B+-tree node in a catalog lives behind one
 //! [`BufferPool`]. A *frame* holds the decoded in-memory form of one block
 //! (a slotted [`Page`] or a [`Node`]); when the pool is full, a clock
-//! (second-chance) sweep evicts an unpinned frame, writing it back to its
-//! *backing store* first if dirty. The backing store is scratch space —
-//! either an in-memory block vector or a spill file under the data
-//! directory — and is **never** consulted by recovery, which rebuilds
-//! state from the checkpoint plus the WAL. That split keeps the
-//! crash-safety story of the checkpoint protocol (generation files +
-//! manifest rename) untouched while bounding resident memory.
+//! (second-chance) sweep evicts a frame, writing it back to its *backing
+//! store* first if dirty. The backing store is scratch space — either an
+//! in-memory block vector or a spill file under the data directory — and
+//! is **never** consulted by recovery, which rebuilds state from the
+//! checkpoint plus the WAL. That split keeps the crash-safety story of the
+//! checkpoint protocol (generation files + manifest rename) untouched
+//! while bounding resident memory.
 //!
 //! Write-back ordering still honours the WAL rule (flush log before
 //! page): before a dirty frame is written the pool invokes the *WAL
@@ -19,11 +19,41 @@
 //! never deadlock against an eviction — if the durability lock is already
 //! held, the log is quiescent and the barrier is a no-op.
 //!
-//! Concurrency: one mutex guards all pool state, and accessor closures run
-//! under it. Closures must therefore never re-enter the pool — each
-//! accessor documents this. Pins exist for callers that need residency
-//! guarantees *across* accessor calls (`pin`/`unpin`); the clock sweep
-//! never evicts a pinned frame.
+//! # Concurrency
+//!
+//! One mutex guards all pool state. *Under it*: the residency lookup,
+//! victim selection, a dirty victim's encode and write-back, frame
+//! installation, and every accessor closure — closures must therefore
+//! never re-enter the pool. *Outside it*: a miss's backing read, checksum
+//! and decode. A miss enters `(file, page)` in the **in-flight table**,
+//! releases the mutex, reads the block with one positional call, verifies
+//! and decodes it, then re-locks to take a slot and install the frame. A
+//! page in flight is not resident, so:
+//!
+//! * a second thread that misses it waits on the pool's one condition
+//!   variable instead of reading; when it wakes the frame is a hit (or, if
+//!   the load failed, it loads the page itself and gets its own error);
+//! * no write-back can race the read — only resident frames are written
+//!   back, and [`BufferPool::install_page`], [`BufferPool::truncate_file`]
+//!   and [`BufferPool::remove_file`] wait out the loads on their file.
+//!
+//! The in-flight table is the only "do not replace this" state: there are
+//! no pins, because a closure holds the mutex for as long as it reads its
+//! frame. `misses` counts backing reads performed; every other successful
+//! access, including one that waited for another thread's read, is a
+//! `hit`; a request past the end of a file is neither.
+//!
+//! # Scan resistance
+//!
+//! [`BufferPool::scan_page`] is the sequential-scan access. When the file
+//! has more pages than the pool has frames, a scan can never find its own
+//! pages again — each is evicted before the scan comes back to it — so
+//! they are admitted *cold*: a hit does not set the clock's reference
+//! bit, and a miss installs the frame with the bit clear and leaves the
+//! clock hand on it, so the next miss — usually the same scan's next page
+//! — takes that frame again. Such a scan recycles one frame instead of
+//! sweeping the pool, and what other sessions keep touching stays
+//! resident. docs/STORAGE.md has the longer account.
 //!
 //! Fail point: `storage::pool_evict` fires at the top of every eviction,
 //! before any state changes — an injected error leaves the pool intact.
@@ -32,13 +62,13 @@ use crate::btree::node::Node;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_SIZE};
 use parking_lot::Mutex;
-use recdb_obs::{Counter, Gauge, Registry};
-use std::collections::HashMap;
+use recdb_obs::{Counter, Registry};
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 
 /// Identifies one paged file (a heap or an index) within a pool.
 pub type FileId = u32;
@@ -95,19 +125,27 @@ struct Frame {
     data: FrameData,
     /// Frame content is newer than the backing store.
     dirty: bool,
-    /// Pin count: pinned frames are never evicted.
-    pins: u32,
     /// Second-chance bit for the clock sweep.
     referenced: bool,
+}
+
+/// How an accessor treats the frame it reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    Read,
+    /// Marks the frame dirty.
+    Write,
+    /// A read admitted cold (see the module docs, "Scan resistance").
+    ColdRead,
 }
 
 /// Where evicted blocks go.
 enum Backing {
     /// Encoded blocks held in memory (default for non-durable engines:
     /// eviction still exercises the full encode/checksum path).
-    Memory(Vec<Option<Box<[u8]>>>),
+    Memory(Vec<Option<Arc<[u8]>>>),
     /// A spill file on disk; block `n` lives at offset `n * PAGE_SIZE`.
-    Disk { file: File, path: PathBuf },
+    Disk { file: Arc<File>, path: PathBuf },
 }
 
 impl std::fmt::Debug for Backing {
@@ -117,6 +155,17 @@ impl std::fmt::Debug for Backing {
             Backing::Disk { path, .. } => write!(f, "Disk({})", path.display()),
         }
     }
+}
+
+/// What a miss carries out of the mutex to read one block: a
+/// reference-counted handle, so the read needs no pool state.
+enum BlockSource {
+    Memory(Arc<[u8]>),
+    Disk(Arc<File>),
+}
+
+fn block_offset(page_no: u32) -> u64 {
+    page_no as u64 * PAGE_SIZE as u64
 }
 
 #[derive(Debug)]
@@ -136,30 +185,35 @@ struct PoolInner {
     free: Vec<usize>,
     /// Residency map: `(file, page) → slot`.
     map: HashMap<(FileId, u32), usize>,
+    /// In-flight table: pages some thread is reading from the backing
+    /// store with the mutex released. Never also in `map`.
+    loading: HashSet<(FileId, u32)>,
     /// Clock hand for the second-chance sweep.
     hand: usize,
     files: HashMap<FileId, FileState>,
     next_file: FileId,
 }
 
+type Guard<'a> = MutexGuard<'a, PoolInner>;
+
 struct PoolMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
-    pinned: Arc<Gauge>,
 }
 
 type Barrier = Box<dyn Fn() + Send + Sync>;
 
 /// A fixed-capacity buffer pool. See the module docs for the design.
 pub struct BufferPool {
-    inner: Mutex<PoolInner>,
+    inner: std::sync::Mutex<PoolInner>,
+    /// Signalled whenever a page leaves the in-flight table.
+    loaded: Condvar,
     capacity: usize,
     spill_dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    pinned: AtomicU64,
     metrics: OnceLock<PoolMetrics>,
     barrier: Mutex<Option<Barrier>>,
 }
@@ -179,7 +233,8 @@ impl std::fmt::Debug for BufferPool {
 impl BufferPool {
     fn with_capacity(capacity: usize, spill_dir: Option<PathBuf>) -> Self {
         BufferPool {
-            inner: Mutex::new(PoolInner::default()),
+            inner: std::sync::Mutex::new(PoolInner::default()),
+            loaded: Condvar::new(),
             // A pool smaller than 2 frames cannot even run a leaf split
             // (old + new node resident); clamp rather than error.
             capacity: capacity.max(2),
@@ -187,7 +242,6 @@ impl BufferPool {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            pinned: AtomicU64::new(0),
             metrics: OnceLock::new(),
             barrier: Mutex::new(None),
         }
@@ -232,21 +286,20 @@ impl BufferPool {
             hits: registry.counter("recdb_buffer_pool_hits_total"),
             misses: registry.counter("recdb_buffer_pool_misses_total"),
             evictions: registry.counter("recdb_pages_evicted_total"),
-            pinned: registry.gauge("recdb_pages_pinned"),
         };
         m.hits.add(self.hits());
         m.misses.add(self.misses());
         m.evictions.add(self.evictions());
-        m.pinned.set(self.pinned_pages() as i64);
         let _ = self.metrics.set(m);
     }
 
-    /// Total frame hits (requested block already resident).
+    /// Accesses served from a resident frame, counting those that waited
+    /// for another thread's read of the same block.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total frame misses (block faulted in from the backing store).
+    /// Backing-store reads performed (one per block faulted in).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -256,14 +309,9 @@ impl BufferPool {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Number of frames currently pinned (should be zero at rest).
-    pub fn pinned_pages(&self) -> u64 {
-        self.pinned.load(Ordering::Relaxed)
-    }
-
     /// Number of frames currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     fn record_hit(&self) {
@@ -287,21 +335,34 @@ impl BufferPool {
         }
     }
 
-    fn pinned_delta(&self, delta: i64) {
-        if delta > 0 {
-            self.pinned.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.pinned.fetch_sub((-delta) as u64, Ordering::Relaxed);
+    /// Lock the pool state. Like every other lock in the engine the mutex
+    /// does not poison: a panicking accessor closure leaves the pool's own
+    /// structures consistent (it can only have touched its frame's data).
+    fn lock(&self) -> Guard<'_> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Release the mutex until some page leaves the in-flight table.
+    fn wait<'a>(&self, inner: Guard<'a>) -> Guard<'a> {
+        self.loaded
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lock the pool once no read of `file`'s backing store is in flight —
+    /// what every operation that rewrites or drops backing blocks takes.
+    fn lock_file(&self, file: FileId) -> Guard<'_> {
+        let mut inner = self.lock();
+        while inner.loading.iter().any(|(f, _)| *f == file) {
+            inner = self.wait(inner);
         }
-        if let Some(m) = self.metrics.get() {
-            m.pinned.add(delta);
-        }
+        inner
     }
 
     /// Register a new, empty paged file. `label` names it in corruption
     /// errors (conventionally the table or index name).
     pub fn create_file(&self, kind: FileKind, label: &str) -> FileId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let id = inner.next_file;
         inner.next_file += 1;
         inner.files.insert(
@@ -319,8 +380,8 @@ impl BufferPool {
     /// Drop a file: its frames, backing blocks, and any spill file on
     /// disk. Called from table/index destructors.
     pub fn remove_file(&self, file: FileId) {
-        let mut inner = self.inner.lock();
-        self.drop_file_frames(&mut inner, file, 0);
+        let mut inner = self.lock_file(file);
+        Self::drop_file_frames(&mut inner, file, 0);
         if let Some(state) = inner.files.remove(&file) {
             if let Backing::Disk { path, .. } = state.backing {
                 let _ = fs::remove_file(path);
@@ -330,18 +391,13 @@ impl BufferPool {
 
     /// Number of pages in `file`.
     pub fn page_count(&self, file: FileId) -> u32 {
-        self.inner
-            .lock()
-            .files
-            .get(&file)
-            .map(|s| s.page_count)
-            .unwrap_or(0)
+        self.lock().files.get(&file).map_or(0, |s| s.page_count)
     }
 
     /// Append a fresh page to `file`, returning its page number. The new
     /// frame starts dirty (it exists nowhere else yet).
     pub fn allocate_page(&self, file: FileId, data: FrameData) -> StorageResult<u32> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let state = file_state(&inner, file)?;
         debug_assert_eq!(state.kind, data.kind());
         let page_no = state.page_count;
@@ -350,7 +406,6 @@ impl BufferPool {
             key: (file, page_no),
             data,
             dirty: true,
-            pins: 0,
             referenced: true,
         });
         inner.map.insert((file, page_no), slot);
@@ -365,7 +420,7 @@ impl BufferPool {
     /// recovery and rollback to install page images; the frame cache is
     /// refreshed if the page was resident.
     pub fn install_page(&self, file: FileId, page_no: u32, data: FrameData) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_file(file);
         let state = file_state(&inner, file)?;
         debug_assert_eq!(state.kind, data.kind());
         if page_no > state.page_count {
@@ -382,10 +437,7 @@ impl BufferPool {
                 frame.referenced = true;
             }
         }
-        let state = inner
-            .files
-            .get_mut(&file)
-            .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))?;
+        let state = file_state_mut(&mut inner, file)?;
         state.page_count = state.page_count.max(page_no + 1);
         Self::write_backing(state, page_no, &block, self.spill_dir.as_deref())?;
         Ok(())
@@ -394,39 +446,61 @@ impl BufferPool {
     /// Shrink `file` to its first `keep` pages, dropping frames and
     /// backing blocks past the cut.
     pub fn truncate_file(&self, file: FileId, keep: u32) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_file(file);
         let state = file_state(&inner, file)?;
         if state.page_count <= keep {
             return Ok(());
         }
-        self.drop_file_frames(&mut inner, file, keep);
-        let state = inner
-            .files
-            .get_mut(&file)
-            .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))?;
+        Self::drop_file_frames(&mut inner, file, keep);
+        let state = file_state_mut(&mut inner, file)?;
         state.page_count = keep;
         match &mut state.backing {
             Backing::Memory(blocks) => blocks.truncate(keep as usize),
             Backing::Disk { file, .. } => {
-                file.set_len(keep as u64 * PAGE_SIZE as u64)
+                file.set_len(block_offset(keep))
                     .map_err(|e| StorageError::io("truncate spill file", e))?;
             }
         }
         Ok(())
     }
 
-    /// Read access to a heap page. The closure runs with the frame pinned
-    /// and the pool locked: it must not call back into the pool.
+    /// Read access to a heap page. The closure runs with the pool locked:
+    /// it must not call back into the pool.
     pub fn with_page<R>(
         &self,
         file: FileId,
         page_no: u32,
         f: impl FnOnce(&Page) -> R,
     ) -> StorageResult<R> {
-        self.with_frame(file, page_no, false, |data| match data {
-            FrameData::Heap(p) => Ok(f(p)),
-            FrameData::Node(_) => Err(kind_mismatch(file, page_no, "heap page", "index node")),
-        })
+        let f = heap_page(file, page_no, f);
+        self.with_frame(self.lock(), file, page_no, Access::Read, f)
+    }
+
+    /// Read access to a heap page on behalf of a sequential scan of
+    /// `file`: `Ok(None)` past the end of the file, and — when the file
+    /// has more pages than the pool has frames — the page is admitted
+    /// *cold* so the scan recycles its own frame (module docs, "Scan
+    /// resistance"). The threshold follows from [`BufferPool::capacity`]
+    /// and is not a setting. Same closure rules as
+    /// [`BufferPool::with_page`].
+    pub fn scan_page<R>(
+        &self,
+        file: FileId,
+        page_no: u32,
+        f: impl FnOnce(&Page) -> R,
+    ) -> StorageResult<Option<R>> {
+        let inner = self.lock();
+        let pages = inner.files.get(&file).map_or(0, |s| s.page_count);
+        if page_no >= pages {
+            return Ok(None);
+        }
+        let access = if pages as usize > self.capacity {
+            Access::ColdRead
+        } else {
+            Access::Read
+        };
+        let f = heap_page(file, page_no, f);
+        self.with_frame(inner, file, page_no, access, f).map(Some)
     }
 
     /// Write access to a heap page; marks the frame dirty. Same closure
@@ -437,10 +511,11 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&mut Page) -> R,
     ) -> StorageResult<R> {
-        self.with_frame(file, page_no, true, |data| match data {
+        let f = |data: &mut FrameData| match data {
             FrameData::Heap(p) => Ok(f(p)),
             FrameData::Node(_) => Err(kind_mismatch(file, page_no, "heap page", "index node")),
-        })
+        };
+        self.with_frame(self.lock(), file, page_no, Access::Write, f)
     }
 
     /// Read access to a B+-tree node. Same closure rules as
@@ -451,10 +526,11 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&Node) -> R,
     ) -> StorageResult<R> {
-        self.with_frame(file, page_no, false, |data| match data {
+        let f = |data: &mut FrameData| match data {
             FrameData::Node(n) => Ok(f(n)),
             FrameData::Heap(_) => Err(kind_mismatch(file, page_no, "index node", "heap page")),
-        })
+        };
+        self.with_frame(self.lock(), file, page_no, Access::Read, f)
     }
 
     /// Write access to a B+-tree node; marks the frame dirty.
@@ -464,103 +540,105 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&mut Node) -> R,
     ) -> StorageResult<R> {
-        self.with_frame(file, page_no, true, |data| match data {
+        let f = |data: &mut FrameData| match data {
             FrameData::Node(n) => Ok(f(n)),
             FrameData::Heap(_) => Err(kind_mismatch(file, page_no, "index node", "heap page")),
-        })
+        };
+        self.with_frame(self.lock(), file, page_no, Access::Write, f)
     }
 
-    /// Pin a page resident until the matching [`BufferPool::unpin`]. Pins
-    /// nest. A pinned frame is never evicted, so hold pins only across
-    /// short sequences — a leaked pin shrinks the pool permanently.
-    pub fn pin(&self, file: FileId, page_no: u32) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
-        let slot = self.fetch_slot(&mut inner, file, page_no)?;
-        if let Some(frame) = inner.frames[slot].as_mut() {
-            frame.pins += 1;
-            if frame.pins == 1 {
-                self.pinned_delta(1);
-            }
-        }
-        Ok(())
-    }
-
-    /// Release one pin taken with [`BufferPool::pin`].
-    pub fn unpin(&self, file: FileId, page_no: u32) {
-        let mut inner = self.inner.lock();
-        if let Some(&slot) = inner.map.get(&(file, page_no)) {
-            if let Some(frame) = inner.frames[slot].as_mut() {
-                debug_assert!(frame.pins > 0, "unpin without pin");
-                frame.pins = frame.pins.saturating_sub(1);
-                if frame.pins == 0 {
-                    self.pinned_delta(-1);
-                }
-            }
-        }
-    }
-
-    /// Fetch the frame for `(file, page_no)`, pin it for the duration of
-    /// the closure, and run the closure under the pool lock.
+    /// Make `(file, page_no)` resident and run the closure on its frame
+    /// under the pool lock.
     fn with_frame<R>(
         &self,
+        inner: Guard<'_>,
         file: FileId,
         page_no: u32,
-        mark_dirty: bool,
+        access: Access,
         f: impl FnOnce(&mut FrameData) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let mut inner = self.inner.lock();
-        let slot = self.fetch_slot(&mut inner, file, page_no)?;
+        let cold = access == Access::ColdRead;
+        let (mut inner, slot) = self.fetch_slot(inner, file, page_no, cold)?;
         let frame = inner.frames[slot]
             .as_mut()
             .ok_or_else(|| StorageError::Corrupt("fetched frame slot is empty".into()))?;
-        frame.pins += 1;
-        if mark_dirty {
+        if access == Access::Write {
             frame.dirty = true;
         }
-        let result = f(&mut frame.data);
-        frame.pins -= 1;
-        result
+        f(&mut frame.data)
     }
 
-    /// Resolve `(file, page_no)` to a resident frame slot, faulting the
-    /// block in from the backing store on a miss.
-    fn fetch_slot(
-        &self,
-        inner: &mut PoolInner,
+    /// Resolve `(file, page_no)` to a resident frame slot. On a miss the
+    /// mutex is released while the block is read, verified and decoded;
+    /// the in-flight table keeps everyone else off that block meanwhile
+    /// (module docs, "Concurrency").
+    fn fetch_slot<'a>(
+        &'a self,
+        mut inner: Guard<'a>,
         file: FileId,
         page_no: u32,
-    ) -> StorageResult<usize> {
-        if let Some(&slot) = inner.map.get(&(file, page_no)) {
-            self.record_hit();
-            if let Some(frame) = inner.frames[slot].as_mut() {
-                frame.referenced = true;
+        cold: bool,
+    ) -> StorageResult<(Guard<'a>, usize)> {
+        let key = (file, page_no);
+        loop {
+            if let Some(&slot) = inner.map.get(&key) {
+                self.record_hit();
+                if let Some(frame) = inner.frames[slot].as_mut() {
+                    frame.referenced |= !cold;
+                }
+                return Ok((inner, slot));
             }
-            return Ok(slot);
+            if !inner.loading.contains(&key) {
+                break;
+            }
+            inner = self.wait(inner);
         }
-        self.record_miss();
-        let state = inner
-            .files
-            .get_mut(&file)
-            .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))?;
+        let state = file_state(&inner, file)?;
         if page_no >= state.page_count {
             return Err(StorageError::InvalidRid {
                 page: page_no,
                 slot: 0,
             });
         }
-        let (kind, label) = (state.kind, state.label.clone());
-        let block = Self::read_backing(state, page_no)?;
-        let data = FrameData::decode(kind, &block, &label, page_no)?;
-        let slot = self.ensure_slot(inner)?;
+        let kind = state.kind;
+        let source = Self::block_source(state, page_no)?;
+        inner.loading.insert(key);
+        drop(inner);
+
+        self.record_miss();
+        let mut buf = [0u8; PAGE_SIZE];
+        let block: StorageResult<&[u8]> = match &source {
+            BlockSource::Memory(block) => Ok(block),
+            BlockSource::Disk(file) => file
+                .read_exact_at(&mut buf, block_offset(page_no))
+                .map(|()| &buf[..])
+                .map_err(|e| StorageError::io("read spill file", e)),
+        };
+        let decode = |label: &str| FrameData::decode(kind, block.clone()?, label, page_no);
+        let decoded = decode("");
+
+        let mut inner = self.lock();
+        inner.loading.remove(&key);
+        self.loaded.notify_all();
+        let data = match decoded {
+            Ok(data) => data,
+            // Only a bad block needs the file's name: decode it again to
+            // say it. (`lock_file` kept the file alive through the read.)
+            Err(e) => return Err(decode(&file_state(&inner, file)?.label).err().unwrap_or(e)),
+        };
+        let slot = self.ensure_slot(&mut inner)?;
         inner.frames[slot] = Some(Frame {
-            key: (file, page_no),
+            key,
             data,
             dirty: false,
-            pins: 0,
-            referenced: true,
+            referenced: !cold,
         });
-        inner.map.insert((file, page_no), slot);
-        Ok(slot)
+        inner.map.insert(key, slot);
+        if cold {
+            // Leave the hand on the cold frame: it is the next victim.
+            inner.hand = slot;
+        }
+        Ok((inner, slot))
     }
 
     /// Find a free frame slot, evicting if the pool is at capacity.
@@ -572,29 +650,23 @@ impl BufferPool {
             inner.frames.push(None);
             return Ok(inner.frames.len() - 1);
         }
-        let victim = self.find_victim(inner)?;
+        let victim = Self::find_victim(inner);
         self.evict_slot(inner, victim)?;
         Ok(victim)
     }
 
-    /// Clock (second-chance) sweep: skip pinned frames, clear reference
-    /// bits, take the first unreferenced unpinned frame. Two full sweeps
-    /// with no victim means every frame is pinned.
-    fn find_victim(&self, inner: &mut PoolInner) -> StorageResult<usize> {
-        let slots = inner.frames.len();
-        for _ in 0..2 * slots {
+    /// Clock (second-chance) sweep: clear reference bits, take the first
+    /// unreferenced frame — found within two sweeps, since the first
+    /// clears every bit it passes.
+    fn find_victim(inner: &mut PoolInner) -> usize {
+        loop {
             let i = inner.hand;
-            inner.hand = (inner.hand + 1) % slots;
+            inner.hand = (i + 1) % inner.frames.len();
             match inner.frames[i].as_mut() {
-                None => return Ok(i),
-                Some(f) if f.pins > 0 => continue,
                 Some(f) if f.referenced => f.referenced = false,
-                Some(_) => return Ok(i),
+                _ => return i,
             }
         }
-        Err(StorageError::PoolExhausted {
-            capacity: self.capacity,
-        })
     }
 
     /// Evict the frame in `slot`: flush the WAL (barrier hook), write the
@@ -610,10 +682,7 @@ impl BufferPool {
             if let Some(barrier) = self.barrier.lock().as_ref() {
                 barrier();
             }
-            let state = inner
-                .files
-                .get_mut(&key.0)
-                .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {}", key.0)))?;
+            let state = file_state_mut(inner, key.0)?;
             Self::write_backing(state, key.1, &block, self.spill_dir.as_deref())?;
         }
         inner.frames[slot] = None;
@@ -624,7 +693,7 @@ impl BufferPool {
 
     /// Drop every resident frame of `file` with page number `>= from`,
     /// without write-back (the pages are being discarded).
-    fn drop_file_frames(&self, inner: &mut PoolInner, file: FileId, from: u32) {
+    fn drop_file_frames(inner: &mut PoolInner, file: FileId, from: u32) {
         let doomed: Vec<(FileId, u32)> = inner
             .map
             .keys()
@@ -633,11 +702,7 @@ impl BufferPool {
             .collect();
         for key in doomed {
             if let Some(slot) = inner.map.remove(&key) {
-                if let Some(frame) = inner.frames[slot].take() {
-                    if frame.pins > 0 {
-                        self.pinned_delta(-1);
-                    }
-                }
+                inner.frames[slot] = None;
                 inner.free.push(slot);
             }
         }
@@ -649,12 +714,16 @@ impl BufferPool {
         block: &[u8],
         spill_dir: Option<&std::path::Path>,
     ) -> StorageResult<()> {
+        let write = |file: &File, n: u32, block: &[u8]| {
+            file.write_all_at(block, block_offset(n))
+                .map_err(|e| StorageError::io("write spill file", e))
+        };
         // First spill of a file in a disk-backed pool upgrades its backing
         // from the (empty-or-small) memory vector to a spill file.
         if let (Backing::Memory(blocks), Some(dir)) = (&state.backing, spill_dir) {
             fs::create_dir_all(dir).map_err(|e| StorageError::io("create spill dir", e))?;
             let path = dir.join(format!("{}.spill", state.label));
-            let mut file = OpenOptions::new()
+            let file = OpenOptions::new()
                 .create(true)
                 .truncate(true)
                 .read(true)
@@ -663,13 +732,13 @@ impl BufferPool {
                 .map_err(|e| StorageError::io("create spill file", e))?;
             for (n, b) in blocks.iter().enumerate() {
                 if let Some(b) = b {
-                    file.seek(SeekFrom::Start(n as u64 * PAGE_SIZE as u64))
-                        .map_err(|e| StorageError::io("seek spill file", e))?;
-                    file.write_all(b)
-                        .map_err(|e| StorageError::io("write spill file", e))?;
+                    write(&file, n as u32, b)?;
                 }
             }
-            state.backing = Backing::Disk { file, path };
+            state.backing = Backing::Disk {
+                file: Arc::new(file),
+                path,
+            };
         }
         match &mut state.backing {
             Backing::Memory(blocks) => {
@@ -677,38 +746,28 @@ impl BufferPool {
                 if blocks.len() <= n {
                     blocks.resize_with(n + 1, || None);
                 }
-                blocks[n] = Some(block.to_vec().into_boxed_slice());
+                blocks[n] = Some(block.into());
                 Ok(())
             }
-            Backing::Disk { file, .. } => {
-                file.seek(SeekFrom::Start(page_no as u64 * PAGE_SIZE as u64))
-                    .map_err(|e| StorageError::io("seek spill file", e))?;
-                file.write_all(block)
-                    .map_err(|e| StorageError::io("write spill file", e))
-            }
+            Backing::Disk { file, .. } => write(file, page_no, block),
         }
     }
 
-    fn read_backing(state: &mut FileState, page_no: u32) -> StorageResult<Vec<u8>> {
-        match &mut state.backing {
+    /// A handle on page `page_no`'s backing block that can be read with
+    /// the mutex released.
+    fn block_source(state: &FileState, page_no: u32) -> StorageResult<BlockSource> {
+        match &state.backing {
             Backing::Memory(blocks) => blocks
                 .get(page_no as usize)
                 .and_then(|b| b.as_ref())
-                .map(|b| b.to_vec())
+                .map(|b| BlockSource::Memory(Arc::clone(b)))
                 .ok_or_else(|| {
                     StorageError::Corrupt(format!(
                         "pool file `{}` page {page_no} has no backing block",
                         state.label
                     ))
                 }),
-            Backing::Disk { file, .. } => {
-                file.seek(SeekFrom::Start(page_no as u64 * PAGE_SIZE as u64))
-                    .map_err(|e| StorageError::io("seek spill file", e))?;
-                let mut block = vec![0u8; PAGE_SIZE];
-                file.read_exact(&mut block)
-                    .map_err(|e| StorageError::io("read spill file", e))?;
-                Ok(block)
-            }
+            Backing::Disk { file, .. } => Ok(BlockSource::Disk(Arc::clone(file))),
         }
     }
 }
@@ -718,6 +777,25 @@ fn file_state(inner: &PoolInner, file: FileId) -> StorageResult<&FileState> {
         .files
         .get(&file)
         .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))
+}
+
+fn file_state_mut(inner: &mut PoolInner, file: FileId) -> StorageResult<&mut FileState> {
+    inner
+        .files
+        .get_mut(&file)
+        .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))
+}
+
+/// Adapt a heap-page reader to the frame accessor.
+fn heap_page<R>(
+    file: FileId,
+    page_no: u32,
+    f: impl FnOnce(&Page) -> R,
+) -> impl FnOnce(&mut FrameData) -> StorageResult<R> {
+    move |data| match data {
+        FrameData::Heap(p) => Ok(f(p)),
+        FrameData::Node(_) => Err(kind_mismatch(file, page_no, "heap page", "index node")),
+    }
 }
 
 fn kind_mismatch(file: FileId, page_no: u32, wanted: &str, got: &str) -> StorageError {
@@ -778,45 +856,282 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frames_are_never_evicted() {
-        let _x = recdb_fault::exclusive();
-        let pool = BufferPool::in_memory(2);
+    fn a_request_past_the_end_is_neither_a_hit_nor_a_miss() {
+        let pool = BufferPool::in_memory(4);
         let f = pool.create_file(FileKind::Heap, "t");
-        for n in 0..2 {
-            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
-                .unwrap();
-        }
-        pool.pin(f, 0).unwrap();
-        assert_eq!(pool.pinned_pages(), 1);
-        // Pressure the pool: page 0 must stay resident throughout.
-        for n in 2..8 {
-            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
-                .unwrap();
-        }
-        let misses_before = pool.misses();
-        pool.with_page(f, 0, |_| ()).unwrap();
-        assert_eq!(pool.misses(), misses_before, "pinned page was evicted");
-        pool.unpin(f, 0);
-        assert_eq!(pool.pinned_pages(), 0);
+        pool.allocate_page(f, FrameData::Heap(fill_page(0)))
+            .unwrap();
+        let before = (pool.hits(), pool.misses());
+        assert!(matches!(
+            pool.with_page(f, 1, |_| ()),
+            Err(StorageError::InvalidRid { page: 1, slot: 0 })
+        ));
+        assert_eq!(pool.scan_page(f, 1, |_| ()).unwrap(), None);
+        assert_eq!((pool.hits(), pool.misses()), before);
     }
 
+    /// A thread that misses a page another thread is already reading
+    /// waits for that read instead of issuing its own. The in-flight entry
+    /// is planted by hand (this thread plays the loader), so the waiter
+    /// cannot get past it until the frame is installed — whichever side
+    /// gets there first, it ends as one hit and no backing read.
     #[test]
-    fn all_pinned_pool_reports_exhaustion() {
+    fn a_second_miss_on_a_page_in_flight_waits_for_the_first_read() {
         let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
-        for n in 0..2 {
+        for n in 0..4 {
             pool.allocate_page(f, FrameData::Heap(fill_page(n)))
                 .unwrap();
-            pool.pin(f, n as u32).unwrap();
         }
-        match pool.allocate_page(f, FrameData::Heap(fill_page(9))) {
-            Err(StorageError::PoolExhausted { capacity: 2 }) => {}
-            other => panic!("expected PoolExhausted, got {other:?}"),
+        let key = (f, 0);
+        {
+            let mut inner = pool.lock();
+            assert!(!inner.map.contains_key(&key), "page 0 was evicted");
+            inner.loading.insert(key);
         }
-        pool.unpin(f, 0);
-        pool.allocate_page(f, FrameData::Heap(fill_page(9)))
-            .unwrap();
+        let before = (pool.hits(), pool.misses());
+        let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                arrived_tx.send(()).unwrap();
+                pool.with_page(f, 0, |p| p.get(0).unwrap()).unwrap()
+            });
+            arrived_rx.recv().unwrap();
+            // Anything that rewrites the file's blocks also waits.
+            let installer = s.spawn(|| {
+                pool.install_page(f, 3, FrameData::Heap(fill_page(33)))
+                    .unwrap()
+            });
+            // Finish "the read": install the frame, leave the table, wake
+            // everyone.
+            let mut inner = pool.lock();
+            assert_eq!(pool.misses(), before.1, "nobody read page 0 meanwhile");
+            let slot = pool.ensure_slot(&mut inner).unwrap();
+            inner.frames[slot] = Some(Frame {
+                key,
+                data: FrameData::Heap(fill_page(0)),
+                dirty: false,
+                referenced: true,
+            });
+            inner.map.insert(key, slot);
+            inner.loading.remove(&key);
+            pool.loaded.notify_all();
+            drop(inner);
+            assert_eq!(waiter.join().unwrap(), tuple(0));
+            installer.join().unwrap();
+        });
+        assert_eq!((pool.hits(), pool.misses()), (before.0 + 1, before.1));
+        let got = pool.with_page(f, 3, |p| p.get(0).unwrap()).unwrap();
+        assert_eq!(got, tuple(33));
+    }
+
+    /// The cold-admission rule: a file that fits in the pool is scanned
+    /// like any other access; one page more and its scan is cold — the
+    /// reference bit is left alone on a hit and clear after a miss, with
+    /// the clock hand on the frame.
+    #[test]
+    fn cold_admission_starts_above_the_pool_size() {
+        let _x = recdb_fault::exclusive();
+        let pool = BufferPool::in_memory(4);
+        let fits = pool.create_file(FileKind::Heap, "fits");
+        let over = pool.create_file(FileKind::Heap, "over");
+        for (file, pages) in [(fits, 4), (over, 5)] {
+            for n in 0..pages {
+                pool.allocate_page(file, FrameData::Heap(fill_page(n)))
+                    .unwrap();
+            }
+        }
+        let bit = |key| {
+            let inner = pool.lock();
+            let slot = inner.map[&key];
+            (inner.frames[slot].as_ref().unwrap().referenced, slot)
+        };
+        pool.scan_page(fits, 0, |_| ()).unwrap();
+        assert!(bit((fits, 0)).0, "a file of `capacity` pages is admitted");
+        pool.scan_page(over, 0, |_| ()).unwrap();
+        let (referenced, slot) = bit((over, 0));
+        assert!(!referenced, "one page more: loaded cold");
+        assert_eq!(pool.lock().hand, slot, "and next in line for eviction");
+        pool.scan_page(over, 0, |_| ()).unwrap();
+        assert!(!bit((over, 0)).0, "a cold hit leaves the bit alone");
+        pool.with_page(over, 0, |_| ()).unwrap();
+        pool.scan_page(over, 0, |_| ()).unwrap();
+        assert!(bit((over, 0)).0, "also when another access had set it");
+    }
+
+    /// Scan resistance: B+-tree nodes touched between the pages of a scan
+    /// over a heap 8x the pool are never faulted in again, and the scan
+    /// leaves them resident; a heap that fits in the pool is admitted like
+    /// any other access.
+    #[test]
+    fn a_large_scan_recycles_its_own_frame() {
+        let _x = recdb_fault::exclusive();
+        let pool = BufferPool::in_memory(16);
+        let idx = pool.create_file(FileKind::Index, "idx");
+        for _ in 0..6 {
+            pool.allocate_page(idx, FrameData::Node(Node::leaf()))
+                .unwrap();
+        }
+        let small = pool.create_file(FileKind::Heap, "small");
+        for n in 0..4 {
+            pool.allocate_page(small, FrameData::Heap(fill_page(n)))
+                .unwrap();
+        }
+        let big = pool.create_file(FileKind::Heap, "big");
+        for n in 0..128 {
+            pool.allocate_page(big, FrameData::Heap(fill_page(n)))
+                .unwrap();
+        }
+        // Loading `big` flooded the pool; fault the working set back in.
+        for n in 0..6 {
+            pool.with_node(idx, n, |_| ()).unwrap();
+        }
+        for n in 0..4 {
+            assert!(pool.scan_page(small, n, |_| ()).unwrap().is_some());
+        }
+        // One pass to reach the steady state (from an arbitrary clock
+        // state the first cold misses may still claim a hot frame), then
+        // the pass that is asserted.
+        let scan_touching_nodes = || {
+            let (mut big_misses, mut refaults) = (0, 0);
+            for n in 0..128u32 {
+                let before = pool.misses();
+                let got = pool.scan_page(big, n, |p| p.get(0).unwrap()).unwrap();
+                assert_eq!(got, Some(tuple(n as i64)));
+                big_misses += pool.misses() - before;
+                let before = pool.misses();
+                pool.with_node(idx, n % 6, |_| ()).unwrap();
+                refaults += pool.misses() - before;
+            }
+            (big_misses, refaults)
+        };
+        scan_touching_nodes();
+        let (h0, m0) = (pool.hits(), pool.misses());
+        let (big_misses, refaults) = scan_touching_nodes();
+        assert_eq!(refaults, 0, "a node touched during the scan was evicted");
+        assert!(big_misses >= 128 - 6, "the scan read `big` from backing");
+        assert_eq!(pool.misses() - m0, big_misses);
+        assert_eq!(pool.hits() - h0, 128 + (128 - big_misses));
+        let resident_big = pool.lock().map.keys().filter(|k| k.0 == big).count();
+        assert!(resident_big <= 6, "the scan took frames from the others");
+        // The small heap (4 pages, a quarter of the pool) was admitted normally and
+        // survived the scan along with the nodes: all hits.
+        let before = pool.misses();
+        for n in 0..4 {
+            pool.scan_page(small, n, |_| ()).unwrap();
+        }
+        for n in 0..6 {
+            pool.with_node(idx, n, |_| ()).unwrap();
+        }
+        assert_eq!(pool.misses(), before);
+    }
+
+    /// Readers and a writer over pools a fraction of the data's size.
+    /// Page `n` holds rows `(n, 0), (n, 1), …` — the writer appends the
+    /// next one — so any block that was torn, read while being written
+    /// back, or installed stale shows as a wrong id, a gap, or a page
+    /// that went backwards. Seeded by `RECDB_FAULT_SEED` (CI sweeps it).
+    #[test]
+    fn pool_stress_readers_and_a_writer_see_every_page_whole() {
+        use std::sync::atomic::AtomicUsize;
+        const PAGES: u32 = 32;
+        const READERS: u64 = 4;
+        const READS: usize = 3_000;
+        const WRITES: usize = 1_200;
+        let _x = recdb_fault::exclusive();
+        let seed: u64 = std::env::var("RECDB_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42);
+        let dir = std::env::temp_dir().join(format!("recdb-pool-stress-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let row = |n: u32, v: i64| Tuple::new(vec![Value::Int(n as i64), Value::Int(v)]);
+        // xorshift64*: page picks with a hot window, so threads collide.
+        let next = |state: &mut u64| {
+            *state ^= *state >> 12;
+            *state ^= *state << 25;
+            *state ^= *state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let pick = move |state: &mut u64| {
+            let r = next(state);
+            if r & 1 == 0 {
+                (r >> 8) as u32 % 3
+            } else {
+                (r >> 8) as u32 % PAGES
+            }
+        };
+        for pool in [BufferPool::spilling(4, &dir), BufferPool::in_memory(4)] {
+            let f = pool.create_file(FileKind::Heap, "stress");
+            for n in 0..PAGES {
+                let mut page = Page::new();
+                page.insert(&row(n, 0)).unwrap();
+                pool.allocate_page(f, FrameData::Heap(page)).unwrap();
+            }
+            let before = pool.hits() + pool.misses();
+            let accesses = AtomicUsize::new(0);
+            let mut written = vec![1usize; PAGES as usize];
+            std::thread::scope(|s| {
+                for r in 0..READERS {
+                    let (pool, accesses) = (&pool, &accesses);
+                    s.spawn(move || {
+                        let mut state = seed.wrapping_mul(r + 2) | 1;
+                        let mut seen = vec![0usize; PAGES as usize];
+                        for i in 0..READS {
+                            let n = pick(&mut state);
+                            let check = |p: &Page| {
+                                let rows: Vec<Tuple> = p.iter_live().map(|(_, t)| t).collect();
+                                for (v, t) in rows.iter().enumerate() {
+                                    assert_eq!(t, &row(n, v as i64), "page {n}");
+                                }
+                                rows.len()
+                            };
+                            // Half the reads go through the scan entry
+                            // (cold here: 32 pages, 4 frames).
+                            let rows = if i % 2 == 0 {
+                                pool.with_page(f, n, check).unwrap()
+                            } else {
+                                pool.scan_page(f, n, check).unwrap().unwrap()
+                            };
+                            accesses.fetch_add(1, Ordering::Relaxed);
+                            assert!(rows >= seen[n as usize], "page {n} went backwards");
+                            seen[n as usize] = rows;
+                        }
+                    });
+                }
+                let mut state = seed | 1;
+                for _ in 0..WRITES {
+                    let n = pick(&mut state);
+                    let v = written[n as usize] as i64;
+                    pool.with_page_mut(f, n, |p| p.insert(&row(n, v)))
+                        .unwrap()
+                        .unwrap();
+                    accesses.fetch_add(1, Ordering::Relaxed);
+                    written[n as usize] += 1;
+                }
+            });
+            for n in 0..PAGES {
+                let rows = pool.with_page(f, n, |p| p.live_count()).unwrap();
+                assert_eq!(rows, written[n as usize], "page {n} lost a write-back");
+            }
+            // Every access is one hit or one miss; every miss is one
+            // backing read that installed one frame — so frames in
+            // (allocations + misses) less frames out (evictions) is what
+            // is resident. Two reads of one block would break it.
+            assert_eq!(
+                pool.hits() + pool.misses() - before,
+                (accesses.into_inner() + PAGES as usize) as u64
+            );
+            assert!(pool.lock().loading.is_empty());
+            assert_eq!(
+                PAGES as u64 + pool.misses(),
+                pool.evictions() + pool.resident_pages() as u64
+            );
+            assert!(pool.misses() > PAGES as u64, "the pool did fault pages in");
+            pool.remove_file(f);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -373,6 +373,29 @@ mod tests {
         }
     }
 
+    /// A log written before `crc32` was table-sliced (commit `90108cb`:
+    /// base LSN 20, one `Insert` frame) opens with nothing truncated —
+    /// the frame format and its checksum are pinned.
+    #[test]
+    fn golden_log_from_before_crc_slicing_opens() {
+        const LOG: &str = "5257414c0100000014000000000000002c000000d34a7c27150000000000\
+            00000307000000726174696e6773010000000200010300000000000000020000000000000c40";
+        let bytes: Vec<u8> = (0..LOG.len() / 2)
+            .map(|i| u8::from_str_radix(&LOG[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        let path = temp_log("golden");
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = Wal::open(&path, 0).unwrap();
+        assert!(opened.truncated.is_none());
+        let record = WalRecord::Insert {
+            table: "ratings".into(),
+            tuples: vec![Tuple::new(vec![Value::Int(3), Value::Float(3.5)])],
+        };
+        assert_eq!(opened.records, vec![(21, record.clone())]);
+        assert_eq!(encode_frame(21, &record.encode()), bytes[16..]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn append_commit_reopen_roundtrip() {
         let path = temp_log("roundtrip");

@@ -534,7 +534,6 @@ fn pool_fault_in_a_scan_is_an_error_not_a_contained_panic() {
         };
         assert_eq!(n, affected, "{sql}");
     }
-    assert_eq!(db.buffer_pool().pinned_pages(), 0);
 }
 
 /// Corrupt data is fatal, and says where: a checksum-bad spill block
