@@ -7,6 +7,7 @@
 //! and the two standard error metrics.
 
 use crate::model::{Algorithm, RecModel, TrainConfig};
+use crate::neighborhood::ScoreScratch;
 use crate::ratings::{Rating, RatingsMatrix};
 
 /// Accuracy of a model on a test set.
@@ -65,19 +66,35 @@ pub fn evaluate(
 
 /// Score every `test` pair with an already-trained model.
 ///
-/// Ids are resolved to dense indexes once per pair and scored through the
-/// indexed fast path ([`RecModel::predict_indexed`]), so the hot loop does
-/// no redundant HashMap lookups inside the model.
+/// Ids are resolved to dense indexes once per pair, and each user's test
+/// items are scored by one candidate-list call
+/// ([`RecModel::predict_items_into`]); errors are then summed in test-set
+/// order, so the metrics do not depend on the grouping.
 pub fn evaluate_model(model: &RecModel, test: &[Rating]) -> Accuracy {
     let matrix = model.matrix();
+    // `(user, item, position in test)`, grouped by user.
+    let mut pairs: Vec<(usize, usize, usize)> = test
+        .iter()
+        .enumerate()
+        .filter_map(|(at, r)| Some((matrix.user_idx(r.user)?, matrix.item_idx(r.item)?, at)))
+        .collect();
+    pairs.sort_unstable();
+    let mut predicted = vec![None; test.len()];
+    let (mut scratch, mut items, mut out) = (ScoreScratch::default(), Vec::new(), Vec::new());
+    for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+        items.clear();
+        items.extend(group.iter().map(|&(_, i, _)| i));
+        out.clear();
+        model.predict_items_into(group[0].0, &items, &mut scratch, &mut out);
+        for (&(_, _, at), &p) in group.iter().zip(&out) {
+            predicted[at] = p;
+        }
+    }
     let mut sq = 0.0;
     let mut abs = 0.0;
     let mut covered = 0usize;
-    for r in test {
-        let (Some(u), Some(i)) = (matrix.user_idx(r.user), matrix.item_idx(r.item)) else {
-            continue;
-        };
-        if let Some(p) = model.predict_indexed(u, i) {
+    for (r, p) in test.iter().zip(predicted) {
+        if let Some(p) = p {
             let err = p - r.value;
             sq += err * err;
             abs += err.abs();

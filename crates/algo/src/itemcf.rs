@@ -14,23 +14,29 @@
 //! around them — a rated pair is not a recommendation, an empty `L` scores
 //! 0 — is written once, on [`crate::RecModel`].
 //!
-//! * **Per pair** — [`ItemCfModel::predict_dense`] merge-intersects
-//!   `rated(u)` with the forward list `N(i)`; `None` when they share no
-//!   item.
-//! * **Per user** — [`ItemCfModel::score_unseen_into`] scores *every*
+//! * **Whole domain** — [`ItemCfModel::score_unseen_into`] scores *every*
 //!   unseen item in one pass: the reduction "to items rated by user u" is
 //!   done once, by walking `rated(u)` and scattering each rating along the
 //!   reverse list `rev(l)` ([`NeighborhoodTable::reverse`]) into dense
 //!   per-candidate `(num, den)` accumulators. Cost is `Σ_{l ∈ rated(u)}
-//!   |rev(l)|` multiply-adds instead of `n_items` merge-intersects.
+//!   |rev(l)|` multiply-adds instead of `n_items` list reductions.
+//! * **Candidate list** — [`ItemCfModel::predict_items_into`] scores the
+//!   items a plan asks for (the outer of JOINRECOMMEND, a pushed-down
+//!   `iPred`), Algorithm 1's block-nested loop: the user's ratings are
+//!   marked once per call in a dense per-item row
+//!   ([`ScoreScratch`]), then each candidate gathers its forward list
+//!   `N(i)` (≤ `max_neighbors` entries) from that row. Cost is `|rated(u)|
+//!   + Σ_i |N(i)|` probes, with no per-pair search or merge.
 //!
-//! The two agree **bit for bit**. A candidate `i` receives exactly the
-//! terms `{sim(i, l)·r_ul : l ∈ rated(u) ∩ N(i)}`, since `(i, sim(i, l)) ∈
-//! rev(l) ⇔ l ∈ N(i)`; the per-user pass visits `l` in ascending order
-//! (the CSR row is sorted) and the merge-intersect meets the same `l` in
-//! ascending order, so both add the same `f64` terms to a 0.0-initialised
-//! sum in the same sequence. Only the *outer* order matters: within one
-//! `rev(l)` every candidate is touched once.
+//! The two agree **bit for bit**, and with the per-pair merge-intersect of
+//! `rated(u)` and `N(i)` they replaced (kept as a test oracle). A candidate
+//! `i` receives exactly the terms `{sim(i, l)·r_ul : l ∈ rated(u) ∩
+//! N(i)}`, since `(i, sim(i, l)) ∈ rev(l) ⇔ l ∈ N(i)`. The whole-domain
+//! pass visits `l` in ascending order (the CSR row is sorted), the gather
+//! walks `N(i)` in ascending `l` (the list is sorted by neighbor index),
+//! and so did the merge, so all three add the same `f64` terms to a
+//! 0.0-initialised sum in the same sequence. Only the order over `l`
+//! matters: within one `rev(l)` every candidate is touched once.
 
 use crate::model::TrainError;
 use crate::neighborhood::{
@@ -96,44 +102,11 @@ impl ItemCfModel {
         self.matrix.n_ratings()
     }
 
-    /// Eq. 2 for dense indexes: predicted rating of item `i` for user `u`,
-    /// or `None` when `L ∩ rated(u)` is empty. Raw kernel: it does not
-    /// look at whether `u` rated `i` ([`crate::RecModel::predict_indexed`]
-    /// does).
-    pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
-        let (rated_items, ratings) = self.matrix.user_csr().row(u);
-        let neighbors = self.neighborhood.neighbors(i);
-        // Merge-intersect: both lists are sorted by item index. The CSR
-        // row gives the user's ratings as contiguous slices; sums stay
-        // in f64.
-        let (mut a, mut b) = (0, 0);
-        let mut num = 0.0;
-        let mut den = 0.0;
-        while a < rated_items.len() && b < neighbors.len() {
-            match (rated_items[a] as usize).cmp(&neighbors[b].0) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    let (r_ul, sim) = (f64::from(ratings[a]), neighbors[b].1);
-                    num += sim * r_ul;
-                    den += sim.abs();
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        if den == 0.0 {
-            None
-        } else {
-            Some(num / den)
-        }
-    }
-
     /// Eq. 2 for every item user `u` has not rated, appended to `out` as
     /// `(item_idx, score)` ascending in item index; no-overlap candidates
     /// score 0. One pass over `rated(u)` × reverse lists — bit-identical
-    /// to [`predict_dense`](Self::predict_dense) per candidate (module
-    /// docs).
+    /// to [`predict_items_into`](Self::predict_items_into) per candidate
+    /// (module docs).
     pub fn score_unseen_into(
         &self,
         u: usize,
@@ -152,6 +125,42 @@ impl ItemCfModel {
             }
         }
         scratch.emit_unseen(&self.matrix, u, out);
+    }
+
+    /// Eq. 2 for each item of `items`, appended to `out` in list order;
+    /// `None` when `L ∩ rated(u)` is empty. Raw kernel: it does not look
+    /// at whether `u` rated a candidate ([`crate::RecModel`] does). One
+    /// marking of `rated(u)`, then one gather of `N(i)` per candidate
+    /// (module docs).
+    pub fn predict_items_into(
+        &self,
+        u: usize,
+        items: &[usize],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        let (rated_items, ratings) = self.matrix.user_csr().row(u);
+        let rated = scratch.mark(
+            self.matrix.n_items(),
+            rated_items
+                .iter()
+                .zip(ratings)
+                .map(|(&l, &r_ul)| (l as usize, f64::from(r_ul))),
+        );
+        out.extend(items.iter().map(|&i| {
+            let (mut num, mut den) = (0.0, 0.0);
+            for &(l, sim) in self.neighborhood.neighbors(i) {
+                if let Some(r_ul) = rated.get(l) {
+                    num += sim * r_ul;
+                    den += sim.abs();
+                }
+            }
+            if den == 0.0 {
+                None
+            } else {
+                Some(num / den)
+            }
+        }));
     }
 }
 
@@ -175,10 +184,13 @@ mod tests {
         )
     }
 
-    /// Eq. 2 for external ids the model knows.
+    /// Eq. 2 for external ids the model knows, as a one-item list.
     fn predict(m: &ItemCfModel, user: i64, item: i64) -> Option<f64> {
         let matrix = m.matrix();
-        m.predict_dense(matrix.user_idx(user)?, matrix.item_idx(item)?)
+        let (u, i) = (matrix.user_idx(user)?, matrix.item_idx(item)?);
+        let mut out = Vec::new();
+        m.predict_items_into(u, &[i], &mut ScoreScratch::default(), &mut out);
+        out[0]
     }
 
     #[test]

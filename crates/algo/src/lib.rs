@@ -8,8 +8,8 @@
 //!   dimensions (Eq. 1),
 //! * [`neighborhood`] — item–item and user–user similarity-list models
 //!   (forward lists plus their transpose),
-//! * [`itemcf`] / [`usercf`] — neighborhood predictors (Eq. 2), per pair
-//!   and user-at-a-time,
+//! * [`itemcf`] / [`usercf`] — neighborhood predictors (Eq. 2), over the
+//!   whole item domain and over a candidate list,
 //! * [`svd`] — regularized gradient-descent matrix factorization (Eq. 3),
 //! * [`kernels`] — flat-`f32` vectorizable primitives (`dot`, `axpy`,
 //!   `score_block`) shared by the SVD trainer and the score materializer,
@@ -26,6 +26,8 @@
 pub mod eval;
 pub mod itemcf;
 pub mod kernels;
+#[cfg(test)]
+mod merge_reference;
 pub mod model;
 pub mod neighborhood;
 pub mod parallel;

@@ -8,19 +8,26 @@
 //!
 //! # Two kernels, one rule
 //!
-//! Each model type supplies two kernels and nothing else: the raw point
-//! prediction `predict_dense(u, i)` (Eq. 2 for the CF models, the factor
-//! dot product for SVD, the damped mean for Popularity; `None` = no
-//! signal) and the user-at-a-time `score_unseen_into`. The rule the paper
-//! wraps around them (Algorithms 1/2: a pair the user already rated is not
-//! a recommendation; an unrated pair with no signal scores 0) is written
-//! here and only here: [`RecModel::predict_indexed`] /
-//! [`RecModel::predict`] (`None` = rated or no signal — the point API, the
-//! evaluation harness and the oracle of every bit-identity test) and
-//! [`RecModel::unseen_score`] (`None` = rated; no signal = `Some(0.0)` —
-//! by definition the entry [`RecModel::score_unseen_into`] emits for that
-//! item, which is what every operator that scores one pair at a time
-//! calls).
+//! Each model type supplies two kernels and nothing else, both per user:
+//!
+//! * **whole domain** — `score_unseen_into(u)`: every item `u` has not
+//!   rated, ascending (Query 1's `RECOMMEND` leaf, the score
+//!   materializer);
+//! * **candidate list** — `predict_items_into(u, items)`: the raw
+//!   prediction of each listed item (Eq. 2 for the CF models, the factor
+//!   dot product for SVD, the damped mean for Popularity; `None` = no
+//!   signal), in list order (JOINRECOMMEND's outer block, a pushed-down
+//!   `iPred`, Alg. 4 admissions, the evaluation harness).
+//!
+//! The rule the paper wraps around them (Algorithms 1/2: a pair the user
+//! already rated is not a recommendation; an unrated pair with no signal
+//! scores 0) is written here and only here, over the candidate list:
+//! [`RecModel::score_items_into`] (`None` = rated; no signal = `Some(0.0)`
+//! — by definition the entry [`RecModel::score_unseen_into`] emits for
+//! that item) and [`RecModel::predict_items_into`] (`None` = rated or no
+//! signal — what the evaluation harness averages over). The point forms
+//! [`RecModel::unseen_score`], [`RecModel::predict_indexed`] and
+//! [`RecModel::predict`] are one-item lists.
 
 use crate::itemcf::ItemCfModel;
 use crate::neighborhood::{NeighborhoodParams, ScoreScratch};
@@ -281,25 +288,75 @@ impl RecModel {
         }
     }
 
-    /// The raw point kernel of whichever model this is; it does not look
-    /// at whether `u` rated `i`.
-    fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
+    /// Algorithm 1 over a candidate list: append one entry per item of
+    /// `items` to `out`, `None` when `u` rated the item and otherwise the
+    /// model's candidate-list kernel's prediction, with no signal becoming
+    /// `no_signal`.
+    fn rule_items_into(
+        &self,
+        u: usize,
+        items: &[usize],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<Option<f64>>,
+        no_signal: Option<f64>,
+    ) {
+        let start = out.len();
         match self {
-            RecModel::Item(m) => m.predict_dense(u, i),
-            RecModel::User(m) => m.predict_dense(u, i),
-            RecModel::Factors(m) => m.predict_dense(u, i),
-            RecModel::Popular(m) => m.predict_dense(u, i),
+            RecModel::Item(m) => m.predict_items_into(u, items, scratch, out),
+            RecModel::User(m) => m.predict_items_into(u, items, scratch, out),
+            RecModel::Factors(m) => m.predict_items_into(u, items, out),
+            RecModel::Popular(m) => m.predict_items_into(items, out),
         }
+        let matrix = self.matrix();
+        for (entry, &i) in out[start..].iter_mut().zip(items) {
+            *entry = if matrix.rating_at(u, i).is_some() {
+                None
+            } else {
+                entry.or(no_signal)
+            };
+        }
+    }
+
+    /// The recommendation score of each item of `items` for dense user
+    /// `u` (Algorithm 1), appended to `out` in list order: `None` when `u`
+    /// already rated the item — the pair is not a recommendation —
+    /// otherwise the prediction, with no signal scoring 0 (line 14).
+    /// Duplicates are scored once per occurrence. Every entry is
+    /// bit-identical to what [`score_unseen_into`](Self::score_unseen_into)
+    /// emits for that item; the cost is one pass over the user's side of
+    /// the model plus the candidates' own lists (see [`crate::itemcf`] /
+    /// [`crate::usercf`]), not a whole-domain pass.
+    pub fn score_items_into(
+        &self,
+        u: usize,
+        items: &[usize],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        self.rule_items_into(u, items, scratch, out, Some(0.0));
+    }
+
+    /// [`score_items_into`](Self::score_items_into) with no signal left as
+    /// `None`: the predicted rating of each listed item, `None` when the
+    /// user rated it or the model has no signal for the pair — what the
+    /// evaluation harness measures.
+    pub fn predict_items_into(
+        &self,
+        u: usize,
+        items: &[usize],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        self.rule_items_into(u, items, scratch, out, None);
     }
 
     /// Predicted rating of dense item `i` for dense user `u`: `None` when
     /// the user already rated the item or the model has no signal for the
-    /// pair.
+    /// pair. A one-item [`predict_items_into`](Self::predict_items_into).
     pub fn predict_indexed(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix().rating_at(u, i).is_some() {
-            return None;
-        }
-        self.predict_dense(u, i)
+        let mut out = Vec::with_capacity(1);
+        self.predict_items_into(u, &[i], &mut ScoreScratch::default(), &mut out);
+        out[0]
     }
 
     /// [`predict_indexed`](Self::predict_indexed) for external ids; ids
@@ -309,24 +366,22 @@ impl RecModel {
         self.predict_indexed(matrix.user_idx(user)?, matrix.item_idx(item)?)
     }
 
-    /// The recommendation score of one pair (Algorithm 1): `None` when
-    /// user `u` already rated item `i` — the pair is not a recommendation
-    /// — otherwise the prediction, with no signal scoring 0 (line 14).
-    /// This is the entry [`score_unseen_into`](Self::score_unseen_into)
-    /// emits for `i`, bit for bit, at the cost of one rating lookup and
-    /// one point kernel.
+    /// The recommendation score of one pair: a one-item
+    /// [`score_items_into`](Self::score_items_into) (`None` = rated; no
+    /// signal = `Some(0.0)`). For callers that really have one pair —
+    /// OnTopDB's per-pair export; an operator with several candidates for
+    /// a user makes one list call.
     pub fn unseen_score(&self, u: usize, i: usize) -> Option<f64> {
-        if self.matrix().rating_at(u, i).is_some() {
-            return None;
-        }
-        Some(self.predict_dense(u, i).unwrap_or(0.0))
+        let mut out = Vec::with_capacity(1);
+        self.score_items_into(u, &[i], &mut ScoreScratch::default(), &mut out);
+        out[0]
     }
 
     /// Score every item dense user `u` has **not** rated in one
     /// user-at-a-time pass, appending `(item_idx, score)` in ascending
     /// item order — what the whole-domain `RECOMMEND` operator and the
     /// score materializer run per user. Every entry is bit-identical to
-    /// [`unseen_score`](Self::unseen_score) for that item. The
+    /// [`score_items_into`](Self::score_items_into) for that item. The
     /// neighborhood arms scatter into `scratch` (see [`crate::itemcf`] /
     /// [`crate::usercf`]), the SVD arm runs blocked dot-product kernels,
     /// and Popularity copies its per-item table.
@@ -374,6 +429,7 @@ impl RecModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge_reference::merge_eq2;
     use crate::ratings::Rating;
 
     fn matrix() -> RatingsMatrix {
@@ -482,8 +538,33 @@ mod tests {
         vec![matrix(), RatingsMatrix::from_ratings(ratings)]
     }
 
+    /// The raw prediction the per-pair path made before the candidate-list
+    /// kernel (`None` = no signal): the merge-intersect for the CF models,
+    /// the point formulas for SVD and Popularity.
+    fn merge_reference(model: &RecModel, u: usize, i: usize) -> Option<f64> {
+        let m = model.matrix();
+        match model {
+            RecModel::Item(item) => {
+                merge_eq2(m.user_csr().row(u), item.neighborhood().neighbors(i))
+            }
+            RecModel::User(user) => {
+                merge_eq2(m.item_csr().row(i), user.neighborhood().neighbors(u))
+            }
+            RecModel::Factors(svd) => Some(f64::from(crate::kernels::dot(
+                svd.user_vector(u),
+                svd.item_vector(i),
+            ))),
+            RecModel::Popular(p) => {
+                let mut out = Vec::new();
+                p.predict_items_into(&[i], &mut out);
+                out[0]
+            }
+        }
+    }
+
     #[test]
-    fn batch_scoring_matches_per_pair_for_every_algorithm() {
+    fn both_kernels_match_the_merge_reference_for_every_algorithm() {
+        let bits = |s: Option<f64>| s.map(f64::to_bits);
         let mut scratch = ScoreScratch::default();
         let mut negative_sims = false;
         let mut empty_reverse = false;
@@ -493,6 +574,12 @@ mod tests {
             .flat_map(|k| [(k, 0.0), (k, 0.2)])
             .collect();
         for m in parity_worlds() {
+            // Every item, backwards, then every other item again: list
+            // order is not index order, and half the list repeats.
+            let items: Vec<usize> = (0..m.n_items())
+                .rev()
+                .chain((0..m.n_items()).step_by(2))
+                .collect();
             for algo in Algorithm::ALL {
                 // The neighborhood knobs do not apply to SVD and Popularity.
                 let knobs = if algo.is_neighborhood() {
@@ -519,29 +606,44 @@ mod tests {
                             (0..t.len()).any(|i| t.neighbors(i).iter().any(|&(_, s)| s < 0.0));
                         empty_reverse |= (0..t.len()).any(|i| t.reverse(i).0.is_empty());
                     }
-                    let mut batch = Vec::new();
+                    let (mut batch, mut listed) = (Vec::new(), Vec::new());
                     for u in 0..m.n_users() {
+                        let case =
+                            format!("{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}");
+                        let rated = |i: usize| m.rating_at(u, i).is_some();
+                        // Algorithm 1 over the reference, item by item.
+                        let want: Vec<Option<f64>> = (0..m.n_items())
+                            .map(|i| {
+                                (!rated(i)).then(|| merge_reference(&model, u, i).unwrap_or(0.0))
+                            })
+                            .collect();
+
                         batch.clear();
                         model.score_unseen_into(u, &mut scratch, &mut batch);
                         let got: Vec<(usize, u64)> =
                             batch.iter().map(|&(i, s)| (i, s.to_bits())).collect();
-                        let case =
-                            format!("{algo} k {max_neighbors:?} floor {min_abs_sim} user {u}");
                         let expected: Vec<(usize, u64)> = (0..m.n_items())
-                            .filter(|&i| m.rating_at(u, i).is_none())
-                            .map(|i| (i, model.predict_indexed(u, i).unwrap_or(0.0).to_bits()))
+                            .filter_map(|i| Some((i, want[i]?.to_bits())))
                             .collect();
-                        assert_eq!(got, expected, "{case}");
-                        // The per-pair rule is the batch entry, and `None`
-                        // exactly on rated pairs.
-                        let per_pair: Vec<(usize, u64)> = (0..m.n_items())
-                            .filter_map(|i| Some((i, model.unseen_score(u, i)?.to_bits())))
-                            .collect();
-                        assert_eq!(per_pair, got, "{case}");
-                        no_signal |= (0..m.n_items()).any(|i| {
-                            model.unseen_score(u, i) == Some(0.0)
-                                && model.predict_indexed(u, i).is_none()
-                        });
+                        assert_eq!(got, expected, "whole domain, {case}");
+
+                        listed.clear();
+                        model.score_items_into(u, &items, &mut scratch, &mut listed);
+                        let got: Vec<Option<u64>> = listed.iter().map(|&s| bits(s)).collect();
+                        let expected: Vec<Option<u64>> =
+                            items.iter().map(|&i| bits(want[i])).collect();
+                        assert_eq!(got, expected, "candidate list, {case}");
+
+                        for (i, &score) in want.iter().enumerate() {
+                            assert_eq!(bits(model.unseen_score(u, i)), bits(score), "{case}");
+                            let predicted = (!rated(i)).then(|| merge_reference(&model, u, i));
+                            assert_eq!(
+                                bits(model.predict_indexed(u, i)),
+                                bits(predicted.flatten()),
+                                "{case}"
+                            );
+                            no_signal |= predicted == Some(None);
+                        }
                     }
                 }
             }

@@ -200,13 +200,26 @@ impl NeighborhoodTable {
     }
 }
 
-/// Reusable per-candidate Eq. 2 accumulators `(Σ sim·r, Σ |sim|)` for the
-/// user-at-a-time scoring pass ([`crate::RecModel::score_unseen_into`]).
-/// One per scoring thread; holding it across calls saves re-allocating
-/// `n_items` slots per user.
+/// Reusable state of the two scoring kernels, one per scoring thread;
+/// holding it across calls saves re-allocating a dense row per user.
+///
+/// * **Whole domain** ([`crate::RecModel::score_unseen_into`]): dense
+///   per-candidate Eq. 2 accumulators `(Σ sim·r, Σ |sim|)` the pass
+///   scatters into.
+/// * **Candidate list** ([`crate::RecModel::score_items_into`]): one side
+///   of Eq. 2 marked in a dense row — the user's ratings by item (ItemCF)
+///   or `sim(u, v)` by neighbor `v` (UserCF) — that each candidate's list
+///   is gathered from. A slot is present when its stamp is the current
+///   call's, never by a sentinel value (ratings are not checked to be
+///   finite), so a call forgets the previous one without touching the
+///   row, and one scratch serves models of any size.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
     acc: Vec<[f64; 2]>,
+    /// `(value, stamp)` per entity.
+    marks: Vec<(f64, u32)>,
+    /// The current call's stamp; slots start at 0, calls at 1.
+    stamp: u32,
 }
 
 impl ScoreScratch {
@@ -230,6 +243,46 @@ impl ScoreScratch {
             let [num, den] = self.acc[i];
             (i, if den == 0.0 { 0.0 } else { num / den })
         }));
+    }
+
+    /// Forget the previous call's marks and mark `entries` in a row over
+    /// `n` entities.
+    pub(crate) fn mark(
+        &mut self,
+        n: usize,
+        entries: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Marked<'_> {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: old slots may carry any stamp, so start over.
+            self.marks.clear();
+            self.stamp = 1;
+        }
+        if self.marks.len() < n {
+            self.marks.resize(n, (0.0, 0));
+        }
+        for (e, value) in entries {
+            self.marks[e] = (value, self.stamp);
+        }
+        Marked {
+            slots: &self.marks,
+            stamp: self.stamp,
+        }
+    }
+}
+
+/// The row [`ScoreScratch::mark`] filled.
+pub(crate) struct Marked<'a> {
+    slots: &'a [(f64, u32)],
+    stamp: u32,
+}
+
+impl Marked<'_> {
+    /// The value marked for entity `e` in this call, if any.
+    #[inline]
+    pub(crate) fn get(&self, e: usize) -> Option<f64> {
+        let (value, stamp) = self.slots[e];
+        (stamp == self.stamp).then_some(value)
     }
 }
 
@@ -403,6 +456,28 @@ mod tests {
             Rating::new(3, 1, 2.0),
             Rating::new(4, 2, 1.0),
         ])
+    }
+
+    /// Presence is the stamp, not the value: NaN and -0.0 are marked
+    /// values, a new call forgets the old one, and a wrapped stamp cannot
+    /// revive a slot marked 2³² calls ago.
+    #[test]
+    fn marks_forget_the_previous_call_and_survive_stamp_wrap() {
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        let mut scratch = ScoreScratch::default();
+        let row = scratch.mark(4, [(1, f64::NAN), (3, -0.0)]);
+        assert_eq!(row.get(0), None);
+        assert!(row.get(1).is_some_and(f64::is_nan));
+        assert_eq!(bits(row.get(3)), bits(Some(-0.0)));
+        // A smaller row keeps the larger allocation; old slots are absent.
+        let row = scratch.mark(2, [(0, 2.5)]);
+        assert_eq!(row.get(0), Some(2.5));
+        assert_eq!((row.get(1), row.get(3)), (None, None));
+        scratch.stamp = u32::MAX;
+        let row = scratch.mark(4, [(2, 1.0)]);
+        // Slots 1 and 3 were marked with stamp 1, the stamp after the wrap.
+        assert_eq!((row.get(0), row.get(1), row.get(3)), (None, None, None));
+        assert_eq!(row.get(2), Some(1.0));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! Every user receives the same ranking over their unseen items — which is
 //! also the standard cold-start fallback when a CF model has no signal.
 //!
-//! Like the CF models it exposes two scoring kernels
-//! ([`PopularityModel::predict_dense`], [`PopularityModel::score_unseen_into`])
-//! and leaves the Algorithm 1 rule to [`crate::RecModel`].
+//! Like the CF models it exposes two scoring kernels, whole domain
+//! ([`PopularityModel::score_unseen_into`]) and candidate list
+//! ([`PopularityModel::predict_items_into`]), and leaves the Algorithm 1
+//! rule to [`crate::RecModel`].
 
 use crate::ratings::RatingsMatrix;
 
@@ -84,11 +85,12 @@ impl PopularityModel {
         self.matrix.n_ratings()
     }
 
-    /// The damped mean of item `i` — the same for every user `u`, and
-    /// never `None`: an item nobody rated still has the global mean. Raw
-    /// kernel: it does not look at whether `u` rated `i`.
-    pub fn predict_dense(&self, _u: usize, i: usize) -> Option<f64> {
-        Some(self.item_scores[i])
+    /// The damped mean of each item of `items`, appended to `out` in list
+    /// order — the same for every user, and never `None`: an item nobody
+    /// rated still has the global mean. Raw kernel: it does not look at
+    /// whether the user rated a candidate.
+    pub fn predict_items_into(&self, items: &[usize], out: &mut Vec<Option<f64>>) {
+        out.extend(items.iter().map(|&i| Some(self.item_scores[i])));
     }
 
     /// Append `(item_idx, damped mean)` for every item user `u` has not
@@ -122,8 +124,9 @@ mod tests {
 
     /// The damped mean of the item with external id `item`.
     fn item_score(m: &PopularityModel, item: i64) -> f64 {
-        m.predict_dense(0, m.matrix().item_idx(item).unwrap())
-            .unwrap()
+        let mut out = Vec::new();
+        m.predict_items_into(&[m.matrix().item_idx(item).unwrap()], &mut out);
+        out[0].unwrap()
     }
 
     #[test]
@@ -148,8 +151,15 @@ mod tests {
     #[test]
     fn same_score_for_every_user() {
         let m = PopularityModel::train(matrix());
-        for i in 0..m.matrix().n_items() {
-            assert_eq!(m.predict_dense(3, i), m.predict_dense(4, i));
+        let items: Vec<usize> = (0..m.matrix().n_items()).collect();
+        let mut per_item = Vec::new();
+        m.predict_items_into(&items, &mut per_item);
+        for u in 0..m.matrix().n_users() {
+            let mut unseen = Vec::new();
+            m.score_unseen_into(u, &mut unseen);
+            for (i, score) in unseen {
+                assert_eq!(Some(score), per_item[i], "user {u} item {i}");
+            }
         }
     }
 

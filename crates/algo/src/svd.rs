@@ -10,9 +10,9 @@
 //! via stochastic gradient descent ("Regularized Gradient Descent Singular
 //! Value Decomposition"). The learned tables are exactly the paper's
 //! Figure 2 *User Factor Table* and *Item Factor Table*; prediction is the
-//! dot product (Algorithm 2, line 7), exposed as two kernels —
-//! [`SvdModel::predict_dense`] per pair and the blocked
-//! [`SvdModel::score_unseen_into`] per user — with the rule around them
+//! dot product (Algorithm 2, line 7), exposed as two kernels — the
+//! blocked whole-domain [`SvdModel::score_unseen_into`] and the
+//! candidate-list [`SvdModel::predict_items_into`] — with the rule around them
 //! (a rated pair is not a recommendation) written once on
 //! [`crate::RecModel`].
 //!
@@ -251,14 +251,17 @@ impl SvdModel {
         &self.item_factors[i * self.factors..(i + 1) * self.factors]
     }
 
-    /// Algorithm 2 line 7 for dense indexes: the dot product `q_iᵀ p_u`,
-    /// never `None` (every known pair has factors). Raw kernel: it does
-    /// not look at whether `u` rated `i`.
-    pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
-        Some(f64::from(kernels::dot(
-            self.user_vector(u),
-            self.item_vector(i),
-        )))
+    /// Algorithm 2 line 7 for each item of `items`: the dot product `q_iᵀ
+    /// p_u`, appended to `out` in list order, never `None` (every known
+    /// pair has factors). Raw kernel: it does not look at whether `u`
+    /// rated a candidate.
+    pub fn predict_items_into(&self, u: usize, items: &[usize], out: &mut Vec<Option<f64>>) {
+        let p_u = self.user_vector(u);
+        out.extend(
+            items
+                .iter()
+                .map(|&i| Some(f64::from(kernels::dot(p_u, self.item_vector(i))))),
+        );
     }
 
     /// Batched raw scores: factor dot products of user `u` against the
@@ -275,7 +278,7 @@ impl SvdModel {
     /// contiguous [`kernels::score_block`] chunks and the user's sorted CSR
     /// row is merged in to skip rated pairs, so ids and ratings resolve
     /// once per user instead of once per pair. Produces bit-identical
-    /// scores to calling [`Self::predict_dense`] per unrated item.
+    /// scores to [`Self::predict_items_into`] over the unrated items.
     pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
         const BLOCK: usize = 256;
         let n_items = self.matrix.n_items();
@@ -601,12 +604,17 @@ mod tests {
         RatingsMatrix::from_ratings(ratings)
     }
 
+    /// The dot product for dense user `u` and item `i`.
+    fn predict(model: &SvdModel, u: usize, i: usize) -> f64 {
+        let mut out = Vec::new();
+        model.predict_items_into(u, &[i], &mut out);
+        out[0].unwrap()
+    }
+
     /// The prediction for the held-out pair (user 0, item 5).
     fn heldout(model: &SvdModel) -> f64 {
         let m = model.matrix();
-        model
-            .predict_dense(m.user_idx(0).unwrap(), m.item_idx(5).unwrap())
-            .unwrap()
+        predict(model, m.user_idx(0).unwrap(), m.item_idx(5).unwrap())
     }
 
     #[test]
@@ -735,7 +743,7 @@ mod tests {
         assert!(model.final_rmse().is_finite());
         for u in 0..6 {
             for i in 0..6 {
-                assert!(model.predict_dense(u, i).unwrap().is_finite());
+                assert!(predict(&model, u, i).is_finite());
             }
         }
     }
@@ -834,7 +842,7 @@ mod tests {
             model.score_unseen_into(u, &mut out);
             let expected: Vec<(usize, f64)> = (0..m.n_items())
                 .filter(|&i| m.rating_at(u, i).is_none())
-                .map(|i| (i, model.predict_dense(u, i).unwrap()))
+                .map(|i| (i, predict(&model, u, i)))
                 .collect();
             assert_eq!(out, expected, "user {u}");
         }

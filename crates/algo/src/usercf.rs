@@ -12,15 +12,21 @@
 //! item `i`.
 //!
 //! As in [`crate::itemcf`] the model exposes two kernels and leaves the
-//! Algorithm 1 rule to [`crate::RecModel`]: a per-pair form
-//! ([`UserCfModel::predict_dense`]: merge-intersect `raters(i)` with
-//! `N(u)`) and a per-user form ([`UserCfModel::score_unseen_into`]). The
-//! per-user pass needs no reverse table: it walks the forward list `N(u)`
-//! and scatters each neighbor `v`'s CSR row `{(i, r_vi)}` into
-//! per-candidate `(num, den)` accumulators. Candidate `i` receives exactly
-//! the terms of `N(u) ∩ raters(i)`, in ascending `v` on both paths (`N(u)`
-//! is sorted by neighbor index, and so is the item's rater column), so the
-//! sums are bit-identical.
+//! Algorithm 1 rule to [`crate::RecModel`]:
+//!
+//! * **Whole domain** — [`UserCfModel::score_unseen_into`] needs no
+//!   reverse table: it walks the forward list `N(u)` and scatters each
+//!   neighbor `v`'s CSR row `{(i, r_vi)}` into per-candidate `(num, den)`
+//!   accumulators.
+//! * **Candidate list** — [`UserCfModel::predict_items_into`] marks
+//!   `sim(u, v)` for `v ∈ N(u)` once per call in a dense per-user row
+//!   ([`ScoreScratch`]), then gathers each candidate's raters (the item's
+//!   CSR row) from it.
+//!
+//! Candidate `i` receives exactly the terms of `N(u) ∩ raters(i)` on both,
+//! in ascending `v` (`N(u)` is sorted by neighbor index, and so is the
+//! item's rater column) — the order the per-pair merge-intersect they
+//! replaced (kept as a test oracle) used — so the sums are bit-identical.
 
 use crate::model::TrainError;
 use crate::neighborhood::{
@@ -84,38 +90,11 @@ impl UserCfModel {
         self.matrix.n_ratings()
     }
 
-    /// Transposed Eq. 2 for dense indexes, `None` when no neighbor of `u`
-    /// rated `i`. Raw kernel: it does not look at whether `u` rated `i`.
-    pub fn predict_dense(&self, u: usize, i: usize) -> Option<f64> {
-        let (raters, ratings) = self.matrix.item_csr().row(i);
-        let neighbors = self.neighborhood.neighbors(u);
-        let (mut a, mut b) = (0, 0);
-        let mut num = 0.0;
-        let mut den = 0.0;
-        while a < raters.len() && b < neighbors.len() {
-            match (raters[a] as usize).cmp(&neighbors[b].0) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    let (r_vi, sim) = (f64::from(ratings[a]), neighbors[b].1);
-                    num += sim * r_vi;
-                    den += sim.abs();
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        if den == 0.0 {
-            None
-        } else {
-            Some(num / den)
-        }
-    }
-
     /// Transposed Eq. 2 for every item user `u` has not rated, appended to
     /// `out` as `(item_idx, score)` ascending in item index; candidates no
     /// neighbor rated score 0. Bit-identical to
-    /// [`predict_dense`](Self::predict_dense) per candidate (module docs).
+    /// [`predict_items_into`](Self::predict_items_into) per candidate
+    /// (module docs).
     pub fn score_unseen_into(
         &self,
         u: usize,
@@ -132,6 +111,39 @@ impl UserCfModel {
             }
         }
         scratch.emit_unseen(&self.matrix, u, out);
+    }
+
+    /// Transposed Eq. 2 for each item of `items`, appended to `out` in
+    /// list order; `None` when no neighbor of `u` rated the candidate. Raw
+    /// kernel: it does not look at whether `u` rated a candidate. One
+    /// marking of `N(u)`, then one gather over `raters(i)` per candidate
+    /// (module docs).
+    pub fn predict_items_into(
+        &self,
+        u: usize,
+        items: &[usize],
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        let sims = scratch.mark(
+            self.matrix.n_users(),
+            self.neighborhood.neighbors(u).iter().copied(),
+        );
+        out.extend(items.iter().map(|&i| {
+            let (raters, ratings) = self.matrix.item_csr().row(i);
+            let (mut num, mut den) = (0.0, 0.0);
+            for (&v, &r_vi) in raters.iter().zip(ratings) {
+                if let Some(sim) = sims.get(v as usize) {
+                    num += sim * f64::from(r_vi);
+                    den += sim.abs();
+                }
+            }
+            if den == 0.0 {
+                None
+            } else {
+                Some(num / den)
+            }
+        }));
     }
 }
 
@@ -155,10 +167,14 @@ mod tests {
         )
     }
 
-    /// Transposed Eq. 2 for external ids the model knows.
+    /// Transposed Eq. 2 for external ids the model knows, as a one-item
+    /// list.
     fn predict(m: &UserCfModel, user: i64, item: i64) -> Option<f64> {
         let matrix = m.matrix();
-        m.predict_dense(matrix.user_idx(user)?, matrix.item_idx(item)?)
+        let (u, i) = (matrix.user_idx(user)?, matrix.item_idx(item)?);
+        let mut out = Vec::new();
+        m.predict_items_into(u, &[i], &mut ScoreScratch::default(), &mut out);
+        out[0]
     }
 
     #[test]

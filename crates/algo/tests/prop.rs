@@ -3,6 +3,7 @@
 //! data.
 
 use proptest::prelude::*;
+use recdb_algo::kernels;
 use recdb_algo::model::TrainConfig;
 use recdb_algo::neighborhood::{
     build_item_neighborhood, build_user_neighborhood, NeighborhoodTable,
@@ -13,6 +14,10 @@ use recdb_algo::{
     SvdModel, SvdParams,
 };
 use std::collections::HashMap;
+
+#[path = "../src/merge_reference.rs"]
+mod merge_reference;
+use merge_reference::merge_eq2;
 
 fn ratings_strategy() -> impl Strategy<Value = Vec<Rating>> {
     proptest::collection::vec((0i64..15, 0i64..15, 1u8..=10), 1..80).prop_map(|v| {
@@ -142,6 +147,66 @@ fn assert_csr_mirrors_jagged(m: &RatingsMatrix) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// Ratings for the candidate-list oracle: half stars mixed with ±0.0,
+/// NaN and arbitrary values (nothing checks a rating is finite), and
+/// optionally a lonely user whose one item nobody else rated — the
+/// emptiest user a `RatingsMatrix` can hold (every user it knows has a
+/// rating), with nothing to gather under either CF orientation.
+fn list_kernel_ratings_strategy() -> impl Strategy<Value = Vec<Rating>> {
+    let value = prop_oneof![
+        (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
+        (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        -5.0f64..5.0,
+    ];
+    (
+        proptest::collection::vec((0i64..10, 0i64..14, value), 1..60),
+        any::<bool>(),
+    )
+        .prop_map(|(cells, lonely)| {
+            let mut ratings: Vec<Rating> = cells
+                .into_iter()
+                .map(|(u, i, r)| Rating::new(u, i, r))
+                .collect();
+            if lonely {
+                ratings.push(Rating::new(500, 900, 3.0));
+            }
+            ratings
+        })
+}
+
+/// What the per-pair path predicted before the candidate-list kernel
+/// (`None` = no signal): the merge-intersect for the CF models, the point
+/// formulas for SVD and Popularity, written from their definitions.
+fn merge_reference(model: &RecModel, u: usize, i: usize) -> Option<f64> {
+    let m = model.matrix();
+    match model {
+        RecModel::Item(item) => merge_eq2(m.user_csr().row(u), item.neighborhood().neighbors(i)),
+        RecModel::User(user) => merge_eq2(m.item_csr().row(i), user.neighborhood().neighbors(u)),
+        RecModel::Factors(svd) => Some(f64::from(kernels::dot(
+            svd.user_vector(u),
+            svd.item_vector(i),
+        ))),
+        RecModel::Popular(p) => {
+            let col = m.item_col(i);
+            let sum: f64 = col.iter().map(|&(_, r)| r).sum();
+            let (n, k) = (col.len() as f64, p.damping());
+            Some(if n + k == 0.0 {
+                0.0
+            } else {
+                (sum + k * p.global_mean()) / (n + k)
+            })
+        }
+    }
+}
+
+/// Score bits, so NaN and -0.0 compare exactly.
+fn bits(scores: &[Option<f64>]) -> Vec<Option<u64>> {
+    scores.iter().map(|s| s.map(f64::to_bits)).collect()
 }
 
 fn sparse_vec_strategy() -> impl Strategy<Value = Vec<(usize, f64)>> {
@@ -288,9 +353,12 @@ proptest! {
             let row = matrix.user_row(u);
             let lo = row.iter().map(|&(_, r)| r).fold(f64::INFINITY, f64::min);
             let hi = row.iter().map(|&(_, r)| r).fold(f64::NEG_INFINITY, f64::max);
-            for i in 0..matrix.n_items() {
+            let items: Vec<usize> = (0..matrix.n_items()).collect();
+            let mut predicted = Vec::new();
+            model.predict_items_into(u, &items, &mut ScoreScratch::default(), &mut predicted);
+            for (i, p) in predicted.into_iter().enumerate() {
                 let item = matrix.item_id(i);
-                if let Some(p) = model.predict_dense(u, i) {
+                if let Some(p) = p {
                     prop_assert!(
                         p >= lo - 1e-9 && p <= hi + 1e-9,
                         "user {user} item {item}: {p} outside [{lo}, {hi}]"
@@ -414,6 +482,81 @@ proptest! {
         }
     }
 
+    /// The candidate-list kernel equals the per-pair merge it replaced,
+    /// bit for bit, for every model family, truncated or not: lists in
+    /// any order with duplicates, rated candidates (`None`), candidates
+    /// with no signal (0, or `None` from `predict_items_into`), NaN and
+    /// ±0.0 ratings; one `ScoreScratch` alternates between this model and
+    /// a smaller one. A one-item call is the parent's `unseen_score`.
+    #[test]
+    fn candidate_list_is_bit_identical_to_the_merge_reference(
+        ratings in list_kernel_ratings_strategy(),
+        k in 1usize..6,
+        picks in proptest::collection::vec(0usize..64, 0..30),
+    ) {
+        let matrix = RatingsMatrix::from_ratings(ratings.iter().copied());
+        // A different item count for the shared scratch.
+        let small = RatingsMatrix::from_ratings(ratings.iter().copied().take(ratings.len() / 2 + 1));
+        let mut scratch = ScoreScratch::default();
+        let mut out = Vec::new();
+        for algo in Algorithm::ALL {
+            for max_neighbors in [None, Some(k)] {
+                let mut config = TrainConfig::default();
+                config.neighborhood.max_neighbors = max_neighbors;
+                config.neighborhood.threads = 1;
+                config.svd = SvdParams { epochs: 2, factors: 4, ..SvdParams::default() };
+                let models = [
+                    RecModel::train(algo, matrix.clone(), &config),
+                    RecModel::train(algo, small.clone(), &config),
+                ];
+                for u in 0..matrix.n_users() {
+                    for model in &models {
+                        let m = model.matrix();
+                        let u = u % m.n_users();
+                        let rated: Vec<usize> = m.user_row(u).iter().map(|&(i, _)| i).collect();
+                        // Random picks (with repeats), every rated item, and
+                        // the first pick again.
+                        let items: Vec<usize> = picks
+                            .iter()
+                            .map(|&p| p % m.n_items())
+                            .chain(rated.iter().copied())
+                            .chain(picks.first().map(|&p| p % m.n_items()))
+                            .collect();
+                        let case = format!("{algo} k {max_neighbors:?} user {u} items {items:?}");
+                        let reference = |i: usize| {
+                            (m.rating_at(u, i).is_none()).then(|| merge_reference(model, u, i))
+                        };
+
+                        out.clear();
+                        model.score_items_into(u, &items, &mut scratch, &mut out);
+                        let want: Vec<Option<f64>> =
+                            items.iter().map(|&i| reference(i).map(|p| p.unwrap_or(0.0))).collect();
+                        prop_assert_eq!(bits(&out), bits(&want), "score_items_into {}", &case);
+                        for &i in &rated {
+                            prop_assert!(want[items.iter().position(|&x| x == i).unwrap()].is_none());
+                        }
+
+                        out.clear();
+                        model.predict_items_into(u, &items, &mut scratch, &mut out);
+                        let want: Vec<Option<f64>> =
+                            items.iter().map(|&i| reference(i).flatten()).collect();
+                        prop_assert_eq!(bits(&out), bits(&want), "predict_items_into {}", &case);
+
+                        for &i in &items {
+                            let parent = reference(i).map(|p| p.unwrap_or(0.0));
+                            prop_assert_eq!(bits(&[model.unseen_score(u, i)]), bits(&[parent]), "{}", &case);
+                            prop_assert_eq!(
+                                bits(&[model.predict_indexed(u, i)]),
+                                bits(&[reference(i).flatten()]),
+                                "{}", &case
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// SVD training is deterministic for a fixed seed.
     #[test]
     fn svd_deterministic(ratings in ratings_strategy(), seed in 1u64..1000) {
@@ -421,10 +564,12 @@ proptest! {
         let a = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
         let b = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
         let matrix = RatingsMatrix::from_ratings(ratings);
+        let items: Vec<usize> = (0..matrix.n_items().min(3)).collect();
         for u in 0..matrix.n_users().min(3) {
-            for i in 0..matrix.n_items().min(3) {
-                prop_assert_eq!(a.predict_dense(u, i), b.predict_dense(u, i));
-            }
+            let (mut pa, mut pb) = (Vec::new(), Vec::new());
+            a.predict_items_into(u, &items, &mut pa);
+            b.predict_items_into(u, &items, &mut pb);
+            prop_assert_eq!(pa, pb);
         }
     }
 

@@ -8,8 +8,9 @@
 //!
 //! `build` measures serial-vs-parallel model-build wall time and writes
 //! the machine-readable `BENCH_build.json` at the repository root;
-//! `score` measures per-pair vs user-at-a-time scoring throughput (SVD,
-//! ItemCosCF, UserCosCF) and writes `BENCH_score.json` next to it; `pool` measures
+//! `score` measures the two per-user scoring kernels, whole domain and one
+//! genre's candidate list (SVD, ItemCosCF, UserCosCF), and writes
+//! `BENCH_score.json` next to it; `pool` measures
 //! mixed-query throughput against the same engine squeezed into
 //! progressively smaller buffer pools and writes `BENCH_pool.json`.
 //!
@@ -225,19 +226,20 @@ fn build_scaling() {
     }
 }
 
-/// Per-pair vs user-at-a-time scoring throughput on MovieLens for one
-/// model of each scoring family (SVD, ItemCosCF, UserCosCF), plus the
-/// `BENCH_score.json` artifact. `per_pair` is a `predict_indexed` loop
-/// over every unseen pair of the sampled users; `user_pass` is
-/// `score_unseen_into` — blocked `score_block` kernels for SVD, one
-/// scatter pass over the neighborhood table for the CF models. Also
-/// reports what the item model's reverse adjacency costs to build and
-/// hold.
+/// The two scoring kernels on MovieLens for one model of each scoring
+/// family (SVD, ItemCosCF, UserCosCF), plus the `BENCH_score.json`
+/// artifact. `user_pass` is `score_unseen_into` over every unseen item of
+/// each sampled user — blocked `score_block` kernels for SVD, one scatter
+/// pass over the neighborhood table for the CF models; `list` is
+/// `score_items_into` over one genre's items (~94, rated ones included),
+/// the candidate list JoinRecommend scores for paper Query 4 — one
+/// marking of the user's side, one gather per candidate. Also reports
+/// what the item model's reverse adjacency costs to build and hold.
 fn score_sweep() {
     header(
-        "Score batching: per-pair vs user-at-a-time scoring throughput",
-        "both paths score every unseen (user, item) pair for a user sample \
-         with the same model; bit-identical scores, different loop shape",
+        "Scoring kernels: whole domain vs one genre's candidate list, per user",
+        "user_pass scores every unseen item of a sampled user; list scores \
+         the items of one genre (Query 4's outer) with the same model",
     );
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -248,8 +250,8 @@ fn score_sweep() {
     let config: TrainConfig = bench_config().train;
     const SAMPLE_USERS: usize = 200;
     println!(
-        "{:<10} {:<10} {:>10} {:>12} {:>16} {:>9}",
-        "algo", "path", "pairs", "time", "pairs/sec", "speedup"
+        "{:<10} {:<10} {:>10} {:>12} {:>16} {:>12}",
+        "algo", "path", "pairs", "time", "pairs/sec", "us/user"
     );
     let mut rows = Vec::new();
     let mut reverse_table = String::new();
@@ -264,17 +266,25 @@ fn score_sweep() {
         let model = train();
         let matrix = model.matrix();
         let users = 0..SAMPLE_USERS.min(matrix.n_users());
-        let pairs: usize = users.clone().map(|u| matrix.unseen_items(u).count()).sum();
+        // User `u`'s genre, `u mod n_genres`, in item id order (the order
+        // the movies heap is scanned in); item `iid` has genre
+        // `(iid - 1) mod n_genres`.
+        let genre_lists: Vec<Vec<usize>> = users
+            .clone()
+            .map(|u| {
+                let mut ids: Vec<i64> = matrix
+                    .item_ids()
+                    .iter()
+                    .copied()
+                    .filter(|&iid| (iid - 1) as usize % spec.n_genres == u % spec.n_genres)
+                    .collect();
+                ids.sort_unstable();
+                ids.iter().filter_map(|&iid| matrix.item_idx(iid)).collect()
+            })
+            .collect();
+        let unseen: usize = users.clone().map(|u| matrix.unseen_items(u).count()).sum();
+        let listed: usize = genre_lists.iter().map(Vec::len).sum();
 
-        let t_pair = time_median(REPS, || {
-            let mut acc = 0.0;
-            for u in users.clone() {
-                acc += (0..matrix.n_items())
-                    .filter_map(|i| model.unseen_score(u, i))
-                    .sum::<f64>();
-            }
-            acc
-        });
         let t_pass = time_median(REPS, || {
             let mut acc = 0.0;
             let mut scratch = ScoreScratch::default();
@@ -286,25 +296,34 @@ fn score_sweep() {
             }
             acc
         });
-        let pps = |t: Duration| pairs as f64 / t.as_secs_f64().max(1e-12);
-        let speedup = pps(t_pass) / pps(t_pair).max(1e-12);
-        for (path, t, vs) in [("per_pair", t_pair, 1.0), ("user_pass", t_pass, speedup)] {
+        let t_list = time_median(REPS, || {
+            let mut acc = 0.0;
+            let mut scratch = ScoreScratch::default();
+            let mut buf = Vec::new();
+            for (u, items) in users.clone().zip(&genre_lists) {
+                buf.clear();
+                model.score_items_into(u, items, &mut scratch, &mut buf);
+                acc += buf.iter().flatten().sum::<f64>();
+            }
+            acc
+        });
+        for (path, pairs, t) in [("user_pass", unseen, t_pass), ("list", listed, t_list)] {
+            let pps = pairs as f64 / t.as_secs_f64().max(1e-12);
+            let us_per_user = t.as_secs_f64() * 1e6 / users.len() as f64;
             println!(
-                "{:<10} {:<10} {:>10} {:>12} {:>16.0} {:>8.2}x",
+                "{:<10} {:<10} {:>10} {:>12} {:>16.0} {:>12.2}",
                 algo.to_string(),
                 path,
                 pairs,
                 secs(t),
-                pps(t),
-                vs
+                pps,
+                us_per_user
             );
             rows.push(format!(
                 "    {{\"algo\": \"{algo}\", \"path\": \"{path}\", \"pairs\": {pairs}, \
-                 \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}, \
-                 \"us_per_user\": {:.2}, \"speedup_vs_per_pair\": {vs:.3}}}",
+                 \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {pps:.0}, \
+                 \"us_per_user\": {us_per_user:.2}}}",
                 t.as_secs_f64() * 1e3,
-                pps(t),
-                t.as_secs_f64() * 1e6 / users.len() as f64,
             ));
         }
 
@@ -352,10 +371,12 @@ fn score_sweep() {
         "{{\n  \"experiment\": \"score_batching\",\n  \"dataset\": \"{}\",\n  \
          \"host_threads\": {},\n  \"max_neighbors\": {},\n  \"svd_factors\": {},\n  \
          \"sampled_users\": {},\n  \"reps\": {},\n  \
-         \"note\": \"every unseen (user, item) pair of the sampled users, single \
-         thread; per_pair is a predict_indexed loop, user_pass is \
-         score_unseen_into (SVD: score_block chunks; CF: one scatter pass \
-         per user); scores are bit-identical\",\n  \"results\": [\n{}\n  ],\n  \
+         \"note\": \"single thread, per sampled user; user_pass is \
+         score_unseen_into over every unseen item (SVD: score_block chunks; \
+         CF: one scatter pass); list is score_items_into over the items of \
+         the user's genre, user mod n_genres (~94, rated ones included; CF: \
+         one marking, one gather per candidate); both kernels' scores are \
+         bit-identical\",\n  \"results\": [\n{}\n  ],\n  \
          \"reverse_table\": {}\n}}\n",
         spec.name,
         host_threads,

@@ -363,15 +363,18 @@ impl Recommender {
             for &(u, i) in &decision.evicted {
                 index.remove(u, i);
             }
-            for &(u, i) in &decision.admitted {
-                // Admitted pairs are unseen; ids newer than the model
-                // have no prediction yet and enter at 0.
-                let score = matrix
-                    .user_idx(u)
-                    .zip(matrix.item_idx(i))
-                    .and_then(|(u, i)| model.unseen_score(u, i))
-                    .unwrap_or(0.0);
-                index.insert(u, i, score);
+            // One candidate list per user: the manager emits each user's
+            // admissions together.
+            let mut scratch = ScoreScratch::default();
+            for admitted in decision.admitted.chunk_by(|a, b| a.0 == b.0) {
+                let user = admitted[0].0;
+                let items: Vec<i64> = admitted.iter().map(|&(_, item)| item).collect();
+                let scores = score_item_ids(&model, user, &items, &mut scratch);
+                for (item, score) in items.into_iter().zip(scores) {
+                    // Admitted pairs are unseen; ids newer than the model
+                    // have no prediction yet and enter at 0.
+                    index.insert(user, item, score.flatten().unwrap_or(0.0));
+                }
             }
         });
         decision
@@ -425,19 +428,21 @@ fn refresh_index(
     let (complete, partial): (Vec<i64>, Vec<i64>) =
         old.users().partition(|&user| old.is_complete(user));
     materialize_into(&mut fresh, model, &complete, 1, governor)?;
-    let matrix = model.matrix();
+    let mut scratch = ScoreScratch::default();
     for user in partial {
         if let Some(guard) = governor {
             guard.check().map_err(EngineError::from)?;
         }
-        let u = matrix.user_idx(user);
-        for (item, _) in old.iter_desc(user, None, None) {
-            match u.zip(matrix.item_idx(item)) {
-                Some((u, i)) => {
-                    if let Some(score) = model.unseen_score(u, i) {
-                        fresh.insert(user, item, score);
-                    }
-                }
+        let items: Vec<i64> = old
+            .iter_desc(user, None, None)
+            .map(|(item, _)| item)
+            .collect();
+        let scores = score_item_ids(model, user, &items, &mut scratch);
+        for (item, score) in items.into_iter().zip(scores) {
+            match score {
+                Some(Some(score)) => fresh.insert(user, item, score),
+                // A pair the user has since rated is not a recommendation.
+                Some(None) => {}
                 // Ids the new model doesn't know keep the legacy
                 // unpredictable-pair score of 0.0.
                 None => fresh.insert(user, item, 0.0),
@@ -445,6 +450,31 @@ fn refresh_index(
         }
     }
     Ok(Some(Arc::new(fresh)))
+}
+
+/// `user`'s scores for the external ids `items` under `model`, in list
+/// order, from one candidate-list call: `None` where the model does not
+/// know the user or the item, otherwise the
+/// [`RecModel::score_items_into`] entry (`None` = rated).
+fn score_item_ids(
+    model: &RecModel,
+    user: i64,
+    items: &[i64],
+    scratch: &mut ScoreScratch,
+) -> Vec<Option<Option<f64>>> {
+    let matrix = model.matrix();
+    let Some(u) = matrix.user_idx(user) else {
+        return vec![None; items.len()];
+    };
+    let dense: Vec<Option<usize>> = items.iter().map(|&item| matrix.item_idx(item)).collect();
+    let known: Vec<usize> = dense.iter().flatten().copied().collect();
+    let mut scores = Vec::with_capacity(known.len());
+    model.score_items_into(u, &known, scratch, &mut scores);
+    let mut scores = scores.into_iter();
+    dense
+        .iter()
+        .map(|i| i.and_then(|_| scores.next()))
+        .collect()
 }
 
 /// The materialization stage's checkpoint: the `core::materialize_worker`
@@ -898,6 +928,58 @@ mod tests {
         let idx = rec.index().unwrap();
         assert!(idx.get(1, 3).is_some());
         assert!(!idx.is_complete(1), "pair admission is partial");
+    }
+
+    /// Admissions and the rebuild's re-score of admitted pairs run one
+    /// candidate list per user; each pair scores what the point API says,
+    /// ids the model does not know enter at 0, and a pair rated since it
+    /// was admitted leaves the index.
+    #[test]
+    fn admitted_and_refreshed_pairs_score_like_the_point_api() {
+        let mut cat = catalog_with_ratings(&figure1_rows());
+        let mut rec = make(&cat);
+        // Users 1, 4 and 9 (unknown to the model) are equally hot, and so
+        // are items 2, 3 and 99 (unknown).
+        for user in [1, 4, 9] {
+            for _ in 0..10 {
+                rec.record_query(user, 5);
+            }
+        }
+        for item in [2, 3, 99] {
+            rec.record_insert(item, 5);
+        }
+        let point = |rec: &Recommender, user: i64, item: i64| {
+            let model = rec.model();
+            let m = model.matrix();
+            m.user_idx(user)
+                .zip(m.item_idx(item))
+                .and_then(|(u, i)| model.unseen_score(u, i))
+                .unwrap_or(0.0)
+        };
+        let decision = rec.run_cache_manager(10);
+        for pair in [(1, 2), (1, 3), (1, 99), (4, 3), (9, 2)] {
+            assert!(decision.admitted.contains(&pair), "{pair:?} {decision:?}");
+        }
+        let idx = rec.index().unwrap();
+        for &(user, item) in &decision.admitted {
+            assert_eq!(idx.get(user, item), Some(point(&rec, user, item)));
+        }
+
+        cat.table_mut("ratings")
+            .unwrap()
+            .insert(Tuple::new(vec![
+                Value::Int(4),
+                Value::Int(3),
+                Value::Float(5.0),
+            ]))
+            .unwrap();
+        rec.record_insert(3, 11);
+        rec.maintain(&cat, None).unwrap();
+        let idx = rec.index().unwrap();
+        assert_eq!(idx.get(4, 3), None, "rated since it was admitted");
+        for &(user, item) in decision.admitted.iter().filter(|&&p| p != (4, 3)) {
+            assert_eq!(idx.get(user, item), Some(point(&rec, user, item)));
+        }
     }
 
     #[test]

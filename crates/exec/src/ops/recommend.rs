@@ -4,17 +4,21 @@
 //!   trained model. With uid/iid/ratingval predicates pushed into it, it is
 //!   the paper's FILTERRECOMMEND: only the requested users/items are
 //!   scored, so cost scales with the predicate selectivity instead of
-//!   `|U| × |I|`. Without a pushed-down item list (paper Query 1's shape)
-//!   it scores one *user block* at a time through
-//!   [`RecModel::score_unseen_into`]; with one it scores per pair, so a
+//!   `|U| × |I|`. It scores one *user* at a time: without a pushed-down
+//!   item list (paper Query 1's shape) through the whole-domain kernel
+//!   [`RecModel::score_unseen_into`], with one through the candidate-list
+//!   kernel [`RecModel::score_items_into`] — one call per user, so a
 //!   three-item `IN` list never pays for a whole-domain pass. Which of the
 //!   two runs is a property of the plan, not a setting. Under
 //!   `ORDER BY <score> DESC LIMIT k` the planner hands it the `k`
 //!   ([`RecommendOp::with_top_k`]): it then ranks inside the scoring pass
 //!   and builds only the `k` winning tuples.
-//! * [`JoinRecommendOp`] — §IV-B2: streams the (already filtered) outer
-//!   relation and predicts a score only for items that survive the join
-//!   predicate.
+//! * [`JoinRecommendOp`] — §IV-B2: predicts a score only for items that
+//!   survive the join predicate. It pulls the (already filtered) outer
+//!   relation in fixed-size blocks and scores each block as one candidate
+//!   list per user — Algorithm 1's block-nested loop: load the user's
+//!   vector once, probe every candidate against it — then emits rows
+//!   outer-major, users in `uPred` order, as a tuple-at-a-time loop would.
 //! * [`IndexRecommendOp`] — Algorithm 3: serves pre-computed scores from
 //!   the [`RecScoreIndex`] in descending score order per user (Phase I
 //!   user filter → Phase II rating-range tree traversal → Phase III item
@@ -23,8 +27,7 @@
 //! All three emit `〈user, item, ratingval〉` tuples for items **unseen** by
 //! the user ("each tuple represents ... item i (unseen by user uid)");
 //! pairs with no model signal score 0 (Algorithm 1 line 14). Both facts
-//! live in `recdb-algo`: the per-pair paths below call
-//! [`RecModel::unseen_score`], the block paths its user-at-a-time form.
+//! live in `recdb-algo`, on the two kernels the operators call.
 
 use super::PhysicalOp;
 use crate::error::ExecResult;
@@ -33,7 +36,6 @@ use recdb_algo::{RecModel, ScoreScratch};
 use recdb_guard::QueryGuard;
 use recdb_storage::{Schema, Tuple, Value};
 use std::collections::HashSet;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 fn in_bounds(score: f64, min: Option<f64>, max: Option<f64>) -> bool {
@@ -92,19 +94,20 @@ pub struct RecommendOp {
     schema: Schema,
     /// `(uid, dense user index)`, resolved once at construction.
     users: Vec<(i64, usize)>,
-    /// The pushed-down `iPred` as `(iid, dense item index)`; `None` scores
-    /// the whole item domain a user block at a time.
-    items: Option<Vec<(i64, usize)>>,
+    /// The pushed-down `iPred` as dense item indexes; `None` scores the
+    /// whole item domain.
+    items: Option<Vec<usize>>,
     min_rating: Option<f64>,
     max_rating: Option<f64>,
-    /// Next user to start.
+    /// Next user to score.
     u_cursor: usize,
-    /// Per-pair path: next entry of `items` for `users[u_cursor]`.
-    /// Block path: next entry of `block`.
+    /// Next entry of `block`.
     i_cursor: usize,
-    /// Block path: `(dense item index, score)` of every unseen item of
-    /// `users[u_cursor - 1]`, ascending in item index.
+    /// `(dense item index, score)` of every unseen item of the domain for
+    /// `users[u_cursor - 1]`, in domain order.
     block: Vec<(usize, f64)>,
+    /// The candidate-list scores behind `block`, aligned with `items`.
+    scores: Vec<Option<f64>>,
     scratch: ScoreScratch,
     guard: QueryGuard,
     /// Whether any predicate was pushed into the operator — decides the
@@ -138,7 +141,12 @@ impl RecommendOp {
         let filtered =
             users.is_some() || items.is_some() || min_rating.is_some() || max_rating.is_some();
         let users = resolve_users(&model, users);
-        let items = items.map(|list| resolve_ids(list, |i| model.matrix().item_idx(i)));
+        let items = items.map(|list| {
+            resolve_ids(list, |i| model.matrix().item_idx(i))
+                .into_iter()
+                .map(|(_, i)| i)
+                .collect()
+        });
         RecommendOp {
             model,
             schema,
@@ -149,6 +157,7 @@ impl RecommendOp {
             u_cursor: 0,
             i_cursor: 0,
             block: Vec::new(),
+            scores: Vec::new(),
             scratch: ScoreScratch::default(),
             guard: QueryGuard::unlimited(),
             filtered,
@@ -173,50 +182,55 @@ impl RecommendOp {
 
     /// Attach a resource governor. Every `(user, item)` pair of the
     /// operator's domain is one row unit — including pairs skipped as
-    /// already-rated or out-of-bounds. The per-pair path charges them one
-    /// by one; the block path charges a user's pairs when it scores the
-    /// block (that is when the work is done) and observes cancellation
-    /// and the deadline between blocks. The top-k sink charges every user
-    /// as one block and the memory budget with the `≤ k` rows it holds;
-    /// with `k = 0` it scores nothing and bills the end-of-stream unit
-    /// only.
+    /// already-rated or out-of-bounds — plus one per user for the step to
+    /// the next; a user's units are charged when the user is scored (that
+    /// is when the work is done), so cancellation and the deadline are
+    /// observed between users. The top-k sink also charges the memory
+    /// budget with the `≤ k` rows it holds; with `k = 0` it scores nothing
+    /// and bills the end-of-stream unit only.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
 
-    /// The best `k` in-bounds `(item index, score)` pairs of dense user
-    /// `u`, ranked; bills the user's block.
-    fn user_top_k(&mut self, u: usize, k: usize) -> ExecResult<Vec<(usize, f64)>> {
-        let (model, min, max) = (&self.model, self.min_rating, self.max_rating);
+    /// Bill dense user `u`'s row units, then fill `block` with every
+    /// unseen item of the domain and its score: one whole-domain pass, or
+    /// one candidate-list call over the `iPred`.
+    fn score_user(&mut self, u: usize) -> ExecResult<()> {
         let domain = self
             .items
             .as_ref()
-            .map_or(model.matrix().n_items(), Vec::len);
+            .map_or(self.model.matrix().n_items(), Vec::len);
         self.guard.tick_n(domain as u64 + 1)?;
         self.block.clear();
         match &self.items {
-            None if min.is_none() && max.is_none() => return Ok(model.top_k_unseen(u, k)),
-            None => model.score_unseen_into(u, &mut self.scratch, &mut self.block),
-            Some(items) => self.block.extend(
-                items
-                    .iter()
-                    .filter_map(|&(_, i)| Some((i, model.unseen_score(u, i)?))),
-            ),
+            None => self
+                .model
+                .score_unseen_into(u, &mut self.scratch, &mut self.block),
+            Some(items) => {
+                self.scores.clear();
+                self.model
+                    .score_items_into(u, items, &mut self.scratch, &mut self.scores);
+                let unseen = items.iter().zip(&self.scores);
+                self.block
+                    .extend(unseen.filter_map(|(&i, &score)| Some((i, score?))));
+            }
         }
-        let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
-        Ok(model.rank_top_k(kept.copied(), k))
+        Ok(())
     }
 
     /// Run the top-k sink over every user.
     fn select(&mut self, k: usize) -> ExecResult<Vec<Tuple>> {
+        let (min, max) = (self.min_rating, self.max_rating);
         // `(uid, dense item index, score)`, best first, at most `k`.
         let mut best: Vec<(i64, usize, f64)> = Vec::new();
-        // `LIMIT 0` asks for no row: no block is scored or billed.
+        // `LIMIT 0` asks for no row: no user is scored or billed.
         let users = if k == 0 { 0 } else { self.users.len() };
         for at in 0..users {
             let (user, u) = self.users[at];
-            let top = self.user_top_k(u, k)?;
+            self.score_user(u)?;
+            let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
+            let top = self.model.rank_top_k(kept.copied(), k);
             best.extend(top.into_iter().map(|(i, score)| (user, i, score)));
             // Stable, so equal scores stay in user-list order and, within
             // a user, in rank order (item id descending).
@@ -228,41 +242,13 @@ impl RecommendOp {
                 self.buffered_bytes = held;
             }
         }
-        // End of stream is one row unit, as on the streaming paths.
+        // End of stream is one row unit, as on the streaming path.
         self.guard.tick()?;
         let matrix = self.model.matrix();
         Ok(best
             .into_iter()
             .map(|(user, i, score)| rec_tuple(user, matrix.item_id(i), score))
             .collect())
-    }
-
-    /// Whole item domain: one scoring pass per user, tuples from the block.
-    fn next_from_blocks(&mut self) -> Option<ExecResult<Tuple>> {
-        loop {
-            while let Some(&(i, score)) = self.block.get(self.i_cursor) {
-                self.i_cursor += 1;
-                if in_bounds(score, self.min_rating, self.max_rating) {
-                    let (user, _) = self.users[self.u_cursor - 1];
-                    return Some(Ok(rec_tuple(user, self.model.matrix().item_id(i), score)));
-                }
-            }
-            let Some(&(_, u)) = self.users.get(self.u_cursor) else {
-                // End of stream is one row unit, as on the per-pair path.
-                return self.guard.tick().err().map(|e| Err(e.into()));
-            };
-            // What the per-pair loop would bill for this user: one unit
-            // per item of the domain plus the step to the next user.
-            let pairs = self.model.matrix().n_items() as u64;
-            if let Err(e) = self.guard.tick_n(pairs + 1) {
-                return Some(Err(e.into()));
-            }
-            self.block.clear();
-            self.model
-                .score_unseen_into(u, &mut self.scratch, &mut self.block);
-            self.u_cursor += 1;
-            self.i_cursor = 0;
-        }
     }
 }
 
@@ -284,28 +270,24 @@ impl PhysicalOp for RecommendOp {
             }
             return self.selected.as_mut()?.next().map(Ok);
         }
-        let Some(items) = &self.items else {
-            return self.next_from_blocks();
-        };
-        // Pushed-down item list: Eq. 2/3 per requested pair.
+        // One user at a time: tuples from the scored block.
         loop {
-            if let Err(e) = self.guard.tick() {
-                return Some(Err(e.into()));
+            while let Some(&(i, score)) = self.block.get(self.i_cursor) {
+                self.i_cursor += 1;
+                if in_bounds(score, self.min_rating, self.max_rating) {
+                    let (user, _) = self.users[self.u_cursor - 1];
+                    return Some(Ok(rec_tuple(user, self.model.matrix().item_id(i), score)));
+                }
             }
-            let &(user, u) = self.users.get(self.u_cursor)?;
-            let Some(&(item, i)) = items.get(self.i_cursor) else {
-                self.u_cursor += 1;
-                self.i_cursor = 0;
-                continue;
+            let Some(&(_, u)) = self.users.get(self.u_cursor) else {
+                // End of stream is one row unit.
+                return self.guard.tick().err().map(|e| Err(e.into()));
             };
-            self.i_cursor += 1;
-            // Unseen items only; rated pairs are not recommendations.
-            let Some(score) = self.model.unseen_score(u, i) else {
-                continue;
-            };
-            if in_bounds(score, self.min_rating, self.max_rating) {
-                return Some(Ok(rec_tuple(user, item, score)));
+            if let Err(e) = self.score_user(u) {
+                return Some(Err(e));
             }
+            self.u_cursor += 1;
+            self.i_cursor = 0;
         }
     }
 
@@ -324,6 +306,15 @@ impl PhysicalOp for RecommendOp {
 
 // ---------------------------------------------------------- JoinRecommend
 
+/// Outer tuples one JoinRecommend block holds at most: each is scored for
+/// every user of the block's candidate lists.
+const JOIN_BLOCK_TUPLES: usize = 256;
+
+/// Scores one JoinRecommend block holds at most (tuples × users): a long
+/// `uPred` — or none, which is every user — shrinks the block, never
+/// below one tuple, so the score grid stays small.
+const JOIN_BLOCK_PAIRS: usize = 16_384;
+
 /// The JOINRECOMMEND operator: predicts scores only for the items flowing
 /// out of the outer relation. Output tuples are `rec ++ outer`.
 pub struct JoinRecommendOp<'a> {
@@ -336,8 +327,23 @@ pub struct JoinRecommendOp<'a> {
     users: Vec<(i64, usize)>,
     min_rating: Option<f64>,
     max_rating: Option<f64>,
-    pending: VecDeque<Tuple>,
+    /// Joinable outer tuples a block holds at most.
+    block_len: usize,
+    /// The current block's joinable outer tuples …
+    block: Vec<Tuple>,
+    /// … and their dense item indexes: every user's candidate list.
+    items: Vec<usize>,
+    /// User-major scores of the block: `scores[k * items.len() + j]` is
+    /// `users[k]`'s for `items[j]`, `None` when the user rated it.
+    scores: Vec<Option<f64>>,
+    /// Next `(tuple j, user k)` of the block, as `j * users.len() + k`.
+    cursor: usize,
+    /// The outer has ended.
+    outer_done: bool,
+    scratch: ScoreScratch,
     guard: QueryGuard,
+    /// Peak encoded bytes of the outer tuples a block held.
+    buffered_bytes: u64,
 }
 
 impl<'a> JoinRecommendOp<'a> {
@@ -354,6 +360,7 @@ impl<'a> JoinRecommendOp<'a> {
     ) -> Self {
         let users = resolve_users(&model, users);
         let schema = rec_schema.join(outer.schema());
+        let block_len = (JOIN_BLOCK_PAIRS / users.len().max(1)).clamp(1, JOIN_BLOCK_TUPLES);
         JoinRecommendOp {
             model,
             schema,
@@ -362,16 +369,60 @@ impl<'a> JoinRecommendOp<'a> {
             users,
             min_rating,
             max_rating,
-            pending: VecDeque::new(),
+            block_len,
+            block: Vec::new(),
+            items: Vec::new(),
+            scores: Vec::new(),
+            cursor: 0,
+            outer_done: false,
+            scratch: ScoreScratch::default(),
             guard: QueryGuard::unlimited(),
+            buffered_bytes: 0,
         }
     }
 
-    /// Attach a resource governor (checked once per outer tuple /
-    /// emitted tuple).
+    /// Attach a resource governor: one row unit per outer tuple pulled
+    /// (the end of the outer included) and per tuple emitted — what a
+    /// tuple-at-a-time join charges — so cancellation and the deadline
+    /// are observed at every step, within a block as between blocks.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
+    }
+
+    /// Pull the next block of joinable outer tuples and score it, one
+    /// candidate list per user. Tuples whose join key is NULL, not an
+    /// integer, or an item outside the recommender's universe never match
+    /// and are dropped here.
+    fn fill_block(&mut self) -> ExecResult<()> {
+        self.block.clear();
+        self.items.clear();
+        self.scores.clear();
+        self.cursor = 0;
+        let mut bytes = 0;
+        while self.block.len() < self.block_len {
+            self.guard.tick()?;
+            let Some(tuple) = self.outer.next() else {
+                self.outer_done = true;
+                break;
+            };
+            let tuple = tuple?;
+            let key = tuple.get(self.outer_item_ordinal).and_then(Value::as_int);
+            let Some(i) = key.and_then(|item| self.model.matrix().item_idx(item)) else {
+                continue;
+            };
+            bytes += tuple.encoded_size() as u64;
+            self.items.push(i);
+            self.block.push(tuple);
+        }
+        self.buffered_bytes = self.buffered_bytes.max(bytes);
+        if !self.items.is_empty() {
+            for &(_, u) in &self.users {
+                self.model
+                    .score_items_into(u, &self.items, &mut self.scratch, &mut self.scores);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -381,41 +432,44 @@ impl PhysicalOp for JoinRecommendOp<'_> {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
+        let n_users = self.users.len();
         loop {
-            if let Err(e) = self.guard.tick() {
-                return Some(Err(e.into()));
-            }
-            if let Some(t) = self.pending.pop_front() {
-                return Some(Ok(t));
-            }
-            let outer_tuple = match self.outer.next()? {
-                Ok(t) => t,
-                Err(e) => return Some(Err(e)),
-            };
-            let Some(item) = outer_tuple
-                .get(self.outer_item_ordinal)
-                .and_then(Value::as_int)
-            else {
-                continue; // NULL / non-integer join keys never match
-            };
-            let Some(i) = self.model.matrix().item_idx(item) else {
-                continue; // items outside the recommender's universe
-            };
-            for &(user, u) in &self.users {
-                let Some(score) = self.model.unseen_score(u, i) else {
+            // Outer-major, users in `uPred` order: the order a
+            // tuple-at-a-time loop emits.
+            while self.cursor < self.block.len() * n_users {
+                let (j, k) = (self.cursor / n_users, self.cursor % n_users);
+                let score = self.scores[k * self.block.len() + j];
+                // Rated pairs are not recommendations; the rating bounds
+                // apply to the rest.
+                let Some(score) = score.filter(|&s| in_bounds(s, self.min_rating, self.max_rating))
+                else {
+                    self.cursor += 1;
                     continue;
                 };
-                if !in_bounds(score, self.min_rating, self.max_rating) {
-                    continue;
+                if let Err(e) = self.guard.tick() {
+                    return Some(Err(e.into()));
                 }
-                self.pending
-                    .push_back(rec_tuple(user, item, score).join(&outer_tuple));
+                self.cursor += 1;
+                let item = self.model.matrix().item_id(self.items[j]);
+                let (user, _) = self.users[k];
+                return Some(Ok(rec_tuple(user, item, score).join(&self.block[j])));
+            }
+            if self.outer_done {
+                return None;
+            }
+            if let Err(e) = self.fill_block() {
+                self.block.clear();
+                return Some(Err(e));
             }
         }
     }
 
     fn name(&self) -> &'static str {
         "JoinRecommend"
+    }
+
+    fn buffered_bytes(&self) -> u64 {
+        self.buffered_bytes
     }
 }
 
@@ -572,11 +626,12 @@ mod tests {
             .collect()
     }
 
-    /// The whole-domain (user block) path and the pushed-down-list (per
-    /// pair) path are two evaluations of the same relation: listing every
-    /// item explicitly must give the same rows, order and score bits.
+    /// The whole-domain kernel and the candidate-list kernel over a
+    /// pushed-down item list are two evaluations of the same relation:
+    /// listing every item explicitly must give the same rows, order and
+    /// score bits.
     #[test]
-    fn block_path_matches_per_pair_path_for_every_algorithm() {
+    fn whole_domain_matches_listing_every_item_for_every_algorithm() {
         for algo in Algorithm::ALL {
             let model = Arc::new(RecModel::train(
                 algo,
@@ -586,7 +641,7 @@ mod tests {
             let every_item = model.matrix().item_ids().to_vec();
             for (min, max) in [(None, None), (Some(1.2), None), (Some(0.5), Some(1.2))] {
                 for users in [None, Some(vec![4, 1, 99, 4])] {
-                    let mut blocks = RecommendOp::new(
+                    let mut domain = RecommendOp::new(
                         model.clone(),
                         rec_schema(),
                         users.clone(),
@@ -594,7 +649,7 @@ mod tests {
                         min,
                         max,
                     );
-                    let mut pairs = RecommendOp::new(
+                    let mut listed = RecommendOp::new(
                         model.clone(),
                         rec_schema(),
                         users.clone(),
@@ -603,8 +658,8 @@ mod tests {
                         max,
                     );
                     assert_eq!(
-                        triples(&drain(&mut blocks).unwrap()),
-                        triples(&drain(&mut pairs).unwrap()),
+                        triples(&drain(&mut domain).unwrap()),
+                        triples(&drain(&mut listed).unwrap()),
                         "{algo} users {users:?} bounds {min:?}..{max:?}"
                     );
                 }
@@ -612,8 +667,9 @@ mod tests {
         }
     }
 
+    /// Both kernels bill what scoring one pair at a time billed.
     #[test]
-    fn block_path_bills_the_per_pair_row_units() {
+    fn both_paths_bill_one_unit_per_pair() {
         // 4 users × (3 items + 1 step to the next user) + 1 end of stream.
         const UNITS: u64 = 4 * (3 + 1) + 1;
         let every_item = model().matrix().item_ids().to_vec();
@@ -1172,6 +1228,296 @@ mod tests {
                 "one tuple per scored pair: {per_pair}"
             );
             assert!(per_k < 32, "a handful of buffers and three tuples: {per_k}");
+        }
+    }
+
+    /// JoinRecommend in blocks against the tuple-at-a-time loop it
+    /// replaced.
+    mod join_blocks {
+        use super::*;
+        use proptest::prelude::*;
+        use recdb_algo::model::TrainConfig;
+        use recdb_algo::SvdParams;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// `(uid, iid, score bits, outer position)` of one joined row.
+        type Row = (i64, i64, u64, i64);
+
+        /// Outer rows `(key, position)`.
+        fn outer_rows(keys: &[Value]) -> Vec<Tuple> {
+            keys.iter()
+                .enumerate()
+                .map(|(at, key)| Tuple::new(vec![key.clone(), Value::Int(at as i64)]))
+                .collect()
+        }
+
+        /// An outer over `rows` that counts its pulls.
+        struct Counted {
+            inner: ValuesOp,
+            pulls: Rc<Cell<usize>>,
+        }
+
+        impl PhysicalOp for Counted {
+            fn schema(&self) -> &Schema {
+                self.inner.schema()
+            }
+            fn next(&mut self) -> Option<ExecResult<Tuple>> {
+                self.pulls.set(self.pulls.get() + 1);
+                self.inner.next()
+            }
+            fn name(&self) -> &'static str {
+                "Counted"
+            }
+        }
+
+        fn join<'a>(
+            model: &Arc<RecModel>,
+            rows: Vec<Tuple>,
+            users: Option<Vec<i64>>,
+            (min, max): (Option<f64>, Option<f64>),
+            guard: &QueryGuard,
+        ) -> (JoinRecommendOp<'a>, Rc<Cell<usize>>) {
+            let schema = Schema::new(vec![
+                Column::qualified("M", "mid", DataType::Int),
+                Column::qualified("M", "at", DataType::Int),
+            ]);
+            let pulls = Rc::new(Cell::new(0));
+            let outer = Box::new(Counted {
+                inner: ValuesOp::new(schema, rows),
+                pulls: pulls.clone(),
+            });
+            let op = JoinRecommendOp::new(model.clone(), rec_schema(), outer, 0, users, min, max)
+                .with_guard(guard.clone());
+            (op, pulls)
+        }
+
+        fn joined(rows: &[Tuple]) -> Vec<Row> {
+            triples(rows)
+                .into_iter()
+                .zip(rows)
+                .map(|((u, i, s), t)| (u, i, s, t.get(4).unwrap().as_int().unwrap()))
+                .collect()
+        }
+
+        /// The operator before blocks: per outer tuple, per distinct known
+        /// user in list order, one `unseen_score`.
+        fn per_pair_reference(
+            model: &RecModel,
+            rows: &[Tuple],
+            users: Option<Vec<i64>>,
+            (min, max): (Option<f64>, Option<f64>),
+        ) -> Vec<Row> {
+            let users = resolve_users(model, users);
+            let mut want = Vec::new();
+            for t in rows {
+                let key = t.get(0).and_then(Value::as_int);
+                let Some(i) = key.and_then(|item| model.matrix().item_idx(item)) else {
+                    continue;
+                };
+                for &(user, u) in &users {
+                    match model.unseen_score(u, i) {
+                        Some(score) if in_bounds(score, min, max) => want.push((
+                            user,
+                            key.unwrap(),
+                            score.to_bits(),
+                            t.get(1).unwrap().as_int().unwrap(),
+                        )),
+                        _ => {}
+                    }
+                }
+            }
+            want
+        }
+
+        /// Rows, order and score bits of the reference; the units of a
+        /// tuple-at-a-time join (one per outer tuple, per row, and the end
+        /// of the outer); the block's bytes.
+        fn check(
+            model: &Arc<RecModel>,
+            rows: &[Tuple],
+            users: Option<Vec<i64>>,
+            bounds: (Option<f64>, Option<f64>),
+        ) -> Result<Vec<Row>, TestCaseError> {
+            let want = per_pair_reference(model, rows, users.clone(), bounds);
+            let guard = QueryGuard::unlimited();
+            let (mut op, pulls) = join(model, rows.to_vec(), users, bounds, &guard);
+            let got = joined(&drain(&mut op).unwrap());
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(guard.rows_used(), (rows.len() + want.len() + 1) as u64);
+            prop_assert_eq!(
+                pulls.get(),
+                rows.len() + 1,
+                "the outer is pulled to its end once"
+            );
+            let joinable: Vec<&Tuple> = rows
+                .iter()
+                .filter(|t| {
+                    let key = t.get(0).and_then(Value::as_int);
+                    key.and_then(|i| model.matrix().item_idx(i)).is_some()
+                })
+                .collect();
+            let held: u64 = joinable.iter().map(|t| t.encoded_size() as u64).sum();
+            prop_assert_eq!(op.buffered_bytes() > 0, !joinable.is_empty());
+            prop_assert!(op.buffered_bytes() <= held);
+            Ok(want)
+        }
+
+        proptest! {
+            /// Outers around one and two blocks, with NULL, text, float and
+            /// unknown keys; every user, one user, or a list with
+            /// duplicates and an unknown id; bounds on real scores.
+            #[test]
+            fn join_blocks_equal_the_per_pair_reference(
+                ratings in proptest::collection::vec((1i64..7, 1i64..10, 1u8..6), 1..40),
+                len in prop_oneof![0usize..6, 250usize..262, 508usize..516],
+                keys in proptest::collection::vec(
+                    prop_oneof![
+                        (0i64..10).prop_map(Value::Int),
+                        (0i64..10).prop_map(Value::Int),
+                        (0i64..10).prop_map(Value::Int),
+                        Just(Value::Null),
+                        Just(Value::Text("7".into())),
+                        Just(Value::Float(4.0)),
+                        Just(Value::Int(77)),
+                    ],
+                    1..24,
+                ),
+                users in 0usize..3,
+                bounds in 0usize..3,
+            ) {
+                let matrix = RatingsMatrix::from_ratings(
+                    ratings.iter().map(|&(u, i, r)| Rating::new(u, (i * 7) % 10, f64::from(r))),
+                );
+                let config = TrainConfig {
+                    svd: SvdParams { epochs: 3, ..SvdParams::default() },
+                    ..TrainConfig::default()
+                };
+                let first = matrix.user_ids()[0];
+                let users = match users {
+                    0 => None,
+                    1 => Some(vec![first]),
+                    _ => Some(vec![5, first, 99, 5, 2]),
+                };
+                let keys: Vec<Value> = (0..len).map(|j| keys[j % keys.len()].clone()).collect();
+                let rows = outer_rows(&keys);
+                for algo in Algorithm::ALL {
+                    let model = Arc::new(RecModel::train(algo, matrix.clone(), &config));
+                    let all = check(&model, &rows, users.clone(), (None, None))?;
+                    let mut scores: Vec<f64> = all.iter().map(|r| f64::from_bits(r.2)).collect();
+                    scores.sort_by(f64::total_cmp);
+                    let at = |q: usize| scores.get(scores.len() * q / 4).copied();
+                    let bounds = match bounds {
+                        0 => (None, None),
+                        1 => (at(1), None),
+                        _ => (at(1), at(3)),
+                    };
+                    check(&model, &rows, users.clone(), bounds)?;
+                }
+            }
+        }
+
+        /// Exactly one block, one block and a tuple, and two blocks and a
+        /// tuple: the first `next()` pulls one block (and the end of the
+        /// outer only if the block is not full).
+        #[test]
+        fn join_blocks_pull_the_outer_a_block_at_a_time() {
+            let model = wide_model();
+            let every_item = model.matrix().item_ids().to_vec();
+            for n in [1, 255, 256, 257, 513] {
+                let keys: Vec<Value> = (0..n)
+                    .map(|j| Value::Int(every_item[j % every_item.len()]))
+                    .collect();
+                let rows = outer_rows(&keys);
+                check(&model, &rows, None, (None, None)).unwrap();
+                let guard = QueryGuard::unlimited();
+                let (mut op, pulls) = join(&model, rows, None, (None, None), &guard);
+                op.next().unwrap().unwrap();
+                let first_block = n.min(JOIN_BLOCK_TUPLES) + usize::from(n < JOIN_BLOCK_TUPLES);
+                assert_eq!(pulls.get(), first_block, "outer of {n}");
+            }
+        }
+
+        /// A row budget trips under exactly the budgets it tripped under
+        /// tuple at a time.
+        #[test]
+        fn join_blocks_bill_the_tuple_at_a_time_row_units() {
+            let model = wide_model();
+            let keys: Vec<Value> = (0..300).map(|j| Value::Int(j % 80)).collect();
+            let rows = outer_rows(&keys);
+            let users = Some(vec![3, 5]);
+            let want = per_pair_reference(&model, &rows, users.clone(), (None, None));
+            let units = (rows.len() + want.len() + 1) as u64;
+            for (budget, ok) in [(units, true), (units - 1, false)] {
+                let guard = QueryGuard::with_limits(None, Some(budget), None);
+                let (mut op, _) = join(&model, rows.clone(), users.clone(), (None, None), &guard);
+                assert_eq!(drain(&mut op).is_ok(), ok, "budget {budget} of {units}");
+            }
+        }
+
+        /// Cancellation and the deadline stop the operator at the block
+        /// boundary: the next block is never pulled.
+        #[test]
+        fn join_blocks_observe_cancel_and_deadline_between_blocks() {
+            use crate::error::ExecError;
+            use recdb_guard::GuardError;
+            use std::time::Duration;
+            let model = wide_model();
+            let keys: Vec<Value> = (0..600).map(|j| Value::Int(1 + j % 70)).collect();
+            let rows = outer_rows(&keys);
+            let users = Some(vec![3]);
+            let want = per_pair_reference(&model, &rows, users.clone(), (None, None));
+            let in_first = want
+                .iter()
+                .filter(|r| r.3 < JOIN_BLOCK_TUPLES as i64)
+                .count();
+            assert!(in_first > 0 && in_first < want.len());
+            let first_block = |guard: &QueryGuard| {
+                let (mut op, pulls) =
+                    join(&model, rows.clone(), users.clone(), (None, None), guard);
+                for row in &want[..in_first] {
+                    assert_eq!(joined(&[op.next().unwrap().unwrap()]), [*row]);
+                }
+                assert_eq!(pulls.get(), JOIN_BLOCK_TUPLES);
+                (op, pulls)
+            };
+            let cancelled = |op: &mut JoinRecommendOp, pulls: &Rc<Cell<usize>>| {
+                let stopped = matches!(
+                    op.next(),
+                    Some(Err(ExecError::Guard(GuardError::Cancelled { .. })))
+                );
+                stopped && pulls.get() == JOIN_BLOCK_TUPLES
+            };
+
+            let guard = QueryGuard::unlimited();
+            let (mut op, pulls) = first_block(&guard);
+            guard.cancel();
+            assert!(cancelled(&mut op, &pulls));
+
+            let guard = QueryGuard::with_limits(Some(Duration::from_millis(200)), None, None);
+            let (mut op, pulls) = first_block(&guard);
+            std::thread::sleep(Duration::from_millis(220));
+            assert!(cancelled(&mut op, &pulls));
+        }
+
+        /// A `uPred` of every user shrinks the block so the score grid
+        /// stays at most `JOIN_BLOCK_PAIRS`.
+        #[test]
+        fn many_users_shrink_the_block() {
+            let users: Vec<i64> = (0..1000).collect();
+            let ratings = users.iter().map(|&u| Rating::new(u, u % 7, 3.0));
+            let model = Arc::new(RecModel::train(
+                Algorithm::Popularity,
+                RatingsMatrix::from_ratings(ratings),
+                &Default::default(),
+            ));
+            let keys: Vec<Value> = (0..40).map(|j| Value::Int(j % 7)).collect();
+            let rows = outer_rows(&keys);
+            check(&model, &rows, None, (None, None)).unwrap();
+            let guard = QueryGuard::unlimited();
+            let (mut op, pulls) = join(&model, rows, None, (None, None), &guard);
+            op.next().unwrap().unwrap();
+            assert_eq!(pulls.get(), JOIN_BLOCK_PAIRS / 1000);
         }
     }
 
