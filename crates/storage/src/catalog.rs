@@ -60,7 +60,8 @@ impl Table {
     }
 
     /// Create a secondary index over the named columns and backfill it from
-    /// the current heap contents.
+    /// the current heap contents. A page the pool cannot produce fails the
+    /// call and registers no index.
     pub fn create_index(&mut self, index_name: &str, columns: &[&str]) -> StorageResult<()> {
         if self.indexes.iter().any(|i| i.name() == index_name) {
             return Err(StorageError::IndexExists(index_name.to_owned()));
@@ -70,8 +71,12 @@ impl Table {
             .map(|c| self.schema().resolve(c))
             .collect::<StorageResult<_>>()?;
         let mut idx = BTreeIndex::new(index_name, ordinals);
-        for (rid, tuple) in self.heap.scan() {
-            idx.insert(idx.key_of(&tuple), rid);
+        for page_no in 0..self.heap.page_count() as u32 {
+            self.heap.visit_page(page_no, |page| {
+                for (slot, tuple) in page.iter_live() {
+                    idx.insert(idx.key_of(&tuple), Rid::new(page_no, slot));
+                }
+            })?;
         }
         self.indexes.push(idx);
         Ok(())

@@ -299,12 +299,13 @@ impl HeapTable {
     /// Run `visit` over page `page_no` — one pool access — or return
     /// `Ok(None)` past the end of the heap. This is the access path scans
     /// are built on: the visitor reads rows in place
-    /// ([`Page::live_rows`]) and decodes only what it keeps. It runs with
-    /// the pool locked, so it must not call back into the pool. A heap
-    /// with more pages than the pool has frames is read *cold*
-    /// ([`BufferPool::scan_page`]): the scan recycles one frame instead of
-    /// flushing what other sessions keep resident. `Err` when the pool
-    /// cannot produce the page (a corrupt spill block, a failed eviction).
+    /// ([`Page::live_rows`]) and decodes only what it keeps. It may run
+    /// with the pool locked, so it must not call back into the pool. A
+    /// heap with more pages than the pool has frames admits nothing
+    /// ([`BufferPool::scan_page`]): pages that are not resident are read
+    /// privately, and the visitor runs on them with the pool unlocked.
+    /// `Err` when the pool cannot produce the page (a corrupt spill block,
+    /// a failed read or eviction).
     pub fn visit_page<R>(
         &self,
         page_no: u32,
@@ -475,20 +476,21 @@ mod tests {
         for i in 0..2000 {
             t.insert(row(i, i, 1.0)).unwrap();
         }
-        recdb_fault::arm_error("storage::pool_evict", 1);
+        recdb_fault::arm_error("storage::pool_read", 1);
         let failed = (0..t.page_count() as u32).find_map(|p| t.visit_page(p, |_| ()).err());
         recdb_fault::clear();
         assert_eq!(
             failed,
-            Some(StorageError::FaultInjected("storage::pool_evict".into()))
+            Some(StorageError::FaultInjected("storage::pool_read".into()))
         );
         assert_eq!(t.scan().count(), 2000, "the heap is intact afterwards");
     }
 
     #[test]
     fn scans_are_identical_under_a_tiny_pool() {
-        // Evicts, so it must not run beside a test that arms
-        // `storage::pool_evict` (the fault registry is process-global).
+        // Evicts and reads, so it must not run beside a test that arms
+        // `storage::pool_evict` or `storage::pool_read` (the fault
+        // registry is process-global).
         let _x = recdb_fault::exclusive();
         // The eviction-pressure contract in miniature: a pool of 2 frames
         // over a multi-page table returns exactly what an unbounded heap

@@ -23,39 +23,47 @@
 //!
 //! One mutex guards all pool state. *Under it*: the residency lookup,
 //! victim selection, a dirty victim's encode and write-back, frame
-//! installation, and every accessor closure — closures must therefore
-//! never re-enter the pool. *Outside it*: a miss's backing read, checksum
-//! and decode. A miss enters `(file, page)` in the **in-flight table**,
-//! releases the mutex, reads the block with one positional call, verifies
-//! and decodes it, then re-locks to take a slot and install the frame. A
-//! page in flight is not resident, so:
+//! installation, and every accessor closure that reads a frame — closures
+//! must therefore never re-enter the pool. *Outside it*: a miss's backing
+//! read, checksum and decode, and a private read's closure (below). A
+//! miss enters `(file, page)` in the **in-flight table**, releases the
+//! mutex, reads the block with one positional call, verifies and decodes
+//! it (`BufferPool::find`, the one place this happens), then re-locks
+//! and leaves the table — to install the frame, or to hand the page to a
+//! scan privately. A page in flight is not resident, so:
 //!
 //! * a second thread that misses it waits on the pool's one condition
 //!   variable instead of reading; when it wakes the frame is a hit (or, if
-//!   the load failed, it loads the page itself and gets its own error);
+//!   the load failed or was private, it loads the page itself);
 //! * no write-back can race the read — only resident frames are written
 //!   back, and [`BufferPool::install_page`], [`BufferPool::truncate_file`]
 //!   and [`BufferPool::remove_file`] wait out the loads on their file.
 //!
 //! The in-flight table is the only "do not replace this" state: there are
 //! no pins, because a closure holds the mutex for as long as it reads its
-//! frame. `misses` counts backing reads performed; every other successful
-//! access, including one that waited for another thread's read, is a
-//! `hit`; a request past the end of a file is neither.
+//! frame. `misses` counts backing reads performed, installed or private;
+//! every other successful access, including one that waited for another
+//! thread's read, is a `hit`; a request past the end of a file is
+//! neither.
 //!
 //! # Scan resistance
 //!
 //! [`BufferPool::scan_page`] is the sequential-scan access. When the file
 //! has more pages than the pool has frames, a scan can never find its own
-//! pages again — each is evicted before the scan comes back to it — so
-//! they are admitted *cold*: a hit does not set the clock's reference
-//! bit, and a miss installs the frame with the bit clear and leaves the
-//! clock hand on it, so the next miss — usually the same scan's next page
-//! — takes that frame again. Such a scan recycles one frame instead of
-//! sweeping the pool, and what other sessions keep touching stays
-//! resident. docs/STORAGE.md has the longer account.
+//! pages again — each would be evicted before the scan came back to it —
+//! so it **admits nothing**. A resident page is served from its frame as
+//! usual, with the clock's reference bit left alone; any other page is a
+//! *private read*: read, verified and decoded behind the in-flight table,
+//! then handed to the closure with the mutex released and dropped. It is
+//! a miss, never an eviction, and two sessions scanning such files can
+//! filter their rows at once. Nothing another session touches is
+//! displaced.
+//! A dirty page is always resident, so a scan reads it from its frame.
+//! PostgreSQL reads large sequential scans through a small private ring
+//! for the same reason. docs/STORAGE.md has the longer account.
 //!
-//! Fail point: `storage::pool_evict` fires at the top of every eviction,
+//! Fail points: `storage::pool_read` fires at the top of every backing
+//! read and `storage::pool_evict` at the top of every eviction, each
 //! before any state changes — an injected error leaves the pool intact.
 
 use crate::btree::node::Node;
@@ -135,8 +143,15 @@ enum Access {
     Read,
     /// Marks the frame dirty.
     Write,
-    /// A read admitted cold (see the module docs, "Scan resistance").
-    ColdRead,
+}
+
+/// Where [`BufferPool::find`] found a page.
+enum Found {
+    /// In this frame slot (a hit).
+    Resident(usize),
+    /// Nowhere: it was read from the backing store (a miss) and is not
+    /// installed yet.
+    Read(FrameData),
 }
 
 /// Where evicted blocks go.
@@ -213,6 +228,9 @@ pub struct BufferPool {
     spill_dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The misses whose page was handed to a scan and dropped rather than
+    /// installed (module docs, "Scan resistance").
+    private_reads: AtomicU64,
     evictions: AtomicU64,
     metrics: OnceLock<PoolMetrics>,
     barrier: Mutex<Option<Barrier>>,
@@ -225,6 +243,7 @@ impl std::fmt::Debug for BufferPool {
             .field("spill_dir", &self.spill_dir)
             .field("hits", &self.hits())
             .field("misses", &self.misses())
+            .field("private_reads", &self.private_reads)
             .field("evictions", &self.evictions())
             .finish()
     }
@@ -241,6 +260,7 @@ impl BufferPool {
             spill_dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            private_reads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             metrics: OnceLock::new(),
             barrier: Mutex::new(None),
@@ -299,7 +319,8 @@ impl BufferPool {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Backing-store reads performed (one per block faulted in).
+    /// Backing-store reads performed (one per block faulted in or read
+    /// privately).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -478,11 +499,12 @@ impl BufferPool {
 
     /// Read access to a heap page on behalf of a sequential scan of
     /// `file`: `Ok(None)` past the end of the file, and — when the file
-    /// has more pages than the pool has frames — the page is admitted
-    /// *cold* so the scan recycles its own frame (module docs, "Scan
-    /// resistance"). The threshold follows from [`BufferPool::capacity`]
-    /// and is not a setting. Same closure rules as
-    /// [`BufferPool::with_page`].
+    /// has more pages than the pool has frames — nothing is admitted: a
+    /// resident page is read from its frame without setting its reference
+    /// bit, any other is read privately and the closure runs on it with
+    /// the mutex released (module docs, "Scan resistance"). The threshold
+    /// follows from [`BufferPool::capacity`] and is not a setting. Same
+    /// closure rules as [`BufferPool::with_page`].
     pub fn scan_page<R>(
         &self,
         file: FileId,
@@ -494,13 +516,21 @@ impl BufferPool {
         if page_no >= pages {
             return Ok(None);
         }
-        let access = if pages as usize > self.capacity {
-            Access::ColdRead
-        } else {
-            Access::Read
-        };
         let f = heap_page(file, page_no, f);
-        self.with_frame(inner, file, page_no, access, f).map(Some)
+        if pages as usize <= self.capacity {
+            return self
+                .with_frame(inner, file, page_no, Access::Read, f)
+                .map(Some);
+        }
+        match self.find(inner, file, page_no)? {
+            (mut inner, Found::Resident(slot)) => f(&mut frame(&mut inner, slot)?.data),
+            (inner, Found::Read(mut data)) => {
+                drop(inner);
+                self.private_reads.fetch_add(1, Ordering::Relaxed);
+                f(&mut data)
+            }
+        }
+        .map(Some)
     }
 
     /// Write access to a heap page; marks the frame dirty. Same closure
@@ -557,36 +587,44 @@ impl BufferPool {
         access: Access,
         f: impl FnOnce(&mut FrameData) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let cold = access == Access::ColdRead;
-        let (mut inner, slot) = self.fetch_slot(inner, file, page_no, cold)?;
-        let frame = inner.frames[slot]
-            .as_mut()
-            .ok_or_else(|| StorageError::Corrupt("fetched frame slot is empty".into()))?;
-        if access == Access::Write {
-            frame.dirty = true;
-        }
+        let (mut inner, slot) = match self.find(inner, file, page_no)? {
+            (inner, Found::Resident(slot)) => (inner, slot),
+            (mut inner, Found::Read(data)) => {
+                let slot = self.ensure_slot(&mut inner)?;
+                let key = (file, page_no);
+                inner.frames[slot] = Some(Frame {
+                    key,
+                    data,
+                    dirty: false,
+                    referenced: true,
+                });
+                inner.map.insert(key, slot);
+                (inner, slot)
+            }
+        };
+        let frame = frame(&mut inner, slot)?;
+        frame.referenced = true;
+        frame.dirty |= access == Access::Write;
         f(&mut frame.data)
     }
 
-    /// Resolve `(file, page_no)` to a resident frame slot. On a miss the
-    /// mutex is released while the block is read, verified and decoded;
-    /// the in-flight table keeps everyone else off that block meanwhile
-    /// (module docs, "Concurrency").
-    fn fetch_slot<'a>(
+    /// Find `(file, page_no)` in a frame — a hit, after waiting out
+    /// another thread's read of it if need be — or read it from the
+    /// backing store: a miss enters the page in the in-flight table and
+    /// releases the mutex while the block is read, verified and decoded
+    /// (module docs, "Concurrency"). The page has left the in-flight table
+    /// again when this returns, whether the read succeeded or not.
+    fn find<'a>(
         &'a self,
         mut inner: Guard<'a>,
         file: FileId,
         page_no: u32,
-        cold: bool,
-    ) -> StorageResult<(Guard<'a>, usize)> {
+    ) -> StorageResult<(Guard<'a>, Found)> {
         let key = (file, page_no);
         loop {
             if let Some(&slot) = inner.map.get(&key) {
                 self.record_hit();
-                if let Some(frame) = inner.frames[slot].as_mut() {
-                    frame.referenced |= !cold;
-                }
-                return Ok((inner, slot));
+                return Ok((inner, Found::Resident(slot)));
             }
             if !inner.loading.contains(&key) {
                 break;
@@ -600,6 +638,7 @@ impl BufferPool {
                 slot: 0,
             });
         }
+        recdb_fault::fail_point("storage::pool_read")?;
         let kind = state.kind;
         let source = Self::block_source(state, page_no)?;
         inner.loading.insert(key);
@@ -620,25 +659,12 @@ impl BufferPool {
         let mut inner = self.lock();
         inner.loading.remove(&key);
         self.loaded.notify_all();
-        let data = match decoded {
-            Ok(data) => data,
+        match decoded {
+            Ok(data) => Ok((inner, Found::Read(data))),
             // Only a bad block needs the file's name: decode it again to
             // say it. (`lock_file` kept the file alive through the read.)
-            Err(e) => return Err(decode(&file_state(&inner, file)?.label).err().unwrap_or(e)),
-        };
-        let slot = self.ensure_slot(&mut inner)?;
-        inner.frames[slot] = Some(Frame {
-            key,
-            data,
-            dirty: false,
-            referenced: !cold,
-        });
-        inner.map.insert(key, slot);
-        if cold {
-            // Leave the hand on the cold frame: it is the next victim.
-            inner.hand = slot;
+            Err(e) => Err(decode(&file_state(&inner, file)?.label).err().unwrap_or(e)),
         }
-        Ok((inner, slot))
     }
 
     /// Find a free frame slot, evicting if the pool is at capacity.
@@ -786,6 +812,12 @@ fn file_state_mut(inner: &mut PoolInner, file: FileId) -> StorageResult<&mut Fil
         .ok_or_else(|| StorageError::Corrupt(format!("unknown pool file {file}")))
 }
 
+fn frame(inner: &mut PoolInner, slot: usize) -> StorageResult<&mut Frame> {
+    inner.frames[slot]
+        .as_mut()
+        .ok_or_else(|| StorageError::Corrupt("fetched frame slot is empty".into()))
+}
+
 /// Adapt a heap-page reader to the frame accessor.
 fn heap_page<R>(
     file: FileId,
@@ -811,9 +843,10 @@ mod tests {
     use crate::value::Value;
 
     // The fault registry is process-global and `cargo test` runs tests in
-    // parallel: every test here that can evict holds
-    // `recdb_fault::exclusive()` — otherwise the fault the fail-point test
-    // arms at `storage::pool_evict` can fire in whichever test evicts next.
+    // parallel: every test here that can evict or miss holds
+    // `recdb_fault::exclusive()` — otherwise a fault the fail-point tests
+    // arm at `storage::pool_evict` or `storage::pool_read` can fire in
+    // whichever test evicts or reads next.
 
     fn tuple(n: i64) -> Tuple {
         Tuple::new(vec![Value::Int(n), Value::Text(format!("row-{n}"))])
@@ -926,56 +959,40 @@ mod tests {
         assert_eq!(got, tuple(33));
     }
 
-    /// The cold-admission rule: a file that fits in the pool is scanned
-    /// like any other access; one page more and its scan is cold — the
-    /// reference bit is left alone on a hit and clear after a miss, with
-    /// the clock hand on the frame.
-    #[test]
-    fn cold_admission_starts_above_the_pool_size() {
-        let _x = recdb_fault::exclusive();
-        let pool = BufferPool::in_memory(4);
-        let fits = pool.create_file(FileKind::Heap, "fits");
-        let over = pool.create_file(FileKind::Heap, "over");
-        for (file, pages) in [(fits, 4), (over, 5)] {
-            for n in 0..pages {
-                pool.allocate_page(file, FrameData::Heap(fill_page(n)))
-                    .unwrap();
-            }
-        }
-        let bit = |key| {
-            let inner = pool.lock();
-            let slot = inner.map[&key];
-            (inner.frames[slot].as_ref().unwrap().referenced, slot)
-        };
-        pool.scan_page(fits, 0, |_| ()).unwrap();
-        assert!(bit((fits, 0)).0, "a file of `capacity` pages is admitted");
-        pool.scan_page(over, 0, |_| ()).unwrap();
-        let (referenced, slot) = bit((over, 0));
-        assert!(!referenced, "one page more: loaded cold");
-        assert_eq!(pool.lock().hand, slot, "and next in line for eviction");
-        pool.scan_page(over, 0, |_| ()).unwrap();
-        assert!(!bit((over, 0)).0, "a cold hit leaves the bit alone");
-        pool.with_page(over, 0, |_| ()).unwrap();
-        pool.scan_page(over, 0, |_| ()).unwrap();
-        assert!(bit((over, 0)).0, "also when another access had set it");
+    fn private_reads(pool: &BufferPool) -> u64 {
+        pool.private_reads.load(Ordering::Relaxed)
     }
 
-    /// Scan resistance: B+-tree nodes touched between the pages of a scan
-    /// over a heap 8x the pool are never faulted in again, and the scan
-    /// leaves them resident; a heap that fits in the pool is admitted like
-    /// any other access.
+    /// Every resident page with its clock reference bit, in key order.
+    fn residency(pool: &BufferPool) -> Vec<((FileId, u32), bool)> {
+        let inner = pool.lock();
+        let mut frames: Vec<_> = inner
+            .frames
+            .iter()
+            .flatten()
+            .map(|f| (f.key, f.referenced))
+            .collect();
+        frames.sort();
+        frames
+    }
+
+    /// Scan resistance: a full scan of a heap 8x the pool leaves the same
+    /// pages resident with the same reference bits. It evicts nothing,
+    /// reads each page that is not resident once, privately, and serves
+    /// the resident ones — a dirty one included — from their frames. A
+    /// heap that fits in the pool is admitted like any other access.
     #[test]
-    fn a_large_scan_recycles_its_own_frame() {
+    fn a_scan_larger_than_the_pool_admits_nothing() {
         let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(16);
-        let idx = pool.create_file(FileKind::Index, "idx");
-        for _ in 0..6 {
-            pool.allocate_page(idx, FrameData::Node(Node::leaf()))
-                .unwrap();
-        }
         let small = pool.create_file(FileKind::Heap, "small");
         for n in 0..4 {
             pool.allocate_page(small, FrameData::Heap(fill_page(n)))
+                .unwrap();
+        }
+        let idx = pool.create_file(FileKind::Index, "idx");
+        for _ in 0..6 {
+            pool.allocate_page(idx, FrameData::Node(Node::leaf()))
                 .unwrap();
         }
         let big = pool.create_file(FileKind::Heap, "big");
@@ -983,61 +1000,100 @@ mod tests {
             pool.allocate_page(big, FrameData::Heap(fill_page(n)))
                 .unwrap();
         }
-        // Loading `big` flooded the pool; fault the working set back in.
+        // Loading `big` flooded the pool: fault the index back in, and
+        // page 40 of `big`, which gains a row its backing block lacks.
         for n in 0..6 {
             pool.with_node(idx, n, |_| ()).unwrap();
         }
+        pool.with_page_mut(big, 40, |p| p.insert(&tuple(-40)))
+            .unwrap()
+            .unwrap();
+        let before = residency(&pool);
+        assert!(before.contains(&((big, 40), true)));
+        let resident_big = before.iter().filter(|(k, _)| k.0 == big).count() as u64;
+        let (h0, m0, p0, e0) = (
+            pool.hits(),
+            pool.misses(),
+            private_reads(&pool),
+            pool.evictions(),
+        );
+        for n in 0..128u32 {
+            let rows = pool
+                .scan_page(big, n, |p| {
+                    p.iter_live().map(|(_, t)| t).collect::<Vec<_>>()
+                })
+                .unwrap()
+                .unwrap();
+            let mut want = vec![tuple(n as i64)];
+            if n == 40 {
+                want.push(tuple(-40));
+            }
+            assert_eq!(rows, want, "page {n}");
+        }
+        assert_eq!(residency(&pool), before, "the scan changed the pool");
+        assert_eq!(pool.evictions(), e0);
+        assert_eq!(pool.misses() - m0, 128 - resident_big);
+        assert_eq!(private_reads(&pool) - p0, 128 - resident_big);
+        assert_eq!(pool.hits() - h0, resident_big);
+        // `small` (4 pages) fits: its scan installs frames, bits set.
+        assert!(!before.iter().any(|(k, _)| k.0 == small));
         for n in 0..4 {
             assert!(pool.scan_page(small, n, |_| ()).unwrap().is_some());
         }
-        // One pass to reach the steady state (from an arbitrary clock
-        // state the first cold misses may still claim a hot frame), then
-        // the pass that is asserted.
-        let scan_touching_nodes = || {
-            let (mut big_misses, mut refaults) = (0, 0);
-            for n in 0..128u32 {
-                let before = pool.misses();
-                let got = pool.scan_page(big, n, |p| p.get(0).unwrap()).unwrap();
-                assert_eq!(got, Some(tuple(n as i64)));
-                big_misses += pool.misses() - before;
-                let before = pool.misses();
-                pool.with_node(idx, n % 6, |_| ()).unwrap();
-                refaults += pool.misses() - before;
-            }
-            (big_misses, refaults)
-        };
-        scan_touching_nodes();
-        let (h0, m0) = (pool.hits(), pool.misses());
-        let (big_misses, refaults) = scan_touching_nodes();
-        assert_eq!(refaults, 0, "a node touched during the scan was evicted");
-        assert!(big_misses >= 128 - 6, "the scan read `big` from backing");
-        assert_eq!(pool.misses() - m0, big_misses);
-        assert_eq!(pool.hits() - h0, 128 + (128 - big_misses));
-        let resident_big = pool.lock().map.keys().filter(|k| k.0 == big).count();
-        assert!(resident_big <= 6, "the scan took frames from the others");
-        // The small heap (4 pages, a quarter of the pool) was admitted normally and
-        // survived the scan along with the nodes: all hits.
-        let before = pool.misses();
+        assert_eq!(private_reads(&pool) - p0, 128 - resident_big);
         for n in 0..4 {
-            pool.scan_page(small, n, |_| ()).unwrap();
+            assert!(residency(&pool).contains(&((small, n), true)));
         }
-        for n in 0..6 {
-            pool.with_node(idx, n, |_| ()).unwrap();
+    }
+
+    /// An injected read error leaves the pool as it was: nothing in
+    /// flight, the same pages resident, no miss counted — for a private
+    /// read and for a read that would install — and the retry reads.
+    #[test]
+    fn a_failed_read_leaves_the_pool_as_it_was() {
+        let _x = recdb_fault::exclusive();
+        let pool = BufferPool::in_memory(2);
+        let f = pool.create_file(FileKind::Heap, "t");
+        for n in 0..8 {
+            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
+                .unwrap();
         }
-        assert_eq!(pool.misses(), before);
+        let before = (residency(&pool), pool.misses(), pool.evictions());
+        recdb_fault::arm_error("storage::pool_read", 1);
+        let err = pool.scan_page(f, 0, |_| ());
+        assert!(
+            matches!(err, Err(StorageError::FaultInjected(_))),
+            "{err:?}"
+        );
+        recdb_fault::arm_error("storage::pool_read", 1);
+        let err = pool.with_page(f, 1, |_| ());
+        assert!(
+            matches!(err, Err(StorageError::FaultInjected(_))),
+            "{err:?}"
+        );
+        recdb_fault::clear();
+        assert!(pool.lock().loading.is_empty());
+        assert_eq!((residency(&pool), pool.misses(), pool.evictions()), before);
+        let got = pool.scan_page(f, 0, |p| p.get(0).unwrap()).unwrap();
+        assert_eq!(got, Some(tuple(0)));
     }
 
     /// Readers and a writer over pools a fraction of the data's size.
     /// Page `n` holds rows `(n, 0), (n, 1), …` — the writer appends the
     /// next one — so any block that was torn, read while being written
     /// back, or installed stale shows as a wrong id, a gap, or a page
-    /// that went backwards. Seeded by `RECDB_FAULT_SEED` (CI sweeps it).
+    /// that went backwards. The file (32 pages) is larger than the pools
+    /// (4 frames), so every scan read that misses is a private read; one
+    /// reader does nothing but scan the file from end to end while the
+    /// writer dirties its pages. Seeded by `RECDB_FAULT_SEED` (CI sweeps
+    /// it).
     #[test]
     fn pool_stress_readers_and_a_writer_see_every_page_whole() {
         use std::sync::atomic::AtomicUsize;
         const PAGES: u32 = 32;
         const READERS: u64 = 4;
         const READS: usize = 3_000;
+        const SCANS: usize = 60;
         const WRITES: usize = 1_200;
         let _x = recdb_fault::exclusive();
         let seed: u64 = std::env::var("RECDB_FAULT_SEED")
@@ -1047,6 +1103,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("recdb-pool-stress-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let row = |n: u32, v: i64| Tuple::new(vec![Value::Int(n as i64), Value::Int(v)]);
+        let check = move |n: u32| {
+            move |p: &Page| {
+                let rows: Vec<Tuple> = p.iter_live().map(|(_, t)| t).collect();
+                for (v, t) in rows.iter().enumerate() {
+                    assert_eq!(t, &row(n, v as i64), "page {n}");
+                }
+                rows.len()
+            }
+        };
         // xorshift64*: page picks with a hot window, so threads collide.
         let next = |state: &mut u64| {
             *state ^= *state >> 12;
@@ -1080,19 +1145,11 @@ mod tests {
                         let mut seen = vec![0usize; PAGES as usize];
                         for i in 0..READS {
                             let n = pick(&mut state);
-                            let check = |p: &Page| {
-                                let rows: Vec<Tuple> = p.iter_live().map(|(_, t)| t).collect();
-                                for (v, t) in rows.iter().enumerate() {
-                                    assert_eq!(t, &row(n, v as i64), "page {n}");
-                                }
-                                rows.len()
-                            };
-                            // Half the reads go through the scan entry
-                            // (cold here: 32 pages, 4 frames).
+                            // Half the reads go through the scan entry.
                             let rows = if i % 2 == 0 {
-                                pool.with_page(f, n, check).unwrap()
+                                pool.with_page(f, n, check(n)).unwrap()
                             } else {
-                                pool.scan_page(f, n, check).unwrap().unwrap()
+                                pool.scan_page(f, n, check(n)).unwrap().unwrap()
                             };
                             accesses.fetch_add(1, Ordering::Relaxed);
                             assert!(rows >= seen[n as usize], "page {n} went backwards");
@@ -1100,6 +1157,18 @@ mod tests {
                         }
                     });
                 }
+                let (pool, accesses) = (&pool, &accesses);
+                s.spawn(move || {
+                    let mut seen = vec![0usize; PAGES as usize];
+                    for _ in 0..SCANS {
+                        for n in 0..PAGES {
+                            let rows = pool.scan_page(f, n, check(n)).unwrap().unwrap();
+                            accesses.fetch_add(1, Ordering::Relaxed);
+                            assert!(rows >= seen[n as usize], "page {n} went backwards");
+                            seen[n as usize] = rows;
+                        }
+                    }
+                });
                 let mut state = seed | 1;
                 for _ in 0..WRITES {
                     let n = pick(&mut state);
@@ -1115,20 +1184,25 @@ mod tests {
                 let rows = pool.with_page(f, n, |p| p.live_count()).unwrap();
                 assert_eq!(rows, written[n as usize], "page {n} lost a write-back");
             }
-            // Every access is one hit or one miss; every miss is one
-            // backing read that installed one frame — so frames in
-            // (allocations + misses) less frames out (evictions) is what
-            // is resident. Two reads of one block would break it.
+            // Every access is one hit or one miss, and every miss is one
+            // backing read that either installed one frame or was a
+            // private read that installed none:
+            //   misses == installed misses + private reads,
+            //   allocations + installed misses == evictions + resident.
+            // Two reads of one block, or a private read that left a frame
+            // behind, would break it.
             assert_eq!(
                 pool.hits() + pool.misses() - before,
                 (accesses.into_inner() + PAGES as usize) as u64
             );
             assert!(pool.lock().loading.is_empty());
+            let installed = pool.misses() - private_reads(&pool);
             assert_eq!(
-                PAGES as u64 + pool.misses(),
+                PAGES as u64 + installed,
                 pool.evictions() + pool.resident_pages() as u64
             );
-            assert!(pool.misses() > PAGES as u64, "the pool did fault pages in");
+            assert!(installed > PAGES as u64, "the pool did fault pages in");
+            assert!(private_reads(&pool) > PAGES as u64, "scans read privately");
             pool.remove_file(f);
         }
         let _ = fs::remove_dir_all(&dir);

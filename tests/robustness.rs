@@ -475,7 +475,7 @@ fn txn_fault_sites_abort_cleanly() {
 }
 
 /// A `ratings` heap of a few dozen pages behind a 4-frame pool: every
-/// scan of it evicts.
+/// scan of it reads most pages from the backing store.
 fn small_pool_db(data_dir: Option<std::path::PathBuf>) -> RecDb {
     let config = RecDbConfig {
         data_dir,
@@ -512,15 +512,15 @@ fn pool_fault_in_a_scan_is_an_error_not_a_contained_panic() {
         ("DELETE FROM ratings WHERE uid = 5", 500),
     ];
     for (sql, affected) in statements {
-        fault::arm_error("storage::pool_evict", 1);
+        fault::arm_error("storage::pool_read", 1);
         let err = session
             .execute(sql)
-            .expect_err("the first eviction of the scan fails");
-        assert_eq!(fault::triggered("storage::pool_evict"), 1, "{sql}");
+            .expect_err("the first backing read of the scan fails");
+        assert_eq!(fault::triggered("storage::pool_read"), 1, "{sql}");
         fault::clear();
         assert!(!matches!(err, EngineError::Internal(_)), "{sql}: {err:?}");
         assert!(
-            err.to_string().contains("storage::pool_evict"),
+            err.to_string().contains("storage::pool_read"),
             "{sql}: {err}"
         );
         let wire = recdb::server::classify(&err);
@@ -570,6 +570,42 @@ fn corrupt_spill_block_under_a_scan_is_a_fatal_corruption_error() {
         let wire = recdb::server::classify(&err);
         assert_eq!(wire.code, recdb::server::ErrorCode::Corruption, "{sql}");
         assert!(!wire.retryable, "{sql}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `CREATE INDEX` backfills through the same page access as a scan, so a
+/// checksum-bad spill block under it is the same fatal `Corruption` — not
+/// a contained panic — and no half-built index is left registered.
+#[test]
+fn corrupt_spill_block_under_create_index_is_a_corruption_error() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let dir = std::env::temp_dir().join(format!("recdb-robustness-index-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = small_pool_db(Some(dir.clone()));
+    let spill = dir.join("pool").join("ratings.spill");
+    let mut bytes = std::fs::read(&spill).expect("read spill file");
+    bytes[100] ^= 0xFF;
+    std::fs::write(&spill, bytes).expect("write damaged spill file");
+
+    let err = db
+        .execute("CREATE INDEX ratings_uid ON ratings (uid)")
+        .expect_err("page 0 fails its checksum");
+    match &err {
+        EngineError::Corruption { table, source } => {
+            assert_eq!(table, "ratings");
+            assert!(
+                matches!(source, recdb::storage::StorageError::Corruption { file, page: 0, .. } if file == "ratings"),
+                "{source:?}"
+            );
+        }
+        other => panic!("expected Corruption, got {other:?}"),
+    }
+    match db.execute("DROP INDEX ratings_uid ON ratings") {
+        Err(EngineError::Storage(recdb::storage::StorageError::IndexNotFound(_))) => {}
+        other => panic!("the failed CREATE INDEX left an index behind: {other:?}"),
     }
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
