@@ -7,14 +7,34 @@
 //! from one row-at-a-time sparse product (Gustavson's `AᵀA`) over the two
 //! CSR views of [`RatingsMatrix`] ([`crate::ratings::Csr`]): for entity
 //! `a`, walk its row (its raters `u`, ascending) and for each `u` walk
-//! `u`'s row in the *other* view, adding the term into a dense
-//! [`CoRatedSums`] slot per partner `b`. Only pairs that share a rater are
-//! visited — `Σᵤ nᵤ²` multiply-adds, never more than all-pairs merging —
-//! and a worker's transient state is `O(n)`, not `O(pairs)`. A pair's
-//! slot receives the terms a merge-intersect of the two vectors
+//! `u`'s row in the *other* view, adding the term into a dense slot per
+//! partner `b`. Only pairs that share a rater are visited — `Σᵤ nᵤ²`
+//! multiply-adds, never more than all-pairs merging — and a worker's
+//! transient state is `O(n)`, not `O(pairs)`. A pair's slot receives the
+//! terms a merge-intersect of the two vectors
 //! ([`crate::similarity::co_rated_sums`], the point API and test oracle)
 //! would, in the same ascending order, and both measures are symmetric
 //! in `(a, b)`, so rows `a` and `b` agree on `sim(a, b)` to the bit.
+//!
+//! # The slot and the partner rule
+//!
+//! A slot holds what its measure needs and no more. Pearson needs all six
+//! [`CoRatedSums`] (48 bytes). Cosine needs `[Σxy, Σx², Σy²]` (24 bytes):
+//! it is undefined exactly when `Σx² · Σy² == 0`, which a slot no term
+//! reached meets, so it needs no count. `x²` is computed once per rater,
+//! not once per term.
+//!
+//! Row `a`'s term count `T(a) = Σ_{u ∈ raters(a)} |row(u)|` is known from
+//! the row pointers before the row starts, and it decides how the row
+//! finds its partners. With `T(a) ≥ n` the inner loop only adds — no
+//! presence test — and the row then scans all `n` slots once, scoring and
+//! resetting each. With `T(a) < n` each term asks whether its slot is
+//! still untouched and, the first time, notes the partner in a list that
+//! the row then drains, so a sparse row costs its terms and not `n`.
+//! Either way a row costs `O(T(a) + |row(a)|)` beyond the scan's `n ≤
+//! T(a)`, and the whole build `O(Σᵤ nᵤ² + n)`. MovieLens-shaped worlds
+//! scan every row; on LDOS-CoMoDa 596 of 612 item rows keep the list
+//! (`crates/bench/tests/golden_tables.rs` pins both to the bit).
 //!
 //! [`NeighborhoodParams::max_neighbors`] optionally truncates each list to
 //! the strongest `k` neighbors (by `|sim|`), the standard space/accuracy
@@ -327,13 +347,76 @@ pub fn build_user_neighborhood_guarded(
     build_pairwise(m.user_csr(), m.item_csr(), params, Some(guard))
 }
 
+/// One partner's running sums in a row of the product: what a measure
+/// needs and no more.
+trait Slot: Copy + Default + Send {
+    /// Add one co-rated term `(x, y)`; `xx` is `x·x`, computed once per
+    /// rater rather than once per term.
+    fn add(&mut self, x: f64, xx: f64, y: f64);
+    /// True for a slot no term has reached. It may also be true for one
+    /// whose terms so far summed to nothing; listing such a partner twice
+    /// is harmless, because the second visit finds the slot reset and
+    /// scores `None`.
+    fn looks_untouched(&self) -> bool;
+    /// The similarity the sums define, if any; `None` for an untouched
+    /// slot.
+    fn score(&self) -> Option<f64>;
+}
+
+/// Cosine's slot: `[Σxy, Σx², Σy²]`, 24 bytes, half of [`CoRatedSums`].
+/// It needs no count (see [`crate::similarity`]'s `cosine`).
+#[derive(Debug, Default, Clone, Copy)]
+struct CosineSums([f64; 3]);
+
+impl Slot for CosineSums {
+    #[inline]
+    fn add(&mut self, x: f64, xx: f64, y: f64) {
+        let [dot, sq_a, sq_b] = &mut self.0;
+        *dot += x * y;
+        *sq_a += xx;
+        *sq_b += y * y;
+    }
+
+    #[inline]
+    fn looks_untouched(&self) -> bool {
+        self.0[2] == 0.0
+    }
+
+    fn score(&self) -> Option<f64> {
+        let [dot, sq_a, sq_b] = self.0;
+        crate::similarity::cosine(dot, sq_a, sq_b)
+    }
+}
+
+/// Pearson's slot: all six sums, the count included.
+impl Slot for CoRatedSums {
+    #[inline]
+    fn add(&mut self, x: f64, xx: f64, y: f64) {
+        self.n += 1;
+        self.dot += x * y;
+        self.sum_a += x;
+        self.sum_b += y;
+        self.sq_a += xx;
+        self.sq_b += y * y;
+    }
+
+    #[inline]
+    fn looks_untouched(&self) -> bool {
+        self.n == 0
+    }
+
+    fn score(&self) -> Option<f64> {
+        self.pearson()
+    }
+}
+
 /// One worker's state for the row product, reused for every row it
 /// computes.
-#[derive(Default)]
-struct RowWorker {
+struct RowWorker<S> {
     /// One slot per possible partner; all-default between rows.
-    acc: Vec<CoRatedSums>,
-    /// Partners whose slot the current row wrote to.
+    acc: Vec<S>,
+    /// Partners whose slot the current row wrote to (rows that scan keep
+    /// it empty).
     touched: Vec<u32>,
     /// The current row's scored neighbors, before truncation.
     candidates: Vec<(usize, f64)>,
@@ -341,7 +424,17 @@ struct RowWorker {
     rows: Vec<(usize, Vec<(usize, f64)>)>,
 }
 
-impl RowWorker {
+impl<S: Slot> RowWorker<S> {
+    /// A worker for rows over `n` possible partners.
+    fn new(n: usize) -> Self {
+        RowWorker {
+            acc: vec![S::default(); n],
+            touched: Vec::new(),
+            candidates: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
     /// Entity `a`'s finished neighbor list. `entities` is the CSR view
     /// whose rows are the entities being compared, `raters` its transpose.
     fn row(
@@ -351,23 +444,46 @@ impl RowWorker {
         raters: &Csr,
         params: &NeighborhoodParams,
     ) -> Vec<(usize, f64)> {
+        let n = self.acc.len();
         let (a_raters, a_vals) = entities.row(a);
+        // The row's term count is known before it starts. With at least as
+        // many terms as slots, add without a presence test and scan every
+        // slot once afterwards; with fewer, note each partner the first
+        // time its slot is reached, so a sparse row costs its terms, not n.
+        let terms: usize = a_raters
+            .iter()
+            .map(|&u| raters.row_range(u as usize).len())
+            .sum();
+        let scan = terms >= n;
         for (&u, &x) in a_raters.iter().zip(a_vals) {
             let (partners, vals) = raters.row(u as usize);
-            for (&b, &y) in partners.iter().zip(vals) {
-                let sums = &mut self.acc[b as usize];
-                if sums.n == 0 {
-                    self.touched.push(b);
+            let x = f64::from(x);
+            let xx = x * x;
+            if scan {
+                for (&b, &y) in partners.iter().zip(vals) {
+                    self.acc[b as usize].add(x, xx, f64::from(y));
                 }
-                sums.add(f64::from(x), f64::from(y));
+            } else {
+                for (&b, &y) in partners.iter().zip(vals) {
+                    let slot = &mut self.acc[b as usize];
+                    if slot.looks_untouched() {
+                        self.touched.push(b);
+                    }
+                    slot.add(x, xx, f64::from(y));
+                }
             }
         }
         self.candidates.clear();
-        for b in self.touched.drain(..).map(|b| b as usize) {
-            let sim = std::mem::take(&mut self.acc[b]).score(params.measure);
+        let mut take = |b: usize| {
+            let sim = std::mem::take(&mut self.acc[b]).score();
             if let Some(sim) = sim.filter(|s| b != a && s.abs() > params.min_abs_sim) {
                 self.candidates.push((b, sim));
             }
+        };
+        if scan {
+            (0..n).for_each(&mut take);
+        } else {
+            self.touched.drain(..).for_each(|b| take(b as usize));
         }
         if let Some(k) = params.max_neighbors.filter(|&k| k < self.candidates.len()) {
             // A total order (neighbor indexes are unique), so the kept set
@@ -383,8 +499,21 @@ impl RowWorker {
 }
 
 /// The row product over `entities` (row = one entity's `(rater, value)`
-/// entries) and its transpose `raters`; see the module docs.
+/// entries) and its transpose `raters`, with the slot of the measure; see
+/// the module docs.
 fn build_pairwise(
+    entities: &Csr,
+    raters: &Csr,
+    params: &NeighborhoodParams,
+    governor: Option<&QueryGuard>,
+) -> Result<NeighborhoodTable, TrainError> {
+    match params.measure {
+        Similarity::Cosine => build_rows::<CosineSums>(entities, raters, params, governor),
+        Similarity::Pearson => build_rows::<CoRatedSums>(entities, raters, params, governor),
+    }
+}
+
+fn build_rows<S: Slot>(
     entities: &Csr,
     raters: &Csr,
     params: &NeighborhoodParams,
@@ -405,11 +534,8 @@ fn build_pairwise(
         n,
         threads,
         chunk,
-        || RowWorker {
-            acc: vec![CoRatedSums::default(); n],
-            ..RowWorker::default()
-        },
-        |worker: &mut RowWorker, range| {
+        || RowWorker::<S>::new(n),
+        |worker: &mut RowWorker<S>, range| {
             if aborted.load(Ordering::Relaxed) {
                 return;
             }
@@ -767,10 +893,7 @@ mod tests {
         };
         let full = build_item_neighborhood(&m, &NeighborhoodParams::pearson());
         assert!((0..n).any(|a| full.neighbors(a).len() > k), "cut must bite");
-        let mut worker = RowWorker {
-            acc: vec![CoRatedSums::default(); n],
-            ..RowWorker::default()
-        };
+        let mut worker = RowWorker::<CoRatedSums>::new(n);
         let mut kept = 0;
         for a in 0..n {
             let list = worker.row(a, m.item_csr(), m.user_csr(), &params);

@@ -45,11 +45,20 @@ impl PopularityModel {
     pub fn train_with_damping(matrix: RatingsMatrix, damping: f64) -> Self {
         assert!(damping >= 0.0, "damping must be non-negative");
         let global_mean = matrix.global_mean();
-        let item_scores = (0..matrix.n_items())
-            .map(|i| {
-                let col = matrix.item_col(i);
-                let sum: f64 = col.iter().map(|&(_, r)| r).sum();
-                let n = col.len() as f64;
+        // Each column's f64 ratings, added in ascending-user order from
+        // -0.0 — what `Sum` over the column did — so every score keeps its
+        // bits.
+        let mut sums = vec![-0.0f64; matrix.n_items()];
+        for u in 0..matrix.n_users() {
+            for &(i, r) in matrix.user_row(u) {
+                sums[i] += r;
+            }
+        }
+        let item_scores = sums
+            .into_iter()
+            .enumerate()
+            .map(|(i, sum)| {
+                let n = matrix.item_csr().row_range(i).len() as f64;
                 if n + damping == 0.0 {
                     0.0
                 } else {
@@ -168,6 +177,60 @@ mod tests {
         let m = PopularityModel::train(matrix());
         // Item 1 (two 5s) must outrank item 2 (one 1).
         assert!(item_score(&m, 1) > item_score(&m, 2));
+    }
+
+    /// Scores and the global mean keep their bits against sums written out
+    /// from the ratings, each column in ascending-user order: f32-inexact
+    /// values, a re-rated pair, and — under a negative global mean, where
+    /// the sign survives — an item rated only -0.0.
+    #[test]
+    fn scores_match_a_column_sum_reference_bit_for_bit() {
+        let ratings = vec![
+            Rating::new(3, 1, -0.1),
+            Rating::new(1, 1, -4.7),
+            Rating::new(2, 2, -0.0),
+            Rating::new(1, 2, -0.0),
+            Rating::new(2, 1, 1e-17),
+            Rating::new(1, 3, -2.3),
+            Rating::new(2, 3, 0.0),
+            Rating::new(3, 1, -3.3),
+            Rating::new(4, 3, 1.0 / 3.0),
+        ];
+        let matrix = RatingsMatrix::from_ratings(ratings.clone());
+        // Last-wins cells keyed (user, item) by dense index: row-major.
+        let mut cells = std::collections::BTreeMap::new();
+        for r in &ratings {
+            let (u, i) = (matrix.user_idx(r.user), matrix.item_idx(r.item));
+            cells.insert((u.unwrap(), i.unwrap()), r.value);
+        }
+        let mean = cells.values().sum::<f64>() / cells.len() as f64;
+        assert!(mean < 0.0);
+        for damping in [0.0, DEFAULT_DAMPING] {
+            let model = PopularityModel::train_with_damping(matrix.clone(), damping);
+            assert_eq!(model.global_mean().to_bits(), mean.to_bits());
+            let items: Vec<usize> = (0..matrix.n_items()).collect();
+            let mut scores = Vec::new();
+            model.predict_items_into(&items, &mut scores);
+            for i in items {
+                let column: Vec<f64> = cells
+                    .iter()
+                    .filter(|&(&(_, item), _)| item == i)
+                    .map(|(_, &r)| r)
+                    .collect();
+                let (sum, n) = (column.iter().sum::<f64>(), column.len() as f64);
+                let want = (sum + damping * mean) / (n + damping);
+                assert_eq!(
+                    scores[i].map(f64::to_bits),
+                    Some(want.to_bits()),
+                    "item {i}"
+                );
+            }
+        }
+        let zero_item = matrix.item_idx(2).unwrap();
+        let mut score = Vec::new();
+        PopularityModel::train_with_damping(matrix, 0.0)
+            .predict_items_into(&[zero_item], &mut score);
+        assert_eq!(score[0].map(f64::to_bits), Some((-0.0f64).to_bits()));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! [`RatingsMatrix`] is the in-memory form of the paper's `Ratings(uid, iid,
 //! ratingval)` table: external 64-bit user/item ids are mapped to dense
-//! indexes, and the matrix is stored twice — by row (each user's rated
-//! items, the *UserVector table* of Algorithm 1) and by column (each item's
-//! raters, the *ItemVector table*). Both adjacency lists are kept sorted by
-//! dense index so similarity computations can merge-intersect in linear
-//! time.
+//! indexes. Each user's row of `(item, f64 rating)` pairs, sorted by item,
+//! is the one exact copy of the ratings (what [`RatingsMatrix::rating_at`]
+//! reads). Beside it sit two read-only CSR views with `f32` values for the
+//! numeric kernels: by user (the *UserVector table* of Algorithm 1) and its
+//! transpose by item (the *ItemVector table*), each row sorted by dense
+//! index so similarity computations can merge-intersect in linear time.
 
 use std::collections::HashMap;
 
@@ -15,9 +16,9 @@ use std::collections::HashMap;
 /// Row `r` occupies `row_ptr[r] .. row_ptr[r + 1]` in the two flat
 /// arrays: `col_idx` holds the dense column indexes (sorted ascending
 /// within each row, `u32` — half the footprint of `usize`) and `values`
-/// the ratings, narrowed to `f32` for the numeric kernels. The view is
-/// built once from the jagged adjacency lists and is read-only; the
-/// jagged rows stay authoritative for `f64` lookups.
+/// the ratings, narrowed to `f32` for the numeric kernels. The views are
+/// built once from the user rows and are read-only; the rows stay
+/// authoritative for `f64` lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
     row_ptr: Vec<usize>,
@@ -26,7 +27,7 @@ pub struct Csr {
 }
 
 impl Csr {
-    fn from_jagged(rows: &[Vec<(usize, f64)>]) -> Self {
+    fn from_rows(rows: &[Vec<(usize, f64)>]) -> Self {
         let nnz: usize = rows.iter().map(Vec::len).sum();
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         let mut col_idx = Vec::with_capacity(nnz);
@@ -38,6 +39,38 @@ impl Csr {
                 values.push(val as f32);
             }
             row_ptr.push(col_idx.len());
+        }
+        Csr {
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// The transpose over `n_cols` columns, by the counting sort
+    /// [`crate::NeighborhoodTable::from_lists`] transposes with: count each
+    /// column, prefix-sum into row starts, then place entries walking rows
+    /// ascending, so every transposed row comes out sorted.
+    fn transpose(&self, n_cols: usize) -> Self {
+        let mut row_ptr = vec![0usize; n_cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..n_cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..n_cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        for r in 0..self.n_rows() {
+            let r32 = u32::try_from(r).expect("dense index exceeds u32");
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let at = &mut next[c as usize];
+                col_idx[*at] = r32;
+                values[*at] = v;
+                *at += 1;
+            }
         }
         Csr {
             row_ptr,
@@ -62,7 +95,7 @@ impl Csr {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// The half-open `row_ptr` range of row `r` into [`Self::col_idx`].
+    /// The half-open range of row `r` in the flat arrays.
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.row_ptr[r]..self.row_ptr[r + 1]
     }
@@ -70,16 +103,6 @@ impl Csr {
     /// The row-pointer array (`n_rows + 1` entries, first 0, last `nnz`).
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
-    }
-
-    /// All column indexes, row-concatenated.
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    /// All values, row-concatenated, parallel to [`Self::col_idx`].
-    pub fn values(&self) -> &[f32] {
-        &self.values
     }
 }
 
@@ -110,14 +133,11 @@ pub struct RatingsMatrix {
     item_index: HashMap<i64, usize>,
     /// `by_user[u]` = sorted `(item_idx, rating)` list.
     by_user: Vec<Vec<(usize, f64)>>,
-    /// `by_item[i]` = sorted `(user_idx, rating)` list.
-    by_item: Vec<Vec<(usize, f64)>>,
     /// CSR over users (row = user, col = item), built once in
     /// [`RatingsMatrix::from_ratings`].
     user_csr: Csr,
     /// CSR over items (row = item, col = user) — the CSC view.
     item_csr: Csr,
-    n_ratings: usize,
 }
 
 impl RatingsMatrix {
@@ -128,8 +148,9 @@ impl RatingsMatrix {
         let mut m = RatingsMatrix::default();
         // Ids intern in first-appearance order, duplicates included.
         for r in ratings {
-            let u = m.intern_user(r.user);
-            let i = m.intern_item(r.item);
+            let u = intern(&mut m.user_index, &mut m.user_ids, r.user);
+            let i = intern(&mut m.item_index, &mut m.item_ids, r.item);
+            m.by_user.resize_with(m.user_ids.len(), Vec::new);
             m.by_user[u].push((i, r.value));
         }
         // Last-wins: the stable sort keeps a pair's duplicates in arrival
@@ -143,33 +164,11 @@ impl RatingsMatrix {
                 }
                 same
             });
-            m.n_ratings += row.len();
+            row.shrink_to_fit();
         }
-        // Walking users ascending leaves every column sorted by user.
-        for (u, row) in m.by_user.iter().enumerate() {
-            for &(i, value) in row {
-                m.by_item[i].push((u, value));
-            }
-        }
-        m.user_csr = Csr::from_jagged(&m.by_user);
-        m.item_csr = Csr::from_jagged(&m.by_item);
+        m.user_csr = Csr::from_rows(&m.by_user);
+        m.item_csr = m.user_csr.transpose(m.n_items());
         m
-    }
-
-    fn intern_user(&mut self, user: i64) -> usize {
-        *self.user_index.entry(user).or_insert_with(|| {
-            self.user_ids.push(user);
-            self.by_user.push(Vec::new());
-            self.user_ids.len() - 1
-        })
-    }
-
-    fn intern_item(&mut self, item: i64) -> usize {
-        *self.item_index.entry(item).or_insert_with(|| {
-            self.item_ids.push(item);
-            self.by_item.push(Vec::new());
-            self.item_ids.len() - 1
-        })
     }
 
     /// Number of distinct users.
@@ -184,7 +183,7 @@ impl RatingsMatrix {
 
     /// Number of stored ratings (after last-wins dedup).
     pub fn n_ratings(&self) -> usize {
-        self.n_ratings
+        self.user_csr.nnz()
     }
 
     /// Dense index of an external user id.
@@ -220,11 +219,6 @@ impl RatingsMatrix {
     /// A user's rated items as sorted `(item_idx, rating)` pairs.
     pub fn user_row(&self, user_idx: usize) -> &[(usize, f64)] {
         &self.by_user[user_idx]
-    }
-
-    /// An item's raters as sorted `(user_idx, rating)` pairs.
-    pub fn item_col(&self, item_idx: usize) -> &[(usize, f64)] {
-        &self.by_item[item_idx]
     }
 
     /// CSR view over users: row `u` = user `u`'s `(item_idx, rating)`
@@ -265,7 +259,7 @@ impl RatingsMatrix {
 
     /// Mean of all stored ratings (0 if empty) — the SVD baseline offset.
     pub fn global_mean(&self) -> f64 {
-        if self.n_ratings == 0 {
+        if self.n_ratings() == 0 {
             return 0.0;
         }
         let sum: f64 = self
@@ -273,16 +267,16 @@ impl RatingsMatrix {
             .iter()
             .flat_map(|row| row.iter().map(|&(_, r)| r))
             .sum();
-        sum / self.n_ratings as f64
+        sum / self.n_ratings() as f64
     }
+}
 
-    /// Iterate every `(user_idx, item_idx, rating)` triple.
-    pub fn iter_dense(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.by_user
-            .iter()
-            .enumerate()
-            .flat_map(|(u, row)| row.iter().map(move |&(i, r)| (u, i, r)))
-    }
+/// `id`'s dense index, assigning the next one on first sight.
+fn intern(index: &mut HashMap<i64, usize>, ids: &mut Vec<i64>, id: i64) -> usize {
+    *index.entry(id).or_insert_with(|| {
+        ids.push(id);
+        ids.len() - 1
+    })
 }
 
 #[cfg(test)]
@@ -317,7 +311,8 @@ mod tests {
         let rated: Vec<i64> = m.user_row(u2).iter().map(|&(i, _)| m.item_id(i)).collect();
         assert_eq!(rated, vec![1, 2, 3]); // sorted by dense idx = first-seen
         let i1 = m.item_idx(1).unwrap();
-        let raters: Vec<i64> = m.item_col(i1).iter().map(|&(u, _)| m.user_id(u)).collect();
+        let (users, _) = m.item_csr().row(i1);
+        let raters: Vec<i64> = users.iter().map(|&u| m.user_id(u as usize)).collect();
         assert_eq!(raters, vec![1, 2, 3]);
     }
 
@@ -349,22 +344,13 @@ mod tests {
     }
 
     #[test]
-    fn iter_dense_covers_everything() {
-        let m = small();
-        let total: usize = m.iter_dense().count();
-        assert_eq!(total, 7);
-        let sum: f64 = m.iter_dense().map(|(_, _, r)| r).sum();
-        assert!((sum - 15.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn adjacency_lists_sorted() {
         let m = small();
         for u in 0..m.n_users() {
             assert!(m.user_row(u).windows(2).all(|w| w[0].0 < w[1].0));
         }
         for i in 0..m.n_items() {
-            assert!(m.item_col(i).windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(m.item_csr().row(i).0.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -375,6 +361,7 @@ mod tests {
         assert_eq!(m.item_csr().n_rows(), m.n_items());
         assert_eq!(m.user_csr().nnz(), m.n_ratings());
         assert_eq!(m.item_csr().nnz(), m.n_ratings());
+        let mut columns = vec![Vec::new(); m.n_items()];
         for u in 0..m.n_users() {
             let (cols, vals) = m.user_csr().row(u);
             let jagged = m.user_row(u);
@@ -382,13 +369,13 @@ mod tests {
             for ((&c, &v), &(i, r)) in cols.iter().zip(vals).zip(jagged) {
                 assert_eq!(c as usize, i);
                 assert_eq!(f64::from(v), r, "half-star ratings are f32-exact");
+                columns[i].push((u, r));
             }
         }
-        for i in 0..m.n_items() {
+        for (i, column) in columns.iter().enumerate() {
             let (cols, vals) = m.item_csr().row(i);
-            let jagged = m.item_col(i);
-            assert_eq!(cols.len(), jagged.len());
-            for ((&c, &v), &(u, r)) in cols.iter().zip(vals).zip(jagged) {
+            assert_eq!(cols.len(), column.len());
+            for ((&c, &v), &(u, r)) in cols.iter().zip(vals).zip(column) {
                 assert_eq!(c as usize, u);
                 assert_eq!(f64::from(v), r);
             }
@@ -410,8 +397,8 @@ mod tests {
         let m = RatingsMatrix::default();
         assert_eq!(m.user_csr().n_rows(), 0);
         assert_eq!(m.user_csr().nnz(), 0);
-        assert!(m.item_csr().col_idx().is_empty());
-        assert!(m.item_csr().values().is_empty());
+        assert_eq!(m.item_csr().n_rows(), 0);
+        assert_eq!(m.item_csr().nnz(), 0);
     }
 
     #[test]

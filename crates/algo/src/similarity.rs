@@ -71,14 +71,7 @@ impl CoRatedSums {
     /// Cosine similarity from the accumulated sums; `None` when undefined
     /// (no overlap or a zero-norm vector).
     pub fn cosine(&self) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        let denom = (self.sq_a * self.sq_b).sqrt();
-        if denom == 0.0 {
-            return None;
-        }
-        Some(self.dot / denom)
+        cosine(self.dot, self.sq_a, self.sq_b)
     }
 
     /// Pearson correlation from the accumulated sums; `None` when undefined
@@ -106,6 +99,15 @@ impl CoRatedSums {
             Similarity::Pearson => self.pearson(),
         }
     }
+}
+
+/// Cosine from `Σ aᵢbᵢ`, `Σ aᵢ²` and `Σ bᵢ²`: `None` exactly when
+/// `Σ aᵢ² · Σ bᵢ² == 0`. No count is needed — with no co-rated dimension
+/// all three sums are zero — so the neighborhood build's cosine slot
+/// carries only these three.
+pub(crate) fn cosine(dot: f64, sq_a: f64, sq_b: f64) -> Option<f64> {
+    let denom = (sq_a * sq_b).sqrt();
+    (denom != 0.0).then(|| dot / denom)
 }
 
 /// Convenience: similarity of two sorted sparse vectors.

@@ -36,19 +36,30 @@ fn duplicate_heavy_strategy() -> impl Strategy<Value = Vec<Rating>> {
     })
 }
 
-/// Sparse matrices for the neighborhood kernel: half-star values mixed
-/// with arbitrary (f32-inexact, negative, zero) ones, optionally one
-/// user who rated every item and one item only that user rated. Every
-/// dense row and column holds a rating by construction (ids exist only
-/// once rated), so the emptiest shape is a single-entry row.
-fn kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
-    let value = prop_oneof![
+/// Values for the neighborhood kernel: half stars mixed with arbitrary
+/// (f32-inexact, negative) ones, ±0.0 and NaN — nothing checks that a
+/// rating is finite, and a zero or NaN term must leave a partner's sums
+/// exactly as the pairwise merge leaves them. Half stars are listed twice
+/// to weight them.
+fn kernel_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
         (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
         -5.0f64..5.0,
         Just(0.0),
-    ];
+        Just(-0.0),
+        Just(f64::NAN),
+    ]
+}
+
+/// Small dense matrices for the neighborhood kernel, optionally with one
+/// user who rated every item and one item only that user rated: a row's
+/// terms mostly outnumber the entities, so most rows scan their slots.
+/// Every dense row and column holds a rating by construction (ids exist
+/// only once rated), so the emptiest shape is a single-entry row.
+fn kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
     (
-        proptest::collection::vec((0i64..12, 0i64..12, value), 1..70),
+        proptest::collection::vec((0i64..12, 0i64..12, kernel_value()), 1..70),
         any::<bool>(),
     )
         .prop_map(|(cells, full_user)| {
@@ -64,6 +75,15 @@ fn kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
             }
             RatingsMatrix::from_ratings(ratings)
         })
+}
+
+/// Sparse matrices: a few ratings per user over many items, so a row's
+/// terms are far fewer than the entities and rows keep a list of the
+/// partners they touched.
+fn sparse_kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
+    proptest::collection::vec((0i64..20, 0i64..150, kernel_value()), 1..100).prop_map(|cells| {
+        RatingsMatrix::from_ratings(cells.into_iter().map(|(u, i, r)| Rating::new(u, i, r)))
+    })
 }
 
 /// The all-pairs build the row product replaced: merge-intersect every
@@ -121,13 +141,40 @@ fn assert_reverse_is_transpose(table: &NeighborhoodTable) -> Result<(), TestCase
     Ok(())
 }
 
-/// Both CSR views hold the jagged rows' coordinates in the same order
-/// with bit-equal (f32-exact) values.
+/// Every forward list as `(neighbor, sim bits)`: unlike
+/// `NeighborhoodTable: PartialEq`, it tells -0.0 from 0.0 and NaN from
+/// itself.
+fn forward_bits(table: &NeighborhoodTable) -> Vec<Vec<(usize, u64)>> {
+    (0..table.len())
+        .map(|e| {
+            table
+                .neighbors(e)
+                .iter()
+                .map(|&(nb, sim)| (nb, sim.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// Item `i`'s raters as `(user_idx, rating)`, from the CSR column view.
+fn item_col(m: &RatingsMatrix, i: usize) -> Vec<(usize, f64)> {
+    let (users, vals) = m.item_csr().row(i);
+    users
+        .iter()
+        .zip(vals)
+        .map(|(&u, &v)| (u as usize, f64::from(v)))
+        .collect()
+}
+
+/// The user CSR view holds the jagged rows' coordinates in the same order
+/// with bit-equal (f32-exact) values, and the item view is its transpose:
+/// each column's raters ascending.
 fn assert_csr_mirrors_jagged(m: &RatingsMatrix) -> Result<(), TestCaseError> {
     prop_assert_eq!(m.user_csr().nnz(), m.n_ratings());
     prop_assert_eq!(m.item_csr().nnz(), m.n_ratings());
     prop_assert_eq!(m.user_csr().n_rows(), m.n_users());
     prop_assert_eq!(m.item_csr().n_rows(), m.n_items());
+    let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m.n_items()];
     for u in 0..m.n_users() {
         let (cols, vals) = m.user_csr().row(u);
         let jagged = m.user_row(u);
@@ -135,16 +182,11 @@ fn assert_csr_mirrors_jagged(m: &RatingsMatrix) -> Result<(), TestCaseError> {
         for (k, &(i, r)) in jagged.iter().enumerate() {
             prop_assert_eq!(cols[k] as usize, i);
             prop_assert_eq!(f64::from(vals[k]), r, "half-star ratings are f32-exact");
+            columns[i].push((u, r));
         }
     }
-    for i in 0..m.n_items() {
-        let (rows, vals) = m.item_csr().row(i);
-        let jagged = m.item_col(i);
-        prop_assert_eq!(rows.len(), jagged.len());
-        for (k, &(u, r)) in jagged.iter().enumerate() {
-            prop_assert_eq!(rows[k] as usize, u);
-            prop_assert_eq!(f64::from(vals[k]), r);
-        }
+    for (i, want) in columns.iter().enumerate() {
+        prop_assert_eq!(&item_col(m, i), want, "column {}", i);
     }
     Ok(())
 }
@@ -192,8 +234,9 @@ fn merge_reference(model: &RecModel, u: usize, i: usize) -> Option<f64> {
             svd.item_vector(i),
         ))),
         RecModel::Popular(p) => {
-            let col = m.item_col(i);
-            let sum: f64 = col.iter().map(|&(_, r)| r).sum();
+            // The column in ascending-user order, from the f64 rows.
+            let col: Vec<f64> = (0..m.n_users()).filter_map(|u| m.rating_at(u, i)).collect();
+            let sum: f64 = col.iter().sum();
             let (n, k) = (col.len() as f64, p.damping());
             Some(if n + k == 0.0 {
                 0.0
@@ -264,7 +307,7 @@ proptest! {
         // Row and column views are consistent transposes.
         for u_idx in 0..m.n_users() {
             for &(i_idx, r) in m.user_row(u_idx) {
-                let col = m.item_col(i_idx);
+                let col = item_col(&m, i_idx);
                 let pos = col.binary_search_by_key(&u_idx, |&(u, _)| u).unwrap();
                 prop_assert_eq!(col[pos].1, r);
             }
@@ -310,29 +353,32 @@ proptest! {
         }
         for (i, want) in by_item.iter_mut().enumerate() {
             want.sort_by_key(|&(u, _)| u);
-            prop_assert_eq!(m.item_col(i), &want[..]);
+            prop_assert_eq!(&item_col(&m, i), want);
         }
         assert_csr_mirrors_jagged(&m)?;
     }
 
     /// The row-product build equals the all-pairs merge-intersect build
     /// bit for bit — every sim, every truncation tie-break, both
-    /// orientations, at every thread count — and its reverse lists are
-    /// the exact transpose.
+    /// orientations, at every thread count, on dense matrices (rows scan
+    /// their slots) and sparse ones (rows keep a touched list) — and its
+    /// reverse lists are the exact transpose.
     #[test]
-    fn row_product_equals_all_pairs_oracle(matrix in kernel_matrix_strategy()) {
+    fn row_product_equals_all_pairs_oracle(
+        matrix in prop_oneof![kernel_matrix_strategy(), sparse_kernel_matrix_strategy()],
+    ) {
         for measure in [Similarity::Cosine, Similarity::Pearson] {
             for max_neighbors in [None, Some(1), Some(3)] {
                 for min_abs_sim in [0.0, 0.5] {
                     let params = NeighborhoodParams { measure, max_neighbors, min_abs_sim, threads: 1 };
-                    let item_oracle = all_pairs_oracle(matrix.item_csr(), &params);
-                    let user_oracle = all_pairs_oracle(matrix.user_csr(), &params);
+                    let item_oracle = forward_bits(&all_pairs_oracle(matrix.item_csr(), &params));
+                    let user_oracle = forward_bits(&all_pairs_oracle(matrix.user_csr(), &params));
                     for threads in [1, 2, 3, 8] {
                         let params = NeighborhoodParams { threads, ..params };
                         let items = build_item_neighborhood(&matrix, &params);
-                        prop_assert_eq!(&items, &item_oracle, "items {:?}", params);
+                        prop_assert_eq!(&forward_bits(&items), &item_oracle, "items {:?}", params);
                         let users = build_user_neighborhood(&matrix, &params);
-                        prop_assert_eq!(&users, &user_oracle, "users {:?}", params);
+                        prop_assert_eq!(&forward_bits(&users), &user_oracle, "users {:?}", params);
                         assert_reverse_is_transpose(&items)?;
                         assert_reverse_is_transpose(&users)?;
                     }

@@ -169,10 +169,10 @@ fn build_scaling() {
             .windows(2)
             .map(|w| (w[1] - w[0]).pow(2))
             .sum();
-        for algo in [Algorithm::ItemCosCF, Algorithm::Svd] {
+        for algo in [Algorithm::ItemCosCF, Algorithm::ItemPearCF, Algorithm::Svd] {
             let (tag, terms) = match algo {
                 Algorithm::Svd => ("csr-blocked", "null".to_owned()),
-                _ => ("row-product", co_rated_terms.to_string()),
+                _ => ("row-product-measure-slot", co_rated_terms.to_string()),
             };
             let mut serial_ms = 0.0;
             for &threads in &thread_counts {
@@ -214,7 +214,9 @@ fn build_scaling() {
          thread count, measured on this host; build_ms includes \
          RatingsMatrix::from_ratings (serial); co_rated_terms = sum over users \
          of (ratings by that user)^2, the multiply-adds of the item-table row \
-         product (null for SVD)\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         product (null for SVD); row-product-measure-slot = one slot per partner \
+         shaped by the measure (cosine 24 B, Pearson 48 B), scanned after rows \
+         with at least one term per entity\",\n  \"results\": [\n{}\n  ]\n}}\n",
         host_threads,
         REPS,
         rows.join(",\n")

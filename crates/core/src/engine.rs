@@ -857,7 +857,8 @@ impl RecDb {
             } else {
                 "abort"
             };
-            self.abort_txn(txn, outcome);
+            // The statement's own error is the one reported.
+            let _ = self.abort_txn(txn, outcome);
         }
     }
 
@@ -882,7 +883,7 @@ impl RecDb {
             return Err(EngineError::NoActiveTransaction);
         };
         if let Err(e) = recdb_fault::fail_point("txn::commit") {
-            self.abort_txn(txn, "abort");
+            let _ = self.abort_txn(txn, "abort");
             return Err(e.into());
         }
         if txn.wrote_wal {
@@ -897,7 +898,7 @@ impl RecDb {
             if let Err(e) = result {
                 // The marker may or may not be durable; the abort path
                 // writes a TxnAbort that unmarks it at recovery if it is.
-                self.abort_txn(txn, "abort");
+                let _ = self.abort_txn(txn, "abort");
                 return Err(e.into());
             }
         }
@@ -911,7 +912,9 @@ impl RecDb {
         Ok(QueryResult::TransactionCommitted)
     }
 
-    /// `ROLLBACK`: undo the transaction and release its locks.
+    /// `ROLLBACK`: undo the transaction and release its locks. An undo
+    /// step that fails (a heap page the pool cannot produce while the
+    /// table's indexes are rebuilt) is this statement's error.
     ///
     /// Fail point: `txn::rollback` — the rollback itself still runs (undo
     /// must never be skipped); the armed fault only poisons the reported
@@ -921,22 +924,26 @@ impl RecDb {
             return Err(EngineError::NoActiveTransaction);
         };
         let fault = recdb_fault::fail_point("txn::rollback");
-        self.abort_txn(txn, "abort");
+        self.abort_txn(txn, "abort")?;
         fault?;
         Ok(QueryResult::TransactionRolledBack)
     }
 
     /// Roll a transaction back: apply its physical undo log in reverse,
     /// write a best-effort `TxnAbort` marker, release every lock, and
-    /// leave the transaction gate. Infallible — undo operations restore
-    /// captured pre-images and cannot meaningfully fail halfway, and a
-    /// panic anywhere in the undo/WAL section is contained so the lock
-    /// release below always runs. Without that containment an abandoned
+    /// leave the transaction gate. Every undo operation runs even when an
+    /// earlier one fails — restoring a table's heap pages cannot fail
+    /// halfway, but rebuilding its secondary indexes reads the heap back
+    /// through the pool, which can — and the first such error is
+    /// returned once the locks are released. A panic anywhere in the
+    /// undo/WAL section is contained so the lock release below always
+    /// runs. Without that containment an abandoned
     /// session whose abort path panics (an armed `wal::append` fault, a
     /// corrupted pre-image) would strand its X-locks until process exit
     /// — and, aborting from `Session::drop` during an unwind, turn into
     /// a double panic that kills the process.
-    pub(crate) fn abort_txn(&self, mut txn: ActiveTxn, outcome: &'static str) {
+    pub(crate) fn abort_txn(&self, mut txn: ActiveTxn, outcome: &'static str) -> EngineResult<()> {
+        let mut undo_error = None;
         let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Under the checkpoint latch: a snapshot must not capture the
             // half-undone (or half-done) state of an aborting statement.
@@ -944,7 +951,9 @@ impl RecDb {
             if !txn.undo.is_empty() {
                 let mut catalog = self.catalog.write();
                 while let Some(op) = txn.undo.pop() {
-                    self.undo_op(&mut catalog, op);
+                    if let Err(e) = self.undo_op(&mut catalog, op) {
+                        undo_error.get_or_insert(e);
+                    }
                 }
             }
             if txn.wrote_wal {
@@ -965,13 +974,14 @@ impl RecDb {
             self.exit_txn_gate();
         }
         self.count_txn(outcome);
+        undo_error.map_or(Ok(()), Err)
     }
 
     /// Apply one undo operation. Best-effort by construction: each op
     /// restores a state this transaction itself captured, so a missing
     /// table here means a later undo op (processed first, in reverse
-    /// order) already covers it.
-    fn undo_op(&self, catalog: &mut Catalog, op: UndoOp) {
+    /// order) already covers it. `Err` only when restoring a table fails.
+    fn undo_op(&self, catalog: &mut Catalog, op: UndoOp) -> EngineResult<()> {
         match op {
             UndoOp::TableTail {
                 name,
@@ -979,12 +989,12 @@ impl RecDb {
                 last_page,
             } => {
                 if let Ok(t) = catalog.table_mut(&name) {
-                    let _ = t.rollback_tail(page_count, last_page);
+                    t.rollback_tail(page_count, last_page)?;
                 }
             }
             UndoOp::TablePages { name, pages } => {
                 if let Ok(t) = catalog.table_mut(&name) {
-                    let _ = t.rollback_pages(pages);
+                    t.rollback_pages(pages)?;
                 }
             }
             UndoOp::CreatedTable { name } => {
@@ -1021,6 +1031,7 @@ impl RecDb {
                 self.recommenders.write().push(*recommender);
             }
         }
+        Ok(())
     }
 
     /// Finish an implicit (auto-commit) transaction after its one
@@ -1440,7 +1451,7 @@ impl RecDb {
                 MODEL_BUILD_BUCKETS,
                 &[("algorithm", algorithm.name())],
             )
-            .observe(u64::try_from(build_time.as_micros()).unwrap_or(u64::MAX));
+            .observe(micros(build_time));
     }
 
     /// The rows of table `t` a DELETE or UPDATE with `filter` acts on (all
@@ -1626,10 +1637,12 @@ impl RecDb {
                 rec.ratings_column().to_owned(),
             )
         };
+        let loading = Instant::now();
         let matrix = {
             let catalog = self.catalog.read();
             load_matrix(&catalog, &table, &users, &items, &ratings)?
         };
+        let load_time = loading.elapsed();
         let staged = Recommender::stage_rebuild(
             algorithm,
             &train,
@@ -1639,6 +1652,19 @@ impl RecDb {
             &self.pool,
         )?;
         self.observe_model_build(algorithm, staged.build_time());
+        for (stage, time) in [
+            ("load", load_time),
+            ("train", staged.train_time()),
+            ("refresh", staged.refresh_time()),
+        ] {
+            self.metrics
+                .histogram_with(
+                    "recdb_model_rebuild_stage_micros",
+                    MODEL_BUILD_BUCKETS,
+                    &[("stage", stage)],
+                )
+                .observe(micros(time));
+        }
         let mut recs = self.recommenders.write();
         if let Some(rec) = recs.iter_mut().find(|r| r.name() == name) {
             rec.publish(staged);
@@ -1916,6 +1942,11 @@ impl Drop for DrainGuard<'_> {
 /// no invariant can tear).
 fn lock_gate(m: &StdMutex<TxnGate>) -> StdMutexGuard<'_, TxnGate> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A duration as a histogram observation in whole microseconds.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Map a lock-layer failure to a first-class engine error.

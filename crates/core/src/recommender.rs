@@ -64,6 +64,7 @@ impl std::fmt::Debug for Recommender {
 pub struct StagedRebuild {
     model: Arc<RecModel>,
     index: Option<Arc<RecScoreIndex>>,
+    train_time: Duration,
     build_time: Duration,
 }
 
@@ -71,6 +72,16 @@ impl StagedRebuild {
     /// Wall-clock time the staged build took (the Table II metric).
     pub fn build_time(&self) -> Duration {
         self.build_time
+    }
+
+    /// The part of [`StagedRebuild::build_time`] spent training the model.
+    pub fn train_time(&self) -> Duration {
+        self.train_time
+    }
+
+    /// The rest: refreshing the materialized score index.
+    pub fn refresh_time(&self) -> Duration {
+        self.build_time.saturating_sub(self.train_time)
     }
 }
 
@@ -290,10 +301,12 @@ impl Recommender {
     ) -> EngineResult<StagedRebuild> {
         let started = Instant::now();
         let model = Arc::new(build_model(algorithm, matrix, config, governor)?);
+        let train_time = started.elapsed();
         let index = refresh_index(old_index, &model, governor, index_pool)?;
         Ok(StagedRebuild {
             model,
             index,
+            train_time,
             build_time: started.elapsed(),
         })
     }

@@ -113,7 +113,8 @@ impl<'db> Session<'db> {
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         if let Some(txn) = self.state.txn.take() {
-            self.db.abort_txn(txn, "abort");
+            // Nothing to report an undo failure to from `drop`.
+            let _ = self.db.abort_txn(txn, "abort");
         }
     }
 }

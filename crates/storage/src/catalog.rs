@@ -71,13 +71,7 @@ impl Table {
             .map(|c| self.schema().resolve(c))
             .collect::<StorageResult<_>>()?;
         let mut idx = BTreeIndex::new(index_name, ordinals);
-        for page_no in 0..self.heap.page_count() as u32 {
-            self.heap.visit_page(page_no, |page| {
-                for (slot, tuple) in page.iter_live() {
-                    idx.insert(idx.key_of(&tuple), Rid::new(page_no, slot));
-                }
-            })?;
-        }
+        backfill(&self.heap, std::slice::from_mut(&mut idx))?;
         self.indexes.push(idx);
         Ok(())
     }
@@ -185,27 +179,42 @@ impl Table {
         last_page: Option<Page>,
     ) -> StorageResult<()> {
         self.heap.rollback_tail(page_count, last_page)?;
-        self.rebuild_indexes();
-        Ok(())
+        self.rebuild_indexes()
     }
 
     /// Restore a full [`Table::snapshot_pages`] pre-image and rebuild the
     /// secondary indexes from it.
     pub fn rollback_pages(&mut self, pages: Vec<Page>) -> StorageResult<()> {
         self.heap.rollback_pages(pages)?;
-        self.rebuild_indexes();
-        Ok(())
+        self.rebuild_indexes()
     }
 
-    fn rebuild_indexes(&mut self) {
-        let heap = &self.heap;
+    /// Refill every secondary index from the heap. A page the pool cannot
+    /// produce fails the call, leaving the indexes partly filled.
+    fn rebuild_indexes(&mut self) -> StorageResult<()> {
         for idx in &mut self.indexes {
             idx.clear();
-            for (rid, tuple) in heap.scan() {
-                idx.insert(idx.key_of(&tuple), rid);
-            }
         }
+        backfill(&self.heap, &mut self.indexes)
     }
+}
+
+/// Insert every live row of `heap` into each of `indexes`, one pool access
+/// per page.
+fn backfill(heap: &HeapTable, indexes: &mut [BTreeIndex]) -> StorageResult<()> {
+    if indexes.is_empty() {
+        return Ok(());
+    }
+    for page_no in 0..heap.page_count() as u32 {
+        heap.visit_page(page_no, |page| {
+            for (slot, tuple) in page.iter_live() {
+                for idx in indexes.iter_mut() {
+                    idx.insert(idx.key_of(&tuple), Rid::new(page_no, slot));
+                }
+            }
+        })?;
+    }
+    Ok(())
 }
 
 /// The database catalog: a named collection of tables sharing one buffer

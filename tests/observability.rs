@@ -88,6 +88,35 @@ fn counters_move_across_a_scripted_durable_session() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// An N%-rule rebuild observes each of its three stages once — scanning
+/// the ratings into a matrix, training, refreshing the score index — and
+/// `CREATE RECOMMENDER`, which is not a rebuild, observes none.
+#[test]
+fn rebuild_stages_are_timed_once_per_rebuild() {
+    let db = RecDb::new();
+    db.execute_script(SCHEMA).expect("schema + recommender");
+    // Eight ratings trained on: each single-row insert is 12.5 % pending,
+    // past the default 10 % rule.
+    for user in 10..13 {
+        db.execute(&format!("INSERT INTO ratings VALUES ({user}, 2, 4.0)"))
+            .expect("insert");
+    }
+    let snap = db.metrics_snapshot();
+    let builds = snap
+        .histogram("recdb_model_build_micros{algorithm=\"ItemCosCF\"}")
+        .expect("model build histogram");
+    let rebuilds = builds.count - 1;
+    assert_eq!(rebuilds, 3, "one rebuild per insert");
+    for stage in ["load", "train", "refresh"] {
+        let timed = snap
+            .histogram(&format!(
+                "recdb_model_rebuild_stage_micros{{stage=\"{stage}\"}}"
+            ))
+            .expect("stage histogram");
+        assert_eq!(timed.count, rebuilds, "{stage}");
+    }
+}
+
 #[test]
 fn cache_manager_decisions_are_counted() {
     let db = RecDb::with_config(RecDbConfig {

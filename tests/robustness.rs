@@ -536,6 +536,57 @@ fn pool_fault_in_a_scan_is_an_error_not_a_contained_panic() {
     }
 }
 
+/// ROLLBACK rebuilds a table's secondary indexes by reading its heap back
+/// through the pool; a page the pool cannot produce there is the
+/// ROLLBACK's storage error — not a panic contained inside the abort —
+/// and the heap is restored all the same. Appends (the heap's tail) and
+/// deletes (whole pages) take different undo paths; both are covered.
+#[test]
+fn pool_fault_during_rollback_is_a_storage_error() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let db = small_pool_db(None);
+    db.execute("CREATE INDEX ratings_uid ON ratings (uid)")
+        .expect("create index");
+    let mut session = db.session();
+    for sql in [
+        "DELETE FROM ratings WHERE uid = 3",
+        "INSERT INTO ratings VALUES (3, 9000, 1.5)",
+    ] {
+        session.execute("BEGIN").expect("begin");
+        session
+            .execute(sql)
+            .expect("statement inside the transaction");
+        fault::arm_error("storage::pool_read", 1);
+        let err = session
+            .execute("ROLLBACK")
+            .expect_err("reading the restored heap fails");
+        assert_eq!(fault::triggered("storage::pool_read"), 1, "{sql}");
+        fault::clear();
+        assert!(
+            matches!(
+                err,
+                EngineError::Storage(_) | EngineError::Corruption { .. }
+            ),
+            "{sql}: {err:?}"
+        );
+        assert!(
+            err.to_string().contains("storage::pool_read"),
+            "{sql}: {err}"
+        );
+        assert!(!session.in_transaction(), "{sql}");
+        let rows = session
+            .query("SELECT iid FROM ratings WHERE uid = 3")
+            .expect("scan after the failed rollback");
+        assert_eq!(rows.len(), 500, "{sql}: the heap was restored");
+    }
+    assert_eq!(
+        db.metrics_snapshot()
+            .counter("recdb_txn_abort_panics_total"),
+        0
+    );
+}
+
 /// Corrupt data is fatal, and says where: a checksum-bad spill block
 /// under a scan is the engine's `Corruption` error naming table, file and
 /// page, which the wire layer does not offer for retry.
