@@ -149,8 +149,9 @@ impl ItemCfModel {
         );
         out.extend(items.iter().map(|&i| {
             let (mut num, mut den) = (0.0, 0.0);
-            for &(l, sim) in self.neighborhood.neighbors(i) {
-                if let Some(r_ul) = rated.get(l) {
+            let (neighbors, sims) = self.neighborhood.neighbors(i);
+            for (&l, &sim) in neighbors.iter().zip(sims) {
+                if let Some(r_ul) = rated.get(l as usize) {
                     num += sim * r_ul;
                     den += sim.abs();
                 }
@@ -228,15 +229,10 @@ mod tests {
         let m = figure1();
         for &u in m.matrix().user_ids() {
             let uidx = m.matrix().user_idx(u).unwrap();
-            let row = m.matrix().user_row(uidx);
-            if row.is_empty() {
-                continue;
-            }
-            let lo = row.iter().map(|&(_, r)| r).fold(f64::INFINITY, f64::min);
-            let hi = row
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let (_, row) = m.matrix().user_csr().row(uidx);
+            let lo = row.iter().copied().fold(f32::INFINITY, f32::min);
+            let hi = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let (lo, hi) = (f64::from(lo), f64::from(hi));
             for &i in m.matrix().item_ids() {
                 if let Some(p) = predict(&m, u, i) {
                     assert!(

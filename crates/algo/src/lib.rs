@@ -2,6 +2,8 @@
 //!
 //! The recommendation algorithms of the RecDB paper (ICDE 2017 §II–§IV):
 //!
+//! * [`csr`] — compressed sparse rows, the one sparse layout: built by a
+//!   stable counting sort, transposed by the same,
 //! * [`ratings::RatingsMatrix`] — sparse user/item ratings with row and
 //!   column views (the "UserVector" / "ItemVector" tables of Algorithm 1),
 //! * [`similarity`] — cosine and Pearson correlation over co-rated
@@ -23,6 +25,7 @@
 //! * [`parallel`] / [`topk`] — scoped-thread scheduling and stable bounded
 //!   top-k selection shared by the model builders and the executor.
 
+pub mod csr;
 pub mod eval;
 pub mod itemcf;
 pub mod kernels;
@@ -38,12 +41,13 @@ pub mod svd;
 pub mod topk;
 pub mod usercf;
 
+pub use csr::Csr;
 pub use itemcf::ItemCfModel;
 pub use model::{Algorithm, RecModel, TrainError};
 pub use neighborhood::{NeighborhoodParams, NeighborhoodTable, ScoreScratch};
 pub use parallel::effective_threads;
 pub use popularity::PopularityModel;
-pub use ratings::{Csr, Rating, RatingsMatrix};
+pub use ratings::{Rating, RatingsMatrix};
 pub use similarity::Similarity;
 pub use svd::{SvdModel, SvdParams};
 pub use topk::{top_k_by, TopK};

@@ -602,8 +602,7 @@ mod tests {
                     let model = RecModel::train(algo, m.clone(), &config);
                     if let RecModel::Item(item) = &model {
                         let t = item.neighborhood();
-                        negative_sims |=
-                            (0..t.len()).any(|i| t.neighbors(i).iter().any(|&(_, s)| s < 0.0));
+                        negative_sims |= t.forward().iter().any(|(_, _, s)| s < 0.0);
                         empty_reverse |= (0..t.len()).any(|i| t.reverse(i).0.is_empty());
                     }
                     let (mut batch, mut listed) = (Vec::new(), Vec::new());

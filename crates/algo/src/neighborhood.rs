@@ -5,7 +5,7 @@
 //! item, the list of `(neighbor item, SimScore)` pairs (paper §IV-A1). For
 //! user–user CF it is the symmetric *User Neighborhood Table*. Both come
 //! from one row-at-a-time sparse product (Gustavson's `AᵀA`) over the two
-//! CSR views of [`RatingsMatrix`] ([`crate::ratings::Csr`]): for entity
+//! CSR views of [`RatingsMatrix`] ([`Csr`]): for entity
 //! `a`, walk its row (its raters `u`, ascending) and for each `u` walk
 //! `u`'s row in the *other* view, adding the term into a dense slot per
 //! partner `b`. Only pairs that share a rater are visited — `Σᵤ nᵤ²`
@@ -52,25 +52,27 @@
 //! CSR views: its sums, its truncation under a *total* order (`|sim|`
 //! descending, then neighbor index ascending) and its final sort by
 //! neighbor index depend on nothing another worker does. Scheduling only
-//! decides *who* computes a row; finished rows are placed by index.
+//! decides *who* computes a row; the counting sort of
+//! [`Csr::from_triples`] places finished rows by index.
 //!
-//! # Reverse adjacency
+//! # Forward and reverse lists
 //!
-//! Eq. 2 for *one* candidate `i` reads the forward list `N(i)`. Scoring
-//! *every* candidate of one user instead walks the table the other way:
-//! for each item `l` the user rated, which candidates `i` list `l` as a
-//! neighbor? That is the transpose `rev(l) = {(i, sim(i, l)) : l ∈ N(i)}`
-//! ([`NeighborhoodTable::reverse`]), stored as flat CSR (`row_ptr` /
-//! `u32` index / `f64` sim, 12 B per pair). Untruncated tables are
-//! symmetric, truncated ones are not, so the transpose is always built
-//! explicitly — by a serial counting sort over the *canonical* forward
-//! lists, after truncation and the final sort, which makes it a pure
-//! function of them and therefore identical at every `threads` too.
-//! [`crate::itemcf`] describes the scoring pass that consumes it.
+//! The table is two [`Csr`]s with `f64` sims, 12 B per pair each. Eq. 2
+//! for *one* candidate `i` reads the forward list `N(i)`. Scoring *every*
+//! candidate of one user instead walks the table the other way: for each
+//! item `l` the user rated, which candidates `i` list `l` as a neighbor?
+//! That is the transpose `rev(l) = {(i, sim(i, l)) : l ∈ N(i)}`
+//! ([`NeighborhoodTable::reverse`]). Untruncated tables are symmetric,
+//! truncated ones are not, so the transpose is always built explicitly —
+//! by [`Csr::transpose`] over the *canonical* forward lists, after
+//! truncation and the final sort, which makes it a pure function of them
+//! and therefore identical at every `threads` too. [`crate::itemcf`]
+//! describes the scoring pass that consumes it.
 
+use crate::csr::Csr;
 use crate::model::TrainError;
 use crate::parallel::{effective_threads, for_each_chunk};
-use crate::ratings::{Csr, RatingsMatrix};
+use crate::ratings::RatingsMatrix;
 use crate::similarity::{CoRatedSums, Similarity};
 use recdb_guard::QueryGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,104 +121,65 @@ impl NeighborhoodParams {
     }
 }
 
-/// A similarity-list table over `n` entities: `lists[e]` holds sorted
-/// `(neighbor_idx, sim)` pairs (sorted by neighbor index for merge joins),
-/// plus the same pairs transposed (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+/// A similarity-list table over `n` entities: row `e` of `forward` holds
+/// `e`'s `(neighbor_idx, sim)` pairs sorted by neighbor index (for merge
+/// joins), and `reverse` is its transpose (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborhoodTable {
-    lists: Vec<Vec<(usize, f64)>>,
-    /// `rev_idx/rev_sim[rev_ptr[l]..rev_ptr[l + 1]]` = every `(e, sim(e, l))`
-    /// with `l ∈ lists[e]`, ascending in `e`.
-    rev_ptr: Vec<usize>,
-    rev_idx: Vec<u32>,
-    rev_sim: Vec<f64>,
-}
-
-impl Default for NeighborhoodTable {
-    fn default() -> Self {
-        NeighborhoodTable::from_lists(Vec::new())
-    }
+    forward: Csr<f64>,
+    reverse: Csr<f64>,
 }
 
 impl NeighborhoodTable {
-    /// Build the table (forward lists plus their transpose) from one
-    /// `(neighbor_idx, sim)` list per entity, each sorted by neighbor
-    /// index with every index `< lists.len()`.
-    pub fn from_lists(lists: Vec<Vec<(usize, f64)>>) -> Self {
-        let n = lists.len();
-        // Counting-sort transpose: count each neighbor's in-degree, prefix
-        // sum into row starts, then place pairs walking `e` ascending so
-        // every reverse row comes out sorted by `e`.
-        let mut rev_ptr = vec![0usize; n + 1];
-        for list in &lists {
-            for &(l, _) in list {
-                rev_ptr[l + 1] += 1;
-            }
-        }
-        for l in 0..n {
-            rev_ptr[l + 1] += rev_ptr[l];
-        }
-        let mut next = rev_ptr.clone();
-        let mut rev_idx = vec![0u32; rev_ptr[n]];
-        let mut rev_sim = vec![0.0f64; rev_ptr[n]];
-        for (e, list) in lists.iter().enumerate() {
-            let e = u32::try_from(e).expect("dense index exceeds u32");
-            for &(l, sim) in list {
-                rev_idx[next[l]] = e;
-                rev_sim[next[l]] = sim;
-                next[l] += 1;
-            }
-        }
-        NeighborhoodTable {
-            lists,
-            rev_ptr,
-            rev_idx,
-            rev_sim,
-        }
+    /// The table whose forward lists are the rows of the square matrix
+    /// `forward`; the reverse lists are its transpose.
+    pub fn from_forward(forward: Csr<f64>) -> Self {
+        let reverse = forward.transpose(forward.n_rows());
+        NeighborhoodTable { forward, reverse }
     }
 
-    /// Neighbor list of entity `idx`, sorted by neighbor index.
-    pub fn neighbors(&self, idx: usize) -> &[(usize, f64)] {
-        &self.lists[idx]
+    /// The forward lists as one matrix: row `e` is `N(e)`.
+    pub fn forward(&self) -> &Csr<f64> {
+        &self.forward
+    }
+
+    /// Neighbor list of entity `idx` as parallel `(neighbor indexes,
+    /// sims)` slices, ascending in neighbor index.
+    pub fn neighbors(&self, idx: usize) -> (&[u32], &[f64]) {
+        self.forward.row(idx)
     }
 
     /// The entities that list `idx` as a neighbor, as parallel
     /// `(entity indexes, sims)` slices ascending in entity index:
     /// `sims[j] == sim(entities[j], idx)`.
     pub fn reverse(&self, idx: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.rev_ptr[idx], self.rev_ptr[idx + 1]);
-        (&self.rev_idx[lo..hi], &self.rev_sim[lo..hi])
+        self.reverse.row(idx)
     }
 
     /// Heap bytes of the reverse adjacency (what the user-at-a-time pass
     /// costs on top of the forward lists).
     pub fn reverse_bytes(&self) -> usize {
-        self.rev_ptr.len() * std::mem::size_of::<usize>()
-            + self.rev_idx.len() * std::mem::size_of::<u32>()
-            + self.rev_sim.len() * std::mem::size_of::<f64>()
+        self.reverse.heap_bytes()
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.forward.n_rows()
     }
 
     /// True when the table covers no entities.
     pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+        self.len() == 0
     }
 
     /// Total number of stored `(entity, neighbor)` pairs.
     pub fn total_pairs(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
+        self.forward.nnz()
     }
 
     /// Similarity between `a` and `b` if `b` is in `a`'s list.
     pub fn sim(&self, a: usize, b: usize) -> Option<f64> {
-        let list = &self.lists[a];
-        list.binary_search_by_key(&b, |&(n, _)| n)
-            .ok()
-            .map(|pos| list[pos].1)
+        self.forward.get(a, b)
     }
 }
 
@@ -419,9 +382,10 @@ struct RowWorker<S> {
     /// it empty).
     touched: Vec<u32>,
     /// The current row's scored neighbors, before truncation.
-    candidates: Vec<(usize, f64)>,
-    /// Finished `(entity, list)` rows.
-    rows: Vec<(usize, Vec<(usize, f64)>)>,
+    candidates: Vec<(u32, f64)>,
+    /// Finished rows as `(entity, neighbor, sim)`, each row ascending in
+    /// neighbor.
+    finished: Vec<(u32, u32, f64)>,
 }
 
 impl<S: Slot> RowWorker<S> {
@@ -431,19 +395,20 @@ impl<S: Slot> RowWorker<S> {
             acc: vec![S::default(); n],
             touched: Vec::new(),
             candidates: Vec::new(),
-            rows: Vec::new(),
+            finished: Vec::new(),
         }
     }
 
-    /// Entity `a`'s finished neighbor list. `entities` is the CSR view
-    /// whose rows are the entities being compared, `raters` its transpose.
+    /// Append entity `a`'s finished neighbor list to `finished`.
+    /// `entities` is the CSR view whose rows are the entities being
+    /// compared, `raters` its transpose.
     fn row(
         &mut self,
         a: usize,
-        entities: &Csr,
-        raters: &Csr,
+        entities: &Csr<f32>,
+        raters: &Csr<f32>,
         params: &NeighborhoodParams,
-    ) -> Vec<(usize, f64)> {
+    ) {
         let n = self.acc.len();
         let (a_raters, a_vals) = entities.row(a);
         // The row's term count is known before it starts. With at least as
@@ -474,16 +439,16 @@ impl<S: Slot> RowWorker<S> {
             }
         }
         self.candidates.clear();
-        let mut take = |b: usize| {
-            let sim = std::mem::take(&mut self.acc[b]).score();
-            if let Some(sim) = sim.filter(|s| b != a && s.abs() > params.min_abs_sim) {
+        let mut take = |b: u32| {
+            let sim = std::mem::take(&mut self.acc[b as usize]).score();
+            if let Some(sim) = sim.filter(|s| b as usize != a && s.abs() > params.min_abs_sim) {
                 self.candidates.push((b, sim));
             }
         };
         if scan {
-            (0..n).for_each(&mut take);
+            (0..n as u32).for_each(&mut take);
         } else {
-            self.touched.drain(..).for_each(|b| take(b as usize));
+            self.touched.drain(..).for_each(take);
         }
         if let Some(k) = params.max_neighbors.filter(|&k| k < self.candidates.len()) {
             // A total order (neighbor indexes are unique), so the kept set
@@ -494,7 +459,9 @@ impl<S: Slot> RowWorker<S> {
             self.candidates.truncate(k);
         }
         self.candidates.sort_unstable_by_key(|&(nb, _)| nb);
-        self.candidates.to_vec()
+        let a = a as u32;
+        self.finished
+            .extend(self.candidates.iter().map(|&(nb, sim)| (a, nb, sim)));
     }
 }
 
@@ -502,8 +469,8 @@ impl<S: Slot> RowWorker<S> {
 /// entries) and its transpose `raters`, with the slot of the measure; see
 /// the module docs.
 fn build_pairwise(
-    entities: &Csr,
-    raters: &Csr,
+    entities: &Csr<f32>,
+    raters: &Csr<f32>,
     params: &NeighborhoodParams,
     governor: Option<&QueryGuard>,
 ) -> Result<NeighborhoodTable, TrainError> {
@@ -514,8 +481,8 @@ fn build_pairwise(
 }
 
 fn build_rows<S: Slot>(
-    entities: &Csr,
-    raters: &Csr,
+    entities: &Csr<f32>,
+    raters: &Csr<f32>,
     params: &NeighborhoodParams,
     governor: Option<&QueryGuard>,
 ) -> Result<NeighborhoodTable, TrainError> {
@@ -551,19 +518,15 @@ fn build_rows<S: Slot>(
                 }
             }
             for a in range {
-                let list = worker.row(a, entities, raters, params);
-                worker.rows.push((a, list));
+                worker.row(a, entities, raters, params);
             }
         },
     );
     if let Some(e) = abort.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);
     }
-    let mut lists: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (a, list) in workers.into_iter().flat_map(|w| w.rows) {
-        lists[a] = list;
-    }
-    Ok(NeighborhoodTable::from_lists(lists))
+    let rows = workers.iter().flat_map(|w| w.finished.iter().copied());
+    Ok(NeighborhoodTable::from_forward(Csr::from_triples(n, rows)))
 }
 
 #[cfg(test)]
@@ -611,10 +574,8 @@ mod tests {
         let m = figure1();
         let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
         assert_eq!(t.len(), 3);
-        for a in 0..3 {
-            for &(b, s) in t.neighbors(a) {
-                assert_eq!(t.sim(b, a), Some(s), "symmetry {a}<->{b}");
-            }
+        for (a, b, s) in t.forward().iter() {
+            assert_eq!(t.sim(b as usize, a as usize), Some(s), "symmetry {a}<->{b}");
         }
     }
 
@@ -661,7 +622,7 @@ mod tests {
         let m = RatingsMatrix::from_ratings(ratings);
         let full = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
         let i0 = m.item_idx(0).unwrap();
-        assert_eq!(full.neighbors(i0).len(), 3);
+        assert_eq!(full.neighbors(i0).0.len(), 3);
         let trunc = build_item_neighborhood(
             &m,
             &NeighborhoodParams {
@@ -669,24 +630,15 @@ mod tests {
                 ..NeighborhoodParams::cosine()
             },
         );
-        assert_eq!(trunc.neighbors(i0).len(), 2);
         // The kept neighbors are the two with the highest |sim|.
-        let kept: Vec<usize> = trunc.neighbors(i0).iter().map(|&(n, _)| n).collect();
-        let mut sims: Vec<(usize, f64)> = full.neighbors(i0).to_vec();
-        sims.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
-        let strongest: Vec<usize> = sims[..2].iter().map(|&(n, _)| n).collect();
-        assert_eq!(
-            {
-                let mut k = kept.clone();
-                k.sort_unstable();
-                k
-            },
-            {
-                let mut s = strongest.clone();
-                s.sort_unstable();
-                s
-            }
-        );
+        let kept = trunc.neighbors(i0).0;
+        assert_eq!(kept.len(), 2);
+        let (nbs, sims) = full.neighbors(i0);
+        let mut ranked: Vec<(u32, f64)> = nbs.iter().copied().zip(sims.iter().copied()).collect();
+        ranked.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+        let mut strongest: Vec<u32> = ranked[..2].iter().map(|&(n, _)| n).collect();
+        strongest.sort_unstable();
+        assert_eq!(kept, &strongest[..]);
     }
 
     #[test]
@@ -707,7 +659,7 @@ mod tests {
         let m = figure1();
         let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
         for e in 0..t.len() {
-            assert!(t.neighbors(e).windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(t.neighbors(e).0.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -870,21 +822,16 @@ mod tests {
                     ..NeighborhoodParams::cosine()
                 },
             );
-            let kept: Vec<usize> = t.neighbors(i0).iter().map(|&(n, _)| n).collect();
-            assert_eq!(
-                kept,
-                vec![m.item_idx(1).unwrap(), m.item_idx(2).unwrap()],
-                "threads {threads}"
-            );
+            let want = [m.item_idx(1).unwrap(), m.item_idx(2).unwrap()].map(|i| i as u32);
+            assert_eq!(t.neighbors(i0).0, &want[..], "threads {threads}");
         }
     }
 
     #[test]
     fn truncated_rows_are_finished_before_they_are_kept() {
         // The memory bound of a `max_neighbors = Some(k)` build: a kept row
-        // is already cut to `k` entries in an exact-size allocation, and
-        // the only other list entries a worker holds are one row's
-        // candidates, fewer than `n` of them.
+        // is already cut to `k` entries, and the only other list entries a
+        // worker holds are one row's candidates, fewer than `n` of them.
         let m = random_matrix(11, 40, 30);
         let (n, k) = (m.n_items(), 3);
         let params = NeighborhoodParams {
@@ -892,19 +839,22 @@ mod tests {
             ..NeighborhoodParams::pearson()
         };
         let full = build_item_neighborhood(&m, &NeighborhoodParams::pearson());
-        assert!((0..n).any(|a| full.neighbors(a).len() > k), "cut must bite");
+        assert!(
+            (0..n).any(|a| full.neighbors(a).0.len() > k),
+            "cut must bite"
+        );
         let mut worker = RowWorker::<CoRatedSums>::new(n);
-        let mut kept = 0;
         for a in 0..n {
-            let list = worker.row(a, m.item_csr(), m.user_csr(), &params);
-            assert_eq!(list.len(), full.neighbors(a).len().min(k), "row {a}");
-            assert_eq!(list.capacity(), list.len(), "row {a} over-allocated");
+            let before = worker.finished.len();
+            worker.row(a, m.item_csr(), m.user_csr(), &params);
+            let kept = worker.finished.len() - before;
+            assert_eq!(kept, full.neighbors(a).0.len().min(k), "row {a}");
             assert!(worker.candidates.capacity() < 2 * n);
             assert!(worker.touched.is_empty() && worker.acc.iter().all(|s| s.n == 0));
-            kept += list.len();
         }
-        assert!(kept <= n * k);
-        assert_eq!(build_item_neighborhood(&m, &params).total_pairs(), kept);
+        assert!(worker.finished.len() <= n * k);
+        let table = build_item_neighborhood(&m, &params);
+        assert_eq!(table.forward().iter().collect::<Vec<_>>(), worker.finished);
     }
 
     #[test]

@@ -45,14 +45,12 @@ impl PopularityModel {
     pub fn train_with_damping(matrix: RatingsMatrix, damping: f64) -> Self {
         assert!(damping >= 0.0, "damping must be non-negative");
         let global_mean = matrix.global_mean();
-        // Each column's f64 ratings, added in ascending-user order from
-        // -0.0 — what `Sum` over the column did — so every score keeps its
-        // bits.
+        // Each column's ratings, widened to f64 and added in ascending-user
+        // order from -0.0 — what `Sum` over the column did — so every
+        // score keeps its bits.
         let mut sums = vec![-0.0f64; matrix.n_items()];
-        for u in 0..matrix.n_users() {
-            for &(i, r) in matrix.user_row(u) {
-                sums[i] += r;
-            }
+        for (_, i, r) in matrix.user_csr().iter() {
+            sums[i as usize] += f64::from(r);
         }
         let item_scores = sums
             .into_iter()
@@ -180,9 +178,10 @@ mod tests {
     }
 
     /// Scores and the global mean keep their bits against sums written out
-    /// from the ratings, each column in ascending-user order: f32-inexact
-    /// values, a re-rated pair, and — under a negative global mean, where
-    /// the sign survives — an item rated only -0.0.
+    /// from the ratings as the model stores them (widened from f32), each
+    /// column in ascending-user order: f32-inexact values, a re-rated pair,
+    /// and — under a negative global mean, where the sign survives — an
+    /// item rated only -0.0.
     #[test]
     fn scores_match_a_column_sum_reference_bit_for_bit() {
         let ratings = vec![
@@ -201,7 +200,7 @@ mod tests {
         let mut cells = std::collections::BTreeMap::new();
         for r in &ratings {
             let (u, i) = (matrix.user_idx(r.user), matrix.item_idx(r.item));
-            cells.insert((u.unwrap(), i.unwrap()), r.value);
+            cells.insert((u.unwrap(), i.unwrap()), f64::from(r.value as f32));
         }
         let mean = cells.values().sum::<f64>() / cells.len() as f64;
         assert!(mean < 0.0);

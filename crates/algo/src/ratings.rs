@@ -2,109 +2,15 @@
 //!
 //! [`RatingsMatrix`] is the in-memory form of the paper's `Ratings(uid, iid,
 //! ratingval)` table: external 64-bit user/item ids are mapped to dense
-//! indexes. Each user's row of `(item, f64 rating)` pairs, sorted by item,
-//! is the one exact copy of the ratings (what [`RatingsMatrix::rating_at`]
-//! reads). Beside it sit two read-only CSR views with `f32` values for the
-//! numeric kernels: by user (the *UserVector table* of Algorithm 1) and its
-//! transpose by item (the *ItemVector table*), each row sorted by dense
-//! index so similarity computations can merge-intersect in linear time.
+//! indexes, and the ratings are stored once, as a [`Csr`] by user (the
+//! *UserVector table* of Algorithm 1) beside its transpose by item (the
+//! *ItemVector table*), each row sorted by dense index so similarity
+//! computations can merge-intersect in linear time. Values are `f32`, the
+//! precision every model consumes; the heap keeps the `f64` the user
+//! inserted, and every half-star rating is exact in both.
 
+use crate::csr::Csr;
 use std::collections::HashMap;
-
-/// Compressed-sparse-row view of one orientation of the ratings matrix.
-///
-/// Row `r` occupies `row_ptr[r] .. row_ptr[r + 1]` in the two flat
-/// arrays: `col_idx` holds the dense column indexes (sorted ascending
-/// within each row, `u32` — half the footprint of `usize`) and `values`
-/// the ratings, narrowed to `f32` for the numeric kernels. The views are
-/// built once from the user rows and are read-only; the rows stay
-/// authoritative for `f64` lookups.
-#[derive(Debug, Clone, Default)]
-pub struct Csr {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f32>,
-}
-
-impl Csr {
-    fn from_rows(rows: &[Vec<(usize, f64)>]) -> Self {
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for row in rows {
-            for &(col, val) in row {
-                col_idx.push(u32::try_from(col).expect("dense index exceeds u32"));
-                values.push(val as f32);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr {
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// The transpose over `n_cols` columns, by the counting sort
-    /// [`crate::NeighborhoodTable::from_lists`] transposes with: count each
-    /// column, prefix-sum into row starts, then place entries walking rows
-    /// ascending, so every transposed row comes out sorted.
-    fn transpose(&self, n_cols: usize) -> Self {
-        let mut row_ptr = vec![0usize; n_cols + 1];
-        for &c in &self.col_idx {
-            row_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..n_cols {
-            row_ptr[c + 1] += row_ptr[c];
-        }
-        let mut next = row_ptr[..n_cols].to_vec();
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        for r in 0..self.n_rows() {
-            let r32 = u32::try_from(r).expect("dense index exceeds u32");
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let at = &mut next[c as usize];
-                col_idx[*at] = r32;
-                values[*at] = v;
-                *at += 1;
-            }
-        }
-        Csr {
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// Number of rows in this orientation.
-    pub fn n_rows(&self) -> usize {
-        self.row_ptr.len().saturating_sub(1)
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Row `r` as parallel `(column indexes, values)` slices.
-    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
-    }
-
-    /// The half-open range of row `r` in the flat arrays.
-    pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
-        self.row_ptr[r]..self.row_ptr[r + 1]
-    }
-
-    /// The row-pointer array (`n_rows + 1` entries, first 0, last `nnz`).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-}
 
 /// One `(user, item, rating)` observation with external ids.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,13 +37,11 @@ pub struct RatingsMatrix {
     item_ids: Vec<i64>,
     user_index: HashMap<i64, usize>,
     item_index: HashMap<i64, usize>,
-    /// `by_user[u]` = sorted `(item_idx, rating)` list.
-    by_user: Vec<Vec<(usize, f64)>>,
     /// CSR over users (row = user, col = item), built once in
     /// [`RatingsMatrix::from_ratings`].
-    user_csr: Csr,
-    /// CSR over items (row = item, col = user) — the CSC view.
-    item_csr: Csr,
+    user_csr: Csr<f32>,
+    /// CSR over items (row = item, col = user): the user CSR's transpose.
+    item_csr: Csr<f32>,
 }
 
 impl RatingsMatrix {
@@ -147,26 +51,15 @@ impl RatingsMatrix {
     pub fn from_ratings(ratings: impl IntoIterator<Item = Rating>) -> Self {
         let mut m = RatingsMatrix::default();
         // Ids intern in first-appearance order, duplicates included.
-        for r in ratings {
-            let u = intern(&mut m.user_index, &mut m.user_ids, r.user);
-            let i = intern(&mut m.item_index, &mut m.item_ids, r.item);
-            m.by_user.resize_with(m.user_ids.len(), Vec::new);
-            m.by_user[u].push((i, r.value));
-        }
-        // Last-wins: the stable sort keeps a pair's duplicates in arrival
-        // order, and each later one overwrites the kept entry.
-        for row in &mut m.by_user {
-            row.sort_by_key(|&(i, _)| i);
-            row.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    kept.1 = later.1;
-                }
-                same
-            });
-            row.shrink_to_fit();
-        }
-        m.user_csr = Csr::from_rows(&m.by_user);
+        let triples: Vec<(u32, u32, f32)> = ratings
+            .into_iter()
+            .map(|r| {
+                let u = intern(&mut m.user_index, &mut m.user_ids, r.user);
+                let i = intern(&mut m.item_index, &mut m.item_ids, r.item);
+                (u, i, r.value as f32)
+            })
+            .collect();
+        m.user_csr = Csr::from_triples(m.n_users(), triples.iter().copied());
         m.item_csr = m.user_csr.transpose(m.n_items());
         m
     }
@@ -216,29 +109,21 @@ impl RatingsMatrix {
         &self.item_ids
     }
 
-    /// A user's rated items as sorted `(item_idx, rating)` pairs.
-    pub fn user_row(&self, user_idx: usize) -> &[(usize, f64)] {
-        &self.by_user[user_idx]
-    }
-
     /// CSR view over users: row `u` = user `u`'s `(item_idx, rating)`
     /// entries as parallel flat slices. Empty for a default matrix.
-    pub fn user_csr(&self) -> &Csr {
+    pub fn user_csr(&self) -> &Csr<f32> {
         &self.user_csr
     }
 
     /// CSR view over items (the CSC of the user view): row `i` = item
     /// `i`'s `(user_idx, rating)` entries.
-    pub fn item_csr(&self) -> &Csr {
+    pub fn item_csr(&self) -> &Csr<f32> {
         &self.item_csr
     }
 
     /// The rating user `user_idx` gave item `item_idx`, if any.
     pub fn rating_at(&self, user_idx: usize, item_idx: usize) -> Option<f64> {
-        let row = &self.by_user[user_idx];
-        row.binary_search_by_key(&item_idx, |&(i, _)| i)
-            .ok()
-            .map(|pos| row[pos].1)
+        self.user_csr.get(user_idx, item_idx).map(f64::from)
     }
 
     /// Dense indexes of the items user `user_idx` has **not** rated,
@@ -262,21 +147,18 @@ impl RatingsMatrix {
         if self.n_ratings() == 0 {
             return 0.0;
         }
-        let sum: f64 = self
-            .by_user
-            .iter()
-            .flat_map(|row| row.iter().map(|&(_, r)| r))
-            .sum();
+        let sum: f64 = self.user_csr.iter().map(|(_, _, r)| f64::from(r)).sum();
         sum / self.n_ratings() as f64
     }
 }
 
 /// `id`'s dense index, assigning the next one on first sight.
-fn intern(index: &mut HashMap<i64, usize>, ids: &mut Vec<i64>, id: i64) -> usize {
-    *index.entry(id).or_insert_with(|| {
+fn intern(index: &mut HashMap<i64, usize>, ids: &mut Vec<i64>, id: i64) -> u32 {
+    let idx = *index.entry(id).or_insert_with(|| {
         ids.push(id);
         ids.len() - 1
-    })
+    });
+    u32::try_from(idx).expect("dense index exceeds u32")
 }
 
 #[cfg(test)]
@@ -308,7 +190,8 @@ mod tests {
     fn row_and_column_views_agree() {
         let m = small();
         let u2 = m.user_idx(2).unwrap();
-        let rated: Vec<i64> = m.user_row(u2).iter().map(|&(i, _)| m.item_id(i)).collect();
+        let (items, _) = m.user_csr().row(u2);
+        let rated: Vec<i64> = items.iter().map(|&i| m.item_id(i as usize)).collect();
         assert_eq!(rated, vec![1, 2, 3]); // sorted by dense idx = first-seen
         let i1 = m.item_idx(1).unwrap();
         let (users, _) = m.item_csr().row(i1);
@@ -347,7 +230,7 @@ mod tests {
     fn adjacency_lists_sorted() {
         let m = small();
         for u in 0..m.n_users() {
-            assert!(m.user_row(u).windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(m.user_csr().row(u).0.windows(2).all(|w| w[0] < w[1]));
         }
         for i in 0..m.n_items() {
             assert!(m.item_csr().row(i).0.windows(2).all(|w| w[0] < w[1]));
@@ -355,31 +238,36 @@ mod tests {
     }
 
     #[test]
-    fn csr_views_mirror_jagged_rows() {
+    fn item_view_is_the_user_view_transposed() {
         let m = small();
         assert_eq!(m.user_csr().n_rows(), m.n_users());
         assert_eq!(m.item_csr().n_rows(), m.n_items());
-        assert_eq!(m.user_csr().nnz(), m.n_ratings());
         assert_eq!(m.item_csr().nnz(), m.n_ratings());
-        let mut columns = vec![Vec::new(); m.n_items()];
-        for u in 0..m.n_users() {
-            let (cols, vals) = m.user_csr().row(u);
-            let jagged = m.user_row(u);
-            assert_eq!(cols.len(), jagged.len());
-            for ((&c, &v), &(i, r)) in cols.iter().zip(vals).zip(jagged) {
-                assert_eq!(c as usize, i);
-                assert_eq!(f64::from(v), r, "half-star ratings are f32-exact");
-                columns[i].push((u, r));
-            }
+        for (u, i, r) in m.user_csr().iter() {
+            assert_eq!(m.item_csr().get(i as usize, u as usize), Some(r));
         }
-        for (i, column) in columns.iter().enumerate() {
-            let (cols, vals) = m.item_csr().row(i);
-            assert_eq!(cols.len(), column.len());
-            for ((&c, &v), &(u, r)) in cols.iter().zip(vals).zip(column) {
-                assert_eq!(c as usize, u);
-                assert_eq!(f64::from(v), r);
-            }
-        }
+    }
+
+    /// The one precision change of storing the ratings once: an
+    /// f32-inexact rating reads back widened from f32, and Popularity
+    /// averages the widened values.
+    #[test]
+    fn ratings_are_held_at_f32() {
+        let m = RatingsMatrix::from_ratings(vec![
+            Rating::new(1, 1, 3.7),
+            Rating::new(2, 1, 4.5),
+            Rating::new(2, 2, 1.0),
+        ]);
+        let widened = f64::from(3.7f32);
+        assert_ne!(widened, 3.7);
+        assert_eq!(m.rating_of(1, 1), Some(widened));
+        let mean = (widened + 4.5 + 1.0) / 3.0;
+        assert_eq!(m.global_mean(), mean);
+        let k = crate::popularity::DEFAULT_DAMPING;
+        let model = crate::PopularityModel::train(m.clone());
+        let mut score = Vec::new();
+        model.predict_items_into(&[m.item_idx(1).unwrap()], &mut score);
+        assert_eq!(score, vec![Some((widened + 4.5 + k * mean) / (2.0 + k))]);
     }
 
     #[test]
@@ -389,7 +277,7 @@ mod tests {
         assert_eq!(ptr.first(), Some(&0));
         assert_eq!(ptr.last(), Some(&m.n_ratings()));
         assert!(ptr.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(m.user_csr().row_range(0), 0..m.user_row(0).len());
+        assert_eq!(m.user_csr().row_range(0), 0..m.user_csr().row(0).0.len());
     }
 
     #[test]

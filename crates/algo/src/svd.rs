@@ -51,10 +51,11 @@
 //! accumulated *during* the epoch) while the block path evaluates at
 //! training end; both converge to the same notion as training settles.
 
+use crate::csr::Csr;
 use crate::kernels;
 use crate::model::TrainError;
 use crate::parallel::effective_threads;
-use crate::ratings::{Csr, RatingsMatrix};
+use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
 
 /// Hyper-parameters for SGD matrix factorization.
@@ -304,19 +305,6 @@ impl SvdModel {
     }
 }
 
-/// Collect the CSR triples as `(user, item, rating)` with narrow indexes.
-fn collect_triples(matrix: &RatingsMatrix) -> Vec<(u32, u32, f32)> {
-    let csr = matrix.user_csr();
-    let mut triples = Vec::with_capacity(csr.nnz());
-    for u in 0..matrix.n_users() {
-        let (cols, vals) = csr.row(u);
-        for (&i, &r) in cols.iter().zip(vals) {
-            triples.push((u as u32, i, r));
-        }
-    }
-    triples
-}
-
 /// The exact sequential SGD loop (`rng` continues the initialization
 /// generator, so the update stream depends only on the seed). Returns the
 /// during-epoch training RMSE of the final epoch.
@@ -330,7 +318,7 @@ fn sgd_serial(
     item_factors: &mut [f32],
     governor: Option<&QueryGuard>,
 ) -> Result<f64, TrainError> {
-    let triples = collect_triples(matrix);
+    let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
     let lr = params.learning_rate as f32;
     let lambda = params.lambda as f32;
     let mut order: Vec<u32> = (0..triples.len() as u32).collect();
@@ -367,7 +355,7 @@ fn sgd_serial(
 /// `B` cells of a sub-epoch run concurrently without synchronization.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
-    csr: &Csr,
+    csr: &Csr<f32>,
     splits: &[u32],
     b: usize,
     per_u: usize,
@@ -534,7 +522,7 @@ fn sgd_block_sequential(
             }
         }
     }
-    let triples = collect_triples(matrix);
+    let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
     Ok(parallel_rmse(&triples, user_factors, item_factors, f, b))
 }
 

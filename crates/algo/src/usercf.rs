@@ -102,8 +102,9 @@ impl UserCfModel {
         out: &mut Vec<(usize, f64)>,
     ) {
         let acc = scratch.reset(self.matrix.n_items());
-        for &(v, sim) in self.neighborhood.neighbors(u) {
-            let (items, ratings) = self.matrix.user_csr().row(v);
+        let (neighbors, sims) = self.neighborhood.neighbors(u);
+        for (&v, &sim) in neighbors.iter().zip(sims) {
+            let (items, ratings) = self.matrix.user_csr().row(v as usize);
             for (&i, &r_vi) in items.iter().zip(ratings) {
                 let [num, den] = &mut acc[i as usize];
                 *num += sim * f64::from(r_vi);
@@ -125,9 +126,13 @@ impl UserCfModel {
         scratch: &mut ScoreScratch,
         out: &mut Vec<Option<f64>>,
     ) {
+        let (neighbors, sims) = self.neighborhood.neighbors(u);
         let sims = scratch.mark(
             self.matrix.n_users(),
-            self.neighborhood.neighbors(u).iter().copied(),
+            neighbors
+                .iter()
+                .zip(sims)
+                .map(|(&v, &sim)| (v as usize, sim)),
         );
         out.extend(items.iter().map(|&i| {
             let (raters, ratings) = self.matrix.item_csr().row(i);

@@ -89,7 +89,7 @@ fn sparse_kernel_matrix_strategy() -> impl Strategy<Value = RatingsMatrix> {
 /// The all-pairs build the row product replaced: merge-intersect every
 /// pair of rows of `rows` (values widened from the same `f32` storage),
 /// then truncate each list by `|sim|` descending, index ascending.
-fn all_pairs_oracle(rows: &Csr, params: &NeighborhoodParams) -> NeighborhoodTable {
+fn all_pairs_oracle(rows: &Csr<f32>, params: &NeighborhoodParams) -> NeighborhoodTable {
     let n = rows.n_rows();
     let vectors: Vec<Vec<(usize, f64)>> = (0..n)
         .map(|e| {
@@ -117,17 +117,19 @@ fn all_pairs_oracle(rows: &Csr, params: &NeighborhoodParams) -> NeighborhoodTabl
         }
         list.sort_by_key(|&(nb, _)| nb);
     }
-    NeighborhoodTable::from_lists(lists)
+    let triples = lists.iter().enumerate().flat_map(|(e, list)| {
+        list.iter()
+            .map(move |&(nb, sim)| (e as u32, nb as u32, sim))
+    });
+    NeighborhoodTable::from_forward(Csr::from_triples(n, triples))
 }
 
 /// `reverse(l)` must hold exactly the forward pairs that name `l`, same
 /// sim bits, ascending in entity.
 fn assert_reverse_is_transpose(table: &NeighborhoodTable) -> Result<(), TestCaseError> {
     let mut transposed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); table.len()];
-    for e in 0..table.len() {
-        for &(l, sim) in table.neighbors(e) {
-            transposed[l].push((e, sim.to_bits()));
-        }
+    for (e, l, sim) in table.forward().iter() {
+        transposed[l as usize].push((e as usize, sim.to_bits()));
     }
     for (l, want) in transposed.iter().enumerate() {
         let (entities, sims) = table.reverse(l);
@@ -147,48 +149,35 @@ fn assert_reverse_is_transpose(table: &NeighborhoodTable) -> Result<(), TestCase
 fn forward_bits(table: &NeighborhoodTable) -> Vec<Vec<(usize, u64)>> {
     (0..table.len())
         .map(|e| {
-            table
-                .neighbors(e)
-                .iter()
-                .map(|&(nb, sim)| (nb, sim.to_bits()))
+            let (nbs, sims) = table.neighbors(e);
+            nbs.iter()
+                .zip(sims)
+                .map(|(&nb, sim)| (nb as usize, sim.to_bits()))
                 .collect()
         })
         .collect()
 }
 
-/// Item `i`'s raters as `(user_idx, rating)`, from the CSR column view.
-fn item_col(m: &RatingsMatrix, i: usize) -> Vec<(usize, f64)> {
-    let (users, vals) = m.item_csr().row(i);
-    users
-        .iter()
+/// Row `r` of `m` as `(column, value)` pairs.
+fn row_pairs<V: Copy>(m: &Csr<V>, r: usize) -> Vec<(usize, V)> {
+    let (cols, vals) = m.row(r);
+    cols.iter()
         .zip(vals)
-        .map(|(&u, &v)| (u as usize, f64::from(v)))
+        .map(|(&c, &v)| (c as usize, v))
         .collect()
 }
 
-/// The user CSR view holds the jagged rows' coordinates in the same order
-/// with bit-equal (f32-exact) values, and the item view is its transpose:
-/// each column's raters ascending.
-fn assert_csr_mirrors_jagged(m: &RatingsMatrix) -> Result<(), TestCaseError> {
-    prop_assert_eq!(m.user_csr().nnz(), m.n_ratings());
-    prop_assert_eq!(m.item_csr().nnz(), m.n_ratings());
-    prop_assert_eq!(m.user_csr().n_rows(), m.n_users());
-    prop_assert_eq!(m.item_csr().n_rows(), m.n_items());
-    let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m.n_items()];
-    for u in 0..m.n_users() {
-        let (cols, vals) = m.user_csr().row(u);
-        let jagged = m.user_row(u);
-        prop_assert_eq!(cols.len(), jagged.len());
-        for (k, &(i, r)) in jagged.iter().enumerate() {
-            prop_assert_eq!(cols[k] as usize, i);
-            prop_assert_eq!(f64::from(vals[k]), r, "half-star ratings are f32-exact");
-            columns[i].push((u, r));
-        }
-    }
-    for (i, want) in columns.iter().enumerate() {
-        prop_assert_eq!(&item_col(m, i), want, "column {}", i);
-    }
-    Ok(())
+/// Arbitrary `(row, col, value)` triples over a small grid, duplicates
+/// likely, with the grid's row and column counts.
+fn triples_strategy() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f64)>)> {
+    (1usize..8, 1usize..8).prop_flat_map(|(rows, cols)| {
+        let cell = (0..rows as u32, 0..cols as u32, -5.0f64..5.0);
+        (
+            Just(rows),
+            Just(cols),
+            proptest::collection::vec(cell, 0..40),
+        )
+    })
 }
 
 /// Ratings for the candidate-list oracle: half stars mixed with ±0.0,
@@ -234,7 +223,7 @@ fn merge_reference(model: &RecModel, u: usize, i: usize) -> Option<f64> {
             svd.item_vector(i),
         ))),
         RecModel::Popular(p) => {
-            // The column in ascending-user order, from the f64 rows.
+            // The column in ascending-user order, widened from f32.
             let col: Vec<f64> = (0..m.n_users()).filter_map(|u| m.rating_at(u, i)).collect();
             let sum: f64 = col.iter().sum();
             let (n, k) = (col.len() as f64, p.damping());
@@ -304,19 +293,18 @@ proptest! {
         for (&(u, i), &v) in &model {
             prop_assert_eq!(m.rating_of(u, i), Some(v));
         }
-        // Row and column views are consistent transposes.
-        for u_idx in 0..m.n_users() {
-            for &(i_idx, r) in m.user_row(u_idx) {
-                let col = item_col(&m, i_idx);
-                let pos = col.binary_search_by_key(&u_idx, |&(u, _)| u).unwrap();
-                prop_assert_eq!(col[pos].1, r);
-            }
+        // Every CSR entry is the map's (half-star, f32-exact) value, and the
+        // item view holds it too.
+        for (u, i, r) in m.user_csr().iter() {
+            let (user, item) = (m.user_id(u as usize), m.item_id(i as usize));
+            prop_assert_eq!(f64::from(r), model[&(user, item)]);
+            prop_assert_eq!(m.item_csr().get(i as usize, u as usize), Some(r));
         }
     }
 
-    /// Last-wins dedup inside the rows builds exactly what deduplicating
-    /// through a pair map up front did: same id order, same count, same
-    /// jagged rows, and CSR views that mirror them.
+    /// Last-wins dedup inside the CSR build gives exactly what
+    /// deduplicating through a pair map up front does: same id order, same
+    /// count, and both CSR views equal to the map's rows and columns.
     #[test]
     fn from_ratings_matches_pair_map_dedup(ratings in duplicate_heavy_strategy()) {
         let m = RatingsMatrix::from_ratings(ratings.clone());
@@ -340,22 +328,24 @@ proptest! {
         prop_assert_eq!(m.item_ids(), &item_ids[..]);
         prop_assert_eq!(m.n_ratings(), order.len());
         let dense = |ids: &[i64], id: i64| ids.iter().position(|&x| x == id).unwrap();
-        let mut by_user: Vec<Vec<(usize, f64)>> = vec![Vec::new(); user_ids.len()];
-        let mut by_item: Vec<Vec<(usize, f64)>> = vec![Vec::new(); item_ids.len()];
+        let mut by_user: Vec<Vec<(usize, f32)>> = vec![Vec::new(); user_ids.len()];
+        let mut by_item: Vec<Vec<(usize, f32)>> = vec![Vec::new(); item_ids.len()];
         for &(u, i) in &order {
-            let (ui, ii, v) = (dense(&user_ids, u), dense(&item_ids, i), latest[&(u, i)]);
+            let (ui, ii) = (dense(&user_ids, u), dense(&item_ids, i));
+            let v = latest[&(u, i)] as f32;
             by_user[ui].push((ii, v));
             by_item[ii].push((ui, v));
         }
+        prop_assert_eq!(m.user_csr().n_rows(), user_ids.len());
+        prop_assert_eq!(m.item_csr().n_rows(), item_ids.len());
         for (u, want) in by_user.iter_mut().enumerate() {
             want.sort_by_key(|&(i, _)| i);
-            prop_assert_eq!(m.user_row(u), &want[..]);
+            prop_assert_eq!(&row_pairs(m.user_csr(), u), want);
         }
         for (i, want) in by_item.iter_mut().enumerate() {
             want.sort_by_key(|&(u, _)| u);
-            prop_assert_eq!(&item_col(&m, i), want);
+            prop_assert_eq!(&row_pairs(m.item_csr(), i), want);
         }
-        assert_csr_mirrors_jagged(&m)?;
     }
 
     /// The row-product build equals the all-pairs merge-intersect build
@@ -396,9 +386,9 @@ proptest! {
         let model = ItemCfModel::train(matrix.clone(), NeighborhoodParams::cosine());
         for &user in matrix.user_ids() {
             let u = matrix.user_idx(user).unwrap();
-            let row = matrix.user_row(u);
-            let lo = row.iter().map(|&(_, r)| r).fold(f64::INFINITY, f64::min);
-            let hi = row.iter().map(|&(_, r)| r).fold(f64::NEG_INFINITY, f64::max);
+            let (_, row) = matrix.user_csr().row(u);
+            let lo = row.iter().map(|&r| f64::from(r)).fold(f64::INFINITY, f64::min);
+            let hi = row.iter().map(|&r| f64::from(r)).fold(f64::NEG_INFINITY, f64::max);
             let items: Vec<usize> = (0..matrix.n_items()).collect();
             let mut predicted = Vec::new();
             model.predict_items_into(u, &items, &mut ScoreScratch::default(), &mut predicted);
@@ -444,11 +434,9 @@ proptest! {
             build_item_neighborhood(&matrix, &NeighborhoodParams::cosine()),
             build_user_neighborhood(&matrix, &NeighborhoodParams::cosine()),
         ] {
-            for e in 0..table.len() {
-                for &(nb, s) in table.neighbors(e) {
-                    prop_assert_eq!(table.sim(nb, e), Some(s));
-                    prop_assert!(nb != e, "no self-edges");
-                }
+            for (e, nb, s) in table.forward().iter() {
+                prop_assert_eq!(table.sim(nb as usize, e as usize), Some(s));
+                prop_assert!(nb != e, "no self-edges");
             }
         }
         let full = build_item_neighborhood(&matrix, &NeighborhoodParams::cosine());
@@ -457,10 +445,10 @@ proptest! {
             &NeighborhoodParams { max_neighbors: Some(k), ..NeighborhoodParams::cosine() },
         );
         for e in 0..trunc.len() {
-            prop_assert!(trunc.neighbors(e).len() <= k);
-            for &(nb, s) in trunc.neighbors(e) {
-                prop_assert_eq!(full.sim(e, nb), Some(s), "truncated edge must exist in full");
-            }
+            prop_assert!(trunc.neighbors(e).0.len() <= k);
+        }
+        for (e, nb, s) in trunc.forward().iter() {
+            prop_assert_eq!(full.sim(e as usize, nb as usize), Some(s), "truncated edge must exist in full");
         }
     }
 
@@ -559,7 +547,8 @@ proptest! {
                     for model in &models {
                         let m = model.matrix();
                         let u = u % m.n_users();
-                        let rated: Vec<usize> = m.user_row(u).iter().map(|&(i, _)| i).collect();
+                        let rated: Vec<usize> =
+                            m.user_csr().row(u).0.iter().map(|&i| i as usize).collect();
                         // Random picks (with repeats), every rated item, and
                         // the first pick again.
                         let items: Vec<usize> = picks
@@ -619,12 +608,53 @@ proptest! {
         }
     }
 
-    /// The CSR views round-trip the jagged rows exactly: same coordinates
-    /// in the same order, and — because ratings are half-star values —
-    /// the f32 cast is lossless.
+    /// The counting-sort build from unsorted triples with duplicates is
+    /// the last-wins pair map, row by row, each row ascending.
     #[test]
-    fn csr_round_trips_jagged_rows(ratings in ratings_strategy()) {
-        assert_csr_mirrors_jagged(&RatingsMatrix::from_ratings(ratings))?;
+    fn csr_from_triples_is_the_last_wins_pair_map((rows, _cols, triples) in triples_strategy()) {
+        let m = Csr::from_triples(rows, triples.iter().copied());
+        let mut latest = std::collections::BTreeMap::new();
+        for &(r, c, v) in &triples {
+            latest.insert((r as usize, c as usize), v.to_bits());
+        }
+        prop_assert_eq!(m.n_rows(), rows);
+        prop_assert_eq!(m.nnz(), latest.len());
+        for r in 0..rows {
+            let got: Vec<(usize, u64)> =
+                row_pairs(&m, r).into_iter().map(|(c, v)| (c, v.to_bits())).collect();
+            let want: Vec<(usize, u64)> =
+                latest.range((r, 0)..(r + 1, 0)).map(|(&(_, c), &v)| (c, v)).collect();
+            prop_assert_eq!(got, want, "row {}", r);
+        }
+    }
+
+    /// Transposing twice gives the matrix back, and the transpose holds
+    /// exactly the swapped entries.
+    #[test]
+    fn csr_transpose_twice_is_identity((rows, cols, triples) in triples_strategy()) {
+        let m = Csr::from_triples(rows, triples.into_iter());
+        let t = m.transpose(cols);
+        prop_assert_eq!(t.n_rows(), cols);
+        let mut swapped: Vec<(u32, u32, u64)> =
+            m.iter().map(|(r, c, v)| (c, r, v.to_bits())).collect();
+        swapped.sort_unstable();
+        let got: Vec<(u32, u32, u64)> = t.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        prop_assert_eq!(got, swapped);
+        prop_assert_eq!(t.transpose(rows), m);
+    }
+
+    /// `get` is a linear search of the row, for every cell of the grid and
+    /// one column past it.
+    #[test]
+    fn csr_get_is_a_linear_search((rows, cols, triples) in triples_strategy()) {
+        let m = Csr::from_triples(rows, triples.into_iter());
+        for r in 0..rows {
+            let pairs = row_pairs(&m, r);
+            for c in 0..=cols {
+                let want = pairs.iter().find(|&&(col, _)| col == c).map(|&(_, v)| v);
+                prop_assert_eq!(m.get(r, c), want, "({}, {})", r, c);
+            }
+        }
     }
 
     /// The block-sequential parallel SGD schedule is deterministic: a

@@ -21,7 +21,7 @@
 //! paper-vs-measured comparison.
 
 use recdb_algo::model::{RecModel, TrainConfig};
-use recdb_algo::{Algorithm, NeighborhoodTable, RatingsMatrix, ScoreScratch};
+use recdb_algo::{Algorithm, RatingsMatrix, ScoreScratch};
 use recdb_bench::*;
 use recdb_datasets::SyntheticSpec;
 use recdb_exec::optimizer::optimize_pushdown_only;
@@ -331,18 +331,11 @@ fn score_sweep() {
 
         if let RecModel::Item(item) = &model {
             let table = item.neighborhood();
-            let forward = || -> Vec<Vec<(usize, f64)>> {
-                (0..table.len())
-                    .map(|i| table.neighbors(i).to_vec())
-                    .collect()
-            };
-            // The transpose alone: rebuild the table from its own forward
-            // lists, timing only the constructor.
+            // The transpose alone: the reverse lists from the forward ones.
             let mut transposes: Vec<Duration> = (0..REPS)
                 .map(|_| {
-                    let lists = forward();
                     let start = std::time::Instant::now();
-                    std::hint::black_box(NeighborhoodTable::from_lists(lists));
+                    std::hint::black_box(table.forward().transpose(table.len()));
                     start.elapsed()
                 })
                 .collect();

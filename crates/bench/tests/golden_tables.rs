@@ -6,6 +6,12 @@
 //! forward lists, then over every `(entity, neighbor, sim bits)` of the
 //! reverse lists, so one differing bit in any sim changes it.
 //!
+//! Beside the tables, each world pins what is built from the ratings
+//! matrix itself, hashed the same way: both CSR orientations (`row_ptr`,
+//! column indexes, value bits), the global mean, every Popularity score,
+//! the SVD factors after training at one thread, and one whole-domain
+//! scoring pass (`score_unseen_into`) for ten users under each CF model.
+//!
 //! The kernel finds a row's partners one of two ways, chosen by the row's
 //! term count (see `recdb_algo::neighborhood`): MovieLens is a world where
 //! every row scans its slots, LDOS-CoMoDa one where most item rows keep a
@@ -13,8 +19,12 @@
 //! builds hash MovieLens scaled to half its ratings; `cargo test
 //! --release` also hashes the full world.
 
+use recdb_algo::model::{NeighborhoodKnobs, TrainConfig};
 use recdb_algo::neighborhood::{build_item_neighborhood, build_user_neighborhood};
-use recdb_algo::{Csr, NeighborhoodParams, NeighborhoodTable, RatingsMatrix, Similarity};
+use recdb_algo::{
+    Algorithm, Csr, NeighborhoodParams, NeighborhoodTable, PopularityModel, RatingsMatrix,
+    RecModel, ScoreScratch, Similarity, SvdModel, SvdParams,
+};
 use recdb_datasets::SyntheticSpec;
 
 /// Hashes in [`world_hashes`] order.
@@ -49,6 +59,43 @@ const MOVIELENS: [u64; 8] = [
     0x05af_d8e6_887e_c1bd,
 ];
 
+/// Hashes in [`model_hashes`] order.
+const LDOS_MODELS: [u64; 9] = [
+    0x3839_a35f_10c9_13a7,
+    0x4549_fb6b_6767_fe2f,
+    0x4008_23a9_f5f8_32d2,
+    0x7185_8ed2_5e0c_c48a,
+    0x75c5_6bfd_e99f_ab49,
+    0xa4d2_b99e_2edd_a700,
+    0x2ca4_36ac_42f4_8258,
+    0x046f_60ea_5b00_c0d2,
+    0xf797_6522_1b77_b582,
+];
+const MOVIELENS_HALF_MODELS: [u64; 9] = [
+    0xff80_b661_cccf_898a,
+    0x7988_4788_36c3_1e53,
+    0x4008_d820_1cd5_f99c,
+    0x75c7_f029_24ec_1f50,
+    0x9b5b_8e93_8802_a364,
+    0xf701_ccd8_2989_bc0d,
+    0xdaca_8598_aeca_67bd,
+    0xd49b_6971_96a4_d16b,
+    0x54ac_4034_c5a3_858e,
+];
+const MOVIELENS_MODELS: [u64; 9] = [
+    0xa8f6_3117_6aa9_5973,
+    0x2241_de2d_3afa_587f,
+    0x4008_d22d_0e56_0419,
+    0xde51_393a_da5d_36bc,
+    0x6224_3d2d_71c4_085c,
+    0x376c_cde0_7441_b9be,
+    0x2e4e_ae47_ac48_b136,
+    0xbfdd_ffaa_2361_022d,
+    0xe065_6055_ccc0_7d23,
+];
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(hash: u64, word: u64) -> u64 {
     word.to_le_bytes().iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -56,13 +103,11 @@ fn fnv1a(hash: u64, word: u64) -> u64 {
 }
 
 fn table_hash(table: &NeighborhoodTable) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for e in 0..table.len() {
-        for &(nb, sim) in table.neighbors(e) {
-            h = [e as u64, nb as u64, sim.to_bits()]
-                .into_iter()
-                .fold(h, fnv1a);
-        }
+    let mut h = FNV_OFFSET;
+    for (e, nb, sim) in table.forward().iter() {
+        h = [u64::from(e), u64::from(nb), sim.to_bits()]
+            .into_iter()
+            .fold(h, fnv1a);
     }
     for l in 0..table.len() {
         let (entities, sims) = table.reverse(l);
@@ -75,9 +120,85 @@ fn table_hash(table: &NeighborhoodTable) -> u64 {
     h
 }
 
+fn csr_hash(csr: &Csr<f32>) -> u64 {
+    let mut h = csr
+        .row_ptr()
+        .iter()
+        .map(|&p| p as u64)
+        .fold(FNV_OFFSET, fnv1a);
+    for r in 0..csr.n_rows() {
+        let (cols, vals) = csr.row(r);
+        for (&c, v) in cols.iter().zip(vals) {
+            h = [u64::from(c), u64::from(v.to_bits())]
+                .into_iter()
+                .fold(h, fnv1a);
+        }
+    }
+    h
+}
+
+/// What the ratings matrix feeds besides the tables: user CSR, item CSR,
+/// global mean, Popularity scores, SVD factors, then one scoring pass for
+/// ten users under ItemCosCF, ItemPearCF, UserCosCF and UserPearCF.
+fn model_hashes(m: &RatingsMatrix) -> Vec<u64> {
+    let mut hashes = vec![
+        csr_hash(m.user_csr()),
+        csr_hash(m.item_csr()),
+        m.global_mean().to_bits(),
+    ];
+    let items: Vec<usize> = (0..m.n_items()).collect();
+    let mut scores = Vec::new();
+    PopularityModel::train(m.clone()).predict_items_into(&items, &mut scores);
+    hashes.push(
+        scores
+            .iter()
+            .map(|s| s.expect("popularity always scores").to_bits())
+            .fold(FNV_OFFSET, fnv1a),
+    );
+    let svd_params = SvdParams {
+        epochs: 5,
+        threads: 1,
+        ..SvdParams::default()
+    };
+    let svd = SvdModel::train(m.clone(), svd_params);
+    let user_factors = (0..m.n_users()).flat_map(|u| svd.user_vector(u));
+    let item_factors = (0..m.n_items()).flat_map(|i| svd.item_vector(i));
+    hashes.push(
+        user_factors
+            .chain(item_factors)
+            .map(|x| u64::from(x.to_bits()))
+            .fold(FNV_OFFSET, fnv1a),
+    );
+    let config = TrainConfig {
+        neighborhood: NeighborhoodKnobs {
+            threads: 1,
+            ..NeighborhoodKnobs::default()
+        },
+        ..TrainConfig::default()
+    };
+    let mut scratch = ScoreScratch::default();
+    let mut batch = Vec::new();
+    for algo in Algorithm::ALL
+        .into_iter()
+        .filter(Algorithm::is_neighborhood)
+    {
+        let model = RecModel::train(algo, m.clone(), &config);
+        let mut h = FNV_OFFSET;
+        for u in (0..10).map(|k| k * m.n_users() / 10) {
+            batch.clear();
+            model.score_unseen_into(u, &mut scratch, &mut batch);
+            for &(i, s) in &batch {
+                h = [u as u64, i as u64, s.to_bits()].into_iter().fold(h, fnv1a);
+            }
+        }
+        hashes.push(h);
+    }
+    hashes
+}
+
 /// Rows of `entities` whose term count `Σ_{u ∈ row} |raters.row(u)|`
 /// reaches the number of entities: the rows that scan their slots.
-fn scanning_rows(entities: &Csr, raters: &Csr) -> usize {
+fn scanning_rows(entities: &Csr<f32>, raters: &Csr<f32>) -> usize {
     let n = entities.n_rows();
     (0..n)
         .filter(|&a| {
@@ -130,8 +251,27 @@ fn world_hashes(m: &RatingsMatrix) -> Vec<u64> {
     hashes
 }
 
-fn assert_golden(spec: &SyntheticSpec, golden: &[u64; 8]) -> RatingsMatrix {
+fn assert_golden(spec: &SyntheticSpec, golden: &[u64; 8], models: &[u64; 9]) -> RatingsMatrix {
     let m = matrix(spec);
+    let got = model_hashes(&m);
+    let names = [
+        "user CSR",
+        "item CSR",
+        "global mean",
+        "Popularity",
+        "SVD",
+        "ItemCosCF pass",
+        "ItemPearCF pass",
+        "UserCosCF pass",
+        "UserPearCF pass",
+    ];
+    for ((got, want), name) in got.iter().zip(models).zip(names) {
+        assert_eq!(
+            got, want,
+            "{} {name}: {got:#018x} vs {want:#018x}",
+            spec.name
+        );
+    }
     let got = world_hashes(&m);
     let case = |k: usize| {
         format!(
@@ -152,7 +292,7 @@ fn assert_golden(spec: &SyntheticSpec, golden: &[u64; 8]) -> RatingsMatrix {
 /// touched list.
 #[test]
 fn ldos_tables_match_the_golden_hashes() {
-    let m = assert_golden(&SyntheticSpec::ldos_comoda(), &LDOS);
+    let m = assert_golden(&SyntheticSpec::ldos_comoda(), &LDOS, &LDOS_MODELS);
     assert_eq!(m.n_items(), 612);
     assert_eq!(scanning_rows(m.item_csr(), m.user_csr()), 16);
 }
@@ -161,12 +301,16 @@ fn ldos_tables_match_the_golden_hashes() {
 /// full world too.
 #[test]
 fn movielens_tables_match_the_golden_hashes() {
-    let mut worlds = vec![(SyntheticSpec::movielens().scaled(0.5), MOVIELENS_HALF)];
+    let mut worlds = vec![(
+        SyntheticSpec::movielens().scaled(0.5),
+        MOVIELENS_HALF,
+        MOVIELENS_HALF_MODELS,
+    )];
     if !cfg!(debug_assertions) {
-        worlds.push((SyntheticSpec::movielens(), MOVIELENS));
+        worlds.push((SyntheticSpec::movielens(), MOVIELENS, MOVIELENS_MODELS));
     }
-    for (spec, golden) in worlds {
-        let m = assert_golden(&spec, &golden);
+    for (spec, golden, models) in worlds {
+        let m = assert_golden(&spec, &golden, &models);
         assert_eq!(scanning_rows(m.item_csr(), m.user_csr()), m.n_items());
         assert_eq!(scanning_rows(m.user_csr(), m.item_csr()), m.n_users());
     }

@@ -56,27 +56,12 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Whether two rectangles overlap (boundary inclusive).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
     /// The smallest rectangle covering both.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
             min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
             max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
         }
-    }
-
-    /// Minimum distance from the rectangle to a point (0 when inside).
-    pub fn min_distance(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
     }
 }
 
@@ -187,23 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersection_and_union() {
+    fn rect_union() {
         let a = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        let b = Rect::new(Point::new(1.0, 1.0), Point::new(3.0, 3.0));
         let c = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
         let u = a.union(&c);
         assert_eq!(u.min, Point::new(0.0, 0.0));
         assert_eq!(u.max, Point::new(6.0, 6.0));
-    }
-
-    #[test]
-    fn rect_min_distance() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert_eq!(r.min_distance(&Point::new(1.0, 1.0)), 0.0, "inside");
-        assert_eq!(r.min_distance(&Point::new(5.0, 2.0)), 3.0, "right of");
-        assert_eq!(r.min_distance(&Point::new(5.0, 6.0)), 5.0, "diagonal");
     }
 
     #[test]

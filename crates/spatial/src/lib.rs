@@ -11,14 +11,11 @@
 //! * [`functions::cscore`] — the combined rating/proximity score of
 //!   Query 8's `ORDER BY CScore(...)`.
 //!
-//! [`rtree::RTree`] provides an STR-bulk-loaded R-tree over points so
-//! spatial filters have an index access path, mirroring PostGIS GiST
-//! indexes.
+//! The §V queries evaluate these predicates row by row over the
+//! recommended POIs; there is no spatial index access path.
 
 pub mod functions;
 pub mod geom;
-pub mod rtree;
 
 pub use functions::{cscore, st_contains, st_distance, st_dwithin};
 pub use geom::{Point, Polygon, Rect};
-pub use rtree::RTree;

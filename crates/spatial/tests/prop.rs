@@ -1,83 +1,14 @@
-//! Property-based tests for the spatial substrate: every R-tree query is
-//! checked against brute force, and the geometry predicates against their
-//! definitions.
+//! Property-based tests for the spatial substrate: the geometry predicates
+//! against their definitions.
 
 use proptest::prelude::*;
-use recdb_spatial::{functions, Point, Polygon, RTree, Rect};
+use recdb_spatial::{functions, Point, Polygon, Rect};
 
 fn point_strategy() -> impl Strategy<Value = Point> {
     (-1000.0f64..1000.0, -1000.0f64..1000.0).prop_map(|(x, y)| Point::new(x, y))
 }
 
-fn points_strategy(max: usize) -> impl Strategy<Value = Vec<(Point, usize)>> {
-    proptest::collection::vec(point_strategy(), 0..max)
-        .prop_map(|pts| pts.into_iter().enumerate().map(|(i, p)| (p, i)).collect())
-}
-
 proptest! {
-    /// Rect query ≡ brute-force filter, for arbitrary point sets and
-    /// query windows.
-    #[test]
-    fn rtree_rect_query_matches_brute_force(
-        pts in points_strategy(200),
-        a in point_strategy(),
-        b in point_strategy(),
-    ) {
-        let tree = RTree::bulk_load(pts.clone());
-        let query = Rect::new(a, b);
-        let mut got: Vec<usize> = tree.query_rect(&query).into_iter().map(|(_, i)| i).collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = pts
-            .iter()
-            .filter(|(p, _)| query.contains(p))
-            .map(|&(_, i)| i)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Within-radius query ≡ brute-force distance filter.
-    #[test]
-    fn rtree_within_matches_brute_force(
-        pts in points_strategy(200),
-        center in point_strategy(),
-        radius in 0.0f64..1500.0,
-    ) {
-        let tree = RTree::bulk_load(pts.clone());
-        let mut got: Vec<usize> = tree
-            .query_within(&center, radius)
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = pts
-            .iter()
-            .filter(|(p, _)| p.distance(&center) <= radius)
-            .map(|&(_, i)| i)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// k-NN returns the k smallest distances, ascending.
-    #[test]
-    fn rtree_knn_matches_brute_force(
-        pts in points_strategy(150),
-        center in point_strategy(),
-        k in 0usize..20,
-    ) {
-        let tree = RTree::bulk_load(pts.clone());
-        let got: Vec<f64> = tree.nearest(&center, k).iter().map(|e| e.2).collect();
-        let mut dists: Vec<f64> = pts.iter().map(|(p, _)| p.distance(&center)).collect();
-        dists.sort_by(f64::total_cmp);
-        dists.truncate(k);
-        prop_assert_eq!(got.len(), dists.len());
-        for (g, w) in got.iter().zip(&dists) {
-            prop_assert!((g - w).abs() < 1e-9, "{:?} vs {:?}", got, dists);
-        }
-        prop_assert!(got.windows(2).all(|w| w[0] <= w[1]));
-    }
-
     /// For rectangle polygons, polygon containment ≡ rect containment —
     /// and therefore ST_Contains over SQL RECT values is exact.
     #[test]
