@@ -43,11 +43,11 @@ use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, MetricsSnapshot, Registry, SystemClock};
 use recdb_sql::{parse, parse_many, Expr, SelectStatement, Statement};
 use recdb_storage::{
-    codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, RecoveryMode, Rid,
-    Schema, StorageError, Table, Tuple,
+    codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, Reader, RecoveryMode,
+    Rid, Schema, StorageError, Table, Tuple,
 };
 use recdb_txn::{LockError, LockMode, LockTable, TxnId};
-use recdb_wal::{Wal, WalRecord};
+use recdb_wal::{RecommenderDef, Wal, WalRecord};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -230,20 +230,6 @@ struct Durability {
     wal: Wal,
 }
 
-/// A recommender's definition as persisted in the checkpoint metadata
-/// blob and in `CreateRecommender` WAL records. Models are derived state
-/// and are never logged; they are rebuilt from these definitions plus the
-/// recovered ratings rows.
-#[derive(Debug, Clone)]
-struct RecommenderDef {
-    name: String,
-    table: String,
-    users: String,
-    items: String,
-    ratings: String,
-    algorithm: String,
-}
-
 /// The gate a checkpoint closes to drain explicit transactions: no new
 /// `BEGIN` is admitted while `draining`, and the checkpoint proceeds once
 /// `active` reaches zero.
@@ -269,9 +255,7 @@ pub struct RecDb {
     /// Logical clock: one tick per executed statement. Drives the usage
     /// histograms deterministically.
     clock: AtomicU64,
-    /// Shared with the eviction barrier closure installed on the pool,
-    /// which `try_lock`s it to flush the log before a dirty write-back.
-    durability: Option<Arc<Mutex<Durability>>>,
+    durability: Option<Mutex<Durability>>,
     /// The engine-wide buffer pool: every catalog heap page and every
     /// RecScoreIndex node pages through these frames.
     pool: Arc<BufferPool>,
@@ -372,8 +356,8 @@ impl RecDb {
     ///    [`WalRecord::InTxn`] records replay only if its `TxnCommit`
     ///    marker made it to disk (a later `TxnAbort` unmarks it).
     /// 3. Replay surviving records with LSN beyond the checkpoint through
-    ///    the same catalog paths the live engine uses, so replay reproduces
-    ///    identical record ids.
+    ///    `apply_record`, the function live statements apply them with,
+    ///    so replay reproduces identical record ids.
     /// 4. Rebuild recommender models from their recovered definitions —
     ///    models are derived state and are never logged.
     pub fn open_with_config(config: RecDbConfig) -> EngineResult<Self> {
@@ -393,7 +377,15 @@ impl RecDb {
             Some(s) => (s.catalog, s.meta, s.lsn),
             None => (Catalog::with_pool(Arc::clone(&pool)), Vec::new(), 0),
         };
-        let mut defs = decode_recommender_meta(&meta)?;
+        // The checkpoint's metadata blob: a count, then one definition per
+        // recommender (empty for a fresh database).
+        let mut defs = Vec::new();
+        if !meta.is_empty() {
+            let mut r = Reader::new(&meta, "recommender metadata");
+            for _ in 0..r.take_u32()? {
+                defs.push(RecommenderDef::take(&mut r)?);
+            }
+        }
         let opened = Wal::open(&dir.join(WAL_FILE), checkpoint_lsn)?;
         let salvage = matches!(config.recovery, RecoveryMode::SalvageToLastGood);
         let metrics = Arc::new(Registry::new());
@@ -451,26 +443,29 @@ impl RecDb {
             };
             clock += 1;
             replayed += 1;
-            match replay_record(&mut catalog, record, &mut defs) {
-                Ok(()) => {}
+            match apply_record(&mut catalog, &record) {
+                Ok(_) => {}
                 // Salvaged (blanked) pages make previously valid record
                 // ids dangle; in salvage mode those redo ops are skipped.
                 Err(EngineError::Storage(StorageError::InvalidRid { .. })) if salvage => {}
                 Err(e) => return Err(e),
             }
+            replay_definitions(record, &mut defs);
         }
         metrics
             .counter("recdb_recovery_replayed_records_total")
             .add(replayed);
+        // Models are derived state: each is retrained from its definition
+        // and the recovered ratings, as a live CREATE RECOMMENDER trains it.
         let mut recommenders = Vec::new();
         for def in defs {
             let algorithm: Algorithm = def
                 .algorithm
                 .parse()
                 .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(def.algorithm.clone()))?;
-            let rec = Recommender::create(
+            let matrix = load_matrix(&catalog, &def.table, &def.users, &def.items, &def.ratings)?;
+            recommenders.push(Recommender::create_from_matrix(
                 &def.name,
-                &catalog,
                 &def.table,
                 &def.users,
                 &def.items,
@@ -479,36 +474,22 @@ impl RecDb {
                 config.train,
                 config.hotness_threshold,
                 clock,
+                matrix,
                 None,
-            )?;
-            recommenders.push(rec);
+                Arc::clone(&pool),
+            )?);
         }
         let mut wal = opened.wal;
         wal.attach_metrics(Arc::clone(&metrics));
         let wall = profile_clock_or_wall(&config);
         let locks = LockTable::new();
         locks.attach_metrics(Arc::clone(&metrics));
-        let durability = Arc::new(Mutex::new(Durability { dir, wal }));
-        // Flush-log-before-page: a dirty frame may carry effects whose WAL
-        // records are appended but not yet synced, so eviction write-back
-        // first forces the log. `try_lock`, not `lock`: the checkpoint
-        // holds the durability lock *while* faulting pages through the
-        // pool, and a blocking acquire here would deadlock. Skipping the
-        // flush when contended is safe — whoever holds the lock is either
-        // mid-fsync or about to fsync, and spill files are never read by
-        // recovery anyway.
-        let barrier_dur = Arc::clone(&durability);
-        pool.set_wal_barrier(move || {
-            if let Some(mut dur) = barrier_dur.try_lock() {
-                let _ = dur.wal.sync();
-            }
-        });
         Ok(RecDb {
             catalog: RwLock::new(catalog),
             recommenders: RwLock::new(recommenders),
             config,
             clock: AtomicU64::new(clock),
-            durability: Some(durability),
+            durability: Some(Mutex::new(Durability { dir, wal })),
             pool,
             exec_metrics: ExecMetrics::resolve(&metrics),
             rows_returned: metrics.counter("recdb_rows_returned_total"),
@@ -562,7 +543,14 @@ impl RecDb {
         let _drain = self.drain_explicit_txns()?;
         let _ckpt = self.ckpt_latch.write();
         let mut catalog = self.catalog.write();
-        let meta = encode_recommender_meta(&self.recommenders.read());
+        let mut meta = Vec::new();
+        {
+            let recs = self.recommenders.read();
+            codec::put_u32(&mut meta, recs.len() as u32);
+            for rec in recs.iter() {
+                rec.def().put(&mut meta);
+            }
+        }
         let dur = self.durability.as_ref().expect("checked durable above");
         let mut dur = dur.lock();
         let lsn = dur.wal.last_lsn();
@@ -629,10 +617,11 @@ impl RecDb {
         CatalogRef(self.catalog.read())
     }
 
-    /// Mutable catalog access, bypassing the lock table *and the WAL*.
-    /// This is the bulk-loading backdoor for dataset loaders on a
-    /// freshly-opened engine; concurrent sessions must use SQL (or
-    /// [`RecDb::insert_tuples`]) instead.
+    /// Mutable catalog access, bypassing the lock table *and the WAL*: a
+    /// crash loses whatever it changed. Its one user is OnTopDB's scratch
+    /// predictions table, rebuilt on every query and never meant to
+    /// survive; everything else writes through SQL (or
+    /// [`RecDb::insert_tuples`]).
     pub fn catalog_mut(&self) -> CatalogMut<'_> {
         CatalogMut(self.catalog.write())
     }
@@ -998,7 +987,7 @@ impl RecDb {
                 }
             }
             UndoOp::CreatedTable { name } => {
-                let _ = catalog.drop_table(&name);
+                let _ = catalog.take_table(&name);
             }
             UndoOp::DroppedTable {
                 table,
@@ -1162,42 +1151,25 @@ impl RecDb {
                         .map(|c| Ok((c.name.as_str(), map_type(&c.type_name)?)))
                         .collect::<EngineResult<Vec<_>>>()?,
                 );
-                let lower = name.to_ascii_lowercase();
-                let txn = Self::active(state);
-                let _ckpt = self.ckpt_latch.read();
-                self.catalog.write().create_table(&name, schema.clone())?;
-                txn.note_created_table(&lower);
-                self.log_statement(
-                    txn,
-                    WalRecord::CreateTable {
-                        name: lower,
-                        schema,
-                    },
-                )?;
+                let record = WalRecord::CreateTable {
+                    name: name.to_ascii_lowercase(),
+                    schema,
+                };
+                self.write(Self::active(state), record, Vec::new())
+                    .map_err(|e| match e {
+                        // Named as the statement spelled it.
+                        EngineError::Storage(StorageError::TableExists(_)) => {
+                            StorageError::TableExists(name.clone()).into()
+                        }
+                        e => e,
+                    })?;
                 Ok(QueryResult::TableCreated(name))
             }
             Statement::DropTable { name } => {
-                let lower = name.to_ascii_lowercase();
-                let txn = Self::active(state);
-                let _ckpt = self.ckpt_latch.read();
-                let table = self.catalog.write().take_table(&lower)?;
-                // Recommenders created on the table are dropped with it
-                // (and restored with it on rollback).
-                let dropped = {
-                    let mut recs = self.recommenders.write();
-                    let mut dropped = Vec::new();
-                    let mut k = 0;
-                    while k < recs.len() {
-                        if recs[k].ratings_table().eq_ignore_ascii_case(&lower) {
-                            dropped.push(recs.remove(k));
-                        } else {
-                            k += 1;
-                        }
-                    }
-                    dropped
+                let record = WalRecord::DropTable {
+                    name: name.to_ascii_lowercase(),
                 };
-                txn.note_dropped_table(table, dropped);
-                self.log_statement(txn, WalRecord::DropTable { name: lower })?;
+                self.write(Self::active(state), record, Vec::new())?;
                 Ok(QueryResult::TableDropped(name))
             }
             Statement::Insert { table, rows } => {
@@ -1259,14 +1231,7 @@ impl RecDb {
                 )?;
                 let build_time = rec.build_time();
                 self.observe_model_build(rec.algorithm(), build_time);
-                let log_record = WalRecord::CreateRecommender {
-                    name: rec.name().to_owned(),
-                    table: rec.ratings_table().to_owned(),
-                    users: rec.users_column().to_owned(),
-                    items: rec.items_column().to_owned(),
-                    ratings: rec.ratings_column().to_owned(),
-                    algorithm: rec.algorithm().name().to_owned(),
-                };
+                let log_record = WalRecord::CreateRecommender(rec.def());
                 let txn = Self::active(state);
                 let _ckpt = self.ckpt_latch.read();
                 {
@@ -1311,63 +1276,20 @@ impl RecDb {
                 table,
                 columns,
             } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let lower = table.to_ascii_lowercase();
-                let txn = Self::active(state);
-                let _ckpt = self.ckpt_latch.read();
-                self.catalog
-                    .write()
-                    .table_mut(&lower)?
-                    .create_index(&name, &cols)?;
-                txn.push_undo(UndoOp::CreatedIndex {
-                    table: lower.clone(),
+                let record = WalRecord::CreateIndex {
+                    table: table.to_ascii_lowercase(),
                     index: name.clone(),
-                });
-                self.log_statement(
-                    txn,
-                    WalRecord::CreateIndex {
-                        table: lower,
-                        index: name.clone(),
-                        columns,
-                    },
-                )?;
+                    columns,
+                };
+                self.write(Self::active(state), record, Vec::new())?;
                 Ok(QueryResult::IndexCreated(name))
             }
             Statement::DropIndex { name, table } => {
-                let lower = table.to_ascii_lowercase();
-                let txn = Self::active(state);
-                let _ckpt = self.ckpt_latch.read();
-                let columns = {
-                    let mut catalog = self.catalog.write();
-                    let t = catalog.table_mut(&lower)?;
-                    // Capture the key columns first so rollback can
-                    // re-create the index.
-                    let ordinals = t.index(&name)?.key_columns().to_vec();
-                    let columns: Vec<String> = ordinals
-                        .iter()
-                        .map(|&o| {
-                            t.schema()
-                                .column(o)
-                                .expect("index key ordinal within schema")
-                                .name
-                                .clone()
-                        })
-                        .collect();
-                    t.drop_index(&name)?;
-                    columns
-                };
-                txn.push_undo(UndoOp::DroppedIndex {
-                    table: lower.clone(),
+                let record = WalRecord::DropIndex {
+                    table: table.to_ascii_lowercase(),
                     index: name.clone(),
-                    columns,
-                });
-                self.log_statement(
-                    txn,
-                    WalRecord::DropIndex {
-                        table: lower,
-                        index: name.clone(),
-                    },
-                )?;
+                };
+                self.write(Self::active(state), record, Vec::new())?;
                 Ok(QueryResult::IndexDropped(name))
             }
             Statement::Explain(select) => {
@@ -1386,7 +1308,7 @@ impl RecDb {
                 Ok(QueryResult::Rows(rows))
             }
             Statement::Delete { table, filter } => {
-                let n = self.apply_delete(state, &table, filter.as_ref(), guard)?;
+                let n = self.delete_where(state, &table, filter.as_ref(), guard)?;
                 Ok(QueryResult::Deleted(n))
             }
             Statement::Update {
@@ -1394,7 +1316,7 @@ impl RecDb {
                 assignments,
                 filter,
             } => {
-                let n = self.apply_update(state, &table, &assignments, filter.as_ref(), guard)?;
+                let n = self.update_where(state, &table, &assignments, filter.as_ref(), guard)?;
                 Ok(QueryResult::Updated(n))
             }
             Statement::Select(select) => {
@@ -1406,6 +1328,48 @@ impl RecDb {
                 unreachable!("transaction control dispatched in execute_statement")
             }
         }
+    }
+
+    /// The one write path of a table or index statement, which hands in
+    /// its redo record and the rating items it touches. Under the
+    /// checkpoint latch and the catalog write latch it captures what
+    /// undoing the record needs, applies it with [`apply_record`] — the
+    /// function recovery replays it with — and logs it; then it defers the
+    /// N% statistics of `touched` to commit. Recommenders created on a
+    /// dropped table go with it, and its undo restores both.
+    fn write(
+        &self,
+        txn: &mut ActiveTxn,
+        record: WalRecord,
+        touched: Vec<(String, i64)>,
+    ) -> EngineResult<()> {
+        let _ckpt = self.ckpt_latch.read();
+        {
+            let mut catalog = self.catalog.write();
+            txn.capture_undo(&catalog, &record)?;
+            if let Some(table) = apply_record(&mut catalog, &record)? {
+                let mut recs = self.recommenders.write();
+                let (recommenders, kept) = recs
+                    .drain(..)
+                    .partition(|r| r.ratings_table() == table.name());
+                *recs = kept;
+                txn.push_undo(UndoOp::DroppedTable {
+                    table: Box::new(table),
+                    recommenders,
+                });
+            }
+        }
+        let rated = match &record {
+            WalRecord::Insert { table, .. }
+            | WalRecord::Delete { table, .. }
+            | WalRecord::Update { table, .. } => Some(table.clone()),
+            _ => None,
+        };
+        self.log_statement(txn, record)?;
+        if let Some(table) = rated {
+            txn.defer_stats(table, touched);
+        }
+        Ok(())
     }
 
     /// Append a statement's redo record for the enclosing transaction.
@@ -1474,14 +1438,13 @@ impl RecDb {
 
     /// Delete rows matching `filter` (all rows when `None`). Recommender
     /// statistics and the N% rule are deferred to commit.
-    fn apply_delete(
+    fn delete_where(
         &self,
         state: &mut TxnState,
         table: &str,
         filter: Option<&Expr>,
         guard: &QueryGuard,
     ) -> EngineResult<usize> {
-        let lower = table.to_ascii_lowercase();
         let (rids, touched) = {
             let catalog = self.catalog.read();
             let rows = Self::matching_rows(catalog.table(table)?, filter, guard)?;
@@ -1489,30 +1452,17 @@ impl RecDb {
             let rids: Vec<Rid> = rows.into_iter().map(|(rid, _)| rid).collect();
             (rids, touched)
         };
-        let txn = Self::active(state);
-        let _ckpt = self.ckpt_latch.read();
-        {
-            let mut catalog = self.catalog.write();
-            txn.save_pages(&catalog, &lower)?;
-            let t = catalog.table_mut(&lower)?;
-            for rid in &rids {
-                t.delete(*rid)?;
-            }
-        }
         let n = rids.len();
-        self.log_statement(
-            txn,
-            WalRecord::Delete {
-                table: lower.clone(),
-                rids,
-            },
-        )?;
-        txn.defer_stats(lower, touched);
+        let record = WalRecord::Delete {
+            table: table.to_ascii_lowercase(),
+            rids,
+        };
+        self.write(Self::active(state), record, touched)?;
         Ok(n)
     }
 
     /// Rewrite rows matching `filter` with the SET assignments applied.
-    fn apply_update(
+    fn update_where(
         &self,
         state: &mut TxnState,
         table: &str,
@@ -1520,7 +1470,6 @@ impl RecDb {
         filter: Option<&Expr>,
         guard: &QueryGuard,
     ) -> EngineResult<usize> {
-        let lower = table.to_ascii_lowercase();
         let (rids, new_tuples, touched) = {
             let catalog = self.catalog.read();
             let t = catalog.table(table)?;
@@ -1541,26 +1490,12 @@ impl RecDb {
             let touched = self.touched_items(&catalog, table, &new_tuples)?;
             (rids, new_tuples, touched)
         };
-        let txn = Self::active(state);
-        let _ckpt = self.ckpt_latch.read();
-        {
-            let mut catalog = self.catalog.write();
-            txn.save_pages(&catalog, &lower)?;
-            let t = catalog.table_mut(&lower)?;
-            for (rid, new_tuple) in rids.iter().zip(&new_tuples) {
-                t.delete(*rid)?;
-                t.insert(new_tuple.clone())?;
-            }
-        }
         let n = rids.len();
-        self.log_statement(
-            txn,
-            WalRecord::Update {
-                table: lower.clone(),
-                changes: rids.into_iter().zip(new_tuples).collect(),
-            },
-        )?;
-        txn.defer_stats(lower, touched);
+        let record = WalRecord::Update {
+            table: table.to_ascii_lowercase(),
+            changes: rids.into_iter().zip(new_tuples).collect(),
+        };
+        self.write(Self::active(state), record, touched)?;
         Ok(n)
     }
 
@@ -1708,36 +1643,21 @@ impl RecDb {
         }
     }
 
-    /// The INSERT body: capture the append-only undo pre-image, append
-    /// the tuples, log, and defer recommender statistics to commit.
-    /// Callers hold the table's X lock.
+    /// The INSERT body: the tuples' items for the N% rule, then the one
+    /// write path. Callers hold the table's X lock.
     fn insert_into(
         &self,
         state: &mut TxnState,
         table: &str,
         tuples: Vec<Tuple>,
     ) -> EngineResult<usize> {
-        let lower = table.to_ascii_lowercase();
         let n = tuples.len();
         let touched = self.touched_items(&self.catalog.read(), table, &tuples)?;
-        let txn = Self::active(state);
-        let _ckpt = self.ckpt_latch.read();
-        {
-            let mut catalog = self.catalog.write();
-            txn.save_tail(&catalog, &lower)?;
-            let t = catalog.table_mut(&lower)?;
-            for tuple in &tuples {
-                t.insert(tuple.clone())?;
-            }
-        }
-        self.log_statement(
-            txn,
-            WalRecord::Insert {
-                table: lower.clone(),
-                tuples,
-            },
-        )?;
-        txn.defer_stats(lower, touched);
+        let record = WalRecord::Insert {
+            table: table.to_ascii_lowercase(),
+            tuples,
+        };
+        self.write(Self::active(state), record, touched)?;
         Ok(n)
     }
 
@@ -1958,40 +1878,36 @@ fn lock_to_engine(e: LockError) -> EngineError {
     }
 }
 
-/// Redo one WAL record during recovery. Uses the same catalog entry
-/// points as the live engine (so heap appends land on the same record
-/// ids), but skips logging, recommender statistics, and maintenance —
-/// models are rebuilt once, after the whole tail is replayed.
-fn replay_record(
-    catalog: &mut Catalog,
-    record: WalRecord,
-    defs: &mut Vec<RecommenderDef>,
-) -> EngineResult<()> {
+/// Apply one table or index redo record to `catalog`. Live statements
+/// (through [`RecDb::write`]) and WAL replay both call this, and nothing
+/// else mutates a durable catalog, so heap appends land on the record ids
+/// the live run assigned and the rids a later `Delete`/`Update` names
+/// match the replayed heap exactly. Returns the table a `DropTable`
+/// removed, for the undo log to keep; recommender definitions and
+/// transaction markers leave the catalog alone.
+fn apply_record(catalog: &mut Catalog, record: &WalRecord) -> EngineResult<Option<Table>> {
     match record {
         WalRecord::CreateTable { name, schema } => {
-            catalog.create_table(&name, schema)?;
+            catalog.create_table(name, schema.clone())?;
         }
-        WalRecord::DropTable { name } => {
-            catalog.drop_table(&name)?;
-            defs.retain(|d| !d.table.eq_ignore_ascii_case(&name));
-        }
+        WalRecord::DropTable { name } => return Ok(Some(catalog.take_table(name)?)),
         WalRecord::Insert { table, tuples } => {
-            let t = catalog.table_mut(&table)?;
+            let t = catalog.table_mut(table)?;
             for tuple in tuples {
-                t.insert(tuple)?;
+                t.insert(tuple.clone())?;
             }
         }
         WalRecord::Delete { table, rids } => {
-            let t = catalog.table_mut(&table)?;
-            for rid in rids {
+            let t = catalog.table_mut(table)?;
+            for &rid in rids {
                 t.delete(rid)?;
             }
         }
         WalRecord::Update { table, changes } => {
-            let t = catalog.table_mut(&table)?;
+            let t = catalog.table_mut(table)?;
             for (rid, tuple) in changes {
-                t.delete(rid)?;
-                t.insert(tuple)?;
+                t.delete(*rid)?;
+                t.insert(tuple.clone())?;
             }
         }
         WalRecord::CreateIndex {
@@ -2000,40 +1916,34 @@ fn replay_record(
             columns,
         } => {
             let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-            catalog.table_mut(&table)?.create_index(&index, &cols)?;
+            catalog.table_mut(table)?.create_index(index, &cols)?;
         }
         WalRecord::DropIndex { table, index } => {
-            catalog.table_mut(&table)?.drop_index(&index)?;
+            catalog.table_mut(table)?.drop_index(index)?;
         }
-        WalRecord::CreateRecommender {
-            name,
-            table,
-            users,
-            items,
-            ratings,
-            algorithm,
-        } => {
-            defs.retain(|d| !d.name.eq_ignore_ascii_case(&name));
-            defs.push(RecommenderDef {
-                name,
-                table,
-                users,
-                items,
-                ratings,
-                algorithm,
-            });
-        }
-        WalRecord::DropRecommender { name } => {
-            defs.retain(|d| !d.name.eq_ignore_ascii_case(&name));
-        }
-        // Transaction markers are consumed by the committed-set pass;
-        // they carry no redo work of their own.
-        WalRecord::TxnBegin { .. }
+        WalRecord::CreateRecommender(_)
+        | WalRecord::DropRecommender { .. }
+        | WalRecord::TxnBegin { .. }
         | WalRecord::TxnCommit { .. }
         | WalRecord::TxnAbort { .. }
         | WalRecord::InTxn { .. } => {}
     }
-    Ok(())
+    Ok(None)
+}
+
+/// Recovery's other half of a replayed record: its effect on the
+/// recommender definitions, whose models are retrained once the whole tail
+/// is replayed. Dropping a table drops the recommenders created on it.
+fn replay_definitions(record: WalRecord, defs: &mut Vec<RecommenderDef>) {
+    match record {
+        WalRecord::DropTable { name } => defs.retain(|d| !d.table.eq_ignore_ascii_case(&name)),
+        WalRecord::CreateRecommender(def) => {
+            defs.retain(|d| !d.name.eq_ignore_ascii_case(&def.name));
+            defs.push(def);
+        }
+        WalRecord::DropRecommender { name } => defs.retain(|d| !d.name.eq_ignore_ascii_case(&name)),
+        _ => {}
+    }
 }
 
 /// Lift governor verdicts buried in the executor layer to first-class
@@ -2119,44 +2029,6 @@ fn find_recommend(plan: &LogicalPlan) -> Option<&recdb_exec::plan::RecommendNode
         }
         LogicalPlan::Scan { .. } => None,
     }
-}
-
-/// Serialize recommender definitions into the checkpoint's opaque
-/// metadata blob: a count followed by six strings per definition.
-fn encode_recommender_meta(recommenders: &[Recommender]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    codec::put_u32(&mut buf, recommenders.len() as u32);
-    for r in recommenders {
-        codec::put_str(&mut buf, r.name());
-        codec::put_str(&mut buf, r.ratings_table());
-        codec::put_str(&mut buf, r.users_column());
-        codec::put_str(&mut buf, r.items_column());
-        codec::put_str(&mut buf, r.ratings_column());
-        codec::put_str(&mut buf, r.algorithm().name());
-    }
-    buf
-}
-
-/// Inverse of [`encode_recommender_meta`]. An empty blob (fresh database,
-/// or a pre-recommender checkpoint) decodes to no definitions.
-fn decode_recommender_meta(bytes: &[u8]) -> EngineResult<Vec<RecommenderDef>> {
-    if bytes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut r = recdb_storage::Reader::new(bytes, "recommender metadata");
-    let count = r.take_u32()? as usize;
-    let mut defs = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        defs.push(RecommenderDef {
-            name: r.take_str()?,
-            table: r.take_str()?,
-            users: r.take_str()?,
-            items: r.take_str()?,
-            ratings: r.take_str()?,
-            algorithm: r.take_str()?,
-        });
-    }
-    Ok(defs)
 }
 
 /// Map a SQL type name to a [`DataType`], with common synonyms.
@@ -2628,6 +2500,27 @@ mod tests {
             .is_err());
         assert_eq!(db.recommender_names(), vec!["generalrec"]);
         assert_eq!(db.catalog().table("movies").unwrap().tuple_count(), 3);
+    }
+
+    #[test]
+    fn refused_create_of_a_taken_name_rolls_back_nothing_it_names() {
+        let db = figure1_db();
+        db.execute("CREATE INDEX movies_mid ON movies (mid)")
+            .unwrap();
+        let mut session = db.session();
+        session.execute("BEGIN").unwrap();
+        let err = session.execute("CREATE TABLE Movies (a INT)").unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Storage(StorageError::TableExists("Movies".into()))
+        );
+        assert!(!session.in_transaction(), "the failure aborted the txn");
+        db.execute("CREATE INDEX movies_mid ON movies (genre)")
+            .unwrap_err();
+        let catalog = db.catalog();
+        let movies = catalog.table("movies").unwrap();
+        assert_eq!(movies.tuple_count(), 3);
+        assert_eq!(movies.index("movies_mid").unwrap().key_columns(), [0]);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch, Train
 use recdb_exec::RecScoreIndex;
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, StorageError, DEFAULT_NODE_CAPACITY};
+use recdb_wal::RecommenderDef;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,51 +87,13 @@ impl StagedRebuild {
 }
 
 impl Recommender {
-    /// Build ("initialize", §III-A) a recommender by scanning the ratings
-    /// table and training the model, under an optional resource governor:
-    /// the model build observes cancellation/deadlines and the
-    /// `core::materialize_worker` fault site. On error nothing is
-    /// constructed — the caller's catalog state is untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
-        name: &str,
-        catalog: &Catalog,
-        ratings_table: &str,
-        users_column: &str,
-        items_column: &str,
-        ratings_column: &str,
-        algorithm: Algorithm,
-        train_config: TrainConfig,
-        hotness_threshold: f64,
-        now: u64,
-        governor: Option<&QueryGuard>,
-    ) -> EngineResult<Self> {
-        let matrix = load_matrix(
-            catalog,
-            ratings_table,
-            users_column,
-            items_column,
-            ratings_column,
-        )?;
-        Self::create_from_matrix(
-            name,
-            ratings_table,
-            users_column,
-            items_column,
-            ratings_column,
-            algorithm,
-            train_config,
-            hotness_threshold,
-            now,
-            matrix,
-            governor,
-            Arc::clone(catalog.pool()),
-        )
-    }
-
-    /// As [`Recommender::create`], from an already-scanned ratings
-    /// matrix. The concurrent engine scans the table under a short catalog
-    /// read latch, drops it, and trains here with no engine lock held.
+    /// Build ("initialize", §III-A) a recommender by training on a
+    /// ratings matrix scanned with [`load_matrix`], under an optional
+    /// resource governor: the model build observes cancellation/deadlines
+    /// and the `core::materialize_worker` fault site. On error nothing is
+    /// constructed. The concurrent engine scans the table under a short
+    /// catalog read latch, drops it, and trains here with no engine lock
+    /// held; recovery calls it the same way for each logged definition.
     #[allow(clippy::too_many_arguments)]
     pub fn create_from_matrix(
         name: &str,
@@ -205,6 +168,18 @@ impl Recommender {
         self.algorithm
     }
 
+    /// The definition `CREATE RECOMMENDER` logs and a checkpoint keeps.
+    pub fn def(&self) -> RecommenderDef {
+        RecommenderDef {
+            name: self.name.clone(),
+            table: self.ratings_table.clone(),
+            users: self.users_column.clone(),
+            items: self.items_column.clone(),
+            ratings: self.ratings_column.clone(),
+            algorithm: self.algorithm.name().to_owned(),
+        }
+    }
+
     /// The training configuration this recommender was created with.
     pub fn train_config(&self) -> TrainConfig {
         self.train_config
@@ -255,42 +230,14 @@ impl Recommender {
         (self.pending_updates as f64) / base * 100.0 >= threshold_pct
     }
 
-    /// Rebuild the model from the current table contents and refresh every
-    /// materialized entry ("RECDB maintains the recommendation score for
-    /// all materialized entries", §IV-D), under an optional resource
-    /// governor.
-    ///
-    /// The rebuild is staged: the new model and the refreshed index are
-    /// computed fully before anything is published, so a cancelled or
-    /// faulted rebuild returns `Err` with the previous model (and index)
-    /// still serving, and a later retry starts from a consistent state.
-    pub fn maintain(
-        &mut self,
-        catalog: &Catalog,
-        governor: Option<&QueryGuard>,
-    ) -> EngineResult<()> {
-        let matrix = load_matrix(
-            catalog,
-            &self.ratings_table,
-            &self.users_column,
-            &self.items_column,
-            &self.ratings_column,
-        )?;
-        let staged = Self::stage_rebuild(
-            self.algorithm,
-            &self.train_config,
-            self.index.as_deref(),
-            matrix,
-            governor,
-            &self.pool,
-        )?;
-        self.publish(staged);
-        Ok(())
-    }
-
     /// Train a model on `matrix` and refresh `old_index` against it,
     /// without borrowing any recommender: all fallible work happens here,
-    /// and nothing is visible until [`Recommender::publish`].
+    /// and nothing is visible until [`Recommender::publish`]. With
+    /// `publish`, the one rebuild entry point: the new model and the
+    /// refreshed index ("RECDB maintains the recommendation score for all
+    /// materialized entries", §IV-D) are computed fully before anything is
+    /// published, so a cancelled or faulted rebuild leaves the previous
+    /// model (and index) serving.
     pub fn stage_rebuild(
         algorithm: Algorithm,
         config: &TrainConfig,
@@ -657,9 +604,9 @@ mod tests {
     }
 
     fn make(cat: &Catalog) -> Recommender {
-        Recommender::create(
+        let matrix = load_matrix(cat, "ratings", "uid", "iid", "ratingval").unwrap();
+        Recommender::create_from_matrix(
             "GeneralRec",
-            cat,
             "ratings",
             "uid",
             "iid",
@@ -668,9 +615,31 @@ mod tests {
             TrainConfig::default(),
             0.5,
             0,
+            matrix,
             None,
+            Arc::clone(cat.pool()),
         )
         .unwrap()
+    }
+
+    /// An N% rebuild as the engine runs one: rescan the table, stage the
+    /// new model and index, publish.
+    fn rebuild(
+        rec: &mut Recommender,
+        cat: &Catalog,
+        governor: Option<&QueryGuard>,
+    ) -> EngineResult<()> {
+        let matrix = load_matrix(cat, "ratings", "uid", "iid", "ratingval")?;
+        let staged = Recommender::stage_rebuild(
+            rec.algorithm(),
+            &rec.train_config(),
+            rec.index().as_deref(),
+            matrix,
+            governor,
+            cat.pool(),
+        )?;
+        rec.publish(staged);
+        Ok(())
     }
 
     #[test]
@@ -680,6 +649,17 @@ mod tests {
         assert_eq!(rec.model().trained_on(), 7);
         assert_eq!(rec.model().matrix().rating_of(2, 1), Some(4.5));
         assert_eq!(rec.name(), "generalrec");
+        assert_eq!(
+            rec.def(),
+            RecommenderDef {
+                name: "generalrec".into(),
+                table: "ratings".into(),
+                users: "uid".into(),
+                items: "iid".into(),
+                ratings: "ratingval".into(),
+                algorithm: Algorithm::ItemCosCF.name().into(),
+            }
+        );
     }
 
     #[test]
@@ -697,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn maintain_retrains_and_resets_counter() {
+    fn rebuild_retrains_and_resets_counter() {
         let mut cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         // New rating arrives in the table and is recorded.
@@ -710,7 +690,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 1);
-        rec.maintain(&cat, None).unwrap();
+        rebuild(&mut rec, &cat, None).unwrap();
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(
@@ -841,7 +821,7 @@ mod tests {
         assert!(rec.index().unwrap().get(4, 1).is_some());
         rate(&mut cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
-        rec.maintain(&cat, None).unwrap();
+        rebuild(&mut rec, &cat, None).unwrap();
         assert_same_index(
             &rec.index().unwrap(),
             &per_pair_index(&rec.model(), &[4, 1, 99]),
@@ -859,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn maintain_refreshes_materialized_entries() {
+    fn rebuild_refreshes_materialized_entries() {
         let mut cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         rec.materialize_user(4);
@@ -876,7 +856,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(1, 1);
-        rec.maintain(&cat, None).unwrap();
+        rebuild(&mut rec, &cat, None).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
@@ -894,7 +874,7 @@ mod tests {
         // index, now with the new item in the list.
         rate(&mut cat, 1, 4, 3.0);
         rec.record_insert(4, 1);
-        rec.maintain(&cat, None).unwrap();
+        rebuild(&mut rec, &cat, None).unwrap();
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(2), "hot user silently de-materialized");
         let items: Vec<i64> = idx.iter_desc(2, None, None).map(|(i, _)| i).collect();
@@ -916,13 +896,13 @@ mod tests {
         cancelled.cancel();
         let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
         for guard in [&cancelled, &expired] {
-            let err = rec.maintain(&cat, Some(guard)).unwrap_err();
+            let err = rebuild(&mut rec, &cat, Some(guard)).unwrap_err();
             assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
             assert_eq!(rec.model().trained_on(), 7, "old model still serving");
             assert_eq!(rec.pending_updates(), 1);
             assert_eq!(entries(&rec), before, "old index untouched");
         }
-        rec.maintain(&cat, Some(&QueryGuard::unlimited())).unwrap();
+        rebuild(&mut rec, &cat, Some(&QueryGuard::unlimited())).unwrap();
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(rec.index().unwrap().get(4, 1), None);
     }
@@ -987,7 +967,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 11);
-        rec.maintain(&cat, None).unwrap();
+        rebuild(&mut rec, &cat, None).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 3), None, "rated since it was admitted");
         for &(user, item) in decision.admitted.iter().filter(|&&p| p != (4, 3)) {

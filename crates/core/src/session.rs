@@ -7,12 +7,13 @@
 //! *implicit* transaction so that a failed (or panicked, or cancelled)
 //! statement rolls its partial effects back and releases its locks.
 //!
-//! Undo is physical: before the first change a transaction makes to a
-//! table, the engine captures a pre-image — the cheap "tail" form (page
-//! count plus a copy of the last page) for append-only INSERTs, the full
-//! page vector for DELETE/UPDATE — and rollback restores those bytes
-//! exactly. Byte-identical restoration keeps record-id assignment
-//! deterministic, which WAL replay relies on.
+//! Undo is physical and read off the statement's redo record
+//! (`ActiveTxn::capture_undo`) before the record is applied: before the
+//! first change a transaction makes to a table it keeps a pre-image — the
+//! cheap "tail" form (page count plus a copy of the last page) for
+//! append-only INSERTs, the full page vector for DELETE/UPDATE — and
+//! rollback restores those bytes exactly. Byte-identical restoration keeps
+//! record-id assignment deterministic, which WAL replay relies on.
 
 use crate::engine::{QueryResult, RecDb};
 use crate::error::{EngineError, EngineResult};
@@ -21,6 +22,7 @@ use recdb_exec::ResultSet;
 use recdb_guard::QueryGuard;
 use recdb_storage::{Catalog, Page, Table};
 use recdb_txn::TxnId;
+use recdb_wal::WalRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One logical connection to a shared [`RecDb`].
@@ -186,60 +188,93 @@ impl ActiveTxn {
         self.undo.push(op);
     }
 
-    /// Record that this transaction created `table` (lowercase): its undo
-    /// is a drop, and inserts into it need no data pre-image.
-    pub(crate) fn note_created_table(&mut self, table: &str) {
-        self.undo.push(UndoOp::CreatedTable {
-            name: table.to_owned(),
-        });
-        self.data_saved.insert(table.to_owned(), DataSave::Created);
-    }
-
-    /// Record that this transaction dropped `table`: a later re-CREATE in
-    /// the same transaction starts its pre-image tracking fresh.
-    pub(crate) fn note_dropped_table(&mut self, table: Table, recommenders: Vec<Recommender>) {
-        self.data_saved.remove(table.name());
-        self.undo.push(UndoOp::DroppedTable {
-            table: Box::new(table),
-            recommenders,
-        });
-    }
-
-    /// Capture the append-only pre-image of `table` (lowercase) unless a
-    /// pre-image already covers it.
-    pub(crate) fn save_tail(&mut self, catalog: &Catalog, table: &str) -> EngineResult<()> {
-        if self.data_saved.contains_key(table) {
-            return Ok(());
+    /// Capture what undoing `record` needs, before it is applied to
+    /// `catalog`. Table names in records are lowercase.
+    ///
+    /// * `Insert`: the table's append-only pre-image, unless one already
+    ///   covers it.
+    /// * `Delete`/`Update`: the full page pre-image, unless a full one (or
+    ///   a created-by-this-txn note) covers it. An existing `Tail` entry is
+    ///   escalated: the full snapshot is pushed *after* it, and
+    ///   reverse-order undo applies the full restore first, then the tail
+    ///   truncation — landing exactly on the transaction's start state.
+    /// * `CreateTable`/`CreateIndex`: a drop, and for a table no data
+    ///   pre-image for its writes.
+    /// * `DropIndex`: the key columns to re-create it from.
+    /// * `DropTable`: the table itself, which the apply returns and the
+    ///   caller keeps; here a later re-CREATE in this transaction just
+    ///   starts its pre-image tracking fresh.
+    ///
+    /// A DDL record the apply will refuse (a taken name, a missing table
+    /// or index) changes nothing and gets no undo — a drop captured for a
+    /// `CREATE` of an existing name would destroy it on rollback.
+    pub(crate) fn capture_undo(
+        &mut self,
+        catalog: &Catalog,
+        record: &WalRecord,
+    ) -> EngineResult<()> {
+        match record {
+            WalRecord::Insert { table, .. } if !self.data_saved.contains_key(table) => {
+                let (page_count, last_page) = catalog.table(table)?.snapshot_tail()?;
+                self.undo.push(UndoOp::TableTail {
+                    name: table.clone(),
+                    page_count,
+                    last_page,
+                });
+                self.data_saved.insert(table.clone(), DataSave::Tail);
+            }
+            WalRecord::Delete { table, .. } | WalRecord::Update { table, .. }
+                if !matches!(
+                    self.data_saved.get(table),
+                    Some(DataSave::Full | DataSave::Created)
+                ) =>
+            {
+                let pages = catalog.table(table)?.snapshot_pages()?;
+                self.undo.push(UndoOp::TablePages {
+                    name: table.clone(),
+                    pages,
+                });
+                self.data_saved.insert(table.clone(), DataSave::Full);
+            }
+            WalRecord::CreateTable { name, .. } if !catalog.contains(name) => {
+                self.undo.push(UndoOp::CreatedTable { name: name.clone() });
+                self.data_saved.insert(name.clone(), DataSave::Created);
+            }
+            WalRecord::CreateIndex { table, index, .. }
+                if catalog.table(table).is_ok_and(|t| t.index(index).is_err()) =>
+            {
+                self.undo.push(UndoOp::CreatedIndex {
+                    table: table.clone(),
+                    index: index.clone(),
+                });
+            }
+            WalRecord::DropIndex { table, index } => {
+                let Ok(t) = catalog.table(table) else {
+                    return Ok(());
+                };
+                let Ok(idx) = t.index(index) else {
+                    return Ok(());
+                };
+                let schema = t.schema();
+                let columns = idx
+                    .key_columns()
+                    .iter()
+                    .map(|&o| {
+                        let col = schema.column(o).expect("index key ordinal within schema");
+                        col.name.clone()
+                    })
+                    .collect();
+                self.undo.push(UndoOp::DroppedIndex {
+                    table: table.clone(),
+                    index: index.clone(),
+                    columns,
+                });
+            }
+            WalRecord::DropTable { name } => {
+                self.data_saved.remove(name);
+            }
+            _ => {}
         }
-        let (page_count, last_page) = catalog.table(table)?.snapshot_tail()?;
-        self.undo.push(UndoOp::TableTail {
-            name: table.to_owned(),
-            page_count,
-            last_page,
-        });
-        self.data_saved.insert(table.to_owned(), DataSave::Tail);
-        Ok(())
-    }
-
-    /// Capture the full page pre-image of `table` (lowercase) unless a
-    /// full pre-image (or a created-by-this-txn note) already covers it.
-    /// An existing `Tail` entry is escalated: the full snapshot is pushed
-    /// *after* it, and reverse-order undo applies the full restore first,
-    /// then the tail truncation — landing exactly on the transaction's
-    /// start state.
-    pub(crate) fn save_pages(&mut self, catalog: &Catalog, table: &str) -> EngineResult<()> {
-        if matches!(
-            self.data_saved.get(table),
-            Some(DataSave::Full | DataSave::Created)
-        ) {
-            return Ok(());
-        }
-        let pages = catalog.table(table)?.snapshot_pages()?;
-        self.undo.push(UndoOp::TablePages {
-            name: table.to_owned(),
-            pages,
-        });
-        self.data_saved.insert(table.to_owned(), DataSave::Full);
         Ok(())
     }
 

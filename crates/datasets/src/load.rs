@@ -10,7 +10,7 @@
 
 use crate::generate::Dataset;
 use recdb_core::{EngineResult, RecDb};
-use recdb_storage::{DataType, Schema, Tuple, Value};
+use recdb_storage::{Tuple, Value};
 
 /// Names of the tables a dataset was loaded into.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,47 +33,18 @@ impl Dataset {
         let located = self.items.iter().any(|i| i.location.is_some());
         let items_table = if located { "businesses" } else { "movies" };
 
-        db.catalog_mut().create_table(
-            "users",
-            Schema::from_pairs(&[
-                ("uid", DataType::Int),
-                ("name", DataType::Text),
-                ("city", DataType::Text),
-            ]),
-        )?;
-        if located {
-            db.catalog_mut().create_table(
-                items_table,
-                Schema::from_pairs(&[
-                    ("bid", DataType::Int),
-                    ("name", DataType::Text),
-                    ("category", DataType::Text),
-                    ("loc", DataType::Point),
-                    ("city", DataType::Text),
-                ]),
-            )?;
-            db.catalog_mut().create_table(
-                "cities",
-                Schema::from_pairs(&[("name", DataType::Text), ("geom", DataType::Rect)]),
-            )?;
+        // Through SQL, so a durable engine logs the tables like their rows.
+        let items_ddl = if located {
+            "CREATE TABLE businesses (bid INT, name TEXT, category TEXT, loc POINT, city TEXT);
+             CREATE TABLE cities (name TEXT, geom RECT)"
         } else {
-            db.catalog_mut().create_table(
-                items_table,
-                Schema::from_pairs(&[
-                    ("mid", DataType::Int),
-                    ("name", DataType::Text),
-                    ("genre", DataType::Text),
-                ]),
-            )?;
-        }
-        db.catalog_mut().create_table(
-            "ratings",
-            Schema::from_pairs(&[
-                ("uid", DataType::Int),
-                ("iid", DataType::Int),
-                ("ratingval", DataType::Float),
-            ]),
-        )?;
+            "CREATE TABLE movies (mid INT, name TEXT, genre TEXT)"
+        };
+        db.execute_script(&format!(
+            "CREATE TABLE users (uid INT, name TEXT, city TEXT);
+             {items_ddl};
+             CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)"
+        ))?;
 
         let user_rows: Vec<Tuple> = self
             .users

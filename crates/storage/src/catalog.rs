@@ -262,16 +262,8 @@ impl Catalog {
         Ok(self.tables.entry(key).or_insert(table))
     }
 
-    /// Drop a table.
-    pub fn drop_table(&mut self, name: &str) -> StorageResult<()> {
-        self.tables
-            .remove(&name.to_ascii_lowercase())
-            .map(|_| ())
-            .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
-    }
-
-    /// Remove a table and hand it back whole (heap, indexes and all) —
-    /// the pre-image a transaction keeps so `DROP TABLE` can be undone.
+    /// Remove a table and hand it back whole (heap, indexes and all):
+    /// `DROP TABLE`, whose transaction keeps it so the drop can be undone.
     pub fn take_table(&mut self, name: &str) -> StorageResult<Table> {
         self.tables
             .remove(&name.to_ascii_lowercase())
@@ -348,18 +340,6 @@ mod tests {
             Err(StorageError::TableExists(_))
         ));
         assert_eq!(cat.table_names(), vec!["ratings"]);
-    }
-
-    #[test]
-    fn drop_table() {
-        let mut cat = Catalog::new();
-        cat.create_table("t", ratings_schema()).unwrap();
-        cat.drop_table("T").unwrap();
-        assert!(matches!(
-            cat.table("t"),
-            Err(StorageError::TableNotFound(_))
-        ));
-        assert!(cat.drop_table("t").is_err());
     }
 
     #[test]
@@ -500,6 +480,11 @@ mod tests {
 
         let taken = cat.take_table("r").unwrap();
         assert!(!cat.contains("r"));
+        assert!(matches!(
+            cat.table("r"),
+            Err(StorageError::TableNotFound(_))
+        ));
+        assert!(cat.take_table("R").is_err(), "already taken");
         cat.restore_table(taken);
         let t = cat.table("R").unwrap();
         assert_eq!(t.tuple_count(), 1);

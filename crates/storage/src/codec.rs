@@ -7,6 +7,8 @@
 //! adversarial input by definition.
 
 use crate::error::{StorageError, StorageResult};
+use crate::schema::{Column, Schema};
+use crate::value::DataType;
 
 /// Append a `u8`.
 pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -32,6 +34,17 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// Append a table schema: a `u16` arity, then each column's name and
+/// [`DataType::to_tag`]. The one schema encoding of the WAL's
+/// `CreateTable` record and the checkpoint manifest.
+pub fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    put_u16(buf, schema.arity() as u16);
+    for col in schema.columns() {
+        put_str(buf, &col.name);
+        put_u8(buf, col.data_type.to_tag());
+    }
 }
 
 /// A bounds-checked cursor over encoded bytes.
@@ -121,6 +134,22 @@ impl<'a> Reader<'a> {
         String::from_utf8(raw.to_vec())
             .map_err(|_| StorageError::Corrupt(format!("invalid UTF-8 in {}", self.what)))
     }
+
+    /// Take a schema written by [`put_schema`]. Relation qualifiers are not
+    /// persisted: base-table columns are always unqualified.
+    pub fn take_schema(&mut self) -> StorageResult<Schema> {
+        let arity = self.take_u16()?;
+        let mut columns = Vec::with_capacity(arity as usize);
+        for _ in 0..arity {
+            let name = self.take_str()?;
+            let tag = self.take_u8()?;
+            let ty = DataType::from_tag(tag).ok_or_else(|| {
+                StorageError::Corrupt(format!("{} has unknown column type tag {tag}", self.what))
+            })?;
+            columns.push(Column::new(name, ty));
+        }
+        Ok(Schema::new(columns))
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +171,21 @@ mod tests {
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.take_str().unwrap(), "héap");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn schema_roundtrips_and_rejects_unknown_tags() {
+        let schema = Schema::from_pairs(&[("uid", DataType::Int), ("loc", DataType::Point)]);
+        let mut buf = Vec::new();
+        put_schema(&mut buf, &schema);
+        assert_eq!(Reader::new(&buf, "test").take_schema().unwrap(), schema);
+        let last = buf.len() - 1;
+        buf[last] = 0xEE;
+        let err = Reader::new(&buf, "manifest").take_schema().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            StorageError::Corrupt("manifest has unknown column type tag 238".into()).to_string()
+        );
     }
 
     #[test]

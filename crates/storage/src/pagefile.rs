@@ -23,8 +23,7 @@ use crate::codec::{self, Reader};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_SIZE};
 use crate::pool::BufferPool;
-use crate::schema::{Column, Schema};
-use crate::value::DataType;
+use crate::schema::Schema;
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -78,11 +77,6 @@ fn parse_table_file(name: &str) -> Option<(&str, u64)> {
     Some((&stem[..dot], lsn))
 }
 
-fn tag_type(tag: u8) -> StorageResult<DataType> {
-    DataType::from_tag(tag)
-        .ok_or_else(|| StorageError::Corrupt(format!("manifest has unknown column type tag {tag}")))
-}
-
 /// Serialize the manifest: catalog shape + engine meta + checkpoint LSN,
 /// CRC32-trailed so a torn manifest write is detectable (the rename makes
 /// one vanishingly unlikely, but the checksum makes it *impossible* to
@@ -98,13 +92,7 @@ fn encode_manifest(catalog: &Catalog, meta: &[u8], lsn: u64) -> Vec<u8> {
     codec::put_u32(&mut buf, tables.len() as u32);
     for table in tables {
         codec::put_str(&mut buf, table.name());
-        let schema = table.schema();
-        codec::put_u16(&mut buf, schema.arity() as u16);
-        for i in 0..schema.arity() {
-            let col = schema.column(i).expect("arity-bounded column index");
-            codec::put_str(&mut buf, &col.name);
-            codec::put_u8(&mut buf, col.data_type.to_tag());
-        }
+        codec::put_schema(&mut buf, table.schema());
         codec::put_u16(&mut buf, table.indexes().len() as u16);
         for idx in table.indexes() {
             codec::put_str(&mut buf, idx.name());
@@ -172,13 +160,7 @@ fn decode_manifest(bytes: &[u8]) -> StorageResult<Manifest> {
     let mut tables = Vec::with_capacity(table_count as usize);
     for _ in 0..table_count {
         let name = r.take_str()?;
-        let arity = r.take_u16()?;
-        let mut columns = Vec::with_capacity(arity as usize);
-        for _ in 0..arity {
-            let col_name = r.take_str()?;
-            let ty = tag_type(r.take_u8()?)?;
-            columns.push(Column::new(col_name, ty));
-        }
+        let schema = r.take_schema()?;
         let index_count = r.take_u16()?;
         let mut indexes = Vec::with_capacity(index_count as usize);
         for _ in 0..index_count {
@@ -193,7 +175,7 @@ fn decode_manifest(bytes: &[u8]) -> StorageResult<Manifest> {
         let page_count = r.take_u32()?;
         tables.push(ManifestTable {
             name,
-            schema: Schema::new(columns),
+            schema,
             indexes,
             page_count,
         });
@@ -418,8 +400,9 @@ fn read_table_pages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Column;
     use crate::tuple::Tuple;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

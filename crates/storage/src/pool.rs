@@ -9,15 +9,9 @@
 //! is **never** consulted by recovery, which rebuilds state from the
 //! checkpoint plus the WAL. That split keeps the crash-safety story of the
 //! checkpoint protocol (generation files + manifest rename) untouched
-//! while bounding resident memory.
-//!
-//! Write-back ordering still honours the WAL rule (flush log before
-//! page): before a dirty frame is written the pool invokes the *WAL
-//! barrier* hook the engine installs ([`BufferPool::set_wal_barrier`]),
-//! which flushes the log tail. The hook uses a `try_lock` internally so a
-//! checkpoint (which holds the durability lock *and* faults pages in) can
-//! never deadlock against an eviction — if the durability lock is already
-//! held, the log is quiescent and the barrier is a no-op.
+//! while bounding resident memory. Because no page written there is ever
+//! read back across a crash, a write-back never forces the log: every
+//! record recovery replays was fsynced by its own commit.
 //!
 //! # Concurrency
 //!
@@ -69,7 +63,6 @@
 use crate::btree::node::Node;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PAGE_SIZE};
-use parking_lot::Mutex;
 use recdb_obs::{Counter, Registry};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
@@ -217,8 +210,6 @@ struct PoolMetrics {
     evictions: Arc<Counter>,
 }
 
-type Barrier = Box<dyn Fn() + Send + Sync>;
-
 /// A fixed-capacity buffer pool. See the module docs for the design.
 pub struct BufferPool {
     inner: std::sync::Mutex<PoolInner>,
@@ -233,7 +224,6 @@ pub struct BufferPool {
     private_reads: AtomicU64,
     evictions: AtomicU64,
     metrics: OnceLock<PoolMetrics>,
-    barrier: Mutex<Option<Barrier>>,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -263,7 +253,6 @@ impl BufferPool {
             private_reads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             metrics: OnceLock::new(),
-            barrier: Mutex::new(None),
         }
     }
 
@@ -289,13 +278,6 @@ impl BufferPool {
     /// Maximum number of resident frames.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Install the flush-log-before-page hook, called before every dirty
-    /// write-back. The hook must be deadlock-free against pool accessors
-    /// (use `try_lock` on any lock that is ever held around a pool call).
-    pub fn set_wal_barrier(&self, f: impl Fn() + Send + Sync + 'static) {
-        *self.barrier.lock() = Some(Box::new(f));
     }
 
     /// Register the pool's counters with a metrics registry. May be called
@@ -695,9 +677,8 @@ impl BufferPool {
         }
     }
 
-    /// Evict the frame in `slot`: flush the WAL (barrier hook), write the
-    /// block back if dirty, then free the slot. On error the frame is
-    /// left untouched.
+    /// Evict the frame in `slot`: write the block back if dirty, then free
+    /// the slot. On error the frame is left untouched.
     fn evict_slot(&self, inner: &mut PoolInner, slot: usize) -> StorageResult<()> {
         recdb_fault::fail_point("storage::pool_evict")?;
         let (key, block) = match inner.frames[slot].as_ref() {
@@ -705,9 +686,6 @@ impl BufferPool {
             None => return Ok(()),
         };
         if let Some(block) = block {
-            if let Some(barrier) = self.barrier.lock().as_ref() {
-                barrier();
-            }
             let state = file_state_mut(inner, key.0)?;
             Self::write_backing(state, key.1, &block, self.spill_dir.as_deref())?;
         }
@@ -1259,24 +1237,6 @@ mod tests {
         }
         let got = pool.with_page(f, 0, |p| p.get(0).unwrap()).unwrap();
         assert_eq!(got, tuple(7));
-    }
-
-    #[test]
-    fn wal_barrier_runs_before_dirty_writeback() {
-        let _x = recdb_fault::exclusive();
-        use std::sync::atomic::AtomicUsize;
-        let pool = BufferPool::in_memory(2);
-        let flushes = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&flushes);
-        pool.set_wal_barrier(move || {
-            seen.fetch_add(1, Ordering::SeqCst);
-        });
-        let f = pool.create_file(FileKind::Heap, "t");
-        for n in 0..5 {
-            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
-                .unwrap();
-        }
-        assert!(flushes.load(Ordering::SeqCst) >= 3, "barrier not invoked");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! length-prefixed, CRC32-checksummed logical redo records, fsynced at
 //! commit points and pruned after checkpoints.
 //!
-//! * [`WalRecord`] — one logical record per mutating statement,
+//! * [`WalRecord`] — one logical record per mutating statement, and
+//!   [`RecommenderDef`], the recommender definition it and the checkpoint
+//!   metadata share,
 //! * [`Wal`] — the log file: append / commit (fsync) / prune, with
 //!   torn-tail detection on open,
 //! * [`WalError`] — I/O, fault-injection, and corruption failures.
@@ -24,4 +26,4 @@ pub mod record;
 
 pub use error::{WalError, WalResult};
 pub use log::{OpenedWal, Wal};
-pub use record::WalRecord;
+pub use record::{RecommenderDef, WalRecord};

@@ -16,6 +16,10 @@
 //! the open instead; valid checksums mean those bytes were once written
 //! whole.
 //!
+//! [`Wal::commit`] is the only fsync: a record is durable once the commit
+//! that follows it returns. Nothing else forces the log — the buffer
+//! pool's write-backs go to scratch files recovery never reads.
+//!
 //! Fail points (armed via `recdb-fault`, no-ops in production):
 //!
 //! * `wal::append` — simulates a torn write: half the frame reaches the
@@ -261,21 +265,6 @@ impl Wal {
             self.tail_dirty = false;
             return Err(fault.into());
         }
-        self.file.sync_all().map_err(|e| WalError::io("fsync", e))?;
-        self.synced_len = self.len;
-        self.synced_next_lsn = self.next_lsn;
-        if let Some(metrics) = &self.metrics {
-            metrics.counter("recdb_wal_fsyncs_total").inc();
-        }
-        Ok(())
-    }
-
-    /// Flush appended records to stable storage for the buffer pool's
-    /// log-before-page barrier. Unlike [`Wal::commit`] this does not
-    /// evaluate the `wal::fsync` fail point: the barrier runs on eviction
-    /// paths, and letting it consume injected-fault countdowns would make
-    /// the crash matrix depend on cache pressure.
-    pub fn sync(&mut self) -> WalResult<()> {
         self.file.sync_all().map_err(|e| WalError::io("fsync", e))?;
         self.synced_len = self.len;
         self.synced_next_lsn = self.next_lsn;

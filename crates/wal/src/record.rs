@@ -1,20 +1,67 @@
 //! Logical WAL records: one per mutating statement.
 //!
 //! RecDB logs *logical* redo records (what the statement did, in terms of
-//! tables and tuples) rather than physical page images. Replay re-executes
-//! each record through the normal catalog paths; because the heap append
-//! algorithm is deterministic, replay reproduces the exact same RIDs the
-//! original run assigned, which is what lets later `Delete`/`Update`
-//! records reference RIDs by value.
+//! tables and tuples) rather than physical page images. A live statement
+//! builds its record first and applies it through the same function
+//! recovery replays it with; because the heap append algorithm is
+//! deterministic, replay reproduces the exact same RIDs the original run
+//! assigned, which is what lets later `Delete`/`Update` records reference
+//! RIDs by value.
 //!
 //! Recommender models are *derived* state and are deliberately not logged:
-//! `CreateRecommender` records only the definition, and recovery retrains
-//! from the recovered ratings.
+//! `CreateRecommender` records only the [`RecommenderDef`], and recovery
+//! retrains from the recovered ratings.
 
 use recdb_storage::codec::{self, Reader};
-use recdb_storage::{Column, DataType, Rid, Schema, StorageError, Tuple};
+use recdb_storage::{Rid, Schema, StorageError, Tuple};
 
 use crate::error::{WalError, WalResult};
+
+/// A recommender's definition: what `CREATE RECOMMENDER` logs and what a
+/// checkpoint's metadata blob keeps per recommender, in one encoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecommenderDef {
+    /// Recommender name (lowercase).
+    pub name: String,
+    /// Ratings table the model trains on (lowercase).
+    pub table: String,
+    /// Users column name.
+    pub users: String,
+    /// Items column name.
+    pub items: String,
+    /// Ratings-value column name.
+    pub ratings: String,
+    /// Algorithm name as parsed by the engine (`"svd"`, `"itemcossim"`, …).
+    pub algorithm: String,
+}
+
+impl RecommenderDef {
+    /// Append the six strings.
+    pub fn put(&self, buf: &mut Vec<u8>) {
+        for s in [
+            &self.name,
+            &self.table,
+            &self.users,
+            &self.items,
+            &self.ratings,
+            &self.algorithm,
+        ] {
+            codec::put_str(buf, s);
+        }
+    }
+
+    /// Take a definition written by [`RecommenderDef::put`].
+    pub fn take(r: &mut Reader<'_>) -> Result<Self, StorageError> {
+        Ok(RecommenderDef {
+            name: r.take_str()?,
+            table: r.take_str()?,
+            users: r.take_str()?,
+            items: r.take_str()?,
+            ratings: r.take_str()?,
+            algorithm: r.take_str()?,
+        })
+    }
+}
 
 /// A logical redo record.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,20 +118,7 @@ pub enum WalRecord {
     },
     /// `CREATE RECOMMENDER` definition (the model itself is retrained on
     /// recovery, never logged).
-    CreateRecommender {
-        /// Recommender name.
-        name: String,
-        /// Ratings table the model trains on.
-        table: String,
-        /// Users column name.
-        users: String,
-        /// Items column name.
-        items: String,
-        /// Ratings-value column name.
-        ratings: String,
-        /// Algorithm name as parsed by the engine (`"svd"`, `"itemcossim"`, …).
-        algorithm: String,
-    },
+    CreateRecommender(RecommenderDef),
     /// `DROP RECOMMENDER name`.
     DropRecommender {
         /// Recommender name.
@@ -157,12 +191,7 @@ impl WalRecord {
             WalRecord::CreateTable { name, schema } => {
                 codec::put_u8(buf, TAG_CREATE_TABLE);
                 codec::put_str(buf, name);
-                codec::put_u16(buf, schema.arity() as u16);
-                for i in 0..schema.arity() {
-                    let col = schema.column(i).expect("arity-bounded column index");
-                    codec::put_str(buf, &col.name);
-                    codec::put_u8(buf, col.data_type.to_tag());
-                }
+                codec::put_schema(buf, schema);
             }
             WalRecord::DropTable { name } => {
                 codec::put_u8(buf, TAG_DROP_TABLE);
@@ -211,21 +240,9 @@ impl WalRecord {
                 codec::put_str(buf, table);
                 codec::put_str(buf, index);
             }
-            WalRecord::CreateRecommender {
-                name,
-                table,
-                users,
-                items,
-                ratings,
-                algorithm,
-            } => {
+            WalRecord::CreateRecommender(def) => {
                 codec::put_u8(buf, TAG_CREATE_RECOMMENDER);
-                codec::put_str(buf, name);
-                codec::put_str(buf, table);
-                codec::put_str(buf, users);
-                codec::put_str(buf, items);
-                codec::put_str(buf, ratings);
-                codec::put_str(buf, algorithm);
+                def.put(buf);
             }
             WalRecord::DropRecommender { name } => {
                 codec::put_u8(buf, TAG_DROP_RECOMMENDER);
@@ -276,22 +293,10 @@ impl WalRecord {
     fn decode_from(r: &mut Reader<'_>) -> Result<WalRecord, StorageError> {
         let tag = r.take_u8()?;
         Ok(match tag {
-            TAG_CREATE_TABLE => {
-                let name = r.take_str()?;
-                let arity = r.take_u16()?;
-                let mut columns = Vec::with_capacity(arity as usize);
-                for _ in 0..arity {
-                    let col_name = r.take_str()?;
-                    let ty = DataType::from_tag(r.take_u8()?).ok_or_else(|| {
-                        StorageError::Corrupt("wal record has unknown column type tag".into())
-                    })?;
-                    columns.push(Column::new(col_name, ty));
-                }
-                WalRecord::CreateTable {
-                    name,
-                    schema: Schema::new(columns),
-                }
-            }
+            TAG_CREATE_TABLE => WalRecord::CreateTable {
+                name: r.take_str()?,
+                schema: r.take_schema()?,
+            },
             TAG_DROP_TABLE => WalRecord::DropTable {
                 name: r.take_str()?,
             },
@@ -342,14 +347,7 @@ impl WalRecord {
                 table: r.take_str()?,
                 index: r.take_str()?,
             },
-            TAG_CREATE_RECOMMENDER => WalRecord::CreateRecommender {
-                name: r.take_str()?,
-                table: r.take_str()?,
-                users: r.take_str()?,
-                items: r.take_str()?,
-                ratings: r.take_str()?,
-                algorithm: r.take_str()?,
-            },
+            TAG_CREATE_RECOMMENDER => WalRecord::CreateRecommender(RecommenderDef::take(r)?),
             TAG_DROP_RECOMMENDER => WalRecord::DropRecommender {
                 name: r.take_str()?,
             },
@@ -387,7 +385,7 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recdb_storage::Value;
+    use recdb_storage::{Column, DataType, Value};
 
     fn every_variant() -> Vec<WalRecord> {
         vec![
@@ -429,14 +427,14 @@ mod tests {
                 table: "ratings".into(),
                 index: "ratings_uid".into(),
             },
-            WalRecord::CreateRecommender {
+            WalRecord::CreateRecommender(RecommenderDef {
                 name: "movierec".into(),
                 table: "ratings".into(),
                 users: "uid".into(),
                 items: "iid".into(),
                 ratings: "ratingval".into(),
                 algorithm: "itemcossim".into(),
-            },
+            }),
             WalRecord::DropRecommender {
                 name: "movierec".into(),
             },

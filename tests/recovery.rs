@@ -13,9 +13,11 @@
 //! engine that applies exactly the statements the durable engine
 //! acknowledged.
 
+use proptest::prelude::*;
 use recdb::core::{EngineError, RecDb, RecDbConfig};
+use recdb::datasets::{generate, SyntheticSpec};
 use recdb::fault;
-use recdb::storage::RecoveryMode;
+use recdb::storage::{RecoveryMode, Rid, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -590,5 +592,272 @@ fn recommender_answers_survive_crash_and_reopen() {
     drop(db);
     let db = RecDb::open(&dir).expect("reopen after drop");
     assert!(db.recommender_names().is_empty());
+    cleanup(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Live state == replayed state
+// ---------------------------------------------------------------------
+
+/// Every table's heap as encoded page blocks (at LSN 0), its live tuple
+/// count, and each secondary index's entries sorted — the state WAL replay
+/// must reproduce byte for byte, because later `Delete`/`Update` records
+/// name rids.
+type PhysicalTable = (
+    String,
+    Vec<Vec<u8>>,
+    u64,
+    Vec<(String, Vec<(Vec<Value>, Rid)>)>,
+);
+
+fn physical_state(db: &RecDb) -> Vec<PhysicalTable> {
+    let catalog = db.catalog();
+    catalog
+        .tables()
+        .map(|t| {
+            let pages = (0..t.heap().page_count() as u32)
+                .map(|p| t.heap().encode_page_block(p, 0).expect("page block"))
+                .collect();
+            let indexes = t
+                .indexes()
+                .iter()
+                .map(|idx| {
+                    let mut entries: Vec<(Vec<Value>, Rid)> =
+                        idx.iter_asc().map(|(k, rid)| (k.clone(), rid)).collect();
+                    entries.sort();
+                    (idx.name().to_owned(), entries)
+                })
+                .collect();
+            (t.name().to_owned(), pages, t.tuple_count(), indexes)
+        })
+        .collect()
+}
+
+/// One generated step: `(kind, table, column, rows, pivot)`. Rows are
+/// `(a, b, text length)`; the text column makes UPDATEs move tuples.
+type Step = (u8, u8, u8, Vec<(i64, i64, usize)>, i64);
+
+fn step_sql((kind, table, column, rows, pivot): &Step) -> String {
+    let t = format!("t{table}");
+    let col = ["a", "b", "c"][*column as usize];
+    match kind {
+        0 => format!("CREATE TABLE {t} (a INT, b FLOAT, c TEXT)"),
+        1 => format!("DROP TABLE {t}"),
+        2..=4 => {
+            let values: Vec<String> = rows
+                .iter()
+                .map(|(a, b, len)| format!("({a}, {b}.5, '{}')", "x".repeat(*len)))
+                .collect();
+            format!("INSERT INTO {t} VALUES {}", values.join(", "))
+        }
+        5 => format!("DELETE FROM {t} WHERE a % 4 = {}", pivot % 4),
+        6 => format!(
+            "UPDATE {t} SET b = b + 1, c = '{}' WHERE a < {pivot}",
+            "y".repeat(rows.len() * 3)
+        ),
+        7 => format!("CREATE INDEX {t}_{col} ON {t} ({col})"),
+        8 => format!("DROP INDEX {t}_{col} ON {t}"),
+        9 => "BEGIN".to_owned(),
+        10 => "COMMIT".to_owned(),
+        _ => "ROLLBACK".to_owned(),
+    }
+}
+
+fn script_strategy() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (
+            0u8..12,
+            0u8..2,
+            0u8..3,
+            proptest::collection::vec((0i64..40, 0i64..5, 0usize..120), 1..40),
+            0i64..40,
+        ),
+        1..30,
+    )
+}
+
+proptest! {
+    /// Whatever a script of DDL, DML and transactions leaves in a durable
+    /// engine, dropping the engine without a checkpoint and replaying the
+    /// WAL rebuilds byte-identical heaps and the same index entries.
+    /// Statements that fail (a missing table, a duplicate index) are part
+    /// of the script: they roll back, and replay must not see them.
+    #[test]
+    fn live_state_equals_replayed_state(script in script_strategy()) {
+        let _gate = fault::exclusive();
+        fault::clear();
+        let dir = temp_dir("live-replay");
+        let config = || RecDbConfig {
+            data_dir: Some(dir.clone()),
+            buffer_pool_pages: 4,
+            ..RecDbConfig::default()
+        };
+        let db = RecDb::open_with_config(config()).expect("open");
+        let live = {
+            let mut session = db.session();
+            for sql in ["CREATE TABLE t0 (a INT, b FLOAT, c TEXT)", "CREATE TABLE t1 (a INT, b FLOAT, c TEXT)"] {
+                session.execute(sql).expect("seed tables");
+            }
+            for step in &script {
+                let _ = session.execute(&step_sql(step));
+            }
+            if session.in_transaction() {
+                session.execute("COMMIT").expect("final commit");
+            }
+            drop(session);
+            physical_state(&db)
+        };
+        drop(db); // crash: no checkpoint
+        let replayed = physical_state(&RecDb::open_with_config(config()).expect("reopen"));
+        cleanup(&dir);
+        // Name the first difference before comparing every byte.
+        let summary = |state: &[PhysicalTable]| -> Vec<(String, Vec<u32>, u64, usize)> {
+            state
+                .iter()
+                .map(|(name, pages, rows, indexes)| {
+                    let page_crcs = pages.iter().map(|p| recdb::storage::crc32(p)).collect();
+                    (name.clone(), page_crcs, *rows, indexes.len())
+                })
+                .collect()
+        };
+        prop_assert_eq!(summary(&live), summary(&replayed));
+        prop_assert!(live == replayed, "heap bytes or index entries differ");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Datasets loaded into a durable engine
+// ---------------------------------------------------------------------
+
+/// `Dataset::load_into` is logged like any other DDL and DML: a crash
+/// before the first checkpoint replays every table and row.
+#[test]
+fn dataset_loaded_into_a_durable_engine_survives_a_crash() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    for spec in [
+        SyntheticSpec::movielens().scaled(0.02),
+        SyntheticSpec::yelp().scaled(0.02),
+    ] {
+        let dataset = generate(&spec);
+        let dir = temp_dir("load-into");
+        let counts = |db: &RecDb| -> Vec<(String, u64)> {
+            let catalog = db.catalog();
+            catalog
+                .tables()
+                .map(|t| (t.name().to_owned(), t.tuple_count()))
+                .collect()
+        };
+        let loaded = {
+            let mut db = RecDb::open(&dir).expect("open");
+            dataset.load_into(&mut db).expect("load");
+            counts(&db)
+        };
+        assert_eq!(
+            loaded
+                .iter()
+                .find(|(t, _)| t == "ratings")
+                .map(|(_, n)| *n as usize),
+            Some(dataset.ratings.len())
+        );
+        let db = RecDb::open(&dir).expect("reopen without a checkpoint");
+        assert_eq!(counts(&db), loaded);
+        drop(db);
+        cleanup(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Durable byte formats, pinned by files an earlier build wrote
+// ---------------------------------------------------------------------
+
+/// Written by the engine at commit `95269c0`: a checkpoint at LSN 5 (two
+/// empty tables of every column type, two indexes, one recommender
+/// definition in the metadata blob) and a WAL tail holding every record
+/// kind — plain and inside committed and rolled-back transactions.
+const GOLDEN_MANIFEST: &[u8] = include_bytes!("golden/catalog.meta");
+const GOLDEN_WAL: &[u8] = include_bytes!("golden/wal.log");
+/// The manifest the same build wrote after opening those files and
+/// checkpointing at LSN 22.
+const GOLDEN_RECHECKPOINTED: &[u8] = include_bytes!("golden/recheckpointed.meta");
+
+#[test]
+fn durable_files_from_an_earlier_build_open_unchanged() {
+    use recdb::storage::crc32;
+    use recdb::wal::Wal;
+    let _gate = fault::exclusive();
+    fault::clear();
+    let dir = temp_dir("golden");
+    std::fs::create_dir_all(&dir).expect("dir");
+    std::fs::write(dir.join("catalog.meta"), GOLDEN_MANIFEST).expect("manifest");
+    std::fs::write(dir.join("wal.log"), GOLDEN_WAL).expect("wal");
+    for table in ["places", "ratings"] {
+        std::fs::write(dir.join(format!("{table}.5.tbl")), []).expect("empty table file");
+    }
+
+    // Every record re-encodes to exactly the frame it was read from.
+    let opened = Wal::open(&dir.join("wal.log"), 0).expect("open log");
+    assert!(opened.truncated.is_none());
+    let mut log = GOLDEN_WAL[..16].to_vec();
+    for (lsn, record) in &opened.records {
+        let mut body = lsn.to_le_bytes().to_vec();
+        body.extend(record.encode());
+        log.extend((body.len() as u32).to_le_bytes());
+        log.extend(crc32(&body).to_le_bytes());
+        log.extend(body);
+    }
+    assert_eq!(log, GOLDEN_WAL);
+    drop(opened);
+
+    let db = RecDb::open(&dir).expect("open the earlier build's files");
+    assert_eq!(db.recommender_names(), vec!["svdrec"]);
+    {
+        let catalog = db.catalog();
+        assert_eq!(catalog.table_names(), vec!["extra", "places", "ratings"]);
+        let places = catalog.table("places").expect("places");
+        let types: Vec<String> = (0..places.schema().arity())
+            .map(|i| format!("{:?}", places.schema().column(i).unwrap().data_type))
+            .collect();
+        assert_eq!(types, ["Int", "Text", "Bool", "Point", "Rect", "Float"]);
+        assert!(places.indexes().is_empty(), "places_id_name was dropped");
+        assert!(catalog
+            .table("ratings")
+            .unwrap()
+            .index("ratings_uid")
+            .is_ok());
+        assert!(catalog.table("extra").unwrap().index("extra_a_b").is_ok());
+        assert_eq!(catalog.table("extra").unwrap().tuple_count(), 0);
+    }
+    let rows = db
+        .query("SELECT loc, area FROM places WHERE id = 1")
+        .expect("places row");
+    assert_eq!(rows.value(0, "loc").unwrap(), &Value::Point(1.5, -2.0));
+    assert_eq!(
+        rows.value(0, "area").unwrap(),
+        &Value::Rect(0.0, 0.0, 3.0, 4.0)
+    );
+    let ratings = db
+        .query("SELECT uid, ratingval FROM ratings WHERE uid = 1")
+        .expect("ratings");
+    assert_eq!(ratings.value(0, "ratingval").unwrap(), &Value::Float(5.0));
+    assert_eq!(db.query("SELECT uid FROM ratings").unwrap().len(), 6);
+    assert!(!db
+        .query(
+            "SELECT R.iid FROM ratings AS R RECOMMEND R.iid TO R.uid ON R.ratingval \
+             USING SVD WHERE R.uid = 1"
+        )
+        .expect("recommend")
+        .is_empty());
+
+    // Checkpointing that state writes the earlier build's manifest and
+    // metadata blob byte for byte, and the same heap pages.
+    db.checkpoint().expect("checkpoint");
+    let manifest = std::fs::read(dir.join("catalog.meta")).expect("manifest");
+    assert_eq!(manifest, GOLDEN_RECHECKPOINTED);
+    for (table, crc) in [("places", 0x58c9_34d5), ("ratings", 0xf2d9_e911)] {
+        let pages = std::fs::read(dir.join(format!("{table}.22.tbl"))).expect("pages");
+        assert_eq!(crc32(&pages), crc, "{table} heap bytes");
+    }
+    drop(db);
     cleanup(&dir);
 }
