@@ -3,7 +3,7 @@
 //! reports.
 //!
 //! ```text
-//! experiments [table2|build|score|pool|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablations|all]
+//! experiments [table2|build|score|pool|scan|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablations|all]
 //! ```
 //!
 //! `build` measures serial-vs-parallel model-build wall time and writes
@@ -12,7 +12,9 @@
 //! genre's candidate list (SVD, ItemCosCF, UserCosCF), and writes
 //! `BENCH_score.json` next to it; `pool` measures
 //! mixed-query throughput against the same engine squeezed into
-//! progressively smaller buffer pools and writes `BENCH_pool.json`.
+//! progressively smaller buffer pools and writes `BENCH_pool.json`;
+//! `scan` times single-key heap scans through a 64-frame pool and over a
+//! resident heap (printed only).
 //!
 //! Absolute numbers will differ from the paper (the substrate is this
 //! repository's storage engine, not PostgreSQL 9.2 on the authors'
@@ -49,6 +51,10 @@ fn main() {
     }
     if run_all || arg == "pool" {
         pool_sweep();
+        ran = true;
+    }
+    if run_all || arg == "scan" {
+        scan_timing();
         ran = true;
     }
     if run_all || arg == "fig6" {
@@ -88,7 +94,7 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment `{arg}`; expected table2, build, score, \
-             pool, fig6..fig12, ablations, or all"
+             pool, scan, fig6..fig12, ablations, or all"
         );
         std::process::exit(2);
     }
@@ -511,6 +517,72 @@ fn pool_sweep() {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
+}
+
+/// In-process cost of one heap scan with one scan key, in the shape of
+/// the benchmark's `mixed_smallpool` scans: the MovieLens-shaped world in
+/// a durable engine whose 64-frame pool is far smaller than the ratings
+/// heap, so every page is a private read (read, checksum, decode). The
+/// same scans over a resident heap show what the rows and keys cost
+/// alone. Beside `uid = k` it times a key that matches nothing, a negative
+/// constant and the `Text` key of Query 4's `movies` scan. Prints only.
+fn scan_timing() {
+    use recdb_core::{RecDb, RecDbConfig};
+    header(
+        "Heap scan with one scan key, in process",
+        "median of 15 reps of 20 scans each; MovieLens-shaped world (seed 1)",
+    );
+    let dataset = recdb_datasets::generate(&SyntheticSpec {
+        seed: 1,
+        ..SyntheticSpec::movielens()
+    });
+    let genre = &dataset.items[0].genre;
+    let scans = [
+        ("ratings", "uid = 7".to_owned()),
+        ("ratings", "uid = 99999".to_owned()),
+        ("ratings", "uid = -1".to_owned()),
+        ("movies", format!("genre = '{genre}'")),
+    ];
+    let dir = std::env::temp_dir().join(format!("recdb-scan-timing-{}", std::process::id()));
+    for (pool, data_dir, frames) in [
+        ("64 frames", Some(dir.clone()), 64),
+        ("resident", None, usize::MAX),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = RecDb::open_with_config(RecDbConfig {
+            data_dir,
+            buffer_pool_pages: frames,
+            ..RecDbConfig::default()
+        })
+        .expect("open an engine");
+        dataset.load_into(&mut db).expect("load the world");
+        println!(
+            "{:<10} {:<22} {:>6} {:>6} {:>10} {:>8}",
+            "pool", "WHERE", "pages", "rows", "us/scan", "us/page"
+        );
+        for (table, predicate) in &scans {
+            let sql = format!("SELECT * FROM {table} WHERE {predicate}");
+            let rows = db.query(&sql).expect("scan").len();
+            let per_rep = 20;
+            let t = time_median(15, || {
+                for _ in 0..per_rep {
+                    db.query(&sql).expect("scan");
+                }
+            });
+            let us = t.as_secs_f64() * 1e6 / per_rep as f64;
+            let pages = db
+                .catalog()
+                .table(table)
+                .expect("table")
+                .heap()
+                .page_count();
+            println!(
+                "{pool:<10} {predicate:<22} {pages:>6} {rows:>6} {us:>10.1} {:>8.2}",
+                us / pages as f64
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Figs. 6–7: query time vs selectivity factor.

@@ -15,7 +15,7 @@
 //! rollback restores those bytes exactly. Byte-identical restoration keeps
 //! record-id assignment deterministic, which WAL replay relies on.
 
-use crate::engine::{QueryResult, RecDb};
+use crate::engine::{QueryResult, RecDb, TxnOutcome};
 use crate::error::{EngineError, EngineResult};
 use crate::recommender::Recommender;
 use recdb_exec::ResultSet;
@@ -116,7 +116,7 @@ impl Drop for Session<'_> {
     fn drop(&mut self) {
         if let Some(txn) = self.state.txn.take() {
             // Nothing to report an undo failure to from `drop`.
-            let _ = self.db.abort_txn(txn, "abort");
+            let _ = self.db.abort_txn(txn, TxnOutcome::Abort);
         }
     }
 }

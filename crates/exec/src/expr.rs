@@ -141,9 +141,20 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
             let ordinal = schema.resolve(&reference)?;
             Ok(BoundExpr::Column(ordinal))
         }
-        Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
-            op: *op,
-            expr: Box::new(bind(expr, schema)?),
+        Expr::Unary { op, expr } => Ok(match (op, bind(expr, schema)?) {
+            // `-1` parses as the negation of the literal `1`. Folding it
+            // makes it a constant like any other (a scan key, say); the
+            // value is the one evaluating the negation would give.
+            (UnaryOp::Neg, BoundExpr::Literal(Value::Int(v))) if v != i64::MIN => {
+                BoundExpr::Literal(Value::Int(-v))
+            }
+            (UnaryOp::Neg, BoundExpr::Literal(Value::Float(v))) => {
+                BoundExpr::Literal(Value::Float(-v))
+            }
+            (op, operand) => BoundExpr::Unary {
+                op: *op,
+                expr: Box::new(operand),
+            },
         }),
         Expr::Binary { op, left, right } => Ok(BoundExpr::Binary {
             op: *op,
@@ -379,25 +390,62 @@ fn eval_binary(
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    if let Some(holds) = comparison(op) {
-        return Ok(Value::Bool(holds(l.total_cmp(&r))));
+    if let Some(cmp) = CmpOp::of(op) {
+        return Ok(Value::Bool(cmp.holds(l.total_cmp(&r))));
     }
     eval_arithmetic(op, &l, &r)
 }
 
-/// The orderings of `left` against `right` under which `left op right`
-/// holds, when `op` is one of the six comparisons. An expression walk and
-/// a scan key on page bytes both decide a comparison through this.
-pub(crate) fn comparison(op: BinaryOp) -> Option<fn(Ordering) -> bool> {
-    Some(match op {
-        BinaryOp::Eq => Ordering::is_eq,
-        BinaryOp::Neq => Ordering::is_ne,
-        BinaryOp::Lt => Ordering::is_lt,
-        BinaryOp::Le => Ordering::is_le,
-        BinaryOp::Gt => Ordering::is_gt,
-        BinaryOp::Ge => Ordering::is_ge,
-        _ => return None,
-    })
+/// One of the six comparisons. An expression walk and a scan key on page
+/// bytes both decide a comparison through [`CmpOp::holds`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl CmpOp {
+    /// The comparison `op` is, if it is one.
+    pub(crate) fn of(op: BinaryOp) -> Option<CmpOp> {
+        Some(match op {
+            BinaryOp::Eq => CmpOp::Eq,
+            BinaryOp::Neq => CmpOp::Ne,
+            BinaryOp::Lt => CmpOp::Lt,
+            BinaryOp::Le => CmpOp::Le,
+            BinaryOp::Gt => CmpOp::Gt,
+            BinaryOp::Ge => CmpOp::Ge,
+            _ => return None,
+        })
+    }
+
+    /// The comparison with its operands swapped: `a < b` is `b > a`.
+    pub(crate) fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            symmetric => symmetric,
+        }
+    }
+
+    /// Whether `left op right` holds when `left` orders as `ordering`
+    /// against `right`.
+    #[inline]
+    pub(crate) fn holds(self, ordering: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ordering.is_eq(),
+            CmpOp::Ne => ordering.is_ne(),
+            CmpOp::Lt => ordering.is_lt(),
+            CmpOp::Le => ordering.is_le(),
+            CmpOp::Gt => ordering.is_gt(),
+            CmpOp::Ge => ordering.is_ge(),
+        }
+    }
 }
 
 fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> ExecResult<Value> {

@@ -587,7 +587,8 @@ type IndexJoinParts<'a> = (
 /// Probe for an index nested-loop opportunity: the inner (right) side must
 /// be a base-table scan (optionally filtered), the predicate must contain
 /// an equi-condition on the inner table's single-column index, and every
-/// other conjunct becomes the residual.
+/// other conjunct becomes the residual. A stale index (a failed rollback
+/// rebuild) is never offered: the join hashes instead.
 fn try_index_join<'a>(
     left_schema: Schema,
     right: &LogicalPlan,
@@ -613,7 +614,8 @@ fn try_index_join<'a>(
     for c in predicate.conjuncts() {
         if chosen.is_none() {
             if let Some((l_ord, r_ord)) = match_equi(c, &left_schema, &inner_schema) {
-                if let Some(index) = table.indexes().iter().find(|i| i.key_columns() == [r_ord]) {
+                let mut usable = table.usable_indexes().iter();
+                if let Some(index) = usable.find(|i| i.key_columns() == [r_ord]) {
                     chosen = Some((l_ord, index));
                     continue;
                 }

@@ -1,7 +1,10 @@
 //! The table catalog: named tables, each a heap plus its indexes.
 //!
 //! Index maintenance is transparent: [`Table::insert`] and [`Table::delete`]
-//! keep every secondary index in sync with the heap.
+//! keep every secondary index in sync with the heap. A rollback rebuilds
+//! the indexes from the restored heap; if that fails halfway they are
+//! *stale* — [`Table::usable_indexes`] offers none of them — until the
+//! next write to the table rebuilds them first.
 
 use crate::error::{StorageError, StorageResult};
 use crate::heap::{HeapTable, Rid};
@@ -19,6 +22,8 @@ pub struct Table {
     name: String,
     heap: HeapTable,
     indexes: Vec<BTreeIndex>,
+    /// A rebuild of `indexes` failed partway: they may miss rows.
+    indexes_stale: bool,
 }
 
 impl Table {
@@ -30,6 +35,7 @@ impl Table {
             name,
             heap,
             indexes: Vec::new(),
+            indexes_stale: false,
         }
     }
 
@@ -70,6 +76,7 @@ impl Table {
             .iter()
             .map(|c| self.schema().resolve(c))
             .collect::<StorageResult<_>>()?;
+        self.repair_indexes()?;
         let mut idx = BTreeIndex::new(index_name, ordinals);
         backfill(&self.heap, std::slice::from_mut(&mut idx))?;
         self.indexes.push(idx);
@@ -95,22 +102,33 @@ impl Table {
             .ok_or_else(|| StorageError::IndexNotFound(index_name.to_owned()))
     }
 
-    /// Find any index whose leading key column is `column`, the way a
-    /// planner probes for a usable access path.
+    /// Find any usable index whose leading key column is `column`, the way
+    /// a planner probes for an access path.
     pub fn index_on(&self, column: &str) -> Option<&BTreeIndex> {
         let ordinal = self.schema().resolve(column).ok()?;
-        self.indexes
+        self.usable_indexes()
             .iter()
             .find(|i| i.key_columns().first() == Some(&ordinal))
     }
 
-    /// All indexes.
+    /// All indexes, stale or not.
     pub fn indexes(&self) -> &[BTreeIndex] {
         &self.indexes
     }
 
+    /// The indexes a reader may trust to hold every row: all of them, or
+    /// none while a failed rebuild has left them stale.
+    pub fn usable_indexes(&self) -> &[BTreeIndex] {
+        if self.indexes_stale {
+            &[]
+        } else {
+            &self.indexes
+        }
+    }
+
     /// Insert a tuple into the heap and every index.
     pub fn insert(&mut self, tuple: Tuple) -> StorageResult<Rid> {
+        self.repair_indexes()?;
         let rid = self.heap.insert(tuple)?;
         if !self.indexes.is_empty() {
             let stored = self.heap.get(rid)?;
@@ -131,6 +149,7 @@ impl Table {
 
     /// Delete a tuple from the heap and every index.
     pub fn delete(&mut self, rid: Rid) -> StorageResult<()> {
+        self.repair_indexes()?;
         let stored = self.heap.get(rid)?;
         self.heap.delete(rid)?;
         for idx in &mut self.indexes {
@@ -150,6 +169,7 @@ impl Table {
         for idx in &mut self.indexes {
             idx.clear();
         }
+        self.indexes_stale = false;
         Ok(())
     }
 
@@ -178,24 +198,46 @@ impl Table {
         page_count: usize,
         last_page: Option<Page>,
     ) -> StorageResult<()> {
-        self.heap.rollback_tail(page_count, last_page)?;
-        self.rebuild_indexes()
+        let restored = self.heap.rollback_tail(page_count, last_page);
+        self.rebuild_indexes_after(restored)
     }
 
     /// Restore a full [`Table::snapshot_pages`] pre-image and rebuild the
     /// secondary indexes from it.
     pub fn rollback_pages(&mut self, pages: Vec<Page>) -> StorageResult<()> {
-        self.heap.rollback_pages(pages)?;
+        let restored = self.heap.rollback_pages(pages);
+        self.rebuild_indexes_after(restored)
+    }
+
+    /// Rebuild the indexes once the heap under them was `restored`; if it
+    /// was not, they no longer match it and are stale.
+    fn rebuild_indexes_after(&mut self, restored: StorageResult<()>) -> StorageResult<()> {
+        if restored.is_err() {
+            self.indexes_stale = true;
+            return restored;
+        }
         self.rebuild_indexes()
     }
 
     /// Refill every secondary index from the heap. A page the pool cannot
-    /// produce fails the call, leaving the indexes partly filled.
+    /// produce fails the call and leaves the indexes partly filled, so
+    /// they are marked stale until a rebuild succeeds.
     fn rebuild_indexes(&mut self) -> StorageResult<()> {
         for idx in &mut self.indexes {
             idx.clear();
         }
-        backfill(&self.heap, &mut self.indexes)
+        let rebuilt = backfill(&self.heap, &mut self.indexes);
+        self.indexes_stale = rebuilt.is_err();
+        rebuilt
+    }
+
+    /// Retry the rebuild a failed one left stale: every write to the table
+    /// (under its exclusive lock) does this first.
+    fn repair_indexes(&mut self) -> StorageResult<()> {
+        if self.indexes_stale {
+            self.rebuild_indexes()?;
+        }
+        Ok(())
     }
 }
 

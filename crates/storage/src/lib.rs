@@ -59,5 +59,5 @@ pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pagefile::{read_snapshot, read_snapshot_with, write_snapshot, RecoveryMode, Snapshot};
 pub use pool::{BufferPool, FileId, FileKind, FrameData};
 pub use schema::{Column, Schema};
-pub use tuple::{RowRef, Tuple};
+pub use tuple::{Field, Malformed, RowRef, Tuple};
 pub use value::{DataType, Value, ValueRef};

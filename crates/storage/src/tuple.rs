@@ -130,11 +130,47 @@ fn corrupt(msg: &str) -> StorageError {
     StorageError::Corrupt(msg.to_owned())
 }
 
+/// Why encoded row bytes could not be read. Two bytes wide, so a caller
+/// testing every row of a page (a scan key) passes it around in registers;
+/// `?` turns it into the [`StorageError::Corrupt`] that describes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Malformed {
+    /// Fewer than the two bytes of the arity.
+    TruncatedArity,
+    /// A column ordinal at or past the row's arity.
+    PastArity,
+    /// The row ends where a value's tag should be.
+    TruncatedTag,
+    /// The row ends inside a `Text` value's length prefix.
+    TruncatedTextLength,
+    /// A tag no value type has.
+    UnknownTag(u8),
+    /// The row ends inside a value's payload.
+    TruncatedPayload,
+    /// A `Text` payload that is not UTF-8.
+    InvalidUtf8,
+}
+
+impl From<Malformed> for StorageError {
+    #[cold]
+    fn from(m: Malformed) -> StorageError {
+        match m {
+            Malformed::TruncatedArity => corrupt("truncated arity"),
+            Malformed::PastArity => corrupt("column ordinal past the row's arity"),
+            Malformed::TruncatedTag => corrupt("truncated tag"),
+            Malformed::TruncatedTextLength => corrupt("truncated text length"),
+            Malformed::UnknownTag(t) => StorageError::Corrupt(format!("unknown value tag {t}")),
+            Malformed::TruncatedPayload => corrupt("truncated payload"),
+            Malformed::InvalidUtf8 => corrupt("invalid utf8"),
+        }
+    }
+}
+
 #[inline]
-fn read_arity(bytes: &[u8]) -> StorageResult<usize> {
+fn read_arity(bytes: &[u8]) -> Result<usize, Malformed> {
     match bytes {
         [lo, hi, ..] => Ok(u16::from_le_bytes([*lo, *hi]) as usize),
-        _ => Err(corrupt("truncated arity")),
+        _ => Err(Malformed::TruncatedArity),
     }
 }
 
@@ -143,34 +179,32 @@ fn read_arity(bytes: &[u8]) -> StorageResult<usize> {
 /// width, so adversarial page bytes surface as `Corrupt`, never as a panic
 /// or an out-of-bounds read.
 #[inline]
-fn value_span(bytes: &[u8], off: usize) -> StorageResult<(u8, Range<usize>)> {
-    let tag = *bytes.get(off).ok_or_else(|| corrupt("truncated tag"))?;
+fn value_span(bytes: &[u8], off: usize) -> Result<(u8, Range<usize>), Malformed> {
+    /// Payload width by tag, for every tag but `Text`'s.
+    const WIDTH: [u8; 7] = [0, 8, 8, 0, 1, 16, 32];
+    let tag = *bytes.get(off).ok_or(Malformed::TruncatedTag)?;
     let start = off + 1;
-    let len = match tag {
-        0 => 0,
-        1 | 2 => 8,
-        3 => {
-            let prefix = bytes
-                .get(start..start + 4)
-                .and_then(|s| <[u8; 4]>::try_from(s).ok())
-                .ok_or_else(|| corrupt("truncated text length"))?;
-            4 + u32::from_le_bytes(prefix) as usize
-        }
-        4 => 1,
-        5 => 16,
-        6 => 32,
-        t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
+    let len = if tag == 3 {
+        let prefix = bytes
+            .get(start..start + 4)
+            .and_then(|s| <[u8; 4]>::try_from(s).ok())
+            .ok_or(Malformed::TruncatedTextLength)?;
+        4 + u32::from_le_bytes(prefix) as usize
+    } else {
+        *WIDTH
+            .get(usize::from(tag))
+            .ok_or(Malformed::UnknownTag(tag))? as usize
     };
     let end = start
         .checked_add(len)
         .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| corrupt("truncated payload"))?;
+        .ok_or(Malformed::TruncatedPayload)?;
     Ok((tag, start..end))
 }
 
 /// Interpret a payload [`value_span`] delimited for `tag`.
 #[inline]
-fn read_value(tag: u8, payload: &[u8]) -> StorageResult<ValueRef<'_>> {
+fn read_value(tag: u8, payload: &[u8]) -> Result<ValueRef<'_>, Malformed> {
     let word = |k: usize| {
         let raw = payload[k * 8..k * 8 + 8]
             .try_into()
@@ -183,13 +217,44 @@ fn read_value(tag: u8, payload: &[u8]) -> StorageResult<ValueRef<'_>> {
         1 => ValueRef::Int(word(0) as i64),
         2 => ValueRef::Float(float(0)),
         3 => {
-            let text = std::str::from_utf8(&payload[4..]).map_err(|_| corrupt("invalid utf8"))?;
+            let text = std::str::from_utf8(&payload[4..]).map_err(|_| Malformed::InvalidUtf8)?;
             ValueRef::Text(text)
         }
         4 => ValueRef::Bool(payload[0] != 0),
         5 => ValueRef::Point(float(0), float(1)),
         _ => ValueRef::Rect(float(0), float(1), float(2), float(3)),
     })
+}
+
+/// One encoded value of a row, as [`RowRef::field`] finds it: the value's
+/// tag ([`DataType::to_tag`](crate::DataType::to_tag), 0 for NULL) and
+/// its payload, already checked to be as long as the tag says. Two values
+/// of one tag are equal exactly when their payloads are equal bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    tag: u8,
+    payload: &'a [u8],
+}
+
+impl<'a> Field<'a> {
+    /// The value's tag.
+    #[inline]
+    pub fn tag(self) -> u8 {
+        self.tag
+    }
+
+    /// The payload bytes after the tag (for `Text`, the `u32` length
+    /// prefix and the bytes it counts).
+    #[inline]
+    pub fn payload(self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The value itself. A `Text` payload is checked to be UTF-8 here.
+    #[inline]
+    pub fn value(self) -> Result<ValueRef<'a>, Malformed> {
+        read_value(self.tag, self.payload)
+    }
 }
 
 /// A borrowed view over one encoded tuple — a slot of a
@@ -208,20 +273,30 @@ impl<'a> RowRef<'a> {
         RowRef { bytes }
     }
 
-    /// The value at ordinal `i`, found by walking the tags before it.
-    /// Every read is bounds-checked: a truncated or malformed row (and an
-    /// ordinal past the row's arity) is `Corrupt`.
+    /// The encoded value at ordinal `i`, found by walking the tags before
+    /// it. Every read is bounds-checked: a truncated or malformed row (and
+    /// an ordinal past the row's arity) is [`Malformed`].
     #[inline]
-    pub fn column(&self, i: usize) -> StorageResult<ValueRef<'a>> {
+    pub fn field(&self, i: usize) -> Result<Field<'a>, Malformed> {
         if i >= read_arity(self.bytes)? {
-            return Err(corrupt("column ordinal past the row's arity"));
+            return Err(Malformed::PastArity);
         }
         let mut off = 2;
         for _ in 0..i {
             off = value_span(self.bytes, off)?.1.end;
         }
         let (tag, payload) = value_span(self.bytes, off)?;
-        read_value(tag, &self.bytes[payload])
+        Ok(Field {
+            tag,
+            payload: &self.bytes[payload],
+        })
+    }
+
+    /// The value at ordinal `i` ([`RowRef::field`], then
+    /// [`Field::value`]); a malformed row is `Corrupt`.
+    #[inline]
+    pub fn column(&self, i: usize) -> StorageResult<ValueRef<'a>> {
+        Ok(self.field(i)?.value()?)
     }
 
     /// Decode the whole row.
