@@ -17,10 +17,10 @@
 //! key range, which costs O(the user's list). Only the periodic
 //! Algorithm 4 cache manager takes that path.
 //!
-//! All three fields use order-preserving byte encodings (sign-flipped
-//! big-endian for `i64`, IEEE-754 total-order bits for `f64` — the same
-//! order as [`f64::total_cmp`]), packed into the tree's fixed 24-byte
-//! keys. Small per-user metadata (entry counts, the completeness set)
+//! All three fields use the tree's order-preserving key codec
+//! ([`recdb_storage::btree::enc_i64`], [`recdb_storage::btree::enc_f64_asc`]
+//! — the same order as [`f64::total_cmp`]), packed into its fixed
+//! 24-byte keys. Small per-user metadata (entry counts, the completeness set)
 //! stays in memory: it is O(users), not O(users × items).
 //!
 //! Reads are **lazy**: every read goes through one [`ScoreCursor`], which
@@ -30,48 +30,10 @@
 //! the leaves that hold those `k` entries — not the user's whole list —
 //! and a cursor dropped early has nothing to release.
 
+use recdb_storage::btree::{dec_f64_asc, dec_i64, enc_f64_asc, enc_i64, successor, Key};
 use recdb_storage::{BTree, BufferPool, RangeCursor, DEFAULT_NODE_CAPACITY};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Uniquifies pool file labels so two indexes sharing one spilling pool
-/// never collide on a spill-file name.
-static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(0);
-
-type Key = [u8; 24];
-
-/// Order-preserving encoding of an `i64`: flip the sign bit and emit
-/// big-endian, so unsigned byte order matches signed integer order.
-fn enc_i64(x: i64) -> [u8; 8] {
-    ((x as u64) ^ (1 << 63)).to_be_bytes()
-}
-
-fn dec_i64(b: [u8; 8]) -> i64 {
-    (u64::from_be_bytes(b) ^ (1 << 63)) as i64
-}
-
-/// Total-order bits of an `f64`, ascending: byte order matches
-/// [`f64::total_cmp`] (`-NaN < -∞ < … < +∞ < +NaN`, `-0.0 < +0.0`).
-fn enc_f64_asc(s: f64) -> [u8; 8] {
-    let bits = s.to_bits();
-    let ordered = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    };
-    ordered.to_be_bytes()
-}
-
-fn dec_f64_asc(b: [u8; 8]) -> f64 {
-    let ordered = u64::from_be_bytes(b);
-    let bits = if ordered >> 63 == 1 {
-        ordered & !(1 << 63)
-    } else {
-        !ordered
-    };
-    f64::from_bits(bits)
-}
 
 /// Tree key `(user↑, score↓, item↓)`: ascending key order scans one
 /// user's entries from highest to lowest score, ties by item id
@@ -98,19 +60,6 @@ fn fwd_decode(k: &Key) -> (i64, i64, f64) {
     let score = dec_f64_asc(field(k, 8).map(|b| !b));
     let item = dec_i64(field(k, 16).map(|b| !b));
     (user, item, score)
-}
-
-/// The smallest key strictly greater than `k`, or `None` if `k` is the
-/// maximum key (used as an exclusive upper bound for inclusive ranges).
-fn successor(mut k: Key) -> Option<Key> {
-    for b in k.iter_mut().rev() {
-        if *b < u8::MAX {
-            *b += 1;
-            return Some(k);
-        }
-        *b = 0;
-    }
-    None
 }
 
 /// The pre-computed score index, paged through a buffer pool.
@@ -170,9 +119,7 @@ impl RecScoreIndex {
     /// An empty index paged through `pool`. `node_capacity` bounds keys
     /// per tree node (tests shrink it to force splits early).
     pub fn with_pool(pool: Arc<BufferPool>, node_capacity: usize) -> Self {
-        let id = NEXT_INDEX_ID.fetch_add(1, Ordering::Relaxed);
-        let fwd =
-            BTree::create(pool, &format!("rec_index.{id}.fwd"), node_capacity).expect(POOL_FAULT);
+        let fwd = BTree::create(pool, "rec_index", node_capacity).expect(POOL_FAULT);
         RecScoreIndex {
             fwd,
             counts: HashMap::new(),
@@ -408,37 +355,6 @@ mod tests {
         idx.insert(1, 12, 5.0);
         idx.insert(2, 10, 3.0);
         idx
-    }
-
-    #[test]
-    fn i64_encoding_is_order_preserving() {
-        let vals = [i64::MIN, -7, -1, 0, 1, 42, i64::MAX];
-        for w in vals.windows(2) {
-            assert!(enc_i64(w[0]) < enc_i64(w[1]), "{} < {}", w[0], w[1]);
-        }
-        for v in vals {
-            assert_eq!(dec_i64(enc_i64(v)), v);
-        }
-    }
-
-    #[test]
-    fn f64_encoding_matches_total_cmp() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -5.5,
-            -0.0,
-            0.0,
-            1.0e-300,
-            2.0,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for w in vals.windows(2) {
-            assert!(enc_f64_asc(w[0]) < enc_f64_asc(w[1]), "{} < {}", w[0], w[1]);
-        }
-        for v in vals {
-            assert_eq!(dec_f64_asc(enc_f64_asc(v)).to_bits(), v.to_bits());
-        }
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Node {
         }
     }
 
-    /// Number of keys currently stored.
-    pub fn key_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Encode into one [`PAGE_SIZE`] block (see module docs for layout).
     pub fn encode_block(&self) -> Vec<u8> {
         debug_assert!(self.keys.len() <= u16::MAX as usize);

@@ -148,14 +148,6 @@ impl HeapTable {
         Ok(Rid::new(page_no, slot))
     }
 
-    /// Bulk-insert tuples, returning their record ids.
-    pub fn insert_many(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> StorageResult<Vec<Rid>> {
-        tuples.into_iter().map(|t| self.insert(t)).collect()
-    }
-
     /// Fetch one tuple by record id.
     pub fn get(&self, rid: Rid) -> StorageResult<Tuple> {
         let invalid = || StorageError::InvalidRid {

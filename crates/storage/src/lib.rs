@@ -14,9 +14,11 @@
 //! * [`pool::BufferPool`] — fixed-capacity frames with clock eviction;
 //!   every heap page and B+-tree node is resident in (or faulted into) a
 //!   pool frame, so data ≫ RAM workloads run in bounded memory,
-//! * [`btree::BTree`] — a paged B+-tree over pool frames (the structure
-//!   behind the engine's disk-resident RecScoreIndex),
-//! * [`index::BTreeIndex`] — an ordered secondary index (point + range),
+//! * [`btree::BTree`] — a paged B+-tree over pool frames, the one ordered
+//!   index structure: it holds the engine's RecScoreIndex and every
+//!   secondary index,
+//! * [`index::BTreeIndex`] — a secondary index: one tree key per row, an
+//!   equality lookup that rechecks the rows it fetches,
 //! * [`catalog::Catalog`] — the table catalog.
 //!
 //! Page accesses are counted in one place: the pool's

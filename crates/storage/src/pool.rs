@@ -442,7 +442,7 @@ impl BufferPool {
         }
         let state = file_state_mut(&mut inner, file)?;
         state.page_count = state.page_count.max(page_no + 1);
-        Self::write_backing(state, page_no, &block, self.spill_dir.as_deref())?;
+        Self::write_backing(state, (file, page_no), &block, self.spill_dir.as_deref())?;
         Ok(())
     }
 
@@ -687,7 +687,7 @@ impl BufferPool {
         };
         if let Some(block) = block {
             let state = file_state_mut(inner, key.0)?;
-            Self::write_backing(state, key.1, &block, self.spill_dir.as_deref())?;
+            Self::write_backing(state, key, &block, self.spill_dir.as_deref())?;
         }
         inner.frames[slot] = None;
         inner.map.remove(&key);
@@ -714,7 +714,7 @@ impl BufferPool {
 
     fn write_backing(
         state: &mut FileState,
-        page_no: u32,
+        (id, page_no): (FileId, u32),
         block: &[u8],
         spill_dir: Option<&std::path::Path>,
     ) -> StorageResult<()> {
@@ -723,10 +723,12 @@ impl BufferPool {
                 .map_err(|e| StorageError::io("write spill file", e))
         };
         // First spill of a file in a disk-backed pool upgrades its backing
-        // from the (empty-or-small) memory vector to a spill file.
+        // from the (empty-or-small) memory vector to a spill file, named
+        // by file id as well: two live files may share a label (a dropped
+        // table a transaction keeps for undo, and its re-created namesake).
         if let (Backing::Memory(blocks), Some(dir)) = (&state.backing, spill_dir) {
             fs::create_dir_all(dir).map_err(|e| StorageError::io("create spill dir", e))?;
-            let path = dir.join(format!("{}.spill", state.label));
+            let path = dir.join(format!("{}.{id}.spill", state.label));
             let file = OpenOptions::new()
                 .create(true)
                 .truncate(true)
@@ -1197,13 +1199,14 @@ mod tests {
             pool.allocate_page(f, FrameData::Heap(fill_page(n)))
                 .unwrap();
         }
-        assert!(dir.join("ratings.spill").exists());
+        let spill = dir.join(format!("ratings.{f}.spill"));
+        assert!(spill.exists());
         for n in 0..6u32 {
             let got = pool.with_page(f, n, |p| p.get(0).unwrap()).unwrap();
             assert_eq!(got, tuple(n as i64));
         }
         pool.remove_file(f);
-        assert!(!dir.join("ratings.spill").exists());
+        assert!(!spill.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -264,7 +264,7 @@ impl ValueRef<'_> {
     }
 
     /// Rank used to order values of different types (NULL first).
-    fn type_rank(self) -> u8 {
+    pub(crate) fn type_rank(self) -> u8 {
         match self {
             ValueRef::Null => 0,
             ValueRef::Bool(_) => 1,

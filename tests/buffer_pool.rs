@@ -7,11 +7,20 @@ use recdb::core::{RecDb, RecDbConfig};
 /// Rows per multi-row INSERT statement (keeps SQL strings manageable).
 const INSERT_CHUNK: usize = 500;
 
-/// Build the shared workload's table + recommender on `db`, inserting
+/// Build the shared workload's tables + recommender on `db`, inserting
 /// ratings for every `(user, item)` pair except the held-out unseen set.
+/// `ratings` is indexed on `iid` before it fills, so the index's tree
+/// grows through the pool with the heap; `items` names every item.
 fn load_world(db: &RecDb, users: i64, items: i64) {
     db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
         .expect("create table");
+    db.execute("CREATE INDEX ratings_iid ON ratings (iid)")
+        .expect("create index");
+    db.execute("CREATE TABLE items (iid INT, tag TEXT)")
+        .expect("create items");
+    let names: Vec<String> = (0..items).map(|i| format!("({i}, 'item-{i}')")).collect();
+    db.execute(&format!("INSERT INTO items VALUES {}", names.join(", ")))
+        .expect("insert items");
     let mut pending: Vec<String> = Vec::new();
     for u in 0..users {
         for i in 0..items {
@@ -62,9 +71,13 @@ fn rows(db: &RecDb, sql: &str, cols: &[&str]) -> Vec<String> {
     out
 }
 
+/// An index join: each of a few items probes `ratings_iid`.
+const INDEX_JOIN: &str = "SELECT I.tag, R.uid, R.ratingval FROM items AS I, ratings AS R \
+     WHERE I.iid = R.iid AND I.iid < 4";
+
 /// The query battery both engines answer; every answer must match.
 fn battery(db: &RecDb) -> Vec<Vec<String>> {
-    let mut answers = Vec::new();
+    let mut answers = vec![rows(db, INDEX_JOIN, &["tag", "uid", "ratingval"])];
     answers.push(rows(
         db,
         "SELECT uid, iid, ratingval FROM ratings WHERE uid = 17",
@@ -121,6 +134,16 @@ fn eight_frame_pool_matches_unbounded_engine() {
         bounded.buffer_pool().evictions() > 0,
         "an 8-frame pool under a {table_pages}-page table must evict"
     );
+    let plan = bounded
+        .query(&format!("EXPLAIN ANALYZE {INDEX_JOIN}"))
+        .expect("explain");
+    let line = |i| plan.value(i, "plan").expect("plan").to_string();
+    assert!(
+        (0..plan.len()).any(|i| line(i).trim_start().starts_with("IndexJoin")),
+        "the join probes the index"
+    );
+    // Four items, each rated by three users in four.
+    assert_eq!(battery(&bounded)[0].len(), 750);
 
     assert_eq!(battery(&bounded), battery(&unbounded));
 

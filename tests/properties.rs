@@ -126,6 +126,48 @@ proptest! {
         prop_assert_eq!(canonical(&naive), canonical(&optimized));
     }
 
+    /// An index join returns exactly the rows a hash join over an
+    /// index-less copy of the inner table returns, for arbitrary data, a
+    /// delete, and `FLOAT` probes of an `INT` and a `FLOAT` column (`3.0`
+    /// joins `3`, `2.5` joins nothing there).
+    #[test]
+    fn index_join_equals_hash_join(
+        ratings in ratings_strategy(),
+        deleted_user in 1i64..12,
+        probes in proptest::collection::vec(0u8..26, 1..12),
+    ) {
+        let db = RecDb::new();
+        let values: Vec<String> = ratings
+            .iter()
+            .map(|(u, i, r)| format!("({u}, {i}, {r})"))
+            .collect();
+        let each = |sql: &str| {
+            for table in ["indexed", "plain"] {
+                db.execute(&sql.replace("{t}", table)).unwrap();
+            }
+        };
+        // One index fills with the rows, the other is backfilled.
+        each("CREATE TABLE {t} (uid INT, iid INT, ratingval FLOAT)");
+        db.execute("CREATE INDEX indexed_iid ON indexed (iid)").unwrap();
+        each(&format!("INSERT INTO {{t}} VALUES {}", values.join(", ")));
+        db.execute("CREATE INDEX indexed_val ON indexed (ratingval)").unwrap();
+        each(&format!("DELETE FROM {{t}} WHERE uid = {deleted_user}"));
+        db.execute("CREATE TABLE probes (k FLOAT)").unwrap();
+        let keys: Vec<String> = probes.iter().map(|&h| format!("({})", f64::from(h) / 2.0)).collect();
+        db.execute(&format!("INSERT INTO probes VALUES {}", keys.join(", "))).unwrap();
+        for column in ["iid", "ratingval"] {
+            let join = |table: &str| {
+                format!("SELECT P.k, R.uid, R.iid FROM probes AS P, {table} AS R WHERE P.k = R.{column}")
+            };
+            let plan = db.query(&format!("EXPLAIN ANALYZE {}", join("indexed"))).unwrap();
+            let operators: Vec<String> = plan.rows().iter().map(|t| t.values()[0].to_string()).collect();
+            prop_assert!(operators.iter().any(|op| op.trim_start().starts_with("IndexJoin")), "{:?}", operators);
+            let indexed = db.query(&join("indexed")).unwrap();
+            let plain = db.query(&join("plain")).unwrap();
+            prop_assert_eq!(canonical(&indexed), canonical(&plain), "{}", column);
+        }
+    }
+
     /// The materialized-index path returns the same rows as the online
     /// path for arbitrary data.
     #[test]
