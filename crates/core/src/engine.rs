@@ -30,18 +30,19 @@
 use crate::error::{EngineError, EngineResult};
 use crate::recommender::{load_matrix, Recommender};
 use crate::session::{ActiveTxn, Session, TxnState, UndoOp};
+use crate::statement_cache::{self, CacheOutcome, Prepared};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::Algorithm;
-use recdb_exec::expr::{bind, literal_value};
+use recdb_exec::expr::{bind, constant, literal_value};
 use recdb_exec::ops::ScanOp;
 use recdb_exec::{
-    build_logical, execute_plan, execute_plan_profiled, optimize, ExecContext, ExecMetrics,
-    LogicalPlan, RecScoreIndex, RecommenderProvider, ResultSet,
+    execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, LogicalPlan, RecScoreIndex,
+    RecommenderProvider, ResultSet,
 };
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, MetricsSnapshot, Registry, SystemClock};
-use recdb_sql::{parse, parse_many, Expr, SelectStatement, Statement};
+use recdb_sql::{parse, parse_many, Expr, Literal, SelectStatement, Statement};
 use recdb_storage::{
     codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, DataType, Reader, RecoveryMode,
     Rid, Schema, StorageError, Table, Tuple,
@@ -793,25 +794,57 @@ impl RecDb {
             )));
         };
         let catalog = self.catalog.read();
-        let plan = optimize(build_logical(&select, &catalog)?);
+        let mut planned = None;
+        let plan = statement_cache::plan(&select, &mut planned, &catalog)?;
         Ok(plan.explain())
     }
 
-    /// The heart of statement execution: tick the clock, dispatch
-    /// transaction control directly, and run everything else inside the
-    /// session's (implicit or explicit) transaction under a panic
-    /// boundary. Any failure — error, governor verdict, lock timeout, or
-    /// contained panic — aborts the transaction: undo is applied and every
-    /// lock is released before the error returns.
+    /// Run a parsed statement once (see [`RecDb::execute_prepared`]).
     pub(crate) fn execute_statement(
         &self,
         state: &mut TxnState,
         statement: Statement,
         guard: QueryGuard,
     ) -> EngineResult<QueryResult> {
+        self.execute_prepared(state, &mut Prepared::once(statement), &[], guard)
+    }
+
+    /// `statement` as a cached template whose slots `params` value, or
+    /// `None` unless it is a `SELECT` or `INSERT` whose literals are those
+    /// values slot for slot ([`recdb_sql::parameterize`]).
+    pub(crate) fn prepare(&self, statement: &Statement, params: &[Literal]) -> Option<Prepared> {
+        let statement = recdb_sql::parameterize(statement, params)?;
+        let locks = self.statement_locks(&statement).ok()?;
+        Some(Prepared {
+            statement,
+            locks: Some(locks),
+            plan: None,
+        })
+    }
+
+    /// Count one statement a session ran in `recdb_statement_cache_total`.
+    pub(crate) fn count_statement_cache(&self, outcome: CacheOutcome) {
+        self.statement_metrics.cache[outcome as usize].inc();
+    }
+
+    /// The heart of statement execution, for a statement run once and for
+    /// a cached template alike: tick the clock, dispatch transaction
+    /// control directly, and run everything else inside the session's
+    /// (implicit or explicit) transaction under a panic boundary, its
+    /// parameter slots valued from `params`. Any failure — error, governor
+    /// verdict, lock timeout, or contained panic — aborts the transaction:
+    /// undo is applied and every lock is released before the error
+    /// returns.
+    pub(crate) fn execute_prepared(
+        &self,
+        state: &mut TxnState,
+        prepared: &mut Prepared,
+        params: &[Literal],
+        guard: QueryGuard,
+    ) -> EngineResult<QueryResult> {
         self.clock.fetch_add(1, Ordering::Relaxed);
-        self.statement_metrics.statements[StatementKind::of(&statement) as usize].inc();
-        match statement {
+        self.statement_metrics.statements[StatementKind::of(&prepared.statement) as usize].inc();
+        match prepared.statement {
             Statement::Begin => return self.begin_txn(state),
             Statement::Commit => {
                 return self
@@ -822,7 +855,7 @@ impl RecDb {
             _ => {}
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.run_statement(state, statement, &guard)
+            self.run_statement(state, prepared, params, &guard)
         }));
         match outcome {
             Ok(Ok(result)) => {
@@ -1135,23 +1168,31 @@ impl RecDb {
     }
 
     /// Acquire the statement's locks, then dispatch it. Runs inside the
-    /// panic boundary of [`RecDb::execute_statement`].
+    /// panic boundary of [`RecDb::execute_prepared`].
     fn run_statement(
         &self,
         state: &mut TxnState,
-        statement: Statement,
+        prepared: &mut Prepared,
+        params: &[Literal],
         guard: &QueryGuard,
     ) -> EngineResult<QueryResult> {
-        let needed = self.statement_locks(&statement)?;
+        let worked_out;
+        let needed = match &prepared.locks {
+            Some(locks) => locks,
+            None => {
+                worked_out = self.statement_locks(&prepared.statement)?;
+                &worked_out
+            }
+        };
         if !needed.is_empty() {
             let txn_id = self.ensure_txn(state);
-            for (table, mode) in &needed {
+            for (table, mode) in needed {
                 self.locks
                     .acquire(txn_id, table, *mode, self.config.lock_timeout, Some(guard))
                     .map_err(lock_to_engine)?;
             }
         }
-        match statement {
+        match &prepared.statement {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::from_pairs(
                     &columns
@@ -1171,21 +1212,21 @@ impl RecDb {
                         }
                         e => e,
                     })?;
-                Ok(QueryResult::TableCreated(name))
+                Ok(QueryResult::TableCreated(name.clone()))
             }
             Statement::DropTable { name } => {
                 let record = WalRecord::DropTable {
                     name: name.to_ascii_lowercase(),
                 };
                 self.write(Self::active(state), record, Vec::new())?;
-                Ok(QueryResult::TableDropped(name))
+                Ok(QueryResult::TableDropped(name.clone()))
             }
             Statement::Insert { table, rows } => {
                 let tuples = rows
                     .iter()
-                    .map(const_tuple)
+                    .map(|row| const_tuple(row, params))
                     .collect::<EngineResult<Vec<Tuple>>>()?;
-                let n = self.insert_into(state, &table, tuples)?;
+                let n = self.insert_into(state, table, tuples)?;
                 Ok(QueryResult::Inserted(n))
             }
             Statement::CreateRecommender {
@@ -1203,9 +1244,9 @@ impl RecDb {
                     .recommenders
                     .read()
                     .iter()
-                    .any(|r| r.name().eq_ignore_ascii_case(&name))
+                    .any(|r| r.name().eq_ignore_ascii_case(name))
                 {
-                    return Err(EngineError::RecommenderExists(name));
+                    return Err(EngineError::RecommenderExists(name.clone()));
                 }
                 let algorithm: Algorithm = algorithm
                     .parse()
@@ -1217,18 +1258,18 @@ impl RecDb {
                     let catalog = self.catalog.read();
                     load_matrix(
                         &catalog,
-                        &ratings_table,
-                        &users_column,
-                        &items_column,
-                        &ratings_column,
+                        ratings_table,
+                        users_column,
+                        items_column,
+                        ratings_column,
                     )?
                 };
                 let rec = Recommender::create_from_matrix(
-                    &name,
-                    &ratings_table,
-                    &users_column,
-                    &items_column,
-                    &ratings_column,
+                    name,
+                    ratings_table,
+                    users_column,
+                    items_column,
+                    ratings_column,
                     algorithm,
                     self.config.train,
                     self.config.hotness_threshold,
@@ -1244,8 +1285,8 @@ impl RecDb {
                 let _ckpt = self.ckpt_latch.read();
                 {
                     let mut recs = self.recommenders.write();
-                    if recs.iter().any(|r| r.name().eq_ignore_ascii_case(&name)) {
-                        return Err(EngineError::RecommenderExists(name));
+                    if recs.iter().any(|r| r.name().eq_ignore_ascii_case(name)) {
+                        return Err(EngineError::RecommenderExists(name.clone()));
                     }
                     txn.push_undo(UndoOp::CreatedRecommender {
                         name: rec.name().to_owned(),
@@ -1253,7 +1294,10 @@ impl RecDb {
                     recs.push(rec);
                 }
                 self.log_statement(txn, log_record)?;
-                Ok(QueryResult::RecommenderCreated { name, build_time })
+                Ok(QueryResult::RecommenderCreated {
+                    name: name.clone(),
+                    build_time,
+                })
             }
             Statement::DropRecommender { name } => {
                 let txn = Self::active(state);
@@ -1262,9 +1306,9 @@ impl RecDb {
                     let mut recs = self.recommenders.write();
                     let Some(pos) = recs
                         .iter()
-                        .position(|r| r.name().eq_ignore_ascii_case(&name))
+                        .position(|r| r.name().eq_ignore_ascii_case(name))
                     else {
-                        return Err(EngineError::RecommenderNotFound(name));
+                        return Err(EngineError::RecommenderNotFound(name.clone()));
                     };
                     let rec = recs.remove(pos);
                     txn.push_undo(UndoOp::DroppedRecommender {
@@ -1277,7 +1321,7 @@ impl RecDb {
                         name: name.to_ascii_lowercase(),
                     },
                 )?;
-                Ok(QueryResult::RecommenderDropped(name))
+                Ok(QueryResult::RecommenderDropped(name.clone()))
             }
             Statement::CreateIndex {
                 name,
@@ -1287,10 +1331,10 @@ impl RecDb {
                 let record = WalRecord::CreateIndex {
                     table: table.to_ascii_lowercase(),
                     index: name.clone(),
-                    columns,
+                    columns: columns.clone(),
                 };
                 self.write(Self::active(state), record, Vec::new())?;
-                Ok(QueryResult::IndexCreated(name))
+                Ok(QueryResult::IndexCreated(name.clone()))
             }
             Statement::DropIndex { name, table } => {
                 let record = WalRecord::DropIndex {
@@ -1298,11 +1342,11 @@ impl RecDb {
                     index: name.clone(),
                 };
                 self.write(Self::active(state), record, Vec::new())?;
-                Ok(QueryResult::IndexDropped(name))
+                Ok(QueryResult::IndexDropped(name.clone()))
             }
             Statement::Explain(select) => {
                 let catalog = self.catalog.read();
-                let plan = optimize(build_logical(&select, &catalog)?);
+                let plan = statement_cache::plan(select, &mut prepared.plan, &catalog)?;
                 let schema = Schema::from_pairs(&[("plan", DataType::Text)]);
                 let rows = plan
                     .explain()
@@ -1312,11 +1356,11 @@ impl RecDb {
                 Ok(QueryResult::Rows(ResultSet::new(schema, rows)))
             }
             Statement::ExplainAnalyze(select) => {
-                let rows = self.run_explain_analyze(&select, guard)?;
+                let rows = self.run_explain_analyze(select, &mut prepared.plan, guard)?;
                 Ok(QueryResult::Rows(rows))
             }
             Statement::Delete { table, filter } => {
-                let n = self.delete_where(state, &table, filter.as_ref(), guard)?;
+                let n = self.delete_where(state, table, filter.as_ref(), guard)?;
                 Ok(QueryResult::Deleted(n))
             }
             Statement::Update {
@@ -1324,16 +1368,16 @@ impl RecDb {
                 assignments,
                 filter,
             } => {
-                let n = self.update_where(state, &table, &assignments, filter.as_ref(), guard)?;
+                let n = self.update_where(state, table, assignments, filter.as_ref(), guard)?;
                 Ok(QueryResult::Updated(n))
             }
             Statement::Select(select) => {
-                let rows = self.run_select(&select, guard)?;
+                let rows = self.run_select(select, &mut prepared.plan, params, guard)?;
                 self.rows_returned.add(rows.len() as u64);
                 Ok(QueryResult::Rows(rows))
             }
             Statement::Begin | Statement::Commit | Statement::Rollback => {
-                unreachable!("transaction control dispatched in execute_statement")
+                unreachable!("transaction control dispatched in execute_prepared")
             }
         }
     }
@@ -1438,7 +1482,7 @@ impl RecDb {
     ) -> EngineResult<Vec<(Rid, Tuple)>> {
         let scan = ScanOp::new(t.heap(), t.schema().clone()).with_guard(guard.clone());
         let scan = match filter {
-            Some(filter) => scan.with_filter(filter)?,
+            Some(filter) => scan.with_filter(filter, &[])?,
             None => scan,
         };
         Ok(scan.matching_rows()?)
@@ -1483,7 +1527,7 @@ impl RecDb {
             let t = catalog.table(table)?;
             let sets: Vec<(usize, recdb_exec::BoundExpr)> = assignments
                 .iter()
-                .map(|(col, e)| Ok((t.schema().resolve(col)?, bind(e, t.schema())?)))
+                .map(|(col, e)| Ok((t.schema().resolve(col)?, bind(e, t.schema(), &[])?)))
                 .collect::<EngineResult<_>>()?;
             let mut rids = Vec::new();
             let mut new_tuples = Vec::new();
@@ -1712,12 +1756,23 @@ impl RecDb {
         Ok(decision)
     }
 
-    fn run_select(&self, select: &SelectStatement, guard: &QueryGuard) -> EngineResult<ResultSet> {
+    /// Run a SELECT through the plan `planned` holds (see
+    /// [`statement_cache::plan`]), its parameter slots valued from
+    /// `params`.
+    fn run_select(
+        &self,
+        select: &SelectStatement,
+        planned: &mut Option<statement_cache::Planned>,
+        params: &[Literal],
+        guard: &QueryGuard,
+    ) -> EngineResult<ResultSet> {
         let catalog = self.catalog.read();
-        let plan = optimize(build_logical(select, &catalog)?);
-        self.record_query_stats(&plan);
-        let ctx = ExecContext::new(&catalog, self, guard.clone()).with_metrics(&self.exec_metrics);
-        Ok(execute_plan(&plan, &ctx)?)
+        let plan = statement_cache::plan(select, planned, &catalog)?;
+        self.record_query_stats(plan, params)?;
+        let ctx = ExecContext::new(&catalog, self, guard.clone())
+            .with_metrics(&self.exec_metrics)
+            .with_params(params);
+        Ok(execute_plan(plan, &ctx)?)
     }
 
     /// Run a SELECT with per-operator profiling and render the annotated
@@ -1728,13 +1783,14 @@ impl RecDb {
     fn run_explain_analyze(
         &self,
         select: &SelectStatement,
+        planned: &mut Option<statement_cache::Planned>,
         guard: &QueryGuard,
     ) -> EngineResult<ResultSet> {
         let catalog = self.catalog.read();
-        let plan = optimize(build_logical(select, &catalog)?);
-        self.record_query_stats(&plan);
+        let plan = statement_cache::plan(select, planned, &catalog)?;
+        self.record_query_stats(plan, &[])?;
         let ctx = ExecContext::new(&catalog, self, guard.clone()).with_metrics(&self.exec_metrics);
-        let (rows, profile) = execute_plan_profiled(&plan, &ctx, Arc::clone(&self.wall))?;
+        let (rows, profile) = execute_plan_profiled(plan, &ctx, Arc::clone(&self.wall))?;
         self.rows_returned.add(rows.len() as u64);
         let schema = Schema::from_pairs(&[("plan", DataType::Text)]);
         let lines = profile
@@ -1746,24 +1802,26 @@ impl RecDb {
     }
 
     /// Update the Users Histogram (`QC_u`, `TS_u`) for recommendation
-    /// queries with a resolved user predicate.
-    fn record_query_stats(&self, plan: &LogicalPlan) {
+    /// queries with a resolved user predicate, its slots valued from
+    /// `params`.
+    fn record_query_stats(&self, plan: &LogicalPlan, params: &[Literal]) -> EngineResult<()> {
         let Some(node) = find_recommend(plan) else {
-            return;
+            return Ok(());
         };
-        let Some(users) = &node.user_ids else {
-            return;
+        let Some(users) = node.preds(params)?.user_ids else {
+            return Ok(());
         };
         let recs = self.recommenders.read();
         let Some(rec) = recs.iter().find(|r| {
             r.ratings_table().eq_ignore_ascii_case(&node.ratings_table)
                 && r.algorithm() == node.algorithm
         }) else {
-            return;
+            return Ok(());
         };
-        for &u in users {
+        for u in users {
             rec.record_query(u, self.clock());
         }
+        Ok(())
     }
 }
 
@@ -2067,11 +2125,13 @@ impl TxnOutcome {
 /// The counters every statement bumps, resolved from the registry once at
 /// open (a lookup by name formats the series key and takes the registry
 /// lock): `recdb_statements_total{kind}` indexed by [`StatementKind`],
-/// `recdb_txn_total{outcome}` indexed by [`TxnOutcome`].
+/// `recdb_txn_total{outcome}` indexed by [`TxnOutcome`],
+/// `recdb_statement_cache_total{outcome}` indexed by [`CacheOutcome`].
 #[derive(Debug)]
 struct StatementMetrics {
     statements: Vec<Arc<Counter>>,
     txns: Vec<Arc<Counter>>,
+    cache: Vec<Arc<Counter>>,
 }
 
 impl StatementMetrics {
@@ -2085,6 +2145,11 @@ impl StatementMetrics {
         StatementMetrics {
             statements: series("recdb_statements_total", "kind", &StatementKind::LABELS),
             txns: series("recdb_txn_total", "outcome", &TxnOutcome::LABELS),
+            cache: series(
+                "recdb_statement_cache_total",
+                "outcome",
+                &CacheOutcome::LABELS,
+            ),
         }
     }
 }
@@ -2129,19 +2194,20 @@ fn map_type(name: &str) -> EngineResult<DataType> {
     }
 }
 
-/// Evaluate an INSERT row of constant expressions to a tuple.
-fn const_tuple(row: &Vec<Expr>) -> EngineResult<Tuple> {
+/// Evaluate an INSERT row of constant expressions to a tuple, its
+/// parameter slots valued from `params`.
+fn const_tuple(row: &[Expr], params: &[Literal]) -> EngineResult<Tuple> {
     let empty_schema = Schema::default();
     let empty_tuple = Tuple::default();
     let mut values = Vec::with_capacity(row.len());
     for expr in row {
-        // A fast path for plain literals avoids the bind machinery.
-        if let Expr::Literal(lit) = expr {
-            values.push(literal_value(lit));
+        // A fast path for plain constants avoids the bind machinery.
+        if let Some(value) = constant(expr, params) {
+            values.push(literal_value(value?));
             continue;
         }
-        let bound =
-            bind(expr, &empty_schema).map_err(|e| EngineError::NonConstantInsert(e.to_string()))?;
+        let bound = bind(expr, &empty_schema, params)
+            .map_err(|e| EngineError::NonConstantInsert(e.to_string()))?;
         let value = bound
             .eval(&empty_tuple)
             .map_err(|e| EngineError::NonConstantInsert(e.to_string()))?;

@@ -31,6 +31,7 @@ pub mod engine;
 pub mod error;
 pub mod recommender;
 pub mod session;
+mod statement_cache;
 
 pub use cache::{CacheDecision, CacheManager, UsageStats};
 pub use engine::{

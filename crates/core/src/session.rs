@@ -14,10 +14,15 @@
 //! append-only INSERTs, the full page vector for DELETE/UPDATE — and
 //! rollback restores those bytes exactly. Byte-identical restoration keeps
 //! record-id assignment deterministic, which WAL replay relies on.
+//!
+//! A session also caches its `SELECT` and `INSERT` statements by template
+//! (see `statement_cache`), so a repeat of a statement shape with new
+//! literals is neither parsed nor planned again.
 
 use crate::engine::{QueryResult, RecDb, TxnOutcome};
 use crate::error::{EngineError, EngineResult};
 use crate::recommender::Recommender;
+use crate::statement_cache::{CacheOutcome, StatementCache};
 use recdb_exec::ResultSet;
 use recdb_guard::QueryGuard;
 use recdb_storage::{Catalog, Page, Table};
@@ -38,6 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Session<'db> {
     db: &'db RecDb,
     pub(crate) state: TxnState,
+    statements: StatementCache,
 }
 
 impl<'db> Session<'db> {
@@ -45,6 +51,7 @@ impl<'db> Session<'db> {
         Session {
             db,
             state: TxnState::default(),
+            statements: StatementCache::default(),
         }
     }
 
@@ -69,13 +76,37 @@ impl<'db> Session<'db> {
     /// Cancelling the guard while the statement waits for a table lock
     /// abandons the wait, aborts the transaction, and releases every lock
     /// it held.
+    ///
+    /// A `SELECT` or `INSERT` whose template this session has run before
+    /// is not parsed or planned again: its cached statement runs with the
+    /// new literal values.
     pub fn execute_with_guard(
         &mut self,
         sql: &str,
         guard: QueryGuard,
     ) -> EngineResult<QueryResult> {
-        let statement = recdb_sql::parse(sql)?;
-        self.db.execute_statement(&mut self.state, statement, guard)
+        let db = self.db;
+        let normalized = recdb_sql::normalize(sql);
+        if let Some(n) = &normalized {
+            if let Some(prepared) = self.statements.get_mut(&n.template) {
+                db.count_statement_cache(CacheOutcome::Hit);
+                return db.execute_prepared(&mut self.state, prepared, &n.params, guard);
+            }
+        }
+        let statement = recdb_sql::parse(sql).inspect_err(|_| {
+            db.count_statement_cache(CacheOutcome::Uncacheable);
+        })?;
+        let cacheable = normalized.and_then(|n| {
+            let prepared = db.prepare(&statement, &n.params)?;
+            Some((n, prepared))
+        });
+        let Some((n, prepared)) = cacheable else {
+            db.count_statement_cache(CacheOutcome::Uncacheable);
+            return db.execute_statement(&mut self.state, statement, guard);
+        };
+        db.count_statement_cache(CacheOutcome::Miss);
+        let prepared = self.statements.insert(n.template, prepared);
+        db.execute_prepared(&mut self.state, prepared, &n.params, guard)
     }
 
     /// Execute a `;`-separated script, stopping at the first error.

@@ -11,7 +11,7 @@
 
 use crate::error::{ExecError, ExecResult};
 use recdb_spatial::{functions, Point, Polygon, Rect};
-use recdb_sql::{BinaryOp, Expr, Literal, UnaryOp};
+use recdb_sql::{BinaryOp, Expr, Literal, Param, UnaryOp};
 use recdb_storage::{Schema, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -130,10 +130,36 @@ pub fn literal_value(lit: &Literal) -> Value {
     }
 }
 
-/// Bind an AST expression against a schema.
-pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
+/// The value of parameter slot `param` among a statement's `params`.
+fn param_value<'p>(param: &Param, params: &'p [Literal]) -> ExecResult<&'p Literal> {
+    param.value(params).ok_or_else(|| {
+        ExecError::Bind(format!(
+            "no {:?} value for parameter ${}",
+            param.kind,
+            param.index + 1
+        ))
+    })
+}
+
+/// The constant `expr` is, if it is a literal or a parameter slot: the
+/// literal, or the slot's value among `params`.
+pub fn constant<'e>(expr: &'e Expr, params: &'e [Literal]) -> Option<ExecResult<&'e Literal>> {
+    match expr {
+        Expr::Literal(lit) => Some(Ok(lit)),
+        Expr::Param(param) => Some(param_value(param, params)),
+        _ => None,
+    }
+}
+
+/// Bind an AST expression against a schema, reading each parameter slot's
+/// value from `params` (empty for a statement without slots).
+pub fn bind(expr: &Expr, schema: &Schema, params: &[Literal]) -> ExecResult<BoundExpr> {
+    let bind = |e: &Expr| bind(e, schema, params);
     match expr {
         Expr::Literal(lit) => Ok(BoundExpr::Literal(literal_value(lit))),
+        Expr::Param(param) => Ok(BoundExpr::Literal(literal_value(param_value(
+            param, params,
+        )?))),
         Expr::Column { .. } => {
             let reference = expr
                 .column_ref()
@@ -141,7 +167,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
             let ordinal = schema.resolve(&reference)?;
             Ok(BoundExpr::Column(ordinal))
         }
-        Expr::Unary { op, expr } => Ok(match (op, bind(expr, schema)?) {
+        Expr::Unary { op, expr } => Ok(match (op, bind(expr)?) {
             // `-1` parses as the negation of the literal `1`. Folding it
             // makes it a constant like any other (a scan key, say); the
             // value is the one evaluating the negation would give.
@@ -158,24 +184,21 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
         }),
         Expr::Binary { op, left, right } => Ok(BoundExpr::Binary {
             op: *op,
-            left: Box::new(bind(left, schema)?),
-            right: Box::new(bind(right, schema)?),
+            left: Box::new(bind(left)?),
+            right: Box::new(bind(right)?),
         }),
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let probe = Box::new(bind(expr, schema)?);
+            let probe = Box::new(bind(expr)?);
             // Constant candidate lists become a hashed set probe.
-            if list.iter().all(|e| matches!(e, Expr::Literal(_))) {
+            if list.iter().all(|e| constant(e, params).is_some()) {
                 let mut set = std::collections::HashSet::with_capacity(list.len());
                 let mut has_null = false;
                 for e in list {
-                    let Expr::Literal(lit) = e else {
-                        unreachable!()
-                    };
-                    let v = literal_value(lit);
+                    let v = literal_value(constant(e, params).expect("checked constant")?);
                     if v.is_null() {
                         has_null = true;
                     } else {
@@ -191,10 +214,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
             }
             Ok(BoundExpr::InList {
                 expr: probe,
-                list: list
-                    .iter()
-                    .map(|e| bind(e, schema))
-                    .collect::<ExecResult<_>>()?,
+                list: list.iter().map(bind).collect::<ExecResult<_>>()?,
                 negated: *negated,
             })
         }
@@ -204,9 +224,9 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
             high,
             negated,
         } => Ok(BoundExpr::Between {
-            expr: Box::new(bind(expr, schema)?),
-            low: Box::new(bind(low, schema)?),
-            high: Box::new(bind(high, schema)?),
+            expr: Box::new(bind(expr)?),
+            low: Box::new(bind(low)?),
+            high: Box::new(bind(high)?),
             negated: *negated,
         }),
         Expr::Function { name, args } => {
@@ -226,10 +246,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
             }
             Ok(BoundExpr::Function {
                 func,
-                args: args
-                    .iter()
-                    .map(|e| bind(e, schema))
-                    .collect::<ExecResult<_>>()?,
+                args: args.iter().map(bind).collect::<ExecResult<_>>()?,
             })
         }
     }
@@ -592,7 +609,7 @@ mod tests {
         let recdb_sql::Statement::Select(s) = stmt else {
             panic!()
         };
-        bind(&s.filter.unwrap(), &schema()).unwrap()
+        bind(&s.filter.unwrap(), &schema(), &[]).unwrap()
     }
 
     fn eval_bool(src: &str) -> bool {
@@ -671,21 +688,21 @@ mod tests {
             panic!()
         };
         assert!(matches!(
-            bind(&sel.filter.unwrap(), &s),
+            bind(&sel.filter.unwrap(), &s, &[]),
             Err(ExecError::Storage(_))
         ));
         let stmt = parse("SELECT * FROM t WHERE frobnicate(uid) = 1").unwrap();
         let recdb_sql::Statement::Select(sel) = stmt else {
             panic!()
         };
-        let err = bind(&sel.filter.unwrap(), &s).unwrap_err();
+        let err = bind(&sel.filter.unwrap(), &s, &[]).unwrap_err();
         assert!(matches!(err, ExecError::Bind(m) if m.contains("frobnicate")));
         // Wrong arity.
         let stmt = parse("SELECT * FROM t WHERE ST_Distance(loc) = 1").unwrap();
         let recdb_sql::Statement::Select(sel) = stmt else {
             panic!()
         };
-        let err = bind(&sel.filter.unwrap(), &s).unwrap_err();
+        let err = bind(&sel.filter.unwrap(), &s, &[]).unwrap_err();
         assert!(matches!(err, ExecError::Bind(m) if m.contains("2 arguments")));
     }
 

@@ -332,7 +332,7 @@ mod tests {
     }
 
     fn col(name: &str) -> BoundExpr {
-        bind(&Expr::col(name), &input_schema()).unwrap()
+        bind(&Expr::col(name), &input_schema(), &[]).unwrap()
     }
 
     fn out_schema(cols: &[(&str, DataType)]) -> Schema {

@@ -190,7 +190,7 @@ mod tests {
         else {
             panic!()
         };
-        let residual = bind(&s.filter.unwrap(), &joined).unwrap();
+        let residual = bind(&s.filter.unwrap(), &joined, &[]).unwrap();
         let outer = Box::new(ValuesOp::new(outer_schema(), outer_rows()));
         let mut op = IndexJoinOp::new(outer, table, index, &inner_schema, 1, Some(residual));
         let got = drain(&mut op).unwrap();

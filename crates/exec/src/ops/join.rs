@@ -196,7 +196,7 @@ mod tests {
             else {
                 panic!()
             };
-            bind(&s.filter.unwrap(), &joined_schema).unwrap()
+            bind(&s.filter.unwrap(), &joined_schema, &[]).unwrap()
         });
         JoinOp::new(left, right, equi, residual)
     }

@@ -15,7 +15,7 @@ use crate::expr::BoundExpr;
 use crate::scan_keys::{self, ScanKey};
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats};
-use recdb_sql::Expr;
+use recdb_sql::{Expr, Literal};
 use recdb_storage::{HeapTable, Rid, Schema, StorageError, Tuple, Value};
 use std::sync::Arc;
 
@@ -155,9 +155,9 @@ impl<'a> ScanOp<'a> {
     }
 
     /// Emit only the rows for which `predicate`, bound against this scan's
-    /// schema, is TRUE.
-    pub fn with_filter(mut self, predicate: &Expr) -> ExecResult<Self> {
-        (self.keys, self.residual) = scan_keys::split(predicate, &self.schema)?;
+    /// schema with its parameter slots valued from `params`, is TRUE.
+    pub fn with_filter(mut self, predicate: &Expr, params: &[Literal]) -> ExecResult<Self> {
+        (self.keys, self.residual) = scan_keys::split(predicate, &self.schema, params)?;
         Ok(self)
     }
 
@@ -653,7 +653,7 @@ mod tests {
         else {
             panic!()
         };
-        bind(&s.filter.unwrap(), &schema()).unwrap()
+        bind(&s.filter.unwrap(), &schema(), &[]).unwrap()
     }
 
     #[test]
@@ -683,7 +683,7 @@ mod tests {
         let recdb_sql::SelectItem::Expr { expr, .. } = &s.items[0] else {
             panic!()
         };
-        let bound = bind(expr, &schema()).unwrap();
+        let bound = bind(expr, &schema(), &[]).unwrap();
         let out_schema = Schema::from_pairs(&[("d", DataType::Int)]);
         let mut op = ProjectOp::new(values(3), vec![bound], out_schema);
         let got = drain(&mut op).unwrap();
@@ -713,7 +713,7 @@ mod tests {
     }
 
     fn predicate_expr(col: &str) -> BoundExpr {
-        bind(&recdb_sql::Expr::col(col), &schema()).unwrap()
+        bind(&recdb_sql::Expr::col(col), &schema(), &[]).unwrap()
     }
 
     #[test]

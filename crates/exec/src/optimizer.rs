@@ -11,7 +11,9 @@
 //!    `uPred`/`iPred`/`rPred`, turning it into the paper's
 //!    FILTERRECOMMEND (§IV-B1): the operator "prunes the predicted rating
 //!    score calculation for those items that do not satisfy the filtering
-//!    predicate".
+//!    predicate". A parameter slot counts as a literal of its kind: the
+//!    rule looks at kinds only, and the values are read when the physical
+//!    plan is built.
 //! 3. **JoinRecommend selection** — a join between a Recommend leaf (left)
 //!    and any other input whose predicate contains
 //!    `rec.item_col = outer.X` is rewritten into the JOINRECOMMEND
@@ -19,7 +21,7 @@
 //!    those tuples that are guaranteed to satisfy the join predicate".
 
 use crate::plan::{LogicalPlan, RecommendNode};
-use recdb_sql::{BinaryOp, Expr, Literal};
+use recdb_sql::{BinaryOp, Expr, Param, ParamKind};
 use recdb_storage::Schema;
 
 /// Run all rewrite rules.
@@ -41,7 +43,7 @@ pub fn optimize_pushdown_only(plan: LogicalPlan) -> LogicalPlan {
 /// resolves.)
 fn binds_in(expr: &Expr, schema: &Schema) -> bool {
     match expr {
-        Expr::Literal(_) => true,
+        Expr::Literal(_) | Expr::Param(_) => true,
         Expr::Column { .. } => schema.resolve(&expr.column_ref().expect("column")).is_ok(),
         Expr::Unary { expr, .. } => binds_in(expr, schema),
         Expr::Binary { left, right, .. } => binds_in(left, schema) && binds_in(right, schema),
@@ -151,20 +153,26 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
     }
 }
 
-/// Extract an `i64` list from `col = k` / `col IN (…)` when `col` resolves
-/// to `ordinal` in the recommend schema.
-fn extract_id_list(expr: &Expr, schema: &Schema, ordinal: usize) -> Option<Vec<i64>> {
+/// Whether `expr` is a constant of one of `kinds`: a literal, or a
+/// parameter slot that will hold one.
+fn is_constant(expr: &Expr, kinds: &[ParamKind]) -> bool {
+    let kind = match expr {
+        Expr::Literal(literal) => ParamKind::of(literal),
+        Expr::Param(Param { kind, .. }) => Some(*kind),
+        _ => None,
+    };
+    kind.is_some_and(|k| kinds.contains(&k))
+}
+
+/// Extract the integer constants of `col = k` / `col IN (…)` when `col`
+/// resolves to `ordinal` in the recommend schema.
+fn extract_id_list(expr: &Expr, schema: &Schema, ordinal: usize) -> Option<Vec<Expr>> {
     let is_target = |e: &Expr| -> bool {
         e.column_ref()
             .and_then(|r| schema.resolve(&r).ok())
             .is_some_and(|o| o == ordinal)
     };
-    let as_int = |e: &Expr| -> Option<i64> {
-        match e {
-            Expr::Literal(Literal::Int(v)) => Some(*v),
-            _ => None,
-        }
-    };
+    let as_int = |e: &Expr| is_constant(e, &[ParamKind::Int]).then(|| e.clone());
     match expr {
         Expr::Binary {
             op: BinaryOp::Eq,
@@ -188,24 +196,19 @@ fn extract_id_list(expr: &Expr, schema: &Schema, ordinal: usize) -> Option<Vec<i
     }
 }
 
-/// Extract rating bounds from comparisons/BETWEEN on the rating ordinal.
+/// Extract the numeric constants bounding the rating ordinal from a
+/// comparison or BETWEEN: `(lower, upper)`.
 fn extract_rating_bounds(
     expr: &Expr,
     schema: &Schema,
     ordinal: usize,
-) -> Option<(Option<f64>, Option<f64>)> {
+) -> Option<(Option<Expr>, Option<Expr>)> {
     let is_target = |e: &Expr| -> bool {
         e.column_ref()
             .and_then(|r| schema.resolve(&r).ok())
             .is_some_and(|o| o == ordinal)
     };
-    let as_num = |e: &Expr| -> Option<f64> {
-        match e {
-            Expr::Literal(Literal::Int(v)) => Some(*v as f64),
-            Expr::Literal(Literal::Float(v)) => Some(*v),
-            _ => None,
-        }
-    };
+    let as_num = |e: &Expr| is_constant(e, &[ParamKind::Int, ParamKind::Float]).then(|| e.clone());
     match expr {
         Expr::Binary { op, left, right } => {
             let (col_left, lit) = if is_target(left) {
@@ -252,20 +255,16 @@ fn absorb_into_recommend(mut node: RecommendNode, conjuncts: Vec<Expr>) -> Logic
     let mut residual = Vec::new();
     for c in conjuncts {
         if let Some(users) = extract_id_list(&c, &schema, 0) {
-            node.user_ids = Some(intersect(node.user_ids.take(), users));
+            node.user_lists.push(users);
             continue;
         }
         if let Some(items) = extract_id_list(&c, &schema, 1) {
-            node.item_ids = Some(intersect(node.item_ids.take(), items));
+            node.item_lists.push(items);
             continue;
         }
         if let Some((lo, hi)) = extract_rating_bounds(&c, &schema, 2) {
-            if let Some(lo) = lo {
-                node.min_rating = Some(node.min_rating.map_or(lo, |m: f64| m.max(lo)));
-            }
-            if let Some(hi) = hi {
-                node.max_rating = Some(node.max_rating.map_or(hi, |m: f64| m.min(hi)));
-            }
+            node.min_ratings.extend(lo);
+            node.max_ratings.extend(hi);
             continue;
         }
         residual.push(c);
@@ -277,13 +276,6 @@ fn absorb_into_recommend(mut node: RecommendNode, conjuncts: Vec<Expr>) -> Logic
             predicate,
         },
         None => leaf,
-    }
-}
-
-fn intersect(existing: Option<Vec<i64>>, new: Vec<i64>) -> Vec<i64> {
-    match existing {
-        None => new,
-        Some(old) => old.into_iter().filter(|v| new.contains(v)).collect(),
     }
 }
 
@@ -417,7 +409,7 @@ fn match_item_equality(expr: &Expr, rec_schema: &Schema, outer_schema: &Schema) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::build_logical;
+    use crate::plan::{build_logical, RecommendPreds};
     use recdb_sql::parse;
     use recdb_storage::{Catalog, DataType};
 
@@ -467,6 +459,11 @@ mod tests {
         }
     }
 
+    /// The pushed-down predicates of the plan's Recommend leaf, valued.
+    fn preds(plan: &LogicalPlan) -> RecommendPreds {
+        find_recommend(plan).unwrap().preds(&[]).unwrap()
+    }
+
     #[test]
     fn uid_equality_absorbed_as_user_pred() {
         let plan = optimized(
@@ -474,9 +471,8 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.uid = 1",
         );
-        let node = find_recommend(&plan).unwrap();
-        assert_eq!(node.user_ids, Some(vec![1]));
-        assert!(node.is_filtered());
+        assert_eq!(preds(&plan).user_ids, Some(vec![1]));
+        assert!(find_recommend(&plan).unwrap().is_filtered());
         // No residual Filter node should remain above the leaf (the leaf
         // itself renders as FilterRecommend).
         assert!(
@@ -495,7 +491,7 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.uid=1 AND R.iid IN (1,2,3,4,5)",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.user_ids, Some(vec![1]));
         assert_eq!(node.item_ids, Some(vec![1, 2, 3, 4, 5]));
     }
@@ -507,7 +503,7 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.ratingval >= 3.5 AND R.ratingval <= 5 AND R.uid = 2",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.min_rating, Some(3.5));
         assert_eq!(node.max_rating, Some(5.0));
         let plan = optimized(
@@ -515,7 +511,7 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.ratingval BETWEEN 2 AND 4",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.min_rating, Some(2.0));
         assert_eq!(node.max_rating, Some(4.0));
     }
@@ -527,7 +523,7 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE 4 >= R.ratingval AND 1 = R.uid",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.max_rating, Some(4.0));
         assert_eq!(node.user_ids, Some(vec![1]));
     }
@@ -539,7 +535,7 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.ratingval > 3",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.min_rating, None);
         assert!(plan.explain().contains("Filter"), "{plan}");
     }
@@ -560,7 +556,7 @@ mod tests {
         let LogicalPlan::RecJoin { rec, outer, .. } = &**input else {
             panic!("expected RecJoin at top: {text}")
         };
-        assert_eq!(rec.user_ids, Some(vec![1]));
+        assert_eq!(rec.preds(&[]).unwrap().user_ids, Some(vec![1]));
         assert!(matches!(&**outer, LogicalPlan::Filter { .. }));
     }
 
@@ -596,14 +592,14 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.uid IN (1, 2, 3) AND R.uid = 2",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.user_ids, Some(vec![2]));
         let plan = optimized(
             "SELECT R.iid FROM ratings AS R \
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.uid = 1 AND R.uid = 2",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.user_ids, Some(vec![]), "contradiction → empty");
     }
 
@@ -614,8 +610,60 @@ mod tests {
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
              WHERE R.uid = R.iid",
         );
-        let node = find_recommend(&plan).unwrap();
+        let node = preds(&plan);
         assert_eq!(node.user_ids, None);
         assert!(plan.explain().contains("Filter"));
+    }
+
+    /// A statement's parameterized form plans to the same shape as its
+    /// literal form, and its leaf's predicates, valued with the literals,
+    /// are the literal plan's: intersections, the tighter bound, `IN`
+    /// lists, reversed comparisons.
+    #[test]
+    fn parameter_slots_plan_like_their_literals() {
+        for sql in [
+            "SELECT R.iid FROM ratings AS R \
+             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
+             WHERE R.uid IN (1, 2, 3) AND 2.5 <= R.ratingval AND R.uid = 2 \
+             AND R.ratingval >= 3 AND R.iid IN (4, 5) AND R.ratingval BETWEEN 1 AND 4.5",
+            "SELECT R.uid, M.name, R.ratingval FROM ratings AS R, movies AS M \
+             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
+             WHERE R.uid=7 AND M.mid = R.iid AND M.genre='Action' AND R.uid = -1",
+            "SELECT R.iid FROM ratings AS R \
+             RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
+             WHERE R.uid = 1.0 AND R.iid = 'x' AND R.ratingval > 3",
+        ] {
+            let literal = optimized(sql);
+            if sql.contains("BETWEEN") {
+                let want = RecommendPreds {
+                    user_ids: Some(vec![2]),
+                    item_ids: Some(vec![4, 5]),
+                    min_rating: Some(3.0),
+                    max_rating: Some(4.5),
+                };
+                assert_eq!(preds(&literal), want);
+            }
+            let n = recdb_sql::normalize(sql).unwrap();
+            let recdb_sql::Statement::Select(s) =
+                recdb_sql::parameterize(&parse(sql).unwrap(), &n.params).unwrap()
+            else {
+                panic!()
+            };
+            let slotted = optimize(build_logical(&s, &catalog()).unwrap());
+            // Each node's depth and operator.
+            let shape = |p: &LogicalPlan| {
+                p.explain()
+                    .lines()
+                    .map(|l| (l.len() - l.trim_start().len(), l.split_whitespace().next()))
+                    .map(|(depth, op)| format!("{depth} {}", op.unwrap()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(shape(&slotted), shape(&literal), "{sql}");
+            assert_eq!(
+                find_recommend(&slotted).unwrap().preds(&n.params).unwrap(),
+                preds(&literal),
+                "{sql}"
+            );
+        }
     }
 }

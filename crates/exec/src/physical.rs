@@ -21,14 +21,14 @@ use crate::ops::{
     drain, AggOutput, FilterOp, HashAggregateOp, IndexJoinOp, IndexRecommendOp, JoinOp,
     JoinRecommendOp, LimitOp, MeteredOp, PhysicalOp, ProjectOp, RecommendOp, ScanOp, SortOp,
 };
-use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode};
+use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode, RecommendPreds};
 use crate::provider::RecommenderProvider;
 use crate::rec_index::RecScoreIndex;
 use crate::result::ResultSet;
 use recdb_algo::RecModel;
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats, ProfiledOp, QueryProfile, Registry};
-use recdb_sql::{BinaryOp, Expr, OrderKey};
+use recdb_sql::{BinaryOp, Expr, Literal, OrderKey};
 use recdb_storage::{Catalog, Schema};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -69,6 +69,9 @@ pub struct ExecContext<'a> {
     /// When set, every built operator is wrapped in a [`MeteredOp`] and
     /// the build assembles the [`QueryProfile`] tree (`EXPLAIN ANALYZE`).
     pub profiler: Option<Profiler>,
+    /// The values of the plan's parameter slots, in slot order: the build
+    /// reads every constant of a parameterized plan from here.
+    pub params: &'a [Literal],
 }
 
 impl<'a> ExecContext<'a> {
@@ -84,12 +87,19 @@ impl<'a> ExecContext<'a> {
             guard,
             metrics: None,
             profiler: None,
+            params: &[],
         }
     }
 
     /// Attach the engine-wide executor counters.
     pub fn with_metrics(mut self, metrics: &'a ExecMetrics) -> Self {
         self.metrics = Some(metrics);
+        self
+    }
+
+    /// Value the plan's parameter slots with `params`.
+    pub fn with_params(mut self, params: &'a [Literal]) -> Self {
+        self.params = params;
         self
     }
 }
@@ -157,6 +167,7 @@ pub fn execute_plan_profiled(
         guard: ctx.guard.clone(),
         metrics: ctx.metrics,
         profiler: Some(Profiler::new(Arc::clone(&clock))),
+        params: ctx.params,
     };
     let start = clock.now_micros();
     let mut built = build(plan, &profiled)?;
@@ -223,6 +234,7 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
 }
 
 fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+    let bind = |e: &Expr, schema: &Schema| bind(e, schema, ctx.params);
     match plan {
         LogicalPlan::Scan { table, schema, .. } => Ok(Built {
             op: Box::new(seq_scan(table, schema, ctx)?),
@@ -234,7 +246,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             // one operator, which decodes only the rows its keys accept.
             if let LogicalPlan::Scan { table, schema, .. } = &**input {
                 return Ok(Built {
-                    op: Box::new(seq_scan(table, schema, ctx)?.with_filter(predicate)?),
+                    op: Box::new(seq_scan(table, schema, ctx)?.with_filter(predicate, ctx.params)?),
                     sorted_desc: None,
                 });
             }
@@ -267,7 +279,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             }
             let r = build(right, ctx)?;
             let (equi, residual) =
-                split_join_predicate(predicate.as_ref(), l.op.schema(), r.op.schema())?;
+                split_join_predicate(predicate.as_ref(), l.op.schema(), r.op.schema(), ctx)?;
             Ok(Built {
                 op: Box::new(JoinOp::new(l.op, r.op, equi, residual).with_guard(ctx.guard.clone())),
                 sorted_desc: None,
@@ -279,6 +291,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             outer_item_column,
         } => {
             let model = recommender_model(rec, ctx)?;
+            let preds = rec.preds(ctx.params)?;
             let outer_built = build(outer, ctx)?;
             let ordinal = outer_built.op.schema().resolve(outer_item_column)?;
             // iPred on the rec side composes with the join: keep only outer
@@ -288,12 +301,12 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                 rec.schema(),
                 outer_built.op,
                 ordinal,
-                rec.user_ids.clone(),
-                rec.min_rating,
-                rec.max_rating,
+                preds.user_ids,
+                preds.min_rating,
+                preds.max_rating,
             )
             .with_guard(ctx.guard.clone());
-            let op: Box<dyn PhysicalOp + 'a> = match &rec.item_ids {
+            let op: Box<dyn PhysicalOp + 'a> = match &preds.item_ids {
                 None => Box::new(op),
                 Some(items) => {
                     let schema = op.schema().clone();
@@ -371,11 +384,12 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                 // `Limit` over `IndexRecommend` below.
                 if let LogicalPlan::Recommend(node) = &**sort_input {
                     let score = format!("{}.{}", node.binding, node.rating_column);
-                    if serving_index(node, ctx).is_none()
+                    let preds = node.preds(ctx.params)?;
+                    if serving_index(node, &preds, ctx).is_none()
                         && sort_is_redundant(keys, Some(&score), &node.schema())
                     {
                         return Ok(Built {
-                            op: Box::new(online_recommend(node, ctx)?.with_top_k(k)),
+                            op: Box::new(online_recommend(node, preds, ctx)?.with_top_k(k)),
                             sorted_desc: Some(score),
                         });
                     }
@@ -430,10 +444,15 @@ fn seq_scan<'a>(table: &str, schema: &Schema, ctx: &ExecContext<'a>) -> ExecResu
     })
 }
 
-/// The RecScoreIndex that can serve `node`: IndexRecommend is sound only
-/// when every queried user's full list is materialized.
-fn serving_index(node: &RecommendNode, ctx: &ExecContext<'_>) -> Option<Arc<RecScoreIndex>> {
-    let users = node.user_ids.as_ref().filter(|users| !users.is_empty())?;
+/// The RecScoreIndex that can serve `node` with predicates `preds`:
+/// IndexRecommend is sound only when every queried user's full list is
+/// materialized.
+fn serving_index(
+    node: &RecommendNode,
+    preds: &RecommendPreds,
+    ctx: &ExecContext<'_>,
+) -> Option<Arc<RecScoreIndex>> {
+    let users = preds.user_ids.as_ref().filter(|users| !users.is_empty())?;
     let index = ctx
         .provider
         .rec_index(&node.ratings_table, node.algorithm)?;
@@ -441,16 +460,17 @@ fn serving_index(node: &RecommendNode, ctx: &ExecContext<'_>) -> Option<Arc<RecS
 }
 
 fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
-    let Some(index) = serving_index(node, ctx) else {
+    let preds = node.preds(ctx.params)?;
+    let Some(index) = serving_index(node, &preds, ctx) else {
         return Ok(Built {
-            op: Box::new(online_recommend(node, ctx)?),
+            op: Box::new(online_recommend(node, preds, ctx)?),
             sorted_desc: None,
         });
     };
     if let Some(metrics) = ctx.metrics {
         metrics.index_hits.inc();
     }
-    let users = node.user_ids.clone().unwrap_or_default();
+    let users = preds.user_ids.unwrap_or_default();
     let sorted_desc =
         (users.len() == 1).then(|| format!("{}.{}", node.binding, node.rating_column));
     Ok(Built {
@@ -459,9 +479,9 @@ fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResul
                 index,
                 node.schema(),
                 users,
-                node.item_ids.clone(),
-                node.min_rating,
-                node.max_rating,
+                preds.item_ids,
+                preds.min_rating,
+                preds.max_rating,
             )
             .with_guard(ctx.guard.clone()),
         ),
@@ -479,7 +499,11 @@ fn recommender_model(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<
 }
 
 /// On-the-fly prediction: the score index cannot serve this query.
-fn online_recommend(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<RecommendOp> {
+fn online_recommend(
+    node: &RecommendNode,
+    preds: RecommendPreds,
+    ctx: &ExecContext<'_>,
+) -> ExecResult<RecommendOp> {
     let model = recommender_model(node, ctx)?;
     if let Some(metrics) = ctx.metrics {
         metrics.index_misses.inc();
@@ -487,10 +511,10 @@ fn online_recommend(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<R
     Ok(RecommendOp::new(
         model,
         node.schema(),
-        node.user_ids.clone(),
-        node.item_ids.clone(),
-        node.min_rating,
-        node.max_rating,
+        preds.user_ids,
+        preds.item_ids,
+        preds.min_rating,
+        preds.max_rating,
     )
     .with_guard(ctx.guard.clone()))
 }
@@ -533,6 +557,7 @@ fn split_join_predicate(
     predicate: Option<&Expr>,
     left: &Schema,
     right: &Schema,
+    ctx: &ExecContext<'_>,
 ) -> ExecResult<JoinPredicateParts> {
     let Some(predicate) = predicate else {
         return Ok((None, None));
@@ -550,7 +575,7 @@ fn split_join_predicate(
         residual.push(c.clone());
     }
     let residual = match Expr::and_all(residual) {
-        Some(e) => Some(bind(&e, &joined)?),
+        Some(e) => Some(bind(&e, &joined, ctx.params)?),
         None => None,
     };
     Ok((equi, residual))
@@ -631,7 +656,7 @@ fn try_index_join<'a>(
     }
     let joined = left_schema.join(&inner_schema);
     let residual = match Expr::and_all(residual) {
-        Some(e) => Some(bind(&e, &joined)?),
+        Some(e) => Some(bind(&e, &joined, ctx.params)?),
         None => None,
     };
     Ok(Some((table, index, inner_schema, residual, l_ord)))
@@ -650,7 +675,7 @@ fn item_in_list_predicate(
         list: items.iter().map(|&v| Expr::int(v)).collect(),
         negated: false,
     };
-    bind(&expr, schema)
+    bind(&expr, schema, &[])
 }
 
 #[cfg(test)]

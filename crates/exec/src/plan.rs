@@ -8,16 +8,21 @@
 //! plans (FilterRecommend, JoinRecommend).
 
 use crate::error::{ExecError, ExecResult};
-use crate::expr::BuiltinFunc;
+use crate::expr::{constant, BuiltinFunc};
 use crate::ops::aggregate::AggFunc;
 use recdb_algo::Algorithm;
-use recdb_sql::{Expr, Literal, OrderKey, SelectItem, SelectStatement};
+use recdb_sql::{Expr, Literal, OrderKey, ParamKind, SelectItem, SelectStatement};
 use recdb_storage::{Catalog, Column, DataType, Schema};
 use std::fmt;
 
 /// The `RECOMMEND` leaf: which recommender to read and, after
 /// optimization, which uid/iid/ratingval predicates were pushed into it
 /// (turning it into the paper's FILTERRECOMMEND).
+///
+/// A pushed-down predicate keeps its constants as written — integer or
+/// float literals, or parameter slots — and [`RecommendNode::preds`]
+/// values them when the physical plan is built, so one optimized plan
+/// serves every value of a statement's parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecommendNode {
     /// The binding (alias) of the ratings table in FROM.
@@ -32,6 +37,21 @@ pub struct RecommendNode {
     pub item_column: String,
     /// Output column name for the predicted rating (from `ON <col>`).
     pub rating_column: String,
+    /// `uPred`: the candidate users of each absorbed predicate (`uid = k`,
+    /// `uid IN (…)`) in WHERE order; the leaf scores their intersection.
+    pub user_lists: Vec<Vec<Expr>>,
+    /// `iPred`: the candidate items of each absorbed predicate, likewise.
+    pub item_lists: Vec<Vec<Expr>>,
+    /// `rPred` lower bounds (inclusive); the largest applies.
+    pub min_ratings: Vec<Expr>,
+    /// `rPred` upper bounds (inclusive); the smallest applies.
+    pub max_ratings: Vec<Expr>,
+}
+
+/// A Recommend leaf's pushed-down predicates valued for one execution:
+/// what its physical operators take.
+#[derive(Debug, PartialEq)]
+pub struct RecommendPreds {
     /// Only score these users (`uPred`), when pushed down.
     pub user_ids: Option<Vec<i64>>,
     /// Only score these items (`iPred`), when pushed down.
@@ -55,11 +75,56 @@ impl RecommendNode {
     /// True once any predicate was pushed into the leaf (i.e. the physical
     /// operator will be FILTERRECOMMEND rather than plain RECOMMEND).
     pub fn is_filtered(&self) -> bool {
-        self.user_ids.is_some()
-            || self.item_ids.is_some()
-            || self.min_rating.is_some()
-            || self.max_rating.is_some()
+        !(self.user_lists.is_empty()
+            && self.item_lists.is_empty()
+            && self.min_ratings.is_empty()
+            && self.max_ratings.is_empty())
     }
+
+    /// The pushed-down predicates with the statement's `params` bound:
+    /// each id list intersected with the lists before it (in the first
+    /// one's order), the largest lower and the smallest upper bound.
+    pub fn preds(&self, params: &[Literal]) -> ExecResult<RecommendPreds> {
+        let ids = |lists: &[Vec<Expr>]| -> ExecResult<Option<Vec<i64>>> {
+            let mut ids: Option<Vec<i64>> = None;
+            for list in lists {
+                let list = list
+                    .iter()
+                    .map(|e| match value(e, params)? {
+                        Literal::Int(v) => Ok(*v),
+                        other => Err(ExecError::Bind(format!("`{other}` is not an id"))),
+                    })
+                    .collect::<ExecResult<Vec<i64>>>()?;
+                ids = Some(match ids {
+                    None => list,
+                    Some(old) => old.into_iter().filter(|v| list.contains(v)).collect(),
+                });
+            }
+            Ok(ids)
+        };
+        let bound = |bounds: &[Expr], tighter: fn(f64, f64) -> f64| {
+            bounds.iter().try_fold(None, |acc: Option<f64>, e| {
+                let v = match value(e, params)? {
+                    Literal::Int(v) => *v as f64,
+                    Literal::Float(v) => *v,
+                    other => return Err(ExecError::Bind(format!("`{other}` is not a rating"))),
+                };
+                Ok(Some(acc.map_or(v, |m| tighter(m, v))))
+            })
+        };
+        Ok(RecommendPreds {
+            user_ids: ids(&self.user_lists)?,
+            item_ids: ids(&self.item_lists)?,
+            min_rating: bound(&self.min_ratings, f64::max)?,
+            max_rating: bound(&self.max_ratings, f64::min)?,
+        })
+    }
+}
+
+/// The value of a pushed-down constant.
+fn value<'e>(expr: &'e Expr, params: &'e [Literal]) -> ExecResult<&'e Literal> {
+    constant(expr, params)
+        .unwrap_or_else(|| Err(ExecError::Bind(format!("`{expr}` is not a constant"))))
 }
 
 /// A logical plan node.
@@ -261,17 +326,23 @@ impl LogicalPlan {
                     "{pad}{op} {} ON {} USING {}",
                     node.binding, node.ratings_table, node.algorithm
                 ));
-                if let Some(users) = &node.user_ids {
-                    out.push_str(&format!(" users={users:?}"));
-                }
-                if let Some(items) = &node.item_ids {
-                    out.push_str(&format!(" items[{}]", items.len()));
-                }
-                if node.min_rating.is_some() || node.max_rating.is_some() {
-                    out.push_str(&format!(
-                        " rating=[{:?}, {:?}]",
-                        node.min_rating, node.max_rating
-                    ));
+                match node.preds(&[]) {
+                    Ok(preds) => {
+                        if let Some(users) = &preds.user_ids {
+                            out.push_str(&format!(" users={users:?}"));
+                        }
+                        if let Some(items) = &preds.item_ids {
+                            out.push_str(&format!(" items[{}]", items.len()));
+                        }
+                        if preds.min_rating.is_some() || preds.max_rating.is_some() {
+                            out.push_str(&format!(
+                                " rating=[{:?}, {:?}]",
+                                preds.min_rating, preds.max_rating
+                            ));
+                        }
+                    }
+                    // Parameter slots have values only when the plan runs.
+                    Err(_) => out.push_str(" [parameterized]"),
                 }
                 out.push('\n');
             }
@@ -300,8 +371,13 @@ impl LogicalPlan {
                     "{pad}JoinRecommend {}.{} = {outer_item_column} USING {}",
                     rec.binding, rec.item_column, rec.algorithm
                 ));
-                if let Some(users) = &rec.user_ids {
-                    out.push_str(&format!(" users={users:?}"));
+                match rec.preds(&[]) {
+                    Ok(RecommendPreds {
+                        user_ids: Some(users),
+                        ..
+                    }) => out.push_str(&format!(" users={users:?}")),
+                    Ok(_) => {}
+                    Err(_) => out.push_str(" [parameterized]"),
                 }
                 out.push('\n');
                 outer.explain_into(out, depth + 1);
@@ -364,6 +440,11 @@ fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
         Expr::Literal(Literal::Str(_)) => DataType::Text,
         Expr::Literal(Literal::Bool(_)) => DataType::Bool,
         Expr::Literal(Literal::Null) => DataType::Int,
+        Expr::Param(p) => match p.kind {
+            ParamKind::Int => DataType::Int,
+            ParamKind::Float => DataType::Float,
+            ParamKind::Str => DataType::Text,
+        },
         Expr::Column { .. } => {
             let reference = expr.column_ref().expect("column");
             schema
@@ -431,10 +512,10 @@ pub fn build_logical(select: &SelectStatement, catalog: &Catalog) -> ExecResult<
                 user_column: strip(&rec.user_column),
                 item_column: strip(&rec.item_column),
                 rating_column: strip(&rec.rating_column),
-                user_ids: None,
-                item_ids: None,
-                min_rating: None,
-                max_rating: None,
+                user_lists: Vec::new(),
+                item_lists: Vec::new(),
+                min_ratings: Vec::new(),
+                max_ratings: Vec::new(),
             }));
         } else {
             let table = catalog.table(&table_ref.table)?;
@@ -547,7 +628,7 @@ fn contains_aggregate(expr: &Expr) -> bool {
         return true;
     }
     match expr {
-        Expr::Literal(_) | Expr::Column { .. } => false,
+        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => false,
         Expr::Unary { expr, .. } => contains_aggregate(expr),
         Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
         Expr::InList { expr, list, .. } => {

@@ -30,7 +30,7 @@
 
 use crate::error::ExecResult;
 use crate::expr::{bind, BoundExpr, CmpOp};
-use recdb_sql::{BinaryOp, Expr};
+use recdb_sql::{BinaryOp, Expr, Literal};
 use recdb_storage::{Field, Malformed, RowRef, Schema, Tuple, Value};
 use std::cmp::Ordering;
 
@@ -138,16 +138,19 @@ impl ScanKey {
     }
 }
 
-/// Bind `predicate` against `schema` and split it into scan keys and the
-/// residual.
+/// Bind `predicate` against `schema`, its parameter slots valued from
+/// `params`, and split it into scan keys and the residual. A slot is a
+/// constant like a literal, so `uid = $1` compiles to a key on `$1`'s
+/// value.
 pub(crate) fn split(
     predicate: &Expr,
     schema: &Schema,
+    params: &[Literal],
 ) -> ExecResult<(Vec<ScanKey>, Option<BoundExpr>)> {
     let mut keys = Vec::new();
     let mut residual: Option<BoundExpr> = None;
     for conjunct in predicate.conjuncts() {
-        let bound = bind(conjunct, schema)?;
+        let bound = bind(conjunct, schema, params)?;
         match ScanKey::from_conjunct(&bound) {
             Some(key) => keys.push(key),
             None => {
@@ -313,7 +316,7 @@ mod tests {
     ) -> ExecResult<Vec<(Rid, Tuple)>> {
         let bound: Vec<(BoundExpr, bool)> = conjuncts
             .iter()
-            .map(|(e, is_key)| Ok((bind(e, schema)?, *is_key)))
+            .map(|(e, is_key)| Ok((bind(e, schema, &[])?, *is_key)))
             .collect::<ExecResult<_>>()?;
         let mut kept = Vec::new();
         'rows: for (rid, tuple) in rows {
@@ -380,7 +383,7 @@ mod tests {
             let accesses = || heap.pool().hits() + heap.pool().misses();
             let before = accesses();
             let mut fused = ScanOp::new(&heap, schema.clone())
-                .with_filter(&predicate)
+                .with_filter(&predicate, &[])
                 .unwrap()
                 .with_guard(guard.clone());
             let got = drain(&mut fused);
@@ -397,7 +400,7 @@ mod tests {
             // fused scan returns its rows in its order; it fails on a
             // superset of the inputs the fused scan fails on.
             let unfused = ValuesOp::new(schema.clone(), tuples(live.clone()));
-            let mut oracle = FilterOp::new(Box::new(unfused), bind(&predicate, &schema).unwrap());
+            let mut oracle = FilterOp::new(Box::new(unfused), bind(&predicate, &schema, &[]).unwrap());
             if let Ok(rows) = drain(&mut oracle) {
                 prop_assert_eq!(&got, &Ok(rows), "{}", case);
             }
@@ -406,7 +409,7 @@ mod tests {
             // billing the live rows and no end-of-stream unit.
             let guard = QueryGuard::unlimited();
             let dml = ScanOp::new(&heap, schema.clone())
-                .with_filter(&predicate)
+                .with_filter(&predicate, &[])
                 .unwrap()
                 .with_guard(guard.clone())
                 .matching_rows();
@@ -568,7 +571,7 @@ mod tests {
     }
 
     fn split_sql(src: &str, schema: &Schema) -> (usize, Option<BoundExpr>) {
-        let (keys, residual) = split(&where_clause(src), schema).unwrap();
+        let (keys, residual) = split(&where_clause(src), schema, &[]).unwrap();
         (keys.len(), residual)
     }
 
@@ -615,7 +618,7 @@ mod tests {
                 left: Box::new(bind_unfolded(left, schema)),
                 right: Box::new(bind_unfolded(right, schema)),
             },
-            leaf => bind(leaf, schema).unwrap(),
+            leaf => bind(leaf, schema, &[]).unwrap(),
         }
     }
 
@@ -650,10 +653,10 @@ mod tests {
             "uid = -1 AND r < -0.5",
         ] {
             let predicate = where_clause(src);
-            let (keys, residual) = split(&predicate, &schema).unwrap();
+            let (keys, residual) = split(&predicate, &schema, &[]).unwrap();
             assert!(residual.is_none() && !keys.is_empty(), "{src}");
             let mut fused = ScanOp::new(&heap, schema.clone())
-                .with_filter(&predicate)
+                .with_filter(&predicate, &[])
                 .unwrap();
             let unfolded = bind_unfolded(&predicate, &schema);
             let mut filter = FilterOp::new(
@@ -673,7 +676,7 @@ mod tests {
         }
         let scan = |src: &str| {
             let mut op = ScanOp::new(&heap, schema.clone())
-                .with_filter(&where_clause(src))
+                .with_filter(&where_clause(src), &[])
                 .unwrap();
             drain(&mut op).map(|rows| rows.len())
         };
@@ -697,7 +700,7 @@ mod tests {
         }
         assert_eq!(heap.page_count(), 1);
         let mut op = ScanOp::new(&heap, schema)
-            .with_filter(&where_clause("genre = 'Crime' AND 'genre-9' < genre"))
+            .with_filter(&where_clause("genre = 'Crime' AND 'genre-9' < genre"), &[])
             .unwrap();
         let (end, allocations) = crate::alloc_count::allocations_in(|| op.next());
         assert!(end.is_none());

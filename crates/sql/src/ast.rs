@@ -17,6 +17,51 @@ pub enum Literal {
     Bool(bool),
 }
 
+/// The kind of literal a parameter slot stands for. It is part of a
+/// statement's template: `uid = 5` and `uid = 5.0` plan differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ParamKind {
+    /// An integer literal.
+    Int,
+    /// A float literal.
+    Float,
+    /// A string literal.
+    Str,
+}
+
+impl ParamKind {
+    /// The slot kind of a literal; `None` for `NULL` and booleans, which
+    /// are keywords and stay in a template.
+    pub fn of(literal: &Literal) -> Option<ParamKind> {
+        match literal {
+            Literal::Int(_) => Some(ParamKind::Int),
+            Literal::Float(_) => Some(ParamKind::Float),
+            Literal::Str(_) => Some(ParamKind::Str),
+            Literal::Null | Literal::Bool(_) => None,
+        }
+    }
+}
+
+/// A parameter slot: the `index`-th literal of a statement template (see
+/// [`crate::normalize()`]), whose value is supplied when the statement runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Param {
+    /// Position among the statement's slots, in source order.
+    pub index: usize,
+    /// The kind of literal the slot holds.
+    pub kind: ParamKind,
+}
+
+impl Param {
+    /// This slot's value among a statement's `params`, if one of the
+    /// slot's kind is there.
+    pub fn value<'p>(&self, params: &'p [Literal]) -> Option<&'p Literal> {
+        params
+            .get(self.index)
+            .filter(|v| ParamKind::of(v) == Some(self.kind))
+    }
+}
+
 /// Binary operators, loosest-binding first in the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
@@ -60,6 +105,8 @@ pub enum UnaryOp {
 pub enum Expr {
     /// A literal constant.
     Literal(Literal),
+    /// A parameter slot, bound to a literal when the statement runs.
+    Param(Param),
     /// A column reference, optionally qualified (`R.uid` or `uid`).
     Column {
         /// Relation qualifier, if written.
@@ -374,6 +421,7 @@ impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Literal(lit) => write!(f, "{lit}"),
+            Expr::Param(p) => write!(f, "${}", p.index + 1),
             Expr::Column { qualifier, name } => match qualifier {
                 Some(q) => write!(f, "{q}.{name}"),
                 None => write!(f, "{name}"),

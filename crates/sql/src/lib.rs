@@ -16,12 +16,14 @@
 //! Recommender 1–3 statement in the paper parses (see the test suite).
 
 pub mod ast;
+pub mod normalize;
 pub mod parser;
 pub mod token;
 
 pub use ast::{
-    BinaryOp, ColumnDef, Expr, Literal, OrderKey, RecommendClause, SelectItem, SelectStatement,
-    Statement, TableRef, UnaryOp,
+    BinaryOp, ColumnDef, Expr, Literal, OrderKey, Param, ParamKind, RecommendClause, SelectItem,
+    SelectStatement, Statement, TableRef, UnaryOp,
 };
+pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::{parse, parse_many, ParseError};
 pub use token::{tokenize, Token, TokenKind};

@@ -110,213 +110,197 @@ impl std::error::Error for LexError {}
 
 /// Tokenize SQL source. Supports `--` line comments.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = src.as_bytes();
+    let mut lexer = Lexer::new(src);
     let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            c if c.is_ascii_whitespace() => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+    while let Some(lexeme) = lexer.next_lexeme()? {
+        let kind = match lexeme.kind {
+            LexemeKind::Ident => TokenKind::Ident(src[lexeme.start..lexeme.end].to_owned()),
+            LexemeKind::Int(v) => TokenKind::Int(v),
+            LexemeKind::Float(v) => TokenKind::Float(v),
+            LexemeKind::Str => TokenKind::Str(lexeme.string_value(src)),
+            LexemeKind::Symbol(kind) => kind,
+        };
+        tokens.push(Token {
+            kind,
+            offset: lexeme.start,
+        });
+    }
+    Ok(tokens)
+}
+
+/// A token as the [`Lexer`] finds it: its kind, a number's value, and
+/// where its text lies in the source.
+#[derive(Debug)]
+pub(crate) struct Lexeme {
+    pub(crate) kind: LexemeKind,
+    /// Byte offset of the token's first character.
+    pub(crate) start: usize,
+    /// Byte offset just past its last character.
+    pub(crate) end: usize,
+}
+
+/// What a [`Lexeme`] is.
+#[derive(Debug)]
+pub(crate) enum LexemeKind {
+    Ident,
+    Int(i64),
+    Float(f64),
+    /// A quoted string, quotes included: [`Lexeme::string_value`] reads it.
+    Str,
+    /// Punctuation or an operator.
+    Symbol(TokenKind),
+}
+
+impl Lexeme {
+    /// A string literal's value: the source between its quotes, each `''`
+    /// read as one quote. Slicing the `&str` keeps every character as
+    /// written, multi-byte ones included.
+    pub(crate) fn string_value(&self, src: &str) -> String {
+        src[self.start + 1..self.end - 1].replace("''", "'")
+    }
+}
+
+/// The one SQL scanner. [`tokenize`] and [`crate::normalize()`] both take
+/// their tokens from it, so they cannot disagree on where a literal starts
+/// or ends, or on its value.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer { src, pos: 0 }
+    }
+
+    /// The next token, skipping whitespace and `--` comments; `None` at
+    /// the end of the source. Inlined into its two callers: as a call it
+    /// cost `normalize` about 0.3 µs on the benchmark's Query 1.
+    #[inline(always)]
+    pub(crate) fn next_lexeme(&mut self) -> Result<Option<Lexeme>, LexError> {
+        let bytes = self.src.as_bytes();
+        let start = loop {
+            let Some(&b) = bytes.get(self.pos) else {
+                return Ok(None);
+            };
+            if b.is_ascii_whitespace() {
+                self.pos += 1;
+            } else if b == b'-' && bytes.get(self.pos + 1) == Some(&b'-') {
+                while self.pos < bytes.len() && bytes[self.pos] != b'\n' {
+                    self.pos += 1;
                 }
+            } else {
+                break self.pos;
             }
-            ',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    offset: i,
-                });
-                i += 1;
+        };
+        let next = bytes.get(start + 1).copied();
+        let symbol = |kind: TokenKind, len: usize| (LexemeKind::Symbol(kind), start + len);
+        let (kind, end) = match bytes[start] {
+            b'0'..=b'9' => self.number(start)?,
+            b'.' if next.is_some_and(|c| c.is_ascii_digit()) => self.number(start)?,
+            b'\'' => (LexemeKind::Str, self.string_end(start)?),
+            b',' => symbol(TokenKind::Comma, 1),
+            b'(' => symbol(TokenKind::LParen, 1),
+            b')' => symbol(TokenKind::RParen, 1),
+            b'.' => symbol(TokenKind::Dot, 1),
+            b'*' => symbol(TokenKind::Star, 1),
+            b';' => symbol(TokenKind::Semicolon, 1),
+            b'+' => symbol(TokenKind::Plus, 1),
+            b'-' => symbol(TokenKind::Minus, 1),
+            b'/' => symbol(TokenKind::Slash, 1),
+            b'=' => symbol(TokenKind::Eq, 1),
+            b'!' if next == Some(b'=') => symbol(TokenKind::Neq, 2),
+            b'<' => match next {
+                Some(b'=') => symbol(TokenKind::Le, 2),
+                Some(b'>') => symbol(TokenKind::Neq, 2),
+                _ => symbol(TokenKind::Lt, 1),
+            },
+            b'>' => match next {
+                Some(b'=') => symbol(TokenKind::Ge, 2),
+                _ => symbol(TokenKind::Gt, 1),
+            },
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let len = bytes[start..]
+                    .iter()
+                    .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+                    .count();
+                (LexemeKind::Ident, start + len)
             }
-            '(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    offset: i,
-                });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '.' if !bytes.get(i + 1).map(u8::is_ascii_digit).unwrap_or(false) => {
-                tokens.push(Token {
-                    kind: TokenKind::Dot,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token {
-                    kind: TokenKind::Star,
-                    offset: i,
-                });
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token {
-                    kind: TokenKind::Semicolon,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token {
-                    kind: TokenKind::Plus,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token {
-                    kind: TokenKind::Minus,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token {
-                    kind: TokenKind::Slash,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    offset: i,
-                });
-                i += 1;
-            }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                tokens.push(Token {
-                    kind: TokenKind::Neq,
-                    offset: i,
-                });
-                i += 2;
-            }
-            '<' => {
-                let (kind, n) = match bytes.get(i + 1) {
-                    Some(b'=') => (TokenKind::Le, 2),
-                    Some(b'>') => (TokenKind::Neq, 2),
-                    _ => (TokenKind::Lt, 1),
-                };
-                tokens.push(Token { kind, offset: i });
-                i += n;
-            }
-            '>' => {
-                let (kind, n) = match bytes.get(i + 1) {
-                    Some(b'=') => (TokenKind::Ge, 2),
-                    _ => (TokenKind::Gt, 1),
-                };
-                tokens.push(Token { kind, offset: i });
-                i += n;
-            }
-            '\'' => {
-                let start = i;
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(LexError {
-                                message: "unterminated string literal".into(),
-                                offset: start,
-                            })
-                        }
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    offset: start,
-                });
-            }
-            c if c.is_ascii_digit()
-                || (c == '.' && bytes.get(i + 1).map(u8::is_ascii_digit).unwrap_or(false)) =>
-            {
-                let start = i;
-                let mut saw_dot = false;
-                let mut saw_exp = false;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_digit() {
-                        i += 1;
-                    } else if b == '.' && !saw_dot && !saw_exp {
-                        saw_dot = true;
-                        i += 1;
-                    } else if (b == 'e' || b == 'E')
-                        && !saw_exp
-                        && bytes
-                            .get(i + 1)
-                            .map(|&n| n.is_ascii_digit() || n == b'-' || n == b'+')
-                            .unwrap_or(false)
-                    {
-                        saw_exp = true;
-                        i += 1;
-                        if bytes[i] == b'-' || bytes[i] == b'+' {
-                            i += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                let text = &src[start..i];
-                let kind = if saw_dot || saw_exp {
-                    TokenKind::Float(text.parse().map_err(|_| LexError {
-                        message: format!("invalid float literal `{text}`"),
-                        offset: start,
-                    })?)
-                } else {
-                    TokenKind::Int(text.parse().map_err(|_| LexError {
-                        message: format!("invalid integer literal `{text}`"),
-                        offset: start,
-                    })?)
-                };
-                tokens.push(Token {
-                    kind,
-                    offset: start,
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_alphanumeric() || b == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_owned()),
-                    offset: start,
-                });
-            }
-            other => {
+            _ => {
+                let other = self.src[start..].chars().next().unwrap_or_default();
                 return Err(LexError {
                     message: format!("unexpected character `{other}`"),
-                    offset: i,
-                })
+                    offset: start,
+                });
+            }
+        };
+        self.pos = end;
+        Ok(Some(Lexeme { kind, start, end }))
+    }
+
+    /// Where the quoted string opening at `start` ends: just past the
+    /// first quote that is not half of a `''`.
+    fn string_end(&self, start: usize) -> Result<usize, LexError> {
+        let bytes = self.src.as_bytes();
+        let mut i = start + 1;
+        loop {
+            match bytes.get(i) {
+                None => {
+                    return Err(LexError {
+                        message: "unterminated string literal".into(),
+                        offset: start,
+                    })
+                }
+                Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                Some(b'\'') => return Ok(i + 1),
+                Some(_) => i += 1,
             }
         }
     }
-    Ok(tokens)
+
+    /// The numeric literal starting at `start` and where it ends: an
+    /// `Int`, or a `Float` when it has a `.` or an exponent.
+    fn number(&self, start: usize) -> Result<(LexemeKind, usize), LexError> {
+        let bytes = self.src.as_bytes();
+        let mut i = start;
+        let mut saw_dot = false;
+        let mut saw_exp = false;
+        while i < bytes.len() {
+            let b = bytes[i];
+            if b.is_ascii_digit() {
+                i += 1;
+            } else if b == b'.' && !saw_dot && !saw_exp {
+                saw_dot = true;
+                i += 1;
+            } else if (b == b'e' || b == b'E')
+                && !saw_exp
+                && bytes
+                    .get(i + 1)
+                    .is_some_and(|&n| n.is_ascii_digit() || n == b'-' || n == b'+')
+            {
+                saw_exp = true;
+                i += 1;
+                if bytes[i] == b'-' || bytes[i] == b'+' {
+                    i += 1;
+                }
+            } else {
+                break;
+            }
+        }
+        let text = &self.src[start..i];
+        let kind = if saw_dot || saw_exp {
+            text.parse().map(LexemeKind::Float).map_err(|_| LexError {
+                message: format!("invalid float literal `{text}`"),
+                offset: start,
+            })
+        } else {
+            text.parse().map(LexemeKind::Int).map_err(|_| LexError {
+                message: format!("invalid integer literal `{text}`"),
+                offset: start,
+            })
+        };
+        Ok((kind?, i))
+    }
 }
 
 #[cfg(test)]
@@ -358,6 +342,21 @@ mod tests {
                 TokenKind::Str("O'Brien".into())
             ]
         );
+    }
+
+    /// A quoted string is the source's characters, not its bytes one by
+    /// one: `é` is two bytes in UTF-8 and one character here.
+    #[test]
+    fn multibyte_string_literals_keep_their_characters() {
+        assert_eq!(
+            kinds("'Amélie' '日本''語'"),
+            vec![
+                TokenKind::Str("Amélie".into()),
+                TokenKind::Str("日本'語".into())
+            ]
+        );
+        let err = tokenize("a é").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
     }
 
     #[test]

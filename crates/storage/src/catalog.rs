@@ -261,6 +261,9 @@ fn backfill(heap: &HeapTable, indexes: &mut [BTreeIndex]) -> StorageResult<()> {
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
     pool: Arc<BufferPool>,
+    /// Bumped whenever a table is added or removed, so a plan built
+    /// against the catalog can tell it may name a table that changed.
+    epoch: u64,
 }
 
 impl Default for Catalog {
@@ -281,7 +284,16 @@ impl Catalog {
         Catalog {
             tables: BTreeMap::new(),
             pool,
+            epoch: 0,
         }
+    }
+
+    /// The schema epoch: it changes whenever a table is created, dropped
+    /// or restored (by a statement, its undo, or WAL replay alike), and
+    /// only then. A logical plan built at one epoch resolves the same
+    /// tables with the same schemas at that epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The shared buffer pool every table in this catalog pages through.
@@ -297,19 +309,24 @@ impl Catalog {
             return Err(StorageError::TableExists(name.to_owned()));
         }
         let table = Table::new(key.clone(), schema, Arc::clone(&self.pool));
+        self.epoch += 1;
         Ok(self.tables.entry(key).or_insert(table))
     }
 
     /// Remove a table and hand it back whole (heap, indexes and all):
     /// `DROP TABLE`, whose transaction keeps it so the drop can be undone.
     pub fn take_table(&mut self, name: &str) -> StorageResult<Table> {
-        self.tables
+        let table = self
+            .tables
             .remove(&name.to_ascii_lowercase())
-            .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
+            .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))?;
+        self.epoch += 1;
+        Ok(table)
     }
 
     /// Re-install a table removed with [`Catalog::take_table`].
     pub fn restore_table(&mut self, table: Table) {
+        self.epoch += 1;
         self.tables.insert(table.name().to_owned(), table);
     }
 
@@ -505,6 +522,31 @@ mod tests {
         assert_eq!(t.tuple_count(), 2);
         assert_eq!(t.get(rid1).unwrap(), row(1, 1, 1.0));
         assert_eq!(t.index("i").unwrap().tree().len(), 2);
+    }
+
+    #[test]
+    fn the_epoch_moves_only_when_the_set_of_tables_does() {
+        let mut cat = Catalog::new();
+        let mut seen = vec![cat.epoch()];
+        let mut moved = |cat: &Catalog| {
+            let moved = !seen.contains(&cat.epoch());
+            seen.push(cat.epoch());
+            moved
+        };
+        cat.create_table("r", ratings_schema()).unwrap();
+        assert!(moved(&cat));
+        assert!(cat.create_table("R", ratings_schema()).is_err());
+        let t = cat.table_mut("r").unwrap();
+        t.insert(row(1, 1, 1.0)).unwrap();
+        t.create_index("i", &["uid"]).unwrap();
+        t.drop_index("i").unwrap();
+        assert!(!moved(&cat), "rows and indexes are not the schema");
+        let taken = cat.take_table("r").unwrap();
+        assert!(moved(&cat));
+        assert!(cat.take_table("r").is_err());
+        assert!(!moved(&cat));
+        cat.restore_table(taken);
+        assert!(moved(&cat), "a restore is a change too, never a step back");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ordinary errors.
 
 use proptest::prelude::*;
-use recdb::core::{EngineError, RecDb};
+use recdb::core::{EngineError, QueryResult, RecDb};
 
 /// Tokens that commonly appear in (and confuse) SQL front ends: valid
 /// keywords, operators, literals, and some outright garbage.
@@ -69,6 +69,11 @@ const TOKENS: &[&str] = &[
     "\\",
     "`",
     "9999999999999999999999",
+    // Digits the statement cache's normalizer must not take for literals:
+    // in a comment, an identifier, and an escaped string.
+    "-- 12 'x\n",
+    "col1",
+    "'it''s 7'",
 ];
 
 fn db_with_table() -> RecDb {
@@ -78,6 +83,22 @@ fn db_with_table() -> RecDb {
     db.execute("INSERT INTO ratings VALUES (1, 1, 5.0), (1, 2, 3.0), (2, 1, 4.0), (2, 3, 2.5)")
         .expect("seed rows");
     db
+}
+
+/// What a statement must do again when a session runs it a second time,
+/// the second time from its statement cache if it is cached: return the
+/// same rows, fail with the same error, or make the same kind of write.
+/// `None` for DDL and transaction control, whose second run meets the
+/// state the first one left (a dropped table, an open transaction).
+fn repeatable(outcome: &Result<QueryResult, EngineError>) -> Option<String> {
+    Some(match outcome {
+        Ok(QueryResult::Rows(rows)) => format!("rows {:?}", rows.rows()),
+        Ok(QueryResult::Inserted(_)) => "inserted".into(),
+        Ok(QueryResult::Deleted(_)) => "deleted".into(),
+        Ok(QueryResult::Updated(_)) => "updated".into(),
+        Ok(_) => return None,
+        Err(e) => format!("error {e}"),
+    })
 }
 
 /// The engine survived if it can still run a plain query afterwards.
@@ -91,7 +112,10 @@ fn assert_still_serving(db: &mut RecDb) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Token soup: random sequences of plausible SQL tokens.
+    /// Token soup: random sequences of plausible SQL tokens, each run
+    /// twice in one session. Ok or Err are both fine, panics are not, and
+    /// the second run (a statement-cache hit, where the first one cached
+    /// it) ends as the first did.
     #[test]
     fn token_soup_never_panics(idx in proptest::collection::vec(0usize..TOKENS.len(), 0..24)) {
         let sql: String = idx
@@ -100,7 +124,14 @@ proptest! {
             .collect::<Vec<_>>()
             .join(" ");
         let mut db = db_with_table();
-        let _ = db.execute(&sql); // Ok or Err — both fine, panics are not
+        {
+            let mut session = db.session();
+            let first = session.execute(&sql);
+            let second = session.execute(&sql);
+            if let Some(first) = repeatable(&first) {
+                prop_assert_eq!(Some(first), repeatable(&second), "{}", sql);
+            }
+        }
         assert_still_serving(&mut db);
     }
 
