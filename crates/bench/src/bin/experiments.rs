@@ -525,7 +525,9 @@ fn pool_sweep() {
 /// heap, so every page is a private read (read, checksum, decode). The
 /// same scans over a resident heap show what the rows and keys cost
 /// alone. Beside `uid = k` it times a key that matches nothing, a negative
-/// constant and the `Text` key of Query 4's `movies` scan. Prints only.
+/// constant and the `Text` key of Query 4's `movies` scan, and on `movies`
+/// a genre that matches nothing, `<>` and `>`: unequal texts, decided on
+/// their bytes. Prints only.
 fn scan_timing() {
     use recdb_core::{RecDb, RecDbConfig};
     header(
@@ -542,6 +544,9 @@ fn scan_timing() {
         ("ratings", "uid = 99999".to_owned()),
         ("ratings", "uid = -1".to_owned()),
         ("movies", format!("genre = '{genre}'")),
+        ("movies", "genre = 'zzzz'".to_owned()),
+        ("movies", format!("genre <> '{genre}'")),
+        ("movies", format!("genre > '{genre}'")),
     ];
     let dir = std::env::temp_dir().join(format!("recdb-scan-timing-{}", std::process::id()));
     for (pool, data_dir, frames) in [

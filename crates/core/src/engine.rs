@@ -165,7 +165,7 @@ impl Default for RecDbConfig {
 }
 
 /// The outcome of one executed statement.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum QueryResult {
     /// `CREATE TABLE` succeeded.
     TableCreated(String),

@@ -317,11 +317,64 @@ impl PhysicalOp for FilterOp<'_> {
 // ---------------------------------------------------------------- Project
 
 /// π — compute output expressions per tuple.
+///
+/// When every output is a bare column or a literal (Query 1, Query 4,
+/// every `SELECT col, …`) the operator owns the input row and takes the
+/// values out of it: a column no other output reads is moved, one read by
+/// several outputs is cloned. That is decided once, in `new`; any other
+/// projection evaluates each expression on the row.
 pub struct ProjectOp<'a> {
     input: Box<dyn PhysicalOp + 'a>,
     exprs: Vec<BoundExpr>,
+    /// How each output takes its value from the owned row, when every
+    /// output is a bare column or a literal.
+    picks: Option<Vec<Pick>>,
     schema: Schema,
     guard: QueryGuard,
+}
+
+/// One output of a projection of bare columns and literals.
+#[derive(Debug, PartialEq)]
+enum Pick {
+    /// A column no other output reads: moved out of the row.
+    Move(usize),
+    /// A column other outputs read too: cloned.
+    Clone(usize),
+    /// A constant.
+    Literal(Value),
+}
+
+impl Pick {
+    /// Each output's pick, if every output is a bare column or a literal.
+    fn of(exprs: &[BoundExpr]) -> Option<Vec<Pick>> {
+        let readers = |c: usize| {
+            exprs
+                .iter()
+                .filter(|e| matches!(e, BoundExpr::Column(d) if *d == c))
+                .count()
+        };
+        exprs
+            .iter()
+            .map(|e| match e {
+                BoundExpr::Column(c) if readers(*c) == 1 => Some(Pick::Move(*c)),
+                BoundExpr::Column(c) => Some(Pick::Clone(*c)),
+                BoundExpr::Literal(v) => Some(Pick::Literal(v.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// This output's value, taken from `row`. A column past the row's end
+    /// is NULL, as evaluating it is.
+    fn take(&self, row: &mut [Value]) -> Value {
+        match self {
+            Pick::Move(c) => row
+                .get_mut(*c)
+                .map_or(Value::Null, |v| std::mem::replace(v, Value::Null)),
+            Pick::Clone(c) => row.get(*c).cloned().unwrap_or(Value::Null),
+            Pick::Literal(v) => v.clone(),
+        }
+    }
 }
 
 impl<'a> ProjectOp<'a> {
@@ -330,6 +383,7 @@ impl<'a> ProjectOp<'a> {
     pub fn new(input: Box<dyn PhysicalOp + 'a>, exprs: Vec<BoundExpr>, schema: Schema) -> Self {
         ProjectOp {
             input,
+            picks: Pick::of(&exprs),
             exprs,
             schema,
             guard: QueryGuard::unlimited(),
@@ -356,6 +410,12 @@ impl PhysicalOp for ProjectOp<'_> {
             Ok(t) => t,
             Err(e) => return Some(Err(e)),
         };
+        if let Some(picks) = &self.picks {
+            let mut row = tuple.into_values();
+            return Some(Ok(Tuple::new(
+                picks.iter().map(|pick| pick.take(&mut row)).collect(),
+            )));
+        }
         let mut out = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
             match e.eval(&tuple) {
@@ -688,6 +748,101 @@ mod tests {
         let mut op = ProjectOp::new(values(3), vec![bound], out_schema);
         let got = drain(&mut op).unwrap();
         assert_eq!(got[2].get(0).unwrap(), &Value::Int(4));
+    }
+
+    /// Projections that move columns out of their rows against evaluating
+    /// every output on a clone of the row.
+    mod row_moves {
+        use super::*;
+        use proptest::prelude::*;
+        use recdb_sql::BinaryOp;
+
+        /// NULL or a value of any type, texts multi-byte and long included.
+        fn value(draw: usize) -> Value {
+            let d = draw / 6;
+            match draw % 6 {
+                0 => Value::Null,
+                1 => Value::Int(d as i64 - 50),
+                2 => Value::Float(d as f64 / 4.0),
+                3 => Value::Text(["", "é", "日本語", "x".repeat(300).as_str()][d % 4].to_owned()),
+                4 => Value::Point(d as f64, 1.0),
+                _ => Value::Rect(0.0, 0.0, d as f64, 1.0),
+            }
+        }
+
+        /// One output from raw draws: mostly bare columns (a small domain,
+        /// so repeats are common, and one ordinal past the row's end) and
+        /// literals; sometimes a computed expression, which may fail.
+        fn output((kind, column, draw): (usize, usize, usize)) -> BoundExpr {
+            match kind % 8 {
+                0..=3 => BoundExpr::Column(column % 4),
+                4..=6 => BoundExpr::Literal(value(draw)),
+                _ => BoundExpr::Binary {
+                    op: BinaryOp::Add,
+                    left: Box::new(BoundExpr::Column(column % 3)),
+                    right: Box::new(BoundExpr::Literal(Value::Int(1))),
+                },
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn project_moves_equal_evaluating_on_a_clone(
+                rows in prop::collection::vec(prop::collection::vec(0usize..600, 3), 0..12),
+                outputs in prop::collection::vec((0usize..8, 0usize..4, 0usize..600), 1..6),
+            ) {
+                let rows: Vec<Tuple> = rows
+                    .iter()
+                    .map(|row| Tuple::new(row.iter().map(|&d| value(d)).collect()))
+                    .collect();
+                let exprs: Vec<BoundExpr> = outputs.into_iter().map(output).collect();
+                let plain = exprs
+                    .iter()
+                    .all(|e| matches!(e, BoundExpr::Column(_) | BoundExpr::Literal(_)));
+
+                let want: ExecResult<Vec<Tuple>> = rows
+                    .iter()
+                    .map(|row| {
+                        let row = row.clone();
+                        exprs.iter().map(|e| e.eval(&row)).collect::<ExecResult<_>>().map(Tuple::new)
+                    })
+                    .collect();
+                let input = Box::new(ValuesOp::new(Schema::from_pairs(&[
+                    ("a", DataType::Int),
+                    ("b", DataType::Int),
+                    ("c", DataType::Int),
+                ]), rows));
+                let out_schema = Schema::new(
+                    (0..exprs.len()).map(|i| Column::new(format!("o{i}"), DataType::Int)).collect(),
+                );
+                let mut op = ProjectOp::new(input, exprs.clone(), out_schema);
+                prop_assert_eq!(op.picks.is_some(), plain, "{:?}", exprs);
+                prop_assert_eq!(drain(&mut op), want, "{:?}", exprs);
+            }
+        }
+
+        #[test]
+        fn a_column_read_twice_is_cloned_and_once_is_moved() {
+            let exprs = [
+                BoundExpr::Column(1),
+                BoundExpr::Literal(Value::Int(7)),
+                BoundExpr::Column(0),
+                BoundExpr::Column(1),
+            ];
+            assert_eq!(
+                Pick::of(&exprs),
+                Some(vec![
+                    Pick::Clone(1),
+                    Pick::Literal(Value::Int(7)),
+                    Pick::Move(0),
+                    Pick::Clone(1),
+                ])
+            );
+            assert_eq!(
+                Pick::of(&[BoundExpr::Column(0), predicate("uid < 3")]),
+                None
+            );
+        }
     }
 
     #[test]

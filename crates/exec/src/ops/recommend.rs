@@ -338,6 +338,10 @@ pub struct JoinRecommendOp<'a> {
     scores: Vec<Option<f64>>,
     /// Next `(tuple j, user k)` of the block, as `j * users.len() + k`.
     cursor: usize,
+    /// The last user in `uPred` whose output has tuple `j`, set as the
+    /// cursor reaches `(j, 0)`: that output takes the tuple, the earlier
+    /// ones clone it.
+    taker: Option<usize>,
     /// The outer has ended.
     outer_done: bool,
     scratch: ScoreScratch,
@@ -374,6 +378,7 @@ impl<'a> JoinRecommendOp<'a> {
             items: Vec::new(),
             scores: Vec::new(),
             cursor: 0,
+            taker: None,
             outer_done: false,
             scratch: ScoreScratch::default(),
             guard: QueryGuard::unlimited(),
@@ -424,6 +429,14 @@ impl<'a> JoinRecommendOp<'a> {
         }
         Ok(())
     }
+
+    /// The score user `k` gets for the block's tuple `j`, if that pair is
+    /// output: rated pairs are not recommendations, and the rating bounds
+    /// apply to the rest.
+    fn emitted_score(&self, j: usize, k: usize) -> Option<f64> {
+        self.scores[k * self.block.len() + j]
+            .filter(|&s| in_bounds(s, self.min_rating, self.max_rating))
+    }
 }
 
 impl PhysicalOp for JoinRecommendOp<'_> {
@@ -438,11 +451,12 @@ impl PhysicalOp for JoinRecommendOp<'_> {
             // tuple-at-a-time loop emits.
             while self.cursor < self.block.len() * n_users {
                 let (j, k) = (self.cursor / n_users, self.cursor % n_users);
-                let score = self.scores[k * self.block.len() + j];
-                // Rated pairs are not recommendations; the rating bounds
-                // apply to the rest.
-                let Some(score) = score.filter(|&s| in_bounds(s, self.min_rating, self.max_rating))
-                else {
+                if k == 0 {
+                    self.taker = (0..n_users)
+                        .rev()
+                        .find(|&later| self.emitted_score(j, later).is_some());
+                }
+                let Some(score) = self.emitted_score(j, k) else {
                     self.cursor += 1;
                     continue;
                 };
@@ -452,7 +466,14 @@ impl PhysicalOp for JoinRecommendOp<'_> {
                 self.cursor += 1;
                 let item = self.model.matrix().item_id(self.items[j]);
                 let (user, _) = self.users[k];
-                return Some(Ok(rec_tuple(user, item, score).join(&self.block[j])));
+                let mut row = Vec::with_capacity(3 + self.block[j].arity());
+                row.extend([Value::Int(user), Value::Int(item), Value::Float(score)]);
+                if self.taker == Some(k) {
+                    row.extend(std::mem::take(&mut self.block[j]).into_values());
+                } else {
+                    row.extend_from_slice(self.block[j].values());
+                }
+                return Some(Ok(Tuple::new(row)));
             }
             if self.outer_done {
                 return None;
@@ -1342,7 +1363,14 @@ mod tests {
             let want = per_pair_reference(model, rows, users.clone(), bounds);
             let guard = QueryGuard::unlimited();
             let (mut op, pulls) = join(model, rows.to_vec(), users, bounds, &guard);
-            let got = joined(&drain(&mut op).unwrap());
+            let out = drain(&mut op).unwrap();
+            for row in &out {
+                // Moved to its last user or cloned for an earlier one, the
+                // outer tuple arrives whole.
+                let at = row.get(4).unwrap().as_int().unwrap() as usize;
+                prop_assert_eq!(&row.values()[3..], rows[at].values());
+            }
+            let got = joined(&out);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(guard.rows_used(), (rows.len() + want.len() + 1) as u64);
             prop_assert_eq!(
@@ -1365,8 +1393,10 @@ mod tests {
 
         proptest! {
             /// Outers around one and two blocks, with NULL, text, float and
-            /// unknown keys; every user, one user, or a list with
-            /// duplicates and an unknown id; bounds on real scores.
+            /// unknown keys; every user (at least two), one user, two users
+            /// out of id order, or a list with duplicates and an unknown id;
+            /// bounds on real scores. With two users or more a tuple is
+            /// cloned for its earlier users and moved to its last.
             #[test]
             fn join_blocks_equal_the_per_pair_reference(
                 ratings in proptest::collection::vec((1i64..7, 1i64..10, 1u8..6), 1..40),
@@ -1383,11 +1413,15 @@ mod tests {
                     ],
                     1..24,
                 ),
-                users in 0usize..3,
+                users in 0usize..4,
                 bounds in 0usize..3,
             ) {
+                // User 7 is never drawn: the model always has two users.
                 let matrix = RatingsMatrix::from_ratings(
-                    ratings.iter().map(|&(u, i, r)| Rating::new(u, (i * 7) % 10, f64::from(r))),
+                    ratings
+                        .iter()
+                        .map(|&(u, i, r)| Rating::new(u, (i * 7) % 10, f64::from(r)))
+                        .chain([Rating::new(7, 3, 2.0)]),
                 );
                 let config = TrainConfig {
                     svd: SvdParams { epochs: 3, ..SvdParams::default() },
@@ -1397,6 +1431,7 @@ mod tests {
                 let users = match users {
                     0 => None,
                     1 => Some(vec![first]),
+                    2 => Some(vec![7, first]),
                     _ => Some(vec![5, first, 99, 5, 2]),
                 };
                 let keys: Vec<Value> = (0..len).map(|j| keys[j % keys.len()].clone()).collect();

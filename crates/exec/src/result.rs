@@ -26,6 +26,11 @@ impl ResultSet {
         &self.rows
     }
 
+    /// Consume into the schema and the rows.
+    pub fn into_parts(self) -> (Schema, Vec<Tuple>) {
+        (self.schema, self.rows)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -18,15 +18,18 @@
 //! * equal payload bytes are equal values, so nothing is decoded (a
 //!   `Text` equal to the constant is valid UTF-8 because the constant is);
 //! * unequal `Int` or `Float` bytes are unequal values (`f64::total_cmp`
-//!   orders floats by their bits), which settles `=` and `<>`.
+//!   orders floats by their bits), which settles `=` and `<>`;
+//! * an unequal `Text` is checked to be UTF-8, as decoding it would check
+//!   it (the same `Malformed::InvalidUtf8`), and ordered by its bytes
+//!   after the length prefix: `str::cmp` is byte order, so all six
+//!   operators are settled there.
 //!
 //! Everything else takes the **general rule**, `ValueRef::total_cmp` on
 //! the decoded value: the four order operators on unequal numbers, a NULL
-//! on either side, `Int` against `Float`, any other type, a `Text`
-//! unequal to the constant (its bytes must still be checked to be UTF-8)
-//! and a malformed row. So a compiled key keeps the rows and returns the
-//! errors, `Corrupt` messages included, that the general rule alone
-//! would; a property test below pins that on arbitrary row bytes.
+//! on either side, `Int` against `Float`, any other type and a malformed
+//! row. So a compiled key keeps the rows and returns the errors, `Corrupt`
+//! messages included, that the general rule alone would; a property test
+//! below pins that on arbitrary row bytes.
 
 use crate::error::ExecResult;
 use crate::expr::{bind, BoundExpr, CmpOp};
@@ -50,7 +53,7 @@ pub(crate) struct ScanKey {
 enum Encoded {
     /// An `Int` or a `Float`: eight payload bytes.
     Word(u8, [u8; 8]),
-    /// A `Text`: the `u32` length prefix and the UTF-8 bytes.
+    /// A `Text`: its UTF-8 bytes, without the `u32` length prefix.
     Text(u8, Box<[u8]>),
 }
 
@@ -80,7 +83,7 @@ impl ScanKey {
                 let word = field.payload().try_into().expect("an 8-byte payload");
                 Some(Encoded::Word(field.tag(), word))
             }
-            Value::Text(_) => Some(Encoded::Text(field.tag(), field.payload().into())),
+            Value::Text(_) => Some(Encoded::Text(field.tag(), text_bytes(field).into())),
             _ => None,
         };
         Some(ScanKey {
@@ -106,8 +109,16 @@ impl ScanKey {
                     return Ok(self.op == CmpOp::Ne);
                 }
             }
-            Some(Encoded::Text(tag, text)) if field.tag() == *tag && field.payload() == &**text => {
-                return Ok(self.op.holds(Ordering::Equal));
+            Some(Encoded::Text(tag, text)) if field.tag() == *tag => {
+                let stored = text_bytes(field);
+                // `str::cmp` is byte order.
+                let order = stored.cmp(text);
+                // ASCII is UTF-8, and checked word by word: most stored
+                // texts skip `from_utf8`'s slower walk.
+                if order.is_ne() && !stored.is_ascii() && std::str::from_utf8(stored).is_err() {
+                    return Err(Malformed::InvalidUtf8);
+                }
+                return Ok(self.op.holds(order));
             }
             _ => {}
         }
@@ -136,6 +147,13 @@ impl ScanKey {
         }
         Ok(true)
     }
+}
+
+/// A `Text` field's bytes after its `u32` length prefix (`RowRef::field`
+/// has checked the prefix and the bytes it counts are there).
+#[inline]
+fn text_bytes(field: Field<'_>) -> &[u8] {
+    &field.payload()[4..]
 }
 
 /// Bind `predicate` against `schema`, its parameter slots valued from
@@ -423,21 +441,48 @@ mod tests {
     /// Floats whose bits tell apart what `==` does not: both zeros, NaN.
     const EDGE_FLOATS: [f64; 6] = [-0.0, 0.0, 1.0, -1.0, 2.5, f64::NAN];
 
+    /// Texts that share a head (`"abc"`, `"abd"`), differ only in length
+    /// (`"ab"`, `"abc"`), hold multi-byte characters (`"é"` sorts after
+    /// `"b"`, `"日本"` is a head of `"日本語"`), and whose order is not length
+    /// order (`"b" > "ab"`), so a compare of length-prefixed bytes would show.
+    const EDGE_TEXTS: [&str; 8] = ["", "b", "ab", "abc", "abd", "é", "日本", "日本語"];
+
     /// NULL or a value of any type from a raw draw, from domains small
-    /// enough that equal values (`Int` against `Float` too) turn up. Text
-    /// order is not length order (`"b" > "ab"`), so a compare of
-    /// length-prefixed bytes would show.
+    /// enough that equal values (`Int` against `Float` too) turn up.
     fn any_value(draw: usize) -> Value {
         let d = draw / 7;
         match draw % 7 {
             0 => Value::Null,
             1 => Value::Int((d % 5) as i64 - 2),
             2 => Value::Float(EDGE_FLOATS[d % 6]),
-            3 => Value::Text(["", "b", "ab", "é", "日本語"][d % 5].to_owned()),
+            3 => Value::Text(EDGE_TEXTS[d % EDGE_TEXTS.len()].to_owned()),
             4 => Value::Bool(d.is_multiple_of(2)),
             5 => Value::Point((d % 2) as f64, 0.0),
             _ => Value::Rect(0.0, 0.0, (d % 2) as f64, 1.0),
         }
+    }
+
+    /// `values` as a row stores them. With `broken`, every `Text` ends in
+    /// a lone UTF-8 lead byte: its bytes still share a head with the text
+    /// (and with constants that do), but they are not UTF-8.
+    fn encode_row(values: &[Value], broken: bool) -> Vec<u8> {
+        let mut row = (values.len() as u16).to_le_bytes().to_vec();
+        for value in values {
+            match value {
+                Value::Text(s) if broken => {
+                    row.push(DataType::Text.to_tag());
+                    row.extend_from_slice(&(s.len() as u32 + 1).to_le_bytes());
+                    row.extend_from_slice(s.as_bytes());
+                    row.push(0xC3);
+                }
+                value => {
+                    let mut one = Vec::new();
+                    Tuple::new(vec![value.clone()]).encode_into(&mut one);
+                    row.extend_from_slice(&one[2..]);
+                }
+            }
+        }
+        row
     }
 
     /// The general rule written out: read the column's value, then
@@ -485,22 +530,22 @@ mod tests {
         /// The compiled keys against the general rule, on row bytes a page
         /// could hold and many it could not: random bytes, and encodings
         /// of zero to four values of every tag, whole, with one byte
-        /// changed, or cut short. Each key (any constant, any of the six
-        /// operators, either side, any ordinal) returns exactly the rule's
-        /// `Ok(bool)` or its error; a conjunction stops at the first key
-        /// that rejects or fails.
+        /// changed, cut short, or with texts that are not UTF-8. Each key
+        /// (any constant, any of the six operators, either side, any
+        /// ordinal) returns exactly the rule's `Ok(bool)` or its error; a
+        /// conjunction stops at the first key that rejects or fails.
         #[test]
         fn compiled_key_equals_the_general_rule(
             values in prop::collection::vec(0usize..3000, 0..5),
             noise in prop::collection::vec(any::<u8>(), 0..24),
-            (shape, at, byte) in (0usize..4, any::<prop::sample::Index>(), any::<u8>()),
+            (shape, at, byte) in (0usize..5, any::<prop::sample::Index>(), any::<u8>()),
             keys in prop::collection::vec((0usize..5, 0usize..3000, 0usize..6, any::<bool>(), any::<bool>()), 1..4),
         ) {
-            let mut row = Vec::new();
-            Tuple::new(values.iter().map(|&d| any_value(d)).collect()).encode_into(&mut row);
+            let values_of_row: Vec<Value> = values.iter().map(|&d| any_value(d)).collect();
+            let mut row = encode_row(&values_of_row, shape == 4);
             match shape {
                 0 => row = noise,
-                1 => {}
+                1 | 4 => {}
                 2 => {
                     let i = at.index(row.len());
                     row[i] = byte;

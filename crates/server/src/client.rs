@@ -227,8 +227,11 @@ impl Client {
             }
             Response::Error(err) => {
                 // Any statement failure inside an explicit transaction
-                // aborts it server-side; mirror that here.
-                self.in_transaction = false;
+                // aborts it server-side; mirror that here. A result too
+                // large for a frame is not a failure of the statement.
+                if err.code != ErrorCode::FrameTooLarge {
+                    self.in_transaction = false;
+                }
                 Err(ClientError::Server(err))
             }
             _ => Err(ClientError::UnexpectedResponse(

@@ -238,28 +238,53 @@ impl Response {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Encode to one whole frame, the bytes [`write_frame`] would send for
+    /// [`Response::encode`]'s payload, in one buffer: the 4-byte length is
+    /// reserved before the payload is written and patched after, so the
+    /// payload is never copied. A payload over `max_frame_bytes` is
+    /// [`ProtocolError::FrameTooLarge`].
+    pub(crate) fn frame(&self, max_frame_bytes: usize) -> Result<Vec<u8>, ProtocolError> {
+        let mut buf = vec![0; 4];
+        self.encode_into(&mut buf);
+        let len = buf.len() - 4;
+        match u32::try_from(len) {
+            Ok(header) if len <= max_frame_bytes => {
+                buf[..4].copy_from_slice(&header.to_be_bytes());
+                Ok(buf)
+            }
+            _ => Err(ProtocolError::FrameTooLarge {
+                announced: len as u64,
+                max: max_frame_bytes,
+            }),
+        }
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Hello { version } => {
-                put_u8(&mut buf, RESP_HELLO);
-                put_u16(&mut buf, *version);
+                put_u8(buf, RESP_HELLO);
+                put_u16(buf, *version);
             }
             Response::Result(res) => {
-                put_u8(&mut buf, RESP_RESULT);
-                res.encode_into(&mut buf);
+                put_u8(buf, RESP_RESULT);
+                res.encode_into(buf);
             }
             Response::Error(err) => {
-                put_u8(&mut buf, RESP_ERROR);
-                put_str(&mut buf, err.code.as_str());
-                put_u8(&mut buf, u8::from(err.retryable));
-                put_str(&mut buf, &err.message);
+                put_u8(buf, RESP_ERROR);
+                put_str(buf, err.code.as_str());
+                put_u8(buf, u8::from(err.retryable));
+                put_str(buf, &err.message);
             }
-            Response::Pong => put_u8(&mut buf, RESP_PONG),
+            Response::Pong => put_u8(buf, RESP_PONG),
             Response::MetricsText(text) => {
-                put_u8(&mut buf, RESP_METRICS);
-                put_str(&mut buf, text);
+                put_u8(buf, RESP_METRICS);
+                put_str(buf, text);
             }
         }
-        buf
     }
 
     /// Decode from a frame payload.
@@ -386,37 +411,49 @@ fn type_from_tag(tag: u8) -> Result<DataType, ProtocolError> {
     })
 }
 
-impl WireResult {
-    /// Flatten an engine [`QueryResult`] for the wire.
-    pub fn from_query_result(res: &QueryResult) -> WireResult {
+/// Flatten an engine [`QueryResult`] for the wire, moving its names and
+/// rows: the one mapping from results to wire results.
+impl From<QueryResult> for WireResult {
+    fn from(res: QueryResult) -> WireResult {
         match res {
-            QueryResult::TableCreated(n) => WireResult::TableCreated(n.clone()),
-            QueryResult::TableDropped(n) => WireResult::TableDropped(n.clone()),
-            QueryResult::Inserted(n) => WireResult::Inserted(*n as u64),
+            QueryResult::TableCreated(n) => WireResult::TableCreated(n),
+            QueryResult::TableDropped(n) => WireResult::TableDropped(n),
+            QueryResult::Inserted(n) => WireResult::Inserted(n as u64),
             QueryResult::RecommenderCreated { name, build_time } => {
                 WireResult::RecommenderCreated {
-                    name: name.clone(),
+                    name,
                     build_micros: build_time.as_micros().min(u64::MAX as u128) as u64,
                 }
             }
-            QueryResult::RecommenderDropped(n) => WireResult::RecommenderDropped(n.clone()),
-            QueryResult::IndexCreated(n) => WireResult::IndexCreated(n.clone()),
-            QueryResult::IndexDropped(n) => WireResult::IndexDropped(n.clone()),
-            QueryResult::Deleted(n) => WireResult::Deleted(*n as u64),
-            QueryResult::Updated(n) => WireResult::Updated(*n as u64),
-            QueryResult::Rows(rs) => WireResult::Rows {
-                columns: rs
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| (c.qualified_name(), c.data_type))
-                    .collect(),
-                rows: rs.rows().to_vec(),
-            },
+            QueryResult::RecommenderDropped(n) => WireResult::RecommenderDropped(n),
+            QueryResult::IndexCreated(n) => WireResult::IndexCreated(n),
+            QueryResult::IndexDropped(n) => WireResult::IndexDropped(n),
+            QueryResult::Deleted(n) => WireResult::Deleted(n as u64),
+            QueryResult::Updated(n) => WireResult::Updated(n as u64),
+            QueryResult::Rows(rs) => {
+                let (schema, rows) = rs.into_parts();
+                WireResult::Rows {
+                    columns: schema
+                        .columns()
+                        .iter()
+                        .map(|c| (c.qualified_name(), c.data_type))
+                        .collect(),
+                    rows,
+                }
+            }
             QueryResult::TransactionStarted => WireResult::TransactionStarted,
             QueryResult::TransactionCommitted => WireResult::TransactionCommitted,
             QueryResult::TransactionRolledBack => WireResult::TransactionRolledBack,
         }
+    }
+}
+
+impl WireResult {
+    /// Flatten a borrowed engine [`QueryResult`] for the wire: a clone of
+    /// it, converted by the `From` impl. The server converts the result it
+    /// owns and copies nothing.
+    pub fn from_query_result(res: &QueryResult) -> WireResult {
+        WireResult::from(res.clone())
     }
 
     /// Reassemble a [`ResultSet`] from a `Rows` result (client side).
@@ -640,7 +677,10 @@ pub struct WireError {
     /// Stable machine-readable code.
     pub code: ErrorCode,
     /// Whether a client may retry the same request after backoff. The
-    /// enclosing transaction (if any) has been rolled back either way.
+    /// enclosing transaction (if any) has been rolled back either way,
+    /// except after a `frame_too_large` reply to a statement whose result
+    /// outgrew `max_frame_bytes`: that statement ran, and the connection
+    /// and its transaction stay open.
     pub retryable: bool,
     /// Human-readable detail (the engine error's `Display`).
     pub message: String,
@@ -794,5 +834,114 @@ mod tests {
         assert!(classify(&EngineError::Internal("boom".into())).retryable);
         assert!(!classify(&EngineError::UnknownType("blob".into())).retryable);
         assert!(!classify(&EngineError::NoActiveTransaction).retryable);
+    }
+
+    /// One `QueryResult` of each of the 13 kinds. The rows hold NULL,
+    /// multi-byte text, a point, a rect, both bools and a negative zero.
+    fn every_result() -> Vec<QueryResult> {
+        use recdb_storage::Value::{Bool, Float, Int, Null, Point, Rect, Text};
+        let schema = Schema::new(vec![
+            Column::qualified("M", "mid", DataType::Int),
+            Column::qualified("M", "name", DataType::Text),
+            Column::new("ratingval", DataType::Float),
+            Column::new("at", DataType::Point),
+            Column::new("area", DataType::Rect),
+            Column::new("seen", DataType::Bool),
+        ]);
+        let rows = vec![
+            Tuple::new(vec![
+                Int(1),
+                Text("Amélie (日本語)".into()),
+                Float(4.25),
+                Point(-93.2, 44.9),
+                Rect(0.0, 0.0, 10.5, 20.25),
+                Bool(true),
+            ]),
+            Tuple::new(vec![Int(-2), Null, Float(-0.0), Null, Null, Bool(false)]),
+            Tuple::new(vec![
+                Int(i64::MAX),
+                Text(String::new()),
+                Null,
+                Point(0.0, -1.5),
+                Rect(-1.0, -2.0, 3.0, 4.0),
+                Null,
+            ]),
+        ];
+        vec![
+            QueryResult::TableCreated("movies".into()),
+            QueryResult::TableDropped("movies".into()),
+            QueryResult::Inserted(3),
+            QueryResult::RecommenderCreated {
+                name: "benchrec".into(),
+                build_time: Duration::from_micros(61_234),
+            },
+            QueryResult::RecommenderDropped("benchrec".into()),
+            QueryResult::IndexCreated("r_uid".into()),
+            QueryResult::IndexDropped("r_uid".into()),
+            QueryResult::Deleted(5),
+            QueryResult::Updated(7),
+            QueryResult::Rows(ResultSet::new(schema, rows)),
+            QueryResult::TransactionStarted,
+            QueryResult::TransactionCommitted,
+            QueryResult::TransactionRolledBack,
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The 13 frames of `every_result`, as the server sent them before it
+    /// encoded frames in place (`write_frame` over `Response::encode`).
+    const EVERY_RESULT_FRAMES: &str = concat!(
+        "0000000c0100060000006d6f766965730000000c0101060000006d6f76696573",
+        "0000000a010203000000000000000000001601030800000062656e6368726563",
+        "32ef0000000000000000000e01040800000062656e63687265630000000b0105",
+        "05000000725f7569640000000b010605000000725f7569640000000a01070500",
+        "0000000000000000000a01080700000000000000000001010109060005000000",
+        "4d2e6d696400060000004d2e6e616d650209000000726174696e6776616c0102",
+        "000000617404040000006172656105040000007365656e030300000006000101",
+        "000000000000000313000000416dc3a96c69652028e697a5e69cace8aa9e2902",
+        "000000000000114005cdcccccccc4c57c0333333333373464006000000000000",
+        "00000000000000000000000000000000254000000000004034400401060001fe",
+        "ffffffffffffff0002000000000000008000000400060001ffffffffffffff7f",
+        "030000000000050000000000000000000000000000f8bf06000000000000f0bf",
+        "00000000000000c0000000000000084000000000000010400000000002010a00",
+        "000002010b00000002010c",
+    );
+
+    /// The frame the server writes for each kind of result moves the
+    /// result and encodes in place, yet is byte for byte the frame
+    /// `write_frame` sends for the borrowed mapping's payload, and decodes
+    /// back to the same result.
+    #[test]
+    fn result_frames_are_pinned_and_round_trip() {
+        let mut frames = Vec::new();
+        for res in every_result() {
+            let borrowed = Response::Result(WireResult::from_query_result(&res));
+            let mut sent = Vec::new();
+            write_frame(&mut sent, &borrowed.encode(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+            let frame = Response::Result(WireResult::from(res))
+                .frame(DEFAULT_MAX_FRAME_BYTES)
+                .unwrap();
+            assert_eq!(frame, sent);
+            assert_eq!(Response::decode(&frame[4..]).unwrap(), borrowed);
+            frames.extend_from_slice(&frame);
+        }
+        assert_eq!(hex(&frames), EVERY_RESULT_FRAMES);
+    }
+
+    #[test]
+    fn a_frame_over_the_limit_is_too_large() {
+        let pong = Response::Pong.frame(1).unwrap();
+        assert_eq!(pong, [0, 0, 0, 1, RESP_PONG]);
+        let hello = Response::Hello { version: 1 };
+        assert!(matches!(
+            hello.frame(2),
+            Err(ProtocolError::FrameTooLarge {
+                announced: 3,
+                max: 2
+            })
+        ));
     }
 }

@@ -27,14 +27,14 @@
 //! committed, which is exactly the ambiguity real clients must handle).
 
 use crate::protocol::{
-    classify, write_frame, ErrorCode, ProtocolError, Request, Response, WireError, WireResult,
+    classify, ErrorCode, ProtocolError, Request, Response, WireError, WireResult,
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use recdb_core::{QueryGuard, RecDb};
 use recdb_fault::fail_point;
 use recdb_obs::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -344,12 +344,7 @@ fn respond_and_close(
     err: WireError,
 ) -> Result<(), ProtocolError> {
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let mut w = stream;
-    write_frame(
-        &mut w,
-        &Response::Error(err).encode(),
-        shared.cfg.max_frame_bytes,
-    )
+    write_response(stream, &Response::Error(err), shared.cfg.max_frame_bytes)
 }
 
 /// Why a connection stopped reading requests.
@@ -461,7 +456,7 @@ fn handle_conn(shared: &Shared, entry: &ConnEntry) {
                 match result {
                     Ok(res) => {
                         shared.requests_ok.inc();
-                        Response::Result(WireResult::from_query_result(&res))
+                        Response::Result(WireResult::from(res))
                     }
                     Err(e) => {
                         shared.requests_error.inc();
@@ -586,6 +581,29 @@ fn send_response(
 ) -> Result<(), ProtocolError> {
     fail_point("server::frame_write")
         .map_err(|e| ProtocolError::Malformed(format!("injected write fault: {e}")))?;
+    write_response(stream, response, shared.cfg.max_frame_bytes)
+}
+
+/// Encode `response` as one frame and write it. A response over
+/// `max_frame_bytes` (a result too large to send) is answered with a
+/// non-retryable `frame_too_large` error instead, and the connection — its
+/// session and any open transaction — carries on.
+fn write_response(
+    stream: &TcpStream,
+    response: &Response,
+    max_frame_bytes: usize,
+) -> Result<(), ProtocolError> {
+    let frame = match response.frame(max_frame_bytes) {
+        Err(ProtocolError::FrameTooLarge { announced, max }) => Response::Error(WireError::new(
+            ErrorCode::FrameTooLarge,
+            false,
+            format!("response of {announced} bytes exceeds max_frame_bytes={max}"),
+        ))
+        .frame(max_frame_bytes)?,
+        frame => frame?,
+    };
     let mut w = stream;
-    write_frame(&mut w, &response.encode(), shared.cfg.max_frame_bytes)
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(())
 }

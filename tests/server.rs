@@ -350,6 +350,53 @@ fn oversized_frame_is_rejected_without_allocation_or_panic() {
     server.shutdown();
 }
 
+/// A result larger than `max_frame_bytes` is answered with a fatal
+/// `frame_too_large` error instead of a dropped connection: the session
+/// and its open transaction carry on, and the transaction commits.
+#[test]
+fn oversized_result_is_refused_and_the_transaction_carries_on() {
+    let (db, server) = marker_server(ServerConfig {
+        max_frame_bytes: 64 * 1024,
+        ..ServerConfig::default()
+    });
+    db.execute("CREATE TABLE notes (body TEXT)")
+        .expect("create notes");
+    let body = "x".repeat(1000);
+    let values = vec![format!("('{body}')"); 100].join(", ");
+    db.execute(&format!("INSERT INTO notes VALUES {values}"))
+        .expect("~100 KiB of notes");
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.execute("BEGIN").expect("begin");
+    client
+        .execute("INSERT INTO markers VALUES (1, 1, 0)")
+        .expect("insert");
+    match client.query("SELECT body FROM notes") {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::FrameTooLarge, "{e}");
+            assert!(!e.retryable, "{e}");
+        }
+        other => panic!("expected frame_too_large, got {other:?}"),
+    }
+    assert!(client.in_transaction());
+    assert_eq!(
+        client
+            .query("SELECT COUNT(*) FROM notes")
+            .expect("same session")
+            .len(),
+        1
+    );
+    assert!(matches!(
+        client.execute("COMMIT").expect("commit"),
+        WireResult::TransactionCommitted
+    ));
+    assert_eq!(db.query("SELECT marker FROM markers").unwrap().len(), 1);
+
+    drop(client);
+    server.shutdown();
+    assert_eq!(db.lock_table().held_count(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Seeded fault sweep over the server sites, vs a shadow engine
 // ---------------------------------------------------------------------
