@@ -846,7 +846,7 @@ fn ablation_hotness() {
     for threshold in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut db = recdb_core::RecDb::with_config(recdb_core::RecDbConfig {
             hotness_threshold: threshold,
-            auto_maintenance: false,
+            maintenance_threshold_pct: f64::INFINITY,
             ..recdb_core::RecDbConfig::default()
         });
         let dataset = recdb_datasets::generate(&spec);

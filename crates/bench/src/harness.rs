@@ -48,7 +48,7 @@ pub struct World {
 /// (standard production CF practice; documented in EXPERIMENTS.md).
 pub fn bench_config() -> RecDbConfig {
     RecDbConfig {
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         train: TrainConfig {
             neighborhood: NeighborhoodKnobs {
                 max_neighbors: Some(64),

@@ -84,15 +84,21 @@ impl Table {
         Ok(())
     }
 
-    /// Drop an index by name.
-    pub fn drop_index(&mut self, index_name: &str) -> StorageResult<()> {
+    /// Drop an index by name and hand it back whole: `DROP INDEX`, whose
+    /// transaction keeps it so the drop can be undone.
+    pub fn drop_index(&mut self, index_name: &str) -> StorageResult<BTreeIndex> {
         let pos = self
             .indexes
             .iter()
             .position(|i| i.name() == index_name)
             .ok_or_else(|| StorageError::IndexNotFound(index_name.to_owned()))?;
-        self.indexes.remove(pos);
-        Ok(())
+        Ok(self.indexes.remove(pos))
+    }
+
+    /// Re-install an index removed with [`Table::drop_index`]. The caller
+    /// vouches that it matches the heap.
+    pub fn restore_index(&mut self, index: BTreeIndex) {
+        self.indexes.push(index);
     }
 
     /// Fetch an index by name.
@@ -164,46 +170,17 @@ impl Table {
         self.settle(cleared)
     }
 
-    /// Clone every heap page — the pre-image a transaction captures
-    /// before its first scattered write to this table (DELETE/UPDATE).
-    pub fn snapshot_pages(&self) -> StorageResult<Vec<Page>> {
-        self.heap.pages_snapshot()
-    }
-
-    /// The heap extent an append-only pre-image needs: the page count and
-    /// a copy of the current last page (see [`Table::rollback_tail`]).
-    pub fn snapshot_tail(&self) -> StorageResult<(usize, Option<Page>)> {
-        let count = self.heap.page_count();
-        let last = if count == 0 {
-            None
-        } else {
-            Some(self.heap.page_image(count as u32 - 1)?)
-        };
-        Ok((count, last))
-    }
-
-    /// Undo appends past a [`Table::snapshot_tail`] point and rebuild the
-    /// secondary indexes from the restored heap.
-    pub fn rollback_tail(
+    /// Put back a transaction's saved heap pages ([`HeapTable::restore`])
+    /// and rebuild the secondary indexes from the restored heap. If the
+    /// heap cannot be restored the indexes no longer match it and are
+    /// stale.
+    pub fn restore_heap(
         &mut self,
-        page_count: usize,
-        last_page: Option<Page>,
+        page_count: u32,
+        pages: impl IntoIterator<Item = (u32, Page)>,
+        live_tuples: u64,
     ) -> StorageResult<()> {
-        let restored = self.heap.rollback_tail(page_count, last_page);
-        self.rebuild_indexes_after(restored)
-    }
-
-    /// Restore a full [`Table::snapshot_pages`] pre-image and rebuild the
-    /// secondary indexes from it.
-    pub fn rollback_pages(&mut self, pages: Vec<Page>) -> StorageResult<()> {
-        let restored = self.heap.rollback_pages(pages);
-        self.rebuild_indexes_after(restored)
-    }
-
-    /// Rebuild the indexes once the heap under them was `restored`; if it
-    /// was not, they no longer match it and are stale.
-    fn rebuild_indexes_after(&mut self, restored: StorageResult<()>) -> StorageResult<()> {
-        match restored {
+        match self.heap.restore(page_count, pages, live_tuples) {
             Ok(()) => self.rebuild_indexes(),
             Err(e) => self.settle(Err(e)),
         }
@@ -482,46 +459,35 @@ mod tests {
     }
 
     #[test]
-    fn rollback_tail_undoes_appends_and_resyncs_indexes() {
-        let mut cat = Catalog::new();
-        let t = cat.create_table("r", ratings_schema()).unwrap();
-        t.create_index("i", &["uid"]).unwrap();
-        t.insert(row(1, 1, 1.0)).unwrap();
-        t.heap_mut().take_dirty_pages(); // pretend a checkpoint ran
-
-        let (pages, last) = t.snapshot_tail().unwrap();
-        t.insert(row(2, 2, 2.0)).unwrap();
-        t.insert(row(3, 3, 3.0)).unwrap();
-        t.rollback_tail(pages, last).unwrap();
-
-        assert_eq!(t.tuple_count(), 1);
-        assert_eq!(t.index("i").unwrap().tree().len(), 1);
-        assert!(
-            t.heap().is_dirty(),
-            "a rolled-back table diverges from the checkpoint image"
-        );
-        // The heap is byte-identical to the pre-append state, so a fresh
-        // insert lands at the same rid an untouched run would assign.
-        let rid = t.insert(row(4, 4, 4.0)).unwrap();
-        assert_eq!(rid, Rid::new(0, 1));
-    }
-
-    #[test]
-    fn rollback_pages_restores_deleted_rows() {
+    fn restore_heap_undoes_appends_and_deletes_and_resyncs_indexes() {
         let mut cat = Catalog::new();
         let t = cat.create_table("r", ratings_schema()).unwrap();
         t.create_index("i", &["uid"]).unwrap();
         let rid1 = t.insert(row(1, 1, 1.0)).unwrap();
         t.insert(row(2, 2, 2.0)).unwrap();
+        t.heap_mut().take_dirty_pages(); // pretend a checkpoint ran
 
-        let snapshot = t.snapshot_pages().unwrap();
+        // A transaction's pre-image: the extent, the live count, and the
+        // one page it changes that existed before it.
+        let saved = vec![(0, t.heap().page_image(0).unwrap())];
         t.delete(rid1).unwrap();
-        assert_eq!(t.tuple_count(), 1);
-        t.rollback_pages(snapshot).unwrap();
+        while t.heap().page_count() < 3 {
+            t.insert(row(3, 3, 3.0)).unwrap();
+        }
+        t.restore_heap(1, saved, 2).unwrap();
 
+        assert_eq!(t.heap().page_count(), 1);
         assert_eq!(t.tuple_count(), 2);
         assert_eq!(t.get(rid1).unwrap(), row(1, 1, 1.0));
         assert_eq!(t.index("i").unwrap().tree().len(), 2);
+        assert!(
+            t.heap().is_dirty(),
+            "a rolled-back table diverges from the checkpoint image"
+        );
+        // The heap is byte-identical to the pre-transaction state, so a
+        // fresh insert lands at the same rid an untouched run would assign.
+        let rid = t.insert(row(4, 4, 4.0)).unwrap();
+        assert_eq!(rid, Rid::new(0, 2));
     }
 
     #[test]

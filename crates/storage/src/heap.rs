@@ -190,7 +190,7 @@ impl HeapTable {
         Ok(())
     }
 
-    /// A copy of one page (checkpoint writer, transaction pre-images).
+    /// A copy of one page (a transaction's pre-image of it).
     pub fn page_image(&self, page_no: u32) -> StorageResult<Page> {
         self.pool.with_page(self.file, page_no, |p| p.clone())
     }
@@ -202,79 +202,28 @@ impl HeapTable {
             .with_page(self.file, page_no, |p| p.encode_block(lsn))
     }
 
-    /// Copies of all pages in page-number order (transaction pre-images).
-    pub fn pages_snapshot(&self) -> StorageResult<Vec<Page>> {
-        (0..self.page_count() as u32)
-            .map(|pno| self.page_image(pno))
-            .collect()
-    }
-
-    /// Replace the heap contents with pages recovered from disk,
-    /// recomputing the live-tuple count. The restored state counts as
-    /// clean: it is exactly what the checkpoint holds.
-    pub fn restore_pages(&mut self, pages: Vec<Page>) -> StorageResult<()> {
-        self.pool.truncate_file(self.file, 0)?;
-        self.live_tuples = pages.iter().map(|p| p.live_count() as u64).sum();
-        for (pno, page) in pages.into_iter().enumerate() {
-            self.pool
-                .install_page(self.file, pno as u32, FrameData::Heap(page))?;
-        }
-        self.dirty.clear();
-        Ok(())
-    }
-
-    /// Undo a transaction's appends: truncate back to `page_count` pages
-    /// and restore the saved image of what was then the last page. Unlike
-    /// [`HeapTable::restore_pages`] the result diverges from the last
-    /// checkpoint image, so every affected page number is marked dirty.
-    pub fn rollback_tail(
+    /// Install saved page images: cut the heap back to its first
+    /// `page_count` pages, put each `(page number, image)` of `pages` in
+    /// place, and set the live-tuple count to `live_tuples`. A rollback
+    /// puts back the pages its transaction changed this way, and the
+    /// checkpoint loader a whole table. Every page cut or installed is
+    /// marked dirty.
+    pub fn restore(
         &mut self,
-        page_count: usize,
-        last_page: Option<Page>,
+        page_count: u32,
+        pages: impl IntoIterator<Item = (u32, Page)>,
+        live_tuples: u64,
     ) -> StorageResult<()> {
-        let affected = self.page_count().max(page_count);
-        self.pool.truncate_file(self.file, page_count as u32)?;
-        if let Some(page) = last_page {
-            if page_count > 0 {
-                self.pool.install_page(
-                    self.file,
-                    (page_count - 1) as u32,
-                    FrameData::Heap(page),
-                )?;
-            }
-        }
-        self.live_tuples = self.recount_live()?;
-        for pno in page_count.saturating_sub(1)..affected {
-            self.dirty.insert(pno as u32);
-        }
-        Ok(())
-    }
-
-    /// Undo arbitrary mutations by restoring a full pre-transaction page
-    /// snapshot. Every page number covered by either image is marked
-    /// dirty (contrast [`HeapTable::restore_pages`], which installs a
-    /// checkpoint image and counts as clean).
-    pub fn rollback_pages(&mut self, pages: Vec<Page>) -> StorageResult<()> {
-        let affected = self.page_count().max(pages.len());
-        self.pool.truncate_file(self.file, 0)?;
-        self.live_tuples = pages.iter().map(|p| p.live_count() as u64).sum();
-        for (pno, page) in pages.into_iter().enumerate() {
+        self.dirty
+            .extend(page_count..self.pool.page_count(self.file));
+        self.pool.truncate_file(self.file, page_count)?;
+        self.live_tuples = live_tuples;
+        for (pno, page) in pages {
             self.pool
-                .install_page(self.file, pno as u32, FrameData::Heap(page))?;
-        }
-        for pno in 0..affected {
-            self.dirty.insert(pno as u32);
+                .install_page(self.file, pno, FrameData::Heap(page))?;
+            self.dirty.insert(pno);
         }
         Ok(())
-    }
-
-    fn recount_live(&self) -> StorageResult<u64> {
-        (0..self.page_count() as u32)
-            .map(|pno| {
-                self.pool
-                    .with_page(self.file, pno, |p| p.live_count() as u64)
-            })
-            .sum()
     }
 
     /// Whether any page changed since the last checkpoint.

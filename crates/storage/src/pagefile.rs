@@ -314,7 +314,10 @@ pub fn read_snapshot_with(
         let file_name = table_file_name(&mt.name, manifest.lsn);
         let pages = read_table_pages(&dir.join(&file_name), &file_name, mt, mode, &mut skipped)?;
         let table = catalog.table_mut(&mt.name)?;
-        table.heap_mut().restore_pages(pages)?;
+        let live = pages.iter().map(|p| p.live_count() as u64).sum();
+        table.heap_mut().restore(0, (0..).zip(pages), live)?;
+        // Clean: the restored state is exactly what the checkpoint holds.
+        table.heap_mut().take_dirty_pages();
         for (idx_name, ordinals) in &mt.indexes {
             let names: Vec<&str> = ordinals
                 .iter()

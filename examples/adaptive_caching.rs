@@ -21,7 +21,7 @@ use std::time::Instant;
 fn main() {
     let mut db = RecDb::with_config(RecDbConfig {
         hotness_threshold: 0.5,
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     let dataset = recdb::datasets::generate(&SyntheticSpec::movielens().scaled(0.2));

@@ -250,3 +250,50 @@ fn index_top_k_reads_one_leaf_not_the_whole_list() {
         "LIMIT 10 over a {list_len}-entry list cost {cost} pool accesses (tree height {height})"
     );
 }
+
+/// An autocommit `DELETE` over a multi-page heap with no index reads each
+/// page once for its scan, copies only the pages holding the rows it
+/// deletes (its undo pre-image), and then fetches and deletes each row:
+/// exactly `P + pages touched + 2 × rows` pool accesses. A pre-image of
+/// the whole table would cost another `P`.
+#[test]
+fn delete_saves_only_the_pages_it_changes() {
+    let db = RecDb::new();
+    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+        .expect("create table");
+    // uid = n / 400: each user's rows sit together, on one or two pages.
+    let values: Vec<String> = (0..4000i64)
+        .map(|n| format!("({}, {n}, 2.5)", n / 400))
+        .collect();
+    for chunk in values.chunks(INSERT_CHUNK) {
+        db.execute(&format!("INSERT INTO ratings VALUES {}", chunk.join(", ")))
+            .expect("insert chunk");
+    }
+    let (pages, touched) = {
+        let catalog = db.catalog();
+        let heap = catalog.table("ratings").expect("ratings").heap();
+        let mut touched: Vec<u32> = heap
+            .scan()
+            .filter(|(_, row)| row.get(0).and_then(|v| v.as_int()) == Some(3))
+            .map(|(rid, _)| rid.page)
+            .collect();
+        touched.dedup();
+        (heap.page_count() as u64, touched.len() as u64)
+    };
+    assert!(pages >= 10, "a multi-page heap ({pages} pages)");
+    assert!(touched < pages, "the deleted rows sit on {touched} pages");
+
+    let pool = db.buffer_pool();
+    let accesses = || pool.hits() + pool.misses();
+    let before = accesses();
+    let deleted = match db
+        .execute("DELETE FROM ratings WHERE uid = 3")
+        .expect("delete")
+    {
+        recdb::core::QueryResult::Deleted(n) => n as u64,
+        other => panic!("{other:?}"),
+    };
+    let cost = accesses() - before;
+    assert_eq!(deleted, 400);
+    assert_eq!(cost, pages + touched + 2 * deleted);
+}

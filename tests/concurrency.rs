@@ -188,7 +188,7 @@ fn table_state(db: &RecDb) -> Vec<(i64, i64, i64)> {
 /// and return its final state.
 fn shadow_state(acknowledged: &[(usize, usize)]) -> Vec<(i64, i64, i64)> {
     let shadow = RecDb::with_config(RecDbConfig {
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     seed_ratings(&shadow);
@@ -224,7 +224,7 @@ fn stress_readers_and_writers_match_serial_shadow() {
         cfg.total_statements()
     );
     let db = RecDb::with_config(RecDbConfig {
-        auto_maintenance: false, // keep commits cheap; the model serves stale
+        maintenance_threshold_pct: f64::INFINITY, // keep commits cheap; the model serves stale
         ..RecDbConfig::default()
     });
     seed_ratings(&db);
@@ -288,7 +288,7 @@ fn crash_mid_concurrent_run_recovers_exactly_acknowledged_commits() {
     {
         let db = RecDb::open_with_config(RecDbConfig {
             data_dir: Some(dir.clone()),
-            auto_maintenance: false,
+            maintenance_threshold_pct: f64::INFINITY,
             ..RecDbConfig::default()
         })
         .expect("open durable engine");
@@ -317,7 +317,7 @@ fn crash_mid_concurrent_run_recovers_exactly_acknowledged_commits() {
 
     let db = RecDb::open_with_config(RecDbConfig {
         data_dir: Some(dir.clone()),
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     })
     .expect("reopen after crash");

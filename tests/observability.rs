@@ -123,7 +123,7 @@ fn cache_manager_decisions_are_counted() {
         // Admit everything Algorithm 4 considers, so the workload below
         // is guaranteed to move the admission counter.
         hotness_threshold: 0.0,
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     db.execute_script(SCHEMA).expect("schema + recommender");
@@ -227,7 +227,7 @@ fn governor_cancellations_are_counted_by_cause() {
             row_budget: Some(3),
             ..GovernorConfig::default()
         },
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     db.execute("CREATE TABLE t (a INT)").expect("create");
@@ -251,7 +251,7 @@ fn governor_cancellations_are_counted_by_cause() {
 fn transaction_and_lock_metrics_are_counted() {
     let db = RecDb::with_config(RecDbConfig {
         lock_timeout: std::time::Duration::ZERO, // contended writes fail fast
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     db.execute("CREATE TABLE t (a INT)").expect("create"); // autocommit = commit #1

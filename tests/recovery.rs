@@ -370,7 +370,7 @@ fn small_pool_config(dir: &Path, recovery: RecoveryMode) -> RecDbConfig {
         data_dir: Some(dir.to_path_buf()),
         recovery,
         buffer_pool_pages: 4,
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     }
 }
@@ -417,7 +417,7 @@ fn pool_crash_once(site: &'static str, nth: u64, mode: RecoveryMode, tag: &str) 
     let dir = temp_dir(tag);
     let small_pool = |recovery| small_pool_config(&dir, recovery);
     let mut shadow = RecDb::with_config(RecDbConfig {
-        auto_maintenance: false,
+        maintenance_threshold_pct: f64::INFINITY,
         ..RecDbConfig::default()
     });
     let db =
@@ -734,6 +734,26 @@ fn step_sql((kind, table, column, rows, pivot): &Step) -> String {
         8 => format!("DROP INDEX {t}_{col} ON {t}"),
         9 => "BEGIN".to_owned(),
         10 => "COMMIT".to_owned(),
+        // Half-applied: the statement fails on a value of the wrong type
+        // for the INT column after earlier rows of its record were
+        // applied, so undo runs on a partly applied record. The INSERT's
+        // last row is a TEXT. The UPDATE sets `a` to NULL where
+        // `a >= pivot / 2` and to TRUE below it, so it fails on the first
+        // such row in heap order, after the rows before it were moved.
+        11 if pivot % 2 == 0 => {
+            let values: Vec<String> = rows
+                .iter()
+                .map(|(a, b, len)| format!("({a}, {b}.5, '{}')", "x".repeat(*len)))
+                .collect();
+            format!(
+                "INSERT INTO {t} VALUES {}, ('x', 0.5, 'x')",
+                values.join(", ")
+            )
+        }
+        11 => format!(
+            "UPDATE {t} SET a = a < {} OR NULL WHERE a < {pivot}",
+            pivot / 2
+        ),
         _ => "ROLLBACK".to_owned(),
     }
 }
@@ -741,7 +761,7 @@ fn step_sql((kind, table, column, rows, pivot): &Step) -> String {
 fn script_strategy() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
         (
-            0u8..12,
+            0u8..13,
             0u8..2,
             0u8..3,
             proptest::collection::vec((0i64..40, 0i64..5, 0usize..120), 1..40),
@@ -755,8 +775,9 @@ proptest! {
     /// Whatever a script of DDL, DML and transactions leaves in a durable
     /// engine, dropping the engine without a checkpoint and replaying the
     /// WAL rebuilds byte-identical heaps and the same index entries.
-    /// Statements that fail (a missing table, a duplicate index) are part
-    /// of the script: they roll back, and replay must not see them.
+    /// Statements that fail (a missing table, a duplicate index, a row of
+    /// the wrong type after earlier rows were applied) are part of the
+    /// script: they roll back, and replay must not see them.
     #[test]
     fn live_state_equals_replayed_state(script in script_strategy()) {
         let _gate = fault::exclusive();
@@ -798,6 +819,33 @@ proptest! {
         prop_assert_eq!(summary(&live), summary(&replayed));
         prop_assert!(live == replayed, "heap bytes or index entries differ");
     }
+}
+
+/// An UPDATE moves each row it rewrites to the heap's last page. Rolling
+/// it back must put that page back too, even when no row it matched lived
+/// there: the rolled-back heap is the one it started from, byte for byte.
+#[test]
+fn a_rolled_back_update_restores_the_page_its_rows_moved_to() {
+    let db = RecDb::new();
+    db.execute("CREATE TABLE t (a INT, b FLOAT, c TEXT)")
+        .expect("create");
+    let rows: Vec<String> = (0..300)
+        .map(|a| format!("({a}, 0.5, '{}')", "x".repeat(40)))
+        .collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .expect("insert");
+    let before = physical_state(&db);
+    let pages = |db: &RecDb| db.catalog().table("t").expect("t").heap().page_count();
+    let last_page = pages(&db) - 1;
+    assert!(last_page >= 1, "a multi-page heap");
+    let mut session = db.session();
+    session.execute("BEGIN").expect("begin");
+    session
+        .execute("UPDATE t SET b = 1.5 WHERE a = 0")
+        .expect("update row 0, on page 0");
+    assert_eq!(pages(&db) - 1, last_page, "the moved row fit the last page");
+    session.execute("ROLLBACK").expect("rollback");
+    assert!(physical_state(&db) == before, "heap bytes differ");
 }
 
 // ---------------------------------------------------------------------

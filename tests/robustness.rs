@@ -544,11 +544,11 @@ fn pool_fault_in_a_scan_is_an_error_not_a_contained_panic() {
     }
 }
 
-/// ROLLBACK rebuilds a table's secondary indexes by reading its heap back
-/// through the pool; a page the pool cannot produce there is the
-/// ROLLBACK's storage error — not a panic contained inside the abort —
-/// and the heap is restored all the same. Appends (the heap's tail) and
-/// deletes (whole pages) take different undo paths; both are covered.
+/// ROLLBACK reinstalls the pages a transaction saved, which reads
+/// nothing, then rebuilds the table's secondary indexes by reading its
+/// heap back through the pool; a page the pool cannot produce there is
+/// the ROLLBACK's storage error — not a panic contained inside the abort
+/// — and the heap is restored all the same, after a DELETE or an INSERT.
 #[test]
 fn pool_fault_during_rollback_is_a_storage_error() {
     let _gate = fault::exclusive();
@@ -595,10 +595,48 @@ fn pool_fault_during_rollback_is_a_storage_error() {
     );
 }
 
-/// A ROLLBACK that fails while it rebuilds the table's indexes (deletes
-/// are undone by whole pages, then the indexes are refilled from the heap)
-/// or before it gets there (undoing appends recounts the heap) leaves the
-/// indexes not matching the heap. The planner must not join through them:
+/// ROLLBACK of `DROP INDEX` puts back the index the drop removed, whole:
+/// it reads nothing, so a pool that cannot produce a page cannot lose the
+/// index. It exists afterwards, and its lookups return what a scan does.
+#[test]
+fn rollback_of_drop_index_keeps_the_index_when_the_pool_faults() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let db = small_pool_db(None);
+    db.execute("CREATE INDEX ratings_uid ON ratings (uid)")
+        .expect("create index");
+    let mut session = db.session();
+    session.execute("BEGIN").expect("begin");
+    session
+        .execute("DROP INDEX ratings_uid ON ratings")
+        .expect("drop index inside the transaction");
+    fault::arm_error("storage::pool_read", 1);
+    let rolled_back = session.execute("ROLLBACK");
+    fault::clear();
+    rolled_back.expect("the rollback reads no page");
+    let catalog = db.catalog();
+    let table = catalog.table("ratings").expect("ratings");
+    let index = table.index("ratings_uid").expect("the index is back");
+    for uid in [0, 3, 9, 10] {
+        let probe = recdb::storage::Value::Int(uid);
+        let looked_up = index
+            .lookup(table.heap(), &probe, || {
+                Ok::<_, recdb::storage::StorageError>(())
+            })
+            .expect("lookup");
+        let scanned: Vec<_> = table
+            .heap()
+            .scan()
+            .filter(|(_, row)| row.get(0) == Some(&probe))
+            .collect();
+        assert_eq!(looked_up, scanned, "uid {uid}");
+        assert_eq!(looked_up.len(), if uid < 10 { 500 } else { 0 }, "uid {uid}");
+    }
+}
+
+/// A ROLLBACK that fails while it refills the table's indexes from the
+/// restored heap, after a DELETE or an INSERT, leaves the indexes not
+/// matching the heap. The planner must not join through them:
 /// the join hashes and returns every row an index-less copy of the table
 /// returns. The next write to the table rebuilds them, and the index join
 /// is back with the same rows.
