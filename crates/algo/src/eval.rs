@@ -6,9 +6,10 @@
 //! the textbook algorithms. This module provides a seeded train/test split
 //! and the two standard error metrics.
 
-use crate::model::{Algorithm, RecModel, TrainConfig};
+use crate::model::{Algorithm, RecModel, TrainConfig, TrainError};
 use crate::neighborhood::ScoreScratch;
 use crate::ratings::{Rating, RatingsMatrix};
+use recdb_guard::QueryGuard;
 
 /// Accuracy of a model on a test set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +50,8 @@ pub fn split(ratings: &[Rating], test_fraction: f64, seed: u64) -> (Vec<Rating>,
     (train, test)
 }
 
-/// Train on `train`, score every `test` pair, and report error metrics.
+/// Train on `train` (under an unlimited guard, so only an injected fault
+/// stops it), score every `test` pair, and report error metrics.
 ///
 /// Pairs the model cannot score (unknown user/item or no neighborhood
 /// signal) are excluded from the error average and reflected in
@@ -59,9 +61,10 @@ pub fn evaluate(
     train: Vec<Rating>,
     test: &[Rating],
     config: &TrainConfig,
-) -> Accuracy {
-    let model = RecModel::train(algorithm, RatingsMatrix::from_ratings(train), config);
-    evaluate_model(&model, test)
+) -> Result<Accuracy, TrainError> {
+    let matrix = RatingsMatrix::from_ratings(train);
+    let model = RecModel::train(algorithm, matrix, config, &QueryGuard::unlimited())?;
+    Ok(evaluate_model(&model, test))
 }
 
 /// Score every `test` pair with an already-trained model.
@@ -162,7 +165,7 @@ mod tests {
     fn itemcf_beats_trivial_error_on_structured_data() {
         let data = structured(30, 30);
         let (train, test) = split(&data, 0.2, 7);
-        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default());
+        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default()).unwrap();
         assert!(acc.coverage > 0.9, "coverage {}", acc.coverage);
         // Ratings span [1, 5]; random guessing RMSE ≈ 1.6. The pattern is
         // learnable, so CF should do much better.
@@ -186,7 +189,8 @@ mod tests {
                 },
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(acc.coverage > 0.95);
         assert!(acc.rmse < 1.0, "SVD RMSE {}", acc.rmse);
     }
@@ -194,7 +198,7 @@ mod tests {
     #[test]
     fn empty_test_set_yields_nan_metrics() {
         let data = structured(5, 5);
-        let acc = evaluate(Algorithm::ItemCosCF, data, &[], &TrainConfig::default());
+        let acc = evaluate(Algorithm::ItemCosCF, data, &[], &TrainConfig::default()).unwrap();
         assert!(acc.rmse.is_nan());
         assert_eq!(acc.coverage, 0.0);
         assert_eq!(acc.n_test, 0);
@@ -205,7 +209,7 @@ mod tests {
         let train = vec![Rating::new(1, 1, 5.0), Rating::new(1, 2, 4.0)];
         // Test on an unknown user: nothing coverable.
         let test = vec![Rating::new(99, 1, 3.0)];
-        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default());
+        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default()).unwrap();
         assert_eq!(acc.coverage, 0.0);
     }
 }

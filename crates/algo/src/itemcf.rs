@@ -40,8 +40,7 @@
 
 use crate::model::TrainError;
 use crate::neighborhood::{
-    build_item_neighborhood, build_item_neighborhood_guarded, NeighborhoodParams,
-    NeighborhoodTable, ScoreScratch,
+    build_item_neighborhood, NeighborhoodParams, NeighborhoodTable, ScoreScratch,
 };
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
@@ -56,24 +55,15 @@ pub struct ItemCfModel {
 }
 
 impl ItemCfModel {
-    /// Train the model ("Step I: Recommendation Model Building").
-    pub fn train(matrix: RatingsMatrix, params: NeighborhoodParams) -> Self {
-        let neighborhood = build_item_neighborhood(&matrix, &params);
-        ItemCfModel {
-            matrix,
-            neighborhood,
-            params,
-        }
-    }
-
-    /// [`train`](Self::train) under a resource governor (checked per
-    /// similarity chunk; `algo::neighborhood_build` fault site live).
-    pub fn train_guarded(
+    /// Train the model ("Step I: Recommendation Model Building"), under
+    /// `guard` (checked per similarity chunk; `algo::neighborhood_build`
+    /// fault site live).
+    pub fn train(
         matrix: RatingsMatrix,
         params: NeighborhoodParams,
         guard: &QueryGuard,
     ) -> Result<Self, TrainError> {
-        let neighborhood = build_item_neighborhood_guarded(&matrix, &params, guard)?;
+        let neighborhood = build_item_neighborhood(&matrix, &params, guard)?;
         Ok(ItemCfModel {
             matrix,
             neighborhood,
@@ -182,7 +172,9 @@ mod tests {
                 Rating::new(4, 2, 1.0),
             ]),
             NeighborhoodParams::cosine(),
+            &QueryGuard::unlimited(),
         )
+        .unwrap()
     }
 
     /// Eq. 2 for external ids the model knows, as a one-item list.
@@ -218,7 +210,9 @@ mod tests {
         let m = ItemCfModel::train(
             RatingsMatrix::from_ratings(vec![Rating::new(1, 10, 5.0), Rating::new(2, 20, 4.0)]),
             NeighborhoodParams::cosine(),
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(predict(&m, 1, 20), None);
     }
 

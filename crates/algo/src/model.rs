@@ -6,6 +6,14 @@
 //! names and [`RecModel`] wraps the corresponding trained model behind one
 //! scoring interface.
 //!
+//! # One build
+//!
+//! [`RecModel::train`] is the only way to build a model, and it is always
+//! governed: it takes a [`QueryGuard`] and returns [`TrainError`] when the
+//! guard stops the build or a fault-injection site fires in it. Each model
+//! type below it likewise has one `train`. A caller with no limits passes
+//! [`QueryGuard::unlimited`]; the fault sites stay live for it too.
+//!
 //! # Two kernels, one rule
 //!
 //! Each model type supplies two kernels and nothing else, both per user:
@@ -201,65 +209,40 @@ pub enum RecModel {
 
 impl RecModel {
     /// Train the model for `algorithm` on a ratings snapshot
-    /// ("Recommender Initialization", §III-A).
-    pub fn train(algorithm: Algorithm, matrix: RatingsMatrix, config: &TrainConfig) -> Self {
-        match algorithm {
-            Algorithm::ItemCosCF => RecModel::Item(ItemCfModel::train(
-                matrix,
-                config.neighborhood.params(Similarity::Cosine),
-            )),
-            Algorithm::ItemPearCF => RecModel::Item(ItemCfModel::train(
-                matrix,
-                config.neighborhood.params(Similarity::Pearson),
-            )),
-            Algorithm::UserCosCF => RecModel::User(UserCfModel::train(
-                matrix,
-                config.neighborhood.params(Similarity::Cosine),
-            )),
-            Algorithm::UserPearCF => RecModel::User(UserCfModel::train(
-                matrix,
-                config.neighborhood.params(Similarity::Pearson),
-            )),
-            Algorithm::Svd => RecModel::Factors(SvdModel::train(matrix, config.svd)),
-            Algorithm::Popularity => RecModel::Popular(PopularityModel::train(matrix)),
-        }
-    }
-
-    /// [`train`](Self::train) under a resource governor: the guard is
-    /// checked at epoch/chunk granularity and the build's fault-injection
-    /// sites (`algo::svd_epoch`, `algo::neighborhood_build`) are live.
-    /// The engine builds every recommender through this path so a
-    /// deadline or injected fault aborts the build instead of wedging it.
-    pub fn train_guarded(
+    /// ("Recommender Initialization", §III-A), under `guard`: it is
+    /// checked per SVD epoch and per similarity chunk, and the build's
+    /// fault-injection sites (`algo::svd_epoch`, `algo::neighborhood_build`)
+    /// are live, so a deadline or injected fault aborts the build instead
+    /// of wedging it. A build with no limits passes
+    /// [`QueryGuard::unlimited`].
+    pub fn train(
         algorithm: Algorithm,
         matrix: RatingsMatrix,
         config: &TrainConfig,
         guard: &QueryGuard,
     ) -> Result<Self, TrainError> {
         Ok(match algorithm {
-            Algorithm::ItemCosCF => RecModel::Item(ItemCfModel::train_guarded(
+            Algorithm::ItemCosCF => RecModel::Item(ItemCfModel::train(
                 matrix,
                 config.neighborhood.params(Similarity::Cosine),
                 guard,
             )?),
-            Algorithm::ItemPearCF => RecModel::Item(ItemCfModel::train_guarded(
+            Algorithm::ItemPearCF => RecModel::Item(ItemCfModel::train(
                 matrix,
                 config.neighborhood.params(Similarity::Pearson),
                 guard,
             )?),
-            Algorithm::UserCosCF => RecModel::User(UserCfModel::train_guarded(
+            Algorithm::UserCosCF => RecModel::User(UserCfModel::train(
                 matrix,
                 config.neighborhood.params(Similarity::Cosine),
                 guard,
             )?),
-            Algorithm::UserPearCF => RecModel::User(UserCfModel::train_guarded(
+            Algorithm::UserPearCF => RecModel::User(UserCfModel::train(
                 matrix,
                 config.neighborhood.params(Similarity::Pearson),
                 guard,
             )?),
-            Algorithm::Svd => {
-                RecModel::Factors(SvdModel::train_guarded(matrix, config.svd, guard)?)
-            }
+            Algorithm::Svd => RecModel::Factors(SvdModel::train(matrix, config.svd, guard)?),
             Algorithm::Popularity => {
                 // A single cheap aggregation pass: one check suffices.
                 guard.check()?;
@@ -466,7 +449,7 @@ mod tests {
             ..Default::default()
         };
         for algo in Algorithm::ALL {
-            let model = RecModel::train(algo, matrix(), &config);
+            let model = RecModel::train(algo, matrix(), &config, &QueryGuard::unlimited()).unwrap();
             assert_eq!(model.trained_on(), 7, "{algo}");
             // A rated pair and ids the model never saw predict nothing.
             assert_eq!(model.predict(2, 1), None, "{algo}");
@@ -493,7 +476,8 @@ mod tests {
         };
         for algo in Algorithm::ALL {
             let m = matrix();
-            let model = RecModel::train(algo, m.clone(), &config);
+            let model =
+                RecModel::train(algo, m.clone(), &config, &QueryGuard::unlimited()).unwrap();
             for &user in m.user_ids() {
                 let u = m.user_idx(user).unwrap();
                 for &item in m.item_ids() {
@@ -599,7 +583,8 @@ mod tests {
                             ..Default::default()
                         },
                     };
-                    let model = RecModel::train(algo, m.clone(), &config);
+                    let model = RecModel::train(algo, m.clone(), &config, &QueryGuard::unlimited())
+                        .unwrap();
                     if let RecModel::Item(item) = &model {
                         let t = item.neighborhood();
                         negative_sims |= t.forward().iter().any(|(_, _, s)| s < 0.0);
@@ -654,7 +639,13 @@ mod tests {
 
     #[test]
     fn top_k_unseen_ranks_by_score_then_item_id_descending() {
-        let model = RecModel::train(Algorithm::Popularity, matrix(), &TrainConfig::default());
+        let model = RecModel::train(
+            Algorithm::Popularity,
+            matrix(),
+            &TrainConfig::default(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         // User 1 rated only item 1 → items 2 and 3 are candidates.
         let u = model.matrix().user_idx(1).unwrap();
         let top = model.top_k_unseen(u, 10);
@@ -673,7 +664,13 @@ mod tests {
             Rating::new(1, 20, 3.0),
             Rating::new(2, 30, 3.0),
         ]);
-        let model = RecModel::train(Algorithm::Popularity, m, &TrainConfig::default());
+        let model = RecModel::train(
+            Algorithm::Popularity,
+            m,
+            &TrainConfig::default(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         let ids = |ranked: Vec<(usize, f64)>| -> Vec<i64> {
             ranked
                 .iter()

@@ -272,42 +272,26 @@ impl Marked<'_> {
 /// Build the item–item neighborhood table from the ratings matrix.
 ///
 /// Items are compared in the *user-rating space*: item vectors are the
-/// columns of the ratings matrix (paper §II Step I).
+/// columns of the ratings matrix (paper §II Step I). Governed: `guard`
+/// and the `algo::neighborhood_build` fault site are checked once per
+/// work chunk, so a cancellation or fault stops the build within one
+/// chunk.
 pub fn build_item_neighborhood(
     m: &RatingsMatrix,
     params: &NeighborhoodParams,
-) -> NeighborhoodTable {
-    build_pairwise(m.item_csr(), m.user_csr(), params, None)
-        .expect("ungoverned neighborhood build cannot fail")
+    guard: &QueryGuard,
+) -> Result<NeighborhoodTable, TrainError> {
+    build_pairwise(m.item_csr(), m.user_csr(), params, guard)
 }
 
-/// Build the user–user neighborhood table (rows of the matrix).
+/// Build the user–user neighborhood table (rows of the matrix), governed
+/// as [`build_item_neighborhood`] is.
 pub fn build_user_neighborhood(
     m: &RatingsMatrix,
     params: &NeighborhoodParams,
-) -> NeighborhoodTable {
-    build_pairwise(m.user_csr(), m.item_csr(), params, None)
-        .expect("ungoverned neighborhood build cannot fail")
-}
-
-/// Governed variant of [`build_item_neighborhood`]: the guard is checked
-/// once per work chunk, and the `algo::neighborhood_build` fault site is
-/// live.
-pub fn build_item_neighborhood_guarded(
-    m: &RatingsMatrix,
-    params: &NeighborhoodParams,
     guard: &QueryGuard,
 ) -> Result<NeighborhoodTable, TrainError> {
-    build_pairwise(m.item_csr(), m.user_csr(), params, Some(guard))
-}
-
-/// Governed variant of [`build_user_neighborhood`].
-pub fn build_user_neighborhood_guarded(
-    m: &RatingsMatrix,
-    params: &NeighborhoodParams,
-    guard: &QueryGuard,
-) -> Result<NeighborhoodTable, TrainError> {
-    build_pairwise(m.user_csr(), m.item_csr(), params, Some(guard))
+    build_pairwise(m.user_csr(), m.item_csr(), params, guard)
 }
 
 /// One partner's running sums in a row of the product: what a measure
@@ -472,11 +456,11 @@ fn build_pairwise(
     entities: &Csr<f32>,
     raters: &Csr<f32>,
     params: &NeighborhoodParams,
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
 ) -> Result<NeighborhoodTable, TrainError> {
     match params.measure {
-        Similarity::Cosine => build_rows::<CosineSums>(entities, raters, params, governor),
-        Similarity::Pearson => build_rows::<CoRatedSums>(entities, raters, params, governor),
+        Similarity::Cosine => build_rows::<CosineSums>(entities, raters, params, guard),
+        Similarity::Pearson => build_rows::<CoRatedSums>(entities, raters, params, guard),
     }
 }
 
@@ -484,7 +468,7 @@ fn build_rows<S: Slot>(
     entities: &Csr<f32>,
     raters: &Csr<f32>,
     params: &NeighborhoodParams,
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
 ) -> Result<NeighborhoodTable, TrainError> {
     let n = entities.n_rows();
     let threads = effective_threads(params.threads);
@@ -492,8 +476,8 @@ fn build_rows<S: Slot>(
     // orders of magnitude; smallish dynamic chunks keep workers balanced
     // at one atomic fetch_add per chunk.
     let chunk = (n / (threads * 8).max(1)).clamp(1, 256);
-    // Worker closures cannot return `Err`, so governed aborts park the
-    // error in a shared slot; the flag makes the remaining chunks no-ops
+    // Worker closures cannot return `Err`, so an abort parks the error
+    // in a shared slot; the flag makes the remaining chunks no-ops
     // so cancellation latency is one chunk, not the whole build.
     let abort: Mutex<Option<TrainError>> = Mutex::new(None);
     let aborted = AtomicBool::new(false);
@@ -506,16 +490,14 @@ fn build_rows<S: Slot>(
             if aborted.load(Ordering::Relaxed) {
                 return;
             }
-            if let Some(guard) = governor {
-                let gate = recdb_fault::fail_point("algo::neighborhood_build")
-                    .map_err(TrainError::from)
-                    .and_then(|()| guard.check().map_err(TrainError::from));
-                if let Err(e) = gate {
-                    aborted.store(true, Ordering::Relaxed);
-                    let mut slot = abort.lock().unwrap_or_else(|p| p.into_inner());
-                    slot.get_or_insert(e);
-                    return;
-                }
+            let gate = recdb_fault::fail_point("algo::neighborhood_build")
+                .map_err(TrainError::from)
+                .and_then(|()| guard.check().map_err(TrainError::from));
+            if let Err(e) = gate {
+                aborted.store(true, Ordering::Relaxed);
+                let mut slot = abort.lock().unwrap_or_else(|p| p.into_inner());
+                slot.get_or_insert(e);
+                return;
             }
             for a in range {
                 worker.row(a, entities, raters, params);
@@ -533,6 +515,14 @@ fn build_rows<S: Slot>(
 mod tests {
     use super::*;
     use crate::ratings::Rating;
+
+    fn item_table(m: &RatingsMatrix, params: &NeighborhoodParams) -> NeighborhoodTable {
+        build_item_neighborhood(m, params, &QueryGuard::unlimited()).unwrap()
+    }
+
+    fn user_table(m: &RatingsMatrix, params: &NeighborhoodParams) -> NeighborhoodTable {
+        build_user_neighborhood(m, params, &QueryGuard::unlimited()).unwrap()
+    }
 
     /// The Figure 1 ratings (4 users, 3 items).
     fn figure1() -> RatingsMatrix {
@@ -572,7 +562,7 @@ mod tests {
     #[test]
     fn item_neighborhood_is_symmetric() {
         let m = figure1();
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = item_table(&m, &NeighborhoodParams::cosine());
         assert_eq!(t.len(), 3);
         for (a, b, s) in t.forward().iter() {
             assert_eq!(t.sim(b as usize, a as usize), Some(s), "symmetry {a}<->{b}");
@@ -582,7 +572,7 @@ mod tests {
     #[test]
     fn item_cosine_matches_hand_computation() {
         let m = figure1();
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = item_table(&m, &NeighborhoodParams::cosine());
         // Items 1 and 2 (dense 0 and 1): co-raters are users 2 and 3.
         // Item1 vector over them: (4.5, 2.0); item2: (3.5, 1.0).
         let i1 = m.item_idx(1).unwrap();
@@ -597,7 +587,7 @@ mod tests {
     fn no_corated_users_means_no_edge() {
         // Items 10 and 20 share no raters.
         let m = RatingsMatrix::from_ratings(vec![Rating::new(1, 10, 5.0), Rating::new(2, 20, 4.0)]);
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = item_table(&m, &NeighborhoodParams::cosine());
         assert_eq!(t.total_pairs(), 0);
     }
 
@@ -620,10 +610,10 @@ mod tests {
         // Item 3 overlaps in 1 user (cos = 1 over the single dim).
         ratings.push(Rating::new(1, 3, 1.0));
         let m = RatingsMatrix::from_ratings(ratings);
-        let full = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let full = item_table(&m, &NeighborhoodParams::cosine());
         let i0 = m.item_idx(0).unwrap();
         assert_eq!(full.neighbors(i0).0.len(), 3);
-        let trunc = build_item_neighborhood(
+        let trunc = item_table(
             &m,
             &NeighborhoodParams {
                 max_neighbors: Some(2),
@@ -644,7 +634,7 @@ mod tests {
     #[test]
     fn user_neighborhood_uses_rows() {
         let m = figure1();
-        let t = build_user_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = user_table(&m, &NeighborhoodParams::cosine());
         assert_eq!(t.len(), 4);
         // Users 2 and 3 co-rated items 1 and 2.
         let u2 = m.user_idx(2).unwrap();
@@ -657,7 +647,7 @@ mod tests {
     #[test]
     fn neighbor_lists_sorted_by_index() {
         let m = figure1();
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = item_table(&m, &NeighborhoodParams::cosine());
         for e in 0..t.len() {
             assert!(t.neighbors(e).0.windows(2).all(|w| w[0] < w[1]));
         }
@@ -666,7 +656,7 @@ mod tests {
     #[test]
     fn pearson_table_on_figure1() {
         let m = figure1();
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::pearson());
+        let t = item_table(&m, &NeighborhoodParams::pearson());
         // Items 1,2 have exactly 2 co-raters with distinct values on both
         // sides ⇒ correlation is ±1; verify it's defined and in range.
         let i1 = m.item_idx(1).unwrap();
@@ -678,21 +668,21 @@ mod tests {
     #[test]
     fn min_abs_sim_filters_weak_edges() {
         let m = figure1();
-        let strict = build_item_neighborhood(
+        let strict = item_table(
             &m,
             &NeighborhoodParams {
                 min_abs_sim: 0.9999,
                 ..NeighborhoodParams::cosine()
             },
         );
-        let loose = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let loose = item_table(&m, &NeighborhoodParams::cosine());
         assert!(strict.total_pairs() <= loose.total_pairs());
     }
 
     #[test]
     fn empty_matrix_builds_empty_table() {
         let m = RatingsMatrix::default();
-        let t = build_item_neighborhood(&m, &NeighborhoodParams::cosine());
+        let t = item_table(&m, &NeighborhoodParams::cosine());
         assert!(t.is_empty());
         assert_eq!(t.total_pairs(), 0);
     }
@@ -730,15 +720,15 @@ mod tests {
                     min_abs_sim: 0.0,
                     threads: 1,
                 };
-                let serial = build_item_neighborhood(&m, &base);
+                let serial = item_table(&m, &base);
                 for threads in [2, 3, 8] {
-                    let par = build_item_neighborhood(&m, &NeighborhoodParams { threads, ..base });
+                    let par = item_table(&m, &NeighborhoodParams { threads, ..base });
                     assert_eq!(
                         par, serial,
                         "measure {measure:?}, k {max_neighbors:?}, t {threads}"
                     );
                 }
-                let auto = build_item_neighborhood(&m, &NeighborhoodParams { threads: 0, ..base });
+                let auto = item_table(&m, &NeighborhoodParams { threads: 0, ..base });
                 assert_eq!(auto, serial);
             }
         }
@@ -747,14 +737,14 @@ mod tests {
     #[test]
     fn parallel_user_build_matches_serial() {
         let m = random_matrix(7, 25, 20);
-        let serial = build_user_neighborhood(
+        let serial = user_table(
             &m,
             &NeighborhoodParams {
                 threads: 1,
                 ..NeighborhoodParams::pearson()
             },
         );
-        let par = build_user_neighborhood(
+        let par = user_table(
             &m,
             &NeighborhoodParams {
                 threads: 4,
@@ -768,14 +758,14 @@ mod tests {
     fn more_threads_than_entities() {
         // n = 3 items with 16 workers: shard boundaries degenerate.
         let m = figure1();
-        let serial = build_item_neighborhood(
+        let serial = item_table(
             &m,
             &NeighborhoodParams {
                 threads: 1,
                 ..NeighborhoodParams::cosine()
             },
         );
-        let par = build_item_neighborhood(
+        let par = item_table(
             &m,
             &NeighborhoodParams {
                 threads: 16,
@@ -788,7 +778,7 @@ mod tests {
     #[test]
     fn empty_matrix_with_many_threads() {
         let m = RatingsMatrix::default();
-        let t = build_item_neighborhood(
+        let t = item_table(
             &m,
             &NeighborhoodParams {
                 threads: 8,
@@ -814,7 +804,7 @@ mod tests {
         let m = RatingsMatrix::from_ratings(ratings);
         let i0 = m.item_idx(0).unwrap();
         for threads in [1, 2, 8] {
-            let t = build_item_neighborhood(
+            let t = item_table(
                 &m,
                 &NeighborhoodParams {
                     max_neighbors: Some(2),
@@ -838,7 +828,7 @@ mod tests {
             max_neighbors: Some(k),
             ..NeighborhoodParams::pearson()
         };
-        let full = build_item_neighborhood(&m, &NeighborhoodParams::pearson());
+        let full = item_table(&m, &NeighborhoodParams::pearson());
         assert!(
             (0..n).any(|a| full.neighbors(a).0.len() > k),
             "cut must bite"
@@ -853,47 +843,34 @@ mod tests {
             assert!(worker.touched.is_empty() && worker.acc.iter().all(|s| s.n == 0));
         }
         assert!(worker.finished.len() <= n * k);
-        let table = build_item_neighborhood(&m, &params);
+        let table = item_table(&m, &params);
         assert_eq!(table.forward().iter().collect::<Vec<_>>(), worker.finished);
     }
 
+    /// A cancelled or expired guard stops the build at its first chunk,
+    /// at any thread count. (The fault half, which arms a site, is in
+    /// `tests/faults.rs`.)
     #[test]
     fn governed_build_fails_within_one_chunk() {
-        let _gate = recdb_fault::exclusive();
-        recdb_fault::clear();
         let m = random_matrix(5, 40, 30);
-        let params = NeighborhoodParams {
-            threads: 1,
-            ..NeighborhoodParams::cosine()
-        };
         let cancelled = QueryGuard::unlimited();
         cancelled.cancel();
         let expired = QueryGuard::with_limits(Some(std::time::Duration::ZERO), None, None);
         for guard in [&cancelled, &expired] {
             for threads in [1, 4] {
-                let params = NeighborhoodParams { threads, ..params };
+                let params = NeighborhoodParams {
+                    threads,
+                    ..NeighborhoodParams::cosine()
+                };
                 assert!(matches!(
-                    build_item_neighborhood_guarded(&m, &params, guard),
+                    build_item_neighborhood(&m, &params, guard),
                     Err(TrainError::Guard(_))
                 ));
                 assert!(matches!(
-                    build_user_neighborhood_guarded(&m, &params, guard),
+                    build_user_neighborhood(&m, &params, guard),
                     Err(TrainError::Guard(_))
                 ));
             }
         }
-        // 30 rows in chunks of 3: the fault fires at the second chunk's
-        // gate and the remaining eight never reach theirs.
-        recdb_fault::arm_error("algo::neighborhood_build", 2);
-        assert!(matches!(
-            build_item_neighborhood_guarded(&m, &params, &QueryGuard::unlimited()),
-            Err(TrainError::Fault(_))
-        ));
-        assert_eq!(recdb_fault::hits("algo::neighborhood_build"), 2);
-        recdb_fault::clear();
-        assert_eq!(
-            build_item_neighborhood_guarded(&m, &params, &QueryGuard::unlimited()).unwrap(),
-            build_item_neighborhood(&m, &params)
-        );
     }
 }

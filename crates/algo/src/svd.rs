@@ -141,26 +141,14 @@ pub struct SvdModel {
 }
 
 impl SvdModel {
-    /// Train with SGD on the given ratings snapshot.
-    pub fn train(matrix: RatingsMatrix, params: SvdParams) -> Self {
-        Self::train_inner(matrix, params, None).expect("ungoverned SVD training cannot fail")
-    }
-
-    /// [`train`](Self::train) under a resource governor: the guard and
-    /// the `algo::svd_epoch` fault site are evaluated before every epoch,
-    /// so a deadline or injected failure aborts within one epoch.
-    pub fn train_guarded(
+    /// Train with SGD on the given ratings snapshot, under `guard`: the
+    /// guard and the `algo::svd_epoch` fault site are evaluated before
+    /// every epoch, so a deadline or injected failure aborts within one
+    /// epoch.
+    pub fn train(
         matrix: RatingsMatrix,
         params: SvdParams,
         guard: &QueryGuard,
-    ) -> Result<Self, TrainError> {
-        Self::train_inner(matrix, params, Some(guard))
-    }
-
-    fn train_inner(
-        matrix: RatingsMatrix,
-        params: SvdParams,
-        governor: Option<&QueryGuard>,
     ) -> Result<Self, TrainError> {
         let f = params.factors.max(1);
         let n_users = matrix.n_users();
@@ -190,7 +178,7 @@ impl SvdModel {
                 &mut rng,
                 &mut user_factors,
                 &mut item_factors,
-                governor,
+                guard,
             )?
         } else {
             // The block grid needs at least as many item blocks as user
@@ -204,7 +192,7 @@ impl SvdModel {
                 b,
                 &mut user_factors,
                 &mut item_factors,
-                governor,
+                guard,
             )?
         };
         Ok(SvdModel {
@@ -316,7 +304,7 @@ fn sgd_serial(
     rng: &mut XorShift64,
     user_factors: &mut [f32],
     item_factors: &mut [f32],
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
 ) -> Result<f64, TrainError> {
     let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
     let lr = params.learning_rate as f32;
@@ -324,10 +312,8 @@ fn sgd_serial(
     let mut order: Vec<u32> = (0..triples.len() as u32).collect();
     let mut final_rmse = 0.0;
     for _epoch in 0..params.epochs {
-        if let Some(guard) = governor {
-            recdb_fault::fail_point("algo::svd_epoch")?;
-            guard.check()?;
-        }
+        recdb_fault::fail_point("algo::svd_epoch")?;
+        guard.check()?;
         // Fisher-Yates shuffle of the visit order each epoch.
         shuffle(&mut order, rng);
         let mut sq_err = 0.0f64;
@@ -420,7 +406,7 @@ fn sgd_block_sequential(
     b: usize,
     user_factors: &mut [f32],
     item_factors: &mut [f32],
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
 ) -> Result<f64, TrainError> {
     let n_users = matrix.n_users();
     let n_items = matrix.n_items();
@@ -451,10 +437,8 @@ fn sgd_block_sequential(
     for epoch in 0..params.epochs {
         // Epoch-coordinator check: one guard/fault evaluation per epoch,
         // so cells stay check-free and lock-free.
-        if let Some(guard) = governor {
-            recdb_fault::fail_point("algo::svd_epoch")?;
-            guard.check()?;
-        }
+        recdb_fault::fail_point("algo::svd_epoch")?;
+        guard.check()?;
         for sub in 0..b {
             if workers <= 1 {
                 let mut items = &mut *item_factors;
@@ -614,7 +598,9 @@ mod tests {
                 epochs: 200,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert!(
             model.final_rmse() < 0.25,
             "training RMSE {} too high",
@@ -631,7 +617,9 @@ mod tests {
                 epochs: 300,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         // True value for (0, 5): (0 % 3 + 1) + (5 % 2)·0.5 = 1.5.
         let p = heldout(&model);
         assert!(
@@ -642,8 +630,18 @@ mod tests {
 
     #[test]
     fn deterministic_for_same_seed() {
-        let a = SvdModel::train(dense_block(), SvdParams::default());
-        let b = SvdModel::train(dense_block(), SvdParams::default());
+        let a = SvdModel::train(
+            dense_block(),
+            SvdParams::default(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
+        let b = SvdModel::train(
+            dense_block(),
+            SvdParams::default(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(a.user_vector(0), b.user_vector(0));
         assert_eq!(a.item_vector(3), b.item_vector(3));
         let c = SvdModel::train(
@@ -652,7 +650,9 @@ mod tests {
                 seed: 99,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_ne!(a.user_vector(0), c.user_vector(0));
     }
 
@@ -664,7 +664,9 @@ mod tests {
                 factors: 3,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(model.factors(), 3);
         assert_eq!(model.user_vector(0).len(), 3);
         assert_eq!(model.item_vector(0).len(), 3);
@@ -672,7 +674,12 @@ mod tests {
 
     #[test]
     fn empty_matrix_trains_without_panic() {
-        let model = SvdModel::train(RatingsMatrix::default(), SvdParams::default());
+        let model = SvdModel::train(
+            RatingsMatrix::default(),
+            SvdParams::default(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(model.final_rmse(), 0.0);
     }
 
@@ -684,8 +691,8 @@ mod tests {
             threads: 3,
             ..Default::default()
         };
-        let a = SvdModel::train(dense_block(), params);
-        let b = SvdModel::train(dense_block(), params);
+        let a = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
+        let b = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
         for u in 0..6 {
             assert_eq!(a.user_vector(u), b.user_vector(u), "user {u}");
         }
@@ -705,7 +712,9 @@ mod tests {
                 threads: 2,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert!(
             model.final_rmse() < 0.5,
             "parallel training RMSE {} too high",
@@ -727,7 +736,9 @@ mod tests {
                 threads: 0,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert!(model.final_rmse().is_finite());
         for u in 0..6 {
             for i in 0..6 {
@@ -745,8 +756,8 @@ mod tests {
             threads: 32,
             ..Default::default()
         };
-        let a = SvdModel::train(dense_block(), params);
-        let b = SvdModel::train(dense_block(), params);
+        let a = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
+        let b = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
         assert_eq!(a.user_vector(0), b.user_vector(0));
         assert!(a.final_rmse().is_finite());
     }
@@ -766,8 +777,18 @@ mod tests {
             threads: 8,
             ..Default::default()
         };
-        let a = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
-        let b = SvdModel::train(RatingsMatrix::from_ratings(ratings), params);
+        let a = SvdModel::train(
+            RatingsMatrix::from_ratings(ratings.clone()),
+            params,
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
+        let b = SvdModel::train(
+            RatingsMatrix::from_ratings(ratings),
+            params,
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert!(a.final_rmse().is_finite());
         for u in 0..20 {
             assert_eq!(a.user_vector(u), b.user_vector(u), "user {u}");
@@ -782,7 +803,9 @@ mod tests {
                 threads: 4,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(model.final_rmse(), 0.0);
     }
 
@@ -795,7 +818,9 @@ mod tests {
                 epochs: 10,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         let n_items = model.matrix().n_items();
         let mut out = vec![0.0f32; n_items];
         for u in 0..model.matrix().n_users() {
@@ -822,7 +847,9 @@ mod tests {
                 epochs: 15,
                 ..Default::default()
             },
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         let m = model.matrix().clone();
         let mut out = Vec::new();
         for u in 0..m.n_users() {

@@ -30,8 +30,7 @@
 
 use crate::model::TrainError;
 use crate::neighborhood::{
-    build_user_neighborhood, build_user_neighborhood_guarded, NeighborhoodParams,
-    NeighborhoodTable, ScoreScratch,
+    build_user_neighborhood, NeighborhoodParams, NeighborhoodTable, ScoreScratch,
 };
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
@@ -45,24 +44,15 @@ pub struct UserCfModel {
 }
 
 impl UserCfModel {
-    /// Train the model.
-    pub fn train(matrix: RatingsMatrix, params: NeighborhoodParams) -> Self {
-        let neighborhood = build_user_neighborhood(&matrix, &params);
-        UserCfModel {
-            matrix,
-            neighborhood,
-            params,
-        }
-    }
-
-    /// [`train`](Self::train) under a resource governor (checked per
-    /// similarity chunk; `algo::neighborhood_build` fault site live).
-    pub fn train_guarded(
+    /// Train the model, under
+    /// `guard` (checked per similarity chunk; `algo::neighborhood_build`
+    /// fault site live).
+    pub fn train(
         matrix: RatingsMatrix,
         params: NeighborhoodParams,
         guard: &QueryGuard,
     ) -> Result<Self, TrainError> {
-        let neighborhood = build_user_neighborhood_guarded(&matrix, &params, guard)?;
+        let neighborhood = build_user_neighborhood(&matrix, &params, guard)?;
         Ok(UserCfModel {
             matrix,
             neighborhood,
@@ -169,7 +159,9 @@ mod tests {
                 Rating::new(4, 2, 1.0),
             ]),
             NeighborhoodParams::cosine(),
+            &QueryGuard::unlimited(),
         )
+        .unwrap()
     }
 
     /// Transposed Eq. 2 for external ids the model knows, as a one-item
@@ -197,7 +189,9 @@ mod tests {
         let m = UserCfModel::train(
             RatingsMatrix::from_ratings(vec![Rating::new(1, 10, 5.0), Rating::new(2, 20, 4.0)]),
             NeighborhoodParams::cosine(),
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(predict(&m, 1, 20), None);
     }
 
@@ -215,7 +209,9 @@ mod tests {
         let ucf = UserCfModel::train(
             RatingsMatrix::from_ratings(ratings.clone()),
             NeighborhoodParams::cosine(),
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         // User 3 hasn't rated item 2; users 1,2 (perfectly similar) rated
         // it 4.0, so the prediction is 4.0.
         assert!((predict(&ucf, 3, 2).unwrap() - 4.0).abs() < 1e-12);
@@ -223,7 +219,12 @@ mod tests {
 
     #[test]
     fn pearson_variant_trains() {
-        let m = UserCfModel::train(figure1().matrix().clone(), NeighborhoodParams::pearson());
+        let m = UserCfModel::train(
+            figure1().matrix().clone(),
+            NeighborhoodParams::pearson(),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         // Pearson needs ≥2 co-rated dims; users 2 and 3 share items 1,2.
         let u2 = m.matrix().user_idx(2).unwrap();
         let u3 = m.matrix().user_idx(3).unwrap();

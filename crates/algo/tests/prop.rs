@@ -13,11 +13,31 @@ use recdb_algo::{
     Algorithm, Csr, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, RecModel, ScoreScratch,
     SvdModel, SvdParams,
 };
+use recdb_guard::QueryGuard;
 use std::collections::HashMap;
 
 #[path = "../src/merge_reference.rs"]
 mod merge_reference;
 use merge_reference::merge_eq2;
+
+// The builds under an unlimited guard: no test in this binary arms a
+// fault site.
+
+fn item_table(m: &RatingsMatrix, params: &NeighborhoodParams) -> NeighborhoodTable {
+    build_item_neighborhood(m, params, &QueryGuard::unlimited()).unwrap()
+}
+
+fn user_table(m: &RatingsMatrix, params: &NeighborhoodParams) -> NeighborhoodTable {
+    build_user_neighborhood(m, params, &QueryGuard::unlimited()).unwrap()
+}
+
+fn train(algorithm: Algorithm, matrix: RatingsMatrix, config: &TrainConfig) -> RecModel {
+    RecModel::train(algorithm, matrix, config, &QueryGuard::unlimited()).unwrap()
+}
+
+fn svd(matrix: RatingsMatrix, params: SvdParams) -> SvdModel {
+    SvdModel::train(matrix, params, &QueryGuard::unlimited()).unwrap()
+}
 
 fn ratings_strategy() -> impl Strategy<Value = Vec<Rating>> {
     proptest::collection::vec((0i64..15, 0i64..15, 1u8..=10), 1..80).prop_map(|v| {
@@ -365,9 +385,9 @@ proptest! {
                     let user_oracle = forward_bits(&all_pairs_oracle(matrix.user_csr(), &params));
                     for threads in [1, 2, 3, 8] {
                         let params = NeighborhoodParams { threads, ..params };
-                        let items = build_item_neighborhood(&matrix, &params);
+                        let items = item_table(&matrix, &params);
                         prop_assert_eq!(&forward_bits(&items), &item_oracle, "items {:?}", params);
-                        let users = build_user_neighborhood(&matrix, &params);
+                        let users = user_table(&matrix, &params);
                         prop_assert_eq!(&forward_bits(&users), &user_oracle, "users {:?}", params);
                         assert_reverse_is_transpose(&items)?;
                         assert_reverse_is_transpose(&users)?;
@@ -383,7 +403,8 @@ proptest! {
     #[test]
     fn itemcf_prediction_bounded_by_user_range(ratings in ratings_strategy()) {
         let matrix = RatingsMatrix::from_ratings(ratings);
-        let model = ItemCfModel::train(matrix.clone(), NeighborhoodParams::cosine());
+        let guard = QueryGuard::unlimited();
+        let model = ItemCfModel::train(matrix.clone(), NeighborhoodParams::cosine(), &guard).unwrap();
         for &user in matrix.user_ids() {
             let u = matrix.user_idx(user).unwrap();
             let (_, row) = matrix.user_csr().row(u);
@@ -414,7 +435,7 @@ proptest! {
         };
         for algo in Algorithm::ALL {
             let matrix = RatingsMatrix::from_ratings(ratings.clone());
-            let model = recdb_algo::RecModel::train(algo, matrix.clone(), &config);
+            let model = train(algo, matrix.clone(), &config);
             for u in 0..matrix.n_users().min(5) {
                 for i in 0..matrix.n_items().min(5) {
                     let s = model.unseen_score(u, i);
@@ -431,16 +452,16 @@ proptest! {
     fn neighborhood_symmetry_and_truncation(ratings in ratings_strategy(), k in 1usize..6) {
         let matrix = RatingsMatrix::from_ratings(ratings);
         for table in [
-            build_item_neighborhood(&matrix, &NeighborhoodParams::cosine()),
-            build_user_neighborhood(&matrix, &NeighborhoodParams::cosine()),
+            item_table(&matrix, &NeighborhoodParams::cosine()),
+            user_table(&matrix, &NeighborhoodParams::cosine()),
         ] {
             for (e, nb, s) in table.forward().iter() {
                 prop_assert_eq!(table.sim(nb as usize, e as usize), Some(s));
                 prop_assert!(nb != e, "no self-edges");
             }
         }
-        let full = build_item_neighborhood(&matrix, &NeighborhoodParams::cosine());
-        let trunc = build_item_neighborhood(
+        let full = item_table(&matrix, &NeighborhoodParams::cosine());
+        let trunc = item_table(
             &matrix,
             &NeighborhoodParams { max_neighbors: Some(k), ..NeighborhoodParams::cosine() },
         );
@@ -464,12 +485,12 @@ proptest! {
                 let params = NeighborhoodParams { measure, max_neighbors, min_abs_sim: 0.0, threads: 1 };
                 for (serial, parallel) in [
                     (
-                        build_item_neighborhood(&matrix, &params),
-                        build_item_neighborhood(&matrix, &NeighborhoodParams { threads: 3, ..params }),
+                        item_table(&matrix, &params),
+                        item_table(&matrix, &NeighborhoodParams { threads: 3, ..params }),
                     ),
                     (
-                        build_user_neighborhood(&matrix, &params),
-                        build_user_neighborhood(&matrix, &NeighborhoodParams { threads: 3, ..params }),
+                        user_table(&matrix, &params),
+                        user_table(&matrix, &NeighborhoodParams { threads: 3, ..params }),
                     ),
                 ] {
                     prop_assert_eq!(&serial, &parallel, "threads 1 vs 3");
@@ -493,7 +514,7 @@ proptest! {
                     config.neighborhood.max_neighbors = max_neighbors;
                     config.neighborhood.threads = threads;
                     config.svd = SvdParams { epochs: 2, factors: 4, ..SvdParams::default() };
-                    let model = RecModel::train(algo, matrix.clone(), &config);
+                    let model = train(algo, matrix.clone(), &config);
                     for u in 0..matrix.n_users() {
                         batch.clear();
                         model.score_unseen_into(u, &mut scratch, &mut batch);
@@ -540,8 +561,8 @@ proptest! {
                 config.neighborhood.threads = 1;
                 config.svd = SvdParams { epochs: 2, factors: 4, ..SvdParams::default() };
                 let models = [
-                    RecModel::train(algo, matrix.clone(), &config),
-                    RecModel::train(algo, small.clone(), &config),
+                    train(algo, matrix.clone(), &config),
+                    train(algo, small.clone(), &config),
                 ];
                 for u in 0..matrix.n_users() {
                     for model in &models {
@@ -596,8 +617,8 @@ proptest! {
     #[test]
     fn svd_deterministic(ratings in ratings_strategy(), seed in 1u64..1000) {
         let params = SvdParams { epochs: 3, factors: 4, seed, ..SvdParams::default() };
-        let a = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
-        let b = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
+        let a = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
+        let b = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
         let matrix = RatingsMatrix::from_ratings(ratings);
         let items: Vec<usize> = (0..matrix.n_items().min(3)).collect();
         for u in 0..matrix.n_users().min(3) {
@@ -667,8 +688,8 @@ proptest! {
         threads in 2usize..6,
     ) {
         let params = SvdParams { epochs: 3, factors: 4, seed, threads, ..SvdParams::default() };
-        let a = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
-        let b = SvdModel::train(RatingsMatrix::from_ratings(ratings.clone()), params);
+        let a = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
+        let b = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
         let matrix = RatingsMatrix::from_ratings(ratings);
         for u in 0..matrix.n_users() {
             let (av, bv) = (a.user_vector(u), b.user_vector(u));

@@ -25,6 +25,7 @@
 use recdb_algo::model::{RecModel, TrainConfig};
 use recdb_algo::{Algorithm, RatingsMatrix, ScoreScratch};
 use recdb_bench::*;
+use recdb_core::QueryGuard;
 use recdb_datasets::SyntheticSpec;
 use recdb_exec::optimizer::optimize_pushdown_only;
 use recdb_exec::{build_logical, execute_plan, optimize, ExecContext};
@@ -131,7 +132,9 @@ fn table2() {
                     algo,
                     RatingsMatrix::from_ratings(ratings.iter().copied()),
                     &config,
+                    &QueryGuard::unlimited(),
                 )
+                .unwrap()
             });
             cells.push(secs(t));
         }
@@ -190,7 +193,9 @@ fn build_scaling() {
                         algo,
                         RatingsMatrix::from_ratings(ratings.iter().copied()),
                         &config,
+                        &QueryGuard::unlimited(),
                     )
+                    .unwrap()
                 });
                 let ms = t.as_secs_f64() * 1e3;
                 if threads == 1 {
@@ -269,7 +274,9 @@ fn score_sweep() {
                 algo,
                 RatingsMatrix::from_ratings(ratings.iter().copied()),
                 &config,
+                &QueryGuard::unlimited(),
             )
+            .unwrap()
         };
         let model = train();
         let matrix = model.matrix();
@@ -801,13 +808,17 @@ fn ablation_neighbors() {
                 Algorithm::ItemCosCF,
                 RatingsMatrix::from_ratings(ratings.iter().copied()),
                 &config,
+                &QueryGuard::unlimited(),
             )
+            .unwrap()
         });
         let model = RecModel::train(
             Algorithm::ItemCosCF,
             RatingsMatrix::from_ratings(ratings.iter().copied()),
             &config,
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         let pairs = match &model {
             RecModel::Item(m) => m.neighborhood().total_pairs(),
             _ => 0,

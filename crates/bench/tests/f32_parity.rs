@@ -41,7 +41,7 @@ fn config() -> TrainConfig {
 #[test]
 fn svd_f32_rmse_matches_f64_baseline() {
     let (train, test) = ldos_split();
-    let acc = evaluate(Algorithm::Svd, train, &test, &config());
+    let acc = evaluate(Algorithm::Svd, train, &test, &config()).unwrap();
     assert!(
         (acc.rmse - SVD_RMSE_F64).abs() < TOLERANCE,
         "SVD RMSE drifted: f32 {} vs f64 baseline {SVD_RMSE_F64}",
@@ -58,7 +58,7 @@ fn svd_f32_rmse_matches_f64_baseline() {
 #[test]
 fn itemcf_f32_rmse_matches_f64_baseline() {
     let (train, test) = ldos_split();
-    let acc = evaluate(Algorithm::ItemCosCF, train, &test, &config());
+    let acc = evaluate(Algorithm::ItemCosCF, train, &test, &config()).unwrap();
     assert!(
         (acc.rmse - ITEMCF_RMSE_F64).abs() < TOLERANCE,
         "ItemCosCF RMSE drifted: f32 {} vs f64 baseline {ITEMCF_RMSE_F64}",
@@ -74,7 +74,7 @@ fn itemcf_f32_rmse_matches_f64_baseline() {
 #[test]
 fn usercf_f32_rmse_matches_f64_baseline() {
     let (train, test) = ldos_split();
-    let acc = evaluate(Algorithm::UserCosCF, train, &test, &config());
+    let acc = evaluate(Algorithm::UserCosCF, train, &test, &config()).unwrap();
     assert!(
         (acc.rmse - USERCF_RMSE_F64).abs() < TOLERANCE,
         "UserCosCF RMSE drifted: f32 {} vs f64 baseline {USERCF_RMSE_F64}",

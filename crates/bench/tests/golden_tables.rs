@@ -25,6 +25,7 @@ use recdb_algo::{
     Algorithm, Csr, NeighborhoodParams, NeighborhoodTable, PopularityModel, RatingsMatrix,
     RecModel, ScoreScratch, Similarity, SvdModel, SvdParams,
 };
+use recdb_core::QueryGuard;
 use recdb_datasets::SyntheticSpec;
 
 /// Hashes in [`world_hashes`] order.
@@ -160,7 +161,7 @@ fn model_hashes(m: &RatingsMatrix) -> Vec<u64> {
         threads: 1,
         ..SvdParams::default()
     };
-    let svd = SvdModel::train(m.clone(), svd_params);
+    let svd = SvdModel::train(m.clone(), svd_params, &QueryGuard::unlimited()).unwrap();
     let user_factors = (0..m.n_users()).flat_map(|u| svd.user_vector(u));
     let item_factors = (0..m.n_items()).flat_map(|i| svd.item_vector(i));
     hashes.push(
@@ -182,7 +183,7 @@ fn model_hashes(m: &RatingsMatrix) -> Vec<u64> {
         .into_iter()
         .filter(Algorithm::is_neighborhood)
     {
-        let model = RecModel::train(algo, m.clone(), &config);
+        let model = RecModel::train(algo, m.clone(), &config, &QueryGuard::unlimited()).unwrap();
         let mut h = FNV_OFFSET;
         for u in (0..10).map(|k| k * m.n_users() / 10) {
             batch.clear();
@@ -233,9 +234,9 @@ fn world_hashes(m: &RatingsMatrix) -> Vec<u64> {
                         threads,
                     };
                     table_hash(&if item_table {
-                        build_item_neighborhood(m, &params)
+                        build_item_neighborhood(m, &params, &QueryGuard::unlimited()).unwrap()
                     } else {
-                        build_user_neighborhood(m, &params)
+                        build_user_neighborhood(m, &params, &QueryGuard::unlimited()).unwrap()
                     })
                 };
                 let serial = hash(1);

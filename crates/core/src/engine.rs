@@ -39,7 +39,7 @@ mod statement_metrics;
 pub(crate) mod txn;
 
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{load_matrix, Recommender};
+use crate::recommender::{Recommender, StagedRebuild};
 use crate::session::{Session, TxnState};
 use crate::statement_cache::{self, CacheOutcome, Prepared};
 use dml::{const_tuple, map_type};
@@ -55,7 +55,7 @@ use recdb_obs::{Clock, Counter, MetricsSnapshot, Registry};
 use recdb_sql::{parse, parse_many, Literal, SelectStatement, Statement};
 use recdb_storage::{BufferPool, Catalog, DataType, RecoveryMode, Schema, StorageError, Tuple};
 use recdb_txn::LockTable;
-use recdb_wal::WalRecord;
+use recdb_wal::{RecommenderDef, WalRecord};
 use recovery::{apply_record, Durability, TxnGate};
 pub(crate) use statement_metrics::TxnOutcome;
 use statement_metrics::{StatementKind, StatementMetrics};
@@ -67,8 +67,10 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 use txn::{ActiveTxn, UndoOp};
 
-/// Default resource limits applied to every statement (and model build)
-/// the engine runs. `None` everywhere means ungoverned — the default.
+/// Default resource limits applied to every statement the engine runs,
+/// the model builds of `CREATE RECOMMENDER` and the N % rule included
+/// (open's retrain is unlimited). `None` everywhere means no limits — the
+/// default.
 /// Per-call overrides go through [`RecDb::execute_with_guard`] /
 /// [`RecDb::query_with_guard`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -104,12 +106,6 @@ pub struct RecDbConfig {
     pub hotness_threshold: f64,
     /// Model-training knobs shared by all recommenders.
     pub train: TrainConfig,
-    /// Worker threads for score-index materialization (`0` = all cores).
-    /// Materialization is a pure fan-out, so the index is identical for
-    /// every setting. Model-*training* threads live in
-    /// [`RecDbConfig::train`] (`train.neighborhood.threads`,
-    /// `train.svd.threads`).
-    pub build_threads: usize,
     /// Default per-statement resource limits (deadline, row budget,
     /// memory budget). Ungoverned by default.
     pub governor: GovernorConfig,
@@ -150,7 +146,6 @@ impl Default for RecDbConfig {
             maintenance_threshold_pct: 10.0,
             hotness_threshold: 0.5,
             train: TrainConfig::default(),
-            build_threads: 0,
             governor: GovernorConfig::default(),
             data_dir: None,
             recovery: RecoveryMode::Strict,
@@ -632,39 +627,29 @@ impl RecDb {
                 if self.recommender(name).is_some() {
                     return Err(EngineError::RecommenderExists(name.clone()));
                 }
-                let algorithm: Algorithm = algorithm
-                    .parse()
-                    .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(algorithm.clone()))?;
-                // Scan under a short read latch, then train with no
-                // engine latch held — the table's X lock (already ours)
-                // keeps the scanned matrix authoritative.
-                let matrix = {
-                    let catalog = self.catalog.read();
-                    load_matrix(
-                        &catalog,
-                        ratings_table,
-                        users_column,
-                        items_column,
-                        ratings_column,
-                    )?
+                let def = RecommenderDef {
+                    name: name.clone(),
+                    table: ratings_table.clone(),
+                    users: users_column.clone(),
+                    items: items_column.clone(),
+                    ratings: ratings_column.clone(),
+                    algorithm: algorithm.clone(),
                 };
-                let rec = Recommender::create_from_matrix(
-                    name,
-                    ratings_table,
-                    users_column,
-                    items_column,
-                    ratings_column,
-                    algorithm,
-                    self.config.train,
+                // The build scans under a short read latch and trains with
+                // no engine latch held — the table's X lock (already ours)
+                // keeps the scanned matrix authoritative.
+                let staged =
+                    StagedRebuild::build(&def, &self.config.train, &self.catalog, None, guard)?;
+                let rec = Recommender::new(
+                    def,
+                    staged,
                     self.config.hotness_threshold,
                     self.clock(),
-                    matrix,
-                    Some(guard),
                     Arc::clone(&self.pool),
-                )?;
+                );
                 let build_time = rec.build_time();
                 self.observe_model_build(rec.algorithm(), build_time);
-                let log_record = WalRecord::CreateRecommender(rec.def());
+                let log_record = WalRecord::CreateRecommender(rec.def().clone());
                 let txn = Self::active(state);
                 let _ckpt = self.ckpt_latch.read();
                 {
@@ -1654,35 +1639,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn panic_during_write_statement_releases_locks() {
-        let _x = recdb_fault::exclusive();
-        recdb_fault::clear();
-        let db = figure1_db();
-        let mut session = db.session();
-        session.execute("BEGIN").unwrap();
-        session
-            .execute("INSERT INTO ratings VALUES (9, 9, 4.0)")
-            .unwrap();
-        assert!(db.lock_table().is_locked("ratings"));
-        // The next write panics at its lock acquisition; the boundary
-        // must contain it, abort the whole transaction, and release the
-        // ratings lock already held.
-        recdb_fault::arm_panic("txn::lock_acquire", 1);
-        let err = session.execute("INSERT INTO users VALUES (9, 'Mal', 'X')");
-        assert!(
-            matches!(err.unwrap_err(), EngineError::Internal(_)),
-            "panic surfaces as a contained internal error"
-        );
-        assert!(!session.in_transaction());
-        assert!(!db.lock_table().is_locked("ratings"), "locks released");
-        assert_eq!(db.catalog().table("ratings").unwrap().tuple_count(), 7);
-        // The engine keeps serving.
-        db.execute("INSERT INTO ratings VALUES (9, 9, 4.0)")
-            .unwrap();
-        assert_eq!(db.catalog().table("ratings").unwrap().tuple_count(), 8);
-        recdb_fault::clear();
     }
 }

@@ -114,7 +114,7 @@ impl RecDb {
             .read()
             .iter()
             .filter(|r| r.ratings_table() == table_key)
-            .map(|r| Ok((r.name().to_owned(), t.schema().resolve(r.items_column())?)))
+            .map(|r| Ok((r.name().to_owned(), t.schema().resolve(&r.def().items)?)))
             .collect::<EngineResult<_>>()?;
         let mut touched = Vec::new();
         for tuple in tuples {

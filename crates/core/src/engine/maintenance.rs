@@ -11,12 +11,12 @@
 use super::txn::ActiveTxn;
 use super::{flatten_guard_error_counted, RecDb, RecommenderMut};
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{load_matrix, Recommender};
+use crate::recommender::{Recommender, StagedRebuild};
 use recdb_algo::Algorithm;
 use recdb_exec::LogicalPlan;
 use recdb_guard::QueryGuard;
 use recdb_sql::Literal;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bucket bounds (microseconds) for the per-algorithm model-build
 /// histogram: 100µs to 10s, one decade per bucket.
@@ -75,43 +75,29 @@ impl RecDb {
         Ok(())
     }
 
-    /// Rebuild one recommender's model: capture its inputs under a brief
-    /// read lock, scan the ratings under a brief catalog read latch, train
-    /// with *no* engine lock held, and publish under a brief write lock.
-    /// Readers serve the previous model throughout.
+    /// Rebuild one recommender's model: capture its definition and index
+    /// under a brief read lock, build ([`StagedRebuild::build`]: scan under
+    /// a brief catalog read latch, train with *no* engine lock held), and
+    /// publish under a brief write lock. Readers serve the previous model
+    /// throughout.
     fn rebuild_recommender(&self, name: &str, guard: &QueryGuard) -> EngineResult<()> {
-        let (algorithm, train, index, table, users, items, ratings) = {
+        let (def, index) = {
             let recs = self.recommenders.read();
             let Some(rec) = recs.iter().find(|r| r.name() == name) else {
                 return Ok(()); // dropped concurrently — nothing to rebuild
             };
-            (
-                rec.algorithm(),
-                rec.train_config(),
-                rec.index(),
-                rec.ratings_table().to_owned(),
-                rec.users_column().to_owned(),
-                rec.items_column().to_owned(),
-                rec.ratings_column().to_owned(),
-            )
+            (rec.def().clone(), rec.index())
         };
-        let loading = Instant::now();
-        let matrix = {
-            let catalog = self.catalog.read();
-            load_matrix(&catalog, &table, &users, &items, &ratings)?
-        };
-        let load_time = loading.elapsed();
-        let staged = Recommender::stage_rebuild(
-            algorithm,
-            &train,
+        let staged = StagedRebuild::build(
+            &def,
+            &self.config.train,
+            &self.catalog,
             index.as_deref(),
-            matrix,
-            Some(guard),
-            &self.pool,
+            guard,
         )?;
-        self.observe_model_build(algorithm, staged.build_time());
+        self.observe_model_build(staged.algorithm(), staged.build_time());
         for (stage, time) in [
-            ("load", load_time),
+            ("load", staged.load_time()),
             ("train", staged.train_time()),
             ("refresh", staged.refresh_time()),
         ] {
@@ -136,7 +122,7 @@ impl RecDb {
     pub fn materialize(&self, recommender: &str) -> EngineResult<()> {
         let guard = self.config.governor.guard();
         let mut rec = self.found_mut(recommender)?;
-        let result = rec.materialize_all(self.config.build_threads, Some(&guard));
+        let result = rec.materialize_all(0, &guard);
         self.gauge_materialized(&rec);
         result.map_err(|e| flatten_guard_error_counted(&self.metrics, e))
     }

@@ -11,11 +11,11 @@ use super::statement_metrics::StatementMetrics;
 use super::txn::UndoOp;
 use super::{RecDb, RecDbConfig};
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{load_matrix, Recommender};
+use crate::recommender::{Recommender, StagedRebuild};
 use crate::session::TxnState;
 use parking_lot::{Mutex, RwLock};
-use recdb_algo::Algorithm;
 use recdb_exec::ExecMetrics;
+use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Registry, SystemClock};
 use recdb_storage::{
     codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, Reader, RecoveryMode,
@@ -226,29 +226,24 @@ impl RecDb {
             .counter("recdb_recovery_replayed_records_total")
             .add(replayed);
         // Models are derived state: each is retrained from its definition
-        // and the recovered ratings, as a live CREATE RECOMMENDER trains it.
+        // and the recovered ratings by the build a live CREATE RECOMMENDER
+        // runs. Its guard is unlimited, so a statement deadline cannot fail
+        // an open; its fault sites are live.
+        let catalog = RwLock::new(catalog);
+        let guard = QueryGuard::unlimited();
         let mut recommenders = Vec::new();
         for def in defs {
-            let algorithm: Algorithm = def
-                .algorithm
-                .parse()
-                .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(def.algorithm.clone()))?;
-            let matrix = load_matrix(&catalog, &def.table, &def.users, &def.items, &def.ratings)?;
-            recommenders.push(Recommender::create_from_matrix(
-                &def.name,
-                &def.table,
-                &def.users,
-                &def.items,
-                &def.ratings,
-                algorithm,
-                config.train,
+            let staged = StagedRebuild::build(&def, &config.train, &catalog, None, &guard)?;
+            let pool = Arc::clone(&pool);
+            recommenders.push(Recommender::new(
+                def,
+                staged,
                 config.hotness_threshold,
                 clock,
-                matrix,
-                None,
-                Arc::clone(&pool),
-            )?);
+                pool,
+            ));
         }
+        let catalog = catalog.into_inner();
         let mut wal = opened.wal;
         wal.attach_metrics(Arc::clone(&metrics));
         let durability = Some(Durability { dir, wal });

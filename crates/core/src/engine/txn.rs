@@ -288,7 +288,7 @@ impl RecDb {
         });
         for (table, mode) in locks {
             self.locks
-                .acquire(txn.id, table, *mode, self.config.lock_timeout, Some(guard))
+                .acquire(txn.id, table, *mode, self.config.lock_timeout, guard)
                 .map_err(lock_to_engine)?;
         }
         Ok(())

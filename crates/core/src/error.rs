@@ -1,5 +1,6 @@
 //! Engine-level errors.
 
+use recdb_algo::TrainError;
 use recdb_exec::ExecError;
 use recdb_guard::GuardError;
 use recdb_sql::ParseError;
@@ -215,6 +216,15 @@ impl From<WalError> for EngineError {
 impl From<recdb_fault::FaultError> for EngineError {
     fn from(e: recdb_fault::FaultError) -> Self {
         EngineError::Exec(ExecError::FaultInjected(e))
+    }
+}
+
+impl From<TrainError> for EngineError {
+    fn from(e: TrainError) -> Self {
+        match e {
+            TrainError::Guard(g) => g.into(),
+            TrainError::Fault(f) => f.into(),
+        }
     }
 }
 

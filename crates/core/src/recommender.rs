@@ -1,12 +1,18 @@
-//! One created recommender: its trained model, maintenance state, usage
-//! statistics, and materialized score index.
+//! One created recommender: its definition, trained model, maintenance
+//! state, usage statistics, and materialized score index.
+//!
+//! A recommender is built in one place, [`StagedRebuild::build`]: load its
+//! definition's ratings, train, refresh the score index. `CREATE
+//! RECOMMENDER`, the retrain when an engine opens and the N % rule all call
+//! it, always under a [`QueryGuard`] (an unlimited one at open), so every
+//! build observes cancellation and its fault sites.
 
 use crate::cache::{CacheDecision, CacheManager, UsageStats};
 use crate::error::{EngineError, EngineResult};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::parallel::for_each_chunk;
-use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch, TrainError};
+use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch};
 use recdb_exec::RecScoreIndex;
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, StorageError, DEFAULT_NODE_CAPACITY};
@@ -17,13 +23,10 @@ use std::time::{Duration, Instant};
 
 /// A recommender created by `CREATE RECOMMENDER` (§III-A).
 pub struct Recommender {
-    name: String,
-    ratings_table: String,
-    users_column: String,
-    items_column: String,
-    ratings_column: String,
+    /// The definition `CREATE RECOMMENDER` logs and a checkpoint keeps.
+    def: RecommenderDef,
+    /// `def.algorithm`, parsed.
     algorithm: Algorithm,
-    train_config: TrainConfig,
     model: Arc<RecModel>,
     /// Time spent building the current model (Table II's metric).
     build_time: Duration,
@@ -32,8 +35,7 @@ pub struct Recommender {
     /// Materialized score index, swapped wholesale on maintenance.
     index: Option<Arc<RecScoreIndex>>,
     /// The buffer pool the materialized index pages through (the
-    /// engine's shared pool; standalone recommenders get an unbounded
-    /// private one).
+    /// catalog's, which is the engine's shared pool).
     pool: Arc<BufferPool>,
     /// Usage histograms, updated from `&self` query paths.
     stats: Mutex<UsageStats>,
@@ -44,8 +46,8 @@ pub struct Recommender {
 impl std::fmt::Debug for Recommender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recommender")
-            .field("name", &self.name)
-            .field("ratings_table", &self.ratings_table)
+            .field("name", &self.def.name)
+            .field("ratings_table", &self.def.table)
             .field("algorithm", &self.algorithm)
             .field("trained_on", &self.model.trained_on())
             .field("pending_updates", &self.pending_updates)
@@ -57,22 +59,75 @@ impl std::fmt::Debug for Recommender {
     }
 }
 
-/// Fully trained rebuild artifacts, computed off to the side. The
-/// concurrent engine captures a recommender's inputs under a brief read
-/// lock, trains with no engine lock held, and publishes the result with
-/// [`Recommender::publish`] under a brief write lock — readers keep
-/// serving the previous model for the whole rebuild.
+/// Fully trained build artifacts, computed off to the side. The concurrent
+/// engine trains with no engine lock held and publishes the result with
+/// [`Recommender::new`] or [`Recommender::publish`] under a brief write
+/// lock — readers keep serving the previous model for the whole rebuild.
 pub struct StagedRebuild {
+    algorithm: Algorithm,
     model: Arc<RecModel>,
     index: Option<Arc<RecScoreIndex>>,
+    load_time: Duration,
     train_time: Duration,
     build_time: Duration,
 }
 
 impl StagedRebuild {
-    /// Wall-clock time the staged build took (the Table II metric).
+    /// The one model build (§III-A): scan `def`'s ratings table under a
+    /// brief read latch of `catalog`, train `def`'s algorithm on them with
+    /// no latch held, and refresh `old_index` against the new model ("RECDB
+    /// maintains the recommendation score for all materialized entries",
+    /// §IV-D). `guard` governs the training and the refresh, and their
+    /// fault sites (`algo::*`, `core::materialize_worker`) are live; the
+    /// refresh stage runs its gate even with no index to refresh. Nothing
+    /// is published here, so a cancelled or faulted build leaves the
+    /// previous model (and index) serving.
+    pub fn build(
+        def: &RecommenderDef,
+        config: &TrainConfig,
+        catalog: &RwLock<Catalog>,
+        old_index: Option<&RecScoreIndex>,
+        guard: &QueryGuard,
+    ) -> EngineResult<Self> {
+        let algorithm: Algorithm = def
+            .algorithm
+            .parse()
+            .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(def.algorithm.clone()))?;
+        let loading = Instant::now();
+        let (matrix, pool) = {
+            let catalog = catalog.read();
+            let matrix = load_matrix(&catalog, &def.table, &def.users, &def.items, &def.ratings)?;
+            (matrix, Arc::clone(catalog.pool()))
+        };
+        let load_time = loading.elapsed();
+        let started = Instant::now();
+        let model = Arc::new(RecModel::train(algorithm, matrix, config, guard)?);
+        let train_time = started.elapsed();
+        let index = refresh_index(old_index, &model, guard, &pool)?;
+        Ok(StagedRebuild {
+            algorithm,
+            model,
+            index,
+            load_time,
+            train_time,
+            build_time: started.elapsed(),
+        })
+    }
+
+    /// The algorithm the definition named.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
+    }
+
+    /// Wall-clock time of training and refresh (the Table II metric); the
+    /// scan is [`StagedRebuild::load_time`].
     pub fn build_time(&self) -> Duration {
         self.build_time
+    }
+
+    /// The scan of the ratings table.
+    pub fn load_time(&self) -> Duration {
+        self.load_time
     }
 
     /// The part of [`StagedRebuild::build_time`] spent training the model.
@@ -87,80 +142,40 @@ impl StagedRebuild {
 }
 
 impl Recommender {
-    /// Build ("initialize", §III-A) a recommender by training on a
-    /// ratings matrix scanned with [`load_matrix`], under an optional
-    /// resource governor: the model build observes cancellation/deadlines
-    /// and the `core::materialize_worker` fault site. On error nothing is
-    /// constructed. The concurrent engine scans the table under a short
-    /// catalog read latch, drops it, and trains here with no engine lock
-    /// held; recovery calls it the same way for each logged definition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_from_matrix(
-        name: &str,
-        ratings_table: &str,
-        users_column: &str,
-        items_column: &str,
-        ratings_column: &str,
-        algorithm: Algorithm,
-        train_config: TrainConfig,
+    /// A recommender for `def` serving the model `staged` built for it
+    /// ("initialize", §III-A). Its name and table are kept lowercase and
+    /// its algorithm by canonical name, as the definition is logged.
+    pub fn new(
+        mut def: RecommenderDef,
+        staged: StagedRebuild,
         hotness_threshold: f64,
         now: u64,
-        matrix: RatingsMatrix,
-        governor: Option<&QueryGuard>,
-        index_pool: Arc<BufferPool>,
-    ) -> EngineResult<Self> {
-        // The materialization stage of the build pipeline: nothing exists
-        // to refresh on create, but the stage (and its fault site) still
-        // runs so injected failures cover the whole CREATE path.
-        let staged = Self::stage_rebuild(
-            algorithm,
-            &train_config,
-            None,
-            matrix,
-            governor,
-            &index_pool,
-        )?;
-        Ok(Recommender {
-            name: name.to_ascii_lowercase(),
-            ratings_table: ratings_table.to_ascii_lowercase(),
-            users_column: users_column.to_owned(),
-            items_column: items_column.to_owned(),
-            ratings_column: ratings_column.to_owned(),
-            algorithm,
-            train_config,
+        pool: Arc<BufferPool>,
+    ) -> Self {
+        def.name.make_ascii_lowercase();
+        def.table.make_ascii_lowercase();
+        def.algorithm = staged.algorithm.name().to_owned();
+        Recommender {
+            def,
+            algorithm: staged.algorithm,
             model: staged.model,
             build_time: staged.build_time,
             pending_updates: 0,
             index: staged.index,
-            pool: index_pool,
+            pool,
             stats: Mutex::new(UsageStats::new(now)),
             cache_manager: Mutex::new(CacheManager::new(hotness_threshold)),
-        })
+        }
     }
 
     /// Recommender name (lowercase).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.def.name
     }
 
     /// The ratings table the recommender was created on (lowercase).
     pub fn ratings_table(&self) -> &str {
-        &self.ratings_table
-    }
-
-    /// The users-id column name.
-    pub fn users_column(&self) -> &str {
-        &self.users_column
-    }
-
-    /// The items-id column name.
-    pub fn items_column(&self) -> &str {
-        &self.items_column
-    }
-
-    /// The ratings-value column name.
-    pub fn ratings_column(&self) -> &str {
-        &self.ratings_column
+        &self.def.table
     }
 
     /// The algorithm from USING.
@@ -169,20 +184,8 @@ impl Recommender {
     }
 
     /// The definition `CREATE RECOMMENDER` logs and a checkpoint keeps.
-    pub fn def(&self) -> RecommenderDef {
-        RecommenderDef {
-            name: self.name.clone(),
-            table: self.ratings_table.clone(),
-            users: self.users_column.clone(),
-            items: self.items_column.clone(),
-            ratings: self.ratings_column.clone(),
-            algorithm: self.algorithm.name().to_owned(),
-        }
-    }
-
-    /// The training configuration this recommender was created with.
-    pub fn train_config(&self) -> TrainConfig {
-        self.train_config
+    pub fn def(&self) -> &RecommenderDef {
+        &self.def
     }
 
     /// The trained model.
@@ -230,34 +233,6 @@ impl Recommender {
         (self.pending_updates as f64) / base * 100.0 >= threshold_pct
     }
 
-    /// Train a model on `matrix` and refresh `old_index` against it,
-    /// without borrowing any recommender: all fallible work happens here,
-    /// and nothing is visible until [`Recommender::publish`]. With
-    /// `publish`, the one rebuild entry point: the new model and the
-    /// refreshed index ("RECDB maintains the recommendation score for all
-    /// materialized entries", §IV-D) are computed fully before anything is
-    /// published, so a cancelled or faulted rebuild leaves the previous
-    /// model (and index) serving.
-    pub fn stage_rebuild(
-        algorithm: Algorithm,
-        config: &TrainConfig,
-        old_index: Option<&RecScoreIndex>,
-        matrix: RatingsMatrix,
-        governor: Option<&QueryGuard>,
-        index_pool: &Arc<BufferPool>,
-    ) -> EngineResult<StagedRebuild> {
-        let started = Instant::now();
-        let model = Arc::new(build_model(algorithm, matrix, config, governor)?);
-        let train_time = started.elapsed();
-        let index = refresh_index(old_index, &model, governor, index_pool)?;
-        Ok(StagedRebuild {
-            model,
-            index,
-            train_time,
-            build_time: started.elapsed(),
-        })
-    }
-
     /// Swap staged rebuild artifacts in and reset the pending-update
     /// counter. Infallible by design: callers hold a write lock for just
     /// this call.
@@ -284,25 +259,25 @@ impl Recommender {
 
     /// Pre-compute the full unseen-item score list for one user and mark it
     /// complete (the §IV-C pre-computation that IndexRecommend serves).
+    /// The same gated path as [`Recommender::materialize_all`], under an
+    /// unlimited guard: only an injected fault can stop it, and as this
+    /// returns nothing, that fault panics.
     pub fn materialize_user(&mut self, user: i64) {
         let model = Arc::clone(&self.model);
-        self.edit_index(|index| materialize_into(index, &model, &[user], 1, None))
-            .expect("ungoverned materialization cannot fail")
+        let guard = QueryGuard::unlimited();
+        self.edit_index(|index| materialize_into(index, &model, &[user], 1, &guard))
+            .expect("an unlimited guard stops materialization only on an injected fault")
     }
 
     /// Pre-compute score lists for every user known to the model on
-    /// `threads` workers (`0` = all cores), under an optional resource
-    /// governor. Each score is a pure function of the already-trained
-    /// model, so the resulting index is identical for every thread count.
-    /// On any failure the index holds exactly what it held before.
-    pub fn materialize_all(
-        &mut self,
-        threads: usize,
-        governor: Option<&QueryGuard>,
-    ) -> EngineResult<()> {
+    /// `threads` workers (`0` = all cores), under `guard`. Each score is a
+    /// pure function of the already-trained model, so the resulting index
+    /// is identical for every thread count. On any failure the index holds
+    /// exactly what it held before.
+    pub fn materialize_all(&mut self, threads: usize, guard: &QueryGuard) -> EngineResult<()> {
         let model = Arc::clone(&self.model);
         let users = model.matrix().user_ids();
-        self.edit_index(|index| materialize_into(index, &model, users, threads, governor))
+        self.edit_index(|index| materialize_into(index, &model, users, threads, guard))
     }
 
     /// Run the Algorithm 4 cache manager at tick `now`: refresh rates,
@@ -346,30 +321,6 @@ impl Recommender {
     }
 }
 
-/// Train a model, routing through the guard-aware path when governed.
-/// The ungoverned path is byte-for-byte the legacy one: no fail points,
-/// no checks, infallible.
-fn build_model(
-    algorithm: Algorithm,
-    matrix: RatingsMatrix,
-    config: &TrainConfig,
-    governor: Option<&QueryGuard>,
-) -> EngineResult<RecModel> {
-    match governor {
-        Some(guard) => {
-            RecModel::train_guarded(algorithm, matrix, config, guard).map_err(train_to_engine)
-        }
-        None => Ok(RecModel::train(algorithm, matrix, config)),
-    }
-}
-
-fn train_to_engine(e: TrainError) -> EngineError {
-    match e {
-        TrainError::Guard(g) => g.into(),
-        TrainError::Fault(f) => f.into(),
-    }
-}
-
 /// The build pipeline's materialization stage: rebuild the score index
 /// against a freshly trained model. Complete users re-materialize in
 /// full; partial (cache-admitted) pairs re-score individually. The
@@ -379,20 +330,18 @@ fn train_to_engine(e: TrainError) -> EngineError {
 fn refresh_index(
     old: Option<&RecScoreIndex>,
     model: &RecModel,
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
     pool: &Arc<BufferPool>,
 ) -> EngineResult<Option<Arc<RecScoreIndex>>> {
-    materialize_gate(governor)?;
+    materialize_gate(guard)?;
     let Some(old) = old else { return Ok(None) };
     let mut fresh = RecScoreIndex::with_pool(Arc::clone(pool), DEFAULT_NODE_CAPACITY);
     let (complete, partial): (Vec<i64>, Vec<i64>) =
         old.users().partition(|&user| old.is_complete(user));
-    materialize_into(&mut fresh, model, &complete, 1, governor)?;
+    materialize_into(&mut fresh, model, &complete, 1, guard)?;
     let mut scratch = ScoreScratch::default();
     for user in partial {
-        if let Some(guard) = governor {
-            guard.check().map_err(EngineError::from)?;
-        }
+        guard.check()?;
         let items: Vec<i64> = old
             .iter_desc(user, None, None)
             .map(|(item, _)| item)
@@ -438,12 +387,10 @@ fn score_item_ids(
 }
 
 /// The materialization stage's checkpoint: the `core::materialize_worker`
-/// fault site, then the guard. Nothing when ungoverned.
-fn materialize_gate(governor: Option<&QueryGuard>) -> EngineResult<()> {
-    if let Some(guard) = governor {
-        recdb_fault::fail_point("core::materialize_worker")?;
-        guard.check()?;
-    }
+/// fault site, then the guard.
+fn materialize_gate(guard: &QueryGuard) -> EngineResult<()> {
+    recdb_fault::fail_point("core::materialize_worker")?;
+    guard.check()?;
     Ok(())
 }
 
@@ -472,15 +419,15 @@ fn unseen_list(model: &RecModel, user: i64, scratch: &mut ScoreScratch) -> Vec<(
 /// workers (`0` = all cores) and swap each into `index` as one complete
 /// list — the only way a complete user list enters an index. Workers only
 /// fan out the scoring; the merge happens on the calling thread in `users`
-/// order. Governed, each worker chunk evaluates the
-/// `core::materialize_worker` fault site and the guard before scoring, and
-/// `index` is touched only after every chunk succeeded.
+/// order. Each worker chunk evaluates the `core::materialize_worker` fault
+/// site and the guard before scoring, and `index` is touched only after
+/// every chunk succeeded.
 fn materialize_into(
     index: &mut RecScoreIndex,
     model: &RecModel,
     users: &[i64],
     threads: usize,
-    governor: Option<&QueryGuard>,
+    guard: &QueryGuard,
 ) -> EngineResult<()> {
     // Workers cannot return `Err` through the fan-out, so the first
     // failure lands in a shared slot and flips a flag that makes the
@@ -500,7 +447,7 @@ fn materialize_into(
                 return;
             }
             // The governor is charged once per chunk, not per pair.
-            if let Err(e) = materialize_gate(governor) {
+            if let Err(e) = materialize_gate(guard) {
                 aborted.store(true, Ordering::Relaxed);
                 abort.lock().get_or_insert(e);
                 return;
@@ -568,7 +515,7 @@ mod tests {
     use super::*;
     use recdb_storage::{DataType, Schema, Tuple, Value};
 
-    fn catalog_with_ratings(rows: &[(i64, i64, f64)]) -> Catalog {
+    fn catalog_with_ratings(rows: &[(i64, i64, f64)]) -> RwLock<Catalog> {
         let mut cat = Catalog::new();
         let t = cat
             .create_table(
@@ -588,7 +535,7 @@ mod tests {
             ]))
             .unwrap();
         }
-        cat
+        RwLock::new(cat)
     }
 
     fn figure1_rows() -> Vec<(i64, i64, f64)> {
@@ -603,41 +550,40 @@ mod tests {
         ]
     }
 
-    fn make(cat: &Catalog) -> Recommender {
-        let matrix = load_matrix(cat, "ratings", "uid", "iid", "ratingval").unwrap();
-        Recommender::create_from_matrix(
-            "GeneralRec",
-            "ratings",
-            "uid",
-            "iid",
-            "ratingval",
-            Algorithm::ItemCosCF,
-            TrainConfig::default(),
-            0.5,
-            0,
-            matrix,
-            None,
-            Arc::clone(cat.pool()),
-        )
-        .unwrap()
+    /// `GeneralRec` on the Figure 1 ratings, its algorithm spelled as SQL
+    /// may spell it.
+    fn def() -> RecommenderDef {
+        RecommenderDef {
+            name: "GeneralRec".into(),
+            table: "ratings".into(),
+            users: "uid".into(),
+            items: "iid".into(),
+            ratings: "ratingval".into(),
+            algorithm: "itemcoscf".into(),
+        }
     }
 
-    /// An N% rebuild as the engine runs one: rescan the table, stage the
-    /// new model and index, publish.
+    fn make(cat: &RwLock<Catalog>) -> Recommender {
+        let guard = QueryGuard::unlimited();
+        let staged = StagedRebuild::build(&def(), &TrainConfig::default(), cat, None, &guard);
+        Recommender::new(
+            def(),
+            staged.unwrap(),
+            0.5,
+            0,
+            Arc::clone(cat.read().pool()),
+        )
+    }
+
+    /// An N% rebuild as the engine runs one: stage the new model and
+    /// index from the table, publish.
     fn rebuild(
         rec: &mut Recommender,
-        cat: &Catalog,
-        governor: Option<&QueryGuard>,
+        cat: &RwLock<Catalog>,
+        guard: &QueryGuard,
     ) -> EngineResult<()> {
-        let matrix = load_matrix(cat, "ratings", "uid", "iid", "ratingval")?;
-        let staged = Recommender::stage_rebuild(
-            rec.algorithm(),
-            &rec.train_config(),
-            rec.index().as_deref(),
-            matrix,
-            governor,
-            cat.pool(),
-        )?;
+        let config = TrainConfig::default();
+        let staged = StagedRebuild::build(rec.def(), &config, cat, rec.index().as_deref(), guard)?;
         rec.publish(staged);
         Ok(())
     }
@@ -651,7 +597,7 @@ mod tests {
         assert_eq!(rec.name(), "generalrec");
         assert_eq!(
             rec.def(),
-            RecommenderDef {
+            &RecommenderDef {
                 name: "generalrec".into(),
                 table: "ratings".into(),
                 users: "uid".into(),
@@ -678,10 +624,11 @@ mod tests {
 
     #[test]
     fn rebuild_retrains_and_resets_counter() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         // New rating arrives in the table and is recorded.
-        cat.table_mut("ratings")
+        cat.write()
+            .table_mut("ratings")
             .unwrap()
             .insert(Tuple::new(vec![
                 Value::Int(4),
@@ -690,7 +637,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 1);
-        rebuild(&mut rec, &cat, None).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(
@@ -716,7 +663,7 @@ mod tests {
     fn materialize_all_covers_every_user() {
         let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
-        rec.materialize_all(0, None).unwrap();
+        rec.materialize_all(0, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         // User 2 rated all three items → no entries, but still complete.
         assert_eq!(idx.user_count(), 3);
@@ -731,11 +678,12 @@ mod tests {
     fn materialize_all_parallel_matches_serial() {
         let cat = catalog_with_ratings(&figure1_rows());
         let mut serial = make(&cat);
-        serial.materialize_all(1, None).unwrap();
+        serial.materialize_all(1, &QueryGuard::unlimited()).unwrap();
         let serial_idx = serial.index().unwrap();
         for threads in [2, 4, 0] {
             let mut par = make(&cat);
-            par.materialize_all(threads, None).unwrap();
+            par.materialize_all(threads, &QueryGuard::unlimited())
+                .unwrap();
             let idx = par.index().unwrap();
             assert_eq!(idx.len(), serial_idx.len(), "threads {threads}");
             assert_eq!(idx.user_count(), serial_idx.user_count());
@@ -749,8 +697,9 @@ mod tests {
     }
 
     /// Append one rating row to the catalog's `ratings` table.
-    fn rate(cat: &mut Catalog, user: i64, item: i64, value: f64) {
-        cat.table_mut("ratings")
+    fn rate(cat: &RwLock<Catalog>, user: i64, item: i64, value: f64) {
+        cat.write()
+            .table_mut("ratings")
             .unwrap()
             .insert(Tuple::new(vec![
                 Value::Int(user),
@@ -797,7 +746,7 @@ mod tests {
 
     #[test]
     fn bulk_materialization_matches_the_per_pair_path() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         let all = [1, 2, 3, 4, 99];
         // `materialize_user`, including a user the model has never seen.
@@ -819,9 +768,9 @@ mod tests {
         // User 4 rates item 1, which its list holds: the rebuild's
         // refresh re-materializes the user without that pair.
         assert!(rec.index().unwrap().get(4, 1).is_some());
-        rate(&mut cat, 4, 1, 2.0);
+        rate(&cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
-        rebuild(&mut rec, &cat, None).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_same_index(
             &rec.index().unwrap(),
             &per_pair_index(&rec.model(), &[4, 1, 99]),
@@ -830,7 +779,7 @@ mod tests {
         // `materialize_all`: user 2 rated everything, so its list is
         // complete and empty.
         let mut every = make(&cat);
-        every.materialize_all(2, None).unwrap();
+        every.materialize_all(2, &QueryGuard::unlimited()).unwrap();
         assert_same_index(
             &every.index().unwrap(),
             &per_pair_index(&every.model(), &[1, 2, 3, 4]),
@@ -840,14 +789,15 @@ mod tests {
 
     #[test]
     fn rebuild_refreshes_materialized_entries() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         rec.materialize_user(4);
         let before = rec.index().unwrap().get(4, 1);
         assert!(before.is_some());
         // User 4 rates item 1 → after maintenance the pair is seen and must
         // leave the index, while the user list stays complete.
-        cat.table_mut("ratings")
+        cat.write()
+            .table_mut("ratings")
             .unwrap()
             .insert(Tuple::new(vec![
                 Value::Int(4),
@@ -856,7 +806,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(1, 1);
-        rebuild(&mut rec, &cat, None).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
@@ -865,16 +815,16 @@ mod tests {
 
     #[test]
     fn complete_user_with_nothing_left_stays_complete_across_a_rebuild() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         rec.materialize_user(2); // rated all three items: complete, no entries
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(2) && !idx.has_user(2));
         // Item 4 appears; the rebuild must keep serving user 2 from the
         // index, now with the new item in the list.
-        rate(&mut cat, 1, 4, 3.0);
+        rate(&cat, 1, 4, 3.0);
         rec.record_insert(4, 1);
-        rebuild(&mut rec, &cat, None).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(2), "hot user silently de-materialized");
         let items: Vec<i64> = idx.iter_desc(2, None, None).map(|(i, _)| i).collect();
@@ -883,26 +833,26 @@ mod tests {
 
     #[test]
     fn cancelled_or_expired_rebuild_keeps_the_previous_model_and_index() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         rec.materialize_user(4);
         let entries = |rec: &Recommender| -> Vec<_> {
             rec.index().unwrap().iter_desc(4, None, None).collect()
         };
         let before = entries(&rec);
-        rate(&mut cat, 4, 1, 2.0);
+        rate(&cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
         let cancelled = QueryGuard::unlimited();
         cancelled.cancel();
         let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
         for guard in [&cancelled, &expired] {
-            let err = rebuild(&mut rec, &cat, Some(guard)).unwrap_err();
+            let err = rebuild(&mut rec, &cat, guard).unwrap_err();
             assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
             assert_eq!(rec.model().trained_on(), 7, "old model still serving");
             assert_eq!(rec.pending_updates(), 1);
             assert_eq!(entries(&rec), before, "old index untouched");
         }
-        rebuild(&mut rec, &cat, Some(&QueryGuard::unlimited())).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(rec.index().unwrap().get(4, 1), None);
     }
@@ -929,7 +879,7 @@ mod tests {
     /// was admitted leaves the index.
     #[test]
     fn admitted_and_refreshed_pairs_score_like_the_point_api() {
-        let mut cat = catalog_with_ratings(&figure1_rows());
+        let cat = catalog_with_ratings(&figure1_rows());
         let mut rec = make(&cat);
         // Users 1, 4 and 9 (unknown to the model) are equally hot, and so
         // are items 2, 3 and 99 (unknown).
@@ -958,7 +908,8 @@ mod tests {
             assert_eq!(idx.get(user, item), Some(point(&rec, user, item)));
         }
 
-        cat.table_mut("ratings")
+        cat.write()
+            .table_mut("ratings")
             .unwrap()
             .insert(Tuple::new(vec![
                 Value::Int(4),
@@ -967,7 +918,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 11);
-        rebuild(&mut rec, &cat, None).unwrap();
+        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 3), None, "rated since it was admitted");
         for &(user, item) in decision.admitted.iter().filter(|&&p| p != (4, 3)) {
@@ -999,6 +950,7 @@ mod tests {
     #[test]
     fn load_matrix_rejects_bad_columns() {
         let cat = catalog_with_ratings(&figure1_rows());
+        let cat = cat.read();
         assert!(load_matrix(&cat, "ratings", "nope", "iid", "ratingval").is_err());
         assert!(load_matrix(&cat, "missing", "uid", "iid", "ratingval").is_err());
     }

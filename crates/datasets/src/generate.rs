@@ -345,7 +345,7 @@ mod tests {
         let mean = train.iter().map(|r| r.value).sum::<f64>() / train.len() as f64;
         let baseline_rmse =
             (test.iter().map(|r| (r.value - mean).powi(2)).sum::<f64>() / test.len() as f64).sqrt();
-        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default());
+        let acc = evaluate(Algorithm::ItemCosCF, train, &test, &TrainConfig::default()).unwrap();
         assert!(
             acc.rmse < baseline_rmse,
             "CF rmse {} ≥ mean-baseline {}",

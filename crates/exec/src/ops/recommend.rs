@@ -604,19 +604,23 @@ mod tests {
 
     /// Figure 1 data: users 1–4, items 1–3.
     fn model() -> Arc<RecModel> {
-        Arc::new(RecModel::train(
-            Algorithm::ItemCosCF,
-            RatingsMatrix::from_ratings(vec![
-                Rating::new(1, 1, 1.5),
-                Rating::new(2, 2, 3.5),
-                Rating::new(2, 1, 4.5),
-                Rating::new(2, 3, 2.0),
-                Rating::new(3, 2, 1.0),
-                Rating::new(3, 1, 2.0),
-                Rating::new(4, 2, 1.0),
-            ]),
-            &Default::default(),
-        ))
+        Arc::new(
+            RecModel::train(
+                Algorithm::ItemCosCF,
+                RatingsMatrix::from_ratings(vec![
+                    Rating::new(1, 1, 1.5),
+                    Rating::new(2, 2, 3.5),
+                    Rating::new(2, 1, 4.5),
+                    Rating::new(2, 3, 2.0),
+                    Rating::new(3, 2, 1.0),
+                    Rating::new(3, 1, 2.0),
+                    Rating::new(4, 2, 1.0),
+                ]),
+                &Default::default(),
+                &QueryGuard::unlimited(),
+            )
+            .unwrap(),
+        )
     }
 
     #[test]
@@ -654,11 +658,15 @@ mod tests {
     #[test]
     fn whole_domain_matches_listing_every_item_for_every_algorithm() {
         for algo in Algorithm::ALL {
-            let model = Arc::new(RecModel::train(
-                algo,
-                model().matrix().clone(),
-                &Default::default(),
-            ));
+            let model = Arc::new(
+                RecModel::train(
+                    algo,
+                    model().matrix().clone(),
+                    &Default::default(),
+                    &QueryGuard::unlimited(),
+                )
+                .unwrap(),
+            );
             let every_item = model.matrix().item_ids().to_vec();
             for (min, max) in [(None, None), (Some(1.2), None), (Some(0.5), Some(1.2))] {
                 for users in [None, Some(vec![4, 1, 99, 4])] {
@@ -931,11 +939,15 @@ mod tests {
                 }
             }
         }
-        Arc::new(RecModel::train(
-            Algorithm::ItemCosCF,
-            RatingsMatrix::from_ratings(ratings),
-            &Default::default(),
-        ))
+        Arc::new(
+            RecModel::train(
+                Algorithm::ItemCosCF,
+                RatingsMatrix::from_ratings(ratings),
+                &Default::default(),
+                &QueryGuard::unlimited(),
+            )
+            .unwrap(),
+        )
     }
 
     /// What FILTERRECOMMEND answers for the same predicates, in
@@ -1133,7 +1145,8 @@ mod tests {
                 };
                 let items = listed_items.then(|| vec![0, 7, 4, 7, 55, 1, 8, 5]);
                 for algo in Algorithm::ALL {
-                    let model = Arc::new(RecModel::train(algo, matrix.clone(), &config));
+                    let model = RecModel::train(algo, matrix.clone(), &config, &QueryGuard::unlimited());
+                    let model = Arc::new(model.unwrap());
                     let op = |min: Option<f64>, max: Option<f64>, guard: &QueryGuard| {
                         RecommendOp::new(
                             model.clone(),
@@ -1437,7 +1450,8 @@ mod tests {
                 let keys: Vec<Value> = (0..len).map(|j| keys[j % keys.len()].clone()).collect();
                 let rows = outer_rows(&keys);
                 for algo in Algorithm::ALL {
-                    let model = Arc::new(RecModel::train(algo, matrix.clone(), &config));
+                    let model = RecModel::train(algo, matrix.clone(), &config, &QueryGuard::unlimited());
+                    let model = Arc::new(model.unwrap());
                     let all = check(&model, &rows, users.clone(), (None, None))?;
                     let mut scores: Vec<f64> = all.iter().map(|r| f64::from_bits(r.2)).collect();
                     scores.sort_by(f64::total_cmp);
@@ -1541,11 +1555,15 @@ mod tests {
         fn many_users_shrink_the_block() {
             let users: Vec<i64> = (0..1000).collect();
             let ratings = users.iter().map(|&u| Rating::new(u, u % 7, 3.0));
-            let model = Arc::new(RecModel::train(
-                Algorithm::Popularity,
-                RatingsMatrix::from_ratings(ratings),
-                &Default::default(),
-            ));
+            let model = Arc::new(
+                RecModel::train(
+                    Algorithm::Popularity,
+                    RatingsMatrix::from_ratings(ratings),
+                    &Default::default(),
+                    &QueryGuard::unlimited(),
+                )
+                .unwrap(),
+            );
             let keys: Vec<Value> = (0..40).map(|j| Value::Int(j % 7)).collect();
             let rows = outer_rows(&keys);
             check(&model, &rows, None, (None, None)).unwrap();

@@ -747,7 +747,9 @@ mod tests {
             Algorithm::ItemCosCF,
             RatingsMatrix::from_ratings(data.iter().map(|&(u, i, r)| Rating::new(u, i, r))),
             &Default::default(),
-        );
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
         let provider = SingleRecommender::new("ratings", Algorithm::ItemCosCF, model);
         (cat, provider)
     }

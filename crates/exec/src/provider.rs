@@ -84,13 +84,16 @@ impl RecommenderProvider for SingleRecommender {
 mod tests {
     use super::*;
     use recdb_algo::{Rating, RatingsMatrix};
+    use recdb_guard::QueryGuard;
 
     fn model() -> RecModel {
         RecModel::train(
             Algorithm::ItemCosCF,
             RatingsMatrix::from_ratings(vec![Rating::new(1, 1, 5.0), Rating::new(1, 2, 3.0)]),
             &Default::default(),
+            &QueryGuard::unlimited(),
         )
+        .unwrap()
     }
 
     #[test]

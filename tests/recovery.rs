@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use recdb::core::{EngineError, RecDb, RecDbConfig};
 use recdb::datasets::{generate, SyntheticSpec};
+use recdb::exec::ExecError;
 use recdb::fault;
 use recdb::storage::{RecoveryMode, Value};
 use std::path::{Path, PathBuf};
@@ -645,6 +646,18 @@ fn recommender_answers_survive_crash_and_reopen() {
         // No checkpoint: definition and ratings come back via the WAL,
         // and the model is rebuilt from the recovered rows.
     }
+    // Open's retrain is the build CREATE RECOMMENDER runs, fault sites
+    // live: a fault in it fails the open, and the next open recovers.
+    fault::arm_error("algo::neighborhood_build", 1);
+    let err = RecDb::open(&dir).expect_err("the retrain's fault fails the open");
+    assert!(
+        matches!(
+            &err,
+            EngineError::Exec(ExecError::FaultInjected(f)) if f.site == "algo::neighborhood_build"
+        ),
+        "{err:?}"
+    );
+    fault::clear();
     let db = RecDb::open(&dir).expect("reopen");
     assert_eq!(db.recommender_names(), vec!["generalrec"]);
     let rows = db.query(RECOMMEND).expect("recommend after recovery");

@@ -1119,3 +1119,69 @@ fn abort_path_panic_still_releases_locks() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Lock-layer faults (here rather than in the crates' lib tests: see the
+// `recdb_fault` module docs)
+// ---------------------------------------------------------------------
+
+/// A panic at the lock acquisition of a write inside an explicit
+/// transaction is contained, aborts the whole transaction and releases
+/// the locks it already held.
+#[test]
+fn panic_during_write_statement_releases_locks() {
+    let _x = fault::exclusive();
+    fault::clear();
+    let db = RecDb::new();
+    db.execute_script(
+        "CREATE TABLE users (uid INT, name TEXT, city TEXT);
+         CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT);
+         INSERT INTO ratings VALUES (1, 1, 1.5), (2, 2, 3.5), (2, 1, 4.5),
+                                    (2, 3, 2.0), (3, 2, 1.0), (3, 1, 2.0), (4, 2, 1.0);",
+    )
+    .unwrap();
+    let mut session = db.session();
+    session.execute("BEGIN").unwrap();
+    session
+        .execute("INSERT INTO ratings VALUES (9, 9, 4.0)")
+        .unwrap();
+    assert!(db.lock_table().is_locked("ratings"));
+    // The next write panics at its lock acquisition; the boundary
+    // must contain it, abort the whole transaction, and release the
+    // ratings lock already held.
+    fault::arm_panic("txn::lock_acquire", 1);
+    let err = session.execute("INSERT INTO users VALUES (9, 'Mal', 'X')");
+    assert!(
+        matches!(err.unwrap_err(), EngineError::Internal(_)),
+        "panic surfaces as a contained internal error"
+    );
+    assert!(!session.in_transaction());
+    assert!(!db.lock_table().is_locked("ratings"), "locks released");
+    assert_eq!(db.catalog().table("ratings").unwrap().tuple_count(), 7);
+    // The engine keeps serving.
+    db.execute("INSERT INTO ratings VALUES (9, 9, 4.0)")
+        .unwrap();
+    assert_eq!(db.catalog().table("ratings").unwrap().tuple_count(), 8);
+    fault::clear();
+}
+
+/// `txn::lock_acquire` fails the acquisition before anything is granted,
+/// and disarms itself.
+#[test]
+fn lock_acquire_fail_point_aborts_the_acquisition() {
+    use recdb_txn::{LockError, LockMode, LockTable};
+    const NOW: Duration = Duration::ZERO;
+    let _x = fault::exclusive();
+    fault::clear();
+    let lt = LockTable::new();
+    fault::arm_error("txn::lock_acquire", 1);
+    let err = lt
+        .acquire(1, "t", LockMode::Shared, NOW, &QueryGuard::unlimited())
+        .expect_err("armed fail point");
+    assert!(matches!(err, LockError::Fault(_)), "{err:?}");
+    assert!(!lt.is_locked("t"), "failed acquire must grant nothing");
+    // Self-disarming: the next acquire succeeds.
+    lt.acquire(1, "t", LockMode::Shared, NOW, &QueryGuard::unlimited())
+        .expect("disarmed");
+    fault::clear();
+}
