@@ -14,12 +14,16 @@
 //! around them — a rated pair is not a recommendation, an empty `L` scores
 //! 0 — is written once, on [`crate::RecModel`].
 //!
-//! * **Whole domain** — [`ItemCfModel::score_unseen_into`] scores *every*
-//!   unseen item in one pass: the reduction "to items rated by user u" is
-//!   done once, by walking `rated(u)` and scattering each rating along the
-//!   reverse list `rev(l)` ([`NeighborhoodTable::reverse`]) into dense
-//!   per-candidate `(num, den)` accumulators. Cost is `Σ_{l ∈ rated(u)}
-//!   |rev(l)|` multiply-adds instead of `n_items` list reductions.
+//! * **Whole domain** — [`ItemCfModel::score_row`] scores *every* item in
+//!   one pass: the reduction "to items rated by user u" is done once, by
+//!   walking `rated(u)` and scattering each rating along the reverse list
+//!   `rev(l)` ([`NeighborhoodTable::reverse`]) into dense per-candidate
+//!   `(num, den)` accumulators, then dividing them into the dense score
+//!   row of [`ScoreScratch`] with a select for `den = 0`, not a branch.
+//!   Cost is `Σ_{l ∈ rated(u)} |rev(l)|` multiply-adds plus `n_items`
+//!   divisions instead of `n_items` list reductions. The row's two
+//!   consumers, on [`crate::RecModel`], emit every unseen item or keep
+//!   only the best `k` of them.
 //! * **Candidate list** — [`ItemCfModel::predict_items_into`] scores the
 //!   items a plan asks for (the outer of JOINRECOMMEND, a pushed-down
 //!   `iPred`), Algorithm 1's block-nested loop: the user's ratings are
@@ -92,17 +96,13 @@ impl ItemCfModel {
         self.matrix.n_ratings()
     }
 
-    /// Eq. 2 for every item user `u` has not rated, appended to `out` as
-    /// `(item_idx, score)` ascending in item index; no-overlap candidates
-    /// score 0. One pass over `rated(u)` × reverse lists — bit-identical
-    /// to [`predict_items_into`](Self::predict_items_into) per candidate
-    /// (module docs).
-    pub fn score_unseen_into(
-        &self,
-        u: usize,
-        scratch: &mut ScoreScratch,
-        out: &mut Vec<(usize, f64)>,
-    ) {
+    /// Eq. 2 for every item of the domain into `scratch`'s dense score
+    /// row, indexed by item; items `u` rated are scored too (the row's
+    /// consumers skip them) and no-overlap candidates score 0. One pass
+    /// over `rated(u)` × reverse lists, then one branch-free division
+    /// pass — bit-identical to [`predict_items_into`](Self::predict_items_into)
+    /// per candidate (module docs).
+    pub fn score_row<'s>(&self, u: usize, scratch: &'s mut ScoreScratch) -> &'s [f64] {
         let acc = scratch.reset(self.matrix.n_items());
         let (rated_items, ratings) = self.matrix.user_csr().row(u);
         for (&l, &r_ul) in rated_items.iter().zip(ratings) {
@@ -114,7 +114,7 @@ impl ItemCfModel {
                 *den += sim.abs();
             }
         }
-        scratch.emit_unseen(&self.matrix, u, out);
+        scratch.quotients()
     }
 
     /// Eq. 2 for each item of `items`, appended to `out` in list order;

@@ -23,7 +23,8 @@
 //!   reports performance only, but a credible release needs accuracy
 //!   checks to show the predictors are implemented correctly),
 //! * [`parallel`] / [`topk`] — scoped-thread scheduling and stable bounded
-//!   top-k selection shared by the model builders and the executor.
+//!   top-k selection shared by the model builders and the executor, and
+//!   [`topk::serving_order`], the one order recommendations are served in.
 
 pub mod csr;
 pub mod eval;
@@ -43,12 +44,12 @@ pub mod usercf;
 
 pub use csr::Csr;
 pub use itemcf::ItemCfModel;
-pub use model::{Algorithm, RecModel, TrainError};
+pub use model::{in_bounds, Algorithm, RecModel, TrainError};
 pub use neighborhood::{NeighborhoodParams, NeighborhoodTable, ScoreScratch};
 pub use parallel::effective_threads;
 pub use popularity::PopularityModel;
 pub use ratings::{Rating, RatingsMatrix};
 pub use similarity::Similarity;
 pub use svd::{SvdModel, SvdParams};
-pub use topk::{top_k_by, TopK};
+pub use topk::{serving_order, top_k_by, TopK};
 pub use usercf::UserCfModel;

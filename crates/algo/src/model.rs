@@ -18,9 +18,12 @@
 //!
 //! Each model type supplies two kernels and nothing else, both per user:
 //!
-//! * **whole domain** — `score_unseen_into(u)`: every item `u` has not
-//!   rated, ascending (Query 1's `RECOMMEND` leaf, the score
-//!   materializer);
+//! * **whole domain** — `score_row(u)`: a dense score row over every item
+//!   (see [`ScoreScratch`]), read here by two consumers that skip the
+//!   items `u` rated: [`RecModel::score_unseen_into`] emits every unseen
+//!   item, ascending (the streaming `RECOMMEND`, the score materializer),
+//!   and [`RecModel::top_k_unseen_into`] keeps the best `k` of them in
+//!   [`serving_order`] in one walk (Query 1's `ORDER BY … LIMIT k`);
 //! * **candidate list** — `predict_items_into(u, items)`: the raw
 //!   prediction of each listed item (Eq. 2 for the CF models, the factor
 //!   dot product for SVD, the damped mean for Popularity; `None` = no
@@ -43,6 +46,7 @@ use crate::popularity::PopularityModel;
 use crate::ratings::RatingsMatrix;
 use crate::similarity::Similarity;
 use crate::svd::{SvdModel, SvdParams};
+use crate::topk::{serving_order, top_k_by, TopK};
 use crate::usercf::UserCfModel;
 use recdb_fault::FaultError;
 use recdb_guard::{GuardError, QueryGuard};
@@ -360,53 +364,140 @@ impl RecModel {
         out[0]
     }
 
+    /// The dense score row of dense user `u`: a score for every item of
+    /// the domain, indexed by item, rated items included (see
+    /// [`ScoreScratch`]). The neighborhood arms scatter into `scratch` and
+    /// divide (see [`crate::itemcf`] / [`crate::usercf`]), the SVD arm
+    /// runs blocked dot-product kernels into it, and Popularity lends its
+    /// per-item table.
+    fn score_row<'s>(&'s self, u: usize, scratch: &'s mut ScoreScratch) -> &'s [f64] {
+        match self {
+            RecModel::Item(m) => m.score_row(u, scratch),
+            RecModel::User(m) => m.score_row(u, scratch),
+            RecModel::Factors(m) => m.score_row(u, scratch),
+            RecModel::Popular(m) => m.item_scores(),
+        }
+    }
+
     /// Score every item dense user `u` has **not** rated in one
     /// user-at-a-time pass, appending `(item_idx, score)` in ascending
-    /// item order — what the whole-domain `RECOMMEND` operator and the
-    /// score materializer run per user. Every entry is bit-identical to
-    /// [`score_items_into`](Self::score_items_into) for that item. The
-    /// neighborhood arms scatter into `scratch` (see [`crate::itemcf`] /
-    /// [`crate::usercf`]), the SVD arm runs blocked dot-product kernels,
-    /// and Popularity copies its per-item table.
+    /// item order — what the streaming `RECOMMEND` operator and the score
+    /// materializer run per user: the dense score row, read once with the
+    /// user's rated items skipped. Every entry is bit-identical to
+    /// [`score_items_into`](Self::score_items_into) for that item.
     pub fn score_unseen_into(
         &self,
         u: usize,
         scratch: &mut ScoreScratch,
         out: &mut Vec<(usize, f64)>,
     ) {
-        match self {
-            RecModel::Item(m) => m.score_unseen_into(u, scratch, out),
-            RecModel::User(m) => m.score_unseen_into(u, scratch, out),
-            RecModel::Factors(m) => m.score_unseen_into(u, out),
-            RecModel::Popular(m) => m.score_unseen_into(u, out),
+        let row = self.score_row(u, scratch);
+        for run in self.matrix().unseen_runs(u) {
+            out.extend(run.clone().zip(&row[run]).map(|(i, &s)| (i, s)));
         }
     }
 
-    /// The `k` best unseen items for dense user `u` in recommendation rank
-    /// order (the `RECOMMEND ... ORDER BY score DESC LIMIT k` answer):
-    /// [`score_unseen_into`](Self::score_unseen_into), then
-    /// [`rank_top_k`](Self::rank_top_k).
-    pub fn top_k_unseen(&self, u: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut scored = Vec::new();
-        self.score_unseen_into(u, &mut ScoreScratch::default(), &mut scored);
-        self.rank_top_k(scored, k)
+    /// The `k` best unseen items of dense user `u` whose score lies in
+    /// `[min, max]` (`None` = unbounded; a bound is tested with `>=` /
+    /// `<=`, so a NaN score passes only when there is no bound), appended
+    /// to `out` best first in [`serving_order`] — exactly
+    /// [`score_unseen_into`](Self::score_unseen_into), then the bounds,
+    /// then a stable sort in the serving order, then truncation to `k`.
+    ///
+    /// One walk over the dense score row in descending item id order
+    /// ([`RatingsMatrix::items_by_id_desc`]): once `k` are held, a
+    /// candidate whose score is not above the `k`-th kept one under
+    /// [`f64::total_cmp`] is rejected with that one comparison — a tie
+    /// arrives after every kept item and has the smaller id, so it loses,
+    /// and the total order places NaN and signed zeros exactly. Rated
+    /// items are skipped; the rest take the exact path, a bounded
+    /// selection in the serving order. No `(item, score)` pair is built
+    /// for the rejected tail.
+    pub fn top_k_unseen_into(
+        &self,
+        u: usize,
+        k: usize,
+        min: Option<f64>,
+        max: Option<f64>,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        if k == 0 {
+            return;
+        }
+        let row = self.score_row(u, scratch);
+        select_top_k(row, self.matrix(), u, k, (min, max), out);
     }
 
-    /// The `k` best of one user's `(item_idx, score)` pairs, best first.
-    /// Rank order is score descending under [`f64::total_cmp`], ties by
-    /// **item id** descending — the key order of the materialized score
-    /// index, so a user's top-k is the same rows in the same order whether
-    /// it is selected from fresh scores or read from a materialized list.
+    /// The `k` best unseen items for dense user `u` in recommendation rank
+    /// order (the `RECOMMEND ... ORDER BY score DESC LIMIT k` answer): an
+    /// unbounded [`top_k_unseen_into`](Self::top_k_unseen_into).
+    pub fn top_k_unseen(&self, u: usize, k: usize) -> Vec<(usize, f64)> {
+        let mut top = Vec::new();
+        self.top_k_unseen_into(u, k, None, None, &mut ScoreScratch::default(), &mut top);
+        top
+    }
+
+    /// The `k` best of one user's `(item_idx, score)` pairs, best first, in
+    /// [`serving_order`] keyed by item id — for a scored candidate list
+    /// (a pushed-down `iPred`); a whole domain goes through
+    /// [`top_k_unseen_into`](Self::top_k_unseen_into).
     pub fn rank_top_k(
         &self,
         scored: impl IntoIterator<Item = (usize, f64)>,
         k: usize,
     ) -> Vec<(usize, f64)> {
         let ids = self.matrix().item_ids();
-        crate::topk::top_k_by(scored, k, |a, b| {
-            b.1.total_cmp(&a.1).then_with(|| ids[b.0].cmp(&ids[a.0]))
+        top_k_by(scored, k, |a, b| {
+            serving_order((a.1, ids[a.0]), (b.1, ids[b.0]))
         })
     }
+}
+
+/// The walk of [`RecModel::top_k_unseen_into`]: the `k` best items of
+/// `row` (one score per item of `matrix`) that user `u` has not rated and
+/// whose score lies in `bounds`, appended to `out` in [`serving_order`].
+fn select_top_k(
+    row: &[f64],
+    matrix: &RatingsMatrix,
+    u: usize,
+    k: usize,
+    (min, max): (Option<f64>, Option<f64>),
+    out: &mut Vec<(usize, f64)>,
+) {
+    let ids = matrix.item_ids();
+    // One bit per item: set for the items `u` rated.
+    let mut rated = vec![0u64; row.len().div_ceil(64)];
+    for &l in matrix.user_csr().row(u).0 {
+        rated[l as usize / 64] |= 1 << (l % 64);
+    }
+    let mut top = TopK::new(k, |a: &(usize, f64), b: &(usize, f64)| {
+        serving_order((a.1, ids[a.0]), (b.1, ids[b.0]))
+    });
+    // The `k`-th kept score, once `k` are held. The walk goes by item id
+    // descending, so a later candidate that ties it has the smaller id and
+    // loses: rejecting every score that is not above it under `total_cmp`
+    // is exact, NaNs and signed zeros included.
+    let mut floor: Option<f64> = None;
+    for &i in matrix.items_by_id_desc() {
+        let (i, s) = (i as usize, row[i as usize]);
+        if floor.is_some_and(|kth| s.total_cmp(&kth).is_le())
+            || rated[i / 64] >> (i % 64) & 1 == 1
+            || !in_bounds(s, min, max)
+        {
+            continue;
+        }
+        top.push((i, s));
+        floor = top.floor().map(|&(_, kth)| kth);
+    }
+    out.extend(top.into_sorted_vec());
+}
+
+/// Whether `score` lies in `[min, max]` (`None` = unbounded), tested with
+/// `>=` / `<=`: a NaN score fails any bound.
+#[inline]
+pub fn in_bounds(score: f64, min: Option<f64>, max: Option<f64>) -> bool {
+    min.is_none_or(|m| score >= m) && max.is_none_or(|m| score <= m)
 }
 
 #[cfg(test)]
@@ -683,6 +774,76 @@ mod tests {
         // User 2 has items 10 and 20 left, both rated once at 3.0.
         let u = model.matrix().user_idx(2).unwrap();
         assert_eq!(ids(model.top_k_unseen(u, 1)), vec![20]);
+    }
+
+    /// The walk on hand-made rows the models cannot produce: both signed
+    /// zeros, NaNs of both signs (`total_cmp` ranks a positive NaN above
+    /// `+∞` and a negative one below `-∞`), and runs of equal scores whose
+    /// item ids disagree with their dense indexes — against the bounded,
+    /// stably sorted, truncated definition.
+    #[test]
+    fn select_top_k_orders_signed_zeros_nans_and_ties_exactly() {
+        // Ids interned in a scrambled order; user 1 rates ids 12 and 64,
+        // dense indexes 3 and 8 (the 9.0s of the first row).
+        let item_ids = [40, 7, 93, 12, 55, 3, 71, 28, 64, 19, 86, 35];
+        let mut ratings: Vec<Rating> = item_ids.iter().map(|&i| Rating::new(2, i, 1.0)).collect();
+        ratings.push(Rating::new(1, 12, 1.0));
+        ratings.push(Rating::new(1, 64, 1.0));
+        let m = RatingsMatrix::from_ratings(ratings);
+        let u = m.user_idx(1).unwrap();
+        let neg_nan = -f64::NAN;
+        let rows = [
+            [
+                0.0, -0.0, 0.0, 9.0, -0.0, 0.0, -0.0, 0.0, 9.0, -0.0, 0.0, -0.0,
+            ],
+            [
+                1.0,
+                f64::NAN,
+                neg_nan,
+                1.0,
+                f64::INFINITY,
+                1.0,
+                neg_nan,
+                -0.0,
+                1.0,
+                f64::NAN,
+                0.0,
+                1.0,
+            ],
+            [2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5],
+        ];
+        let bounds = [
+            (None, None),
+            (Some(0.0), None),
+            (None, Some(-0.0)),
+            (Some(1.0), Some(f64::INFINITY)),
+        ];
+        for row in rows {
+            for (min, max) in bounds {
+                for k in [1, 2, 3, 5, 20] {
+                    let mut want: Vec<(usize, f64)> = (0..row.len())
+                        .filter(|&i| m.rating_at(u, i).is_none())
+                        .map(|i| (i, row[i]))
+                        .filter(|&(_, s)| in_bounds(s, min, max))
+                        .collect();
+                    want.sort_by(|a, b| {
+                        b.1.total_cmp(&a.1)
+                            .then(m.item_id(b.0).cmp(&m.item_id(a.0)))
+                    });
+                    want.truncate(k);
+                    let mut got = Vec::new();
+                    select_top_k(&row, &m, u, k, (min, max), &mut got);
+                    let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{row:?} k {k} bounds {min:?} {max:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -186,9 +186,17 @@ impl NeighborhoodTable {
 /// Reusable state of the two scoring kernels, one per scoring thread;
 /// holding it across calls saves re-allocating a dense row per user.
 ///
-/// * **Whole domain** ([`crate::RecModel::score_unseen_into`]): dense
-///   per-candidate Eq. 2 accumulators `(Σ sim·r, Σ |sim|)` the pass
-///   scatters into.
+/// * **Whole domain**: each model family fills one **dense score row**,
+///   a score for every item of the domain, rated ones included — ItemCF
+///   and UserCF scatter Eq. 2's `(Σ sim·r, Σ |sim|)` into per-candidate
+///   accumulators and divide them in one branch-free pass, SVD widens its
+///   [`crate::kernels::score_block`] chunks into it, and Popularity lends
+///   its per-item table instead. Two consumers on [`crate::RecModel`]
+///   read the row once, skipping the user's rated items:
+///   [`score_unseen_into`](crate::RecModel::score_unseen_into) emits every
+///   unseen item (materialization, the streaming `RECOMMEND`), and
+///   [`top_k_unseen_into`](crate::RecModel::top_k_unseen_into) keeps only
+///   the best `k` (`ORDER BY score DESC LIMIT k`).
 /// * **Candidate list** ([`crate::RecModel::score_items_into`]): one side
 ///   of Eq. 2 marked in a dense row — the user's ratings by item (ItemCF)
 ///   or `sim(u, v)` by neighbor `v` (UserCF) — that each candidate's list
@@ -199,6 +207,8 @@ impl NeighborhoodTable {
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
     acc: Vec<[f64; 2]>,
+    /// The dense score row of the last whole-domain pass.
+    row: Vec<f64>,
     /// `(value, stamp)` per entity.
     marks: Vec<(f64, u32)>,
     /// The current call's stamp; slots start at 0, calls at 1.
@@ -213,19 +223,28 @@ impl ScoreScratch {
         &mut self.acc
     }
 
-    /// Append `(i, num / den)` for every item `i` user `u` has not rated,
-    /// ascending in `i`; a candidate that received no term scores 0
-    /// (Algorithm 1 line 14).
-    pub(crate) fn emit_unseen(
-        &self,
-        matrix: &RatingsMatrix,
-        u: usize,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        out.extend(matrix.unseen_items(u).map(|i| {
-            let [num, den] = self.acc[i];
-            (i, if den == 0.0 { 0.0 } else { num / den })
+    /// The score row, resized to `n` items; its contents are the caller's
+    /// to overwrite.
+    pub(crate) fn row(&mut self, n: usize) -> &mut [f64] {
+        self.row.resize(n, 0.0);
+        &mut self.row
+    }
+
+    /// Fill the score row with `num / den` of each accumulator; a
+    /// candidate that received no term scores 0 (Algorithm 1 line 14).
+    /// The quotient is taken for every slot and the zero chosen by a
+    /// select, not a branch, so the pass has no data-dependent jump.
+    pub(crate) fn quotients(&mut self) -> &[f64] {
+        self.row.clear();
+        self.row.extend(self.acc.iter().map(|&[num, den]| {
+            let q = num / den;
+            if den == 0.0 {
+                0.0
+            } else {
+                q
+            }
         }));
+        &self.row
     }
 
     /// Forget the previous call's marks and mark `entries` in a row over

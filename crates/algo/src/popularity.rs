@@ -15,7 +15,8 @@
 //! also the standard cold-start fallback when a CF model has no signal.
 //!
 //! Like the CF models it exposes two scoring kernels, whole domain
-//! ([`PopularityModel::score_unseen_into`]) and candidate list
+//! ([`PopularityModel::item_scores`], the same dense row for every user)
+//! and candidate list
 //! ([`PopularityModel::predict_items_into`]), and leaves the Algorithm 1
 //! rule to [`crate::RecModel`].
 
@@ -100,14 +101,10 @@ impl PopularityModel {
         out.extend(items.iter().map(|&i| Some(self.item_scores[i])));
     }
 
-    /// Append `(item_idx, damped mean)` for every item user `u` has not
-    /// rated, ascending in item index.
-    pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
-        out.extend(
-            self.matrix
-                .unseen_items(u)
-                .map(|i| (i, self.item_scores[i])),
-        );
+    /// The damped mean of every item, indexed by item: the dense score row
+    /// of every user, lent to the whole-domain consumers as it is.
+    pub fn item_scores(&self) -> &[f64] {
+        &self.item_scores
     }
 }
 
@@ -156,18 +153,13 @@ mod tests {
     }
 
     #[test]
-    fn same_score_for_every_user() {
+    fn the_whole_domain_row_is_the_candidate_list_kernel() {
         let m = PopularityModel::train(matrix());
         let items: Vec<usize> = (0..m.matrix().n_items()).collect();
         let mut per_item = Vec::new();
         m.predict_items_into(&items, &mut per_item);
-        for u in 0..m.matrix().n_users() {
-            let mut unseen = Vec::new();
-            m.score_unseen_into(u, &mut unseen);
-            for (i, score) in unseen {
-                assert_eq!(Some(score), per_item[i], "user {u} item {i}");
-            }
-        }
+        let row: Vec<Option<f64>> = m.item_scores().iter().copied().map(Some).collect();
+        assert_eq!(row, per_item);
     }
 
     #[test]

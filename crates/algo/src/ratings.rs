@@ -10,7 +10,9 @@
 //! inserted, and every half-star rating is exact in both.
 
 use crate::csr::Csr;
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One `(user, item, rating)` observation with external ids.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,6 +44,8 @@ pub struct RatingsMatrix {
     user_csr: Csr<f32>,
     /// CSR over items (row = item, col = user): the user CSR's transpose.
     item_csr: Csr<f32>,
+    /// Dense item indexes in descending item id order.
+    items_by_id_desc: Vec<u32>,
 }
 
 impl RatingsMatrix {
@@ -61,6 +65,9 @@ impl RatingsMatrix {
             .collect();
         m.user_csr = Csr::from_triples(m.n_users(), triples.iter().copied());
         m.item_csr = m.user_csr.transpose(m.n_items());
+        m.items_by_id_desc = (0..m.n_items() as u32).collect();
+        m.items_by_id_desc
+            .sort_unstable_by_key(|&i| Reverse(m.item_ids[i as usize]));
         m
     }
 
@@ -109,6 +116,13 @@ impl RatingsMatrix {
         &self.item_ids
     }
 
+    /// Dense item indexes in descending item **id** order: the order in
+    /// which [`crate::serving_order`] breaks ties between one user's
+    /// items.
+    pub fn items_by_id_desc(&self) -> &[u32] {
+        &self.items_by_id_desc
+    }
+
     /// CSR view over users: row `u` = user `u`'s `(item_idx, rating)`
     /// entries as parallel flat slices. Empty for a default matrix.
     pub fn user_csr(&self) -> &Csr<f32> {
@@ -129,10 +143,24 @@ impl RatingsMatrix {
     /// Dense indexes of the items user `user_idx` has **not** rated,
     /// ascending — the candidate set of a `RECOMMEND` for that user.
     pub fn unseen_items(&self, user_idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.unseen_runs(user_idx).flatten()
+    }
+
+    /// [`unseen_items`](Self::unseen_items) as ascending non-empty runs of
+    /// consecutive indexes — the gaps between the user's rated items — so
+    /// a pass over a dense per-item row tests nothing per item.
+    pub fn unseen_runs(&self, user_idx: usize) -> impl Iterator<Item = Range<usize>> + '_ {
         let (rated, _) = self.user_csr.row(user_idx);
-        // Both sequences ascend, so the next rated index is always ≥ `i`.
-        let mut rated = rated.iter().map(|&i| i as usize).peekable();
-        (0..self.n_items()).filter(move |i| rated.next_if_eq(i).is_none())
+        // The row ascends without repeats; the domain's end closes the
+        // last gap.
+        let ends = rated.iter().map(|&i| i as usize).chain([self.n_items()]);
+        let mut start = 0;
+        ends.map(move |end| {
+            let run = start..end;
+            start = end + 1;
+            run
+        })
+        .filter(|run| !run.is_empty())
     }
 
     /// The rating for external ids, if both exist and the pair is rated.

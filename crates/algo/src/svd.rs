@@ -11,7 +11,7 @@
 //! Value Decomposition"). The learned tables are exactly the paper's
 //! Figure 2 *User Factor Table* and *Item Factor Table*; prediction is the
 //! dot product (Algorithm 2, line 7), exposed as two kernels — the
-//! blocked whole-domain [`SvdModel::score_unseen_into`] and the
+//! blocked whole-domain [`SvdModel::score_row`] and the
 //! candidate-list [`SvdModel::predict_items_into`] — with the rule around them
 //! (a rated pair is not a recommendation) written once on
 //! [`crate::RecModel`].
@@ -54,6 +54,7 @@
 use crate::csr::Csr;
 use crate::kernels;
 use crate::model::TrainError;
+use crate::neighborhood::ScoreScratch;
 use crate::parallel::effective_threads;
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
@@ -262,34 +263,24 @@ impl SvdModel {
         kernels::score_block(self.user_vector(u), &self.item_factors[lo..hi], f, out);
     }
 
-    /// Batch-score every item the user has **not** rated, pushing
-    /// `(item_idx, score)` in ascending item order. Items are scored in
-    /// contiguous [`kernels::score_block`] chunks and the user's sorted CSR
-    /// row is merged in to skip rated pairs, so ids and ratings resolve
-    /// once per user instead of once per pair. Produces bit-identical
-    /// scores to [`Self::predict_items_into`] over the unrated items.
-    pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
+    /// Batch-score every item of the domain into `scratch`'s dense score
+    /// row, indexed by item (rated ones too; the row's consumers skip
+    /// them). Items are scored in contiguous [`kernels::score_block`]
+    /// chunks and widened to `f64`, so the user's factors resolve once per
+    /// user instead of once per pair. Bit-identical to
+    /// [`Self::predict_items_into`] per item.
+    pub fn score_row<'s>(&self, u: usize, scratch: &'s mut ScoreScratch) -> &'s [f64] {
         const BLOCK: usize = 256;
-        let n_items = self.matrix.n_items();
-        let (rated, _) = self.matrix.user_csr().row(u);
-        let mut rated_pos = 0;
+        let row = scratch.row(self.matrix.n_items());
         let mut buf = [0.0f32; BLOCK];
-        let mut first = 0;
-        while first < n_items {
-            let len = BLOCK.min(n_items - first);
-            self.score_block(u, first, &mut buf[..len]);
-            for (j, &s) in buf[..len].iter().enumerate() {
-                let i = first + j;
-                while rated_pos < rated.len() && (rated[rated_pos] as usize) < i {
-                    rated_pos += 1;
-                }
-                if rated_pos < rated.len() && rated[rated_pos] as usize == i {
-                    continue;
-                }
-                out.push((i, f64::from(s)));
+        for (block, chunk) in row.chunks_mut(BLOCK).enumerate() {
+            let scores = &mut buf[..chunk.len()];
+            self.score_block(u, block * BLOCK, scores);
+            for (slot, &s) in chunk.iter_mut().zip(scores.iter()) {
+                *slot = f64::from(s);
             }
-            first += len;
         }
+        row
     }
 }
 
@@ -839,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn score_unseen_matches_per_pair_predictions() {
+    fn score_row_matches_per_pair_predictions() {
         let model = SvdModel::train(
             dense_block(),
             SvdParams {
@@ -851,15 +842,11 @@ mod tests {
         )
         .unwrap();
         let m = model.matrix().clone();
-        let mut out = Vec::new();
+        let mut scratch = ScoreScratch::default();
         for u in 0..m.n_users() {
-            out.clear();
-            model.score_unseen_into(u, &mut out);
-            let expected: Vec<(usize, f64)> = (0..m.n_items())
-                .filter(|&i| m.rating_at(u, i).is_none())
-                .map(|i| (i, predict(&model, u, i)))
-                .collect();
-            assert_eq!(out, expected, "user {u}");
+            let row = model.score_row(u, &mut scratch);
+            let expected: Vec<f64> = (0..m.n_items()).map(|i| predict(&model, u, i)).collect();
+            assert_eq!(row, &expected[..], "user {u}");
         }
     }
 

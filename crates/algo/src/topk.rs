@@ -6,8 +6,23 @@
 //! bounded binary heap in `O(n log k)` time and `O(k)` space, while
 //! reproducing a *stable* sort's tie-break exactly — so swapping it in for
 //! `sort_by` + `truncate` never changes results, only speed.
+//!
+//! [`serving_order`] is the one statement of the order recommendations
+//! are served in; every selection of a user's top `k` — and the executor's
+//! merge of several users' — ranks by it.
 
 use std::cmp::Ordering;
+
+/// The order recommendations are served in, best first: score descending
+/// under [`f64::total_cmp`], then the tie key descending. The tie key of
+/// one user's items is the item **id** — the key order of the
+/// materialized score index, so a user's top-k is the same rows in the
+/// same order whether it is selected from fresh scores or read from a
+/// materialized list; a merge of several users' lists keys on `(user's
+/// place reversed, item id)`.
+pub fn serving_order<K: Ord>(a: (f64, K), b: (f64, K)) -> Ordering {
+    b.0.total_cmp(&a.0).then_with(|| b.1.cmp(&a.1))
+}
 
 /// Return the `k` smallest elements under `cmp` in sorted order — exactly
 /// what stable `sort_by(cmp)` followed by `truncate(k)` produces, in
@@ -108,6 +123,16 @@ where
         Some(displaced.0)
     }
 
+    /// The worst kept element once `k` are held — the one a push must
+    /// beat to be kept; `None` while fewer are held.
+    pub fn floor(&self) -> Option<&T> {
+        if self.k > 0 && self.heap.len() == self.k {
+            Some(&self.heap[0].0)
+        } else {
+            None
+        }
+    }
+
     /// The kept elements, best first.
     pub fn into_sorted_vec(mut self) -> Vec<T> {
         let cmp = &mut self.cmp;
@@ -179,13 +204,17 @@ mod tests {
     fn push_reports_what_fell_out() {
         let mut top = TopK::new(2, |a: &u64, b: &u64| a.cmp(b));
         assert_eq!(top.push(5), None);
+        assert_eq!(top.floor(), None, "one held of two");
         assert_eq!(top.push(3), None);
         assert_eq!(top.push(9), Some(9), "worse than everything kept");
         assert_eq!(top.push(5), Some(5), "ties the worst kept: earlier wins");
+        assert_eq!(top.floor(), Some(&5));
         assert_eq!(top.push(1), Some(5), "displaces the worst kept");
+        assert_eq!(top.floor(), Some(&3));
         assert_eq!(top.into_sorted_vec(), vec![1, 3]);
         let mut none = TopK::new(0, |a: &u64, b: &u64| a.cmp(b));
         assert_eq!(none.push(7), Some(7));
+        assert_eq!(none.floor(), None);
         assert!(none.into_sorted_vec().is_empty());
     }
 

@@ -14,10 +14,12 @@
 //! As in [`crate::itemcf`] the model exposes two kernels and leaves the
 //! Algorithm 1 rule to [`crate::RecModel`]:
 //!
-//! * **Whole domain** — [`UserCfModel::score_unseen_into`] needs no
-//!   reverse table: it walks the forward list `N(u)` and scatters each
-//!   neighbor `v`'s CSR row `{(i, r_vi)}` into per-candidate `(num, den)`
-//!   accumulators.
+//! * **Whole domain** — [`UserCfModel::score_row`] needs no reverse
+//!   table: it walks the forward list `N(u)` and scatters each neighbor
+//!   `v`'s CSR row `{(i, r_vi)}` into per-candidate `(num, den)`
+//!   accumulators, then divides them into the dense score row of
+//!   [`ScoreScratch`] (a select for `den = 0`, not a branch) that
+//!   [`crate::RecModel`]'s two whole-domain consumers read.
 //! * **Candidate list** — [`UserCfModel::predict_items_into`] marks
 //!   `sim(u, v)` for `v ∈ N(u)` once per call in a dense per-user row
 //!   ([`ScoreScratch`]), then gathers each candidate's raters (the item's
@@ -80,17 +82,13 @@ impl UserCfModel {
         self.matrix.n_ratings()
     }
 
-    /// Transposed Eq. 2 for every item user `u` has not rated, appended to
-    /// `out` as `(item_idx, score)` ascending in item index; candidates no
-    /// neighbor rated score 0. Bit-identical to
+    /// Transposed Eq. 2 for every item of the domain into `scratch`'s
+    /// dense score row, indexed by item; items `u` rated are scored too
+    /// (the row's consumers skip them) and candidates no neighbor rated
+    /// score 0. Bit-identical to
     /// [`predict_items_into`](Self::predict_items_into) per candidate
     /// (module docs).
-    pub fn score_unseen_into(
-        &self,
-        u: usize,
-        scratch: &mut ScoreScratch,
-        out: &mut Vec<(usize, f64)>,
-    ) {
+    pub fn score_row<'s>(&self, u: usize, scratch: &'s mut ScoreScratch) -> &'s [f64] {
         let acc = scratch.reset(self.matrix.n_items());
         let (neighbors, sims) = self.neighborhood.neighbors(u);
         for (&v, &sim) in neighbors.iter().zip(sims) {
@@ -101,7 +99,7 @@ impl UserCfModel {
                 *den += sim.abs();
             }
         }
-        scratch.emit_unseen(&self.matrix, u, out);
+        scratch.quotients()
     }
 
     /// Transposed Eq. 2 for each item of `items`, appended to `out` in

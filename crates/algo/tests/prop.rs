@@ -707,3 +707,104 @@ proptest! {
         }
     }
 }
+
+/// Worlds for the top-k kernel: ratings drawn from half stars, one value
+/// drawn often (exact ties), ±0.0, ±∞ and NaN — or, when `tied` is set,
+/// every rating the same value, so whole score rows tie. Item ids are
+/// scattered (`i * 37 % 101`), so dense order and id order disagree. A
+/// matrix knows only users and items that have a rating, so the emptiest
+/// shapes are these: a user whose one rating is of an item nobody else
+/// rated (no model signal: every score 0), and a user who rated every item
+/// (no candidates).
+fn top_k_world_strategy() -> impl Strategy<Value = RatingsMatrix> {
+    let value = prop_oneof![
+        (1u8..=10).prop_map(|r| f64::from(r) / 2.0),
+        Just(3.0),
+        Just(3.0),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ];
+    (
+        proptest::collection::vec((0i64..8, 0i64..30, value), 1..90),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(cells, tied, full_user)| {
+            let mut ratings: Vec<Rating> = cells
+                .into_iter()
+                .map(|(u, i, r)| Rating::new(u, i * 37 % 101, if tied { 3.0 } else { r }))
+                .collect();
+            ratings.push(Rating::new(500, 900, 4.0));
+            if full_user {
+                let items: Vec<i64> = ratings.iter().map(|r| r.item).collect();
+                ratings.extend(items.into_iter().map(|i| Rating::new(600, i, 2.5)));
+            }
+            RatingsMatrix::from_ratings(ratings)
+        })
+}
+
+proptest! {
+    /// The one-walk top-k kernel equals its definition — every unseen
+    /// item scored ([`RecModel::score_unseen_into`]), kept when inside the
+    /// `[min, max]` bounds (`>=` / `<=`), stably sorted by score
+    /// descending under `total_cmp`, then item id descending, and
+    /// truncated to `k` — in ids and score bits, for every model family
+    /// and measure, `k` of 0, 1, 10 and past the domain, with and without
+    /// bounds taken from the user's own scores. One scratch serves every
+    /// model in turn, so a stale row would show.
+    #[test]
+    fn top_k_kernel_equals_sort_then_truncate(
+        matrix in top_k_world_strategy(),
+        bound_picks in (0usize..4, 0usize..1000, 0usize..1000),
+    ) {
+        let mut config = TrainConfig::default();
+        config.neighborhood.threads = 1;
+        config.svd = SvdParams { epochs: 2, factors: 4, ..SvdParams::default() };
+        let ids = matrix.item_ids();
+        let mut scratch = ScoreScratch::default();
+        let (mut unseen, mut got) = (Vec::new(), Vec::new());
+        for algo in Algorithm::ALL {
+            let model = train(algo, matrix.clone(), &config);
+            for u in 0..matrix.n_users() {
+                unseen.clear();
+                model.score_unseen_into(u, &mut scratch, &mut unseen);
+                let (which, lo, hi) = bound_picks;
+                let pick = |p: usize| unseen.get(p % unseen.len().max(1)).map(|&(_, s)| s);
+                let (min, max) = match which {
+                    0 => (None, None),
+                    1 => (pick(lo), None),
+                    2 => (None, pick(hi)),
+                    _ => (pick(lo), pick(hi)),
+                };
+                for k in [0, 1, 10, matrix.n_items() + 3] {
+                    let mut want: Vec<(usize, f64)> = unseen
+                        .iter()
+                        .copied()
+                        .filter(|&(_, s)| {
+                            min.is_none_or(|m| s >= m) && max.is_none_or(|m| s <= m)
+                        })
+                        .collect();
+                    want.sort_by(|a, b| b.1.total_cmp(&a.1).then(ids[b.0].cmp(&ids[a.0])));
+                    want.truncate(k);
+                    let want: Vec<(usize, u64)> = want.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+
+                    got.clear();
+                    model.top_k_unseen_into(u, k, min, max, &mut scratch, &mut got);
+                    let got_bits: Vec<(usize, u64)> = got.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                    prop_assert_eq!(&got_bits, &want, "{} user {} k {} bounds {:?}", algo, u, k, (min, max));
+                    if (min, max) == (None, None) {
+                        let top: Vec<(usize, u64)> = model
+                            .top_k_unseen(u, k)
+                            .iter()
+                            .map(|&(i, s)| (i, s.to_bits()))
+                            .collect();
+                        prop_assert_eq!(&top, &want, "top_k_unseen {} user {} k {}", algo, u, k);
+                    }
+                }
+            }
+        }
+    }
+}

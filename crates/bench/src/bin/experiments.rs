@@ -242,17 +242,22 @@ fn build_scaling() {
 /// The two scoring kernels on MovieLens for one model of each scoring
 /// family (SVD, ItemCosCF, UserCosCF), plus the `BENCH_score.json`
 /// artifact. `user_pass` is `score_unseen_into` over every unseen item of
-/// each sampled user — blocked `score_block` kernels for SVD, one scatter
-/// pass over the neighborhood table for the CF models; `list` is
-/// `score_items_into` over one genre's items (~94, rated ones included),
-/// the candidate list JoinRecommend scores for paper Query 4 — one
-/// marking of the user's side, one gather per candidate. Also reports
-/// what the item model's reverse adjacency costs to build and hold.
+/// each sampled user — the dense score row (blocked `score_block` kernels
+/// for SVD, one scatter pass over the neighborhood table and one division
+/// pass for the CF models), every unseen item emitted; `topk` is
+/// `top_k_unseen_into` with `k = 10` and no bounds, the same row walked
+/// once into a top-10 selection (paper Query 1 for a user who is not
+/// materialized); `list` is `score_items_into` over one genre's items
+/// (~94, rated ones included), the candidate list JoinRecommend scores
+/// for paper Query 4 — one marking of the user's side, one gather per
+/// candidate. Also reports what the item model's reverse adjacency costs
+/// to build and hold.
 fn score_sweep() {
     header(
-        "Scoring kernels: whole domain vs one genre's candidate list, per user",
-        "user_pass scores every unseen item of a sampled user; list scores \
-         the items of one genre (Query 4's outer) with the same model",
+        "Scoring kernels: whole domain vs its top 10 vs one genre's candidate list, per user",
+        "user_pass scores and emits every unseen item of a sampled user; topk \
+         keeps its 10 best (Query 1); list scores the items of one genre \
+         (Query 4's outer) with the same model",
     );
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -311,6 +316,17 @@ fn score_sweep() {
             }
             acc
         });
+        let t_topk = time_median(REPS, || {
+            let mut acc = 0.0;
+            let mut scratch = ScoreScratch::default();
+            let mut buf = Vec::new();
+            for u in users.clone() {
+                buf.clear();
+                model.top_k_unseen_into(u, 10, None, None, &mut scratch, &mut buf);
+                acc += buf.iter().map(|&(_, s)| s).sum::<f64>();
+            }
+            acc
+        });
         let t_list = time_median(REPS, || {
             let mut acc = 0.0;
             let mut scratch = ScoreScratch::default();
@@ -322,7 +338,11 @@ fn score_sweep() {
             }
             acc
         });
-        for (path, pairs, t) in [("user_pass", unseen, t_pass), ("list", listed, t_list)] {
+        for (path, pairs, t) in [
+            ("user_pass", unseen, t_pass),
+            ("topk", unseen, t_topk),
+            ("list", listed, t_list),
+        ] {
             let pps = pairs as f64 / t.as_secs_f64().max(1e-12);
             let us_per_user = t.as_secs_f64() * 1e6 / users.len() as f64;
             println!(
@@ -379,12 +399,17 @@ fn score_sweep() {
         "{{\n  \"experiment\": \"score_batching\",\n  \"dataset\": \"{}\",\n  \
          \"host_threads\": {},\n  \"max_neighbors\": {},\n  \"svd_factors\": {},\n  \
          \"sampled_users\": {},\n  \"reps\": {},\n  \
-         \"note\": \"single thread, per sampled user; user_pass is \
-         score_unseen_into over every unseen item (SVD: score_block chunks; \
-         CF: one scatter pass); list is score_items_into over the items of \
-         the user's genre, user mod n_genres (~94, rated ones included; CF: \
-         one marking, one gather per candidate); both kernels' scores are \
-         bit-identical\",\n  \"results\": [\n{}\n  ],\n  \
+         \"note\": \"one thread, per sampled user: a kernel number, not a \
+         parallel one (host_threads is the host's count; a 2-vCPU host shows \
+         nothing about parallel scoring). user_pass is score_unseen_into \
+         over every unseen item (the dense score row - SVD: score_block \
+         chunks; CF: one scatter pass and one division pass - every unseen \
+         item emitted); topk is top_k_unseen_into with k = 10 and no bounds \
+         (the same row walked once into a top-10 selection, paper Query 1); \
+         list is score_items_into over the items of the user's genre, user \
+         mod n_genres (~94, rated ones included; CF: one marking, one \
+         gather per candidate); the kernels' scores are bit-identical\",\n  \
+         \"results\": [\n{}\n  ],\n  \
          \"reverse_table\": {}\n}}\n",
         spec.name,
         host_threads,

@@ -5,14 +5,19 @@
 //!   the paper's FILTERRECOMMEND: only the requested users/items are
 //!   scored, so cost scales with the predicate selectivity instead of
 //!   `|U| × |I|`. It scores one *user* at a time: without a pushed-down
-//!   item list (paper Query 1's shape) through the whole-domain kernel
-//!   [`RecModel::score_unseen_into`], with one through the candidate-list
-//!   kernel [`RecModel::score_items_into`] — one call per user, so a
-//!   three-item `IN` list never pays for a whole-domain pass. Which of the
-//!   two runs is a property of the plan, not a setting. Under
-//!   `ORDER BY <score> DESC LIMIT k` the planner hands it the `k`
-//!   ([`RecommendOp::with_top_k`]): it then ranks inside the scoring pass
-//!   and builds only the `k` winning tuples.
+//!   item list (paper Query 1's shape) through the whole-domain kernel,
+//!   with one through the candidate-list kernel
+//!   [`RecModel::score_items_into`] — one call per user, so a three-item
+//!   `IN` list never pays for a whole-domain pass. Which of the two runs
+//!   is a property of the plan, not a setting. The whole-domain kernel
+//!   fills a dense score row per user (`recdb_algo::ScoreScratch`) that
+//!   one of two consumers reads: streamed, [`RecModel::score_unseen_into`]
+//!   emits every unseen item; under `ORDER BY <score> DESC LIMIT k` the
+//!   planner hands the operator the `k` ([`RecommendOp::with_top_k`]) and
+//!   [`RecModel::top_k_unseen_into`] walks the row once, keeping only the
+//!   best `k` (a candidate not above the `k`-th kept score costs one
+//!   comparison), so no pair is built for the tail and only the `k`
+//!   winning tuples are.
 //! * [`JoinRecommendOp`] — §IV-B2: predicts a score only for items that
 //!   survive the join predicate. It pulls the (already filtered) outer
 //!   relation in fixed-size blocks and scores each block as one candidate
@@ -32,15 +37,12 @@
 use super::PhysicalOp;
 use crate::error::ExecResult;
 use crate::rec_index::{RecScoreIndex, ScoreCursor};
-use recdb_algo::{RecModel, ScoreScratch};
+use recdb_algo::{in_bounds, serving_order, RecModel, ScoreScratch};
 use recdb_guard::QueryGuard;
 use recdb_storage::{Schema, Tuple, Value};
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-fn in_bounds(score: f64, min: Option<f64>, max: Option<f64>) -> bool {
-    min.is_none_or(|m| score >= m) && max.is_none_or(|m| score <= m)
-}
 
 /// Encoded size of one output tuple (arity header + three tagged 8-byte
 /// values): what a sort above the operator would charge per held row.
@@ -169,12 +171,15 @@ impl RecommendOp {
 
     /// End in a bounded selection: emit only the best `k` rows of the
     /// operator's output, in the order `ORDER BY <score> DESC` over
-    /// INDEXRECOMMEND delivers — score descending under
-    /// [`f64::total_cmp`], then the user's position in the `uPred` list,
-    /// then item id descending (the RecScoreIndex key order). Pairs are
-    /// scored and bounded exactly as without the sink, ranked per user
-    /// with [`RecModel::rank_top_k`], and only the `k` winners become
-    /// tuples; the operator is blocking, like the sort it replaces.
+    /// INDEXRECOMMEND delivers — [`recdb_algo::serving_order`]: score
+    /// descending under [`f64::total_cmp`], then the user's position in
+    /// the `uPred` list, then item id descending (the RecScoreIndex key
+    /// order). Pairs are scored and bounded exactly as without the sink
+    /// and ranked per user — over the whole domain by
+    /// [`RecModel::top_k_unseen_into`] straight from the score row, over
+    /// an `iPred` list by [`RecModel::rank_top_k`] — then merged across
+    /// users, and only the `k` winners become tuples; the operator is
+    /// blocking, like the sort it replaces.
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
         self
@@ -193,15 +198,22 @@ impl RecommendOp {
         self
     }
 
-    /// Bill dense user `u`'s row units, then fill `block` with every
-    /// unseen item of the domain and its score: one whole-domain pass, or
-    /// one candidate-list call over the `iPred`.
-    fn score_user(&mut self, u: usize) -> ExecResult<()> {
+    /// Bill one user's row units: a unit per pair of the domain and one
+    /// for the step to the next user.
+    fn bill_user(&self) -> ExecResult<()> {
         let domain = self
             .items
             .as_ref()
             .map_or(self.model.matrix().n_items(), Vec::len);
         self.guard.tick_n(domain as u64 + 1)?;
+        Ok(())
+    }
+
+    /// Bill dense user `u`'s row units, then fill `block` with every
+    /// unseen item of the domain and its score: one whole-domain pass, or
+    /// one candidate-list call over the `iPred`.
+    fn score_user(&mut self, u: usize) -> ExecResult<()> {
+        self.bill_user()?;
         self.block.clear();
         match &self.items {
             None => self
@@ -222,19 +234,35 @@ impl RecommendOp {
     /// Run the top-k sink over every user.
     fn select(&mut self, k: usize) -> ExecResult<Vec<Tuple>> {
         let (min, max) = (self.min_rating, self.max_rating);
-        // `(uid, dense item index, score)`, best first, at most `k`.
-        let mut best: Vec<(i64, usize, f64)> = Vec::new();
+        let model = Arc::clone(&self.model);
+        let ids = model.matrix().item_ids();
+        // `(user's place in the list, dense item index, score)`, best
+        // first, at most `k`.
+        let mut best: Vec<(usize, usize, f64)> = Vec::new();
+        let mut top = Vec::new();
         // `LIMIT 0` asks for no row: no user is scored or billed.
         let users = if k == 0 { 0 } else { self.users.len() };
         for at in 0..users {
-            let (user, u) = self.users[at];
-            self.score_user(u)?;
-            let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
-            let top = self.model.rank_top_k(kept.copied(), k);
-            best.extend(top.into_iter().map(|(i, score)| (user, i, score)));
-            // Stable, so equal scores stay in user-list order and, within
-            // a user, in rank order (item id descending).
-            best.sort_by(|a, b| b.2.total_cmp(&a.2));
+            let u = self.users[at].1;
+            top.clear();
+            if self.items.is_none() {
+                // The whole domain: one walk over the user's score row.
+                self.bill_user()?;
+                model.top_k_unseen_into(u, k, min, max, &mut self.scratch, &mut top);
+            } else {
+                self.score_user(u)?;
+                let kept = self.block.iter().filter(|(_, s)| in_bounds(*s, min, max));
+                top = model.rank_top_k(kept.copied(), k);
+            }
+            best.extend(top.drain(..).map(|(i, score)| (at, i, score)));
+            // Equal scores go to the earlier user in the list, then, within
+            // a user, to the larger item id.
+            best.sort_by(|a, b| {
+                serving_order(
+                    (a.2, (Reverse(a.0), ids[a.1])),
+                    (b.2, (Reverse(b.0), ids[b.1])),
+                )
+            });
             best.truncate(k);
             let held = best.len() as u64 * REC_TUPLE_BYTES;
             if held > self.buffered_bytes {
@@ -244,10 +272,9 @@ impl RecommendOp {
         }
         // End of stream is one row unit, as on the streaming path.
         self.guard.tick()?;
-        let matrix = self.model.matrix();
         Ok(best
             .into_iter()
-            .map(|(user, i, score)| rec_tuple(user, matrix.item_id(i), score))
+            .map(|(at, i, score)| rec_tuple(self.users[at].0, ids[i], score))
             .collect())
     }
 }

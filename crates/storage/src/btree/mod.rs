@@ -449,12 +449,10 @@ impl Clone for BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StorageError;
 
-    // The fault registry is process-global and `cargo test` runs tests in
-    // parallel: every test here splits nodes, so each holds
-    // `recdb_fault::exclusive()` — otherwise the fault the fail-point test
-    // arms at `storage::btree_split` can fire in whichever test splits next.
+    // No test here arms a fault site: the split fail point's test is in
+    // tests/faults.rs, where every test holds `recdb_fault::exclusive()`
+    // (the fault registry is process-global).
 
     fn key(n: u64) -> Key {
         let mut k = [0u8; KEY_SIZE];
@@ -519,7 +517,6 @@ mod tests {
 
     #[test]
     fn insert_remove_roundtrip() {
-        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             assert!(t.insert(key(n)).unwrap());
@@ -536,7 +533,6 @@ mod tests {
 
     #[test]
     fn keys_come_back_sorted_regardless_of_insert_order() {
-        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         // Insert in a scrambled deterministic order.
         for n in 0..500u64 {
@@ -550,7 +546,6 @@ mod tests {
 
     #[test]
     fn range_scan_respects_bounds() {
-        let _x = recdb_fault::exclusive();
         let mut t = small_tree(5);
         for n in 0..200 {
             t.insert(key(n)).unwrap();
@@ -565,7 +560,6 @@ mod tests {
 
     #[test]
     fn cursor_costs_one_pool_access_per_node_and_stops_on_leaf_boundaries() {
-        let _x = recdb_fault::exclusive();
         let pool = Arc::new(BufferPool::unbounded());
         let mut t = BTree::create(Arc::clone(&pool), "t", 4).unwrap();
         for n in 0..100 {
@@ -611,7 +605,6 @@ mod tests {
 
     #[test]
     fn scan_skips_emptied_leaves() {
-        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             t.insert(key(n)).unwrap();
@@ -627,7 +620,6 @@ mod tests {
 
     #[test]
     fn clone_is_deep_and_equal() {
-        let _x = recdb_fault::exclusive();
         let mut t = small_tree(6);
         for n in 0..150 {
             t.insert(key(n * 3)).unwrap();
@@ -640,7 +632,6 @@ mod tests {
 
     #[test]
     fn works_under_a_tiny_pool() {
-        let _x = recdb_fault::exclusive();
         let pool = Arc::new(BufferPool::in_memory(4));
         let mut t = BTree::create(Arc::clone(&pool), "t", 8).unwrap();
         for n in 0..2000 {
@@ -651,30 +642,5 @@ mod tests {
         let keys = t.keys().unwrap();
         assert_eq!(keys.len(), 2000);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn split_fail_point_leaves_tree_consistent() {
-        let _x = recdb_fault::exclusive();
-        let mut t = small_tree(4);
-        recdb_fault::arm_error("storage::btree_split", 3);
-        let mut inserted = Vec::new();
-        let mut failed = 0;
-        for n in 0..50 {
-            match t.insert(key(n)) {
-                Ok(true) => inserted.push(n),
-                Ok(false) => unreachable!("keys are distinct"),
-                Err(StorageError::FaultInjected(_)) => failed += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        recdb_fault::clear();
-        assert_eq!(failed, 1, "exactly the armed split fails");
-        // Every acknowledged insert is readable; the failed one is absent.
-        assert_eq!(
-            t.keys().unwrap(),
-            inserted.into_iter().map(key).collect::<Vec<_>>()
-        );
-        assert_eq!(t.len(), 49);
     }
 }

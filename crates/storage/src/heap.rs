@@ -409,30 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_page_reports_a_pool_failure_instead_of_panicking() {
-        let _x = recdb_fault::exclusive();
-        recdb_fault::clear();
-        let pool = Arc::new(BufferPool::in_memory(2));
-        let mut t = HeapTable::with_pool(ratings().schema().clone(), Arc::clone(&pool), "r");
-        for i in 0..2000 {
-            t.insert(row(i, i, 1.0)).unwrap();
-        }
-        recdb_fault::arm_error("storage::pool_read", 1);
-        let failed = (0..t.page_count() as u32).find_map(|p| t.visit_page(p, |_| ()).err());
-        recdb_fault::clear();
-        assert_eq!(
-            failed,
-            Some(StorageError::FaultInjected("storage::pool_read".into()))
-        );
-        assert_eq!(t.scan().count(), 2000, "the heap is intact afterwards");
-    }
-
-    #[test]
     fn scans_are_identical_under_a_tiny_pool() {
-        // Evicts and reads, so it must not run beside a test that arms
-        // `storage::pool_evict` or `storage::pool_read` (the fault
-        // registry is process-global).
-        let _x = recdb_fault::exclusive();
         // The eviction-pressure contract in miniature: a pool of 2 frames
         // over a multi-page table returns exactly what an unbounded heap
         // returns.

@@ -317,6 +317,27 @@ impl BufferPool {
         self.lock().map.len()
     }
 
+    /// Every resident page as `((file, page), clock reference bit)`, in
+    /// key order: what a check that an operation left the pool as it was
+    /// compares before and after.
+    pub fn resident_frames(&self) -> Vec<((FileId, u32), bool)> {
+        let inner = self.lock();
+        let mut frames: Vec<_> = inner
+            .frames
+            .iter()
+            .flatten()
+            .map(|f| (f.key, f.referenced))
+            .collect();
+        frames.sort();
+        frames
+    }
+
+    /// Block reads claimed by a reader and not yet installed or given up
+    /// (0 whenever the pool is quiet).
+    pub fn reads_in_flight(&self) -> usize {
+        self.lock().loading.len()
+    }
+
     fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.metrics.get() {
@@ -822,11 +843,9 @@ mod tests {
     use crate::tuple::Tuple;
     use crate::value::Value;
 
-    // The fault registry is process-global and `cargo test` runs tests in
-    // parallel: every test here that can evict or miss holds
-    // `recdb_fault::exclusive()` — otherwise a fault the fail-point tests
-    // arm at `storage::pool_evict` or `storage::pool_read` can fire in
-    // whichever test evicts or reads next.
+    // No test here arms a fault site: the ones that do are in
+    // tests/faults.rs, where every test holds `recdb_fault::exclusive()`
+    // (the fault registry is process-global).
 
     fn tuple(n: i64) -> Tuple {
         Tuple::new(vec![Value::Int(n), Value::Text(format!("row-{n}"))])
@@ -840,7 +859,6 @@ mod tests {
 
     #[test]
     fn pages_survive_eviction_roundtrip() {
-        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..10 {
@@ -890,7 +908,6 @@ mod tests {
     /// gets there first, it ends as one hit and no backing read.
     #[test]
     fn a_second_miss_on_a_page_in_flight_waits_for_the_first_read() {
-        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..4 {
@@ -943,19 +960,6 @@ mod tests {
         pool.private_reads.load(Ordering::Relaxed)
     }
 
-    /// Every resident page with its clock reference bit, in key order.
-    fn residency(pool: &BufferPool) -> Vec<((FileId, u32), bool)> {
-        let inner = pool.lock();
-        let mut frames: Vec<_> = inner
-            .frames
-            .iter()
-            .flatten()
-            .map(|f| (f.key, f.referenced))
-            .collect();
-        frames.sort();
-        frames
-    }
-
     /// Scan resistance: a full scan of a heap 8x the pool leaves the same
     /// pages resident with the same reference bits. It evicts nothing,
     /// reads each page that is not resident once, privately, and serves
@@ -963,7 +967,6 @@ mod tests {
     /// heap that fits in the pool is admitted like any other access.
     #[test]
     fn a_scan_larger_than_the_pool_admits_nothing() {
-        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(16);
         let small = pool.create_file(FileKind::Heap, "small");
         for n in 0..4 {
@@ -988,7 +991,7 @@ mod tests {
         pool.with_page_mut(big, 40, |p| p.insert(&tuple(-40)))
             .unwrap()
             .unwrap();
-        let before = residency(&pool);
+        let before = pool.resident_frames();
         assert!(before.contains(&((big, 40), true)));
         let resident_big = before.iter().filter(|(k, _)| k.0 == big).count() as u64;
         let (h0, m0, p0, e0) = (
@@ -1010,7 +1013,7 @@ mod tests {
             }
             assert_eq!(rows, want, "page {n}");
         }
-        assert_eq!(residency(&pool), before, "the scan changed the pool");
+        assert_eq!(pool.resident_frames(), before, "the scan changed the pool");
         assert_eq!(pool.evictions(), e0);
         assert_eq!(pool.misses() - m0, 128 - resident_big);
         assert_eq!(private_reads(&pool) - p0, 128 - resident_big);
@@ -1022,40 +1025,8 @@ mod tests {
         }
         assert_eq!(private_reads(&pool) - p0, 128 - resident_big);
         for n in 0..4 {
-            assert!(residency(&pool).contains(&((small, n), true)));
+            assert!(pool.resident_frames().contains(&((small, n), true)));
         }
-    }
-
-    /// An injected read error leaves the pool as it was: nothing in
-    /// flight, the same pages resident, no miss counted — for a private
-    /// read and for a read that would install — and the retry reads.
-    #[test]
-    fn a_failed_read_leaves_the_pool_as_it_was() {
-        let _x = recdb_fault::exclusive();
-        let pool = BufferPool::in_memory(2);
-        let f = pool.create_file(FileKind::Heap, "t");
-        for n in 0..8 {
-            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
-                .unwrap();
-        }
-        let before = (residency(&pool), pool.misses(), pool.evictions());
-        recdb_fault::arm_error("storage::pool_read", 1);
-        let err = pool.scan_page(f, 0, |_| ());
-        assert!(
-            matches!(err, Err(StorageError::FaultInjected(_))),
-            "{err:?}"
-        );
-        recdb_fault::arm_error("storage::pool_read", 1);
-        let err = pool.with_page(f, 1, |_| ());
-        assert!(
-            matches!(err, Err(StorageError::FaultInjected(_))),
-            "{err:?}"
-        );
-        recdb_fault::clear();
-        assert!(pool.lock().loading.is_empty());
-        assert_eq!((residency(&pool), pool.misses(), pool.evictions()), before);
-        let got = pool.scan_page(f, 0, |p| p.get(0).unwrap()).unwrap();
-        assert_eq!(got, Some(tuple(0)));
     }
 
     /// Readers and a writer over pools a fraction of the data's size.
@@ -1075,7 +1046,6 @@ mod tests {
         const READS: usize = 3_000;
         const SCANS: usize = 60;
         const WRITES: usize = 1_200;
-        let _x = recdb_fault::exclusive();
         let seed: u64 = std::env::var("RECDB_FAULT_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -1175,7 +1145,7 @@ mod tests {
                 pool.hits() + pool.misses() - before,
                 (accesses.into_inner() + PAGES as usize) as u64
             );
-            assert!(pool.lock().loading.is_empty());
+            assert_eq!(pool.reads_in_flight(), 0);
             let installed = pool.misses() - private_reads(&pool);
             assert_eq!(
                 PAGES as u64 + installed,
@@ -1190,7 +1160,6 @@ mod tests {
 
     #[test]
     fn spill_to_disk_and_back() {
-        let _x = recdb_fault::exclusive();
         let dir = std::env::temp_dir().join(format!("recdb-pool-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let pool = BufferPool::spilling(2, &dir);
@@ -1212,7 +1181,6 @@ mod tests {
 
     #[test]
     fn truncate_drops_tail_pages() {
-        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(3);
         let f = pool.create_file(FileKind::Heap, "t");
         for n in 0..5 {
@@ -1227,7 +1195,6 @@ mod tests {
 
     #[test]
     fn install_page_writes_through() {
-        let _x = recdb_fault::exclusive();
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         pool.install_page(f, 0, FrameData::Heap(fill_page(7)))
@@ -1240,27 +1207,5 @@ mod tests {
         }
         let got = pool.with_page(f, 0, |p| p.get(0).unwrap()).unwrap();
         assert_eq!(got, tuple(7));
-    }
-
-    #[test]
-    fn evict_fail_point_leaves_pool_intact() {
-        let _x = recdb_fault::exclusive();
-        let pool = BufferPool::in_memory(2);
-        let f = pool.create_file(FileKind::Heap, "t");
-        for n in 0..2 {
-            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
-                .unwrap();
-        }
-        recdb_fault::arm_error("storage::pool_evict", 1);
-        let err = pool.allocate_page(f, FrameData::Heap(fill_page(2)));
-        assert!(matches!(err, Err(StorageError::FaultInjected(_))));
-        recdb_fault::clear();
-        // The pool still works and the original pages are unharmed.
-        pool.allocate_page(f, FrameData::Heap(fill_page(2)))
-            .unwrap();
-        for n in 0..3u32 {
-            let got = pool.with_page(f, n, |p| p.get(0).unwrap()).unwrap();
-            assert_eq!(got, tuple(n as i64));
-        }
     }
 }

@@ -498,54 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_append_fault_leaves_log_self_healing() {
-        let _gate = recdb_fault::exclusive();
-        recdb_fault::clear();
-        let path = temp_log("fault-append");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, 0).unwrap().wal;
-        wal.append(&insert("r", 1)).unwrap();
-        wal.commit().unwrap();
-        recdb_fault::arm_error("wal::append", 1);
-        assert!(matches!(
-            wal.append(&insert("r", 2)),
-            Err(WalError::Fault(_))
-        ));
-        // The torn half-frame is invisible: a retry works and a reopen
-        // sees a clean two-record log.
-        assert_eq!(wal.append(&insert("r", 2)).unwrap(), 2);
-        wal.commit().unwrap();
-        drop(wal);
-        let opened = Wal::open(&path, 0).unwrap();
-        assert!(opened.truncated.is_none());
-        assert_eq!(opened.records.len(), 2);
-        recdb_fault::clear();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn injected_fsync_fault_loses_exactly_the_unsynced_suffix() {
-        let _gate = recdb_fault::exclusive();
-        recdb_fault::clear();
-        let path = temp_log("fault-fsync");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, 0).unwrap().wal;
-        wal.append(&insert("r", 1)).unwrap();
-        wal.commit().unwrap();
-        wal.append(&insert("r", 2)).unwrap();
-        recdb_fault::arm_error("wal::fsync", 1);
-        assert!(matches!(wal.commit(), Err(WalError::Fault(_))));
-        // Record 2 evaporated with the page cache; its LSN is reusable.
-        assert_eq!(wal.next_lsn(), 2);
-        drop(wal);
-        let opened = Wal::open(&path, 0).unwrap();
-        assert_eq!(opened.records.len(), 1);
-        assert_eq!(opened.wal.next_lsn(), 2);
-        recdb_fault::clear();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn fresh_log_honors_base_lsn() {
         let path = temp_log("base");
         let _ = std::fs::remove_file(&path);

@@ -4,9 +4,10 @@
 //! over the `server::*` sites (verified against a shadow engine), and
 //! crash-during-serve recovery.
 //!
-//! Every test that arms a fault site holds [`recdb::fault::exclusive`]
-//! for its whole body — the registry is process-global and the harness
-//! runs tests in parallel.
+//! Every test holds [`recdb::fault::exclusive`] for its whole body: the
+//! fault registry is process-global and the harness runs tests in
+//! parallel, so a site the fault sweep arms would otherwise fire in
+//! whichever test reaches it next. The tests run one at a time.
 
 use recdb::core::RecDb;
 use recdb::core::RecDbConfig;
@@ -65,6 +66,7 @@ fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn typed_results_round_trip_over_the_wire() {
+    let _gate = fault::exclusive();
     let db = Arc::new(RecDb::new());
     let server = Server::start(Arc::clone(&db), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -116,6 +118,7 @@ fn typed_results_round_trip_over_the_wire() {
 
 #[test]
 fn transactions_are_per_connection_over_the_wire() {
+    let _gate = fault::exclusive();
     let (db, server) = marker_server(ServerConfig::default());
     let mut a = Client::connect(server.addr()).expect("connect a");
     let mut b = Client::connect(server.addr()).expect("connect b");
@@ -163,6 +166,7 @@ fn transactions_are_per_connection_over_the_wire() {
 
 #[test]
 fn killed_connection_mid_transaction_releases_locks() {
+    let _gate = fault::exclusive();
     let (db, server) = marker_server(ServerConfig::default());
     let mut victim = Client::connect(server.addr()).expect("connect");
     victim.execute("BEGIN").expect("begin");
@@ -203,6 +207,7 @@ fn killed_connection_mid_transaction_releases_locks() {
 
 #[test]
 fn admission_control_rejects_then_recovers() {
+    let _gate = fault::exclusive();
     let (db, server) = marker_server(ServerConfig {
         max_connections: 2,
         ..ServerConfig::default()
@@ -242,6 +247,7 @@ fn admission_control_rejects_then_recovers() {
 
 #[test]
 fn idle_timeout_closes_and_client_reconnects() {
+    let _gate = fault::exclusive();
     let (_db, server) = marker_server(ServerConfig {
         idle_timeout: Duration::from_millis(120),
         ..ServerConfig::default()
@@ -263,6 +269,7 @@ fn idle_timeout_closes_and_client_reconnects() {
 
 #[test]
 fn per_request_deadline_is_cancelled_and_retryable() {
+    let _gate = fault::exclusive();
     let db = Arc::new(RecDb::new());
     db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
         .expect("create");
@@ -326,6 +333,7 @@ fn read_raw_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
 
 #[test]
 fn oversized_frame_is_rejected_without_allocation_or_panic() {
+    let _gate = fault::exclusive();
     let (_db, server) = marker_server(ServerConfig {
         max_frame_bytes: 64 * 1024,
         ..ServerConfig::default()
@@ -355,6 +363,7 @@ fn oversized_frame_is_rejected_without_allocation_or_panic() {
 /// and its open transaction carry on, and the transaction commits.
 #[test]
 fn oversized_result_is_refused_and_the_transaction_carries_on() {
+    let _gate = fault::exclusive();
     let (db, server) = marker_server(ServerConfig {
         max_frame_bytes: 64 * 1024,
         ..ServerConfig::default()
@@ -525,6 +534,7 @@ fn seeded_server_fault_sweep_matches_shadow_replay() {
 /// directory, and check exactly the acked markers (plus nothing torn).
 #[test]
 fn crash_during_serve_preserves_exactly_acked_commits() {
+    let _gate = fault::exclusive();
     let dir = temp_dir("crash");
     let acked: Vec<i64> = {
         let db = Arc::new(
@@ -613,6 +623,7 @@ fn crash_during_serve_preserves_exactly_acked_commits() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_statements() {
+    let _gate = fault::exclusive();
     let (db, server) = marker_server(ServerConfig::default());
     let addr = server.addr();
 
