@@ -48,7 +48,7 @@ pub use model::{in_bounds, Algorithm, RecModel, TrainError};
 pub use neighborhood::{NeighborhoodParams, NeighborhoodTable, ScoreScratch};
 pub use parallel::effective_threads;
 pub use popularity::PopularityModel;
-pub use ratings::{Rating, RatingsMatrix};
+pub use ratings::{Rating, RatingsBuilder, RatingsMatrix};
 pub use similarity::Similarity;
 pub use svd::{SvdModel, SvdParams};
 pub use topk::{serving_order, top_k_by, TopK};

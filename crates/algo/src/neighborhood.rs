@@ -5,16 +5,21 @@
 //! item, the list of `(neighbor item, SimScore)` pairs (paper §IV-A1). For
 //! user–user CF it is the symmetric *User Neighborhood Table*. Both come
 //! from one row-at-a-time sparse product (Gustavson's `AᵀA`) over the two
-//! CSR views of [`RatingsMatrix`] ([`Csr`]): for entity
-//! `a`, walk its row (its raters `u`, ascending) and for each `u` walk
-//! `u`'s row in the *other* view, adding the term into a dense slot per
-//! partner `b`. Only pairs that share a rater are visited — `Σᵤ nᵤ²`
-//! multiply-adds, never more than all-pairs merging — and a worker's
-//! transient state is `O(n)`, not `O(pairs)`. A pair's slot receives the
-//! terms a merge-intersect of the two vectors
-//! ([`crate::similarity::co_rated_sums`], the point API and test oracle)
-//! would, in the same ascending order, and both measures are symmetric
-//! in `(a, b)`, so rows `a` and `b` agree on `sim(a, b)` to the bit.
+//! CSR views of [`RatingsMatrix`] ([`Csr`]), computed as its **upper
+//! triangle**: for entity `a`, walk its row (its raters `u`, ascending)
+//! and for each `u` walk the tail of `u`'s row in the *other* view past
+//! `a` (`u`'s row ascends and holds `a`, so a binary search finds where),
+//! adding the term into a dense slot per partner `b > a`. Each pair that
+//! shares a rater is scored once — `Σᵤ nᵤ(nᵤ−1)/2` multiply-adds, half
+//! of the full product's `Σᵤ nᵤ²` — and offered to both rows: `b` to row
+//! `a` and `a` to row `b`. A worker's transient state is `O(n)`, not
+//! `O(pairs)`. A pair's slot receives the terms a merge-intersect of the
+//! two vectors ([`crate::similarity::co_rated_sums`], the point API and
+//! test oracle) would, in the same ascending order, and both measures are
+//! symmetric in `(a, b)` to the bit — `Σxy`, `Σx²·Σy²` and `Σx·Σy` are
+//! commutative products over the same co-raters in the same order — so
+//! the one score is what the full product's rows `a` and `b` would each
+//! have computed.
 //!
 //! # The slot and the partner rule
 //!
@@ -24,36 +29,59 @@
 //! reached meets, so it needs no count. `x²` is computed once per rater,
 //! not once per term.
 //!
-//! Row `a`'s term count `T(a) = Σ_{u ∈ raters(a)} |row(u)|` is known from
-//! the row pointers before the row starts, and it decides how the row
-//! finds its partners. With `T(a) ≥ n` the inner loop only adds — no
-//! presence test — and the row then scans all `n` slots once, scoring and
-//! resetting each. With `T(a) < n` each term asks whether its slot is
-//! still untouched and, the first time, notes the partner in a list that
-//! the row then drains, so a sparse row costs its terms and not `n`.
-//! Either way a row costs `O(T(a) + |row(a)|)` beyond the scan's `n ≤
-//! T(a)`, and the whole build `O(Σᵤ nᵤ² + n)`. MovieLens-shaped worlds
-//! scan every row; on LDOS-CoMoDa 596 of 612 item rows keep the list
-//! (`crates/bench/tests/golden_tables.rs` pins both to the bit).
+//! Row `a`'s term count `T(a) = Σ_{u ∈ raters(a)} |row(u) past a|` is
+//! known before the row starts, and it decides how the row finds its
+//! partners. With `T(a) ≥ n − a − 1` (the slots past `a`) the inner loop
+//! only adds — no presence test — and the row then scans those slots
+//! once, scoring and resetting each. With fewer terms each term asks
+//! whether its slot is still untouched and, the first time, notes the
+//! partner in a list that the row then drains, so a sparse row costs its
+//! terms and not `n`. Either way a row costs `O(T(a) + |row(a)| log n)`
+//! beyond the scan's `n − a − 1 ≤ T(a)`. On the synthetic MovieLens
+//! world 1,681 of 1,682 item rows scan; on LDOS-CoMoDa 601 of 612 keep
+//! the list (`crates/bench/tests/golden_tables.rs` pins both worlds'
+//! tables to the bit).
+//!
+//! # Truncation
 //!
 //! [`NeighborhoodParams::max_neighbors`] optionally truncates each list to
-//! the strongest `k` neighbors (by `|sim|`), the standard space/accuracy
-//! knob; the paper keeps full lists, so the default is no truncation. A
-//! row is truncated as it is finished, so a build holds at most `n · k`
-//! list entries plus one row's candidates per worker.
+//! the strongest `k` neighbors, the standard space/accuracy knob; the
+//! paper keeps full lists, so the default is no truncation. Strength is a
+//! *total* order — `|sim|` descending, then neighbor index ascending — so
+//! the `k` a row keeps do not depend on the order its offers arrive in.
+//!
+//! A row whose raters' rows hold at most `k` other entities in all —
+//! counted before the product, and every row without truncation — can
+//! never have more than `k` candidates, so it keeps all of them: its
+//! offers go to the worker that scored them, as triples, with no lock.
+//! Any other row's offers come from every row below it (mirrored) and
+//! from its own pass, so its candidates live in one store shared by all
+//! workers: a heap of at most `k` (its weakest on top) and a *floor*, the
+//! weakest kept `|sim|` once `k` are kept. An offer below its row's floor
+//! is turned away by that one comparison, without the row's lock; the
+//! floor only rises, so a stale read admits too much, never too little.
+//! A build therefore holds at most `k` candidates a row whatever the
+//! worker count, plus one row's own offers per worker. Rows run from the
+//! last index down, and a row's own offers — its partners above it, all
+//! scored in its pass — are cut to their strongest `k` and admitted
+//! together, which sets the row's floor before the rows below it offer
+//! theirs: on MovieLens-shaped worlds about one offer in fifteen is
+//! admitted. (In sparse worlds, where few rows fill their `k`, most
+//! offers are admitted and each pays its row's lock.)
 //!
 //! # Parallel building & determinism
 //!
-//! Rows are independent, so the build fans them out with
+//! Each row's pass reads only the read-only CSR views, so the build fans
+//! the rows out with
 //! [`crate::parallel::for_each_chunk`]; [`NeighborhoodParams::threads`]
 //! controls the worker count (default `0` = all cores). The output is
-//! **bit-identical** for every thread count, including the serial build,
-//! because each row is computed whole by one worker from the read-only
-//! CSR views: its sums, its truncation under a *total* order (`|sim|`
-//! descending, then neighbor index ascending) and its final sort by
-//! neighbor index depend on nothing another worker does. Scheduling only
-//! decides *who* computes a row; the counting sort of
-//! [`Csr::from_triples`] places finished rows by index.
+//! **bit-identical** for every thread count, including the serial build:
+//! each pair's score is computed whole by one worker from the read-only
+//! CSR views, what a row keeps is the top `k` of its offers under a total
+//! order whatever order they arrived in, and the final sort by neighbor
+//! index depends on nothing another worker does. Scheduling only decides
+//! *who* computes a row; the counting sort of [`Csr::from_triples`]
+//! places finished rows by index.
 //!
 //! # Forward and reverse lists
 //!
@@ -75,7 +103,8 @@ use crate::parallel::{effective_threads, for_each_chunk};
 use crate::ratings::RatingsMatrix;
 use crate::similarity::{CoRatedSums, Similarity};
 use recdb_guard::QueryGuard;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs for neighborhood model building.
@@ -384,11 +413,15 @@ struct RowWorker<S> {
     /// Partners whose slot the current row wrote to (rows that scan keep
     /// it empty).
     touched: Vec<u32>,
-    /// The current row's scored neighbors, before truncation.
-    candidates: Vec<(u32, f64)>,
-    /// Finished rows as `(entity, neighbor, sim)`, each row ascending in
-    /// neighbor.
-    finished: Vec<(u32, u32, f64)>,
+    /// Where each of the current row's raters' rows passes the row's own
+    /// index.
+    starts: Vec<usize>,
+    /// `(row, neighbor, sim)` for the rows that keep every candidate
+    /// (see [`Kept`]), as this worker scored them.
+    kept_all: Vec<(u32, u32, f64)>,
+    /// The current row's own offers when it keeps only its strongest `k`:
+    /// cut to `k` and admitted together when the row ends.
+    own: Vec<Ranked>,
 }
 
 impl<S: Slot> RowWorker<S> {
@@ -397,34 +430,44 @@ impl<S: Slot> RowWorker<S> {
         RowWorker {
             acc: vec![S::default(); n],
             touched: Vec::new(),
-            candidates: Vec::new(),
-            finished: Vec::new(),
+            starts: Vec::new(),
+            kept_all: Vec::new(),
+            own: Vec::new(),
         }
     }
 
-    /// Append entity `a`'s finished neighbor list to `finished`.
-    /// `entities` is the CSR view whose rows are the entities being
-    /// compared, `raters` its transpose.
+    /// Score every pair `(a, b)` with `b > a` that shares a rater and
+    /// offer each to both rows through `kept`. `entities` is the CSR view
+    /// whose rows are the entities being compared, `raters` its
+    /// transpose.
     fn row(
         &mut self,
         a: usize,
         entities: &Csr<f32>,
         raters: &Csr<f32>,
         params: &NeighborhoodParams,
+        kept: &Kept,
     ) {
         let n = self.acc.len();
         let (a_raters, a_vals) = entities.row(a);
-        // The row's term count is known before it starts. With at least as
-        // many terms as slots, add without a presence test and scan every
-        // slot once afterwards; with fewer, note each partner the first
-        // time its slot is reached, so a sparse row costs its terms, not n.
-        let terms: usize = a_raters
-            .iter()
-            .map(|&u| raters.row_range(u as usize).len())
-            .sum();
-        let scan = terms >= n;
-        for (&u, &x) in a_raters.iter().zip(a_vals) {
+        // A rater's row ascends and holds `a`, so its partners past `a`
+        // are its tail; the row's term count is known before it starts.
+        // With at least as many terms as slots past `a`, add without a
+        // presence test and scan those slots once afterwards; with fewer,
+        // note each partner the first time its slot is reached, so a
+        // sparse row costs its terms, not n.
+        self.starts.clear();
+        let mut terms = 0;
+        for &u in a_raters {
+            let partners = raters.row(u as usize).0;
+            let start = partners.partition_point(|&b| b as usize <= a);
+            terms += partners.len() - start;
+            self.starts.push(start);
+        }
+        let scan = terms >= n - a - 1;
+        for ((&u, &x), &start) in a_raters.iter().zip(a_vals).zip(&self.starts) {
             let (partners, vals) = raters.row(u as usize);
+            let (partners, vals) = (&partners[start..], &vals[start..]);
             let x = f64::from(x);
             let xx = x * x;
             if scan {
@@ -441,30 +484,172 @@ impl<S: Slot> RowWorker<S> {
                 }
             }
         }
-        self.candidates.clear();
+        let a = a as u32;
+        let own_heap = kept.heap(a);
         let mut take = |b: u32| {
             let sim = std::mem::take(&mut self.acc[b as usize]).score();
-            if let Some(sim) = sim.filter(|s| b as usize != a && s.abs() > params.min_abs_sim) {
-                self.candidates.push((b, sim));
+            if let Some(sim) = sim.filter(|s| s.abs() > params.min_abs_sim) {
+                kept.offer(b, a, sim, &mut self.kept_all);
+                match own_heap {
+                    Some(_) => self.own.push(Ranked::new(b, sim)),
+                    None => self.kept_all.push((a, b, sim)),
+                }
             }
         };
         if scan {
-            (0..n as u32).for_each(&mut take);
+            (a + 1..n as u32).for_each(&mut take);
         } else {
             self.touched.drain(..).for_each(take);
         }
-        if let Some(k) = params.max_neighbors.filter(|&k| k < self.candidates.len()) {
-            // A total order (neighbor indexes are unique), so the kept set
-            // does not depend on the order candidates arrived in.
-            self.candidates.select_nth_unstable_by(k, |x, y| {
-                y.1.abs().total_cmp(&x.1.abs()).then(x.0.cmp(&y.0))
-            });
-            self.candidates.truncate(k);
+        if let Some(heap) = own_heap {
+            kept.admit_own(a, heap, &mut self.own);
         }
-        self.candidates.sort_unstable_by_key(|&(nb, _)| nb);
-        let a = a as u32;
-        self.finished
-            .extend(self.candidates.iter().map(|&(nb, sim)| (a, nb, sim)));
+    }
+}
+
+/// Where the scored pairs go: every pair is offered to both its rows.
+///
+/// A row whose raters' rows hold at most `k` other entities in all —
+/// counted before the product, and every row when `max_neighbors` is
+/// `None` — can never have more than `k` candidates, so it keeps every
+/// one: its pairs go to the worker that scored them, as triples, with no
+/// lock. Every other row keeps its strongest `k` so far in a store shared
+/// by all workers: a heap (weakest on top) behind a mutex, and a floor,
+/// the bits of the weakest kept `|sim|` once `k` are kept, else 0
+/// (`+0.0`; bits of non-negative floats order as the floats do). An offer
+/// below the floor is turned away by one comparison, without the lock; a
+/// floor only rises, so a stale read admits too much, never too little,
+/// and the comparison under the lock has the last word. Either way a
+/// build holds at most `k` candidates a row, whatever the worker count.
+struct Kept {
+    k: usize,
+    /// Per row: `None` if it keeps every candidate, else its heap.
+    heaps: Vec<Option<Mutex<BinaryHeap<Ranked>>>>,
+    floors: Vec<AtomicU64>,
+}
+
+impl Kept {
+    /// The store for the rows of `entities` (their raters' rows are in
+    /// `raters`) keeping at most `max_neighbors` each.
+    fn new(entities: &Csr<f32>, raters: &Csr<f32>, max_neighbors: Option<usize>) -> Self {
+        let n = entities.n_rows();
+        let k = max_neighbors.unwrap_or(usize::MAX);
+        let heaps = (0..n)
+            .map(|a| {
+                // Each rater's row holds `a` itself.
+                let (a_raters, _) = entities.row(a);
+                let others = a_raters
+                    .iter()
+                    .map(|&u| raters.row_range(u as usize).len() - 1);
+                (others.sum::<usize>() > k).then(|| Mutex::new(BinaryHeap::new()))
+            })
+            .collect();
+        Kept {
+            k,
+            heaps,
+            floors: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Row `row`'s heap, if it keeps only its strongest `k`.
+    fn heap(&self, row: u32) -> Option<&Mutex<BinaryHeap<Ranked>>> {
+        self.heaps[row as usize].as_ref()
+    }
+
+    /// Offer neighbor `nb` at `sim` to row `row`; `kept_all` is the
+    /// offering worker's.
+    #[inline]
+    fn offer(&self, row: u32, nb: u32, sim: f64, kept_all: &mut Vec<(u32, u32, f64)>) {
+        match self.heap(row) {
+            None => kept_all.push((row, nb, sim)),
+            Some(heap) => {
+                if sim.abs().to_bits() >= self.floors[row as usize].load(Ordering::Relaxed) {
+                    self.admit(row, heap, &[Ranked::new(nb, sim)]);
+                }
+            }
+        }
+    }
+
+    /// Admit row `row`'s own offers: only their strongest `k` can be
+    /// kept, so those are chosen locally and admitted under one lock.
+    fn admit_own(&self, row: u32, heap: &Mutex<BinaryHeap<Ranked>>, own: &mut Vec<Ranked>) {
+        if own.len() > self.k {
+            own.select_nth_unstable(self.k);
+            own.truncate(self.k);
+        }
+        self.admit(row, heap, own);
+        own.clear();
+    }
+
+    /// Admit `candidates` to row `row`'s `heap` under one lock: each
+    /// enters if the row holds fewer than `k` or it is stronger than the
+    /// weakest kept, which it then replaces.
+    fn admit(&self, row: u32, heap: &Mutex<BinaryHeap<Ranked>>, candidates: &[Ranked]) {
+        let mut heap = heap.lock().unwrap_or_else(|p| p.into_inner());
+        for &candidate in candidates {
+            if heap.len() < self.k {
+                // Grow by doubling up to `k`, never past it.
+                let len = heap.len();
+                if len == heap.capacity() {
+                    heap.reserve_exact((2 * len).max(4).min(self.k) - len);
+                }
+                heap.push(candidate);
+            } else if let Some(mut weakest) = heap.peek_mut() {
+                if candidate < *weakest {
+                    *weakest = candidate;
+                }
+            }
+        }
+        if heap.len() == self.k {
+            if let Some(weakest) = heap.peek() {
+                let floor = weakest.abs_bits();
+                self.floors[row as usize].store(floor, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The rows with a heap and what each kept, in no order.
+    fn into_heap_rows(self) -> Vec<(u32, Vec<Ranked>)> {
+        let rows = self.heaps.into_iter().enumerate();
+        rows.filter_map(|(row, heap)| {
+            let heap = heap?.into_inner().unwrap_or_else(|p| p.into_inner());
+            Some((row as u32, heap.into_vec()))
+        })
+        .collect()
+    }
+}
+
+/// A candidate `(neighbor, sim)` packed so that integer order is the
+/// order of weakness: `|sim|` ascending, then neighbor index descending —
+/// the reverse of strength (`|sim|` descending, then neighbor index
+/// ascending). That is a total order (neighbor indexes are unique within
+/// a row), so what a row keeps does not depend on the order its offers
+/// arrive in. Bits 96..33 hold the complement of `|sim|`'s bits, 32..1
+/// the neighbor index and bit 0 the sign of `sim`, so the pair unpacks
+/// to its exact bits in 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ranked(u128);
+
+impl Ranked {
+    #[inline]
+    fn new(nb: u32, sim: f64) -> Self {
+        let bits = sim.to_bits();
+        let (abs, sign) = (bits & !(1 << 63), bits >> 63);
+        Ranked(u128::from(!abs) << 33 | u128::from(nb) << 1 | u128::from(sign))
+    }
+
+    /// The bits of `|sim|`.
+    #[inline]
+    fn abs_bits(self) -> u64 {
+        !((self.0 >> 33) as u64)
+    }
+
+    fn unpack(self) -> (u32, f64) {
+        let sign = (self.0 & 1) as u64;
+        (
+            (self.0 >> 1) as u32,
+            f64::from_bits(self.abs_bits() | sign << 63),
+        )
     }
 }
 
@@ -491,10 +676,13 @@ fn build_rows<S: Slot>(
 ) -> Result<NeighborhoodTable, TrainError> {
     let n = entities.n_rows();
     let threads = effective_threads(params.threads);
-    // A row costs the summed lengths of its raters' rows, which varies by
-    // orders of magnitude; smallish dynamic chunks keep workers balanced
-    // at one atomic fetch_add per chunk.
-    let chunk = (n / (threads * 8).max(1)).clamp(1, 256);
+    // A row costs the summed tails of its raters' rows past it: it varies
+    // by orders of magnitude and grows as the index falls. Rows run from
+    // the last down (see the module docs), so the heaviest come last;
+    // small dynamic chunks keep the workers' finishing times close at one
+    // atomic fetch_add per chunk.
+    let chunk = (n / (threads * 32).max(1)).clamp(1, 64);
+    let kept = Kept::new(entities, raters, params.max_neighbors);
     // Worker closures cannot return `Err`, so an abort parks the error
     // in a shared slot; the flag makes the remaining chunks no-ops
     // so cancellation latency is one chunk, not the whole build.
@@ -518,16 +706,24 @@ fn build_rows<S: Slot>(
                 slot.get_or_insert(e);
                 return;
             }
-            for a in range {
-                worker.row(a, entities, raters, params);
+            for i in range {
+                worker.row(n - 1 - i, entities, raters, params, &kept);
             }
         },
     );
     if let Some(e) = abort.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);
     }
-    let rows = workers.iter().flat_map(|w| w.finished.iter().copied());
-    Ok(NeighborhoodTable::from_forward(Csr::from_triples(n, rows)))
+    let heap_rows = kept.into_heap_rows();
+    let from_heaps = heap_rows.iter().flat_map(|(row, kept)| {
+        kept.iter().map(move |candidate| {
+            let (nb, sim) = candidate.unpack();
+            (*row, nb, sim)
+        })
+    });
+    let kept_all = workers.iter().flat_map(|w| w.kept_all.iter().copied());
+    let forward = Csr::from_triples(n, kept_all.chain(from_heaps));
+    Ok(NeighborhoodTable::from_forward(forward))
 }
 
 #[cfg(test)]
@@ -837,12 +1033,85 @@ mod tests {
     }
 
     #[test]
-    fn truncated_rows_are_finished_before_they_are_kept() {
-        // The memory bound of a `max_neighbors = Some(k)` build: a kept row
-        // is already cut to `k` entries, and the only other list entries a
-        // worker holds are one row's candidates, fewer than `n` of them.
-        let m = random_matrix(11, 40, 30);
-        let (n, k) = (m.n_items(), 3);
+    fn truncation_tie_break_holds_for_mirrored_offers() {
+        // Item 3 is last in index order, so its three tied partners reach
+        // it only as offers mirrored from their own rows.
+        let ratings = vec![
+            Rating::new(1, 0, 2.0),
+            Rating::new(2, 1, 3.0),
+            Rating::new(3, 2, 4.0),
+            Rating::new(1, 3, 2.0),
+            Rating::new(2, 3, 3.0),
+            Rating::new(3, 3, 4.0),
+        ];
+        let m = RatingsMatrix::from_ratings(ratings);
+        let i3 = m.item_idx(3).unwrap();
+        assert_eq!(i3, 3);
+        for threads in [1, 2, 8] {
+            let t = item_table(
+                &m,
+                &NeighborhoodParams {
+                    max_neighbors: Some(2),
+                    threads,
+                    ..NeighborhoodParams::cosine()
+                },
+            );
+            assert_eq!(t.neighbors(i3).0, &[0, 1], "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn each_pair_is_offered_to_both_rows() {
+        let m = random_matrix(13, 30, 25);
+        let n = m.n_items();
+        let full = item_table(&m, &NeighborhoodParams::pearson());
+        let kept = Kept::new(m.item_csr(), m.user_csr(), None);
+        let mut worker = RowWorker::<CoRatedSums>::new(n);
+        for a in (0..n).rev() {
+            worker.row(
+                a,
+                m.item_csr(),
+                m.user_csr(),
+                &NeighborhoodParams::pearson(),
+                &kept,
+            );
+        }
+        // Without truncation every row keeps all, and nothing is shared.
+        assert!(kept.heaps.iter().all(Option::is_none) && worker.own.is_empty());
+        assert_eq!(worker.kept_all.len(), full.total_pairs());
+        for &(a, b, sim) in &worker.kept_all {
+            assert_eq!(
+                full.sim(a as usize, b as usize).map(f64::to_bits),
+                Some(sim.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_rows_keep_at_most_k_in_one_shared_store() {
+        // The memory bound of a `max_neighbors = Some(k)` build: at most
+        // `k` candidates a row whatever the worker count — in the shared
+        // heap of a row that can have more, with the worker that scored
+        // them for a row that cannot — plus one row's own offers.
+        // A dense matrix plus rare items, each rated by two users whose
+        // rows hold fewer than `k` other items between them.
+        let dense = random_matrix(11, 40, 30);
+        let mut ratings: Vec<Rating> = dense
+            .user_csr()
+            .iter()
+            .map(|(u, i, r)| {
+                let (u, i) = (dense.user_id(u as usize), dense.item_id(i as usize));
+                Rating::new(u, i, f64::from(r))
+            })
+            .collect();
+        for rare in 0..4 {
+            ratings.push(Rating::new(100 + rare, 100 + rare, 3.0));
+            ratings.push(Rating::new(100 + rare, 200 + rare, 4.0));
+            ratings.push(Rating::new(200 + rare, 100 + rare, 2.5));
+            ratings.push(Rating::new(200 + rare, 200 + rare, 5.0));
+        }
+        let m = RatingsMatrix::from_ratings(ratings);
+        let (n, k) = (m.n_items(), 12);
         let params = NeighborhoodParams {
             max_neighbors: Some(k),
             ..NeighborhoodParams::pearson()
@@ -852,18 +1121,35 @@ mod tests {
             (0..n).any(|a| full.neighbors(a).0.len() > k),
             "cut must bite"
         );
+        let kept = Kept::new(m.item_csr(), m.user_csr(), Some(k));
+        let heap_rows = kept.heaps.iter().filter(|h| h.is_some()).count();
+        assert!(0 < heap_rows && heap_rows < n, "both kinds of row");
         let mut worker = RowWorker::<CoRatedSums>::new(n);
-        for a in 0..n {
-            let before = worker.finished.len();
-            worker.row(a, m.item_csr(), m.user_csr(), &params);
-            let kept = worker.finished.len() - before;
-            assert_eq!(kept, full.neighbors(a).0.len().min(k), "row {a}");
-            assert!(worker.candidates.capacity() < 2 * n);
+        for a in (0..n).rev() {
+            worker.row(a, m.item_csr(), m.user_csr(), &params, &kept);
             assert!(worker.touched.is_empty() && worker.acc.iter().all(|s| s.n == 0));
+            assert!(worker.own.is_empty());
         }
-        assert!(worker.finished.len() <= n * k);
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for &(a, nb, sim) in &worker.kept_all {
+            assert!(kept.heaps[a as usize].is_none(), "row {a} has a heap");
+            rows[a as usize].push((nb, sim));
+        }
+        for heap in kept.heaps.iter().flatten() {
+            let heap = heap.lock().unwrap();
+            assert!(heap.len() <= k && heap.capacity() <= k);
+        }
+        for (a, list) in kept.into_heap_rows() {
+            rows[a as usize].extend(list.iter().map(|c| c.unpack()));
+        }
         let table = item_table(&m, &params);
-        assert_eq!(table.forward().iter().collect::<Vec<_>>(), worker.finished);
+        for (a, row) in rows.iter_mut().enumerate() {
+            row.sort_unstable_by_key(|&(nb, _)| nb);
+            assert_eq!(row.len(), full.neighbors(a).0.len().min(k), "row {a}");
+            let (nbs, sims) = table.neighbors(a);
+            let want: Vec<(u32, f64)> = nbs.iter().copied().zip(sims.iter().copied()).collect();
+            assert_eq!(row, &want, "row {a}");
+        }
     }
 
     /// A cancelled or expired guard stops the build at its first chunk,

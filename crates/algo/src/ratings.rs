@@ -39,8 +39,8 @@ pub struct RatingsMatrix {
     item_ids: Vec<i64>,
     user_index: HashMap<i64, usize>,
     item_index: HashMap<i64, usize>,
-    /// CSR over users (row = user, col = item), built once in
-    /// [`RatingsMatrix::from_ratings`].
+    /// CSR over users (row = user, col = item), built once by
+    /// [`RatingsBuilder::build`].
     user_csr: Csr<f32>,
     /// CSR over items (row = item, col = user): the user CSR's transpose.
     item_csr: Csr<f32>,
@@ -53,22 +53,12 @@ impl RatingsMatrix {
     /// than once, the **last** rating wins (a re-rate overwrites), matching
     /// UPDATE semantics on a keyed ratings table.
     pub fn from_ratings(ratings: impl IntoIterator<Item = Rating>) -> Self {
-        let mut m = RatingsMatrix::default();
-        // Ids intern in first-appearance order, duplicates included.
-        let triples: Vec<(u32, u32, f32)> = ratings
-            .into_iter()
-            .map(|r| {
-                let u = intern(&mut m.user_index, &mut m.user_ids, r.user);
-                let i = intern(&mut m.item_index, &mut m.item_ids, r.item);
-                (u, i, r.value as f32)
-            })
-            .collect();
-        m.user_csr = Csr::from_triples(m.n_users(), triples.iter().copied());
-        m.item_csr = m.user_csr.transpose(m.n_items());
-        m.items_by_id_desc = (0..m.n_items() as u32).collect();
-        m.items_by_id_desc
-            .sort_unstable_by_key(|&i| Reverse(m.item_ids[i as usize]));
-        m
+        let ratings = ratings.into_iter();
+        let mut builder = RatingsBuilder::with_capacity(ratings.size_hint().0);
+        for r in ratings {
+            builder.push(r.user, r.item, r.value);
+        }
+        builder.build()
     }
 
     /// Number of distinct users.
@@ -177,6 +167,52 @@ impl RatingsMatrix {
         }
         let sum: f64 = self.user_csr.iter().map(|(_, _, r)| f64::from(r)).sum();
         sum / self.n_ratings() as f64
+    }
+}
+
+/// A [`RatingsMatrix`] under construction, fed one observation at a time
+/// — by [`RatingsMatrix::from_ratings`] and by a scan of a ratings table
+/// alike. Ids intern in first-appearance order, duplicates included, and
+/// each observation is held as one 12-byte `(user, item, value)` triple
+/// until [`RatingsBuilder::build`] lays the triples out as the user CSR
+/// (the last rating of a pair wins) and drops them before it transposes.
+#[derive(Debug, Default)]
+pub struct RatingsBuilder {
+    matrix: RatingsMatrix,
+    triples: Vec<(u32, u32, f32)>,
+}
+
+impl RatingsBuilder {
+    /// A builder with room for `n` observations.
+    pub fn with_capacity(n: usize) -> Self {
+        RatingsBuilder {
+            matrix: RatingsMatrix::default(),
+            triples: Vec::with_capacity(n),
+        }
+    }
+
+    /// Add one observation; the value is held at `f32`, the precision
+    /// every model consumes.
+    pub fn push(&mut self, user: i64, item: i64, value: f64) {
+        let m = &mut self.matrix;
+        let u = intern(&mut m.user_index, &mut m.user_ids, user);
+        let i = intern(&mut m.item_index, &mut m.item_ids, item);
+        self.triples.push((u, i, value as f32));
+    }
+
+    /// The matrix of every observation pushed.
+    pub fn build(self) -> RatingsMatrix {
+        let RatingsBuilder {
+            matrix: mut m,
+            triples,
+        } = self;
+        m.user_csr = Csr::from_triples(m.n_users(), triples.iter().copied());
+        drop(triples);
+        m.item_csr = m.user_csr.transpose(m.n_items());
+        m.items_by_id_desc = (0..m.n_items() as u32).collect();
+        m.items_by_id_desc
+            .sort_unstable_by_key(|&i| Reverse(m.item_ids[i as usize]));
+        m
     }
 }
 

@@ -171,17 +171,17 @@ fn build_scaling() {
         let dataset = recdb_datasets::generate(&spec);
         let ratings = dataset.algo_ratings();
         // What the item-table row product multiplies and adds: every
-        // ordered pair of one user's ratings, Σᵤ nᵤ².
+        // unordered pair of one user's ratings, once, Σᵤ nᵤ(nᵤ−1)/2.
         let co_rated_terms: usize = RatingsMatrix::from_ratings(ratings.iter().copied())
             .user_csr()
             .row_ptr()
             .windows(2)
-            .map(|w| (w[1] - w[0]).pow(2))
+            .map(|w| (w[1] - w[0]) * (w[1] - w[0]).saturating_sub(1) / 2)
             .sum();
         for algo in [Algorithm::ItemCosCF, Algorithm::ItemPearCF, Algorithm::Svd] {
             let (tag, terms) = match algo {
                 Algorithm::Svd => ("csr-blocked", "null".to_owned()),
-                _ => ("row-product-measure-slot", co_rated_terms.to_string()),
+                _ => ("upper-triangle-shared-top-k", co_rated_terms.to_string()),
             };
             let mut serial_ms = 0.0;
             for &threads in &thread_counts {
@@ -224,10 +224,12 @@ fn build_scaling() {
          \"reps\": {},\n  \"note\": \"speedup = serial build_ms / build_ms at this \
          thread count, measured on this host; build_ms includes \
          RatingsMatrix::from_ratings (serial); co_rated_terms = sum over users \
-         of (ratings by that user)^2, the multiply-adds of the item-table row \
-         product (null for SVD); row-product-measure-slot = one slot per partner \
-         shaped by the measure (cosine 24 B, Pearson 48 B), scanned after rows \
-         with at least one term per entity\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         of n(n-1)/2 for n ratings by that user, the multiply-adds of the \
+         item-table row product (null for SVD); upper-triangle-shared-top-k = \
+         row a sums only partners b > a (one slot per partner shaped by the \
+         measure, cosine 24 B, Pearson 48 B) and offers each scored pair to \
+         both rows; with max_neighbors = k the rows keep their strongest k in \
+         one store shared by all workers, behind a per-row floor\",\n  \"results\": [\n{}\n  ]\n}}\n",
         host_threads,
         REPS,
         rows.join(",\n")

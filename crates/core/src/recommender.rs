@@ -12,8 +12,8 @@ use crate::error::{EngineError, EngineResult};
 use parking_lot::{Mutex, RwLock};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::parallel::for_each_chunk;
-use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel, ScoreScratch};
-use recdb_exec::RecScoreIndex;
+use recdb_algo::{Algorithm, RatingsBuilder, RatingsMatrix, RecModel, ScoreScratch};
+use recdb_exec::{RecScoreIndex, UserList};
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, StorageError, DEFAULT_NODE_CAPACITY};
 use recdb_wal::RecommenderDef;
@@ -321,9 +321,12 @@ impl Recommender {
     }
 }
 
-/// The build pipeline's materialization stage: rebuild the score index
-/// against a freshly trained model. Complete users re-materialize in
-/// full; partial (cache-admitted) pairs re-score individually. The
+/// The build pipeline's materialization stage: a fresh score index
+/// against a freshly trained model, built in one pass
+/// ([`RecScoreIndex::from_lists`]); `old` is only read. Complete users
+/// re-materialize in full (an empty list stays complete); partial
+/// (cache-admitted) pairs re-score individually, a pair rated since it was
+/// admitted leaves, and ids the model does not know enter at 0.0. The
 /// `core::materialize_worker` fault site is evaluated even when there is
 /// nothing to refresh, so injected failures cover create as well as
 /// maintain.
@@ -335,10 +338,14 @@ fn refresh_index(
 ) -> EngineResult<Option<Arc<RecScoreIndex>>> {
     materialize_gate(guard)?;
     let Some(old) = old else { return Ok(None) };
-    let mut fresh = RecScoreIndex::with_pool(Arc::clone(pool), DEFAULT_NODE_CAPACITY);
     let (complete, partial): (Vec<i64>, Vec<i64>) =
         old.users().partition(|&user| old.is_complete(user));
-    materialize_into(&mut fresh, model, &complete, 1, guard)?;
+    let scored = score_lists(model, &complete, 1, guard)?;
+    let mut lists: Vec<UserList> = complete
+        .into_iter()
+        .zip(scored)
+        .map(|(user, list)| (user, list, true))
+        .collect();
     let mut scratch = ScoreScratch::default();
     for user in partial {
         guard.check()?;
@@ -347,17 +354,20 @@ fn refresh_index(
             .map(|(item, _)| item)
             .collect();
         let scores = score_item_ids(model, user, &items, &mut scratch);
-        for (item, score) in items.into_iter().zip(scores) {
-            match score {
-                Some(Some(score)) => fresh.insert(user, item, score),
+        let list = items
+            .into_iter()
+            .zip(scores)
+            .filter_map(|(item, score)| match score {
+                Some(Some(score)) => Some((item, score)),
                 // A pair the user has since rated is not a recommendation.
-                Some(None) => {}
+                Some(None) => None,
                 // Ids the new model doesn't know keep the legacy
                 // unpredictable-pair score of 0.0.
-                None => fresh.insert(user, item, 0.0),
-            }
-        }
+                None => Some((item, 0.0)),
+            });
+        lists.push((user, list.collect(), false));
     }
+    let fresh = RecScoreIndex::from_lists(Arc::clone(pool), DEFAULT_NODE_CAPACITY, lists);
     Ok(Some(Arc::new(fresh)))
 }
 
@@ -417,11 +427,8 @@ fn unseen_list(model: &RecModel, user: i64, scratch: &mut ScoreScratch) -> Vec<(
 
 /// Score `users`' complete unseen-item lists under `model` on `threads`
 /// workers (`0` = all cores) and swap each into `index` as one complete
-/// list — the only way a complete user list enters an index. Workers only
-/// fan out the scoring; the merge happens on the calling thread in `users`
-/// order. Each worker chunk evaluates the `core::materialize_worker` fault
-/// site and the guard before scoring, and `index` is touched only after
-/// every chunk succeeded.
+/// list ([`RecScoreIndex::replace_user_list`]). `index` is touched only
+/// after every list is scored.
 fn materialize_into(
     index: &mut RecScoreIndex,
     model: &RecModel,
@@ -429,6 +436,24 @@ fn materialize_into(
     threads: usize,
     guard: &QueryGuard,
 ) -> EngineResult<()> {
+    let lists = score_lists(model, users, threads, guard)?;
+    for (&user, list) in users.iter().zip(lists) {
+        index.replace_user_list(user, &list);
+    }
+    Ok(())
+}
+
+/// `users`' complete unseen-item lists under `model`, in `users` order,
+/// scored on `threads` workers (`0` = all cores). Workers only fan out
+/// the scoring; the lists are put in order on the calling thread. Each
+/// worker chunk evaluates the `core::materialize_worker` fault site and
+/// the guard before scoring.
+fn score_lists(
+    model: &RecModel,
+    users: &[i64],
+    threads: usize,
+    guard: &QueryGuard,
+) -> EngineResult<Vec<Vec<(i64, f64)>>> {
     // Workers cannot return `Err` through the fan-out, so the first
     // failure lands in a shared slot and flips a flag that makes the
     // remaining chunks bail out immediately.
@@ -464,14 +489,13 @@ fn materialize_into(
         return Err(e);
     }
     per_user.sort_unstable_by_key(|&(pos, _)| pos);
-    for (pos, entries) in per_user {
-        index.replace_user_list(users[pos], &entries);
-    }
-    Ok(())
+    Ok(per_user.into_iter().map(|(_, list)| list).collect())
 }
 
 /// Scan a ratings table into a [`RatingsMatrix`], resolving the three
-/// named columns.
+/// named columns: each row's triple goes straight into a
+/// [`RatingsBuilder`], in heap order, so a pair stored twice keeps its
+/// later row's rating.
 pub fn load_matrix(
     catalog: &Catalog,
     ratings_table: &str,
@@ -484,7 +508,7 @@ pub fn load_matrix(
     let u = schema.resolve(users_column)?;
     let i = schema.resolve(items_column)?;
     let r = schema.resolve(ratings_column)?;
-    let mut ratings = Vec::with_capacity(table.tuple_count() as usize);
+    let mut ratings = RatingsBuilder::with_capacity(table.tuple_count() as usize);
     let mut page_no = 0;
     // Three columns read in place per row: no tuple is decoded. A page
     // reports the slot of its first non-numeric triple, if any.
@@ -496,7 +520,7 @@ pub fn load_matrix(
             else {
                 return Ok(Some(slot));
             };
-            ratings.push(Rating::new(user, item, value));
+            ratings.push(user, item, value);
         }
         Ok::<_, StorageError>(None)
     })? {
@@ -507,12 +531,13 @@ pub fn load_matrix(
         }
         page_no += 1;
     }
-    Ok(RatingsMatrix::from_ratings(ratings))
+    Ok(ratings.build())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recdb_algo::Rating;
     use recdb_storage::{DataType, Schema, Tuple, Value};
 
     fn catalog_with_ratings(rows: &[(i64, i64, f64)]) -> RwLock<Catalog> {
@@ -709,21 +734,45 @@ mod tests {
             .unwrap();
     }
 
+    /// `user`'s complete unseen-item list through the point API.
+    fn per_pair_list(model: &RecModel, user: i64) -> Vec<(i64, f64)> {
+        model
+            .matrix()
+            .item_ids()
+            .iter()
+            .filter(|&&item| model.matrix().rating_of(user, item).is_none())
+            .map(|&item| (item, model.predict(user, item).unwrap_or(0.0)))
+            .collect()
+    }
+
     /// What the per-pair path builds for `users`: every unseen pair
     /// scored through the point API, entered as one complete list.
     fn per_pair_index(model: &RecModel, users: &[i64]) -> RecScoreIndex {
         let mut index = RecScoreIndex::new();
         for &user in users {
-            let list: Vec<(i64, f64)> = model
-                .matrix()
-                .item_ids()
-                .iter()
-                .filter(|&&item| model.matrix().rating_of(user, item).is_none())
-                .map(|&item| (item, model.predict(user, item).unwrap_or(0.0)))
-                .collect();
-            index.replace_user_list(user, &list);
+            index.replace_user_list(user, &per_pair_list(model, user));
         }
         index
+    }
+
+    /// The refresh as it was done key by key: into an empty index, each
+    /// complete user's list through `replace_user_list`, each partial
+    /// user's still-unseen pairs re-scored one `insert` at a time (ids the
+    /// model does not know at 0.0), all through the point API.
+    fn per_key_refresh(old: &RecScoreIndex, model: &RecModel) -> RecScoreIndex {
+        let mut fresh = RecScoreIndex::new();
+        for user in old.users() {
+            if old.is_complete(user) {
+                fresh.replace_user_list(user, &per_pair_list(model, user));
+                continue;
+            }
+            for (item, _) in old.iter_desc(user, None, None) {
+                if model.matrix().rating_of(user, item).is_none() {
+                    fresh.insert(user, item, model.predict(user, item).unwrap_or(0.0));
+                }
+            }
+        }
+        fresh
     }
 
     fn assert_same_index(got: &RecScoreIndex, want: &RecScoreIndex, users: &[i64]) {
@@ -785,6 +834,107 @@ mod tests {
             &per_pair_index(&every.model(), &[1, 2, 3, 4]),
             &all,
         );
+    }
+
+    /// The one-pass refresh builds what the key-by-key one did, for every
+    /// kind of user an index holds: complete with entries, complete and
+    /// empty, complete but unknown to the model, partial (admitted pairs,
+    /// one of them an unknown item, one rated since), partial by eviction,
+    /// and partial but unknown to the model. The old index is not touched.
+    #[test]
+    fn bulk_refresh_equals_the_per_key_refresh() {
+        let mut rows = figure1_rows();
+        rows.push((5, 1, 3.0));
+        let cat = catalog_with_ratings(&rows);
+        let mut rec = make(&cat);
+        for user in [4, 2, 99, 5] {
+            rec.materialize_user(user);
+        }
+        rec.edit_index(|index| index.remove(5, 3));
+        for user in [1, 9] {
+            for _ in 0..10 {
+                rec.record_query(user, 5);
+            }
+        }
+        for item in [2, 3, 77] {
+            rec.record_insert(item, 5);
+        }
+        let decision = rec.run_cache_manager(10);
+        for pair in [(1, 2), (1, 3), (1, 77), (9, 2)] {
+            assert!(decision.admitted.contains(&pair), "{pair:?} {decision:?}");
+        }
+        let old = rec.index().unwrap();
+        let users = [1, 2, 3, 4, 5, 9, 99];
+        let before: Vec<Vec<(i64, f64)>> = users
+            .iter()
+            .map(|&u| old.iter_desc(u, None, None).collect())
+            .collect();
+        assert!(old.is_complete(2) && !old.has_user(2));
+        assert!(old.is_complete(4) && old.is_complete(99));
+        assert!([1, 5, 9]
+            .iter()
+            .all(|&u| old.has_user(u) && !old.is_complete(u)));
+        // User 4 rates a listed item, user 1 an admitted one, and item 5
+        // appears.
+        rate(&cat, 4, 1, 2.0);
+        rate(&cat, 1, 3, 4.0);
+        rate(&cat, 3, 5, 3.5);
+        let staged = StagedRebuild::build(
+            rec.def(),
+            &TrainConfig::default(),
+            &cat,
+            Some(&old),
+            &QueryGuard::unlimited(),
+        )
+        .unwrap();
+        let fresh = staged.index.unwrap();
+        let want = per_key_refresh(&old, &staged.model);
+        assert_same_index(&fresh, &want, &users);
+        assert_eq!(fresh.get(1, 3), None, "rated since it was admitted");
+        assert_eq!(fresh.get(1, 77), Some(0.0), "unknown item at 0.0");
+        assert!(fresh.is_complete(2) && fresh.get(2, 5).is_some());
+        let after: Vec<Vec<(i64, f64)>> = users
+            .iter()
+            .map(|&u| old.iter_desc(u, None, None).collect())
+            .collect();
+        assert_eq!(after, before, "old index untouched");
+    }
+
+    proptest::proptest! {
+        /// The table scan feeds the builder the rows in heap order, so it
+        /// builds what `from_ratings` builds from the live rows in that
+        /// order: a pair stored twice keeps its later rating, deleted rows
+        /// are gone, and ids intern in first-appearance order.
+        #[test]
+        fn load_matrix_equals_from_ratings_in_heap_order(
+            rows in proptest::collection::vec((0i64..5, -2i64..6, 0usize..4), 0..60),
+            deleted in proptest::collection::vec(proptest::prelude::any::<bool>(), 60),
+        ) {
+            const VALUES: [f64; 4] = [1.0, 3.7, 4.5, 5.0];
+            let rows: Vec<(i64, i64, f64)> = rows.into_iter().map(|(u, i, v)| (u, i, VALUES[v])).collect();
+            let cat = catalog_with_ratings(&rows);
+            {
+                let mut cat = cat.write();
+                let table = cat.table_mut("ratings").unwrap();
+                let rids: Vec<_> = table.heap().scan().map(|(rid, _)| rid).collect();
+                proptest::prop_assert_eq!(rids.len(), rows.len());
+                for (&rid, _) in rids.iter().zip(&deleted).filter(|(_, &gone)| gone) {
+                    table.delete(rid).unwrap();
+                }
+            }
+            let live = rows
+                .iter()
+                .zip(&deleted)
+                .filter(|(_, &gone)| !gone)
+                .map(|(&(u, i, v), _)| Rating::new(u, i, v));
+            let want = RatingsMatrix::from_ratings(live);
+            let got = load_matrix(&cat.read(), "ratings", "uid", "iid", "ratingval").unwrap();
+            proptest::prop_assert_eq!(got.user_ids(), want.user_ids());
+            proptest::prop_assert_eq!(got.item_ids(), want.item_ids());
+            proptest::prop_assert_eq!(got.user_csr(), want.user_csr());
+            proptest::prop_assert_eq!(got.item_csr(), want.item_csr());
+            proptest::prop_assert_eq!(got.items_by_id_desc(), want.items_by_id_desc());
+        }
     }
 
     #[test]

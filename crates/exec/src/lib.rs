@@ -41,5 +41,5 @@ pub use optimizer::optimize;
 pub use physical::{execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, Profiler};
 pub use plan::{build_logical, LogicalPlan};
 pub use provider::RecommenderProvider;
-pub use rec_index::RecScoreIndex;
+pub use rec_index::{RecScoreIndex, UserList};
 pub use result::ResultSet;

@@ -62,6 +62,11 @@ fn fwd_decode(k: &Key) -> (i64, i64, f64) {
     (user, item, score)
 }
 
+/// One user's part of an index built whole by
+/// [`RecScoreIndex::from_lists`]: the user, its `(item, score)` entries,
+/// and whether they are its complete unseen-item list.
+pub type UserList = (i64, Vec<(i64, f64)>, bool);
+
 /// The pre-computed score index, paged through a buffer pool.
 #[derive(Debug, Clone)]
 pub struct RecScoreIndex {
@@ -125,6 +130,51 @@ impl RecScoreIndex {
             counts: HashMap::new(),
             complete: HashSet::new(),
             entries: 0,
+        }
+    }
+
+    /// The index, paged through `pool`, that holds exactly `lists`: each
+    /// [`UserList`] names one user (each user once), the user's `(item,
+    /// score)` entries (each item once) and whether they are the user's
+    /// whole unseen-item list (an empty complete list keeps the user
+    /// complete). Each list is sorted into key order and the lists are
+    /// taken by user, so their keys form one ascending set, which gives
+    /// the per-user counts and from which the tree is built bottom-up in
+    /// one pass ([`BTree::from_sorted`]): the same entries, counts and
+    /// completeness set as entering the lists into an empty index, in
+    /// fewer, fuller pages.
+    pub fn from_lists(
+        pool: Arc<BufferPool>,
+        node_capacity: usize,
+        lists: impl IntoIterator<Item = UserList>,
+    ) -> Self {
+        let mut lists: Vec<_> = lists.into_iter().collect();
+        lists.sort_unstable_by_key(|&(user, _, _)| user);
+        let (mut keys, mut counts, mut complete) = (Vec::new(), HashMap::new(), HashSet::new());
+        for (user, mut entries, is_complete) in lists {
+            // Key order within a user: score descending (`total_cmp`),
+            // then item descending; an identical key is one entry.
+            entries.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
+            entries.dedup_by(|a, b| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
+            keys.extend(
+                entries
+                    .iter()
+                    .map(|&(item, score)| fwd_key(user, score, item)),
+            );
+            if !entries.is_empty() {
+                counts.insert(user, entries.len());
+            }
+            if is_complete {
+                complete.insert(user);
+            }
+        }
+        let entries = keys.len();
+        let fwd = BTree::from_sorted(pool, "rec_index", node_capacity, keys).expect(POOL_FAULT);
+        RecScoreIndex {
+            fwd,
+            counts,
+            complete,
+            entries,
         }
     }
 
@@ -212,8 +262,8 @@ impl RecScoreIndex {
     }
 
     /// Whether the user's full unseen-item list is materialized. Set by
-    /// [`RecScoreIndex::replace_user_list`], cleared by any eviction
-    /// touching the user.
+    /// [`RecScoreIndex::replace_user_list`] and [`RecScoreIndex::from_lists`],
+    /// cleared by any eviction touching the user.
     pub fn is_complete(&self, user: i64) -> bool {
         self.complete.contains(&user)
     }
@@ -238,8 +288,9 @@ impl RecScoreIndex {
     }
 
     /// Replace user `u`'s entire materialized list in one pass and mark
-    /// it complete — the only way a complete list enters the index,
-    /// without [`RecScoreIndex::insert`]'s list walk per pair.
+    /// it complete, without [`RecScoreIndex::insert`]'s list walk per
+    /// pair. (A complete list also enters a whole index built by
+    /// [`RecScoreIndex::from_lists`].)
     pub fn replace_user_list(&mut self, user: i64, list: &[(i64, f64)]) {
         // The cursor reads the tree it would be mutating: drain it first.
         let old: Vec<(i64, f64)> = self.user_list(user).collect();
@@ -584,6 +635,53 @@ mod tests {
                     drop(iter);
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// `from_lists` against the same lists entered one by one into an
+        /// empty index — complete ones by `replace_user_list`, partial
+        /// ones pair by pair — under a node capacity of 4 and a 6-frame
+        /// pool: every user's whole list in key order (NaN scores
+        /// included), the counters and the completeness set.
+        #[test]
+        fn bulk_built_index_equals_one_built_by_entry(
+            lists in proptest::collection::btree_map(
+                -3i64..4,
+                (proptest::collection::btree_map(-20i64..40, score_strategy(), 0..30), any::<bool>()),
+                0..7,
+            ),
+        ) {
+            let pool = Arc::new(BufferPool::in_memory(6));
+            let mut by_entry = RecScoreIndex::with_pool(Arc::clone(&pool), 4);
+            for (&user, (entries, complete)) in &lists {
+                let entries: Vec<(i64, f64)> = entries.iter().map(|(&i, &s)| (i, s)).collect();
+                if *complete {
+                    by_entry.replace_user_list(user, &entries);
+                } else {
+                    for &(item, score) in &entries {
+                        by_entry.insert(user, item, score);
+                    }
+                }
+            }
+            let bulk = RecScoreIndex::from_lists(
+                Arc::clone(&pool),
+                4,
+                lists.iter().map(|(&user, (entries, complete))| {
+                    (user, entries.iter().map(|(&i, &s)| (i, s)).collect(), *complete)
+                }),
+            );
+            let bits = |idx: &RecScoreIndex, user: i64| -> Vec<(i64, u64)> {
+                idx.user_list(user).map(|(i, s)| (i, s.to_bits())).collect()
+            };
+            for user in -3..4 {
+                prop_assert_eq!(bits(&bulk, user), bits(&by_entry, user), "user {}", user);
+                prop_assert_eq!(bulk.has_user(user), by_entry.has_user(user));
+                prop_assert_eq!(bulk.is_complete(user), by_entry.is_complete(user));
+            }
+            prop_assert_eq!(bulk.len(), by_entry.len());
+            prop_assert_eq!(bulk.user_count(), by_entry.user_count());
+            prop_assert!(bulk.node_pages() <= by_entry.node_pages());
         }
     }
 

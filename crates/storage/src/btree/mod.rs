@@ -151,6 +151,89 @@ impl BTree {
         })
     }
 
+    /// Build a tree as a new file in `pool` from strictly ascending
+    /// `keys`, bottom-up: leaves filled to `max_keys` (the last one takes
+    /// the rest) and chained left to right, then each branch level over
+    /// the one below, its children spread evenly over as few nodes as
+    /// hold them, up to a level that fits one node: the root, written to
+    /// page 0. Every leaf is at the same depth. Each node is written
+    /// once, with no search and no split, so `n` keys cost about `n /
+    /// max_keys` page allocations. `label` and `max_keys` are as for
+    /// [`BTree::create`].
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is not strictly ascending.
+    pub fn from_sorted(
+        pool: Arc<BufferPool>,
+        label: &str,
+        max_keys: usize,
+        keys: impl IntoIterator<Item = Key>,
+    ) -> StorageResult<Self> {
+        let mut tree = BTree::create(pool, label, max_keys)?;
+        let cap = tree.max_keys;
+        // `(first key, page)` of each node of the level being built.
+        let mut level: Vec<(Key, u32)> = Vec::new();
+        let mut leaf: Vec<Key> = Vec::with_capacity(cap);
+        let mut last: Option<Key> = None;
+        for key in keys {
+            assert!(
+                last.is_none_or(|last| last < key),
+                "BTree::from_sorted: keys must be strictly ascending"
+            );
+            last = Some(key);
+            if leaf.len() == cap {
+                // A key follows, so the next page allocated is this
+                // leaf's right sibling.
+                let next = tree.node_pages() + 1;
+                let full = std::mem::replace(&mut leaf, Vec::with_capacity(cap));
+                let node = Node {
+                    keys: full,
+                    next,
+                    ..Node::leaf()
+                };
+                level.push((node.keys[0], tree.allocate(node)?));
+            }
+            leaf.push(key);
+            tree.len += 1;
+        }
+        if level.is_empty() {
+            // Everything fits the root leaf.
+            tree.pool
+                .with_node_mut(tree.file, ROOT_PAGE, |n| n.keys = leaf)?;
+            return Ok(tree);
+        }
+        let first = leaf[0];
+        level.push((
+            first,
+            tree.allocate(Node {
+                keys: leaf,
+                ..Node::leaf()
+            })?,
+        ));
+        while level.len() > cap + 1 {
+            let nodes = level.len().div_ceil(cap + 1);
+            let (base, extra) = (level.len() / nodes, level.len() % nodes);
+            let mut rest = &level[..];
+            let mut above = Vec::with_capacity(nodes);
+            for i in 0..nodes {
+                let (group, tail) = rest.split_at(base + usize::from(i < extra));
+                above.push((group[0].0, tree.allocate(branch_over(group))?));
+                rest = tail;
+            }
+            level = above;
+        }
+        let root = branch_over(&level);
+        tree.pool
+            .with_node_mut(tree.file, ROOT_PAGE, |n| *n = root)?;
+        Ok(tree)
+    }
+
+    /// Append `node` to the tree's file.
+    fn allocate(&self, node: Node) -> StorageResult<u32> {
+        self.pool.allocate_page(self.file, FrameData::Node(node))
+    }
+
     /// Number of keys in the tree.
     pub fn len(&self) -> u64 {
         self.len
@@ -394,6 +477,15 @@ impl BTree {
     }
 }
 
+/// The branch over `children`, given as `(first key, page)`: each
+/// separator is the first key of the child to its right.
+fn branch_over(children: &[(Key, u32)]) -> Node {
+    Node::branch(
+        children[1..].iter().map(|&(first, _)| first).collect(),
+        children.iter().map(|&(_, page)| page).collect(),
+    )
+}
+
 /// Split one overfull node into `(left, right, separator)`. For leaves
 /// the separator is copied up (it stays in the right leaf); for branches
 /// the middle key moves up. The caller wires leaf `next` pointers.
@@ -425,30 +517,32 @@ impl Drop for BTree {
 }
 
 impl Clone for BTree {
-    /// Deep-copy the tree into a fresh file in the same pool by bulk
-    /// inserting keys in ascending order (which keeps the copy's leaves
-    /// right-packed).
+    /// Deep-copy the tree into a fresh file in the same pool: its keys,
+    /// streamed a leaf at a time, bulk-built by [`BTree::from_sorted`].
     fn clone(&self) -> Self {
         let label = format!("clone-of-file-{}", self.file);
-        let mut copy = BTree::create(Arc::clone(&self.pool), &label, self.max_keys)
-            .expect("allocating a root leaf for a tree clone");
         let (mut cursor, mut batch) = (RangeCursor::new([0; KEY_SIZE], None), Vec::new());
-        while self
-            .next_batch(&mut cursor, &mut batch)
-            .expect("scanning a tree during clone")
-        {
-            for &key in &batch {
-                copy.insert(key)
-                    .expect("re-inserting a key into a tree clone");
-            }
-        }
-        copy
+        let leaves = std::iter::from_fn(|| {
+            let more = self
+                .next_batch(&mut cursor, &mut batch)
+                .expect("scanning a tree during clone");
+            more.then(|| std::mem::take(&mut batch))
+        });
+        BTree::from_sorted(
+            Arc::clone(&self.pool),
+            &label,
+            self.max_keys,
+            leaves.flatten(),
+        )
+        .expect("writing the nodes of a tree clone")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     // No test here arms a fault site: the split fail point's test is in
     // tests/faults.rs, where every test holds `recdb_fault::exclusive()`
@@ -628,6 +722,161 @@ mod tests {
         assert_eq!(c.keys().unwrap(), t.keys().unwrap());
         c.insert(key(1)).unwrap();
         assert!(!t.keys().unwrap().contains(&key(1)), "clone shares state");
+    }
+
+    /// Check `t`'s shape and return its keys in leaf-chain order: every
+    /// node within `max_keys`, keys strictly ascending in every node and
+    /// inside the bounds its parent's separators set (a child holds the
+    /// keys `>=` the separator on its left and `<` the one on its right),
+    /// every leaf at the same depth, and the leaf chain visiting exactly
+    /// the leaves left to right before it ends.
+    fn checked_keys(t: &BTree) -> Vec<Key> {
+        // (page, depth, low bound, high bound) still to visit, leftmost last.
+        let mut stack = vec![(ROOT_PAGE, 1u32, None::<Key>, None::<Key>)];
+        let (mut leaves, mut depth) = (Vec::new(), None);
+        while let Some((page, d, lo, hi)) = stack.pop() {
+            let node = t.pool.with_node(t.file, page, Node::clone).unwrap();
+            assert!(node.keys.len() <= t.max_keys, "page {page} overfull");
+            assert!(node.keys.windows(2).all(|w| w[0] < w[1]), "page {page}");
+            assert!(node.keys.iter().all(|k| lo.is_none_or(|lo| lo <= *k)));
+            assert!(node.keys.iter().all(|k| hi.is_none_or(|hi| *k < hi)));
+            if node.is_leaf {
+                assert_eq!(*depth.get_or_insert(d), d, "leaf {page} at another depth");
+                leaves.push(page);
+                continue;
+            }
+            assert_eq!(node.children.len(), node.keys.len() + 1);
+            for (i, &child) in node.children.iter().enumerate().rev() {
+                let lo = if i == 0 { lo } else { Some(node.keys[i - 1]) };
+                let hi = node.keys.get(i).copied().or(hi);
+                stack.push((child, d + 1, lo, hi));
+            }
+        }
+        assert_eq!(depth, Some(t.height().unwrap()));
+        let (mut keys, mut page) = (Vec::new(), leaves[0]);
+        for (at, &want) in leaves.iter().enumerate() {
+            assert_eq!(page, want, "chain leaves the tree order at leaf {at}");
+            let (next, leaf_keys) = t
+                .pool
+                .with_node(t.file, page, |n| (n.next, n.keys.clone()))
+                .unwrap();
+            keys.extend(leaf_keys);
+            page = next;
+        }
+        assert_eq!(page, NO_PAGE, "chain runs past the last leaf");
+        keys
+    }
+
+    #[test]
+    fn bulk_build_fills_its_leaves() {
+        // 81,174 keys: 318 leaves of up to 256, two branches, the root.
+        let pool = Arc::new(BufferPool::unbounded());
+        let t = BTree::from_sorted(pool, "t", 256, (0..81_174).map(key)).unwrap();
+        assert_eq!(t.len(), 81_174);
+        assert_eq!((t.node_pages(), t.height().unwrap()), (321, 3));
+        assert_eq!(checked_keys(&t), (0..81_174).map(key).collect::<Vec<_>>());
+        // A clone is bulk-built too.
+        let c = t.clone();
+        assert_eq!((c.node_pages(), c.len()), (321, 81_174));
+        assert_eq!(checked_keys(&c), checked_keys(&t));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn bulk_build_rejects_unsorted_keys() {
+        let pool = Arc::new(BufferPool::unbounded());
+        let _ = BTree::from_sorted(pool, "t", 4, [key(2), key(2)]);
+    }
+
+    /// What a step does to the tree and to the reference set.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u64),
+        Remove(u64),
+        Range(u64, Option<u64>),
+    }
+
+    fn step_strategy(span: u64) -> impl Strategy<Value = Step> {
+        (0u8..3, 0..span, proptest::option::of(0..span)).prop_map(|(kind, x, y)| match kind {
+            0 => Step::Insert(x),
+            1 => Step::Remove(x),
+            _ => Step::Range(x, y),
+        })
+    }
+
+    /// A node capacity, a key count that is often one of the sizes where
+    /// the shape changes (0, 1, a full root leaf, one key past it, a
+    /// third and a fourth level at capacity 4), and the gaps between
+    /// consecutive keys.
+    fn bulk_case() -> impl Strategy<Value = (usize, Vec<u64>)> {
+        let cap = prop_oneof![Just(4usize), Just(5), Just(8)];
+        cap.prop_flat_map(|cap| {
+            let n = prop_oneof![
+                Just(0usize),
+                Just(1),
+                Just(cap),
+                Just(cap + 1),
+                Just(cap * (cap + 1) + 1),
+                Just(cap * (cap + 1) * (cap + 1) + 1),
+                0..400usize,
+            ];
+            let gaps = n.prop_flat_map(|n| proptest::collection::vec(1u64..4, n));
+            (Just(cap), gaps)
+        })
+    }
+
+    proptest! {
+        /// A bulk-built tree against a `BTreeSet` of the same keys: its
+        /// shape (see `checked_keys`), every `next_batch` range walk, and
+        /// then random inserts, removes and range walks on both.
+        #[test]
+        fn bulk_build_equals_a_btreeset(
+            (cap, gaps) in bulk_case(),
+            ranges in proptest::collection::vec((0u64..1700, proptest::option::of(0u64..1700)), 0..8),
+            steps in proptest::collection::vec(step_strategy(1700), 0..80),
+        ) {
+            let mut reference: BTreeSet<u64> = gaps
+                .iter()
+                .scan(0, |at, gap| { *at += gap; Some(*at) })
+                .collect();
+            let pool = Arc::new(BufferPool::unbounded());
+            let mut t = BTree::from_sorted(pool, "t", cap, reference.iter().map(|&n| key(n))).unwrap();
+            prop_assert_eq!(t.len(), reference.len() as u64);
+            let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
+            prop_assert_eq!(checked_keys(&t), want);
+            if reference.len() > cap * (cap + 1) {
+                prop_assert!(t.height().unwrap() >= 3);
+            }
+            let walk = |t: &BTree, reference: &BTreeSet<u64>, lo: u64, hi: Option<u64>| {
+                let want: Vec<Key> = match hi {
+                    Some(hi) if hi <= lo => Vec::new(),
+                    Some(hi) => reference.range(lo..hi).map(|&n| key(n)).collect(),
+                    None => reference.range(lo..).map(|&n| key(n)).collect(),
+                };
+                (range(t, key(lo), hi.map(key)), want)
+            };
+            for &(lo, hi) in &ranges {
+                let (got, want) = walk(&t, &reference, lo, hi);
+                prop_assert_eq!(got, want, "range {}..{:?}", lo, hi);
+            }
+            for (at, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Insert(n) => {
+                        prop_assert_eq!(t.insert(key(n)).unwrap(), reference.insert(n), "step {} insert {}", at, n);
+                    }
+                    Step::Remove(n) => {
+                        prop_assert_eq!(t.remove(&key(n)).unwrap(), reference.remove(&n), "step {} remove {}", at, n);
+                    }
+                    Step::Range(lo, hi) => {
+                        let (got, want) = walk(&t, &reference, lo, hi);
+                        prop_assert_eq!(got, want, "step {} range {}..{:?}", at, lo, hi);
+                    }
+                }
+                prop_assert_eq!(t.len(), reference.len() as u64);
+            }
+            let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
+            prop_assert_eq!(checked_keys(&t), want);
+        }
     }
 
     #[test]

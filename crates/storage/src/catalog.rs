@@ -166,7 +166,10 @@ impl Table {
     /// Drop all rows (heap and indexes).
     pub fn truncate(&mut self) -> StorageResult<()> {
         self.heap.truncate()?;
-        let cleared = self.indexes.iter_mut().try_for_each(BTreeIndex::clear);
+        let cleared = self
+            .indexes
+            .iter_mut()
+            .try_for_each(|idx| idx.rebuild(Vec::new()));
         self.settle(cleared)
     }
 
@@ -187,11 +190,11 @@ impl Table {
     }
 
     /// Refill every secondary index from the heap, each into a fresh tree.
-    /// A page the pool cannot produce fails the call and leaves the
-    /// indexes partly filled, so they stay stale until a rebuild succeeds.
+    /// A page the pool cannot produce fails the call and leaves the old
+    /// trees (or some rebuilt, some old, if a tree cannot be written), so
+    /// the indexes stay stale until a rebuild succeeds.
     fn rebuild_indexes(&mut self) -> StorageResult<()> {
-        let cleared = self.indexes.iter_mut().try_for_each(BTreeIndex::clear);
-        let rebuilt = cleared.and_then(|()| backfill(&self.heap, &mut self.indexes));
+        let rebuilt = backfill(&self.heap, &mut self.indexes);
         self.settle(rebuilt)
     }
 
@@ -212,24 +215,30 @@ impl Table {
     }
 }
 
-/// Insert every live row of `heap` into each of `indexes`, one heap page
-/// at a time.
+/// Refill each of `indexes` from every live row of `heap`: the keys are
+/// collected a heap page at a time, then each index's are sorted and
+/// bulk-built into a fresh tree ([`crate::BTree::from_sorted`]) that replaces
+/// its old one. A page the pool cannot produce fails the call before any
+/// index changes.
 fn backfill(heap: &HeapTable, indexes: &mut [BTreeIndex]) -> StorageResult<()> {
     if indexes.is_empty() {
         return Ok(());
     }
+    let mut keys = vec![Vec::with_capacity(heap.tuple_count() as usize); indexes.len()];
     for page_no in 0..heap.page_count() as u32 {
-        // The tree pages through the pool too, so a page's rows are
-        // copied out before they are indexed.
-        let rows = heap.visit_page(page_no, |page| page.iter_live().collect::<Vec<_>>())?;
-        for (slot, row) in rows.into_iter().flatten() {
-            let rid = Rid::new(page_no, slot);
-            indexes
-                .iter_mut()
-                .try_for_each(|idx| idx.insert(&row, rid))?;
-        }
+        heap.visit_page(page_no, |page| {
+            for (slot, row) in page.iter_live() {
+                let rid = Rid::new(page_no, slot);
+                for (idx, keys) in indexes.iter().zip(&mut keys) {
+                    keys.push(idx.key(&row, rid));
+                }
+            }
+        })?;
     }
-    Ok(())
+    indexes
+        .iter_mut()
+        .zip(keys)
+        .try_for_each(|(idx, keys)| idx.rebuild(keys))
 }
 
 /// The database catalog: a named collection of tables sharing one buffer

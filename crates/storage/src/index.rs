@@ -87,19 +87,27 @@ impl BTreeIndex {
 
     /// Add the entry of `row`, stored at `rid`.
     pub fn insert(&mut self, row: &Tuple, rid: Rid) -> StorageResult<()> {
-        self.tree.insert(encode(self.lead(row), rid)).map(drop)
+        self.tree.insert(self.key(row, rid)).map(drop)
     }
 
     /// Remove the entry of `row`, stored at `rid`.
     pub fn remove(&mut self, row: &Tuple, rid: Rid) -> StorageResult<()> {
-        self.tree.remove(&encode(self.lead(row), rid)).map(drop)
+        self.tree.remove(&self.key(row, rid)).map(drop)
     }
 
-    /// Drop every entry: a fresh tree replaces the old one, whose pages
-    /// leave the pool with it.
-    pub fn clear(&mut self) -> StorageResult<()> {
+    /// The key of `row`, stored at `rid`.
+    pub(crate) fn key(&self, row: &Tuple, rid: Rid) -> Key {
+        encode(self.lead(row), rid)
+    }
+
+    /// Replace every entry with `keys`, one per row in any order (none
+    /// empties the index): a fresh tree bulk-built from them
+    /// ([`BTree::from_sorted`]) replaces the old one, whose pages leave
+    /// the pool with it.
+    pub(crate) fn rebuild(&mut self, mut keys: Vec<Key>) -> StorageResult<()> {
+        keys.sort_unstable();
         let pool = Arc::clone(self.tree.pool());
-        self.tree = BTree::create(pool, &self.name, self.tree.max_keys())?;
+        self.tree = BTree::from_sorted(pool, &self.name, self.tree.max_keys(), keys)?;
         Ok(())
     }
 
@@ -333,7 +341,7 @@ mod tests {
         assert_eq!(idx.tree().len(), 2);
         let pages = || heap.pool().resident_pages();
         let before = pages();
-        idx.clear().unwrap();
+        idx.rebuild(Vec::new()).unwrap();
         assert!(idx.tree().is_empty());
         assert!(slots(&heap, &idx, Value::Int(6)).is_empty());
         assert_eq!(pages(), before, "the new tree's root replaced the old one");

@@ -7,7 +7,7 @@
 //! registry is process-global and the test harness runs in parallel.
 
 use recdb::core::{EngineError, GovernorConfig, QueryGuard, QueryResult, RecDb, RecDbConfig};
-use recdb::exec::ExecError;
+use recdb::exec::{ExecError, ResultSet};
 use recdb::fault;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -342,6 +342,132 @@ fn faulted_rebuild_keeps_previous_model_serving() {
     db.execute("INSERT INTO ratings VALUES (2, 5, 3.5)")
         .expect("rebuild after disarm");
     fault::clear();
+}
+
+/// A world whose N % rebuild has work to stop part-way: 400 users × 64
+/// items, every user materialized, rebuilt on any insert. The item table
+/// is built in many chunks (one `algo::neighborhood_build` hit each) and
+/// the refresh scores its 400 complete lists in chunks of 8 users (one
+/// `core::materialize_worker` hit each, after one for the stage).
+fn rebuild_world() -> RecDb {
+    let config = RecDbConfig {
+        maintenance_threshold_pct: 0.0001,
+        ..RecDbConfig::default()
+    };
+    let db = RecDb::with_config(config);
+    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+        .expect("create table");
+    let rows: Vec<String> = (1..=400i64)
+        .flat_map(|uid| (1..=64i64).map(move |iid| (uid, iid)))
+        .filter(|&(uid, iid)| (uid * 7 + iid * 3) % 5 < 2)
+        .map(|(uid, iid)| {
+            format!(
+                "({uid}, {iid}, {:.1})",
+                1.0 + ((uid + iid) % 9) as f64 / 2.0
+            )
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO ratings VALUES {}", rows.join(", ")))
+        .expect("seed inserts");
+    db.execute(CREATE_REC_SQL).expect("create recommender");
+    db.materialize("MovieRec").expect("materialize");
+    db
+}
+
+/// The answers a rebuild must not change until it publishes: top 5 of a
+/// few users from the index, and every recommendation of one of them.
+fn served_answers(db: &RecDb) -> Vec<ResultSet> {
+    let mut answers: Vec<ResultSet> = [1, 57, 400]
+        .iter()
+        .map(|uid| {
+            let sql = RECOMMEND_SQL.replace("R.uid = 1", &format!("R.uid = {uid}"));
+            db.query(&sql).expect("recommend")
+        })
+        .collect();
+    let full = RECOMMEND_SQL.replace(" LIMIT 5", "");
+    answers.push(db.query(&full).expect("recommend all"));
+    answers
+}
+
+/// An N % rebuild stopped part-way — a fault in the neighborhood build at
+/// a later chunk, a fault in the refresh's scoring at a later chunk, and
+/// a cancel that lands while the refresh runs — fails its statement and
+/// publishes nothing: the previous model and index keep serving the same
+/// answers, and the next rebuild succeeds.
+#[test]
+fn rebuild_stopped_part_way_keeps_the_previous_model_and_index() {
+    let _gate = fault::exclusive();
+    fault::clear();
+    let mut db = rebuild_world();
+    let trained_on = |db: &RecDb| db.recommender("MovieRec").unwrap().model().trained_on();
+    let insert = |row: i64| format!("INSERT INTO ratings VALUES (1000, {row}, 4.0)");
+    let mut row = 0;
+    // The fault site armed at its third hit, or `None`: cancel the guard
+    // once the refresh stage has begun.
+    let stops = [
+        Some("algo::neighborhood_build"),
+        Some("core::materialize_worker"),
+        None,
+    ];
+    for stop in stops {
+        let mut attempts = 0;
+        let (before, model_rows, failed) = loop {
+            attempts += 1;
+            let before = served_answers(&db);
+            let model_rows = trained_on(&db);
+            let guard = QueryGuard::unlimited();
+            let canceller = match stop {
+                Some(site) => {
+                    fault::arm_error(site, 3);
+                    None
+                }
+                None => {
+                    // Hits are counted only while a site is armed; this
+                    // trigger is never reached.
+                    fault::arm_error("core::materialize_worker", 1_000_000);
+                    let start = fault::hits("core::materialize_worker");
+                    let handle = guard.cancel_handle();
+                    Some(std::thread::spawn(move || {
+                        // The stage's gate is its first hit; its 50
+                        // scoring chunks check the guard after it.
+                        while fault::hits("core::materialize_worker") == start {
+                            std::hint::spin_loop();
+                        }
+                        handle.cancel();
+                    }))
+                }
+            };
+            row += 1;
+            let failed = db.execute_with_guard(&insert(row), guard);
+            if let Some(canceller) = canceller {
+                canceller.join().expect("canceller");
+            }
+            fault::clear();
+            // A cancel races the stage it aims at. A rebuild that finished
+            // first has published its model: stop the next one instead.
+            if stop.is_none() && failed.is_ok() && attempts < 5 {
+                continue;
+            }
+            break (before, model_rows, failed);
+        };
+        match (stop, failed) {
+            (None, Err(EngineError::Cancelled { .. })) => {}
+            (Some(site), Err(EngineError::Exec(ExecError::FaultInjected(e)))) => {
+                assert_eq!(e.site, site)
+            }
+            (stop, other) => panic!("{stop:?}: expected the rebuild to stop, got {other:?}"),
+        }
+        assert_eq!(
+            trained_on(&db),
+            model_rows,
+            "{stop:?}: a model was published"
+        );
+        assert_eq!(served_answers(&db), before, "{stop:?}: answers changed");
+        let rows = ratings_count(&mut db);
+        row += 1;
+        db.execute(&insert(row)).expect("the next rebuild succeeds");
+        assert_eq!(trained_on(&db), rows + 1, "{stop:?}: not rebuilt");
+    }
 }
 
 /// Error-mode faults at every site surface as `Err` through the public
