@@ -79,7 +79,7 @@ impl RecDb {
     ) -> Self {
         pool.attach_metrics(&metrics);
         let locks = LockTable::new();
-        locks.attach_metrics(Arc::clone(&metrics));
+        locks.attach_metrics(&metrics);
         RecDb {
             catalog: RwLock::new(catalog),
             recommenders: RwLock::new(recommenders),
@@ -245,7 +245,7 @@ impl RecDb {
         }
         let catalog = catalog.into_inner();
         let mut wal = opened.wal;
-        wal.attach_metrics(Arc::clone(&metrics));
+        wal.attach_metrics(&metrics);
         let durability = Some(Durability { dir, wal });
         Ok(RecDb::assemble(
             config,

@@ -1,42 +1,21 @@
-//! `recdb-serve` — the serving-layer driver binary.
+//! `recdb-serve` — run a durable RecDB server.
 //!
-//! Three subcommands:
-//!
-//! * `serve [--addr A] [--data-dir DIR]` — run a durable server until the
-//!   process is killed (demo / manual testing).
-//! * `bench [--seconds N] [--out PATH]` — start an in-process server,
-//!   drive it with 1, 8, and 64 concurrent wire clients issuing
-//!   `RECOMMEND` queries, and write QPS + p50/p99 latencies to
-//!   `BENCH_serve.json`.
-//! * `soak [--txns N]` — the chaos soak used by the `server-soak` CI job:
-//!   a durable server under seeded fault injection (`RECDB_FAULT_SEED`)
-//!   on the `server::*` sites, concurrent writers committing marker
-//!   transactions over the wire, deliberate mid-transaction connection
-//!   kills, then asserts zero leaked locks, transaction atomicity, and
-//!   that every acknowledged commit survives crash recovery. Exits
-//!   non-zero on any violation.
+//! `recdb-serve serve [--addr A] [--data-dir DIR]` opens (or recovers)
+//! the engine in `DIR` and serves it on `A` until the process is killed.
+//! The wire load generator is `benchmark/`; the fault-injected soak is a
+//! test in `tests/server.rs`.
 
 use recdb_core::{RecDb, RecDbConfig};
-use recdb_server::{Client, ClientConfig, ClientError, Server, ServerConfig, WireResult};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use recdb_server::{Server, ServerConfig};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let code = match cmd {
-        "serve" => serve(&args[1..]),
-        "bench" => bench(&args[1..]),
-        "soak" => soak(&args[1..]),
+    let code = match args.first().map(String::as_str) {
+        Some("serve") => serve(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: recdb-serve <serve|bench|soak> [options]\n\
-                 \n\
-                 serve  --addr 127.0.0.1:5433  --data-dir ./recdb-data\n\
-                 bench  --seconds 2  --out BENCH_serve.json\n\
-                 soak   --txns 40   (reads RECDB_FAULT_SEED, default 42)"
-            );
+            eprintln!("usage: recdb-serve serve --addr 127.0.0.1:5433 --data-dir ./recdb-data");
             2
         }
     };
@@ -48,8 +27,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
 }
-
-// ---------------------------------------------------------------- serve
 
 fn serve(args: &[String]) -> i32 {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:5433".into());
@@ -84,477 +61,5 @@ fn serve(args: &[String]) -> i32 {
     );
     loop {
         std::thread::sleep(Duration::from_secs(3600));
-    }
-}
-
-// ---------------------------------------------------------------- bench
-
-/// Seed a ratings table + ItemCosCF recommender through plain SQL, all
-/// over an in-process engine (the wire only serves queries).
-fn seed_engine(db: &RecDb, users: i64, items: i64) {
-    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
-        .expect("create table");
-    let mut batch = String::new();
-    let mut rows = 0usize;
-    for u in 0..users {
-        for k in 0..8 {
-            // Deterministic sparse pattern: each user rates 8 items.
-            let i = (u * 7 + k * 13) % items;
-            let r = 1.0 + ((u + i * 3 + k) % 9) as f64 * 0.5;
-            if !batch.is_empty() {
-                batch.push_str(", ");
-            }
-            batch.push_str(&format!("({u}, {i}, {r})"));
-            rows += 1;
-            if rows.is_multiple_of(500) {
-                db.execute(&format!("INSERT INTO ratings VALUES {batch}"))
-                    .expect("insert batch");
-                batch.clear();
-            }
-        }
-    }
-    if !batch.is_empty() {
-        db.execute(&format!("INSERT INTO ratings VALUES {batch}"))
-            .expect("insert tail");
-    }
-    db.execute(
-        "CREATE RECOMMENDER BenchRec ON ratings \
-         USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF",
-    )
-    .expect("create recommender");
-}
-
-struct LoadResult {
-    clients: usize,
-    requests: u64,
-    errors: u64,
-    elapsed: Duration,
-    p50_micros: u64,
-    p99_micros: u64,
-}
-
-impl LoadResult {
-    fn qps(&self) -> f64 {
-        self.requests as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drive `clients` concurrent wire clients against `addr` for `secs`,
-/// each issuing point RECOMMEND queries for a rotating user.
-fn run_load(addr: std::net::SocketAddr, clients: usize, secs: f64, users: i64) -> LoadResult {
-    let stop = Arc::new(AtomicBool::new(false));
-    let errors = Arc::new(AtomicU64::new(0));
-    let lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let stop = Arc::clone(&stop);
-        let errors = Arc::clone(&errors);
-        let lat = Arc::clone(&lat);
-        handles.push(std::thread::spawn(move || {
-            let mut client = match Client::connect(addr) {
-                Ok(cl) => cl,
-                Err(_) => {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            };
-            let mut mine = Vec::new();
-            let mut n = c as i64;
-            while !stop.load(Ordering::Relaxed) {
-                let uid = n % users;
-                n += 1;
-                let sql = format!(
-                    "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
-                     RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \
-                     WHERE R.uid = {uid} ORDER BY R.ratingval DESC LIMIT 10"
-                );
-                let t = Instant::now();
-                match client.execute(&sql) {
-                    Ok(_) => mine.push(u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)),
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            lock(&lat).extend(mine);
-        }));
-    }
-    std::thread::sleep(Duration::from_secs_f64(secs));
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = started.elapsed();
-    let mut all = lock(&lat).clone();
-    all.sort_unstable();
-    LoadResult {
-        clients,
-        requests: all.len() as u64,
-        errors: errors.load(Ordering::Relaxed),
-        elapsed,
-        p50_micros: percentile(&all, 50.0),
-        p99_micros: percentile(&all, 99.0),
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn bench(args: &[String]) -> i32 {
-    let secs: f64 = flag(args, "--seconds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    let host_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    const USERS: i64 = 200;
-    const ITEMS: i64 = 100;
-    let db = Arc::new(RecDb::new());
-    seed_engine(&db, USERS, ITEMS);
-    let server = Server::start(
-        db,
-        ServerConfig {
-            max_connections: 128,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind server");
-    let addr = server.addr();
-
-    println!("serving bench on {addr} (host parallelism: {host_threads})");
-    println!(
-        "{:<8} {:>10} {:>8} {:>10} {:>12} {:>12}",
-        "clients", "requests", "errors", "qps", "p50_micros", "p99_micros"
-    );
-    let mut results = Vec::new();
-    for &clients in &[1usize, 8, 64] {
-        let r = run_load(addr, clients, secs, USERS);
-        println!(
-            "{:<8} {:>10} {:>8} {:>10.0} {:>12} {:>12}",
-            r.clients,
-            r.requests,
-            r.errors,
-            r.qps(),
-            r.p50_micros,
-            r.p99_micros
-        );
-        results.push(r);
-    }
-    let report = server.shutdown();
-    if !report.drained_within_deadline {
-        eprintln!(
-            "warning: shutdown forced {} connections",
-            report.forced_connections
-        );
-    }
-
-    let body: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"clients\": {}, \"requests\": {}, \"errors\": {}, \
-                 \"qps\": {:.0}, \"p50_micros\": {}, \"p99_micros\": {}}}",
-                r.clients,
-                r.requests,
-                r.errors,
-                r.qps(),
-                r.p50_micros,
-                r.p99_micros
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"network_serving\",\n  \"protocol_version\": {},\n  \
-         \"host_threads\": {},\n  \"duration_secs_per_point\": {},\n  \
-         \"workload\": \"point RECOMMEND queries (ItemCosCF, LIMIT 10) over {} users x {} items\",\n  \
-         \"note\": \"threaded TCP server, one session per connection; latencies measured client-side per request\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        recdb_server::PROTOCOL_VERSION,
-        host_threads,
-        secs,
-        USERS,
-        ITEMS,
-        body.join(",\n")
-    );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("failed to write {out}: {e}");
-        return 1;
-    }
-    println!("wrote {out}");
-    0
-}
-
-// ---------------------------------------------------------------- soak
-
-const SERVER_SITES: [&str; 3] = [
-    "server::accept",
-    "server::frame_read",
-    "server::frame_write",
-];
-
-fn soak(args: &[String]) -> i32 {
-    let txns_per_writer: u64 = flag(args, "--txns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
-    let seed: u64 = std::env::var("RECDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    println!("soak: seed={seed} txns_per_writer={txns_per_writer}");
-
-    let dir = std::env::temp_dir().join(format!("recdb-soak-{}-{}", std::process::id(), seed));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create soak dir");
-
-    let mut failures = 0u32;
-    let acked = {
-        let config = RecDbConfig {
-            data_dir: Some(dir.clone()),
-            ..RecDbConfig::default()
-        };
-        let db = Arc::new(RecDb::open_with_config(config).expect("open engine"));
-        db.execute("CREATE TABLE markers (writer INT, marker INT, part INT)")
-            .expect("create markers");
-        db.checkpoint().expect("initial checkpoint");
-
-        let server = Server::start(
-            Arc::clone(&db),
-            ServerConfig {
-                idle_timeout: Duration::from_secs(10),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind server");
-        let addr = server.addr();
-
-        // Arm one seeded fault per server site up front; each worker
-        // re-arms its site after it triggers so faults keep landing at
-        // deterministic-but-varied hit positions throughout the run.
-        recdb_fault::clear();
-        for site in SERVER_SITES {
-            let nth = recdb_fault::schedule_nth(seed, site, 6);
-            arm_site(site, nth);
-        }
-
-        let acked: Arc<Mutex<Vec<(i64, i64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut writers = Vec::new();
-        for w in 0..2i64 {
-            let acked = Arc::clone(&acked);
-            writers.push(std::thread::spawn(move || {
-                let cfg = ClientConfig {
-                    max_retries: 8,
-                    ..ClientConfig::default()
-                };
-                let mut client = Client::connect_with(addr, cfg).expect("writer connect");
-                let mut seen = [0u64; SERVER_SITES.len()];
-                for m in 0..txns_per_writer as i64 {
-                    let marker = w * 1_000_000 + m;
-                    // Every 5th transaction is abandoned mid-flight:
-                    // drop the connection after BEGIN + one insert and
-                    // let the server's session abort reclaim the locks.
-                    let abandon = m % 5 == 4;
-                    // A transaction that fails mid-flight (injected
-                    // fault, killed connection) is retried whole, from
-                    // BEGIN — the only sound retry unit under the
-                    // wire protocol's semantics.
-                    for _attempt in 0..4 {
-                        match run_marker_txn(&mut client, w, marker, abandon) {
-                            TxnOutcome::Acked => {
-                                lock(&acked).push((w, marker));
-                                break;
-                            }
-                            TxnOutcome::Abandoned | TxnOutcome::CommitAmbiguous => break,
-                            TxnOutcome::Failed => {
-                                if client.in_transaction() {
-                                    let _ = client.execute("ROLLBACK");
-                                }
-                            }
-                        }
-                    }
-                    // Keep the seeded chaos flowing: re-arm a server
-                    // site once its previous arm has triggered, at a
-                    // fresh deterministic position derived from
-                    // (seed, marker).
-                    for (i, &site) in SERVER_SITES.iter().enumerate() {
-                        let t = recdb_fault::triggered(site);
-                        if t > seen[i] {
-                            seen[i] = t;
-                            let nth = recdb_fault::schedule_nth(
-                                seed ^ (marker as u64).wrapping_mul(0x9E37),
-                                site,
-                                8,
-                            );
-                            arm_site(site, nth);
-                        }
-                    }
-                }
-            }));
-        }
-        // A reader thread keeps SELECT traffic mixed in.
-        let reader_stop = Arc::new(AtomicBool::new(false));
-        let reader = {
-            let stop = Arc::clone(&reader_stop);
-            std::thread::spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(_) => return,
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = client.query("SELECT COUNT(*) FROM markers");
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        for h in writers {
-            let _ = h.join();
-        }
-        reader_stop.store(true, Ordering::Relaxed);
-        let _ = reader.join();
-        recdb_fault::clear();
-
-        let report = server.shutdown();
-        println!(
-            "shutdown: drained={} forced={} leaked={} in {:?}",
-            report.drained_within_deadline,
-            report.forced_connections,
-            report.leaked_connections,
-            report.elapsed
-        );
-        if report.leaked_connections != 0 {
-            eprintln!(
-                "FAIL: {} connections leaked at shutdown",
-                report.leaked_connections
-            );
-            failures += 1;
-        }
-        let held = db.lock_table().held_count();
-        if held != 0 {
-            eprintln!("FAIL: {held} locks still held after shutdown");
-            failures += 1;
-        }
-        let acked = lock(&acked).clone();
-        println!(
-            "workload done: {} acknowledged commits, locks held: {held}",
-            acked.len()
-        );
-        // Engine dropped here WITHOUT a clean close beyond the
-        // shutdown checkpoint — recovery below must still see every
-        // acknowledged commit.
-        acked
-    };
-
-    // Crash-recovery check: reopen and verify.
-    let config = RecDbConfig {
-        data_dir: Some(dir.clone()),
-        ..RecDbConfig::default()
-    };
-    let db = RecDb::open_with_config(config).expect("reopen engine");
-    let rows = db
-        .query("SELECT writer, marker, part FROM markers")
-        .expect("read markers");
-    let mut counts: std::collections::HashMap<(i64, i64), u64> = std::collections::HashMap::new();
-    for row in rows.rows() {
-        let vals = row.values();
-        if let (recdb_storage::Value::Int(w), recdb_storage::Value::Int(m)) = (&vals[0], &vals[1]) {
-            *counts.entry((*w, *m)).or_insert(0) += 1;
-        }
-    }
-    for key in &acked {
-        match counts.get(key) {
-            Some(3) => {}
-            other => {
-                eprintln!("FAIL: acked marker {key:?} has {other:?} rows after recovery (want 3)");
-                failures += 1;
-            }
-        }
-    }
-    for (key, n) in &counts {
-        if *n != 3 {
-            eprintln!("FAIL: marker {key:?} recovered torn ({n} of 3 rows)");
-            failures += 1;
-        }
-    }
-    println!(
-        "recovery: {} marker groups on disk, {} acknowledged, atomicity {}",
-        counts.len(),
-        acked.len(),
-        if failures == 0 { "OK" } else { "VIOLATED" }
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    if failures == 0 {
-        println!("soak PASS (seed={seed})");
-        0
-    } else {
-        eprintln!("soak FAIL (seed={seed}): {failures} violations");
-        1
-    }
-}
-
-/// `arm_error` needs a `&'static str`; the soak's sites are the fixed
-/// array above, so map through it.
-fn arm_site(site: &str, nth: u64) {
-    for s in SERVER_SITES {
-        if s == site {
-            recdb_fault::arm_error(s, nth);
-        }
-    }
-}
-
-enum TxnOutcome {
-    Acked,
-    Abandoned,
-    Failed,
-    /// The COMMIT was sent but the connection died before the response:
-    /// the commit may or may not have applied. Never retried (a retry
-    /// could double-apply) and never counted as acknowledged.
-    CommitAmbiguous,
-}
-
-/// Whether a COMMIT failure leaves the outcome unknown: the request hit
-/// the wire but no response came back.
-fn commit_ambiguous(e: &ClientError) -> bool {
-    match e {
-        ClientError::ConnectionLost { sent: true, .. } => true,
-        ClientError::RetriesExhausted { last, .. } => commit_ambiguous(last),
-        _ => false,
-    }
-}
-
-/// One marker transaction over the wire: BEGIN, three inserts sharing a
-/// marker value, COMMIT. Returns `Acked` only when the COMMIT response
-/// frame arrived — exactly the commits recovery must preserve.
-fn run_marker_txn(client: &mut Client, writer: i64, marker: i64, abandon: bool) -> TxnOutcome {
-    if client.execute("BEGIN").is_err() {
-        return TxnOutcome::Failed;
-    }
-    for part in 0..3 {
-        let sql = format!("INSERT INTO markers VALUES ({writer}, {marker}, {part})");
-        if abandon && part == 1 {
-            // Kill the connection mid-transaction: the server must
-            // abort the session and release its locks.
-            client.drop_connection();
-            return TxnOutcome::Abandoned;
-        }
-        if client.execute(&sql).is_err() {
-            return TxnOutcome::Failed;
-        }
-    }
-    match client.execute("COMMIT") {
-        Ok(WireResult::TransactionCommitted) => TxnOutcome::Acked,
-        Ok(_) => TxnOutcome::Failed,
-        Err(e) if commit_ambiguous(&e) => TxnOutcome::CommitAmbiguous,
-        Err(_) => TxnOutcome::Failed,
     }
 }

@@ -140,7 +140,7 @@ pub struct Client {
     conn: Option<TcpStream>,
     in_transaction: bool,
     /// Total reconnect attempts made over this client's lifetime
-    /// (observability for tests and the soak harness).
+    /// (observability for tests).
     reconnects: u64,
 }
 

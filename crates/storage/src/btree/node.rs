@@ -18,7 +18,7 @@
 //! the index layer (RecScoreIndex) chooses an order-preserving encoding so
 //! byte order equals logical order.
 
-use crate::checksum::crc32;
+use crate::block;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PAGE_SIZE;
 
@@ -88,9 +88,7 @@ impl Node {
         } else {
             self.children.len() == self.keys.len() + 1 && self.keys.len() <= MAX_BRANCH_KEYS
         });
-        let mut block = Vec::with_capacity(PAGE_SIZE);
-        block.extend_from_slice(&NODE_MAGIC.to_le_bytes());
-        block.extend_from_slice(&[0u8; 4]); // CRC placeholder
+        let mut block = block::start(NODE_MAGIC);
         block.push(self.is_leaf as u8);
         block.extend_from_slice(&(self.keys.len() as u16).to_le_bytes());
         block.extend_from_slice(&self.next.to_le_bytes());
@@ -102,39 +100,14 @@ impl Node {
                 block.extend_from_slice(&child.to_le_bytes());
             }
         }
-        block.resize(PAGE_SIZE, 0);
-        let crc = crc32(&block[8..]);
-        block[4..8].copy_from_slice(&crc.to_le_bytes());
+        block::seal(&mut block);
         block
     }
 
     /// Decode one block back into a node, verifying the checksum first.
     /// `file` and `page_no` only label corruption errors.
     pub fn decode_block(block: &[u8], file: &str, page_no: u32) -> StorageResult<Node> {
-        if block.len() != PAGE_SIZE {
-            return Err(StorageError::Corruption {
-                file: file.to_owned(),
-                page: page_no,
-                expected: PAGE_SIZE as u32,
-                found: block.len() as u32,
-            });
-        }
-        let stored_crc = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
-        let actual_crc = crc32(&block[8..]);
-        if stored_crc != actual_crc {
-            return Err(StorageError::Corruption {
-                file: file.to_owned(),
-                page: page_no,
-                expected: stored_crc,
-                found: actual_crc,
-            });
-        }
-        let magic = u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        if magic != NODE_MAGIC {
-            return Err(StorageError::Corrupt(format!(
-                "index block in `{file}` page {page_no} has bad magic {magic:#010x}"
-            )));
-        }
+        block::verify(block, NODE_MAGIC, "index", file, page_no)?;
         let bad = |msg: &str| StorageError::Corrupt(format!("`{file}` page {page_no}: {msg}"));
         let is_leaf = match block[8] {
             0 => false,

@@ -36,6 +36,7 @@
 // (`clippy.toml` exempts `#[cfg(test)]` code).
 #![warn(clippy::unwrap_used)]
 
+mod block;
 pub mod btree;
 pub mod catalog;
 pub mod checksum;

@@ -6,7 +6,7 @@
 //! simplified PostgreSQL heap page. Deletion marks a slot dead without
 //! compacting; the space is reclaimed only on [`Page::compact`].
 
-use crate::checksum::crc32;
+use crate::block;
 use crate::error::{StorageError, StorageResult};
 use crate::tuple::{RowRef, Tuple};
 
@@ -178,9 +178,7 @@ impl Page {
     /// checksums rely on.
     pub fn encode_block(&self, lsn: u64) -> Vec<u8> {
         debug_assert!(PAGE_HEADER_SIZE + self.used_bytes() <= PAGE_SIZE);
-        let mut block = Vec::with_capacity(PAGE_SIZE);
-        block.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-        block.extend_from_slice(&[0u8; 4]); // CRC placeholder
+        let mut block = block::start(PAGE_MAGIC);
         block.extend_from_slice(&lsn.to_le_bytes());
         block.extend_from_slice(&(self.slots.len() as u16).to_le_bytes());
         block.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
@@ -190,9 +188,7 @@ impl Page {
             block.push(s.live as u8);
         }
         block.extend_from_slice(&self.data);
-        block.resize(PAGE_SIZE, 0);
-        let crc = crc32(&block[8..]);
-        block[4..8].copy_from_slice(&crc.to_le_bytes());
+        block::seal(&mut block);
         block
     }
 
@@ -201,26 +197,7 @@ impl Page {
     /// [`StorageError::Corruption`] error so a bad block names its exact
     /// location. Returns the page and the LSN stamped in the header.
     pub fn decode_block(block: &[u8], file: &str, page_no: u32) -> StorageResult<(Page, u64)> {
-        let corruption = |expected: u32, found: u32| StorageError::Corruption {
-            file: file.to_owned(),
-            page: page_no,
-            expected,
-            found,
-        };
-        if block.len() != PAGE_SIZE {
-            return Err(corruption(PAGE_SIZE as u32, block.len() as u32));
-        }
-        let stored_crc = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
-        let actual_crc = crc32(&block[8..]);
-        if stored_crc != actual_crc {
-            return Err(corruption(stored_crc, actual_crc));
-        }
-        let magic = u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        if magic != PAGE_MAGIC {
-            return Err(StorageError::Corrupt(format!(
-                "page block in `{file}` page {page_no} has bad magic {magic:#010x}"
-            )));
-        }
+        block::verify(block, PAGE_MAGIC, "page", file, page_no)?;
         let lsn = u64::from_le_bytes(block[8..16].try_into().expect("fixed-width header slice"));
         let slot_count = u16::from_le_bytes([block[16], block[17]]) as usize;
         let data_len = u32::from_le_bytes([block[18], block[19], block[20], block[21]]) as usize;

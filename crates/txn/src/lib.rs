@@ -33,11 +33,11 @@
 //! long each such wait lasted (granted *or* timed out).
 
 use recdb_guard::{GuardError, QueryGuard};
-use recdb_obs::Registry;
+use recdb_obs::{Counter, Histogram, Registry};
 use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Transaction identifier. The engine allocates these from a process-wide
@@ -148,7 +148,13 @@ const LOCK_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_
 pub struct LockTable {
     state: Mutex<HashMap<String, Entry>>,
     cond: Condvar,
-    metrics: Mutex<Option<Arc<Registry>>>,
+    metrics: OnceLock<LockMetrics>,
+}
+
+/// The lock table's series, resolved from the registry once, at attach.
+struct LockMetrics {
+    waits: Arc<Counter>,
+    wait_micros: Arc<Histogram>,
 }
 
 impl LockTable {
@@ -158,9 +164,13 @@ impl LockTable {
     }
 
     /// Attach the engine's metric registry; waits recorded afterwards
-    /// feed `recdb_lock_waits_total` and `recdb_lock_wait_micros`.
-    pub fn attach_metrics(&self, registry: Arc<Registry>) {
-        *lock(&self.metrics) = Some(registry);
+    /// feed `recdb_lock_waits_total` and `recdb_lock_wait_micros`. May be
+    /// called once; later calls are ignored.
+    pub fn attach_metrics(&self, registry: &Registry) {
+        let _ = self.metrics.set(LockMetrics {
+            waits: registry.counter("recdb_lock_waits_total"),
+            wait_micros: registry.histogram("recdb_lock_wait_micros", &LOCK_WAIT_BUCKETS),
+        });
     }
 
     /// Acquire `mode` on `table` for transaction `txn`, waiting up to
@@ -264,15 +274,14 @@ impl LockTable {
     }
 
     fn note_wait_started(&self) {
-        if let Some(m) = lock(&self.metrics).as_ref() {
-            m.counter("recdb_lock_waits_total").inc();
+        if let Some(m) = self.metrics.get() {
+            m.waits.inc();
         }
     }
 
     fn observe_wait(&self, waited: Duration) {
-        if let Some(m) = lock(&self.metrics).as_ref() {
-            m.histogram("recdb_lock_wait_micros", &LOCK_WAIT_BUCKETS)
-                .observe(waited.as_micros() as u64);
+        if let Some(m) = self.metrics.get() {
+            m.wait_micros.observe(waited.as_micros() as u64);
         }
     }
 }
@@ -420,7 +429,7 @@ mod tests {
         let g = &QueryGuard::unlimited();
         let registry = Arc::new(Registry::new());
         let lt = LockTable::new();
-        lt.attach_metrics(Arc::clone(&registry));
+        lt.attach_metrics(&registry);
         lt.acquire(1, "t", LockMode::Exclusive, NOW, g).unwrap();
         // Uncontended grants record nothing.
         let snap = registry.snapshot();

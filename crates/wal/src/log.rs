@@ -30,7 +30,7 @@
 
 use crate::error::{WalError, WalResult};
 use crate::record::WalRecord;
-use recdb_obs::Registry;
+use recdb_obs::{Counter, Registry};
 use recdb_storage::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -61,7 +61,15 @@ pub struct Wal {
     /// Whether a failed append may have left partial bytes past `len`.
     tail_dirty: bool,
     /// Optional metrics sink; see [`Wal::attach_metrics`].
-    metrics: Option<Arc<Registry>>,
+    metrics: Option<WalMetrics>,
+}
+
+/// The log's series, resolved from the registry once, at attach.
+#[derive(Debug)]
+struct WalMetrics {
+    appends: Arc<Counter>,
+    appended_bytes: Arc<Counter>,
+    fsyncs: Arc<Counter>,
 }
 
 /// The result of opening a log: the handle, every decoded record, and
@@ -241,10 +249,8 @@ impl Wal {
         self.len += frame.len() as u64;
         self.next_lsn += 1;
         if let Some(metrics) = &self.metrics {
-            metrics.counter("recdb_wal_appends_total").inc();
-            metrics
-                .counter("recdb_wal_appended_bytes_total")
-                .add(frame.len() as u64);
+            metrics.appends.inc();
+            metrics.appended_bytes.add(frame.len() as u64);
         }
         Ok(lsn)
     }
@@ -269,7 +275,7 @@ impl Wal {
         self.synced_len = self.len;
         self.synced_next_lsn = self.next_lsn;
         if let Some(metrics) = &self.metrics {
-            metrics.counter("recdb_wal_fsyncs_total").inc();
+            metrics.fsyncs.inc();
         }
         Ok(())
     }
@@ -312,8 +318,12 @@ impl Wal {
     ///
     /// The log records nothing until a registry is attached, so standalone
     /// uses of the crate pay no metrics cost.
-    pub fn attach_metrics(&mut self, registry: Arc<Registry>) {
-        self.metrics = Some(registry);
+    pub fn attach_metrics(&mut self, registry: &Registry) {
+        self.metrics = Some(WalMetrics {
+            appends: registry.counter("recdb_wal_appends_total"),
+            appended_bytes: registry.counter("recdb_wal_appended_bytes_total"),
+            fsyncs: registry.counter("recdb_wal_fsyncs_total"),
+        });
     }
 
     /// LSN the log starts after.

@@ -3,20 +3,12 @@
 //! timings are deterministic under an injected manual clock, and the
 //! Prometheus rendering is well-formed.
 
+mod common;
+
+use common::temp_dir;
 use recdb::core::{GovernorConfig, RecDb, RecDbConfig};
 use recdb::obs::ManualClock;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "recdb-obs-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::SeqCst)
-    ))
-}
 
 const SCHEMA: &str = "CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT);
      INSERT INTO ratings VALUES
@@ -31,10 +23,10 @@ const TOPK: &str = "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
 
 #[test]
 fn counters_move_across_a_scripted_durable_session() {
-    let dir = temp_dir("session");
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = temp_dir("session");
+    let dir = tmp.path();
     {
-        let db = RecDb::open(&dir).expect("open durable engine");
+        let db = RecDb::open(dir).expect("open durable engine");
         db.execute_script(SCHEMA).expect("schema + recommender");
 
         // A plain scan, so the SeqScan rows counter moves too.
@@ -79,13 +71,12 @@ fn counters_move_across_a_scripted_durable_session() {
         db.execute("INSERT INTO ratings VALUES (5, 1, 2.0)")
             .expect("post-checkpoint insert");
     }
-    let db = RecDb::open(&dir).expect("reopen");
+    let db = RecDb::open(dir).expect("reopen");
     let snap = db.metrics_snapshot();
     assert!(
         snap.counter("recdb_recovery_replayed_records_total") > 0,
         "the uncheckpointed insert must be replayed: {snap:?}"
     );
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// An N%-rule rebuild observes each of its three stages once — scanning

@@ -6,6 +6,9 @@
 //! for its whole body and clears the registry on entry and exit — the
 //! registry is process-global and the test harness runs in parallel.
 
+mod common;
+
+use common::{fault_seed, seed_ratings, temp_dir};
 use recdb::core::{EngineError, GovernorConfig, QueryGuard, QueryResult, RecDb, RecDbConfig};
 use recdb::exec::{ExecError, ResultSet};
 use recdb::fault;
@@ -19,28 +22,9 @@ const RECOMMEND_SQL: &str = "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R 
 const CREATE_REC_SQL: &str = "CREATE RECOMMENDER MovieRec ON ratings \
      USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF";
 
-/// A deterministic ratings table: 6 users × 8 items, one gap per user so
-/// every user has something left to recommend.
-fn seed_ratings(db: &mut RecDb) {
-    db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
-        .expect("create table");
-    let mut rows = Vec::new();
-    for uid in 1..=6i64 {
-        for iid in 1..=8i64 {
-            if (uid + iid) % 7 == 0 {
-                continue; // leave unrated items to recommend
-            }
-            let rating = 1.0 + ((uid * 3 + iid * 5) % 9) as f64 / 2.0;
-            rows.push(format!("({uid}, {iid}, {rating:.1})"));
-        }
-    }
-    let sql = format!("INSERT INTO ratings VALUES {}", rows.join(", "));
-    db.execute(&sql).expect("seed inserts");
-}
-
 fn seeded_db() -> RecDb {
-    let mut db = RecDb::new();
-    seed_ratings(&mut db);
+    let db = RecDb::new();
+    seed_ratings(&db);
     db
 }
 
@@ -133,8 +117,8 @@ fn config_level_row_budget_governs_plain_queries() {
         },
         ..RecDbConfig::default()
     };
-    let mut db = RecDb::with_config(config);
-    seed_ratings(&mut db); // DDL + INSERT charge no row work
+    let db = RecDb::with_config(config);
+    seed_ratings(&db); // DDL + INSERT charge no row work
     match db.query("SELECT uid FROM ratings") {
         Err(EngineError::ResourceExhausted {
             resource: "rows", ..
@@ -180,9 +164,9 @@ fn ratings_bytes(db: &RecDb) -> Vec<Vec<u8>> {
 #[test]
 fn governor_refuses_update_and_delete_without_a_trace() {
     let _gate = fault::exclusive(); // no fault armed by a parallel test may fire here
-    let dir = std::env::temp_dir().join(format!("recdb-robustness-dml-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = RecDb::open(&dir).expect("open durable");
+    let tmp = temp_dir("dml");
+    let dir = tmp.path();
+    let db = RecDb::open(dir).expect("open durable");
     db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
         .expect("create table");
     for batch in 0..DML_ROWS / 1000 {
@@ -270,8 +254,6 @@ fn governor_refuses_update_and_delete_without_a_trace() {
         });
         assert!(changed, "{sql}: {results:?}");
     }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -320,8 +302,8 @@ fn faulted_rebuild_keeps_previous_model_serving() {
         maintenance_threshold_pct: 1.0, // rebuild on nearly every insert
         ..RecDbConfig::default()
     };
-    let mut db = RecDb::with_config(config);
-    seed_ratings(&mut db);
+    let db = RecDb::with_config(config);
+    seed_ratings(&db);
     db.execute(CREATE_REC_SQL).expect("create recommender");
     let baseline = db.query(RECOMMEND_SQL).expect("baseline recommend");
 
@@ -847,9 +829,9 @@ fn a_join_never_reads_an_index_a_failed_rollback_left_stale() {
 fn corrupt_spill_block_under_a_scan_is_a_fatal_corruption_error() {
     let _gate = fault::exclusive();
     fault::clear();
-    let dir = std::env::temp_dir().join(format!("recdb-robustness-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = small_pool_db(Some(dir.clone()));
+    let tmp = temp_dir("spill");
+    let dir = tmp.path();
+    let db = small_pool_db(Some(dir.to_path_buf()));
     // Page 0 left the 4-frame pool long ago; damage its spilled image.
     let spill = dir.join("pool").join("ratings.0.spill");
     let mut bytes = std::fs::read(&spill).expect("read spill file");
@@ -875,8 +857,6 @@ fn corrupt_spill_block_under_a_scan_is_a_fatal_corruption_error() {
         assert_eq!(wire.code, recdb::server::ErrorCode::Corruption, "{sql}");
         assert!(!wire.retryable, "{sql}");
     }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `CREATE INDEX` backfills through the same page access as a scan, so a
@@ -886,9 +866,9 @@ fn corrupt_spill_block_under_a_scan_is_a_fatal_corruption_error() {
 fn corrupt_spill_block_under_create_index_is_a_corruption_error() {
     let _gate = fault::exclusive();
     fault::clear();
-    let dir = std::env::temp_dir().join(format!("recdb-robustness-index-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = small_pool_db(Some(dir.clone()));
+    let tmp = temp_dir("index");
+    let dir = tmp.path();
+    let db = small_pool_db(Some(dir.to_path_buf()));
     let spill = dir.join("pool").join("ratings.0.spill");
     let mut bytes = std::fs::read(&spill).expect("read spill file");
     bytes[100] ^= 0xFF;
@@ -911,8 +891,6 @@ fn corrupt_spill_block_under_create_index_is_a_corruption_error() {
         Err(EngineError::Storage(recdb::storage::StorageError::IndexNotFound(_))) => {}
         other => panic!("the failed CREATE INDEX left an index behind: {other:?}"),
     }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A dropped table lives on in its transaction's undo log beside the
@@ -924,11 +902,10 @@ fn corrupt_spill_block_under_create_index_is_a_corruption_error() {
 fn a_rolled_back_drop_and_recreate_reads_the_dropped_tables_rows() {
     let _gate = fault::exclusive();
     fault::clear();
-    let dir =
-        std::env::temp_dir().join(format!("recdb-robustness-recreate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = temp_dir("recreate");
+    let dir = tmp.path();
     let db = RecDb::open_with_config(RecDbConfig {
-        data_dir: Some(dir.clone()),
+        data_dir: Some(dir.to_path_buf()),
         buffer_pool_pages: 4,
         ..RecDbConfig::default()
     })
@@ -979,9 +956,6 @@ fn a_rolled_back_drop_and_recreate_reads_the_dropped_tables_rows() {
         .collect();
     bs.sort_unstable();
     assert_eq!(bs, [7, 399]);
-    drop(session);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Spill files are scratch, named by the file ids of the run that wrote
@@ -991,10 +965,10 @@ fn a_rolled_back_drop_and_recreate_reads_the_dropped_tables_rows() {
 fn reopening_after_a_crash_keeps_only_the_live_spill_files() {
     let _gate = fault::exclusive();
     fault::clear();
-    let dir = std::env::temp_dir().join(format!("recdb-robustness-respill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = temp_dir("respill");
+    let dir = tmp.path();
     let config = || RecDbConfig {
-        data_dir: Some(dir.clone()),
+        data_dir: Some(dir.to_path_buf()),
         buffer_pool_pages: 4,
         ..RecDbConfig::default()
     };
@@ -1023,8 +997,6 @@ fn reopening_after_a_crash_keeps_only_the_live_spill_files() {
         5000
     );
     assert_eq!(spill_files(), ["ratings.0.spill"]);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The join of `users` with `table` on uid as sorted `(uid, iid)` pairs,
@@ -1106,19 +1078,12 @@ const ALL_SITES: [&str; 8] = [
     "txn::rollback",
 ];
 
-fn sweep_seed() -> u64 {
-    std::env::var("RECDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 /// Run the full workload with one site armed at a seed-derived hit and
 /// prove that whatever fails, the engine ends the workload consistent.
 #[test]
 fn seeded_fault_sweep_never_corrupts_the_engine() {
     let _gate = fault::exclusive();
-    let seed = sweep_seed();
+    let seed = fault_seed();
     for site in ALL_SITES {
         fault::clear();
         let mut db = seeded_db(); // seed before arming: faults target the workload
@@ -1199,14 +1164,11 @@ fn dropped_session_with_open_txn_releases_locks() {
 fn abort_path_panic_still_releases_locks() {
     let _gate = fault::exclusive();
     fault::clear();
-    let dir = std::env::temp_dir().join(format!(
-        "recdb-robustness-abortpanic-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = temp_dir("abortpanic");
+    let dir = tmp.path();
     {
         let db = RecDb::open_with_config(RecDbConfig {
-            data_dir: Some(dir.clone()),
+            data_dir: Some(dir.to_path_buf()),
             ..RecDbConfig::default()
         })
         .expect("open durable");
@@ -1243,7 +1205,6 @@ fn abort_path_panic_still_releases_locks() {
         db.execute("INSERT INTO t VALUES (3)")
             .expect("still writable");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

@@ -1,48 +1,34 @@
 //! Wire-level acceptance + chaos tests for the serving layer: typed
 //! results over TCP, transactions per connection, admission control,
 //! timeouts, killed connections mid-transaction, the seeded fault sweep
-//! over the `server::*` sites (verified against a shadow engine), and
-//! crash-during-serve recovery.
+//! over the `server::*` sites, crash-during-serve recovery, and the soak
+//! (re-armed faults, abandoned connections, recovery). The last three
+//! are held to the serial replay of their acknowledged commits
+//! (`common::History`).
 //!
 //! Every test holds [`recdb::fault::exclusive`] for its whole body: the
 //! fault registry is process-global and the harness runs tests in
 //! parallel, so a site the fault sweep arms would otherwise fire in
 //! whichever test reaches it next. The tests run one at a time.
 
-use recdb::core::RecDb;
-use recdb::core::RecDbConfig;
+mod common;
+
+use common::{fault_seed, run_marker, temp_dir, End, History, Marker, Outcome, MARKERS_TABLE};
+use recdb::core::{RecDb, RecDbConfig};
 use recdb::fault;
 use recdb::server::{
     Client, ClientConfig, ClientError, ErrorCode, Server, ServerConfig, WireResult,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "recdb-server-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::SeqCst)
-    ))
-}
-
-fn sweep_seed() -> u64 {
-    std::env::var("RECDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// Start a server over a fresh in-memory engine with a markers table.
 fn marker_server(cfg: ServerConfig) -> (Arc<RecDb>, Server) {
     let db = Arc::new(RecDb::new());
-    db.execute("CREATE TABLE markers (writer INT, marker INT, part INT)")
-        .expect("create markers");
+    db.execute(MARKERS_TABLE).expect("create markers");
     let server = Server::start(Arc::clone(&db), cfg).expect("bind server");
     (db, server)
 }
@@ -407,7 +393,7 @@ fn oversized_result_is_refused_and_the_transaction_carries_on() {
 }
 
 // ---------------------------------------------------------------------
-// Seeded fault sweep over the server sites, vs a shadow engine
+// Seeded fault sweep over the server sites, against the replay
 // ---------------------------------------------------------------------
 
 const SERVER_SITES: [&str; 3] = [
@@ -418,13 +404,12 @@ const SERVER_SITES: [&str; 3] = [
 
 /// For every server fail point and every scheduled hit position, run a
 /// transactional wire workload with the site armed, then prove: no lock
-/// leaks, and the surviving data equals a shadow engine replaying
-/// exactly the acknowledged commits (modulo ambiguous commits, which
-/// must still be atomic).
+/// leaks, and the surviving data equals the replay of exactly the
+/// acknowledged commits (an ambiguous commit is whole or absent).
 #[test]
 fn seeded_server_fault_sweep_matches_shadow_replay() {
     let _gate = fault::exclusive();
-    let seed = sweep_seed();
+    let seed = fault_seed();
     for site in SERVER_SITES {
         for round in 0..4u64 {
             fault::clear();
@@ -432,13 +417,13 @@ fn seeded_server_fault_sweep_matches_shadow_replay() {
                 idle_timeout: Duration::from_secs(10),
                 ..ServerConfig::default()
             });
-            let addr = server.addr();
+            let mut history = History::new();
+            history.record(Outcome::Acked, MARKERS_TABLE);
             let nth = fault::schedule_nth(seed.wrapping_add(round), site, 4);
             fault::arm_error(site, nth);
 
-            let mut acked: Vec<i64> = Vec::new();
             let mut client = Client::connect_with(
-                addr,
+                server.addr(),
                 ClientConfig {
                     max_retries: 6,
                     backoff_base: Duration::from_millis(1),
@@ -447,105 +432,43 @@ fn seeded_server_fault_sweep_matches_shadow_replay() {
             )
             .expect("sweep connect");
             for marker in 0..6i64 {
-                // Whole-transaction retry, the only sound unit.
-                for _attempt in 0..3 {
-                    let ok = client.execute("BEGIN").is_ok()
-                        && client
-                            .execute(&format!("INSERT INTO markers VALUES (0, {marker}, 0)"))
-                            .is_ok()
-                        && client
-                            .execute(&format!("INSERT INTO markers VALUES (0, {marker}, 1)"))
-                            .is_ok();
-                    if !ok {
-                        if client.in_transaction() {
-                            let _ = client.execute("ROLLBACK");
-                        }
-                        continue;
-                    }
-                    match client.execute("COMMIT") {
-                        Ok(WireResult::TransactionCommitted) => {
-                            acked.push(marker);
-                            break;
-                        }
-                        Ok(_) => {}
-                        Err(ClientError::ConnectionLost { sent: true, .. }) => break, // ambiguous
-                        Err(_) => {}
-                    }
-                }
+                let marker = Marker::wire(0, marker, 2);
+                history.marker(&marker, run_marker(&mut client, &marker, End::Commit, 3));
             }
             drop(client);
             fault::clear();
             let report = server.shutdown();
+            let context = format!("seed {seed} site {site} round {round}");
             assert_eq!(
                 report.leaked_connections, 0,
-                "seed {seed} site {site} round {round}: leaked connections"
+                "{context}: leaked connections"
             );
-            assert_eq!(
-                db.lock_table().held_count(),
-                0,
-                "seed {seed} site {site} round {round}: leaked locks"
-            );
-
-            // Shadow replay: a fresh engine executing exactly the acked
-            // commits serially.
-            let shadow = RecDb::new();
-            shadow
-                .execute("CREATE TABLE markers (writer INT, marker INT, part INT)")
-                .expect("shadow create");
-            for m in &acked {
-                shadow
-                    .execute(&format!(
-                        "INSERT INTO markers VALUES (0, {m}, 0), (0, {m}, 1)"
-                    ))
-                    .expect("shadow insert");
-            }
-            let count_rows = |db: &RecDb, marker: i64| {
-                db.query(&format!("SELECT part FROM markers WHERE marker = {marker}"))
-                    .expect("count query")
-                    .len()
-            };
-            for m in &acked {
-                assert_eq!(
-                    count_rows(&db, *m),
-                    count_rows(&shadow, *m),
-                    "seed {seed} site {site} round {round}: acked marker {m} diverges from shadow"
-                );
-            }
-            // Non-acked markers may exist (ambiguous commits) but must
-            // be atomic: exactly 0 or 2 rows, never torn.
-            for m in 0..6i64 {
-                let n = count_rows(&db, m);
-                assert!(
-                    n == 0 || n == 2,
-                    "seed {seed} site {site} round {round}: marker {m} torn ({n} rows)"
-                );
-            }
+            assert_eq!(db.lock_table().held_count(), 0, "{context}: leaked locks");
+            history.assert_matches(&db, &context);
         }
     }
     fault::clear();
 }
 
 // ---------------------------------------------------------------------
-// Crash-during-serve recovery
+// Crash-during-serve recovery and the soak
 // ---------------------------------------------------------------------
 
 /// Commits acknowledged over the wire must survive a crash: force-stop
-/// the server with connections open mid-transaction, reopen the data
-/// directory, and check exactly the acked markers (plus nothing torn).
+/// the server with a connection open mid-transaction, reopen the data
+/// directory, and find exactly the acknowledged markers.
 #[test]
 fn crash_during_serve_preserves_exactly_acked_commits() {
     let _gate = fault::exclusive();
     let dir = temp_dir("crash");
-    let acked: Vec<i64> = {
-        let db = Arc::new(
-            RecDb::open_with_config(RecDbConfig {
-                data_dir: Some(dir.clone()),
-                ..RecDbConfig::default()
-            })
-            .expect("open durable"),
-        );
-        db.execute("CREATE TABLE markers (writer INT, marker INT, part INT)")
-            .expect("create");
+    let config = || RecDbConfig {
+        data_dir: Some(dir.path().to_path_buf()),
+        ..RecDbConfig::default()
+    };
+    let mut history = History::new();
+    {
+        let db = Arc::new(RecDb::open_with_config(config()).expect("open durable"));
+        history.must(&db, MARKERS_TABLE);
         db.checkpoint().expect("baseline checkpoint");
         let server = Server::start(
             Arc::clone(&db),
@@ -557,64 +480,133 @@ fn crash_during_serve_preserves_exactly_acked_commits() {
             },
         )
         .expect("bind");
-        let addr = server.addr();
-
-        let mut acked = Vec::new();
-        let mut client = Client::connect(addr).expect("connect");
+        let mut client = Client::connect(server.addr()).expect("connect");
         for marker in 0..5i64 {
-            client.execute("BEGIN").expect("begin");
-            client
-                .execute(&format!("INSERT INTO markers VALUES (0, {marker}, 0)"))
-                .expect("insert 0");
-            client
-                .execute(&format!("INSERT INTO markers VALUES (0, {marker}, 1)"))
-                .expect("insert 1");
-            if let Ok(WireResult::TransactionCommitted) = client.execute("COMMIT") {
-                acked.push(marker);
-            }
+            let marker = Marker::wire(0, marker, 2);
+            let outcome = run_marker(&mut client, &marker, End::Commit, 1);
+            assert_eq!(outcome, Outcome::Acked, "{marker:?}");
+            history.marker(&marker, outcome);
         }
         // Leave a transaction OPEN mid-flight when the server dies: its
         // effects must not survive.
-        client.execute("BEGIN").expect("begin open");
-        client
-            .execute("INSERT INTO markers VALUES (0, 999, 0)")
-            .expect("uncommitted insert");
+        let open = Marker::wire(0, 999, 2);
+        history.marker(&open, run_marker(&mut client, &open, End::Open(1), 1));
         server.shutdown();
-        acked
-        // engine dropped here; the open transaction was aborted by the
-        // server's teardown, the acked commits were WAL-fsynced at their
-        // COMMIT.
-    };
+        // The engine is dropped here: the server's teardown aborted the
+        // open transaction, and the acked commits were WAL-fsynced at
+        // their COMMIT.
+    }
+    let db = RecDb::open_with_config(config()).expect("reopen");
+    history.assert_matches(&db, "crash during serve");
+}
 
-    let db = RecDb::open_with_config(RecDbConfig {
-        data_dir: Some(dir.clone()),
+/// The wire soak: two writers each run 40 three-part marker transactions
+/// over real sockets while the `server::*` sites fire and re-arm from the
+/// seed, every 5th transaction is abandoned with its connection after one
+/// insert, and a reader runs throughout. Then no connection may leak, no
+/// lock may be held, and the reopened data directory must hold exactly
+/// the acknowledged markers, none torn. CI runs it in release at
+/// `RECDB_FAULT_SEED` ∈ {1, 7, 42}.
+#[test]
+fn soak_under_rearmed_server_faults_keeps_exactly_the_acked_commits() {
+    let _gate = fault::exclusive();
+    let seed = fault_seed();
+    let dir = temp_dir("soak");
+    let config = || RecDbConfig {
+        data_dir: Some(dir.path().to_path_buf()),
         ..RecDbConfig::default()
-    })
-    .expect("reopen");
-    let rows = db
-        .query("SELECT marker, part FROM markers")
-        .expect("read back");
-    let mut counts: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-    for row in rows.rows() {
-        if let recdb::storage::Value::Int(m) = row.values()[0] {
-            *counts.entry(m).or_insert(0) += 1;
+    };
+    let mut history = History::new();
+    {
+        let db = Arc::new(RecDb::open_with_config(config()).expect("open engine"));
+        history.must(&db, MARKERS_TABLE);
+        db.checkpoint().expect("initial checkpoint");
+        let server = Server::start(
+            Arc::clone(&db),
+            ServerConfig {
+                idle_timeout: Duration::from_secs(10),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind server");
+        let addr = server.addr();
+
+        // One seeded fault per server site up front; the writers re-arm
+        // each site after it fires (see `soak_writer`).
+        fault::clear();
+        for site in SERVER_SITES {
+            fault::arm_error(site, fault::schedule_nth(seed, site, 6));
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2i64)
+                .map(|w| scope.spawn(move || soak_writer(addr, seed, w, 40)))
+                .collect();
+            let stop = &stop;
+            scope.spawn(move || {
+                if let Ok(mut client) = Client::connect(addr) {
+                    while !stop.load(Ordering::Relaxed) {
+                        let _ = client.query("SELECT COUNT(*) FROM markers");
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                }
+            });
+            for h in writers {
+                history.extend(h.join().expect("soak writer"));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        fault::clear();
+
+        let report = server.shutdown();
+        assert_eq!(report.leaked_connections, 0, "seed {seed}: {report:?}");
+        let held = db.lock_table().held_count();
+        assert_eq!(held, 0, "seed {seed}: locks held after shutdown");
+        // The engine is dropped here with no close beyond the shutdown
+        // checkpoint.
+    }
+    let db = RecDb::open_with_config(config()).expect("reopen engine");
+    history.assert_matches(&db, &format!("soak seed {seed}"));
+}
+
+/// One soak writer: marker transactions `w · 10⁶ + m`, each retried whole
+/// up to 4 times. After each, a site whose fault has fired is re-armed at
+/// a fresh position derived from (seed, marker), so faults keep landing
+/// at varied but reproducible hits throughout the run.
+fn soak_writer(addr: SocketAddr, seed: u64, w: i64, txns: i64) -> History {
+    let config = ClientConfig {
+        max_retries: 8,
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(addr, config).expect("writer connect");
+    let mut history = History::new();
+    let mut seen = [0u64; SERVER_SITES.len()];
+    for m in 0..txns {
+        let id = w * 1_000_000 + m;
+        let marker = Marker::wire(w, id, 3);
+        // Every 5th transaction is abandoned mid-flight: the connection
+        // drops after BEGIN + one insert, and the server's session abort
+        // must reclaim its locks.
+        let end = if m % 5 == 4 {
+            End::Open(1)
+        } else {
+            End::Commit
+        };
+        let outcome = run_marker(&mut client, &marker, end, 4);
+        if outcome == Outcome::Abandoned {
+            client.drop_connection();
+        }
+        history.marker(&marker, outcome);
+        for (seen, site) in seen.iter_mut().zip(SERVER_SITES) {
+            let fired = fault::triggered(site);
+            if fired > *seen {
+                *seen = fired;
+                let nth = fault::schedule_nth(seed ^ (id as u64).wrapping_mul(0x9E37), site, 8);
+                fault::arm_error(site, nth);
+            }
         }
     }
-    assert_eq!(counts.get(&999), None, "uncommitted txn leaked to disk");
-    for m in &acked {
-        assert_eq!(
-            counts.get(m),
-            Some(&2),
-            "acked marker {m} lost or torn after recovery"
-        );
-    }
-    for (m, n) in &counts {
-        assert!(
-            acked.contains(m) && *n == 2,
-            "marker {m} on disk was never acknowledged (or torn: {n} rows)"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    history
 }
 
 // ---------------------------------------------------------------------
