@@ -537,9 +537,12 @@ fn pool_sweep() {
             heap_pages
         ));
     }
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let json = format!(
-        "{{\n  \"experiment\": \"buffer_pool_sweep\",\n  \"reps\": {REPS},\n  \
-         \"queries_per_rep\": {queries_per_rep},\n  \
+        "{{\n  \"experiment\": \"buffer_pool_sweep\",\n  \"host_threads\": {host_threads},\n  \
+         \"reps\": {REPS},\n  \"queries_per_rep\": {queries_per_rep},\n  \
          \"note\": \"mixed point-select / range-filter / IndexRecommend \
          workload over a {users}x{items}-pair ratings world; frames = 0 \
          means unbounded; hit_rate and evictions are deltas over the \
@@ -556,7 +559,8 @@ fn pool_sweep() {
 /// In-process cost of one heap scan with one scan key, in the shape of
 /// the benchmark's `mixed_smallpool` scans: the MovieLens-shaped world in
 /// a durable engine whose 64-frame pool is far smaller than the ratings
-/// heap, so every page is a private read (read, checksum, decode). The
+/// heap, so every page is a private read (read a run of up to 32 pages at
+/// a time, checksummed, its rows visited in place). The
 /// same scans over a resident heap show what the rows and keys cost
 /// alone. Beside `uid = k` it times a key that matches nothing, a negative
 /// constant and the `Text` key of Query 4's `movies` scan, and on `movies`

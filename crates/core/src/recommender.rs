@@ -15,7 +15,7 @@ use recdb_algo::parallel::for_each_chunk;
 use recdb_algo::{Algorithm, RatingsBuilder, RatingsMatrix, RecModel, ScoreScratch};
 use recdb_exec::{RecScoreIndex, UserList};
 use recdb_guard::QueryGuard;
-use recdb_storage::{BufferPool, Catalog, StorageError, DEFAULT_NODE_CAPACITY};
+use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
 use recdb_wal::RecommenderDef;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -509,28 +509,21 @@ pub fn load_matrix(
     let i = schema.resolve(items_column)?;
     let r = schema.resolve(ratings_column)?;
     let mut ratings = RatingsBuilder::with_capacity(table.tuple_count() as usize);
-    let mut page_no = 0;
-    // Three columns read in place per row: no tuple is decoded. A page
-    // reports the slot of its first non-numeric triple, if any.
-    while let Some(bad_slot) = table.heap().visit_page(page_no, |page| {
+    // Three columns read in place per row: no tuple is decoded.
+    table.heap().visit_all(|page_no, page| {
         for (slot, row) in page.live_rows() {
             let (user, item, value) = (row.column(u)?, row.column(i)?, row.column(r)?);
             let (Some(user), Some(item), Some(value)) =
                 (user.as_int(), item.as_int(), value.as_f64())
             else {
-                return Ok(Some(slot));
+                return Err(EngineError::Exec(recdb_exec::ExecError::Type(format!(
+                    "non-numeric rating triple in `{ratings_table}` at page {page_no}, slot {slot}"
+                ))));
             };
             ratings.push(user, item, value);
         }
-        Ok::<_, StorageError>(None)
-    })? {
-        if let Some(slot) = bad_slot? {
-            return Err(EngineError::Exec(recdb_exec::ExecError::Type(format!(
-                "non-numeric rating triple in `{ratings_table}` at page {page_no}, slot {slot}"
-            ))));
-        }
-        page_no += 1;
-    }
+        Ok(())
+    })?;
     Ok(ratings.build())
 }
 

@@ -10,13 +10,14 @@ pub mod index_join;
 pub mod join;
 pub mod recommend;
 
-use crate::error::ExecResult;
+use crate::error::{ExecError, ExecResult};
 use crate::expr::BoundExpr;
 use crate::scan_keys::{self, ScanKey};
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats};
 use recdb_sql::{Expr, Literal};
-use recdb_storage::{HeapTable, Rid, Schema, StorageError, Tuple, Value};
+use recdb_storage::{HeapTable, Rid, ScanBuffer, Schema, StorageError, Tuple, Value};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 pub use aggregate::{AggFunc, AggOutput, HashAggregateOp};
@@ -114,26 +115,33 @@ pub fn drain(op: &mut dyn PhysicalOp) -> ExecResult<Vec<Tuple>> {
 
 // ------------------------------------------------------------------- Scan
 
-/// Sequential heap scan, page at a time, carrying the predicate that sits
-/// directly on the table.
+/// Sequential heap scan, a run of pages at a time
+/// ([`HeapTable::visit_run`]), carrying the predicate that sits directly on
+/// the table.
 ///
 /// The predicate's `AND`-conjuncts of the form `column ⋈ constant` (or
 /// `constant ⋈ column`) for `= <> < <= > >=` are **scan keys**; the rest
 /// is the **residual**. Each page is one pool access. Inside it the keys
 /// run on the encoded rows and only the rows they accept are decoded; the
-/// residual runs on those decoded rows after the page access has returned,
-/// because the page visitor runs under the pool's lock. So a residual
+/// residual runs on those decoded rows after the run has returned,
+/// because the page visitor may run under the pool's lock. So a residual
 /// error surfaces only for rows that pass the keys. A page bills the
 /// governor and the rows-scanned counter once, with its live-row count —
-/// every row the scan examined, kept or not.
+/// every row the scan examined, kept or not. An error at a page (the
+/// pool's, a key's, the governor's) ends the run there: the rows kept
+/// from the pages before it are emitted first, then the error.
 pub struct ScanOp<'a> {
     heap: &'a HeapTable,
     schema: Schema,
     keys: Vec<ScanKey>,
     residual: Option<BoundExpr>,
+    /// The next page to visit.
     page: u32,
-    /// Rows of the current page that passed the keys.
-    buffer: std::vec::IntoIter<(Rid, Tuple)>,
+    /// Rows of the current run that passed the keys.
+    buffer: VecDeque<(Rid, Tuple)>,
+    /// The error that ended the current run, due after `buffer`.
+    failed: Option<ExecError>,
+    run: ScanBuffer,
     guard: QueryGuard,
     rows_scanned: Option<Arc<Counter>>,
 }
@@ -148,7 +156,9 @@ impl<'a> ScanOp<'a> {
             keys: Vec::new(),
             residual: None,
             page: 0,
-            buffer: Vec::new().into_iter(),
+            buffer: VecDeque::new(),
+            failed: None,
+            run: ScanBuffer::default(),
             guard: QueryGuard::unlimited(),
             rows_scanned: None,
         }
@@ -183,7 +193,7 @@ impl<'a> ScanOp<'a> {
 
     fn next_row(&mut self) -> Option<ExecResult<(Rid, Tuple)>> {
         loop {
-            for (rid, tuple) in self.buffer.by_ref() {
+            while let Some((rid, tuple)) = self.buffer.pop_front() {
                 match &self.residual {
                     None => return Some(Ok((rid, tuple))),
                     Some(residual) => match residual.eval_predicate(&tuple) {
@@ -193,39 +203,63 @@ impl<'a> ScanOp<'a> {
                     },
                 }
             }
-            match self.load_page() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => return Some(Err(e)),
+            if let Some(e) = self.failed.take() {
+                return Some(Err(e));
+            }
+            if !self.load_run() {
+                return None;
             }
         }
     }
 
-    /// Refill the buffer from the next page; `false` past the last one.
-    fn load_page(&mut self) -> ExecResult<bool> {
-        let (page_no, keys) = (self.page, &self.keys);
-        let visited = self.heap.visit_page(page_no, |page| {
+    /// Refill the buffer from the next run of pages; `false` past the
+    /// last one. A page that fails keeps none of its rows, and the error
+    /// waits in `failed`; the next run starts at that page.
+    fn load_run(&mut self) -> bool {
+        let ScanOp {
+            heap,
+            keys,
+            page,
+            buffer,
+            failed,
+            run,
+            guard,
+            rows_scanned,
+            ..
+        } = self;
+        let visited = heap.visit_run(*page, run, |page_no, view| {
+            let kept = buffer.len();
             let mut live = 0u64;
-            let mut kept = Vec::new();
-            for (slot, row) in page.live_rows() {
-                live += 1;
-                if ScanKey::accept_all(keys, row)? {
-                    kept.push((Rid::new(page_no, slot), row.to_tuple()?));
-                }
+            let billed = view
+                .live_rows()
+                .try_for_each(|(slot, row)| {
+                    live += 1;
+                    if ScanKey::accept_all(keys, row)? {
+                        buffer.push_back((Rid::new(page_no, slot), row.to_tuple()?));
+                    }
+                    Ok::<_, StorageError>(())
+                })
+                .map_err(ExecError::from)
+                .and_then(|()| {
+                    if let Some(counter) = rows_scanned {
+                        counter.add(live);
+                    }
+                    Ok(guard.tick_n(live)?)
+                });
+            if billed.is_err() {
+                buffer.truncate(kept);
             }
-            Ok::<_, StorageError>((live, kept))
-        })?;
-        let Some(visited) = visited else {
-            return Ok(false);
-        };
-        let (live, kept) = visited?;
-        self.page += 1;
-        self.buffer = kept.into_iter();
-        if let Some(counter) = &self.rows_scanned {
-            counter.add(live);
+            billed?;
+            *page = page_no + 1;
+            Ok(())
+        });
+        match visited {
+            Ok(pages) => pages > 0,
+            Err(e) => {
+                *failed = Some(e);
+                true
+            }
         }
-        self.guard.tick_n(live)?;
-        Ok(true)
     }
 }
 

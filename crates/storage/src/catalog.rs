@@ -216,7 +216,7 @@ impl Table {
 }
 
 /// Refill each of `indexes` from every live row of `heap`: the keys are
-/// collected a heap page at a time, then each index's are sorted and
+/// collected a heap run at a time, then each index's are sorted and
 /// bulk-built into a fresh tree ([`crate::BTree::from_sorted`]) that replaces
 /// its old one. A page the pool cannot produce fails the call before any
 /// index changes.
@@ -225,16 +225,15 @@ fn backfill(heap: &HeapTable, indexes: &mut [BTreeIndex]) -> StorageResult<()> {
         return Ok(());
     }
     let mut keys = vec![Vec::with_capacity(heap.tuple_count() as usize); indexes.len()];
-    for page_no in 0..heap.page_count() as u32 {
-        heap.visit_page(page_no, |page| {
-            for (slot, row) in page.iter_live() {
-                let rid = Rid::new(page_no, slot);
-                for (idx, keys) in indexes.iter().zip(&mut keys) {
-                    keys.push(idx.key(&row, rid));
-                }
+    heap.visit_all(|page_no, page| {
+        for (slot, row) in page.iter_live() {
+            let rid = Rid::new(page_no, slot);
+            for (idx, keys) in indexes.iter().zip(&mut keys) {
+                keys.push(idx.key(&row, rid));
             }
-        })?;
-    }
+        }
+        Ok::<_, StorageError>(())
+    })?;
     indexes
         .iter_mut()
         .zip(keys)

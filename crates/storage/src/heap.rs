@@ -3,10 +3,11 @@
 //! A [`HeapTable`] owns a paged file inside a [`BufferPool`] and a
 //! [`Schema`]. Inserts are type-checked against the schema (with implicit
 //! `Int → Float` widening, like PostgreSQL's numeric coercion) and packed
-//! into the last page with free space. Scans go page by page — the
+//! into the last page with free space. Scans visit rows page by page — the
 //! granularity the paper's block-nested-loop operators are defined over —
-//! and every page access is counted once, by the pool
-//! ([`BufferPool::hits`] + [`BufferPool::misses`]).
+//! in runs of up to [`crate::pool::SCAN_RUN`] pages, and every page access
+//! is counted once, by the pool ([`BufferPool::hits`] +
+//! [`BufferPool::misses`]).
 //!
 //! Pages are materialized in pool frames on demand: under a bounded pool a
 //! table much larger than RAM scans in bounded memory, with cold pages
@@ -16,8 +17,8 @@
 //! independent of frame-level dirty bits inside the pool.
 
 use crate::error::{StorageError, StorageResult};
-use crate::page::Page;
-use crate::pool::{BufferPool, FileId, FileKind, FrameData};
+use crate::page::{Page, PageView};
+use crate::pool::{BufferPool, FileId, FileKind, FrameData, ScanBuffer};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
@@ -237,40 +238,64 @@ impl HeapTable {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Run `visit` over page `page_no` — one pool access — or return
-    /// `Ok(None)` past the end of the heap. This is the access path scans
-    /// are built on: the visitor reads rows in place
-    /// ([`Page::live_rows`]) and decodes only what it keeps. It may run
-    /// with the pool locked, so it must not call back into the pool. A
-    /// heap with more pages than the pool has frames admits nothing
-    /// ([`BufferPool::scan_page`]): pages that are not resident are read
-    /// privately, and the visitor runs on them with the pool unlocked.
-    /// `Err` when the pool cannot produce the page (a corrupt spill block,
-    /// a failed read or eviction).
-    pub fn visit_page<R>(
+    /// Run `visit` over each page of the run that starts at page `start`
+    /// — one pool access per page — and return how many pages it visited,
+    /// 0 past the end of the heap; the next run starts that many pages
+    /// on. This is the one access path scans are built on: the visitor
+    /// gets each page's number and rows in place ([`PageView::live_rows`])
+    /// and decodes only what it keeps. It may run with the pool locked, so
+    /// it must not call back into the pool. A heap with more pages than
+    /// the pool has frames admits nothing ([`BufferPool::scan_run`]): the
+    /// pages that are not resident are read a run at a time into `buf`,
+    /// and the visitor runs on them with the pool unlocked. `Err` when the
+    /// visitor fails or the pool cannot produce a page (a corrupt spill
+    /// block, a failed read or eviction); the pages before that one have
+    /// been visited.
+    pub fn visit_run<E: From<StorageError>>(
         &self,
-        page_no: u32,
-        visit: impl FnOnce(&Page) -> R,
-    ) -> StorageResult<Option<R>> {
-        self.pool.scan_page(self.file, page_no, visit)
+        start: u32,
+        buf: &mut ScanBuffer,
+        visit: impl FnMut(u32, PageView<'_>) -> Result<(), E>,
+    ) -> Result<u32, E> {
+        self.pool.scan_run(self.file, start, buf, visit)
+    }
+
+    /// Run `visit` over every page of the heap, run by run
+    /// ([`HeapTable::visit_run`]).
+    pub fn visit_all<E: From<StorageError>>(
+        &self,
+        mut visit: impl FnMut(u32, PageView<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (mut start, mut buf) = (0, ScanBuffer::default());
+        loop {
+            match self.visit_run(start, &mut buf, &mut visit)? {
+                0 => return Ok(()),
+                visited => start += visited,
+            }
+        }
     }
 
     /// Full scan, tuple at a time: one pool access per page visited, one
-    /// page's tuples materialized at a time.
+    /// run's tuples materialized at a time.
     ///
     /// Panics if the buffer pool cannot produce a page: an iterator of
     /// tuples has no error channel. Callers that must report storage
-    /// failures go page by page through [`HeapTable::visit_page`].
+    /// failures go run by run through [`HeapTable::visit_run`].
     pub fn scan(&self) -> impl Iterator<Item = (Rid, Tuple)> + '_ {
-        (0..self.pool.page_count(self.file)).flat_map(move |page_no| {
-            self.visit_page(page_no, |page| {
-                page.iter_live()
-                    .map(|(slot, tuple)| (Rid::new(page_no, slot), tuple))
-                    .collect::<Vec<_>>()
-            })
-            .expect("buffer pool read failed during scan")
-            .unwrap_or_default()
+        let (mut start, mut buf) = (0, ScanBuffer::default());
+        std::iter::from_fn(move || {
+            let mut rows = Vec::new();
+            let visited = self
+                .visit_run(start, &mut buf, |page_no, page| {
+                    let live = page.iter_live();
+                    rows.extend(live.map(|(slot, tuple)| (Rid::new(page_no, slot), tuple)));
+                    Ok::<_, StorageError>(())
+                })
+                .expect("buffer pool read failed during scan");
+            start += visited;
+            (visited > 0).then_some(rows)
         })
+        .flatten()
     }
 }
 
@@ -393,13 +418,22 @@ mod tests {
     }
 
     #[test]
-    fn visit_page_yields_page_granular_blocks_and_none_past_the_end() {
+    fn visit_run_yields_page_granular_blocks_and_none_past_the_end() {
         let mut t = ratings();
         for i in 0..2000 {
             t.insert(row(i, i, 1.0)).unwrap();
         }
-        let live = |pno| t.visit_page(pno, |p| p.live_rows().count()).unwrap();
-        let blocks: Vec<usize> = (0..t.page_count() as u32).map_while(live).collect();
+        let mut buf = ScanBuffer::default();
+        let mut live = |pno| {
+            let mut rows = None;
+            t.visit_run(pno, &mut buf, |n, p| {
+                rows = rows.or((n == pno).then(|| p.live_rows().count()));
+                Ok::<_, StorageError>(())
+            })
+            .unwrap();
+            rows
+        };
+        let blocks: Vec<usize> = (0..t.page_count() as u32).map_while(&mut live).collect();
         assert_eq!(blocks.len(), t.page_count());
         assert_eq!(blocks.iter().sum::<usize>(), 2000);
         // All pages except possibly the last are full to within one tuple.

@@ -29,8 +29,9 @@
 //! The paper's recommendation-aware operators (ItemCF-Recommend etc.) are
 //! specified as *block-nested-loop* algorithms over tables fetched "block by
 //! block"; this crate exposes exactly that granularity via
-//! [`heap::HeapTable::visit_page`], which hands the visitor one page's rows
-//! undecoded ([`page::Page::live_rows`] over [`tuple::RowRef`]).
+//! [`heap::HeapTable::visit_run`], which hands the visitor each page's rows
+//! undecoded ([`page::PageView::live_rows`] over [`tuple::RowRef`]), a run
+//! of up to [`pool::SCAN_RUN`] pages per call.
 
 // Engine-reachable paths must surface `StorageError`, not panic
 // (`clippy.toml` exempts `#[cfg(test)]` code).
@@ -58,9 +59,9 @@ pub use codec::Reader;
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapTable, Rid};
 pub use index::BTreeIndex;
-pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE};
+pub use page::{Page, PageView, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pagefile::{read_snapshot, read_snapshot_with, write_snapshot, RecoveryMode, Snapshot};
-pub use pool::{BufferPool, FileId, FileKind, FrameData};
+pub use pool::{BufferPool, FileId, FileKind, FrameData, ScanBuffer};
 pub use schema::{Column, Schema};
 pub use tuple::{Field, Malformed, RowRef, Tuple};
 pub use value::{DataType, Value, ValueRef};

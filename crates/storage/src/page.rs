@@ -5,10 +5,16 @@
 //! and addressed by slot number through a slot directory, exactly like a
 //! simplified PostgreSQL heap page. Deletion marks a slot dead without
 //! compacting; the space is reclaimed only on [`Page::compact`].
+//!
+//! The slot directory is held in its on-disk form (one 9-byte entry per
+//! slot), so a page in memory and a verified disk block are read through
+//! one borrowed view, [`PageView`]: a sequential scan visits the rows of a
+//! block it read without building a [`Page`] from it.
 
 use crate::block;
 use crate::error::{StorageError, StorageResult};
 use crate::tuple::{RowRef, Tuple};
+use std::ops::Range;
 
 /// Page capacity in bytes (PostgreSQL's default block size).
 pub const PAGE_SIZE: usize = 8192;
@@ -18,13 +24,17 @@ pub const PAGE_SIZE: usize = 8192;
 /// so any in-memory page can always be encoded to one disk block.
 pub const PAGE_HEADER_SIZE: usize = 22;
 
-/// Per-slot bookkeeping overhead we budget for, in bytes: offset (4),
-/// length (4), live flag (1) — the exact on-disk slot entry size.
+/// Size of one slot entry: offset (4), length (4), live flag (1) — the
+/// same bytes in memory and on disk.
 const SLOT_OVERHEAD: usize = 9;
 
 /// Magic number leading every encoded page block (`RPGB`).
 const PAGE_MAGIC: u32 = u32::from_le_bytes(*b"RPGB");
 
+/// One slot entry as stored.
+type Entry = [u8; SLOT_OVERHEAD];
+
+/// One slot entry, decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     offset: u32,
@@ -32,17 +42,75 @@ struct Slot {
     live: bool,
 }
 
-/// A fixed-capacity slotted page of encoded tuples.
-#[derive(Debug, Clone, Default)]
-pub struct Page {
-    data: Vec<u8>,
-    slots: Vec<Slot>,
+impl Slot {
+    fn decode(entry: &Entry) -> Slot {
+        let [o0, o1, o2, o3, l0, l1, l2, l3, live] = *entry;
+        Slot {
+            offset: u32::from_le_bytes([o0, o1, o2, o3]),
+            len: u32::from_le_bytes([l0, l1, l2, l3]),
+            live: live != 0,
+        }
+    }
+
+    fn encode(&self) -> Entry {
+        let mut entry = [0; SLOT_OVERHEAD];
+        entry[..4].copy_from_slice(&self.offset.to_le_bytes());
+        entry[4..8].copy_from_slice(&self.len.to_le_bytes());
+        entry[8] = self.live as u8;
+        entry
+    }
+
+    /// The slot's bytes within the data area.
+    fn range(&self) -> Range<usize> {
+        self.offset as usize..self.offset as usize + self.len as usize
+    }
 }
 
-impl Page {
-    /// An empty page.
-    pub fn new() -> Self {
-        Page::default()
+/// A borrowed page: its encoded slot directory and its data area, over a
+/// [`Page`] ([`Page::view`]) or over a verified disk block
+/// ([`PageView::from_block`]). Every slot entry it holds is well formed:
+/// its live flag is 0 or 1 and its bytes lie within the data area.
+#[derive(Debug, Clone, Copy)]
+pub struct PageView<'a> {
+    slots: &'a [Entry],
+    data: &'a [u8],
+}
+
+impl<'a> PageView<'a> {
+    /// Verify one disk block — length, CRC and magic, then every slot
+    /// entry's live flag and bounds, the checks [`Page::decode_block`]
+    /// makes — and view its rows in place. `file` and `page_no` only label
+    /// the error. Returns the view and the LSN stamped in the header.
+    pub fn from_block(block: &'a [u8], file: &str, page_no: u32) -> StorageResult<(Self, u64)> {
+        block::verify(block, PAGE_MAGIC, "page", file, page_no)?;
+        let lsn = u64::from_le_bytes(block[8..16].try_into().expect("fixed-width header slice"));
+        let slot_count = u16::from_le_bytes([block[16], block[17]]) as usize;
+        let data_len = u32::from_le_bytes([block[18], block[19], block[20], block[21]]) as usize;
+        let slots_end = PAGE_HEADER_SIZE + slot_count * SLOT_OVERHEAD;
+        let bad_layout =
+            |msg: &str| StorageError::Corrupt(format!("`{file}` page {page_no}: {msg}"));
+        if slots_end + data_len > PAGE_SIZE {
+            return Err(bad_layout("slot directory and data overflow the block"));
+        }
+        let (slots, _) = block[PAGE_HEADER_SIZE..slots_end].as_chunks();
+        for (i, entry) in slots.iter().enumerate() {
+            if entry[8] > 1 {
+                return Err(bad_layout(&format!("slot {i} live flag is {}", entry[8])));
+            }
+            if Slot::decode(entry).range().end > data_len {
+                return Err(bad_layout(&format!("slot {i} points past the data area")));
+            }
+        }
+        let data = &block[slots_end..slots_end + data_len];
+        Ok((PageView { slots, data }, lsn))
+    }
+
+    fn slots(&self) -> impl Iterator<Item = Slot> + 'a {
+        self.slots.iter().map(Slot::decode)
+    }
+
+    fn slot(&self, slot: u16) -> Option<Slot> {
+        self.slots.get(slot as usize).map(Slot::decode)
     }
 
     /// Number of slots, live or dead.
@@ -52,7 +120,57 @@ impl Page {
 
     /// Number of live tuples.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.live).count()
+        self.slots().filter(|s| s.live).count()
+    }
+
+    /// Iterate live `(slot, row)` pairs in slot order without decoding:
+    /// each row is a view over the page's bytes.
+    pub fn live_rows(&self) -> impl Iterator<Item = (u16, RowRef<'a>)> + 'a {
+        let data = self.data;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry[SLOT_OVERHEAD - 1] != 0)
+            .map(move |(i, entry)| (i as u16, RowRef::new(&data[Slot::decode(entry).range()])))
+    }
+
+    /// Iterate live `(slot, tuple)` pairs in slot order.
+    pub fn iter_live(&self) -> impl Iterator<Item = (u16, Tuple)> + 'a {
+        self.live_rows()
+            .map(|(slot, row)| (slot, row.to_tuple().expect("page data is self-consistent")))
+    }
+}
+
+/// A fixed-capacity slotted page of encoded tuples.
+#[derive(Debug, Clone, Default)]
+pub struct Page {
+    data: Vec<u8>,
+    /// The slot directory, each entry in its on-disk form.
+    slots: Vec<Entry>,
+}
+
+impl Page {
+    /// An empty page.
+    pub fn new() -> Self {
+        Page::default()
+    }
+
+    /// The page's rows, borrowed.
+    pub fn view(&self) -> PageView<'_> {
+        PageView {
+            slots: &self.slots,
+            data: &self.data,
+        }
+    }
+
+    /// Number of slots, live or dead.
+    pub fn slot_count(&self) -> usize {
+        self.view().slot_count()
+    }
+
+    /// Number of live tuples.
+    pub fn live_count(&self) -> usize {
+        self.view().live_count()
     }
 
     /// Bytes used, counting data and slot-directory overhead.
@@ -83,23 +201,26 @@ impl Page {
         debug_assert!(self.fits(size), "caller must check Page::fits first");
         let offset = self.data.len() as u32;
         tuple.encode_into(&mut self.data);
-        let slot = self.slots.len() as u16;
-        self.slots.push(Slot {
-            offset,
-            len: size as u32,
-            live: true,
-        });
+        let slot = self.slot_count() as u16;
+        self.slots.push(
+            Slot {
+                offset,
+                len: size as u32,
+                live: true,
+            }
+            .encode(),
+        );
         Ok(slot)
     }
 
     /// Read the tuple in `slot`, if it is live.
     pub fn get(&self, slot: u16) -> StorageResult<Tuple> {
         let s = self
-            .slots
-            .get(slot as usize)
+            .view()
+            .slot(slot)
             .filter(|s| s.live)
             .ok_or(StorageError::InvalidRid { page: 0, slot })?;
-        let raw = &self.data[s.offset as usize..(s.offset + s.len) as usize];
+        let raw = &self.data[s.range()];
         let (tuple, used) = Tuple::decode(raw)?;
         debug_assert_eq!(used, s.len as usize);
         Ok(tuple)
@@ -108,34 +229,25 @@ impl Page {
     /// Mark `slot` dead. Idempotent for already-dead slots is an error to
     /// surface double-delete bugs.
     pub fn delete(&mut self, slot: u16) -> StorageResult<()> {
-        let s = self
+        let live = self
             .slots
             .get_mut(slot as usize)
+            .map(|entry| &mut entry[SLOT_OVERHEAD - 1])
+            .filter(|live| **live != 0)
             .ok_or(StorageError::InvalidRid { page: 0, slot })?;
-        if !s.live {
-            return Err(StorageError::InvalidRid { page: 0, slot });
-        }
-        s.live = false;
+        *live = 0;
         Ok(())
     }
 
-    /// Iterate live `(slot, row)` pairs in slot order without decoding:
-    /// each row is a view over this page's bytes.
+    /// Iterate live `(slot, row)` pairs in slot order without decoding
+    /// ([`PageView::live_rows`]).
     pub fn live_rows(&self) -> impl Iterator<Item = (u16, RowRef<'_>)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live)
-            .map(|(i, s)| {
-                let raw = &self.data[s.offset as usize..(s.offset + s.len) as usize];
-                (i as u16, RowRef::new(raw))
-            })
+        self.view().live_rows()
     }
 
     /// Iterate live `(slot, tuple)` pairs in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = (u16, Tuple)> + '_ {
-        self.live_rows()
-            .map(|(slot, row)| (slot, row.to_tuple().expect("page data is self-consistent")))
+        self.view().iter_live()
     }
 
     /// Rewrite the page keeping only live tuples. Slot numbers change;
@@ -144,16 +256,19 @@ impl Page {
         let mut mapping = Vec::new();
         let mut data = Vec::with_capacity(self.data.len());
         let mut slots = Vec::with_capacity(self.live_count());
-        for (i, s) in self.slots.iter().enumerate() {
+        for (i, s) in self.view().slots().enumerate() {
             if s.live {
                 let offset = data.len() as u32;
-                data.extend_from_slice(&self.data[s.offset as usize..(s.offset + s.len) as usize]);
+                data.extend_from_slice(&self.data[s.range()]);
                 mapping.push((i as u16, slots.len() as u16));
-                slots.push(Slot {
-                    offset,
-                    len: s.len,
-                    live: true,
-                });
+                slots.push(
+                    Slot {
+                        offset,
+                        len: s.len,
+                        live: true,
+                    }
+                    .encode(),
+                );
             }
         }
         self.data = data;
@@ -180,61 +295,27 @@ impl Page {
         debug_assert!(PAGE_HEADER_SIZE + self.used_bytes() <= PAGE_SIZE);
         let mut block = block::start(PAGE_MAGIC);
         block.extend_from_slice(&lsn.to_le_bytes());
-        block.extend_from_slice(&(self.slots.len() as u16).to_le_bytes());
+        block.extend_from_slice(&(self.slot_count() as u16).to_le_bytes());
         block.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
-        for s in &self.slots {
-            block.extend_from_slice(&s.offset.to_le_bytes());
-            block.extend_from_slice(&s.len.to_le_bytes());
-            block.push(s.live as u8);
-        }
+        block.extend_from_slice(self.slots.as_flattened());
         block.extend_from_slice(&self.data);
         block::seal(&mut block);
         block
     }
 
-    /// Decode one disk block back into a page, verifying the checksum
-    /// first. `file` and `page_no` only label the
+    /// Decode one disk block back into a page, verifying it first
+    /// ([`PageView::from_block`]). `file` and `page_no` only label the
     /// [`StorageError::Corruption`] error so a bad block names its exact
     /// location. Returns the page and the LSN stamped in the header.
     pub fn decode_block(block: &[u8], file: &str, page_no: u32) -> StorageResult<(Page, u64)> {
-        block::verify(block, PAGE_MAGIC, "page", file, page_no)?;
-        let lsn = u64::from_le_bytes(block[8..16].try_into().expect("fixed-width header slice"));
-        let slot_count = u16::from_le_bytes([block[16], block[17]]) as usize;
-        let data_len = u32::from_le_bytes([block[18], block[19], block[20], block[21]]) as usize;
-        let slots_end = PAGE_HEADER_SIZE + slot_count * SLOT_OVERHEAD;
-        let bad_layout =
-            |msg: &str| StorageError::Corrupt(format!("`{file}` page {page_no}: {msg}"));
-        if slots_end + data_len > PAGE_SIZE {
-            return Err(bad_layout("slot directory and data overflow the block"));
-        }
-        let mut slots = Vec::with_capacity(slot_count);
-        for i in 0..slot_count {
-            let at = PAGE_HEADER_SIZE + i * SLOT_OVERHEAD;
-            let offset = u32::from_le_bytes(
-                block[at..at + 4]
-                    .try_into()
-                    .expect("fixed-width slot slice"),
-            );
-            let len = u32::from_le_bytes(
-                block[at + 4..at + 8]
-                    .try_into()
-                    .expect("fixed-width slot slice"),
-            );
-            let live = match block[at + 8] {
-                0 => false,
-                1 => true,
-                other => return Err(bad_layout(&format!("slot {i} live flag is {other}"))),
-            };
-            if (offset as usize) + (len as usize) > data_len {
-                return Err(bad_layout(&format!("slot {i} points past the data area")));
-            }
-            slots.push(Slot { offset, len, live });
-        }
-        let data = block[slots_end..slots_end + data_len].to_vec();
-        Ok((Page { data, slots }, lsn))
+        let (view, lsn) = PageView::from_block(block, file, page_no)?;
+        let page = Page {
+            data: view.data.to_vec(),
+            slots: view.slots.to_vec(),
+        };
+        Ok((page, lsn))
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,8 +461,7 @@ mod tests {
         // slot order with no gaps.
         assert_eq!(p.live_count(), p.slot_count());
         let mut expected_offset = 0u32;
-        for i in 0..p.slot_count() {
-            let s = p.slots[i];
+        for (i, s) in p.view().slots().enumerate() {
             assert!(s.live);
             assert_eq!(s.offset, expected_offset, "slot {i} leaves a gap");
             expected_offset += s.len;
@@ -426,6 +506,49 @@ mod tests {
         ));
         // Truncated blocks are rejected.
         assert!(Page::decode_block(&good[..100], "t.tbl", 0).is_err());
+    }
+
+    /// A verified block and the page it encodes show the same rows, dead
+    /// slots included, and a block whose slot entry is malformed (a live
+    /// flag other than 0/1, bytes past the data area) is refused with
+    /// its location even when its CRC is resealed.
+    #[test]
+    fn a_block_view_reads_the_rows_of_its_page() {
+        let mut p = Page::new();
+        for i in 0..30 {
+            p.insert(&row(i)).unwrap();
+        }
+        for s in [0u16, 11, 29] {
+            p.delete(s).unwrap();
+        }
+        let block = p.encode_block(5);
+        let (view, lsn) = PageView::from_block(&block, "t.tbl", 4).unwrap();
+        assert_eq!(lsn, 5);
+        assert_eq!(view.slot_count(), p.slot_count());
+        assert_eq!(view.live_count(), 27);
+        let rows: Vec<(u16, Tuple)> = view.iter_live().collect();
+        assert_eq!(rows, p.iter_live().collect::<Vec<_>>());
+        let entry = |slot: usize| PAGE_HEADER_SIZE + slot * SLOT_OVERHEAD;
+        let reseal = |mut bad: Vec<u8>| {
+            let crc = crate::checksum::crc32(&bad[8..]);
+            bad[4..8].copy_from_slice(&crc.to_le_bytes());
+            bad
+        };
+        let mut bad = block.clone();
+        bad[entry(3) + 8] = 2;
+        let err = PageView::from_block(&reseal(bad), "t.tbl", 4).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("`t.tbl` page 4: slot 3 live flag is 2"),
+            "{err}"
+        );
+        let mut bad = block.clone();
+        bad[entry(7) + 4..entry(7) + 8].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        let err = Page::decode_block(&reseal(bad), "t.tbl", 4).unwrap_err();
+        assert!(
+            err.to_string().contains("slot 7 points past the data area"),
+            "{err}"
+        );
     }
 
     #[test]

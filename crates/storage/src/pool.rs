@@ -35,34 +35,45 @@
 //!
 //! The in-flight table is the only "do not replace this" state: there are
 //! no pins, because a closure holds the mutex for as long as it reads its
-//! frame. `misses` counts backing reads performed, installed or private;
-//! every other successful access, including one that waited for another
-//! thread's read, is a `hit`; a request past the end of a file is
-//! neither.
+//! frame. `misses` counts blocks read from the backing store, installed or
+//! private; every other successful access, including one that waited for
+//! another thread's read, is a `hit`; a request past the end of a file is
+//! neither. `backing_reads` counts the reads themselves: one per
+//! single-page miss, one per run a scan reads at once (below).
 //!
 //! # Scan resistance
 //!
-//! [`BufferPool::scan_page`] is the sequential-scan access. When the file
-//! has more pages than the pool has frames, a scan can never find its own
-//! pages again — each would be evicted before the scan came back to it —
-//! so it **admits nothing**. A resident page is served from its frame as
-//! usual, with the clock's reference bit left alone; any other page is a
-//! *private read*: read, verified and decoded behind the in-flight table,
-//! then handed to the closure with the mutex released and dropped. It is
-//! a miss, never an eviction, and two sessions scanning such files can
-//! filter their rows at once. Nothing another session touches is
-//! displaced.
-//! A dirty page is always resident, so a scan reads it from its frame.
-//! PostgreSQL reads large sequential scans through a small private ring
-//! for the same reason. docs/STORAGE.md has the longer account.
+//! [`BufferPool::scan_run`] is the sequential-scan access: it visits the
+//! pages of a file a *run* at a time, up to [`SCAN_RUN`] pages. When the
+//! file has more pages than the pool has frames, a scan can never find its
+//! own pages again — each would be evicted before the scan came back to
+//! it — so it **admits nothing**. One mutex round trip classifies the
+//! run's pages in order: a resident page (clean or dirty) is served from
+//! its frame as usual, with the clock's reference bit left alone; a page
+//! another thread is reading ends the run (the next run waits for it); and
+//! the absent pages after the resident ones are *private reads*: they
+//! enter the in-flight table together, are read with **one** positional
+//! call into the scan's [`ScanBuffer`] (a memory backing hands over its
+//! shared blocks instead), leave the table, and are then verified and
+//! visited in place ([`PageView::from_block`]) with the mutex released —
+//! no frame, no decoded [`Page`]. Each is a miss, never an eviction, and
+//! two sessions scanning such files can filter their rows at once.
+//! Nothing another session touches is displaced. A dirty page is always
+//! resident, so a scan reads it from its frame. PostgreSQL reads large
+//! sequential scans through a 256 KiB private ring, and merges adjacent
+//! blocks into one read, for the same reasons. A file that fits in the
+//! pool is scanned a page at a time through the ordinary admitting path.
+//! docs/STORAGE.md has the longer account.
 //!
-//! Fail points: `storage::pool_read` fires at the top of every backing
-//! read and `storage::pool_evict` at the top of every eviction, each
-//! before any state changes — an injected error leaves the pool intact.
+//! Fail points: `storage::pool_read` fires once per block before it is
+//! read (for a run, once per absent page in page order, so a fault at
+//! page k ends the run there, after the pages before k are visited) and
+//! `storage::pool_evict` at the top of every eviction, each before any
+//! state changes — an injected error leaves the pool intact.
 
 use crate::btree::node::Node;
 use crate::error::{StorageError, StorageResult};
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, PageView, PAGE_SIZE};
 use recdb_obs::{Counter, Registry};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
@@ -73,6 +84,21 @@ use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 
 /// Identifies one paged file (a heap or an index) within a pool.
 pub type FileId = u32;
+
+/// The most pages [`BufferPool::scan_run`] visits in one run, and reads
+/// with one backing read: 256 KiB, the size of PostgreSQL's bulk-read
+/// ring.
+pub const SCAN_RUN: u32 = 32;
+
+/// Scratch a sequential scan reads its runs into ([`BufferPool::scan_run`]),
+/// kept from run to run so that a scan allocates it once: the bytes of a
+/// run read from a spill file, or the shared blocks of a run held in
+/// memory.
+#[derive(Default)]
+pub struct ScanBuffer {
+    bytes: Vec<u8>,
+    blocks: Vec<Arc<[u8]>>,
+}
 
 /// What kind of blocks a pool file holds — decides how spilled blocks are
 /// decoded when faulted back in.
@@ -207,6 +233,7 @@ type Guard<'a> = MutexGuard<'a, PoolInner>;
 struct PoolMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
+    backing_reads: Arc<Counter>,
     evictions: Arc<Counter>,
 }
 
@@ -219,6 +246,7 @@ pub struct BufferPool {
     spill_dir: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
+    backing_reads: AtomicU64,
     /// The misses whose page was handed to a scan and dropped rather than
     /// installed (module docs, "Scan resistance").
     private_reads: AtomicU64,
@@ -233,6 +261,7 @@ impl std::fmt::Debug for BufferPool {
             .field("spill_dir", &self.spill_dir)
             .field("hits", &self.hits())
             .field("misses", &self.misses())
+            .field("backing_reads", &self.backing_reads())
             .field("private_reads", &self.private_reads)
             .field("evictions", &self.evictions())
             .finish()
@@ -250,6 +279,7 @@ impl BufferPool {
             spill_dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            backing_reads: AtomicU64::new(0),
             private_reads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             metrics: OnceLock::new(),
@@ -287,10 +317,12 @@ impl BufferPool {
         let m = PoolMetrics {
             hits: registry.counter("recdb_buffer_pool_hits_total"),
             misses: registry.counter("recdb_buffer_pool_misses_total"),
+            backing_reads: registry.counter("recdb_buffer_pool_backing_reads_total"),
             evictions: registry.counter("recdb_pages_evicted_total"),
         };
         m.hits.add(self.hits());
         m.misses.add(self.misses());
+        m.backing_reads.add(self.backing_reads());
         m.evictions.add(self.evictions());
         let _ = self.metrics.set(m);
     }
@@ -301,10 +333,17 @@ impl BufferPool {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Backing-store reads performed (one per block faulted in or read
-    /// privately).
+    /// Blocks read from the backing store (one per page faulted in or
+    /// read privately).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Reads issued to the backing store: one per single-page miss, one
+    /// per run of pages a scan reads at once. `misses / backing_reads` is
+    /// the pages per read.
+    pub fn backing_reads(&self) -> u64 {
+        self.backing_reads.load(Ordering::Relaxed)
     }
 
     /// Total evictions performed.
@@ -345,10 +384,13 @@ impl BufferPool {
         }
     }
 
-    fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    /// One backing read of `pages` blocks.
+    fn record_read(&self, pages: u32) {
+        self.misses.fetch_add(pages.into(), Ordering::Relaxed);
+        self.backing_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.metrics.get() {
-            m.misses.inc();
+            m.misses.add(pages.into());
+            m.backing_reads.inc();
         }
     }
 
@@ -500,40 +542,136 @@ impl BufferPool {
         self.with_frame(self.lock(), file, page_no, Access::Read, f)
     }
 
-    /// Read access to a heap page on behalf of a sequential scan of
-    /// `file`: `Ok(None)` past the end of the file, and — when the file
-    /// has more pages than the pool has frames — nothing is admitted: a
-    /// resident page is read from its frame without setting its reference
-    /// bit, any other is read privately and the closure runs on it with
-    /// the mutex released (module docs, "Scan resistance"). The threshold
-    /// follows from [`BufferPool::capacity`] and is not a setting. Same
-    /// closure rules as [`BufferPool::with_page`].
-    pub fn scan_page<R>(
+    /// The sequential-scan access: run `visit` on each page of the run of
+    /// `file` that starts at page `start`, in page order, and return how
+    /// many pages it visited — 0 past the end of the file. A scan calls it
+    /// again from `start` plus that count.
+    ///
+    /// A file that fits in the pool is admitted a page at a time, as by
+    /// [`BufferPool::with_page`]. A file with more pages than the pool has
+    /// frames admits nothing (module docs, "Scan resistance"): the run is
+    /// its next resident pages, visited from their frames without setting
+    /// their reference bits, then the absent pages after them, up to
+    /// [`SCAN_RUN`] pages in all and up to the first page that is resident
+    /// or another thread is reading. The absent pages are read with one
+    /// backing read into `buf` and visited in place with the mutex
+    /// released. The threshold follows from [`BufferPool::capacity`] and
+    /// is not a setting.
+    ///
+    /// Each page is one hit or one miss. An error — the visitor's, or the
+    /// pool's at page k (a failed read, a corrupt block naming its file
+    /// and page) — ends the run; the pages before k have been visited.
+    /// The visitor may run with the pool locked: same rules as for
+    /// [`BufferPool::with_page`]'s closure.
+    pub fn scan_run<E: From<StorageError>>(
         &self,
         file: FileId,
-        page_no: u32,
-        f: impl FnOnce(&Page) -> R,
-    ) -> StorageResult<Option<R>> {
-        let inner = self.lock();
-        let pages = inner.files.get(&file).map_or(0, |s| s.page_count);
-        if page_no >= pages {
-            return Ok(None);
+        start: u32,
+        buf: &mut ScanBuffer,
+        mut visit: impl FnMut(u32, PageView<'_>) -> Result<(), E>,
+    ) -> Result<u32, E> {
+        let mut inner = self.lock();
+        let pages = loop {
+            let pages = inner.files.get(&file).map_or(0, |s| s.page_count);
+            if start >= pages {
+                return Ok(0);
+            }
+            if pages as usize <= self.capacity {
+                let f = heap_page(file, start, |p| visit(start, p.view()));
+                self.with_frame(inner, file, start, Access::Read, f)??;
+                return Ok(1);
+            }
+            if !inner.loading.contains(&(file, start)) {
+                break pages;
+            }
+            inner = self.wait(inner);
+        };
+        let end = pages.min(start.saturating_add(SCAN_RUN));
+        let mut page_no = start;
+        while page_no < end {
+            let Some(&slot) = inner.map.get(&(file, page_no)) else {
+                break;
+            };
+            self.record_hit();
+            let f = heap_page(file, page_no, |p| visit(page_no, p.view()));
+            f(&mut frame(&mut inner, slot)?.data)??;
+            page_no += 1;
         }
-        let f = heap_page(file, page_no, f);
-        if pages as usize <= self.capacity {
-            return self
-                .with_frame(inner, file, page_no, Access::Read, f)
-                .map(Some);
+
+        // Claim the absent pages that follow, each past the fail point.
+        let first = page_no;
+        let state = file_state(&inner, file)?;
+        let mut disk = None;
+        let mut fault = None;
+        buf.blocks.clear();
+        while page_no < end {
+            let key = (file, page_no);
+            if inner.map.contains_key(&key) || inner.loading.contains(&key) {
+                break;
+            }
+            let source = recdb_fault::fail_point("storage::pool_read")
+                .map_err(StorageError::from)
+                .and_then(|()| Self::block_source(state, page_no));
+            match source {
+                Ok(BlockSource::Memory(block)) => buf.blocks.push(block),
+                Ok(BlockSource::Disk(f)) => disk = Some(f),
+                Err(e) => {
+                    fault = Some(e);
+                    break;
+                }
+            }
+            page_no += 1;
         }
-        match self.find(inner, file, page_no)? {
-            (mut inner, Found::Resident(slot)) => f(&mut frame(&mut inner, slot)?.data),
-            (inner, Found::Read(mut data)) => {
-                drop(inner);
-                self.private_reads.fetch_add(1, Ordering::Relaxed);
-                f(&mut data)
+        let claimed = page_no - first;
+        if claimed > 0 {
+            inner.loading.extend((first..page_no).map(|p| (file, p)));
+            drop(inner);
+            self.record_read(claimed);
+            self.private_reads
+                .fetch_add(claimed.into(), Ordering::Relaxed);
+            let len = claimed as usize * PAGE_SIZE;
+            let read = match &disk {
+                Some(f) => {
+                    if buf.bytes.len() < len {
+                        buf.bytes.resize(len, 0);
+                    }
+                    f.read_exact_at(&mut buf.bytes[..len], block_offset(first))
+                        .map_err(|e| StorageError::io("read spill file", e))
+                }
+                None => Ok(()),
+            };
+            let mut inner = self.lock();
+            for p in first..page_no {
+                inner.loading.remove(&(file, p));
+            }
+            self.loaded.notify_all();
+            drop(inner);
+            read?;
+            for (i, p) in (first..page_no).enumerate() {
+                let block = match disk {
+                    Some(_) => &buf.bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
+                    None => &buf.blocks[i][..],
+                };
+                let view = match PageView::from_block(block, "", p) {
+                    Ok((view, _lsn)) => view,
+                    // Only a bad block needs the file's name: verify it
+                    // again to say it.
+                    Err(e) => {
+                        let inner = self.lock();
+                        let label = &file_state(&inner, file)?.label;
+                        return Err(PageView::from_block(block, label, p)
+                            .err()
+                            .unwrap_or(e)
+                            .into());
+                    }
+                };
+                visit(p, view)?;
             }
         }
-        .map(Some)
+        match fault {
+            Some(e) => Err(e.into()),
+            None => Ok(page_no - start),
+        }
     }
 
     /// Write access to a heap page; marks the frame dirty. Same closure
@@ -647,7 +785,7 @@ impl BufferPool {
         inner.loading.insert(key);
         drop(inner);
 
-        self.record_miss();
+        self.record_read(1);
         let mut buf = [0u8; PAGE_SIZE];
         let block: StorageResult<&[u8]> = match &source {
             BlockSource::Memory(block) => Ok(block),
@@ -897,7 +1035,12 @@ mod tests {
             pool.with_page(f, 1, |_| ()),
             Err(StorageError::InvalidRid { page: 1, slot: 0 })
         ));
-        assert_eq!(pool.scan_page(f, 1, |_| ()).unwrap(), None);
+        let none = |_, _: PageView<'_>| Ok::<_, StorageError>(());
+        assert_eq!(
+            pool.scan_run(f, 1, &mut ScanBuffer::default(), none)
+                .unwrap(),
+            0
+        );
         assert_eq!((pool.hits(), pool.misses()), before);
     }
 
@@ -960,6 +1103,23 @@ mod tests {
         pool.private_reads.load(Ordering::Relaxed)
     }
 
+    /// Scan `file` run by run to its end, calling `visit` on every page.
+    fn scan_all(pool: &BufferPool, file: FileId, mut visit: impl FnMut(u32, PageView<'_>)) {
+        let (mut next, mut buf) = (0, ScanBuffer::default());
+        loop {
+            let visited = pool
+                .scan_run(file, next, &mut buf, |n, p| {
+                    visit(n, p);
+                    Ok::<_, StorageError>(())
+                })
+                .unwrap();
+            if visited == 0 {
+                return;
+            }
+            next += visited;
+        }
+    }
+
     /// Scan resistance: a full scan of a heap 8x the pool leaves the same
     /// pages resident with the same reference bits. It evicts nothing,
     /// reads each page that is not resident once, privately, and serves
@@ -1000,19 +1160,18 @@ mod tests {
             private_reads(&pool),
             pool.evictions(),
         );
-        for n in 0..128u32 {
-            let rows = pool
-                .scan_page(big, n, |p| {
-                    p.iter_live().map(|(_, t)| t).collect::<Vec<_>>()
-                })
-                .unwrap()
-                .unwrap();
+        let mut visited = 0;
+        scan_all(&pool, big, |n, p| {
+            assert_eq!(n, visited);
+            visited += 1;
+            let rows = p.iter_live().map(|(_, t)| t).collect::<Vec<_>>();
             let mut want = vec![tuple(n as i64)];
             if n == 40 {
                 want.push(tuple(-40));
             }
             assert_eq!(rows, want, "page {n}");
-        }
+        });
+        assert_eq!(visited, 128);
         assert_eq!(pool.resident_frames(), before, "the scan changed the pool");
         assert_eq!(pool.evictions(), e0);
         assert_eq!(pool.misses() - m0, 128 - resident_big);
@@ -1020,13 +1179,145 @@ mod tests {
         assert_eq!(pool.hits() - h0, resident_big);
         // `small` (4 pages) fits: its scan installs frames, bits set.
         assert!(!before.iter().any(|(k, _)| k.0 == small));
-        for n in 0..4 {
-            assert!(pool.scan_page(small, n, |_| ()).unwrap().is_some());
-        }
+        let mut visited = 0;
+        scan_all(&pool, small, |_, _| visited += 1);
+        assert_eq!(visited, 4);
         assert_eq!(private_reads(&pool) - p0, 128 - resident_big);
         for n in 0..4 {
             assert!(pool.resident_frames().contains(&((small, n), true)));
         }
+    }
+
+    /// One run's worth of each kind of page a scan meets in a file larger
+    /// than the pool: absent pages (read together), a clean and a dirty
+    /// resident page (served from their frames), and a page another thread
+    /// is reading (which ends the run; the next run waits for it). Each
+    /// page is visited once, in order, with its own rows; resident pages
+    /// are hits, the rest misses read privately, one backing read per
+    /// stretch of absent pages; and the pool is left as it was.
+    #[test]
+    fn a_run_serves_resident_pages_and_reads_absent_ones_together() {
+        let dir = std::env::temp_dir().join(format!("recdb-pool-run-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for pool in [BufferPool::spilling(16, &dir), BufferPool::in_memory(16)] {
+            let big = pool.create_file(FileKind::Heap, "big");
+            for n in 0..64 {
+                pool.allocate_page(big, FrameData::Heap(fill_page(n)))
+                    .unwrap();
+            }
+            // Twice the pool's worth of index nodes push `big` out; then
+            // page 2 comes back clean and page 3 dirty.
+            let idx = pool.create_file(FileKind::Index, "idx");
+            for _ in 0..32 {
+                pool.allocate_page(idx, FrameData::Node(Node::leaf()))
+                    .unwrap();
+            }
+            pool.with_page(big, 2, |_| ()).unwrap();
+            pool.with_page_mut(big, 3, |p| p.insert(&tuple(-3)))
+                .unwrap()
+                .unwrap();
+            let before = pool.resident_frames();
+            let resident_big: Vec<_> = before.iter().filter(|(k, _)| k.0 == big).collect();
+            assert_eq!(resident_big, [&((big, 2), true), &((big, 3), true)]);
+            // This thread plays the reader of page 6.
+            pool.lock().loading.insert((big, 6));
+            let (h0, m0, p0, r0) = (
+                pool.hits(),
+                pool.misses(),
+                private_reads(&pool),
+                pool.backing_reads(),
+            );
+            let visited = std::sync::Mutex::new(Vec::new());
+            let run = |start: u32| {
+                let mut buf = ScanBuffer::default();
+                pool.scan_run(big, start, &mut buf, |n, p| {
+                    let rows: Vec<Tuple> = p.iter_live().map(|(_, t)| t).collect();
+                    let mut want = vec![tuple(n as i64)];
+                    if n == 3 {
+                        want.push(tuple(-3));
+                    }
+                    assert_eq!(rows, want, "page {n}");
+                    visited.lock().unwrap().push(n);
+                    Ok::<_, StorageError>(())
+                })
+                .unwrap()
+            };
+            // Absent 0-1 end at resident 2; resident 2-3 and absent 4-5
+            // end at page 6, in flight.
+            assert_eq!((run(0), run(2)), (2, 4));
+            assert_eq!(pool.backing_reads() - r0, 2);
+            let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
+            let rest = std::thread::scope(|s| {
+                let scanner = s.spawn(|| {
+                    arrived_tx.send(()).unwrap();
+                    // Waits for page 6, then reads 6..38 and 38..64.
+                    [run(6), run(38), run(64)]
+                });
+                arrived_rx.recv().unwrap();
+                // "The read" gives up without installing the page.
+                let mut inner = pool.lock();
+                inner.loading.remove(&(big, 6));
+                pool.loaded.notify_all();
+                drop(inner);
+                scanner.join().unwrap()
+            });
+            assert_eq!(rest, [32, 26, 0]);
+            assert_eq!(visited.into_inner().unwrap(), (0..64).collect::<Vec<_>>());
+            assert_eq!(pool.hits() - h0, 2);
+            assert_eq!(pool.misses() - m0, 62);
+            assert_eq!(private_reads(&pool) - p0, 62);
+            assert_eq!(pool.backing_reads() - r0, 4);
+            assert_eq!(pool.reads_in_flight(), 0);
+            assert_eq!(pool.resident_frames(), before, "the scan changed the pool");
+            pool.remove_file(big);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A block that fails verification in the middle of a run ends it
+    /// there, naming its file and page, after the pages before it are
+    /// visited; nothing is left in flight and no frame changes.
+    #[test]
+    fn a_corrupt_block_in_a_run_names_its_file_and_page() {
+        let dir = std::env::temp_dir().join(format!("recdb-pool-bad-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for pool in [BufferPool::spilling(4, &dir), BufferPool::in_memory(4)] {
+            let f = pool.create_file(FileKind::Heap, "big");
+            for n in 0..40 {
+                pool.allocate_page(f, FrameData::Heap(fill_page(n)))
+                    .unwrap();
+            }
+            match &mut file_state_mut(&mut pool.lock(), f).unwrap().backing {
+                Backing::Memory(blocks) => {
+                    let mut bad = blocks[10].as_deref().unwrap().to_vec();
+                    bad[100] ^= 0x40;
+                    blocks[10] = Some(bad.into());
+                }
+                Backing::Disk { file, .. } => {
+                    let mut byte = [0u8];
+                    let at = block_offset(10) + 100;
+                    file.read_exact_at(&mut byte, at).unwrap();
+                    file.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
+                }
+            }
+            let before = pool.resident_frames();
+            let mut visited = Vec::new();
+            let err = pool
+                .scan_run(f, 0, &mut ScanBuffer::default(), |n, _| {
+                    visited.push(n);
+                    Ok::<_, StorageError>(())
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corruption { file, page: 10, .. } if file == "big"),
+                "{err:?}"
+            );
+            assert_eq!(visited, (0..10).collect::<Vec<_>>());
+            assert_eq!(pool.reads_in_flight(), 0);
+            assert_eq!(pool.resident_frames(), before);
+            pool.remove_file(f);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Readers and a writer over pools a fraction of the data's size.
@@ -1035,8 +1326,9 @@ mod tests {
     /// back, or installed stale shows as a wrong id, a gap, or a page
     /// that went backwards. The file (32 pages) is larger than the pools
     /// (4 frames), so every scan read that misses is a private read; one
-    /// reader does nothing but scan the file from end to end while the
-    /// writer dirties its pages. Seeded by `RECDB_FAULT_SEED` (CI sweeps
+    /// reader does nothing but scan the file from end to end, run by run,
+    /// while the writer dirties its pages; the others' scan reads are one
+    /// run each, from a random page. Seeded by `RECDB_FAULT_SEED` (CI sweeps
     /// it).
     #[test]
     fn pool_stress_readers_and_a_writer_see_every_page_whole() {
@@ -1054,7 +1346,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let row = |n: u32, v: i64| Tuple::new(vec![Value::Int(n as i64), Value::Int(v)]);
         let check = move |n: u32| {
-            move |p: &Page| {
+            move |p: PageView<'_>| {
                 let rows: Vec<Tuple> = p.iter_live().map(|(_, t)| t).collect();
                 for (v, t) in rows.iter().enumerate() {
                     assert_eq!(t, &row(n, v as i64), "page {n}");
@@ -1095,15 +1387,23 @@ mod tests {
                         let mut seen = vec![0usize; PAGES as usize];
                         for i in 0..READS {
                             let n = pick(&mut state);
-                            // Half the reads go through the scan entry.
-                            let rows = if i % 2 == 0 {
-                                pool.with_page(f, n, check(n)).unwrap()
-                            } else {
-                                pool.scan_page(f, n, check(n)).unwrap().unwrap()
+                            // Half the reads go through the scan entry: one
+                            // run from page `n`.
+                            let mut saw = |n: u32, rows: usize| {
+                                accesses.fetch_add(1, Ordering::Relaxed);
+                                assert!(rows >= seen[n as usize], "page {n} went backwards");
+                                seen[n as usize] = rows;
                             };
-                            accesses.fetch_add(1, Ordering::Relaxed);
-                            assert!(rows >= seen[n as usize], "page {n} went backwards");
-                            seen[n as usize] = rows;
+                            if i % 2 == 0 {
+                                saw(n, pool.with_page(f, n, |p| check(n)(p.view())).unwrap());
+                            } else {
+                                let visit = |n, p: PageView<'_>| {
+                                    saw(n, check(n)(p));
+                                    Ok::<_, StorageError>(())
+                                };
+                                pool.scan_run(f, n, &mut ScanBuffer::default(), visit)
+                                    .unwrap();
+                            }
                         }
                     });
                 }
@@ -1111,12 +1411,16 @@ mod tests {
                 s.spawn(move || {
                     let mut seen = vec![0usize; PAGES as usize];
                     for _ in 0..SCANS {
-                        for n in 0..PAGES {
-                            let rows = pool.scan_page(f, n, check(n)).unwrap().unwrap();
+                        let mut next = 0;
+                        scan_all(pool, f, |n, p| {
+                            assert_eq!(n, next, "pages in order");
+                            next += 1;
+                            let rows = check(n)(p);
                             accesses.fetch_add(1, Ordering::Relaxed);
                             assert!(rows >= seen[n as usize], "page {n} went backwards");
                             seen[n as usize] = rows;
-                        }
+                        });
+                        assert_eq!(next, PAGES);
                     }
                 });
                 let mut state = seed | 1;

@@ -7,8 +7,8 @@
 
 use recdb_storage::btree::Key;
 use recdb_storage::{
-    BTree, BufferPool, Column, DataType, FileKind, FrameData, HeapTable, Page, Schema,
-    StorageError, Tuple, Value, KEY_SIZE,
+    BTree, BufferPool, Column, DataType, FileKind, FrameData, HeapTable, Page, PageView,
+    ScanBuffer, Schema, StorageError, Tuple, Value, KEY_SIZE,
 };
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ fn a_failed_read_leaves_the_pool_as_it_was() {
     }
     let before = (pool.resident_frames(), pool.misses(), pool.evictions());
     recdb_fault::arm_error("storage::pool_read", 1);
-    let err = pool.scan_page(f, 0, |_| ());
+    let err = pool.scan_run(f, 0, &mut ScanBuffer::default(), |_, _| Ok(()));
     assert!(
         matches!(err, Err(StorageError::FaultInjected(_))),
         "{err:?}"
@@ -75,8 +75,46 @@ fn a_failed_read_leaves_the_pool_as_it_was() {
         (pool.resident_frames(), pool.misses(), pool.evictions()),
         before
     );
-    let got = pool.scan_page(f, 0, |p| p.get(0).unwrap()).unwrap();
+    let mut got = None;
+    pool.scan_run(f, 0, &mut ScanBuffer::default(), |n, p| {
+        if n == 0 {
+            got = p.iter_live().next().map(|(_, t)| t);
+        }
+        Ok::<_, StorageError>(())
+    })
+    .unwrap();
     assert_eq!(got, Some(tuple(0)));
+}
+
+/// A fault at the 5th absent page of a run ends the run there: the four
+/// pages before it (0–3) are read and visited, then the error; nothing is
+/// left in flight and no frame changes.
+#[test]
+fn a_read_fault_inside_a_run_visits_the_pages_before_it() {
+    let _x = recdb_fault::exclusive();
+    let pool = BufferPool::in_memory(4);
+    let f = pool.create_file(FileKind::Heap, "t");
+    for n in 0..40 {
+        pool.allocate_page(f, FrameData::Heap(fill_page(n)))
+            .unwrap();
+    }
+    let before = (pool.resident_frames(), pool.misses());
+    let mut visited = Vec::new();
+    recdb_fault::arm_error("storage::pool_read", 5);
+    let err = pool.scan_run(f, 0, &mut ScanBuffer::default(), |n, p: PageView<'_>| {
+        assert_eq!(p.iter_live().next().unwrap().1, tuple(n as i64));
+        visited.push(n);
+        Ok(())
+    });
+    recdb_fault::clear();
+    assert_eq!(
+        err,
+        Err(StorageError::FaultInjected("storage::pool_read".into()))
+    );
+    assert_eq!(visited, [0, 1, 2, 3]);
+    assert_eq!(pool.reads_in_flight(), 0);
+    assert_eq!(pool.resident_frames(), before.0);
+    assert_eq!(pool.misses() - before.1, 4);
 }
 
 #[test]
@@ -102,7 +140,7 @@ fn evict_fail_point_leaves_pool_intact() {
 }
 
 #[test]
-fn visit_page_reports_a_pool_failure_instead_of_panicking() {
+fn visit_run_reports_a_pool_failure_instead_of_panicking() {
     let _x = recdb_fault::exclusive();
     recdb_fault::clear();
     let pool = Arc::new(BufferPool::in_memory(2));
@@ -111,7 +149,7 @@ fn visit_page_reports_a_pool_failure_instead_of_panicking() {
         t.insert(row(i, i, 1.0)).unwrap();
     }
     recdb_fault::arm_error("storage::pool_read", 1);
-    let failed = (0..t.page_count() as u32).find_map(|p| t.visit_page(p, |_| ()).err());
+    let failed = t.visit_all(|_, _| Ok(())).err();
     recdb_fault::clear();
     assert_eq!(
         failed,

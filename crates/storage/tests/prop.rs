@@ -204,6 +204,68 @@ proptest! {
         prop_assert_eq!(heap.tuple_count() as usize, rids.len() - deleted.len());
     }
 
+    /// `HeapTable::visit_run` over a heap in a pool of 2–16 frames, whose
+    /// pages are a random mix of absent, clean resident (a point read
+    /// faults one in) and dirty resident (a delete dirties one), visits
+    /// every page once, in order, with one pool access each, and yields
+    /// exactly the rows an unbounded heap holds after the same inserts and
+    /// deletes — from memory blocks or a spill file.
+    #[test]
+    fn visit_run_matches_an_unbounded_heap(
+        frames in 2usize..=16,
+        spill in any::<bool>(),
+        rows in proptest::collection::vec((any::<i64>(), 0usize..120), 1..2500),
+        ops in proptest::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 0..60),
+    ) {
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("recdb-prop-run-{}-{n}", std::process::id()));
+        let pool = Arc::new(if spill {
+            BufferPool::spilling(frames, &dir)
+        } else {
+            BufferPool::in_memory(frames)
+        });
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("pad", DataType::Text),
+        ]);
+        let mut bounded = HeapTable::with_pool(schema.clone(), Arc::clone(&pool), "t");
+        let mut unbounded = HeapTable::new(schema);
+        let mut rids = Vec::new();
+        for (k, pad) in &rows {
+            let t = Tuple::new(vec![Value::Int(*k), Value::Text("p".repeat(*pad))]);
+            rids.push(bounded.insert(t.clone()).unwrap());
+            unbounded.insert(t).unwrap();
+        }
+        let mut deleted = std::collections::HashSet::new();
+        for (delete, pick) in &ops {
+            let rid = rids[pick.index(rids.len())];
+            if *delete {
+                if deleted.insert(rid) {
+                    bounded.delete(rid).unwrap();
+                    unbounded.delete(rid).unwrap();
+                }
+            } else if !deleted.contains(&rid) {
+                bounded.get(rid).unwrap();
+            }
+        }
+        let accesses = |pool: &BufferPool| pool.hits() + pool.misses();
+        let before = accesses(&pool);
+        let (mut pages, mut scanned) = (Vec::new(), Vec::new());
+        bounded.visit_all(|page_no, page| {
+            pages.push(page_no);
+            scanned.extend(page.iter_live().map(|(slot, t)| (Rid::new(page_no, slot), t)));
+            Ok::<_, StorageError>(())
+        }).unwrap();
+        let page_count = bounded.page_count() as u32;
+        prop_assert_eq!(pages, (0..page_count).collect::<Vec<_>>());
+        prop_assert_eq!(accesses(&pool) - before, page_count as u64);
+        prop_assert_eq!(scanned, unbounded.scan().collect::<Vec<_>>());
+        prop_assert_eq!(pool.reads_in_flight(), 0);
+        drop(bounded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A secondary index's lookups return exactly the rids a reference
     /// `BTreeMap<Value, Vec<Rid>>` under `Value::total_cmp` holds for the
     /// probe, through random inserts and deletes on a table in a 4-frame

@@ -79,6 +79,56 @@ fn counters_move_across_a_scripted_durable_session() {
     );
 }
 
+/// A scan of a table larger than the pool reads it in runs of 32 pages,
+/// one backing read each: through a 16-frame spilling pool, a full scan of
+/// a 128-page heap none of whose pages is resident is 128 misses, no hit,
+/// and 4 backing reads.
+#[test]
+fn a_scan_larger_than_the_pool_reads_in_runs() {
+    let tmp = temp_dir("runs");
+    let db = RecDb::open_with_config(RecDbConfig {
+        data_dir: Some(tmp.path().to_path_buf()),
+        buffer_pool_pages: 16,
+        ..RecDbConfig::default()
+    })
+    .expect("open durable engine");
+    // A batch of 100 rows adds at most one page, so each loop stops on
+    // its target exactly.
+    let fill = |table: &str, target: usize| {
+        db.execute(&format!(
+            "CREATE TABLE {table} (uid INT, iid INT, ratingval FLOAT)"
+        ))
+        .expect("create");
+        let pages = || {
+            db.catalog()
+                .table(table)
+                .expect("table")
+                .heap()
+                .page_count()
+        };
+        let mut n = 0;
+        while pages() < target {
+            let rows: Vec<String> = (n..n + 100).map(|i| format!("({i}, {i}, 1.5)")).collect();
+            db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", ")))
+                .expect("insert");
+            n += 100;
+        }
+        assert_eq!(pages(), target);
+    };
+    fill("ratings", 128);
+    // Twice the pool's worth of fresh pages pushes every ratings page out.
+    fill("flood", 32);
+    let before = db.metrics_snapshot();
+    db.query("SELECT uid FROM ratings WHERE uid = -1")
+        .expect("scan");
+    let after = db.metrics_snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("recdb_buffer_pool_hits_total"), 0);
+    assert_eq!(delta("recdb_buffer_pool_misses_total"), 128);
+    assert_eq!(delta("recdb_buffer_pool_backing_reads_total"), 4);
+    assert_eq!(delta("recdb_pages_evicted_total"), 0);
+}
+
 /// An N%-rule rebuild observes each of its three stages once — scanning
 /// the ratings into a matrix, training, refreshing the score index — and
 /// `CREATE RECOMMENDER`, which is not a rebuild, observes none.

@@ -191,13 +191,14 @@ fn governor_refuses_update_and_delete_without_a_trace() {
             let (before, appends) = (ratings_bytes(&db), wal_appends());
             // The scan bills a page at a time: the budget trips on the
             // first page, with every live row of it charged.
-            let first_page_rows = db
+            let first_page = db
                 .catalog()
                 .table("ratings")
                 .expect("ratings")
                 .heap()
-                .visit_page(0, |page| page.live_count() as u64)
+                .page_image(0)
                 .expect("page 0");
+            let first_page_rows = Some(first_page.live_count() as u64);
             let guard = match refusal {
                 "row budget" => QueryGuard::with_limits(None, Some(10), None),
                 "zero deadline" => QueryGuard::with_limits(Some(Duration::ZERO), None, None),
