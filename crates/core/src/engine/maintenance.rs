@@ -152,11 +152,16 @@ impl RecDb {
             .ok_or_else(|| EngineError::RecommenderNotFound(name.to_owned()))
     }
 
-    /// Set `recdb_materialized_entries` for `rec`.
+    /// Set `recdb_materialized_entries` and `recdb_rec_index_pages` for
+    /// `rec`.
     fn gauge_materialized(&self, rec: &Recommender) {
+        let labels = [("recommender", rec.name())];
         self.metrics
-            .gauge_with("recdb_materialized_entries", &[("recommender", rec.name())])
+            .gauge_with("recdb_materialized_entries", &labels)
             .set(rec.materialized_entries() as i64);
+        self.metrics
+            .gauge_with("recdb_rec_index_pages", &labels)
+            .set(rec.index_pages() as i64);
     }
 
     /// Update the Users Histogram (`QC_u`, `TS_u`) for recommendation

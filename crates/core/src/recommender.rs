@@ -17,6 +17,7 @@ use recdb_exec::{RecScoreIndex, UserList};
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
 use recdb_wal::RecommenderDef;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -213,6 +214,12 @@ impl Recommender {
         self.index.as_ref().map(|i| i.len()).unwrap_or(0)
     }
 
+    /// Node pages of the materialized index's tree (0 without one): its
+    /// footprint in the buffer pool.
+    pub fn index_pages(&self) -> u64 {
+        self.index.as_ref().map_or(0, |i| i.node_pages())
+    }
+
     /// Record a recommendation query by `user` (updates the Users
     /// Histogram). Called from the read path, hence `&self`.
     pub fn record_query(&self, user: i64, now: u64) {
@@ -294,30 +301,39 @@ impl Recommender {
         if decision.admitted.is_empty() && decision.evicted.is_empty() {
             return decision;
         }
-        self.edit_index(|index| {
-            for &(u, i) in &decision.evicted {
-                index.remove(u, i);
-            }
-            // One candidate list per user: the manager emits each user's
-            // admissions together.
-            let mut scratch = ScoreScratch::default();
-            for admitted in decision.admitted.chunk_by(|a, b| a.0 == b.0) {
-                let user = admitted[0].0;
-                let items: Vec<i64> = admitted.iter().map(|&(_, item)| item).collect();
-                let scores = score_item_ids(&model, user, &items, &mut scratch);
-                for (item, score) in items.into_iter().zip(scores) {
-                    // Admitted pairs are unseen; ids newer than the model
-                    // have no prediction yet and enter at 0.
-                    index.insert(user, item, score.flatten().unwrap_or(0.0));
-                }
-            }
-        });
+        self.edit_index(|index| apply_decision(index, &model, &decision));
         decision
     }
 
     /// Immutable access to the usage statistics (testing/observability).
     pub fn with_stats<R>(&self, f: impl FnOnce(&UsageStats) -> R) -> R {
         f(&self.stats.lock())
+    }
+}
+
+/// Apply an Algorithm 4 decision to `index`, one edit per user
+/// ([`RecScoreIndex::edit_user_list`]: the user's evictions and admissions
+/// together, one walk of the list): what removing each evicted pair and
+/// then inserting each admitted one gives. Each user's admissions are
+/// scored from one candidate list; ids newer than the model have no
+/// prediction yet and enter at 0.
+fn apply_decision(index: &mut RecScoreIndex, model: &RecModel, decision: &CacheDecision) {
+    let mut by_user: BTreeMap<i64, (Vec<i64>, Vec<i64>)> = BTreeMap::new();
+    for &(user, item) in &decision.evicted {
+        by_user.entry(user).or_default().0.push(item);
+    }
+    for &(user, item) in &decision.admitted {
+        by_user.entry(user).or_default().1.push(item);
+    }
+    let mut scratch = ScoreScratch::default();
+    for (user, (evict, admit)) in by_user {
+        let scores = score_item_ids(model, user, &admit, &mut scratch);
+        let admit: Vec<(i64, f64)> = admit
+            .into_iter()
+            .zip(scores)
+            .map(|(item, score)| (item, score.flatten().unwrap_or(0.0)))
+            .collect();
+        index.edit_user_list(user, &evict, &admit);
     }
 }
 
@@ -1066,6 +1082,83 @@ mod tests {
         assert_eq!(idx.get(4, 3), None, "rated since it was admitted");
         for &(user, item) in decision.admitted.iter().filter(|&&p| p != (4, 3)) {
             assert_eq!(idx.get(user, item), Some(point(&rec, user, item)));
+        }
+    }
+
+    /// An Algorithm 4 decision applied as it was before each user's
+    /// pairs became one edit: every eviction through `remove`, then every
+    /// admission through `insert`, scored one candidate list per run of
+    /// one user's admissions.
+    fn apply_pair_by_pair(index: &mut RecScoreIndex, model: &RecModel, decision: &CacheDecision) {
+        for &(u, i) in &decision.evicted {
+            index.remove(u, i);
+        }
+        let mut scratch = ScoreScratch::default();
+        for admitted in decision.admitted.chunk_by(|a, b| a.0 == b.0) {
+            let user = admitted[0].0;
+            let items: Vec<i64> = admitted.iter().map(|&(_, item)| item).collect();
+            let scores = score_item_ids(model, user, &items, &mut scratch);
+            for (item, score) in items.into_iter().zip(scores) {
+                index.insert(user, item, score.flatten().unwrap_or(0.0));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Generated decisions applied one edit per user against the same
+        /// decision applied pair by pair, on an index holding complete
+        /// users (one with nothing left to recommend, one unknown to the
+        /// model), partial users (admitted pairs, one an unknown item) and
+        /// untouched users: pairs of known and unknown users and items,
+        /// rated and unseen, in any order, evictions of absent pairs and
+        /// pairs evicted and readmitted in one decision. Entries with
+        /// score bits in walk order, the counters and the completeness set
+        /// must agree.
+        #[test]
+        fn one_edit_per_user_equals_the_pair_by_pair_decision(
+            evicted in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
+            admitted in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
+            readmit in proptest::prelude::any::<bool>(),
+        ) {
+            const USERS: [i64; 6] = [1, 2, 3, 4, 5, 9];
+            const ITEMS: [i64; 6] = [1, 2, 3, 4, 5, 77];
+            let mut rows = figure1_rows();
+            rows.extend([(5, 4, 3.0), (3, 5, 4.0), (1, 4, 2.5)]);
+            let cat = catalog_with_ratings(&rows);
+            let mut rec = make(&cat);
+            for user in [2, 4, 9] {
+                rec.materialize_user(user);
+            }
+            let model = rec.model();
+            rec.edit_index(|index| {
+                for (user, item) in [(1, 2), (1, 77), (3, 4), (5, 2)] {
+                    let score = score_item_ids(&model, user, &[item], &mut ScoreScratch::default());
+                    index.insert(user, item, score[0].flatten().unwrap_or(0.0));
+                }
+            });
+            let pairs = |picks: Vec<(usize, usize)>| -> Vec<(i64, i64)> {
+                picks.into_iter().map(|(u, i)| (USERS[u], ITEMS[i])).collect()
+            };
+            let mut decision = CacheDecision {
+                admitted: pairs(admitted),
+                evicted: pairs(evicted),
+            };
+            if readmit {
+                decision.admitted.extend(decision.evicted.first().copied());
+            }
+            let mut pairwise = (*rec.index().unwrap()).clone();
+            apply_pair_by_pair(&mut pairwise, &model, &decision);
+            let mut edited = (*rec.index().unwrap()).clone();
+            apply_decision(&mut edited, &model, &decision);
+            let contents = |idx: &RecScoreIndex| {
+                let lists: Vec<Vec<(i64, u64)>> = USERS
+                    .iter()
+                    .map(|&u| idx.iter_desc(u, None, None).map(|(i, s)| (i, s.to_bits())).collect())
+                    .collect();
+                let complete: Vec<bool> = USERS.iter().map(|&u| idx.is_complete(u)).collect();
+                (lists, complete, idx.len(), idx.user_count())
+            };
+            proptest::prop_assert_eq!(contents(&edited), contents(&pairwise), "{:?}", decision);
         }
     }
 

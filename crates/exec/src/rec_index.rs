@@ -14,8 +14,11 @@
 //! reads. Nothing is stored a second time: the pair-level operations
 //! ([`RecScoreIndex::get`], [`RecScoreIndex::insert`],
 //! [`RecScoreIndex::remove`]) find `(user, item)` by walking that user's
-//! key range, which costs O(the user's list). Only the periodic
-//! Algorithm 4 cache manager takes that path.
+//! key range, which costs O(the user's list). Whole lists are written as
+//! one sorted run spliced into the tree ([`BTree::insert_run`]): a
+//! materialized user ([`RecScoreIndex::replace_user_list`]) and the
+//! Algorithm 4 cache manager's edit of a user
+//! ([`RecScoreIndex::edit_user_list`]: one walk, one rewrite).
 //!
 //! All three fields use the tree's order-preserving key codec
 //! ([`recdb_storage::btree::enc_i64`], [`recdb_storage::btree::enc_f64_asc`]
@@ -53,6 +56,31 @@ fn field(k: &Key, at: usize) -> [u8; 8] {
     let mut f = [0u8; 8];
     f.copy_from_slice(&k[at..at + 8]);
     f
+}
+
+/// `user`'s entries as tree keys in key order: score descending
+/// (`total_cmp`), then item descending; an identical key is one entry.
+fn user_keys(user: i64, entries: &[(i64, f64)]) -> Vec<Key> {
+    let mut keys: Vec<Key> = entries
+        .iter()
+        .map(|&(item, score)| fwd_key(user, score, item))
+        .collect();
+    // The keys share their user bytes; the other 16 read as one
+    // big-endian integer order them.
+    keys.sort_unstable_by_key(|k| {
+        u128::from_be_bytes(k[8..].try_into().expect("a key is 8 + 16 bytes"))
+    });
+    keys.dedup();
+    keys
+}
+
+/// `[first, past the last)` key of `user`'s prefix: every key the user
+/// can own, whatever its score (`None`: to the end of the key space).
+fn user_range(user: i64) -> (Key, Option<Key>) {
+    let (mut lo, mut last) = ([u8::MIN; 24], [u8::MAX; 24]);
+    lo[..8].copy_from_slice(&enc_i64(user));
+    last[..8].copy_from_slice(&enc_i64(user));
+    (lo, successor(last))
 }
 
 fn fwd_decode(k: &Key) -> (i64, i64, f64) {
@@ -151,18 +179,11 @@ impl RecScoreIndex {
         let mut lists: Vec<_> = lists.into_iter().collect();
         lists.sort_unstable_by_key(|&(user, _, _)| user);
         let (mut keys, mut counts, mut complete) = (Vec::new(), HashMap::new(), HashSet::new());
-        for (user, mut entries, is_complete) in lists {
-            // Key order within a user: score descending (`total_cmp`),
-            // then item descending; an identical key is one entry.
-            entries.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
-            entries.dedup_by(|a, b| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-            keys.extend(
-                entries
-                    .iter()
-                    .map(|&(item, score)| fwd_key(user, score, item)),
-            );
-            if !entries.is_empty() {
-                counts.insert(user, entries.len());
+        for (user, entries, is_complete) in lists {
+            let start = keys.len();
+            keys.extend(user_keys(user, &entries));
+            if keys.len() > start {
+                counts.insert(user, keys.len() - start);
             }
             if is_complete {
                 complete.insert(user);
@@ -222,10 +243,8 @@ impl RecScoreIndex {
         if !self.has_user(user) {
             return self.walk(ScoreCursor::empty());
         }
-        let (mut lo, mut last) = ([u8::MIN; 24], [u8::MAX; 24]);
-        lo[..8].copy_from_slice(&enc_i64(user));
-        last[..8].copy_from_slice(&enc_i64(user));
-        self.walk(ScoreCursor::over(RangeCursor::new(lo, successor(last))))
+        let (lo, hi) = user_range(user);
+        self.walk(ScoreCursor::over(RangeCursor::new(lo, hi)))
     }
 
     /// `cursor`'s remaining `(item, score)` entries.
@@ -287,35 +306,62 @@ impl RecScoreIndex {
         true
     }
 
-    /// Replace user `u`'s entire materialized list in one pass and mark
-    /// it complete, without [`RecScoreIndex::insert`]'s list walk per
-    /// pair. (A complete list also enters a whole index built by
-    /// [`RecScoreIndex::from_lists`].)
+    /// Replace user `u`'s entire materialized list (each item once) and
+    /// mark it complete: the old entries leave in one range removal, and
+    /// the new list, sorted into key order, enters as one run
+    /// ([`BTree::insert_run`]) — about two descents and one page per node
+    /// of entries, not a descent per entry. (A complete list also enters a
+    /// whole index built by [`RecScoreIndex::from_lists`].)
     pub fn replace_user_list(&mut self, user: i64, list: &[(i64, f64)]) {
-        // The cursor reads the tree it would be mutating: drain it first.
-        let old: Vec<(i64, f64)> = self.user_list(user).collect();
-        for &(item, score) in &old {
-            self.fwd
-                .remove(&fwd_key(user, score, item))
-                .expect(POOL_FAULT);
-        }
-        self.entries -= old.len();
-        self.counts.remove(&user);
-        let mut added = 0usize;
-        for &(item, score) in list {
-            if self
-                .fwd
-                .insert(fwd_key(user, score, item))
-                .expect(POOL_FAULT)
-            {
-                added += 1;
-            }
-        }
-        if added > 0 {
-            self.counts.insert(user, added);
-        }
-        self.entries += added;
+        self.write_user_keys(user, &user_keys(user, list));
         self.complete.insert(user);
+    }
+
+    /// Apply one Algorithm 4 decision to `user`'s list: drop the entries
+    /// of the items in `evict`, then enter `admit` (an admitted item that
+    /// is listed takes its new score). The result — entries, counts and
+    /// completeness — is that of [`RecScoreIndex::remove`] for each
+    /// evicted item and then [`RecScoreIndex::insert`] for each admission
+    /// (an eviction that finds its entry clears the user's completeness,
+    /// admissions leave it as it is), for one walk of the list and, if
+    /// anything changed, one rewrite of it, instead of a walk per pair. A
+    /// list holds each item once, as every writer here keeps it.
+    pub fn edit_user_list(&mut self, user: i64, evict: &[i64], admit: &[(i64, f64)]) {
+        let old: Vec<(i64, f64)> = self.user_list(user).collect();
+        let evict: HashSet<i64> = evict.iter().copied().collect();
+        let mut list: Vec<(i64, f64)> = old
+            .iter()
+            .copied()
+            .filter(|(item, _)| !evict.contains(item))
+            .collect();
+        if list.len() < old.len() {
+            self.complete.remove(&user);
+        }
+        // A later admission of the same item wins, as a later insert does.
+        let admit: HashMap<i64, f64> = admit.iter().copied().collect();
+        list.retain(|(item, _)| !admit.contains_key(item));
+        list.extend(admit);
+        let keys = user_keys(user, &list);
+        if keys != user_keys(user, &old) {
+            self.write_user_keys(user, &keys);
+        }
+    }
+
+    /// Make `keys` (in key order, all in `user`'s prefix) the user's
+    /// entries, its completeness untouched: one range removal of the old
+    /// ones, one run for the new.
+    fn write_user_keys(&mut self, user: i64, keys: &[Key]) {
+        if let Some(old) = self.counts.remove(&user) {
+            let (lo, hi) = user_range(user);
+            let removed = self.fwd.remove_range(lo, hi).expect(POOL_FAULT);
+            debug_assert_eq!(removed, old as u64);
+            self.entries -= old;
+        }
+        self.fwd.insert_run(keys).expect(POOL_FAULT);
+        if !keys.is_empty() {
+            self.counts.insert(user, keys.len());
+        }
+        self.entries += keys.len();
     }
 
     /// A cursor over user `u`'s entries in **descending** score order —
@@ -682,6 +728,115 @@ mod tests {
             prop_assert_eq!(bulk.len(), by_entry.len());
             prop_assert_eq!(bulk.user_count(), by_entry.user_count());
             prop_assert!(bulk.node_pages() <= by_entry.node_pages());
+        }
+    }
+
+    /// `replace_user_list` as it was before lists entered as one run: the
+    /// old entries removed and the new ones inserted one key at a time.
+    fn replace_key_by_key(idx: &mut RecScoreIndex, user: i64, list: &[(i64, f64)]) {
+        let old: Vec<(i64, f64)> = idx.user_list(user).collect();
+        for &(item, score) in &old {
+            idx.fwd.remove(&fwd_key(user, score, item)).unwrap();
+        }
+        idx.entries -= old.len();
+        idx.counts.remove(&user);
+        let mut added = 0;
+        for &(item, score) in list {
+            added += usize::from(idx.fwd.insert(fwd_key(user, score, item)).unwrap());
+        }
+        if added > 0 {
+            idx.counts.insert(user, added);
+        }
+        idx.entries += added;
+        idx.complete.insert(user);
+    }
+
+    /// Every user's whole list with score bits, the entry and user
+    /// counts, and each user's completeness, for users `-3..4`.
+    type Contents = (Vec<Vec<(i64, u64)>>, usize, usize, Vec<bool>);
+
+    fn contents(idx: &RecScoreIndex) -> Contents {
+        let lists = (-3..4)
+            .map(|u| idx.user_list(u).map(|(i, s)| (i, s.to_bits())).collect())
+            .collect();
+        let complete = (-3..4).map(|u| idx.is_complete(u)).collect();
+        (lists, idx.len(), idx.user_count(), complete)
+    }
+
+    fn list_strategy() -> impl Strategy<Value = Vec<(i64, f64)>> {
+        proptest::collection::btree_map(-20i64..40, score_strategy(), 0..30)
+            .prop_map(|list| list.into_iter().collect())
+    }
+
+    proptest! {
+        /// Users materialized in any order, some twice, through the run
+        /// path, against the same lists entered key by key and against
+        /// `from_lists` over each user's last list: every user's whole
+        /// list in key order (NaN scores included), the counters and the
+        /// completeness set, under a node capacity of 4 and a 6-frame pool.
+        #[test]
+        fn run_path_equals_from_lists_and_the_per_key_path(
+            writes in proptest::collection::vec((-3i64..4, list_strategy()), 0..12),
+        ) {
+            let pool = Arc::new(BufferPool::in_memory(6));
+            let mut run = RecScoreIndex::with_pool(Arc::clone(&pool), 4);
+            let mut by_key = RecScoreIndex::with_pool(Arc::clone(&pool), 4);
+            let mut last = HashMap::new();
+            for (user, list) in &writes {
+                run.replace_user_list(*user, list);
+                replace_key_by_key(&mut by_key, *user, list);
+                last.insert(*user, list.clone());
+                prop_assert_eq!(contents(&run), contents(&by_key));
+            }
+            let bulk = RecScoreIndex::from_lists(
+                Arc::clone(&pool),
+                4,
+                last.into_iter().map(|(user, list)| (user, list, true)),
+            );
+            prop_assert_eq!(contents(&run), contents(&bulk));
+            run.fwd.checked_keys();
+        }
+
+        /// One Algorithm 4 edit of a user's list against the same evictions
+        /// and admissions applied pair by pair (`remove`s, then `insert`s)
+        /// on a copy: partial and complete users, evictions of absent
+        /// pairs, an item evicted and readmitted, a repeated admission
+        /// (the later one wins), a re-admission at the same score.
+        #[test]
+        fn one_pass_edit_equals_pair_by_pair(
+            lists in proptest::collection::vec((-3i64..4, list_strategy(), any::<bool>()), 0..5),
+            user in -3i64..4,
+            evict in proptest::collection::vec(-22i64..42, 0..12),
+            admit in proptest::collection::vec((-22i64..42, score_strategy()), 0..12),
+            readmit in any::<bool>(),
+        ) {
+            let pool = Arc::new(BufferPool::in_memory(6));
+            let mut idx = RecScoreIndex::with_pool(Arc::clone(&pool), 4);
+            for (u, list, complete) in &lists {
+                if *complete {
+                    idx.replace_user_list(*u, list);
+                } else {
+                    for &(item, score) in list {
+                        idx.insert(*u, item, score);
+                    }
+                }
+            }
+            let mut admit = admit;
+            if readmit {
+                // Readmit an evicted item, and one at its current score.
+                admit.extend(evict.first().map(|&item| (item, 1.5)));
+                admit.extend(idx.user_list(user).next());
+            }
+            let mut pairwise = idx.clone();
+            for &item in &evict {
+                pairwise.remove(user, item);
+            }
+            for &(item, score) in &admit {
+                pairwise.insert(user, item, score);
+            }
+            idx.edit_user_list(user, &evict, &admit);
+            prop_assert_eq!(contents(&idx), contents(&pairwise));
+            idx.fwd.checked_keys();
         }
     }
 

@@ -17,10 +17,15 @@
 //!   `storage::btree_split` fail point therefore leaves the tree valid —
 //!   completed splits stand on their own and the key is simply not
 //!   inserted;
+//! * a sorted run of keys that falls into a gap of the tree enters in one
+//!   pass ([`BTree::insert_run`]): the leaf it lands in is rewritten with
+//!   the run spliced in as full leaves, and the splits that causes are
+//!   planned bottom-up before any node is written, so an injected split
+//!   failure leaves the tree as it was;
 //! * deletes do not rebalance (like PostgreSQL's `nbtree`, which only
 //!   reclaims fully-empty pages). Empty leaves stay in the chain and are
-//!   skipped by scans; a rebuilt index replaces its tree wholesale
-//!   instead.
+//!   skipped by scans (a run inserted into their range fills them again);
+//!   a rebuilt index replaces its tree wholesale instead.
 //!
 //! Node fan-out is configurable (`max_keys`), clamped to what fits one
 //! block. Production trees use [`DEFAULT_NODE_CAPACITY`]; tests shrink it
@@ -211,19 +216,7 @@ impl BTree {
                 ..Node::leaf()
             })?,
         ));
-        while level.len() > cap + 1 {
-            let nodes = level.len().div_ceil(cap + 1);
-            let (base, extra) = (level.len() / nodes, level.len() % nodes);
-            let mut rest = &level[..];
-            let mut above = Vec::with_capacity(nodes);
-            for i in 0..nodes {
-                let (group, tail) = rest.split_at(base + usize::from(i < extra));
-                above.push((group[0].0, tree.allocate(branch_over(group))?));
-                rest = tail;
-            }
-            level = above;
-        }
-        let root = branch_over(&level);
+        let root = stack_levels(level, cap, |node| tree.allocate(node))?;
         tree.pool
             .with_node_mut(tree.file, ROOT_PAGE, |n| *n = root)?;
         Ok(tree)
@@ -351,6 +344,199 @@ impl BTree {
         }
     }
 
+    /// Insert the strictly ascending `keys` as one run: about two
+    /// descents' worth of pool accesses plus one page written per
+    /// `max_keys` keys, instead of a descent per key. The run descends
+    /// once, to the leaf where its first key lands. That leaf's keys below
+    /// the run, the run and the leaf's keys above it are written left to
+    /// right as full leaves (`max_keys` each, as [`BTree::from_sorted`]
+    /// writes them), except that the last two share the rest evenly: a
+    /// leaf that overflows by one key splits in half, as under
+    /// [`BTree::insert`]. The first leaf goes into the leaf's own page,
+    /// the others into fresh pages chained after it. Their
+    /// separators enter the branch above, which splits into as few nodes
+    /// as hold its children, spread evenly, when they overflow it, and so
+    /// on up to the root, which stays page 0: a root that overflows moves
+    /// to a fresh page under a new root, and every leaf stays at one
+    /// depth. Where the run spans separators left by removed keys (see
+    /// [`BTree::remove_range`]), its keys go to the emptied leaves between
+    /// them, each leaf's share written the same way.
+    ///
+    /// Every node the run changes is computed before any is written, and
+    /// each split evaluates the `storage::btree_split` fail point while
+    /// nothing is written yet: an injected failure returns with the tree
+    /// as it was.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is not strictly ascending, or if a key of the tree lies
+    /// between its first and last key (inclusive).
+    pub fn insert_run(&mut self, keys: &[Key]) -> StorageResult<()> {
+        let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
+            return Ok(());
+        };
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "BTree::insert_run: keys must be strictly ascending"
+        );
+        let mut plan = RunPlan {
+            first,
+            last,
+            base: self.node_pages(),
+            fresh: Vec::new(),
+            rewrites: Vec::new(),
+        };
+        let siblings = self.plan_run(ROOT_PAGE, keys, &mut plan)?;
+        if !siblings.is_empty() {
+            // The root split: its planned contents move to a fresh page
+            // and page 0 becomes the branch (levels) above them.
+            recdb_fault::fail_point("storage::btree_split")?;
+            let (page, root) = plan.rewrites.pop().expect("the root is planned last");
+            debug_assert_eq!(page, ROOT_PAGE);
+            let mut level = vec![(first, plan.place(root))];
+            level.extend(siblings);
+            let root = stack_levels(level, self.max_keys, |node| Ok(plan.place(node)))?;
+            plan.rewrites.push((ROOT_PAGE, root));
+        }
+        for (at, node) in plan.fresh.into_iter().enumerate() {
+            let page = self.allocate(node)?;
+            debug_assert_eq!(page, plan.base + at as u32);
+        }
+        for (page, node) in plan.rewrites {
+            self.pool.with_node_mut(self.file, page, |n| *n = node)?;
+        }
+        self.len += keys.len() as u64;
+        Ok(())
+    }
+
+    /// Plan the part of `plan`'s run that falls under `page`: `keys` are
+    /// the run's keys inside the page's key range (none for a node the run
+    /// only spans, which is read to check that it holds no key inside the
+    /// run). Returns the `(first key, page)` of each fresh node that now
+    /// follows `page` at its level, for the level above to take in.
+    fn plan_run(
+        &self,
+        page: u32,
+        keys: &[Key],
+        plan: &mut RunPlan,
+    ) -> StorageResult<Vec<(Key, u32)>> {
+        let node = self.pool.with_node(self.file, page, Node::clone)?;
+        let (first, last) = (plan.first, plan.last);
+        let cap = self.max_keys;
+        if node.is_leaf {
+            let at = node.keys.partition_point(|k| *k < first);
+            assert!(
+                node.keys.get(at).is_none_or(|k| *k > last),
+                "BTree::insert_run: the tree holds a key inside the run"
+            );
+            if keys.is_empty() {
+                return Ok(Vec::new());
+            }
+            let mut merged = node.keys;
+            merged.splice(at..at, keys.iter().copied());
+            let leaves = merged.len().div_ceil(cap);
+            if leaves > 1 {
+                recdb_fault::fail_point("storage::btree_split")?;
+            }
+            // Full leaves, except that the last two share what is left
+            // evenly: a leaf a few keys over capacity splits in half, as
+            // `insert` splits it, not into a full leaf and a near-empty one.
+            let full = leaves.saturating_sub(2) * cap;
+            let chunks = merged[..full]
+                .chunks(cap)
+                .chain(spread(&merged[full..], cap));
+            // Leaf `j > 0` lands on fresh page `next_fresh + j - 1`.
+            let next_fresh = plan.base + plan.fresh.len() as u32;
+            let mut siblings = Vec::with_capacity(leaves - 1);
+            for (j, chunk) in chunks.enumerate() {
+                let leaf = Node {
+                    keys: chunk.to_vec(),
+                    next: if j + 1 < leaves {
+                        next_fresh + j as u32
+                    } else {
+                        node.next
+                    },
+                    ..Node::leaf()
+                };
+                if j == 0 {
+                    plan.rewrites.push((page, leaf));
+                } else {
+                    siblings.push((chunk[0], plan.place(leaf)));
+                }
+            }
+            return Ok(siblings);
+        }
+        // The children the run spans: from the one `first` descends to
+        // through the one `last` does.
+        let spanned =
+            node.keys.partition_point(|k| *k <= first)..=node.keys.partition_point(|k| *k <= last);
+        // `(separator on its left, page)` of every child, each spanned
+        // child followed by what it split into. The first child has no
+        // separator; its slot is never read.
+        let mut level = Vec::with_capacity(node.children.len());
+        let mut rest = keys;
+        for (i, &child) in node.children.iter().enumerate() {
+            level.push((if i == 0 { first } else { node.keys[i - 1] }, child));
+            if spanned.contains(&i) {
+                let take = node
+                    .keys
+                    .get(i)
+                    .map_or(rest.len(), |sep| rest.partition_point(|k| k < sep));
+                let (share, tail) = rest.split_at(take);
+                rest = tail;
+                level.extend(self.plan_run(child, share, plan)?);
+            }
+        }
+        if level.len() == node.children.len() {
+            return Ok(Vec::new());
+        }
+        if level.len() <= cap + 1 {
+            plan.rewrites.push((page, branch_over(&level)));
+            return Ok(Vec::new());
+        }
+        recdb_fault::fail_point("storage::btree_split")?;
+        let mut groups = spread(&level, cap + 1);
+        let own = groups.next().expect("an overfull branch has children");
+        plan.rewrites.push((page, branch_over(own)));
+        Ok(groups
+            .map(|group| (group[0].0, plan.place(branch_over(group))))
+            .collect())
+    }
+
+    /// Remove every key in `[lo, hi)` (`hi = None`: to the end) and return
+    /// how many there were: one descent to `lo`'s leaf, then one access
+    /// per leaf along the chain, plus one that writes each leaf losing
+    /// keys (a leaf left as it was is only read, so not dirtied). Like
+    /// [`BTree::remove`], no rebalance:
+    /// emptied leaves stay in the chain, and a later
+    /// [`BTree::insert_run`] into their range fills them.
+    pub fn remove_range(&mut self, lo: Key, hi: Option<Key>) -> StorageResult<u64> {
+        if hi.is_some_and(|hi| hi <= lo) {
+            return Ok(0);
+        }
+        let (mut page, mut removed) = (ROOT_PAGE, 0u64);
+        while page != NO_PAGE {
+            // Read first: only a leaf that loses keys is written (dirtied).
+            let (span, next) = self.pool.with_node(self.file, page, |n| {
+                if !n.is_leaf {
+                    return (0..0, n.children[n.keys.partition_point(|k| *k <= lo)]);
+                }
+                let start = n.keys.partition_point(|k| *k < lo);
+                let end = hi.map_or(n.keys.len(), |hi| n.keys.partition_point(|k| *k < hi));
+                let next = if end < n.keys.len() { NO_PAGE } else { n.next };
+                (start..end, next)
+            })?;
+            if !span.is_empty() {
+                removed += span.len() as u64;
+                self.pool
+                    .with_node_mut(self.file, page, |n| drop(n.keys.drain(span)))?;
+            }
+            page = next;
+        }
+        self.len -= removed;
+        Ok(removed)
+    }
+
     /// Advance `cursor` by one leaf: replace `batch` with that leaf's keys
     /// inside the cursor's range (possibly none — emptied leaves stay in
     /// the chain) and return `true`, or return `false` with `batch` empty
@@ -430,6 +616,68 @@ impl BTree {
         }
     }
 
+    /// Check the tree's shape and return its keys in leaf-chain order:
+    /// every node within `max_keys`, keys strictly ascending in every node
+    /// and inside the bounds its parent's separators set (a child holds
+    /// the keys `>=` the separator on its left and `<` the one on its
+    /// right), every leaf at the same depth, and the leaf chain visiting
+    /// exactly the leaves left to right before it ends. A diagnostic for
+    /// tests: it reads every node.
+    ///
+    /// # Panics
+    ///
+    /// On the first broken invariant, naming the page, or a pool error.
+    pub fn checked_keys(&self) -> Vec<Key> {
+        // (page, depth, low bound, high bound) still to visit, leftmost last.
+        let mut stack = vec![(ROOT_PAGE, 1u32, None::<Key>, None::<Key>)];
+        let (mut leaves, mut depth) = (Vec::new(), None);
+        let read = |page: u32| {
+            self.pool
+                .with_node(self.file, page, Node::clone)
+                .expect("reading a node to check it")
+        };
+        while let Some((page, d, lo, hi)) = stack.pop() {
+            let node = read(page);
+            assert!(node.keys.len() <= self.max_keys, "page {page} overfull");
+            assert!(
+                node.keys.windows(2).all(|w| w[0] < w[1]),
+                "page {page} unsorted"
+            );
+            assert!(
+                node.keys
+                    .iter()
+                    .all(|k| lo.is_none_or(|lo| lo <= *k) && hi.is_none_or(|hi| *k < hi)),
+                "page {page} holds a key outside its parent's bounds"
+            );
+            if node.is_leaf {
+                assert_eq!(*depth.get_or_insert(d), d, "leaf {page} at another depth");
+                leaves.push(page);
+                continue;
+            }
+            assert_eq!(node.children.len(), node.keys.len() + 1, "branch {page}");
+            for (i, &child) in node.children.iter().enumerate().rev() {
+                let lo = if i == 0 { lo } else { Some(node.keys[i - 1]) };
+                let hi = node.keys.get(i).copied().or(hi);
+                stack.push((child, d + 1, lo, hi));
+            }
+        }
+        assert_eq!(depth, Some(self.height().expect("reading the height")));
+        let (mut keys, mut page) = (Vec::new(), leaves[0]);
+        for (at, &want) in leaves.iter().enumerate() {
+            assert_eq!(page, want, "chain leaves the tree order at leaf {at}");
+            let leaf = read(page);
+            keys.extend(leaf.keys);
+            page = leaf.next;
+        }
+        assert_eq!(page, NO_PAGE, "chain runs past the last leaf");
+        assert_eq!(
+            keys.len() as u64,
+            self.len,
+            "len() disagrees with the leaves"
+        );
+        keys
+    }
+
     /// Split the full root in place: copy its halves into two fresh pages
     /// and rewrite page 0 as a branch over them. This is the only
     /// operation that changes the tree's height.
@@ -484,6 +732,56 @@ fn branch_over(children: &[(Key, u32)]) -> Node {
         children[1..].iter().map(|&(first, _)| first).collect(),
         children.iter().map(|&(_, page)| page).collect(),
     )
+}
+
+/// The root over `level`, the `(first key, page)` of each node of one
+/// level in key order: branch levels are stacked on it, each spreading
+/// the level below evenly over as few nodes as hold it (`place` writes a
+/// node and returns its page), until one node holds a level.
+fn stack_levels(
+    mut level: Vec<(Key, u32)>,
+    max_keys: usize,
+    mut place: impl FnMut(Node) -> StorageResult<u32>,
+) -> StorageResult<Node> {
+    while level.len() > max_keys + 1 {
+        level = spread(&level, max_keys + 1)
+            .map(|group| Ok((group[0].0, place(branch_over(group))?)))
+            .collect::<StorageResult<_>>()?;
+    }
+    Ok(branch_over(&level))
+}
+
+/// `items` cut into as few consecutive groups of at most `max` as hold
+/// them, their sizes differing by at most one.
+fn spread<T>(items: &[T], max: usize) -> impl Iterator<Item = &[T]> {
+    let groups = items.len().div_ceil(max);
+    let (base, extra) = (items.len() / groups, items.len() % groups);
+    let mut rest = items;
+    (0..groups).map(move |i| {
+        let (group, tail) = rest.split_at(base + usize::from(i < extra));
+        rest = tail;
+        group
+    })
+}
+
+/// What [`BTree::insert_run`] will write: nodes for fresh pages, and new
+/// contents for existing ones, children before parents.
+struct RunPlan {
+    /// The run's first and last key.
+    first: Key,
+    last: Key,
+    /// The page the first fresh node will be allocated as.
+    base: u32,
+    fresh: Vec<Node>,
+    rewrites: Vec<(u32, Node)>,
+}
+
+impl RunPlan {
+    /// Plan `node` onto the next fresh page and return that page.
+    fn place(&mut self, node: Node) -> u32 {
+        self.fresh.push(node);
+        self.base + self.fresh.len() as u32 - 1
+    }
 }
 
 /// Split one overfull node into `(left, right, separator)`. For leaves
@@ -724,49 +1022,6 @@ mod tests {
         assert!(!t.keys().unwrap().contains(&key(1)), "clone shares state");
     }
 
-    /// Check `t`'s shape and return its keys in leaf-chain order: every
-    /// node within `max_keys`, keys strictly ascending in every node and
-    /// inside the bounds its parent's separators set (a child holds the
-    /// keys `>=` the separator on its left and `<` the one on its right),
-    /// every leaf at the same depth, and the leaf chain visiting exactly
-    /// the leaves left to right before it ends.
-    fn checked_keys(t: &BTree) -> Vec<Key> {
-        // (page, depth, low bound, high bound) still to visit, leftmost last.
-        let mut stack = vec![(ROOT_PAGE, 1u32, None::<Key>, None::<Key>)];
-        let (mut leaves, mut depth) = (Vec::new(), None);
-        while let Some((page, d, lo, hi)) = stack.pop() {
-            let node = t.pool.with_node(t.file, page, Node::clone).unwrap();
-            assert!(node.keys.len() <= t.max_keys, "page {page} overfull");
-            assert!(node.keys.windows(2).all(|w| w[0] < w[1]), "page {page}");
-            assert!(node.keys.iter().all(|k| lo.is_none_or(|lo| lo <= *k)));
-            assert!(node.keys.iter().all(|k| hi.is_none_or(|hi| *k < hi)));
-            if node.is_leaf {
-                assert_eq!(*depth.get_or_insert(d), d, "leaf {page} at another depth");
-                leaves.push(page);
-                continue;
-            }
-            assert_eq!(node.children.len(), node.keys.len() + 1);
-            for (i, &child) in node.children.iter().enumerate().rev() {
-                let lo = if i == 0 { lo } else { Some(node.keys[i - 1]) };
-                let hi = node.keys.get(i).copied().or(hi);
-                stack.push((child, d + 1, lo, hi));
-            }
-        }
-        assert_eq!(depth, Some(t.height().unwrap()));
-        let (mut keys, mut page) = (Vec::new(), leaves[0]);
-        for (at, &want) in leaves.iter().enumerate() {
-            assert_eq!(page, want, "chain leaves the tree order at leaf {at}");
-            let (next, leaf_keys) = t
-                .pool
-                .with_node(t.file, page, |n| (n.next, n.keys.clone()))
-                .unwrap();
-            keys.extend(leaf_keys);
-            page = next;
-        }
-        assert_eq!(page, NO_PAGE, "chain runs past the last leaf");
-        keys
-    }
-
     #[test]
     fn bulk_build_fills_its_leaves() {
         // 81,174 keys: 318 leaves of up to 256, two branches, the root.
@@ -774,11 +1029,11 @@ mod tests {
         let t = BTree::from_sorted(pool, "t", 256, (0..81_174).map(key)).unwrap();
         assert_eq!(t.len(), 81_174);
         assert_eq!((t.node_pages(), t.height().unwrap()), (321, 3));
-        assert_eq!(checked_keys(&t), (0..81_174).map(key).collect::<Vec<_>>());
+        assert_eq!(t.checked_keys(), (0..81_174).map(key).collect::<Vec<_>>());
         // A clone is bulk-built too.
         let c = t.clone();
         assert_eq!((c.node_pages(), c.len()), (321, 81_174));
-        assert_eq!(checked_keys(&c), checked_keys(&t));
+        assert_eq!(c.checked_keys(), t.checked_keys());
     }
 
     #[test]
@@ -843,7 +1098,7 @@ mod tests {
             let mut t = BTree::from_sorted(pool, "t", cap, reference.iter().map(|&n| key(n))).unwrap();
             prop_assert_eq!(t.len(), reference.len() as u64);
             let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
-            prop_assert_eq!(checked_keys(&t), want);
+            prop_assert_eq!(t.checked_keys(), want);
             if reference.len() > cap * (cap + 1) {
                 prop_assert!(t.height().unwrap() >= 3);
             }
@@ -875,7 +1130,264 @@ mod tests {
                 prop_assert_eq!(t.len(), reference.len() as u64);
             }
             let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
-            prop_assert_eq!(checked_keys(&t), want);
+            prop_assert_eq!(t.checked_keys(), want);
+        }
+    }
+
+    /// Keys `from, from + stride, …` (`len` of them), cut short before
+    /// the first key of `reference` at or past `from`: a run that fits
+    /// the gap it starts in (none if `from` is taken).
+    fn gap_run(reference: &BTreeSet<u64>, from: u64, len: usize, stride: u64) -> Vec<u64> {
+        let end = reference.range(from..).next().copied().unwrap_or(u64::MAX);
+        (0..len as u64)
+            .map(|j| from + j * stride)
+            .take_while(|&n| n < end)
+            .collect()
+    }
+
+    #[test]
+    fn insert_run_lands_anywhere_in_a_leaf() {
+        // Capacity 4 over 1000, 2000, …, 40000: leaves of four keys,
+        // three levels. Runs of 1 key, one leaf, two levels' and three
+        // levels' worth go into an empty tree, a root leaf, before the
+        // first key, between two keys of a leaf, after a leaf's last key
+        // (before the next leaf's separator) and after the last key.
+        let capacity_runs = [1usize, 4, 4 * 5 + 1, 4 * 5 * 5 + 1];
+        let trees: [&[u64]; 3] = [&[], &[1000, 40_000], &[]];
+        for (shape, base) in trees.iter().enumerate() {
+            for len in capacity_runs {
+                for from in [1, 2001, 8001, 40_001] {
+                    let keys: Vec<u64> = if shape == 2 {
+                        (1..=40).map(|n| n * 1000).collect()
+                    } else {
+                        base.to_vec()
+                    };
+                    let mut reference: BTreeSet<u64> = keys.iter().copied().collect();
+                    let pool = Arc::new(BufferPool::unbounded());
+                    let mut t =
+                        BTree::from_sorted(pool, "t", 4, keys.iter().map(|&n| key(n))).unwrap();
+                    let run = gap_run(&reference, from, len, 1);
+                    assert_eq!(run.len(), len.min(999), "{shape} {from} {len}");
+                    t.insert_run(&run.iter().map(|&n| key(n)).collect::<Vec<_>>())
+                        .unwrap();
+                    reference.extend(&run);
+                    let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
+                    assert_eq!(
+                        t.checked_keys(),
+                        want,
+                        "tree {shape}, run of {len} at {from}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_writes_full_leaves_in_about_two_descents() {
+        // 64 runs of 1,560 keys in ascending order, as a set-up
+        // materializes 64 users: each run costs its descent and the
+        // rewrites above it, not a descent per key, and its leaves are
+        // full but for the last two, which share the rest evenly. The
+        // next run fills the last; the other is left at least half full,
+        // so the tree holds at most half a leaf per run more than one
+        // built from the same keys.
+        let pool = Arc::new(BufferPool::unbounded());
+        let mut t = BTree::create(Arc::clone(&pool), "t", 256).unwrap();
+        let accesses = || pool.hits() + pool.misses();
+        let before = accesses();
+        for user in 0..64u64 {
+            let run: Vec<Key> = (0..1560).map(|n| key(user * 10_000 + n)).collect();
+            t.insert_run(&run).unwrap();
+        }
+        let per_run = (accesses() - before) as f64 / 64.0;
+        assert!(per_run <= 6.0, "{per_run} pool accesses per run");
+        let bulk = BTree::from_sorted(Arc::clone(&pool), "b", 256, t.keys().unwrap()).unwrap();
+        assert_eq!(t.checked_keys(), bulk.checked_keys());
+        assert!(
+            t.node_pages() <= bulk.node_pages() + 64 / 2 + 1,
+            "{} pages against {} bulk-built",
+            t.node_pages(),
+            bulk.node_pages()
+        );
+    }
+
+    #[test]
+    fn rewriting_a_growing_prefix_adds_pages_with_its_keys_not_its_edits() {
+        // 16 prefixes of 40 keys, bulk-built into full leaves at capacity
+        // 8. Each round rewrites every prefix with one key more, as a
+        // growing list edit does (`remove_range`, then `insert_run`), the
+        // new key landing near the front of the prefix's first leaf every
+        // time. Each overflow splits that leaf in half, so a prefix costs
+        // a page per cap / 2 keys it gains, as the same keys inserted one
+        // by one do; splitting off a one-key leaf instead would leave the
+        // first leaf full and cost a page per edit (173 pages here, not
+        // 76).
+        const CAP: usize = 8;
+        const PREFIXES: u64 = 16;
+        const ROUNDS: u64 = 16;
+        let base = |p: u64| (0..40).map(move |n| p * 1000 + n * 20);
+        let keys = (0..PREFIXES).flat_map(base).map(key);
+        let mut t = BTree::from_sorted(Arc::new(BufferPool::unbounded()), "t", CAP, keys).unwrap();
+        let mut by_key = t.clone();
+        let before = t.node_pages();
+        for round in 0..ROUNDS {
+            for p in 0..PREFIXES {
+                let (lo, hi) = (key(p * 1000), Some(key((p + 1) * 1000)));
+                let mut prefix = range(&t, lo, hi);
+                assert_eq!(t.remove_range(lo, hi).unwrap(), prefix.len() as u64);
+                let new = key(p * 1000 + 1 + round);
+                prefix.push(new);
+                prefix.sort_unstable();
+                t.insert_run(&prefix).unwrap();
+                assert!(by_key.insert(new).unwrap());
+            }
+        }
+        assert_eq!(t.checked_keys(), by_key.checked_keys());
+        let (grown, by_key_grown) = (t.node_pages() - before, by_key.node_pages() - before);
+        let added = (PREFIXES * ROUNDS) as u32;
+        assert!(
+            grown <= by_key_grown + 2,
+            "{grown} pages added by rewrites against {by_key_grown} by single inserts"
+        );
+        // A leaf page per cap / 2 keys, and one branch page per four leaves.
+        assert!(
+            grown <= added / (CAP as u32 / 2) * 5 / 4,
+            "{grown} pages added for {added} keys"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn insert_run_rejects_unsorted_keys() {
+        small_tree(4).insert_run(&[key(3), key(1)]).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the run")]
+    fn insert_run_rejects_a_run_over_a_key_of_the_tree() {
+        let pool = Arc::new(BufferPool::unbounded());
+        let mut t = BTree::from_sorted(pool, "t", 4, (0..100).map(|n| key(n * 10))).unwrap();
+        // 505 is free, but 510 lies between the run's ends.
+        t.insert_run(&[key(505), key(515)]).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the run")]
+    fn insert_run_rejects_a_run_over_a_key_in_another_leaf() {
+        let pool = Arc::new(BufferPool::unbounded());
+        let mut t = BTree::from_sorted(pool, "t", 4, (0..100).map(|n| key(n * 10))).unwrap();
+        // The run's first key lands in the leaf ending at 30; 40 (the
+        // next leaf's first key) and everything to 290 lie inside it.
+        t.insert_run(&[key(35), key(295)]).unwrap();
+    }
+
+    #[test]
+    fn remove_range_empties_leaves_that_a_run_fills_again() {
+        let pool = Arc::new(BufferPool::unbounded());
+        let mut t = BTree::from_sorted(pool, "t", 4, (0..200).map(|n| key(n * 10))).unwrap();
+        let pages = t.node_pages();
+        assert_eq!(t.remove_range(key(300), Some(key(1500))).unwrap(), 120);
+        assert_eq!(t.remove_range(key(300), Some(key(1500))).unwrap(), 0);
+        assert_eq!(t.len(), 80);
+        // The new run spans the separators the removed keys left: its
+        // keys go to the emptied leaves, not to fresh pages.
+        let run: Vec<Key> = (0..120).map(|n| key(300 + n * 10 + 5)).collect();
+        t.insert_run(&run).unwrap();
+        let mut want: Vec<u64> = (0..30).chain(150..200).map(|n| n * 10).collect();
+        want.extend((0..120).map(|n| 300 + n * 10 + 5));
+        want.sort_unstable();
+        assert_eq!(
+            t.checked_keys(),
+            want.into_iter().map(key).collect::<Vec<_>>()
+        );
+        assert!(t.node_pages() <= pages + 4, "{} pages", t.node_pages());
+        assert_eq!(t.remove_range(key(0), None).unwrap(), 200);
+        assert!(t.checked_keys().is_empty());
+    }
+
+    /// What a step of the run proptest does to the tree and the set.
+    #[derive(Debug, Clone)]
+    enum RunStep {
+        One(Step),
+        /// A run of up to `len` keys `stride` apart from `from`, cut to
+        /// the gap it starts in.
+        Run {
+            from: u64,
+            len: usize,
+            stride: u64,
+        },
+        /// `remove_range` over `[lo, lo + width)`.
+        RemoveRange {
+            lo: u64,
+            width: u64,
+        },
+    }
+
+    fn run_step_strategy(span: u64) -> impl Strategy<Value = RunStep> {
+        // Runs of 1 key, one leaf, two levels' and three levels' worth at
+        // capacity 4, or anything up to 150.
+        let len = prop_oneof![Just(1usize), Just(4), Just(21), Just(101), 1..150usize];
+        prop_oneof![
+            step_strategy(span).prop_map(RunStep::One),
+            (0..span, len, 1u64..4).prop_map(|(from, len, stride)| RunStep::Run {
+                from,
+                len,
+                stride
+            }),
+            (0..span, 0u64..200).prop_map(|(lo, width)| RunStep::RemoveRange { lo, width }),
+        ]
+    }
+
+    proptest! {
+        /// Runs that respect the gap they start in, interleaved with
+        /// single inserts, removes, range removes and range walks, on a
+        /// tree (capacity 4, 5 or 8; empty, a root leaf or bulk-built) and
+        /// on a `BTreeSet`: after every step the tree's shape holds (see
+        /// `checked_keys`) and its keys are the set's.
+        #[test]
+        fn insert_run_equals_a_btreeset(
+            (cap, gaps) in bulk_case(),
+            steps in proptest::collection::vec(run_step_strategy(1700), 0..40),
+        ) {
+            let mut reference: BTreeSet<u64> = gaps
+                .iter()
+                .scan(0, |at, gap| { *at += gap * 4; Some(*at) })
+                .collect();
+            let pool = Arc::new(BufferPool::unbounded());
+            let mut t = BTree::from_sorted(pool, "t", cap, reference.iter().map(|&n| key(n))).unwrap();
+            for (at, step) in steps.into_iter().enumerate() {
+                match step {
+                    RunStep::One(Step::Insert(n)) => {
+                        prop_assert_eq!(t.insert(key(n)).unwrap(), reference.insert(n), "step {} insert {}", at, n);
+                    }
+                    RunStep::One(Step::Remove(n)) => {
+                        prop_assert_eq!(t.remove(&key(n)).unwrap(), reference.remove(&n), "step {} remove {}", at, n);
+                    }
+                    RunStep::One(Step::Range(lo, hi)) => {
+                        let want: Vec<Key> = match hi {
+                            Some(hi) if hi <= lo => Vec::new(),
+                            Some(hi) => reference.range(lo..hi).map(|&n| key(n)).collect(),
+                            None => reference.range(lo..).map(|&n| key(n)).collect(),
+                        };
+                        prop_assert_eq!(range(&t, key(lo), hi.map(key)), want, "step {} range", at);
+                    }
+                    RunStep::Run { from, len, stride } => {
+                        let run = gap_run(&reference, from, len, stride);
+                        t.insert_run(&run.iter().map(|&n| key(n)).collect::<Vec<_>>()).unwrap();
+                        reference.extend(run);
+                    }
+                    RunStep::RemoveRange { lo, width } => {
+                        let gone: Vec<u64> = reference.range(lo..lo + width).copied().collect();
+                        let removed = t.remove_range(key(lo), Some(key(lo + width))).unwrap();
+                        prop_assert_eq!(removed, gone.len() as u64, "step {} remove_range", at);
+                        for n in gone {
+                            reference.remove(&n);
+                        }
+                    }
+                }
+                let want: Vec<Key> = reference.iter().map(|&n| key(n)).collect();
+                prop_assert_eq!(t.checked_keys(), want, "step {}", at);
+            }
         }
     }
 

@@ -182,3 +182,37 @@ fn split_fail_point_leaves_tree_consistent() {
     );
     assert_eq!(t.len(), 49);
 }
+
+/// A run that splits a leaf, its branch and the root, with the split
+/// site armed at each of the splits it makes: the run fails with the
+/// fault and leaves the tree exactly as it was (its shape checked node by
+/// node); disarmed, the same run goes in.
+#[test]
+fn split_fail_point_mid_run_leaves_the_tree_as_it_was() {
+    let _x = recdb_fault::exclusive();
+    let pool = Arc::new(BufferPool::unbounded());
+    let mut t = BTree::from_sorted(pool, "t", 4, (0..30).map(|n| key(n * 1000))).unwrap();
+    let before = t.checked_keys();
+    let run: Vec<Key> = (1..=120).map(|n| key(14_000 + n)).collect();
+    recdb_fault::arm_error("storage::btree_split", u64::MAX / 2); // count only
+    t.clone().insert_run(&run).unwrap();
+    let splits = recdb_fault::hits("storage::btree_split");
+    recdb_fault::clear();
+    assert!(splits >= 3, "the run splits {splits} times");
+    for nth in 1..=splits {
+        recdb_fault::arm_error("storage::btree_split", nth);
+        let failed = t.insert_run(&run).err();
+        recdb_fault::clear();
+        assert_eq!(
+            failed,
+            Some(StorageError::FaultInjected("storage::btree_split".into())),
+            "split {nth} of {splits}"
+        );
+        assert_eq!(t.checked_keys(), before, "split {nth} of {splits}");
+    }
+    t.insert_run(&run).unwrap();
+    let mut want = before;
+    want.extend_from_slice(&run);
+    want.sort_unstable();
+    assert_eq!(t.checked_keys(), want);
+}

@@ -297,3 +297,74 @@ fn delete_saves_only_the_pages_it_changes() {
     assert_eq!(deleted, 400);
     assert_eq!(cost, pages + touched + 2 * deleted);
 }
+
+/// Pool accesses one materialized user may cost: writing its list as one
+/// run is a descent, the rewrites of the nodes on its path and the fresh
+/// leaves' allocations (which count no access). Entering the list a key
+/// at a time costs a descent per entry: thousands per user.
+const MATERIALIZE_ACCESSES_PER_USER: u64 = 4;
+
+/// A set-up's materialization, counted rather than timed: the 64 evenly
+/// spaced users of a seeded quarter-size MovieLens world materialized one
+/// by one, as the benchmark's set-up does. The index's pages stay within
+/// two per user of the same lists bulk-built by `from_lists`, and the
+/// pool accesses per user within `MATERIALIZE_ACCESSES_PER_USER`.
+#[test]
+fn materializing_a_user_writes_its_list_as_one_run() {
+    use recdb::datasets::{generate, SyntheticSpec};
+    use recdb::exec::RecScoreIndex;
+    use recdb::storage::DEFAULT_NODE_CAPACITY;
+    use std::sync::Arc;
+
+    let spec = SyntheticSpec {
+        seed: 7,
+        ..SyntheticSpec::movielens().scaled(0.25)
+    };
+    let dataset = generate(&spec);
+    let mut db = RecDb::new();
+    dataset.load_into(&mut db).expect("load the world");
+    db.execute(
+        "CREATE RECOMMENDER hot ON ratings USERS FROM uid ITEMS FROM iid \
+         RATINGS FROM ratingval USING ItemCosCF",
+    )
+    .expect("create recommender");
+    let n = dataset.users.len();
+    let users: Vec<i64> = (0..64).map(|k| (k * n / 64 + 1) as i64).collect();
+
+    let pool = Arc::clone(db.buffer_pool());
+    let accesses = || pool.hits() + pool.misses();
+    let before = accesses();
+    {
+        let mut rec = db.recommender_mut("hot").expect("recommender");
+        for &user in &users {
+            rec.materialize_user(user);
+        }
+    }
+    let cost = accesses() - before;
+
+    let index = db
+        .recommender("hot")
+        .expect("recommender")
+        .index()
+        .expect("index");
+    let lists = users.iter().map(|&user| {
+        assert!(index.is_complete(user), "user {user}");
+        (user, index.iter_desc(user, None, None).collect(), true)
+    });
+    let bulk = RecScoreIndex::from_lists(Arc::clone(&pool), DEFAULT_NODE_CAPACITY, lists);
+    assert_eq!(bulk.len(), index.len());
+    assert!(index.len() > 64 * 500, "{} entries", index.len());
+    assert!(
+        index.node_pages() <= bulk.node_pages() + 2 * 64,
+        "materializing 64 users left {} index pages; the same lists bulk-built take {}",
+        index.node_pages(),
+        bulk.node_pages()
+    );
+    assert!(
+        cost <= MATERIALIZE_ACCESSES_PER_USER * 64,
+        "materializing 64 users ({} entries) cost {cost} pool accesses, {} per user \
+         (at most {MATERIALIZE_ACCESSES_PER_USER})",
+        index.len(),
+        cost as f64 / 64.0
+    );
+}

@@ -66,6 +66,12 @@ fn counters_move_across_a_scripted_durable_session() {
             snap.gauge("recdb_materialized_entries{recommender=\"obs\"}") > 0,
             "{snap:?}"
         );
+        let pages = db.recommender("obs").expect("recommender").index_pages();
+        assert!(pages > 0);
+        assert_eq!(
+            snap.gauge("recdb_rec_index_pages{recommender=\"obs\"}"),
+            pages as i64
+        );
         // Crash here: no final checkpoint after this insert, so the next
         // open must replay it from the WAL.
         db.execute("INSERT INTO ratings VALUES (5, 1, 2.0)")
