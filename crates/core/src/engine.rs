@@ -39,7 +39,7 @@ mod statement_metrics;
 pub(crate) mod txn;
 
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{Recommender, StagedRebuild};
+use crate::recommender::{build_version, Recommender};
 use crate::session::{Session, TxnState};
 use crate::statement_cache::{self, CacheOutcome, Prepared};
 use dml::{const_tuple, map_type};
@@ -47,7 +47,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::Algorithm;
 use recdb_exec::{
-    execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, RecScoreIndex,
+    execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, ModelVersion,
     RecommenderProvider, ResultSet,
 };
 use recdb_guard::QueryGuard;
@@ -638,15 +638,14 @@ impl RecDb {
                 // The build scans under a short read latch and trains with
                 // no engine latch held — the table's X lock (already ours)
                 // keeps the scanned matrix authoritative.
-                let staged =
-                    StagedRebuild::build(&def, &self.config.train, &self.catalog, None, guard)?;
+                let version = build_version(&def, &self.config.train, &self.catalog, None, guard)?;
                 let rec = Recommender::new(
                     def,
-                    staged,
+                    version,
                     self.config.hotness_threshold,
                     self.clock(),
                     Arc::clone(&self.pool),
-                );
+                )?;
                 let build_time = rec.build_time();
                 self.observe_model_build(rec.algorithm(), build_time);
                 let log_record = WalRecord::CreateRecommender(rec.def().clone());
@@ -660,6 +659,7 @@ impl RecDb {
                     txn.undo.push(UndoOp::CreatedRecommender {
                         name: rec.name().to_owned(),
                     });
+                    self.gauge_materialized(&rec);
                     recs.push(rec);
                 }
                 self.log_statement(txn, log_record)?;
@@ -831,28 +831,14 @@ impl RecDb {
 }
 
 impl RecommenderProvider for RecDb {
-    fn model(
-        &self,
-        ratings_table: &str,
-        algorithm: Algorithm,
-    ) -> Option<Arc<recdb_algo::RecModel>> {
+    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
         self.recommenders
             .read()
             .iter()
             .find(|r| {
                 r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
             })
-            .map(Recommender::model)
-    }
-
-    fn rec_index(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<RecScoreIndex>> {
-        self.recommenders
-            .read()
-            .iter()
-            .find(|r| {
-                r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
-            })
-            .and_then(Recommender::index)
+            .map(Recommender::version)
     }
 }
 
@@ -1088,6 +1074,38 @@ mod tests {
         assert_eq!(rec.model().trained_on(), 8, "model rebuilt");
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().matrix().rating_of(4, 3), Some(5.0));
+    }
+
+    /// A reader holding a version across an N% rebuild keeps the model
+    /// and the index of one build; a fresh lookup returns the rebuild's.
+    #[test]
+    fn a_held_version_stays_one_build_across_a_publish() {
+        let db = with_recommender();
+        db.materialize("GeneralRec").unwrap();
+        let held = db.version("ratings", Algorithm::ItemCosCF).unwrap();
+        let entries = |version: &ModelVersion| -> Vec<(i64, i64, u64)> {
+            let index = version.index.as_ref().unwrap();
+            (1..=4)
+                .flat_map(|u| {
+                    index
+                        .iter_desc(u, None, None)
+                        .map(move |(i, s)| (u, i, s.to_bits()))
+                })
+                .collect()
+        };
+        let before = entries(&held);
+        assert!(before.iter().any(|&(u, i, _)| (u, i) == (4, 3)));
+        db.execute("INSERT INTO ratings VALUES (4, 3, 5.0)")
+            .unwrap();
+        assert_eq!(held.model.trained_on(), 7);
+        assert_eq!(entries(&held), before);
+        let fresh = db.version("ratings", Algorithm::ItemCosCF).unwrap();
+        assert_eq!(fresh.model.trained_on(), 8);
+        let index = fresh.index.as_ref().unwrap();
+        assert!(index.is_complete(4) && index.get(4, 3).is_none());
+        let rec = db.recommender("GeneralRec").unwrap();
+        assert!(Arc::ptr_eq(&fresh.model, &rec.model()));
+        assert!(Arc::ptr_eq(index, &rec.index().unwrap()));
     }
 
     #[test]

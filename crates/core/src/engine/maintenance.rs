@@ -3,15 +3,17 @@
 //! and the query statistics that feed it (§IV-D).
 //!
 //! Invariant: a rebuild trains with no engine latch held and publishes
-//! its model in one step, so a cancelled or failed rebuild leaves the
-//! previous model serving. Commit-time maintenance runs while the
-//! committing transaction still holds its X locks, so it trains on
-//! exactly the committed state.
+//! its `ModelVersion` (model and score index) in one `Arc` swap, so a
+//! cancelled or failed rebuild leaves the previous version serving and a
+//! reader never sees a model of one build with an index of another.
+//! Commit-time maintenance runs while the committing transaction still
+//! holds its X locks, so it trains on exactly the committed state, and it
+//! counts ratings under the recommenders' read lock.
 
 use super::txn::ActiveTxn;
 use super::{flatten_guard_error_counted, RecDb, RecommenderMut};
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{Recommender, StagedRebuild};
+use crate::recommender::{build_version, Recommender};
 use recdb_algo::Algorithm;
 use recdb_exec::LogicalPlan;
 use recdb_guard::QueryGuard;
@@ -30,9 +32,9 @@ impl RecDb {
     pub(super) fn apply_deferred(&self, txn: &ActiveTxn, guard: &QueryGuard) -> EngineResult<()> {
         if !txn.deferred_stats.is_empty() {
             let now = self.clock();
-            let mut recs = self.recommenders.write();
+            let recs = self.recommenders.read();
             for (name, item) in &txn.deferred_stats {
-                if let Some(rec) = recs.iter_mut().find(|r| r.name() == name) {
+                if let Some(rec) = recs.iter().find(|r| r.name() == name) {
                     rec.record_insert(*item, now);
                 }
             }
@@ -55,8 +57,8 @@ impl RecDb {
     }
 
     /// Run the N% rule for every recommender on `table`. A cancelled or
-    /// faulted rebuild leaves the previous model serving (the publish in
-    /// [`Recommender::publish`] is atomic and only reached on success).
+    /// faulted rebuild leaves the previous version serving (the swap in
+    /// [`Recommender::publish`] is only reached on success).
     fn run_auto_maintenance(&self, table: &str, guard: &QueryGuard) -> EngineResult<()> {
         let table_key = table.to_ascii_lowercase();
         let due: Vec<String> = self
@@ -75,31 +77,26 @@ impl RecDb {
         Ok(())
     }
 
-    /// Rebuild one recommender's model: capture its definition and index
-    /// under a brief read lock, build ([`StagedRebuild::build`]: scan under
-    /// a brief catalog read latch, train with *no* engine lock held), and
-    /// publish under a brief write lock. Readers serve the previous model
-    /// throughout.
+    /// Rebuild one recommender's model: capture its definition and
+    /// current version under a brief read lock, build a new version from
+    /// them ([`build_version`]: scan under a brief catalog read latch,
+    /// train with *no* engine lock held), and publish it under a brief
+    /// write lock. Readers serve the previous version throughout.
     fn rebuild_recommender(&self, name: &str, guard: &QueryGuard) -> EngineResult<()> {
-        let (def, index) = {
+        let (def, algorithm, base) = {
             let recs = self.recommenders.read();
             let Some(rec) = recs.iter().find(|r| r.name() == name) else {
                 return Ok(()); // dropped concurrently — nothing to rebuild
             };
-            (rec.def().clone(), rec.index())
+            (rec.def().clone(), rec.algorithm(), rec.version())
         };
-        let staged = StagedRebuild::build(
-            &def,
-            &self.config.train,
-            &self.catalog,
-            index.as_deref(),
-            guard,
-        )?;
-        self.observe_model_build(staged.algorithm(), staged.build_time());
+        let index = base.index.as_deref();
+        let fresh = build_version(&def, &self.config.train, &self.catalog, index, guard)?;
+        self.observe_model_build(algorithm, fresh.build_time());
         for (stage, time) in [
-            ("load", staged.load_time()),
-            ("train", staged.train_time()),
-            ("refresh", staged.refresh_time()),
+            ("load", fresh.load_time),
+            ("train", fresh.train_time),
+            ("refresh", fresh.refresh_time),
         ] {
             self.metrics
                 .histogram_with(
@@ -111,7 +108,8 @@ impl RecDb {
         }
         let mut recs = self.recommenders.write();
         if let Some(rec) = recs.iter_mut().find(|r| r.name() == name) {
-            rec.publish(staged);
+            rec.publish(&base, fresh, guard)?;
+            self.gauge_materialized(rec);
         }
         Ok(())
     }
@@ -153,8 +151,8 @@ impl RecDb {
     }
 
     /// Set `recdb_materialized_entries` and `recdb_rec_index_pages` for
-    /// `rec`.
-    fn gauge_materialized(&self, rec: &Recommender) {
+    /// `rec`: after every version the engine publishes.
+    pub(super) fn gauge_materialized(&self, rec: &Recommender) {
         let labels = [("recommender", rec.name())];
         self.metrics
             .gauge_with("recdb_materialized_entries", &labels)

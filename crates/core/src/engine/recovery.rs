@@ -11,7 +11,7 @@ use super::statement_metrics::StatementMetrics;
 use super::txn::UndoOp;
 use super::{RecDb, RecDbConfig};
 use crate::error::{EngineError, EngineResult};
-use crate::recommender::{Recommender, StagedRebuild};
+use crate::recommender::{build_version, Recommender};
 use crate::session::TxnState;
 use parking_lot::{Mutex, RwLock};
 use recdb_exec::ExecMetrics;
@@ -233,15 +233,15 @@ impl RecDb {
         let guard = QueryGuard::unlimited();
         let mut recommenders = Vec::new();
         for def in defs {
-            let staged = StagedRebuild::build(&def, &config.train, &catalog, None, &guard)?;
+            let version = build_version(&def, &config.train, &catalog, None, &guard)?;
             let pool = Arc::clone(&pool);
             recommenders.push(Recommender::new(
                 def,
-                staged,
+                version,
                 config.hotness_threshold,
                 clock,
                 pool,
-            ));
+            )?);
         }
         let catalog = catalog.into_inner();
         let mut wal = opened.wal;

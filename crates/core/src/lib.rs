@@ -39,7 +39,8 @@ pub use engine::{
     RecommenderRef,
 };
 pub use error::{EngineError, EngineResult};
-pub use recommender::{Recommender, StagedRebuild};
+pub use recdb_exec::ModelVersion;
+pub use recommender::Recommender;
 pub use session::Session;
 // Re-export the guard types so engine callers can build per-call limits
 // and cancel handles without depending on the guard crate directly.

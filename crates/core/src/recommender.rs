@@ -1,11 +1,15 @@
-//! One created recommender: its definition, trained model, maintenance
-//! state, usage statistics, and materialized score index.
+//! One created recommender: its definition and algorithm, the
+//! [`ModelVersion`] it serves (trained model plus materialized score
+//! index), and its mutable state: the N % pending counter, the usage
+//! histograms and the Algorithm 4 manager.
 //!
-//! A recommender is built in one place, [`StagedRebuild::build`]: load its
+//! A version is built in one place, `build_version`: load the
 //! definition's ratings, train, refresh the score index. `CREATE
 //! RECOMMENDER`, the retrain when an engine opens and the N % rule all call
 //! it, always under a [`QueryGuard`] (an unlimited one at open), so every
-//! build observes cancellation and its fault sites.
+//! build observes cancellation and its fault sites. Publishing is one
+//! `Arc` swap ([`Recommender::publish`]); an index edit (materialization,
+//! a cache pass) publishes a new version that shares the model.
 
 use crate::cache::{CacheDecision, CacheManager, UsageStats};
 use crate::error::{EngineError, EngineResult};
@@ -13,12 +17,12 @@ use parking_lot::{Mutex, RwLock};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::parallel::for_each_chunk;
 use recdb_algo::{Algorithm, RatingsBuilder, RatingsMatrix, RecModel, ScoreScratch};
-use recdb_exec::{RecScoreIndex, UserList};
+use recdb_exec::{ModelVersion, RecScoreIndex, UserList};
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
 use recdb_wal::RecommenderDef;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,13 +32,11 @@ pub struct Recommender {
     def: RecommenderDef,
     /// `def.algorithm`, parsed.
     algorithm: Algorithm,
-    model: Arc<RecModel>,
-    /// Time spent building the current model (Table II's metric).
-    build_time: Duration,
-    /// Ratings inserted since the current model was built (the N% rule).
-    pending_updates: usize,
-    /// Materialized score index, swapped wholesale on maintenance.
-    index: Option<Arc<RecScoreIndex>>,
+    /// The version readers are served, replaced as a whole.
+    version: Arc<ModelVersion>,
+    /// Ratings inserted since the current model was built (the N% rule);
+    /// counted from `&self` commit paths.
+    pending_updates: AtomicUsize,
     /// The buffer pool the materialized index pages through (the
     /// catalog's, which is the engine's shared pool).
     pool: Arc<BufferPool>,
@@ -50,123 +52,83 @@ impl std::fmt::Debug for Recommender {
             .field("name", &self.def.name)
             .field("ratings_table", &self.def.table)
             .field("algorithm", &self.algorithm)
-            .field("trained_on", &self.model.trained_on())
-            .field("pending_updates", &self.pending_updates)
-            .field(
-                "materialized_entries",
-                &self.index.as_ref().map(|i| i.len()).unwrap_or(0),
-            )
+            .field("trained_on", &self.version.model.trained_on())
+            .field("pending_updates", &self.pending_updates())
+            .field("materialized_entries", &self.materialized_entries())
             .finish()
     }
 }
 
-/// Fully trained build artifacts, computed off to the side. The concurrent
-/// engine trains with no engine lock held and publishes the result with
-/// [`Recommender::new`] or [`Recommender::publish`] under a brief write
-/// lock — readers keep serving the previous model for the whole rebuild.
-pub struct StagedRebuild {
-    algorithm: Algorithm,
-    model: Arc<RecModel>,
-    index: Option<Arc<RecScoreIndex>>,
-    load_time: Duration,
-    train_time: Duration,
-    build_time: Duration,
+/// `def`'s algorithm, parsed.
+fn algorithm_of(def: &RecommenderDef) -> EngineResult<Algorithm> {
+    def.algorithm
+        .parse()
+        .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(def.algorithm.clone()).into())
 }
 
-impl StagedRebuild {
-    /// The one model build (§III-A): scan `def`'s ratings table under a
-    /// brief read latch of `catalog`, train `def`'s algorithm on them with
-    /// no latch held, and refresh `old_index` against the new model ("RECDB
-    /// maintains the recommendation score for all materialized entries",
-    /// §IV-D). `guard` governs the training and the refresh, and their
-    /// fault sites (`algo::*`, `core::materialize_worker`) are live; the
-    /// refresh stage runs its gate even with no index to refresh. Nothing
-    /// is published here, so a cancelled or faulted build leaves the
-    /// previous model (and index) serving.
-    pub fn build(
-        def: &RecommenderDef,
-        config: &TrainConfig,
-        catalog: &RwLock<Catalog>,
-        old_index: Option<&RecScoreIndex>,
-        guard: &QueryGuard,
-    ) -> EngineResult<Self> {
-        let algorithm: Algorithm = def
-            .algorithm
-            .parse()
-            .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(def.algorithm.clone()))?;
-        let loading = Instant::now();
-        let (matrix, pool) = {
-            let catalog = catalog.read();
-            let matrix = load_matrix(&catalog, &def.table, &def.users, &def.items, &def.ratings)?;
-            (matrix, Arc::clone(catalog.pool()))
-        };
-        let load_time = loading.elapsed();
-        let started = Instant::now();
-        let model = Arc::new(RecModel::train(algorithm, matrix, config, guard)?);
-        let train_time = started.elapsed();
-        let index = refresh_index(old_index, &model, guard, &pool)?;
-        Ok(StagedRebuild {
-            algorithm,
-            model,
-            index,
-            load_time,
-            train_time,
-            build_time: started.elapsed(),
-        })
-    }
-
-    /// The algorithm the definition named.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Wall-clock time of training and refresh (the Table II metric); the
-    /// scan is [`StagedRebuild::load_time`].
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// The scan of the ratings table.
-    pub fn load_time(&self) -> Duration {
-        self.load_time
-    }
-
-    /// The part of [`StagedRebuild::build_time`] spent training the model.
-    pub fn train_time(&self) -> Duration {
-        self.train_time
-    }
-
-    /// The rest: refreshing the materialized score index.
-    pub fn refresh_time(&self) -> Duration {
-        self.build_time.saturating_sub(self.train_time)
-    }
+/// The one model build (§III-A): scan `def`'s ratings table under a brief
+/// read latch of `catalog`, train `def`'s algorithm on them with no latch
+/// held, and refresh `old_index` against the new model ("RECDB maintains
+/// the recommendation score for all materialized entries", §IV-D).
+/// `guard` governs the training and the refresh, and their fault sites
+/// (`algo::*`, `core::materialize_worker`) are live; the refresh stage
+/// runs its gate even with no index to refresh. Nothing is published
+/// here, so a cancelled or faulted build leaves the previous version
+/// serving.
+pub(crate) fn build_version(
+    def: &RecommenderDef,
+    config: &TrainConfig,
+    catalog: &RwLock<Catalog>,
+    old_index: Option<&RecScoreIndex>,
+    guard: &QueryGuard,
+) -> EngineResult<ModelVersion> {
+    let algorithm = algorithm_of(def)?;
+    let loading = Instant::now();
+    let (matrix, pool) = {
+        let catalog = catalog.read();
+        let matrix = load_matrix(&catalog, &def.table, &def.users, &def.items, &def.ratings)?;
+        (matrix, Arc::clone(catalog.pool()))
+    };
+    let load_time = loading.elapsed();
+    let training = Instant::now();
+    let model = Arc::new(RecModel::train(algorithm, matrix, config, guard)?);
+    let train_time = training.elapsed();
+    let refreshing = Instant::now();
+    let index = refresh_index(old_index, &model, guard, &pool)?;
+    Ok(ModelVersion {
+        model,
+        index,
+        load_time,
+        train_time,
+        refresh_time: refreshing.elapsed(),
+    })
 }
 
 impl Recommender {
-    /// A recommender for `def` serving the model `staged` built for it
-    /// ("initialize", §III-A). Its name and table are kept lowercase and
-    /// its algorithm by canonical name, as the definition is logged.
+    /// A recommender for `def` serving `version`, which `build_version`
+    /// built for it ("initialize", §III-A). Its name and table are kept
+    /// lowercase and its algorithm by canonical name, as the definition is
+    /// logged.
     pub fn new(
         mut def: RecommenderDef,
-        staged: StagedRebuild,
+        version: ModelVersion,
         hotness_threshold: f64,
         now: u64,
         pool: Arc<BufferPool>,
-    ) -> Self {
+    ) -> EngineResult<Self> {
+        let algorithm = algorithm_of(&def)?;
         def.name.make_ascii_lowercase();
         def.table.make_ascii_lowercase();
-        def.algorithm = staged.algorithm.name().to_owned();
-        Recommender {
+        def.algorithm = algorithm.name().to_owned();
+        Ok(Recommender {
             def,
-            algorithm: staged.algorithm,
-            model: staged.model,
-            build_time: staged.build_time,
-            pending_updates: 0,
-            index: staged.index,
+            algorithm,
+            version: Arc::new(version),
+            pending_updates: AtomicUsize::new(0),
             pool,
             stats: Mutex::new(UsageStats::new(now)),
             cache_manager: Mutex::new(CacheManager::new(hotness_threshold)),
-        }
+        })
     }
 
     /// Recommender name (lowercase).
@@ -189,35 +151,41 @@ impl Recommender {
         &self.def
     }
 
+    /// The version serving now: its model and index stay one build's for
+    /// as long as the caller holds it.
+    pub fn version(&self) -> Arc<ModelVersion> {
+        Arc::clone(&self.version)
+    }
+
     /// The trained model.
     pub fn model(&self) -> Arc<RecModel> {
-        Arc::clone(&self.model)
+        Arc::clone(&self.version.model)
     }
 
     /// Time spent building the current model (Table II).
     pub fn build_time(&self) -> Duration {
-        self.build_time
+        self.version.build_time()
     }
 
     /// Ratings inserted since the model was built.
     pub fn pending_updates(&self) -> usize {
-        self.pending_updates
+        self.pending_updates.load(Ordering::Relaxed)
     }
 
     /// The materialized index, if any.
     pub fn index(&self) -> Option<Arc<RecScoreIndex>> {
-        self.index.as_ref().map(Arc::clone)
+        self.version.index.clone()
     }
 
     /// Number of materialized `(user, item)` entries.
     pub fn materialized_entries(&self) -> usize {
-        self.index.as_ref().map(|i| i.len()).unwrap_or(0)
+        self.version.index.as_ref().map_or(0, |i| i.len())
     }
 
     /// Node pages of the materialized index's tree (0 without one): its
     /// footprint in the buffer pool.
     pub fn index_pages(&self) -> u64 {
-        self.index.as_ref().map_or(0, |i| i.node_pages())
+        self.version.index.as_ref().map_or(0, |i| i.node_pages())
     }
 
     /// Record a recommendation query by `user` (updates the Users
@@ -227,41 +195,56 @@ impl Recommender {
     }
 
     /// Record a rating insertion `(user, item)` (updates the Items
-    /// Histogram and the pending-update counter).
-    pub fn record_insert(&mut self, item: i64, now: u64) {
-        self.pending_updates += 1;
+    /// Histogram and the pending-update counter). Called at commit, hence
+    /// `&self`.
+    pub fn record_insert(&self, item: i64, now: u64) {
+        self.pending_updates.fetch_add(1, Ordering::Relaxed);
         self.stats.lock().record_update(item, now);
     }
 
     /// The N% maintenance rule (§III-A): rebuild once pending updates reach
     /// `threshold_pct` percent of the entries used to build the model.
     pub fn needs_maintenance(&self, threshold_pct: f64) -> bool {
-        let base = self.model.trained_on().max(1) as f64;
-        (self.pending_updates as f64) / base * 100.0 >= threshold_pct
+        let base = self.version.model.trained_on().max(1) as f64;
+        (self.pending_updates() as f64) / base * 100.0 >= threshold_pct
     }
 
-    /// Swap staged rebuild artifacts in and reset the pending-update
-    /// counter. Infallible by design: callers hold a write lock for just
-    /// this call.
-    pub fn publish(&mut self, staged: StagedRebuild) {
-        self.model = staged.model;
-        self.build_time = staged.build_time;
-        self.pending_updates = 0;
-        self.index = staged.index;
+    /// Publish `fresh`, which `build_version` built from `base`, in one
+    /// swap, and reset the pending-update counter. If another version was
+    /// published since `base` (an index edit landed while `fresh`
+    /// trained), `fresh`'s model is first refreshed against the index
+    /// serving now, under `guard`, so the edit is kept; an error there
+    /// leaves the current version serving.
+    pub fn publish(
+        &mut self,
+        base: &Arc<ModelVersion>,
+        mut fresh: ModelVersion,
+        guard: &QueryGuard,
+    ) -> EngineResult<()> {
+        if !Arc::ptr_eq(&self.version, base) {
+            let current = self.version.index.as_deref();
+            fresh.index = refresh_index(current, &fresh.model, guard, &self.pool)?;
+        }
+        self.version = Arc::new(fresh);
+        self.pending_updates.store(0, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Apply `edit` to the materialized index (an empty one over this
-    /// recommender's pool if there is none yet) and publish the result.
-    /// Readers keep their snapshot: the index is edited in place only when
-    /// nobody else holds it, and copied first otherwise.
-    fn edit_index<R>(&mut self, edit: impl FnOnce(&mut RecScoreIndex) -> R) -> R {
-        let mut index = match self.index.take() {
-            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
-            None => RecScoreIndex::with_pool(Arc::clone(&self.pool), DEFAULT_NODE_CAPACITY),
-        };
-        let out = edit(&mut index);
-        self.index = Some(Arc::new(index));
-        out
+    /// recommender's pool if there is none yet) and publish the result as
+    /// a version sharing the current model. Readers keep their version:
+    /// the version and the index are edited in place only when nobody
+    /// else holds them, and copied first otherwise.
+    fn edit_index<R>(&mut self, edit: impl FnOnce(&mut RecScoreIndex, &RecModel) -> R) -> R {
+        let version = Arc::make_mut(&mut self.version);
+        let pool = &self.pool;
+        let index = version.index.get_or_insert_with(|| {
+            Arc::new(RecScoreIndex::with_pool(
+                Arc::clone(pool),
+                DEFAULT_NODE_CAPACITY,
+            ))
+        });
+        edit(Arc::make_mut(index), &version.model)
     }
 
     /// Pre-compute the full unseen-item score list for one user and mark it
@@ -270,9 +253,8 @@ impl Recommender {
     /// unlimited guard: only an injected fault can stop it, and as this
     /// returns nothing, that fault panics.
     pub fn materialize_user(&mut self, user: i64) {
-        let model = Arc::clone(&self.model);
         let guard = QueryGuard::unlimited();
-        self.edit_index(|index| materialize_into(index, &model, &[user], 1, &guard))
+        self.edit_index(|index, model| materialize_into(index, model, &[user], 1, &guard))
             .expect("an unlimited guard stops materialization only on an injected fault")
     }
 
@@ -282,18 +264,17 @@ impl Recommender {
     /// is identical for every thread count. On any failure the index holds
     /// exactly what it held before.
     pub fn materialize_all(&mut self, threads: usize, guard: &QueryGuard) -> EngineResult<()> {
-        let model = Arc::clone(&self.model);
-        let users = model.matrix().user_ids();
-        self.edit_index(|index| materialize_into(index, &model, users, threads, guard))
+        self.edit_index(|index, model| {
+            materialize_into(index, model, model.matrix().user_ids(), threads, guard)
+        })
     }
 
     /// Run the Algorithm 4 cache manager at tick `now`: refresh rates,
     /// decide admissions/evictions, and apply them to the index. Returns
     /// the decision for observability.
     pub fn run_cache_manager(&mut self, now: u64) -> CacheDecision {
-        let model = Arc::clone(&self.model);
-        let matrix = model.matrix();
         let decision = {
+            let matrix = self.version.model.matrix();
             let mut stats = self.stats.lock();
             let mut mgr = self.cache_manager.lock();
             mgr.run(&mut stats, now, |u, i| matrix.rating_of(u, i).is_none())
@@ -301,7 +282,7 @@ impl Recommender {
         if decision.admitted.is_empty() && decision.evicted.is_empty() {
             return decision;
         }
-        self.edit_index(|index| apply_decision(index, &model, &decision));
+        self.edit_index(|index, model| apply_decision(index, model, &decision));
         decision
     }
 
@@ -599,27 +580,38 @@ mod tests {
 
     fn make(cat: &RwLock<Catalog>) -> Recommender {
         let guard = QueryGuard::unlimited();
-        let staged = StagedRebuild::build(&def(), &TrainConfig::default(), cat, None, &guard);
-        Recommender::new(
-            def(),
-            staged.unwrap(),
-            0.5,
-            0,
-            Arc::clone(cat.read().pool()),
-        )
+        let version = build_version(&def(), &TrainConfig::default(), cat, None, &guard);
+        let pool = Arc::clone(cat.read().pool());
+        Recommender::new(def(), version.unwrap(), 0.5, 0, pool).unwrap()
     }
 
-    /// An N% rebuild as the engine runs one: stage the new model and
-    /// index from the table, publish.
+    /// A version built from `rec`'s current one, as the engine builds one
+    /// for an N% rebuild.
+    fn build_from(
+        rec: &Recommender,
+        cat: &RwLock<Catalog>,
+        guard: &QueryGuard,
+    ) -> EngineResult<(Arc<ModelVersion>, ModelVersion)> {
+        let base = rec.version();
+        let fresh = build_version(
+            rec.def(),
+            &TrainConfig::default(),
+            cat,
+            base.index.as_deref(),
+            guard,
+        )?;
+        Ok((base, fresh))
+    }
+
+    /// An N% rebuild as the engine runs one: build a new version from the
+    /// table and the current one, publish.
     fn rebuild(
         rec: &mut Recommender,
         cat: &RwLock<Catalog>,
         guard: &QueryGuard,
     ) -> EngineResult<()> {
-        let config = TrainConfig::default();
-        let staged = StagedRebuild::build(rec.def(), &config, cat, rec.index().as_deref(), guard)?;
-        rec.publish(staged);
-        Ok(())
+        let (base, fresh) = build_from(rec, cat, guard)?;
+        rec.publish(&base, fresh, guard)
     }
 
     #[test]
@@ -645,7 +637,7 @@ mod tests {
     #[test]
     fn n_percent_maintenance_rule() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         assert!(!rec.needs_maintenance(10.0));
         rec.record_insert(1, 1); // 1/7 ≈ 14% ≥ 10%
         assert!(rec.needs_maintenance(10.0));
@@ -859,7 +851,7 @@ mod tests {
         for user in [4, 2, 99, 5] {
             rec.materialize_user(user);
         }
-        rec.edit_index(|index| index.remove(5, 3));
+        rec.edit_index(|index, _| index.remove(5, 3));
         for user in [1, 9] {
             for _ in 0..10 {
                 rec.record_query(user, 5);
@@ -888,16 +880,9 @@ mod tests {
         rate(&cat, 4, 1, 2.0);
         rate(&cat, 1, 3, 4.0);
         rate(&cat, 3, 5, 3.5);
-        let staged = StagedRebuild::build(
-            rec.def(),
-            &TrainConfig::default(),
-            &cat,
-            Some(&old),
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        let fresh = staged.index.unwrap();
-        let want = per_key_refresh(&old, &staged.model);
+        let (_, version) = build_from(&rec, &cat, &QueryGuard::unlimited()).unwrap();
+        let fresh = version.index.unwrap();
+        let want = per_key_refresh(&old, &version.model);
         assert_same_index(&fresh, &want, &users);
         assert_eq!(fresh.get(1, 3), None, "rated since it was admitted");
         assert_eq!(fresh.get(1, 77), Some(0.0), "unknown item at 0.0");
@@ -970,6 +955,37 @@ mod tests {
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
         assert!(idx.get(4, 3).is_some(), "still-unseen pair retained");
+    }
+
+    /// A user materialized while a rebuild trains is in the version the
+    /// rebuild publishes, complete and scored by the new model; so is what
+    /// the index held when the build started.
+    #[test]
+    fn publish_keeps_an_index_edit_made_while_the_build_trained() {
+        let cat = catalog_with_ratings(&figure1_rows());
+        let mut rec = make(&cat);
+        rec.materialize_user(4);
+        rate(&cat, 1, 3, 4.0);
+        rec.record_insert(3, 1);
+        let guard = QueryGuard::unlimited();
+        let (base, fresh) = build_from(&rec, &cat, &guard).unwrap();
+        rec.materialize_user(3);
+        rec.publish(&base, fresh, &guard).unwrap();
+        let model = rec.model();
+        assert_eq!(model.trained_on(), 8);
+        assert_eq!(rec.pending_updates(), 0);
+        let index = rec.index().unwrap();
+        let bits = |list: Vec<(i64, f64)>| -> BTreeMap<i64, u64> {
+            list.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+        };
+        for user in [3, 4] {
+            assert!(index.is_complete(user), "user {user}");
+            assert_eq!(
+                bits(index.iter_desc(user, None, None).collect()),
+                bits(per_pair_list(&model, user)),
+                "user {user}"
+            );
+        }
     }
 
     #[test]
@@ -1130,7 +1146,7 @@ mod tests {
                 rec.materialize_user(user);
             }
             let model = rec.model();
-            rec.edit_index(|index| {
+            rec.edit_index(|index, _| {
                 for (user, item) in [(1, 2), (1, 77), (3, 4), (5, 2)] {
                     let score = score_item_ids(&model, user, &[item], &mut ScoreScratch::default());
                     index.insert(user, item, score[0].flatten().unwrap_or(0.0));

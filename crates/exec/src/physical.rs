@@ -21,11 +21,10 @@ use crate::ops::{
     drain, AggOutput, FilterOp, HashAggregateOp, IndexJoinOp, IndexRecommendOp, JoinOp,
     JoinRecommendOp, LimitOp, MeteredOp, PhysicalOp, ProjectOp, RecommendOp, ScanOp, SortOp,
 };
-use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode, RecommendPreds};
-use crate::provider::RecommenderProvider;
+use crate::plan::{AggregateOutput, LogicalPlan, RecommendNode};
+use crate::provider::{ModelVersion, RecommenderProvider};
 use crate::rec_index::RecScoreIndex;
 use crate::result::ResultSet;
-use recdb_algo::RecModel;
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats, ProfiledOp, QueryProfile, Registry};
 use recdb_sql::{BinaryOp, Expr, Literal, OrderKey};
@@ -183,11 +182,20 @@ pub fn execute_plan_profiled(
 /// and records its node (with whatever children the recursion pushed) in
 /// the profile tree.
 fn build<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+    metered(plan, ctx, || build_node(plan, ctx))
+}
+
+/// [`build`] with `build_op` building `plan`'s operator.
+fn metered<'a>(
+    plan: &LogicalPlan,
+    ctx: &ExecContext<'a>,
+    build_op: impl FnOnce() -> ExecResult<Built<'a>>,
+) -> ExecResult<Built<'a>> {
     let Some(profiler) = &ctx.profiler else {
-        return build_node(plan, ctx);
+        return build_op();
     };
     let mark = profiler.stack.borrow().len();
-    let built = build_node(plan, ctx)?;
+    let built = build_op()?;
     let children = profiler.stack.borrow_mut().split_off(mark);
     let stats = Arc::new(OpStats::default());
     let label = node_label(built.op.as_ref(), plan);
@@ -240,7 +248,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             op: Box::new(seq_scan(table, schema, ctx)?),
             sorted_desc: None,
         }),
-        LogicalPlan::Recommend(node) => build_recommend(node, ctx),
+        LogicalPlan::Recommend(node) => Ok(recommend_leaf(node, None, ctx)?.0),
         LogicalPlan::Filter { input, predicate } => {
             // A predicate directly over a base table runs inside the scan:
             // one operator, which decodes only the rows its keys accept.
@@ -290,7 +298,7 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             outer,
             outer_item_column,
         } => {
-            let model = recommender_model(rec, ctx)?;
+            let model = Arc::clone(&recommender_version(rec, ctx)?.model);
             let preds = rec.preds(ctx.params)?;
             let outer_built = build(outer, ctx)?;
             let ordinal = outer_built.op.schema().resolve(outer_item_column)?;
@@ -377,24 +385,24 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
             } = &**input
             {
                 let k = usize::try_from(*limit).unwrap_or(usize::MAX);
-                // Ordered by the Recommend leaf's own score with nothing in
-                // between: an online leaf selects the `k` itself. Decided
-                // here, not by a logical rewrite, because whether the leaf
-                // runs online is known only now; a materialized user keeps
-                // `Limit` over `IndexRecommend` below.
-                if let LogicalPlan::Recommend(node) = &**sort_input {
-                    let score = format!("{}.{}", node.binding, node.rating_column);
-                    let preds = node.preds(ctx.params)?;
-                    if serving_index(node, &preds, ctx).is_none()
-                        && sort_is_redundant(keys, Some(&score), &node.schema())
-                    {
-                        return Ok(Built {
-                            op: Box::new(online_recommend(node, preds, ctx)?.with_top_k(k)),
-                            sorted_desc: Some(score),
-                        });
+                let child = match &**sort_input {
+                    // Ordered by the Recommend leaf's own score with nothing
+                    // in between: an online leaf selects the `k` itself.
+                    // Decided here, not by a logical rewrite, because
+                    // whether the leaf runs online is known only once its
+                    // version is taken; a materialized user keeps `Limit`
+                    // over `IndexRecommend` below.
+                    LogicalPlan::Recommend(node) => {
+                        let score = format!("{}.{}", node.binding, node.rating_column);
+                        let by_score = sort_is_redundant(keys, Some(&score), &node.schema());
+                        let (leaf, fused) = recommend_leaf(node, by_score.then_some(k), ctx)?;
+                        if fused {
+                            return Ok(leaf);
+                        }
+                        metered(sort_input, ctx, || Ok(leaf))?
                     }
-                }
-                let child = build(sort_input, ctx)?;
+                    _ => build(sort_input, ctx)?,
+                };
                 if sort_is_redundant(keys, child.sorted_desc.as_deref(), child.op.schema()) {
                     return Ok(Built {
                         sorted_desc: child.sorted_desc,
@@ -444,79 +452,75 @@ fn seq_scan<'a>(table: &str, schema: &Schema, ctx: &ExecContext<'a>) -> ExecResu
     })
 }
 
-/// The RecScoreIndex that can serve `node` with predicates `preds`:
-/// IndexRecommend is sound only when every queried user's full list is
-/// materialized.
-fn serving_index(
+/// Build a Recommend leaf from one version of its recommender, resolving
+/// its predicates and that version once and counting one RecScoreIndex
+/// hit or miss: IndexRecommend when the version's index holds every
+/// queried user's full list (§IV-C), else online prediction by the
+/// version's model, which takes `top_k` as its sink when given one — the
+/// flag returned says it did.
+fn recommend_leaf<'a>(
     node: &RecommendNode,
-    preds: &RecommendPreds,
-    ctx: &ExecContext<'_>,
-) -> Option<Arc<RecScoreIndex>> {
-    let users = preds.user_ids.as_ref().filter(|users| !users.is_empty())?;
-    let index = ctx
-        .provider
-        .rec_index(&node.ratings_table, node.algorithm)?;
-    users.iter().all(|&u| index.is_complete(u)).then_some(index)
-}
-
-fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+    top_k: Option<usize>,
+    ctx: &ExecContext<'a>,
+) -> ExecResult<(Built<'a>, bool)> {
     let preds = node.preds(ctx.params)?;
-    let Some(index) = serving_index(node, &preds, ctx) else {
-        return Ok(Built {
-            op: Box::new(online_recommend(node, preds, ctx)?),
-            sorted_desc: None,
-        });
+    let version = recommender_version(node, ctx)?;
+    let users = preds.user_ids.as_deref().unwrap_or_default();
+    let covered = |index: &&Arc<RecScoreIndex>| {
+        !users.is_empty() && users.iter().all(|&u| index.is_complete(u))
+    };
+    let score = || format!("{}.{}", node.binding, node.rating_column);
+    let Some(index) = version.index.as_ref().filter(covered) else {
+        if let Some(metrics) = ctx.metrics {
+            metrics.index_misses.inc();
+        }
+        let op = RecommendOp::new(
+            Arc::clone(&version.model),
+            node.schema(),
+            preds.user_ids,
+            preds.item_ids,
+            preds.min_rating,
+            preds.max_rating,
+        )
+        .with_guard(ctx.guard.clone());
+        let built = match top_k {
+            Some(k) => Built {
+                op: Box::new(op.with_top_k(k)),
+                sorted_desc: Some(score()),
+            },
+            None => Built {
+                op: Box::new(op),
+                sorted_desc: None,
+            },
+        };
+        return Ok((built, top_k.is_some()));
     };
     if let Some(metrics) = ctx.metrics {
         metrics.index_hits.inc();
     }
-    let users = preds.user_ids.unwrap_or_default();
-    let sorted_desc =
-        (users.len() == 1).then(|| format!("{}.{}", node.binding, node.rating_column));
-    Ok(Built {
-        op: Box::new(
-            IndexRecommendOp::new(
-                index,
-                node.schema(),
-                users,
-                preds.item_ids,
-                preds.min_rating,
-                preds.max_rating,
-            )
-            .with_guard(ctx.guard.clone()),
-        ),
-        sorted_desc,
-    })
+    let sorted_desc = (users.len() == 1).then(score);
+    let op = IndexRecommendOp::new(
+        Arc::clone(index),
+        node.schema(),
+        preds.user_ids.unwrap_or_default(),
+        preds.item_ids,
+        preds.min_rating,
+        preds.max_rating,
+    );
+    let op = Box::new(op.with_guard(ctx.guard.clone()));
+    Ok((Built { op, sorted_desc }, false))
 }
 
-fn recommender_model(node: &RecommendNode, ctx: &ExecContext<'_>) -> ExecResult<Arc<RecModel>> {
+fn recommender_version(
+    node: &RecommendNode,
+    ctx: &ExecContext<'_>,
+) -> ExecResult<Arc<ModelVersion>> {
     ctx.provider
-        .model(&node.ratings_table, node.algorithm)
+        .version(&node.ratings_table, node.algorithm)
         .ok_or_else(|| ExecError::NoRecommender {
             table: node.ratings_table.clone(),
             algorithm: node.algorithm.name().to_owned(),
         })
-}
-
-/// On-the-fly prediction: the score index cannot serve this query.
-fn online_recommend(
-    node: &RecommendNode,
-    preds: RecommendPreds,
-    ctx: &ExecContext<'_>,
-) -> ExecResult<RecommendOp> {
-    let model = recommender_model(node, ctx)?;
-    if let Some(metrics) = ctx.metrics {
-        metrics.index_misses.inc();
-    }
-    Ok(RecommendOp::new(
-        model,
-        node.schema(),
-        preds.user_ids,
-        preds.item_ids,
-        preds.min_rating,
-        preds.max_rating,
-    )
-    .with_guard(ctx.guard.clone()))
 }
 
 /// Is the requested sort already satisfied by a stream sorted descending on
@@ -859,7 +863,7 @@ mod tests {
 
     /// `provider` with `users`' full lists materialized.
     fn materialized(provider: SingleRecommender, users: &[i64]) -> SingleRecommender {
-        let model = provider.model("ratings", Algorithm::ItemCosCF).unwrap();
+        let model = Arc::clone(&provider.version.model);
         let mut idx = RecScoreIndex::new();
         for &user in users {
             let list: Vec<(i64, f64)> = model
@@ -894,6 +898,58 @@ mod tests {
 
     const RECOMMEND: &str = "SELECT R.iid, R.ratingval FROM ratings AS R \
                              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+
+    /// A provider that counts its `version` lookups.
+    struct CountingProvider {
+        inner: SingleRecommender,
+        lookups: std::cell::Cell<usize>,
+    }
+
+    impl RecommenderProvider for CountingProvider {
+        fn version(&self, table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
+            self.lookups.set(self.lookups.get() + 1);
+            self.inner.version(table, algorithm)
+        }
+    }
+
+    /// A `LIMIT` over `ORDER BY score DESC` takes one version per
+    /// Recommend leaf, picks its access path once, and moves the hit/miss
+    /// counters by exactly one, for a complete (indexed) user and for an
+    /// online one, profiled or not.
+    #[test]
+    fn one_version_lookup_per_recommend_leaf() {
+        let (cat, provider) = setup();
+        let provider = CountingProvider {
+            inner: materialized(provider, &[1]),
+            lookups: Default::default(),
+        };
+        let registry = Registry::new();
+        let metrics = ExecMetrics::resolve(&registry);
+        for (user, leaf) in [(1, "IndexRecommend"), (3, "FilterRecommend")] {
+            let sql =
+                format!("{RECOMMEND} WHERE R.uid = {user} ORDER BY R.ratingval DESC LIMIT 10");
+            let recdb_sql::Statement::Select(s) = parse(&sql).unwrap() else {
+                panic!()
+            };
+            let plan = optimize(build_logical(&s, &cat).unwrap());
+            let ctx =
+                ExecContext::new(&cat, &provider, QueryGuard::unlimited()).with_metrics(&metrics);
+            let counts = || (metrics.index_hits.get(), metrics.index_misses.get());
+            let (hits, misses) = counts();
+            provider.lookups.set(0);
+            execute_plan(&plan, &ctx).unwrap();
+            assert_eq!(provider.lookups.get(), 1, "user {user}");
+            let clock = Arc::new(recdb_obs::ManualClock::new());
+            let (_, profile) = execute_plan_profiled(&plan, &ctx, clock).unwrap();
+            assert_eq!(provider.lookups.get(), 2, "user {user}, profiled");
+            assert!(
+                profile.render().iter().any(|l| l.contains(leaf)),
+                "user {user}"
+            );
+            let indexed = u64::from(leaf == "IndexRecommend");
+            assert_eq!(counts(), (hits + 2 * indexed, misses + 2 * (1 - indexed)));
+        }
+    }
 
     #[test]
     fn index_recommend_serves_topk_when_complete() {
@@ -1063,10 +1119,7 @@ mod tests {
         let (cat, provider) = setup();
         let mut idx = RecScoreIndex::new();
         idx.insert(1, 2, 99.0); // bogus partial entry, NOT marked complete
-        let provider = SingleRecommender {
-            index: Some(std::sync::Arc::new(idx)),
-            ..provider
-        };
+        let provider = provider.with_index(idx);
         let r = run(
             "SELECT R.iid, R.ratingval FROM ratings AS R \
              RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF \

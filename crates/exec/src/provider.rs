@@ -4,22 +4,47 @@
 //! "figures that an ItemCosCF recommender is already created" from the
 //! ratings table in FROM and the algorithm in USING (§IV-A1, Query 2
 //! discussion). [`RecommenderProvider`] is that lookup, implemented by
-//! `recdb-core`'s recommender catalog and by test doubles here.
+//! `recdb-core`'s recommender catalog and by test doubles here. It hands
+//! out one [`ModelVersion`]: the model and the score index a request reads
+//! always come from the same build.
 
 use crate::rec_index::RecScoreIndex;
 use recdb_algo::{Algorithm, RecModel};
 use std::sync::Arc;
+use std::time::Duration;
 
-/// Resolves `(ratings table, algorithm)` to a trained model and, when
-/// materialized, a pre-computed score index.
+/// A recommender's trained state (RecModel plus RecScoreIndex, §III and
+/// §IV-C), immutable once published. An N % rebuild (§III-A) publishes a
+/// new version in one `Arc` swap, so a reader holding a version keeps a
+/// model and an index of one build for as long as it holds it.
+#[derive(Debug, Clone)]
+pub struct ModelVersion {
+    /// The trained model.
+    pub model: Arc<RecModel>,
+    /// The materialized score index, if any user or pair is materialized.
+    pub index: Option<Arc<RecScoreIndex>>,
+    /// The build's scan of the ratings table.
+    pub load_time: Duration,
+    /// The build's model training.
+    pub train_time: Duration,
+    /// The build's refresh of the score index against the new model.
+    pub refresh_time: Duration,
+}
+
+impl ModelVersion {
+    /// Training plus refresh (the Table II metric); the scan is
+    /// [`ModelVersion::load_time`].
+    pub fn build_time(&self) -> Duration {
+        self.train_time + self.refresh_time
+    }
+}
+
+/// Resolves `(ratings table, algorithm)` to the recommender's current
+/// [`ModelVersion`].
 pub trait RecommenderProvider {
-    /// The trained model for a recommender created on `ratings_table` with
-    /// `algorithm`, or `None` if no such recommender exists.
-    fn model(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<RecModel>>;
-
-    /// The materialized [`RecScoreIndex`] for the recommender, if the cache
-    /// manager has materialized one.
-    fn rec_index(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<RecScoreIndex>>;
+    /// The current version of the recommender created on `ratings_table`
+    /// with `algorithm`, or `None` if no such recommender exists.
+    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>>;
 }
 
 /// A provider with no recommenders (plain-SQL execution contexts).
@@ -27,11 +52,7 @@ pub trait RecommenderProvider {
 pub struct NoRecommenders;
 
 impl RecommenderProvider for NoRecommenders {
-    fn model(&self, _: &str, _: Algorithm) -> Option<Arc<RecModel>> {
-        None
-    }
-
-    fn rec_index(&self, _: &str, _: Algorithm) -> Option<Arc<RecScoreIndex>> {
+    fn version(&self, _: &str, _: Algorithm) -> Option<Arc<ModelVersion>> {
         None
     }
 }
@@ -42,41 +63,39 @@ pub struct SingleRecommender {
     pub table: String,
     /// Algorithm it was trained with.
     pub algorithm: Algorithm,
-    /// The trained model.
-    pub model: Arc<RecModel>,
-    /// Optional materialized index.
-    pub index: Option<Arc<RecScoreIndex>>,
+    /// The version it serves.
+    pub version: Arc<ModelVersion>,
 }
 
 impl SingleRecommender {
-    /// Wrap a model as a provider for `table`/`algorithm`.
+    /// Wrap a model as a provider for `table`/`algorithm`: no score index,
+    /// no build times.
     pub fn new(table: &str, algorithm: Algorithm, model: RecModel) -> Self {
+        let version = ModelVersion {
+            model: Arc::new(model),
+            index: None,
+            load_time: Duration::ZERO,
+            train_time: Duration::ZERO,
+            refresh_time: Duration::ZERO,
+        };
         SingleRecommender {
             table: table.to_ascii_lowercase(),
             algorithm,
-            model: Arc::new(model),
-            index: None,
+            version: Arc::new(version),
         }
     }
 
     /// Attach a materialized index.
     pub fn with_index(mut self, index: RecScoreIndex) -> Self {
-        self.index = Some(Arc::new(index));
+        Arc::make_mut(&mut self.version).index = Some(Arc::new(index));
         self
     }
 }
 
 impl RecommenderProvider for SingleRecommender {
-    fn model(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<RecModel>> {
+    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
         (self.table.eq_ignore_ascii_case(ratings_table) && self.algorithm == algorithm)
-            .then(|| Arc::clone(&self.model))
-    }
-
-    fn rec_index(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<RecScoreIndex>> {
-        if !self.table.eq_ignore_ascii_case(ratings_table) || self.algorithm != algorithm {
-            return None;
-        }
-        self.index.as_ref().map(Arc::clone)
+            .then(|| Arc::clone(&self.version))
     }
 }
 
@@ -99,11 +118,15 @@ mod tests {
     #[test]
     fn single_provider_matches_table_and_algorithm() {
         let p = SingleRecommender::new("Ratings", Algorithm::ItemCosCF, model());
-        assert!(p.model("ratings", Algorithm::ItemCosCF).is_some());
-        assert!(p.model("RATINGS", Algorithm::ItemCosCF).is_some());
-        assert!(p.model("ratings", Algorithm::Svd).is_none());
-        assert!(p.model("other", Algorithm::ItemCosCF).is_none());
-        assert!(p.rec_index("ratings", Algorithm::ItemCosCF).is_none());
+        assert!(p.version("ratings", Algorithm::ItemCosCF).is_some());
+        assert!(p.version("RATINGS", Algorithm::ItemCosCF).is_some());
+        assert!(p.version("ratings", Algorithm::Svd).is_none());
+        assert!(p.version("other", Algorithm::ItemCosCF).is_none());
+        assert!(p
+            .version("ratings", Algorithm::ItemCosCF)
+            .unwrap()
+            .index
+            .is_none());
     }
 
     #[test]
@@ -111,14 +134,14 @@ mod tests {
         let mut idx = RecScoreIndex::new();
         idx.insert(1, 3, 4.0);
         let p = SingleRecommender::new("r", Algorithm::ItemCosCF, model()).with_index(idx);
-        assert_eq!(p.rec_index("r", Algorithm::ItemCosCF).unwrap().len(), 1);
-        assert!(p.rec_index("r", Algorithm::Svd).is_none());
+        let version = p.version("r", Algorithm::ItemCosCF).unwrap();
+        assert_eq!(version.index.as_ref().unwrap().len(), 1);
+        assert_eq!(version.model.trained_on(), 2);
+        assert!(p.version("r", Algorithm::Svd).is_none());
     }
 
     #[test]
     fn no_recommenders_returns_none() {
-        let p = NoRecommenders;
-        assert!(p.model("x", Algorithm::Svd).is_none());
-        assert!(p.rec_index("x", Algorithm::Svd).is_none());
+        assert!(NoRecommenders.version("x", Algorithm::Svd).is_none());
     }
 }

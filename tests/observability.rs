@@ -202,6 +202,36 @@ fn cache_manager_decisions_are_counted() {
     );
 }
 
+/// The N % rebuild publishes a re-scored index: a pair its user has
+/// since rated leaves it, and both index gauges follow.
+#[test]
+fn index_gauges_follow_an_n_percent_rebuild() {
+    let db = RecDb::new();
+    db.execute_script(SCHEMA).expect("schema + recommender");
+    db.materialize("obs").expect("materialize");
+    let entries = db
+        .recommender("obs")
+        .expect("recommender")
+        .materialized_entries();
+    assert_eq!(entries, 4, "4 users × 3 items − 8 ratings");
+    // User 1 rates item 3, which its list holds: 1 of 8 ratings passes
+    // the default 10 % rule, so the commit rebuilds.
+    db.execute("INSERT INTO ratings VALUES (1, 3, 4.0)")
+        .expect("rating insert");
+    let rec = db.recommender("obs").expect("recommender");
+    assert_eq!(rec.model().trained_on(), 9, "rebuilt");
+    assert_eq!(rec.materialized_entries(), entries - 1);
+    let snap = db.metrics_snapshot();
+    assert_eq!(
+        snap.gauge("recdb_materialized_entries{recommender=\"obs\"}"),
+        rec.materialized_entries() as i64
+    );
+    assert_eq!(
+        snap.gauge("recdb_rec_index_pages{recommender=\"obs\"}"),
+        rec.index_pages() as i64
+    );
+}
+
 #[test]
 fn explain_analyze_row_counts_match_actual_cardinality() {
     let db = RecDb::new();
