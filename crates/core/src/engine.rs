@@ -680,6 +680,7 @@ impl RecDb {
                         return Err(EngineError::RecommenderNotFound(name.clone()));
                     };
                     let rec = recs.remove(pos);
+                    self.gauge_dropped(rec.name());
                     txn.undo.push(UndoOp::DroppedRecommender {
                         recommender: Box::new(rec),
                     });
@@ -773,6 +774,9 @@ impl RecDb {
                     (*recommenders, *recs) = recs
                         .drain(..)
                         .partition(|r| r.ratings_table() == table.name());
+                    for rec in recommenders.iter() {
+                        self.gauge_dropped(rec.name());
+                    }
                 }
                 txn.undo.push(undo);
             }
@@ -1102,7 +1106,7 @@ mod tests {
         let fresh = db.version("ratings", Algorithm::ItemCosCF).unwrap();
         assert_eq!(fresh.model.trained_on(), 8);
         let index = fresh.index.as_ref().unwrap();
-        assert!(index.is_complete(4) && index.get(4, 3).is_none());
+        assert!(index.is_complete(4) && index.iter_desc(4, None, None).all(|(i, _)| i != 3));
         let rec = db.recommender("GeneralRec").unwrap();
         assert!(Arc::ptr_eq(&fresh.model, &rec.model()));
         assert!(Arc::ptr_eq(index, &rec.index().unwrap()));

@@ -151,15 +151,27 @@ impl RecDb {
     }
 
     /// Set `recdb_materialized_entries` and `recdb_rec_index_pages` for
-    /// `rec`: after every version the engine publishes.
+    /// `rec`: after every version the engine publishes, and when undo
+    /// brings a dropped recommender back.
     pub(super) fn gauge_materialized(&self, rec: &Recommender) {
-        let labels = [("recommender", rec.name())];
+        let (entries, pages) = (rec.materialized_entries(), rec.index_pages());
+        self.set_index_gauges(rec.name(), entries as i64, pages as i64);
+    }
+
+    /// Zero both index gauges of the recommender `name`, which has left
+    /// the engine (dropped, with its table, or its creation undone).
+    pub(super) fn gauge_dropped(&self, name: &str) {
+        self.set_index_gauges(name, 0, 0);
+    }
+
+    fn set_index_gauges(&self, name: &str, entries: i64, pages: i64) {
+        let labels = [("recommender", name)];
         self.metrics
             .gauge_with("recdb_materialized_entries", &labels)
-            .set(rec.materialized_entries() as i64);
+            .set(entries);
         self.metrics
             .gauge_with("recdb_rec_index_pages", &labels)
-            .set(rec.index_pages() as i64);
+            .set(pages);
     }
 
     /// Update the Users Histogram (`QC_u`, `TS_u`) for recommendation

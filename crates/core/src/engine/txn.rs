@@ -181,6 +181,7 @@ impl RecDb {
                 recommenders,
             } => {
                 catalog.restore_table(*table);
+                recommenders.iter().for_each(|r| self.gauge_materialized(r));
                 self.recommenders.write().extend(recommenders);
             }
             UndoOp::CreatedIndex { table, index } => {
@@ -197,8 +198,10 @@ impl RecDb {
                 self.recommenders
                     .write()
                     .retain(|r| !r.name().eq_ignore_ascii_case(&name));
+                self.gauge_dropped(&name);
             }
             UndoOp::DroppedRecommender { recommender } => {
+                self.gauge_materialized(&recommender);
                 self.recommenders.write().push(*recommender);
             }
         }

@@ -530,6 +530,31 @@ mod tests {
     use recdb_algo::Rating;
     use recdb_storage::{DataType, Schema, Tuple, Value};
 
+    /// One pair of an index, through its list API: a lookup walks the
+    /// user's list (scores in `[-∞, +∞]`, which every model here gives),
+    /// a write is an edit of the user's list that names one pair.
+    trait Pairs {
+        fn get(&self, user: i64, item: i64) -> Option<f64>;
+        fn insert(&mut self, user: i64, item: i64, score: f64);
+        fn remove(&mut self, user: i64, item: i64);
+    }
+
+    impl Pairs for RecScoreIndex {
+        fn get(&self, user: i64, item: i64) -> Option<f64> {
+            self.iter_desc(user, None, None)
+                .find(|&(i, _)| i == item)
+                .map(|(_, score)| score)
+        }
+
+        fn insert(&mut self, user: i64, item: i64, score: f64) {
+            self.edit_user_list(user, &[], &[(item, score)]);
+        }
+
+        fn remove(&mut self, user: i64, item: i64) {
+            self.edit_user_list(user, &[item], &[]);
+        }
+    }
+
     fn catalog_with_ratings(rows: &[(i64, i64, f64)]) -> RwLock<Catalog> {
         let mut cat = Catalog::new();
         let t = cat
@@ -758,7 +783,7 @@ mod tests {
 
     /// The refresh as it was done key by key: into an empty index, each
     /// complete user's list through `replace_user_list`, each partial
-    /// user's still-unseen pairs re-scored one `insert` at a time (ids the
+    /// user's still-unseen pairs re-scored one pair at a time (ids the
     /// model does not know at 0.0), all through the point API.
     fn per_key_refresh(old: &RecScoreIndex, model: &RecModel) -> RecScoreIndex {
         let mut fresh = RecScoreIndex::new();
@@ -1102,9 +1127,9 @@ mod tests {
     }
 
     /// An Algorithm 4 decision applied as it was before each user's
-    /// pairs became one edit: every eviction through `remove`, then every
-    /// admission through `insert`, scored one candidate list per run of
-    /// one user's admissions.
+    /// pairs became one edit: every eviction an edit of its own, then
+    /// every admission, scored one candidate list per run of one user's
+    /// admissions.
     fn apply_pair_by_pair(index: &mut RecScoreIndex, model: &RecModel, decision: &CacheDecision) {
         for &(u, i) in &decision.evicted {
             index.remove(u, i);

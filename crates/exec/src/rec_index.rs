@@ -11,14 +11,16 @@
 //! tie-breaking item id) encoded *descending*, so an ascending leaf-chain
 //! scan of one user's key range yields items from best to worst — exactly
 //! Algorithm 3's Phase II/III traversal, and the only order any plan
-//! reads. Nothing is stored a second time: the pair-level operations
-//! ([`RecScoreIndex::get`], [`RecScoreIndex::insert`],
-//! [`RecScoreIndex::remove`]) find `(user, item)` by walking that user's
-//! key range, which costs O(the user's list). Whole lists are written as
-//! one sorted run spliced into the tree ([`BTree::insert_run`]): a
+//! reads. Nothing is stored a second time, and the index is written a
+//! user's whole list at a time, in three ways: built whole from every
+//! list ([`RecScoreIndex::from_lists`], the tree bulk-built), a
 //! materialized user ([`RecScoreIndex::replace_user_list`]) and the
 //! Algorithm 4 cache manager's edit of a user
-//! ([`RecScoreIndex::edit_user_list`]: one walk, one rewrite).
+//! ([`RecScoreIndex::edit_user_list`]: one walk, one rewrite). The last
+//! two remove the user's key range and enter the new list as one sorted
+//! run ([`BTree::insert_run`]). There is no pair-level write: a pair is
+//! found by walking its user's key range, O(the user's list), and
+//! Algorithm 4 edits a user's pairs together.
 //!
 //! All three fields use the tree's order-preserving key codec
 //! ([`recdb_storage::btree::enc_i64`], [`recdb_storage::btree::enc_f64_asc`]
@@ -103,8 +105,8 @@ pub struct RecScoreIndex {
     /// Materialized entries per user (O(users) memory).
     counts: HashMap<i64, usize>,
     /// Users whose *entire* unseen-item list is materialized. Only these
-    /// can serve IndexRecommend top-k queries soundly; partially-admitted
-    /// users (Algorithm 4 admits per pair) only accelerate point lookups.
+    /// can serve IndexRecommend top-k queries soundly, and no plan reads
+    /// the entries of any other user (Algorithm 4 admits per pair).
     complete: HashSet<i64>,
     entries: usize,
 }
@@ -237,8 +239,8 @@ impl RecScoreIndex {
 
     /// Every `(item, score)` of user `u`, whatever the score: the user's
     /// whole key prefix. [`RecScoreIndex::iter_desc`] without bounds spans
-    /// `[-∞, +∞]` and so leaves NaN scores out; the pair operations and
-    /// [`RecScoreIndex::replace_user_list`] must see those too.
+    /// `[-∞, +∞]` and so leaves NaN scores out;
+    /// [`RecScoreIndex::edit_user_list`] must see those too.
     fn user_list(&self, user: i64) -> impl Iterator<Item = (i64, f64)> + '_ {
         if !self.has_user(user) {
             return self.walk(ScoreCursor::empty());
@@ -253,57 +255,11 @@ impl RecScoreIndex {
             .map(|(_, item, score)| (item, score))
     }
 
-    /// The materialized score for a pair, if present: a walk of the
-    /// user's list, O(its length).
-    pub fn get(&self, user: i64, item: i64) -> Option<f64> {
-        self.user_list(user)
-            .find(|&(i, _)| i == item)
-            .map(|(_, score)| score)
-    }
-
-    /// Materialize (or refresh) one entry.
-    pub fn insert(&mut self, user: i64, item: i64, score: f64) {
-        match self.get(user, item) {
-            Some(old) if old.to_bits() == score.to_bits() => return,
-            Some(old) => {
-                self.fwd
-                    .remove(&fwd_key(user, old, item))
-                    .expect(POOL_FAULT);
-            }
-            None => {
-                *self.counts.entry(user).or_insert(0) += 1;
-                self.entries += 1;
-            }
-        }
-        self.fwd
-            .insert(fwd_key(user, score, item))
-            .expect(POOL_FAULT);
-    }
-
     /// Whether the user's full unseen-item list is materialized. Set by
     /// [`RecScoreIndex::replace_user_list`] and [`RecScoreIndex::from_lists`],
     /// cleared by any eviction touching the user.
     pub fn is_complete(&self, user: i64) -> bool {
         self.complete.contains(&user)
-    }
-
-    /// Evict one entry; returns whether it was present.
-    pub fn remove(&mut self, user: i64, item: i64) -> bool {
-        let Some(score) = self.get(user, item) else {
-            return false;
-        };
-        self.fwd
-            .remove(&fwd_key(user, score, item))
-            .expect(POOL_FAULT);
-        self.complete.remove(&user);
-        self.entries -= 1;
-        match self.counts.get_mut(&user) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.counts.remove(&user);
-            }
-        }
-        true
     }
 
     /// Replace user `u`'s entire materialized list (each item once) and
@@ -320,12 +276,13 @@ impl RecScoreIndex {
     /// Apply one Algorithm 4 decision to `user`'s list: drop the entries
     /// of the items in `evict`, then enter `admit` (an admitted item that
     /// is listed takes its new score). The result — entries, counts and
-    /// completeness — is that of [`RecScoreIndex::remove`] for each
-    /// evicted item and then [`RecScoreIndex::insert`] for each admission
-    /// (an eviction that finds its entry clears the user's completeness,
-    /// admissions leave it as it is), for one walk of the list and, if
-    /// anything changed, one rewrite of it, instead of a walk per pair. A
-    /// list holds each item once, as every writer here keeps it.
+    /// completeness — is that of removing each evicted pair and then
+    /// entering each admitted one, pair by pair (an eviction that finds
+    /// its entry clears the user's completeness, admissions leave it as it
+    /// is; the unit tests keep that pair-by-pair reference), for one walk
+    /// of the list and, if anything changed, one rewrite of it, instead of
+    /// a walk per pair. A list holds each item once, as every writer here
+    /// keeps it.
     pub fn edit_user_list(&mut self, user: i64, evict: &[i64], admit: &[(i64, f64)]) {
         let old: Vec<(i64, f64)> = self.user_list(user).collect();
         let evict: HashSet<i64> = evict.iter().copied().collect();
@@ -437,6 +394,60 @@ impl RecScoreIndex {
 impl Default for RecScoreIndex {
     fn default() -> Self {
         RecScoreIndex::new()
+    }
+}
+
+/// The pair-by-pair operations, the reference the list writes are tested
+/// against. No engine path writes a single pair.
+#[cfg(test)]
+impl RecScoreIndex {
+    /// The materialized score for a pair, if present: a walk of the
+    /// user's list, O(its length).
+    pub(crate) fn get(&self, user: i64, item: i64) -> Option<f64> {
+        self.user_list(user)
+            .find(|&(i, _)| i == item)
+            .map(|(_, score)| score)
+    }
+
+    /// Materialize (or refresh) one entry: a run of one key.
+    pub(crate) fn insert(&mut self, user: i64, item: i64, score: f64) {
+        match self.get(user, item) {
+            Some(old) if old.to_bits() == score.to_bits() => return,
+            Some(old) => self.cut(fwd_key(user, old, item)),
+            None => {
+                *self.counts.entry(user).or_insert(0) += 1;
+                self.entries += 1;
+            }
+        }
+        self.fwd
+            .insert_run(&[fwd_key(user, score, item)])
+            .expect(POOL_FAULT);
+    }
+
+    /// Evict one entry; returns whether it was present.
+    pub(crate) fn remove(&mut self, user: i64, item: i64) -> bool {
+        let Some(score) = self.get(user, item) else {
+            return false;
+        };
+        self.cut(fwd_key(user, score, item));
+        self.complete.remove(&user);
+        self.entries -= 1;
+        match self.counts.get_mut(&user) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                self.counts.remove(&user);
+            }
+        }
+        true
+    }
+
+    /// Remove the one tree key `key`: the range up to its successor.
+    fn cut(&mut self, key: Key) {
+        let removed = self
+            .fwd
+            .remove_range(key, successor(key))
+            .expect(POOL_FAULT);
+        assert_eq!(removed, 1, "the key was in the tree");
     }
 }
 
@@ -736,13 +747,14 @@ mod tests {
     fn replace_key_by_key(idx: &mut RecScoreIndex, user: i64, list: &[(i64, f64)]) {
         let old: Vec<(i64, f64)> = idx.user_list(user).collect();
         for &(item, score) in &old {
-            idx.fwd.remove(&fwd_key(user, score, item)).unwrap();
+            idx.cut(fwd_key(user, score, item));
         }
         idx.entries -= old.len();
         idx.counts.remove(&user);
         let mut added = 0;
         for &(item, score) in list {
-            added += usize::from(idx.fwd.insert(fwd_key(user, score, item)).unwrap());
+            idx.fwd.insert_run(&[fwd_key(user, score, item)]).unwrap();
+            added += 1;
         }
         if added > 0 {
             idx.counts.insert(user, added);

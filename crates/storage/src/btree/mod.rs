@@ -9,23 +9,21 @@
 //! textbook B+-tree (and the simpledb-style `index/btree` exemplars):
 //!
 //! * the **root is always page 0** of the tree's pool file, so the tree
-//!   needs no separate superblock — a root split copies both halves into
-//!   fresh pages and rewrites page 0 as a branch;
-//! * splits happen **preemptively on the way down**: any full child on
-//!   the descent path is split before descending into it, so an insert
-//!   into a leaf can never cascade upward. An injected failure at the
-//!   `storage::btree_split` fail point therefore leaves the tree valid —
-//!   completed splits stand on their own and the key is simply not
-//!   inserted;
-//! * a sorted run of keys that falls into a gap of the tree enters in one
-//!   pass ([`BTree::insert_run`]): the leaf it lands in is rewritten with
-//!   the run spliced in as full leaves, and the splits that causes are
-//!   planned bottom-up before any node is written, so an injected split
-//!   failure leaves the tree as it was;
-//! * deletes do not rebalance (like PostgreSQL's `nbtree`, which only
-//!   reclaims fully-empty pages). Empty leaves stay in the chain and are
-//!   skipped by scans (a run inserted into their range fills them again);
-//!   a rebuilt index replaces its tree wholesale instead.
+//!   needs no separate superblock — a root that splits moves to a fresh
+//!   page, and page 0 becomes the branch above it;
+//! * **every insert is a sorted run** that falls into a gap of the tree
+//!   ([`BTree::insert_run`]; one key is a run of one). A run shorter than
+//!   a node that fits the leaf it lands in is spliced into that leaf in
+//!   place. Any other run rewrites the leaf with the run spliced in as
+//!   full leaves, and the splits that causes are planned bottom-up before
+//!   any node is written, so an injected failure at the
+//!   `storage::btree_split` fail point leaves the tree as it was;
+//! * **every delete is a key range** ([`BTree::remove_range`]; one key is
+//!   the range up to its [`successor`]), and deletes do not rebalance
+//!   (like PostgreSQL's `nbtree`, which only reclaims fully-empty pages).
+//!   Empty leaves stay in the chain and are skipped by scans (a run
+//!   inserted into their range fills them again); a rebuilt index
+//!   replaces its tree wholesale instead.
 //!
 //! Node fan-out is configurable (`max_keys`), clamped to what fits one
 //! block. Production trees use [`DEFAULT_NODE_CAPACITY`]; tests shrink it
@@ -37,6 +35,7 @@ use crate::error::StorageResult;
 use crate::pool::{BufferPool, FileId, FileKind, FrameData};
 use node::Node;
 pub use node::{Key, KEY_SIZE, MAX_BRANCH_KEYS, MAX_LEAF_KEYS, NO_PAGE};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Default maximum keys per node (both leaf and branch). 256 keys × 24
@@ -252,107 +251,21 @@ impl BTree {
         self.max_keys
     }
 
-    /// Insert `key`. Returns `false` (without change) if it was already
-    /// present.
-    pub fn insert(&mut self, key: Key) -> StorageResult<bool> {
-        // Preemptive split: never descend into a full node.
-        let root_full = self
-            .pool
-            .with_node(self.file, ROOT_PAGE, |n| n.keys.len() >= self.max_keys)?;
-        if root_full {
-            self.split_root()?;
-        }
-        let mut pno = ROOT_PAGE;
-        loop {
-            enum Step {
-                Inserted(bool),
-                Descend { child: u32, idx: usize },
-            }
-            let step = self.pool.with_node_mut(self.file, pno, |n| {
-                if n.is_leaf {
-                    match n.keys.binary_search(&key) {
-                        Ok(_) => Step::Inserted(false),
-                        Err(at) => {
-                            n.keys.insert(at, key);
-                            Step::Inserted(true)
-                        }
-                    }
-                } else {
-                    let idx = n.keys.partition_point(|k| k <= &key);
-                    Step::Descend {
-                        child: n.children[idx],
-                        idx,
-                    }
-                }
-            })?;
-            match step {
-                Step::Inserted(added) => {
-                    if added {
-                        self.len += 1;
-                    }
-                    return Ok(added);
-                }
-                Step::Descend { child, idx, .. } => {
-                    let full = self
-                        .pool
-                        .with_node(self.file, child, |n| n.keys.len() >= self.max_keys)?;
-                    if full {
-                        self.split_child(pno, idx)?;
-                        // The split may have redirected our key to the new
-                        // right sibling; recompute the child from the
-                        // updated parent.
-                        pno = self.pool.with_node(self.file, pno, |n| {
-                            let idx = n.keys.partition_point(|k| k <= &key);
-                            n.children[idx]
-                        })?;
-                    } else {
-                        pno = child;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Remove `key`. Returns `false` if it was not present. No rebalance:
-    /// an emptied leaf stays in the chain.
-    pub fn remove(&mut self, key: &Key) -> StorageResult<bool> {
-        let mut pno = ROOT_PAGE;
-        loop {
-            let next = self.pool.with_node_mut(self.file, pno, |n| {
-                if n.is_leaf {
-                    match n.keys.binary_search(key) {
-                        Ok(at) => {
-                            n.keys.remove(at);
-                            Ok(true)
-                        }
-                        Err(_) => Ok(false),
-                    }
-                } else {
-                    let idx = n.keys.partition_point(|k| k <= key);
-                    Err(n.children[idx])
-                }
-            })?;
-            match next {
-                Ok(removed) => {
-                    if removed {
-                        self.len -= 1;
-                    }
-                    return Ok(removed);
-                }
-                Err(child) => pno = child,
-            }
-        }
-    }
-
-    /// Insert the strictly ascending `keys` as one run: about two
-    /// descents' worth of pool accesses plus one page written per
-    /// `max_keys` keys, instead of a descent per key. The run descends
-    /// once, to the leaf where its first key lands. That leaf's keys below
-    /// the run, the run and the leaf's keys above it are written left to
-    /// right as full leaves (`max_keys` each, as [`BTree::from_sorted`]
-    /// writes them), except that the last two share the rest evenly: a
-    /// leaf that overflows by one key splits in half, as under
-    /// [`BTree::insert`]. The first leaf goes into the leaf's own page,
+    /// Insert the strictly ascending `keys` as one run; this is the tree's
+    /// only insert (one key is a run of one). A run shorter than
+    /// `max_keys` first descends to the leaf where its first key lands,
+    /// reading one node per level, and if the run fits that leaf and lies
+    /// below the separator on its right, it is spliced in there: one pool
+    /// access per level, and the leaf is the one page written.
+    ///
+    /// Any other run costs about two descents' worth of pool accesses plus
+    /// one page written per `max_keys` keys, instead of a descent per key.
+    /// It descends once, to the leaf where its first key lands. That
+    /// leaf's keys below the run, the run and the leaf's keys above it are
+    /// written left to right as full leaves (`max_keys` each, as
+    /// [`BTree::from_sorted`] writes them), except that the last two share
+    /// the rest evenly: a leaf that overflows by one key splits in half.
+    /// The first leaf goes into the leaf's own page,
     /// the others into fresh pages chained after it. Their
     /// separators enter the branch above, which splits into as few nodes
     /// as hold its children, spread evenly, when they overflow it, and so
@@ -370,7 +283,8 @@ impl BTree {
     /// # Panics
     ///
     /// If `keys` is not strictly ascending, or if a key of the tree lies
-    /// between its first and last key (inclusive).
+    /// between its first and last key (inclusive): a key already in the
+    /// tree is a caller's bug.
     pub fn insert_run(&mut self, keys: &[Key]) -> StorageResult<()> {
         let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
             return Ok(());
@@ -379,6 +293,10 @@ impl BTree {
             keys.windows(2).all(|w| w[0] < w[1]),
             "BTree::insert_run: keys must be strictly ascending"
         );
+        if keys.len() < self.max_keys && self.splice_into_leaf(keys)? {
+            self.len += keys.len() as u64;
+            return Ok(());
+        }
         let mut plan = RunPlan {
             first,
             last,
@@ -407,6 +325,39 @@ impl BTree {
         }
         self.len += keys.len() as u64;
         Ok(())
+    }
+
+    /// Splice `keys` into the leaf where they land, in place, if they fit
+    /// it and lie below the separator on its right: one pool access per
+    /// level, the leaf the only page written. Returns whether it did; if
+    /// not, nothing was written. A key of the leaf inside the run is left
+    /// for [`BTree::plan_run`] to report.
+    fn splice_into_leaf(&self, keys: &[Key]) -> StorageResult<bool> {
+        let (first, last) = (keys[0], keys[keys.len() - 1]);
+        let mut page = ROOT_PAGE;
+        loop {
+            let step = self.pool.edit_node(self.file, page, |n| {
+                if !n.is_leaf {
+                    let i = n.keys.partition_point(|k| *k <= first);
+                    // A run that reaches the next separator spans two children.
+                    if n.keys.get(i).is_some_and(|sep| *sep <= last) {
+                        return (ControlFlow::Break(false), false);
+                    }
+                    return (ControlFlow::Continue(n.children[i]), false);
+                }
+                let at = n.keys.partition_point(|k| *k < first);
+                let fits = n.keys.len() + keys.len() <= self.max_keys
+                    && n.keys.get(at).is_none_or(|k| *k > last);
+                if fits {
+                    n.keys.splice(at..at, keys.iter().copied());
+                }
+                (ControlFlow::Break(fits), fits)
+            })?;
+            match step {
+                ControlFlow::Continue(child) => page = child,
+                ControlFlow::Break(spliced) => return Ok(spliced),
+            }
+        }
     }
 
     /// Plan the part of `plan`'s run that falls under `page`: `keys` are
@@ -439,8 +390,8 @@ impl BTree {
                 recdb_fault::fail_point("storage::btree_split")?;
             }
             // Full leaves, except that the last two share what is left
-            // evenly: a leaf a few keys over capacity splits in half, as
-            // `insert` splits it, not into a full leaf and a near-empty one.
+            // evenly: a leaf a few keys over capacity splits in half, not
+            // into a full leaf and a near-empty one.
             let full = leaves.saturating_sub(2) * cap;
             let chunks = merged[..full]
                 .chunks(cap)
@@ -504,33 +455,34 @@ impl BTree {
     }
 
     /// Remove every key in `[lo, hi)` (`hi = None`: to the end) and return
-    /// how many there were: one descent to `lo`'s leaf, then one access
-    /// per leaf along the chain, plus one that writes each leaf losing
-    /// keys (a leaf left as it was is only read, so not dirtied). Like
-    /// [`BTree::remove`], no rebalance:
-    /// emptied leaves stay in the chain, and a later
-    /// [`BTree::insert_run`] into their range fills them.
+    /// how many there were; this is the tree's only delete (one key `k` is
+    /// the range `[k, successor(k))`). One descent to `lo`'s leaf, then
+    /// one access per leaf along the chain, each leaf losing keys written
+    /// in the access that reads it (a node left as it was is not
+    /// dirtied). No rebalance: emptied leaves stay in the chain, and a
+    /// later [`BTree::insert_run`] into their range fills them.
     pub fn remove_range(&mut self, lo: Key, hi: Option<Key>) -> StorageResult<u64> {
         if hi.is_some_and(|hi| hi <= lo) {
             return Ok(0);
         }
         let (mut page, mut removed) = (ROOT_PAGE, 0u64);
         while page != NO_PAGE {
-            // Read first: only a leaf that loses keys is written (dirtied).
-            let (span, next) = self.pool.with_node(self.file, page, |n| {
+            let (gone, next) = self.pool.edit_node(self.file, page, |n| {
                 if !n.is_leaf {
-                    return (0..0, n.children[n.keys.partition_point(|k| *k <= lo)]);
+                    let child = n.children[n.keys.partition_point(|k| *k <= lo)];
+                    return ((0, child), false);
                 }
                 let start = n.keys.partition_point(|k| *k < lo);
-                let end = hi.map_or(n.keys.len(), |hi| n.keys.partition_point(|k| *k < hi));
+                // Scanned, not searched: the drain moves every key past
+                // `start` anyway, and a short range ends a key or two on.
+                let end = hi
+                    .and_then(|hi| n.keys[start..].iter().position(|k| *k >= hi))
+                    .map_or(n.keys.len(), |gone| start + gone);
                 let next = if end < n.keys.len() { NO_PAGE } else { n.next };
-                (start..end, next)
+                drop(n.keys.drain(start..end));
+                ((end - start, next), end > start)
             })?;
-            if !span.is_empty() {
-                removed += span.len() as u64;
-                self.pool
-                    .with_node_mut(self.file, page, |n| drop(n.keys.drain(span)))?;
-            }
+            removed += gone as u64;
             page = next;
         }
         self.len -= removed;
@@ -677,52 +629,6 @@ impl BTree {
         );
         keys
     }
-
-    /// Split the full root in place: copy its halves into two fresh pages
-    /// and rewrite page 0 as a branch over them. This is the only
-    /// operation that changes the tree's height.
-    fn split_root(&mut self) -> StorageResult<()> {
-        recdb_fault::fail_point("storage::btree_split")?;
-        let root = self.pool.with_node(self.file, ROOT_PAGE, |n| n.clone())?;
-        let (left, right, sep) = split_node(root);
-        let left_pno = self.pool.allocate_page(self.file, FrameData::Node(left))?;
-        let right_pno = self.pool.allocate_page(self.file, FrameData::Node(right))?;
-        // Wire the leaf chain through the two copies.
-        self.pool.with_node_mut(self.file, left_pno, |n| {
-            if n.is_leaf {
-                n.next = right_pno;
-            }
-        })?;
-        self.pool.with_node_mut(self.file, ROOT_PAGE, |n| {
-            *n = Node::branch(vec![sep], vec![left_pno, right_pno]);
-        })?;
-        Ok(())
-    }
-
-    /// Split the full child at `parent.children[idx]`, inserting the new
-    /// separator and right sibling into the parent (which has room: the
-    /// caller split it preemptively on the way down).
-    fn split_child(&mut self, parent: u32, idx: usize) -> StorageResult<()> {
-        recdb_fault::fail_point("storage::btree_split")?;
-        let child_pno = self
-            .pool
-            .with_node(self.file, parent, |n| n.children[idx])?;
-        let child = self.pool.with_node(self.file, child_pno, |n| n.clone())?;
-        let (left, right, sep) = split_node(child);
-        let right_pno = self.pool.allocate_page(self.file, FrameData::Node(right))?;
-        self.pool.with_node_mut(self.file, child_pno, |n| {
-            let was_leaf = left.is_leaf;
-            *n = left;
-            if was_leaf {
-                n.next = right_pno;
-            }
-        })?;
-        self.pool.with_node_mut(self.file, parent, |n| {
-            n.keys.insert(idx, sep);
-            n.children.insert(idx + 1, right_pno);
-        })?;
-        Ok(())
-    }
 }
 
 /// The branch over `children`, given as `(first key, page)`: each
@@ -781,30 +687,6 @@ impl RunPlan {
     fn place(&mut self, node: Node) -> u32 {
         self.fresh.push(node);
         self.base + self.fresh.len() as u32 - 1
-    }
-}
-
-/// Split one overfull node into `(left, right, separator)`. For leaves
-/// the separator is copied up (it stays in the right leaf); for branches
-/// the middle key moves up. The caller wires leaf `next` pointers.
-fn split_node(mut node: Node) -> (Node, Node, Key) {
-    let mid = node.keys.len() / 2;
-    if node.is_leaf {
-        let right_keys = node.keys.split_off(mid);
-        let sep = right_keys[0];
-        let right = Node {
-            is_leaf: true,
-            keys: right_keys,
-            children: Vec::new(),
-            next: node.next,
-        };
-        (node, right, sep)
-    } else {
-        let mut right_keys = node.keys.split_off(mid);
-        let sep = right_keys.remove(0);
-        let right_children = node.children.split_off(mid + 1);
-        let right = Node::branch(right_keys, right_children);
-        (node, right, sep)
     }
 }
 
@@ -907,20 +789,77 @@ mod tests {
         BTree::create(Arc::new(BufferPool::unbounded()), "t", max_keys).unwrap()
     }
 
+    /// Insert `key(n)` as a run of one key.
+    fn put(t: &mut BTree, n: u64) {
+        t.insert_run(&[key(n)]).unwrap();
+    }
+
+    /// Remove `key(n)` as the range of one key: whether it was there.
+    fn cut(t: &mut BTree, n: u64) -> bool {
+        t.remove_range(key(n), successor(key(n))).unwrap() == 1
+    }
+
     #[test]
     fn insert_remove_roundtrip() {
         let mut t = small_tree(4);
         for n in 0..100 {
-            assert!(t.insert(key(n)).unwrap());
+            put(&mut t, n);
         }
         assert_eq!(t.len(), 100);
-        assert!(!t.insert(key(50)).unwrap(), "duplicate insert must no-op");
-        assert_eq!(t.len(), 100);
         assert_eq!(t.keys().unwrap(), (0..100).map(key).collect::<Vec<_>>());
-        assert!(t.remove(&key(30)).unwrap());
-        assert!(!t.remove(&key(30)).unwrap());
+        assert!(cut(&mut t, 30));
+        assert!(!cut(&mut t, 30));
         assert!(!t.keys().unwrap().contains(&key(30)));
         assert_eq!(t.len(), 99);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the run")]
+    fn inserting_a_key_the_tree_holds_panics() {
+        let mut t = small_tree(4);
+        for n in 0..100 {
+            put(&mut t, n);
+        }
+        put(&mut t, 50);
+    }
+
+    #[test]
+    fn a_one_key_run_into_a_leaf_with_room_writes_only_that_leaf() {
+        // Full leaves of 8 over 0, 10, …, 1990 behind a 3-frame pool, and
+        // room made in the leaf of 480..550 by removing 500.
+        let pool = Arc::new(BufferPool::in_memory(3));
+        let keys = (0..200).map(|n| key(n * 10));
+        let mut t = BTree::from_sorted(Arc::clone(&pool), "t", 8, keys).unwrap();
+        assert!(cut(&mut t, 500));
+        let height = u64::from(t.height().unwrap());
+        assert_eq!(height, 3);
+        let accesses = || pool.hits() + pool.misses();
+        // A walk of every leaf writes every dirty page back: the pages
+        // left resident were read back clean.
+        let clean = |t: &BTree| {
+            t.keys().unwrap();
+            assert_eq!(pool.dirty_pages(), 0);
+        };
+        clean(&t);
+        let before = accesses();
+        put(&mut t, 505);
+        assert_eq!(accesses() - before, height, "one access per level");
+        assert_eq!(pool.dirty_pages(), 1, "the leaf is the one page written");
+        clean(&t);
+        let before = accesses();
+        assert!(cut(&mut t, 520));
+        assert_eq!(accesses() - before, height, "one access per level");
+        assert_eq!(pool.dirty_pages(), 1, "the leaf is the one page written");
+        let mut want: Vec<u64> = (0..200)
+            .map(|n| n * 10)
+            .filter(|&n| n != 500 && n != 520)
+            .collect();
+        want.push(505);
+        want.sort_unstable();
+        assert_eq!(
+            t.checked_keys(),
+            want.into_iter().map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -928,7 +867,7 @@ mod tests {
         let mut t = small_tree(4);
         // Insert in a scrambled deterministic order.
         for n in 0..500u64 {
-            t.insert(key((n * 331) % 500)).unwrap();
+            put(&mut t, (n * 331) % 500);
         }
         let keys = t.keys().unwrap();
         assert_eq!(keys.len(), 500);
@@ -940,7 +879,7 @@ mod tests {
     fn range_scan_respects_bounds() {
         let mut t = small_tree(5);
         for n in 0..200 {
-            t.insert(key(n)).unwrap();
+            put(&mut t, n);
         }
         let got = range(&t, key(50), Some(key(60)));
         assert_eq!(got, (50..60).map(key).collect::<Vec<_>>());
@@ -955,7 +894,7 @@ mod tests {
         let pool = Arc::new(BufferPool::unbounded());
         let mut t = BTree::create(Arc::clone(&pool), "t", 4).unwrap();
         for n in 0..100 {
-            t.insert(key(n)).unwrap();
+            put(&mut t, n);
         }
         let accesses = || pool.hits() + pool.misses();
         let height = u64::from(t.height().unwrap());
@@ -999,11 +938,11 @@ mod tests {
     fn scan_skips_emptied_leaves() {
         let mut t = small_tree(4);
         for n in 0..100 {
-            t.insert(key(n)).unwrap();
+            put(&mut t, n);
         }
         // Hollow out the middle: leaves there become empty but stay chained.
         for n in 20..80 {
-            t.remove(&key(n)).unwrap();
+            assert!(cut(&mut t, n));
         }
         let keys = t.keys().unwrap();
         let expected: Vec<Key> = (0..20).chain(80..100).map(key).collect();
@@ -1014,11 +953,11 @@ mod tests {
     fn clone_is_deep_and_equal() {
         let mut t = small_tree(6);
         for n in 0..150 {
-            t.insert(key(n * 3)).unwrap();
+            put(&mut t, n * 3);
         }
         let mut c = t.clone();
         assert_eq!(c.keys().unwrap(), t.keys().unwrap());
-        c.insert(key(1)).unwrap();
+        put(&mut c, 1);
         assert!(!t.keys().unwrap().contains(&key(1)), "clone shares state");
     }
 
@@ -1117,10 +1056,12 @@ mod tests {
             for (at, step) in steps.into_iter().enumerate() {
                 match step {
                     Step::Insert(n) => {
-                        prop_assert_eq!(t.insert(key(n)).unwrap(), reference.insert(n), "step {} insert {}", at, n);
+                        if reference.insert(n) {
+                            put(&mut t, n);
+                        }
                     }
                     Step::Remove(n) => {
-                        prop_assert_eq!(t.remove(&key(n)).unwrap(), reference.remove(&n), "step {} remove {}", at, n);
+                        prop_assert_eq!(cut(&mut t, n), reference.remove(&n), "step {} remove {}", at, n);
                     }
                     Step::Range(lo, hi) => {
                         let (got, want) = walk(&t, &reference, lo, hi);
@@ -1239,7 +1180,7 @@ mod tests {
                 prefix.push(new);
                 prefix.sort_unstable();
                 t.insert_run(&prefix).unwrap();
-                assert!(by_key.insert(new).unwrap());
+                by_key.insert_run(&[new]).unwrap();
             }
         }
         assert_eq!(t.checked_keys(), by_key.checked_keys());
@@ -1358,10 +1299,12 @@ mod tests {
             for (at, step) in steps.into_iter().enumerate() {
                 match step {
                     RunStep::One(Step::Insert(n)) => {
-                        prop_assert_eq!(t.insert(key(n)).unwrap(), reference.insert(n), "step {} insert {}", at, n);
+                        if reference.insert(n) {
+                            put(&mut t, n);
+                        }
                     }
                     RunStep::One(Step::Remove(n)) => {
-                        prop_assert_eq!(t.remove(&key(n)).unwrap(), reference.remove(&n), "step {} remove {}", at, n);
+                        prop_assert_eq!(cut(&mut t, n), reference.remove(&n), "step {} remove {}", at, n);
                     }
                     RunStep::One(Step::Range(lo, hi)) => {
                         let want: Vec<Key> = match hi {
@@ -1396,7 +1339,7 @@ mod tests {
         let pool = Arc::new(BufferPool::in_memory(4));
         let mut t = BTree::create(Arc::clone(&pool), "t", 8).unwrap();
         for n in 0..2000 {
-            t.insert(key((n * 7919) % 2000)).unwrap();
+            put(&mut t, (n * 7919) % 2000);
         }
         assert_eq!(t.len(), 2000);
         assert!(pool.evictions() > 0, "a 4-frame pool must evict");

@@ -85,14 +85,17 @@ impl BTreeIndex {
         &self.tree
     }
 
-    /// Add the entry of `row`, stored at `rid`.
+    /// Add the entry of `row`, stored at `rid`: a run of one key (the
+    /// key holds the rid, so no other entry has it).
     pub fn insert(&mut self, row: &Tuple, rid: Rid) -> StorageResult<()> {
-        self.tree.insert(self.key(row, rid)).map(drop)
+        self.tree.insert_run(&[self.key(row, rid)])
     }
 
-    /// Remove the entry of `row`, stored at `rid`.
+    /// Remove the entry of `row`, stored at `rid`: the range of its one
+    /// key.
     pub fn remove(&mut self, row: &Tuple, rid: Rid) -> StorageResult<()> {
-        self.tree.remove(&self.key(row, rid)).map(drop)
+        let key = self.key(row, rid);
+        self.tree.remove_range(key, successor(key)).map(drop)
     }
 
     /// The key of `row`, stored at `rid`.

@@ -293,7 +293,8 @@ pub fn read_snapshot(dir: &Path, mode: RecoveryMode) -> StorageResult<Option<Sna
 }
 
 /// Like [`read_snapshot`], but the restored catalog pages through `pool`.
-/// Restored pages are written through to the pool's backing store, so a
+/// A table is read, verified and installed a block at a time, each
+/// restored page written through to the pool's backing store, so a
 /// checkpoint larger than the pool recovers in bounded memory.
 pub fn read_snapshot_with(
     dir: &Path,
@@ -312,12 +313,25 @@ pub fn read_snapshot_with(
     for mt in &manifest.tables {
         catalog.create_table(&mt.name, mt.schema.clone())?;
         let file_name = table_file_name(&mt.name, manifest.lsn);
-        let pages = read_table_pages(&dir.join(&file_name), &file_name, mt, mode, &mut skipped)?;
         let table = catalog.table_mut(&mt.name)?;
-        let live = pages.iter().map(|p| p.live_count() as u64).sum();
-        table.heap_mut().restore(0, (0..).zip(pages), live)?;
+        let heap = table.heap_mut();
+        let mut live = 0;
+        let path = dir.join(&file_name);
+        read_table_pages(
+            &path,
+            &file_name,
+            mt,
+            mode,
+            &mut skipped,
+            |page_no, page| {
+                live += page.live_count() as u64;
+                // The heap holds pages `0..page_no`: page `page_no` is appended,
+                // and the live count is that of the pages read so far.
+                heap.restore(page_no, [(page_no, page)], live)
+            },
+        )?;
         // Clean: the restored state is exactly what the checkpoint holds.
-        table.heap_mut().take_dirty_pages();
+        heap.take_dirty_pages();
         for (idx_name, ordinals) in &mt.indexes {
             let names: Vec<&str> = ordinals
                 .iter()
@@ -342,17 +356,18 @@ pub fn read_snapshot_with(
     }))
 }
 
-/// Read and verify one table's page file. Corrupt or unreadable blocks
-/// abort in [`RecoveryMode::Strict`]; in salvage mode each becomes an empty
-/// placeholder page and is recorded in `skipped`.
+/// Read and verify one table's page file a block at a time, handing each
+/// page to `install` in page order as soon as it is decoded. Corrupt or
+/// unreadable blocks abort in [`RecoveryMode::Strict`]; in salvage mode
+/// each becomes an empty placeholder page and is recorded in `skipped`.
 fn read_table_pages(
     path: &Path,
     file_name: &str,
     mt: &ManifestTable,
     mode: RecoveryMode,
     skipped: &mut Vec<(String, u32)>,
-) -> StorageResult<Vec<Page>> {
-    let mut pages = Vec::with_capacity(mt.page_count as usize);
+    mut install: impl FnMut(u32, Page) -> StorageResult<()>,
+) -> StorageResult<()> {
     let mut file = match File::open(path) {
         Ok(f) => Some(f),
         Err(e) => match mode {
@@ -383,21 +398,22 @@ fn read_table_pages(
             }),
         };
         let decoded = read.and_then(|()| Page::decode_block(&block, file_name, page_no));
-        match decoded {
-            Ok((page, _lsn)) => pages.push(page),
+        let page = match decoded {
+            Ok((page, _lsn)) => page,
             Err(e) => match mode {
                 RecoveryMode::Strict => return Err(e),
                 RecoveryMode::SalvageToLastGood => {
                     skipped.push((mt.name.clone(), page_no));
-                    pages.push(Page::new());
                     // The read position may be garbage after a failed
                     // decode of good-length bytes; only a missing/short
                     // file stops us, and that path keeps yielding errors.
+                    Page::new()
                 }
             },
-        }
+        };
+        install(page_no, page)?;
     }
-    Ok(pages)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -156,14 +156,6 @@ struct Frame {
     referenced: bool,
 }
 
-/// How an accessor treats the frame it reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Access {
-    Read,
-    /// Marks the frame dirty.
-    Write,
-}
-
 /// Where [`BufferPool::find`] found a page.
 enum Found {
     /// In this frame slot (a hit).
@@ -539,7 +531,7 @@ impl BufferPool {
         f: impl FnOnce(&Page) -> R,
     ) -> StorageResult<R> {
         let f = heap_page(file, page_no, f);
-        self.with_frame(self.lock(), file, page_no, Access::Read, f)
+        self.with_frame(self.lock(), file, page_no, |data, _| f(data))
     }
 
     /// The sequential-scan access: run `visit` on each page of the run of
@@ -578,7 +570,7 @@ impl BufferPool {
             }
             if pages as usize <= self.capacity {
                 let f = heap_page(file, start, |p| visit(start, p.view()));
-                self.with_frame(inner, file, start, Access::Read, f)??;
+                self.with_frame(inner, file, start, |data, _| f(data))??;
                 return Ok(1);
             }
             if !inner.loading.contains(&(file, start)) {
@@ -682,11 +674,14 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&mut Page) -> R,
     ) -> StorageResult<R> {
-        let f = |data: &mut FrameData| match data {
-            FrameData::Heap(p) => Ok(f(p)),
+        let f = |data: &mut FrameData, dirty: &mut bool| match data {
+            FrameData::Heap(p) => {
+                *dirty = true;
+                Ok(f(p))
+            }
             FrameData::Node(_) => Err(kind_mismatch(file, page_no, "heap page", "index node")),
         };
-        self.with_frame(self.lock(), file, page_no, Access::Write, f)
+        self.with_frame(self.lock(), file, page_no, f)
     }
 
     /// Read access to a B+-tree node. Same closure rules as
@@ -697,11 +692,7 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&Node) -> R,
     ) -> StorageResult<R> {
-        let f = |data: &mut FrameData| match data {
-            FrameData::Node(n) => Ok(f(n)),
-            FrameData::Heap(_) => Err(kind_mismatch(file, page_no, "index node", "heap page")),
-        };
-        self.with_frame(self.lock(), file, page_no, Access::Read, f)
+        self.edit_node(file, page_no, |n| (f(n), false))
     }
 
     /// Write access to a B+-tree node; marks the frame dirty.
@@ -711,22 +702,40 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&mut Node) -> R,
     ) -> StorageResult<R> {
-        let f = |data: &mut FrameData| match data {
-            FrameData::Node(n) => Ok(f(n)),
+        self.edit_node(file, page_no, |n| (f(n), true))
+    }
+
+    /// Access to a B+-tree node that may change it: `f` returns its
+    /// result and whether it wrote, and only a node written is marked
+    /// dirty. One access both decides and makes a change, and a node left
+    /// as it was is not written back. Same closure rules as
+    /// [`BufferPool::with_page`].
+    pub fn edit_node<R>(
+        &self,
+        file: FileId,
+        page_no: u32,
+        f: impl FnOnce(&mut Node) -> (R, bool),
+    ) -> StorageResult<R> {
+        let f = |data: &mut FrameData, dirty: &mut bool| match data {
+            FrameData::Node(n) => {
+                let (result, wrote) = f(n);
+                *dirty |= wrote;
+                Ok(result)
+            }
             FrameData::Heap(_) => Err(kind_mismatch(file, page_no, "index node", "heap page")),
         };
-        self.with_frame(self.lock(), file, page_no, Access::Write, f)
+        self.with_frame(self.lock(), file, page_no, f)
     }
 
     /// Make `(file, page_no)` resident and run the closure on its frame
-    /// under the pool lock.
+    /// under the pool lock. A closure that writes the frame sets the
+    /// frame's dirty flag, the closure's second argument.
     fn with_frame<R>(
         &self,
         inner: Guard<'_>,
         file: FileId,
         page_no: u32,
-        access: Access,
-        f: impl FnOnce(&mut FrameData) -> StorageResult<R>,
+        f: impl FnOnce(&mut FrameData, &mut bool) -> StorageResult<R>,
     ) -> StorageResult<R> {
         let (mut inner, slot) = match self.find(inner, file, page_no)? {
             (inner, Found::Resident(slot)) => (inner, slot),
@@ -745,8 +754,7 @@ impl BufferPool {
         };
         let frame = frame(&mut inner, slot)?;
         frame.referenced = true;
-        frame.dirty |= access == Access::Write;
-        f(&mut frame.data)
+        f(&mut frame.data, &mut frame.dirty)
     }
 
     /// Find `(file, page_no)` in a frame — a hit, after waiting out
@@ -984,6 +992,16 @@ mod tests {
     // No test here arms a fault site: the ones that do are in
     // tests/faults.rs, where every test holds `recdb_fault::exclusive()`
     // (the fault registry is process-global).
+
+    impl BufferPool {
+        /// Resident pages whose frame is newer than the backing store:
+        /// what a check that an operation wrote only the pages it changed
+        /// counts.
+        pub(crate) fn dirty_pages(&self) -> usize {
+            let inner = self.lock();
+            inner.frames.iter().flatten().filter(|f| f.dirty).count()
+        }
+    }
 
     fn tuple(n: i64) -> Tuple {
         Tuple::new(vec![Value::Int(n), Value::Text(format!("row-{n}"))])

@@ -166,10 +166,17 @@ fn split_fail_point_leaves_tree_consistent() {
     let mut inserted = Vec::new();
     let mut failed = 0;
     for n in 0..50 {
-        match t.insert(key(n)) {
-            Ok(true) => inserted.push(n),
-            Ok(false) => unreachable!("keys are distinct"),
-            Err(StorageError::FaultInjected(_)) => failed += 1,
+        let (keys, pages) = (t.checked_keys(), t.node_pages());
+        match t.insert_run(&[key(n)]) {
+            Ok(()) => inserted.push(n),
+            Err(StorageError::FaultInjected(_)) => {
+                failed += 1;
+                assert_eq!(
+                    (t.checked_keys(), t.node_pages()),
+                    (keys, pages),
+                    "a failed insert leaves the tree as it was"
+                );
+            }
             Err(e) => panic!("unexpected error: {e}"),
         }
     }

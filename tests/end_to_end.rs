@@ -293,7 +293,11 @@ fn maintenance_keeps_index_fresh() {
         (rec.pending_updates(), rec.index().unwrap())
     };
     assert_eq!(pending, 0, "maintenance ran");
-    assert_eq!(idx.get(1, item), None, "now-rated pair dematerialized");
+    assert_eq!(
+        idx.iter_desc(1, None, None).find(|&(i, _)| i == item),
+        None,
+        "now-rated pair dematerialized"
+    );
     assert!(idx.is_complete(1), "user list re-materialized in full");
     // And the query no longer recommends the rated item.
     let rows = db

@@ -232,6 +232,40 @@ fn index_gauges_follow_an_n_percent_rebuild() {
     );
 }
 
+/// A recommender that leaves the engine, by `DROP RECOMMENDER` or with
+/// its table, reads 0 on both index gauges; a rolled-back drop shows its
+/// values again.
+#[test]
+fn index_gauges_read_zero_once_a_recommender_is_dropped() {
+    let db = RecDb::new();
+    db.execute_script(SCHEMA).expect("schema + recommender");
+    let gauges = || {
+        let snap = db.metrics_snapshot();
+        (
+            snap.gauge("recdb_materialized_entries{recommender=\"obs\"}"),
+            snap.gauge("recdb_rec_index_pages{recommender=\"obs\"}"),
+        )
+    };
+    for drop in ["DROP RECOMMENDER obs", "DROP TABLE ratings"] {
+        db.materialize("obs").expect("materialize");
+        let live = gauges();
+        assert_eq!(live.0, 4, "4 users × 3 items − 8 ratings");
+        assert!(live.1 > 0, "{live:?}");
+        let mut session = db.session();
+        session.execute("BEGIN").expect("begin");
+        session.execute(drop).expect(drop);
+        assert_eq!(gauges(), (0, 0), "{drop}");
+        session.execute("ROLLBACK").expect("rollback");
+        assert_eq!(gauges(), live, "{drop} rolled back");
+        db.execute(drop).expect(drop);
+        assert_eq!(gauges(), (0, 0), "{drop}");
+        if drop == "DROP RECOMMENDER obs" {
+            let create = SCHEMA.find("CREATE RECOMMENDER").expect("in SCHEMA");
+            db.execute(&SCHEMA[create..]).expect("recreate");
+        }
+    }
+}
+
 #[test]
 fn explain_analyze_row_counts_match_actual_cardinality() {
     let db = RecDb::new();

@@ -13,6 +13,7 @@ use recdb::core::{EngineError, GovernorConfig, QueryGuard, QueryResult, RecDb, R
 use recdb::exec::{ExecError, ResultSet};
 use recdb::fault;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const RECOMMEND_SQL: &str = "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
@@ -147,6 +148,10 @@ fn cross_thread_cancel_stops_statement() {
 /// still running when the canceller thread below gets to flip its handle.
 const DML_ROWS: u64 = 20_000;
 
+/// Tries of a "cancel mid-scan" case before the test gives up on the
+/// cancel landing while the statement scans.
+const CANCEL_ATTEMPTS: u32 = 4;
+
 /// The `ratings` heap as the checksummed blocks a checkpoint would write.
 fn ratings_bytes(db: &RecDb) -> Vec<Vec<u8>> {
     let catalog = db.catalog();
@@ -180,74 +185,104 @@ fn governor_refuses_update_and_delete_without_a_trace() {
 
     // One uid per (statement, transaction mode), so every retry finds rows.
     let cases = [
-        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = 3", false),
-        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = 4", true),
-        ("DELETE FROM ratings WHERE uid = 5", false),
-        ("DELETE FROM ratings WHERE uid = 6", true),
+        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = ", 3, false),
+        ("UPDATE ratings SET ratingval = 0.5 WHERE uid = ", 4, true),
+        ("DELETE FROM ratings WHERE uid = ", 5, false),
+        ("DELETE FROM ratings WHERE uid = ", 6, true),
     ];
-    for (sql, in_txn) in cases {
+    // Uids no case names, each with as many rows as the ones that do.
+    let mut spare_uids = vec![9, 8, 7, 2, 1, 0];
+    for (statement, mut uid, in_txn) in cases {
         for refusal in ["row budget", "zero deadline", "cancel mid-scan"] {
-            let case = format!("{sql} (in txn: {in_txn}) under {refusal}");
-            let (before, appends) = (ratings_bytes(&db), wal_appends());
-            // The scan bills a page at a time: the budget trips on the
-            // first page, with every live row of it charged.
-            let first_page = db
-                .catalog()
-                .table("ratings")
-                .expect("ratings")
-                .heap()
-                .page_image(0)
-                .expect("page 0");
-            let first_page_rows = Some(first_page.live_count() as u64);
-            let guard = match refusal {
-                "row budget" => QueryGuard::with_limits(None, Some(10), None),
-                "zero deadline" => QueryGuard::with_limits(Some(Duration::ZERO), None, None),
-                _ => QueryGuard::unlimited(),
+            // Only a race shows a cancel mid-scan: that case is tried again
+            // until the cancel lands, the others once.
+            let attempts = if refusal == "cancel mid-scan" {
+                CANCEL_ATTEMPTS
+            } else {
+                1
             };
-            let mut session = db.session();
-            if in_txn {
-                session.execute("BEGIN").expect("begin");
-            }
-            let done = AtomicBool::new(false);
-            let result = std::thread::scope(|scope| {
-                if refusal == "cancel mid-scan" {
-                    // Cancels once the scan has charged its first row.
-                    scope.spawn(|| {
-                        while guard.rows_used() == 0 && !done.load(Ordering::Relaxed) {
-                            std::thread::yield_now();
-                        }
-                        guard.cancel();
-                    });
+            for attempt in 1..=attempts {
+                let sql = format!("{statement}{uid}");
+                let case = format!("{sql} (in txn: {in_txn}) under {refusal}");
+                let (before, appends) = (ratings_bytes(&db), wal_appends());
+                // The scan bills a page at a time: the budget trips on the
+                // first page, with every live row of it charged.
+                let first_page = db
+                    .catalog()
+                    .table("ratings")
+                    .expect("ratings")
+                    .heap()
+                    .page_image(0)
+                    .expect("page 0");
+                let first_page_rows = Some(first_page.live_count() as u64);
+                let guard = match refusal {
+                    "row budget" => QueryGuard::with_limits(None, Some(10), None),
+                    "zero deadline" => QueryGuard::with_limits(Some(Duration::ZERO), None, None),
+                    _ => QueryGuard::unlimited(),
+                };
+                let mut session = db.session();
+                if in_txn {
+                    session.execute("BEGIN").expect("begin");
                 }
-                let result = session.execute_with_guard(sql, guard.clone());
-                done.store(true, Ordering::Relaxed);
-                result
-            });
-            match (refusal, result) {
-                (
-                    "row budget",
-                    Err(EngineError::ResourceExhausted {
-                        resource: "rows",
-                        budget: 10,
-                        used,
-                    }),
-                ) => assert_eq!(Some(used), first_page_rows, "{case}"),
-                ("zero deadline", Err(EngineError::Cancelled { .. })) => {}
-                ("cancel mid-scan", Err(EngineError::Cancelled { .. })) => {
-                    let used = guard.rows_used();
-                    assert!((1..DML_ROWS).contains(&used), "{case}: {used} rows in");
+                let (done, start) = (AtomicBool::new(false), Barrier::new(2));
+                let result = std::thread::scope(|scope| {
+                    if refusal == "cancel mid-scan" {
+                        // Cancels once the scan has charged its first row. The
+                        // statement starts when the canceller is running.
+                        scope.spawn(|| {
+                            start.wait();
+                            while guard.rows_used() == 0 && !done.load(Ordering::Relaxed) {
+                                std::thread::yield_now();
+                            }
+                            guard.cancel();
+                        });
+                        start.wait();
+                    }
+                    let result = session.execute_with_guard(&sql, guard.clone());
+                    done.store(true, Ordering::Relaxed);
+                    result
+                });
+                if refusal == "cancel mid-scan" && result.is_ok() {
+                    // The statement finished before the canceller ran, and its
+                    // rows changed: try again on a uid whose rows have not.
+                    assert!(
+                        attempt < CANCEL_ATTEMPTS,
+                        "{case}: the cancel never landed mid-scan in {attempt} attempts"
+                    );
+                    if in_txn {
+                        session.execute("ROLLBACK").expect("rollback");
+                    }
+                    uid = spare_uids.pop().expect("a spare uid for another attempt");
+                    continue;
                 }
-                (_, other) => panic!("{case}: got {other:?}"),
+                match (refusal, result) {
+                    (
+                        "row budget",
+                        Err(EngineError::ResourceExhausted {
+                            resource: "rows",
+                            budget: 10,
+                            used,
+                        }),
+                    ) => assert_eq!(Some(used), first_page_rows, "{case}"),
+                    ("zero deadline", Err(EngineError::Cancelled { .. })) => {}
+                    ("cancel mid-scan", Err(EngineError::Cancelled { .. })) => {
+                        let used = guard.rows_used();
+                        assert!((1..DML_ROWS).contains(&used), "{case}: {used} rows in");
+                    }
+                    (_, other) => panic!("{case}: got {other:?}"),
+                }
+                assert!(!session.in_transaction(), "{case}: the refusal aborts");
+                assert!(ratings_bytes(&db) == before, "{case}: table changed");
+                assert_eq!(wal_appends(), appends, "{case}: WAL grew");
+                break;
             }
-            assert!(!session.in_transaction(), "{case}: the refusal aborts");
-            assert!(ratings_bytes(&db) == before, "{case}: table changed");
-            assert_eq!(wal_appends(), appends, "{case}: WAL grew");
         }
+        let sql = format!("{statement}{uid}");
         let mut session = db.session();
         let script = if in_txn {
             format!("BEGIN; {sql}; COMMIT")
         } else {
-            sql.to_owned()
+            sql.clone()
         };
         let results = session.execute_script(&script).expect("ungoverned retry");
         let changed = results.iter().any(|r| {
