@@ -23,39 +23,15 @@
 //! [`RatingsMatrix`]. A small deterministic xorshift PRNG seeds the
 //! factors so training is reproducible for a given [`SvdParams::seed`].
 //!
-//! # Parallel training & determinism
-//!
-//! SGD is inherently sequential — every update reads the factors the
-//! previous update wrote — so parallelizing it changes the update stream.
-//! The contract here:
-//!
-//! * [`SvdParams::threads`] `= 1` (the **default**) runs the exact
-//!   sequential SGD stream (global Fisher–Yates visit order continuing
-//!   the initialization generator).
-//! * `threads > 1` (or `0` = all cores) opts into **block-sequential
-//!   cache-blocked SGD** (Gemulla-style stratified DSGD): users and items
-//!   are each partitioned into `B` contiguous blocks, where `B` is the
-//!   requested worker count clamped to the matrix dimensions. An epoch is
-//!   `B` sub-epochs; in sub-epoch `s`, cell `t` trains on (user block
-//!   `t`, item block `(t + s) mod B`). The `B` cells of one sub-epoch
-//!   touch pairwise-disjoint user *and* item factor rows, so they can run
-//!   in any order — or on any number of OS threads — and produce the
-//!   **same bits**. Each cell derives its visit order from a private
-//!   PRNG seeded by `(seed, epoch, sub-epoch, block)` only. There are no
-//!   epoch-start factor snapshots, no per-shard delta buffers, and no
-//!   merge pass: updates land in place, and the result is deterministic
-//!   for a fixed `(seed, threads)` pair regardless of the machine's
-//!   actual core count.
-//!
-//! Note the serial path reports the paper-era RMSE (pre-update error
-//! accumulated *during* the epoch) while the block path evaluates at
-//! training end; both converge to the same notion as training settles.
+//! Training is one SGD stream: each epoch visits every rating once in a
+//! Fisher–Yates order drawn from the generator that initialized the
+//! factors, so the factors depend only on the ratings and the
+//! parameters. SGD is a sequential chain — every update reads the factors
+//! the previous update wrote — so there is no parallel trainer.
 
-use crate::csr::Csr;
 use crate::kernels;
 use crate::model::TrainError;
 use crate::neighborhood::ScoreScratch;
-use crate::parallel::effective_threads;
 use crate::ratings::RatingsMatrix;
 use recdb_guard::QueryGuard;
 
@@ -71,13 +47,8 @@ pub struct SvdParams {
     pub lambda: f64,
     /// Number of passes over the ratings.
     pub epochs: usize,
-    /// PRNG seed for factor initialization.
+    /// PRNG seed for factor initialization and the visit orders.
     pub seed: u64,
-    /// SGD worker threads. `1` (the default) is the exact sequential
-    /// update stream; `> 1` (or `0` = all cores) opts into deterministic
-    /// block-sequential SGD — see the module docs for the
-    /// reproducibility contract.
-    pub threads: usize,
 }
 
 impl Default for SvdParams {
@@ -88,7 +59,6 @@ impl Default for SvdParams {
             lambda: 0.05,
             epochs: 30,
             seed: 0x5EED_CAFE,
-            threads: 1,
         }
     }
 }
@@ -137,7 +107,7 @@ pub struct SvdModel {
     item_factors: Vec<f32>,
     factors: usize,
     params: SvdParams,
-    /// Training RMSE after the final epoch (a health indicator).
+    /// Training RMSE of the final epoch (a health indicator).
     final_rmse: f64,
 }
 
@@ -170,32 +140,31 @@ impl SvdModel {
             .map(|_| (scale * (0.5 + 0.5 * rng.next_f64())) as f32)
             .collect();
 
-        let threads = effective_threads(params.threads).min(n_users.max(1));
-        let final_rmse = if threads <= 1 {
-            sgd_serial(
-                &matrix,
-                &params,
-                f,
-                &mut rng,
-                &mut user_factors,
-                &mut item_factors,
-                guard,
-            )?
-        } else {
-            // The block grid needs at least as many item blocks as user
-            // blocks for sub-epoch cells to stay disjoint, so B is also
-            // clamped by the item count.
-            let b = threads.min(n_items.max(1));
-            sgd_block_sequential(
-                &matrix,
-                &params,
-                f,
-                b,
-                &mut user_factors,
-                &mut item_factors,
-                guard,
-            )?
-        };
+        // `rng` goes on from the initialization, so the update stream
+        // depends only on the seed.
+        let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
+        let lr = params.learning_rate as f32;
+        let lambda = params.lambda as f32;
+        let mut order: Vec<u32> = (0..triples.len() as u32).collect();
+        let mut final_rmse = 0.0;
+        for _epoch in 0..params.epochs {
+            recdb_fault::fail_point("algo::svd_epoch")?;
+            guard.check()?;
+            shuffle(&mut order, &mut rng);
+            let mut sq_err = 0.0f64;
+            for &t in &order {
+                let (u, i, r) = triples[t as usize];
+                let (u, i) = (u as usize, i as usize);
+                let p = &mut user_factors[u * f..(u + 1) * f];
+                let q = &mut item_factors[i * f..(i + 1) * f];
+                let err = r - kernels::dot(p, q);
+                sq_err += f64::from(err) * f64::from(err);
+                kernels::sgd_step(p, q, err, lr, lambda);
+            }
+            if !triples.is_empty() {
+                final_rmse = (sq_err / triples.len() as f64).sqrt();
+            }
+        }
         Ok(SvdModel {
             matrix,
             user_factors,
@@ -221,7 +190,8 @@ impl SvdModel {
         self.factors
     }
 
-    /// Training RMSE after the last epoch.
+    /// Training RMSE of the last epoch, accumulated during it: each
+    /// rating's error before its own update (0 with no ratings or epochs).
     pub fn final_rmse(&self) -> f64 {
         self.final_rmse
     }
@@ -282,268 +252,6 @@ impl SvdModel {
         }
         row
     }
-}
-
-/// The exact sequential SGD loop (`rng` continues the initialization
-/// generator, so the update stream depends only on the seed). Returns the
-/// during-epoch training RMSE of the final epoch.
-#[allow(clippy::too_many_arguments)]
-fn sgd_serial(
-    matrix: &RatingsMatrix,
-    params: &SvdParams,
-    f: usize,
-    rng: &mut XorShift64,
-    user_factors: &mut [f32],
-    item_factors: &mut [f32],
-    guard: &QueryGuard,
-) -> Result<f64, TrainError> {
-    let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
-    let lr = params.learning_rate as f32;
-    let lambda = params.lambda as f32;
-    let mut order: Vec<u32> = (0..triples.len() as u32).collect();
-    let mut final_rmse = 0.0;
-    for _epoch in 0..params.epochs {
-        recdb_fault::fail_point("algo::svd_epoch")?;
-        guard.check()?;
-        // Fisher-Yates shuffle of the visit order each epoch.
-        shuffle(&mut order, rng);
-        let mut sq_err = 0.0f64;
-        for &t in &order {
-            let (u, i, r) = triples[t as usize];
-            let (u, i) = (u as usize, i as usize);
-            let p = &mut user_factors[u * f..(u + 1) * f];
-            let q = &mut item_factors[i * f..(i + 1) * f];
-            let err = r - kernels::dot(p, q);
-            sq_err += f64::from(err) * f64::from(err);
-            kernels::sgd_step(p, q, err, lr, lambda);
-        }
-        final_rmse = if triples.is_empty() {
-            0.0
-        } else {
-            (sq_err / triples.len() as f64).sqrt()
-        };
-    }
-    Ok(final_rmse)
-}
-
-/// One cell of the block grid: train on (user block `t`, item block `c`)
-/// with a visit order derived only from `(seed, epoch, sub, t)`. The
-/// borrow set is exactly the two factor chunks, which is what lets the
-/// `B` cells of a sub-epoch run concurrently without synchronization.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    csr: &Csr<f32>,
-    splits: &[u32],
-    b: usize,
-    per_u: usize,
-    per_i: usize,
-    f: usize,
-    seed: u64,
-    epoch: usize,
-    sub: usize,
-    t: usize,
-    c: usize,
-    u_chunk: &mut [f32],
-    i_chunk: &mut [f32],
-    lr: f32,
-    lambda: f32,
-) {
-    let first_user = t * per_u;
-    let item_base = c * per_i;
-    let users_in_block = u_chunk.len() / f;
-    // Distinct splitmix64-style stream per (epoch, sub-epoch, block): all
-    // inputs are fixed before the sub-epoch starts, hence deterministic.
-    let mut rng = XorShift64::new(
-        seed.wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((sub as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add((t as u64).wrapping_mul(0x94D0_49BB_1331_11EB)),
-    );
-    let mut order: Vec<u32> = (0..users_in_block as u32).collect();
-    shuffle(&mut order, &mut rng);
-    for &local in &order {
-        let local = local as usize;
-        let u = first_user + local;
-        // The CSR row is sorted by item index, so the entries belonging
-        // to item block `c` are one precomputed contiguous subrange.
-        let lo = splits[u * (b + 1) + c] as usize;
-        let hi = splits[u * (b + 1) + c + 1] as usize;
-        if lo == hi {
-            continue;
-        }
-        let (cols, vals) = csr.row(u);
-        let p = &mut u_chunk[local * f..(local + 1) * f];
-        for (&i, &r) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
-            let qi = (i as usize - item_base) * f;
-            let q = &mut i_chunk[qi..qi + f];
-            let err = r - kernels::dot(p, q);
-            kernels::sgd_step(p, q, err, lr, lambda);
-        }
-    }
-}
-
-/// Block-sequential cache-blocked SGD (module docs): a `B × B` grid of
-/// (user block, item block) cells, `B` sub-epochs per epoch, cell
-/// `(t, (t + s) mod B)` trained in sub-epoch `s`. Updates land in the
-/// factor tables directly — no snapshots, no delta merges. Because the
-/// cells of a sub-epoch touch disjoint factor rows, running them on one
-/// thread in canonical order is bit-identical to running them on `B`
-/// threads, so the worker count below adapts to the machine while the
-/// result depends only on `(seed, B)`. Returns the end-of-training RMSE.
-#[allow(clippy::too_many_arguments)]
-fn sgd_block_sequential(
-    matrix: &RatingsMatrix,
-    params: &SvdParams,
-    f: usize,
-    b: usize,
-    user_factors: &mut [f32],
-    item_factors: &mut [f32],
-    guard: &QueryGuard,
-) -> Result<f64, TrainError> {
-    let n_users = matrix.n_users();
-    let n_items = matrix.n_items();
-    let csr = matrix.user_csr();
-    let per_u = n_users.div_ceil(b);
-    let per_i = n_items.div_ceil(b);
-    let lr = params.learning_rate as f32;
-    let lambda = params.lambda as f32;
-
-    // Split every user's CSR row at the item-block boundaries once:
-    // splits[u*(B+1) + k] = first position in row(u) with item ≥ k·per_i.
-    let mut splits: Vec<u32> = Vec::with_capacity(n_users * (b + 1));
-    for u in 0..n_users {
-        let (cols, _) = csr.row(u);
-        for k in 0..=b {
-            let bound = (k * per_i).min(n_items) as u32;
-            splits.push(cols.partition_point(|&col| col < bound) as u32);
-        }
-    }
-
-    // Hardware workers actually used; the schedule and the bits do not
-    // depend on this (disjoint cells), only wall-clock does. On a single
-    // core the cells run inline with zero spawn overhead.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(b);
-    for epoch in 0..params.epochs {
-        // Epoch-coordinator check: one guard/fault evaluation per epoch,
-        // so cells stay check-free and lock-free.
-        recdb_fault::fail_point("algo::svd_epoch")?;
-        guard.check()?;
-        for sub in 0..b {
-            if workers <= 1 {
-                let mut items = &mut *item_factors;
-                let mut item_chunks: Vec<Option<&mut [f32]>> = Vec::with_capacity(b);
-                while !items.is_empty() {
-                    let take = (per_i * f).min(items.len());
-                    let (head, rest) = items.split_at_mut(take);
-                    item_chunks.push(Some(head));
-                    items = rest;
-                }
-                for (t, u_chunk) in user_factors.chunks_mut(per_u * f).enumerate() {
-                    let c = (t + sub) % b;
-                    let Some(i_chunk) = item_chunks.get_mut(c).and_then(Option::take) else {
-                        continue;
-                    };
-                    run_cell(
-                        csr,
-                        &splits,
-                        b,
-                        per_u,
-                        per_i,
-                        f,
-                        params.seed,
-                        epoch,
-                        sub,
-                        t,
-                        c,
-                        u_chunk,
-                        i_chunk,
-                        lr,
-                        lambda,
-                    );
-                }
-            } else {
-                let splits = &splits;
-                std::thread::scope(|scope| {
-                    let mut item_chunks: Vec<Option<&mut [f32]>> =
-                        item_factors.chunks_mut(per_i * f).map(Some).collect();
-                    for (t, u_chunk) in user_factors.chunks_mut(per_u * f).enumerate() {
-                        let c = (t + sub) % b;
-                        let Some(i_chunk) = item_chunks.get_mut(c).and_then(Option::take) else {
-                            continue;
-                        };
-                        scope.spawn(move || {
-                            run_cell(
-                                csr,
-                                splits,
-                                b,
-                                per_u,
-                                per_i,
-                                f,
-                                params.seed,
-                                epoch,
-                                sub,
-                                t,
-                                c,
-                                u_chunk,
-                                i_chunk,
-                                lr,
-                                lambda,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-    }
-    let triples: Vec<(u32, u32, f32)> = matrix.user_csr().iter().collect();
-    Ok(parallel_rmse(&triples, user_factors, item_factors, f, b))
-}
-
-/// RMSE over `triples` with the given factor tables. The triples are cut
-/// into `threads` contiguous chunks and the per-chunk partial sums are
-/// combined in slice order, so the result is deterministic for a fixed
-/// chunk count whether the chunks run inline or on worker threads.
-fn parallel_rmse(
-    triples: &[(u32, u32, f32)],
-    user_factors: &[f32],
-    item_factors: &[f32],
-    f: usize,
-    threads: usize,
-) -> f64 {
-    if triples.is_empty() {
-        return 0.0;
-    }
-    let per = triples.len().div_ceil(threads.max(1));
-    let chunk_sum = |slice: &[(u32, u32, f32)]| {
-        let mut sq = 0.0f64;
-        for &(u, i, r) in slice {
-            let p = &user_factors[u as usize * f..(u as usize + 1) * f];
-            let q = &item_factors[i as usize * f..(i as usize + 1) * f];
-            let err = f64::from(r) - f64::from(kernels::dot(p, q));
-            sq += err * err;
-        }
-        sq
-    };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let partials: Vec<f64> = if hw <= 1 {
-        triples.chunks(per).map(chunk_sum).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = triples
-                .chunks(per)
-                .map(|slice| s.spawn(|| chunk_sum(slice)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("RMSE worker panicked"))
-                .collect()
-        })
-    };
-    (partials.iter().sum::<f64>() / triples.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -668,132 +376,6 @@ mod tests {
         let model = SvdModel::train(
             RatingsMatrix::default(),
             SvdParams::default(),
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(model.final_rmse(), 0.0);
-    }
-
-    #[test]
-    fn parallel_training_is_deterministic() {
-        let params = SvdParams {
-            factors: 8,
-            epochs: 40,
-            threads: 3,
-            ..Default::default()
-        };
-        let a = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
-        let b = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
-        for u in 0..6 {
-            assert_eq!(a.user_vector(u), b.user_vector(u), "user {u}");
-        }
-        for i in 0..6 {
-            assert_eq!(a.item_vector(i), b.item_vector(i), "item {i}");
-        }
-        assert_eq!(a.final_rmse(), b.final_rmse());
-    }
-
-    #[test]
-    fn parallel_training_converges() {
-        let model = SvdModel::train(
-            dense_block(),
-            SvdParams {
-                factors: 8,
-                epochs: 300,
-                threads: 2,
-                ..Default::default()
-            },
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        assert!(
-            model.final_rmse() < 0.5,
-            "parallel training RMSE {} too high",
-            model.final_rmse()
-        );
-        let p = heldout(&model);
-        assert!(
-            (p - 1.5).abs() < 0.8,
-            "held-out prediction {p} too far from 1.5"
-        );
-    }
-
-    #[test]
-    fn auto_threads_trains_without_panic() {
-        let model = SvdModel::train(
-            dense_block(),
-            SvdParams {
-                epochs: 10,
-                threads: 0,
-                ..Default::default()
-            },
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        assert!(model.final_rmse().is_finite());
-        for u in 0..6 {
-            for i in 0..6 {
-                assert!(predict(&model, u, i).is_finite());
-            }
-        }
-    }
-
-    #[test]
-    fn thread_count_clamps_to_user_count() {
-        // 6 users, 32 requested workers: shards degenerate to ≤ 1 user.
-        let params = SvdParams {
-            factors: 4,
-            epochs: 20,
-            threads: 32,
-            ..Default::default()
-        };
-        let a = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
-        let b = SvdModel::train(dense_block(), params, &QueryGuard::unlimited()).unwrap();
-        assert_eq!(a.user_vector(0), b.user_vector(0));
-        assert!(a.final_rmse().is_finite());
-    }
-
-    #[test]
-    fn block_count_clamps_to_item_count() {
-        // Many users, 2 items: the block grid must clamp B to the item
-        // count so sub-epoch cells keep disjoint item blocks.
-        let mut ratings = Vec::new();
-        for u in 0..20i64 {
-            ratings.push(Rating::new(u, 0, 2.0 + (u % 3) as f64));
-            ratings.push(Rating::new(u, 1, 3.0));
-        }
-        let params = SvdParams {
-            factors: 4,
-            epochs: 15,
-            threads: 8,
-            ..Default::default()
-        };
-        let a = SvdModel::train(
-            RatingsMatrix::from_ratings(ratings.clone()),
-            params,
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        let b = SvdModel::train(
-            RatingsMatrix::from_ratings(ratings),
-            params,
-            &QueryGuard::unlimited(),
-        )
-        .unwrap();
-        assert!(a.final_rmse().is_finite());
-        for u in 0..20 {
-            assert_eq!(a.user_vector(u), b.user_vector(u), "user {u}");
-        }
-    }
-
-    #[test]
-    fn empty_matrix_parallel_trains_without_panic() {
-        let model = SvdModel::train(
-            RatingsMatrix::default(),
-            SvdParams {
-                threads: 4,
-                ..Default::default()
-            },
             &QueryGuard::unlimited(),
         )
         .unwrap();

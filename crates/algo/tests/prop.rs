@@ -677,35 +677,6 @@ proptest! {
             }
         }
     }
-
-    /// The block-sequential parallel SGD schedule is deterministic: a
-    /// fixed (seed, threads) pair yields bit-identical factor matrices
-    /// across runs, at every thread count.
-    #[test]
-    fn svd_block_schedule_deterministic(
-        ratings in ratings_strategy(),
-        seed in 1u64..500,
-        threads in 2usize..6,
-    ) {
-        let params = SvdParams { epochs: 3, factors: 4, seed, threads, ..SvdParams::default() };
-        let a = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
-        let b = svd(RatingsMatrix::from_ratings(ratings.clone()), params);
-        let matrix = RatingsMatrix::from_ratings(ratings);
-        for u in 0..matrix.n_users() {
-            let (av, bv) = (a.user_vector(u), b.user_vector(u));
-            prop_assert_eq!(av.len(), bv.len());
-            for (x, y) in av.iter().zip(bv) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "user {} factors diverged", u);
-            }
-        }
-        for i in 0..matrix.n_items() {
-            let (av, bv) = (a.item_vector(i), b.item_vector(i));
-            prop_assert_eq!(av.len(), bv.len());
-            for (x, y) in av.iter().zip(bv) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "item {} factors diverged", i);
-            }
-        }
-    }
 }
 
 /// Worlds for the top-k kernel: ratings drawn from half stars, one value

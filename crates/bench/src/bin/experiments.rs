@@ -154,7 +154,7 @@ fn build_scaling() {
     header(
         "Build scaling: model build wall time vs threads",
         "neighborhood builds are bit-identical at every thread count; \
-         SVD >1 thread is the deterministic block-partitioned variant",
+         SVD has one serial trainer, measured at one thread",
     );
     println!("host parallelism: {host_threads} (speedups are bounded by this)");
     println!(
@@ -179,15 +179,18 @@ fn build_scaling() {
             .map(|w| (w[1] - w[0]) * (w[1] - w[0]).saturating_sub(1) / 2)
             .sum();
         for algo in [Algorithm::ItemCosCF, Algorithm::ItemPearCF, Algorithm::Svd] {
-            let (tag, terms) = match algo {
-                Algorithm::Svd => ("csr-blocked", "null".to_owned()),
-                _ => ("upper-triangle-shared-top-k", co_rated_terms.to_string()),
+            let (tag, terms, threads_swept) = match algo {
+                Algorithm::Svd => ("serial-sgd", "null".to_owned(), &thread_counts[..1]),
+                _ => (
+                    "upper-triangle-shared-top-k",
+                    co_rated_terms.to_string(),
+                    &thread_counts[..],
+                ),
             };
             let mut serial_ms = 0.0;
-            for &threads in &thread_counts {
+            for &threads in threads_swept {
                 let mut config: TrainConfig = bench_config().train;
                 config.neighborhood.threads = threads;
-                config.svd.threads = threads;
                 let t = time_median(REPS, || {
                     RecModel::train(
                         algo,
@@ -229,7 +232,9 @@ fn build_scaling() {
          row a sums only partners b > a (one slot per partner shaped by the \
          measure, cosine 24 B, Pearson 48 B) and offers each scored pair to \
          both rows; with max_neighbors = k the rows keep their strongest k in \
-         one store shared by all workers, behind a per-row floor\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         one store shared by all workers, behind a per-row floor; serial-sgd = \
+         SVD's one trainer, a single SGD stream, so it has one row per \
+         dataset\",\n  \"results\": [\n{}\n  ]\n}}\n",
         host_threads,
         REPS,
         rows.join(",\n")

@@ -9,7 +9,7 @@
 //! Beside the tables, each world pins what is built from the ratings
 //! matrix itself, hashed the same way: both CSR orientations (`row_ptr`,
 //! column indexes, value bits), the global mean, every Popularity score,
-//! the SVD factors after training at one thread, and one whole-domain
+//! the SVD factors after five epochs, and one whole-domain
 //! scoring pass (`score_unseen_into`) for ten users under each CF model.
 //!
 //! The kernel finds a row's partners one of two ways, chosen by the row's
@@ -163,7 +163,6 @@ fn model_hashes(m: &RatingsMatrix) -> Vec<u64> {
     );
     let svd_params = SvdParams {
         epochs: 5,
-        threads: 1,
         ..SvdParams::default()
     };
     let svd = SvdModel::train(m.clone(), svd_params, &QueryGuard::unlimited()).unwrap();

@@ -42,8 +42,8 @@ pub struct Recommender {
     pool: Arc<BufferPool>,
     /// Usage histograms, updated from `&self` query paths.
     stats: Mutex<UsageStats>,
-    /// The Algorithm 4 manager.
-    cache_manager: Mutex<CacheManager>,
+    /// The Algorithm 4 manager, run from `&mut self`.
+    cache_manager: CacheManager,
 }
 
 impl std::fmt::Debug for Recommender {
@@ -127,7 +127,7 @@ impl Recommender {
             pending_updates: AtomicUsize::new(0),
             pool,
             stats: Mutex::new(UsageStats::new(now)),
-            cache_manager: Mutex::new(CacheManager::new(hotness_threshold)),
+            cache_manager: CacheManager::new(hotness_threshold),
         })
     }
 
@@ -275,9 +275,9 @@ impl Recommender {
     pub fn run_cache_manager(&mut self, now: u64) -> CacheDecision {
         let decision = {
             let matrix = self.version.model.matrix();
-            let mut stats = self.stats.lock();
-            let mut mgr = self.cache_manager.lock();
-            mgr.run(&mut stats, now, |u, i| matrix.rating_of(u, i).is_none())
+            self.cache_manager.run(self.stats.get_mut(), now, |u, i| {
+                matrix.rating_of(u, i).is_none()
+            })
         };
         if decision.admitted.is_empty() && decision.evicted.is_empty() {
             return decision;

@@ -345,7 +345,7 @@ impl Catalog {
     }
 
     /// Iterate every table mutably in name order (checkpoint writer:
-    /// draining dirty-page sets after a successful snapshot).
+    /// marking every heap clean after a successful snapshot).
     pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
         self.tables.values_mut()
     }
@@ -473,7 +473,7 @@ mod tests {
         t.create_index("i", &["uid"]).unwrap();
         let rid1 = t.insert(row(1, 1, 1.0)).unwrap();
         t.insert(row(2, 2, 2.0)).unwrap();
-        t.heap_mut().take_dirty_pages(); // pretend a checkpoint ran
+        t.heap_mut().mark_clean(); // pretend a checkpoint ran
 
         // A transaction's pre-image: the extent, the live count, and the
         // one page it changes that existed before it.

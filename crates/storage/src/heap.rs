@@ -13,7 +13,7 @@
 //! table much larger than RAM scans in bounded memory, with cold pages
 //! faulted in from the pool's backing store. The pool's backing store is
 //! scratch (recovery uses the checkpoint + WAL, never the spill files), so
-//! heap-level dirty tracking for the checkpointer (`take_dirty_pages`) is
+//! the heap's dirty flag for the checkpointer ([`HeapTable::is_dirty`]) is
 //! independent of frame-level dirty bits inside the pool.
 
 use crate::error::{StorageError, StorageResult};
@@ -22,7 +22,6 @@ use crate::pool::{BufferPool, FileId, FileKind, FrameData, ScanBuffer};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Record id: (page number, slot number).
@@ -48,9 +47,9 @@ pub struct HeapTable {
     pool: Arc<BufferPool>,
     file: FileId,
     live_tuples: u64,
-    /// Pages mutated since the last [`HeapTable::take_dirty_pages`] —
-    /// the checkpointer's change detector.
-    dirty: BTreeSet<u32>,
+    /// A page changed since the last [`HeapTable::mark_clean`] — the
+    /// checkpointer's change detector.
+    dirty: bool,
 }
 
 impl HeapTable {
@@ -70,7 +69,7 @@ impl HeapTable {
             pool,
             file,
             live_tuples: 0,
-            dirty: BTreeSet::new(),
+            dirty: false,
         }
     }
 
@@ -145,7 +144,7 @@ impl HeapTable {
             .pool
             .with_page_mut(self.file, page_no, |p| p.insert(&tuple))??;
         self.live_tuples += 1;
-        self.dirty.insert(page_no);
+        self.dirty = true;
         Ok(Rid::new(page_no, slot))
     }
 
@@ -176,16 +175,14 @@ impl HeapTable {
             .with_page_mut(self.file, rid.page, |p| p.delete(rid.slot))?
             .map_err(|_| invalid())?;
         self.live_tuples -= 1;
-        self.dirty.insert(rid.page);
+        self.dirty = true;
         Ok(())
     }
 
     /// Remove every tuple, keeping the schema. Used by OnTopDB when it
     /// reloads its predictions table.
     pub fn truncate(&mut self) -> StorageResult<()> {
-        for pno in 0..self.page_count() {
-            self.dirty.insert(pno as u32);
-        }
+        self.dirty |= self.page_count() > 0;
         self.pool.truncate_file(self.file, 0)?;
         self.live_tuples = 0;
         Ok(())
@@ -207,35 +204,34 @@ impl HeapTable {
     /// `page_count` pages, put each `(page number, image)` of `pages` in
     /// place, and set the live-tuple count to `live_tuples`. A rollback
     /// puts back the pages its transaction changed this way, and the
-    /// checkpoint loader a whole table. Every page cut or installed is
-    /// marked dirty.
+    /// checkpoint loader a whole table. A cut or an installed page marks
+    /// the heap dirty.
     pub fn restore(
         &mut self,
         page_count: u32,
         pages: impl IntoIterator<Item = (u32, Page)>,
         live_tuples: u64,
     ) -> StorageResult<()> {
-        self.dirty
-            .extend(page_count..self.pool.page_count(self.file));
+        self.dirty |= self.pool.page_count(self.file) > page_count;
         self.pool.truncate_file(self.file, page_count)?;
         self.live_tuples = live_tuples;
         for (pno, page) in pages {
             self.pool
                 .install_page(self.file, pno, FrameData::Heap(page))?;
-            self.dirty.insert(pno);
+            self.dirty = true;
         }
         Ok(())
     }
 
     /// Whether any page changed since the last checkpoint.
     pub fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
+        self.dirty
     }
 
-    /// Drain the dirty-page set (called once the checkpointer has written
-    /// a consistent image of this heap).
-    pub fn take_dirty_pages(&mut self) -> BTreeSet<u32> {
-        std::mem::take(&mut self.dirty)
+    /// Clear the dirty flag (called once the checkpointer has written a
+    /// consistent image of this heap).
+    pub(crate) fn mark_clean(&mut self) {
+        self.dirty = false;
     }
 
     /// Run `visit` over each page of the run that starts at page `start`

@@ -197,11 +197,11 @@ fn published_lsn(dir: &Path) -> Option<u64> {
 /// Protocol, in crash-safety order:
 ///
 /// 1. every table's pages go to fresh `<table>.<lsn>.tbl` files (tables
-///    with no dirty pages reuse the previous generation's file via a hard
+///    that are not dirty reuse the previous generation's file via a hard
 ///    link — content-identical, so sharing blocks is sound);
 /// 2. the manifest is written to a temp file, fsynced, and renamed over
 ///    [`MANIFEST_FILE`] — the atomic commit point;
-/// 3. stale generations are unlinked and dirty-page sets drained.
+/// 3. stale generations are unlinked and every heap marked clean.
 ///
 /// Fail points: `storage::page_flush` fires before each page write,
 /// `storage::checkpoint` fires just before the manifest rename.
@@ -261,7 +261,7 @@ pub fn write_snapshot(
     }
     gc_stale_generations(dir, lsn);
     for table in catalog.tables_mut() {
-        table.heap_mut().take_dirty_pages();
+        table.heap_mut().mark_clean();
     }
     Ok(())
 }
@@ -293,9 +293,12 @@ pub fn read_snapshot(dir: &Path, mode: RecoveryMode) -> StorageResult<Option<Sna
 }
 
 /// Like [`read_snapshot`], but the restored catalog pages through `pool`.
-/// A table is read, verified and installed a block at a time, each
-/// restored page written through to the pool's backing store, so a
-/// checkpoint larger than the pool recovers in bounded memory.
+/// A table is read, verified and installed a block at a time: each block's
+/// checksum is checked once, as it is decoded, and its page goes into a
+/// pool frame ([`BufferPool::install_page`]) without being encoded again.
+/// A checkpoint that fits in the pool writes nothing to the pool's
+/// backing store; a larger one writes each page there once, when it is
+/// evicted, so it recovers in bounded memory.
 pub fn read_snapshot_with(
     dir: &Path,
     mode: RecoveryMode,
@@ -331,7 +334,7 @@ pub fn read_snapshot_with(
             },
         )?;
         // Clean: the restored state is exactly what the checkpoint holds.
-        heap.take_dirty_pages();
+        heap.mark_clean();
         for (idx_name, ordinals) in &mt.indexes {
             let names: Vec<&str> = ordinals
                 .iter()

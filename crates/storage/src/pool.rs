@@ -473,10 +473,12 @@ impl BufferPool {
         Ok(page_no)
     }
 
-    /// Write `data` through to the backing store as page `page_no`
-    /// (replacing an existing page, or appending at `page_count`). Used by
-    /// recovery and rollback to install page images; the frame cache is
-    /// refreshed if the page was resident.
+    /// Put `data` in a frame as page `page_no` of `file`, replacing an
+    /// existing page or appending at `page_count`. Used by recovery and
+    /// rollback to install page images. The frame starts dirty: the page
+    /// reaches the backing store only if it is evicted, so installing
+    /// pages that fit in the pool writes no block, and one that does not
+    /// is encoded and written once, by its eviction.
     pub fn install_page(&self, file: FileId, page_no: u32, data: FrameData) -> StorageResult<()> {
         let mut inner = self.lock_file(file);
         let state = file_state(&inner, file)?;
@@ -487,17 +489,23 @@ impl BufferPool {
                 state.label, state.page_count
             )));
         }
-        let block = data.encode();
-        if let Some(&slot) = inner.map.get(&(file, page_no)) {
-            if let Some(frame) = inner.frames[slot].as_mut() {
-                frame.data = data;
-                frame.dirty = false;
-                frame.referenced = true;
+        let key = (file, page_no);
+        let slot = match inner.map.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.ensure_slot(&mut inner)?;
+                inner.map.insert(key, slot);
+                slot
             }
-        }
+        };
+        inner.frames[slot] = Some(Frame {
+            key,
+            data,
+            dirty: true,
+            referenced: true,
+        });
         let state = file_state_mut(&mut inner, file)?;
         state.page_count = state.page_count.max(page_no + 1);
-        Self::write_backing(state, (file, page_no), &block, self.spill_dir.as_deref())?;
         Ok(())
     }
 
@@ -1516,18 +1524,31 @@ mod tests {
     }
 
     #[test]
-    fn install_page_writes_through() {
+    fn an_installed_page_is_written_back_only_when_evicted() {
         let pool = BufferPool::in_memory(2);
         let f = pool.create_file(FileKind::Heap, "t");
         pool.install_page(f, 0, FrameData::Heap(fill_page(7)))
             .unwrap();
         assert_eq!(pool.page_count(f), 1);
+        let backing_blocks = |pool: &BufferPool| match &file_state(&pool.lock(), f).unwrap().backing
+        {
+            Backing::Memory(blocks) => blocks.iter().flatten().count(),
+            Backing::Disk { .. } => unreachable!("an in-memory pool"),
+        };
+        assert_eq!(backing_blocks(&pool), 0, "installed, not written");
+        assert_eq!(pool.dirty_pages(), 1);
         // Force the frame out, then fault it back from backing.
         for n in 1..4 {
             pool.allocate_page(f, FrameData::Heap(fill_page(n)))
                 .unwrap();
         }
+        assert_eq!(backing_blocks(&pool), 2, "pages 0 and 1 were evicted");
         let got = pool.with_page(f, 0, |p| p.get(0).unwrap()).unwrap();
         assert_eq!(got, tuple(7));
+        // Installing over a resident page replaces its frame.
+        pool.install_page(f, 0, FrameData::Heap(fill_page(8)))
+            .unwrap();
+        let got = pool.with_page(f, 0, |p| p.get(0).unwrap()).unwrap();
+        assert_eq!(got, tuple(8));
     }
 }

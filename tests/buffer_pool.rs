@@ -2,6 +2,8 @@
 //! frames must produce byte-identical answers to an effectively-unbounded
 //! one and evict under pressure.
 
+mod common;
+
 use recdb::core::{RecDb, RecDbConfig};
 
 /// Rows per multi-row INSERT statement (keeps SQL strings manageable).
@@ -367,4 +369,74 @@ fn materializing_a_user_writes_its_list_as_one_run() {
         index.len(),
         cost as f64 / 64.0
     );
+}
+
+/// Opening a checkpoint puts each page in a pool frame and writes no
+/// block to the pool's backing store: a checkpoint that fits the pool
+/// opens, and is read, without a spill file. Under a 4-frame pool the
+/// same checkpoint spills only the pages the open evicts, and every row
+/// the writing engine held reads back.
+#[test]
+fn opening_a_checkpoint_writes_only_the_pages_it_evicts() {
+    let tmp = common::temp_dir("open-spill");
+    let dir = tmp.path();
+    let config = |frames| RecDbConfig {
+        data_dir: Some(dir.to_path_buf()),
+        buffer_pool_pages: frames,
+        ..RecDbConfig::default()
+    };
+    let spill_files = || -> Vec<String> {
+        let Ok(entries) = std::fs::read_dir(dir.join("pool")) else {
+            return Vec::new();
+        };
+        entries
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".spill"))
+            .collect()
+    };
+    let scan = |db: &RecDb| {
+        rows(
+            db,
+            "SELECT uid, iid, ratingval FROM ratings",
+            &["uid", "iid", "ratingval"],
+        )
+    };
+    let (written, heap_pages) = {
+        let db = RecDb::open_with_config(config(1024)).expect("open");
+        db.execute("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)")
+            .expect("create table");
+        for u in 0..40i64 {
+            let values: Vec<String> = (0..60i64)
+                .map(|i| format!("({u}, {i}, {})", f64::from(((u + i) % 9 + 1) as i32) / 2.0))
+                .collect();
+            db.execute(&format!("INSERT INTO ratings VALUES {}", values.join(", ")))
+                .expect("insert");
+        }
+        db.checkpoint().expect("checkpoint");
+        let pages = db
+            .catalog()
+            .table("ratings")
+            .expect("ratings")
+            .heap()
+            .page_count();
+        (scan(&db), pages)
+    };
+    assert_eq!(written.len(), 2400);
+    assert!(
+        heap_pages > 4,
+        "{heap_pages} heap pages must overflow 4 frames"
+    );
+
+    let db = RecDb::open_with_config(config(1024)).expect("reopen");
+    assert_eq!(spill_files(), Vec::<String>::new(), "the open spilled");
+    assert_eq!(scan(&db), written);
+    assert_eq!(spill_files(), Vec::<String>::new(), "the scan spilled");
+    drop(db);
+
+    let db = RecDb::open_with_config(config(4)).expect("reopen in 4 frames");
+    assert!(
+        !spill_files().is_empty(),
+        "evicted pages go to a spill file"
+    );
+    assert_eq!(scan(&db), written);
 }

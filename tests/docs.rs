@@ -1,5 +1,6 @@
 //! The prose names only what exists. Every backticked `crates/…`,
-//! `tests/…` or `examples/…` path in README.md, DESIGN.md and docs/*.md
+//! `tests/…` or `examples/…` path in README.md, DESIGN.md, EXPERIMENTS.md
+//! and docs/*.md
 //! must exist, and every backticked `Type::member` must name a type
 //! defined under `crates/` that still has that fn, field, variant or
 //! constant. Types of the standard library are listed in `STD_TYPES`.
@@ -15,9 +16,13 @@ fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// README.md, DESIGN.md and docs/*.md.
+/// README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md.
 fn doc_files() -> Vec<PathBuf> {
-    let mut files = vec![root().join("README.md"), root().join("DESIGN.md")];
+    let mut files = vec![
+        root().join("README.md"),
+        root().join("DESIGN.md"),
+        root().join("EXPERIMENTS.md"),
+    ];
     let mut docs: Vec<PathBuf> = fs::read_dir(root().join("docs"))
         .expect("docs/")
         .map(|e| e.expect("docs entry").path())

@@ -428,34 +428,4 @@ proptest! {
         want.truncate(k);
         prop_assert_eq!(got, want);
     }
-
-    /// Block-parallel SVD training is deterministic for a fixed
-    /// (seed, threads) pair, even when shards degenerate to single users.
-    #[test]
-    fn parallel_svd_is_deterministic(
-        ratings in sparse_ratings_strategy(),
-        threads in 2usize..9,
-        seed in 1u64..1000,
-    ) {
-        use recdb::algo::{Rating, RatingsMatrix, SvdModel, SvdParams};
-        let params = SvdParams {
-            factors: 2,
-            epochs: 3,
-            seed,
-            threads,
-            ..Default::default()
-        };
-        let matrix = || RatingsMatrix::from_ratings(
-            ratings.iter().map(|&(u, i, r)| Rating::new(u, i, r)),
-        );
-        let a = SvdModel::train(matrix(), params, &QueryGuard::unlimited()).unwrap();
-        let b = SvdModel::train(matrix(), params, &QueryGuard::unlimited()).unwrap();
-        prop_assert_eq!(a.final_rmse(), b.final_rmse());
-        for u in 0..matrix().n_users() {
-            prop_assert_eq!(a.user_vector(u), b.user_vector(u));
-        }
-        for i in 0..matrix().n_items() {
-            prop_assert_eq!(a.item_vector(i), b.item_vector(i));
-        }
-    }
 }
