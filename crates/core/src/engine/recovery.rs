@@ -18,8 +18,7 @@ use recdb_exec::ExecMetrics;
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Registry, SystemClock};
 use recdb_storage::{
-    codec, read_snapshot_with, write_snapshot, BufferPool, Catalog, Reader, RecoveryMode,
-    StorageError,
+    codec, read_snapshot, write_snapshot, BufferPool, Catalog, Reader, RecoveryMode, StorageError,
 };
 use recdb_txn::{LockTable, TxnId};
 use recdb_wal::{RecommenderDef, Wal, WalRecord};
@@ -64,8 +63,8 @@ pub(super) struct TxnGate {
 impl RecDb {
     /// The engine around its state, fresh or recovered — what both
     /// [`RecDb::with_config`] and [`RecDb::open_with_config`] return. The
-    /// pool's and the lock table's metrics attach here; counts the pool
-    /// took during recovery carry over.
+    /// pool's and the lock table's metrics attach here; the registry then
+    /// renders the pool's own counters, with the counts recovery took.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn assemble(
         config: RecDbConfig,
@@ -143,7 +142,7 @@ impl RecDb {
             }
         }
         let pool = Arc::new(BufferPool::spilling(config.buffer_pool_pages, spill_dir));
-        let snapshot = read_snapshot_with(&dir, config.recovery, Arc::clone(&pool))?;
+        let snapshot = read_snapshot(&dir, config.recovery, Arc::clone(&pool))?;
         let (mut catalog, meta, checkpoint_lsn) = match snapshot {
             Some(s) => (s.catalog, s.meta, s.lsn),
             None => (Catalog::with_pool(Arc::clone(&pool)), Vec::new(), 0),

@@ -27,20 +27,3 @@ pub mod spec;
 pub use generate::{generate, CityRow, Dataset, ItemRow, UserRow};
 pub use load::LoadedTables;
 pub use spec::SyntheticSpec;
-
-/// The MovieLens-100K stand-in: 943 users, 1,682 movies, 100,000 ratings
-/// on a 1–5 star scale.
-pub fn movielens_like() -> Dataset {
-    generate(&SyntheticSpec::movielens())
-}
-
-/// The LDOS-CoMoDa stand-in: 185 users, 785 movies, 2,297 ratings.
-pub fn ldos_comoda_like() -> Dataset {
-    generate(&SyntheticSpec::ldos_comoda())
-}
-
-/// The Yelp stand-in: 3,403 users, 1,446 located businesses, 126,747
-/// reviews.
-pub fn yelp_like() -> Dataset {
-    generate(&SyntheticSpec::yelp())
-}

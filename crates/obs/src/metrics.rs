@@ -276,6 +276,13 @@ impl Registry {
         )
     }
 
+    /// Register `cell` as the counter series `name` (no labels), in place
+    /// of any cell the series had: how a component that owns its counters
+    /// publishes them, so that each event is one add to one cell.
+    pub fn register_counter(&self, name: &str, cell: Arc<Counter>) {
+        lock(&self.counters).insert(series_key(name, &[]), cell);
+    }
+
     /// The gauge series `name` (no labels).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.gauge_with(name, &[])

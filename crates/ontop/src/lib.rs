@@ -159,11 +159,6 @@ impl OnTopDb {
         &self.db
     }
 
-    /// Mutable access to the underlying database (loading data).
-    pub fn db_mut(&mut self) -> &mut RecDb {
-        &mut self.db
-    }
-
     /// Extract + train an external engine (counterpart of
     /// `CREATE RECOMMENDER`).
     pub fn create_recommender(

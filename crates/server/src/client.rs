@@ -16,9 +16,8 @@
 //! - **Ambiguous outcomes.** If the connection dies *after* a request
 //!   was written but before the response arrived, the statement may or
 //!   may not have committed. That surfaces as
-//!   [`ClientError::ConnectionLost`] with `sent: true`; opt in to
-//!   retrying those (for idempotent statements only) with
-//!   [`ClientConfig::retry_ambiguous`].
+//!   [`ClientError::ConnectionLost`] with `sent: true`, and is retried
+//!   only for the idempotent PING and METRICS requests.
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, ProtocolError, Request, Response, WireError, WireResult,
@@ -43,9 +42,6 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Also retry ambiguous failures (request sent, no response). Only
-    /// safe when every statement you send is idempotent.
-    pub retry_ambiguous: bool,
 }
 
 impl Default for ClientConfig {
@@ -57,7 +53,6 @@ impl Default for ClientConfig {
             max_retries: 5,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(640),
-            retry_ambiguous: false,
         }
     }
 }
@@ -310,7 +305,7 @@ impl Client {
                         self.in_transaction = false;
                         return Err(e);
                     }
-                    let retryable = e.retryable_now(self.cfg.retry_ambiguous || idempotent);
+                    let retryable = e.retryable_now(idempotent);
                     if !retryable || attempt == self.cfg.max_retries {
                         if attempt > 0 {
                             return Err(ClientError::RetriesExhausted {
@@ -418,13 +413,14 @@ impl std::fmt::Debug for Client {
 }
 
 impl ClientError {
-    /// Whether the retry loop may try again, given the ambiguity policy.
-    fn retryable_now(&self, retry_ambiguous: bool) -> bool {
+    /// Whether the retry loop may try again; an ambiguous loss (request
+    /// sent, no response) only for an idempotent request.
+    fn retryable_now(&self, idempotent: bool) -> bool {
         match self {
             ClientError::Connect(_) => true,
             ClientError::Server(err) => err.retryable && err.code != ErrorCode::ShuttingDown,
             ClientError::ConnectionLost { sent: false, .. } => true,
-            ClientError::ConnectionLost { sent: true, .. } => retry_ambiguous,
+            ClientError::ConnectionLost { sent: true, .. } => idempotent,
             ClientError::Protocol(_) => false,
             ClientError::RetriesExhausted { .. } => false,
             ClientError::UnexpectedResponse(_) => false,

@@ -200,27 +200,46 @@ impl HeapTable {
             .with_page(self.file, page_no, |p| p.encode_block(lsn))
     }
 
-    /// Install saved page images: cut the heap back to its first
-    /// `page_count` pages, put each `(page number, image)` of `pages` in
-    /// place, and set the live-tuple count to `live_tuples`. A rollback
+    /// Install saved page images: put each `(page number, image)` of
+    /// `pages` in place, cut the heap back to its first `page_count`
+    /// pages, and set the live-tuple count to `live_tuples`. A rollback
     /// puts back the pages its transaction changed this way, and the
-    /// checkpoint loader a whole table. A cut or an installed page marks
-    /// the heap dirty.
+    /// checkpoint loader a whole table, a page at a time; neither reads a
+    /// page. An installed page or a cut marks the heap dirty. If a page
+    /// cannot be installed, or the heap cut, the call fails with the pages
+    /// before it in place and the live-tuple count recounted from the
+    /// heap's pages (left as it was if they cannot be read either).
     pub fn restore(
         &mut self,
         page_count: u32,
         pages: impl IntoIterator<Item = (u32, Page)>,
         live_tuples: u64,
     ) -> StorageResult<()> {
-        self.dirty |= self.pool.page_count(self.file) > page_count;
-        self.pool.truncate_file(self.file, page_count)?;
-        self.live_tuples = live_tuples;
-        for (pno, page) in pages {
-            self.pool
-                .install_page(self.file, pno, FrameData::Heap(page))?;
-            self.dirty = true;
+        let restored = pages
+            .into_iter()
+            .try_for_each(|(pno, page)| {
+                self.pool
+                    .install_page(self.file, pno, FrameData::Heap(page))?;
+                self.dirty = true;
+                Ok(())
+            })
+            .and_then(|()| {
+                self.dirty |= self.pool.page_count(self.file) > page_count;
+                self.pool.truncate_file(self.file, page_count)
+            });
+        if restored.is_ok() {
+            self.live_tuples = live_tuples;
+        } else {
+            let mut live = 0;
+            let counted = self.visit_all(|_, page| {
+                live += page.live_count() as u64;
+                Ok::<_, StorageError>(())
+            });
+            if counted.is_ok() {
+                self.live_tuples = live;
+            }
         }
-        Ok(())
+        restored
     }
 
     /// Whether any page changed since the last checkpoint.

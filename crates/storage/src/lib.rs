@@ -60,7 +60,7 @@ pub use error::{StorageError, StorageResult};
 pub use heap::{HeapTable, Rid};
 pub use index::BTreeIndex;
 pub use page::{Page, PageView, PAGE_HEADER_SIZE, PAGE_SIZE};
-pub use pagefile::{read_snapshot, read_snapshot_with, write_snapshot, RecoveryMode, Snapshot};
+pub use pagefile::{read_snapshot, write_snapshot, RecoveryMode, Snapshot};
 pub use pool::{BufferPool, FileId, FileKind, FrameData, ScanBuffer};
 pub use schema::{Column, Schema};
 pub use tuple::{Field, Malformed, RowRef, Tuple};

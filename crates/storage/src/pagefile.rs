@@ -284,22 +284,16 @@ fn gc_stale_generations(dir: &Path, keep: u64) {
     }
 }
 
-/// Read the newest published checkpoint back, or `Ok(None)` if the
-/// directory holds no manifest (fresh database). The restored catalog
-/// uses a private unbounded pool; engines pass their own bounded pool
-/// through [`read_snapshot_with`].
-pub fn read_snapshot(dir: &Path, mode: RecoveryMode) -> StorageResult<Option<Snapshot>> {
-    read_snapshot_with(dir, mode, Arc::new(BufferPool::unbounded()))
-}
-
-/// Like [`read_snapshot`], but the restored catalog pages through `pool`.
+/// Read the newest published checkpoint back into a catalog that pages
+/// through `pool`, or `Ok(None)` if the directory holds no manifest (fresh
+/// database).
 /// A table is read, verified and installed a block at a time: each block's
 /// checksum is checked once, as it is decoded, and its page goes into a
 /// pool frame ([`BufferPool::install_page`]) without being encoded again.
 /// A checkpoint that fits in the pool writes nothing to the pool's
 /// backing store; a larger one writes each page there once, when it is
 /// evicted, so it recovers in bounded memory.
-pub fn read_snapshot_with(
+pub fn read_snapshot(
     dir: &Path,
     mode: RecoveryMode,
     pool: Arc<BufferPool>,
@@ -328,9 +322,9 @@ pub fn read_snapshot_with(
             &mut skipped,
             |page_no, page| {
                 live += page.live_count() as u64;
-                // The heap holds pages `0..page_no`: page `page_no` is appended,
-                // and the live count is that of the pages read so far.
-                heap.restore(page_no, [(page_no, page)], live)
+                // Page `page_no` is appended: the heap holds pages
+                // `0..=page_no`, whose live count is that of the pages read.
+                heap.restore(page_no + 1, [(page_no, page)], live)
             },
         )?;
         // Clean: the restored state is exactly what the checkpoint holds.
@@ -428,6 +422,11 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The checkpoint in `dir`, read through an unbounded pool.
+    fn read(dir: &Path, mode: RecoveryMode) -> StorageResult<Option<Snapshot>> {
+        read_snapshot(dir, mode, Arc::new(BufferPool::unbounded()))
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -468,7 +467,7 @@ mod tests {
         let victim = crate::heap::Rid::new(0, 3);
         cat.table_mut("ratings").unwrap().delete(victim).unwrap();
         write_snapshot(&dir, &mut cat, b"engine-meta", 17).unwrap();
-        let snap = read_snapshot(&dir, RecoveryMode::Strict).unwrap().unwrap();
+        let snap = read(&dir, RecoveryMode::Strict).unwrap().unwrap();
         assert_eq!(snap.lsn, 17);
         assert_eq!(snap.meta, b"engine-meta");
         assert!(snap.skipped.is_empty());
@@ -490,7 +489,7 @@ mod tests {
     #[test]
     fn missing_manifest_means_fresh_database() {
         let dir = temp_dir("fresh");
-        assert!(read_snapshot(&dir, RecoveryMode::Strict).unwrap().is_none());
+        assert!(read(&dir, RecoveryMode::Strict).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -513,7 +512,7 @@ mod tests {
             !names.contains(&"ratings.5.tbl".to_owned()),
             "stale generation survived: {names:?}"
         );
-        let snap = read_snapshot(&dir, RecoveryMode::Strict).unwrap().unwrap();
+        let snap = read(&dir, RecoveryMode::Strict).unwrap().unwrap();
         assert_eq!(snap.catalog.table("ratings").unwrap().tuple_count(), 101);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -527,7 +526,7 @@ mod tests {
         // Second checkpoint with no changes: the table file is hard-linked,
         // not rewritten, and the snapshot still reads back fully.
         write_snapshot(&dir, &mut cat, b"", 8).unwrap();
-        let snap = read_snapshot(&dir, RecoveryMode::Strict).unwrap().unwrap();
+        let snap = read(&dir, RecoveryMode::Strict).unwrap().unwrap();
         assert_eq!(snap.lsn, 8);
         assert_eq!(snap.catalog.table("ratings").unwrap().tuple_count(), 100);
         fs::remove_dir_all(&dir).unwrap();
@@ -544,7 +543,7 @@ mod tests {
         assert!(bytes.len() >= 2 * PAGE_SIZE, "need at least two pages");
         bytes[PAGE_SIZE + 1000] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        match read_snapshot(&dir, RecoveryMode::Strict) {
+        match read(&dir, RecoveryMode::Strict) {
             Err(StorageError::Corruption { file, page, .. }) => {
                 assert_eq!(file, "ratings.3.tbl");
                 assert_eq!(page, 1);
@@ -571,7 +570,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[PAGE_SIZE + 1000] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let snap = read_snapshot(&dir, RecoveryMode::SalvageToLastGood)
+        let snap = read(&dir, RecoveryMode::SalvageToLastGood)
             .unwrap()
             .unwrap();
         assert_eq!(snap.skipped, vec![("ratings".to_owned(), 1)]);
@@ -595,7 +594,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_snapshot(&dir, RecoveryMode::Strict),
+            read(&dir, RecoveryMode::Strict),
             Err(StorageError::Corruption { page: 0, .. })
         ));
         fs::remove_dir_all(&dir).unwrap();

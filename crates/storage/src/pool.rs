@@ -3,15 +3,17 @@
 //! Every heap page and B+-tree node in a catalog lives behind one
 //! [`BufferPool`]. A *frame* holds the decoded in-memory form of one block
 //! (a slotted [`Page`] or a [`Node`]); when the pool is full, a clock
-//! (second-chance) sweep evicts a frame, writing it back to its *backing
-//! store* first if dirty. The backing store is scratch space — either an
-//! in-memory block vector or a spill file under the data directory — and
-//! is **never** consulted by recovery, which rebuilds state from the
-//! checkpoint plus the WAL. That split keeps the crash-safety story of the
-//! checkpoint protocol (generation files + manifest rename) untouched
-//! while bounding resident memory. Because no page written there is ever
-//! read back across a crash, a write-back never forces the log: every
-//! record recovery replays was fsynced by its own commit.
+//! (second-chance) sweep evicts a frame, writing it back to its file's
+//! *backing store* first if dirty. The backing store is scratch space,
+//! chosen when the file is made and never changed: a spill file under the
+//! data directory in a spilling pool (created at the file's first
+//! write-back), an in-memory block vector in any other. It is **never**
+//! consulted by recovery, which rebuilds state from the checkpoint plus
+//! the WAL. That split keeps the crash-safety story of the checkpoint
+//! protocol (generation files + manifest rename) untouched while bounding
+//! resident memory. Because no page written there is ever read back
+//! across a crash, a write-back never forces the log: every record
+//! recovery replays was fsynced by its own commit.
 //!
 //! # Concurrency
 //!
@@ -19,12 +21,16 @@
 //! victim selection, a dirty victim's encode and write-back, frame
 //! installation, and every accessor closure that reads a frame — closures
 //! must therefore never re-enter the pool. *Outside it*: a miss's backing
-//! read, checksum and decode, and a private read's closure (below). A
-//! miss enters `(file, page)` in the **in-flight table**, releases the
-//! mutex, reads the block with one positional call, verifies and decodes
-//! it (`BufferPool::find`, the one place this happens), then re-locks
-//! and leaves the table — to install the frame, or to hand the page to a
-//! scan privately. A page in flight is not resident, so:
+//! read, checksum and decode, and a private read's closure (below). Every
+//! miss takes one path (`BufferPool::read_absent`, the one place a backing
+//! store is read): it enters its absent pages `[first, end)` in the
+//! **in-flight table**, releases the mutex, reads their blocks with one
+//! backing read, then re-locks, takes them out of the table and wakes any
+//! waiters. A single page is a run of one (`BufferPool::find`): its block
+//! is verified and decoded before the re-lock, and its frame installed in
+//! the same critical section in which it leaves the table; a scan's pages
+//! leave the table first and are visited privately after. A page in
+//! flight is not resident, so:
 //!
 //! * a second thread that misses it waits on the pool's one condition
 //!   variable instead of reading; when it wakes the frame is a hit (or, if
@@ -38,8 +44,9 @@
 //! frame. `misses` counts blocks read from the backing store, installed or
 //! private; every other successful access, including one that waited for
 //! another thread's read, is a `hit`; a request past the end of a file is
-//! neither. `backing_reads` counts the reads themselves: one per
-//! single-page miss, one per run a scan reads at once (below).
+//! neither. `backing_reads` counts the reads themselves: one per miss of
+//! a single page or of a scan's run (below). Each of these counters is one
+//! cell, which [`BufferPool::attach_metrics`] registers as it is.
 //!
 //! # Scan resistance
 //!
@@ -51,18 +58,18 @@
 //! run's pages in order: a resident page (clean or dirty) is served from
 //! its frame as usual, with the clock's reference bit left alone; a page
 //! another thread is reading ends the run (the next run waits for it); and
-//! the absent pages after the resident ones are *private reads*: they
-//! enter the in-flight table together, are read with **one** positional
-//! call into the scan's [`ScanBuffer`] (a memory backing hands over its
-//! shared blocks instead), leave the table, and are then verified and
-//! visited in place ([`PageView::from_block`]) with the mutex released —
-//! no frame, no decoded [`Page`]. Each is a miss, never an eviction, and
-//! two sessions scanning such files can filter their rows at once.
-//! Nothing another session touches is displaced. A dirty page is always
-//! resident, so a scan reads it from its frame. PostgreSQL reads large
-//! sequential scans through a 256 KiB private ring, and merges adjacent
-//! blocks into one read, for the same reasons. A file that fits in the
-//! pool is scanned a page at a time through the ordinary admitting path.
+//! the absent pages after the resident ones are *private reads*: they go
+//! through the miss path together — one backing read into the scan's
+//! [`ScanBuffer`], a spill file's with one positional call, a memory
+//! backing's by copying its blocks — and are then verified and visited in
+//! place ([`PageView::from_block`]) with the mutex released — no frame,
+//! no decoded [`Page`]. Each is a miss, never an eviction, and two
+//! sessions scanning such files can filter their rows at once. Nothing
+//! another session touches is displaced. A dirty page is always resident,
+//! so a scan reads it from its frame. PostgreSQL reads large sequential
+//! scans through a 256 KiB private ring, and merges adjacent blocks into
+//! one read, for the same reasons. A file that fits in the pool is
+//! scanned a page at a time through the ordinary admitting path.
 //! docs/STORAGE.md has the longer account.
 //!
 //! Fail points: `storage::pool_read` fires once per block before it is
@@ -79,8 +86,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identifies one paged file (a heap or an index) within a pool.
 pub type FileId = u32;
@@ -91,13 +97,10 @@ pub type FileId = u32;
 pub const SCAN_RUN: u32 = 32;
 
 /// Scratch a sequential scan reads its runs into ([`BufferPool::scan_run`]),
-/// kept from run to run so that a scan allocates it once: the bytes of a
-/// run read from a spill file, or the shared blocks of a run held in
-/// memory.
+/// kept from run to run so that a scan allocates it once.
 #[derive(Default)]
 pub struct ScanBuffer {
     bytes: Vec<u8>,
-    blocks: Vec<Arc<[u8]>>,
 }
 
 /// What kind of blocks a pool file holds — decides how spilled blocks are
@@ -156,50 +159,113 @@ struct Frame {
     referenced: bool,
 }
 
-/// Where [`BufferPool::find`] found a page.
-enum Found {
-    /// In this frame slot (a hit).
-    Resident(usize),
-    /// Nowhere: it was read from the backing store (a miss) and is not
-    /// installed yet.
-    Read(FrameData),
-}
-
-/// Where evicted blocks go.
+/// Where a file's evicted blocks go, fixed by [`BufferPool::create_file`].
+/// A miss reads it through an `Arc` with the pool mutex released; the
+/// pool writes it only under the mutex, and only blocks no miss has in
+/// flight.
 enum Backing {
-    /// Encoded blocks held in memory (default for non-durable engines:
-    /// eviction still exercises the full encode/checksum path).
-    Memory(Vec<Option<Arc<[u8]>>>),
-    /// A spill file on disk; block `n` lives at offset `n * PAGE_SIZE`.
-    Disk { file: Arc<File>, path: PathBuf },
+    /// Encoded blocks held in memory (non-spilling pools: eviction still
+    /// exercises the full encode/checksum path).
+    Memory(Mutex<Vec<Option<Box<[u8]>>>>),
+    /// A spill file, created at the file's first write-back and deleted
+    /// with its backing; block `n` lives at offset `n * PAGE_SIZE`.
+    Disk { path: PathBuf, file: OnceLock<File> },
 }
 
-impl std::fmt::Debug for Backing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl Backing {
+    /// Fill `buf` with the blocks of pages `first..`, one per
+    /// [`PAGE_SIZE`] bytes.
+    fn read_into(&self, first: u32, buf: &mut [u8]) -> StorageResult<()> {
+        let missing = |n: u32| StorageError::Corrupt(format!("pool page {n} has no backing block"));
         match self {
-            Backing::Memory(blocks) => write!(f, "Memory({} blocks)", blocks.len()),
-            Backing::Disk { path, .. } => write!(f, "Disk({})", path.display()),
+            Backing::Memory(blocks) => {
+                let blocks = blocks.lock().unwrap_or_else(PoisonError::into_inner);
+                for (n, block) in (first..).zip(buf.chunks_exact_mut(PAGE_SIZE)) {
+                    let stored = blocks.get(n as usize).and_then(Option::as_deref);
+                    block.copy_from_slice(stored.ok_or_else(|| missing(n))?);
+                }
+                Ok(())
+            }
+            Backing::Disk { file, .. } => file
+                .get()
+                .ok_or_else(|| missing(first))?
+                .read_exact_at(buf, block_offset(first))
+                .map_err(|e| StorageError::io("read spill file", e)),
+        }
+    }
+
+    /// Store page `page_no`'s block, creating the spill file at the first
+    /// write.
+    fn write(&self, page_no: u32, block: &[u8]) -> StorageResult<()> {
+        let (path, file) = match self {
+            Backing::Memory(blocks) => {
+                let mut blocks = blocks.lock().unwrap_or_else(PoisonError::into_inner);
+                let n = page_no as usize;
+                if blocks.len() <= n {
+                    blocks.resize_with(n + 1, || None);
+                }
+                blocks[n] = Some(block.into());
+                return Ok(());
+            }
+            Backing::Disk { path, file } => (path, file),
+        };
+        let file = match file.get() {
+            Some(file) => file,
+            None => {
+                if let Some(dir) = path.parent() {
+                    fs::create_dir_all(dir).map_err(|e| StorageError::io("create spill dir", e))?;
+                }
+                let created = OpenOptions::new()
+                    .create(true)
+                    .truncate(true)
+                    .read(true)
+                    .write(true)
+                    .open(path)
+                    .map_err(|e| StorageError::io("create spill file", e))?;
+                file.get_or_init(|| created)
+            }
+        };
+        file.write_all_at(block, block_offset(page_no))
+            .map_err(|e| StorageError::io("write spill file", e))
+    }
+
+    /// Drop the blocks of pages `keep..`.
+    fn truncate(&self, keep: u32) -> StorageResult<()> {
+        match self {
+            Backing::Memory(blocks) => {
+                blocks
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .truncate(keep as usize);
+                Ok(())
+            }
+            Backing::Disk { file, .. } => file
+                .get()
+                .map_or(Ok(()), |f| f.set_len(block_offset(keep)))
+                .map_err(|e| StorageError::io("truncate spill file", e)),
         }
     }
 }
 
-/// What a miss carries out of the mutex to read one block: a
-/// reference-counted handle, so the read needs no pool state.
-enum BlockSource {
-    Memory(Arc<[u8]>),
-    Disk(Arc<File>),
+impl Drop for Backing {
+    fn drop(&mut self) {
+        if let Backing::Disk { path, file } = self {
+            if file.get().is_some() {
+                let _ = fs::remove_file(path);
+            }
+        }
+    }
 }
 
 fn block_offset(page_no: u32) -> u64 {
     page_no as u64 * PAGE_SIZE as u64
 }
 
-#[derive(Debug)]
 struct FileState {
     kind: FileKind,
     /// Human-readable label used in corruption errors (e.g. `ratings`).
     label: String,
-    backing: Backing,
+    backing: Arc<Backing>,
     page_count: u32,
 }
 
@@ -222,28 +288,20 @@ struct PoolInner {
 
 type Guard<'a> = MutexGuard<'a, PoolInner>;
 
-struct PoolMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    backing_reads: Arc<Counter>,
-    evictions: Arc<Counter>,
-}
-
 /// A fixed-capacity buffer pool. See the module docs for the design.
 pub struct BufferPool {
-    inner: std::sync::Mutex<PoolInner>,
+    inner: Mutex<PoolInner>,
     /// Signalled whenever a page leaves the in-flight table.
     loaded: Condvar,
     capacity: usize,
     spill_dir: Option<PathBuf>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    backing_reads: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    backing_reads: Arc<Counter>,
+    evictions: Arc<Counter>,
     /// The misses whose page was handed to a scan and dropped rather than
     /// installed (module docs, "Scan resistance").
-    private_reads: AtomicU64,
-    evictions: AtomicU64,
-    metrics: OnceLock<PoolMetrics>,
+    private_reads: Counter,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -254,7 +312,7 @@ impl std::fmt::Debug for BufferPool {
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("backing_reads", &self.backing_reads())
-            .field("private_reads", &self.private_reads)
+            .field("private_reads", &self.private_reads.get())
             .field("evictions", &self.evictions())
             .finish()
     }
@@ -263,18 +321,17 @@ impl std::fmt::Debug for BufferPool {
 impl BufferPool {
     fn with_capacity(capacity: usize, spill_dir: Option<PathBuf>) -> Self {
         BufferPool {
-            inner: std::sync::Mutex::new(PoolInner::default()),
+            inner: Mutex::new(PoolInner::default()),
             loaded: Condvar::new(),
             // A pool smaller than 2 frames cannot even run a leaf split
             // (old + new node resident); clamp rather than error.
             capacity: capacity.max(2),
             spill_dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            backing_reads: AtomicU64::new(0),
-            private_reads: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            metrics: OnceLock::new(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            backing_reads: Arc::default(),
+            evictions: Arc::default(),
+            private_reads: Counter::default(),
         }
     }
 
@@ -290,9 +347,9 @@ impl BufferPool {
         BufferPool::with_capacity(usize::MAX, None)
     }
 
-    /// A bounded pool that spills evicted blocks to files under `dir`
-    /// (created on first spill). The spill files are scratch: recovery
-    /// never reads them.
+    /// A bounded pool whose files spill evicted blocks to files under
+    /// `dir`, each created at its file's first write-back. The spill files
+    /// are scratch: recovery never reads them.
     pub fn spilling(capacity: usize, dir: impl Into<PathBuf>) -> Self {
         BufferPool::with_capacity(capacity, Some(dir.into()))
     }
@@ -302,45 +359,42 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Register the pool's counters with a metrics registry. May be called
-    /// once; later calls are ignored. Counts accumulated before attachment
-    /// are carried over.
+    /// Register the pool's counters with a metrics registry: the registry
+    /// renders the pool's own cells, so the counts taken before this call
+    /// (during recovery) are in them.
     pub fn attach_metrics(&self, registry: &Registry) {
-        let m = PoolMetrics {
-            hits: registry.counter("recdb_buffer_pool_hits_total"),
-            misses: registry.counter("recdb_buffer_pool_misses_total"),
-            backing_reads: registry.counter("recdb_buffer_pool_backing_reads_total"),
-            evictions: registry.counter("recdb_pages_evicted_total"),
-        };
-        m.hits.add(self.hits());
-        m.misses.add(self.misses());
-        m.backing_reads.add(self.backing_reads());
-        m.evictions.add(self.evictions());
-        let _ = self.metrics.set(m);
+        for (name, cell) in [
+            ("recdb_buffer_pool_hits_total", &self.hits),
+            ("recdb_buffer_pool_misses_total", &self.misses),
+            ("recdb_buffer_pool_backing_reads_total", &self.backing_reads),
+            ("recdb_pages_evicted_total", &self.evictions),
+        ] {
+            registry.register_counter(name, Arc::clone(cell));
+        }
     }
 
     /// Accesses served from a resident frame, counting those that waited
     /// for another thread's read of the same block.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Blocks read from the backing store (one per page faulted in or
     /// read privately).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Reads issued to the backing store: one per single-page miss, one
     /// per run of pages a scan reads at once. `misses / backing_reads` is
     /// the pages per read.
     pub fn backing_reads(&self) -> u64 {
-        self.backing_reads.load(Ordering::Relaxed)
+        self.backing_reads.get()
     }
 
     /// Total evictions performed.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Number of frames currently resident.
@@ -369,30 +423,6 @@ impl BufferPool {
         self.lock().loading.len()
     }
 
-    fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.hits.inc();
-        }
-    }
-
-    /// One backing read of `pages` blocks.
-    fn record_read(&self, pages: u32) {
-        self.misses.fetch_add(pages.into(), Ordering::Relaxed);
-        self.backing_reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.add(pages.into());
-            m.backing_reads.inc();
-        }
-    }
-
-    fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.evictions.inc();
-        }
-    }
-
     /// Lock the pool state. Like every other lock in the engine the mutex
     /// does not poison: a panicking accessor closure leaves the pool's own
     /// structures consistent (it can only have touched its frame's data).
@@ -418,17 +448,27 @@ impl BufferPool {
     }
 
     /// Register a new, empty paged file. `label` names it in corruption
-    /// errors (conventionally the table or index name).
+    /// errors (conventionally the table or index name) and, in a spilling
+    /// pool, its spill file `<label>.<file id>.spill` — by id as well,
+    /// because two live files may share a label (a dropped table a
+    /// transaction keeps for undo, and its re-created namesake).
     pub fn create_file(&self, kind: FileKind, label: &str) -> FileId {
         let mut inner = self.lock();
         let id = inner.next_file;
         inner.next_file += 1;
+        let backing = match &self.spill_dir {
+            Some(dir) => Backing::Disk {
+                path: dir.join(format!("{label}.{id}.spill")),
+                file: OnceLock::new(),
+            },
+            None => Backing::Memory(Mutex::default()),
+        };
         inner.files.insert(
             id,
             FileState {
                 kind,
                 label: label.to_owned(),
-                backing: Backing::Memory(Vec::new()),
+                backing: Arc::new(backing),
                 page_count: 0,
             },
         );
@@ -440,11 +480,7 @@ impl BufferPool {
     pub fn remove_file(&self, file: FileId) {
         let mut inner = self.lock_file(file);
         Self::drop_file_frames(&mut inner, file, 0);
-        if let Some(state) = inner.files.remove(&file) {
-            if let Backing::Disk { path, .. } = state.backing {
-                let _ = fs::remove_file(path);
-            }
-        }
+        inner.files.remove(&file);
     }
 
     /// Number of pages in `file`.
@@ -459,17 +495,8 @@ impl BufferPool {
         let state = file_state(&inner, file)?;
         debug_assert_eq!(state.kind, data.kind());
         let page_no = state.page_count;
-        let slot = self.ensure_slot(&mut inner)?;
-        inner.frames[slot] = Some(Frame {
-            key: (file, page_no),
-            data,
-            dirty: true,
-            referenced: true,
-        });
-        inner.map.insert((file, page_no), slot);
-        if let Some(state) = inner.files.get_mut(&file) {
-            state.page_count = page_no + 1;
-        }
+        self.put_frame(&mut inner, (file, page_no), data, true)?;
+        file_state_mut(&mut inner, file)?.page_count = page_no + 1;
         Ok(page_no)
     }
 
@@ -489,44 +516,24 @@ impl BufferPool {
                 state.label, state.page_count
             )));
         }
-        let key = (file, page_no);
-        let slot = match inner.map.get(&key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.ensure_slot(&mut inner)?;
-                inner.map.insert(key, slot);
-                slot
-            }
-        };
-        inner.frames[slot] = Some(Frame {
-            key,
-            data,
-            dirty: true,
-            referenced: true,
-        });
+        self.put_frame(&mut inner, (file, page_no), data, true)?;
         let state = file_state_mut(&mut inner, file)?;
         state.page_count = state.page_count.max(page_no + 1);
         Ok(())
     }
 
-    /// Shrink `file` to its first `keep` pages, dropping frames and
-    /// backing blocks past the cut.
+    /// Shrink `file` to its first `keep` pages, dropping backing blocks
+    /// and frames past the cut. An error cutting the backing store leaves
+    /// the file as it was.
     pub fn truncate_file(&self, file: FileId, keep: u32) -> StorageResult<()> {
         let mut inner = self.lock_file(file);
         let state = file_state(&inner, file)?;
         if state.page_count <= keep {
             return Ok(());
         }
+        state.backing.truncate(keep)?;
         Self::drop_file_frames(&mut inner, file, keep);
-        let state = file_state_mut(&mut inner, file)?;
-        state.page_count = keep;
-        match &mut state.backing {
-            Backing::Memory(blocks) => blocks.truncate(keep as usize),
-            Backing::Disk { file, .. } => {
-                file.set_len(block_offset(keep))
-                    .map_err(|e| StorageError::io("truncate spill file", e))?;
-            }
-        }
+        file_state_mut(&mut inner, file)?.page_count = keep;
         Ok(())
     }
 
@@ -587,91 +594,40 @@ impl BufferPool {
             inner = self.wait(inner);
         };
         let end = pages.min(start.saturating_add(SCAN_RUN));
-        let mut page_no = start;
-        while page_no < end {
-            let Some(&slot) = inner.map.get(&(file, page_no)) else {
+        let mut first = start;
+        while first < end {
+            let Some(&slot) = inner.map.get(&(file, first)) else {
                 break;
             };
-            self.record_hit();
-            let f = heap_page(file, page_no, |p| visit(page_no, p.view()));
+            self.hits.inc();
+            let f = heap_page(file, first, |p| visit(first, p.view()));
             f(&mut frame(&mut inner, slot)?.data)??;
-            page_no += 1;
+            first += 1;
         }
 
-        // Claim the absent pages that follow, each past the fail point.
-        let first = page_no;
-        let state = file_state(&inner, file)?;
-        let mut disk = None;
-        let mut fault = None;
-        buf.blocks.clear();
-        while page_no < end {
-            let key = (file, page_no);
-            if inner.map.contains_key(&key) || inner.loading.contains(&key) {
-                break;
-            }
-            let source = recdb_fault::fail_point("storage::pool_read")
-                .map_err(StorageError::from)
-                .and_then(|()| Self::block_source(state, page_no));
-            match source {
-                Ok(BlockSource::Memory(block)) => buf.blocks.push(block),
-                Ok(BlockSource::Disk(f)) => disk = Some(f),
+        // The absent pages that follow are private reads.
+        let len = (end - first) as usize * PAGE_SIZE;
+        buf.bytes.resize(buf.bytes.len().max(len), 0);
+        let (inner, read, (), fault) =
+            self.read_absent(inner, file, (first, end), &mut buf.bytes, |_| ())?;
+        drop(inner);
+        self.private_reads.add(read.into());
+        for (p, block) in (first..first + read).zip(buf.bytes.chunks_exact(PAGE_SIZE)) {
+            let view = match PageView::from_block(block, "", p) {
+                Ok((view, _lsn)) => view,
+                // Only a bad block needs the file's name: verify it
+                // again to say it.
                 Err(e) => {
-                    fault = Some(e);
-                    break;
+                    let inner = self.lock();
+                    let label = &file_state(&inner, file)?.label;
+                    let named = PageView::from_block(block, label, p).err();
+                    return Err(named.unwrap_or(e).into());
                 }
-            }
-            page_no += 1;
-        }
-        let claimed = page_no - first;
-        if claimed > 0 {
-            inner.loading.extend((first..page_no).map(|p| (file, p)));
-            drop(inner);
-            self.record_read(claimed);
-            self.private_reads
-                .fetch_add(claimed.into(), Ordering::Relaxed);
-            let len = claimed as usize * PAGE_SIZE;
-            let read = match &disk {
-                Some(f) => {
-                    if buf.bytes.len() < len {
-                        buf.bytes.resize(len, 0);
-                    }
-                    f.read_exact_at(&mut buf.bytes[..len], block_offset(first))
-                        .map_err(|e| StorageError::io("read spill file", e))
-                }
-                None => Ok(()),
             };
-            let mut inner = self.lock();
-            for p in first..page_no {
-                inner.loading.remove(&(file, p));
-            }
-            self.loaded.notify_all();
-            drop(inner);
-            read?;
-            for (i, p) in (first..page_no).enumerate() {
-                let block = match disk {
-                    Some(_) => &buf.bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
-                    None => &buf.blocks[i][..],
-                };
-                let view = match PageView::from_block(block, "", p) {
-                    Ok((view, _lsn)) => view,
-                    // Only a bad block needs the file's name: verify it
-                    // again to say it.
-                    Err(e) => {
-                        let inner = self.lock();
-                        let label = &file_state(&inner, file)?.label;
-                        return Err(PageView::from_block(block, label, p)
-                            .err()
-                            .unwrap_or(e)
-                            .into());
-                    }
-                };
-                visit(p, view)?;
-            }
+            visit(p, view)?;
         }
-        match fault {
-            Some(e) => Err(e.into()),
-            None => Ok(page_no - start),
-        }
+        fault?;
+        Ok(first + read - start)
     }
 
     /// Write access to a heap page; marks the frame dirty. Same closure
@@ -745,45 +701,30 @@ impl BufferPool {
         page_no: u32,
         f: impl FnOnce(&mut FrameData, &mut bool) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let (mut inner, slot) = match self.find(inner, file, page_no)? {
-            (inner, Found::Resident(slot)) => (inner, slot),
-            (mut inner, Found::Read(data)) => {
-                let slot = self.ensure_slot(&mut inner)?;
-                let key = (file, page_no);
-                inner.frames[slot] = Some(Frame {
-                    key,
-                    data,
-                    dirty: false,
-                    referenced: true,
-                });
-                inner.map.insert(key, slot);
-                (inner, slot)
-            }
-        };
+        let (mut inner, slot) = self.find(inner, file, page_no)?;
         let frame = frame(&mut inner, slot)?;
         frame.referenced = true;
         f(&mut frame.data, &mut frame.dirty)
     }
 
-    /// Find `(file, page_no)` in a frame — a hit, after waiting out
-    /// another thread's read of it if need be — or read it from the
-    /// backing store: a miss enters the page in the in-flight table and
-    /// releases the mutex while the block is read, verified and decoded
-    /// (module docs, "Concurrency"). The page has left the in-flight table
-    /// again when this returns, whether the read succeeded or not.
+    /// The frame slot of `(file, page_no)`: a hit, after waiting out
+    /// another thread's read of it if need be, or a miss of one page
+    /// (`BufferPool::read_absent`), whose block is verified and decoded
+    /// with the mutex released and installed as the page leaves the
+    /// in-flight table. The page has left the table when this returns,
+    /// whether the read succeeded or not.
     fn find<'a>(
         &'a self,
         mut inner: Guard<'a>,
         file: FileId,
         page_no: u32,
-    ) -> StorageResult<(Guard<'a>, Found)> {
-        let key = (file, page_no);
+    ) -> StorageResult<(Guard<'a>, usize)> {
         loop {
-            if let Some(&slot) = inner.map.get(&key) {
-                self.record_hit();
-                return Ok((inner, Found::Resident(slot)));
+            if let Some(&slot) = inner.map.get(&(file, page_no)) {
+                self.hits.inc();
+                return Ok((inner, slot));
             }
-            if !inner.loading.contains(&key) {
+            if !inner.loading.contains(&(file, page_no)) {
                 break;
             }
             inner = self.wait(inner);
@@ -795,47 +736,106 @@ impl BufferPool {
                 slot: 0,
             });
         }
-        recdb_fault::fail_point("storage::pool_read")?;
         let kind = state.kind;
-        let source = Self::block_source(state, page_no)?;
-        inner.loading.insert(key);
-        drop(inner);
-
-        self.record_read(1);
-        let mut buf = [0u8; PAGE_SIZE];
-        let block: StorageResult<&[u8]> = match &source {
-            BlockSource::Memory(block) => Ok(block),
-            BlockSource::Disk(file) => file
-                .read_exact_at(&mut buf, block_offset(page_no))
-                .map(|()| &buf[..])
-                .map_err(|e| StorageError::io("read spill file", e)),
-        };
-        let decode = |label: &str| FrameData::decode(kind, block.clone()?, label, page_no);
-        let decoded = decode("");
-
-        let mut inner = self.lock();
-        inner.loading.remove(&key);
-        self.loaded.notify_all();
-        match decoded {
-            Ok(data) => Ok((inner, Found::Read(data))),
+        let decode = |block: &[u8], label: &str| FrameData::decode(kind, block, label, page_no);
+        let mut block = [0u8; PAGE_SIZE];
+        let (mut inner, _, decoded, fault) =
+            self.read_absent(inner, file, (page_no, page_no + 1), &mut block, |b| {
+                decode(b, "")
+            })?;
+        fault?;
+        let data = match decoded {
+            Ok(data) => data,
             // Only a bad block needs the file's name: decode it again to
             // say it. (`lock_file` kept the file alive through the read.)
-            Err(e) => Err(decode(&file_state(&inner, file)?.label).err().unwrap_or(e)),
-        }
+            Err(e) => {
+                let label = &file_state(&inner, file)?.label;
+                return Err(decode(&block, label).err().unwrap_or(e));
+            }
+        };
+        let slot = self.put_frame(&mut inner, (file, page_no), data, false)?;
+        Ok((inner, slot))
     }
 
-    /// Find a free frame slot, evicting if the pool is at capacity.
-    fn ensure_slot(&self, inner: &mut PoolInner) -> StorageResult<usize> {
-        if let Some(slot) = inner.free.pop() {
-            return Ok(slot);
+    /// The miss path, and the one place a backing store is read. Claim the
+    /// pages of `[first, end)` of `file` up to the first one that is
+    /// resident or in flight, firing `storage::pool_read` once per page in
+    /// order (a fault ends the claim there); release the mutex, read the
+    /// claimed pages with one backing read into the front of `buf` and run
+    /// `then` on their bytes; re-lock, take the pages out of the in-flight
+    /// table and wake any waiters. Returns the re-locked pool, the number
+    /// of pages claimed, `then`'s result, and the fault that ended the
+    /// claim if one did. `Err` is a failed read, or a fault at `first`
+    /// (nothing claimed).
+    fn read_absent<'a, T>(
+        &'a self,
+        mut inner: Guard<'a>,
+        file: FileId,
+        (first, end): (u32, u32),
+        buf: &mut [u8],
+        then: impl FnOnce(&[u8]) -> T,
+    ) -> StorageResult<(Guard<'a>, u32, T, StorageResult<()>)> {
+        let mut fault = Ok(());
+        let last = (first..end)
+            .find(|&p| {
+                inner.map.contains_key(&(file, p)) || inner.loading.contains(&(file, p)) || {
+                    fault = recdb_fault::fail_point("storage::pool_read").map_err(Into::into);
+                    fault.is_err()
+                }
+            })
+            .unwrap_or(end);
+        if last == first {
+            fault?;
+            return Ok((inner, 0, then(&[]), Ok(())));
         }
-        if inner.frames.len() < self.capacity {
+        let backing = Arc::clone(&file_state(&inner, file)?.backing);
+        inner.loading.extend((first..last).map(|p| (file, p)));
+        drop(inner);
+
+        self.misses.add((last - first).into());
+        self.backing_reads.inc();
+        let bytes = &mut buf[..(last - first) as usize * PAGE_SIZE];
+        let read = backing.read_into(first, bytes).map(|()| then(bytes));
+        drop(backing); // before the pages leave: `remove_file` holds the last reference
+
+        let mut inner = self.lock();
+        for p in first..last {
+            inner.loading.remove(&(file, p));
+        }
+        self.loaded.notify_all();
+        Ok((inner, last - first, read?, fault))
+    }
+
+    /// Put `data` in a frame as page `key`: its own if it is resident,
+    /// else a free slot, a new one, or the clock's victim once the pool is
+    /// at capacity.
+    fn put_frame(
+        &self,
+        inner: &mut PoolInner,
+        key: (FileId, u32),
+        data: FrameData,
+        dirty: bool,
+    ) -> StorageResult<usize> {
+        let slot = if let Some(&slot) = inner.map.get(&key) {
+            slot
+        } else if let Some(slot) = inner.free.pop() {
+            slot
+        } else if inner.frames.len() < self.capacity {
             inner.frames.push(None);
-            return Ok(inner.frames.len() - 1);
-        }
-        let victim = Self::find_victim(inner);
-        self.evict_slot(inner, victim)?;
-        Ok(victim)
+            inner.frames.len() - 1
+        } else {
+            let victim = Self::find_victim(inner);
+            self.evict_slot(inner, victim)?;
+            victim
+        };
+        inner.frames[slot] = Some(Frame {
+            key,
+            data,
+            dirty,
+            referenced: true,
+        });
+        inner.map.insert(key, slot);
+        Ok(slot)
     }
 
     /// Clock (second-chance) sweep: clear reference bits, take the first
@@ -861,12 +861,11 @@ impl BufferPool {
             None => return Ok(()),
         };
         if let Some(block) = block {
-            let state = file_state_mut(inner, key.0)?;
-            Self::write_backing(state, key, &block, self.spill_dir.as_deref())?;
+            file_state(inner, key.0)?.backing.write(key.1, &block)?;
         }
         inner.frames[slot] = None;
         inner.map.remove(&key);
-        self.record_eviction();
+        self.evictions.inc();
         Ok(())
     }
 
@@ -884,71 +883,6 @@ impl BufferPool {
                 inner.frames[slot] = None;
                 inner.free.push(slot);
             }
-        }
-    }
-
-    fn write_backing(
-        state: &mut FileState,
-        (id, page_no): (FileId, u32),
-        block: &[u8],
-        spill_dir: Option<&std::path::Path>,
-    ) -> StorageResult<()> {
-        let write = |file: &File, n: u32, block: &[u8]| {
-            file.write_all_at(block, block_offset(n))
-                .map_err(|e| StorageError::io("write spill file", e))
-        };
-        // First spill of a file in a disk-backed pool upgrades its backing
-        // from the (empty-or-small) memory vector to a spill file, named
-        // by file id as well: two live files may share a label (a dropped
-        // table a transaction keeps for undo, and its re-created namesake).
-        if let (Backing::Memory(blocks), Some(dir)) = (&state.backing, spill_dir) {
-            fs::create_dir_all(dir).map_err(|e| StorageError::io("create spill dir", e))?;
-            let path = dir.join(format!("{}.{id}.spill", state.label));
-            let file = OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(|e| StorageError::io("create spill file", e))?;
-            for (n, b) in blocks.iter().enumerate() {
-                if let Some(b) = b {
-                    write(&file, n as u32, b)?;
-                }
-            }
-            state.backing = Backing::Disk {
-                file: Arc::new(file),
-                path,
-            };
-        }
-        match &mut state.backing {
-            Backing::Memory(blocks) => {
-                let n = page_no as usize;
-                if blocks.len() <= n {
-                    blocks.resize_with(n + 1, || None);
-                }
-                blocks[n] = Some(block.into());
-                Ok(())
-            }
-            Backing::Disk { file, .. } => write(file, page_no, block),
-        }
-    }
-
-    /// A handle on page `page_no`'s backing block that can be read with
-    /// the mutex released.
-    fn block_source(state: &FileState, page_no: u32) -> StorageResult<BlockSource> {
-        match &state.backing {
-            Backing::Memory(blocks) => blocks
-                .get(page_no as usize)
-                .and_then(|b| b.as_ref())
-                .map(|b| BlockSource::Memory(Arc::clone(b)))
-                .ok_or_else(|| {
-                    StorageError::Corrupt(format!(
-                        "pool file `{}` page {page_no} has no backing block",
-                        state.label
-                    ))
-                }),
-            Backing::Disk { file, .. } => Ok(BlockSource::Disk(Arc::clone(file))),
         }
     }
 }
@@ -1106,14 +1040,8 @@ mod tests {
             // everyone.
             let mut inner = pool.lock();
             assert_eq!(pool.misses(), before.1, "nobody read page 0 meanwhile");
-            let slot = pool.ensure_slot(&mut inner).unwrap();
-            inner.frames[slot] = Some(Frame {
-                key,
-                data: FrameData::Heap(fill_page(0)),
-                dirty: false,
-                referenced: true,
-            });
-            inner.map.insert(key, slot);
+            pool.put_frame(&mut inner, key, FrameData::Heap(fill_page(0)), false)
+                .unwrap();
             inner.loading.remove(&key);
             pool.loaded.notify_all();
             drop(inner);
@@ -1126,7 +1054,7 @@ mod tests {
     }
 
     fn private_reads(pool: &BufferPool) -> u64 {
-        pool.private_reads.load(Ordering::Relaxed)
+        pool.private_reads.get()
     }
 
     /// Scan `file` run by run to its end, calling `visit` on every page.
@@ -1313,19 +1241,11 @@ mod tests {
                 pool.allocate_page(f, FrameData::Heap(fill_page(n)))
                     .unwrap();
             }
-            match &mut file_state_mut(&mut pool.lock(), f).unwrap().backing {
-                Backing::Memory(blocks) => {
-                    let mut bad = blocks[10].as_deref().unwrap().to_vec();
-                    bad[100] ^= 0x40;
-                    blocks[10] = Some(bad.into());
-                }
-                Backing::Disk { file, .. } => {
-                    let mut byte = [0u8];
-                    let at = block_offset(10) + 100;
-                    file.read_exact_at(&mut byte, at).unwrap();
-                    file.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
-                }
-            }
+            let backing = Arc::clone(&file_state(&pool.lock(), f).unwrap().backing);
+            let mut block = [0u8; PAGE_SIZE];
+            backing.read_into(10, &mut block).unwrap();
+            block[100] ^= 0x40;
+            backing.write(10, &block).unwrap();
             let before = pool.resident_frames();
             let mut visited = Vec::new();
             let err = pool
@@ -1358,7 +1278,7 @@ mod tests {
     /// it).
     #[test]
     fn pool_stress_readers_and_a_writer_see_every_page_whole() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         const PAGES: u32 = 32;
         const READERS: u64 = 4;
         const READS: usize = 3_000;
@@ -1488,24 +1408,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A spilling pool gives each file a spill file `<label>.<id>.spill`,
+    /// created at the file's first write-back — a file that never evicts
+    /// a dirty page has none — and deleted by `remove_file`.
     #[test]
-    fn spill_to_disk_and_back() {
+    fn a_spill_file_is_made_at_its_files_first_write_back() {
         let dir = std::env::temp_dir().join(format!("recdb-pool-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let pool = BufferPool::spilling(2, &dir);
         let f = pool.create_file(FileKind::Heap, "ratings");
-        for n in 0..6 {
+        let g = pool.create_file(FileKind::Heap, "ratings");
+        let spill = |file: FileId| dir.join(format!("ratings.{file}.spill"));
+        for n in 0..2 {
             pool.allocate_page(f, FrameData::Heap(fill_page(n)))
                 .unwrap();
         }
-        let spill = dir.join(format!("ratings.{f}.spill"));
-        assert!(spill.exists());
+        assert!(!dir.exists(), "nothing was written back yet");
+        // `g`'s page evicts `f`'s page 0; `g` is cut before its page is.
+        pool.allocate_page(g, FrameData::Heap(fill_page(0)))
+            .unwrap();
+        pool.truncate_file(g, 0).unwrap();
+        assert!(spill(f).exists());
+        for n in 2..6 {
+            pool.allocate_page(f, FrameData::Heap(fill_page(n)))
+                .unwrap();
+        }
         for n in 0..6u32 {
             let got = pool.with_page(f, n, |p| p.get(0).unwrap()).unwrap();
             assert_eq!(got, tuple(n as i64));
         }
+        assert!(!spill(g).exists());
+        pool.remove_file(g);
         pool.remove_file(f);
-        assert!(!spill.exists());
+        assert!(!spill(f).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1530,10 +1465,13 @@ mod tests {
         pool.install_page(f, 0, FrameData::Heap(fill_page(7)))
             .unwrap();
         assert_eq!(pool.page_count(f), 1);
-        let backing_blocks = |pool: &BufferPool| match &file_state(&pool.lock(), f).unwrap().backing
-        {
-            Backing::Memory(blocks) => blocks.iter().flatten().count(),
-            Backing::Disk { .. } => unreachable!("an in-memory pool"),
+        let backing_blocks = |pool: &BufferPool| {
+            let inner = pool.lock();
+            let state = file_state(&inner, f).unwrap();
+            let mut block = [0u8; PAGE_SIZE];
+            (0..state.page_count)
+                .filter(|&n| state.backing.read_into(n, &mut block).is_ok())
+                .count()
         };
         assert_eq!(backing_blocks(&pool), 0, "installed, not written");
         assert_eq!(pool.dirty_pages(), 1);

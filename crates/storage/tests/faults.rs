@@ -158,6 +158,43 @@ fn visit_run_reports_a_pool_failure_instead_of_panicking() {
     assert_eq!(t.scan().count(), 2000, "the heap is intact afterwards");
 }
 
+/// A restore that fails partway — more saved pages than the pool holds,
+/// an eviction fault among them — leaves the heap's live-tuple count equal
+/// to the rows its pages hold: the pages before the fault restored, the
+/// rest as they were.
+#[test]
+fn a_failed_restore_counts_the_rows_the_heap_holds() {
+    let _x = recdb_fault::exclusive();
+    recdb_fault::clear();
+    let pool = Arc::new(BufferPool::in_memory(3));
+    let mut t = HeapTable::with_pool(ratings().schema().clone(), Arc::clone(&pool), "r");
+    for i in 0..1500 {
+        t.insert(row(i, i, 1.0)).unwrap();
+    }
+    let pages = t.page_count() as u32;
+    assert!(pages > 3, "more pages than frames");
+    let saved = (0..pages).map(|n| {
+        let mut page = Page::new();
+        page.insert(&row(-1, n.into(), 2.0)).unwrap();
+        (n, page)
+    });
+    recdb_fault::arm_error("storage::pool_evict", 3);
+    let failed = t.restore(pages, saved, pages.into());
+    recdb_fault::clear();
+    assert_eq!(
+        failed,
+        Err(StorageError::FaultInjected("storage::pool_evict".into()))
+    );
+    let mut rows = 0;
+    t.visit_all(|_, page| {
+        rows += page.iter_live().count() as u64;
+        Ok::<_, StorageError>(())
+    })
+    .unwrap();
+    assert!(rows > pages.into(), "the restore stopped partway");
+    assert_eq!(t.tuple_count(), rows);
+}
+
 #[test]
 fn split_fail_point_leaves_tree_consistent() {
     let _x = recdb_fault::exclusive();

@@ -40,8 +40,6 @@ use std::sync::Arc;
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"RWAL");
 const WAL_VERSION: u32 = 1;
 const HEADER_SIZE: u64 = 16;
-/// Frame overhead before the payload: length + CRC + LSN.
-const FRAME_OVERHEAD: u64 = 16;
 
 /// An open write-ahead log.
 #[derive(Debug)]
@@ -344,12 +342,6 @@ impl Wal {
     /// Logical size in bytes (header plus complete frames).
     pub fn len_bytes(&self) -> u64 {
         self.len
-    }
-
-    /// Size of one encoded frame for a record of `payload_len` bytes —
-    /// exposed so tests can reason about exact file sizes.
-    pub fn frame_size(payload_len: usize) -> u64 {
-        FRAME_OVERHEAD + payload_len as u64
     }
 }
 

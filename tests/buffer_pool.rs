@@ -438,5 +438,21 @@ fn opening_a_checkpoint_writes_only_the_pages_it_evicts() {
         !spill_files().is_empty(),
         "evicted pages go to a spill file"
     );
+    // `METRICS` renders the pool's own counters: the open's evictions are
+    // in them, and so is every access after.
+    let pool = db.buffer_pool();
+    assert!(pool.evictions() > 0, "the open evicted");
     assert_eq!(scan(&db), written);
+    let counted = db.metrics_snapshot();
+    for (series, count) in [
+        ("recdb_buffer_pool_hits_total", pool.hits()),
+        ("recdb_buffer_pool_misses_total", pool.misses()),
+        (
+            "recdb_buffer_pool_backing_reads_total",
+            pool.backing_reads(),
+        ),
+        ("recdb_pages_evicted_total", pool.evictions()),
+    ] {
+        assert_eq!(counted.counter(series), count, "{series}");
+    }
 }

@@ -384,3 +384,18 @@ fn the_check_catches_a_stale_name_and_a_missing_path() {
         ]
     );
 }
+
+/// EXPERIMENTS.md is the account of the paper's tables and figures and of
+/// what the system measures now, not a diary: each change's full record
+/// goes to CHANGES.md, so the file cannot grow back a section at a time.
+#[test]
+fn experiments_md_stays_within_600_lines() {
+    const MAX_LINES: usize = 600;
+    let text = fs::read_to_string(root().join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let lines = text.lines().count();
+    assert!(
+        lines <= MAX_LINES,
+        "EXPERIMENTS.md has {lines} lines, more than {MAX_LINES}: condense, \
+         and keep the per-change record in CHANGES.md"
+    );
+}
