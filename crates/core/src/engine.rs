@@ -806,7 +806,6 @@ impl RecDb {
     ) -> EngineResult<ResultSet> {
         let catalog = self.catalog.read();
         let plan = statement_cache::plan(select, planned, &catalog)?;
-        self.record_query_stats(plan, params)?;
         let ctx = ExecContext::new(&catalog, self, guard.clone())
             .with_metrics(&self.exec_metrics)
             .with_params(params);
@@ -826,7 +825,6 @@ impl RecDb {
     ) -> EngineResult<ResultSet> {
         let catalog = self.catalog.read();
         let plan = statement_cache::plan(select, planned, &catalog)?;
-        self.record_query_stats(plan, &[])?;
         let ctx = ExecContext::new(&catalog, self, guard.clone()).with_metrics(&self.exec_metrics);
         let (rows, profile) = execute_plan_profiled(plan, &ctx, Arc::clone(&self.wall))?;
         self.rows_returned.add(rows.len() as u64);
@@ -843,6 +841,20 @@ impl RecommenderProvider for RecDb {
                 r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
             })
             .map(Recommender::version)
+    }
+
+    /// The Users Histogram (`QC_u`, `TS_u`) of the recommender a
+    /// statement reads, one query per listed user.
+    fn record_query(&self, ratings_table: &str, algorithm: Algorithm, users: &[i64]) {
+        let recs = self.recommenders.read();
+        let Some(rec) = recs.iter().find(|r| {
+            r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
+        }) else {
+            return;
+        };
+        for &u in users {
+            rec.record_query(u, self.clock());
+        }
     }
 }
 

@@ -27,7 +27,7 @@ impl RecDb {
         filter: Option<&Expr>,
         guard: &QueryGuard,
     ) -> EngineResult<Vec<(Rid, Tuple)>> {
-        let scan = ScanOp::new(t.heap(), t.schema().clone()).with_guard(guard.clone());
+        let scan = ScanOp::new(t.heap(), t.schema().clone(), guard.clone());
         let scan = match filter {
             Some(filter) => scan.with_filter(filter, &[])?,
             None => scan,

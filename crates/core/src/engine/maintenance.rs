@@ -15,9 +15,7 @@ use super::{flatten_guard_error_counted, RecDb, RecommenderMut};
 use crate::error::{EngineError, EngineResult};
 use crate::recommender::{build_version, Recommender};
 use recdb_algo::Algorithm;
-use recdb_exec::LogicalPlan;
 use recdb_guard::QueryGuard;
-use recdb_sql::Literal;
 use std::time::Duration;
 
 /// Bucket bounds (microseconds) for the per-algorithm model-build
@@ -173,52 +171,9 @@ impl RecDb {
             .gauge_with("recdb_rec_index_pages", &labels)
             .set(pages);
     }
-
-    /// Update the Users Histogram (`QC_u`, `TS_u`) for recommendation
-    /// queries with a resolved user predicate, its slots valued from
-    /// `params`.
-    pub(super) fn record_query_stats(
-        &self,
-        plan: &LogicalPlan,
-        params: &[Literal],
-    ) -> EngineResult<()> {
-        let Some(node) = find_recommend(plan) else {
-            return Ok(());
-        };
-        let Some(users) = node.preds(params)?.user_ids else {
-            return Ok(());
-        };
-        let recs = self.recommenders.read();
-        let Some(rec) = recs.iter().find(|r| {
-            r.ratings_table().eq_ignore_ascii_case(&node.ratings_table)
-                && r.algorithm() == node.algorithm
-        }) else {
-            return Ok(());
-        };
-        for u in users {
-            rec.record_query(u, self.clock());
-        }
-        Ok(())
-    }
 }
 
 /// A duration as a histogram observation in whole microseconds.
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-fn find_recommend(plan: &LogicalPlan) -> Option<&recdb_exec::plan::RecommendNode> {
-    match plan {
-        LogicalPlan::Recommend(node) => Some(node),
-        LogicalPlan::RecJoin { rec, .. } => Some(rec),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Project { input, .. } => find_recommend(input),
-        LogicalPlan::Join { left, right, .. } => {
-            find_recommend(left).or_else(|| find_recommend(right))
-        }
-        LogicalPlan::Scan { .. } => None,
-    }
 }

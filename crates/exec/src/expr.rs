@@ -160,13 +160,9 @@ pub fn bind(expr: &Expr, schema: &Schema, params: &[Literal]) -> ExecResult<Boun
         Expr::Param(param) => Ok(BoundExpr::Literal(literal_value(param_value(
             param, params,
         )?))),
-        Expr::Column { .. } => {
-            let reference = expr
-                .column_ref()
-                .ok_or_else(|| ExecError::Bind("column expression has no reference".into()))?;
-            let ordinal = schema.resolve(&reference)?;
-            Ok(BoundExpr::Column(ordinal))
-        }
+        Expr::Column { qualifier, name } => Ok(BoundExpr::Column(
+            schema.resolve_parts(qualifier.as_deref(), name)?,
+        )),
         Expr::Unary { op, expr } => Ok(match (op, bind(expr)?) {
             // `-1` parses as the negation of the literal `1`. Folding it
             // makes it a constant like any other (a scan key, say); the

@@ -181,11 +181,14 @@ impl<'a> HashAggregateOp<'a> {
     /// Build the operator. `keys` are the GROUP BY expressions bound
     /// against the input schema; `outputs` describe the emitted columns;
     /// `schema` is the output schema (one column per output, in order).
+    /// Under `guard` the blocking aggregation drain ticks per input row
+    /// and charges each new group's key size against the memory budget.
     pub fn new(
         input: Box<dyn PhysicalOp + 'a>,
         keys: Vec<BoundExpr>,
         outputs: Vec<AggOutput>,
         schema: Schema,
+        guard: QueryGuard,
     ) -> Self {
         HashAggregateOp {
             input,
@@ -194,16 +197,8 @@ impl<'a> HashAggregateOp<'a> {
             schema,
             result: None,
             error: None,
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor: the blocking aggregation drain ticks
-    /// per input row and charges each new group's key size against the
-    /// memory budget.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 
     fn aggregate_all(&mut self) -> ExecResult<Vec<Tuple>> {
@@ -358,6 +353,7 @@ mod tests {
                 ("total", DataType::Float),
                 ("mean", DataType::Float),
             ]),
+            QueryGuard::unlimited(),
         );
         let mut op = op;
         let got = drain(&mut op).unwrap();
@@ -390,6 +386,7 @@ mod tests {
                 AggOutput::Agg(AggFunc::Max, Some(col("rating"))),
             ],
             out_schema(&[("lo", DataType::Float), ("hi", DataType::Float)]),
+            QueryGuard::unlimited(),
         );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1);
@@ -412,6 +409,7 @@ mod tests {
                 ("s", DataType::Float),
                 ("m", DataType::Float),
             ]),
+            QueryGuard::unlimited(),
         );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1);
@@ -427,6 +425,7 @@ mod tests {
             vec![col("genre")],
             vec![AggOutput::Group(0), AggOutput::Agg(AggFunc::Count, None)],
             out_schema(&[("genre", DataType::Text), ("n", DataType::Int)]),
+            QueryGuard::unlimited(),
         );
         assert!(drain(&mut op).unwrap().is_empty());
     }
@@ -438,6 +437,7 @@ mod tests {
             vec![],
             vec![AggOutput::Agg(AggFunc::Sum, Some(col("genre")))],
             out_schema(&[("s", DataType::Float)]),
+            QueryGuard::unlimited(),
         );
         assert!(matches!(drain(&mut op), Err(ExecError::Type(_))));
     }

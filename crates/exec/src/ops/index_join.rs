@@ -31,17 +31,18 @@ pub struct IndexJoinOp<'a> {
 }
 
 impl<'a> IndexJoinOp<'a> {
-    /// Build the operator. `inner_schema` is the inner table's schema
-    /// qualified by its query binding.
+    /// Build the operator. `schema` is the output: the outer schema, then
+    /// the inner table's qualified by its query binding. `guard` is
+    /// checked once per probe, output row and row the index fetches.
     pub fn new(
         outer: Box<dyn PhysicalOp + 'a>,
         inner_table: &'a Table,
         index: &'a BTreeIndex,
-        inner_schema: &Schema,
+        schema: Schema,
         outer_ordinal: usize,
         residual: Option<BoundExpr>,
+        guard: QueryGuard,
     ) -> Self {
-        let schema = outer.schema().join(inner_schema);
         IndexJoinOp {
             outer,
             inner_table,
@@ -50,15 +51,8 @@ impl<'a> IndexJoinOp<'a> {
             outer_ordinal,
             residual,
             pending: VecDeque::new(),
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor (checked once per probe, output row and
-    /// row the index fetches).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 }
 
@@ -168,7 +162,15 @@ mod tests {
         let index = table.index("movies_mid").unwrap();
         let inner_schema = table.schema().with_qualifier("M");
         let outer = Box::new(ValuesOp::new(outer_schema(), outer_rows()));
-        let mut op = IndexJoinOp::new(outer, table, index, &inner_schema, 1, None);
+        let mut op = IndexJoinOp::new(
+            outer,
+            table,
+            index,
+            outer_schema().join(&inner_schema),
+            1,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         // iid 10 matches two movies, iid 12 one, NULL and 99 none.
         assert_eq!(got.len(), 3);
@@ -192,7 +194,15 @@ mod tests {
         };
         let residual = bind(&s.filter.unwrap(), &joined, &[]).unwrap();
         let outer = Box::new(ValuesOp::new(outer_schema(), outer_rows()));
-        let mut op = IndexJoinOp::new(outer, table, index, &inner_schema, 1, Some(residual));
+        let mut op = IndexJoinOp::new(
+            outer,
+            table,
+            index,
+            joined,
+            1,
+            Some(residual),
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 2, "only the two Action duplicates of mid 10");
     }
@@ -212,7 +222,15 @@ mod tests {
             outer_schema(),
             vec![Tuple::new(vec![Value::Int(1), Value::Int(12)])],
         ));
-        let mut op = IndexJoinOp::new(outer, table, index, &inner_schema, 1, None);
+        let mut op = IndexJoinOp::new(
+            outer,
+            table,
+            index,
+            outer_schema().join(&inner_schema),
+            1,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(accesses() - before, height + 1, "the descent and one tuple");

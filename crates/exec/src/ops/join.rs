@@ -31,16 +31,21 @@ pub struct JoinOp<'a> {
 }
 
 impl<'a> JoinOp<'a> {
-    /// Construct a join. `equi` is a pair of ordinals (left-side ordinal in
-    /// the left schema, right-side ordinal in the right schema) for a hash
+    /// Construct a join whose output is `schema`, the left schema then
+    /// the right. `equi` is a pair of ordinals (left-side ordinal in the
+    /// left schema, right-side ordinal in the right schema) for a hash
     /// join; `residual` is any remaining predicate over the joined schema.
+    /// Under `guard` the build-side drain ticks per row and charges each
+    /// buffered row's encoded size against the memory budget; the probe
+    /// loop ticks per probe tuple.
     pub fn new(
         left: Box<dyn PhysicalOp + 'a>,
         right: Box<dyn PhysicalOp + 'a>,
+        schema: Schema,
         equi: Option<(usize, usize)>,
         residual: Option<BoundExpr>,
+        guard: QueryGuard,
     ) -> Self {
-        let schema = left.schema().join(right.schema());
         JoinOp {
             left,
             schema,
@@ -52,16 +57,8 @@ impl<'a> JoinOp<'a> {
             current_left: None,
             match_queue: Vec::new().into_iter(),
             right_source: Some(right),
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor: the build-side drain ticks per row
-    /// and charges each buffered row's encoded size against the memory
-    /// budget; the probe loop ticks per probe tuple.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 
     fn build(&mut self) -> ExecResult<()> {
@@ -198,7 +195,14 @@ mod tests {
             };
             bind(&s.filter.unwrap(), &joined_schema, &[]).unwrap()
         });
-        JoinOp::new(left, right, equi, residual)
+        JoinOp::new(
+            left,
+            right,
+            joined_schema,
+            equi,
+            residual,
+            QueryGuard::unlimited(),
+        )
     }
 
     #[test]
@@ -252,12 +256,28 @@ mod tests {
     fn empty_sides() {
         let left = Box::new(ValuesOp::new(left_schema(), Vec::new()));
         let right = Box::new(ValuesOp::new(right_schema(), right_rows()));
-        let mut op = JoinOp::new(left, right, Some((1, 0)), None);
+        let joined = left_schema().join(&right_schema());
+        let mut op = JoinOp::new(
+            left,
+            right,
+            joined,
+            Some((1, 0)),
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut op).unwrap().is_empty());
 
         let left = Box::new(ValuesOp::new(left_schema(), left_rows()));
         let right = Box::new(ValuesOp::new(right_schema(), Vec::new()));
-        let mut op = JoinOp::new(left, right, Some((1, 0)), None);
+        let joined = left_schema().join(&right_schema());
+        let mut op = JoinOp::new(
+            left,
+            right,
+            joined,
+            Some((1, 0)),
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut op).unwrap().is_empty());
     }
 

@@ -148,8 +148,9 @@ pub struct ScanOp<'a> {
 
 impl<'a> ScanOp<'a> {
     /// Scan `heap`, emitting tuples under `schema` (the table schema
-    /// qualified by the query binding).
-    pub fn new(heap: &'a HeapTable, schema: Schema) -> Self {
+    /// qualified by the query binding). `guard` is charged once per page
+    /// with the page's live rows, and once for the end-of-stream call.
+    pub fn new(heap: &'a HeapTable, schema: Schema, guard: QueryGuard) -> Self {
         ScanOp {
             heap,
             schema,
@@ -159,7 +160,7 @@ impl<'a> ScanOp<'a> {
             buffer: VecDeque::new(),
             failed: None,
             run: ScanBuffer::default(),
-            guard: QueryGuard::unlimited(),
+            guard,
             rows_scanned: None,
         }
     }
@@ -169,13 +170,6 @@ impl<'a> ScanOp<'a> {
     pub fn with_filter(mut self, predicate: &Expr, params: &[Literal]) -> ExecResult<Self> {
         (self.keys, self.residual) = scan_keys::split(predicate, &self.schema, params)?;
         Ok(self)
-    }
-
-    /// Attach a resource governor (charged once per page with the page's
-    /// live rows, and once for the end-of-stream call).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 
     /// Attach an engine-wide rows-scanned counter, bumped once per page
@@ -304,20 +298,14 @@ pub struct FilterOp<'a> {
 }
 
 impl<'a> FilterOp<'a> {
-    /// Wrap `input` with a bound predicate.
-    pub fn new(input: Box<dyn PhysicalOp + 'a>, predicate: BoundExpr) -> Self {
+    /// Wrap `input` with a bound predicate. `guard` is checked once per
+    /// input tuple, so long runs of filtered-out rows stay cancellable.
+    pub fn new(input: Box<dyn PhysicalOp + 'a>, predicate: BoundExpr, guard: QueryGuard) -> Self {
         FilterOp {
             input,
             predicate,
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor (checked once per input tuple, so
-    /// long runs of filtered-out rows stay cancellable).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 }
 
@@ -352,82 +340,112 @@ impl PhysicalOp for FilterOp<'_> {
 
 /// π — compute output expressions per tuple.
 ///
-/// When every output is a bare column or a literal (Query 1, Query 4,
-/// every `SELECT col, …`) the operator owns the input row and takes the
-/// values out of it: a column no other output reads is moved, one read by
-/// several outputs is cloned. That is decided once, in `new`; any other
-/// projection evaluates each expression on the row.
+/// The operator owns each input row. A projection that lists its input's
+/// columns in order (Query 1's `R.uid, R.iid, R.ratingval` over its leaf)
+/// passes the row through; the result's column names still come from the
+/// plan. Any other projection first evaluates its computed outputs on the
+/// row, then takes each bare column's value out of it: the last output
+/// that names a column moves the value, earlier ones clone it. That is
+/// decided once, in `new`.
 pub struct ProjectOp<'a> {
     input: Box<dyn PhysicalOp + 'a>,
-    exprs: Vec<BoundExpr>,
-    /// How each output takes its value from the owned row, when every
-    /// output is a bare column or a literal.
-    picks: Option<Vec<Pick>>,
+    /// How each output takes its value from the owned row.
+    picks: Vec<Pick>,
+    /// The outputs are the input's columns in order.
+    identity: bool,
     schema: Schema,
     guard: QueryGuard,
 }
 
-/// One output of a projection of bare columns and literals.
+/// How one output of a projection takes its value.
 #[derive(Debug, PartialEq)]
 enum Pick {
-    /// A column no other output reads: moved out of the row.
+    /// The last output naming this column: the value is moved out of the
+    /// row.
     Move(usize),
-    /// A column other outputs read too: cloned.
+    /// An earlier output naming a column a later one moves: cloned.
     Clone(usize),
     /// A constant.
     Literal(Value),
+    /// A computed expression, evaluated on the whole row.
+    Eval(BoundExpr),
 }
 
 impl Pick {
-    /// Each output's pick, if every output is a bare column or a literal.
-    fn of(exprs: &[BoundExpr]) -> Option<Vec<Pick>> {
-        let readers = |c: usize| {
-            exprs
-                .iter()
-                .filter(|e| matches!(e, BoundExpr::Column(d) if *d == c))
-                .count()
-        };
-        exprs
-            .iter()
+    /// Each output's pick.
+    fn of(exprs: Vec<BoundExpr>) -> Vec<Pick> {
+        let mut picks: Vec<Pick> = exprs
+            .into_iter()
             .map(|e| match e {
-                BoundExpr::Column(c) if readers(*c) == 1 => Some(Pick::Move(*c)),
-                BoundExpr::Column(c) => Some(Pick::Clone(*c)),
-                BoundExpr::Literal(v) => Some(Pick::Literal(v.clone())),
-                _ => None,
+                BoundExpr::Column(c) => Pick::Move(c),
+                BoundExpr::Literal(v) => Pick::Literal(v),
+                e => Pick::Eval(e),
             })
-            .collect()
-    }
-
-    /// This output's value, taken from `row`. A column past the row's end
-    /// is NULL, as evaluating it is.
-    fn take(&self, row: &mut [Value]) -> Value {
-        match self {
-            Pick::Move(c) => row
-                .get_mut(*c)
-                .map_or(Value::Null, |v| std::mem::replace(v, Value::Null)),
-            Pick::Clone(c) => row.get(*c).cloned().unwrap_or(Value::Null),
-            Pick::Literal(v) => v.clone(),
+            .collect();
+        // Left to right, so every later column output is still a move.
+        for at in 0..picks.len() {
+            if let Pick::Move(c) = picks[at] {
+                if picks[at + 1..].contains(&Pick::Move(c)) {
+                    picks[at] = Pick::Clone(c);
+                }
+            }
         }
+        picks
     }
 }
 
 impl<'a> ProjectOp<'a> {
     /// Wrap `input`; `exprs` are bound against the input schema, `schema`
-    /// is the output schema.
-    pub fn new(input: Box<dyn PhysicalOp + 'a>, exprs: Vec<BoundExpr>, schema: Schema) -> Self {
+    /// is the output schema. `guard` is checked once per emitted tuple.
+    pub fn new(
+        input: Box<dyn PhysicalOp + 'a>,
+        exprs: Vec<BoundExpr>,
+        schema: Schema,
+        guard: QueryGuard,
+    ) -> Self {
+        let identity = exprs.len() == input.schema().arity()
+            && exprs
+                .iter()
+                .enumerate()
+                .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i));
         ProjectOp {
             input,
-            picks: Pick::of(&exprs),
-            exprs,
+            picks: Pick::of(exprs),
+            identity,
             schema,
-            guard: QueryGuard::unlimited(),
+            guard,
         }
     }
 
-    /// Attach a resource governor (checked once per emitted tuple).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
+    /// The output row for `tuple`.
+    fn project(&self, tuple: Tuple) -> ExecResult<Tuple> {
+        // A row shorter or longer than the input schema says is taken
+        // column by column, so a missing column reads NULL as evaluating
+        // it does.
+        if self.identity && tuple.arity() == self.picks.len() {
+            return Ok(tuple);
+        }
+        let mut out = Vec::with_capacity(self.picks.len());
+        for pick in &self.picks {
+            out.push(match pick {
+                Pick::Eval(e) => e.eval(&tuple)?,
+                _ => Value::Null,
+            });
+        }
+        let mut row = tuple.into_values();
+        for (value, pick) in out.iter_mut().zip(&self.picks) {
+            match pick {
+                Pick::Move(c) => {
+                    if let Some(v) = row.get_mut(*c) {
+                        *value = std::mem::replace(v, Value::Null);
+                    }
+                }
+                Pick::Clone(c) => *value = row.get(*c).cloned().unwrap_or(Value::Null),
+                Pick::Literal(v) => *value = v.clone(),
+                Pick::Eval(_) => {}
+            }
+        }
+        Ok(Tuple::new(out))
     }
 }
 
@@ -440,24 +458,7 @@ impl PhysicalOp for ProjectOp<'_> {
         if let Err(e) = self.guard.tick() {
             return Some(Err(e.into()));
         }
-        let tuple = match self.input.next()? {
-            Ok(t) => t,
-            Err(e) => return Some(Err(e)),
-        };
-        if let Some(picks) = &self.picks {
-            let mut row = tuple.into_values();
-            return Some(Ok(Tuple::new(
-                picks.iter().map(|pick| pick.take(&mut row)).collect(),
-            )));
-        }
-        let mut out = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            match e.eval(&tuple) {
-                Ok(v) => out.push(v),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(Tuple::new(out)))
+        Some(self.input.next()?.and_then(|tuple| self.project(tuple)))
     }
 
     fn name(&self) -> &'static str {
@@ -495,15 +496,24 @@ pub struct SortOp<'a> {
 type KeyedRow = (Vec<Value>, Tuple);
 
 impl<'a> SortOp<'a> {
-    /// Wrap `input` with bound sort keys.
-    pub fn new(input: Box<dyn PhysicalOp + 'a>, keys: Vec<(BoundExpr, bool)>) -> Self {
+    /// Wrap `input` with bound sort keys. Under `guard` the blocking drain
+    /// ticks per input row and charges the memory budget with the encoded
+    /// size of the rows it *holds* — every row for a plain sort, at most
+    /// `k` for a top-k (a row that never enters the heap, or leaves it, is
+    /// not held) — so a runaway sort is stopped while buffering, not
+    /// after.
+    pub fn new(
+        input: Box<dyn PhysicalOp + 'a>,
+        keys: Vec<(BoundExpr, bool)>,
+        guard: QueryGuard,
+    ) -> Self {
         SortOp {
             input,
             keys,
             limit: None,
             sorted: None,
             error: None,
-            guard: QueryGuard::unlimited(),
+            guard,
             buffered_bytes: 0,
         }
     }
@@ -514,21 +524,12 @@ impl<'a> SortOp<'a> {
         input: Box<dyn PhysicalOp + 'a>,
         keys: Vec<(BoundExpr, bool)>,
         limit: usize,
+        guard: QueryGuard,
     ) -> Self {
         SortOp {
             limit: Some(limit),
-            ..SortOp::new(input, keys)
+            ..SortOp::new(input, keys, guard)
         }
-    }
-
-    /// Attach a resource governor. The blocking drain ticks per input row
-    /// and charges the memory budget with the encoded size of the rows it
-    /// *holds* — every row for a plain sort, at most `k` for a top-k (a
-    /// row that never enters the heap, or leaves it, is not held) — so a
-    /// runaway sort is stopped while buffering, not after.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 
     fn materialize(&mut self) -> ExecResult<Vec<Tuple>> {
@@ -628,20 +629,15 @@ pub struct LimitOp<'a> {
 }
 
 impl<'a> LimitOp<'a> {
-    /// Wrap `input` with a row budget.
-    pub fn new(input: Box<dyn PhysicalOp + 'a>, limit: u64) -> Self {
+    /// Wrap `input` with a row budget. `guard` is checked on each call (a
+    /// pass-through check; the wrapped input does its own row
+    /// accounting).
+    pub fn new(input: Box<dyn PhysicalOp + 'a>, limit: u64, guard: QueryGuard) -> Self {
         LimitOp {
             input,
             remaining: limit,
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor (pass-through check per call; the
-    /// wrapped input does its own row accounting).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 }
 
@@ -675,7 +671,6 @@ impl PhysicalOp for LimitOp<'_> {
 pub struct ValuesOp {
     schema: Schema,
     rows: std::vec::IntoIter<Tuple>,
-    guard: QueryGuard,
 }
 
 impl ValuesOp {
@@ -684,14 +679,7 @@ impl ValuesOp {
         ValuesOp {
             schema,
             rows: rows.into_iter(),
-            guard: QueryGuard::unlimited(),
         }
-    }
-
-    /// Attach a resource governor (checked once per emitted tuple).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 }
 
@@ -701,9 +689,6 @@ impl PhysicalOp for ValuesOp {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
-        if let Err(e) = self.guard.tick() {
-            return Some(Err(e.into()));
-        }
         self.rows.next().map(Ok)
     }
 
@@ -756,7 +741,7 @@ mod tests {
         for t in rows(2000) {
             heap.insert(t).unwrap();
         }
-        let mut op = ScanOp::new(&heap, schema());
+        let mut op = ScanOp::new(&heap, schema(), QueryGuard::unlimited());
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 2000);
         assert_eq!(got[0].get(0).unwrap(), &Value::Int(0));
@@ -764,7 +749,7 @@ mod tests {
 
     #[test]
     fn filter_keeps_matching() {
-        let mut op = FilterOp::new(values(10), predicate("uid < 3"));
+        let mut op = FilterOp::new(values(10), predicate("uid < 3"), QueryGuard::unlimited());
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 3);
     }
@@ -779,7 +764,7 @@ mod tests {
         };
         let bound = bind(expr, &schema(), &[]).unwrap();
         let out_schema = Schema::from_pairs(&[("d", DataType::Int)]);
-        let mut op = ProjectOp::new(values(3), vec![bound], out_schema);
+        let mut op = ProjectOp::new(values(3), vec![bound], out_schema, QueryGuard::unlimited());
         let got = drain(&mut op).unwrap();
         assert_eq!(got[2].get(0).unwrap(), &Value::Int(4));
     }
@@ -822,17 +807,21 @@ mod tests {
         proptest! {
             #[test]
             fn project_moves_equal_evaluating_on_a_clone(
-                rows in prop::collection::vec(prop::collection::vec(0usize..600, 3), 0..12),
+                rows in prop::collection::vec(prop::collection::vec(0usize..600, 2..5), 0..12),
                 outputs in prop::collection::vec((0usize..8, 0usize..4, 0usize..600), 1..6),
+                identity in 0usize..4,
             ) {
+                // Rows of the schema's three columns, and some one short
+                // or one long of it.
                 let rows: Vec<Tuple> = rows
                     .iter()
                     .map(|row| Tuple::new(row.iter().map(|&d| value(d)).collect()))
                     .collect();
-                let exprs: Vec<BoundExpr> = outputs.into_iter().map(output).collect();
-                let plain = exprs
-                    .iter()
-                    .all(|e| matches!(e, BoundExpr::Column(_) | BoundExpr::Literal(_)));
+                let columns = || (0..3).map(BoundExpr::Column);
+                let exprs: Vec<BoundExpr> = match identity {
+                    0 => columns().collect(),
+                    _ => outputs.into_iter().map(output).collect(),
+                };
 
                 let want: ExecResult<Vec<Tuple>> = rows
                     .iter()
@@ -849,33 +838,52 @@ mod tests {
                 let out_schema = Schema::new(
                     (0..exprs.len()).map(|i| Column::new(format!("o{i}"), DataType::Int)).collect(),
                 );
-                let mut op = ProjectOp::new(input, exprs.clone(), out_schema);
-                prop_assert_eq!(op.picks.is_some(), plain, "{:?}", exprs);
+                let mut op = ProjectOp::new(input, exprs.clone(), out_schema, QueryGuard::unlimited());
+                prop_assert_eq!(op.identity, exprs.iter().cloned().eq(columns()), "{:?}", exprs);
                 prop_assert_eq!(drain(&mut op), want, "{:?}", exprs);
             }
         }
 
         #[test]
-        fn a_column_read_twice_is_cloned_and_once_is_moved() {
-            let exprs = [
+        fn only_a_columns_earlier_readers_clone_it() {
+            let exprs = vec![
                 BoundExpr::Column(1),
                 BoundExpr::Literal(Value::Int(7)),
                 BoundExpr::Column(0),
                 BoundExpr::Column(1),
+                BoundExpr::Column(1),
             ];
             assert_eq!(
-                Pick::of(&exprs),
-                Some(vec![
+                Pick::of(exprs),
+                [
                     Pick::Clone(1),
                     Pick::Literal(Value::Int(7)),
                     Pick::Move(0),
                     Pick::Clone(1),
-                ])
+                    Pick::Move(1),
+                ]
             );
+            // A computed output reads the row before any value leaves it.
+            let computed = predicate("uid < 3");
             assert_eq!(
-                Pick::of(&[BoundExpr::Column(0), predicate("uid < 3")]),
-                None
+                Pick::of(vec![BoundExpr::Column(0), computed.clone()]),
+                [Pick::Move(0), Pick::Eval(computed)]
             );
+        }
+
+        /// The input's columns in order pass each row through, whole.
+        #[test]
+        fn an_identity_projection_passes_rows_through() {
+            let exprs = vec![BoundExpr::Column(0), BoundExpr::Column(1)];
+            let mut op = ProjectOp::new(values(3), exprs, schema(), QueryGuard::unlimited());
+            assert!(op.identity);
+            let (rows, allocations) =
+                crate::alloc_count::allocations_in(|| drain(&mut op).unwrap());
+            assert_eq!(rows, super::rows(3));
+            assert_eq!(allocations, 1, "the drained vector only");
+            let swapped = vec![BoundExpr::Column(1), BoundExpr::Column(0)];
+            let op = ProjectOp::new(values(3), swapped, schema(), QueryGuard::unlimited());
+            assert!(!op.identity);
         }
     }
 
@@ -885,7 +893,7 @@ mod tests {
             (predicate_expr("ratingval"), true),
             (predicate_expr("uid"), false),
         ];
-        let mut op = SortOp::new(values(10), keys);
+        let mut op = SortOp::new(values(10), keys, QueryGuard::unlimited());
         let got = drain(&mut op).unwrap();
         let vals: Vec<f64> = got
             .iter()
@@ -917,10 +925,10 @@ mod tests {
         };
         for n in [0i64, 1, 5, 37] {
             for k in [0usize, 1, 3, 10, 50] {
-                let mut full = SortOp::new(values(n), keys());
+                let mut full = SortOp::new(values(n), keys(), QueryGuard::unlimited());
                 let mut want = drain(&mut full).unwrap();
                 want.truncate(k);
-                let mut topk = SortOp::with_limit(values(n), keys(), k);
+                let mut topk = SortOp::with_limit(values(n), keys(), k, QueryGuard::unlimited());
                 let got = drain(&mut topk).unwrap();
                 assert_eq!(got, want, "n {n}, k {k}");
             }
@@ -937,7 +945,7 @@ mod tests {
             .map(|i| Tuple::new(vec![Value::Int(i), Value::Float(1.0)]))
             .collect();
         let input = Box::new(ValuesOp::new(schema, tuples));
-        let mut op = SortOp::with_limit(input, keys, 3);
+        let mut op = SortOp::with_limit(input, keys, 3, QueryGuard::unlimited());
         let got = drain(&mut op).unwrap();
         let ids: Vec<i64> = got
             .iter()
@@ -962,7 +970,7 @@ mod tests {
 
         let guard = QueryGuard::with_limits(None, None, Some(budget));
         let input = Box::new(ValuesOp::new(schema(), tuples.clone()));
-        let mut topk = SortOp::with_limit(input, keys(), 10).with_guard(guard.clone());
+        let mut topk = SortOp::with_limit(input, keys(), 10, guard.clone());
         let got = drain(&mut topk).expect("ten held rows fit a ten-row budget");
         let ids: Vec<i64> = got
             .iter()
@@ -976,39 +984,47 @@ mod tests {
         // The unbounded sort of the same input holds everything and trips.
         let guard = QueryGuard::with_limits(None, None, Some(budget));
         let input = Box::new(ValuesOp::new(schema(), tuples));
-        let mut full = SortOp::new(input, keys()).with_guard(guard);
+        let mut full = SortOp::new(input, keys(), guard);
         assert!(drain(&mut full).is_err());
     }
 
     #[test]
     fn limit_truncates() {
-        let mut op = LimitOp::new(values(10), 4);
+        let mut op = LimitOp::new(values(10), 4, QueryGuard::unlimited());
         assert_eq!(drain(&mut op).unwrap().len(), 4);
-        let mut op = LimitOp::new(values(2), 100);
+        let mut op = LimitOp::new(values(2), 100, QueryGuard::unlimited());
         assert_eq!(drain(&mut op).unwrap().len(), 2);
-        let mut op = LimitOp::new(values(5), 0);
+        let mut op = LimitOp::new(values(5), 0, QueryGuard::unlimited());
         assert_eq!(drain(&mut op).unwrap().len(), 0);
     }
 
     #[test]
     fn filter_propagates_eval_errors() {
-        let mut op = FilterOp::new(values(3), predicate("uid / 0 = 1"));
+        let mut op = FilterOp::new(values(3), predicate("uid / 0 = 1"), QueryGuard::unlimited());
         assert!(drain(&mut op).is_err());
     }
 
     #[test]
     fn sort_propagates_eval_errors() {
         let keys = vec![(predicate("uid / 0 = 1"), false)];
-        let mut op = SortOp::new(values(3), keys);
+        let mut op = SortOp::new(values(3), keys, QueryGuard::unlimited());
         assert!(drain(&mut op).is_err());
     }
 
     #[test]
     fn pipeline_composes() {
         // values → filter → sort → limit
-        let filtered = Box::new(FilterOp::new(values(100), predicate("uid >= 10")));
-        let sorted = Box::new(SortOp::new(filtered, vec![(predicate_expr("uid"), true)]));
-        let mut limited = LimitOp::new(sorted, 3);
+        let filtered = Box::new(FilterOp::new(
+            values(100),
+            predicate("uid >= 10"),
+            QueryGuard::unlimited(),
+        ));
+        let sorted = Box::new(SortOp::new(
+            filtered,
+            vec![(predicate_expr("uid"), true)],
+            QueryGuard::unlimited(),
+        ));
+        let mut limited = LimitOp::new(sorted, 3, QueryGuard::unlimited());
         let got = drain(&mut limited).unwrap();
         let uids: Vec<i64> = got
             .iter()

@@ -132,6 +132,15 @@ impl RecommendOp {
     /// The operator's domain is the recommender's input data: ids that
     /// never appeared in the ratings table are not part of `U × I` and
     /// produce no rows (a filter on them intersects to nothing).
+    ///
+    /// Under `guard`, every `(user, item)` pair of the operator's domain
+    /// is one row unit — including pairs skipped as already-rated or
+    /// out-of-bounds — plus one per user for the step to the next; a
+    /// user's units are charged when the user is scored (that is when the
+    /// work is done), so cancellation and the deadline are observed
+    /// between users. The top-k sink also charges the memory budget with
+    /// the `≤ k` rows it holds; with `k = 0` it scores nothing and bills
+    /// the end-of-stream unit only.
     pub fn new(
         model: Arc<RecModel>,
         schema: Schema,
@@ -139,6 +148,7 @@ impl RecommendOp {
         items: Option<Vec<i64>>,
         min_rating: Option<f64>,
         max_rating: Option<f64>,
+        guard: QueryGuard,
     ) -> Self {
         let filtered =
             users.is_some() || items.is_some() || min_rating.is_some() || max_rating.is_some();
@@ -161,7 +171,7 @@ impl RecommendOp {
             block: Vec::new(),
             scores: Vec::new(),
             scratch: ScoreScratch::default(),
-            guard: QueryGuard::unlimited(),
+            guard,
             filtered,
             top_k: None,
             selected: None,
@@ -182,19 +192,6 @@ impl RecommendOp {
     /// blocking, like the sort it replaces.
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
-        self
-    }
-
-    /// Attach a resource governor. Every `(user, item)` pair of the
-    /// operator's domain is one row unit — including pairs skipped as
-    /// already-rated or out-of-bounds — plus one per user for the step to
-    /// the next; a user's units are charged when the user is scored (that
-    /// is when the work is done), so cancellation and the deadline are
-    /// observed between users. The top-k sink also charges the memory
-    /// budget with the `≤ k` rows it holds; with `k = 0` it scores nothing
-    /// and bills the end-of-stream unit only.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
         self
     }
 
@@ -378,19 +375,24 @@ pub struct JoinRecommendOp<'a> {
 }
 
 impl<'a> JoinRecommendOp<'a> {
-    /// Build the operator. `rec_schema` is the recommend leaf's 3-column
-    /// schema; the output schema is `rec_schema ⊕ outer.schema()`.
+    /// Build the operator. `schema` is the output: the recommend leaf's
+    /// three columns, then the outer's. Under `guard` it charges one row
+    /// unit per outer tuple pulled (the end of the outer included) and per
+    /// tuple emitted — what a tuple-at-a-time join charges — so
+    /// cancellation and the deadline are observed at every step, within a
+    /// block as between blocks.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         model: Arc<RecModel>,
-        rec_schema: Schema,
+        schema: Schema,
         outer: Box<dyn PhysicalOp + 'a>,
         outer_item_ordinal: usize,
         users: Option<Vec<i64>>,
         min_rating: Option<f64>,
         max_rating: Option<f64>,
+        guard: QueryGuard,
     ) -> Self {
         let users = resolve_users(&model, users);
-        let schema = rec_schema.join(outer.schema());
         let block_len = (JOIN_BLOCK_PAIRS / users.len().max(1)).clamp(1, JOIN_BLOCK_TUPLES);
         JoinRecommendOp {
             model,
@@ -408,18 +410,9 @@ impl<'a> JoinRecommendOp<'a> {
             taker: None,
             outer_done: false,
             scratch: ScoreScratch::default(),
-            guard: QueryGuard::unlimited(),
+            guard,
             buffered_bytes: 0,
         }
-    }
-
-    /// Attach a resource governor: one row unit per outer tuple pulled
-    /// (the end of the outer included) and per tuple emitted — what a
-    /// tuple-at-a-time join charges — so cancellation and the deadline
-    /// are observed at every step, within a block as between blocks.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 
     /// Pull the next block of joinable outer tuples and score it, one
@@ -548,7 +541,9 @@ impl IndexRecommendOp {
     /// Build the operator for the given (Phase I) user list, each user
     /// served once at its first position — what FILTERRECOMMEND answers
     /// for `uid IN (1, 1)`. `item_filter` is the Phase III `iPred`; the
-    /// rating bounds are the Phase II `rPred`.
+    /// rating bounds are the Phase II `rPred`. `guard` is charged one row
+    /// unit per emitted tuple and per user started, so cancellation and
+    /// the deadline are observed between entries of a long drain.
     pub fn new(
         index: Arc<RecScoreIndex>,
         schema: Schema,
@@ -556,6 +551,7 @@ impl IndexRecommendOp {
         item_filter: Option<Vec<i64>>,
         min_rating: Option<f64>,
         max_rating: Option<f64>,
+        guard: QueryGuard,
     ) -> Self {
         IndexRecommendOp {
             index,
@@ -566,16 +562,8 @@ impl IndexRecommendOp {
             max_rating,
             u_cursor: 0,
             cursor: ScoreCursor::empty(),
-            guard: QueryGuard::unlimited(),
+            guard,
         }
-    }
-
-    /// Attach a resource governor (one row unit per emitted tuple and per
-    /// user started, so cancellation and the deadline are observed
-    /// between entries of a long drain).
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
     }
 }
 
@@ -652,7 +640,15 @@ mod tests {
 
     #[test]
     fn full_recommend_covers_all_unseen_pairs() {
-        let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None);
+        let mut op = RecommendOp::new(
+            model(),
+            rec_schema(),
+            None,
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         // 4 users × 3 items = 12 pairs, 7 rated → 5 unseen.
         assert_eq!(got.len(), 5);
@@ -704,6 +700,7 @@ mod tests {
                         None,
                         min,
                         max,
+                        QueryGuard::unlimited(),
                     );
                     let mut listed = RecommendOp::new(
                         model.clone(),
@@ -712,6 +709,7 @@ mod tests {
                         Some(every_item.clone()),
                         min,
                         max,
+                        QueryGuard::unlimited(),
                     );
                     assert_eq!(
                         triples(&drain(&mut domain).unwrap()),
@@ -732,9 +730,15 @@ mod tests {
         for items in [None, Some(every_item)] {
             let run = |budget: Option<u64>| {
                 let guard = QueryGuard::with_limits(None, budget, None);
-                let mut op =
-                    RecommendOp::new(model(), rec_schema(), None, items.clone(), None, None)
-                        .with_guard(guard.clone());
+                let mut op = RecommendOp::new(
+                    model(),
+                    rec_schema(),
+                    None,
+                    items.clone(),
+                    None,
+                    None,
+                    guard.clone(),
+                );
                 (drain(&mut op).map(|rows| rows.len()), guard.rows_used())
             };
             assert_eq!(run(None), (Ok(5), UNITS), "items {items:?}");
@@ -746,8 +750,7 @@ mod tests {
     #[test]
     fn unfiltered_recommend_is_cancelled_between_user_blocks() {
         let guard = QueryGuard::unlimited();
-        let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None)
-            .with_guard(guard.clone());
+        let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None, guard.clone());
         // User 1's block (items 2 and 3) is scored on the first call.
         let first = op.next().unwrap().unwrap();
         assert_eq!(first.get(0).unwrap(), &Value::Int(1));
@@ -765,7 +768,15 @@ mod tests {
 
     #[test]
     fn filter_recommend_scopes_to_user() {
-        let mut op = RecommendOp::new(model(), rec_schema(), Some(vec![1]), None, None, None);
+        let mut op = RecommendOp::new(
+            model(),
+            rec_schema(),
+            Some(vec![1]),
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         // User 1 rated item 1 only → items 2, 3 unseen.
         assert_eq!(got.len(), 2);
@@ -781,6 +792,7 @@ mod tests {
             Some(vec![2]),
             None,
             None,
+            QueryGuard::unlimited(),
         );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1);
@@ -792,12 +804,28 @@ mod tests {
 
     #[test]
     fn rating_bounds_prune_output() {
-        let mut op = RecommendOp::new(model(), rec_schema(), None, None, Some(0.5), None);
+        let mut op = RecommendOp::new(
+            model(),
+            rec_schema(),
+            None,
+            None,
+            Some(0.5),
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         assert!(got
             .iter()
             .all(|t| t.get(2).unwrap().as_f64().unwrap() >= 0.5));
-        let mut unbounded = RecommendOp::new(model(), rec_schema(), None, None, None, None);
+        let mut unbounded = RecommendOp::new(
+            model(),
+            rec_schema(),
+            None,
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut unbounded).unwrap().len() >= got.len());
     }
 
@@ -805,7 +833,15 @@ mod tests {
     fn unknown_ids_are_outside_the_domain() {
         // Users/items that never appear in the ratings table are not part
         // of the recommender's U × I and yield no rows.
-        let mut op = RecommendOp::new(model(), rec_schema(), Some(vec![99]), None, None, None);
+        let mut op = RecommendOp::new(
+            model(),
+            rec_schema(),
+            Some(vec![99]),
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut op).unwrap().is_empty());
         let mut op = RecommendOp::new(
             model(),
@@ -814,6 +850,7 @@ mod tests {
             Some(vec![2, 44, 45]),
             None,
             None,
+            QueryGuard::unlimited(),
         );
         let got = drain(&mut op).unwrap();
         assert_eq!(got.len(), 1, "only the known item 2 survives");
@@ -828,6 +865,7 @@ mod tests {
             Some(vec![2, 2, 2]),
             None,
             None,
+            QueryGuard::unlimited(),
         );
         assert_eq!(drain(&mut op).unwrap().len(), 1);
     }
@@ -846,8 +884,16 @@ mod tests {
                 Tuple::new(vec![Value::Null, Value::Text("ghost".into())]),
             ],
         ));
-        let mut op =
-            JoinRecommendOp::new(model(), rec_schema(), outer, 0, Some(vec![1]), None, None);
+        let mut op = JoinRecommendOp::new(
+            model(),
+            rec_schema().join(outer.schema()),
+            outer,
+            0,
+            Some(vec![1]),
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         // User 1: items 2 and 3 are unseen → two joined tuples.
         assert_eq!(got.len(), 2);
@@ -873,7 +919,16 @@ mod tests {
                 .collect(),
         ));
         let users = vec![4i64, 99, 1, 4];
-        let mut op = JoinRecommendOp::new(model(), rec_schema(), outer, 0, Some(users), None, None);
+        let mut op = JoinRecommendOp::new(
+            model(),
+            rec_schema().join(outer.schema()),
+            outer,
+            0,
+            Some(users),
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         let m = model();
         let mut want = Vec::new();
         for item in outer_ids {
@@ -895,8 +950,16 @@ mod tests {
             outer_schema,
             vec![Tuple::new(vec![Value::Int(1)])], // user 1 already rated item 1
         ));
-        let mut op =
-            JoinRecommendOp::new(model(), rec_schema(), outer, 0, Some(vec![1]), None, None);
+        let mut op = JoinRecommendOp::new(
+            model(),
+            rec_schema().join(outer.schema()),
+            outer,
+            0,
+            Some(vec![1]),
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut op).unwrap().is_empty());
     }
 
@@ -909,7 +972,15 @@ mod tests {
 
     #[test]
     fn index_recommend_emits_descending() {
-        let mut op = IndexRecommendOp::new(sample_index(), rec_schema(), vec![1], None, None, None);
+        let mut op = IndexRecommendOp::new(
+            sample_index(),
+            rec_schema(),
+            vec![1],
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         let got = drain(&mut op).unwrap();
         let items: Vec<i64> = got
             .iter()
@@ -933,6 +1004,7 @@ mod tests {
             Some(vec![10, 12]),
             Some(3.0),
             None,
+            QueryGuard::unlimited(),
         );
         let got = drain(&mut op).unwrap();
         let triples: Vec<(i64, i64, f64)> = got
@@ -950,8 +1022,15 @@ mod tests {
 
     #[test]
     fn index_recommend_unknown_user_is_empty() {
-        let mut op =
-            IndexRecommendOp::new(sample_index(), rec_schema(), vec![42], None, None, None);
+        let mut op = IndexRecommendOp::new(
+            sample_index(),
+            rec_schema(),
+            vec![42],
+            None,
+            None,
+            None,
+            QueryGuard::unlimited(),
+        );
         assert!(drain(&mut op).unwrap().is_empty());
     }
 
@@ -994,6 +1073,7 @@ mod tests {
             items,
             min,
             max,
+            QueryGuard::unlimited(),
         );
         let mut want = triples(&drain(&mut op).unwrap());
         let listed = |user: i64| users.iter().position(|&u| u == user);
@@ -1063,9 +1143,10 @@ mod tests {
                     items.clone(),
                     min,
                     max,
-                )
-                .with_guard(guard.clone());
-                let mut limited = crate::ops::LimitOp::new(Box::new(op), k as u64);
+                    guard.clone(),
+                );
+                let mut limited =
+                    crate::ops::LimitOp::new(Box::new(op), k as u64, QueryGuard::unlimited());
                 let got = triples(&drain(&mut limited).unwrap());
                 assert_eq!(
                     got,
@@ -1090,9 +1171,15 @@ mod tests {
         let model = wide_model();
         let index = materialized(&model, &[3]);
         let started = |guard: &QueryGuard| {
-            let mut op =
-                IndexRecommendOp::new(index.clone(), rec_schema(), vec![3], None, None, None)
-                    .with_guard(guard.clone());
+            let mut op = IndexRecommendOp::new(
+                index.clone(),
+                rec_schema(),
+                vec![3],
+                None,
+                None,
+                None,
+                guard.clone(),
+            );
             // Three entries in: mid-leaf, far from the end of the list.
             for _ in 0..3 {
                 op.next().unwrap().unwrap();
@@ -1181,9 +1268,8 @@ mod tests {
                             users.clone(),
                             items.clone(),
                             min,
-                            max,
+                            max, guard.clone(),
                         )
-                        .with_guard(guard.clone())
                     };
                     // Bounds that sit on scores the stream really has, so
                     // the inclusive edges are exercised.
@@ -1223,8 +1309,7 @@ mod tests {
                         // The sort the sink replaces holds every row.
                         let guard = QueryGuard::with_limits(None, None, Some(budget));
                         let score = crate::expr::BoundExpr::Column(2);
-                        let mut sort = SortOp::new(Box::new(op(min, max, &guard)), vec![(score, true)])
-                            .with_guard(guard.clone());
+                        let mut sort = SortOp::new(Box::new(op(min, max, &guard)), vec![(score, true)], guard.clone());
                         prop_assert_eq!(drain(&mut sort).is_err(), n > k, "{}", case);
                     }
                 }
@@ -1238,9 +1323,9 @@ mod tests {
             // Figure 1: 3 items, so one user block is 3 + 1 row units.
             const BLOCK: u64 = 3 + 1;
             let run = |guard: &QueryGuard| {
-                let mut op = RecommendOp::new(model(), rec_schema(), None, None, None, None)
-                    .with_guard(guard.clone())
-                    .with_top_k(2);
+                let mut op =
+                    RecommendOp::new(model(), rec_schema(), None, None, None, None, guard.clone())
+                        .with_top_k(2);
                 let first = op.next();
                 assert!(op.next().is_none(), "the stream ends after an error");
                 first
@@ -1272,8 +1357,15 @@ mod tests {
         fn fused_topk_builds_k_tuples() {
             let model = wide_model();
             let run = |top_k: Option<usize>| {
-                let mut op =
-                    RecommendOp::new(model.clone(), rec_schema(), Some(vec![3]), None, None, None);
+                let mut op = RecommendOp::new(
+                    model.clone(),
+                    rec_schema(),
+                    Some(vec![3]),
+                    None,
+                    None,
+                    None,
+                    QueryGuard::unlimited(),
+                );
                 if let Some(k) = top_k {
                     op = op.with_top_k(k);
                 }
@@ -1348,8 +1440,16 @@ mod tests {
                 inner: ValuesOp::new(schema, rows),
                 pulls: pulls.clone(),
             });
-            let op = JoinRecommendOp::new(model.clone(), rec_schema(), outer, 0, users, min, max)
-                .with_guard(guard.clone());
+            let op = JoinRecommendOp::new(
+                model.clone(),
+                rec_schema().join(outer.schema()),
+                outer,
+                0,
+                users,
+                min,
+                max,
+                guard.clone(),
+            );
             (op, pulls)
         }
 
@@ -1612,6 +1712,7 @@ mod tests {
             None,
             None,
             None,
+            QueryGuard::unlimited(),
         ))
         .unwrap()
         .len();
@@ -1622,6 +1723,7 @@ mod tests {
             Some(vec![2]),
             None,
             None,
+            QueryGuard::unlimited(),
         ))
         .unwrap()
         .len();

@@ -39,12 +39,18 @@ pub fn optimize_pushdown_only(plan: LogicalPlan) -> LogicalPlan {
 
 // ---------------------------------------------------------------- rule 1+2
 
+/// The ordinal `expr` names in `schema`, if it is a column that resolves.
+fn ordinal(expr: &Expr, schema: &Schema) -> Option<usize> {
+    let (qualifier, name) = expr.as_column()?;
+    schema.resolve_parts(qualifier, name).ok()
+}
+
 /// Does `expr` bind fully against `schema`? (Every column reference
 /// resolves.)
 fn binds_in(expr: &Expr, schema: &Schema) -> bool {
     match expr {
         Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Column { .. } => schema.resolve(&expr.column_ref().expect("column")).is_ok(),
+        Expr::Column { .. } => ordinal(expr, schema).is_some(),
         Expr::Unary { expr, .. } => binds_in(expr, schema),
         Expr::Binary { left, right, .. } => binds_in(left, schema) && binds_in(right, schema),
         Expr::InList { expr, list, .. } => {
@@ -57,6 +63,70 @@ fn binds_in(expr: &Expr, schema: &Schema) -> bool {
     }
 }
 
+/// `plan` with `rule` applied to each of its inputs. No rule changes a
+/// node's output columns, so the node keeps the schema stored when it
+/// was built.
+fn map_inputs(plan: LogicalPlan, rule: fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    let apply = |input: Box<LogicalPlan>| Box::new(rule(*input));
+    match plan {
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: apply(input),
+            predicate,
+        },
+        LogicalPlan::Join {
+            left,
+            right,
+            predicate,
+            schema,
+        } => LogicalPlan::Join {
+            left: apply(left),
+            right: apply(right),
+            predicate,
+            schema,
+        },
+        LogicalPlan::RecJoin {
+            rec,
+            outer,
+            outer_item_column,
+            schema,
+        } => LogicalPlan::RecJoin {
+            rec,
+            outer: apply(outer),
+            outer_item_column,
+            schema,
+        },
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            outputs,
+            schema,
+        } => LogicalPlan::Aggregate {
+            input: apply(input),
+            group_by,
+            outputs,
+            schema,
+        },
+        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+            input: apply(input),
+            keys,
+        },
+        LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
+            input: apply(input),
+            limit,
+        },
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => LogicalPlan::Project {
+            input: apply(input),
+            exprs,
+            schema,
+        },
+        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Recommend(_)) => leaf,
+    }
+}
+
 fn push_filters(plan: LogicalPlan) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
@@ -64,41 +134,7 @@ fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             let conjuncts: Vec<Expr> = predicate.conjuncts().into_iter().cloned().collect();
             push_conjuncts(input, conjuncts)
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let left = push_filters(*left);
-            let right = push_filters(*right);
-            LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                predicate,
-            }
-        }
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(push_filters(*input)),
-            exprs,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            outputs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_filters(*input)),
-            group_by,
-            outputs,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_filters(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
-            input: Box::new(push_filters(*input)),
-            limit,
-        },
-        leaf => leaf,
+        other => map_inputs(other, push_filters),
     }
 }
 
@@ -112,16 +148,15 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
             left,
             right,
             predicate,
+            schema,
         } => {
-            let left_schema = left.schema();
-            let right_schema = right.schema();
             let mut to_left = Vec::new();
             let mut to_right = Vec::new();
             let mut here = Vec::new();
             for c in conjuncts {
-                if binds_in(&c, &left_schema) {
+                if binds_in(&c, left.schema()) {
                     to_left.push(c);
-                } else if binds_in(&c, &right_schema) {
+                } else if binds_in(&c, right.schema()) {
                     to_right.push(c);
                 } else {
                     here.push(c);
@@ -134,6 +169,7 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
                 left: Box::new(push_conjuncts(*left, to_left)),
                 right: Box::new(push_conjuncts(*right, to_right)),
                 predicate: Expr::and_all(here),
+                schema,
             }
         }
         LogicalPlan::Recommend(node) => absorb_into_recommend(node, conjuncts),
@@ -165,13 +201,9 @@ fn is_constant(expr: &Expr, kinds: &[ParamKind]) -> bool {
 }
 
 /// Extract the integer constants of `col = k` / `col IN (…)` when `col`
-/// resolves to `ordinal` in the recommend schema.
-fn extract_id_list(expr: &Expr, schema: &Schema, ordinal: usize) -> Option<Vec<Expr>> {
-    let is_target = |e: &Expr| -> bool {
-        e.column_ref()
-            .and_then(|r| schema.resolve(&r).ok())
-            .is_some_and(|o| o == ordinal)
-    };
+/// resolves to `target` in the recommend schema.
+fn extract_id_list(expr: &Expr, schema: &Schema, target: usize) -> Option<Vec<Expr>> {
+    let is_target = |e: &Expr| ordinal(e, schema) == Some(target);
     let as_int = |e: &Expr| is_constant(e, &[ParamKind::Int]).then(|| e.clone());
     match expr {
         Expr::Binary {
@@ -196,18 +228,14 @@ fn extract_id_list(expr: &Expr, schema: &Schema, ordinal: usize) -> Option<Vec<E
     }
 }
 
-/// Extract the numeric constants bounding the rating ordinal from a
+/// Extract the numeric constants bounding the rating column `target` from a
 /// comparison or BETWEEN: `(lower, upper)`.
 fn extract_rating_bounds(
     expr: &Expr,
     schema: &Schema,
-    ordinal: usize,
+    target: usize,
 ) -> Option<(Option<Expr>, Option<Expr>)> {
-    let is_target = |e: &Expr| -> bool {
-        e.column_ref()
-            .and_then(|r| schema.resolve(&r).ok())
-            .is_some_and(|o| o == ordinal)
-    };
+    let is_target = |e: &Expr| ordinal(e, schema) == Some(target);
     let as_num = |e: &Expr| is_constant(e, &[ParamKind::Int, ParamKind::Float]).then(|| e.clone());
     match expr {
         Expr::Binary { op, left, right } => {
@@ -251,7 +279,7 @@ fn extract_rating_bounds(
 /// Absorb conjuncts into a Recommend leaf (rule 2); unabsorbed conjuncts
 /// stay as a residual Filter above it.
 fn absorb_into_recommend(mut node: RecommendNode, conjuncts: Vec<Expr>) -> LogicalPlan {
-    let schema = node.schema();
+    let schema = node.schema().clone();
     let mut residual = Vec::new();
     for c in conjuncts {
         if let Some(users) = extract_id_list(&c, &schema, 0) {
@@ -287,37 +315,13 @@ fn rewrite_rec_joins(plan: LogicalPlan) -> LogicalPlan {
             left,
             right,
             predicate,
+            schema,
         } => {
             let left = rewrite_rec_joins(*left);
             let right = rewrite_rec_joins(*right);
-            try_rec_join(left, right, predicate)
+            try_rec_join(left, right, predicate, schema)
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(rewrite_rec_joins(*input)),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(rewrite_rec_joins(*input)),
-            exprs,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            outputs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite_rec_joins(*input)),
-            group_by,
-            outputs,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite_rec_joins(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
-            input: Box::new(rewrite_rec_joins(*input)),
-            limit,
-        },
-        leaf => leaf,
+        other => map_inputs(other, rewrite_rec_joins),
     }
 }
 
@@ -325,48 +329,43 @@ fn rewrite_rec_joins(plan: LogicalPlan) -> LogicalPlan {
 /// predicate equates the recommend item column with an outer column. The
 /// Recommend leaf must be the *left* input (FROM lists the ratings table
 /// first in every paper query); otherwise the join is left untouched so
-/// column order is preserved.
-fn try_rec_join(left: LogicalPlan, right: LogicalPlan, predicate: Option<Expr>) -> LogicalPlan {
-    let LogicalPlan::Recommend(rec) = left else {
-        return LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            predicate,
-        };
+/// column order is preserved. Either way the node's columns are the
+/// join's `schema`: the leaf's, then the outer's.
+fn try_rec_join(
+    left: LogicalPlan,
+    right: LogicalPlan,
+    predicate: Option<Expr>,
+    schema: Schema,
+) -> LogicalPlan {
+    let join = |left, right, predicate| LogicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        predicate,
+        schema: schema.clone(),
     };
-    let Some(predicate) = predicate else {
-        return LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Recommend(rec)),
-            right: Box::new(right),
-            predicate: None,
-        };
+    let (rec, predicate) = match (left, predicate) {
+        (LogicalPlan::Recommend(rec), Some(predicate)) => (rec, predicate),
+        (left, predicate) => return join(left, right, predicate),
     };
-    let rec_schema = rec.schema();
-    let outer_schema = right.schema();
     let mut item_eq: Option<String> = None;
     let mut residual = Vec::new();
     for c in predicate.conjuncts() {
         if item_eq.is_none() {
-            if let Some(outer_col) = match_item_equality(c, &rec_schema, &outer_schema) {
+            if let Some(outer_col) = match_item_equality(c, rec.schema(), right.schema()) {
                 item_eq = Some(outer_col);
                 continue;
             }
         }
         residual.push(c.clone());
     }
-    let plan = match item_eq {
-        Some(outer_item_column) => LogicalPlan::RecJoin {
-            rec,
-            outer: Box::new(right),
-            outer_item_column,
-        },
-        None => {
-            return LogicalPlan::Join {
-                left: Box::new(LogicalPlan::Recommend(rec)),
-                right: Box::new(right),
-                predicate: Expr::and_all(residual),
-            }
-        }
+    let Some(outer_item_column) = item_eq else {
+        return join(LogicalPlan::Recommend(rec), right, Expr::and_all(residual));
+    };
+    let plan = LogicalPlan::RecJoin {
+        rec,
+        outer: Box::new(right),
+        outer_item_column,
+        schema,
     };
     match Expr::and_all(residual) {
         Some(predicate) => LogicalPlan::Filter {
@@ -388,15 +387,8 @@ fn match_item_equality(expr: &Expr, rec_schema: &Schema, outer_schema: &Schema) 
     else {
         return None;
     };
-    let is_rec_item = |e: &Expr| -> bool {
-        e.column_ref()
-            .and_then(|r| rec_schema.resolve(&r).ok())
-            .is_some_and(|o| o == 1)
-    };
-    let outer_ref = |e: &Expr| -> Option<String> {
-        let r = e.column_ref()?;
-        outer_schema.resolve(&r).ok().map(|_| r)
-    };
+    let is_rec_item = |e: &Expr| ordinal(e, rec_schema) == Some(1);
+    let outer_ref = |e: &Expr| ordinal(e, outer_schema).and(e.column_ref());
     if is_rec_item(left) {
         outer_ref(right)
     } else if is_rec_item(right) {

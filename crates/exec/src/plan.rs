@@ -6,6 +6,16 @@
 //! clause, then `Sort` / `Limit` / `Project`. The optimizer
 //! ([`crate::optimizer`]) rewrites that shape into the paper's optimized
 //! plans (FilterRecommend, JoinRecommend).
+//!
+//! **A node's schema is data.** Every node that defines its output
+//! columns — `Scan`, the `Recommend` leaf, `Join`, `RecJoin`, `Aggregate`,
+//! `Project` — computes its [`Schema`] once, when the node is built
+//! ([`LogicalPlan::join`], [`LogicalPlan::project`], …), from its
+//! children's stored schemas; `Filter`, `Sort` and `Limit` pass their
+//! input's through. [`LogicalPlan::schema`] only borrows, and a schema is
+//! shared, so the executor, which runs a cached plan once per request,
+//! never derives or copies one. An optimizer rewrite never changes a
+//! node's output columns, so it moves the node's schema along with it.
 
 use crate::error::{ExecError, ExecResult};
 use crate::expr::{constant, BuiltinFunc};
@@ -23,6 +33,8 @@ use std::fmt;
 /// float literals, or parameter slots — and [`RecommendNode::preds`]
 /// values them when the physical plan is built, so one optimized plan
 /// serves every value of a statement's parameters.
+///
+/// Built by [`RecommendNode::new`], which computes the leaf's schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecommendNode {
     /// The binding (alias) of the ratings table in FROM.
@@ -46,6 +58,8 @@ pub struct RecommendNode {
     pub min_ratings: Vec<Expr>,
     /// `rPred` upper bounds (inclusive); the smallest applies.
     pub max_ratings: Vec<Expr>,
+    /// `(user, item, rating)` qualified by the binding.
+    schema: Schema,
 }
 
 /// A Recommend leaf's pushed-down predicates valued for one execution:
@@ -63,13 +77,34 @@ pub struct RecommendPreds {
 }
 
 impl RecommendNode {
+    /// A leaf with no predicate pushed into it (a plain RECOMMEND).
+    pub fn new(
+        binding: String,
+        ratings_table: String,
+        algorithm: Algorithm,
+        user_column: String,
+        item_column: String,
+        rating_column: String,
+    ) -> Self {
+        let schema = recommend_schema(&binding, &user_column, &item_column, &rating_column);
+        RecommendNode {
+            binding,
+            ratings_table,
+            algorithm,
+            user_column,
+            item_column,
+            rating_column,
+            user_lists: Vec::new(),
+            item_lists: Vec::new(),
+            min_ratings: Vec::new(),
+            max_ratings: Vec::new(),
+            schema,
+        }
+    }
+
     /// Output schema: `(user, item, rating)` qualified by the binding.
-    pub fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Column::qualified(&self.binding, &self.user_column, DataType::Int),
-            Column::qualified(&self.binding, &self.item_column, DataType::Int),
-            Column::qualified(&self.binding, &self.rating_column, DataType::Float),
-        ])
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     /// True once any predicate was pushed into the leaf (i.e. the physical
@@ -121,6 +156,16 @@ impl RecommendNode {
     }
 }
 
+/// A Recommend leaf's output columns: `(user, item, rating)` qualified by
+/// `binding`.
+fn recommend_schema(binding: &str, user: &str, item: &str, rating: &str) -> Schema {
+    Schema::new(vec![
+        Column::qualified(binding, user, DataType::Int),
+        Column::qualified(binding, item, DataType::Int),
+        Column::qualified(binding, rating, DataType::Float),
+    ])
+}
+
 /// The value of a pushed-down constant.
 fn value<'e>(expr: &'e Expr, params: &'e [Literal]) -> ExecResult<&'e Literal> {
     constant(expr, params)
@@ -148,7 +193,8 @@ pub enum LogicalPlan {
         /// The predicate.
         predicate: Expr,
     },
-    /// Inner join (cross product when `predicate` is `None`).
+    /// Inner join (cross product when `predicate` is `None`). Built by
+    /// [`LogicalPlan::join`].
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
@@ -156,9 +202,12 @@ pub enum LogicalPlan {
         right: Box<LogicalPlan>,
         /// Join predicate, if any.
         predicate: Option<Expr>,
+        /// Left's columns, then right's.
+        schema: Schema,
     },
     /// The paper's JOINRECOMMEND: scores only the items flowing out of
-    /// `outer`. Output columns: recommend columns first, then outer's.
+    /// `outer`. The optimizer builds it from a [`LogicalPlan::Join`] of
+    /// the leaf and `outer`, whose schema it keeps.
     RecJoin {
         /// The recommendation side.
         rec: RecommendNode,
@@ -166,8 +215,11 @@ pub enum LogicalPlan {
         outer: Box<LogicalPlan>,
         /// Column reference in `outer` equated with the item id.
         outer_item_column: String,
+        /// Recommend columns first, then outer's.
+        schema: Schema,
     },
-    /// γ — hash aggregation with optional grouping.
+    /// γ — hash aggregation with optional grouping. Built by
+    /// [`LogicalPlan::aggregate`].
     Aggregate {
         /// Input plan.
         input: Box<LogicalPlan>,
@@ -175,6 +227,8 @@ pub enum LogicalPlan {
         group_by: Vec<Expr>,
         /// Output columns in select-list order.
         outputs: Vec<AggregateOutput>,
+        /// One column per output.
+        schema: Schema,
     },
     /// Sort by keys.
     Sort {
@@ -190,12 +244,14 @@ pub enum LogicalPlan {
         /// Row budget.
         limit: u64,
     },
-    /// π — compute output expressions.
+    /// π — compute output expressions. Built by [`LogicalPlan::project`].
     Project {
         /// Input plan.
         input: Box<LogicalPlan>,
         /// `(expression, output name)` pairs.
         exprs: Vec<(Expr, String)>,
+        /// One column per expression.
+        schema: Schema,
     },
 }
 
@@ -221,85 +277,54 @@ pub enum AggregateOutput {
 }
 
 impl LogicalPlan {
-    /// The node's output schema.
-    pub fn schema(&self) -> Schema {
+    /// `left ⋈ right` on `predicate` (a cross product when `None`).
+    pub fn join(left: LogicalPlan, right: LogicalPlan, predicate: Option<Expr>) -> Self {
+        let schema = left.schema().join(right.schema());
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            predicate,
+            schema,
+        }
+    }
+
+    /// γ over `input`: `outputs` grouped by `group_by`.
+    pub fn aggregate(
+        input: LogicalPlan,
+        group_by: Vec<Expr>,
+        outputs: Vec<AggregateOutput>,
+    ) -> Self {
+        let schema = aggregate_schema(input.schema(), &group_by, &outputs);
+        LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by,
+            outputs,
+            schema,
+        }
+    }
+
+    /// π of `exprs` over `input`.
+    pub fn project(input: LogicalPlan, exprs: Vec<(Expr, String)>) -> Self {
+        let schema = project_schema(input.schema(), &exprs);
+        LogicalPlan::Project {
+            input: Box::new(input),
+            exprs,
+            schema,
+        }
+    }
+
+    /// The node's output schema, as stored when the node was built.
+    pub fn schema(&self) -> &Schema {
         match self {
-            LogicalPlan::Scan { schema, .. } => schema.clone(),
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Join { schema, .. }
+            | LogicalPlan::RecJoin { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::Project { schema, .. } => schema,
             LogicalPlan::Recommend(node) => node.schema(),
-            LogicalPlan::Filter { input, .. } => input.schema(),
-            LogicalPlan::Join { left, right, .. } => left.schema().join(&right.schema()),
-            LogicalPlan::RecJoin { rec, outer, .. } => rec.schema().join(&outer.schema()),
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                outputs,
-            } => {
-                let input_schema = input.schema();
-                Schema::new(
-                    outputs
-                        .iter()
-                        .map(|o| match o {
-                            AggregateOutput::Group { index, name } => {
-                                // Column-ref groups keep their qualifier so
-                                // `ORDER BY M.genre` still binds above the
-                                // aggregate.
-                                let expr = &group_by[*index];
-                                let from_input = expr.column_ref().and_then(|r| {
-                                    input_schema
-                                        .resolve_column(&r)
-                                        .ok()
-                                        .map(|(_, c)| (c.relation.clone(), c.data_type))
-                                });
-                                match from_input {
-                                    Some((relation, data_type)) => Column {
-                                        relation,
-                                        name: name.clone(),
-                                        data_type,
-                                    },
-                                    None => {
-                                        Column::new(name.clone(), infer_type(expr, &input_schema))
-                                    }
-                                }
-                            }
-                            AggregateOutput::Agg { func, arg, name } => {
-                                let ty = match func {
-                                    AggFunc::Count => DataType::Int,
-                                    AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                                    AggFunc::Min | AggFunc::Max => arg
-                                        .as_ref()
-                                        .map(|a| infer_type(a, &input_schema))
-                                        .unwrap_or(DataType::Float),
-                                };
-                                Column::new(name.clone(), ty)
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            LogicalPlan::Sort { input, .. } => input.schema(),
-            LogicalPlan::Limit { input, .. } => input.schema(),
-            LogicalPlan::Project { input, exprs } => {
-                let input_schema = input.schema();
-                Schema::new(
-                    exprs
-                        .iter()
-                        .map(|(e, name)| {
-                            // Column refs keep their qualifier; computed
-                            // expressions are unqualified outputs.
-                            if let Some(reference) = e.column_ref() {
-                                if let Ok((_, col)) = input_schema.resolve_column(&reference) {
-                                    return Column {
-                                        relation: col.relation.clone(),
-                                        name: name.clone(),
-                                        data_type: col.data_type,
-                                    };
-                                }
-                            }
-                            Column::new(name.clone(), infer_type(e, &input_schema))
-                        })
-                        .collect(),
-                )
-            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.schema(),
         }
     }
 
@@ -354,6 +379,7 @@ impl LogicalPlan {
                 left,
                 right,
                 predicate,
+                ..
             } => {
                 match predicate {
                     Some(p) => out.push_str(&format!("{pad}Join on {p}\n")),
@@ -366,6 +392,7 @@ impl LogicalPlan {
                 rec,
                 outer,
                 outer_item_column,
+                ..
             } => {
                 out.push_str(&format!(
                     "{pad}JoinRecommend {}.{} = {outer_item_column} USING {}",
@@ -411,7 +438,7 @@ impl LogicalPlan {
                 out.push_str(&format!("{pad}Limit {limit}\n"));
                 input.explain_into(out, depth + 1);
             }
-            LogicalPlan::Project { input, exprs } => {
+            LogicalPlan::Project { input, exprs, .. } => {
                 out.push_str(&format!(
                     "{pad}Project [{}]\n",
                     exprs
@@ -424,6 +451,66 @@ impl LogicalPlan {
             }
         }
     }
+}
+
+/// The column `reference` names in `schema`, if it resolves.
+fn resolved<'s>(reference: &Expr, schema: &'s Schema) -> Option<&'s Column> {
+    let (qualifier, name) = reference.as_column()?;
+    let i = schema.resolve_parts(qualifier, name).ok()?;
+    schema.column(i)
+}
+
+/// An `Aggregate` node's output columns over an input of `input` columns.
+fn aggregate_schema(input: &Schema, group_by: &[Expr], outputs: &[AggregateOutput]) -> Schema {
+    Schema::new(
+        outputs
+            .iter()
+            .map(|o| match o {
+                AggregateOutput::Group { index, name } => {
+                    // Column-ref groups keep their qualifier so
+                    // `ORDER BY M.genre` still binds above the aggregate.
+                    let expr = &group_by[*index];
+                    match resolved(expr, input) {
+                        Some(c) => Column {
+                            relation: c.relation.clone(),
+                            name: name.clone(),
+                            data_type: c.data_type,
+                        },
+                        None => Column::new(name.clone(), infer_type(expr, input)),
+                    }
+                }
+                AggregateOutput::Agg { func, arg, name } => {
+                    let ty = match func {
+                        AggFunc::Count => DataType::Int,
+                        AggFunc::Sum | AggFunc::Avg => DataType::Float,
+                        AggFunc::Min | AggFunc::Max => arg
+                            .as_ref()
+                            .map(|a| infer_type(a, input))
+                            .unwrap_or(DataType::Float),
+                    };
+                    Column::new(name.clone(), ty)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// A `Project` node's output columns over an input of `input` columns:
+/// column refs keep their qualifier; computed expressions are unqualified.
+fn project_schema(input: &Schema, exprs: &[(Expr, String)]) -> Schema {
+    Schema::new(
+        exprs
+            .iter()
+            .map(|(e, name)| match resolved(e, input) {
+                Some(col) => Column {
+                    relation: col.relation.clone(),
+                    name: name.clone(),
+                    data_type: col.data_type,
+                },
+                None => Column::new(name.clone(), infer_type(e, input)),
+            })
+            .collect(),
+    )
 }
 
 impl fmt::Display for LogicalPlan {
@@ -445,13 +532,7 @@ fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
             ParamKind::Float => DataType::Float,
             ParamKind::Str => DataType::Text,
         },
-        Expr::Column { .. } => {
-            let reference = expr.column_ref().expect("column");
-            schema
-                .resolve_column(&reference)
-                .map(|(_, c)| c.data_type)
-                .unwrap_or(DataType::Float)
-        }
+        Expr::Column { .. } => resolved(expr, schema).map_or(DataType::Float, |c| c.data_type),
         Expr::Unary { expr, .. } => infer_type(expr, schema),
         Expr::Binary { op, left, .. } => {
             use recdb_sql::BinaryOp::*;
@@ -505,18 +586,14 @@ pub fn build_logical(select: &SelectStatement, catalog: &Catalog) -> ExecResult<
                     .map(|(_, c)| c.to_owned())
                     .unwrap_or_else(|| s.to_owned())
             };
-            leaves.push(LogicalPlan::Recommend(RecommendNode {
-                binding: binding.to_owned(),
-                ratings_table: table_ref.table.clone(),
+            leaves.push(LogicalPlan::Recommend(RecommendNode::new(
+                binding.to_owned(),
+                table_ref.table.clone(),
                 algorithm,
-                user_column: strip(&rec.user_column),
-                item_column: strip(&rec.item_column),
-                rating_column: strip(&rec.rating_column),
-                user_lists: Vec::new(),
-                item_lists: Vec::new(),
-                min_ratings: Vec::new(),
-                max_ratings: Vec::new(),
-            }));
+                strip(&rec.user_column),
+                strip(&rec.item_column),
+                strip(&rec.rating_column),
+            )));
         } else {
             let table = catalog.table(&table_ref.table)?;
             leaves.push(LogicalPlan::Scan {
@@ -530,11 +607,7 @@ pub fn build_logical(select: &SelectStatement, catalog: &Catalog) -> ExecResult<
     // Left-deep cross-join tree in FROM order.
     let mut plan = leaves.remove(0);
     for right in leaves {
-        plan = LogicalPlan::Join {
-            left: Box::new(plan),
-            right: Box::new(right),
-            predicate: None,
-        };
+        plan = LogicalPlan::join(plan, right, None);
     }
 
     if let Some(filter) = &select.filter {
@@ -595,18 +668,14 @@ pub fn build_logical(select: &SelectStatement, catalog: &Catalog) -> ExecResult<
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| {
-                    expr.column_ref()
-                        .map(|r| r.split_once('.').map(|(_, c)| c.to_owned()).unwrap_or(r))
-                        .unwrap_or_else(|| format!("col{}", i + 1))
+                    expr.as_column()
+                        .map_or_else(|| format!("col{}", i + 1), |(_, name)| name.to_owned())
                 });
                 exprs.push((expr.clone(), name));
             }
         }
     }
-    Ok(LogicalPlan::Project {
-        input: Box::new(plan),
-        exprs,
-    })
+    Ok(LogicalPlan::project(plan, exprs))
 }
 
 /// Is this expression exactly an aggregate call?
@@ -652,10 +721,10 @@ fn build_aggregate(select: &SelectStatement, input: LogicalPlan) -> ExecResult<L
         if a == b {
             return true;
         }
-        match (a.column_ref(), b.column_ref()) {
-            (Some(ra), Some(rb)) => {
+        match (a.as_column(), b.as_column()) {
+            (Some((qa, na)), Some((qb, nb))) => {
                 matches!(
-                    (input_schema.resolve(&ra), input_schema.resolve(&rb)),
+                    (input_schema.resolve_parts(qa, na), input_schema.resolve_parts(qb, nb)),
                     (Ok(x), Ok(y)) if x == y
                 )
             }
@@ -672,9 +741,8 @@ fn build_aggregate(select: &SelectStatement, input: LogicalPlan) -> ExecResult<L
         let name = alias.clone().unwrap_or_else(|| match expr {
             Expr::Function { name, .. } => name.to_ascii_lowercase(),
             _ => expr
-                .column_ref()
-                .map(|r| r.split_once('.').map(|(_, c)| c.to_owned()).unwrap_or(r))
-                .unwrap_or_else(|| format!("col{}", i + 1)),
+                .as_column()
+                .map_or_else(|| format!("col{}", i + 1), |(_, name)| name.to_owned()),
         });
         if let Some((func, arg)) = aggregate_call(expr) {
             outputs.push(AggregateOutput::Agg { func, arg, name });
@@ -696,11 +764,11 @@ fn build_aggregate(select: &SelectStatement, input: LogicalPlan) -> ExecResult<L
             })?;
         outputs.push(AggregateOutput::Group { index, name });
     }
-    Ok(LogicalPlan::Aggregate {
-        input: Box::new(input),
-        group_by: select.group_by.clone(),
+    Ok(LogicalPlan::aggregate(
+        input,
+        select.group_by.clone(),
         outputs,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -743,7 +811,7 @@ mod tests {
     fn plain_select_builds_scan_filter_project() {
         let plan =
             build_logical(&select("SELECT uid FROM ratings WHERE uid = 1"), &catalog()).unwrap();
-        let LogicalPlan::Project { input, exprs } = &plan else {
+        let LogicalPlan::Project { input, exprs, .. } = &plan else {
             panic!()
         };
         assert_eq!(exprs.len(), 1);
@@ -946,5 +1014,174 @@ mod tests {
         assert_eq!(s.column(2).unwrap().data_type, DataType::Bool);
         // Sanity: Value::Bool conforms to the inferred Bool column.
         assert!(Value::Bool(true).conforms_to(s.column(2).unwrap().data_type));
+    }
+
+    /// Stored schemas against a derivation from the leaves up.
+    mod stored_schemas {
+        use super::*;
+        use crate::optimizer::{optimize, optimize_pushdown_only};
+        use proptest::prelude::*;
+
+        /// `plan`'s output columns derived from its leaves up, by the rule
+        /// of each node: the oracle for the schema each node stores.
+        fn derived(plan: &LogicalPlan, catalog: &Catalog) -> Schema {
+            let rec = |n: &RecommendNode| {
+                recommend_schema(&n.binding, &n.user_column, &n.item_column, &n.rating_column)
+            };
+            match plan {
+                LogicalPlan::Scan { table, binding, .. } => catalog
+                    .table(table)
+                    .unwrap()
+                    .schema()
+                    .with_qualifier(binding),
+                LogicalPlan::Recommend(node) => rec(node),
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Sort { input, .. }
+                | LogicalPlan::Limit { input, .. } => derived(input, catalog),
+                LogicalPlan::Join { left, right, .. } => {
+                    derived(left, catalog).join(&derived(right, catalog))
+                }
+                LogicalPlan::RecJoin {
+                    rec: node, outer, ..
+                } => rec(node).join(&derived(outer, catalog)),
+                LogicalPlan::Aggregate {
+                    input,
+                    group_by,
+                    outputs,
+                    ..
+                } => aggregate_schema(&derived(input, catalog), group_by, outputs),
+                LogicalPlan::Project { input, exprs, .. } => {
+                    project_schema(&derived(input, catalog), exprs)
+                }
+            }
+        }
+
+        /// Every node of `plan`, root first.
+        fn nodes(plan: &LogicalPlan) -> Vec<&LogicalPlan> {
+            let inputs: Vec<&LogicalPlan> = match plan {
+                LogicalPlan::Scan { .. } | LogicalPlan::Recommend(_) => vec![],
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Sort { input, .. }
+                | LogicalPlan::Limit { input, .. }
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::Project { input, .. } => vec![input],
+                LogicalPlan::Join { left, right, .. } => vec![left, right],
+                LogicalPlan::RecJoin { outer, .. } => vec![outer],
+            };
+            std::iter::once(plan)
+                .chain(inputs.into_iter().flat_map(nodes))
+                .collect()
+        }
+
+        const CONJUNCTS: [&str; 13] = [
+            "R.uid = 1",
+            "R.uid IN (1, 2)",
+            "R.iid = M.mid",
+            "R.iid = M.mid",
+            "M.mid = R.iid",
+            "M.mid = R.iid",
+            "M.genre = 'Action'",
+            "R.ratingval >= 2.5",
+            "R.ratingval BETWEEN 1 AND 4",
+            "R.ratingval > 3",
+            "R.uid = M.mid",
+            "M.mid * 2 > R.iid",
+            "uid = 3",
+        ];
+        const ITEMS: [&str; 9] = [
+            "R.uid",
+            "R.iid",
+            "R.ratingval",
+            "M.name",
+            "M.genre",
+            "R.ratingval * 2 AS doubled",
+            "M.mid + 1",
+            "genre",
+            "ratingval",
+        ];
+        const AGGREGATES: [&str; 4] = [
+            "COUNT(*) AS n",
+            "AVG(R.ratingval) AS mean",
+            "MAX(M.name)",
+            "MIN(R.iid) AS lo",
+        ];
+
+        /// A SELECT over `ratings AS R` and `movies AS M` from raw draws:
+        /// either or both relations in either order, maybe a RECOMMEND
+        /// clause, a WHERE conjunction, a select list or a grouping, an
+        /// order and a limit. Many are rejected by the planner; the rest
+        /// cover every node kind and every rewrite.
+        fn statement(draws: &[usize]) -> String {
+            let d = |i: usize| draws[i % draws.len()];
+            let from = [
+                "ratings AS R",
+                "movies AS M",
+                "ratings AS R, movies AS M",
+                "ratings AS R, movies AS M",
+                "movies AS M, ratings AS R",
+            ][d(0) % 5];
+            let recommend = if from.contains("ratings") && d(1) % 3 > 0 {
+                " RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF"
+            } else {
+                ""
+            };
+            let pick = |at: usize, n: usize, pool: &[&str]| -> Vec<String> {
+                (0..d(at) % (n + 1))
+                    .map(|k| pool[d(at + 1 + k) % pool.len()].to_owned())
+                    .collect()
+            };
+            let conjuncts = pick(2, 3, &CONJUNCTS);
+            let filter = if conjuncts.is_empty() {
+                String::new()
+            } else {
+                format!(" WHERE {}", conjuncts.join(" AND "))
+            };
+            let (items, group) = match d(6) % 4 {
+                0 => ("*".to_owned(), String::new()),
+                1 => {
+                    let key = ["M.genre", "R.uid", "genre"][d(7) % 3];
+                    let mut items = vec![key.to_owned()];
+                    items.extend(pick(8, 2, &AGGREGATES));
+                    (items.join(", "), format!(" GROUP BY {key}"))
+                }
+                _ => {
+                    let mut items = pick(11, 3, &ITEMS);
+                    if items.is_empty() {
+                        items.push("R.ratingval".to_owned());
+                    }
+                    (items.join(", "), String::new())
+                }
+            };
+            let order = match d(15) % 4 {
+                0 => " ORDER BY R.ratingval DESC",
+                1 => " ORDER BY M.name, R.iid DESC",
+                _ => "",
+            };
+            let limit = if d(16) % 2 == 0 { " LIMIT 5" } else { "" };
+            format!("SELECT {items} FROM {from}{recommend}{filter}{group}{order}{limit}")
+        }
+
+        proptest! {
+            /// Every node's stored schema is the one derived from its
+            /// children, in the naive plan and after each set of rewrites.
+            #[test]
+            fn every_node_stores_the_schema_its_children_derive(
+                draws in prop::collection::vec(0usize..1000, 17),
+            ) {
+                let sql = statement(&draws);
+                let catalog = catalog();
+                let parsed = recdb_sql::parse(&sql);
+                let Ok(recdb_sql::Statement::Select(select)) = parsed else {
+                    panic!("{sql}: {parsed:?}")
+                };
+                if let Ok(naive) = build_logical(&select, &catalog) {
+                    for plan in [naive.clone(), optimize_pushdown_only(naive.clone()), optimize(naive)] {
+                        for node in nodes(&plan) {
+                            prop_assert_eq!(node.schema(), &derived(node, &catalog), "{}\n{}", sql, plan);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

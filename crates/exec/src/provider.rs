@@ -45,6 +45,13 @@ pub trait RecommenderProvider {
     /// The current version of the recommender created on `ratings_table`
     /// with `algorithm`, or `None` if no such recommender exists.
     fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>>;
+
+    /// A statement's Recommend leaf asks that recommender for `users`
+    /// (its `uPred`, in WHERE order, repeats kept): the Users Histogram's
+    /// input (§III-B). Called once per leaf per execution, after
+    /// [`RecommenderProvider::version`] found the recommender. Does
+    /// nothing unless the provider keeps such statistics.
+    fn record_query(&self, _ratings_table: &str, _algorithm: Algorithm, _users: &[i64]) {}
 }
 
 /// A provider with no recommenders (plain-SQL execution contexts).

@@ -400,10 +400,9 @@ mod tests {
             let guard = QueryGuard::unlimited();
             let accesses = || heap.pool().hits() + heap.pool().misses();
             let before = accesses();
-            let mut fused = ScanOp::new(&heap, schema.clone())
+            let mut fused = ScanOp::new(&heap, schema.clone(), guard.clone())
                 .with_filter(&predicate, &[])
-                .unwrap()
-                .with_guard(guard.clone());
+                .unwrap();
             let got = drain(&mut fused);
             if got.is_ok() {
                 prop_assert_eq!(guard.rows_used(), live.len() as u64 + 1, "{}", case);
@@ -418,7 +417,7 @@ mod tests {
             // fused scan returns its rows in its order; it fails on a
             // superset of the inputs the fused scan fails on.
             let unfused = ValuesOp::new(schema.clone(), tuples(live.clone()));
-            let mut oracle = FilterOp::new(Box::new(unfused), bind(&predicate, &schema, &[]).unwrap());
+            let mut oracle = FilterOp::new(Box::new(unfused), bind(&predicate, &schema, &[]).unwrap(), QueryGuard::unlimited());
             if let Ok(rows) = drain(&mut oracle) {
                 prop_assert_eq!(&got, &Ok(rows), "{}", case);
             }
@@ -426,10 +425,9 @@ mod tests {
             // UPDATE and DELETE take the same rows with their record ids,
             // billing the live rows and no end-of-stream unit.
             let guard = QueryGuard::unlimited();
-            let dml = ScanOp::new(&heap, schema.clone())
+            let dml = ScanOp::new(&heap, schema.clone(), guard.clone())
                 .with_filter(&predicate, &[])
                 .unwrap()
-                .with_guard(guard.clone())
                 .matching_rows();
             if dml.is_ok() {
                 prop_assert_eq!(guard.rows_used(), live.len() as u64, "{}", case);
@@ -700,13 +698,14 @@ mod tests {
             let predicate = where_clause(src);
             let (keys, residual) = split(&predicate, &schema, &[]).unwrap();
             assert!(residual.is_none() && !keys.is_empty(), "{src}");
-            let mut fused = ScanOp::new(&heap, schema.clone())
+            let mut fused = ScanOp::new(&heap, schema.clone(), QueryGuard::unlimited())
                 .with_filter(&predicate, &[])
                 .unwrap();
             let unfolded = bind_unfolded(&predicate, &schema);
             let mut filter = FilterOp::new(
                 Box::new(ValuesOp::new(schema.clone(), rows.clone())),
                 unfolded,
+                QueryGuard::unlimited(),
             );
             assert_eq!(drain(&mut fused), drain(&mut filter), "{src}");
         }
@@ -720,7 +719,7 @@ mod tests {
             heap.insert(Tuple::new(vec![Value::Int(uid)])).unwrap();
         }
         let scan = |src: &str| {
-            let mut op = ScanOp::new(&heap, schema.clone())
+            let mut op = ScanOp::new(&heap, schema.clone(), QueryGuard::unlimited())
                 .with_filter(&where_clause(src), &[])
                 .unwrap();
             drain(&mut op).map(|rows| rows.len())
@@ -744,7 +743,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(heap.page_count(), 1);
-        let mut op = ScanOp::new(&heap, schema)
+        let mut op = ScanOp::new(&heap, schema, QueryGuard::unlimited())
             .with_filter(&where_clause("genre = 'Crime' AND 'genre-9' < genre"), &[])
             .unwrap();
         let (end, allocations) = crate::alloc_count::allocations_in(|| op.next());

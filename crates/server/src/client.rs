@@ -20,7 +20,7 @@
 //!   only for the idempotent PING and METRICS requests.
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, ProtocolError, Request, Response, WireError, WireResult,
+    write_frame, ErrorCode, FrameReader, ProtocolError, Request, Response, WireError, WireResult,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use recdb_exec::ResultSet;
@@ -127,12 +127,19 @@ impl std::error::Error for ClientError {
 /// Convenience alias for client call results.
 pub type ClientResult<T> = Result<T, ClientError>;
 
+/// One TCP connection and the bytes read from it that no frame has taken
+/// yet.
+struct Conn {
+    stream: TcpStream,
+    frames: FrameReader,
+}
+
 /// A RecDB wire-protocol client: one logical connection that transparently
 /// reconnects and retries retryable failures with bounded backoff.
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     in_transaction: bool,
     /// Total reconnect attempts made over this client's lifetime
     /// (observability for tests).
@@ -162,8 +169,8 @@ impl Client {
                 std::thread::sleep(client.backoff(attempt - 1));
             }
             match client.dial() {
-                Ok(stream) => {
-                    client.conn = Some(stream);
+                Ok(conn) => {
+                    client.conn = Some(conn);
                     return Ok(client);
                 }
                 Err(e) if e.retryable_now(false) && client.cfg.max_retries > 0 => last = Some(e),
@@ -331,9 +338,8 @@ impl Client {
         if self.conn.is_none() {
             self.conn = Some(self.dial()?);
         }
-        let stream = match self.conn.as_mut() {
-            Some(s) => s,
-            None => return Err(ClientError::UnexpectedResponse("no connection")),
+        let Some(Conn { stream, frames }) = self.conn.as_mut() else {
+            return Err(ClientError::UnexpectedResponse("no connection"));
         };
         let payload = request.encode();
         if let Err(e) = write_frame(&mut &*stream, &payload, self.cfg.max_frame_bytes) {
@@ -345,8 +351,8 @@ impl Client {
                 other => ClientError::Protocol(other),
             });
         }
-        match read_frame(&mut &*stream, self.cfg.max_frame_bytes) {
-            Ok(Some(bytes)) => Response::decode(&bytes).map_err(ClientError::Protocol),
+        match frames.read_frame(&mut &*stream, self.cfg.max_frame_bytes) {
+            Ok(Some(bytes)) => Response::decode(bytes).map_err(ClientError::Protocol),
             Ok(None) => Err(ClientError::ConnectionLost {
                 sent: true,
                 source: std::io::Error::new(
@@ -362,21 +368,23 @@ impl Client {
     }
 
     /// Establish a TCP connection and consume the server's greeting.
-    fn dial(&mut self) -> ClientResult<TcpStream> {
+    fn dial(&mut self) -> ClientResult<Conn> {
         self.reconnects += 1;
         let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
             .map_err(ClientError::Connect)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.cfg.io_timeout));
         let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
-        let greeting = read_frame(&mut &stream, self.cfg.max_frame_bytes)
+        let mut frames = FrameReader::new();
+        let greeting = frames
+            .read_frame(&mut &stream, self.cfg.max_frame_bytes)
             .map_err(ClientError::Protocol)?
             .ok_or(ClientError::Connect(std::io::Error::new(
                 std::io::ErrorKind::ConnectionReset,
                 "server closed the connection before greeting",
             )))?;
-        match Response::decode(&greeting).map_err(ClientError::Protocol)? {
-            Response::Hello { .. } => Ok(stream),
+        match Response::decode(greeting).map_err(ClientError::Protocol)? {
+            Response::Hello { .. } => Ok(Conn { stream, frames }),
             Response::Error(err) => Err(ClientError::Server(err)),
             _ => Err(ClientError::UnexpectedResponse(
                 "greeting was neither hello nor error",

@@ -16,7 +16,7 @@
 //! anything, so a hostile 4-byte header can never balloon memory.
 //!
 //! Payloads reuse the storage codec ([`recdb_storage::codec`]): integers
-//! are big-endian, strings are `u32` length + UTF-8 bytes, rows are
+//! are little-endian, strings are `u32` length + UTF-8 bytes, rows are
 //! [`Tuple`] encodings — the same bytes the heap stores.
 //!
 //! # Conversation shape
@@ -88,37 +88,133 @@ impl From<std::io::Error> for ProtocolError {
     }
 }
 
-/// Read one frame payload from `r`, enforcing `max_frame_bytes` before
-/// any allocation. Returns `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(
-    r: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(ProtocolError::Malformed(
-                    "connection closed mid frame header".into(),
-                ))
+/// Bytes a connection's read buffer starts with, and shrinks back to
+/// after a frame larger than this has been taken.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
+/// The read side of one connection: bytes received and not yet taken as
+/// frames. Each `read` asks the socket for as much as the buffer has room
+/// for, so a frame that has fully arrived — header and payload, or even
+/// the next frame too — costs one `recv`, not one for its header and one
+/// for its payload. A frame's announced length is checked against
+/// `max_frame_bytes` before the buffer grows to hold it.
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    buf: Vec<u8>,
+    /// First byte not yet taken.
+    start: usize,
+    /// One past the last byte received.
+    end: usize,
+}
+
+impl FrameReader {
+    /// An empty reader; its buffer is allocated by the first read.
+    pub(crate) fn new() -> Self {
+        FrameReader::default()
+    }
+
+    /// Bytes received and not yet taken.
+    pub(crate) fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The next frame's payload length once its header has arrived, or
+    /// [`ProtocolError::FrameTooLarge`] if it announces more than
+    /// `max_frame_bytes`.
+    pub(crate) fn payload_len(
+        &self,
+        max_frame_bytes: usize,
+    ) -> Result<Option<usize>, ProtocolError> {
+        let Some(header) = self.buf[self.start..self.end].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*header) as usize;
+        if len > max_frame_bytes {
+            return Err(ProtocolError::FrameTooLarge {
+                announced: len as u64,
+                max: max_frame_bytes,
+            });
+        }
+        Ok(Some(len))
+    }
+
+    /// Take the next frame's payload if all of it has arrived.
+    /// `payload_len` must have vetted its header.
+    pub(crate) fn take(&mut self, len: usize) -> Option<&[u8]> {
+        let payload = self.start + 4;
+        if self.end < payload + len {
+            return None;
+        }
+        self.start = payload + len;
+        Some(&self.buf[payload..payload + len])
+    }
+
+    /// One `read` from `r` into the buffer, which first makes room for
+    /// the whole of the frame being received: its header, and its payload
+    /// of `len` bytes once the header has arrived. `Ok(0)` is end of
+    /// stream.
+    pub(crate) fn read_from(
+        &mut self,
+        r: &mut impl Read,
+        len: Option<usize>,
+    ) -> std::io::Result<usize> {
+        let frame = 4 + len.unwrap_or(0);
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > READ_BUFFER_BYTES {
+                self.buf.truncate(READ_BUFFER_BYTES);
+                self.buf.shrink_to_fit();
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e)),
+        }
+        if self.start + frame > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if frame > self.buf.len() {
+                self.buf.resize(frame.max(READ_BUFFER_BYTES), 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Read the next frame's payload from `r`, blocking. Returns
+    /// `Ok(None)` on a clean end of stream at a frame boundary; an end of
+    /// stream inside a header is malformed, inside a payload an
+    /// `UnexpectedEof`.
+    pub(crate) fn read_frame(
+        &mut self,
+        r: &mut impl Read,
+        max_frame_bytes: usize,
+    ) -> Result<Option<&[u8]>, ProtocolError> {
+        loop {
+            let len = self.payload_len(max_frame_bytes)?;
+            if let Some(len) = len {
+                if self.buffered() >= 4 + len {
+                    return Ok(self.take(len));
+                }
+            }
+            match self.read_from(r, len) {
+                Ok(0) => {
+                    return match (self.buffered(), len) {
+                        (0, _) => Ok(None),
+                        (_, None) => Err(ProtocolError::Malformed(
+                            "connection closed mid frame header".into(),
+                        )),
+                        (_, Some(_)) => Err(ProtocolError::Io(std::io::Error::new(
+                            std::io::ErrorKind::UnexpectedEof,
+                            "connection closed mid frame",
+                        ))),
+                    };
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ProtocolError::Io(e)),
+            }
         }
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            announced: len as u64,
-            max: max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Write one frame (header + payload) to `w`.
@@ -803,12 +899,72 @@ mod tests {
         // Header announces ~4 GiB; the reader must bail on the header
         // alone without ever allocating the payload.
         let mut stream: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x00];
-        match read_frame(&mut stream, 1024) {
+        let mut frames = FrameReader::new();
+        match frames.read_frame(&mut stream, 1024) {
             Err(ProtocolError::FrameTooLarge { announced, max }) => {
                 assert_eq!(announced, 0xFFFF_FFFF);
                 assert_eq!(max, 1024);
             }
             other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert!(frames.buf.len() <= READ_BUFFER_BYTES);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per `read` and counts
+    /// the calls.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames come out whole and in order however the bytes arrive: one
+    /// `read` for frames that arrived together, and a payload larger than
+    /// the buffer grows it once; the stream's end is clean only at a frame
+    /// boundary.
+    #[test]
+    fn frames_are_cut_from_whatever_one_read_returns() {
+        let big = vec![7u8; 3 * READ_BUFFER_BYTES];
+        let mut sent = Vec::new();
+        for payload in [&b"ping"[..], &b""[..], &big, &b"last"[..]] {
+            write_frame(&mut sent, payload, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        }
+        for chunk in [1, 3, 5, 4096, usize::MAX] {
+            let mut stream = Trickle {
+                bytes: &sent,
+                chunk,
+                reads: 0,
+            };
+            let mut frames = FrameReader::new();
+            let mut got = Vec::new();
+            while let Some(payload) = frames.read_frame(&mut stream, big.len()).unwrap() {
+                got.push(payload.to_vec());
+            }
+            assert_eq!(got, [&b"ping"[..], b"", &big, b"last"], "chunk {chunk}");
+            if chunk == usize::MAX {
+                // The two small frames and the big one's head, its rest,
+                // the last frame, the end of the stream.
+                assert_eq!(stream.reads, 4);
+            }
+        }
+        for (cut, closed_mid_header) in [(2, true), (6, false)] {
+            let mut stream = &sent[..cut];
+            match FrameReader::new().read_frame(&mut stream, 1024) {
+                Err(ProtocolError::Malformed(_)) if closed_mid_header => {}
+                Err(ProtocolError::Io(e))
+                    if !closed_mid_header && e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
         }
     }
 

@@ -27,14 +27,14 @@
 //! committed, which is exactly the ambiguity real clients must handle).
 
 use crate::protocol::{
-    classify, ErrorCode, ProtocolError, Request, Response, WireError, WireResult,
+    classify, ErrorCode, FrameReader, ProtocolError, Request, Response, WireError, WireResult,
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use recdb_core::{QueryGuard, RecDb};
 use recdb_fault::fail_point;
 use recdb_obs::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -384,9 +384,10 @@ fn handle_conn(shared: &Shared, entry: &ConnEntry) {
 
     let db = Arc::clone(&shared.db);
     let mut session = db.session();
+    let mut frames = FrameReader::new();
 
     loop {
-        let payload = match read_request(shared, stream) {
+        let payload = match read_request(shared, stream, &mut frames) {
             Ok(p) => p,
             Err(CloseReason::TooLarge(announced)) => {
                 let _ = send_response(
@@ -420,7 +421,7 @@ fn handle_conn(shared: &Shared, entry: &ConnEntry) {
             ) => return,
         };
 
-        let request = match Request::decode(&payload) {
+        let request = match Request::decode(payload) {
             Ok(r) => r,
             Err(e) => {
                 // Garbage bytes: answer with a clean protocol error and
@@ -488,20 +489,39 @@ fn statement_guard(db: &RecDb, deadline: Option<Duration>) -> QueryGuard {
     }
 }
 
-/// Read one request frame in `POLL_SLICE` slices, observing the idle
-/// timeout, the per-frame read budget, and the shutdown flag. The
-/// `server::frame_read` fail point is consulted once per frame.
-fn read_request(shared: &Shared, stream: &TcpStream) -> Result<Vec<u8>, CloseReason> {
+/// Read one request frame through the connection's `frames` buffer in
+/// `POLL_SLICE` slices, observing the idle timeout, the per-frame read
+/// budget, and the shutdown flag. The idle timeout and the shutdown flag
+/// apply while no byte of the frame has arrived; from its first byte (or
+/// from the call, for a frame whose head came with the one before) the
+/// frame has `read_timeout`. The `server::frame_read` fail point is
+/// consulted once per frame.
+fn read_request<'f>(
+    shared: &Shared,
+    stream: &TcpStream,
+    frames: &'f mut FrameReader,
+) -> Result<&'f [u8], CloseReason> {
     if fail_point("server::frame_read").is_err() {
         return Err(CloseReason::Fault);
     }
     let idle_deadline = Instant::now() + shared.cfg.idle_timeout;
-
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    let mut frame_deadline: Option<Instant> = None;
-    while filled < 4 {
-        if filled == 0 {
+    let mut frame_deadline =
+        (frames.buffered() > 0).then(|| Instant::now() + shared.cfg.read_timeout);
+    loop {
+        let len = match frames.payload_len(shared.cfg.max_frame_bytes) {
+            Ok(len) => len,
+            Err(ProtocolError::FrameTooLarge { announced, .. }) => {
+                return Err(CloseReason::TooLarge(announced))
+            }
+            Err(_) => return Err(CloseReason::Broken),
+        };
+        if let Some(len) = len {
+            if frames.buffered() >= 4 + len {
+                return frames.take(len).ok_or(CloseReason::Broken);
+            }
+        }
+        let started = frames.buffered() > 0;
+        if !started {
             if shared.shutting_down() {
                 return Err(CloseReason::Shutdown);
             }
@@ -511,53 +531,32 @@ fn read_request(shared: &Shared, stream: &TcpStream) -> Result<Vec<u8>, CloseRea
         } else if frame_deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(CloseReason::Broken);
         }
-        match read_slice(stream, &mut header[filled..]) {
-            SliceRead::Data(n) => {
-                if filled == 0 {
+        match read_slice(frames.read_from(&mut &*stream, len)) {
+            SliceRead::Data => {
+                if !started {
                     frame_deadline = Some(Instant::now() + shared.cfg.read_timeout);
                 }
-                filled += n;
             }
-            SliceRead::Eof if filled == 0 => return Err(CloseReason::Eof),
+            SliceRead::Eof if !started => return Err(CloseReason::Eof),
             SliceRead::Eof => return Err(CloseReason::Broken),
             SliceRead::WouldBlock => {}
             SliceRead::Err => return Err(CloseReason::Broken),
         }
     }
-
-    let len = u32::from_be_bytes(header) as usize;
-    if len > shared.cfg.max_frame_bytes {
-        return Err(CloseReason::TooLarge(len as u64));
-    }
-    let deadline = frame_deadline.unwrap_or_else(|| Instant::now() + shared.cfg.read_timeout);
-    let mut payload = vec![0u8; len];
-    let mut off = 0usize;
-    while off < len {
-        if Instant::now() >= deadline {
-            return Err(CloseReason::Broken);
-        }
-        match read_slice(stream, &mut payload[off..]) {
-            SliceRead::Data(n) => off += n,
-            SliceRead::Eof => return Err(CloseReason::Broken),
-            SliceRead::WouldBlock => {}
-            SliceRead::Err => return Err(CloseReason::Broken),
-        }
-    }
-    Ok(payload)
 }
 
 enum SliceRead {
-    Data(usize),
+    Data,
     Eof,
     WouldBlock,
     Err,
 }
 
-fn read_slice(stream: &TcpStream, buf: &mut [u8]) -> SliceRead {
-    let mut r = stream;
-    match r.read(buf) {
+/// What one read slice's outcome means for the frame being read.
+fn read_slice(read: std::io::Result<usize>) -> SliceRead {
+    match read {
         Ok(0) => SliceRead::Eof,
-        Ok(n) => SliceRead::Data(n),
+        Ok(_) => SliceRead::Data,
         Err(e)
             if matches!(
                 e.kind(),

@@ -181,6 +181,16 @@ impl Expr {
         Expr::Literal(Literal::Int(v))
     }
 
+    /// A column expression's qualifier and name, borrowed, if this is one:
+    /// what the storage layer's `Schema::resolve_parts` takes, so
+    /// resolving a column formats nothing.
+    pub fn as_column(&self) -> Option<(Option<&str>, &str)> {
+        match self {
+            Expr::Column { qualifier, name } => Some((qualifier.as_deref(), name)),
+            _ => None,
+        }
+    }
+
     /// The full reference text of a column expression (`R.uid`), if this
     /// is one.
     pub fn column_ref(&self) -> Option<String> {

@@ -6,6 +6,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::value::DataType;
+use std::sync::Arc;
 
 /// A single column: an optional relation qualifier, a name, and a type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,16 +66,22 @@ impl Column {
     }
 }
 
-/// An ordered list of columns.
+/// An ordered list of columns, immutable once built.
+///
+/// The list is shared: a clone is a reference-count bump, so a plan node,
+/// the operator built from it and the result it produces can each hold
+/// the schema without copying a column name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
     /// Build a schema from columns.
     pub fn new(columns: Vec<Column>) -> Self {
-        Schema { columns }
+        Schema {
+            columns: columns.into(),
+        }
     }
 
     /// Convenience constructor from `(name, type)` pairs (unqualified).
@@ -110,26 +117,25 @@ impl Schema {
     /// more than one column and [`StorageError::ColumnNotFound`] if it
     /// matches none.
     pub fn resolve(&self, reference: &str) -> StorageResult<usize> {
-        let (qualifier, name) = match reference.split_once('.') {
-            Some((q, n)) => (Some(q), n),
-            None => (None, reference),
-        };
+        match reference.split_once('.') {
+            Some((qualifier, name)) => self.resolve_parts(Some(qualifier), name),
+            None => self.resolve_parts(None, reference),
+        }
+    }
+
+    /// [`Schema::resolve`] for a reference already split into its
+    /// qualifier and name: nothing is formatted unless it fails.
+    pub fn resolve_parts(&self, qualifier: Option<&str>, name: &str) -> StorageResult<usize> {
         let mut found: Option<usize> = None;
         for (i, col) in self.columns.iter().enumerate() {
             if col.matches(qualifier, name) {
                 if found.is_some() {
-                    return Err(StorageError::AmbiguousColumn(reference.to_owned()));
+                    return Err(StorageError::AmbiguousColumn(reference(qualifier, name)));
                 }
                 found = Some(i);
             }
         }
-        found.ok_or_else(|| StorageError::ColumnNotFound(reference.to_owned()))
-    }
-
-    /// Like [`Schema::resolve`] but returns the column too.
-    pub fn resolve_column(&self, reference: &str) -> StorageResult<(usize, &Column)> {
-        let i = self.resolve(reference)?;
-        Ok((i, &self.columns[i]))
+        found.ok_or_else(|| StorageError::ColumnNotFound(reference(qualifier, name)))
     }
 
     /// A copy of this schema with every column qualified by `alias`
@@ -146,9 +152,14 @@ impl Schema {
 
     /// Concatenate two schemas (join output schema).
     pub fn join(&self, right: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(right.columns.iter().cloned());
-        Schema { columns }
+        Schema {
+            columns: self
+                .columns
+                .iter()
+                .chain(right.columns.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Project a subset of columns by ordinal.
@@ -159,6 +170,14 @@ impl Schema {
                 .filter_map(|&i| self.columns.get(i).cloned())
                 .collect(),
         }
+    }
+}
+
+/// A reference's text as written, `qualifier.name` or `name`.
+fn reference(qualifier: Option<&str>, name: &str) -> String {
+    match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_owned(),
     }
 }
 
@@ -180,6 +199,16 @@ mod tests {
         assert_eq!(s.resolve("uid").unwrap(), 0);
         assert_eq!(s.resolve("R.iid").unwrap(), 1);
         assert_eq!(s.resolve("r.RATINGVAL").unwrap(), 2, "case-insensitive");
+        assert_eq!(s.resolve_parts(Some("r"), "IID").unwrap(), 1);
+        assert_eq!(s.resolve_parts(None, "uid").unwrap(), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_the_columns() {
+        let s = ratings_schema();
+        let copy = s.clone();
+        assert!(std::ptr::eq(s.columns(), copy.columns()));
+        assert_eq!(s, copy);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use common::{fault_seed, run_marker, temp_dir, End, History, Marker, Outcome, MA
 use recdb::core::{RecDb, RecDbConfig};
 use recdb::fault;
 use recdb::server::{
-    Client, ClientConfig, ClientError, ErrorCode, Server, ServerConfig, WireResult,
+    Client, ClientConfig, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
+    WireResult,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -341,6 +342,83 @@ fn oversized_frame_is_rejected_without_allocation_or_panic() {
     // The server itself keeps serving.
     let mut client = Client::connect(server.addr()).expect("still serving");
     client.ping().expect("healthy");
+    server.shutdown();
+}
+
+/// `request` as one frame: the 4-byte length, then the payload.
+fn request_frame(request: &Request) -> Vec<u8> {
+    let payload = request.encode();
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// `SELECT COUNT(*) FROM markers` as one frame.
+fn count_frame() -> Vec<u8> {
+    request_frame(&Request::Statement {
+        deadline: None,
+        sql: "SELECT COUNT(*) FROM markers".into(),
+    })
+}
+
+/// The next reply on a raw socket, decoded.
+fn raw_reply(raw: &mut TcpStream) -> Response {
+    let frame = read_raw_frame(raw).expect("reply frame");
+    Response::decode(&frame).expect("reply decodes")
+}
+
+fn is_count(reply: &Response) -> bool {
+    matches!(reply, Response::Result(WireResult::Rows { rows, .. }) if rows.len() == 1)
+}
+
+/// A request whose bytes arrive one per segment, the header included, is
+/// read whole and answered; so is the next one on the same connection.
+#[test]
+fn a_frame_sent_one_byte_at_a_time_is_answered() {
+    let _gate = fault::exclusive();
+    let (_db, server) = marker_server(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.addr()).expect("raw connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let _hello = read_raw_frame(&mut raw).expect("hello frame");
+    for _ in 0..2 {
+        for byte in count_frame() {
+            raw.write_all(&[byte]).expect("one byte");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let reply = raw_reply(&mut raw);
+        assert!(is_count(&reply), "{reply:?}");
+    }
+    server.shutdown();
+}
+
+/// Two requests in one write get two replies, in order; a request whose
+/// head came with the one before is read to its end.
+#[test]
+fn two_frames_in_one_write_get_two_replies_in_order() {
+    let _gate = fault::exclusive();
+    let (_db, server) = marker_server(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.addr()).expect("raw connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let _hello = read_raw_frame(&mut raw).expect("hello frame");
+
+    let mut both = request_frame(&Request::Ping);
+    both.extend(count_frame());
+    raw.write_all(&both).expect("two frames");
+    assert_eq!(raw_reply(&mut raw), Response::Pong);
+    let reply = raw_reply(&mut raw);
+    assert!(is_count(&reply), "{reply:?}");
+
+    let mut split = count_frame();
+    let tail = split.split_off(split.len() - 3);
+    let mut head = request_frame(&Request::Ping);
+    head.extend(split);
+    raw.write_all(&head)
+        .expect("a frame and the head of the next");
+    assert_eq!(raw_reply(&mut raw), Response::Pong);
+    std::thread::sleep(Duration::from_millis(20));
+    raw.write_all(&tail).expect("the tail");
+    let reply = raw_reply(&mut raw);
+    assert!(is_count(&reply), "{reply:?}");
     server.shutdown();
 }
 
