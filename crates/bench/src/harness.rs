@@ -90,8 +90,8 @@ impl World {
             .map(|k| ((k * n_users.max(1) / HOT_USERS.max(1)) + 1) as i64)
             .collect();
         for algo in algorithms {
-            let mut rec = db
-                .recommender_mut(&format!("bench_{algo}"))
+            let rec = db
+                .recommender(&format!("bench_{algo}"))
                 .expect("recommender exists");
             for &u in &hot_users {
                 rec.materialize_user(u);

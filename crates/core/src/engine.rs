@@ -15,9 +15,12 @@
 //! statement can never deadlock another.
 //!
 //! Underneath the lock table sit short-lived latches in a fixed order
-//! (checkpoint latch → catalog → recommenders → durability), held only for
-//! the memory mutation itself, never across model training or a lock-table
-//! wait.
+//! (checkpoint latch → catalog → recommender registry → durability), held
+//! only for the memory mutation itself, never across model training or a
+//! lock-table wait. The registry's write side is taken only by `CREATE` /
+//! `DROP RECOMMENDER`, `DROP TABLE`, their undo and open; work on one
+//! recommender goes through its `Arc<Recommender>` handle and its own
+//! locks (edit lock → version slot), with no engine latch held.
 //!
 //! Every statement runs inside a transaction. Statements outside an
 //! explicit `BEGIN` auto-commit an *implicit* one; either way a failed,
@@ -45,9 +48,8 @@ use crate::statement_cache::{self, CacheOutcome, Prepared};
 use dml::{const_tuple, map_type};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use recdb_algo::model::TrainConfig;
-use recdb_algo::Algorithm;
 use recdb_exec::{
-    execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, ModelVersion,
+    execute_plan, execute_plan_profiled, Clause, ExecContext, ExecMetrics, ModelVersion,
     RecommenderProvider, ResultSet,
 };
 use recdb_guard::QueryGuard;
@@ -226,7 +228,7 @@ impl QueryResult {
 #[derive(Debug)]
 pub struct RecDb {
     catalog: RwLock<Catalog>,
-    recommenders: RwLock<Vec<Recommender>>,
+    recommenders: RwLock<Vec<Arc<Recommender>>>,
     config: RecDbConfig,
     /// Logical clock: one tick per executed statement. Drives the usage
     /// histograms deterministically.
@@ -362,23 +364,19 @@ impl RecDb {
         &self.locks
     }
 
-    /// Look up a recommender by name (shared read guard).
-    pub fn recommender(&self, name: &str) -> Option<RecommenderRef<'_>> {
+    /// The handle of the recommender `name`. It holds no engine latch,
+    /// so it can be kept across any call into the engine.
+    pub fn recommender(&self, name: &str) -> Option<Arc<Recommender>> {
         let recs = self.recommenders.read();
-        let idx = recs
-            .iter()
-            .position(|r| r.name().eq_ignore_ascii_case(name))?;
-        Some(RecommenderRef { recs, idx })
+        recs.iter()
+            .find(|r| r.name().eq_ignore_ascii_case(name))
+            .cloned()
     }
 
-    /// Look up a recommender mutably by name (write guard: blocks the
-    /// read path for as long as it is held).
-    pub fn recommender_mut(&self, name: &str) -> Option<RecommenderMut<'_>> {
-        let recs = self.recommenders.write();
-        let idx = recs
-            .iter()
-            .position(|r| r.name().eq_ignore_ascii_case(name))?;
-        Some(RecommenderMut { recs, idx })
+    /// [`RecDb::recommender`]: a handle changes itself through `&self`.
+    #[deprecated(note = "use `RecDb::recommender`")]
+    pub fn recommender_mut(&self, name: &str) -> Option<Arc<Recommender>> {
+        self.recommender(name)
     }
 
     /// Names of all recommenders.
@@ -624,9 +622,16 @@ impl RecDb {
                 // Cheap early check; re-checked under the write lock
                 // before publishing (same-name creations on *different*
                 // tables are not serialized by the table lock).
-                if self.recommender(name).is_some() {
-                    return Err(EngineError::RecommenderExists(name.clone()));
-                }
+                let clause = Clause {
+                    table: ratings_table,
+                    users: users_column,
+                    items: items_column,
+                    ratings: ratings_column,
+                    algorithm: algorithm
+                        .parse()
+                        .map_err(|_| recdb_exec::ExecError::UnknownAlgorithm(algorithm.clone()))?,
+                };
+                refuse_taken(&self.recommenders.read(), name, clause)?;
                 let def = RecommenderDef {
                     name: name.clone(),
                     table: ratings_table.clone(),
@@ -653,14 +658,12 @@ impl RecDb {
                 let _ckpt = self.ckpt_latch.read();
                 {
                     let mut recs = self.recommenders.write();
-                    if recs.iter().any(|r| r.name().eq_ignore_ascii_case(name)) {
-                        return Err(EngineError::RecommenderExists(name.clone()));
-                    }
+                    refuse_taken(&recs, rec.name(), rec.clause())?;
                     txn.undo.push(UndoOp::CreatedRecommender {
                         name: rec.name().to_owned(),
                     });
                     self.gauge_materialized(&rec);
-                    recs.push(rec);
+                    recs.push(Arc::new(rec));
                 }
                 self.log_statement(txn, log_record)?;
                 Ok(QueryResult::RecommenderCreated {
@@ -679,11 +682,9 @@ impl RecDb {
                     else {
                         return Err(EngineError::RecommenderNotFound(name.clone()));
                     };
-                    let rec = recs.remove(pos);
-                    self.gauge_dropped(rec.name());
-                    txn.undo.push(UndoOp::DroppedRecommender {
-                        recommender: Box::new(rec),
-                    });
+                    let recommender = recs.remove(pos);
+                    self.gauge_dropped(recommender.name());
+                    txn.undo.push(UndoOp::DroppedRecommender { recommender });
                 }
                 self.log_statement(
                     txn,
@@ -758,7 +759,7 @@ impl RecDb {
         &self,
         txn: &mut ActiveTxn,
         record: WalRecord,
-        touched: Vec<(String, i64)>,
+        touched: Vec<(Arc<Recommender>, i64)>,
     ) -> EngineResult<()> {
         let _ckpt = self.ckpt_latch.read();
         {
@@ -833,28 +834,28 @@ impl RecDb {
 }
 
 impl RecommenderProvider for RecDb {
-    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
-        self.recommenders
-            .read()
-            .iter()
-            .find(|r| {
-                r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
-            })
-            .map(Recommender::version)
-    }
-
-    /// The Users Histogram (`QC_u`, `TS_u`) of the recommender a
-    /// statement reads, one query per listed user.
-    fn record_query(&self, ratings_table: &str, algorithm: Algorithm, users: &[i64]) {
+    /// The version of the recommender `clause` names, found in one pass
+    /// that also counts `users` in its Users Histogram (`QC_u`, `TS_u`).
+    fn version(&self, clause: Clause<'_>, users: &[i64]) -> Option<Arc<ModelVersion>> {
         let recs = self.recommenders.read();
-        let Some(rec) = recs.iter().find(|r| {
-            r.ratings_table().eq_ignore_ascii_case(ratings_table) && r.algorithm() == algorithm
-        }) else {
-            return;
-        };
+        let rec = recs.iter().find(|r| r.clause().matches(&clause))?;
+        let now = self.clock();
         for &u in users {
-            rec.record_query(u, self.clock());
+            rec.record_query(u, now);
         }
+        Some(rec.version())
+    }
+}
+
+/// Refuse a new recommender `name` over `clause` if a recommender
+/// already takes the name or already serves the clause.
+fn refuse_taken(recs: &[Arc<Recommender>], name: &str, clause: Clause<'_>) -> EngineResult<()> {
+    match recs
+        .iter()
+        .find(|r| r.name().eq_ignore_ascii_case(name) || r.clause().matches(&clause))
+    {
+        Some(r) => Err(EngineError::RecommenderExists(r.name().to_owned())),
+        None => Ok(()),
     }
 }
 
@@ -882,38 +883,6 @@ impl Deref for CatalogMut<'_> {
 impl DerefMut for CatalogMut<'_> {
     fn deref_mut(&mut self) -> &mut Catalog {
         &mut self.0
-    }
-}
-
-/// Shared read access to one recommender, [`Deref`]-transparent.
-pub struct RecommenderRef<'a> {
-    recs: RwLockReadGuard<'a, Vec<Recommender>>,
-    idx: usize,
-}
-
-impl Deref for RecommenderRef<'_> {
-    type Target = Recommender;
-    fn deref(&self) -> &Recommender {
-        &self.recs[self.idx]
-    }
-}
-
-/// Exclusive access to one recommender, [`DerefMut`]-transparent.
-pub struct RecommenderMut<'a> {
-    recs: RwLockWriteGuard<'a, Vec<Recommender>>,
-    idx: usize,
-}
-
-impl Deref for RecommenderMut<'_> {
-    type Target = Recommender;
-    fn deref(&self) -> &Recommender {
-        &self.recs[self.idx]
-    }
-}
-
-impl DerefMut for RecommenderMut<'_> {
-    fn deref_mut(&mut self) -> &mut Recommender {
-        &mut self.recs[self.idx]
     }
 }
 
@@ -1098,7 +1067,8 @@ mod tests {
     fn a_held_version_stays_one_build_across_a_publish() {
         let db = with_recommender();
         db.materialize("GeneralRec").unwrap();
-        let held = db.version("ratings", Algorithm::ItemCosCF).unwrap();
+        let rec = db.recommender("GeneralRec").unwrap();
+        let held = rec.version();
         let entries = |version: &ModelVersion| -> Vec<(i64, i64, u64)> {
             let index = version.index.as_ref().unwrap();
             (1..=4)
@@ -1115,11 +1085,10 @@ mod tests {
             .unwrap();
         assert_eq!(held.model.trained_on(), 7);
         assert_eq!(entries(&held), before);
-        let fresh = db.version("ratings", Algorithm::ItemCosCF).unwrap();
+        let fresh = rec.version();
         assert_eq!(fresh.model.trained_on(), 8);
         let index = fresh.index.as_ref().unwrap();
         assert!(index.is_complete(4) && index.iter_desc(4, None, None).all(|(i, _)| i != 3));
-        let rec = db.recommender("GeneralRec").unwrap();
         assert!(Arc::ptr_eq(&fresh.model, &rec.model()));
         assert!(Arc::ptr_eq(index, &rec.index().unwrap()));
     }

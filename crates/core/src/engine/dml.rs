@@ -7,6 +7,7 @@
 
 use super::RecDb;
 use crate::error::{EngineError, EngineResult};
+use crate::recommender::Recommender;
 use crate::session::TxnState;
 use recdb_exec::expr::{bind, constant, literal_value};
 use recdb_exec::ops::ScanOp;
@@ -15,6 +16,7 @@ use recdb_sql::{Expr, Literal};
 use recdb_storage::{Catalog, DataType, Rid, Schema, Table, Tuple};
 use recdb_txn::LockMode;
 use recdb_wal::WalRecord;
+use std::sync::Arc;
 
 impl RecDb {
     /// The rows of table `t` a DELETE or UPDATE with `filter` acts on (all
@@ -98,29 +100,29 @@ impl RecDb {
         Ok(n)
     }
 
-    /// The `(recommender name, item id)` pairs `tuples` of `table` touch,
-    /// for the recommenders created on it — what commit feeds their
-    /// statistics and the N% rule.
+    /// The `(recommender, item id)` pairs `tuples` of `table` touch, for
+    /// the recommenders created on it — what commit feeds their statistics
+    /// and the N% rule.
     fn touched_items<'t>(
         &self,
         catalog: &Catalog,
         table: &str,
         tuples: impl IntoIterator<Item = &'t Tuple>,
-    ) -> EngineResult<Vec<(String, i64)>> {
+    ) -> EngineResult<Vec<(Arc<Recommender>, i64)>> {
         let table_key = table.to_ascii_lowercase();
         let t = catalog.table(table)?;
-        let item_ordinals: Vec<(String, usize)> = self
+        let item_ordinals: Vec<(Arc<Recommender>, usize)> = self
             .recommenders
             .read()
             .iter()
             .filter(|r| r.ratings_table() == table_key)
-            .map(|r| Ok((r.name().to_owned(), t.schema().resolve(&r.def().items)?)))
+            .map(|r| Ok((Arc::clone(r), t.schema().resolve(&r.def().items)?)))
             .collect::<EngineResult<_>>()?;
         let mut touched = Vec::new();
         for tuple in tuples {
             for (rec, ord) in &item_ordinals {
                 if let Some(item) = tuple.get(*ord).and_then(recdb_storage::Value::as_int) {
-                    touched.push((rec.clone(), item));
+                    touched.push((Arc::clone(rec), item));
                 }
             }
         }

@@ -7,15 +7,17 @@
 //! cancelled or failed rebuild leaves the previous version serving and a
 //! reader never sees a model of one build with an index of another.
 //! Commit-time maintenance runs while the committing transaction still
-//! holds its X locks, so it trains on exactly the committed state, and it
-//! counts ratings under the recommenders' read lock.
+//! holds its X locks, so it trains on exactly the committed state. All of
+//! it works on the recommenders' handles, never on the registry's write
+//! side.
 
 use super::txn::ActiveTxn;
-use super::{flatten_guard_error_counted, RecDb, RecommenderMut};
+use super::{flatten_guard_error_counted, RecDb};
 use crate::error::{EngineError, EngineResult};
 use crate::recommender::{build_version, Recommender};
 use recdb_algo::Algorithm;
 use recdb_guard::QueryGuard;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Bucket bounds (microseconds) for the per-algorithm model-build
@@ -28,14 +30,9 @@ impl RecDb {
     /// over the tables it touched. Runs while the transaction still holds
     /// its X locks, so the rebuild trains on exactly the committed state.
     pub(super) fn apply_deferred(&self, txn: &ActiveTxn, guard: &QueryGuard) -> EngineResult<()> {
-        if !txn.deferred_stats.is_empty() {
-            let now = self.clock();
-            let recs = self.recommenders.read();
-            for (name, item) in &txn.deferred_stats {
-                if let Some(rec) = recs.iter().find(|r| r.name() == name) {
-                    rec.record_insert(*item, now);
-                }
-            }
+        let now = self.clock();
+        for (rec, item) in &txn.deferred_stats {
+            rec.record_insert(*item, now);
         }
         for table in &txn.touched {
             self.run_auto_maintenance(table, guard)?;
@@ -59,7 +56,7 @@ impl RecDb {
     /// [`Recommender::publish`] is only reached on success).
     fn run_auto_maintenance(&self, table: &str, guard: &QueryGuard) -> EngineResult<()> {
         let table_key = table.to_ascii_lowercase();
-        let due: Vec<String> = self
+        let due: Vec<Arc<Recommender>> = self
             .recommenders
             .read()
             .iter()
@@ -67,30 +64,24 @@ impl RecDb {
                 r.ratings_table() == table_key
                     && r.needs_maintenance(self.config.maintenance_threshold_pct)
             })
-            .map(|r| r.name().to_owned())
+            .cloned()
             .collect();
-        for name in due {
-            self.rebuild_recommender(&name, guard)?;
+        for rec in due {
+            self.rebuild_recommender(&rec, guard)?;
         }
         Ok(())
     }
 
-    /// Rebuild one recommender's model: capture its definition and
-    /// current version under a brief read lock, build a new version from
-    /// them ([`build_version`]: scan under a brief catalog read latch,
-    /// train with *no* engine lock held), and publish it under a brief
-    /// write lock. Readers serve the previous version throughout.
-    fn rebuild_recommender(&self, name: &str, guard: &QueryGuard) -> EngineResult<()> {
-        let (def, algorithm, base) = {
-            let recs = self.recommenders.read();
-            let Some(rec) = recs.iter().find(|r| r.name() == name) else {
-                return Ok(()); // dropped concurrently — nothing to rebuild
-            };
-            (rec.def().clone(), rec.algorithm(), rec.version())
-        };
+    /// Rebuild one recommender's model: build a new version from its
+    /// definition and the version serving now ([`build_version`]: scan
+    /// under a brief catalog read latch, train with *no* engine latch
+    /// held), and publish it. Readers serve the previous version
+    /// throughout.
+    fn rebuild_recommender(&self, rec: &Recommender, guard: &QueryGuard) -> EngineResult<()> {
+        let base = rec.version();
         let index = base.index.as_deref();
-        let fresh = build_version(&def, &self.config.train, &self.catalog, index, guard)?;
-        self.observe_model_build(algorithm, fresh.build_time());
+        let fresh = build_version(rec.def(), &self.config.train, &self.catalog, index, guard)?;
+        self.observe_model_build(rec.algorithm(), fresh.build_time());
         for (stage, time) in [
             ("load", fresh.load_time),
             ("train", fresh.train_time),
@@ -104,20 +95,18 @@ impl RecDb {
                 )
                 .observe(micros(time));
         }
-        let mut recs = self.recommenders.write();
-        if let Some(rec) = recs.iter_mut().find(|r| r.name() == name) {
-            rec.publish(&base, fresh, guard)?;
-            self.gauge_materialized(rec);
-        }
+        rec.publish(&base, fresh, guard)?;
+        self.gauge_materialized(rec);
         Ok(())
     }
 
     /// Pre-compute the full RecScoreIndex for every user of a recommender
-    /// (§IV-C pre-computation). Holds the recommender write lock for the
-    /// duration — recommendation queries wait; run it at load time.
+    /// (§IV-C pre-computation). Its readers are served while the lists
+    /// are scored and wait only while they enter the index; run it at
+    /// load time.
     pub fn materialize(&self, recommender: &str) -> EngineResult<()> {
         let guard = self.config.governor.guard();
-        let mut rec = self.found_mut(recommender)?;
+        let rec = self.found(recommender)?;
         let result = rec.materialize_all(0, &guard);
         self.gauge_materialized(&rec);
         result.map_err(|e| flatten_guard_error_counted(&self.metrics, e))
@@ -130,7 +119,7 @@ impl RecDb {
         recommender: &str,
     ) -> EngineResult<crate::cache::CacheDecision> {
         let now = self.clock();
-        let mut rec = self.found_mut(recommender)?;
+        let rec = self.found(recommender)?;
         let decision = rec.run_cache_manager(now);
         self.metrics
             .counter("recdb_cache_admitted_total")
@@ -142,9 +131,9 @@ impl RecDb {
         Ok(decision)
     }
 
-    /// [`RecDb::recommender_mut`], or the error naming a missing one.
-    fn found_mut(&self, name: &str) -> EngineResult<RecommenderMut<'_>> {
-        self.recommender_mut(name)
+    /// [`RecDb::recommender`], or the error naming a missing one.
+    fn found(&self, name: &str) -> EngineResult<Arc<Recommender>> {
+        self.recommender(name)
             .ok_or_else(|| EngineError::RecommenderNotFound(name.to_owned()))
     }
 

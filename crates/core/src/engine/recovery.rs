@@ -71,7 +71,7 @@ impl RecDb {
         pool: Arc<BufferPool>,
         metrics: Arc<Registry>,
         catalog: Catalog,
-        recommenders: Vec<Recommender>,
+        recommenders: Vec<Arc<Recommender>>,
         clock: u64,
         durability: Option<Durability>,
         next_txn: TxnId,
@@ -234,13 +234,13 @@ impl RecDb {
         for def in defs {
             let version = build_version(&def, &config.train, &catalog, None, &guard)?;
             let pool = Arc::clone(&pool);
-            recommenders.push(Recommender::new(
+            recommenders.push(Arc::new(Recommender::new(
                 def,
                 version,
                 config.hotness_threshold,
                 clock,
                 pool,
-            )?);
+            )?));
         }
         let catalog = catalog.into_inner();
         let mut wal = opened.wal;

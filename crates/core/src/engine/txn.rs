@@ -25,6 +25,7 @@ use recdb_wal::WalRecord;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 impl RecDb {
     /// Abort the transaction a failed statement ran in (if any). Inside an
@@ -202,7 +203,7 @@ impl RecDb {
             }
             UndoOp::DroppedRecommender { recommender } => {
                 self.gauge_materialized(&recommender);
-                self.recommenders.write().push(*recommender);
+                self.recommenders.write().push(recommender);
             }
         }
         Ok(())
@@ -370,7 +371,7 @@ pub(crate) struct ActiveTxn {
     pub(crate) wrote_wal: bool,
     /// Recommender item-statistics updates `(recommender, item)` from this
     /// transaction's writes, applied only if it commits.
-    pub(crate) deferred_stats: Vec<(String, i64)>,
+    pub(crate) deferred_stats: Vec<(Arc<Recommender>, i64)>,
     /// Tables written by this transaction (lowercase), for the commit-time
     /// N% maintenance pass.
     pub(crate) touched: BTreeSet<String>,
@@ -483,7 +484,7 @@ impl ActiveTxn {
 
     /// Queue recommender side effects of a write to `table` (lowercase)
     /// for commit time.
-    pub(crate) fn defer_stats(&mut self, table: String, items: Vec<(String, i64)>) {
+    pub(crate) fn defer_stats(&mut self, table: String, items: Vec<(Arc<Recommender>, i64)>) {
         self.deferred_stats.extend(items);
         self.touched.insert(table);
     }
@@ -506,7 +507,7 @@ pub(crate) enum UndoOp {
     /// reinstall both.
     DroppedTable {
         table: Box<Table>,
-        recommenders: Vec<Recommender>,
+        recommenders: Vec<Arc<Recommender>>,
     },
     /// The transaction created this index: drop it.
     CreatedIndex { table: String, index: String },
@@ -519,7 +520,7 @@ pub(crate) enum UndoOp {
     /// The transaction created this recommender: remove it.
     CreatedRecommender { name: String },
     /// The transaction dropped this recommender: reinstall it.
-    DroppedRecommender { recommender: Box<Recommender> },
+    DroppedRecommender { recommender: Arc<Recommender> },
 }
 
 impl std::fmt::Debug for UndoOp {

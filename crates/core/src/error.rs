@@ -32,7 +32,8 @@ pub enum EngineError {
     },
     /// A write-ahead-log operation failed.
     Wal(WalError),
-    /// A recommender with this name already exists.
+    /// A recommender already exists that takes the new one's name or
+    /// serves its clause (table, columns and algorithm); it is named.
     RecommenderExists(String),
     /// No recommender with this name exists.
     RecommenderNotFound(String),

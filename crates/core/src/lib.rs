@@ -34,10 +34,7 @@ pub mod session;
 mod statement_cache;
 
 pub use cache::{CacheDecision, CacheManager, UsageStats};
-pub use engine::{
-    CatalogMut, CatalogRef, GovernorConfig, QueryResult, RecDb, RecDbConfig, RecommenderMut,
-    RecommenderRef,
-};
+pub use engine::{CatalogMut, CatalogRef, GovernorConfig, QueryResult, RecDb, RecDbConfig};
 pub use error::{EngineError, EngineResult};
 pub use recdb_exec::ModelVersion;
 pub use recommender::Recommender;

@@ -7,17 +7,20 @@
 //! definition's ratings, train, refresh the score index. `CREATE
 //! RECOMMENDER`, the retrain when an engine opens and the N % rule all call
 //! it, always under a [`QueryGuard`] (an unlimited one at open), so every
-//! build observes cancellation and its fault sites. Publishing is one
-//! `Arc` swap ([`Recommender::publish`]); an index edit (materialization,
-//! a cache pass) publishes a new version that shares the model.
+//! build observes cancellation and its fault sites. The engine shares a
+//! recommender as one `Arc<Recommender>` handle that changes itself
+//! through `&self`: publishing is one swap of its version slot
+//! ([`Recommender::publish`]), and an index edit (materialization, a
+//! cache pass) edits the served version in place, or a copy while a
+//! reader holds it. Edits and publishes take the cache manager's mutex.
 
 use crate::cache::{CacheDecision, CacheManager, UsageStats};
 use crate::error::{EngineError, EngineResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use recdb_algo::model::TrainConfig;
 use recdb_algo::parallel::for_each_chunk;
 use recdb_algo::{Algorithm, RatingsBuilder, RatingsMatrix, RecModel, ScoreScratch};
-use recdb_exec::{ModelVersion, RecScoreIndex, UserList};
+use recdb_exec::{Clause, ModelVersion, RecScoreIndex, UserList};
 use recdb_guard::QueryGuard;
 use recdb_storage::{BufferPool, Catalog, DEFAULT_NODE_CAPACITY};
 use recdb_wal::RecommenderDef;
@@ -32,18 +35,21 @@ pub struct Recommender {
     def: RecommenderDef,
     /// `def.algorithm`, parsed.
     algorithm: Algorithm,
-    /// The version readers are served, replaced as a whole.
-    version: Arc<ModelVersion>,
+    /// The version readers are served, replaced as a whole or edited in
+    /// place under `cache_manager`'s lock.
+    version: RwLock<Arc<ModelVersion>>,
     /// Ratings inserted since the current model was built (the N% rule);
-    /// counted from `&self` commit paths.
+    /// counted from commit paths.
     pending_updates: AtomicUsize,
     /// The buffer pool the materialized index pages through (the
     /// catalog's, which is the engine's shared pool).
     pool: Arc<BufferPool>,
-    /// Usage histograms, updated from `&self` query paths.
+    /// Usage histograms, updated from query paths.
     stats: Mutex<UsageStats>,
-    /// The Algorithm 4 manager, run from `&mut self`.
-    cache_manager: CacheManager,
+    /// The Algorithm 4 manager. Its lock is also the edit lock: index
+    /// edits and publishes take it, so they run one at a time and the
+    /// served model does not change while it is held.
+    cache_manager: Mutex<CacheManager>,
 }
 
 impl std::fmt::Debug for Recommender {
@@ -52,7 +58,7 @@ impl std::fmt::Debug for Recommender {
             .field("name", &self.def.name)
             .field("ratings_table", &self.def.table)
             .field("algorithm", &self.algorithm)
-            .field("trained_on", &self.version.model.trained_on())
+            .field("trained_on", &self.model().trained_on())
             .field("pending_updates", &self.pending_updates())
             .field("materialized_entries", &self.materialized_entries())
             .finish()
@@ -123,11 +129,11 @@ impl Recommender {
         Ok(Recommender {
             def,
             algorithm,
-            version: Arc::new(version),
+            version: RwLock::new(Arc::new(version)),
             pending_updates: AtomicUsize::new(0),
             pool,
             stats: Mutex::new(UsageStats::new(now)),
-            cache_manager: CacheManager::new(hotness_threshold),
+            cache_manager: Mutex::new(CacheManager::new(hotness_threshold)),
         })
     }
 
@@ -151,20 +157,32 @@ impl Recommender {
         &self.def
     }
 
+    /// The clause this recommender serves: its table, users, items and
+    /// ratings columns and algorithm (§III-A).
+    pub fn clause(&self) -> Clause<'_> {
+        Clause {
+            table: &self.def.table,
+            users: &self.def.users,
+            items: &self.def.items,
+            ratings: &self.def.ratings,
+            algorithm: self.algorithm,
+        }
+    }
+
     /// The version serving now: its model and index stay one build's for
     /// as long as the caller holds it.
     pub fn version(&self) -> Arc<ModelVersion> {
-        Arc::clone(&self.version)
+        Arc::clone(&self.version.read())
     }
 
     /// The trained model.
     pub fn model(&self) -> Arc<RecModel> {
-        Arc::clone(&self.version.model)
+        Arc::clone(&self.version.read().model)
     }
 
     /// Time spent building the current model (Table II).
     pub fn build_time(&self) -> Duration {
-        self.version.build_time()
+        self.version.read().build_time()
     }
 
     /// Ratings inserted since the model was built.
@@ -174,29 +192,32 @@ impl Recommender {
 
     /// The materialized index, if any.
     pub fn index(&self) -> Option<Arc<RecScoreIndex>> {
-        self.version.index.clone()
+        self.version.read().index.clone()
     }
 
     /// Number of materialized `(user, item)` entries.
     pub fn materialized_entries(&self) -> usize {
-        self.version.index.as_ref().map_or(0, |i| i.len())
+        self.version.read().index.as_ref().map_or(0, |i| i.len())
     }
 
     /// Node pages of the materialized index's tree (0 without one): its
     /// footprint in the buffer pool.
     pub fn index_pages(&self) -> u64 {
-        self.version.index.as_ref().map_or(0, |i| i.node_pages())
+        self.version
+            .read()
+            .index
+            .as_ref()
+            .map_or(0, |i| i.node_pages())
     }
 
     /// Record a recommendation query by `user` (updates the Users
-    /// Histogram). Called from the read path, hence `&self`.
+    /// Histogram).
     pub fn record_query(&self, user: i64, now: u64) {
         self.stats.lock().record_query(user, now);
     }
 
     /// Record a rating insertion `(user, item)` (updates the Items
-    /// Histogram and the pending-update counter). Called at commit, hence
-    /// `&self`.
+    /// Histogram and the pending-update counter). Called at commit.
     pub fn record_insert(&self, item: i64, now: u64) {
         self.pending_updates.fetch_add(1, Ordering::Relaxed);
         self.stats.lock().record_update(item, now);
@@ -205,7 +226,7 @@ impl Recommender {
     /// The N% maintenance rule (§III-A): rebuild once pending updates reach
     /// `threshold_pct` percent of the entries used to build the model.
     pub fn needs_maintenance(&self, threshold_pct: f64) -> bool {
-        let base = self.version.model.trained_on().max(1) as f64;
+        let base = self.version.read().model.trained_on().max(1) as f64;
         (self.pending_updates() as f64) / base * 100.0 >= threshold_pct
     }
 
@@ -214,37 +235,44 @@ impl Recommender {
     /// published since `base` (an index edit landed while `fresh`
     /// trained), `fresh`'s model is first refreshed against the index
     /// serving now, under `guard`, so the edit is kept; an error there
-    /// leaves the current version serving.
+    /// leaves the current version serving. Readers are served the current
+    /// version until the swap.
     pub fn publish(
-        &mut self,
+        &self,
         base: &Arc<ModelVersion>,
         mut fresh: ModelVersion,
         guard: &QueryGuard,
     ) -> EngineResult<()> {
-        if !Arc::ptr_eq(&self.version, base) {
-            let current = self.version.index.as_deref();
-            fresh.index = refresh_index(current, &fresh.model, guard, &self.pool)?;
+        let _edits = self.cache_manager.lock();
+        let current = self.version();
+        if !Arc::ptr_eq(&current, base) {
+            let index = current.index.as_deref();
+            fresh.index = refresh_index(index, &fresh.model, guard, &self.pool)?;
         }
-        self.version = Arc::new(fresh);
+        *self.version.write() = Arc::new(fresh);
         self.pending_updates.store(0, Ordering::Relaxed);
         Ok(())
     }
 
     /// Apply `edit` to the materialized index (an empty one over this
-    /// recommender's pool if there is none yet) and publish the result as
-    /// a version sharing the current model. Readers keep their version:
-    /// the version and the index are edited in place only when nobody
-    /// else holds them, and copied first otherwise.
-    fn edit_index<R>(&mut self, edit: impl FnOnce(&mut RecScoreIndex, &RecModel) -> R) -> R {
-        let version = Arc::make_mut(&mut self.version);
-        let pool = &self.pool;
-        let index = version.index.get_or_insert_with(|| {
+    /// recommender's pool if there is none yet) of the served version.
+    /// `_edits` is the edit lock, held by the caller. Readers of this
+    /// recommender wait for the edit; one that holds the version keeps
+    /// it, since the version and the index are edited in place only when
+    /// nobody else holds them, and copied first otherwise.
+    fn edit_index<R>(
+        &self,
+        _edits: &MutexGuard<'_, CacheManager>,
+        edit: impl FnOnce(&mut RecScoreIndex) -> R,
+    ) -> R {
+        let mut slot = self.version.write();
+        let index = Arc::make_mut(&mut slot).index.get_or_insert_with(|| {
             Arc::new(RecScoreIndex::with_pool(
-                Arc::clone(pool),
+                Arc::clone(&self.pool),
                 DEFAULT_NODE_CAPACITY,
             ))
         });
-        edit(Arc::make_mut(index), &version.model)
+        edit(Arc::make_mut(index))
     }
 
     /// Pre-compute the full unseen-item score list for one user and mark it
@@ -252,9 +280,8 @@ impl Recommender {
     /// The same gated path as [`Recommender::materialize_all`], under an
     /// unlimited guard: only an injected fault can stop it, and as this
     /// returns nothing, that fault panics.
-    pub fn materialize_user(&mut self, user: i64) {
-        let guard = QueryGuard::unlimited();
-        self.edit_index(|index, model| materialize_into(index, model, &[user], 1, &guard))
+    pub fn materialize_user(&self, user: i64) {
+        self.materialize(Some(&[user]), 1, &QueryGuard::unlimited())
             .expect("an unlimited guard stops materialization only on an injected fault")
     }
 
@@ -263,26 +290,46 @@ impl Recommender {
     /// pure function of the already-trained model, so the resulting index
     /// is identical for every thread count. On any failure the index holds
     /// exactly what it held before.
-    pub fn materialize_all(&mut self, threads: usize, guard: &QueryGuard) -> EngineResult<()> {
-        self.edit_index(|index, model| {
-            materialize_into(index, model, model.matrix().user_ids(), threads, guard)
-        })
+    pub fn materialize_all(&self, threads: usize, guard: &QueryGuard) -> EngineResult<()> {
+        self.materialize(None, threads, guard)
+    }
+
+    /// Score `users`' complete unseen-item lists (every user the model
+    /// knows when `None`) on `threads` workers under `guard`,
+    /// with readers still served, then swap each into the index as one
+    /// complete list ([`RecScoreIndex::replace_user_list`]). The index is
+    /// touched only after every list is scored.
+    fn materialize(
+        &self,
+        users: Option<&[i64]>,
+        threads: usize,
+        guard: &QueryGuard,
+    ) -> EngineResult<()> {
+        let edits = self.cache_manager.lock();
+        let model = self.model();
+        let users = users.unwrap_or(model.matrix().user_ids());
+        let lists = score_lists(&model, users, threads, guard)?;
+        self.edit_index(&edits, |index| {
+            for (&user, list) in users.iter().zip(lists) {
+                index.replace_user_list(user, &list);
+            }
+        });
+        Ok(())
     }
 
     /// Run the Algorithm 4 cache manager at tick `now`: refresh rates,
     /// decide admissions/evictions, and apply them to the index. Returns
     /// the decision for observability.
-    pub fn run_cache_manager(&mut self, now: u64) -> CacheDecision {
-        let decision = {
-            let matrix = self.version.model.matrix();
-            self.cache_manager.run(self.stats.get_mut(), now, |u, i| {
-                matrix.rating_of(u, i).is_none()
-            })
-        };
-        if decision.admitted.is_empty() && decision.evicted.is_empty() {
-            return decision;
+    pub fn run_cache_manager(&self, now: u64) -> CacheDecision {
+        let mut manager = self.cache_manager.lock();
+        let model = self.model();
+        let matrix = model.matrix();
+        let decision = manager.run(&mut self.stats.lock(), now, |u, i| {
+            matrix.rating_of(u, i).is_none()
+        });
+        if !(decision.admitted.is_empty() && decision.evicted.is_empty()) {
+            self.edit_index(&manager, |index| apply_decision(index, &model, &decision));
         }
-        self.edit_index(|index, model| apply_decision(index, model, &decision));
         decision
     }
 
@@ -420,24 +467,6 @@ fn unseen_list(model: &RecModel, user: i64, scratch: &mut ScoreScratch) -> Vec<(
         // matching the per-pair `predict(..).unwrap_or(0.0)` behavior.
         None => matrix.item_ids().iter().map(|&item| (item, 0.0)).collect(),
     }
-}
-
-/// Score `users`' complete unseen-item lists under `model` on `threads`
-/// workers (`0` = all cores) and swap each into `index` as one complete
-/// list ([`RecScoreIndex::replace_user_list`]). `index` is touched only
-/// after every list is scored.
-fn materialize_into(
-    index: &mut RecScoreIndex,
-    model: &RecModel,
-    users: &[i64],
-    threads: usize,
-    guard: &QueryGuard,
-) -> EngineResult<()> {
-    let lists = score_lists(model, users, threads, guard)?;
-    for (&user, list) in users.iter().zip(lists) {
-        index.replace_user_list(user, &list);
-    }
-    Ok(())
 }
 
 /// `users`' complete unseen-item lists under `model`, in `users` order,
@@ -630,11 +659,7 @@ mod tests {
 
     /// An N% rebuild as the engine runs one: build a new version from the
     /// table and the current one, publish.
-    fn rebuild(
-        rec: &mut Recommender,
-        cat: &RwLock<Catalog>,
-        guard: &QueryGuard,
-    ) -> EngineResult<()> {
+    fn rebuild(rec: &Recommender, cat: &RwLock<Catalog>, guard: &QueryGuard) -> EngineResult<()> {
         let (base, fresh) = build_from(rec, cat, guard)?;
         rec.publish(&base, fresh, guard)
     }
@@ -676,7 +701,7 @@ mod tests {
     #[test]
     fn rebuild_retrains_and_resets_counter() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         // New rating arrives in the table and is recorded.
         cat.write()
             .table_mut("ratings")
@@ -688,7 +713,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 1);
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_eq!(rec.pending_updates(), 0);
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(
@@ -701,7 +726,7 @@ mod tests {
     #[test]
     fn materialize_user_builds_complete_list() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(1);
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(1));
@@ -713,7 +738,7 @@ mod tests {
     #[test]
     fn materialize_all_covers_every_user() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_all(0, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         // User 2 rated all three items → no entries, but still complete.
@@ -728,11 +753,11 @@ mod tests {
     #[test]
     fn materialize_all_parallel_matches_serial() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut serial = make(&cat);
+        let serial = make(&cat);
         serial.materialize_all(1, &QueryGuard::unlimited()).unwrap();
         let serial_idx = serial.index().unwrap();
         for threads in [2, 4, 0] {
-            let mut par = make(&cat);
+            let par = make(&cat);
             par.materialize_all(threads, &QueryGuard::unlimited())
                 .unwrap();
             let idx = par.index().unwrap();
@@ -822,7 +847,7 @@ mod tests {
     #[test]
     fn bulk_materialization_matches_the_per_pair_path() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         let all = [1, 2, 3, 4, 99];
         // `materialize_user`, including a user the model has never seen.
         for u in [4, 1, 99] {
@@ -845,7 +870,7 @@ mod tests {
         assert!(rec.index().unwrap().get(4, 1).is_some());
         rate(&cat, 4, 1, 2.0);
         rec.record_insert(1, 1);
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_same_index(
             &rec.index().unwrap(),
             &per_pair_index(&rec.model(), &[4, 1, 99]),
@@ -853,7 +878,7 @@ mod tests {
         );
         // `materialize_all`: user 2 rated everything, so its list is
         // complete and empty.
-        let mut every = make(&cat);
+        let every = make(&cat);
         every.materialize_all(2, &QueryGuard::unlimited()).unwrap();
         assert_same_index(
             &every.index().unwrap(),
@@ -872,11 +897,11 @@ mod tests {
         let mut rows = figure1_rows();
         rows.push((5, 1, 3.0));
         let cat = catalog_with_ratings(&rows);
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         for user in [4, 2, 99, 5] {
             rec.materialize_user(user);
         }
-        rec.edit_index(|index, _| index.remove(5, 3));
+        rec.edit_index(&rec.cache_manager.lock(), |index| index.remove(5, 3));
         for user in [1, 9] {
             for _ in 0..10 {
                 rec.record_query(user, 5);
@@ -959,7 +984,7 @@ mod tests {
     #[test]
     fn rebuild_refreshes_materialized_entries() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(4);
         let before = rec.index().unwrap().get(4, 1);
         assert!(before.is_some());
@@ -975,7 +1000,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(1, 1);
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 1), None, "now-rated pair dematerialized");
         assert!(idx.is_complete(4));
@@ -988,7 +1013,7 @@ mod tests {
     #[test]
     fn publish_keeps_an_index_edit_made_while_the_build_trained() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(4);
         rate(&cat, 1, 3, 4.0);
         rec.record_insert(3, 1);
@@ -1016,7 +1041,7 @@ mod tests {
     #[test]
     fn complete_user_with_nothing_left_stays_complete_across_a_rebuild() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(2); // rated all three items: complete, no entries
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(2) && !idx.has_user(2));
@@ -1024,7 +1049,7 @@ mod tests {
         // index, now with the new item in the list.
         rate(&cat, 1, 4, 3.0);
         rec.record_insert(4, 1);
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert!(idx.is_complete(2), "hot user silently de-materialized");
         let items: Vec<i64> = idx.iter_desc(2, None, None).map(|(i, _)| i).collect();
@@ -1034,7 +1059,7 @@ mod tests {
     #[test]
     fn cancelled_or_expired_rebuild_keeps_the_previous_model_and_index() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(4);
         let entries = |rec: &Recommender| -> Vec<_> {
             rec.index().unwrap().iter_desc(4, None, None).collect()
@@ -1046,13 +1071,13 @@ mod tests {
         cancelled.cancel();
         let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
         for guard in [&cancelled, &expired] {
-            let err = rebuild(&mut rec, &cat, guard).unwrap_err();
+            let err = rebuild(&rec, &cat, guard).unwrap_err();
             assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
             assert_eq!(rec.model().trained_on(), 7, "old model still serving");
             assert_eq!(rec.pending_updates(), 1);
             assert_eq!(entries(&rec), before, "old index untouched");
         }
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         assert_eq!(rec.model().trained_on(), 8);
         assert_eq!(rec.index().unwrap().get(4, 1), None);
     }
@@ -1060,7 +1085,7 @@ mod tests {
     #[test]
     fn cache_manager_admits_hot_pairs_into_index() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         // User 1 queries a lot; item 3 is updated a lot.
         for _ in 0..10 {
             rec.record_query(1, 5);
@@ -1080,7 +1105,7 @@ mod tests {
     #[test]
     fn admitted_and_refreshed_pairs_score_like_the_point_api() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         // Users 1, 4 and 9 (unknown to the model) are equally hot, and so
         // are items 2, 3 and 99 (unknown).
         for user in [1, 4, 9] {
@@ -1118,7 +1143,7 @@ mod tests {
             ]))
             .unwrap();
         rec.record_insert(3, 11);
-        rebuild(&mut rec, &cat, &QueryGuard::unlimited()).unwrap();
+        rebuild(&rec, &cat, &QueryGuard::unlimited()).unwrap();
         let idx = rec.index().unwrap();
         assert_eq!(idx.get(4, 3), None, "rated since it was admitted");
         for &(user, item) in decision.admitted.iter().filter(|&&p| p != (4, 3)) {
@@ -1166,12 +1191,12 @@ mod tests {
             let mut rows = figure1_rows();
             rows.extend([(5, 4, 3.0), (3, 5, 4.0), (1, 4, 2.5)]);
             let cat = catalog_with_ratings(&rows);
-            let mut rec = make(&cat);
+            let rec = make(&cat);
             for user in [2, 4, 9] {
                 rec.materialize_user(user);
             }
             let model = rec.model();
-            rec.edit_index(|index, _| {
+            rec.edit_index(&rec.cache_manager.lock(), |index| {
                 for (user, item) in [(1, 2), (1, 77), (3, 4), (5, 2)] {
                     let score = score_item_ids(&model, user, &[item], &mut ScoreScratch::default());
                     index.insert(user, item, score[0].flatten().unwrap_or(0.0));
@@ -1206,7 +1231,7 @@ mod tests {
     #[test]
     fn cache_manager_evicts_cold_pairs() {
         let cat = catalog_with_ratings(&figure1_rows());
-        let mut rec = make(&cat);
+        let rec = make(&cat);
         rec.materialize_user(4); // contains (4, 1) and (4, 3)
                                  // Heat: user 1 hot, user 4 cold; item 1 hot, item 3 cold-ish.
         for _ in 0..100 {

@@ -19,14 +19,10 @@ pub enum ExecError {
     Type(String),
     /// Integer or float division by zero.
     DivisionByZero,
-    /// The query references a recommender that was never created for this
-    /// (ratings table, algorithm) pair.
-    NoRecommender {
-        /// The ratings table in the FROM/RECOMMEND clause.
-        table: String,
-        /// The algorithm in the USING clause.
-        algorithm: String,
-    },
+    /// No recommender was created for the query's `RECOMMEND` clause: its
+    /// ratings table, user, item and rating columns and algorithm. Holds
+    /// the clause, rendered ([`crate::provider::Clause`]).
+    NoRecommender(String),
     /// An algorithm name that RecDB does not support.
     UnknownAlgorithm(String),
     /// A feature the engine does not implement.
@@ -45,10 +41,9 @@ impl fmt::Display for ExecError {
             ExecError::Bind(msg) => write!(f, "binding error: {msg}"),
             ExecError::Type(msg) => write!(f, "type error: {msg}"),
             ExecError::DivisionByZero => f.write_str("division by zero"),
-            ExecError::NoRecommender { table, algorithm } => write!(
+            ExecError::NoRecommender(clause) => write!(
                 f,
-                "no {algorithm} recommender has been created on table `{table}` \
-                 (run CREATE RECOMMENDER first)"
+                "no recommender serves {clause} (run CREATE RECOMMENDER first)"
             ),
             ExecError::UnknownAlgorithm(name) => {
                 write!(f, "unknown recommendation algorithm `{name}`")
@@ -95,14 +90,17 @@ mod tests {
 
     #[test]
     fn display_no_recommender_is_actionable() {
-        let e = ExecError::NoRecommender {
-            table: "ratings".into(),
-            algorithm: "SVD".into(),
+        let clause = crate::provider::Clause {
+            table: "ratings",
+            users: "uid",
+            items: "iid",
+            ratings: "stars",
+            algorithm: recdb_algo::Algorithm::Svd,
         };
-        let msg = e.to_string();
-        assert!(msg.contains("SVD"));
-        assert!(msg.contains("ratings"));
-        assert!(msg.contains("CREATE RECOMMENDER"));
+        let msg = ExecError::NoRecommender(clause.to_string()).to_string();
+        for part in ["SVD", "ratings", "stars", "CREATE RECOMMENDER"] {
+            assert!(msg.contains(part), "{msg}");
+        }
     }
 
     #[test]

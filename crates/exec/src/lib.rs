@@ -40,6 +40,6 @@ pub use expr::BoundExpr;
 pub use optimizer::optimize;
 pub use physical::{execute_plan, execute_plan_profiled, ExecContext, ExecMetrics, Profiler};
 pub use plan::{build_logical, LogicalPlan};
-pub use provider::{ModelVersion, RecommenderProvider};
+pub use provider::{Clause, ModelVersion, RecommenderProvider};
 pub use rec_index::{RecScoreIndex, UserList};
 pub use result::ResultSet;

@@ -538,25 +538,21 @@ fn recommend_leaf<'a>(
     ))
 }
 
-/// The current version of `node`'s recommender and the node's predicates
-/// valued with the statement's parameters — once per execution — after
-/// telling the provider which users the statement asks for.
+/// The current version of the recommender `node`'s clause names and the
+/// node's predicates valued with the statement's parameters — once per
+/// execution, which also tells the provider which users the statement
+/// asks for.
 fn recommend_version(
     node: &RecommendNode,
     ctx: &ExecContext<'_>,
 ) -> ExecResult<(Arc<ModelVersion>, RecommendPreds)> {
     let preds = node.preds(ctx.params)?;
+    let clause = node.clause();
+    let users = preds.user_ids.as_deref().unwrap_or_default();
     let version = ctx
         .provider
-        .version(&node.ratings_table, node.algorithm)
-        .ok_or_else(|| ExecError::NoRecommender {
-            table: node.ratings_table.clone(),
-            algorithm: node.algorithm.name().to_owned(),
-        })?;
-    if let Some(users) = &preds.user_ids {
-        ctx.provider
-            .record_query(&node.ratings_table, node.algorithm, users);
-    }
+        .version(clause, users)
+        .ok_or_else(|| ExecError::NoRecommender(clause.to_string()))?;
     Ok((version, preds))
 }
 
@@ -715,7 +711,8 @@ mod tests {
     use super::*;
     use crate::optimizer::optimize;
     use crate::plan::build_logical;
-    use crate::provider::SingleRecommender;
+    use crate::provider::tests::SingleRecommender;
+    use crate::provider::Clause;
     use crate::rec_index::RecScoreIndex;
     use recdb_algo::{Algorithm, Rating, RatingsMatrix, RecModel};
     use recdb_sql::parse;
@@ -782,7 +779,8 @@ mod tests {
             &QueryGuard::unlimited(),
         )
         .unwrap();
-        let provider = SingleRecommender::new("ratings", Algorithm::ItemCosCF, model);
+        let names = ["ratings", "uid", "iid", "ratingval"];
+        let provider = SingleRecommender::new(names, Algorithm::ItemCosCF, model);
         (cat, provider)
     }
 
@@ -934,9 +932,9 @@ mod tests {
     }
 
     impl RecommenderProvider for CountingProvider {
-        fn version(&self, table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
+        fn version(&self, clause: Clause<'_>, users: &[i64]) -> Option<Arc<ModelVersion>> {
             self.lookups.set(self.lookups.get() + 1);
-            self.inner.version(table, algorithm)
+            self.inner.version(clause, users)
         }
     }
 

@@ -20,6 +20,7 @@
 use crate::error::{ExecError, ExecResult};
 use crate::expr::{constant, BuiltinFunc};
 use crate::ops::aggregate::AggFunc;
+use crate::provider::Clause;
 use recdb_algo::Algorithm;
 use recdb_sql::{Expr, Literal, OrderKey, ParamKind, SelectItem, SelectStatement};
 use recdb_storage::{Catalog, Column, DataType, Schema};
@@ -105,6 +106,18 @@ impl RecommendNode {
     /// Output schema: `(user, item, rating)` qualified by the binding.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The recommender this leaf reads: its ratings table, user, item and
+    /// rating columns and algorithm.
+    pub fn clause(&self) -> Clause<'_> {
+        Clause {
+            table: &self.ratings_table,
+            users: &self.user_column,
+            items: &self.item_column,
+            ratings: &self.rating_column,
+            algorithm: self.algorithm,
+        }
     }
 
     /// True once any predicate was pushed into the leaf (i.e. the physical

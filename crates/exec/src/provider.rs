@@ -1,15 +1,16 @@
 //! The bridge between the executor and the recommender catalog.
 //!
-//! The `RECOMMEND` clause does not name a recommender: the paper's engine
-//! "figures that an ItemCosCF recommender is already created" from the
-//! ratings table in FROM and the algorithm in USING (§IV-A1, Query 2
-//! discussion). [`RecommenderProvider`] is that lookup, implemented by
-//! `recdb-core`'s recommender catalog and by test doubles here. It hands
-//! out one [`ModelVersion`]: the model and the score index a request reads
-//! always come from the same build.
+//! `CREATE RECOMMENDER` defines a recommender by five things (§III-A): a
+//! ratings table, its users, items and ratings columns, and an algorithm.
+//! A `RECOMMEND <item> TO <user> ON <rating> USING <algorithm>` clause
+//! names the same five, a [`Clause`], and [`RecommenderProvider`] resolves
+//! it to the recommender that matches all of them, or to none: never to
+//! another recommender's answer. It hands out one [`ModelVersion`]: the
+//! model and the score index a request reads come from one build.
 
 use crate::rec_index::RecScoreIndex;
 use recdb_algo::{Algorithm, RecModel};
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,78 +40,111 @@ impl ModelVersion {
     }
 }
 
-/// Resolves `(ratings table, algorithm)` to the recommender's current
-/// [`ModelVersion`].
-pub trait RecommenderProvider {
-    /// The current version of the recommender created on `ratings_table`
-    /// with `algorithm`, or `None` if no such recommender exists.
-    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>>;
-
-    /// A statement's Recommend leaf asks that recommender for `users`
-    /// (its `uPred`, in WHERE order, repeats kept): the Users Histogram's
-    /// input (§III-B). Called once per leaf per execution, after
-    /// [`RecommenderProvider::version`] found the recommender. Does
-    /// nothing unless the provider keeps such statistics.
-    fn record_query(&self, _ratings_table: &str, _algorithm: Algorithm, _users: &[i64]) {}
-}
-
-/// A provider with no recommenders (plain-SQL execution contexts).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoRecommenders;
-
-impl RecommenderProvider for NoRecommenders {
-    fn version(&self, _: &str, _: Algorithm) -> Option<Arc<ModelVersion>> {
-        None
-    }
-}
-
-/// A single-recommender provider, convenient for tests and benches.
-pub struct SingleRecommender {
-    /// Table the recommender was created on (folded to lowercase).
-    pub table: String,
-    /// Algorithm it was trained with.
+/// The five things a recommender is defined by and a `RECOMMEND` clause
+/// names (§III-A).
+#[derive(Debug, Clone, Copy)]
+pub struct Clause<'a> {
+    /// The ratings table.
+    pub table: &'a str,
+    /// Its users column (`TO`, `USERS FROM`).
+    pub users: &'a str,
+    /// Its items column (`RECOMMEND`, `ITEMS FROM`).
+    pub items: &'a str,
+    /// Its ratings column (`ON`, `RATINGS FROM`).
+    pub ratings: &'a str,
+    /// The algorithm (`USING`).
     pub algorithm: Algorithm,
-    /// The version it serves.
-    pub version: Arc<ModelVersion>,
 }
 
-impl SingleRecommender {
-    /// Wrap a model as a provider for `table`/`algorithm`: no score index,
-    /// no build times.
-    pub fn new(table: &str, algorithm: Algorithm, model: RecModel) -> Self {
-        let version = ModelVersion {
-            model: Arc::new(model),
-            index: None,
-            load_time: Duration::ZERO,
-            train_time: Duration::ZERO,
-            refresh_time: Duration::ZERO,
-        };
-        SingleRecommender {
-            table: table.to_ascii_lowercase(),
-            algorithm,
-            version: Arc::new(version),
-        }
-    }
-
-    /// Attach a materialized index.
-    pub fn with_index(mut self, index: RecScoreIndex) -> Self {
-        Arc::make_mut(&mut self.version).index = Some(Arc::new(index));
-        self
+impl Clause<'_> {
+    /// Whether `self` and `other` name one recommender: all five match,
+    /// table and column names ASCII case-insensitively.
+    pub fn matches(&self, other: &Clause<'_>) -> bool {
+        self.algorithm == other.algorithm
+            && [self.table, self.users, self.items, self.ratings]
+                .iter()
+                .zip([other.table, other.users, other.items, other.ratings])
+                .all(|(a, b)| a.eq_ignore_ascii_case(b))
     }
 }
 
-impl RecommenderProvider for SingleRecommender {
-    fn version(&self, ratings_table: &str, algorithm: Algorithm) -> Option<Arc<ModelVersion>> {
-        (self.table.eq_ignore_ascii_case(ratings_table) && self.algorithm == algorithm)
-            .then(|| Arc::clone(&self.version))
+impl fmt::Display for Clause<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "`RECOMMEND {} TO {} ON {} USING {}` on table `{}`",
+            self.items, self.users, self.ratings, self.algorithm, self.table
+        )
     }
+}
+
+/// Resolves a `RECOMMEND` clause to the current [`ModelVersion`] of the
+/// recommender it names.
+pub trait RecommenderProvider {
+    /// The current version of the recommender that `clause` names, or
+    /// `None` if there is none. The statement asks it for `users` (the
+    /// leaf's `uPred`, in WHERE order, repeats kept; empty without one),
+    /// which a provider keeping the Users Histogram (§III-B) counts.
+    /// Called once per Recommend leaf per execution.
+    fn version(&self, clause: Clause<'_>, users: &[i64]) -> Option<Arc<ModelVersion>>;
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use recdb_algo::{Rating, RatingsMatrix};
     use recdb_guard::QueryGuard;
+
+    /// A single-recommender provider for the executor's tests.
+    pub(crate) struct SingleRecommender {
+        /// Table the recommender was created on, then its users, items and
+        /// ratings columns.
+        names: [String; 4],
+        /// Algorithm it was trained with.
+        algorithm: Algorithm,
+        /// The version it serves.
+        pub(crate) version: Arc<ModelVersion>,
+    }
+
+    impl SingleRecommender {
+        /// Wrap a model as a provider for the clause over `names` (table,
+        /// users, items, ratings) with `algorithm`: no score index, no build
+        /// times.
+        pub(crate) fn new(names: [&str; 4], algorithm: Algorithm, model: RecModel) -> Self {
+            let version = ModelVersion {
+                model: Arc::new(model),
+                index: None,
+                load_time: Duration::ZERO,
+                train_time: Duration::ZERO,
+                refresh_time: Duration::ZERO,
+            };
+            SingleRecommender {
+                names: names.map(str::to_owned),
+                algorithm,
+                version: Arc::new(version),
+            }
+        }
+
+        /// Attach a materialized index.
+        pub(crate) fn with_index(mut self, index: RecScoreIndex) -> Self {
+            Arc::make_mut(&mut self.version).index = Some(Arc::new(index));
+            self
+        }
+    }
+
+    impl RecommenderProvider for SingleRecommender {
+        fn version(&self, clause: Clause<'_>, _users: &[i64]) -> Option<Arc<ModelVersion>> {
+            let [table, users, items, ratings] = &self.names;
+            let ours = Clause {
+                table,
+                users,
+                items,
+                ratings,
+                algorithm: self.algorithm,
+            };
+            ours.matches(&clause).then(|| Arc::clone(&self.version))
+        }
+    }
 
     fn model() -> RecModel {
         RecModel::train(
@@ -122,33 +156,51 @@ mod tests {
         .unwrap()
     }
 
+    fn clause<'a>(table: &'a str, ratings: &'a str, algorithm: Algorithm) -> Clause<'a> {
+        Clause {
+            table,
+            users: "UID",
+            items: "iid",
+            ratings,
+            algorithm,
+        }
+    }
+
     #[test]
-    fn single_provider_matches_table_and_algorithm() {
-        let p = SingleRecommender::new("Ratings", Algorithm::ItemCosCF, model());
-        assert!(p.version("ratings", Algorithm::ItemCosCF).is_some());
-        assert!(p.version("RATINGS", Algorithm::ItemCosCF).is_some());
-        assert!(p.version("ratings", Algorithm::Svd).is_none());
-        assert!(p.version("other", Algorithm::ItemCosCF).is_none());
-        assert!(p
-            .version("ratings", Algorithm::ItemCosCF)
-            .unwrap()
-            .index
-            .is_none());
+    fn single_provider_matches_all_five() {
+        let names = ["Ratings", "uid", "iid", "ratingval"];
+        let p = SingleRecommender::new(names, Algorithm::ItemCosCF, model());
+        let found = |c: Clause<'_>| p.version(c, &[1]).is_some();
+        assert!(found(clause("ratings", "ratingval", Algorithm::ItemCosCF)));
+        assert!(found(clause("RATINGS", "RatingVal", Algorithm::ItemCosCF)));
+        assert!(!found(clause("ratings", "ratingval", Algorithm::Svd)));
+        assert!(!found(clause("other", "ratingval", Algorithm::ItemCosCF)));
+        assert!(!found(clause("ratings", "other", Algorithm::ItemCosCF)));
+        let version = p
+            .version(clause("ratings", "ratingval", Algorithm::ItemCosCF), &[])
+            .unwrap();
+        assert!(version.index.is_none());
     }
 
     #[test]
     fn index_attachment() {
         let mut idx = RecScoreIndex::new();
         idx.insert(1, 3, 4.0);
-        let p = SingleRecommender::new("r", Algorithm::ItemCosCF, model()).with_index(idx);
-        let version = p.version("r", Algorithm::ItemCosCF).unwrap();
+        let names = ["r", "uid", "iid", "a"];
+        let p = SingleRecommender::new(names, Algorithm::ItemCosCF, model()).with_index(idx);
+        let version = p
+            .version(clause("r", "a", Algorithm::ItemCosCF), &[])
+            .unwrap();
         assert_eq!(version.index.as_ref().unwrap().len(), 1);
         assert_eq!(version.model.trained_on(), 2);
-        assert!(p.version("r", Algorithm::Svd).is_none());
     }
 
     #[test]
-    fn no_recommenders_returns_none() {
-        assert!(NoRecommenders.version("x", Algorithm::Svd).is_none());
+    fn a_clause_renders_every_column() {
+        let text = clause("r", "b", Algorithm::ItemCosCF).to_string();
+        assert_eq!(
+            text,
+            "`RECOMMEND iid TO UID ON b USING ItemCosCF` on table `r`"
+        );
     }
 }

@@ -105,11 +105,9 @@ fn main() {
         "\nmaterialized entries in RecScoreIndex: {}",
         rec.materialized_entries()
     );
-    // Release the read guard before taking the write side below.
-    drop(rec);
 
     // Latency comparison: materialize user 1 fully, leave user 50 online.
-    db.recommender_mut("cached").unwrap().materialize_user(1);
+    rec.materialize_user(1);
     let topk = |db: &RecDb, user: i64| {
         let sql = format!(
             "SELECT R.iid, R.ratingval FROM ratings AS R \

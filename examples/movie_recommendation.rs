@@ -65,9 +65,7 @@ fn main() {
 
     // Query 5 shape: SVD top-5 Action movies. Materialize user 1 first so
     // the planner can pick IndexRecommend.
-    db.recommender_mut("movies_SVD")
-        .unwrap()
-        .materialize_user(1);
+    db.recommender("movies_SVD").unwrap().materialize_user(1);
     show(
         &mut db,
         "SVD top-5 (IndexRecommend over the pre-computed score index)",

@@ -336,19 +336,13 @@ fn materializing_a_user_writes_its_list_as_one_run() {
     let pool = Arc::clone(db.buffer_pool());
     let accesses = || pool.hits() + pool.misses();
     let before = accesses();
-    {
-        let mut rec = db.recommender_mut("hot").expect("recommender");
-        for &user in &users {
-            rec.materialize_user(user);
-        }
+    let rec = db.recommender("hot").expect("recommender");
+    for &user in &users {
+        rec.materialize_user(user);
     }
     let cost = accesses() - before;
 
-    let index = db
-        .recommender("hot")
-        .expect("recommender")
-        .index()
-        .expect("index");
+    let index = rec.index().expect("index");
     let lists = users.iter().map(|&user| {
         assert!(index.is_complete(user), "user {user}");
         (user, index.iter_desc(user, None, None).collect(), true)

@@ -2,8 +2,10 @@
 //! the engine, checked for consistency between access paths, algorithms,
 //! and against the OnTopDB baseline.
 
+mod common;
+
 use recdb::algo::Algorithm;
-use recdb::core::{RecDb, RecDbConfig};
+use recdb::core::{EngineError, RecDb, RecDbConfig};
 use recdb::datasets::SyntheticSpec;
 use recdb::exec::ResultSet;
 use recdb::guard::QueryGuard;
@@ -46,43 +48,216 @@ fn sorted_pairs(r: &ResultSet) -> Vec<(i64, i64, u64)> {
 
 /// RecDB and OnTopDB must produce identical prediction sets for every
 /// algorithm — the paper's comparison is about *performance*, not answers.
+/// The table carries two recommenders of the algorithm: `t`, over the
+/// transposed ratings (items recommended to items' raters), and `r`; each
+/// clause is answered by its own.
 #[test]
 fn recdb_and_ontop_agree_for_every_algorithm() {
     for algo in Algorithm::ALL {
         let db = loaded_db();
-        db.execute(&format!(
-            "CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid \
+        db.execute_script(&format!(
+            "CREATE RECOMMENDER t ON ratings USERS FROM iid ITEMS FROM uid \
+             RATINGS FROM ratingval USING {algo};
+             CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid \
              RATINGS FROM ratingval USING {algo}"
         ))
         .unwrap();
-        let native = db
-            .query(&format!(
-                "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R \
-                 RECOMMEND R.iid TO R.uid ON R.ratingval USING {algo} \
-                 WHERE R.uid IN (1, 2, 3)"
-            ))
-            .unwrap();
+        for (users, items) in [("uid", "iid"), ("iid", "uid")] {
+            let native = db
+                .query(&format!(
+                    "SELECT R.{users}, R.{items}, R.ratingval FROM ratings AS R \
+                     RECOMMEND R.{items} TO R.{users} ON R.ratingval USING {algo} \
+                     WHERE R.{users} IN (1, 2, 3)"
+                ))
+                .unwrap();
 
-        let mut ontop = OnTopDb::new(loaded_db()).unwrap();
+            let mut ontop = OnTopDb::new(loaded_db()).unwrap();
+            ontop
+                .create_recommender("ratings", users, items, "ratingval", algo)
+                .unwrap();
+            let baseline = ontop
+                .run(
+                    "ratings",
+                    algo,
+                    PredictionScope::AllUsers,
+                    "SELECT P.uid, P.iid, P.ratingval FROM _ontop_predictions AS P \
+                     WHERE P.uid IN (1, 2, 3)",
+                )
+                .unwrap();
+            assert_eq!(
+                sorted_pairs(&native),
+                sorted_pairs(&baseline),
+                "{algo} TO {users}: native and on-top answers diverge"
+            );
+            assert!(!native.is_empty(), "{algo}: no recommendations at all");
+        }
+    }
+}
+
+/// The probe world: `r(uid, iid, a, b)` with `b = 6 − a` on every row.
+fn probe_table() -> String {
+    let rows: Vec<String> = (1..=12i64)
+        .flat_map(|u| (1..=10i64).map(move |i| (u, i)))
+        .filter(|&(u, i)| (u * 7 + i * 3) % 4 != 0)
+        .map(|(u, i)| {
+            let a = 1 + (u * i + u) % 5;
+            format!("({u}, {i}, {a}.0, {}.0)", 6 - a)
+        })
+        .collect();
+    format!(
+        "CREATE TABLE r (uid INT, iid INT, a FLOAT, b FLOAT);
+         INSERT INTO r VALUES {}",
+        rows.join(", ")
+    )
+}
+
+/// The probe world with two ItemCosCF recommenders on it: `ra` over `a`
+/// and `rb` over `b`.
+fn probe_script() -> String {
+    format!(
+        "{};
+         CREATE RECOMMENDER ra ON r USERS FROM uid ITEMS FROM iid RATINGS FROM a \
+         USING ItemCosCF;
+         CREATE RECOMMENDER rb ON r USERS FROM uid ITEMS FROM iid RATINGS FROM b \
+         USING ItemCosCF",
+        probe_table()
+    )
+}
+
+fn probe_db() -> RecDb {
+    let db = RecDb::new();
+    db.execute_script(&probe_script()).unwrap();
+    db
+}
+
+/// `RECOMMEND R.iid TO R.uid ON R.<column> USING ItemCosCF` for user 1.
+fn probe_query(column: &str) -> String {
+    format!(
+        "SELECT R.uid, R.iid, R.{column} FROM r AS R \
+         RECOMMEND R.iid TO R.uid ON R.{column} USING ItemCosCF WHERE R.uid = 1"
+    )
+}
+
+/// The probe's answers over `a` and over `b`, as sorted score bits.
+fn probe_answers(db: &RecDb) -> [Vec<(i64, i64, u64)>; 2] {
+    ["a", "b"].map(|column| sorted_pairs(&db.query(&probe_query(column)).unwrap()))
+}
+
+/// Two recommenders of one algorithm on one table, over different rating
+/// columns: `ON R.a` is answered by `ra` and `ON R.b` by `rb`, each equal
+/// to OnTopDB over its own column, score for score.
+#[test]
+fn each_rating_column_is_answered_by_its_own_recommender() {
+    let db = probe_db();
+    let [a, b] = probe_answers(&db);
+    assert_ne!(a, b, "the two columns must score differently");
+    for (column, native) in [("a", a), ("b", b)] {
+        let base = RecDb::new();
+        base.execute_script(&probe_table()).unwrap();
+        let mut ontop = OnTopDb::new(base).unwrap();
         ontop
-            .create_recommender("ratings", "uid", "iid", "ratingval", algo)
+            .create_recommender("r", "uid", "iid", column, Algorithm::ItemCosCF)
             .unwrap();
         let baseline = ontop
             .run(
-                "ratings",
-                algo,
-                PredictionScope::AllUsers,
-                "SELECT P.uid, P.iid, P.ratingval FROM _ontop_predictions AS P \
-                 WHERE P.uid IN (1, 2, 3)",
+                "r",
+                Algorithm::ItemCosCF,
+                PredictionScope::SingleUser(1),
+                "SELECT P.uid, P.iid, P.ratingval FROM _ontop_predictions AS P",
             )
             .unwrap();
-        assert_eq!(
-            sorted_pairs(&native),
-            sorted_pairs(&baseline),
-            "{algo}: native and on-top answers diverge"
-        );
-        assert!(!native.is_empty(), "{algo}: no recommendations at all");
+        assert_eq!(native, sorted_pairs(&baseline), "ON R.{column}");
     }
+}
+
+/// A clause over a column no recommender covers is an error that names
+/// the column, not another recommender's answer.
+#[test]
+fn a_clause_no_recommender_covers_is_an_error_naming_its_column() {
+    let db = RecDb::new();
+    db.execute_script(&format!(
+        "{};
+         CREATE RECOMMENDER ra ON r USERS FROM uid ITEMS FROM iid RATINGS FROM a \
+         USING ItemCosCF",
+        probe_table()
+    ))
+    .unwrap();
+    let err = db.query(&probe_query("b")).unwrap_err().to_string();
+    assert!(err.contains("ON b USING ItemCosCF"), "{err}");
+}
+
+/// A second `CREATE RECOMMENDER` over the same table, columns and
+/// algorithm is refused, however it spells them; another algorithm over
+/// the same columns is another recommender.
+#[test]
+fn a_second_recommender_over_the_same_five_is_refused() {
+    let db = probe_db();
+    let err = db
+        .execute(
+            "CREATE RECOMMENDER rc ON R USERS FROM UID ITEMS FROM iid RATINGS FROM A \
+             USING itemcoscf",
+        )
+        .unwrap_err();
+    assert_eq!(err, EngineError::RecommenderExists("ra".into()));
+    assert_eq!(db.recommender_names(), ["ra", "rb"]);
+    db.execute(
+        "CREATE RECOMMENDER rc ON r USERS FROM uid ITEMS FROM iid RATINGS FROM a \
+         USING ItemPearCF",
+    )
+    .unwrap();
+}
+
+/// `BEGIN; DROP RECOMMENDER ra; ROLLBACK` changes no answer: not at once,
+/// and not after a checkpoint and a reopen of the durable engine.
+#[test]
+fn a_rolled_back_drop_recommender_changes_no_answer() {
+    let dir = common::temp_dir("rolled-back-drop");
+    let db = RecDb::open(dir.path()).unwrap();
+    db.execute_script(&probe_script()).unwrap();
+    let before = probe_answers(&db);
+    assert_ne!(
+        before[0], before[1],
+        "the two columns must score differently"
+    );
+    db.execute_script("BEGIN; DROP RECOMMENDER ra; ROLLBACK")
+        .unwrap();
+    assert_eq!(probe_answers(&db), before, "after the ROLLBACK");
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = RecDb::open(dir.path()).unwrap();
+    assert_eq!(
+        probe_answers(&db),
+        before,
+        "after a checkpoint and a reopen"
+    );
+}
+
+/// A recommender handle holds no engine latch: with one held, the same
+/// thread creates and drops recommenders, materializes and runs the cache
+/// manager, and the handle sees what they did. The body runs on a thread
+/// of its own so that a deadlock fails the test instead of hanging it.
+#[test]
+fn a_held_recommender_handle_blocks_no_statement() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let db = probe_db();
+        let ra = db.recommender("ra").unwrap();
+        db.execute(
+            "CREATE RECOMMENDER rc ON r USERS FROM uid ITEMS FROM iid RATINGS FROM a \
+             USING SVD",
+        )
+        .unwrap();
+        db.execute("DROP RECOMMENDER rb").unwrap();
+        db.materialize("ra").unwrap();
+        db.query(&probe_query("a")).unwrap();
+        db.run_cache_manager("ra").unwrap();
+        done.send(ra.materialized_entries()).unwrap();
+    });
+    let entries = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the statements finish while a handle is held");
+    body.join().expect("the body ran to its end");
+    assert!(entries > 0);
 }
 
 /// The user-at-a-time scoring pass against its per-pair oracle on a seeded
@@ -273,26 +448,19 @@ fn maintenance_keeps_index_fresh() {
     db.materialize("r").unwrap();
 
     // Find an unseen pair for user 1 that is currently in the index.
-    // Scope the read guard: holding it across the INSERT below would
-    // block the engine's commit-time recommender update.
-    let (item, _) = {
-        let rec = db.recommender("r").unwrap();
-        let idx = rec.index().unwrap();
-        let entry = idx
-            .iter_desc(1, None, None)
-            .next()
-            .expect("entry for user 1");
-        entry
-    };
+    let rec = db.recommender("r").unwrap();
+    let (item, _) = rec
+        .index()
+        .unwrap()
+        .iter_desc(1, None, None)
+        .next()
+        .expect("entry for user 1");
 
     // User 1 rates it → maintenance fires → it must leave the index.
     db.execute(&format!("INSERT INTO ratings VALUES (1, {item}, 5.0)"))
         .unwrap();
-    let (pending, idx) = {
-        let rec = db.recommender("r").unwrap();
-        (rec.pending_updates(), rec.index().unwrap())
-    };
-    assert_eq!(pending, 0, "maintenance ran");
+    assert_eq!(rec.pending_updates(), 0, "maintenance ran");
+    let idx = rec.index().unwrap();
     assert_eq!(
         idx.iter_desc(1, None, None).find(|&(i, _)| i == item),
         None,
